@@ -237,9 +237,7 @@ def test_zero_copy_snapshots():
         f"{doc.arena_builds} arena builds for one committed version "
         "(zero-copy snapshot contract: exactly 1)"
     )
-    with doc.lock:
-        snapshot = doc.arena()
-        assert doc.arena() is snapshot, "reads must share one object"
+    assert store.pin("db").arena is doc.arena, "reads must share one object"
     # A commit splices the next snapshot from the current one — the
     # initial freeze stays the only full column build.
     store.commit("db", str(delete_transform("U5")))

@@ -1,23 +1,23 @@
-"""Commit-path benchmark: spliced incremental commits vs full rebuild.
+"""Commit-path benchmark: a spliced commit vs the rebuild function.
 
 One small committed insert (a two-element audit record into
-``regions/samerica``) against an XMark document, measured end to end —
-commit plus the first post-commit snapshot pin, which is where the
-rebuild path pays its deferred O(document) freeze:
+``regions/samerica``) against an XMark document:
 
-* **splice** — the default ``ViewStore``: the staged update's select
-  result becomes a handful of patches, the next frozen arena is spliced
-  from the current one (untouched columns shared), and delta-scoped
-  invalidation re-keys every cached result whose query is provably
-  label-disjoint from the delta.
-* **rebuild** — ``ViewStore(incremental_commits=False)``: the seed's
-  destructive path (mutate the Node tree, bump the version, blanket
-  cache purge, full columnar re-freeze on the next read).
+* **splice** — a whole ``ViewStore`` commit plus the first post-commit
+  snapshot pin: the staged update's select result becomes a handful of
+  patches, the next frozen arena is spliced from the current one
+  (untouched columns shared), and delta-scoped invalidation re-keys
+  every cached result whose query is provably label-disjoint from the
+  delta.
+* **rebuild** — :func:`repro.store.delta.apply_entries_rebuilt` alone
+  on the same base arena and the same staged entry: thaw, apply,
+  freeze — what a commit costs when no splice can express its delta
+  (the install and the blanket cache purge are not even charged).
 
 The acceptance bar (full mode): the spliced commit is >= 5x faster,
 with >= 50% of the unaffected cached results retained — both
-counter-asserted against the commit receipt, and the two stores'
-documents must serialize identically afterwards (splice == rebuild).
+counter-asserted against the commit receipt, and the two derivations
+must serialize identically (splice == rebuild).
 
 Run with::
 
@@ -36,8 +36,9 @@ from repro.bench.harness import (
     smoke_rounds,
 )
 from repro.store import ViewStore
-from repro.xmltree.node import deep_copy
-from repro.xmltree.serializer import serialize
+from repro.store.delta import apply_entries_rebuilt
+from repro.store.log import StagedUpdate
+from repro.xmltree.serializer import serialize_arena
 
 FACTOR = smoke_factor(0.1)  # ~10.4MB of XMark in full mode
 ROUNDS = smoke_rounds(5, 2)
@@ -65,21 +66,17 @@ DROPPED = [
 ]
 
 
-def _stores() -> "tuple[ViewStore, ViewStore]":
-    """Two stores over identical trees: the incremental default and the
-    rebuild baseline.  The shared benchmark dataset is deep-copied —
-    the rebuild path mutates its tree in place."""
-    tree = dataset(FACTOR, seed=DATASET_SEED)
-    spliced = ViewStore()
-    spliced.put("xmark", deep_copy(tree))
-    rebuild = ViewStore(incremental_commits=False)
-    rebuild.put("xmark", deep_copy(tree))
-    return spliced, rebuild
+def _store() -> ViewStore:
+    """A store over the shared benchmark dataset (admission freezes the
+    tree into the store's own columns; the dataset is left untouched)."""
+    store = ViewStore()
+    store.put("xmark", dataset(FACTOR, seed=DATASET_SEED))
+    return store
 
 
 def _commit_and_pin(store: ViewStore) -> float:
     """Seconds for one staged small commit plus the first post-commit
-    snapshot pin (where the rebuild path pays its arena re-freeze)."""
+    snapshot pin."""
     store.stage("xmark", SMALL_COMMIT)
     gc.collect()  # keep collector pauses for prior rounds' garbage out
     start = time.perf_counter()
@@ -88,27 +85,41 @@ def _commit_and_pin(store: ViewStore) -> float:
     return time.perf_counter() - start
 
 
+def _rebuild(base_arena, entries):
+    """``(seconds, outcome)`` for the rebuild function on *base_arena*."""
+    gc.collect()
+    start = time.perf_counter()
+    outcome = apply_entries_rebuilt(base_arena, entries, "budget")
+    return time.perf_counter() - start, outcome
+
+
 def test_small_commit_splices_5x_faster_with_cache_retention():
-    spliced_store, rebuild_store = _stores()
-    # Warm both arenas so neither side pays the initial freeze inside
-    # the timed region, then seed the result cache on both.
-    for store in (spliced_store, rebuild_store):
-        store.pin("xmark")
-        for text in RETAINED + DROPPED:
-            store.query("xmark", text)
+    spliced_store = _store()
+    entries = [
+        StagedUpdate(spliced_store.compiled.transform(SMALL_COMMIT), SMALL_COMMIT)
+    ]
+    # Seed the result cache.
+    for text in RETAINED + DROPPED:
+        spliced_store.query("xmark", text)
 
     splice_times = []
     rebuild_times = []
     deltas = []
     for _ in range(ROUNDS):
+        base_arena = spliced_store.pin("xmark").arena
+        seconds, rebuilt = _rebuild(base_arena, entries)
+        rebuild_times.append(seconds)
         splice_times.append(_commit_and_pin(spliced_store))
         deltas.append(spliced_store.last_delta)
-        rebuild_times.append(_commit_and_pin(rebuild_store))
-        # Re-seed what the commits invalidated so every round observes
+        # --- Splice == rebuild: both derive the same document.
+        assert serialize_arena(spliced_store.pin("xmark").arena) == serialize_arena(
+            rebuilt.arena
+        )
+        del rebuilt
+        # Re-seed what the commit invalidated so every round observes
         # retention against a fully warmed cache.
-        for store in (spliced_store, rebuild_store):
-            for text in RETAINED + DROPPED:
-                store.query("xmark", text)
+        for text in RETAINED + DROPPED:
+            spliced_store.query("xmark", text)
     splice_s = min(splice_times)
     rebuild_s = min(rebuild_times)
 
@@ -136,18 +147,13 @@ def test_small_commit_splices_5x_faster_with_cache_retention():
     assert newest["shared_bytes"] > 0, chain
     assert newest["owned_bytes"] < oldest["owned_bytes"], chain
 
-    # --- Splice == rebuild: both stores hold the same document.
-    assert serialize(spliced_store.documents.get("xmark").root) == serialize(
-        rebuild_store.documents.get("xmark").root
-    )
-
     speedup = rebuild_s / splice_s if splice_s > 0 else float("inf")
     print()
     print(format_table(
         f"small-delta commit, factor {FACTOR} ({ROUNDS} rounds, best)",
         ["path", "ms", "speedup"],
         [
-            ("rebuild (mutate+refreeze)", f"{rebuild_s * 1000:.2f}", "1.0x"),
+            ("rebuild (thaw+apply+freeze)", f"{rebuild_s * 1000:.2f}", "1.0x"),
             ("splice (delta arena)", f"{splice_s * 1000:.2f}", f"{speedup:.1f}x"),
         ],
     ))
@@ -172,14 +178,9 @@ def test_wal_fsync_overhead_is_bounded(tmp_path):
     rewrite of anything proportional to the document."""
     from repro.store.wal import WalWriter
 
-    tree = dataset(FACTOR, seed=DATASET_SEED)
-    walled = ViewStore()
-    walled.put("xmark", deep_copy(tree))
+    walled = _store()
     walled.wal = WalWriter(str(tmp_path / "wal.jsonl"))
-    plain = ViewStore()
-    plain.put("xmark", deep_copy(tree))
-    for store in (walled, plain):
-        store.pin("xmark")  # neither side pays the initial freeze
+    plain = _store()
 
     wal_times = []
     plain_times = []
@@ -214,7 +215,7 @@ def test_wal_fsync_overhead_is_bounded(tmp_path):
 
 
 def test_noop_commit_is_free():
-    spliced_store, _ = _stores()
+    spliced_store = _store()
     doc = spliced_store.documents.get("xmark")
     spliced_store.query("xmark", RETAINED[0])
     before = doc.version

@@ -278,10 +278,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_store_load(args: argparse.Namespace) -> int:
     with locked_state(args.state) as store:
-        doc = store.load(args.name, args.input, replace=args.replace)
+        snapshot = store.load(args.name, args.input, replace=args.replace).pin()
         print(
-            f"loaded {doc.name!r} v{doc.version}: "
-            f"{doc.root.size()} nodes from {args.input}"
+            f"loaded {snapshot.name!r} v{snapshot.version}: "
+            f"{len(snapshot.arena)} nodes from {args.input}"
         )
     return 0
 
@@ -331,7 +331,7 @@ def _cmd_store_commit(args: argparse.Namespace) -> int:
             f"spliced, {delta.patches} patch(es), "
             f"{delta.touched_nodes} node(s) touched"
             if delta.spliced
-            else "full rebuild"
+            else f"full rebuild: {delta.rebuild_reason}"
         )
         print(f"committed {args.name!r}: now v{delta.new_version} ({how})")
     return 0
@@ -355,10 +355,7 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             registry = MetricsRegistry()
             store.bind_metrics(registry)
             for name in stats["documents"]:
-                doc = store.documents.get(name)
-                with doc.lock:
-                    arena_stats = doc.arena().stats()
-                stats["documents"][name]["arena"] = arena_stats
+                stats["documents"][name]["arena"] = store.documents.get(name).pin().arena.stats()
                 stats["documents"][name]["chain"] = store.chain_info(name)
             print(json.dumps(
                 {"store": stats, "metrics": registry.snapshot()}, sort_keys=True
@@ -374,13 +371,10 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"depth {info['depth']}, {info['staged']} staged, "
             f"{info['committed']} committed"
         )
-        # Freeze (or reuse) the columnar snapshot so stat reports the
-        # real arena memory the read path uses.  Each CLI command is
-        # its own process, so the build/read counters a resident store
-        # accumulates (store.stats()) are not meaningful here.
-        doc = store.documents.get(name)
-        with doc.lock:
-            arena_stats = doc.arena().stats()
+        # The real arena memory the read path uses.  Each CLI command
+        # is its own process, so the build/read counters a resident
+        # store accumulates (store.stats()) are not meaningful here.
+        arena_stats = store.documents.get(name).pin().arena.stats()
         print(
             f"    arena snapshot: {arena_stats['nodes']} nodes "
             f"({arena_stats['elements']} elements), "
@@ -422,9 +416,13 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
     if last is not None:
         last_ratio = last["retention_ratio"]
         last_text = "n/a" if last_ratio is None else f"{last_ratio:.0%}"
+        # A no-op commit (nothing staged) neither spliced nor rebuilt.
+        how = "splice" if last["spliced"] else (
+            f"rebuild: {last['rebuild_reason']}" if last["rebuild_reason"] else "no-op"
+        )
         print(
             f"    last commit: {last['doc']!r} v{last['version']} "
-            f"({'splice' if last['spliced'] else 'rebuild'}, "
+            f"({how}, "
             f"{last['entries']} entries, {last['touched_nodes']} touched); "
             f"retention {last_text}"
         )

@@ -722,19 +722,24 @@ class QueryService:
         if self.checkpoint is not None:
             self.checkpoint()
 
+    @staticmethod
+    def _admitted(doc) -> dict:
+        snapshot = doc.pin()
+        return {"name": doc.name, "version": snapshot.version, "nodes": len(snapshot.arena)}
+
     def load(self, name: str, path: str, *, replace: bool = False) -> dict:
         with self._write_lock:
             self._check_open()
             doc = self.store.load(name, path, replace=replace)
             self._checkpoint_documents()
-            return {"name": doc.name, "version": doc.version, "nodes": doc.root.size()}
+            return self._admitted(doc)
 
     def put(self, name: str, xml: str, *, replace: bool = False) -> dict:
         with self._write_lock:
             self._check_open()
             doc = self.store.put(name, xml, replace=replace)
             self._checkpoint_documents()
-            return {"name": doc.name, "version": doc.version, "nodes": doc.root.size()}
+            return self._admitted(doc)
 
     def define_view(self, name: str, base: str, transform_text: str) -> dict:
         with self._write_lock:

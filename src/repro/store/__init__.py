@@ -28,8 +28,9 @@ the :class:`MaterializationPolicy` declares it hot.  Queries against a
 view are answered with the Compose Method over the stack (see
 :mod:`repro.store.store` for the exact strategy), compiled artifacts
 are cached in an LRU :class:`CompiledCache`, and results are cached per
-document version.  Staged updates commit destructively (bumping the
-version and invalidating dependent views and results) or roll back.
+document version.  A document at rest is one frozen arena per version;
+staged updates commit by installing the next one (carrying provably
+unaffected views and results across) or roll back.
 
 :mod:`repro.store.state` gives the ``repro store`` CLI durable state:
 one directory with a JSON manifest plus one XML file per document.

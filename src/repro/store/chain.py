@@ -1,6 +1,6 @@
 """The per-document version chain: structurally-shared frozen arenas.
 
-Every commit (and every lazy arena build) records a
+Every admission and every commit records a
 :class:`ChainVersion` in the owning document's :class:`VersionChain`.
 Spliced commits share untouched column data with their predecessor
 (payload strings and attribute tuples by reference, whole columns for
@@ -31,10 +31,10 @@ __all__ = ["ChainVersion", "CommitDelta", "VersionChain", "sharing_stats"]
 class ChainVersion:
     """One frozen arena pinned into a document's version chain.
 
-    ``kind`` records how the arena came to be: ``"load"`` (first
-    freeze), ``"rebuild"`` (re-freeze after a destructive fallback
-    commit) or ``"splice"`` (O(delta) derivation from the previous
-    entry).  ``uid`` is the process-unique arena id snapshot caches
+    ``kind`` records how the arena came to be: ``"load"``
+    (admission), ``"rebuild"`` (thaw → apply → freeze, for a commit no
+    splice can express) or ``"splice"`` (O(delta) derivation from the
+    previous entry).  ``uid`` is the process-unique arena id snapshot caches
     key on.
     """
 
@@ -53,9 +53,11 @@ class CommitDelta:
     ``labels`` is the conservative delta label set (every element
     label inside a touched range, introduced by a segment, or on an
     attach point's ancestor chain) for spliced commits; ``None`` when
-    the commit fell back to a destructive rebuild and nothing can be
-    proven about its extent.  ``entries == 0`` marks a no-op commit:
-    nothing was staged, the version did not move, no cache was touched.
+    the commit was rebuilt and nothing can be proven about its extent
+    — ``rebuild_reason`` then says why it could not splice
+    (``selector`` / ``budget`` / ``root``).  ``entries == 0`` marks a
+    no-op commit: nothing was staged, the version did not move, no
+    cache was touched.
     """
 
     doc_name: str
@@ -72,6 +74,7 @@ class CommitDelta:
     results_dropped: int = 0
     mats_kept: int = 0
     mats_dropped: int = 0
+    rebuild_reason: Optional[str] = None
 
 
 class VersionChain:
@@ -87,18 +90,11 @@ class VersionChain:
         self._lock = threading.Lock()
 
     def record(self, entry: ChainVersion) -> None:
-        """Append (or replace, for a re-freeze of the same version)
-        and trim to the retention limit, oldest first."""
+        """Append (a document installs each version exactly once, in
+        order) and trim to the retention limit, oldest first."""
         with self._lock:
-            if self._entries and self._entries[-1].version == entry.version:
-                self._entries[-1] = entry
-            else:
-                self._entries = [
-                    kept for kept in self._entries if kept.version != entry.version
-                ]
-                self._entries.append(entry)
-            while len(self._entries) > self.limit:
-                self._entries.pop(0)
+            self._entries.append(entry)
+            del self._entries[: -self.limit]
 
     def find(self, version: int) -> Optional[ChainVersion]:
         with self._lock:

@@ -1,10 +1,11 @@
-"""Delta derivation for incremental commits.
+"""Deriving the next frozen version of a document from its staged
+updates.
 
-The commit fast path: run each staged update's selecting automaton over
-the current frozen arena, turn the matches into splice patches
-(:func:`repro.xmltree.arena.splice`), and derive the next frozen
-version without touching the Node tree or rebuilding columns — O(delta)
-work instead of O(document).
+The commit fast path (:func:`apply_entries_spliced`): run each staged
+update's selecting automaton over the current frozen arena, turn the
+matches into splice patches (:func:`repro.xmltree.arena.splice`), and
+derive the next frozen version without building a Node tree or
+rebuilding columns — O(delta) work instead of O(document).
 
 Alongside the patches this module computes the **delta label set**: a
 conservative superset of every element label whose presence, absence,
@@ -16,20 +17,34 @@ invalidation keeps a cached result whose query provably mentions none
 of them (:func:`query_labels` / :func:`transform_labels` — ``None``
 means "unanalyzable, assume affected").
 
-A commit that cannot be expressed as a splice — an unsupported
-selector, or a delta spanning most of the document — raises
-:class:`DeltaUnsupported` and the store falls back to the destructive
-rebuild path.
+A commit that cannot be expressed as a splice raises
+:class:`DeltaUnsupported` with its reason — an unsupported
+``selector``, a delta over the touched-fraction ``budget``, or one that
+removes the document ``root`` — and the store derives the version with
+:func:`apply_entries_rebuilt` instead: thaw, apply every update to the
+private copy, freeze.  That function is also the reference the splice
+property tests and ``bench_commit.py`` compare against.  Both return a
+:class:`CommitOutcome`, so the store has one install path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional
+from typing import Any, FrozenSet, List, Optional, Set, Tuple, cast
 
 from repro.automata.arena_run import select_indices
-from repro.updates.ops import Update
-from repro.xmltree.arena import FrozenDocument, freeze_segment, rename_splice, splice
+from repro.updates.apply import apply_update
+from repro.xmltree.arena import (
+    FrozenDocument,
+    SpliceSegment,
+    freeze,
+    freeze_segment,
+    rename_splice,
+    splice,
+    thaw,
+)
+from repro.xmltree.node import Element
+from repro.xmltree.symbols import SymbolTable
 from repro.xpath.ast import (
     AndQual,
     CmpQual,
@@ -43,8 +58,10 @@ from repro.xpath.ast import (
 from repro.xquery import ast as xq
 
 __all__ = [
+    "CommitOutcome",
     "DeltaUnsupported",
-    "SpliceOutcome",
+    "REBUILD_REASONS",
+    "apply_entries_rebuilt",
     "apply_entries_spliced",
     "query_labels",
     "ranges_swallowed_by",
@@ -56,42 +73,73 @@ __all__ = [
 #: qualifier shapes).  Anything else is a real bug and must surface.
 _COMPILE_ERRORS = (ValueError, KeyError, NotImplementedError)
 
+#: Why a commit was rebuilt instead of spliced (``DeltaUnsupported.
+#: reason``, ``CommitOutcome.reason``, ``store.commit.rebuild_reason.*``).
+REBUILD_REASONS = ("selector", "budget", "root")
+
+#: A delta touching more than this share of the base arena is rebuilt:
+#: it gains nothing over a rebuild and would fragment sharing.
+MAX_TOUCHED_FRACTION = 0.5
+
+#: One splice patch range: ``(kind, start, stop, attach)``.
+PatchRange = Tuple[str, int, int, int]
+
 
 class DeltaUnsupported(Exception):
-    """This commit cannot be applied as a splice; fall back to the
-    destructive rebuild path."""
+    """This commit cannot be applied as a splice; *reason* (one of
+    :data:`REBUILD_REASONS`) says why it is rebuilt instead."""
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
-class SpliceOutcome:
-    """What :func:`apply_entries_spliced` produced.
+class CommitOutcome:
+    """The next frozen version and how it was derived.
 
-    ``ranges`` is the patch list ``[(kind, start, stop, attach), …]``
-    against ``base_arena`` — populated only for single-entry commits
-    (multi-entry patch positions refer to intermediate arenas), where
-    it feeds the materialization swallow test.
+    ``reason`` is ``None`` for a splice and the fallback reason for a
+    rebuild.  A rebuild proves nothing about its extent: ``labels`` is
+    ``None`` (every cached entry over the document drops).  ``ranges``
+    is the patch list against ``base_arena`` — populated only for
+    single-entry splices (multi-entry patch positions refer to
+    intermediate arenas), where it feeds the materialization swallow
+    test.
     """
 
     __slots__ = (
         "arena", "base_arena", "labels", "touched_nodes", "patches",
-        "entries", "ranges",
+        "ranges", "reason",
     )
 
-    def __init__(self, arena, base_arena, labels, touched_nodes, patches,
-                 entries, ranges):
+    def __init__(
+        self,
+        arena: FrozenDocument,
+        base_arena: FrozenDocument,
+        labels: Optional[FrozenSet[str]] = None,
+        touched_nodes: int = 0,
+        patches: int = 0,
+        ranges: Optional[List[PatchRange]] = None,
+        reason: Optional[str] = None,
+    ) -> None:
         self.arena = arena
         self.base_arena = base_arena
         self.labels = labels
         self.touched_nodes = touched_nodes
         self.patches = patches
-        self.entries = entries
         self.ranges = ranges
+        self.reason = reason
+
+    @property
+    def kind(self) -> str:
+        """The chain-entry kind this outcome installs as."""
+        return "splice" if self.reason is None else "rebuild"
 
 
-def _segment_for(update: Update, symbols):
+def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
     """The update's constant content as a splice segment, cached on the
     update object (updates live in the compiled cache, so the segment
     is frozen once per distinct transform text per symbol table)."""
-    cached = getattr(update, "_splice_segment", None)
+    cached: Optional[SpliceSegment] = getattr(update, "_splice_segment", None)
     if cached is not None and cached.symbols is symbols:
         return cached
     segment = freeze_segment(update.content, symbols)
@@ -99,7 +147,9 @@ def _segment_for(update: Update, symbols):
     return segment
 
 
-def _chain_labels(arena: FrozenDocument, index: int, labels: set, seen: set) -> None:
+def _chain_labels(
+    arena: FrozenDocument, index: int, labels: Set[str], seen: Set[int]
+) -> None:
     """Add the labels on the ancestor chain of *index* (inclusive)."""
     sym = arena.sym
     parent = arena.parent
@@ -113,9 +163,9 @@ def _chain_labels(arena: FrozenDocument, index: int, labels: set, seen: set) -> 
         c = parent[c]
 
 
-def _topmost(matches: list, end) -> list:
+def _topmost(matches: List[int], end: Any) -> List[int]:
     """Filter doc-order matches to topmost-wins (delete/replace)."""
-    top: list = []
+    top: List[int] = []
     boundary = 0
     for m in matches:
         if m >= boundary:
@@ -125,45 +175,42 @@ def _topmost(matches: list, end) -> list:
 
 
 def apply_entries_spliced(
-    base_arena: FrozenDocument,
-    entries: list,
-    compiled,
-    *,
-    max_touched_fraction: float = 0.5,
-) -> SpliceOutcome:
+    base_arena: FrozenDocument, entries: List[Any], compiled: Any
+) -> CommitOutcome:
     """Apply staged entries to *base_arena* by splicing, sequentially
-    (entry *i+1* selects against entry *i*'s result, matching the
-    destructive commit's semantics).  Raises :class:`DeltaUnsupported`
-    when any entry cannot be expressed as a splice or the accumulated
-    delta spans most of the document (a root-spanning delta gains
-    nothing over a rebuild and would fragment sharing)."""
+    (entry *i+1* selects against entry *i*'s result — the semantics
+    :func:`apply_entries_rebuilt` defines).  Raises
+    :class:`DeltaUnsupported` when any entry cannot be expressed as a
+    splice or the accumulated delta spans most of the document."""
     arena = base_arena
-    labels: set = set()
+    labels: Set[str] = set()
     touched = 0
     patch_count = 0
-    ranges: Optional[list] = [] if len(entries) == 1 else None
-    budget = max(1, int(len(base_arena) * max_touched_fraction))
+    ranges: Optional[List[PatchRange]] = [] if len(entries) == 1 else None
+    budget = max(1, int(len(base_arena) * MAX_TOUCHED_FRACTION))
     for entry in entries:
         update = entry.transform.update
         try:
             nfa = compiled.selecting_nfa_for(update.path)
             matches = select_indices(nfa, arena)
         except _COMPILE_ERRORS as exc:
-            raise DeltaUnsupported(f"cannot select delta ranges: {exc}") from exc
+            raise DeltaUnsupported(
+                "selector", f"cannot select delta ranges: {exc}"
+            ) from exc
         if not matches:
             continue
         sym = arena.sym
         parent = arena.parent
         end = arena.end
         strings = arena.symbols.strings
-        seen_chain: set = set()
+        seen_chain: Set[int] = set()
         kind = update.kind
         if kind == "rename":
             # Point-writes on the symbol column; full column aliasing
             # for everything else.
             touched += len(matches)
             if touched > budget:
-                raise DeltaUnsupported("delta spans most of the document")
+                raise DeltaUnsupported("budget", "delta spans most of the document")
             labels.add(update.new_label)
             for m in matches:
                 labels.add(strings[sym[m]])
@@ -173,6 +220,8 @@ def apply_entries_spliced(
             patch_count += len(matches)
             arena = rename_splice(arena, matches, update.new_label)
             continue
+        segment: Optional[SpliceSegment]
+        patches: List[Tuple[int, int, int, Optional[SpliceSegment]]]
         if kind == "insert":
             segment = _segment_for(update, arena.symbols)
             patches = [(end[m], end[m], m, segment) for m in matches]
@@ -180,7 +229,7 @@ def apply_entries_spliced(
             top = _topmost(matches, end)
             if top and top[0] == 0:
                 # The whole document is the delta; nothing to share.
-                raise DeltaUnsupported("delta removes the document root")
+                raise DeltaUnsupported("root", "delta removes the document root")
             segment = _segment_for(update, arena.symbols) if kind == "replace" else None
             patches = [(m, end[m], parent[m], segment) for m in top]
         for start, stop, attach, segment in patches:
@@ -194,12 +243,27 @@ def apply_entries_spliced(
             if ranges is not None:
                 ranges.append((kind, start, stop, attach))
         if touched > budget:
-            raise DeltaUnsupported("delta spans most of the document")
+            raise DeltaUnsupported("budget", "delta spans most of the document")
         patch_count += len(patches)
         arena = splice(arena, patches)
-    return SpliceOutcome(
-        arena, base_arena, frozenset(labels), touched, patch_count,
-        len(entries), ranges,
+    return CommitOutcome(
+        arena, base_arena, frozenset(labels), touched, patch_count, ranges
+    )
+
+
+def apply_entries_rebuilt(
+    base_arena: FrozenDocument, entries: List[Any], reason: str
+) -> CommitOutcome:
+    """Apply staged entries the O(document) way: thaw *base_arena* into
+    a private Node tree, run each update over it in staging order, and
+    freeze the result.  The only path for deltas a splice cannot
+    express (*reason* records which kind), and the reference
+    :func:`apply_entries_spliced` is tested against."""
+    root = cast(Element, thaw(base_arena))
+    for entry in entries:
+        apply_update(root, entry.transform.update)
+    return CommitOutcome(
+        freeze(root, base_arena.symbols), base_arena, reason=reason
     )
 
 
@@ -208,7 +272,7 @@ def apply_entries_spliced(
 # ----------------------------------------------------------------------
 
 
-def _path_labels(path: Path, labels: set) -> bool:
+def _path_labels(path: Path, labels: Set[str]) -> bool:
     """Collect the element labels a path mentions; ``False`` when the
     path is unanalyzable (a wildcard step can match anything)."""
     for step in path.steps:
@@ -223,7 +287,7 @@ def _path_labels(path: Path, labels: set) -> bool:
     return True
 
 
-def _qual_labels(qual, labels: set) -> bool:
+def _qual_labels(qual: Any, labels: Set[str]) -> bool:
     if isinstance(qual, TrueQual):
         return True
     if isinstance(qual, PathQual):
@@ -240,7 +304,7 @@ def _qual_labels(qual, labels: set) -> bool:
     return False
 
 
-def _expr_labels(expr, labels: set) -> bool:
+def _expr_labels(expr: Any, labels: Set[str]) -> bool:
     if isinstance(expr, xq.PathFrom):
         return _path_labels(expr.path, labels)
     if isinstance(expr, (xq.VarRef, xq.Literal, xq.EmptySeq, xq.ConstTree)):
@@ -262,7 +326,7 @@ def _expr_labels(expr, labels: set) -> bool:
     return False  # TransformedSubtree and anything unknown
 
 
-def _bool_labels(expr, labels: set) -> bool:
+def _bool_labels(expr: Any, labels: Set[str]) -> bool:
     if isinstance(expr, xq.BoolConst):
         return True
     if isinstance(expr, xq.Exists):
@@ -278,7 +342,7 @@ def _bool_labels(expr, labels: set) -> bool:
     return False
 
 
-def query_labels(user_query) -> Optional[frozenset]:
+def query_labels(user_query: Any) -> Optional[FrozenSet[str]]:
     """Every element label the user query's answer can depend on, or
     ``None`` when the query is unanalyzable (wildcards, unknown nodes).
 
@@ -290,16 +354,16 @@ def query_labels(user_query) -> Optional[frozenset]:
     patch inside which has an ancestor chain in the delta set) is
     still exact.
     """
-    labels: set = set()
+    labels: Set[str] = set()
     if _expr_labels(user_query.core(), labels):
         return frozenset(labels)
     return None
 
 
-def transform_labels(transform) -> Optional[frozenset]:
+def transform_labels(transform: Any) -> Optional[FrozenSet[str]]:
     """Every element label that decides *where* a transform applies,
     plus any label it introduces; ``None`` when unanalyzable."""
-    labels: set = set()
+    labels: Set[str] = set()
     if not _path_labels(transform.path, labels):
         return None
     update = transform.update
@@ -328,7 +392,7 @@ def _qualifier_free(path: Path) -> bool:
 
 
 def ranges_swallowed_by(
-    transform, base_arena: FrozenDocument, ranges: list, compiled
+    transform: Any, base_arena: FrozenDocument, ranges: List[PatchRange], compiled: Any
 ) -> bool:
     """Is every patched range invisible through *transform*'s output?
 

@@ -1,16 +1,23 @@
-"""Resident documents: named, versioned, lock-protected parse trees.
+"""Resident documents: named, versioned, lock-protected frozen arenas.
 
-A :class:`StoredDocument` owns its tree — the store parses documents
-itself (or deep-copies what callers hand in is *not* done; callers that
-keep mutating a tree after :meth:`DocumentStore.put` get what they
-asked for).  The version counter starts at 1 and is bumped by every
-committed update; caches key on it, so "invalidate" is mostly "the old
-version number never matches again".
+What a stored document *is* at rest is decided here and nowhere else:
+a :class:`StoredDocument` is a version, a uid and one always-present
+:class:`~repro.xmltree.arena.FrozenDocument`.  Admission is eager and
+columnar — files and XML text are parsed straight into columns, a
+caller's ``Element`` tree is frozen (copied) once — so the store never
+shares mutable structure with its callers.  The version counter starts
+at 1 and moves with every installed commit; caches key on it (or on
+the uid), so "invalidate" is mostly "the old key never matches again".
+
+The Node tree is a *derived* view of the current arena: thawed on
+first demand through :attr:`StoredDocument.root`, never mutated, and
+dropped by every :meth:`StoredDocument.install`.  Only view stacks,
+staged previews and the ``query_naive`` oracle ask for it.
 
 Concurrency model: one :class:`threading.Lock` per document.  Queries
-and commits against the same document serialize on it; different
-documents never contend.  The store-level dict has its own lock for
-name-table mutation only.
+and commit installs against the same document serialize on it;
+different documents never contend.  The store-level dict has its own
+lock for name-table mutation only.
 """
 
 from __future__ import annotations
@@ -18,22 +25,23 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from typing import Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Union, cast
 
-from repro.store.chain import ChainVersion, VersionChain
+from repro.store.chain import ChainVersion, VersionChain, sharing_stats
 from repro.store.errors import (
     DuplicateNameError,
     InvalidNameError,
     StoreError,
     UnknownNameError,
 )
+from repro.xmltree.arena import FrozenDocument, freeze, thaw
 from repro.xmltree.node import Element
-from repro.xmltree.parser import parse, parse_file
+from repro.xmltree.parser import parse_file_to_arena, parse_to_arena
 
 #: Names double as state-directory file stems, so keep them path-safe.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
-#: Process-unique ids stamped on every arena build.  (name, version)
+#: Process-unique ids stamped on every installed arena.  (name, version)
 #: alone is ambiguous — a dropped-then-reloaded document restarts at
 #: version 1 — so snapshot-keyed caches (the service's memo, the
 #: process workers' arena caches) key on the uid, which no two arenas
@@ -41,7 +49,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _ARENA_UIDS = itertools.count(1)
 
 
-class Snapshot:
+class Snapshot(NamedTuple):
     """A pinned MVCC read snapshot: one committed document version.
 
     Produced by :meth:`StoredDocument.pin` (under the document lock)
@@ -49,24 +57,18 @@ class Snapshot:
     so any number of readers evaluate against it while writers stage
     and commit new versions — single-writer, many-reader discipline
     with no reader-side blocking.  ``version`` is the per-document
-    counter the snapshot was frozen from; a reader can compare it to
+    counter the snapshot was taken at; a reader can compare it to
     the document's current version afterwards to tell whether its
     answer was already stale by the time it finished.  ``uid`` is the
-    arena build's process-unique id — the unambiguous cache key where
+    arena's process-unique id — the unambiguous cache key where
     ``(name, version)`` could alias across a drop-and-reload (a
     reloaded document restarts at version 1).
     """
 
-    __slots__ = ("name", "version", "arena", "uid")
-
-    def __init__(self, name: str, version: int, arena, uid: int):
-        self.name = name
-        self.version = version
-        self.arena = arena
-        self.uid = uid
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Snapshot({self.name!r}, v{self.version}, uid={self.uid})"
+    name: str
+    version: int
+    arena: FrozenDocument
+    uid: int
 
 
 def validate_name(name: str) -> str:
@@ -76,119 +78,85 @@ def validate_name(name: str) -> str:
 
 
 class StoredDocument:
-    """One resident document: tree, version, its lock — and, on the
-    read path, a frozen columnar snapshot of the committed version.
+    """One resident document: the frozen arena of its current version,
+    that version's number and uid, and its locks.
 
-    The arena (:class:`~repro.xmltree.arena.FrozenDocument`) is built
-    lazily on first read and pinned to the version it was frozen from:
-    every query against that version shares the **same immutable
-    object** — a zero-copy snapshot (``arena_builds`` counts rebuilds,
-    so "N reads, 1 build" is an assertable contract).  A commit bumps
-    the version and drops the store's reference; readers still holding
-    the old arena keep a consistent pre-commit view for free, and the
-    next read freezes the new version.
+    Every read of a version shares the **same immutable arena** — a
+    zero-copy snapshot.  A commit installs the next arena (spliced
+    from this one, or rebuilt) and drops the store's reference to the
+    old one; readers still holding it keep a consistent pre-commit
+    view for free.  ``arena_builds`` counts O(document) constructions
+    (admission, rebuild commits) and ``splices`` the O(delta) ones, so
+    "N reads and M spliced commits, 1 build" is an assertable contract.
     """
 
     __slots__ = (
-        "name", "_root", "version", "lock", "source", "dirty",
-        "_arena", "_arena_version", "_arena_uid", "arena_builds",
-        "chain", "commit_lock", "splices", "state_file",
+        "name", "version", "uid", "arena", "_nodes", "lock", "commit_lock",
+        "source", "dirty", "state_file", "arena_builds", "splices", "chain",
     )
 
-    # guarded-by[_root, version, dirty, arena_builds, splices, state_file]: self.lock
-    # guarded-by[_arena, _arena_version, _arena_uid]: self.lock
+    # guarded-by[version, uid, arena, _nodes]: self.lock
+    # guarded-by[dirty, state_file, arena_builds, splices]: self.lock
 
     def __init__(
         self,
         name: str,
-        root: Element,
+        arena: FrozenDocument,
         version: int = 1,
         source: Optional[str] = None,
     ):
         self.name = name
-        # Invariant: at least one of _root / _arena is always set.  A
-        # spliced commit installs only the arena (_root is thawed back
-        # lazily if a destructive fallback later needs the Node tree).
-        self._root: Optional[Element] = root
+        #: The single source of truth for this version's content.
+        self.arena = arena
         self.version = version
+        self.uid = next(_ARENA_UIDS)
+        #: Derived Node tree of :attr:`arena` (see :attr:`root`).
+        self._nodes: Optional[Element] = None
         self.lock = threading.Lock()
-        #: Serializes whole commits (stage-take → splice → install) so
-        #: the splice itself runs *outside* :attr:`lock` without two
+        #: Serializes whole commits (stage-take → derive → install) so
+        #: the next arena is derived *outside* :attr:`lock` without two
         #: writers deriving from the same base.  Ordering: commit_lock
         #: is taken strictly before (never under) :attr:`lock`.
         self.commit_lock = threading.Lock()
         self.source = source  # file path it was loaded from, informational
-        #: Tree changed since it was last persisted (commit, fresh put).
-        #: The state layer clears it after writing the document file.
+        #: Content changed since it was last persisted (commit, fresh
+        #: put).  The state layer clears it after writing the file.
         self.dirty = True
-        #: State-dir filename this tree was last loaded from / saved to
-        #: (set by the state layer; ``None`` for in-memory documents).
+        #: State-dir filename this version was last loaded from / saved
+        #: to (set by the state layer; ``None`` for in-memory documents).
         self.state_file: Optional[str] = None
-        self._arena = None
-        self._arena_version = 0
-        self._arena_uid = 0
-        self.arena_builds = 0
+        self.arena_builds = 1
+        self.splices = 0
         #: Structurally-shared recent frozen versions (assign-once
         #: reference; the chain carries its own leaf lock).
         self.chain = VersionChain()
-        self.splices = 0
+        self.chain.record(ChainVersion(version, self.uid, arena, "load"))
 
     @property
     def root(self) -> Element:  # holds: self.lock
-        """The mutable Node tree of the current version, thawed back
-        from the arena if the last commit was a splice."""
-        if self._root is None:
-            from repro.xmltree.arena import thaw
+        """The current version as a Node tree — the one accessor of the
+        derived cache.  Thawed on first use, shared by every later
+        caller of this version, and **never mutated**: transforms over
+        it are pure and structure-sharing."""
+        if self._nodes is None:
+            self._nodes = cast(Element, thaw(self.arena))
+        return self._nodes
 
-            self._root = thaw(self._arena)
-        return self._root
-
-    def bump(self) -> int:  # holds: self.lock
-        """Advance the version (callers hold :attr:`lock`); the frozen
-        snapshot of the old version is released (readers holding it
-        are unaffected — it is immutable)."""
+    def install(self, arena: FrozenDocument, kind: str, touched_nodes: int) -> int:  # holds: self.lock
+        """Install *arena* as the next committed version (callers hold
+        :attr:`lock`) — the one way a document's content ever changes.
+        *kind* is ``"splice"`` or ``"rebuild"`` (how it was derived)."""
         self.version += 1
-        self._arena = None
-        return self.version
-
-    def arena(self):  # holds: self.lock
-        """The frozen columnar snapshot of the current version,
-        building it on first access (callers hold :attr:`lock`)."""
-        if self._arena is None or self._arena_version != self.version:
-            from repro.xmltree.arena import freeze
-
-            self._arena = freeze(self.root)
-            self._arena_version = self.version
-            self._arena_uid = next(_ARENA_UIDS)
-            self.arena_builds += 1
-            kind = "load" if self.arena_builds == 1 else "rebuild"
-            self.chain.record(
-                ChainVersion(self.version, self._arena_uid, self._arena, kind)
-            )
-        return self._arena
-
-    def current_uid(self) -> int:  # holds: self.lock
-        """The uid of the current version's arena (callers hold
-        :attr:`lock`); 0 when no arena is resident for this version."""
-        if self._arena is not None and self._arena_version == self.version:
-            return self._arena_uid
-        return 0
-
-    def install_spliced(self, arena, touched_nodes: int) -> int:  # holds: self.lock
-        """Install a spliced arena as the next committed version
-        (callers hold :attr:`lock`).  The Node tree is dropped and
-        thawed back lazily only if a later fallback commit needs it."""
-        self.version += 1
-        self._root = None
-        self._arena = arena
-        self._arena_version = self.version
-        self._arena_uid = next(_ARENA_UIDS)
+        self.arena = arena
+        self.uid = next(_ARENA_UIDS)
+        self._nodes = None
         self.dirty = True
-        self.splices += 1
+        if kind == "splice":
+            self.splices += 1
+        else:
+            self.arena_builds += 1
         self.chain.record(
-            ChainVersion(
-                self.version, self._arena_uid, arena, "splice", touched_nodes
-            )
+            ChainVersion(self.version, self.uid, arena, kind, touched_nodes)
         )
         return self.version
 
@@ -196,11 +164,11 @@ class StoredDocument:
         """Pin a committed version for an MVCC reader.
 
         With no argument: the current version, taking the document lock
-        just long enough to read the version and (re)freeze its arena;
-        the returned :class:`Snapshot` is then consumed lock-free.  A
-        concurrent commit bumps the version and builds a new arena —
-        this snapshot keeps observing the old one, fully consistent,
-        until the reader drops it.
+        just long enough to read one consistent (version, arena, uid)
+        row; the returned :class:`Snapshot` is then consumed lock-free.
+        A concurrent commit installs a new arena — this snapshot keeps
+        observing the old one, fully consistent, until the reader drops
+        it.
 
         With ``version=N``: a time-travel pin onto the version chain.
         Spliced versions share untouched columns, so recent history
@@ -209,8 +177,7 @@ class StoredDocument:
         """
         with self.lock:
             if version is None or version == self.version:
-                arena = self.arena()
-                return Snapshot(self.name, self.version, arena, self._arena_uid)
+                return Snapshot(self.name, self.version, self.arena, self.uid)
             entry = self.chain.find(version)
         if entry is None:
             resident = self.chain.versions()
@@ -220,44 +187,31 @@ class StoredDocument:
             )
         return Snapshot(self.name, entry.version, entry.arena, entry.uid)
 
-    def stats(self) -> dict:
+    def stats(self) -> Dict[str, Any]:
         # Taken under the document lock: a commit in flight could
-        # otherwise tear version/tree/arena into an inconsistent row.
+        # otherwise tear version/arena into an inconsistent row.
         with self.lock:
-            arena = self._arena
-            arena_current = arena is not None and self._arena_version == self.version
-            if self._root is not None:
-                nodes = self._root.size()
-                depth = self._root.depth()
-            else:
-                # Spliced document with no thawed tree: answer from the
-                # arena rather than forcing an O(n) thaw.
-                nodes = len(arena)
-                depth = arena.depth()
-            info = {
+            arena = self.arena
+            arena_stats = arena.stats()
+            return {
                 "version": self.version,
-                "nodes": nodes,
-                "depth": depth,
+                "nodes": len(arena),
+                "depth": arena.depth(),
                 "source": self.source,
                 "arena_builds": self.arena_builds,
                 "splices": self.splices,
                 "chain_length": len(self.chain),
+                "arena_bytes": arena_stats["total_bytes"],
+                "arena_column_bytes": arena_stats["column_bytes"],
             }
-            if arena_current:
-                arena_stats = arena.stats()
-                info["arena_bytes"] = arena_stats["total_bytes"]
-                info["arena_column_bytes"] = arena_stats["column_bytes"]
-            return info
 
-    def chain_info(self) -> dict:
+    def chain_info(self) -> Dict[str, Any]:
         """Chain shape for ``store stat``: resident versions plus the
         shared/owned byte split across consecutive entries."""
-        from repro.store.chain import sharing_stats
-
         with self.lock:
             splices = self.splices
         entries = self.chain.snapshot()
-        info = {
+        info: Dict[str, Any] = {
             "length": len(entries),
             "versions": [entry.version for entry in entries],
             "splices": splices,
@@ -274,28 +228,38 @@ class DocumentStore:
 
     # guarded-by[_docs]: self._lock
 
-    def __init__(self):
-        self._docs: dict[str, StoredDocument] = {}
+    def __init__(self) -> None:
+        self._docs: Dict[str, StoredDocument] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
 
-    def load(self, name: str, path: str, *, replace: bool = False) -> StoredDocument:
-        """Parse the file at *path* and store it under *name*."""
-        root = parse_file(path)
-        return self.put(name, root, source=path, replace=replace)
+    def load(
+        self,
+        name: str,
+        path: str,
+        *,
+        replace: bool = False,
+        version: Optional[int] = None,
+    ) -> StoredDocument:
+        """Parse the file at *path* straight into columns and store it
+        under *name*.  *version* is the state layer's: a checkpointed
+        document is admitted at the version its file holds."""
+        validate_name(name)
+        return self._admit(name, parse_file_to_arena(path), path, replace, version)
 
     def put(
         self,
         name: str,
-        document,
+        document: Union[Element, str],
         *,
-        source: Optional[str] = None,
         replace: bool = False,
     ) -> StoredDocument:
-        """Store a parsed tree (or XML source text) under *name*.
+        """Store XML source text (parsed straight into columns) or a
+        parsed tree (frozen — the store keeps no reference to it) under
+        *name*.
 
         With ``replace=True`` an existing document is superseded but its
         version counter carries over (+1), so stale cache entries keyed
@@ -303,15 +267,28 @@ class DocumentStore:
         """
         validate_name(name)
         if isinstance(document, str):
-            document = parse(document)
-        if not isinstance(document, Element):
+            arena = parse_to_arena(document)
+        elif isinstance(document, Element):
+            arena = freeze(document)
+        else:
             raise TypeError(f"expected an Element or XML text, got {document!r}")
+        return self._admit(name, arena, None, replace, None)
+
+    def _admit(
+        self,
+        name: str,
+        arena: FrozenDocument,
+        source: Optional[str],
+        replace: bool,
+        version: Optional[int],
+    ) -> StoredDocument:
         with self._lock:
             existing = self._docs.get(name)
             if existing is not None and not replace:
                 raise DuplicateNameError(name)
-            version = existing.version + 1 if existing is not None else 1
-            doc = StoredDocument(name, document, version=version, source=source)
+            if version is None:
+                version = existing.version + 1 if existing is not None else 1
+            doc = StoredDocument(name, arena, version, source)
             self._docs[name] = doc
             return doc
 
@@ -332,7 +309,7 @@ class DocumentStore:
                 raise UnknownNameError(name)
             del self._docs[name]
 
-    def names(self) -> list[str]:
+    def names(self) -> List[str]:
         with self._lock:
             return sorted(self._docs)
 
@@ -344,5 +321,5 @@ class DocumentStore:
         with self._lock:
             return len(self._docs)
 
-    def stats(self) -> dict:
+    def stats(self) -> Dict[str, Dict[str, Any]]:
         return {name: self.get(name).stats() for name in self.names()}

@@ -8,13 +8,12 @@ that into a two-phase workflow per document:
   document is untouched; :meth:`UpdateLog.preview` builds the
   hypothetical tree (a pure, structure-sharing transform chain — the
   semantics of stacked transform queries) for what-if queries.  Each
-  chain stage is evaluated by the cost-based
-  :class:`~repro.engine.planner.Planner`, which picks a strategy from
-  the staged query's shape and the current tree — no strategy is
+  chain stage is evaluated by the callable the store hands in (its
+  cost-based :class:`~repro.engine.planner.Planner`) — no strategy is
   hardcoded here.
 * **Commit** (driven by the store facade, which owns the document lock
-  and the caches) replays the staged updates destructively via
-  :func:`repro.updates.apply.apply_update` and bumps the version.
+  and the caches) takes the staged updates, derives the next frozen
+  version from them (:mod:`repro.store.delta`) and installs it.
 * **Rollback** simply discards staged entries — nothing was ever
   applied, so there is nothing to undo.
 
@@ -27,7 +26,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from repro.engine.planner import Planner
 from repro.store.errors import NothingStagedError
 from repro.transform.query import TransformQuery
 from repro.xmltree.node import Element
@@ -51,13 +49,10 @@ class UpdateLog:
 
     # guarded-by[_staged, _history]: self._lock
 
-    def __init__(self, planner: Optional[Planner] = None):
+    def __init__(self):
         self._staged: dict[str, list[StagedUpdate]] = {}
         self._history: dict[str, list[str]] = {}
         self._lock = threading.Lock()
-        #: Chooses the evaluation strategy for preview chains; shared
-        #: with the owning store when one exists.
-        self.planner = planner if planner is not None else Planner()
 
     # ------------------------------------------------------------------
     # Staging
@@ -84,51 +79,25 @@ class UpdateLog:
     # Hypothetical evaluation
     # ------------------------------------------------------------------
 
-    def preview(
-        self,
-        root: Element,
-        doc_name: str,
-        transform: Optional[Callable] = None,
-    ) -> Element:
+    def preview(self, root: Element, doc_name: str, transform: Callable) -> Element:
         """The tree the staged updates *would* produce.  Pure: shares
         every untouched subtree with *root*; *root* is not modified.
-
-        Each stage's evaluation strategy is chosen by the planner from
-        the query's shape and the current tree; pass *transform* (a
-        ``(root, query) -> root`` callable) to force one instead.
+        *transform* (a ``(root, query) -> root`` callable) evaluates
+        each stage — the store passes its planner-backed evaluator, or
+        ``transform_naive`` on the reference path.
         """
-        current = root
         for entry in self.staged(doc_name):
-            if transform is not None:
-                current = transform(current, entry.transform)
-            else:
-                current = self.planner.transform(current, entry.transform)
-        return current
+            root = transform(root, entry.transform)
+        return root
 
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
 
-    def take(self, doc_name: str) -> list[StagedUpdate]:
-        """Remove and return every staged update (the commit path).
-
-        Raises :class:`NothingStagedError` on an empty staging area —
-        an empty commit is almost always a workflow bug.
-        """
-        with self._lock:
-            queue = self._staged.get(doc_name)
-            if not queue:
-                raise NothingStagedError(doc_name)
-            self._staged[doc_name] = []
-            return queue
-
     def take_any(self, doc_name: str) -> list[StagedUpdate]:
-        """Remove and return the staged updates, empty list included.
-
-        The incremental commit path treats an empty staging area as a
-        no-op commit rather than an error, so it needs the non-raising
-        variant of :meth:`take`.
-        """
+        """Remove and return the staged updates (the commit path).  An
+        empty staging area yields an empty list — a no-op commit, not
+        an error."""
         with self._lock:
             queue = self._staged.get(doc_name)
             if not queue:

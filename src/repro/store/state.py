@@ -66,7 +66,7 @@ from repro.store.wal import (
     truncate_torn_tail,
     wal_path,
 )
-from repro.xmltree.serializer import write_file
+from repro.xmltree.serializer import write_arena_file
 
 try:  # POSIX; on platforms without fcntl the lock degrades to advisory-only
     import fcntl
@@ -188,14 +188,42 @@ def open_store(
     """Build a :class:`ViewStore` from a state directory.
 
     A missing directory (or one without a manifest) yields an empty
-    store — ``repro store load`` bootstraps it on first save.  An
-    unreadable or unsupported manifest raises the typed
-    :class:`CorruptStateError` rather than a raw traceback.
+    store — ``repro store load`` bootstraps it on first save — with
+    its write-ahead log attached like any other.  An unreadable or
+    unsupported manifest raises the typed :class:`CorruptStateError`
+    rather than a raw traceback.
     """
     store = ViewStore(policy=policy)
     manifest_path = _manifest_path(state_dir)
-    if not os.path.exists(manifest_path):
-        return store
+    staged_texts = (
+        _load_manifest(store, state_dir, manifest_path)
+        if os.path.exists(manifest_path)
+        else {}
+    )
+    replayed_docs, last_seq = _replay_wal(store, state_dir)
+    # Checkpoint-time staged texts are restored only for documents with
+    # no replayed commit: a commit consumes the *whole* staging area,
+    # so any replayed commit's record already contains (or supersedes)
+    # everything the checkpoint had staged for that document.  This
+    # must run after replay — replay's commits would otherwise consume
+    # the restored entries as their own.
+    for name, texts in staged_texts.items():
+        if name in replayed_docs:
+            continue
+        for text in texts:
+            store.stage(name, text)
+    # The writer attaches only now: replayed commits must not be
+    # re-appended, and fresh appends continue the surviving sequence.
+    # It attaches to a store booted on an empty directory too — the
+    # documents a server admits later commit through the same log.
+    os.makedirs(state_dir, exist_ok=True)
+    store.wal = WalWriter(wal_path(state_dir), start_seq=last_seq)
+    return store
+
+
+def _load_manifest(store: ViewStore, state_dir: str, manifest_path: str) -> dict:
+    """Admit the checkpointed documents and views into *store*; returns
+    the checkpoint-time staged texts per document."""
     with open(manifest_path, "r", encoding="utf-8") as handle:
         try:
             manifest = json.load(handle)
@@ -213,9 +241,10 @@ def open_store(
     try:
         for name, info in manifest.get("documents", {}).items():
             path = os.path.join(state_dir, info["file"])
-            doc = store.load(name, path)
-            doc.version = int(info.get("version", 1))
-            doc.dirty = False  # the tree came from the state file itself
+            doc = store.documents.load(
+                name, path, version=int(info.get("version", 1))
+            )
+            doc.dirty = False  # the columns came from the state file itself
             doc.state_file = info["file"]
             staged_texts[name] = list(info.get("staged", []))
             store.log.restore_history(name, info.get("history", []))
@@ -226,22 +255,7 @@ def open_store(
         raise CorruptStateError(
             manifest_path, f"malformed manifest entry ({exc!r})"
         ) from None
-    replayed_docs, last_seq = _replay_wal(store, state_dir)
-    # Checkpoint-time staged texts are restored only for documents with
-    # no replayed commit: a commit consumes the *whole* staging area,
-    # so any replayed commit's record already contains (or supersedes)
-    # everything the checkpoint had staged for that document.  This
-    # must run after replay — replay's commits would otherwise consume
-    # the restored entries as their own.
-    for name, texts in staged_texts.items():
-        if name in replayed_docs:
-            continue
-        for text in texts:
-            store.stage(name, text)
-    # The writer attaches only now: replayed commits must not be
-    # re-appended, and fresh appends continue the surviving sequence.
-    store.wal = WalWriter(wal_path(state_dir), start_seq=last_seq)
-    return store
+    return staged_texts
 
 
 def _replay_wal(store: ViewStore, state_dir: str) -> "tuple[set, int]":
@@ -351,7 +365,7 @@ def save_store(store: ViewStore, state_dir: str) -> str:
                     filename = _document_file(name, doc.version, attempt)
                     path = os.path.join(state_dir, filename)
                 temp = path + ".tmp"
-                write_file(doc.root, temp)
+                write_arena_file(doc.arena, temp)
                 _fsync_path(temp)
                 fault_point("checkpoint.fsync.file")
                 os.replace(temp, path)

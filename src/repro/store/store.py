@@ -2,19 +2,19 @@
 
 Evaluation strategy for ``query(target, q)``:
 
-* *target* is a document → evaluate ``q`` directly on its tree.
+* *target* is a document → evaluate ``q`` over its frozen arena.
 * *target* is a view stack ``t1 … tn`` over document ``T`` → the
   outermost transform ``tn`` is **composed** with ``q`` (Section 4's
   Compose Method: the rewrite prunes the transform to the subtrees the
   query visits and skips it entirely where it provably cannot matter),
   and the composed plan is evaluated over ``t_{n-1}(… t1(T))``.  The
   inner layers are chained as pure, structure-sharing transforms —
-  untouched subtrees are *shared* with the stored document, never
-  copied — and their trees are discarded after the query unless the
-  materialization policy has marked a layer hot, in which case its tree
-  is kept until the next commit invalidates it.  The evaluation starts
-  from the deepest still-valid materialization, so a hot middle layer
-  shortcuts the whole prefix below it.
+  untouched subtrees are *shared* with the document's derived Node
+  tree, never copied — and their trees are discarded after the query
+  unless the materialization policy has marked a layer hot, in which
+  case its tree is kept until the next commit invalidates it.  The
+  evaluation starts from the deepest still-valid materialization, so a
+  hot middle layer shortcuts the whole prefix below it.
 
 Strategy choice: every transform evaluation (view layers, staged-update
 previews, the reference path) goes through the store's cost-based
@@ -24,14 +24,16 @@ strategy, and a custom planner can be injected at construction.
 
 Caching: compiled artifacts (parses, NFAs, composed plans) live in a
 :class:`~repro.store.cache.CompiledCache` and never go stale; query
-*results* are cached under ``(target, document version, query text)``
-and die wholesale when a commit bumps the version.
+*results* are cached under ``(target, document version, query text)``;
+a commit re-keys the ones its delta provably cannot touch onto the new
+version and drops the rest.
 
-Concurrency: every evaluation and commit runs under the target
-document's lock; name-table mutations take the store lock.  Results
-are returned as-is (they may share structure with the stored tree) —
-treat them as immutable snapshots, and serialize them if they must
-survive a later commit.
+Concurrency: every evaluation and commit install runs under the target
+document's lock (the next arena is derived outside it, under the
+document's commit lock); name-table mutations take the store lock.
+Results are returned as-is (view results may share structure with the
+document's derived Node tree, which is never mutated) — treat them as
+immutable snapshots.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ from repro.obs import span
 from repro.store.cache import CompiledCache, LRUCache
 from repro.store.chain import CommitDelta
 from repro.store.delta import (
+    REBUILD_REASONS,
+    CommitOutcome,
     DeltaUnsupported,
+    apply_entries_rebuilt,
     apply_entries_spliced,
     query_labels,
     ranges_swallowed_by,
@@ -57,20 +62,24 @@ from repro.store.log import UpdateLog
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 from repro.transform.naive import transform_naive
 from repro.transform.query import TransformQuery
-from repro.updates.apply import apply_update
 from repro.xmltree.node import Element
 from repro.xmltree.serializer import serialize
 from repro.xquery.evaluator import evaluate_query
 from repro.xquery.parser import parse_user_query
 
 
+#: The ``store.commit.delta.*`` counters; each of the sums adds up the
+#: :class:`CommitDelta` field of the same name.
+_DELTA_SUMS = (
+    "touched_nodes", "results_kept", "results_dropped", "mats_kept", "mats_dropped",
+)
+_DELTA_COUNTERS = ("spliced", "rebuilds", "noops") + _DELTA_SUMS
+
+
 class ViewStore:
     """A resident multi-document store with stacked virtual views."""
 
-    # guarded-by[arena_reads, snapshot_pins]: self._counter_lock
-    # guarded-by[commit_splices, commit_rebuilds, commit_noops]: self._counter_lock
-    # guarded-by[delta_touched_nodes, delta_results_kept, delta_results_dropped]: self._counter_lock
-    # guarded-by[delta_mats_kept, delta_mats_dropped, last_delta]: self._counter_lock
+    # guarded-by[arena_reads, snapshot_pins, commit_counts, last_delta]: self._counter_lock
 
     def __init__(
         self,
@@ -78,33 +87,21 @@ class ViewStore:
         compiled_cache_size: int = 256,
         result_cache_size: int = 512,
         planner: Optional[Planner] = None,
-        incremental_commits: bool = True,
     ):
         self.documents = DocumentStore()
         self.views = ViewRegistry(policy)
         self.compiled = CompiledCache(compiled_cache_size)
         self.results = LRUCache(result_cache_size)
         self.planner = planner if planner is not None else Planner()
-        self.log = UpdateLog(planner=self.planner)
-        #: Commit fast path: derive the next frozen arena by splicing
-        #: (O(delta)) instead of mutating the tree and rebuilding
-        #: (O(document)).  ``False`` forces the destructive rebuild
-        #: path everywhere — the benchmark baseline.
-        self.incremental_commits = incremental_commits
+        self.log = UpdateLog()
         #: Reads served from a frozen columnar snapshot (the zero-copy
         #: fast path for plain-document targets).
         self.arena_reads = 0
         #: MVCC snapshots handed out via :meth:`pin`.
         self.snapshot_pins = 0
-        #: Commit-path outcome counters (``store.commit.delta.*``).
-        self.commit_splices = 0
-        self.commit_rebuilds = 0
-        self.commit_noops = 0
-        self.delta_touched_nodes = 0
-        self.delta_results_kept = 0
-        self.delta_results_dropped = 0
-        self.delta_mats_kept = 0
-        self.delta_mats_dropped = 0
+        #: Commit-path tallies: ``store.commit.delta.*`` plus rebuilds
+        #: by fallback reason (``store.commit.rebuild_reason.*``).
+        self.commit_counts = dict.fromkeys(_DELTA_COUNTERS + REBUILD_REASONS, 0)
         #: Receipt of the most recent commit (``store stat`` surfaces
         #: its retention ratio).
         self.last_delta: Optional[CommitDelta] = None
@@ -216,61 +213,53 @@ class ViewStore:
         doc, stack = self._resolve(target)
         staged = include_staged and self.log.has_staged(doc.name)
         with doc.lock:
-            # The version read and the cache probe happen under the
-            # document lock: a concurrent commit mutates the tree in
-            # place, so a hit must never be served mid-commit.
-            key = (target, doc.version, query_text)
-            if not staged:
-                cached = self.results.get(key)
-                if cached is not None:
-                    return cached
-            root = doc.root
+            # The version read, the cache probe and the evaluation
+            # happen under the document lock: a commit's install and
+            # its re-keying of this cache are atomic with respect to
+            # them, so a hit is never served mid-install.
             if staged:
                 # Route the preview chain through _transform so each
                 # staged layer reuses the compiled automata.  The
                 # preview is a structure-sharing topDown result: only
                 # the subtrees the staged updates touch are rebuilt.
-                root = self.log.preview(root, doc.name, transform=self._transform)
-                result = self._answer(
+                root = self.log.preview(doc.root, doc.name, transform=self._transform)
+                return self._answer(
                     root, stack, query_text, doc.version,
                     use_materializations=False,
                 )
-            elif not stack:
-                # Plain document target: the columnar read fast path —
-                # evaluate over the version's frozen arena snapshot
-                # (zero-copy: every read of this version shares one
-                # immutable object) and thaw only the matches.
-                result = self._answer_arena(doc, query_text)
-            else:
-                result = self._answer(
-                    root, stack, query_text, doc.version,
-                    use_materializations=True,
-                )
-            if not staged:
+            key = (target, doc.version, query_text)
+            result = self.results.get(key)
+            if result is None:
+                if stack:
+                    result = self._answer(
+                        doc.root, stack, query_text, doc.version,
+                        use_materializations=True,
+                    )
+                else:
+                    # Plain document target: the columnar read fast
+                    # path — evaluate over the version's frozen arena
+                    # (zero-copy: every read of this version shares one
+                    # immutable object) and thaw only the matches.
+                    _, evaluator, refs = self._arena_refs(doc, query_text)
+                    result = [evaluator.materialize(item) for item in refs]
                 self.results.put(key, result)
         return result
 
     def _arena_refs(self, doc: StoredDocument, query_text: str) -> tuple:
         """One columnar read: ``(arena, evaluator, raw ref items)``
         (caller holds the document lock).  The single place the
-        snapshot is taken, counted and planned — both the thawing and
+        arena is taken, counted and planned — both the thawing and
         the serializing reads finish from these refs."""
         from repro.xquery.arena_eval import ArenaEvaluator
 
         user_query = self.compiled.user_query(query_text)
-        arena = doc.arena()
+        arena = doc.arena
         with self._counter_lock:
             self.arena_reads += 1
         self.planner.plan_read(arena)
         evaluator = ArenaEvaluator(arena, self.compiled.selecting_nfa_for)
         with span("scan"):
             return arena, evaluator, evaluator.evaluate_refs(user_query)
-
-    def _answer_arena(self, doc: StoredDocument, query_text: str) -> list:
-        """Answer a user query from the document's frozen snapshot
-        (caller holds the document lock)."""
-        _, evaluator, refs = self._arena_refs(doc, query_text)
-        return [evaluator.materialize(item) for item in refs]
 
     def query_serialized(
         self, target: str, query_text: str, *, include_staged: bool = False
@@ -336,12 +325,13 @@ class ViewStore:
     def pin(self, name: str, version: Optional[int] = None) -> Snapshot:
         """Pin an MVCC read snapshot of document *name*.
 
-        The document lock is held only for the version read (and a
-        lazy arena freeze); evaluation against the returned immutable
-        snapshot happens entirely outside the store's locks, so staged
-        or committing writers never block pinned readers.  Views cannot
-        be pinned — their layers evaluate over the live tree under the
-        document lock; pin the underlying document instead.
+        The document lock is held only to read one consistent
+        (version, arena, uid) row; evaluation against the returned
+        immutable snapshot happens entirely outside the store's locks,
+        so staged or committing writers never block pinned readers.
+        Views cannot be pinned — their layers evaluate over the derived
+        Node tree under the document lock; pin the underlying document
+        instead.
 
         ``version=N`` is a time-travel pin onto the document's version
         chain: spliced commits keep recent versions resident (sharing
@@ -437,21 +427,21 @@ class ViewStore:
     ) -> CommitDelta:
         """Commit the staged updates and return the receipt.
 
-        Fast path (``incremental_commits``): the staged updates'
-        select results become splice patches, and the next frozen
-        arena is **spliced** from the current one at O(delta) cost
-        (untouched columns and the payload pool are shared — see
-        :func:`repro.xmltree.arena.splice`); cached results and
-        materializations provably untouched by the delta label set are
-        carried forward to the new version instead of purged.  The
-        splice runs *outside* the document lock (readers keep pinning
-        snapshots meanwhile) under the per-document commit lock.
-
-        Fallback (:class:`~repro.store.delta.DeltaUnsupported`:
-        unsupported selector, root-spanning delta — or
-        ``incremental_commits=False``): the destructive rebuild path —
-        mutate the tree in place, bump the version, blanket-purge the
-        document's caches and materializations.
+        The next frozen arena is derived from the current one *outside*
+        the document lock (readers keep pinning snapshots meanwhile)
+        under the per-document commit lock: **spliced** at O(delta)
+        cost from the staged updates' select results (untouched columns
+        and the payload pool are shared — see
+        :func:`repro.xmltree.arena.splice`), or — when the delta cannot
+        be expressed as a splice (:class:`~repro.store.delta.
+        DeltaUnsupported`: unsupported selector, over-budget or
+        root-removing delta) — **rebuilt** by
+        :func:`~repro.store.delta.apply_entries_rebuilt`.  Either
+        outcome is installed the same way, under the document lock:
+        one ``install``, one delta-scoped invalidation (cached results
+        and materializations provably untouched by a splice's label
+        set are carried forward to the new version; a rebuild proves
+        nothing, so everything over the document drops), one receipt.
         """
         doc = self._require_document(doc_name)
         if transform_text is not None:
@@ -460,23 +450,22 @@ class ViewStore:
             with doc.lock:
                 entries = self.log.take_any(doc.name)
                 old_version = doc.version
-                if not entries:
-                    uid = doc.current_uid()
-                    delta = CommitDelta(
-                        doc_name=doc.name,
-                        old_version=old_version,
-                        new_version=old_version,
-                        old_uid=uid,
-                        new_uid=uid,
-                        spliced=False,
-                        entries=0,
-                    )
-                    with self._counter_lock:
-                        self.commit_noops += 1
-                        self.last_delta = delta
-                    return delta
-                base_arena = doc.arena() if self.incremental_commits else None
-                old_uid = doc.current_uid()
+                old_uid = doc.uid
+                base_arena = doc.arena
+            if not entries:
+                delta = CommitDelta(
+                    doc_name=doc.name,
+                    old_version=old_version,
+                    new_version=old_version,
+                    old_uid=old_uid,
+                    new_uid=old_uid,
+                    spliced=False,
+                    entries=0,
+                )
+                with self._counter_lock:
+                    self.commit_counts["noops"] += 1
+                    self.last_delta = delta
+                return delta
             # Write-ahead: the staged texts and the version they will
             # produce are durable before the document is touched.  The
             # append runs outside doc.lock (readers keep pinning
@@ -491,44 +480,24 @@ class ViewStore:
                     "texts": [entry.text for entry in entries],
                 })
             try:
-                outcome = None
-                if base_arena is not None:
-                    fault_point("store.commit.mid_splice")
+                fault_point("store.commit.mid_splice")
+                with span("splice"):
                     try:
-                        with span("splice"):
-                            outcome = apply_entries_spliced(
-                                base_arena, entries, self.compiled
+                        outcome = apply_entries_spliced(
+                            base_arena, entries, self.compiled
+                        )
+                    except DeltaUnsupported as unsupported:
+                        # The child span names why this commit rebuilt.
+                        with span(f"rebuild.{unsupported.reason}"):
+                            outcome = apply_entries_rebuilt(
+                                base_arena, entries, unsupported.reason
                             )
-                    except DeltaUnsupported:
-                        outcome = None
-                if outcome is None:
-                    with doc.lock:
-                        for entry in entries:
-                            apply_update(doc.root, entry.transform.update)
-                        self.log.record_commit(doc.name, entries)
-                        doc.dirty = True
-                        version = doc.bump()
-                        with span("invalidate"):
-                            self._invalidate_for(doc.name)
-                    delta = CommitDelta(
-                        doc_name=doc.name,
-                        old_version=old_version,
-                        new_version=version,
-                        old_uid=old_uid,
-                        new_uid=0,
-                        spliced=False,
-                        entries=len(entries),
-                    )
-                    with self._counter_lock:
-                        self.commit_rebuilds += 1
-                        self.last_delta = delta
-                    return delta
                 with doc.lock:
                     self.log.record_commit(doc.name, entries)
-                    version = doc.install_spliced(
-                        outcome.arena, outcome.touched_nodes
+                    version = doc.install(
+                        outcome.arena, outcome.kind, outcome.touched_nodes
                     )
-                    new_uid = doc.current_uid()
+                    new_uid = doc.uid
                     with span("invalidate"):
                         kept_r, dropped_r, kept_m, dropped_m = self._invalidate_delta(
                             doc, outcome, old_version, version
@@ -553,7 +522,7 @@ class ViewStore:
             new_version=version,
             old_uid=old_uid,
             new_uid=new_uid,
-            spliced=True,
+            spliced=outcome.reason is None,
             entries=len(entries),
             patches=outcome.patches,
             touched_nodes=outcome.touched_nodes,
@@ -562,22 +531,19 @@ class ViewStore:
             results_dropped=dropped_r,
             mats_kept=kept_m,
             mats_dropped=dropped_m,
+            rebuild_reason=outcome.reason,
         )
         with self._counter_lock:
-            self.commit_splices += 1
-            self.delta_touched_nodes += outcome.touched_nodes
-            self.delta_results_kept += kept_r
-            self.delta_results_dropped += dropped_r
-            self.delta_mats_kept += kept_m
-            self.delta_mats_dropped += dropped_m
+            counts = self.commit_counts
+            if outcome.reason is None:
+                counts["spliced"] += 1
+            else:
+                counts["rebuilds"] += 1
+                counts[outcome.reason] += 1
+            for name in _DELTA_SUMS:
+                counts[name] += getattr(delta, name)
             self.last_delta = delta
         return delta
-
-    def _invalidate_for(self, doc_name: str) -> None:
-        self.views.invalidate_document(doc_name)
-        affected = {doc_name}
-        affected.update(v.name for v in self.views.dependents_of_document(doc_name))
-        self.results.invalidate(lambda key: key[0] in affected)
 
     # ------------------------------------------------------------------
     # Delta-scoped invalidation
@@ -602,22 +568,29 @@ class ViewStore:
         document survive this commit?  The label-disjointness test the
         service's memo re-keying uses: the query is analyzable and
         mentions no label in the commit's delta set."""
-        if not delta.spliced or delta.labels is None:
+        if delta.labels is None:
             return False
         labels = self._query_label_set(query_text)
         return labels is not None and not (labels & delta.labels)
 
     def _invalidate_delta(
-        self, doc: StoredDocument, outcome, old_version: int, new_version: int
+        self,
+        doc: StoredDocument,
+        outcome: CommitOutcome,
+        old_version: int,
+        new_version: int,
     ) -> tuple[int, int, int, int]:  # holds: doc.lock
-        """Carry provably-unaffected cache entries across a spliced
-        commit; drop the rest.  Returns ``(results kept, results
-        dropped, materializations kept, materializations dropped)``.
+        """Carry provably-unaffected cache entries across a commit;
+        drop the rest.  Returns ``(results kept, results dropped,
+        materializations kept, materializations dropped)``.
 
-        A result over the document survives when its query's label set
-        is disjoint from the delta's.  A result over a view also needs
-        every stack layer analyzable and label-disjoint — or the whole
-        stack **swallowed**: every patch strictly inside a subtree the
+        A rebuilt commit has no delta label set (``None``): nothing can
+        be proven about its extent, so every entry over the document
+        and its views drops.  After a splice, a result over the
+        document survives when its query's label set is disjoint from
+        the delta's.  A result over a view also needs every stack layer
+        analyzable and label-disjoint — or the whole stack
+        **swallowed**: every patch strictly inside a subtree the
         innermost transform deletes/replaces, making the view output
         byte-identical.  Materializations are exact trees, so only the
         swallow test (not label disjointness) can keep them.
@@ -654,8 +627,10 @@ class ViewStore:
                 return None  # stale leftovers from an even older version
             if target != doc_name and swallowed[target]:
                 return (target, new_version) + key[2:]
+            if delta_labels is None:
+                return None
             needed = self._query_label_set(key[2])
-            if needed is None or delta_labels is None:
+            if needed is None:
                 return None
             if target != doc_name:
                 extra = stack_labels[target]
@@ -695,16 +670,7 @@ class ViewStore:
     def _commit_counter_values(self) -> dict:
         """One consistent snapshot of the commit-path counters."""
         with self._counter_lock:
-            return {
-                "spliced": self.commit_splices,
-                "rebuilds": self.commit_rebuilds,
-                "noops": self.commit_noops,
-                "touched_nodes": self.delta_touched_nodes,
-                "results_kept": self.delta_results_kept,
-                "results_dropped": self.delta_results_dropped,
-                "mats_kept": self.delta_mats_kept,
-                "mats_dropped": self.delta_mats_dropped,
-            }
+            return dict(self.commit_counts)
 
     def bind_metrics(self, registry) -> None:
         """Expose the store's counters through a
@@ -728,14 +694,14 @@ class ViewStore:
             ),
         )
         registry.probe("store.views.count", lambda: len(self.views))
-        for metric in (
-            "spliced", "rebuilds", "noops", "touched_nodes",
-            "results_kept", "results_dropped", "mats_kept", "mats_dropped",
+        for group, names in (
+            ("delta", _DELTA_COUNTERS), ("rebuild_reason", REBUILD_REASONS)
         ):
-            registry.probe(
-                f"store.commit.delta.{metric}",
-                lambda metric=metric: self._commit_counter_values()[metric],
-            )
+            for name in names:
+                registry.probe(
+                    f"store.commit.{group}.{name}",
+                    lambda name=name: self._commit_counter_values()[name],
+                )
         registry.probe(
             "store.wal.appends",
             lambda: self.wal.stats()["appends"] if self.wal is not None else 0,
@@ -758,7 +724,9 @@ class ViewStore:
             info = dict(info)
             info.update(log_stats.get(name, {"staged": 0, "committed": 0}))
             documents[name] = info
-        commits = self._commit_counter_values()
+        counts = self._commit_counter_values()
+        commits = {name: counts[name] for name in _DELTA_COUNTERS}
+        commits["rebuild_reasons"] = {r: counts[r] for r in REBUILD_REASONS}
         retained = commits["results_kept"] + commits["mats_kept"]
         purged = commits["results_dropped"] + commits["mats_dropped"]
         commits["retention_ratio"] = (
@@ -773,6 +741,7 @@ class ViewStore:
                 "doc": last.doc_name,
                 "version": last.new_version,
                 "spliced": last.spliced,
+                "rebuild_reason": last.rebuild_reason,
                 "entries": last.entries,
                 "touched_nodes": last.touched_nodes,
                 "results_kept": last.results_kept,

@@ -191,17 +191,6 @@ class ViewRegistry:
             names = list(self._views)
         return [v for v in map(self.get, names) if self.document_of(v.name) == doc_name]
 
-    def invalidate_document(self, doc_name: str) -> int:
-        """Drop materializations of every view over *doc_name*; returns
-        how many were dropped.  Query counts survive — a hot view stays
-        hot and re-materializes on its next query."""
-        dropped = 0
-        for view in self.dependents_of_document(doc_name):
-            if view.materialized_root is not None:
-                view.invalidate()
-                dropped += 1
-        return dropped
-
     def in_definition_order(self) -> list[View]:
         """Views ordered so every base precedes its dependents (the
         insertion order, which :meth:`define` guarantees is valid)."""

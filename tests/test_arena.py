@@ -198,6 +198,10 @@ class TestStoreSnapshots:
     def test_reads_share_one_frozen_snapshot(self):
         store = self._store()
         doc = store.documents.get("db")
+        # Admission is eager and columnar: the one arena build happens
+        # at put(), before any read, and reads never add another.
+        assert doc.arena_builds == 1
+        first = doc.arena
         queries = [
             "for $x in people/person return $x/name",
             "for $x in //keyword return $x",
@@ -208,9 +212,7 @@ class TestStoreSnapshots:
             store.query_serialized("db", text)
         assert doc.arena_builds == 1, "reads must share one zero-copy snapshot"
         assert store.arena_reads >= len(queries)
-        with doc.lock:
-            first = doc.arena()
-            assert doc.arena() is first
+        assert doc.arena is first and store.pin("db").arena is first
 
     def test_query_matches_naive_oracle(self):
         store = self._store()
@@ -224,17 +226,15 @@ class TestStoreSnapshots:
     def test_commit_invalidates_the_snapshot(self):
         store = self._store()
         doc = store.documents.get("db")
-        with doc.lock:
-            old_arena = doc.arena()
+        old_arena = doc.arena
         before = store.query("db", "for $x in //keyword return $x")
         assert doc.arena_builds == 1
         store.commit("db", str(delete_transform("U5")))
         after = store.query("db", "for $x in //keyword return $x")
-        with doc.lock:
-            new_arena = doc.arena()
+        new_arena = doc.arena
         assert new_arena is not old_arena, "commit must replace the snapshot"
-        # A spliced commit installs the next arena directly (no rebuild);
-        # only the destructive fallback pays a rebuild on the next read.
+        # A spliced commit installs the next arena directly; only a
+        # delta no splice can express pays an O(document) rebuild.
         assert doc.splices == 1 and doc.arena_builds == 1
         assert len(after) < len(before)
         want = store.query_naive("db", "for $x in //keyword return $x")

@@ -266,6 +266,43 @@ def test_reboot_after_crash_reports_the_replay_and_serves(tmp_path):
     assert recovered.documents.get("db").version >= acked + 1
 
 
+def test_server_booted_on_an_empty_directory_logs_its_commits(tmp_path):
+    """``repro serve --state <empty dir>`` + a wire ``load``: the store
+    was opened before any manifest existed, and must still hold a
+    write-ahead log — every acknowledged commit is appended before the
+    kill and replayed after it."""
+    state_dir = str(tmp_path / "empty-state")
+    os.makedirs(state_dir)
+    assert open_store(state_dir).wal is not None
+    proc, port = _boot_serve(state_dir, tmp_path)
+    commits = 5
+    client = Client("127.0.0.1", port, timeout=30.0)
+    try:
+        assert client.load("db", xml=DOC)["version"] == 1
+        submitted = [_insert(index) for index in range(commits)]
+        for text in submitted:
+            client.commit("db", text)
+        assert client.metrics()["store.wal.appends"] == commits
+    finally:
+        client.close()
+    proc.kill()  # SIGKILL: no shutdown checkpoint, only the log survives
+    _wait_for_exit(proc)
+
+    recovered = _assert_recovery_contract(state_dir, commits, submitted)
+    assert recovered.documents.get("db").version == 1 + commits
+    recovered.wal.close()
+    reborn, port = _boot_serve(state_dir, tmp_path)
+    client = Client("127.0.0.1", port, timeout=30.0)
+    try:
+        assert client.stats()["store"]["documents"]["db"]["version"] == 1 + commits
+        body = "".join(client.query("db", "for $x in a return $x"))
+        assert all(f"<m{index}>" in body for index in range(commits))
+    finally:
+        client.close()
+        reborn.kill()
+        _wait_for_exit(reborn)
+
+
 def test_probabilistic_crashes_still_satisfy_the_contract(tmp_path):
     """Seeded probability mode: wherever the seed lands the kill, the
     acked-prefix contract must hold (and with no kill, a graceful stop

@@ -1,16 +1,19 @@
 """Incremental commits: the version chain and the splice fast path.
 
-The oracle throughout is the destructive rebuild path
-(``ViewStore(incremental_commits=False)``): whatever a spliced commit
-produces must serialize identically to what mutate-and-refreeze
-produces for the same staged sequence — deterministically per update
-kind, and property-based over random trees and random update
-sequences.  On top of equivalence: chain time travel
-(``pin(version=N)``), snapshot isolation for readers pinned to old
-chain versions while a writer splices, structural sharing between
-consecutive chain entries, and the delta-scoped invalidation receipts
-(results kept by label disjointness, materializations kept by the
-swallow test).
+The oracle throughout is the paper's semantics: whatever a spliced
+commit produces must serialize identically to what the rebuild function
+(:func:`repro.store.delta.apply_entries_rebuilt` — thaw, apply, freeze)
+produces for the same staged sequence, and both to ``transform_naive``
+folded over a parsed copy — deterministically per update kind through
+a store, and as one property-based differential over random trees and
+random update sequences, with no second store anywhere.  On top of
+equivalence: chain time travel (``pin(version=N)``), snapshot
+isolation for readers pinned to old chain versions while a writer
+splices, structural sharing between consecutive chain entries, the
+delta-scoped invalidation receipts (results kept by label
+disjointness, materializations kept by the swallow test), and the
+one-representation contract (a plain document never builds its Node
+cache on the open → read → commit → checkpoint path).
 """
 
 import threading
@@ -19,9 +22,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiled import CompiledCache
+from repro.obs import MetricsRegistry
 from repro.store import MaterializationPolicy, StoreError, ViewStore
-from repro.xmltree.node import deep_copy
-from repro.xmltree.serializer import serialize, serialize_arena
+from repro.store import documents as documents_module
+from repro.store.delta import (
+    REBUILD_REASONS,
+    DeltaUnsupported,
+    apply_entries_rebuilt,
+    apply_entries_spliced,
+)
+from repro.store.log import StagedUpdate
+from repro.store.state import open_store, save_store
+from repro.transform.naive import transform_naive
+from repro.xmltree.arena import freeze, thaw
+from repro.xmltree.parser import parse
+from repro.xmltree.serializer import serialize, serialize_arena, write_file
 
 from tests.strategies import LABELS, trees
 
@@ -34,10 +50,18 @@ def _transform(body: str, name: str = "db") -> str:
     )
 
 
-def _roots_equal(left: ViewStore, right: ViewStore, name: str = "db") -> bool:
-    return serialize(left.documents.get(name).root) == serialize(
-        right.documents.get(name).root
-    )
+def _staged(texts, compiled=None):
+    """The staged entries a store would hand the derivation functions."""
+    compiled = compiled if compiled is not None else CompiledCache()
+    return compiled, [StagedUpdate(compiled.transform(text), text) for text in texts]
+
+
+def _naive_xml(xml: str, entries) -> str:
+    """``transform_naive`` folded over a parsed copy, serialized."""
+    tree = parse(xml)
+    for entry in entries:
+        tree = transform_naive(tree, entry.transform)
+    return serialize(tree)
 
 
 def _assert_wellformed(arena) -> None:
@@ -56,17 +80,26 @@ def _assert_wellformed(arena) -> None:
 
 
 # ----------------------------------------------------------------------
-# Splice == rebuild: deterministic per update kind
+# Splice == rebuild == naive: deterministic per update kind, via a store
 # ----------------------------------------------------------------------
 
 
-class TestSpliceEqualsRebuildPerKind:
-    def _pair(self) -> "tuple[ViewStore, ViewStore]":
-        spliced = ViewStore()
-        spliced.put("db", DOC)
-        rebuild = ViewStore(incremental_commits=False)
-        rebuild.put("db", DOC)
-        return spliced, rebuild
+class TestCommitMatchesTheReferences:
+    def _commit(self, xml: str, text: str):
+        """Commit *text* through a store; returns ``(store, receipt,
+        committed XML, rebuild-function XML, naive XML)``."""
+        store = ViewStore()
+        store.put("db", xml)
+        base = store.pin("db").arena
+        _, entries = _staged([text], store.compiled)
+        delta = store.commit_delta("db", text)
+        snapshot = store.pin("db")
+        _assert_wellformed(snapshot.arena)
+        rebuilt = apply_entries_rebuilt(base, entries, "budget")
+        return (
+            store, delta, serialize_arena(snapshot.arena),
+            serialize_arena(rebuilt.arena), _naive_xml(xml, entries),
+        )
 
     @pytest.mark.parametrize(
         "body",
@@ -79,45 +112,81 @@ class TestSpliceEqualsRebuildPerKind:
         ids=["insert", "delete", "replace", "rename"],
     )
     def test_each_kind_splices_and_matches_the_rebuild(self, body):
-        spliced, rebuild = self._pair()
-        text = _transform(body)
-        delta = spliced.commit_delta("db", text)
-        rebuild.commit("db", text)
+        store, delta, committed, rebuilt, naive = self._commit(DOC, _transform(body))
         assert delta.spliced and delta.entries == 1, delta
+        assert delta.rebuild_reason is None
         assert delta.new_version == delta.old_version + 1
-        assert _roots_equal(spliced, rebuild)
-        snapshot = spliced.pin("db")
-        _assert_wellformed(snapshot.arena)
-        assert serialize_arena(snapshot.arena) == serialize(
-            rebuild.documents.get("db").root
-        )
+        assert committed == rebuilt == naive
+        # The derived Node tree is a view of the same version.
+        assert serialize(store.documents.get("db").root) == committed
 
     def test_zero_match_update_is_a_spliced_identity(self):
-        spliced, rebuild = self._pair()
-        text = _transform("delete $a/nosuch")
-        delta = spliced.commit_delta("db", text)
-        rebuild.commit("db", text)
+        _, delta, committed, rebuilt, naive = self._commit(
+            DOC, _transform("delete $a/nosuch")
+        )
         assert delta.spliced and delta.patches == 0 and delta.touched_nodes == 0
-        assert _roots_equal(spliced, rebuild)
+        assert committed == rebuilt == naive == DOC
 
-    def test_document_spanning_delete_falls_back_to_rebuild(self):
+    def test_document_spanning_delete_is_rebuilt_with_its_reason(self):
         # A delta covering most of the document gains nothing over a
-        # rebuild and would fragment sharing: the commit must take the
-        # destructive path — and still agree with it.
+        # rebuild and would fragment sharing: the commit is derived by
+        # the rebuild function, installed through the same path, and
+        # says why on the receipt, in the stats and in the metrics.
         wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s/></db>"
-        spliced = ViewStore()
-        spliced.put("db", wide)
-        rebuild = ViewStore(incremental_commits=False)
-        rebuild.put("db", wide)
-        text = _transform("delete $a/big")
-        delta = spliced.commit_delta("db", text)
-        rebuild.commit("db", text)
+        store, delta, committed, rebuilt, naive = self._commit(
+            wide, _transform("delete $a/big")
+        )
+        assert not delta.spliced and delta.rebuild_reason == "budget"
+        assert delta.labels is None and delta.new_uid != delta.old_uid
+        assert committed == rebuilt == naive == "<db><s/></db>"
+        doc = store.documents.get("db")
+        assert doc.version == 2 and doc.splices == 0 and doc.arena_builds == 2
+        assert [entry.kind for entry in doc.chain.snapshot()] == ["load", "rebuild"]
+        commits = store.stats()["commits"]
+        assert commits["rebuilds"] == 1 and commits["spliced"] == 0
+        assert commits["rebuild_reasons"] == {"selector": 0, "budget": 1, "root": 0}
+        assert commits["last"]["rebuild_reason"] == "budget"
+        registry = MetricsRegistry()
+        store.bind_metrics(registry)
+        metrics = registry.snapshot()
+        assert metrics["store.commit.rebuild_reason.budget"] == 1
+        assert metrics["store.commit.delta.rebuilds"] == 1
+
+    def test_unsupported_selector_is_rebuilt_with_its_reason(self, monkeypatch):
+        store = ViewStore()
+        store.put("db", DOC)
+        text = _transform("delete $a/a/x")
+        _, entries = _staged([text])
+
+        def refuse(path):
+            raise NotImplementedError("no arena selector for this path")
+
+        monkeypatch.setattr(store.compiled, "selecting_nfa_for", refuse)
+        with pytest.raises(DeltaUnsupported) as excinfo:
+            apply_entries_spliced(store.pin("db").arena, entries, store.compiled)
+        assert excinfo.value.reason == "selector"
+        delta = store.commit_delta("db", text)
+        assert not delta.spliced and delta.rebuild_reason == "selector"
+        assert serialize_arena(store.pin("db").arena) == _naive_xml(DOC, entries)
+        assert store.stats()["commits"]["rebuild_reasons"]["selector"] == 1
+
+    def test_a_rebuild_drops_every_cached_entry_over_the_document(self):
+        wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s/></db>"
+        store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
+        store.put("db", wide)
+        store.define_view("v", "db", _transform("delete $a//x"))
+        store.query("db", "for $i in s return $i")
+        store.query("v", "for $i in s return $i")
+        assert store.views.get("v").materialized_root is not None
+        delta = store.commit_delta("db", _transform("delete $a/big"))
         assert not delta.spliced
-        assert _roots_equal(spliced, rebuild)
+        assert delta.results_kept == 0 and delta.results_dropped == 2, delta
+        assert delta.mats_kept == 0 and delta.mats_dropped == 1, delta
+        assert len(store.results) == 0
 
 
 # ----------------------------------------------------------------------
-# Splice == rebuild: property-based over random trees and sequences
+# Splice == rebuild == naive: one differential over random sequences
 # ----------------------------------------------------------------------
 
 
@@ -141,23 +210,75 @@ def update_texts(draw):
     return _transform(body)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(tree=trees(), texts=st.lists(update_texts(), min_size=1, max_size=3))
-def test_splice_commit_equals_full_rebuild(tree, texts):
-    spliced = ViewStore()
-    spliced.put("db", deep_copy(tree))
-    rebuild = ViewStore(incremental_commits=False)
-    rebuild.put("db", deep_copy(tree))
-    for text in texts:
-        spliced.stage("db", text)
-        rebuild.stage("db", text)
-    assert spliced.commit("db") == rebuild.commit("db")
-    assert _roots_equal(spliced, rebuild)
-    snapshot = spliced.pin("db")
-    _assert_wellformed(snapshot.arena)
-    assert serialize_arena(snapshot.arena) == serialize(
-        spliced.documents.get("db").root
+def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
+    compiled, entries = _staged(texts)
+    base = freeze(tree)
+    before = serialize_arena(base)
+    want = _naive_xml(before, entries)
+
+    rebuilt = apply_entries_rebuilt(base, entries, "budget")
+    _assert_wellformed(rebuilt.arena)
+    assert rebuilt.kind == "rebuild" and rebuilt.labels is None
+    assert serialize_arena(rebuilt.arena) == want
+
+    try:
+        spliced = apply_entries_spliced(base, entries, compiled)
+    except DeltaUnsupported as unsupported:
+        assert unsupported.reason in REBUILD_REASONS
+    else:
+        _assert_wellformed(spliced.arena)
+        assert spliced.kind == "splice" and spliced.reason is None
+        assert serialize_arena(spliced.arena) == want
+    # Neither derivation touched the arena it derived from.
+    assert serialize_arena(base) == before
+
+
+# ----------------------------------------------------------------------
+# One representation: the Node cache stays empty on the arena paths
+# ----------------------------------------------------------------------
+
+
+def test_plain_document_lifecycle_never_builds_the_node_cache(tmp_path, monkeypatch):
+    """``open_store`` → reads → spliced commits → ``save_store`` on a
+    plain document runs on columns only, and the checkpoint file is
+    byte-identical to what the Node serializer writes."""
+    state_dir = str(tmp_path / "st")
+    seed = ViewStore()
+    seed.put("db", DOC)
+    save_store(seed, state_dir)
+
+    thaws = []
+    real_thaw = documents_module.thaw
+    monkeypatch.setattr(
+        documents_module, "thaw", lambda arena: thaws.append(arena) or real_thaw(arena)
     )
+    store = open_store(state_dir)
+    doc = store.documents.get("db")
+    assert doc.arena_builds == 1 and doc.version == 1
+    assert store.query_serialized("db", "for $x in b/y return $x") == ["<y>2</y>"]
+    assert [serialize(x) for x in store.query("db", "for $x in a/x return $x")] == [
+        "<x>1</x>"
+    ]
+    for body in ("insert <w>9</w> into $a/b", "rename $a//y as z", "delete $a/a/x"):
+        assert store.commit_delta("db", _transform(body)).spliced
+    assert store.stats()["documents"]["db"]["nodes"] == len(doc.arena)
+    save_store(store, state_dir)
+    store.wal.close()
+    assert thaws == [] and doc._nodes is None
+    assert doc.arena_builds == 1 and doc.splices == 3
+
+    reference = str(tmp_path / "reference.xml")
+    write_file(thaw(doc.arena), reference)
+    with open(f"{state_dir}/doc-db-v4.xml", "rb") as written, open(reference, "rb") as want:
+        assert written.read() == want.read()
+
+    # The accessor builds the cache once per version; an install drops it.
+    root = doc.root
+    assert doc.root is root and len(thaws) == 1
+    store.commit("db", _transform("insert <v/> into $a/c"))
+    assert doc._nodes is None and doc.root is not root and len(thaws) == 2
 
 
 # ----------------------------------------------------------------------
