@@ -17,6 +17,13 @@ Workload, over an XMark document of at least 10 MB serialized (factor
   arena evaluator's zero-thaw reference run (both identify the same
   result items; neither serializes).
 
+* **descendant shapes** — one ``select_indices`` run per ``//``-heavy
+  path over the ledger's document (factor 0.05), with the scan's own
+  counts beside the time: elements visited, nodes skipped by jumps.
+  The counts are exact on any host, so their bars hold in smoke mode
+  too: a ``//item`` scan visits no more than the ``item`` postings
+  (+16 for the steps above ``regions``), ``//nosuch`` visits nothing.
+
 Bars (relaxed in smoke mode, which only exercises the code paths):
 
 * geometric-mean speedup >= 2x across the select+query suite;
@@ -49,6 +56,7 @@ import tracemalloc
 from repro.automata.arena_run import select_indices
 from repro.automata.selecting import build_selecting_nfa
 from repro.bench.harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
+from repro.obs.profile import Profile, profiled
 from repro.store.store import ViewStore
 from repro.xmark.queries import EMBEDDED_PATHS, delete_transform, user_query_for
 from repro.xmltree.arena import freeze
@@ -66,6 +74,19 @@ SELECT_SUITE = ["U4", "U5", "U9", "U10"]
 
 #: The qualifier-bearing Fig-11 user-query shapes.
 QUERY_SUITE = ["U2", "U3", "U7", "U8", "U9", "U10"]
+
+#: The descendant-shape table: the ledger's document size, and paths
+#: whose ``//`` steps name a label (so the scan can jump).
+DESCENDANT_FACTOR = 0.05
+DESCENDANT_SHAPES = [
+    "//text", "//listitem", "//description", "//item", "regions//item",
+    "//keyword", "//nosuch", "//bidder/increase", "//open_auction//increase",
+    "//item[location = 'Germany']", "regions//item/name", "//parlist//text",
+    "//listitem//keyword",
+]
+#: Shapes that wait on ``item`` alone: visits are bounded by its postings.
+ITEM_BOUND_SHAPES = ["//item", "regions//item", "//item[location = 'Germany']"]
+ITEM_BOUND_SLACK = 16
 
 REPEAT = smoke_rounds(3, 1)
 
@@ -125,6 +146,53 @@ def run_speedup_table(factor: float) -> tuple[list, float]:
         ))
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     return rows, geomean
+
+
+def run_descendant_table(factor: float) -> tuple[list, dict, int]:
+    """One row per descendant shape: best-of time and the scan's exact
+    counts.  Returns ``(rows, {shape: Profile}, number of items)``."""
+    arena = freeze(dataset(factor, seed=DATASET_SEED))
+    rows = []
+    profiles = {}
+    for shape in DESCENDANT_SHAPES:
+        nfa = build_selecting_nfa(parse_xpath(shape))
+        matches = select_indices(nfa, arena)  # warm tables and postings
+        elapsed = _best_of(lambda: select_indices(nfa, arena))
+        profile = profiles[shape] = Profile()
+        with profiled(profile):
+            assert select_indices(nfa, arena) == matches
+        rows.append((
+            shape, f"{elapsed * 1000:.3f}", str(len(matches)),
+            str(profile.nodes_visited), str(profile.nodes_skipped),
+        ))
+    return rows, profiles, len(arena.postings((arena.symbols.intern("item"),)))
+
+
+def check_descendant_counts(profiles: dict, items: int) -> list:
+    """The exact-count bars of the descendant table (failure texts)."""
+    failed = []
+    for shape in ITEM_BOUND_SHAPES:
+        visited = profiles[shape].nodes_visited
+        if visited > items + ITEM_BOUND_SLACK:
+            failed.append(
+                f"{shape} visited {visited} elements for {items} item "
+                f"postings (bar: postings + {ITEM_BOUND_SLACK})"
+            )
+    if profiles["//nosuch"].nodes_visited:
+        failed.append(
+            f"//nosuch visited {profiles['//nosuch'].nodes_visited} elements "
+            "(bar: 0 — no posting, one jump to the end)"
+        )
+    return failed
+
+
+def print_descendant_table(factor: float, rows: list) -> None:
+    print(format_table(
+        f"descendant shapes, arena scan (xmark factor {factor}, "
+        f"best of {REPEAT})",
+        ["path", "ms", "matches", "visited", "skipped"],
+        rows,
+    ))
 
 
 def run_memory_table(factor: float, tmp_path: str) -> tuple[list, float]:
@@ -199,6 +267,15 @@ def test_arena_memory_bar(tmp_path="/tmp/bench_arena_doc.xml"):
         f"arena only {ratio:.2f}x smaller than the Node tree "
         f"(bar {MEMORY_BAR}x)"
     )
+
+
+def test_descendant_shape_counts():
+    factor = SMOKE_FACTOR if SMOKE else DESCENDANT_FACTOR
+    rows, profiles, items = run_descendant_table(factor)
+    print()
+    print_descendant_table(factor, rows)
+    failed = check_descendant_counts(profiles, items)
+    assert not failed, "; ".join(failed)
 
 
 def test_zero_recompilation_on_warm_arena():
@@ -286,11 +363,17 @@ def main(argv=None) -> int:
         mem_rows,
     ))
     print(f"node/arena ratio: {mem_ratio:.2f}x (bar: {MEMORY_BAR}x)")
+    shape_factor = SMOKE_FACTOR if args.smoke else DESCENDANT_FACTOR
+    shape_rows, shape_profiles, items = run_descendant_table(shape_factor)
+    print()
+    print_descendant_table(shape_factor, shape_rows)
+    failed = check_descendant_counts(shape_profiles, items)  # exact: smoke too
     test_zero_recompilation_on_warm_arena()
     test_zero_copy_snapshots()
     if args.smoke:
-        return 0
-    failed = []
+        if failed:
+            print("FAIL: " + "; ".join(failed))
+        return 1 if failed else 0
     if geomean < SPEEDUP_BAR:
         failed.append(f"speedup {geomean:.2f}x < {SPEEDUP_BAR}x")
     if mem_ratio < MEMORY_BAR:

@@ -75,42 +75,73 @@ def select_indices(
     run_select` — same automaton, same memoized move tables, ~none of
     the object traffic.
 
-    When an execution profile is active on the calling thread, the
-    walk runs through a counting twin of the loop instead
-    (:func:`_select_indices_profiled`); one thread-local read is the
-    whole cost when it is not, so the plain loop stays untouched.
+    **Jump scans.**  While the innermost open set is jumpable
+    (:meth:`LazyDFA._jump_key`: no node can change the run before the
+    next one labelled in ``R(T)``), the walk does not step node by
+    node: it moves ``i`` to the next :meth:`~repro.xmltree.arena.
+    FrozenDocument.postings` entry of ``R(T)`` inside the open range,
+    or to the range's end.  A node entering a jumpable set whose own
+    range holds no such entry is left at once (``i = end[i]``) rather
+    than opened.  ``cursor`` keeps, per ``R(T)``, the last answer: the
+    walk only moves forward, so an answer at or past ``i`` still
+    stands and the postings are searched once per jump, not per
+    opened node.  Wildcard steps and sets whose members consume more
+    than their ``//`` states do stay on the per-node path.
+
+    The loop counts into locals and deposits once, after the walk,
+    into the execution profile active on the calling thread (if any):
+    elements stepped (one DFA transition each), empty-set prunes,
+    nodes jumped over, and the lazy table growth this scan paid.
     """
+    out: list = []
+    initial_id = initial_id_for(selecting, arena, context)
+    if initial_id is None:
+        return out
+    dfa = selecting.dfa()
     profile = current_profile()  # unguarded: one thread-local read is the documented cost of the off path
-    if profile is not None:
-        return _select_indices_profiled(selecting, arena, context, profile)
-    out: list = []
-    initial_id = initial_id_for(selecting, arena, context)
-    if initial_id is None:
-        return out
-    dfa = selecting.dfa()
+    before = dfa.stats() if profile is not None else None
     moves, compile_move, apply_move_arena = dfa.arena_hot_path()
     empty_id = dfa.empty_id
     final_flags = dfa.final_flags
+    set_jump = dfa.set_jump
+    next_posting = arena.next_posting
+    cursor: dict = {}
     sym = arena.sym
     end = arena.end
     append = out.append
     limit = end[context]
-    # Ancestor stack: sets/ends hold the open chain, top_* mirror the
-    # innermost entry so the per-node fast path never indexes [-1].
+    visited = 0  # elements stepped into a non-empty set ...
+    pruned = 0   # ... and into the empty one
+    skipped = 0
+    # Ancestor stack: sets/ends hold the open chain; top_set mirrors
+    # the innermost set so the per-node fast path never indexes [-1].
+    # ``event`` is the next index at which the walk must look at the
+    # stack: the end of the innermost range while its set steps node
+    # by node, or 0 — every index — while it jumps.
     sets = [initial_id]
     ends = [limit]
     top_set = initial_id
-    top_end = limit
+    event = 0
     i = context + 1
     while i < limit:
-        if top_end <= i:
-            sets.pop()
-            ends.pop()
+        if event <= i:
             while ends[-1] <= i:
                 sets.pop()
                 ends.pop()
             top_set = sets[-1]
-            top_end = ends[-1]
+            event = ends[-1]
+            jump = set_jump[top_set]
+            if jump is not None:
+                at = cursor.get(jump, 0)
+                if at < i:
+                    at = cursor[jump] = next_posting(jump, i)
+                if at >= event:
+                    skipped += event - i
+                    i = event
+                    continue
+                skipped += at - i
+                i = at  # an element: postings hold no text node
+                event = 0
         s = sym[i]
         if s < 0:
             i += 1
@@ -122,94 +153,43 @@ def select_indices(
             set_id = apply_move_arena(move, arena, i)
         else:
             set_id = move.target0
-        if set_id == empty_id:
-            i = end[i]  # prune: the whole subtree range, skipped
-            continue
-        if final_flags[set_id]:
-            append(i)
-        e = end[i]
-        i += 1
-        if e > i:
-            sets.append(set_id)
-            ends.append(e)
-            top_set = set_id
-            top_end = e
-    return out
-
-
-def _select_indices_profiled(
-    selecting, arena: FrozenDocument, context: int, profile
-) -> list:
-    """The counting twin of :func:`select_indices`: same walk, same
-    results (the equivalence is pinned by a test), plus measured
-    counts deposited into *profile* once at the end — element nodes
-    visited, subtree prunes taken, DFA transitions applied, and the
-    lazy transition-table growth this scan paid (``dfa.stats()``
-    deltas).  Local int counters keep the per-node cost flat; only the
-    final deposit touches the profile object.
-    """
-    out: list = []
-    initial_id = initial_id_for(selecting, arena, context)
-    if initial_id is None:
-        return out
-    dfa = selecting.dfa()
-    before = dfa.stats()
-    moves, compile_move, apply_move_arena = dfa.arena_hot_path()
-    empty_id = dfa.empty_id
-    final_flags = dfa.final_flags
-    sym = arena.sym
-    end = arena.end
-    append = out.append
-    limit = end[context]
-    visited = 0
-    pruned = 0
-    transitions = 0
-    sets = [initial_id]
-    ends = [limit]
-    top_set = initial_id
-    top_end = limit
-    i = context + 1
-    while i < limit:
-        if top_end <= i:
-            sets.pop()
-            ends.pop()
-            while ends[-1] <= i:
-                sets.pop()
-                ends.pop()
-            top_set = sets[-1]
-            top_end = ends[-1]
-        s = sym[i]
-        if s < 0:
-            i += 1
-            continue
-        visited += 1
-        move = moves[top_set].get(s)
-        if move is None:
-            move = compile_move(top_set, s)
-        if move.cond_sids:
-            set_id = apply_move_arena(move, arena, i)
-        else:
-            set_id = move.target0
-        transitions += 1
         if set_id == empty_id:
             pruned += 1
-            i = end[i]
+            i = end[i]  # prune: the whole subtree range, skipped
             continue
+        visited += 1
         if final_flags[set_id]:
             append(i)
         e = end[i]
         i += 1
-        if e > i:
+        # A node holding its parent's set is not opened: the stack
+        # only restores a set, and there is none to restore.
+        if e > i and set_id != top_set:
+            jump = set_jump[set_id]
+            if jump is not None:
+                at = cursor.get(jump, 0)
+                if at < i:
+                    at = cursor[jump] = next_posting(jump, i)
+                if at >= e:
+                    skipped += e - i
+                    i = e  # nothing below can change the run: never opened
+                    continue
+                event = 0
+            else:
+                event = e
             sets.append(set_id)
             ends.append(e)
             top_set = set_id
-            top_end = e
-    after = dfa.stats()
-    profile.add_scan(nodes=visited, pruned=pruned, transitions=transitions)
-    profile.add_table_growth(
-        sets=after["sets"] - before["sets"],
-        moves=after["moves"] - before["moves"],
-    )
+    if profile is not None:
+        after = dfa.stats()
+        stepped = visited + pruned  # one DFA transition per element stepped
+        profile.add_scan(
+            nodes=stepped, pruned=pruned, transitions=stepped, skipped=skipped
+        )
+        profile.add_table_growth(
+            sets=after["sets"] - before["sets"],
+            moves=after["moves"] - before["moves"],
+        )
     return out
 
 

@@ -101,7 +101,7 @@ class LazyDFA:
     # through _grow_lock with publish-last ordering.  Declared rather
     # than guarded so the checker documents (and the report surfaces)
     # exactly which shared state rides on that discipline:
-    # unguarded[_sets, final_flags, set_nq, set_qual_positions, _final_masks]: grow-only parallel tables; a set_id is published into _ids only after its row in every table is complete (publish-last under _grow_lock), so lock-free readers always see complete facts
+    # unguarded[_sets, final_flags, set_nq, set_qual_positions, _final_masks, set_jump]: grow-only parallel tables; a set_id is published into _ids only after its row in every table is complete (publish-last under _grow_lock), so lock-free readers always see complete facts
     # unguarded[_ids, _moves, _tracked]: grow-only dicts with idempotent inserts; two threads compiling the same entry write equivalent values (last write wins, both valid)
     # unguarded[_arena_checks]: built once under _grow_lock (double-checked locking); immutable after publication
     # unguarded[moves_compiled, tracked_compiled]: stats-only tallies; a lost increment under contention skews introspection, never correctness
@@ -137,6 +137,7 @@ class LazyDFA:
         self.set_nq: list[tuple] = []         # set_id -> nq ids in sorted-sid order
         self.set_qual_positions: list[tuple] = []  # member positions w/ qualifiers
         self._final_masks: list[int] = []     # set_id -> bitmask of final members
+        self.set_jump: list = []              # set_id -> R(T) symbols if jumpable, else None
         self._moves: list[dict] = []          # set_id -> {symbol: _Move}
         self._tracked: list[dict] = []        # set_id -> {symbol: _TrackedMove}
         # Direct view of the symbol table's label -> id dict (grow-only,
@@ -181,11 +182,50 @@ class LazyDFA:
             self._final_masks.append(
                 sum(1 << pos for pos, sid in enumerate(ordered) if self._final[sid])
             )
+            self.set_jump.append(self._jump_key(ordered))
             self._moves.append({})
             self._tracked.append({})
             # Publish last: readers that see the id find complete facts.
             self._ids[key] = set_id
         return set_id
+
+    def _jump_key(self, members: tuple) -> Optional[tuple]:
+        """The jump-table entry of a state set ``T`` (caller holds
+        ``_grow_lock``): ``R(T)``, the sorted symbols ``T``'s
+        consuming edges name, when a scan holding ``T`` may skip
+        straight to the next node labelled in ``R(T)`` — else ``None``.
+
+        On a symbol outside ``R(T)`` only the ``//`` members' ``*``
+        self-loops fire, so ``T`` moves to ``D``, exactly its ``//``
+        members.  ``T`` is jumpable when that move is unconditional
+        (no wildcard edge, no qualifier on a ``//`` member), ``D``
+        selects nothing, and ``D`` consumes what ``T`` consumes: then
+        ``T`` and ``D`` have one move table, every node between here
+        and the next ``R(T)`` label holds ``D`` unselected, and that
+        label is stepped the same from either.  ``T = D`` is the plain
+        ``//l`` wait; the set entered *on* an ``l`` match, the ``//``
+        state plus a finished ``l``, qualifies too, which is what lets
+        ``//item`` leave an ``item`` without walking it.  A set with
+        no ``//`` member and no consuming edge (the end of a child
+        path) has ``D`` empty and ``R(T)`` empty: nothing below it can
+        match.
+        """
+        states = self.nfa.states
+        targets: set = set()
+        dos_targets: set = set()
+        for sid in members:
+            out = states[sid].out_consume
+            targets.update(out)
+            if self._is_dos[sid]:
+                if self._has_qual[sid] or self._final[sid]:
+                    return None
+                dos_targets.update(out)
+        if targets != dos_targets:
+            return None
+        syms = tuple(sorted({self._label_sym[sid] for sid in targets}))
+        if syms and syms[0] < 0:
+            return None  # a wildcard edge consumes every label
+        return syms
 
     def members(self, set_id: int) -> tuple:
         """The NFA state ids of the set, sorted ascending."""

@@ -173,6 +173,7 @@ class InputProfile:
     exact: bool      #: True when *nodes* is an exact count
     size_bytes: int = 0  #: file size (0 for resident trees)
     avg_depth: float = DEFAULT_FILE_DEPTH  #: mean node depth (sampled)
+    elements: int = 0    #: element count (arena form only; exact)
 
     def summary(self) -> str:
         if self.form == "file":
@@ -241,6 +242,7 @@ def profile_input(
             nodes=len(doc_or_path),
             exact=True,
             avg_depth=doc_or_path.mean_depth(),
+            elements=doc_or_path.n_elements,
         )
     size = os.path.getsize(doc_or_path)
     return InputProfile(

@@ -228,7 +228,11 @@ class Planner:
         plan = Plan("scan", costs, features, profile, reasons, backend=backend)
         active = current_profile()
         if active is not None:
-            active.set_plan(plan.strategy, plan.backend, plan.cost, profile.nodes)
+            # The arena scan counts the elements it steps, so a full
+            # scan is every element below the root; counting texts
+            # would put a visit ratio of 1.0 out of reach.
+            est_nodes = profile.elements - 1 if backend == "arena" else profile.nodes
+            active.set_plan(plan.strategy, plan.backend, plan.cost, est_nodes)
         if record:
             self.record(plan)
         else:

@@ -72,6 +72,7 @@ def render_profile(snapshot: dict) -> str:
         lines.append(f"  {visited} nodes visited (no planner estimate)")
     lines.append(
         f"  {snapshot.get('subtrees_pruned', 0)} subtrees pruned, "
+        f"{snapshot.get('nodes_skipped', 0)} nodes skipped by jumps, "
         f"{snapshot.get('dfa_transitions', 0)} DFA transitions "
         f"(+{snapshot.get('table_sets_added', 0)} state sets, "
         f"+{snapshot.get('table_moves_added', 0)} memoized moves)"

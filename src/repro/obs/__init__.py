@@ -22,9 +22,9 @@ service, CLI) reports through the two primitives here:
 Built on those two primitives:
 
 * :class:`~repro.obs.profile.Profile` — per-run plan-vs-actual
-  execution profiles (nodes visited, subtrees pruned, DFA transitions
-  and table growth, cache class, serialize bytes), thread-locally
-  activated like traces.
+  execution profiles (nodes visited, subtrees pruned, nodes skipped
+  by jumps, DFA transitions and table growth, cache class, serialize
+  bytes), thread-locally activated like traces.
 * :class:`~repro.obs.slowlog.SlowQueryLog` — a bounded ring of
   over-threshold requests, each with its trace, profile, queue wait
   and snapshot version.

@@ -2,8 +2,8 @@
 
 The planner picks a strategy from **estimates** (node counts scaled by
 cost constants).  A :class:`Profile` rides along with one run and
-collects the measured side — nodes visited, subtrees pruned, DFA
-transitions taken and transition-table growth, whether the prepared
+collects the measured side — nodes visited, subtrees pruned, nodes
+skipped by jumps, DFA transitions taken and transition-table growth, whether the prepared
 program was compiled cold or reused warm, and how many bytes the
 serializer produced — so the estimate can be confronted with reality
 (``explain_analyze``, the slow-query log, and the planner's drift
@@ -74,7 +74,7 @@ class Profile:
 
     __slots__ = (
         "nodes_visited", "subtrees_pruned", "dfa_transitions",
-        "table_sets_added", "table_moves_added", "serialize_bytes",
+        "nodes_skipped", "table_sets_added", "table_moves_added", "serialize_bytes",
         "results", "cache", "strategy", "backend", "est_cost",
         "est_nodes", "_t0", "dur_us",
     )
@@ -83,6 +83,7 @@ class Profile:
         self.nodes_visited = 0
         self.subtrees_pruned = 0
         self.dfa_transitions = 0
+        self.nodes_skipped = 0
         self.table_sets_added = 0
         self.table_moves_added = 0
         self.serialize_bytes = 0
@@ -99,11 +100,16 @@ class Profile:
     # Deposits (called at most a handful of times per run)
     # ------------------------------------------------------------------
 
-    def add_scan(self, nodes: int = 0, pruned: int = 0, transitions: int = 0) -> None:
-        """One scan's worth of counts, deposited after the loop."""
+    def add_scan(
+        self, nodes: int = 0, pruned: int = 0, transitions: int = 0, skipped: int = 0
+    ) -> None:
+        """One scan's worth of counts, deposited after the loop.
+        *skipped* is the summed distance of the scan's jumps (nodes of
+        either kind it never looked at), counted per jump."""
         self.nodes_visited += nodes
         self.subtrees_pruned += pruned
         self.dfa_transitions += transitions
+        self.nodes_skipped += skipped
 
     def add_table_growth(self, sets: int = 0, moves: int = 0) -> None:
         """DFA transition-table growth observed across one scan
@@ -163,6 +169,7 @@ class Profile:
             "nodes_visited": self.nodes_visited,
             "subtrees_pruned": self.subtrees_pruned,
             "dfa_transitions": self.dfa_transitions,
+            "nodes_skipped": self.nodes_skipped,
             "table_sets_added": self.table_sets_added,
             "table_moves_added": self.table_moves_added,
             "serialize_bytes": self.serialize_bytes,

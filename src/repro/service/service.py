@@ -556,12 +556,16 @@ class QueryService:
                 ):
                     # Every N-th sampled request pays for a
                     # plan-vs-actual profile too: the arena scan is the
-                    # "scan" strategy with an exact node estimate, and
-                    # the profiled twin of select_indices fills in the
-                    # actual visit/prune/transition counts.
+                    # "scan" strategy estimated at every element below
+                    # the root (what select_indices can step), and the
+                    # scan loop fills in the actual visit/prune/skip
+                    # counts.
                     prof = Profile()
-                    n = len(snapshot.arena)
-                    prof.set_plan("scan", "arena", READ_COST_ARENA * n, n)
+                    arena = snapshot.arena
+                    prof.set_plan(
+                        "scan", "arena", READ_COST_ARENA * len(arena),
+                        arena.n_elements - 1,
+                    )
                     with primary.activate(), profiled(prof):
                         result = self._evaluate_snapshot(snapshot, text)
                     prof.finish()

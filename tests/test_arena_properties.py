@@ -15,22 +15,36 @@ expressions and seeded XMark documents:
   yields the same subtrees;
 * **queries and transforms** — the arena XQuery evaluator matches
   ``evaluate_query``, and the arena transform-to-text path is
-  byte-identical to serializing ``transform_topdown``.
+  byte-identical to serializing ``transform_topdown``;
+* **jump scans** — descendant-heavy paths (recursive labels,
+  qualifiers on and before ``//`` steps, absent and late-interned
+  labels, inner contexts) select the same indices as the Node runner,
+  before and after ``splice``/``rename_splice`` (whose carried
+  postings equal a fresh census), under a two-thread first use, and
+  visit no more than the postings they jump through.
 """
+
+import itertools
+import sys
+import threading
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.arena_run import select_indices, serialize_arena_transformed
 from repro.automata.selecting import build_selecting_nfa
+from repro.obs.profile import Profile, profiled
 from repro.streaming.select import stream_select
+from repro.transform.naive import transform_naive
 from repro.transform.query import TransformQuery
 from repro.transform.topdown import transform_topdown
 from repro.updates import parse_update
 from repro.xmark.generator import generate
 from repro.xmark.queries import EMBEDDED_PATHS, user_query_for
-from repro.xmltree.arena import freeze, thaw
-from repro.xmltree.node import Element, deep_equal
+from repro.xmltree import arena as arena_module
+from repro.xmltree.arena import freeze, freeze_segment, rename_splice, splice, thaw
+from repro.xmltree.node import Element, Text, deep_equal
 from repro.xmltree.sax import tree_to_events
 from repro.xmltree.serializer import serialize, serialize_arena
 from repro.xpath.arena_compiler import compile_qualifier_arena
@@ -42,7 +56,7 @@ from repro.xquery.arena_eval import ArenaEvaluator, evaluate_query_arena
 from repro.xquery.ast import PathFrom, UserQuery, VarRef
 from repro.xquery.evaluator import evaluate_query
 
-from tests.strategies import trees, xpath_queries
+from tests.strategies import LABELS, VALUES, trees, xpath_queries
 
 
 def _selecting(query_text):
@@ -269,3 +283,267 @@ class TestXMarkWorkload:
                 want = evaluate_query(tree, query)
                 got = ArenaEvaluator(arena).evaluate(query)
                 assert _items_equal(want, got), (seed, uid)
+
+
+# ----------------------------------------------------------------------
+# Jump scans
+# ----------------------------------------------------------------------
+
+#: Fresh labels for "interned after the arena was built": the global
+#: symbol table never forgets, so every example draws a new one.
+_late_labels = (f"late{n}" for n in itertools.count())
+
+
+@st.composite
+def descendant_paths(draw):
+    """A path that mostly descends: ``//l``, ``//*``, ``a//b//c``,
+    qualifiers on and before ``//`` steps, now and then a label no
+    document carries, or a final ``//.`` (a selecting ``//`` state)."""
+    parts = []
+    for index in range(draw(st.integers(1, 4))):
+        step = draw(st.sampled_from(LABELS + LABELS + ["*", "nosuch"]))
+        if draw(st.integers(0, 3)) == 0:
+            child = draw(st.sampled_from(LABELS + ["*"]))
+            value = draw(st.sampled_from(VALUES))
+            step += draw(st.sampled_from(
+                [f"[{child}]", f"[{child} = '{value}']", f"[.//{child}]", "[@id]"]
+            ))
+        descend = draw(st.integers(0, 3)) > 0
+        parts.append(("//" if descend else "/" if index else "") + step)
+    if draw(st.integers(0, 5)) == 0:
+        parts.append("//.")
+    return "".join(parts)
+
+
+def _node_indices(selecting, tree, arena, context=0):
+    """``run_select`` on the Node subtree at *context*, as arena
+    indices (pre-order element positions line up by construction)."""
+    nodes = list(tree.descendants_or_self())
+    index_of = {id(node): i for node, i in zip(nodes, arena.iter_elements())}
+    root = nodes[list(arena.iter_elements()).index(context)]
+    return [index_of[id(node)] for node in selecting.run_select(root)]
+
+
+def _assert_postings_exact(arena):
+    """Every postings list *arena* holds equals a fresh census of its
+    ``sym`` column — however the list got there."""
+    for syms, found in arena._postings.items():
+        assert list(found) == [
+            i for i in arena.iter_elements() if arena.sym[i] in syms
+        ], syms
+
+
+class TestJumpScans:
+    @settings(max_examples=300, deadline=None)
+    @given(tree=trees(), path_text=descendant_paths(), data=st.data())
+    def test_descendant_paths_agree_index_for_index(self, tree, path_text, data):
+        built = _selecting(path_text)
+        if built is None:
+            return
+        path, selecting = built
+        arena = freeze(tree)
+        assert select_indices(selecting, arena) == _node_indices(
+            selecting, tree, arena
+        ), path_text
+        context = data.draw(st.sampled_from(list(arena.iter_elements())))
+        assert select_indices(selecting, arena, context) == _node_indices(
+            selecting, tree, arena, context
+        ), (path_text, context)
+        query = UserQuery("x", path, [], VarRef("x"))
+        assert _items_equal(
+            evaluate_query(tree, query), evaluate_query_arena(arena, query)
+        ), path_text
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=trees(), path_text=descendant_paths())
+    def test_label_interned_after_the_arena_was_built(self, tree, path_text):
+        arena = freeze(tree)
+        late = next(_late_labels)
+        tail = path_text if path_text.startswith("//") else f"/{path_text}"
+        for text in (f"//{late}", f"{path_text}//{late}", f"//{late}{tail}"):
+            built = _selecting(text)
+            if built is not None:
+                assert select_indices(built[1], arena) == [], text
+        assert arena.symbols.intern(late) > max(arena.sym)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree=trees(), path_text=descendant_paths(), data=st.data())
+    def test_postings_follow_splice_and_rename_splice(self, tree, path_text, data):
+        built = _selecting(path_text)
+        if built is None:
+            return
+        _, selecting = built
+        base = freeze(tree)
+        before = select_indices(selecting, base)  # builds base's postings
+        below_root = [i for i in base.iter_elements() if i]
+        if not below_root:
+            return
+        # delete or replace one subtree, insert a small one (once or
+        # twice) as a last child elsewhere
+        gone = data.draw(st.sampled_from(below_root))
+        hosts = [
+            i for i in base.iter_elements()
+            if not gone <= i < base.end[gone] and not i < gone < base.end[i]
+        ]
+        label = data.draw(st.sampled_from(LABELS))
+        segment = freeze_segment(
+            Element(label, {}, [Element(LABELS[0], {}, [Text("5")])])
+        )
+        patches = [(
+            gone, base.end[gone], base.parent[gone],
+            segment if data.draw(st.booleans()) else None,
+        )]
+        if hosts:
+            host = data.draw(st.sampled_from(hosts))
+            patches += [(base.end[host], base.end[host], host, segment)] * (
+                data.draw(st.integers(1, 2))
+            )
+        # (these trees are so small that a fresh sweep is always the
+        # cheaper choice; force the carry, which is what is under test)
+        with mock.patch.object(arena_module, "_NODES_PER_CARRIED_PATCH", 0):
+            spliced = splice(base, patches)
+        # what base had built came along, patched: equal to a fresh sweep
+        assert set(spliced._postings) == set(base._postings)
+        _assert_postings_exact(spliced)
+        assert select_indices(selecting, spliced) == _node_indices(
+            selecting, thaw(spliced), spliced
+        ), (path_text, patches)
+        # rename: //new finds exactly the renamed nodes, //old loses them
+        old = base.label(data.draw(st.sampled_from(below_root)))
+        new = next(_late_labels)
+        find_old = _selecting(f"//{old}")[1]
+        find_new = _selecting(f"//{new}")[1]
+        old_hits = select_indices(find_old, base)
+        renamed_nodes = data.draw(
+            st.lists(st.sampled_from(old_hits), min_size=1, unique=True)
+        )
+        renamed = rename_splice(base, renamed_nodes, new)
+        _assert_postings_exact(renamed)  # the shared ones: untouched labels only
+        assert select_indices(find_new, renamed) == sorted(renamed_nodes)
+        assert select_indices(find_old, renamed) == sorted(
+            set(old_hits) - set(renamed_nodes)
+        )
+        assert select_indices(selecting, renamed) == _node_indices(
+            selecting, thaw(renamed), renamed
+        ), path_text
+        # the old version answers as it did
+        assert select_indices(selecting, base) == before
+        assert select_indices(find_old, base) == old_hits
+        assert select_indices(find_new, base) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tree=trees(),
+        path_text=descendant_paths(),
+        kind=st.sampled_from(["insert", "delete", "replace", "rename"]),
+    )
+    def test_transform_under_descendant_targets_matches_naive(
+        self, tree, path_text, kind
+    ):
+        built = _selecting(path_text)
+        if built is None:
+            return
+        _, selecting = built
+        target = (
+            f"$a{path_text}" if path_text.startswith("//") else f"$a/{path_text}"
+        )
+        update = parse_update({
+            "insert": f"insert <w><v>1</v></w> into {target}",
+            "delete": f"delete {target}",
+            "replace": f"replace {target} with <w>x</w>",
+            "rename": f"rename {target} as renamed",
+        }[kind])
+        arena = freeze(tree)
+        want = serialize(transform_naive(tree, TransformQuery(update)))
+        assert serialize_arena_transformed(arena, update, selecting) == want
+
+    def test_two_threads_race_the_first_use_of_one_arena(self):
+        tree = generate(0.002, 42)
+        labels = ["item", "name", "keyword", "listitem", "text", "bidder"]
+        nfas = [build_selecting_nfa(parse_xpath(f"//{l}")) for l in labels]
+        reference = freeze(tree)
+        want = [select_indices(nfa, reference) for nfa in nfas]
+        failures: list = []
+
+        def work(arena, barrier, order):
+            barrier.wait(timeout=10)
+            for k in order:
+                if select_indices(nfas[k], arena) != want[k]:
+                    failures.append(labels[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                arena = freeze(tree)  # no postings yet
+                barrier = threading.Barrier(2)
+                threads = [
+                    threading.Thread(target=work, args=(arena, barrier, order))
+                    for order in (range(len(nfas)), reversed(range(len(nfas))))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                for k, nfa in enumerate(nfas):
+                    s = arena.symbols.intern(labels[k])
+                    assert list(arena.postings((s,))) == want[k]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures
+
+    def test_visits_are_bounded_by_the_postings(self):
+        arena = freeze(generate(0.01, 42))
+        items = arena.postings((arena.symbols.intern("item"),))
+        assert len(items) > 100
+        selecting = build_selecting_nfa(parse_xpath(
+            "regions//item[location = 'United States'][quantity > 1]"
+        ))
+        prof = Profile()
+        with profiled(prof):
+            matches = select_indices(selecting, arena)
+        assert 0 < len(matches) < len(items)
+        assert prof.nodes_visited <= len(items) + 16
+        assert prof.nodes_skipped > 10 * prof.nodes_visited
+        prof = Profile()
+        with profiled(prof):
+            none = select_indices(
+                build_selecting_nfa(parse_xpath("//nosuch")), arena
+            )
+        assert none == [] and prof.nodes_visited == 0
+        assert prof.nodes_skipped == len(arena) - 1
+
+    def test_postings_are_per_version_and_never_shipped(self):
+        base = freeze(generate(0.002, 42))
+        s = base.symbols.intern("item")
+        assert base.stats()["index_bytes"] == 0
+        total = base.nbytes()["total"]
+        items = base.postings((s,))
+        assert list(items) == [i for i in base.iter_elements() if base.sym[i] == s]
+        assert base.stats()["index_bytes"] >= 4 * len(items)
+        assert base.nbytes()["total"] == total
+        assert set(base.columns()) == {
+            "sym", "parent", "end", "payload", "attrs", "n_elements", "strings"
+        }
+        names = base.postings((base.symbols.intern("name"),))
+        renamed = rename_splice(base, list(items[:3]), "thing")
+        assert renamed.end is base.end  # columns aliased ...
+        # ... the index is not: a label the rename left alone shares
+        # its postings, a label it moved is swept again on demand
+        assert list(renamed._postings.values()) == [names]
+        assert renamed._postings[(base.symbols.intern("name"),)] is names
+        assert list(renamed.postings((s,))) == list(items[3:])
+        assert base.postings((s,)) is items
+
+    def test_a_wide_delta_leaves_the_index_to_be_swept_again(self):
+        base = freeze(generate(0.002, 42))
+        s = base.symbols.intern("item")
+        items = list(base.postings((s,)))
+        segment = freeze_segment(Element("item", {}, [Text("x")]))
+        one = splice(base, [(base.end[items[0]], base.end[items[0]], items[0], segment)])
+        assert (s,) in one._postings
+        wide = splice(base, [(base.end[m], base.end[m], m, segment) for m in items])
+        assert not wide._postings
+        assert len(wide.postings((s,))) == 2 * len(items)
+        _assert_postings_exact(one)

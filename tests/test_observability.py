@@ -72,7 +72,7 @@ class TestProfile:
     def test_counters_and_snapshot(self):
         prof = Profile()
         prof.set_plan("scan", "arena", est_cost=83.0, est_nodes=100)
-        prof.add_scan(nodes=40, pruned=7, transitions=40)
+        prof.add_scan(nodes=40, pruned=7, transitions=40, skipped=55)
         prof.add_table_growth(sets=2, moves=5)
         prof.add_serialize_bytes(123)
         prof.set_results(9)
@@ -83,6 +83,7 @@ class TestProfile:
         assert snap["nodes_visited"] == 40
         assert snap["subtrees_pruned"] == 7
         assert snap["dfa_transitions"] == 40
+        assert snap["nodes_skipped"] == 55
         assert snap["table_sets_added"] == 2
         assert snap["table_moves_added"] == 5
         assert snap["serialize_bytes"] == 123
@@ -101,8 +102,8 @@ class TestProfile:
         assert current_profile() is None
 
     def test_select_indices_equivalent_with_and_without_profile(self):
-        # The profiled twin of the arena scan loop must select exactly
-        # the same refs as the bare hot path.
+        # One scan loop serves both: an active profile only receives
+        # its counts, the refs selected are the same.
         arena = parse_to_arena(CATALOG)
         engine = Engine()
         prepared = engine.prepare_query(QUERY)
@@ -113,6 +114,30 @@ class TestProfile:
         assert again == bare
         assert prof.nodes_visited > 0
         assert prof.dfa_transitions > 0
+
+    def test_full_scan_reports_visit_ratio_one(self):
+        # Plan and actual count the same thing on the arena scan — the
+        # elements below the root — so //* is a ratio of exactly 1.
+        arena = parse_to_arena(CATALOG)
+        engine = Engine()
+        prepared = engine.prepare_query("for $x in //* return $x")
+        prof = Profile()
+        with profiled(prof):
+            refs = prepared.run_refs(arena)
+        assert len(refs) == arena.n_elements - 1
+        assert prof.nodes_visited == prof.est_nodes == len(refs)
+        assert prof.snapshot()["visit_ratio"] == 1.0
+        assert prof.nodes_skipped == 0  # a wildcard step never jumps
+
+    def test_jump_scan_reports_nodes_skipped(self):
+        arena = parse_to_arena(CATALOG)
+        engine = Engine()
+        report, results = engine.prepare_query(
+            "for $x in //price return $x"
+        ).explain_analyze(arena)
+        assert len(results) == 3
+        assert "3 nodes visited" in report
+        assert f"{len(arena) - 1 - 3} nodes skipped by jumps" in report
 
     def test_explain_analyze_covers_fig12_mix(self):
         sys.path.insert(
@@ -233,6 +258,10 @@ class TestSlowQueryLog:
             assert profile is not None
             assert profile["strategy"] == "scan"
             assert profile["nodes_visited"] > 0
+            # part/supplier ends at a supplier: its subtree is skipped
+            assert profile["nodes_skipped"] > 0
+            # plan and actual both count elements below the root
+            assert profile["est_nodes"] == 16
             assert profile["serialize_bytes"] > 0
             assert svc.stats()["slowlog"]["recorded"] >= 1
         finally:
