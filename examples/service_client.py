@@ -50,8 +50,10 @@ def drive(host: str, port: int) -> None:
         print(f"defined view {view['name']!r} over {view['base']!r}")
 
         # 2. Concurrent identical queries: each runs on its own
-        #    connection, and the server's dispatch window coalesces
-        #    them into (at most a few) evaluations.
+        #    connection.  The first arrivals miss the memo, share a
+        #    dispatch window and coalesce into (at most a few)
+        #    evaluations; any that arrive after the answer is
+        #    published are served from the memo without queueing.
         text = "for $x in part/supplier[price < 15] return $x"
         results, workers = [], []
         for _ in range(8):

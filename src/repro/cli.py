@@ -467,8 +467,11 @@ def _cmd_store_slowlog(args: argparse.Namespace) -> int:
     for entry in entries:
         trace = entry.get("trace") or {}
         spans = trace.get("spans") or []
+        outcome = entry.get("outcome", "?")
+        if entry.get("served"):
+            outcome += "@" + entry["served"]  # memo@admission / memo@dispatch
         print(
-            f"{entry.get('dur_ms', '?'):>10} ms  {entry.get('outcome', '?'):<8} "
+            f"{entry.get('dur_ms', '?'):>10} ms  {outcome:<8} "
             f"{entry.get('target', '?')!r}  queue {entry.get('queue_ms', '?')} ms  "
             f"{len(spans)} span(s)  {entry.get('query', '')[:60]!r}"
         )

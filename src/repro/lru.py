@@ -48,6 +48,14 @@ class LRUCache:
             self.hits += 1
             return value
 
+    def peek(self, key: Any) -> Any:
+        """:meth:`get` (``None`` when absent) without the side effects:
+        no hit/miss tally and no recency promotion.  For a caller
+        re-checking a key it has already looked up (and been counted
+        for) once."""
+        with self._lock:
+            return self._data.get(key)
+
     def put(self, key: Any, value: Any) -> None:
         with self._lock:
             if key in self._data:

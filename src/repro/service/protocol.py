@@ -17,7 +17,7 @@ optional.  Response frames::
 Ops and their arguments (all strings unless noted):
 
 ===========  ==========================================================
-``load``     ``name`` + (``path`` | ``xml``), optional ``replace``
+``load``     ``name`` + (``path`` | ``xml``), optional ``replace`` (bool)
 ``defview``  ``name``, ``base``, ``transform``
 ``query``    ``target``, ``text``, optional ``staged`` (bool),
              ``deadline_ms`` (number), ``trace_id``/``parent_span``
@@ -129,6 +129,19 @@ def _optional_str(frame: dict, key: str) -> Optional[str]:
     return value
 
 
+def _flag(frame: dict, key: str) -> bool:
+    """An optional boolean argument: absent (or null) means false, and
+    anything but a JSON boolean is malformed — ``"false"`` is a truthy
+    string, and coercing it would show a caller staged updates, or
+    drain a ring, it asked not to."""
+    value = frame.get(key)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise BadRequestError(f"{key!r} must be a boolean")
+    return value
+
+
 def _deadline_of(frame: dict) -> Optional[float]:
     deadline_ms = frame.get("deadline_ms")
     if deadline_ms is None:
@@ -154,7 +167,7 @@ def handle_request(service, frame: dict):
             _require(frame, "target"),
             _require(frame, "text"),
             deadline=_deadline_of(frame),
-            staged=bool(frame.get("staged", False)),
+            staged=_flag(frame, "staged"),
             trace_id=_optional_str(frame, "trace_id"),
             parent_span=_optional_str(frame, "parent_span"),
         )
@@ -168,14 +181,13 @@ def handle_request(service, frame: dict):
         return service.metrics_text()
     if op == "traces":
         return service.traces(
-            drain=bool(frame.get("drain", False)),
-            stitched=bool(frame.get("stitched", False)),
+            drain=_flag(frame, "drain"), stitched=_flag(frame, "stitched")
         )
     if op == "slowlog":
-        return service.slowlog(drain=bool(frame.get("drain", False)))
+        return service.slowlog(drain=_flag(frame, "drain"))
     if op == "load":
         name = _require(frame, "name")
-        replace = bool(frame.get("replace", False))
+        replace = _flag(frame, "replace")
         if frame.get("xml") is not None:
             return service.put(name, _require(frame, "xml"), replace=replace)
         return service.load(name, _require(frame, "path"), replace=replace)

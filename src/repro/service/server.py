@@ -3,11 +3,12 @@
 
 One daemon thread per connection (``socketserver.ThreadingTCPServer``)
 reads newline-delimited JSON frames and answers in order on the same
-connection.  Because every connection thread blocks in
-``service.query`` — i.e. on the batching scheduler — concurrent
-clients are exactly what fills the dispatcher's batch windows: the
-server adds no queueing of its own on top of the service's admission
-control.
+connection.  A query the result memo can answer is answered on the
+connection thread itself, inside ``service.query``, without touching
+the scheduler.  Every other query blocks there on the batching
+scheduler, so concurrent clients are exactly what fills the
+dispatcher's batch windows: the server adds no queueing of its own on
+top of the service's admission control.
 
 Graceful shutdown (:meth:`ServiceServer.stop`): stop accepting, wake
 the accept loop, let in-flight requests finish (the service drains its

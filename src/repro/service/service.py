@@ -23,16 +23,26 @@ Concurrency discipline — **single writer, many readers**:
   tree and therefore fall back to the store's lock-holding read path
   (counted as ``locked_reads``).
 
-Request batching: incoming queries land on a bounded admission queue;
-a dispatcher thread drains it in small **windows** (a few ms) and
-groups the window's requests two ways.  Identical ``(document,
-query)`` requests — which, within one window, necessarily pin the
-same version — **coalesce** into a single evaluation whose result
-fans out to every waiter.  Distinct queries against the same document
-group into one worker task that pins the snapshot once and reuses the
-same prepared statements and warm DFA tables across all of them.  A
-per-``(document, version, query)`` memo keeps the coalescing effective
-*across* windows until the next commit changes the version.
+Read path: a request for a plain document pins its snapshot at
+admission and looks ``(document, arena uid, query)`` up in the result
+**memo**.  A hit is answered right there, on the thread that submitted
+it — no queue, no window, no pool task, no ``Future`` wake-up — so a
+memoised answer costs a pin and a dictionary lookup until the next
+commit changes the uid (and beyond it, when the commit is provably
+label-disjoint from the query and the entry is re-keyed).
+
+Request batching is what happens to the *misses* (and to view and
+staged reads, which cannot be pinned): they land on a bounded
+admission queue; a dispatcher thread drains it in small **windows** (a
+few ms) and groups the window's requests two ways.  Identical
+``(document, query)`` requests — which, within one window, necessarily
+pin the same version — **coalesce** into a single evaluation whose
+result fans out to every waiter.  Distinct queries against the same
+document group into one worker task that pins the snapshot once and
+reuses the same prepared statements and warm DFA tables across all of
+them.  The group re-checks the memo before evaluating: a request that
+missed at admission because an identical evaluation was still in
+flight is served from that evaluation's published answer.
 
 Admission control: the queue is bounded; when it is full the request
 is shed immediately with the typed
@@ -94,9 +104,12 @@ class ServiceConfig:
       pickled columns and rebuilt there).
     * ``batch_window`` — seconds the dispatcher waits after the first
       queued request to collect a batch.  ``0`` still coalesces
-      whatever is already queued.
-    * ``max_queue`` — admission-control bound; beyond it requests are
-      shed with :class:`~repro.service.errors.OverloadedError`.
+      whatever is already queued.  Only requests that have to be
+      evaluated queue; a memo hit is answered at admission and never
+      waits for the window.
+    * ``max_queue`` — admission-control bound; beyond it requests
+      that need the queue (memo misses) are shed with
+      :class:`~repro.service.errors.OverloadedError`.
     * ``memo_size`` — entries in the per-(document, version, query)
       result memo.
     * ``default_deadline`` — seconds applied to requests that do not
@@ -395,8 +408,16 @@ class QueryService:
         trace_id: Optional[str] = None,
         parent_span: Optional[str] = None,
     ) -> _Request:
-        """Enqueue a read without waiting; returns the request whose
-        ``future`` resolves to the serialized result list."""
+        """Admit a read without waiting; returns the request whose
+        ``future`` resolves to the serialized result list.
+
+        A plain-document read first pins the snapshot and looks its
+        ``(name, arena uid, text)`` up in the memo: a hit is resolved
+        right here, on the calling thread (``future`` is already done
+        when this returns), and never sees the queue, the dispatcher's
+        window or the pool.  Only a miss — or a view / staged target,
+        which cannot be pinned — is enqueued.
+        """
         if deadline is None:
             deadline = self.config.default_deadline
         absolute = time.monotonic() + deadline if deadline is not None else None
@@ -407,19 +428,60 @@ class QueryService:
                 target=target, query=query_text,
             ),
         )
+        snapshot = cached = None
+        if not staged and target not in self.store.views:
+            try:
+                snapshot = self.store.pin(target)
+            except StoreError:
+                pass  # unknown target: queued, so the waiter gets the error
+            else:
+                # The memo's one counted lookup per request (the
+                # dispatcher's re-check peeks).
+                cached = self._memo.get((target, snapshot.uid, query_text))
         with self._admission_lock:
             if self._closed:
                 raise ServiceClosedError()
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                self._count("shed")
-                request.trace.finish(outcome="shed")
-                raise OverloadedError(
-                    f"{self.config.max_queue} requests queued"
-                ) from None
+            if cached is None:
+                try:
+                    self._queue.put_nowait(request)
+                except queue.Full:
+                    self._count("shed")
+                    request.trace.finish(outcome="shed")
+                    raise OverloadedError(
+                        f"{self.config.max_queue} requests queued"
+                    ) from None
         self._count("requests")
+        if cached is not None:
+            self._count("snapshot_reads")
+            self._serve_hit([request], cached, snapshot.version, "admission", 0.0)
         return request
+
+    def _serve_hit(
+        self,
+        requests: list,
+        cached: list,
+        snapshot_version: int,
+        served: str,
+        queue_s: float,
+    ) -> None:
+        """Hand one memoised answer to every waiter in *requests* (all
+        for the same text against the same snapshot).  The only place
+        a hit is answered: *served* says from where — ``"admission"``
+        (:meth:`submit`, on the caller's thread) or ``"dispatch"`` (the
+        re-check in :meth:`_answer_doc_group`, i.e. the request raced
+        an identical evaluation and waited out a window for it).
+
+        Each waiter counts once, as a memo hit: ``requests ==
+        evaluations + coalesced + memo_hits`` over error-free
+        plain-document reads."""
+        self._count("memo_hits", len(requests))
+        for request in requests:
+            request.future.set_result(cached)
+            request.trace.finish(outcome="memo", served=served)
+        self._maybe_slow(
+            requests[0], "memo", snapshot_version,
+            coalesced=len(requests) - 1, queue_s=queue_s, served=served,
+        )
 
     # ------------------------------------------------------------------
     # The batching dispatcher
@@ -504,17 +566,14 @@ class QueryService:
         todo: list = []
         for text, requests in by_text.items():
             key = (name, snapshot.uid, text)
-            cached = self._memo.get(key)
+            # Every request here already missed at admission; an entry
+            # now means an identical evaluation (or a commit's re-key)
+            # published while it queued.
+            cached = self._memo.peek(key)
             if cached is not None:
-                self._count("memo_hits", len(requests))
-                self._count("coalesced", len(requests) - 1)
-                for request in requests:
-                    request.future.set_result(cached)
-                    request.trace.finish(outcome="memo")
-                self._maybe_slow(
-                    requests[0], "memo", snapshot.version,
-                    coalesced=len(requests) - 1,
-                    queue_s=dispatched - requests[0].submitted,
+                self._serve_hit(
+                    requests, cached, snapshot.version, "dispatch",
+                    dispatched - requests[0].submitted,
                 )
             elif all(request.expired(now) for request in requests):
                 for request in requests:
@@ -634,11 +693,14 @@ class QueryService:
         coalesced: int = 0,
         profile: Optional[dict] = None,
         queue_s: Optional[float] = None,
+        served: Optional[str] = None,
     ) -> None:
         """Capture *request* in the slow-query log when its submit→
         finish latency crossed the threshold.  Called after the trace
         finished so the entry can embed the full record (None for
-        unsampled requests — the counters still tell the story)."""
+        unsampled requests — the counters still tell the story).
+        *served* is where a memo hit was answered (see
+        :meth:`_serve_hit`); None for every other outcome."""
         dur = time.perf_counter() - request.submitted
         if not self._slowlog.should_record(dur):
             return
@@ -653,6 +715,7 @@ class QueryService:
             ),
             "snapshot_version": snapshot_version,
             "coalesced": coalesced,
+            "served": served,
             "trace": request.trace.record,
             "profile": profile,
         })

@@ -21,6 +21,7 @@ from concurrent.futures import BrokenExecutor
 
 import pytest
 
+from repro import cli
 from repro.engine.engine import Engine
 from repro.obs import (
     ExpositionServer,
@@ -267,6 +268,24 @@ class TestSlowQueryLog:
         finally:
             svc.close()
 
+    def test_store_slowlog_cli_says_where_a_hit_was_served(self, tmp_path, capsys):
+        lines = []
+        svc = QueryService(
+            config=ServiceConfig(batch_window=0.001, slow_threshold=0.0),
+            slow_sink=lambda entry: lines.append(json.dumps(entry, default=str)),
+        )
+        try:
+            svc.put("db", CATALOG)
+            svc.query("db", QUERY)
+            svc.query("db", QUERY)
+        finally:
+            svc.close()
+        (tmp_path / "slowlog.jsonl").write_text("\n".join(lines) + "\n")
+        assert cli.main(["store", "slowlog", "--state", str(tmp_path)]) == 0
+        evaluated, hit = capsys.readouterr().out.splitlines()
+        assert " ok " in evaluated and "@" not in evaluated
+        assert " memo@admission " in hit and "queue 0.0 ms" in hit
+
     def test_disabled_metrics_disables_slowlog(self):
         svc = QueryService(
             config=ServiceConfig(metrics=False, slow_threshold=0.0)
@@ -484,6 +503,37 @@ class TestPropagation:
         assert drained["entries"]
         assert client.slowlog()["entries"] == []
 
+    def test_memo_hit_is_traced_and_slow_logged_where_it_was_served(self, wire):
+        svc, _, client = wire
+        first = client.query("db", QUERY)
+        batches = svc.metrics()["batches"]
+        assert client.query("db", QUERY) == first
+        assert svc.metrics()["batches"] == batches  # answered at admission
+        records = _wait_for(
+            lambda: [
+                r for r in client.traces()
+                if r["name"] == "service.query" and r["meta"]["outcome"] == "memo"
+            ]
+        )
+        [hit] = records
+        assert hit["meta"]["served"] == "admission"
+        assert not any(s["name"] == "queue" for s in hit["spans"])
+        # It joined the trace the client opened for that second call ...
+        miss_root, hit_root = client.local_traces()
+        assert hit["trace"] == hit_root["trace"] != miss_root["trace"]
+        assert hit["parent_span"] == hit_root["span_id"]
+        # ... so both requests stitch into one well-formed tree each.
+        entries = client.stitched()
+        assert len(entries) == 2 and all(e["well_formed"] for e in entries)
+        # slow_threshold=0.0 captures everything, hits included.
+        [slow] = [e for e in client.slowlog()["entries"] if e["outcome"] == "memo"]
+        assert slow["served"] == "admission"
+        assert slow["queue_ms"] == 0.0
+        assert slow["snapshot_version"] == 1
+        assert slow["trace"] == hit
+        [evaluated] = [e for e in client.slowlog()["entries"] if e["outcome"] == "ok"]
+        assert evaluated["served"] is None and evaluated["queue_ms"] > 0
+
     def test_unsampled_client_sends_no_context(self):
         svc = QueryService(
             config=ServiceConfig(batch_window=0.001, trace_sample=1)
@@ -538,6 +588,32 @@ class TestProcessModePropagation:
             assert span["pid"] != os.getpid()
             [entry] = stitch(records)
             assert entry["well_formed"]
+        finally:
+            svc.close()
+
+    def test_memo_hit_needs_no_live_worker(self):
+        """In process mode the memo lives in the parent: once an answer
+        is held, serving it again involves no worker at all — shown by
+        taking the pool away."""
+        svc = QueryService(
+            config=ServiceConfig(
+                mode="process", workers=1, batch_window=0.001, trace_sample=1,
+            )
+        )
+        try:
+            svc.put("db", CATALOG)
+            first = svc.query("db", QUERY)
+            svc._workers.processes.shutdown(wait=True)
+            assert svc.query("db", QUERY) is first
+            with pytest.raises(RuntimeError, match="after shutdown"):
+                svc.query("db", "for $x in part return $x/pname")
+            m = svc.metrics()
+            assert (m["evaluations"], m["memo_hits"], m["batches"]) == (1, 1, 2)
+            [hit] = [
+                r for r in svc.traces() if r["meta"].get("outcome") == "memo"
+            ]
+            assert hit["meta"]["served"] == "admission"
+            assert not any(s["name"] == "worker.evaluate" for s in hit["spans"])
         finally:
             svc.close()
 

@@ -6,6 +6,7 @@ The oracle for every read is the store's own serialized read path
 through the batcher, through the process pool, and over the wire.
 """
 
+import sys
 import threading
 import time
 
@@ -25,10 +26,12 @@ from repro.service import (
 )
 from repro.service.protocol import decode_line, encode_frame
 from repro.store import StoreError, ViewStore
-from repro.xmltree.arena import arena_from_columns, freeze
+from repro.xmltree.arena import arena_from_columns, freeze, thaw
 from repro.xmltree.parser import parse
-from repro.xmltree.serializer import serialize_arena
+from repro.xmltree.serializer import serialize, serialize_arena
 from repro.xmltree.symbols import SymbolTable
+from repro.xquery.evaluator import evaluate_query
+from repro.xquery.parser import parse_user_query
 
 CATALOG = (
     "<db><part><pname>kb</pname>"
@@ -185,6 +188,244 @@ def test_memo_serves_repeat_queries_until_commit(service):
     )
     assert service.query("db", text) == ["<pname>mouse</pname>"]
     assert service.metrics()["evaluations"] == evaluations + 1
+
+
+# ----------------------------------------------------------------------
+# The short path: a memo hit is answered at admission, never queued
+# ----------------------------------------------------------------------
+
+
+def test_hits_never_queue_behind_the_window_the_bound_or_a_closed_service():
+    # A 5 s window and a one-slot queue: anything that has to queue is
+    # either visibly slow or shed, so a hit can only pass by not queueing.
+    svc = QueryService(
+        config=ServiceConfig(batch_window=5.0, max_queue=1, workers=1)
+    )
+    svc.put("db", CATALOG)
+    hot = QUERIES[0]
+    first = svc.query("db", hot)  # cold: pays the whole window
+    before = svc.metrics()
+    assert before["batches"] == 1 and before["evaluations"] == 1
+
+    started = time.perf_counter()
+    for _ in range(10):
+        assert svc.query("db", hot) is first  # the memo's own list, no copy
+    assert time.perf_counter() - started < 0.1
+    after = svc.metrics()
+    assert after["batches"] == before["batches"]
+    assert after["memo_hits"] == before["memo_hits"] + 10
+    assert after["snapshot_reads"] == after["requests"] == before["requests"] + 10
+
+    # A new text still waits for the window ...
+    waiting = svc.submit("db", QUERIES[1])
+    time.sleep(0.2)
+    assert not waiting.future.done()
+    # ... and with the dispatcher stalled on it, the one queue slot
+    # fills: a miss is shed, a hit is answered regardless.
+    queued = svc.submit("db", QUERIES[2])
+    with pytest.raises(OverloadedError):
+        svc.submit("db", "for $x in part[pname = 'none'] return $x")
+    hit = svc.submit("db", hot)
+    assert hit.future.done() and hit.future.result() is first
+    assert svc.metrics()["shed"] == 1
+
+    svc.close()  # graceful: both queued misses are still answered
+    assert waiting.future.result(timeout=5.0) == svc.store.query_serialized(
+        "db", QUERIES[1]
+    )
+    assert queued.future.done()
+    # A closed service refuses even what the memo could answer.
+    with pytest.raises(ServiceClosedError):
+        svc.submit("db", hot)
+    with pytest.raises(ServiceClosedError):
+        svc.query("db", hot)
+
+
+def test_views_and_staged_reads_never_take_the_short_path(service):
+    service.define_view("public", "db", HIDE_A)
+    text = "for $x in part/supplier return $x"
+    for _ in range(2):  # the repeat would be a hit if views were memoised
+        service.query("public", text)
+    assert service.query("db", text) is service.query("db", text)
+    staged = service.query("db", text, staged=True)  # memoised text, staged read
+    assert staged == service.store.query_serialized("db", text)
+    m = service.metrics()
+    assert m["locked_reads"] == 3
+    assert m["memo_hits"] == 1
+    assert m["snapshot_reads"] == 2
+    assert m["requests"] == 5
+
+
+def test_memo_tallies_count_each_request_once(service):
+    texts = [f"for $x in part[pname = 'p{i}'] return $x" for i in range(7)]
+    for text in texts:
+        service.query("db", text)
+    memo = service.stats()["service"]["memo"]
+    assert (memo["misses"], memo["hits"]) == (7, 0)
+    for text in texts:
+        service.query("db", text)
+    memo = service.stats()["service"]["memo"]
+    assert (memo["misses"], memo["hits"]) == (7, 7)
+
+
+def test_a_request_that_raced_its_evaluation_is_served_at_dispatch():
+    """The dispatcher's re-check: the second request misses at
+    admission (the first's evaluation has not published yet) and finds
+    the answer when its own pool task finally runs."""
+    svc = QueryService(
+        config=ServiceConfig(
+            batch_window=0.001, workers=1, trace_sample=1, slow_threshold=0.0
+        )
+    )
+    svc.put("db", CATALOG)
+    evaluating, release = threading.Event(), threading.Event()
+    evaluate = svc._evaluate_snapshot
+
+    def held(snapshot, text):
+        evaluating.set()
+        assert release.wait(timeout=5.0)
+        return evaluate(snapshot, text)
+
+    svc._evaluate_snapshot = held
+    try:
+        first = svc.submit("db", QUERIES[0])
+        assert evaluating.wait(timeout=5.0)
+        second = svc.submit("db", QUERIES[0])  # queues behind the one worker
+        assert not second.future.done()
+        release.set()
+        assert second.future.result(timeout=5.0) is first.future.result(timeout=5.0)
+    finally:
+        release.set()
+        svc.close()
+    m = svc.metrics()
+    assert (m["evaluations"], m["memo_hits"], m["coalesced"]) == (1, 1, 0)
+    assert m["requests"] == m["snapshot_reads"] == 2
+    # Counted where it was looked up first: two admission misses, and
+    # the re-check that found it is a peek.
+    memo = svc.stats()["service"]["memo"]
+    assert (memo["misses"], memo["hits"]) == (2, 0)
+    [entry] = [e for e in svc.slowlog()["entries"] if e["outcome"] == "memo"]
+    assert entry["served"] == "dispatch" and entry["queue_ms"] > 0
+    assert entry["trace"]["meta"]["served"] == "dispatch"
+    assert any(s["name"] == "queue" for s in entry["trace"]["spans"])
+
+
+INSERT_T = (
+    'transform copy $a := doc("db") modify do insert <t/> into $a/left return $a'
+)
+
+
+def test_hits_are_never_older_than_the_last_acknowledged_commit():
+    """Two readers and one writer over the short path.  A commit that
+    touches a query's labels must be visible to every hit admitted
+    after it returned; one that does not re-keys the entry, so the
+    very same list keeps being served."""
+    touched = "for $x in left/t return $x"
+    untouched = "for $x in part return $x/pname"
+    svc = QueryService(config=ServiceConfig(batch_window=0.0, workers=2))
+    svc.put("db", "<db><left/><part><pname>kb</pname></part></db>")
+
+    def oracle(text):
+        tree = thaw(svc.store.pin("db").arena)
+        return [serialize(item) for item in evaluate_query(tree, parse_user_query(text))]
+
+    # Deterministic first: one commit, then hits on both texts.
+    kept, stale = svc.query("db", untouched), svc.query("db", touched)
+    assert stale == []
+    svc.commit("db", INSERT_T)
+    assert svc.metrics()["memo_retained"] == 1
+    hits = svc.metrics()["memo_hits"]
+    assert svc.query("db", untouched) is kept  # the re-keyed entry itself
+    assert svc.metrics()["memo_hits"] == hits + 1
+    assert svc.query("db", touched) == oracle(touched) == ["<t/>"]
+    assert svc.query("db", touched) is svc.query("db", touched)
+
+    # Then the hammer.  Version v holds v - 1 <t/>s, so an answer names
+    # the version it was computed on.
+    expected = {2: oracle(touched)}
+    acked = [2]
+    observed: list = []
+    errors: list = []
+    done = threading.Event()
+
+    def writer():
+        try:
+            for _ in range(25):
+                version = svc.commit("db", INSERT_T)["version"]
+                expected[version] = oracle(touched)
+                acked[0] = version
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader():
+        try:
+            while not done.is_set():
+                floor = acked[0]
+                observed.append((floor, svc.query("db", touched)))
+                assert svc.query("db", untouched) == kept
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader) for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+    assert acked[0] == 27 and observed
+    for floor, answer in observed:
+        version = len(answer) + 1
+        assert version >= floor, f"answer from v{version} after v{floor} was acknowledged"
+        assert answer == expected[version]
+    assert svc.query("db", touched) == expected[27]
+    m = svc.metrics()
+    svc.close()
+    assert m["memo_hits"] > hits + 3, "the hammer never exercised the short path"
+    assert m["memo_retained"] >= 26  # `untouched` re-keyed across every commit
+
+
+def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
+    svc = QueryService(config=ServiceConfig(batch_window=0.002, workers=4))
+    svc.put("db", CATALOG)
+    errors: list = []
+
+    def client(index):
+        try:
+            for round_no in range(20):
+                for text in QUERIES:  # shared: hits and coalesced waiters
+                    svc.query("db", text)
+                svc.query(  # private: always an evaluation
+                    "db", f"for $x in part[pname = 'c{index}r{round_no}'] return $x"
+                )
+                if index == 0 and round_no % 5 == 4:
+                    svc.commit("db", HIDE_A)  # price/supplier: drops QUERIES[1:]
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert not any(t.is_alive() for t in threads)
+    m = svc.metrics()
+    svc.close()
+    assert not errors, errors[:3]
+    assert m["requests"] == 6 * 20 * (len(QUERIES) + 1)
+    assert m["requests"] == m["evaluations"] + m["coalesced"] + m["memo_hits"]
+    assert m["snapshot_reads"] == m["requests"]
+    assert m["memo_hits"] > 0 and m["evaluations"] >= 6 * 20
+    assert m["shed"] == m["deadline_misses"] == m["locked_reads"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +605,50 @@ def test_wire_typed_errors(wire):
     with pytest.raises(BadRequestError, match="deadline_ms"):
         client.call("query", target="db", text="for $x in part return $x",
                     deadline_ms=-5)
+
+
+def test_wire_booleans_are_checked_not_coerced():
+    """``"false"`` is a truthy string: coercing it would show the
+    caller staged updates, drain a ring, or replace a document it
+    asked to keep.  Anything but a JSON boolean is a bad request."""
+    svc = QueryService(
+        config=ServiceConfig(batch_window=0.001, trace_sample=1, slow_threshold=0.0)
+    )
+    svc.put("db", CATALOG)
+    text = "for $x in part return $x/pname"
+    with ServiceServer(svc) as server, Client(*server.address, timeout=10.0) as client:
+        client.stage(
+            "db",
+            'transform copy $a := doc("db") modify do '
+            "delete $a/part[pname = 'kb'] return $a",
+        )
+        committed = client.query("db", text)
+        assert len(committed) == 2
+        for junk in ("false", "true", 0, 1, [], {}):
+            with pytest.raises(BadRequestError, match="'staged' must be a boolean"):
+                client.call("query", target="db", text=text, staged=junk)
+            with pytest.raises(BadRequestError, match="'drain' must be a boolean"):
+                client.call("traces", drain=junk)
+            with pytest.raises(BadRequestError, match="'stitched' must be a boolean"):
+                client.call("traces", stitched=junk)
+            with pytest.raises(BadRequestError, match="'drain' must be a boolean"):
+                client.call("slowlog", drain=junk)
+            with pytest.raises(BadRequestError, match="'replace' must be a boolean"):
+                client.call("load", name="db", xml="<gone/>", replace=junk)
+        # Nothing the rejected frames asked for happened ...
+        assert client.traces() and client.slowlog()["entries"]
+        assert client.query("db", text) == committed
+        # ... and real booleans (or none at all) still mean what they say.
+        assert client.call("query", target="db", text=text, staged=False) == committed
+        assert client.call("query", target="db", text=text, staged=True) == [
+            "<pname>mouse</pname>"
+        ]
+        assert client.call("traces", drain=True, stitched=False)
+        assert client.call("traces") == []
+        assert client.call("slowlog", drain=True)["entries"]
+        assert client.slowlog()["entries"] == []
+        client.load("db", xml="<db><part/></db>", replace=True)
+        assert client.query("db", text) == []
 
 
 def test_wire_stats_frame(wire):

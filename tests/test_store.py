@@ -68,6 +68,16 @@ class TestLRUCache:
         assert "b" not in cache and "a" in cache and "c" in cache
         assert cache.stats()["evictions"] == 1
 
+    def test_peek_neither_counts_nor_promotes(self):
+        cache = LRUCache(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1 and cache.peek("z") is None
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+        cache.put("c", 3)  # a was peeked, not refreshed: it is still the oldest
+        assert "a" not in cache and "b" in cache
+
     def test_get_or_compute_counts(self):
         cache = LRUCache(maxsize=4)
         calls = []
