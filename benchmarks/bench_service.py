@@ -1,5 +1,6 @@
-"""Service benchmarks: batched concurrent serving vs a serial
-one-request-at-a-time baseline, and snapshot isolation under load.
+"""Service benchmarks: single-flight concurrent serving vs a serial
+one-request-at-a-time baseline, what the read path costs on top of an
+evaluation, and snapshot isolation under load.
 
 The workload is the Fig-12 user-query mix over an XMark document
 (factor 0.1 ≈ 10.4 MB at full size), served to 16 concurrent clients
@@ -8,22 +9,27 @@ cannot carry answers across versions:
 
 * **serial baseline** — every request pins its snapshot and evaluates
   individually (:meth:`~repro.service.service.QueryService.
-  query_direct`): the one-request-at-a-time server with no batching
-  and no cross-request result reuse.
-* **batched service** — the same total request list through the
-  batching scheduler: identical in-flight requests coalesce into one
-  evaluation per (document, version, query) and the memo serves
-  repeats within a version.  The acceptance bar is ≥ 4× the serial
-  baseline's throughput (asserted at full size; informational in
-  smoke mode, where evaluation is microseconds and scheduling
-  overhead dominates).
+  query_direct`): the one-request-at-a-time server with no
+  cross-request result reuse.
+* **single-flight service** — the same total request list through
+  :meth:`~repro.service.service.QueryService.query`: identical
+  in-flight requests share one evaluation per (document, version,
+  query) and the memo serves repeats within a version.  The acceptance
+  bar is ≥ 4× the serial baseline's throughput (asserted at full size;
+  informational in smoke mode, where an evaluation is microseconds).
 
-The repeats experiment is the count bar for the read path's short
-cut: 16 clients each ask the same text many times over an unchanged
-document, and — whatever the host, in smoke mode too — that costs ONE
-evaluation and at most one dispatcher batch per client; every other
-request is a memo hit answered at admission (or a coalesced waiter of
-the one evaluation).  Its memo-hit p50 is printed beside the counts.
+The repeats experiment is the count bar for that sharing: 16 clients
+each ask the same text many times over an unchanged document, and —
+whatever the host, in smoke mode too — that costs ONE evaluation;
+every other request is a memo hit or a follower of the one evaluation.
+Its memo-hit p50 is printed beside the counts.
+
+The distinct-texts experiment is the other side: two closed-loop
+clients that never share a text, so every request is a miss that runs
+its own evaluation on the thread that brought it.  Its miss p50 is
+printed beside the p50 of the same texts through ``query_direct`` —
+the difference is what admission, the flight table and the memo cost
+a request that gains nothing from them.  Only the counts are asserted.
 
 The isolation experiment hammers the same service with paired-marker
 commits (two staged inserts committed atomically) and asserts no
@@ -87,9 +93,9 @@ def _run_serial(service: QueryService) -> float:
     return time.perf_counter() - start
 
 
-def _run_batched(service: QueryService) -> float:
+def _run_concurrent(service: QueryService) -> float:
     """The same request list from CLIENTS concurrent client threads,
-    through the batching scheduler; same commit between rounds."""
+    through ``query``; same commit between rounds."""
     errors: list = []
 
     def client():
@@ -112,21 +118,21 @@ def _run_batched(service: QueryService) -> float:
     return elapsed
 
 
-def test_batched_throughput_vs_serial_baseline():
+def test_single_flight_throughput_vs_serial_baseline():
     total = CLIENTS * len(REQUESTS) * ROUNDS
 
-    serial_service = _fresh_service(batch_window=0.002)
+    serial_service = _fresh_service()
     serial = _run_serial(serial_service)
     serial_service.close()
 
-    batched_service = _fresh_service(batch_window=0.005, workers=4)
-    batched = _run_batched(batched_service)
-    metrics = batched_service.metrics()
-    batched_service.close()
+    shared_service = _fresh_service(workers=4)
+    shared = _run_concurrent(shared_service)
+    metrics = shared_service.metrics()
+    shared_service.close()
 
     rows = [
         ("serial (one at a time)", serial, total / serial, 1.0),
-        ("batched (16 clients)", batched, total / batched, serial / batched),
+        ("single-flight (16 clients)", shared, total / shared, serial / shared),
     ]
     print()
     print(format_table(
@@ -136,12 +142,12 @@ def test_batched_throughput_vs_serial_baseline():
         [(n, f"{s:.3f}", f"{r:.0f}", f"{x:.2f}x") for n, s, r, x in rows],
     ))
     print(
-        f"batched metrics: {metrics['evaluations']} evaluations for "
+        f"single-flight metrics: {metrics['evaluations']} evaluations for "
         f"{metrics['requests']} requests "
         f"({metrics['coalesced']} coalesced, {metrics['memo_hits']} memo hits, "
         f"{metrics['stale_reads']} stale reads)"
     )
-    # Every request was answered from a pinned snapshot, and batching
+    # Every request was answered from a pinned snapshot, and sharing
     # actually collapsed work: far fewer evaluations than requests.
     assert metrics["requests"] == total
     assert metrics["snapshot_reads"] == total
@@ -150,19 +156,19 @@ def test_batched_throughput_vs_serial_baseline():
     if not SMOKE:
         # The acceptance bar: coalescing + memoized fan-out must beat
         # one-at-a-time serving by at least 4x on the same hardware.
-        assert batched * 4 <= serial, (
-            f"batched {batched:.3f}s not 4x faster than serial {serial:.3f}s"
+        assert shared * 4 <= serial, (
+            f"single-flight {shared:.3f}s not 4x faster than serial {serial:.3f}s"
         )
 
 
-def test_repeats_cost_one_evaluation_and_no_batches():
+def test_repeats_cost_one_evaluation():
     """K clients x R repeats of one text, no commits: exact counts, so
-    asserted at every size.  One pool worker makes ``evaluations == 1``
-    independent of timing: a first request that arrives a window late
-    runs behind the evaluation on the same thread and finds its
-    published answer instead of starting a second one."""
+    asserted at every size.  ``evaluations == 1`` is independent of
+    timing: a first request either finds the flight on the table and
+    joins it, or — the leader publishes memo first, table second —
+    finds the answer already in the memo."""
     repeats = smoke_rounds(200, 20)
-    service = _fresh_service(batch_window=0.005, workers=1)
+    service = _fresh_service(workers=4)
     text = REQUESTS[0]
     hit_latencies: list = []
     errors: list = []
@@ -194,40 +200,97 @@ def test_repeats_cost_one_evaluation_and_no_batches():
     print(format_table(
         f"one text x{CLIENTS} clients x{repeats} repeats, no commits "
         f"(factor {FACTOR})",
-        ["requests", "evaluations", "batches", "memo hits", "coalesced",
-         "memo-hit p50 ms"],
-        [(str(total), str(metrics["evaluations"]), str(metrics["batches"]),
+        ["requests", "evaluations", "memo hits", "coalesced", "memo-hit p50 ms"],
+        [(str(total), str(metrics["evaluations"]),
           str(metrics["memo_hits"]), str(metrics["coalesced"]),
           f"{hit_p50_ms:.4f}")],
     ))
     assert metrics["requests"] == metrics["snapshot_reads"] == total
     assert metrics["evaluations"] == 1
-    assert metrics["batches"] <= CLIENTS
     assert metrics["memo_hits"] + metrics["coalesced"] == total - 1
     assert metrics["memo_hits"] >= CLIENTS * (repeats - 1)
 
 
+def test_distinct_texts_pay_one_evaluation_each():
+    """Two closed-loop clients, every text new: what a request that
+    can share nothing pays for going through ``query`` at all.
+
+    The two paths take turns, a short chunk each, on a service each,
+    so a host that slows down for a second slows both alike."""
+    chunk = 25
+    chunks = smoke_rounds(8, 1)
+    direct_service, service = _fresh_service(), _fresh_service()
+    latencies: dict = {"direct": [], "query": []}
+    errors: list = []
+
+    def client(name, call, lane, first):
+        try:
+            for i in range(first, first + chunk):
+                text = (
+                    f"for $x in people/person[@id = 'person{2 * i + lane}'] "
+                    "return $x/name"
+                )
+                began = time.perf_counter()
+                call("xmark", text)
+                latencies[name].append(time.perf_counter() - began)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    for index in range(chunks):
+        for name, call in (
+            ("direct", direct_service.query_direct), ("query", service.query)
+        ):
+            threads = [
+                threading.Thread(target=client, args=(name, call, lane, index * chunk))
+                for lane in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+    metrics = service.metrics()
+    direct_service.close()
+    service.close()
+    assert not errors, errors[:3]
+    direct_p50, miss_p50 = (
+        statistics.median(latencies[name]) * 1000.0 for name in ("direct", "query")
+    )
+    print()
+    print(format_table(
+        f"2 closed-loop clients x{chunks * chunk} distinct texts (factor {FACTOR})",
+        ["requests", "evaluations", "coalesced", "memo hits",
+         "query_direct p50 ms", "query (miss) p50 ms", "read-path cost ms"],
+        [(str(metrics["requests"]), str(metrics["evaluations"]),
+          str(metrics["coalesced"]), str(metrics["memo_hits"]),
+          f"{direct_p50:.3f}", f"{miss_p50:.3f}", f"{miss_p50 - direct_p50:+.3f}")],
+    ))
+    assert metrics["requests"] == metrics["snapshot_reads"] == 2 * chunks * chunk
+    assert metrics["evaluations"] == metrics["requests"]
+    assert metrics["coalesced"] == metrics["memo_hits"] == 0
+    assert metrics["shed"] == metrics["deadline_misses"] == 0
+
+
 def test_instrumentation_overhead_within_three_percent():
     """The telemetry substrate's acceptance bar: running the Fig-12
-    batch mix with the metrics registry + sampled tracer on (the
+    mix with the metrics registry + sampled tracer on (the
     default) may cost at most 3% over the same service with
     ``metrics=False`` (every instrument a shared no-op, tracing off).
 
     Best-of-3 each way to damp scheduler noise; the bar is asserted at
-    full size only (in smoke mode evaluations are microseconds and the
-    batching window dominates both runs, so the ratio is noise).
+    full size only (in smoke mode evaluations are microseconds and
+    thread start-up dominates both runs, so the ratio is noise).
     """
 
-    def best_batched(**config) -> float:
+    def best_concurrent(**config) -> float:
         best = float("inf")
         for _ in range(3):
-            service = _fresh_service(batch_window=0.005, workers=4, **config)
-            best = min(best, _run_batched(service))
+            service = _fresh_service(workers=4, **config)
+            best = min(best, _run_concurrent(service))
             service.close()
         return best
 
-    enabled = best_batched()
-    disabled = best_batched(metrics=False)
+    enabled = best_concurrent()
+    disabled = best_concurrent(metrics=False)
     overhead = (enabled / disabled - 1.0) * 100.0
     print()
     print(
@@ -236,7 +299,7 @@ def test_instrumentation_overhead_within_three_percent():
     )
     if not SMOKE:
         assert enabled <= disabled * 1.03 + 0.005, (
-            f"telemetry costs {overhead:.1f}% on the batch mix "
+            f"telemetry costs {overhead:.1f}% on the Fig-12 mix "
             f"(enabled {enabled:.3f}s vs disabled {disabled:.3f}s); "
             "the bar is 3%"
         )
@@ -246,7 +309,7 @@ def test_snapshot_isolation_under_load():
     """No reader ever sees a partially-committed or staged version:
     markers are inserted in atomically-committed pairs, so every
     committed version holds an even count."""
-    service = _fresh_service(batch_window=0.0, workers=4)
+    service = _fresh_service(workers=4)
     pair = [
         'transform copy $a := doc("xmark") modify do '
         "insert <iso_marker/> into $a/people return $a",

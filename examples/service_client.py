@@ -50,10 +50,10 @@ def drive(host: str, port: int) -> None:
         print(f"defined view {view['name']!r} over {view['base']!r}")
 
         # 2. Concurrent identical queries: each runs on its own
-        #    connection.  The first arrivals miss the memo, share a
-        #    dispatch window and coalesce into (at most a few)
-        #    evaluations; any that arrive after the answer is
-        #    published are served from the memo without queueing.
+        #    connection, on that connection's server thread.  The
+        #    first arrival evaluates; any that arrive while it does
+        #    join its flight and share the one answer (coalesced);
+        #    any that arrive after it is published are memo hits.
         text = "for $x in part/supplier[price < 15] return $x"
         results, workers = [], []
         for _ in range(8):
@@ -112,7 +112,7 @@ def main() -> None:
             drive(host or "127.0.0.1", int(port))
             return
     # Self-hosted: boot an in-process server on an ephemeral port.
-    service = QueryService(config=ServiceConfig(batch_window=0.01, workers=4))
+    service = QueryService(config=ServiceConfig(workers=4))
     with ServiceServer(service) as server:
         host, port = server.address
         print(f"booted in-process server on {host}:{port}")

@@ -98,7 +98,7 @@ from repro.store import (
 # Telemetry: the metrics registry and query-lifecycle tracing
 from repro.obs import MetricsRegistry, Tracer
 
-# The concurrent query service (MVCC snapshot reads, batching, TCP)
+# The concurrent query service (MVCC snapshot reads, single-flight, TCP)
 from repro.service import (
     Client,
     QueryService,

@@ -467,11 +467,8 @@ def _cmd_store_slowlog(args: argparse.Namespace) -> int:
     for entry in entries:
         trace = entry.get("trace") or {}
         spans = trace.get("spans") or []
-        outcome = entry.get("outcome", "?")
-        if entry.get("served"):
-            outcome += "@" + entry["served"]  # memo@admission / memo@dispatch
         print(
-            f"{entry.get('dur_ms', '?'):>10} ms  {outcome:<8} "
+            f"{entry.get('dur_ms', '?'):>10} ms  {entry.get('outcome', '?'):<8} "
             f"{entry.get('target', '?')!r}  queue {entry.get('queue_ms', '?')} ms  "
             f"{len(spans)} span(s)  {entry.get('query', '')[:60]!r}"
         )
@@ -504,7 +501,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         workers=args.workers,
         mode=args.mode,
-        batch_window=args.window_ms / 1000.0,
         max_queue=args.max_queue,
         slow_threshold=args.slow_ms / 1000.0 if args.slow_ms >= 0 else -1.0,
     )
@@ -545,8 +541,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = server.address
         print(
             f"repro serve: listening on {host}:{port} "
-            f"(mode {config.mode}, {config.workers} workers, "
-            f"window {args.window_ms}ms"
+            f"(mode {config.mode}, {config.workers} workers"
             + (f", state {args.state!r})" if args.state else ", in-memory)"),
             flush=True,
         )
@@ -608,7 +603,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         "ts": time.time(),
                         "requests": counts["requests"],
                         "shed": counts["shed"],
-                        "batches": counts["batches"],
                         "evaluations": counts["evaluations"],
                         "memo_hits": counts["memo_hits"],
                         "snapshot_reads": counts["snapshot_reads"],
@@ -857,8 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="serve queries over TCP: MVCC snapshot reads, request "
-        "batching, a parallel worker pool",
+        help="serve queries over TCP: MVCC snapshot reads, "
+        "single-flight evaluation, admission control",
     )
     p_serve.add_argument(
         "--state",
@@ -875,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the bound port number to this file once listening",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4, help="worker pool size"
+        "--workers", type=int, default=4,
+        help="evaluations that may run at once (processes in --mode process)"
     )
     p_serve.add_argument(
         "--mode", choices=["thread", "process"], default="thread",
@@ -884,14 +879,10 @@ def build_parser() -> argparse.ArgumentParser:
         "columns)",
     )
     p_serve.add_argument(
-        "--window-ms", type=float, default=2.0,
-        help="batch dispatch window in milliseconds (identical queries "
-        "arriving within it coalesce into one evaluation)",
-    )
-    p_serve.add_argument(
         "--max-queue", type=int, default=256,
-        help="admission-control bound; beyond it requests are shed "
-        "with a typed 'overloaded' error",
+        help="admission-control bound on requests waiting for an "
+        "evaluation slot; beyond it requests are shed with a typed "
+        "'overloaded' error",
     )
     p_serve.add_argument(
         "--metrics-interval", type=float, default=0.0,

@@ -65,9 +65,6 @@ def check_metric_name(name: str) -> str:
 #: (doubling) from 100 µs to ~26 s, with an overflow bucket above.
 DEFAULT_LATENCY_BUCKETS = tuple(0.0001 * (2 ** i) for i in range(19))
 
-#: Default buckets for size-shaped histograms (batch sizes, counts).
-COUNT_BUCKETS = tuple(float(2 ** i) for i in range(13))
-
 
 class Counter:
     """A named monotonic counter (thread-safe)."""

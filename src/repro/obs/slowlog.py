@@ -8,7 +8,6 @@ JSON-serializable dict::
     {"ts": 1754650000.123, "target": "xmark", "query": "for $x in …",
      "dur_ms": 412.7, "queue_ms": 210.0, "outcome": "ok",
      "snapshot_version": 17, "coalesced": 3,
-     "served": "admission" | "dispatch" | None,  # where a memo hit was answered
      "trace": {...} | None,      # the full stitched trace record, when sampled
      "profile": {...} | None}    # the execution profile, when collected
 

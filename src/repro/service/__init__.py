@@ -8,13 +8,14 @@ for many concurrent clients:
   current frozen arena version and evaluates against that immutable
   snapshot, lock-free; writers stage and commit without ever blocking
   or corrupting readers (single-writer, many-reader).
-* **Request batching** — a dispatch window coalesces identical
-  (document, version, query) requests into one evaluation and groups
-  distinct queries per document so prepared statements and warm DFA
-  tables amortize across them.
-* **A worker pool** — threads by default; an opt-in ``multiprocessing``
-  mode ships arenas to workers as pickled columns for CPU-parallel
-  scans of large documents.
+* **Single-flight reads** — a request runs on the thread that brought
+  it: answered from the per-version result memo, from an identical
+  (document, version, query) evaluation already in flight, or by
+  evaluating it there and then, under a bound on concurrent
+  evaluations.
+* **An opt-in process pool** — ``mode="process"`` ships arenas to
+  worker processes as pickled columns for CPU-parallel scans of large
+  documents.
 * **A line-protocol TCP server and client** — ``repro serve`` /
   :class:`Client`, JSON frames, graceful shutdown, per-request
   deadlines, and admission control that sheds load with typed errors.

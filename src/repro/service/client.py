@@ -16,8 +16,8 @@ Server-side errors re-raise as their typed exception classes
 :class:`~repro.store.errors.StoreError`, …) so code written against an
 in-process :class:`~repro.service.service.QueryService` ports across
 the wire unchanged.  One client is one connection and is **not**
-thread-safe — concurrency comes from many clients (that is what fills
-the server's batch windows), not from sharing one.
+thread-safe — concurrency comes from many clients (each connection is
+one server thread), not from sharing one.
 
 Self-healing: transport failures split into two typed classes with
 different retry contracts.  :class:`~repro.service.errors.

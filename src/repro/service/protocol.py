@@ -52,6 +52,7 @@ the matching exception class from the code
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from repro.faults import InjectedFault
@@ -147,13 +148,16 @@ def _deadline_of(frame: dict) -> Optional[float]:
     if deadline_ms is None:
         return None
     # bool subclasses int, so `true` would otherwise read as a 1 ms
-    # deadline instead of a malformed frame.
+    # deadline instead of a malformed frame.  Python's json accepts
+    # Infinity and NaN: the one overflows the platform's wait, the
+    # other never compares as expired — neither is a deadline.
     if (
         isinstance(deadline_ms, bool)
         or not isinstance(deadline_ms, (int, float))
+        or not math.isfinite(deadline_ms)
         or deadline_ms <= 0
     ):
-        raise BadRequestError("deadline_ms must be a positive number")
+        raise BadRequestError("deadline_ms must be a positive finite number")
     return deadline_ms / 1000.0
 
 

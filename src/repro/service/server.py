@@ -3,16 +3,17 @@
 
 One daemon thread per connection (``socketserver.ThreadingTCPServer``)
 reads newline-delimited JSON frames and answers in order on the same
-connection.  A query the result memo can answer is answered on the
-connection thread itself, inside ``service.query``, without touching
-the scheduler.  Every other query blocks there on the batching
-scheduler, so concurrent clients are exactly what fills the
-dispatcher's batch windows: the server adds no queueing of its own on
-top of the service's admission control.
+connection.  Every query runs start to finish on the connection
+thread itself, inside ``service.query`` — answered from the memo,
+from an identical evaluation another connection is already running, or
+by evaluating it right there — so the connection thread is the only
+thing between a socket and the store: the server adds no queueing of
+its own on top of the service's admission control, and bounds what it
+will read as one frame (:data:`MAX_FRAME_BYTES`).
 
 Graceful shutdown (:meth:`ServiceServer.stop`): stop accepting, wake
-the accept loop, let in-flight requests finish (the service drains its
-queue on ``close``), then release the port.
+the accept loop, let in-flight requests finish (``service.close``
+waits for them), then release the port.
 """
 
 from __future__ import annotations
@@ -29,9 +30,15 @@ from repro.service.protocol import (
     handle_request,
     result_frame,
 )
+from repro.service.errors import BadRequestError
 from repro.service.service import QueryService
 
-__all__ = ["ServiceServer"]
+__all__ = ["MAX_FRAME_BYTES", "ServiceServer"]
+
+#: The longest request line the server reads (newline included): room
+#: for a ``load`` frame with a large inline ``xml``, but a peer that
+#: never sends a newline cannot grow the server without bound.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -41,15 +48,23 @@ class _Handler(socketserver.StreamRequestHandler):
         service = self.server.service  # type: ignore[attr-defined]
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_FRAME_BYTES)
             except (ConnectionError, OSError):
                 return
             if not line:
                 return  # client closed the connection
             if not line.strip():
                 continue  # blank keep-alive line
+            # A full read that still lacks its newline is a cut-off
+            # frame: answer once, then hang up — the rest of the line
+            # cannot be told apart from the next frame.
+            oversized = len(line) == MAX_FRAME_BYTES and not line.endswith(b"\n")
             request_id = None
             try:
+                if oversized:
+                    raise BadRequestError(
+                        f"frame longer than {MAX_FRAME_BYTES} bytes"
+                    )
                 frame = decode_line(line)
                 request_id = frame.get("id")
                 response = result_frame(request_id, handle_request(service, frame))
@@ -68,6 +83,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.wfile.flush()
             except (ConnectionError, OSError, ValueError):
                 return  # client went away mid-response
+            if oversized:
+                return
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

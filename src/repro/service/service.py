@@ -1,6 +1,6 @@
-"""The concurrent query service: MVCC snapshot reads, request
-batching, and a parallel worker pool over one resident
-:class:`~repro.store.store.ViewStore`.
+"""The concurrent query service: MVCC snapshot reads, single-flight
+evaluation on the caller's thread, and admission control over one
+resident :class:`~repro.store.store.ViewStore`.
 
 Concurrency discipline — **single writer, many readers**:
 
@@ -23,44 +23,46 @@ Concurrency discipline — **single writer, many readers**:
   tree and therefore fall back to the store's lock-holding read path
   (counted as ``locked_reads``).
 
-Read path: a request for a plain document pins its snapshot at
-admission and looks ``(document, arena uid, query)`` up in the result
-**memo**.  A hit is answered right there, on the thread that submitted
-it — no queue, no window, no pool task, no ``Future`` wake-up — so a
-memoised answer costs a pin and a dictionary lookup until the next
-commit changes the uid (and beyond it, when the commit is provably
+Read path — every read runs, start to finish, on the thread that
+called :meth:`QueryService.query` (over the wire: the connection's
+thread); there is no queue, dispatcher or pool to hand it to.  A
+request for a plain document pins its snapshot and looks ``(document,
+arena uid, query)`` up in the result **memo**.  A hit is answered
+right there: a pin and a dictionary lookup until the next commit
+changes the uid (and beyond it, when the commit is provably
 label-disjoint from the query and the entry is re-keyed).
 
-Request batching is what happens to the *misses* (and to view and
-staged reads, which cannot be pinned): they land on a bounded
-admission queue; a dispatcher thread drains it in small **windows** (a
-few ms) and groups the window's requests two ways.  Identical
-``(document, query)`` requests — which, within one window, necessarily
-pin the same version — **coalesce** into a single evaluation whose
-result fans out to every waiter.  Distinct queries against the same
-document group into one worker task that pins the snapshot once and
-reuses the same prepared statements and warm DFA tables across all of
-them.  The group re-checks the memo before evaluating: a request that
-missed at admission because an identical evaluation was still in
-flight is served from that evaluation's published answer.
+A miss is **single-flight**.  Under the admission lock it looks the
+same key up in the table of evaluations in flight.  If an identical
+evaluation is up, it joins it as a *follower* (counted ``coalesced``)
+and is woken with the leader's answer — the very same list — or its
+exception.  Otherwise, after one more peek at the memo (publishing is
+memo first, table second, so an answer that exists is never computed
+again), it registers the flight and *leads* it: takes one of
+``workers`` evaluation slots, evaluates against the snapshot it
+already pinned, puts the answer in the memo, takes the flight off the
+table and wakes its followers.  View and staged reads lead a flight
+nobody can join, under the same slots.
 
-Admission control: the queue is bounded; when it is full the request
-is shed immediately with the typed
+Admission control: at most ``max_queue`` admitted leaders may be
+waiting for a slot; the next one is shed immediately with the typed
 :class:`~repro.service.errors.OverloadedError` (back-pressure, not
-collapse).  Each request may carry a **deadline**; expired requests
-are answered with :class:`~repro.service.errors.DeadlineError` and —
-when every waiter for an evaluation has expired — the evaluation
-itself is skipped.
+collapse).  A hit or a follower needs no slot and is never shed.  Each
+request may carry a **deadline**: a leader still without a slot, or a
+follower still without an answer, when it passes gets
+:class:`~repro.service.errors.DeadlineError`; an evaluation whose
+every waiter has expired by the time it gets a slot is skipped; a
+leader that gives up takes its flight off the table and its unexpired
+followers re-admit themselves (one of them leads).  An evaluation
+cannot be abandoned once it runs, so a leader that finishes after its
+own deadline reports ``DeadlineError`` to itself while the answer
+still goes to the memo and to every follower in time for it.
 """
-
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Optional
 
 from repro.automata.arena_run import serialize_arena_items
@@ -78,13 +80,12 @@ from repro.obs import (
     span,
     stitch,
 )
-from repro.obs.registry import COUNT_BUCKETS
 from repro.service.errors import (
     DeadlineError,
     OverloadedError,
     ServiceClosedError,
 )
-from repro.service.workers import make_workers
+from repro.service.workers import ProcessWorkers
 from repro.store.documents import Snapshot
 from repro.store.errors import StoreError
 from repro.store.store import ViewStore
@@ -97,19 +98,17 @@ __all__ = ["QueryService", "ServiceConfig"]
 class ServiceConfig:
     """Tuning knobs for a :class:`QueryService`.
 
-    * ``workers`` — worker pool size (threads; and processes in
-      ``mode="process"``).
+    * ``workers`` — how many evaluations may run at once: slots taken
+      by the calling threads in ``mode="thread"`` (no thread is ever
+      created), worker processes in ``mode="process"``.
     * ``mode`` — ``"thread"`` (default) or ``"process"`` (opt-in
       CPU-parallel arena scans; arenas are shipped to workers as
       pickled columns and rebuilt there).
-    * ``batch_window`` — seconds the dispatcher waits after the first
-      queued request to collect a batch.  ``0`` still coalesces
-      whatever is already queued.  Only requests that have to be
-      evaluated queue; a memo hit is answered at admission and never
-      waits for the window.
-    * ``max_queue`` — admission-control bound; beyond it requests
-      that need the queue (memo misses) are shed with
-      :class:`~repro.service.errors.OverloadedError`.
+    * ``max_queue`` — admission-control bound on requests admitted and
+      waiting for an evaluation slot; beyond it a request that needs
+      one is shed with :class:`~repro.service.errors.OverloadedError`.
+      A memo hit, or a request that joins an identical evaluation
+      already in flight, needs no slot and is never shed.
     * ``memo_size`` — entries in the per-(document, version, query)
       result memo.
     * ``default_deadline`` — seconds applied to requests that do not
@@ -128,8 +127,7 @@ class ServiceConfig:
       Profiles feed the planner's estimate-vs-actual drift probe and
       ride along in slow-query entries; they are sampled separately
       from tracing because the profiled scan twin is markedly slower
-      than the bare hot loop, and coalesced workloads make nearly
-      every evaluation trace-sampled.
+      than the bare hot loop.
     * ``slow_threshold`` — seconds of submit→finish latency beyond
       which a request is captured in the slow-query log with its full
       trace and profile (negative disables the log entirely).
@@ -138,7 +136,7 @@ class ServiceConfig:
     """
 
     __slots__ = (
-        "workers", "mode", "batch_window", "max_queue", "memo_size",
+        "workers", "mode", "max_queue", "memo_size",
         "default_deadline", "metrics", "trace_sample", "trace_ring",
         "profile_sample", "slow_threshold", "slow_ring",
     )
@@ -147,7 +145,6 @@ class ServiceConfig:
         self,
         workers: int = 4,
         mode: str = "thread",
-        batch_window: float = 0.002,
         max_queue: int = 256,
         memo_size: int = 1024,
         default_deadline: Optional[float] = None,
@@ -160,6 +157,8 @@ class ServiceConfig:
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
+        if mode not in ("thread", "process"):
+            raise ValueError(f"unknown mode {mode!r}; use 'thread' or 'process'")
         if max_queue < 1:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
         if trace_sample < 0:
@@ -172,7 +171,6 @@ class ServiceConfig:
             raise ValueError(f"slow_ring must be positive, got {slow_ring}")
         self.workers = workers
         self.mode = mode
-        self.batch_window = batch_window
         self.max_queue = max_queue
         self.memo_size = memo_size
         self.default_deadline = default_deadline
@@ -185,10 +183,13 @@ class ServiceConfig:
 
 
 class _Request:
-    """One queued read: target, query text, waiter, deadline, trace."""
+    """One read: target, query text, deadline, trace — and, as they
+    become known, the snapshot version it pinned and the seconds it
+    waited for an evaluation slot (a hit or a follower needs none)."""
 
     __slots__ = (
-        "target", "text", "staged", "deadline", "future", "trace", "submitted",
+        "target", "text", "staged", "deadline", "trace", "submitted",
+        "version", "queue_s",
     )
 
     def __init__(
@@ -203,17 +204,47 @@ class _Request:
         self.text = text
         self.staged = staged
         self.deadline = deadline  # absolute time.monotonic() instant
-        self.future: Future = Future()
         #: The request's lifecycle trace (NULL_TRACE when unsampled).
         self.trace = trace
         self.submitted = time.perf_counter()
+        self.version: Optional[int] = None
+        self.queue_s = 0.0
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
 
+    def remaining(self) -> Optional[float]:
+        """Seconds left to wait (``None``: no deadline, wait forever)."""
+        if self.deadline is None:
+            return None
+        return max(0.0, self.deadline - time.monotonic())
 
-#: Queue sentinel that tells the dispatcher to drain and exit.
-_STOP = object()
+
+class _Flight:
+    """One evaluation in flight: the request that leads it and the
+    identical requests that joined it.
+
+    ``followers`` belongs to the service's admission lock while the
+    flight is on the table.  The outcome fields are written by the
+    leader before ``done`` is set and read by followers after it:
+    ``abandoned`` (the leader gave up before evaluating — re-admit),
+    else ``error`` (raise it), else ``result``.
+    """
+
+    __slots__ = (
+        "leader", "has_slot", "followers", "done", "result", "error",
+        "abandoned",
+    )
+
+    def __init__(self, leader: _Request, has_slot: bool):
+        self.leader = leader
+        #: Touched by the leader's thread only.
+        self.has_slot = has_slot
+        self.followers: list = []
+        self.done = threading.Event()
+        self.result: Optional[list] = None
+        self.error: Optional[BaseException] = None
+        self.abandoned = False
 
 
 #: Legacy metric key → registry metric name.  ``metrics()`` keeps
@@ -224,7 +255,6 @@ _METRIC_NAMES = {
     "requests": "service.requests.total",
     "shed": "service.requests.shed",
     "deadline_misses": "service.requests.deadline_miss",
-    "batches": "service.dispatch.batches",
     "evaluations": "service.dispatch.evaluations",
     "coalesced": "service.dispatch.coalesced",
     "memo_hits": "service.dispatch.memo_hits",
@@ -238,9 +268,9 @@ _METRIC_NAMES = {
 
 class QueryService:
     """A concurrent front for one :class:`ViewStore` (see the module
-    docstring for the concurrency and batching discipline)."""
+    docstring for the concurrency and single-flight discipline)."""
 
-    # guarded-by[_closed]: self._admission_lock
+    # guarded-by[_closed, _flights, _waiting]: self._admission_lock
 
     def __init__(
         self,
@@ -284,15 +314,11 @@ class QueryService:
         }
         #: Client-observed request latency (submit → result), seconds.
         self._latency = self.registry.histogram("service.request.latency")
-        #: One observation per arena evaluation group handed to the pool.
+        #: One observation per evaluation a leader ran.
         self._eval_latency = self.registry.histogram("service.eval.latency")
-        #: Requests per dispatcher window.
-        self._batch_size = self.registry.histogram(
-            "service.dispatch.batch_size", buckets=COUNT_BUCKETS
-        )
         self.store.bind_metrics(self.registry)
         self.engine.bind_metrics(self.registry)
-        self.registry.probe("service.queue.depth", lambda: self._queue.qsize())
+        self.registry.probe("service.queue.depth", self._queue_depth)
         self.registry.probe("service.memo.cache", lambda: self._memo.stats())
         self.registry.probe("service.trace.ring", lambda: self.tracer.stats())
         self.registry.probe(
@@ -310,31 +336,38 @@ class QueryService:
         )
         self.registry.probe("service.slowlog.ring", self._slowlog.stats)
         # Which sampled evaluations additionally pay for a profile:
-        # next(self._profile_tick) is atomic under the GIL, so worker
-        # threads can draw from it without a lock.
+        # next(self._profile_tick) is atomic under the GIL, so leaders
+        # can draw from it without a lock.
         self._profile_tick = itertools.count()
         # Keyed (name, arena uid, query text): the uid is process-
         # unique per arena build, so entries can never alias across a
         # commit OR a drop-and-reload (which restarts versions at 1) —
-        # even if an in-flight group publishes its result after the
-        # invalidation in drop()/commit() has already run.
+        # even if a leader publishes its result after the invalidation
+        # in drop()/commit() has already run.
         self._memo = LRUCache(self.config.memo_size)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.max_queue)
         self._write_lock = threading.RLock()
-        # Makes the closed-check and the enqueue atomic against
-        # close(): without it a request admitted between close()'s
-        # flag-set and the dispatcher's final drain would sit on the
-        # queue forever with nobody left to serve it.
+        # Admission: the closed flag, the table of evaluations in
+        # flight (key → _Flight; a plain-document flight is keyed like
+        # its memo entry) and the number of leaders waiting for a slot
+        # change together under this one lock.  Nothing is evaluated
+        # or waited for while it is held — close()'s wait on _drained
+        # releases it.
         self._admission_lock = threading.Lock()
+        self._drained = threading.Condition(self._admission_lock)
         self._closed = False
-        self._workers = make_workers(self.config.mode, self.config.workers)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
+        self._flights: dict = {}
+        self._waiting = 0
+        #: One slot per concurrent evaluation (``config.workers``).
+        self._slots = threading.Semaphore(self.config.workers)
+        #: Process mode's pool; thread mode evaluates on the caller.
+        self._workers = (
+            ProcessWorkers(self.config.workers)
+            if self.config.mode == "process"
+            else None
         )
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
-    # Reads (MVCC snapshot path, batched)
+    # Reads (MVCC snapshot path, single-flight, on the caller's thread)
     # ------------------------------------------------------------------
 
     def query(
@@ -347,33 +380,37 @@ class QueryService:
         trace_id: Optional[str] = None,
         parent_span: Optional[str] = None,
     ) -> list:
-        """Answer a query as serialized strings, through the batcher.
+        """Answer a query as serialized strings — from the memo, from
+        an identical evaluation already in flight, or by evaluating it
+        right here on the calling thread.
 
         *deadline* is seconds from now (default: the config's
-        ``default_deadline``); when it passes before the result is
-        ready, :class:`DeadlineError` is raised here — the evaluation
-        may still finish in the background and warm the memo.
+        ``default_deadline``).  :class:`DeadlineError` is raised when
+        it passes while this request waits for an evaluation slot or
+        for the evaluation it joined — and, since an evaluation cannot
+        be abandoned once it runs, when the evaluation this request
+        itself ran finishes late (the answer still warms the memo).
 
         *trace_id*/*parent_span* adopt a caller-opened trace context
         (cross-process propagation from :class:`~repro.service.client.
         Client`): the service span joins that trace instead of minting
         its own id, so the client can stitch one end-to-end tree.
         """
-        request = self.submit(
-            target, query_text, deadline=deadline, staged=staged,
-            trace_id=trace_id, parent_span=parent_span,
+        if deadline is None:
+            deadline = self.config.default_deadline
+        request = _Request(
+            target, query_text, staged,
+            time.monotonic() + deadline if deadline is not None else None,
+            trace=self.tracer.trace(
+                "service.query", trace_id=trace_id, parent_span=parent_span,
+                target=target, query=query_text,
+            ),
         )
-        timeout = None
-        if request.deadline is not None:
-            # Small slack over the dispatcher's own expiry check so a
-            # request failed *by* the dispatcher reports its typed
-            # error rather than racing this wait.
-            timeout = max(0.0, request.deadline - time.monotonic()) + 0.25
         try:
-            result = request.future.result(timeout=timeout)
-        except FutureTimeoutError:
-            self._count("deadline_misses")
-            raise DeadlineError(f"no result within {timeout:.3f}s") from None
+            if staged or target in self.store.views:
+                result = self._read_locked(request)
+            else:
+                result = self._read_snapshot(request)
         except DeadlineError:
             self._count("deadline_misses")
             raise
@@ -383,9 +420,9 @@ class QueryService:
     def query_direct(self, target: str, query_text: str) -> list:
         """The serial one-request-at-a-time reference path: pin the
         snapshot, evaluate, serialize — same MVCC read, but no
-        batching window, no coalescing, no per-version memo.  This is
-        what a naive server would do per request, and the baseline the
-        service benchmarks compare the batched path against.
+        coalescing and no per-version memo.  This is what a naive
+        server would do per request, and the baseline the service
+        benchmarks compare :meth:`query` against.
         """
         if self._is_closed():
             raise ServiceClosedError()
@@ -398,309 +435,279 @@ class QueryService:
         self._latency.observe(time.perf_counter() - start)
         return result
 
-    def submit(
-        self,
-        target: str,
-        query_text: str,
-        *,
-        deadline: Optional[float] = None,
-        staged: bool = False,
-        trace_id: Optional[str] = None,
-        parent_span: Optional[str] = None,
-    ) -> _Request:
-        """Admit a read without waiting; returns the request whose
-        ``future`` resolves to the serialized result list.
+    def _read_snapshot(self, request: _Request) -> list:
+        """A plain-document read: hit, follower or leader.
 
-        A plain-document read first pins the snapshot and looks its
-        ``(name, arena uid, text)`` up in the memo: a hit is resolved
-        right here, on the calling thread (``future`` is already done
-        when this returns), and never sees the queue, the dispatcher's
-        window or the pool.  Only a miss — or a view / staged target,
-        which cannot be pinned — is enqueued.
-        """
-        if deadline is None:
-            deadline = self.config.default_deadline
-        absolute = time.monotonic() + deadline if deadline is not None else None
-        request = _Request(
-            target, query_text, staged, absolute,
-            trace=self.tracer.trace(
-                "service.query", trace_id=trace_id, parent_span=parent_span,
-                target=target, query=query_text,
-            ),
-        )
-        snapshot = cached = None
-        if not staged and target not in self.store.views:
-            try:
-                snapshot = self.store.pin(target)
-            except StoreError:
-                pass  # unknown target: queued, so the waiter gets the error
-            else:
-                # The memo's one counted lookup per request (the
-                # dispatcher's re-check peeks).
-                cached = self._memo.get((target, snapshot.uid, query_text))
+        Each request counts exactly once, where it is answered:
+        ``requests == evaluations + coalesced + memo_hits`` and
+        ``snapshot_reads == requests`` over error-free reads."""
+        try:
+            snapshot = self.store.pin(request.target)
+        except StoreError as exc:
+            self._check_open()
+            self._count("requests")
+            self._finish(request, "error", error=str(exc))
+            raise
+        request.version = snapshot.version
+        key = (request.target, snapshot.uid, request.text)
+        # The memo's one counted lookup per request (admission peeks).
+        cached = self._memo.get(key)
+        if cached is None:
+            cached, flight = self._admit(request, key, memoised=True)
+        else:
+            self._check_open()
+        self._count("requests")
+        self._count("snapshot_reads")
+        while cached is None and flight.leader is not request:
+            self._follow(request, flight)
+            if flight.error is not None:
+                self._finish(request, "error", error=str(flight.error))
+                raise flight.error
+            if not flight.abandoned:
+                self._count("coalesced")
+                self._finish(request, "ok")
+                return flight.result
+            # The leader ran out of time before it got a slot: lead
+            # the evaluation, or join whoever now does.
+            cached, flight = self._admit(request, key, memoised=True)
+        if cached is not None:
+            self._count("memo_hits")
+            self._finish(request, "memo")
+            return cached
+        return self._lead_snapshot(request, key, flight, snapshot)
+
+    def _read_locked(self, request: _Request) -> list:
+        """View targets and staged previews: the store's lock-holding
+        serialized read path.  Admitted like any miss — one slot, the
+        same bound, deadline and ``close()`` — but as a flight nobody
+        can join (its key is the request itself)."""
+        key = (request.target, request)
+        _, flight = self._admit(request, key, memoised=False)
+        self._count("requests")
+        self._count("locked_reads")
+        self._take_slot(request, key, flight)
+        try:
+            with request.trace.activate():
+                result = self.store.query_serialized(
+                    request.target, request.text, include_staged=request.staged
+                )
+        except BaseException as exc:
+            self._finish(request, "error", error=str(exc))
+            raise
+        finally:
+            self._slots.release()
+            self._land(key, flight)
+        self._finish_led(request, "locked")
+        return result
+
+    def _admit(self, request: _Request, key: tuple, memoised: bool) -> tuple:
+        """One pass through admission for a request the memo could not
+        answer.  Returns ``(cached, flight)``: an answer published
+        since the caller's lookup, or the flight for *key* — one
+        already up, which *request* has now joined, or a new one it
+        leads (``flight.leader is request``).
+
+        A new flight takes an evaluation slot on the spot when one is
+        free; otherwise it counts against ``max_queue`` until
+        :meth:`_take_slot` has waited one out."""
         with self._admission_lock:
             if self._closed:
                 raise ServiceClosedError()
-            if cached is None:
-                try:
-                    self._queue.put_nowait(request)
-                except queue.Full:
+            flight = self._flights.get(key)
+            if flight is not None:
+                flight.followers.append(request)
+                return None, flight
+            if memoised:
+                # Leaders publish memo first, table second: with no
+                # flight up, an answer that exists is in the memo.
+                cached = self._memo.peek(key)
+                if cached is not None:
+                    return cached, None
+            has_slot = self._slots.acquire(blocking=False)
+            if not has_slot:
+                if self._waiting >= self.config.max_queue:
                     self._count("shed")
                     request.trace.finish(outcome="shed")
                     raise OverloadedError(
-                        f"{self.config.max_queue} requests queued"
-                    ) from None
-        self._count("requests")
-        if cached is not None:
-            self._count("snapshot_reads")
-            self._serve_hit([request], cached, snapshot.version, "admission", 0.0)
-        return request
+                        f"{self.config.max_queue} requests waiting for "
+                        f"{self.config.workers} evaluation slots"
+                    )
+                self._waiting += 1
+            flight = self._flights[key] = _Flight(request, has_slot)
+            return None, flight
 
-    def _serve_hit(
-        self,
-        requests: list,
-        cached: list,
-        snapshot_version: int,
-        served: str,
-        queue_s: float,
-    ) -> None:
-        """Hand one memoised answer to every waiter in *requests* (all
-        for the same text against the same snapshot).  The only place
-        a hit is answered: *served* says from where — ``"admission"``
-        (:meth:`submit`, on the caller's thread) or ``"dispatch"`` (the
-        re-check in :meth:`_answer_doc_group`, i.e. the request raced
-        an identical evaluation and waited out a window for it).
+    def _take_slot(self, request: _Request, key: tuple, flight: _Flight) -> None:
+        """The leader's wait for an evaluation slot; returns once
+        there is both a slot and someone still in time for the answer.
 
-        Each waiter counts once, as a memo hit: ``requests ==
-        evaluations + coalesced + memo_hits`` over error-free
-        plain-document reads."""
-        self._count("memo_hits", len(requests))
-        for request in requests:
-            request.future.set_result(cached)
-            request.trace.finish(outcome="memo", served=served)
-        self._maybe_slow(
-            requests[0], "memo", snapshot_version,
-            coalesced=len(requests) - 1, queue_s=queue_s, served=served,
-        )
-
-    # ------------------------------------------------------------------
-    # The batching dispatcher
-    # ------------------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        window = self.config.batch_window
-        while True:
-            item = self._queue.get()
-            stopping = item is _STOP
-            batch = [] if stopping else [item]
-            if not stopping and window > 0:
-                cutoff = time.monotonic() + window
-                while True:
-                    remaining = cutoff - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if nxt is _STOP:
-                        stopping = True
-                        break
-                    batch.append(nxt)
-            if stopping:
-                # Graceful drain: everything already admitted is served.
-                while True:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except queue.Empty:
-                        break
-            if batch:
-                self._dispatch(batch)
-            if stopping:
-                return
-
-    def _dispatch(self, batch: list) -> None:
-        """Group one window's requests and hand them to the pool."""
-        self._count("batches")
-        self._batch_size.observe(float(len(batch)))
-        doc_groups: dict = {}
-        for request in batch:
-            if request.staged or request.target in self.store.views:
-                self._workers.submit(self._run_fallback, request)
-            else:
-                doc_groups.setdefault(request.target, {}).setdefault(
-                    request.text, []
-                ).append(request)
-        for name, by_text in doc_groups.items():
-            self._workers.submit(self._run_doc_group, name, by_text)
-
-    def _run_doc_group(self, name: str, by_text: dict) -> None:
-        """One pool task per document per window: pin the snapshot
-        once, then answer every distinct query against it.
-
-        Runs as a discarded pool future, so it must never let an
-        exception escape with waiters unresolved — the final except
-        clause forwards anything unexpected (a broken process pool, a
-        died worker) to every future still pending, instead of leaving
-        deadline-less clients hanging forever.
-        """
-        try:
-            self._answer_doc_group(name, by_text)
-        except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
-            for requests in by_text.values():
-                for request in requests:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-
-    def _answer_doc_group(self, name: str, by_text: dict) -> None:
-        total = sum(len(reqs) for reqs in by_text.values())
-        snapshot = self.store.pin(name)
-        self._count("snapshot_reads", total)
+        Otherwise — no slot by the leader's deadline, or every waiter
+        expired — the flight comes off the table unevaluated,
+        followers still in time re-admit themselves, and this raises
+        :class:`DeadlineError`."""
+        waited = not flight.has_slot
+        if waited:
+            flight.has_slot = self._slots.acquire(timeout=request.remaining())
+        request.queue_s = time.perf_counter() - request.submitted
+        request.trace.record_span("queue", request.queue_s)
         now = time.monotonic()
-        dispatched = time.perf_counter()
-        for requests in by_text.values():
-            for request in requests:
-                # Queue wait is measured here because submit() ran on a
-                # different thread than the one that evaluates.
-                request.trace.record_span("queue", dispatched - request.submitted)
-        todo: list = []
-        for text, requests in by_text.items():
-            key = (name, snapshot.uid, text)
-            # Every request here already missed at admission; an entry
-            # now means an identical evaluation (or a commit's re-key)
-            # published while it queued.
-            cached = self._memo.peek(key)
-            if cached is not None:
-                self._serve_hit(
-                    requests, cached, snapshot.version, "dispatch",
-                    dispatched - requests[0].submitted,
-                )
-            elif all(request.expired(now) for request in requests):
-                for request in requests:
-                    request.future.set_exception(DeadlineError("expired in queue"))
-                    request.trace.finish(outcome="deadline")
-                self._maybe_slow(
-                    requests[0], "deadline", snapshot.version,
-                    queue_s=dispatched - requests[0].submitted,
-                )
-            else:
-                todo.append(text)
-        if todo:
-            # Coalesced waiters share one evaluation, so only a single
-            # sampled trace per distinct text — the primary — carries
-            # the engine's plan/scan/serialize spans (and, in process
-            # mode, the propagated context the worker's spans join).
-            primaries = {
-                text: next(
-                    (r.trace for r in by_text[text] if r.trace.sampled),
-                    NULL_TRACE,
-                )
-                for text in todo
-            }
-            trace_ctxs = {
-                text: {"trace": t.trace_id, "parent_span": t.span_id}
-                for text, t in primaries.items()
-                if t.sampled
-            }
-            profiles: dict = {}
-
-            def evaluate(snapshot: Snapshot, text: str) -> list:
-                begin = time.perf_counter()
-                primary = primaries[text]
-                sample = self.config.profile_sample
-                if (
-                    primary.sampled
-                    and sample
-                    and next(self._profile_tick) % sample == 0
-                ):
-                    # Every N-th sampled request pays for a
-                    # plan-vs-actual profile too: the arena scan is the
-                    # "scan" strategy estimated at every element below
-                    # the root (what select_indices can step), and the
-                    # scan loop fills in the actual visit/prune/skip
-                    # counts.
-                    prof = Profile()
-                    arena = snapshot.arena
-                    prof.set_plan(
-                        "scan", "arena", READ_COST_ARENA * len(arena),
-                        arena.n_elements - 1,
-                    )
-                    with primary.activate(), profiled(prof):
-                        result = self._evaluate_snapshot(snapshot, text)
-                    prof.finish()
-                    self.store.planner.observe_actual(prof)
-                    profiles[text] = prof.snapshot()
-                else:
-                    with primary.activate():
-                        result = self._evaluate_snapshot(snapshot, text)
-                self._eval_latency.observe(time.perf_counter() - begin)
-                return result
-
-            outcomes = self._workers.evaluate_group(
-                snapshot, todo, evaluate, trace_ctxs=trace_ctxs
+        with self._admission_lock:
+            if waited:
+                self._waiting -= 1
+            wanted = flight.has_slot and not all(
+                waiter.expired(now) for waiter in (request, *flight.followers)
             )
-            spans_by_text = getattr(outcomes, "spans_by_text", {})
-            retries = getattr(outcomes, "retries", 0)
-            for text, (status, value) in zip(todo, outcomes):
-                requests = by_text[text]
-                primary = primaries[text]
-                # Splice the worker-minted child spans (process mode)
-                # into the primary trace before it finishes, so the
-                # published record is already one stitched subtree.
-                worker_spans = spans_by_text.get(text)
-                if worker_spans:
-                    primary.add_spans(worker_spans)
-                if retries:
-                    primary.note(worker_retries=retries)
-                if status != "ok":
-                    for request in requests:
-                        request.future.set_exception(value)
-                        request.trace.finish(outcome="error", error=str(value))
-                    self._maybe_slow(
-                        requests[0], "error", snapshot.version,
-                        queue_s=dispatched - requests[0].submitted,
-                    )
-                    continue
-                self._count("evaluations")
-                self._count("coalesced", len(requests) - 1)
-                self._memo.put((name, snapshot.uid, text), value)
-                for request in requests:
-                    request.future.set_result(value)
-                    request.trace.finish(
-                        outcome="ok", coalesced=len(requests) - 1
-                    )
-                self._maybe_slow(
-                    requests[0], "ok", snapshot.version,
-                    coalesced=len(requests) - 1,
-                    profile=profiles.get(text),
-                    queue_s=dispatched - requests[0].submitted,
-                )
+            if not wanted:
+                self._pop(key, flight)
+        if wanted:
+            return
+        if flight.has_slot:
+            self._slots.release()
+        flight.abandoned = True
+        flight.done.set()
+        self._finish(request, "deadline")
+        raise DeadlineError("expired waiting for an evaluation slot")
+
+    def _pop(self, key: tuple, flight: _Flight) -> list:  # holds: self._admission_lock
+        """Take *flight* off the table; returns the followers it had
+        (from here on nobody can join it, and a follower that times
+        out knows its answer is on the way)."""
+        del self._flights[key]
+        if self._closed and not self._flights:
+            self._drained.notify_all()
+        followers, flight.followers = flight.followers, ()
+        return followers
+
+    def _land(
+        self, key: tuple, flight: _Flight,
+        result: Optional[list] = None, error: Optional[BaseException] = None,
+    ) -> list:
+        """Take the evaluated *flight* off the table and wake its
+        followers with the outcome; returns them."""
+        with self._admission_lock:
+            followers = self._pop(key, flight)
+        flight.result, flight.error = result, error
+        flight.done.set()
+        return followers
+
+    def _lead_snapshot(
+        self, request: _Request, key: tuple, flight: _Flight, snapshot: Snapshot
+    ) -> list:
+        """Evaluate the flight *request* registered, on this thread,
+        against the snapshot it pinned; publish memo first, table
+        second, then wake the followers."""
+        self._take_slot(request, key, flight)
+        try:
+            try:
+                result, profile = self._evaluate(snapshot, request)
+            finally:
+                self._slots.release()
+        except BaseException as exc:
+            # Every waiter gets the leader's exception; nothing is
+            # memoised and no flight is left behind.
+            self._land(key, flight, error=exc)
+            self._finish(request, "error", error=str(exc))
+            raise
+        self._memo.put(key, result)
+        self._count("evaluations")
+        followers = self._land(key, flight, result=result)
         # Stale-read accounting: did a commit supersede the pinned
         # version while we were answering from it?
         try:
-            current = self.store.documents.get(name).version
+            current = self.store.documents.get(request.target).version
         except StoreError:  # document dropped mid-flight
             current = snapshot.version
         if current != snapshot.version:
-            self._count("stale_reads", total)
+            self._count("stale_reads", 1 + len(followers))
+        self._finish_led(request, "ok", profile, coalesced=len(followers))
+        return result
 
-    def _maybe_slow(
-        self,
-        request: _Request,
-        outcome: str,
-        snapshot_version=None,
-        *,
-        coalesced: int = 0,
-        profile: Optional[dict] = None,
-        queue_s: Optional[float] = None,
-        served: Optional[str] = None,
+    def _follow(self, request: _Request, flight: _Flight) -> None:
+        """Wait for the flight *request* joined to come off the table,
+        or for the request's own deadline."""
+        began = time.perf_counter()
+        landed = flight.done.wait(request.remaining())
+        if not landed:
+            with self._admission_lock:
+                # Already popped: the wake-up is on its way.
+                landed = request not in flight.followers
+                if not landed:
+                    flight.followers.remove(request)
+            if landed:
+                flight.done.wait()
+        request.trace.record_span("follow", time.perf_counter() - began)
+        if landed and not (flight.abandoned and request.expired(time.monotonic())):
+            return
+        self._finish(request, "deadline")
+        raise DeadlineError("expired waiting for an identical evaluation")
+
+    def _evaluate(self, snapshot: Snapshot, request: _Request) -> tuple:
+        """The leader's evaluation; returns ``(result, profile)``.
+        Only the leader's trace carries the engine's plan/scan/
+        serialize spans (and, in process mode, the propagated context
+        the worker's spans join)."""
+        begin = time.perf_counter()
+        trace = request.trace
+        profile = None
+        sample = self.config.profile_sample
+        if self._workers is not None:
+            ctx = (
+                {"trace": trace.trace_id, "parent_span": trace.span_id}
+                if trace.sampled
+                else None
+            )
+            result, spans, retries = self._workers.evaluate(
+                snapshot, request.text, ctx
+            )
+            # Splice the worker-minted child spans into the trace
+            # before it finishes, so the published record is already
+            # one stitched subtree.
+            trace.add_spans(spans)
+            if retries:
+                trace.note(worker_retries=retries)
+        elif trace.sampled and sample and next(self._profile_tick) % sample == 0:
+            # Every N-th sampled request pays for a plan-vs-actual
+            # profile too: the arena scan is the "scan" strategy
+            # estimated at every element below the root (what
+            # select_indices can step), and the scan loop fills in the
+            # actual visit/prune/skip counts.
+            prof = Profile()
+            arena = snapshot.arena
+            prof.set_plan(
+                "scan", "arena", READ_COST_ARENA * len(arena),
+                arena.n_elements - 1,
+            )
+            with trace.activate(), profiled(prof):
+                result = self._evaluate_snapshot(snapshot, request.text)
+            prof.finish()
+            self.store.planner.observe_actual(prof)
+            profile = prof.snapshot()
+        else:
+            with trace.activate():
+                result = self._evaluate_snapshot(snapshot, request.text)
+        self._eval_latency.observe(time.perf_counter() - begin)
+        return result, profile
+
+    def _finish_led(
+        self, request: _Request, outcome: str,
+        profile: Optional[dict] = None, **meta,
     ) -> None:
-        """Capture *request* in the slow-query log when its submit→
-        finish latency crossed the threshold.  Called after the trace
-        finished so the entry can embed the full record (None for
-        unsampled requests — the counters still tell the story).
-        *served* is where a memo hit was answered (see
-        :meth:`_serve_hit`); None for every other outcome."""
+        """Finish a leader whose evaluation succeeded — as a deadline
+        miss when it took the leader past its own deadline (everyone
+        else already has the answer)."""
+        if request.expired(time.monotonic()):
+            self._finish(request, "deadline", profile)
+            raise DeadlineError("evaluation finished after the deadline")
+        self._finish(request, outcome, profile, **meta)
+
+    def _finish(
+        self, request: _Request, outcome: str,
+        profile: Optional[dict] = None, **meta,
+    ) -> None:
+        """Close *request*'s trace with *outcome* (+ *meta*) and, when
+        its submit→finish latency crossed the threshold, capture it in
+        the slow-query log with the full trace record (None for
+        unsampled requests — the counters still tell the story)."""
+        request.trace.finish(outcome=outcome, **meta)
         dur = time.perf_counter() - request.submitted
         if not self._slowlog.should_record(dur):
             return
@@ -710,12 +717,9 @@ class QueryService:
             "query": request.text,
             "outcome": outcome,
             "dur_ms": round(dur * 1000.0, 3),
-            "queue_ms": (
-                round(queue_s * 1000.0, 3) if queue_s is not None else None
-            ),
-            "snapshot_version": snapshot_version,
-            "coalesced": coalesced,
-            "served": served,
+            "queue_ms": round(request.queue_s * 1000.0, 3),
+            "snapshot_version": request.version,
+            "coalesced": meta.get("coalesced", 0),
             "trace": request.trace.record,
             "profile": profile,
         })
@@ -731,31 +735,6 @@ class QueryService:
             refs = evaluator.evaluate_refs(cache.user_query(text))
         with span("serialize"):
             return serialize_arena_items(snapshot.arena, refs)
-
-    def _run_fallback(self, request: _Request) -> None:
-        """View targets and staged previews: the store's lock-holding
-        serialized read path, one request at a time."""
-        self._count("locked_reads")
-        queue_s = time.perf_counter() - request.submitted
-        request.trace.record_span("queue", queue_s)
-        if request.expired(time.monotonic()):
-            request.future.set_exception(DeadlineError("expired in queue"))
-            request.trace.finish(outcome="deadline")
-            self._maybe_slow(request, "deadline", queue_s=queue_s)
-            return
-        try:
-            with request.trace.activate():
-                result = self.store.query_serialized(
-                    request.target, request.text, include_staged=request.staged
-                )
-        except Exception as exc:  # noqa: BLE001 - forwarded to the waiter
-            request.future.set_exception(exc)
-            request.trace.finish(outcome="error", error=str(exc))
-            self._maybe_slow(request, "error", queue_s=queue_s)
-            return
-        request.future.set_result(result)
-        request.trace.finish(outcome="locked")
-        self._maybe_slow(request, "locked", queue_s=queue_s)
 
     # ------------------------------------------------------------------
     # Writes (single-writer discipline)
@@ -773,6 +752,11 @@ class QueryService:
         strictly in sequence, never nested — no cycle either way."""
         with self._admission_lock:
             return self._closed
+
+    def _queue_depth(self) -> int:
+        """Requests admitted and waiting for an evaluation slot."""
+        with self._admission_lock:
+            return self._waiting
 
     def _check_open(self) -> None:
         """Refuse writes on a closed service (called INSIDE the write
@@ -908,21 +892,19 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Graceful shutdown: stop admitting, serve everything already
-        queued, stop the dispatcher and worker pool, and wait out any
-        in-flight write.  When this returns the store is quiescent —
-        no reader or writer of this service will touch it again."""
+        """Graceful shutdown: stop admitting, wait until every flight
+        already admitted has come off the table, stop the worker
+        processes, and wait out any in-flight write.  When this
+        returns the store is quiescent — no reader or writer of this
+        service will touch it again."""
         with self._admission_lock:
             if self._closed:
                 return
             self._closed = True
-            # Under the admission lock: once _STOP is enqueued no new
-            # request can slip in behind it unserved.  (put() may block
-            # on a full queue; the dispatcher drains without ever
-            # taking this lock, so it always makes room.)
-            self._queue.put(_STOP)
-        self._dispatcher.join()
-        self._workers.shutdown()
+            while self._flights:
+                self._drained.wait()
+        if self._workers is not None:
+            self._workers.shutdown()
         with self._write_lock:
             # A write that was already inside the lock finishes here;
             # any writer queued behind it sees _closed and is refused.
@@ -972,11 +954,10 @@ class QueryService:
         return {
             "service": {
                 **self.metrics(),
-                "mode": self._workers.mode,
+                "mode": self.config.mode,
                 "workers": self.config.workers,
-                "batch_window_ms": self.config.batch_window * 1000.0,
                 "max_queue": self.config.max_queue,
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": self._queue_depth(),
                 "memo": self._memo.stats(),
             },
             "store": self.store.stats(),

@@ -1,30 +1,29 @@
-"""Worker pools for the query service's snapshot reads.
+"""The opt-in process pool for the query service's snapshot reads.
 
-Two executors, one contract — evaluate a group of distinct queries
-against one pinned arena snapshot and return serialized results:
+In the default ``mode="thread"`` there is no executor at all: the
+request that leads an evaluation runs it on its own thread (see
+:mod:`repro.service.service`).  Arena reads release no locks and
+allocate little, the GIL caps CPU parallelism either way, and
+single-flight coalescing plus the result memo — not raw parallel
+scanning — is where that mode's throughput comes from.
 
-* **Threads** (the default): arena reads release no locks and allocate
-  little, so a :class:`~concurrent.futures.ThreadPoolExecutor` gives
-  cheap concurrency for many small-to-medium requests.  The GIL caps
-  CPU parallelism, but the batching scheduler's coalescing — not raw
-  parallel scanning — is where the thread mode's throughput comes
-  from.
-* **Processes** (opt-in, ``mode="process"``): for CPU-parallel scans
-  of large documents.  A :class:`FrozenDocument` cannot cross the
-  process boundary directly (its symbol table carries a lock), so the
-  parent ships the arena as a pickled **column payload**
-  (:meth:`~repro.xmltree.arena.FrozenDocument.columns`) and each
-  worker rebuilds — and caches — the arena on its side
-  (:func:`~repro.xmltree.arena.arena_from_columns`), re-interning
-  symbols through its own process-wide table so the automata it
-  compiles locally line up.  Shipping the columns is paid at most once
-  per arena per worker: the parent first sends a bare reference — the
-  snapshot's process-unique arena ``uid``, never the ambiguous
-  ``(name, version)`` pair, which a drop-and-reload can reuse — and
-  only re-sends with columns when a worker answers that it has not
-  seen that arena yet.  Workers are started with the ``spawn`` method:
-  the service is inherently multi-threaded by the time batches flow,
-  and forking a threaded parent can clone held locks into the child.
+``mode="process"`` is for CPU-parallel scans of large documents: the
+leader ships its one query to a worker process and blocks on the
+answer.  A :class:`FrozenDocument` cannot cross the process boundary
+directly (its symbol table carries a lock), so the parent ships the
+arena as a pickled **column payload**
+(:meth:`~repro.xmltree.arena.FrozenDocument.columns`) and each worker
+rebuilds — and caches — the arena on its side
+(:func:`~repro.xmltree.arena.arena_from_columns`), re-interning
+symbols through its own process-wide table so the automata it compiles
+locally line up.  Shipping the columns is paid at most once per arena
+per worker: the parent first sends a bare reference — the snapshot's
+process-unique arena ``uid``, never the ambiguous ``(name, version)``
+pair, which a drop-and-reload can reuse — and only re-sends with
+columns when a worker answers that it has not seen that arena yet.
+Workers are started with the ``spawn`` method: the service is
+inherently multi-threaded by the time reads flow, and forking a
+threaded parent can clone held locks into the child.
 """
 
 from __future__ import annotations
@@ -32,13 +31,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from typing import Optional
 
 from repro.faults import fault_point
 from repro.service.errors import ServiceError
 
-__all__ = ["GroupResult", "ProcessWorkers", "ThreadWorkers"]
+__all__ = ["ProcessWorkers"]
 
 #: Per-worker-process arena cache: (name, arena uid) → FrozenDocument.
 #: Bounded — a long-lived pool serving many documents must not pin
@@ -50,47 +49,31 @@ _worker_arenas: "OrderedDict[tuple, object]" = OrderedDict()
 NEED_COLUMNS = "need-columns"
 
 
-class GroupResult(list):
-    """The outcomes of one evaluation group — one ``("ok", result)`` /
-    ``("error", exception)`` pair per text, in order (it *is* that
-    list) — with the cross-process trace extras riding as attributes:
-
-    * ``spans_by_text`` — worker-minted span records per query text
-      (empty in thread mode, where spans land on the activated trace
-      directly).
-    * ``retries`` — pool respawn-and-retry rounds this group survived
-      (stamped onto the request traces as ``worker_retries``).
-    """
-
-    def __init__(self, outcomes, spans_by_text: Optional[dict] = None, retries: int = 0):
-        super().__init__(outcomes)
-        self.spans_by_text = spans_by_text if spans_by_text is not None else {}
-        self.retries = retries
-
-
 def _worker_evaluate(
     name: str,
     uid: int,
     columns: Optional[dict],
-    texts: list,
-    trace_ctxs: Optional[dict] = None,
+    text: str,
+    trace_ctx: Optional[dict] = None,
 ):
-    """Run in a worker process: evaluate *texts* (distinct FLWR query
-    texts) over the arena the parent pinned as (name, uid), serialized
-    straight from the columns.
+    """Run in a worker process: evaluate the FLWR query *text* over
+    the arena the parent pinned as (name, uid), serialized straight
+    from the columns.
 
-    Returns ``(NEED_COLUMNS, None, None)`` when the arena is not cached
-    here and *columns* were not shipped; otherwise ``("ok", [list-of-
-    serialized-strings per text], {text: [span records]})``.  Compiled
-    artifacts come from this process's own default engine, so repeated
-    batches pay zero recompilation exactly like the parent would.
+    Returns ``(NEED_COLUMNS, None, [])`` when the arena is not cached
+    here and *columns* were not shipped; otherwise ``("ok", serialized
+    strings, spans)`` or, for a malformed query, ``("error", message,
+    spans)`` — exceptions cross the process boundary as their message
+    (custom ``__init__`` signatures make many of this package's errors
+    unpicklable).  Compiled artifacts come from this process's own
+    default engine, so repeated texts pay zero recompilation exactly
+    like the parent would.
 
-    *trace_ctxs* maps a query text to its propagated trace context
-    (``{"trace": id, "parent_span": span id}``) for the texts whose
-    request was sampled: those evaluations are timed here and returned
-    as span records minted with **this worker's** process token, so
-    the parent can splice them into the request trace without any risk
-    of id collision.
+    *trace_ctx* is the propagated trace context (``{"trace": id,
+    "parent_span": span id}``) of a sampled request: its evaluation is
+    timed here and returned as one span record minted with **this
+    worker's** process token, so the parent can splice it into the
+    request trace without any risk of id collision.
     """
     from repro.automata.arena_run import serialize_arena_items
     from repro.engine import default_engine
@@ -105,7 +88,7 @@ def _worker_evaluate(
     arena = _worker_arenas.get(key)
     if arena is None:
         if columns is None:
-            return NEED_COLUMNS, None, None
+            return NEED_COLUMNS, None, []
         arena = arena_from_columns(columns)
         _worker_arenas[key] = arena
         while len(_worker_arenas) > _WORKER_ARENA_CAP:
@@ -114,23 +97,14 @@ def _worker_evaluate(
         _worker_arenas.move_to_end(key)
     engine = default_engine()
     evaluator = ArenaEvaluator(arena, engine.cache.selecting_nfa_for)
-    results = []
-    spans_by_text: dict = {}
-    for text in texts:
-        ctx = trace_ctxs.get(text) if trace_ctxs else None
-        begin = time.perf_counter()
-        # Per-text outcomes: one malformed query must not poison the
-        # good queries batched alongside it.  Exceptions cross the
-        # process boundary as their message (custom __init__ signatures
-        # make many of this package's errors unpicklable).
-        try:
-            refs = evaluator.evaluate_refs(engine.cache.user_query(text))
-            results.append(("ok", serialize_arena_items(arena, refs)))
-        except ValueError as exc:
-            results.append(("error", str(exc)))
-        if ctx is not None:
-            spans_by_text[text] = [_worker_span(ctx, begin)]
-    return "ok", results, spans_by_text
+    begin = time.perf_counter()
+    try:
+        refs = evaluator.evaluate_refs(engine.cache.user_query(text))
+        outcome = ("ok", serialize_arena_items(arena, refs))
+    except ValueError as exc:
+        outcome = ("error", str(exc))
+    spans = [_worker_span(trace_ctx, begin)] if trace_ctx is not None else []
+    return (*outcome, spans)
 
 
 def _worker_span(ctx: dict, begin: float) -> dict:
@@ -152,68 +126,25 @@ def _worker_span(ctx: dict, begin: float) -> dict:
     }
 
 
-class ThreadWorkers:
-    """The default executor: a plain thread pool."""
-
-    mode = "thread"
-
-    def __init__(self, workers: int):
-        self.pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-service"
-        )
-
-    def submit(self, fn, *args):
-        return self.pool.submit(fn, *args)
-
-    def evaluate_group(
-        self, snapshot, texts: list, evaluate_fn, trace_ctxs: Optional[dict] = None
-    ) -> GroupResult:
-        """Thread mode evaluates in-process: the caller's own
-        *evaluate_fn* (which shares the service's compiled caches)
-        runs right here in the worker thread.
-
-        Returns a :class:`GroupResult` — one ``("ok", result)`` /
-        ``("error", exception)`` pair per text, in order.  Trace
-        context needs no shipping in-process (*trace_ctxs* is accepted
-        for signature parity): the service activates the request trace
-        around *evaluate_fn*, so spans land on it directly.
-        """
-        outcomes = []
-        for text in texts:
-            try:
-                outcomes.append(("ok", evaluate_fn(snapshot, text)))
-            except Exception as exc:  # noqa: BLE001 - forwarded per waiter
-                outcomes.append(("error", exc))
-        return GroupResult(outcomes)
-
-    def shutdown(self) -> None:
-        self.pool.shutdown(wait=True)
-
-
-class ProcessWorkers(ThreadWorkers):
-    """The opt-in CPU-parallel executor.
-
-    Keeps the thread pool (dispatch, non-batchable requests, view
-    reads) and adds a process pool that the arena read groups are
-    farmed to.  Snapshots reach workers by the two-step column-payload
-    protocol described in the module docstring.
+class ProcessWorkers:
+    """The opt-in CPU-parallel executor: a process pool the leader of
+    each evaluation ships its query to.  Snapshots reach workers by
+    the two-step column-payload protocol described in the module
+    docstring.
 
     Self-healing: a crashed worker breaks the whole
     ``ProcessPoolExecutor`` (every pending and future submission raises
-    ``BrokenProcessPool``), so :meth:`evaluate_group` replaces a broken
-    pool with a fresh one and retries the group — the evaluation is a
-    pure read over a pinned snapshot, so re-running it is always safe.
-    The restart budget is bounded: a pool that keeps dying (a
-    deterministic crasher would otherwise respawn forever) exhausts it
-    and surfaces a typed :class:`ServiceError` instead.
+    ``BrokenProcessPool``), so :meth:`evaluate` replaces a broken pool
+    with a fresh one and retries — the evaluation is a pure read over
+    a pinned snapshot, so re-running it is always safe.  The restart
+    budget is bounded: a pool that keeps dying (a deterministic crasher
+    would otherwise respawn forever) exhausts it and surfaces a typed
+    :class:`ServiceError` instead.
     """
-
-    mode = "process"
 
     # guarded-by[processes, _generation, _restarts_left, restarts]: self._respawn_lock
 
     def __init__(self, workers: int, restart_budget: int = 3):
-        super().__init__(workers)
         self._workers = workers
         self._respawn_lock = threading.Lock()
         self._generation = 0
@@ -224,7 +155,6 @@ class ProcessWorkers(ThreadWorkers):
         try:
             self.processes = self._spawn_pool()
         except (OSError, ImportError) as exc:  # pragma: no cover - sandboxed hosts
-            self.pool.shutdown(wait=False)
             raise ServiceError(f"process worker pool unavailable: {exc}") from exc
         self._columns_lock = threading.Lock()
         self._columns_cache: "OrderedDict[tuple, dict]" = OrderedDict()  # guarded-by: self._columns_lock
@@ -234,8 +164,8 @@ class ProcessWorkers(ThreadWorkers):
 
         from concurrent.futures import ProcessPoolExecutor
 
-        # spawn, not fork: by the time batches reach this pool the
-        # parent is running dispatcher/handler threads, and forking a
+        # spawn, not fork: by the time reads reach this pool the
+        # parent is running connection threads, and forking a
         # threaded process can clone a held lock (symbol table, LRU)
         # into the child, deadlocking the first evaluation.  The cost
         # is a one-time interpreter start per worker.
@@ -246,8 +176,8 @@ class ProcessWorkers(ThreadWorkers):
 
     def _respawn(self, generation: int) -> None:
         """Replace the broken pool (at most once per generation: racing
-        groups that all saw the same breakage respawn one pool, not one
-        each) or raise when the budget is spent."""
+        leaders that all saw the same breakage respawn one pool, not
+        one each) or raise when the budget is spent."""
         stale = None
         with self._respawn_lock:
             if self._generation == generation:
@@ -274,56 +204,52 @@ class ProcessWorkers(ThreadWorkers):
                     self._columns_cache.popitem(last=False)
         return found
 
-    def _evaluate_group_once(
-        self, pool, snapshot, texts: list, trace_ctxs: Optional[dict]
-    ) -> GroupResult:
+    def _evaluate_once(self, pool, snapshot, text: str, trace_ctx: Optional[dict]):
         # First try by reference — the worker may already hold this
         # arena (keyed by its process-unique uid); ship the columns
-        # only when it says so.  The trace contexts ride along both
-        # times: they are a few small strings per sampled text.
-        status, results, spans = pool.submit(
-            _worker_evaluate, snapshot.name, snapshot.uid, None, texts, trace_ctxs
+        # only when it says so.  The trace context rides along both
+        # times: it is two small strings.
+        status, value, spans = pool.submit(
+            _worker_evaluate, snapshot.name, snapshot.uid, None, text, trace_ctx
         ).result()
         if status == NEED_COLUMNS:
-            status, results, spans = pool.submit(
+            status, value, spans = pool.submit(
                 _worker_evaluate,
                 snapshot.name,
                 snapshot.uid,
                 self._columns_for(snapshot),
-                texts,
-                trace_ctxs,
+                text,
+                trace_ctx,
             ).result()
+        if status == "error":
+            # Crossed the boundary as its message; rebuilt here for
+            # the leader to raise (and hand to its followers).
+            raise ValueError(value)
         if status != "ok":  # pragma: no cover - defensive
             raise ServiceError(f"process worker returned {status!r}")
-        # Error outcomes crossed the boundary as message strings;
-        # rebuild them as exceptions for the per-waiter forwarding.
-        return GroupResult(
-            [
-                (kind, value if kind == "ok" else ValueError(value))
-                for kind, value in results
-            ],
-            spans_by_text=spans,
-        )
+        return value, spans
 
-    def evaluate_group(
-        self, snapshot, texts: list, evaluate_fn, trace_ctxs: Optional[dict] = None
-    ) -> GroupResult:
+    def evaluate(self, snapshot, text: str, trace_ctx: Optional[dict] = None) -> tuple:
+        """Evaluate *text* over *snapshot* in a worker process and
+        block for the answer.  Returns ``(result, spans, retries)``:
+        the serialized strings, the worker-minted span records (empty
+        unless *trace_ctx* was given) and how many pool
+        respawn-and-retry rounds the call survived.  A malformed query
+        raises :class:`ValueError`."""
         retries = 0
         while True:
             with self._respawn_lock:
                 generation = self._generation
                 pool = self.processes
             try:
-                result = self._evaluate_group_once(pool, snapshot, texts, trace_ctxs)
-                result.retries = retries
-                return result
+                return (*self._evaluate_once(pool, snapshot, text, trace_ctx), retries)
             except BrokenExecutor:
-                # A worker died mid-group (OOM kill, segfault, injected
-                # crash).  Replace the pool — bounded by the restart
-                # budget — and re-run: the group is a pure snapshot
-                # read, so the retry observes exactly the same state.
-                # The spans of the dead attempt die with the worker;
-                # the retry count survives on the stitched trace.
+                # A worker died mid-evaluation (OOM kill, segfault,
+                # injected crash).  Replace the pool — bounded by the
+                # restart budget — and re-run: a pure snapshot read, so
+                # the retry observes exactly the same state.  The spans
+                # of the dead attempt die with the worker; the retry
+                # count survives on the stitched trace.
                 self._respawn(generation)
                 retries += 1
 
@@ -331,14 +257,3 @@ class ProcessWorkers(ThreadWorkers):
         with self._respawn_lock:
             pool = self.processes
         pool.shutdown(wait=True)
-        super().shutdown()
-
-
-def make_workers(mode: str, workers: int):
-    """The executor for a :class:`~repro.service.service.ServiceConfig`
-    mode string (``"thread"`` or ``"process"``)."""
-    if mode == "thread":
-        return ThreadWorkers(workers)
-    if mode == "process":
-        return ProcessWorkers(workers)
-    raise ServiceError(f"unknown worker mode {mode!r}; use 'thread' or 'process'")

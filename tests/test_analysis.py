@@ -599,7 +599,10 @@ class TestShippedTree:
         guarded = {(e["cls"], e["attr"]) for e in report.guarded_attrs}
         assert ("LRUCache", "_data") in guarded
         assert ("ViewStore", "arena_reads") in guarded
-        assert ("QueryService", "_closed") in guarded
+        # Admission state: the closed flag, the in-flight table and
+        # the waiting count change together under one lock.
+        for attr in ("_closed", "_flights", "_waiting"):
+            assert ("QueryService", attr) in guarded
         assert ("StoredDocument", "version") in guarded
         assert ("MetricsRegistry", "_instruments") in guarded
         assert len(report.guarded_attrs) >= 30

@@ -40,7 +40,6 @@ from repro.service import (
     ResponseLostError,
     RetryExhaustedError,
     RetryPolicy,
-    ServiceConfig,
     ServiceError,
     ServiceServer,
     TransportError,
@@ -106,7 +105,7 @@ def _boot_serve(state_dir: str, tmp_path, fault_spec=None):
             sys.executable, "-m", "repro", "serve",
             "--state", state_dir,
             "--port", "0", "--port-file", port_file,
-            "--workers", "2", "--window-ms", "0.5",
+            "--workers", "2",
         ],
         env=_env(fault_spec),
         stdout=subprocess.PIPE,
@@ -435,11 +434,11 @@ def test_process_pool_respawns_after_a_worker_crash():
         kill = workers.processes.submit(os._exit, 1)
         with pytest.raises(BrokenExecutor):
             kill.result(timeout=60)
-        outcomes = workers.evaluate_group(
-            _snapshot(), ["for $x in a return $x"], None
+        result, spans, retries = workers.evaluate(
+            _snapshot(), "for $x in a return $x"
         )
-        assert outcomes[0][0] == "ok"
-        assert outcomes[0][1] == ["<a><x>1</x></a>"]
+        assert result == ["<a><x>1</x></a>"]
+        assert (spans, retries) == ([], 1)
         assert workers.restarts == 1
     finally:
         workers.shutdown()
@@ -452,9 +451,7 @@ def test_restart_budget_exhaustion_is_a_typed_error():
         with pytest.raises(BrokenExecutor):
             kill.result(timeout=60)
         with pytest.raises(ServiceError, match="restart budget"):
-            workers.evaluate_group(
-                _snapshot(), ["for $x in a return $x"], None
-            )
+            workers.evaluate(_snapshot(), "for $x in a return $x")
     finally:
         workers.shutdown()
 
@@ -467,9 +464,7 @@ def test_env_armed_fault_crashes_every_spawned_worker(monkeypatch):
     workers = ProcessWorkers(1, restart_budget=1)
     try:
         with pytest.raises(ServiceError, match="restart budget"):
-            workers.evaluate_group(
-                _snapshot(), ["for $x in a return $x"], None
-            )
+            workers.evaluate(_snapshot(), "for $x in a return $x")
         assert workers.restarts == 1
     finally:
         monkeypatch.delenv("REPRO_FAULTS")
@@ -491,9 +486,7 @@ def test_wire_fault_becomes_a_typed_error_and_the_commit_stays_durable(
     outcome checkable)."""
     state_dir = _seed_state(tmp_path)
     store = open_store(state_dir)
-    service = QueryService(
-        store=store, config=ServiceConfig(batch_window=0.001)
-    )
+    service = QueryService(store=store)
     server = ServiceServer(service)
     host, port = server.start()
     client = Client(host, port, retry=RetryPolicy(attempts=1))

@@ -31,7 +31,7 @@ from repro.obs import (
     current_trace,
     span,
 )
-from repro.obs.registry import COUNT_BUCKETS, NULL_INSTRUMENT, Counter, Histogram
+from repro.obs.registry import NULL_INSTRUMENT, Counter, Histogram
 from repro.service import Client, QueryService, ServiceConfig, ServiceServer
 from repro.service.errors import BadRequestError
 from repro.xmltree.parser import parse_to_arena
@@ -55,7 +55,7 @@ QUERY = "for $x in part/supplier return $x"
 
 class TestRegistry:
     def test_name_validation(self):
-        for good in ("a.b.c", "store.arena.reads", "service.dispatch.batch_size"):
+        for good in ("a.b.c", "store.arena.reads", "service.dispatch.memo_hits"):
             assert check_metric_name(good) == good
         for bad in ("requests", "a.b", "A.b.c", "a.b.c!", "a..c", "a.b.", ""):
             with pytest.raises(ValueError):
@@ -159,8 +159,8 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Histogram("test.bad.buckets", buckets=[2.0, 1.0])
 
-    def test_count_buckets_for_batch_sizes(self):
-        histogram = Histogram("test.batch.size", buckets=COUNT_BUCKETS)
+    def test_custom_buckets_for_size_shaped_values(self):
+        histogram = Histogram("test.group.size", buckets=[1.0, 2.0, 4.0, 16.0])
         for size in (1, 2, 3, 16, 300):
             histogram.observe(float(size))
         assert histogram.count == 5
@@ -370,7 +370,7 @@ def _wait_for(predicate, timeout: float = 5.0):
 
 class TestServiceTelemetry:
     def test_metrics_migrate_to_registry_with_legacy_view(self):
-        with QueryService(config=ServiceConfig(batch_window=0.001)) as svc:
+        with QueryService() as svc:
             svc.put("db", CATALOG)
             svc.query("db", QUERY)
             legacy = svc.metrics()
@@ -381,8 +381,9 @@ class TestServiceTelemetry:
             assert snap["service.reads.snapshot"] == 1
             assert snap["service.request.latency"]["count"] == 1
             assert snap["service.request.latency"]["p99"] > 0
-            assert snap["service.dispatch.batch_size"]["count"] == 1
-            assert "service.queue.depth" in snap
+            assert "service.dispatch.batches" not in snap
+            assert "service.dispatch.batch_size" not in snap
+            assert snap["service.queue.depth"] == 0
             assert "store.cache.results.hits" in snap
             stats = svc.stats()
             assert stats["service"]["requests"] == 1  # legacy shape intact
@@ -390,7 +391,7 @@ class TestServiceTelemetry:
             assert stats["traces"]["enabled"] is True
 
     def test_request_trace_threads_queue_and_engine_spans(self):
-        config = ServiceConfig(batch_window=0.001, trace_sample=1)
+        config = ServiceConfig(trace_sample=1)
         with QueryService(config=config) as svc:
             svc.put("db", CATALOG)
             svc.query("db", QUERY)
@@ -405,7 +406,7 @@ class TestServiceTelemetry:
             assert "serialize" in names
 
     def test_disabled_metrics_mode(self):
-        config = ServiceConfig(batch_window=0.001, metrics=False)
+        config = ServiceConfig(metrics=False)
         with QueryService(config=config) as svc:
             svc.put("db", CATALOG)
             result = svc.query("db", QUERY)
@@ -416,7 +417,7 @@ class TestServiceTelemetry:
             assert svc.stats()["metrics"] == {}
 
     def test_trace_sample_zero_disables_tracing_only(self):
-        config = ServiceConfig(batch_window=0.001, trace_sample=0)
+        config = ServiceConfig(trace_sample=0)
         with QueryService(config=config) as svc:
             svc.put("db", CATALOG)
             svc.query("db", QUERY)
@@ -436,7 +437,7 @@ class TestServiceTelemetry:
 @pytest.fixture
 def wire():
     svc = QueryService(
-        config=ServiceConfig(batch_window=0.001, trace_sample=1)
+        config=ServiceConfig(trace_sample=1)
     )
     svc.put("db", CATALOG)
     server = ServiceServer(svc)

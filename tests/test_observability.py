@@ -233,24 +233,21 @@ class TestSlowQueryLog:
         assert log.stats()["recorded"] == 1
 
     def test_service_captures_slow_request_with_trace_and_profile(self):
-        # The batch window injects a deterministic queue wait, so a
-        # tight threshold reliably captures the request.
+        # A zero threshold captures everything, however fast.
         svc = QueryService(
             config=ServiceConfig(
-                batch_window=0.05, trace_sample=1, profile_sample=1,
-                slow_threshold=0.001,
+                trace_sample=1, profile_sample=1, slow_threshold=0.0
             )
         )
         try:
             svc.put("db", CATALOG)
             svc.query("db", QUERY)
-            out = _wait_for(lambda: svc.slowlog()["entries"])
-            entry = out[0]
+            [entry] = svc.slowlog()["entries"]  # recorded before query() returned
             assert entry["target"] == "db"
             assert entry["query"] == QUERY
             assert entry["outcome"] == "ok"
-            assert entry["dur_ms"] >= 1.0
-            assert entry["queue_ms"] is not None and entry["queue_ms"] > 0
+            assert entry["coalesced"] == 0 and "served" not in entry
+            assert 0 <= entry["queue_ms"] <= entry["dur_ms"]
             assert entry["snapshot_version"] == 1
             trace = entry["trace"]
             assert trace is not None and trace["name"] == "service.query"
@@ -268,10 +265,10 @@ class TestSlowQueryLog:
         finally:
             svc.close()
 
-    def test_store_slowlog_cli_says_where_a_hit_was_served(self, tmp_path, capsys):
+    def test_store_slowlog_cli_tells_a_hit_from_an_evaluation(self, tmp_path, capsys):
         lines = []
         svc = QueryService(
-            config=ServiceConfig(batch_window=0.001, slow_threshold=0.0),
+            config=ServiceConfig(slow_threshold=0.0),
             slow_sink=lambda entry: lines.append(json.dumps(entry, default=str)),
         )
         try:
@@ -284,7 +281,7 @@ class TestSlowQueryLog:
         assert cli.main(["store", "slowlog", "--state", str(tmp_path)]) == 0
         evaluated, hit = capsys.readouterr().out.splitlines()
         assert " ok " in evaluated and "@" not in evaluated
-        assert " memo@admission " in hit and "queue 0.0 ms" in hit
+        assert " memo " in hit and "@" not in hit and "queue 0.0 ms" in hit
 
     def test_disabled_metrics_disables_slowlog(self):
         svc = QueryService(
@@ -449,7 +446,7 @@ class TestStitch:
 def wire():
     svc = QueryService(
         config=ServiceConfig(
-            batch_window=0.001, trace_sample=1, slow_threshold=0.0
+            trace_sample=1, slow_threshold=0.0
         )
     )
     svc.put("db", CATALOG)
@@ -503,12 +500,11 @@ class TestPropagation:
         assert drained["entries"]
         assert client.slowlog()["entries"] == []
 
-    def test_memo_hit_is_traced_and_slow_logged_where_it_was_served(self, wire):
+    def test_memo_hit_is_traced_and_slow_logged(self, wire):
         svc, _, client = wire
         first = client.query("db", QUERY)
-        batches = svc.metrics()["batches"]
         assert client.query("db", QUERY) == first
-        assert svc.metrics()["batches"] == batches  # answered at admission
+        assert svc.metrics()["evaluations"] == 1
         records = _wait_for(
             lambda: [
                 r for r in client.traces()
@@ -516,8 +512,7 @@ class TestPropagation:
             ]
         )
         [hit] = records
-        assert hit["meta"]["served"] == "admission"
-        assert not any(s["name"] == "queue" for s in hit["spans"])
+        assert "served" not in hit["meta"] and hit["spans"] == []
         # It joined the trace the client opened for that second call ...
         miss_root, hit_root = client.local_traces()
         assert hit["trace"] == hit_root["trace"] != miss_root["trace"]
@@ -527,16 +522,17 @@ class TestPropagation:
         assert len(entries) == 2 and all(e["well_formed"] for e in entries)
         # slow_threshold=0.0 captures everything, hits included.
         [slow] = [e for e in client.slowlog()["entries"] if e["outcome"] == "memo"]
-        assert slow["served"] == "admission"
+        assert "served" not in slow
         assert slow["queue_ms"] == 0.0
         assert slow["snapshot_version"] == 1
         assert slow["trace"] == hit
         [evaluated] = [e for e in client.slowlog()["entries"] if e["outcome"] == "ok"]
-        assert evaluated["served"] is None and evaluated["queue_ms"] > 0
+        assert evaluated["queue_ms"] >= 0
+        assert any(s["name"] == "queue" for s in evaluated["trace"]["spans"])
 
     def test_unsampled_client_sends_no_context(self):
         svc = QueryService(
-            config=ServiceConfig(batch_window=0.001, trace_sample=1)
+            config=ServiceConfig(trace_sample=1)
         )
         svc.put("db", CATALOG)
         server = ServiceServer(svc)
@@ -568,8 +564,7 @@ class TestProcessModePropagation:
     def test_worker_spans_ride_home_and_carry_foreign_token(self):
         svc = QueryService(
             config=ServiceConfig(
-                mode="process", workers=2, batch_window=0.001,
-                trace_sample=1,
+                mode="process", workers=2, trace_sample=1,
             )
         )
         try:
@@ -597,7 +592,7 @@ class TestProcessModePropagation:
         taking the pool away."""
         svc = QueryService(
             config=ServiceConfig(
-                mode="process", workers=1, batch_window=0.001, trace_sample=1,
+                mode="process", workers=1, trace_sample=1,
             )
         )
         try:
@@ -608,18 +603,18 @@ class TestProcessModePropagation:
             with pytest.raises(RuntimeError, match="after shutdown"):
                 svc.query("db", "for $x in part return $x/pname")
             m = svc.metrics()
-            assert (m["evaluations"], m["memo_hits"], m["batches"]) == (1, 1, 2)
+            assert (m["evaluations"], m["memo_hits"]) == (1, 1)
+            assert svc._flights == {}  # the failed leader left nothing behind
             [hit] = [
                 r for r in svc.traces() if r["meta"].get("outcome") == "memo"
             ]
-            assert hit["meta"]["served"] == "admission"
             assert not any(s["name"] == "worker.evaluate" for s in hit["spans"])
         finally:
             svc.close()
 
     def test_chaos_killed_worker_still_stitches_with_retry_stamped(self):
-        """Kill a worker mid-group: the pool respawns, the retry re-runs
-        the group, and the stitched trace is well-formed with the retry
+        """Kill a worker under a leader: the pool respawns, the retry
+        re-runs the evaluation, and the stitched trace is well-formed with the retry
         count on the service record (the dead attempt's spans die with
         the worker — they never become orphans)."""
         workers = ProcessWorkers(1)
@@ -629,17 +624,16 @@ class TestProcessModePropagation:
             with pytest.raises(BrokenExecutor):
                 kill.result(timeout=60)
             trace = tracer.trace("service.query", target="db")
-            text = "for $x in a return $x"
-            outcomes = workers.evaluate_group(
-                _snapshot(), [text], None,
-                trace_ctxs={text: {"trace": trace.trace_id,
-                                   "parent_span": trace.span_id}},
+            text = "for $x in x return $x"
+            result, spans, retries = workers.evaluate(
+                _snapshot(), text,
+                {"trace": trace.trace_id, "parent_span": trace.span_id},
             )
-            assert outcomes[0][0] == "ok"
-            assert outcomes.retries == 1
+            assert result == ["<x>1</x>"]
+            assert retries == 1
             assert workers.restarts == 1
-            trace.add_spans(outcomes.spans_by_text.get(text, []))
-            trace.note(worker_retries=outcomes.retries)
+            trace.add_spans(spans)
+            trace.note(worker_retries=retries)
             trace.finish(outcome="ok")
             [entry] = stitch(tracer.records())
             assert entry["well_formed"]

@@ -1,11 +1,16 @@
-"""The query service: MVCC snapshot reads, batching, worker pools,
-and the line-protocol server/client.
+"""The query service: MVCC snapshot reads, single-flight evaluation
+on the caller's thread, admission control, the process pool, and the
+line-protocol server/client.
 
 The oracle for every read is the store's own serialized read path
 (``query_serialized``) — the service must return the same strings
-through the batcher, through the process pool, and over the wire.
+from the leader, to every follower, through the process pool, and
+over the wire.
 """
 
+import json
+import os
+import socket
 import sys
 import threading
 import time
@@ -56,7 +61,7 @@ QUERIES = [
 
 @pytest.fixture
 def service():
-    svc = QueryService(config=ServiceConfig(batch_window=0.001))
+    svc = QueryService()
     svc.put("db", CATALOG)
     yield svc
     svc.close()
@@ -140,46 +145,132 @@ def test_bad_query_text_raises_value_error(service):
 
 
 # ----------------------------------------------------------------------
-# Batching: coalescing, memo, metrics
+# Single flight: one evaluation per (document, version, query) in flight
 # ----------------------------------------------------------------------
 
 
-def test_identical_concurrent_requests_coalesce():
-    svc = QueryService(config=ServiceConfig(batch_window=0.05, workers=2))
-    svc.put("db", CATALOG)
-    text = QUERIES[1]
-    results = []
-    errors = []
+def _hold_evaluations(svc):
+    """Make every evaluation *svc* runs wait for ``release``;
+    ``evaluating`` is set once one has got its slot and started."""
+    evaluating, release = threading.Event(), threading.Event()
+    evaluate = svc._evaluate_snapshot
 
-    def reader():
+    def held(snapshot, text):
+        evaluating.set()
+        assert release.wait(timeout=10.0)
+        return evaluate(snapshot, text)
+
+    svc._evaluate_snapshot = held
+    return evaluating, release
+
+
+class _Call(threading.Thread):
+    """``fn(*args, **kwargs)`` on a thread of its own."""
+
+    def __init__(self, fn, *args, **kwargs):
+        super().__init__()
+        self.call = lambda: fn(*args, **kwargs)
+        self.value = self.error = None
+        self.start()
+
+    def run(self):
         try:
-            results.append(svc.query("db", text))
-        except Exception as exc:  # noqa: BLE001 - assert below
-            errors.append(exc)
+            self.value = self.call()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by result()
+            self.error = exc
 
-    threads = [threading.Thread(target=reader) for _ in range(12)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert len(results) == 12
-    assert all(r == results[0] for r in results)
+    def result(self, timeout=10.0):
+        self.join(timeout)
+        assert not self.is_alive(), "the call never returned"
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached within timeout"
+        time.sleep(0.002)
+
+
+def test_no_service_thread_exists_in_thread_mode(service):
+    service.query("db", QUERIES[0])
+    assert not [
+        t.name for t in threading.enumerate() if t.name.startswith("repro-service")
+    ]
+    assert service._workers is None
+
+
+def test_identical_concurrent_misses_share_one_evaluation():
+    clients = 8
+    svc = QueryService(config=ServiceConfig(workers=1, trace_sample=1))
+    svc.put("db", CATALOG)
+    _, release = _hold_evaluations(svc)
+    barrier = threading.Barrier(clients)
+
+    def together():
+        barrier.wait(timeout=10.0)
+        return svc.query("db", QUERIES[1])
+
+    calls = [_Call(together) for _ in range(clients)]
+    try:
+        # One leads (and is held); the rest can only have joined it.
+        _wait_for(lambda: svc.metrics()["requests"] == clients)
+        assert svc.metrics()["evaluations"] == svc.metrics()["coalesced"] == 0
+    finally:
+        release.set()
+    answers = [call.result() for call in calls]
+    svc.close()
+    assert answers[0] == svc.store.query_serialized("db", QUERIES[1])
+    assert all(answer is answers[0] for answer in answers)  # one list, fanned out
     m = svc.metrics()
-    # All 12 pinned snapshots; far fewer evaluations than requests
-    # (the window may split into a few batches, but every batch beyond
-    # the first is served by coalescing or the per-version memo).
-    assert m["snapshot_reads"] == 12
-    assert m["evaluations"] <= 4
-    assert m["coalesced"] + m["memo_hits"] >= 12 - 4
+    assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (1, clients - 1, 0)
+    assert m["requests"] == m["snapshot_reads"] == clients
+    memo = svc.stats()["service"]["memo"]
+    assert (memo["misses"], memo["hits"]) == (clients, 0)  # one counted lookup each
+    records = [r for r in svc.traces() if r["name"] == "service.query"]
+    assert len(records) == clients
+    assert all(r["meta"]["outcome"] == "ok" for r in records)
+    [leader] = [r for r in records if "coalesced" in r["meta"]]
+    assert leader["meta"]["coalesced"] == clients - 1
+    assert {"queue", "scan", "serialize"} <= {s["name"] for s in leader["spans"]}
+    for follower in records:
+        if follower is not leader:
+            assert [s["name"] for s in follower["spans"]] == ["follow"]
+
+
+def test_a_malformed_query_fails_the_leader_and_every_follower_alike():
+    clients = 5
+    svc = QueryService(config=ServiceConfig(workers=1))
+    svc.put("db", CATALOG)
+    _, release = _hold_evaluations(svc)
+    bad = "for $x in ][ return $x"
+    calls = [_Call(svc.query, "db", bad) for _ in range(clients)]
+    try:
+        _wait_for(lambda: svc.metrics()["requests"] == clients)
+    finally:
+        release.set()
+    errors = []
+    for call in calls:
+        with pytest.raises(ValueError, match="expected a step") as caught:
+            call.result()
+        errors.append(caught.value)
+    assert all(error is errors[0] for error in errors)  # the leader's own
+    assert svc._flights == {} and svc.stats()["service"]["queue_depth"] == 0
+    assert svc.stats()["service"]["memo"]["size"] == 0
+    m = svc.metrics()
+    assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (0, 0, 0)
+    # The slot came back: the service still answers.
+    assert svc.query("db", QUERIES[0]) == svc.store.query_serialized("db", QUERIES[0])
     svc.close()
 
 
 def test_memo_serves_repeat_queries_until_commit(service):
     text = QUERIES[0]
     first = service.query("db", text)
-    assert service.query("db", text) == first
-    assert service.metrics()["memo_hits"] >= 1
+    assert service.query("db", text) is first  # the memo's own list, no copy
+    assert service.metrics()["memo_hits"] == 1
     evaluations = service.metrics()["evaluations"]
     service.commit(
         "db",
@@ -191,54 +282,43 @@ def test_memo_serves_repeat_queries_until_commit(service):
 
 
 # ----------------------------------------------------------------------
-# The short path: a memo hit is answered at admission, never queued
+# Admission: slots, the bound on waiters, and who never needs either
 # ----------------------------------------------------------------------
 
 
-def test_hits_never_queue_behind_the_window_the_bound_or_a_closed_service():
-    # A 5 s window and a one-slot queue: anything that has to queue is
-    # either visibly slow or shed, so a hit can only pass by not queueing.
-    svc = QueryService(
-        config=ServiceConfig(batch_window=5.0, max_queue=1, workers=1)
-    )
+def test_admission_bounds_waiters_but_never_a_hit_or_a_follower():
+    svc = QueryService(config=ServiceConfig(workers=1, max_queue=1))
     svc.put("db", CATALOG)
     hot = QUERIES[0]
-    first = svc.query("db", hot)  # cold: pays the whole window
-    before = svc.metrics()
-    assert before["batches"] == 1 and before["evaluations"] == 1
-
-    started = time.perf_counter()
-    for _ in range(10):
-        assert svc.query("db", hot) is first  # the memo's own list, no copy
-    assert time.perf_counter() - started < 0.1
-    after = svc.metrics()
-    assert after["batches"] == before["batches"]
-    assert after["memo_hits"] == before["memo_hits"] + 10
-    assert after["snapshot_reads"] == after["requests"] == before["requests"] + 10
-
-    # A new text still waits for the window ...
-    waiting = svc.submit("db", QUERIES[1])
-    time.sleep(0.2)
-    assert not waiting.future.done()
-    # ... and with the dispatcher stalled on it, the one queue slot
-    # fills: a miss is shed, a hit is answered regardless.
-    queued = svc.submit("db", QUERIES[2])
-    with pytest.raises(OverloadedError):
-        svc.submit("db", "for $x in part[pname = 'none'] return $x")
-    hit = svc.submit("db", hot)
-    assert hit.future.done() and hit.future.result() is first
-    assert svc.metrics()["shed"] == 1
-
-    svc.close()  # graceful: both queued misses are still answered
-    assert waiting.future.result(timeout=5.0) == svc.store.query_serialized(
-        "db", QUERIES[1]
-    )
-    assert queued.future.done()
-    # A closed service refuses even what the memo could answer.
-    with pytest.raises(ServiceClosedError):
-        svc.submit("db", hot)
-    with pytest.raises(ServiceClosedError):
-        svc.query("db", hot)
+    first = svc.query("db", hot)
+    evaluating, release = _hold_evaluations(svc)
+    try:
+        running = _Call(svc.query, "db", QUERIES[1])  # takes the only slot
+        assert evaluating.wait(timeout=5.0)
+        waiting = _Call(svc.query, "db", QUERIES[2])  # admitted, waits for the slot
+        _wait_for(lambda: svc.stats()["service"]["queue_depth"] == 1)
+        with pytest.raises(OverloadedError, match="1 requests waiting"):
+            svc.query("db", "for $x in part[pname = 'none'] return $x")
+        assert svc.metrics()["shed"] == 1
+        # Neither a hit nor a follower needs a slot.
+        started = time.perf_counter()
+        for _ in range(10):
+            assert svc.query("db", hot) is first
+        assert time.perf_counter() - started < 0.1
+        admitted = svc.metrics()["requests"]
+        follower = _Call(svc.query, "db", QUERIES[1])
+        _wait_for(lambda: svc.metrics()["requests"] == admitted + 1)
+        assert svc.stats()["service"]["queue_depth"] == 1
+        assert running.is_alive() and waiting.is_alive() and follower.is_alive()
+    finally:
+        release.set()
+    assert follower.result() is running.result()
+    assert waiting.result() == svc.store.query_serialized("db", QUERIES[2])
+    m = svc.metrics()
+    svc.close()
+    assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (3, 1, 10)
+    assert m["requests"] == m["snapshot_reads"] == 14  # the shed one is not admitted
+    assert svc.stats()["service"]["queue_depth"] == 0
 
 
 def test_views_and_staged_reads_never_take_the_short_path(service):
@@ -247,13 +327,24 @@ def test_views_and_staged_reads_never_take_the_short_path(service):
     for _ in range(2):  # the repeat would be a hit if views were memoised
         service.query("public", text)
     assert service.query("db", text) is service.query("db", text)
+    # The store's lock-holding read runs on the thread that asked.
+    ran_on = []
+    locked_read = service.store.query_serialized
+
+    def watched(*args, **kwargs):
+        ran_on.append(threading.current_thread())
+        return locked_read(*args, **kwargs)
+
+    service.store.query_serialized = watched
     staged = service.query("db", text, staged=True)  # memoised text, staged read
-    assert staged == service.store.query_serialized("db", text)
+    assert staged == locked_read("db", text)
+    assert ran_on == [threading.current_thread()]
     m = service.metrics()
     assert m["locked_reads"] == 3
-    assert m["memo_hits"] == 1
+    assert (m["memo_hits"], m["evaluations"], m["coalesced"]) == (1, 1, 0)
     assert m["snapshot_reads"] == 2
     assert m["requests"] == 5
+    assert service._flights == {}
 
 
 def test_memo_tallies_count_each_request_once(service):
@@ -268,48 +359,6 @@ def test_memo_tallies_count_each_request_once(service):
     assert (memo["misses"], memo["hits"]) == (7, 7)
 
 
-def test_a_request_that_raced_its_evaluation_is_served_at_dispatch():
-    """The dispatcher's re-check: the second request misses at
-    admission (the first's evaluation has not published yet) and finds
-    the answer when its own pool task finally runs."""
-    svc = QueryService(
-        config=ServiceConfig(
-            batch_window=0.001, workers=1, trace_sample=1, slow_threshold=0.0
-        )
-    )
-    svc.put("db", CATALOG)
-    evaluating, release = threading.Event(), threading.Event()
-    evaluate = svc._evaluate_snapshot
-
-    def held(snapshot, text):
-        evaluating.set()
-        assert release.wait(timeout=5.0)
-        return evaluate(snapshot, text)
-
-    svc._evaluate_snapshot = held
-    try:
-        first = svc.submit("db", QUERIES[0])
-        assert evaluating.wait(timeout=5.0)
-        second = svc.submit("db", QUERIES[0])  # queues behind the one worker
-        assert not second.future.done()
-        release.set()
-        assert second.future.result(timeout=5.0) is first.future.result(timeout=5.0)
-    finally:
-        release.set()
-        svc.close()
-    m = svc.metrics()
-    assert (m["evaluations"], m["memo_hits"], m["coalesced"]) == (1, 1, 0)
-    assert m["requests"] == m["snapshot_reads"] == 2
-    # Counted where it was looked up first: two admission misses, and
-    # the re-check that found it is a peek.
-    memo = svc.stats()["service"]["memo"]
-    assert (memo["misses"], memo["hits"]) == (2, 0)
-    [entry] = [e for e in svc.slowlog()["entries"] if e["outcome"] == "memo"]
-    assert entry["served"] == "dispatch" and entry["queue_ms"] > 0
-    assert entry["trace"]["meta"]["served"] == "dispatch"
-    assert any(s["name"] == "queue" for s in entry["trace"]["spans"])
-
-
 INSERT_T = (
     'transform copy $a := doc("db") modify do insert <t/> into $a/left return $a'
 )
@@ -322,7 +371,7 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
     very same list keeps being served."""
     touched = "for $x in left/t return $x"
     untouched = "for $x in part return $x/pname"
-    svc = QueryService(config=ServiceConfig(batch_window=0.0, workers=2))
+    svc = QueryService(config=ServiceConfig(workers=2))
     svc.put("db", "<db><left/><part><pname>kb</pname></part></db>")
 
     def oracle(text):
@@ -348,8 +397,13 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
     errors: list = []
     done = threading.Event()
 
+    reading = threading.Event()
+
     def writer():
         try:
+            # Commits on this document take microseconds: without the
+            # gate all 25 can be over before a reader thread has started.
+            assert reading.wait(timeout=10.0)
             for _ in range(25):
                 version = svc.commit("db", INSERT_T)["version"]
                 expected[version] = oracle(touched)
@@ -364,6 +418,7 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
             while not done.is_set():
                 floor = acked[0]
                 observed.append((floor, svc.query("db", touched)))
+                reading.set()
                 assert svc.query("db", untouched) == kept
         except Exception as exc:  # noqa: BLE001 - asserted below
             errors.append(exc)
@@ -395,7 +450,7 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
 
 
 def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
-    svc = QueryService(config=ServiceConfig(batch_window=0.002, workers=4))
+    svc = QueryService(config=ServiceConfig(workers=4))
     svc.put("db", CATALOG)
     errors: list = []
 
@@ -439,20 +494,127 @@ def test_deadline_expired_in_queue(service):
     assert service.metrics()["deadline_misses"] == 1
 
 
-def test_admission_control_sheds_with_typed_error():
-    # A huge batch window stalls the dispatcher with its first request,
-    # so the bounded queue fills and subsequent submissions shed.
-    svc = QueryService(config=ServiceConfig(batch_window=5.0, max_queue=2, workers=1))
+def test_deadline_passed_while_waiting_for_a_slot_skips_the_evaluation():
+    svc = QueryService(config=ServiceConfig(workers=1))
     svc.put("db", CATALOG)
-    admitted = []
-    with pytest.raises(OverloadedError):
-        for index in range(10):
-            admitted.append(
-                svc.submit("db", f"for $x in part[price < {index}] return $x")
-            )
-    assert svc.metrics()["shed"] >= 1
-    svc.close()  # graceful: everything admitted is still answered
-    assert all(request.future.done() for request in admitted)
+    evaluating, release = _hold_evaluations(svc)
+    try:
+        running = _Call(svc.query, "db", QUERIES[0])
+        assert evaluating.wait(timeout=5.0)
+        started = time.perf_counter()
+        with pytest.raises(DeadlineError, match="waiting for an evaluation slot"):
+            svc.query("db", QUERIES[1], deadline=0.05)
+        assert 0.05 <= time.perf_counter() - started < 0.05 + 0.25
+    finally:
+        release.set()
+    running.result()
+    m = svc.metrics()
+    assert (m["evaluations"], m["deadline_misses"]) == (1, 1)
+    assert svc._flights == {} and svc.stats()["service"]["queue_depth"] == 0
+    # Skipped, not run in the background: the text is still cold.
+    svc.query("db", QUERIES[1])
+    assert svc.metrics()["evaluations"] == 2
+    svc.close()
+
+
+def test_a_leader_that_gives_up_hands_its_flight_to_an_unexpired_follower():
+    svc = QueryService(config=ServiceConfig(workers=1))
+    svc.put("db", CATALOG)
+    evaluating, release = _hold_evaluations(svc)
+    try:
+        running = _Call(svc.query, "db", QUERIES[0])
+        assert evaluating.wait(timeout=5.0)
+        leader = _Call(svc.query, "db", QUERIES[1], deadline=0.1)
+        _wait_for(lambda: svc.stats()["service"]["queue_depth"] == 1)
+        follower = _Call(svc.query, "db", QUERIES[1])  # no deadline of its own
+        _wait_for(lambda: svc.metrics()["requests"] == 3)
+        with pytest.raises(DeadlineError):
+            leader.result()
+        # The survivor re-admitted itself and now waits for the slot.
+        _wait_for(lambda: svc.stats()["service"]["queue_depth"] == 1)
+        assert follower.is_alive()
+    finally:
+        release.set()
+    assert follower.result() == svc.store.query_serialized("db", QUERIES[1])
+    running.result()
+    m = svc.metrics()
+    svc.close()
+    assert m["requests"] == 3  # re-admission is not a second request
+    assert (m["evaluations"], m["coalesced"], m["deadline_misses"]) == (2, 0, 1)
+
+
+def test_a_leader_that_finishes_late_misses_alone():
+    """An evaluation cannot be abandoned once it runs: the leader
+    reports its own deadline, the follower and the memo get the answer."""
+    svc = QueryService(config=ServiceConfig(workers=1))
+    svc.put("db", CATALOG)
+    evaluating, release = _hold_evaluations(svc)
+    try:
+        leader = _Call(svc.query, "db", QUERIES[1], deadline=0.05)
+        assert evaluating.wait(timeout=5.0)
+        follower = _Call(svc.query, "db", QUERIES[1])
+        _wait_for(lambda: svc.metrics()["requests"] == 2)
+        time.sleep(0.06)
+    finally:
+        release.set()
+    with pytest.raises(DeadlineError, match="finished after the deadline"):
+        leader.result()
+    answer = follower.result()
+    assert answer == svc.store.query_serialized("db", QUERIES[1])
+    assert svc.query("db", QUERIES[1]) is answer  # it warmed the memo
+    m = svc.metrics()
+    svc.close()
+    assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (1, 1, 1)
+    assert m["deadline_misses"] == 1
+
+
+def test_a_follower_that_runs_out_of_time_leaves_the_flight():
+    svc = QueryService(config=ServiceConfig(workers=1))
+    svc.put("db", CATALOG)
+    evaluating, release = _hold_evaluations(svc)
+    try:
+        leader = _Call(svc.query, "db", QUERIES[1])
+        assert evaluating.wait(timeout=5.0)
+        started = time.perf_counter()
+        with pytest.raises(DeadlineError, match="identical evaluation"):
+            svc.query("db", QUERIES[1], deadline=0.05)
+        assert 0.05 <= time.perf_counter() - started < 0.05 + 0.25
+    finally:
+        release.set()
+    leader.result()
+    m = svc.metrics()
+    svc.close()
+    assert (m["evaluations"], m["coalesced"], m["deadline_misses"]) == (1, 0, 1)
+
+
+def test_close_waits_for_what_is_in_flight_then_refuses_everything():
+    svc = QueryService(config=ServiceConfig(workers=1))
+    svc.put("db", CATALOG)
+    hot = svc.query("db", QUERIES[0])
+    evaluating, release = _hold_evaluations(svc)
+    try:
+        running = _Call(svc.query, "db", QUERIES[1])
+        assert evaluating.wait(timeout=5.0)
+        waiting = _Call(svc.query, "db", QUERIES[2])
+        _wait_for(lambda: svc.stats()["service"]["queue_depth"] == 1)
+        closing = _Call(svc.close)
+        closing.join(timeout=0.2)
+        assert closing.is_alive(), "close() returned with an evaluation running"
+        # Admission stopped the moment close() began: a hit and a miss
+        # are refused alike, while what was admitted is still served.
+        with pytest.raises(ServiceClosedError):
+            svc.query("db", QUERIES[0])
+        with pytest.raises(ServiceClosedError):
+            svc.query("db", "for $x in part[pname = 'none'] return $x")
+    finally:
+        release.set()
+    closing.result()
+    assert running.result() == svc.store.query_serialized("db", QUERIES[1])
+    assert waiting.result() == svc.store.query_serialized("db", QUERIES[2])
+    assert svc._flights == {}
+    with pytest.raises(ServiceClosedError):
+        svc.query("db", QUERIES[0])
+    assert hot == svc.store.query_serialized("db", QUERIES[0])
 
 
 def test_close_rejects_new_requests_and_is_idempotent(service):
@@ -480,8 +642,7 @@ def test_close_rejects_new_requests_and_is_idempotent(service):
 
 def test_process_mode_matches_thread_mode():
     try:
-        svc = QueryService(config=ServiceConfig(mode="process", workers=2,
-                                                batch_window=0.001))
+        svc = QueryService(config=ServiceConfig(mode="process", workers=2))
     except ValueError as exc:  # pragma: no cover - sandboxed hosts
         pytest.skip(f"process pool unavailable: {exc}")
     try:
@@ -504,6 +665,34 @@ def test_process_mode_matches_thread_mode():
         svc.close()
 
 
+def test_process_pool_killed_mid_flight_still_answers_every_follower():
+    clients = 4
+    try:
+        svc = QueryService(config=ServiceConfig(mode="process", workers=1))
+    except ValueError as exc:  # pragma: no cover - sandboxed hosts
+        pytest.skip(f"process pool unavailable: {exc}")
+    try:
+        svc.put("db", CATALOG)
+        ship = svc._workers.evaluate
+
+        def killed_under_the_leader(snapshot, text, trace_ctx=None):
+            # The flight is up and everyone has joined it: now lose the pool.
+            _wait_for(lambda: svc.metrics()["requests"] == clients)
+            svc._workers.processes.submit(os._exit, 1)
+            return ship(snapshot, text, trace_ctx)
+
+        svc._workers.evaluate = killed_under_the_leader
+        calls = [_Call(svc.query, "db", QUERIES[2]) for _ in range(clients)]
+        answers = [call.result(timeout=120.0) for call in calls]
+        assert answers[0] == svc.store.query_serialized("db", QUERIES[2])
+        assert all(answer is answers[0] for answer in answers)
+        m = svc.metrics()
+        assert (m["evaluations"], m["coalesced"]) == (1, clients - 1)
+        assert svc._workers.restarts >= 1
+    finally:
+        svc.close()
+
+
 def test_drop_then_reload_never_serves_stale_caches():
     """A dropped-then-reloaded document restarts at version 1, so
     version-keyed caches would alias; the snapshot's process-unique
@@ -513,7 +702,7 @@ def test_drop_then_reload_never_serves_stale_caches():
     for mode in ("thread", "process"):
         try:
             svc = QueryService(
-                config=ServiceConfig(mode=mode, workers=2, batch_window=0.001)
+                config=ServiceConfig(mode=mode, workers=2)
             )
         except ValueError as exc:  # pragma: no cover - sandboxed hosts
             pytest.skip(f"process pool unavailable: {exc}")
@@ -544,7 +733,7 @@ def test_arena_columns_round_trip():
 
 @pytest.fixture
 def wire():
-    svc = QueryService(config=ServiceConfig(batch_window=0.001))
+    svc = QueryService()
     svc.put("db", CATALOG)
     server = ServiceServer(svc)
     host, port = server.start()
@@ -607,12 +796,49 @@ def test_wire_typed_errors(wire):
                     deadline_ms=-5)
 
 
+def test_wire_non_finite_deadline_is_a_malformed_frame(wire):
+    """Python's json reads Infinity/NaN (and 1e400 as inf): one would
+    overflow the platform's wait, the other never compares as expired."""
+    svc, server, _ = wire
+    for junk in ("Infinity", "-Infinity", "NaN", "1e400"):
+        line = (
+            '{"id": 7, "op": "query", "target": "db", '
+            f'"text": "{QUERIES[0]}", "deadline_ms": {junk}}}\n'
+        )
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+            sock.sendall(line.encode("utf-8"))
+            reply = json.loads(sock.makefile("rb").readline())
+        assert reply["id"] == 7 and reply["ok"] is False
+        assert reply["error"]["code"] == "bad-request"
+        assert "deadline_ms" in reply["error"]["message"]
+    assert svc.metrics()["requests"] == 0  # refused before the service saw them
+
+
+def test_wire_oversized_frame_is_refused_and_the_connection_closed(wire, monkeypatch):
+    _, server, client = wire
+    monkeypatch.setattr("repro.service.server.MAX_FRAME_BYTES", 1024)
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        sock.sendall(b"x" * 5000)  # never a newline
+        stream = sock.makefile("rb")
+        reply = json.loads(stream.readline())
+        assert reply == {
+            "id": None, "ok": False,
+            "error": {"code": "bad-request",
+                      "message": "frame longer than 1024 bytes"},
+        }
+        assert stream.read() == b""  # EOF: the stream cannot be resynchronised
+    # A frame that fits is still a frame, on this and any new connection.
+    assert client.query("db", QUERIES[0])
+    with Client(*server.address, timeout=10.0) as second:
+        assert second.ping() == "pong"
+
+
 def test_wire_booleans_are_checked_not_coerced():
     """``"false"`` is a truthy string: coercing it would show the
     caller staged updates, drain a ring, or replace a document it
     asked to keep.  Anything but a JSON boolean is a bad request."""
     svc = QueryService(
-        config=ServiceConfig(batch_window=0.001, trace_sample=1, slow_threshold=0.0)
+        config=ServiceConfig(trace_sample=1, slow_threshold=0.0)
     )
     svc.put("db", CATALOG)
     text = "for $x in part return $x/pname"
@@ -699,13 +925,19 @@ def test_client_timeout_tears_down_the_desynchronized_connection():
     response in the stream; the client must tear the socket down
     (raising the typed loss error) rather than let the next call read
     the stale frame — and a reconnect must see fresh, in-order frames."""
-    svc = QueryService(config=ServiceConfig(batch_window=0.5))
+    svc = QueryService()
     svc.put("db", CATALOG)
+    evaluate = svc._evaluate_snapshot
+
+    def slow(snapshot, text):
+        time.sleep(0.5)  # guarantees the reply misses the client's 50 ms
+        return evaluate(snapshot, text)
+
+    svc._evaluate_snapshot = slow
     server = ServiceServer(svc)
     host, port = server.start()
     client = Client(host, port, timeout=0.05, retry=RetryPolicy(attempts=1))
     try:
-        # The 0.5s dispatch window guarantees the reply misses 50ms.
         with pytest.raises(RetryExhaustedError, match="failed after 1 attempt"):
             client.query("db", QUERIES[0])
         assert client._file is None  # socket was torn down
@@ -723,7 +955,7 @@ def test_client_timeout_tears_down_the_desynchronized_connection():
 
 
 def test_server_graceful_shutdown_drains():
-    svc = QueryService(config=ServiceConfig(batch_window=0.001))
+    svc = QueryService()
     svc.put("db", CATALOG)
     server = ServiceServer(svc)
     host, port = server.start()
@@ -748,7 +980,7 @@ def test_readers_never_observe_partial_commits():
     atomically, so any committed version has an even total count.  A
     reader that ever counts an odd number saw a torn (mid-commit or
     staged) state."""
-    svc = QueryService(config=ServiceConfig(batch_window=0.0, workers=4))
+    svc = QueryService(config=ServiceConfig(workers=4))
     svc.put("db", "<db><left><l/></left><right><r/></right></db>")
     readers_done = threading.Event()
     violations = []
@@ -776,14 +1008,18 @@ def test_readers_never_observe_partial_commits():
     def reader():
         try:
             # Self-pacing: keep reading until this hammer has actually
-            # straddled at least one commit (on a single-core host the
-            # thread interleaving is coarse enough that a fixed small
-            # iteration count can land entirely inside one version).
-            for iteration in range(400):
+            # straddled at least one commit.  Bounded by time, not by
+            # a count: between commits every read is a memo hit, and a
+            # few hundred of those fit inside one interpreter switch
+            # interval — the writer would never get to run.
+            give_up = time.monotonic() + 20.0
+            iteration = 0
+            while time.monotonic() < give_up:
                 rows = svc.query("db", "for $x in //t return $x")
                 if len(rows) % 2:
                     violations.append(len(rows))
                 read_counts.add(len(rows) // 2)
+                iteration += 1
                 if iteration >= 30 and len(read_counts) > 1:
                     break
         except Exception as exc:  # noqa: BLE001 - assert below
@@ -824,7 +1060,9 @@ class TestClosedFlagDiscipline:
         with pytest.raises(ServiceClosedError):
             svc.transform("db", HIDE_A)
         with pytest.raises(ServiceClosedError):
-            svc.submit("db", "for $x in part return $x")
+            svc.query("db", "for $x in part return $x")
+        with pytest.raises(ServiceClosedError):
+            svc.query("nope", "for $x in part return $x")
         with pytest.raises(ServiceClosedError):
             svc.commit("db", HIDE_A)
 
