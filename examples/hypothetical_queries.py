@@ -10,18 +10,17 @@ XMark-shaped auction document:
 * How many descriptions survive if verbose parlist descriptions are
   replaced with a placeholder?
 
+Every scenario runs through the engine, which picks the strategy per
+input: these qualifiers test children only and XMark is shallow, so the
+rule takes the single ``topdown`` pass each time (``twopass`` is for
+descendant qualifiers on nestable candidates in deep documents).
+
 Run with::
 
     python examples/hypothetical_queries.py
 """
 
-from repro import (
-    evaluate,
-    generate_xmark,
-    parse_transform_query,
-    parse_xpath,
-    transform_twopass,
-)
+from repro import Engine, evaluate, generate_xmark, parse_xpath
 
 
 def count(tree, path: str) -> int:
@@ -29,6 +28,7 @@ def count(tree, path: str) -> int:
 
 
 def main() -> None:
+    engine = Engine()
     site = generate_xmark(0.005, seed=11)
     open_auctions = count(site, "open_auctions/open_auction")
     bidders = count(site, "open_auctions/open_auction/bidder")
@@ -36,12 +36,12 @@ def main() -> None:
 
     # What if every bid with increase < 10 were purged?
     for threshold in (5, 10, 20):
-        purge = parse_transform_query(
+        purge = engine.prepare_transform(
             'transform copy $a := doc("site") modify do '
             f"delete $a/open_auctions/open_auction/bidder[increase < {threshold}] "
             "return $a"
         )
-        hypothetical = transform_twopass(site, purge)
+        hypothetical = purge.run(site)
         remaining = count(hypothetical, "open_auctions/open_auction/bidder")
         print(
             f"  when bids under {threshold:2d} are purged: "
@@ -53,26 +53,27 @@ def main() -> None:
     assert count(site, "open_auctions/open_auction/bidder") == bidders
 
     # What if verbose descriptions were collapsed to a placeholder?
-    collapse = parse_transform_query(
+    collapse = engine.prepare_transform(
         'transform copy $a := doc("site") modify do '
         "replace $a//description[parlist] with <description>omitted</description> "
         "return $a"
     )
-    hypothetical = transform_twopass(site, collapse)
+    hypothetical = collapse.run(site)
     before = count(site, "//description[parlist]")
     after = count(hypothetical, "//description[parlist]")
     print(f"collapsing parlist descriptions: {before} verbose before, {after} after")
 
     # And a rename scenario: vocabulary migration without touching data.
-    migrate = parse_transform_query(
+    migrate = engine.prepare_transform(
         'transform copy $a := doc("site") modify do '
         "rename $a/people/person as member return $a"
     )
-    hypothetical = transform_twopass(site, migrate)
+    hypothetical = migrate.run(site)
     print(
         f"schema migration preview: {count(hypothetical, 'people/member')} member "
         f"elements would replace {count(site, 'people/person')} person elements"
     )
+    print(f"strategies chosen: {engine.stats()['planner']['chosen']}")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ Run with::
     python examples/quickstart.py
 
 Walks through the paper's running example (Fig. 1) the way the engine
-API frames it: prepare a transform query once, let the cost-based
-planner pick the evaluation strategy, execute it many times — then
-peek underneath at the five equivalent algorithms the planner chooses
-among, and confirm the source document is never modified.
+API frames it: prepare a transform query once, let the engine's rule
+pick the evaluation strategy per input, execute it many times — then
+peek underneath at the five equivalent algorithms (two the rule chooses
+between, three the paper measures them against), and confirm the source
+document is never modified.
 """
 
 from repro import (
@@ -45,8 +46,8 @@ def main() -> None:
     doc = parse(DOCUMENT)
     show("original document", doc)
 
-    # The engine prepares a query once (parse + automata) and plans the
-    # evaluation strategy per input; .run() executes the plan.
+    # The engine prepares a query once (parse + automata) and picks the
+    # evaluation strategy per input; .run() executes it.
     engine = Engine()
 
     # 1. Delete: a view of the catalog without any price information.
@@ -57,7 +58,8 @@ def main() -> None:
     )
     show("delete $a//price", no_prices.run(doc))
 
-    # The plan is inspectable: the cost table and the reasons.
+    # The choice is inspectable: the strategy, the shape/depth/size
+    # facts the rule consulted, and why.
     print("--- the plan ---")
     print(no_prices.explain(doc))
     print()
@@ -85,8 +87,9 @@ def main() -> None:
     show("redact, then rename (a prepared stack)", partner_view.run(doc))
 
     # Underneath, five evaluation algorithms — all semantically
-    # identical; the planner picks one, and forcing any other gives
-    # the same tree.
+    # identical; the rule picks topdown or twopass (naive, copy and
+    # sax are the paper's baselines: never chosen), and forcing any
+    # of them gives the same tree.
     reference = no_prices.run(doc)
     for method in ("topdown", "twopass", "naive", "copy", "sax"):
         assert deep_equal(no_prices.run(doc, method=method), reference)

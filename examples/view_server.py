@@ -85,7 +85,7 @@ def main() -> None:
     print(f"compiled plans built: {plans['misses']} "
           f"(one per distinct query, reused every round)")
     chosen = store.stats()["planner"]["chosen"]
-    print(f"planner strategy choices for view layers: {chosen}")
+    print(f"strategies chosen for view layers: {chosen}")
 
     # The stored catalog is still intact — the views were virtual.
     assert "price" in serialize(store.documents.get("catalog").root)

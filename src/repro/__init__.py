@@ -4,8 +4,8 @@
 Transform queries evaluate an XML update *hypothetically*: they return
 the tree the update would produce, without touching the stored
 document.  The front door is the prepared-statement :class:`Engine`:
-parse and compile once, let the cost-based planner pick the evaluation
-strategy per input, execute many times::
+parse and compile once, let one rule pick the evaluation strategy per
+input, execute many times::
 
     from repro import Engine, parse, serialize
 
@@ -14,20 +14,27 @@ strategy per input, execute many times::
     strip = engine.prepare_transform(
         'transform copy $a := doc("db") modify do delete $a//price return $a'
     )
-    view = strip.run(doc)                   # planner-chosen strategy
+    view = strip.run(doc)                   # strategy chosen per input
     assert "price" not in serialize(view)
     assert "price" in serialize(doc)        # the source is untouched
-    print(strip.explain(doc))               # the plan and its cost table
+    print(strip.explain(doc))               # the choice and what it looked at
+
+The rule (:func:`repro.engine.choose_strategy`): a file of 8 MiB or
+more streams (``twoPassSAX``); a query whose descendant qualifiers sit
+on nestable candidates takes ``twopass`` (TD-BU) on a deep document;
+everything else takes ``topdown`` (GENTOP).  NAIVE, GalaXUpdate and
+``sax`` over a resident tree are the paper's baselines — forceable
+with ``method=``, never chosen.
 
 The five evaluation strategies (all semantically identical), the
 automaton machinery they are built on, and the Compose Method for
 fusing user queries with transform queries remain exported as flat
 functions — thin, stable entry points over the same machinery the
-engine plans across; each subpackage's docstring maps back to the
+engine chooses among; each subpackage's docstring maps back to the
 paper's sections.
 """
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 # XML substrate
 from repro.xmltree import (
@@ -107,11 +114,10 @@ from repro.service import (
     ServiceServer,
 )
 
-# The prepared-statement engine and its cost-based planner
+# The prepared-statement engine
 from repro.engine import (
     Engine,
     Plan,
-    Planner,
     PreparedComposed,
     PreparedQuery,
     PreparedStack,
@@ -147,7 +153,6 @@ __all__ = [
     "Engine",
     "FrozenDocument",
     "Plan",
-    "Planner",
     "PreparedComposed",
     "PreparedQuery",
     "PreparedStack",

@@ -20,15 +20,9 @@ import os
 import time
 from typing import Callable, Optional
 
-from repro.transform import (
-    transform_copy_update,
-    transform_naive,
-    transform_sax,
-    transform_topdown,
-    transform_twopass,
-)
+from repro.transform import STRATEGIES
 from repro.xmark.generator import generate, document_stats
-from repro.xmltree.node import Element
+from repro.xmltree.node import Element, Text
 
 #: True when the benchmarks should run tiny (see module docstring).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -47,17 +41,13 @@ def smoke_rounds(rounds: int, cap: int = 2) -> int:
     return min(rounds, cap) if SMOKE else rounds
 
 
-#: The five evaluation methods, keyed by the paper's names (Fig. 12).
-METHODS: dict[str, Callable] = {
-    "GalaXUpdate": transform_copy_update,  # snapshot copy + in-place update
-    "NAIVE": transform_naive,              # Fig. 2 rewriting, linear membership scan
-    "TD-BU": transform_twopass,            # bottomUp + topDown (Section 5)
-    "GENTOP": transform_topdown,           # topDown with native qualifiers (Section 3)
-    "twoPassSAX": transform_sax,           # Section 6, over synthesized events
-}
+#: The five evaluation methods, keyed by the paper's names (Fig. 12) —
+#: derived from the one strategy table, so a figure legend, a
+#: ``--method`` choice and a forced ``run`` cannot disagree.
+METHODS: dict[str, Callable] = dict(STRATEGIES.values())
 
-#: Method order used in tables, matching the figure legends.
-METHOD_ORDER = ["GalaXUpdate", "NAIVE", "TD-BU", "GENTOP", "twoPassSAX"]
+#: Method order used in tables (the strategy table's order).
+METHOD_ORDER = list(METHODS)
 
 _dataset_cache: dict[tuple, Element] = {}
 _stats_cache: dict[tuple, dict] = {}
@@ -76,6 +66,18 @@ def dataset_stats(factor: float, seed: int = 42) -> dict:
     if key not in _stats_cache:
         _stats_cache[key] = document_stats(dataset(factor, seed))
     return _stats_cache[key]
+
+
+def deep_chain(depth: int, fanout: int = 0) -> Element:
+    """``<r><a>…<a><b>x</b></a>…</a></r>``: *depth* nested ``a`` elements
+    around one ``b``, each ``a`` also holding *fanout* empty ``c``
+    leaves (mean node depth ≈ depth / 2).  The un-XMark-like shape on
+    which the topdown/twopass choice matters."""
+    node = Element("b", {}, [Text("x")])
+    for _ in range(depth):
+        leaves = [Element("c", {}, []) for _ in range(fanout)]
+        node = Element("a", {}, [node] + leaves)
+    return Element("r", {}, [node])
 
 
 def clear_datasets() -> None:

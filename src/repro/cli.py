@@ -24,9 +24,11 @@ Every query-text option (``transform -q``, ``compose -t/-u``,
 text from a file and ``-`` to read it from stdin, so long queries need
 not live on the command line.
 
-``transform`` defaults to ``--method auto``: the engine's cost-based
-planner picks the evaluation strategy from the query's shape and the
-input's size (``repro explain -q …`` shows the decision).
+``transform`` defaults to ``--method auto``: one rule picks the
+evaluation strategy — a file of 8 MiB or more streams (twoPassSAX), a
+query whose descendant qualifiers sit on nestable candidates takes
+``twopass`` on a deep document, everything else ``topdown``
+(``repro explain -q …`` shows the decision and what it looked at).
 
 Errors from user input (query syntax, unsupported paths, missing
 files, unknown store names) exit with status 2 and a one-line
@@ -42,7 +44,7 @@ import warnings
 
 from repro import __version__
 from repro.automata import build_filtering_nfa, build_selecting_nfa
-from repro.engine import ALL_STRATEGIES, default_engine
+from repro.engine import TREE_STRATEGIES, default_engine
 from repro.store.state import StateLock, locked_state, open_store, save_store
 from repro.xmark.generator import write_xmark_file
 from repro.xmltree import Element, serialize
@@ -51,8 +53,9 @@ from repro.xpath import parse_xpath
 #: Default state directory for ``repro store`` commands.
 DEFAULT_STATE_DIR = ".repro-store"
 
-#: Fixed tree methods selectable with --method (beyond auto/sax).
-TREE_METHODS = tuple(s for s in ALL_STRATEGIES if s not in ("sax", "stream"))
+#: Fixed tree methods selectable with --method (beyond auto/sax),
+#: derived from the one strategy table.
+TREE_METHODS = tuple(s for s in TREE_STRATEGIES if s != "sax")
 
 
 #: Guards against two query options draining stdin in one invocation
@@ -89,7 +92,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.explain:
         if args.method != "auto":
             print(f"method forced by --method: {args.method}")
-            print("(the planner's own choice for this input would be:)")
+            print("(the rule's own choice for this input would be:)")
         print(prepared.explain(args.input))
         return 0
     if args.method == "sax":
@@ -119,7 +122,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         and not args.pretty
         and prepared.stream_if_planned(args.input, sys.stdout)
     ):
-        # Planner chose streaming: events went straight to stdout, so
+        # The rule chose streaming: events went straight to stdout, so
         # memory really stayed bounded by document depth.
         sys.stdout.write("\n")
     else:
@@ -155,7 +158,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         tracemalloc.start()
     prepared = engine.prepare_query(query_text)
     if args.analyze:
-        # Plan-vs-actual: run under an execution profile and print the
+        # Run under an execution profile and print the full-scan
         # estimate next to what the scan measured (results still go to
         # stdout, the report to stderr, so pipelines keep working).
         doc = (
@@ -175,17 +178,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
             serialize(item) if isinstance(item, Element) else str(item)
             for item in results
         ]
-        plan = None
     else:
         arena = parse_file_to_arena(args.input)
         refs = prepared.run_refs(arena)
         lines = serialize_arena_items(arena, refs)
-        plan = engine.planner.last_plan
     stats: dict = {}
     if want_stats:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        stats["query.backend"] = plan.backend if plan is not None else "node"
+        stats["query.backend"] = "node" if args.backend == "node" else "arena"
         stats["query.results"] = len(lines)
         stats["process.memory.peak_bytes"] = peak
         stats["process.memory.resident_bytes"] = current
@@ -212,9 +213,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"peak memory: {peak} bytes (resident after run: {current})",
             file=sys.stderr,
         )
-        for name in sorted(stats):
-            if name.startswith("engine.planner.chosen."):
-                print(f"{name}: {stats[name]}", file=sys.stderr)
     return 0
 
 
@@ -682,13 +680,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto"] + sorted(TREE_METHODS) + ["sax"],
         default="auto",
-        help="evaluation algorithm: auto lets the cost-based planner "
-        "choose (sax streams file-to-file)",
+        help="evaluation algorithm: auto streams files of 8 MiB or more, "
+        "takes twopass for nesting descendant qualifiers on a deep "
+        "document and topdown otherwise; naive and copy are the paper's "
+        "baselines (sax streams file-to-file)",
     )
     p_transform.add_argument("--pretty", action="store_true", help="indent the output")
     p_transform.add_argument(
         "--explain", action="store_true",
-        help="print the chosen plan instead of executing",
+        help="print the chosen strategy, the shape/depth/size facts the "
+        "rule consulted and why, instead of executing",
     )
     p_transform.set_defaults(func=_cmd_transform)
 
@@ -718,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--analyze", action="store_true",
-        help="run under an execution profile and print the plan's "
+        help="run under an execution profile and print the full-scan "
         "estimate next to the measured scan (nodes visited, prunes, "
         "DFA transitions, serialize bytes) on stderr",
     )

@@ -11,7 +11,7 @@ never go stale.
 
 Like :mod:`repro.lru`, this lives at the package root: both the engine
 and the store use it, and the store already imports the engine's
-planner — shared infrastructure must live below both so the layering
+strategy rule — shared infrastructure must live below both so the layering
 stays one-directional (store → engine → here).
 """
 

@@ -3,8 +3,8 @@
 The rest of the package exposes evaluation *mechanisms* (five transform
 strategies, the Compose Method, a streaming path); this subpackage is
 the *engine* that owns them: a facade that parses and compiles a query
-exactly once, a cost-based planner that picks the strategy per input,
-and prepared objects that execute many times::
+exactly once, one rule that picks the strategy per input, and prepared
+objects that execute many times::
 
     from repro import Engine
 
@@ -12,18 +12,30 @@ and prepared objects that execute many times::
     strip = engine.prepare_transform(
         'transform copy $a := doc("db") modify do delete $a//price return $a'
     )
-    view = strip.run(doc)                  # plans, then executes
-    print(strip.explain(doc))              # the plan, with its cost table
+    view = strip.run(doc)                  # chooses, then executes
+    print(strip.explain(doc))              # the choice, and what it looked at
     redact = strip.then(engine.prepare_transform(
         'transform copy $a := doc("db") modify do rename $a//sname as vendor return $a'
     ))
-    view2 = redact.run(doc)                # stacked transforms, per-stage plans
+    view2 = redact.run(doc)                # stacked transforms, chosen per stage
 
-Layering: ``features`` summarizes query and input shape, ``planner``
-turns the summaries into a :class:`Plan`, ``executor`` runs a named
+How a strategy is chosen (:func:`choose_strategy`, the whole of it):
+
+1. a file of ``STREAM_THRESHOLD_BYTES`` (8 MiB) or more → ``stream``;
+2. a query whose shape *nests* (a descendant step inside a qualifier on
+   a step a ``//`` gap can reach) on an input whose mean depth exceeds
+   ``DEEP_MEAN_DEPTH`` → ``twopass``;
+3. everything else → ``topdown``.
+
+``naive``, ``copy`` (GalaXUpdate) and ``sax`` are the paper's baselines:
+forceable with ``method=`` (Fig-12/13/14 subjects, test oracles), never
+chosen — ``topdown`` beats or ties them on every Fig-12 transform.
+
+Layering: ``features`` summarizes a query's shape and measures an
+input's mean depth, ``planner`` is the rule, ``executor`` runs a named
 strategy with prebuilt automata, ``prepared`` wraps all of it behind
 run/run_many/then/explain, and ``engine`` is the caching facade.  The
-view store (:mod:`repro.store`) plugs the same planner into its view
+view store (:mod:`repro.store`) applies the same rule to its view
 materialization and staged-update previews.
 """
 
@@ -34,13 +46,13 @@ from repro.engine.executor import (
     TREE_STRATEGIES,
     run_tree_strategy,
 )
-from repro.engine.features import (
-    InputProfile,
-    QueryFeatures,
-    analyze_transform,
-    profile_input,
+from repro.engine.features import QueryFeatures, analyze_transform, mean_depth
+from repro.engine.planner import (
+    DEEP_MEAN_DEPTH,
+    STREAM_THRESHOLD_BYTES,
+    Plan,
+    choose_strategy,
 )
-from repro.engine.planner import Plan, Planner
 from repro.engine.prepared import (
     PreparedComposed,
     PreparedQuery,
@@ -50,19 +62,20 @@ from repro.engine.prepared import (
 
 __all__ = [
     "ALL_STRATEGIES",
+    "DEEP_MEAN_DEPTH",
     "Engine",
-    "InputProfile",
     "PAPER_NAMES",
     "Plan",
-    "Planner",
     "PreparedComposed",
     "PreparedQuery",
     "PreparedStack",
     "PreparedTransform",
     "QueryFeatures",
+    "STREAM_THRESHOLD_BYTES",
     "TREE_STRATEGIES",
     "analyze_transform",
+    "choose_strategy",
     "default_engine",
-    "profile_input",
+    "mean_depth",
     "run_tree_strategy",
 ]

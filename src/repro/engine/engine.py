@@ -1,5 +1,5 @@
-"""The Engine facade: one entry point that prepares once, plans per
-input, and executes many times.
+"""The Engine facade: one entry point that prepares once, picks a
+strategy per input, and executes many times.
 
 ::
 
@@ -9,18 +9,18 @@ input, and executes many times.
     strip = engine.prepare_transform(
         'transform copy $a := doc("db") modify do delete $a//price return $a'
     )
-    view = strip.run(doc)              # planner picks the strategy
-    print(strip.explain(doc))          # ...and shows its working
+    view = strip.run(doc)              # the rule picks the strategy
+    print(strip.explain(doc))          # ...and says what it looked at
     results = engine.prepare_composed(
         "for $x in part/supplier return $x", strip
     ).run(doc)
 
 The engine owns the compiled-artifact caches (parses, automata,
 composed plans — a :class:`~repro.compiled.CompiledCache`) and the
-cost-based :class:`~repro.engine.planner.Planner`; ``prepare_*`` calls
-are memoized by source text, so repeated preparation is a dictionary
-hit.  A process-wide :func:`default_engine` backs the CLI and the thin
-module-level shims.
+tally of strategies :func:`~repro.engine.planner.choose_strategy`
+picked for execution; ``prepare_*`` calls are memoized by source text,
+so repeated preparation is a dictionary hit.  A process-wide
+:func:`default_engine` backs the CLI and the thin module-level shims.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from typing import Optional, Union
 
-from repro.engine.planner import Planner
+from repro.engine.executor import ALL_STRATEGIES
 from repro.engine.prepared import (
     PreparedComposed,
     PreparedQuery,
@@ -46,12 +46,9 @@ class Engine:
     """Prepared-statement facade over the five evaluation strategies,
     the Compose Method, and the streaming path."""
 
-    def __init__(
-        self,
-        planner: Optional[Planner] = None,
-        cache_size: int = 256,
-    ):
-        self.planner = planner or Planner()
+    # guarded-by[_chosen]: self._chosen_lock
+
+    def __init__(self, cache_size: int = 256):
         self.cache = CompiledCache(cache_size)
         self._prepared = LRUCache(cache_size)
         # Serializes first-time preparation of a given text so that
@@ -59,6 +56,10 @@ class Engine:
         # one set of warm DFA tables) instead of each building their
         # own on a cold-cache race.  Warm lookups never take it.
         self._build_lock = threading.Lock()
+        # ``method="auto"`` executions per chosen strategy (forced
+        # methods and introspective plan_for/explain calls don't count).
+        self._chosen = dict.fromkeys(ALL_STRATEGIES, 0)
+        self._chosen_lock = threading.Lock()
 
     def _prepare_shared(self, key: tuple, factory):
         """Memoized preparation with cross-thread sharing: the fast
@@ -119,7 +120,6 @@ class Engine:
             query,
             compiled.selecting,
             compiled.filtering,
-            self.planner,
             engine=self,
             compiled=compiled,
         )
@@ -132,9 +132,7 @@ class Engine:
             return text
         return self._prepare_shared(
             ("query", text),
-            lambda: PreparedQuery(
-                text, self.cache.user_query(text), planner=self.planner, engine=self
-            ),
+            lambda: PreparedQuery(text, self.cache.user_query(text), engine=self),
         )
 
     def prepare_composed(
@@ -189,21 +187,31 @@ class Engine:
 
     # ------------------------------------------------------------------
 
+    def count_chosen(self, strategy: str) -> None:
+        """Tally one ``auto`` execution of *strategy*."""
+        with self._chosen_lock:
+            self._chosen[strategy] += 1
+
+    def chosen(self) -> dict:
+        """``auto`` executions so far, per strategy."""
+        with self._chosen_lock:
+            return dict(self._chosen)
+
     def stats(self) -> dict:
         return {
             "prepared": self._prepared.stats(),
             "compiled": self.cache.stats(),
-            "planner": self.planner.stats(),
+            "planner": {"chosen": self.chosen()},
         }
 
     def bind_metrics(self, registry) -> None:
-        """Expose the engine's caches, planner tallies and aggregate
+        """Expose the engine's caches, strategy tallies and aggregate
         DFA table sizes through a :class:`~repro.obs.registry.
         MetricsRegistry` — all as lazily sampled probes, so preparing
         and running pay nothing extra."""
         registry.probe("engine.prepared.cache", self._prepared.stats)
         self.cache.bind_metrics(registry)
-        self.planner.bind_metrics(registry)
+        registry.probe("engine.planner.chosen", self.chosen)
 
 
 _default_engine: Optional[Engine] = None

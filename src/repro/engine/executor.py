@@ -2,10 +2,11 @@
 algorithms, threading prebuilt automata through to the ones that take
 them.
 
-The planner names strategies; this module runs them.  Keeping the
-dispatch table here (rather than in the planner) means the store, the
-prepared objects and the CLI all execute a plan the same way, and a
-strategy added to the table is immediately plannable everywhere.
+The rule in :mod:`repro.engine.planner` names a strategy; this module
+runs it.  The names and paper names derive from the one table in
+:data:`repro.transform.STRATEGIES`, so the store, the prepared objects,
+the CLI's ``--method`` and the Fig-12 harness cannot disagree about
+what the five algorithms are.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Callable, Iterable, Optional
 from repro.automata.filtering import FilteringNFA
 from repro.automata.selecting import SelectingNFA
 from repro.obs import current_profile
-from repro.transform.copy_update import transform_copy_update
-from repro.transform.naive import transform_naive
+from repro.transform import STRATEGIES
 from repro.transform.query import TransformQuery
 from repro.transform.sax_twopass import transform_sax_events
 from repro.transform.topdown import transform_topdown
@@ -24,23 +24,16 @@ from repro.transform.twopass import transform_twopass
 from repro.xmltree.node import Element
 from repro.xmltree.sax import SAXEvent, events_to_tree, tree_to_events
 
-#: Strategy names understood by the executor (and produced by the
-#: planner).  "stream" is the file-to-file SAX path; on a resident tree
-#: it degrades to "sax" over synthesized events.
-TREE_STRATEGIES = ("topdown", "twopass", "naive", "copy", "sax")
+#: Strategy names understood by the executor.  "stream" is the
+#: file-to-file SAX path; on a resident input it degrades to "sax" over
+#: synthesized events.
+TREE_STRATEGIES = tuple(STRATEGIES)
 ALL_STRATEGIES = TREE_STRATEGIES + ("stream",)
 
-#: The paper's names for each strategy (Fig. 12 legend); "scan" is the
-#: read path (select/query), which has a backend dimension instead of
-#: a strategy choice — see Planner.plan_read.
+#: The paper's names for each strategy (Fig. 12 legend).
 PAPER_NAMES = {
-    "topdown": "GENTOP",
-    "twopass": "TD-BU",
-    "naive": "NAIVE",
-    "copy": "GalaXUpdate",
-    "sax": "twoPassSAX",
+    **{name: paper for name, (paper, _) in STRATEGIES.items()},
     "stream": "twoPassSAX (streaming)",
-    "scan": "NFA document scan",
 }
 
 
@@ -60,11 +53,14 @@ def run_tree_strategy(
 
     A :class:`~repro.xmltree.arena.FrozenDocument` is accepted for
     *root*: transforms build a fresh output tree, so the arena (which
-    cannot share Node structure) is thawed once up front — the
-    zero-copy read paths live in ``Planner.plan_read`` consumers, not
-    here.  Callers producing *text* output should prefer the
-    arena-native ``run_to_file`` fast path.
+    cannot share Node structure) is thawed once up front.  Callers
+    producing *text* output should prefer the arena-native
+    ``run_to_file`` fast path.
     """
+    if strategy == "stream":
+        strategy = "sax"
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if not isinstance(root, Element):
         from repro.xmltree.arena import FrozenDocument, thaw
 
@@ -74,24 +70,19 @@ def run_tree_strategy(
     if profile is not None:
         # Tree strategies all realize at least one full traversal of
         # the input; the measured walk below *is* that visit count
-        # (prune-level detail is only measurable on the arena backend,
+        # (prune-level detail is only measurable on the arena scan,
         # where the DFA loop counts itself — see arena_run).
+        profile.set_plan(strategy)
         profile.add_scan(nodes=_count_nodes(root))
     if strategy == "topdown":
         return transform_topdown(root, query, nfa=selecting)
-    if strategy == "twopass":
+    if strategy in ("twopass", "sax"):
         if filtering is None and filtering_factory is not None:
             filtering = filtering_factory()
-        return transform_twopass(
-            root, query, selecting=selecting, filtering=filtering
-        )
-    if strategy == "naive":
-        return transform_naive(root, query)
-    if strategy == "copy":
-        return transform_copy_update(root, query)
-    if strategy in ("sax", "stream"):
-        if filtering is None and filtering_factory is not None:
-            filtering = filtering_factory()
+        if strategy == "twopass":
+            return transform_twopass(
+                root, query, selecting=selecting, filtering=filtering
+            )
 
         def source() -> Iterable[SAXEvent]:
             return tree_to_events(root)
@@ -99,13 +90,14 @@ def run_tree_strategy(
         return events_to_tree(
             transform_sax_events(source, query, selecting, filtering)
         )
-    raise ValueError(f"unknown strategy {strategy!r}")
+    # The baselines (naive, copy) take no automata.
+    return STRATEGIES[strategy][1](root, query)
 
 
 def _count_nodes(root: Element) -> int:
     """Node count of a resident tree (iterative; profiling only, so the
     walk is paid exclusively by explain_analyze-style runs).  Counts
-    like ``estimate_nodes``: elements and their text children both."""
+    elements and their text children both."""
     count = 0
     stack: list = [root]
     pop = stack.pop

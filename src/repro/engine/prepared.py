@@ -7,12 +7,12 @@ A :class:`PreparedTransform` owns its parsed query and both automata; a
 built once, reused on every ``run``.  ``then`` chains prepared
 transforms into a :class:`PreparedStack` (the semantics of stacked
 transform queries: each stage sees the previous stage's result), and
-``explain`` shows the cost-based plan for a concrete or hypothetical
-input.
+``explain`` shows the plan for a concrete or hypothetical input.
 
-All ``run`` methods accept either a resident :class:`Element` or a file
-path; strategy choice is delegated to the engine's planner unless a
-fixed ``method=`` is forced.
+All ``run`` methods accept a resident :class:`Element`, a frozen arena
+or a file path; the strategy is picked per input by the rule in
+:func:`~repro.engine.planner.choose_strategy` unless a fixed
+``method=`` is forced.
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ from typing import Iterable, Optional, Union
 
 from repro.compose.compose import compose
 from repro.engine.executor import ALL_STRATEGIES, run_tree_strategy
-from repro.engine.features import (
-    InputProfile,
-    QueryFeatures,
-    analyze_transform,
-)
-from repro.engine.planner import Plan, Planner
-from repro.lru import LRUCache
-from repro.obs import Profile, profiled, span
+from repro.engine.features import QueryFeatures, analyze_transform, mean_depth
+from repro.engine.planner import Plan, choose_strategy
+from repro.obs import Profile, current_profile, profiled, span
 from repro.transform.query import TransformQuery
 from repro.transform.sax_twopass import transform_sax_events, transform_sax_file
 from repro.xmltree.arena import FrozenDocument, thaw
@@ -41,7 +36,8 @@ from repro.xmltree.serializer import write_file
 from repro.xquery.ast import UserQuery
 from repro.xquery.evaluator import evaluate_query
 
-Input = Union[Element, "FrozenDocument", str, os.PathLike]
+Resident = Union[Element, FrozenDocument]
+Input = Union[Resident, str, os.PathLike]
 
 
 def _as_tree(doc_or_path: Input) -> Element:
@@ -50,11 +46,6 @@ def _as_tree(doc_or_path: Input) -> Element:
     if isinstance(doc_or_path, FrozenDocument):
         return thaw(doc_or_path)
     return parse_file(doc_or_path)
-
-
-#: Per-prepared plan memo size: plans for the most recent distinct
-#: inputs are reused across re-executions.
-_PLAN_MEMO_SIZE = 16
 
 
 def render_profile(snapshot: dict) -> str:
@@ -69,7 +60,7 @@ def render_profile(snapshot: dict) -> str:
         suffix = f" (ratio {ratio})" if ratio is not None else ""
         lines.append(f"  {visited} nodes visited / {est} estimated{suffix}")
     else:
-        lines.append(f"  {visited} nodes visited (no planner estimate)")
+        lines.append(f"  {visited} nodes visited (no estimate)")
     lines.append(
         f"  {snapshot.get('subtrees_pruned', 0)} subtrees pruned, "
         f"{snapshot.get('nodes_skipped', 0)} nodes skipped by jumps, "
@@ -101,8 +92,7 @@ class PreparedTransform:
     """A transform query, parsed and compiled exactly once."""
 
     __slots__ = (
-        "text", "query", "features", "selecting", "filtering", "planner",
-        "engine", "compiled", "_plan_memo",
+        "text", "query", "features", "selecting", "filtering", "engine", "compiled",
     )
 
     def __init__(
@@ -111,7 +101,6 @@ class PreparedTransform:
         query: TransformQuery,
         selecting,
         filtering,
-        planner: Planner,
         features: Optional[QueryFeatures] = None,
         engine=None,
         compiled=None,
@@ -120,58 +109,62 @@ class PreparedTransform:
         self.query = query
         self.selecting = selecting
         self.filtering = filtering
-        self.planner = planner
         #: The owning Engine, when prepared through one: lets ``then``
-        #: route raw query text through the engine's caches.
+        #: route raw query text through the engine's caches, and
+        #: receives the per-strategy execution tally.
         self.engine = engine
         #: The CompiledPath bundle (NFAs + lazy DFAs), when prepared
         #: through an engine's compiled cache; None for hand-built
         #: instances (the automata still carry their own DFAs).
         self.compiled = compiled
         self.features = features or analyze_transform(query)
-        self._plan_memo = LRUCache(_PLAN_MEMO_SIZE)
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
 
     def plan_for(self, doc_or_path: Optional[Input] = None) -> Plan:
-        """The plan for a concrete input (or a nominal 10k-node tree).
+        """The plan for a concrete input (or, with none, for a
+        hypothetical shallow one).
 
-        Introspective: the decision is not tallied in the planner's
-        execution counters (``run`` records its own).  Mirrors ``run``
-        exactly — for a file below the stream threshold the plan is
-        refined on the parsed tree, so explain never reports a
-        different strategy than execution would use.
+        Introspective — nothing is tallied — and exactly what ``run``
+        will execute: both apply the one rule to the same observations.
+        Free unless the query's shape nests; then it measures the
+        input's mean depth (parsing a file to do so).
         """
         if doc_or_path is None:
-            profile = InputProfile(form="tree", nodes=10_000, exact=False)
-            return self.planner.plan_for_profile(
-                self.query, profile, self.features, record=False
-            )
-        plan = self.planner.plan(
-            self.query, doc_or_path, self.features, record=False
-        )
-        if plan.strategy != "stream" and not isinstance(
-            doc_or_path, (Element, FrozenDocument)
-        ):
-            plan = self.planner.plan(
-                self.query, parse_file(doc_or_path), self.features, record=False
-            )
-        return plan
+            return choose_strategy(self.features)
+        return self._plan(doc_or_path)[0]
 
-    def _plan_memoized(self, tree: Element) -> Plan:
-        """The plan for a resident tree, memoized per input identity.
+    def _plan(self, source: Input) -> tuple[Plan, Optional[Resident]]:
+        """The rule applied to *source*, and the resident document it
+        looked inside — ``None`` for a file the rule did not have to
+        parse (it streams, or the shape decided alone), so callers that
+        go on to execute parse a file at most once."""
+        with span("plan"):
+            if isinstance(source, (Element, FrozenDocument)):
+                plan = choose_strategy(
+                    self.features, mean_depth=lambda: mean_depth(source)
+                )
+                return plan, source
+            parsed: list[Element] = []
 
-        Re-executing a prepared transform on the same tree must not pay
-        the profiling walk again; keying on ``id(tree)`` can at worst
-        serve a *suboptimal* plan to a new tree that recycled the
-        address — never a wrong result, since every strategy is
-        semantically identical.
-        """
-        return self._plan_memo.get_or_compute(
-            id(tree), lambda: self.planner.plan(self.query, tree, self.features)
-        )
+            def parsed_depth() -> float:
+                parsed.append(parse_file(source))
+                return mean_depth(parsed[0])
+
+            plan = choose_strategy(
+                self.features, os.path.getsize(source), parsed_depth
+            )
+            return plan, parsed[0] if parsed else None
+
+    def _chosen(self, source: Input) -> tuple[str, Optional[Resident]]:
+        """Plan *source* for execution: the tallied strategy and the
+        resident document (see :meth:`_plan`)."""
+        plan, resident = self._plan(source)
+        if self.engine is not None:
+            self.engine.count_chosen(plan.strategy)
+        return plan.strategy, resident
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         plan = self.plan_for(doc_or_path)
@@ -189,7 +182,14 @@ class PreparedTransform:
             f"(over {stats['nfa_states']} NFA states)"
         )
         if isinstance(doc_or_path, FrozenDocument):
+            header.append("input: frozen arena")
             header.append(describe_arena_memory(doc_or_path))
+        elif doc_or_path is not None:
+            header.append(
+                "input: resident tree"
+                if isinstance(doc_or_path, Element)
+                else f"input: file {os.fspath(doc_or_path)}"
+            )
         if self.engine is not None:
             header.append("engine caches [hits/misses/evictions]:")
             for name, cache_stats in self.engine.cache.stats().items():
@@ -204,19 +204,15 @@ class PreparedTransform:
         self, doc_or_path: Input, method: str = "auto"
     ) -> tuple[str, Element]:
         """Run the transform under an execution profile and report the
-        planner's estimates next to what the run measured.
+        plan next to what the run measured.
 
         Returns ``(report, transformed_tree)`` — the run is real (and
         tallied), not simulated, exactly like SQL ``EXPLAIN ANALYZE``.
         """
         prof = Profile()
         with profiled(prof):
-            # Introspective pre-plan: stamps the estimate onto the
-            # profile even when run() serves its plan from the memo.
-            self.plan_for(doc_or_path)
             result = self.run(doc_or_path, method=method)
         prof.add_results(1)
-        self.planner.observe_actual(prof)
         report = self.explain(doc_or_path)
         return report + "\n" + render_profile(prof.snapshot()), result
 
@@ -225,74 +221,32 @@ class PreparedTransform:
     # ------------------------------------------------------------------
 
     def run(self, doc_or_path: Input, method: str = "auto") -> Element:
-        """Evaluate on a tree or file, returning the transformed tree."""
-        if method != "auto":
-            if method not in ALL_STRATEGIES:
-                raise ValueError(
-                    f"unknown method {method!r}; expected one of "
-                    f"{', '.join(ALL_STRATEGIES)} or 'auto'"
-                )
-            if method == "stream" and not isinstance(doc_or_path, Element):
-                return self._stream_to_tree(doc_or_path)
-            return self._run_tree(_as_tree(doc_or_path), method)
-        if isinstance(doc_or_path, Element):
-            plan = self._plan_memoized(doc_or_path)
-            return self._run_tree(doc_or_path, plan.strategy)
-        if isinstance(doc_or_path, FrozenDocument):
-            # Transforms build a fresh output tree: thaw once, then run
-            # the planned strategy (the arena profile is exact and free).
-            plan = self.planner.plan(self.query, doc_or_path, self.features)
-            return self._run_tree(thaw(doc_or_path), plan.strategy)
-        # File input: a cheap size-only gateway decides stream-vs-parse;
-        # only the plan that actually executes is tallied.
-        gateway = self.planner.plan(
-            self.query, doc_or_path, self.features, record=False
+        """Evaluate on a tree, an arena or a file, returning the
+        transformed tree.  A resident input forced to ``stream`` runs
+        ``sax`` over synthesized events (there is no file to stream)."""
+        resident: Optional[Resident] = None
+        if method == "auto":
+            method, resident = self._chosen(doc_or_path)
+        elif method not in ALL_STRATEGIES:
+            raise ValueError(
+                f"unknown method {method!r}; expected one of "
+                f"{', '.join(ALL_STRATEGIES)} or 'auto'"
+            )
+        if method == "stream" and not isinstance(
+            doc_or_path, (Element, FrozenDocument)
+        ):
+            return events_to_tree(self._stream_events(doc_or_path))
+        return self._run_tree(
+            resident if resident is not None else _as_tree(doc_or_path), method
         )
-        if gateway.strategy == "stream":
-            self.planner.record(gateway)
-            return self._stream_to_tree(doc_or_path)
-        # The file had to be parsed anyway; plan on the real tree — its
-        # sampled depth can flip the strategy (a file profile only
-        # knows the byte size).
-        tree = parse_file(doc_or_path)
-        plan = self.planner.plan(self.query, tree, self.features)
-        return self._run_tree(tree, plan.strategy)
 
     def run_many(
         self, inputs: Iterable[Input], method: str = "auto"
     ) -> list[Element]:
-        """Evaluate over many inputs.
-
-        With ``method="auto"`` the tree plan is made once, on the first
-        tree-sized input, and reused (a batch is assumed homogeneous) —
-        but every file keeps its own size-only stream safeguard, so one
-        oversized file in a batch of small ones streams instead of
-        being parsed whole.
-        """
-        inputs = list(inputs)
-        if not inputs:
-            return []
-        if method != "auto":
-            return [self.run(item, method=method) for item in inputs]
-        results: list[Element] = []
-        tree_method: Optional[str] = None
-        for item in inputs:
-            if (
-                not isinstance(item, (Element, FrozenDocument))
-                and self.streams(item)
-            ):
-                # run() records the executed stream plan itself.
-                results.append(self.run(item, method="auto"))
-                continue
-            if tree_method is None:
-                # First tree-sized input: plan once (recorded), parsing
-                # a file input a single time for both plan and run.
-                tree = _as_tree(item)
-                tree_method = self._plan_memoized(tree).strategy
-                results.append(self._run_tree(tree, tree_method))
-                continue
-            results.append(self.run(item, method=tree_method))
-        return results
+        """Evaluate over many inputs; ``auto`` chooses per input (the
+        rule costs nothing unless the shape nests, and a batch need not
+        be homogeneous)."""
+        return [self.run(item, method=method) for item in inputs]
 
     def run_to_file(
         self,
@@ -309,80 +263,45 @@ class PreparedTransform:
 
         A :class:`~repro.xmltree.arena.FrozenDocument` input takes the
         **arena-native serialize path** (``method`` "auto" or
-        "arena"): one DFA scan over the columns finds the matches, and
-        the output file is written by splicing the update into the
-        columnar serializer — untouched subtrees stream out as raw
-        pre-order ranges; no output tree, no thaw.  Byte-identical to
-        the tree path (asserted by the arena test suite).
+        "arena", not ``pretty``): one DFA scan over the columns finds
+        the matches, and the output file is written by splicing the
+        update into the columnar serializer — untouched subtrees stream
+        out as raw pre-order ranges; no output tree, no thaw, and no
+        strategy to choose.  Byte-identical to the tree path (asserted
+        by the arena test suite).
         """
-        if isinstance(in_path, FrozenDocument):
-            self._run_arena_to_file(in_path, out_path, method, pretty)
-            return
-        replan = method == "auto"
-        gateway = None
-        if replan:
-            # Size-only gateway: stream, or parse and plan on the tree.
-            gateway = self.planner.plan(
-                self.query, in_path, self.features, record=False
-            )
-            method = gateway.strategy
-        if method == "stream":
+        if isinstance(in_path, FrozenDocument) and method in ("auto", "arena"):
+            if not pretty:
+                self._write_arena_transformed(in_path, out_path)
+                return
+            method = "auto"  # pretty output needs a tree: thaw and plan
+        source: Optional[Resident] = None
+        if method == "auto":
+            method, source = self._chosen(in_path)
+        if method == "stream" and not isinstance(in_path, FrozenDocument):
             if pretty:
                 warnings.warn(
                     "pretty-printing is ignored for streamed file-to-file "
                     "transforms (streaming keeps memory bounded)",
                     stacklevel=2,
                 )
-            if gateway is not None:
-                self.planner.record(gateway)
             self.stream_file(in_path, out_path)
             return
-        source = parse_file(in_path)
-        if replan:
-            # Parsed anyway: the sampled tree shape refines the plan,
-            # and the executed choice is the one tallied.
-            method = self.planner.plan(self.query, source, self.features).strategy
-        tree = self._run_tree(source, method)
+        tree = self._run_tree(
+            source if source is not None else _as_tree(in_path), method
+        )
         write_file(tree, str(out_path), indent="  " if pretty else None)
 
-    def _run_arena_to_file(
-        self, arena: FrozenDocument, out_path, method: str, pretty: bool
-    ) -> None:
+    def _write_arena_transformed(self, arena: FrozenDocument, out_path) -> None:
         """The columnar transform-to-text fast path (see run_to_file)."""
-        from dataclasses import replace
+        from repro.automata.arena_run import write_arena_transformed
 
-        if not pretty and method in ("auto", "arena"):
-            plan = self.planner.plan(
-                self.query, arena, self.features, record=False
+        with span("serialize"), open(out_path, "w", encoding="utf-8") as handle:
+            handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
+            write_arena_transformed(
+                arena, self.query.update, self.selecting, handle.write
             )
-            plan = replace(
-                plan,
-                strategy="serialize",
-                backend="arena",
-                reasons=(
-                    "file output from a frozen arena: one DFA scan finds "
-                    "the matches, untouched pre-order ranges stream out "
-                    "as raw text — no output tree, no thaw",
-                ),
-            )
-            self.planner.record(plan)
-            from repro.automata.arena_run import write_arena_transformed
-
-            with span("serialize"), open(out_path, "w", encoding="utf-8") as handle:
-                handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
-                write_arena_transformed(
-                    arena, self.query.update, self.selecting, handle.write
-                )
-                handle.write("\n")
-            return
-        # Pretty output (or a forced tree method): thaw and take the
-        # ordinary tree path.
-        tree = thaw(arena)
-        strategy = method
-        if method in ("auto", "arena"):
-            strategy = self.planner.plan(self.query, tree, self.features).strategy
-        tree_out = self._run_tree(tree, strategy)
-        write_file(tree_out, str(out_path), indent="  " if pretty else None)
+            handle.write("\n")
 
     # ------------------------------------------------------------------
     # Chaining
@@ -394,9 +313,7 @@ class PreparedTransform:
 
     # ------------------------------------------------------------------
 
-    def _run_tree(self, root: Element, strategy: str) -> Element:
-        if strategy == "stream":
-            strategy = "sax"
+    def _run_tree(self, root: Resident, strategy: str) -> Element:
         return run_tree_strategy(
             strategy,
             root,
@@ -404,9 +321,6 @@ class PreparedTransform:
             selecting=self.selecting,
             filtering=self.filtering,
         )
-
-    def _stream_to_tree(self, in_path: Input) -> Element:
-        return events_to_tree(self._stream_events(in_path))
 
     def _stream_events(self, in_path: Input):
         def source():
@@ -416,16 +330,11 @@ class PreparedTransform:
             source, self.query, self.selecting, self.filtering
         )
 
-    def gateway_plan(self, in_path: Input) -> Plan:
-        """The size-only pre-parse plan for a file (introspective: not
-        tallied; does not read the file's content)."""
-        return self.planner.plan(
-            self.query, in_path, self.features, record=False
-        )
-
     def streams(self, in_path: Input) -> bool:
-        """Would the size-only gateway stream this file?"""
-        return self.gateway_plan(in_path).strategy == "stream"
+        """Does the rule stream this file?  Decided from its size alone
+        (the file's content is not read)."""
+        plan = choose_strategy(self.features, os.path.getsize(in_path))
+        return plan.strategy == "stream"
 
     def stream_to(self, in_path: Input, handle) -> None:
         """Stream the transformed document into a writable *handle* —
@@ -433,14 +342,14 @@ class PreparedTransform:
         events_to_text(self._stream_events(in_path), handle)
 
     def stream_if_planned(self, in_path: Input, handle) -> bool:
-        """Stream to *handle* iff the size-only gateway plans streaming:
-        records the executed plan and returns True, or returns False
-        without reading the file.  Keeps the plan/tally bookkeeping in
-        one place for callers that want a streaming fast path."""
-        gateway = self.gateway_plan(in_path)
-        if gateway.strategy != "stream":
+        """Stream to *handle* iff the rule streams this file: tallies
+        the executed choice and returns True, or returns False without
+        reading the file.  Keeps the plan/tally bookkeeping in one
+        place for callers that want a streaming fast path."""
+        if not self.streams(in_path):
             return False
-        self.planner.record(gateway)
+        if self.engine is not None:
+            self.engine.count_chosen("stream")
         self.stream_to(in_path, handle)
         return True
 
@@ -516,29 +425,30 @@ def _prepare_like(template: PreparedTransform, text: str) -> PreparedTransform:
     return default_engine().prepare_transform(text)
 
 
+def _expect_full_scan(arena: FrozenDocument) -> None:
+    """Stamp an active execution profile with what an arena read would
+    visit unpruned — every element below the root (what the scan loop
+    counts) — so ``visit_ratio`` shows how much pruning and jumps saved."""
+    profile = current_profile()
+    if profile is not None:
+        profile.set_plan("scan", arena.n_elements - 1)
+
+
 class PreparedQuery:
     """A FLWR user query, parsed exactly once.
 
-    Reads have a **backend** dimension instead of a strategy choice:
-    handed a :class:`~repro.xmltree.arena.FrozenDocument`, ``run``
-    takes the columnar evaluator (indices over pre-order ranges,
-    matches thawed only on materialization); handed a tree or file, it
-    walks Node objects as before.  The planner records the choice and
-    ``explain`` shows it.
+    A read has nothing to choose: handed a
+    :class:`~repro.xmltree.arena.FrozenDocument`, ``run`` takes the
+    columnar evaluator (indices over pre-order ranges, matches thawed
+    only on materialization); handed a tree or file, it walks Node
+    objects.
     """
 
-    __slots__ = ("text", "query", "planner", "engine")
+    __slots__ = ("text", "query", "engine")
 
-    def __init__(
-        self,
-        text: str,
-        query: UserQuery,
-        planner: Optional[Planner] = None,
-        engine=None,
-    ):
+    def __init__(self, text: str, query: UserQuery, engine=None):
         self.text = text
         self.query = query
-        self.planner = planner
         self.engine = engine
 
     def _nfa_for(self):
@@ -548,11 +458,10 @@ class PreparedQuery:
 
     def run(self, doc_or_path: Input) -> list:
         if isinstance(doc_or_path, FrozenDocument):
-            with span("scan"):
-                if self.planner is not None:
-                    self.planner.plan_read(doc_or_path)
-                from repro.xquery.arena_eval import evaluate_query_arena
+            from repro.xquery.arena_eval import evaluate_query_arena
 
+            _expect_full_scan(doc_or_path)
+            with span("scan"):
                 return evaluate_query_arena(
                     doc_or_path, self.query, nfa_for=self._nfa_for()
                 )
@@ -565,9 +474,8 @@ class PreparedQuery:
         """
         from repro.xquery.arena_eval import ArenaEvaluator
 
+        _expect_full_scan(arena)
         with span("scan"):
-            if self.planner is not None:
-                self.planner.plan_read(arena)
             return ArenaEvaluator(arena, self._nfa_for()).evaluate_refs(self.query)
 
     def run_many(self, inputs: Iterable[Input]) -> list[list]:
@@ -575,16 +483,17 @@ class PreparedQuery:
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         lines = [f"prepared user query: {self.query}"]
-        if self.planner is not None and doc_or_path is not None:
-            plan = self.planner.plan_read(doc_or_path, record=False)
-            lines.append(plan.describe())
+        if isinstance(doc_or_path, FrozenDocument):
+            lines.append(
+                "evaluation: lazy-DFA scan over the frozen arena's int "
+                "columns; matches are thawed only on materialization"
+            )
+            lines.append(describe_arena_memory(doc_or_path))
         else:
             lines.append(
-                "strategy: direct evaluation on the target tree "
-                "(pass an input to see the backend decision)"
+                "evaluation: direct evaluation on the Node tree (freeze() "
+                "the document to scan its columns instead)"
             )
-        if isinstance(doc_or_path, FrozenDocument):
-            lines.append(describe_arena_memory(doc_or_path))
         lines.append(
             "(compose with a prepared transform via "
             "Engine.prepare_composed to query a virtual view)"
@@ -592,15 +501,14 @@ class PreparedQuery:
         return "\n".join(lines)
 
     def explain_analyze(self, doc_or_path: Input) -> tuple[str, list]:
-        """Run the query under an execution profile and report the
-        planner's estimated rows next to the measured scan.
+        """Run the query under an execution profile and report what the
+        scan measured next to the full-scan estimate.
 
         Returns ``(report, results)``.  On a frozen arena the run is
         the zero-thaw ref path plus the columnar serializer, so every
         counter (nodes visited, prunes, DFA transitions, table growth,
         serialize bytes) is genuinely measured by the loops that did
-        the work; on a Node tree the visit count is the realized input
-        walk.
+        the work; a Node-tree walk counts only its results.
         """
         prof = Profile()
         with profiled(prof):
@@ -610,12 +518,8 @@ class PreparedQuery:
 
                 results = serialize_arena_items(doc_or_path, refs)
             else:
-                if self.planner is not None:
-                    self.planner.plan_read(doc_or_path, record=False)
                 results = self.run(doc_or_path)
                 prof.add_results(len(results))
-        if self.planner is not None:
-            self.planner.observe_actual(prof)
         report = self.explain(doc_or_path)
         return report + "\n" + render_profile(prof.snapshot()), results
 

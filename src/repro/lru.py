@@ -1,9 +1,9 @@
 """A thread-safe LRU cache with zero package dependencies.
 
 Shared by the store's compiled-artifact caches and the engine's
-planner/prepared layers.  It lives at the package root (rather than in
+prepared layer.  It lives at the package root (rather than in
 ``repro.store.cache``, which re-exports it for compatibility) to keep
-the layering one-directional: the store imports the engine's planner,
+the layering one-directional: the store imports the engine's strategy rule,
 so shared infrastructure the engine needs must never live inside the
 store package.
 """

@@ -1,13 +1,12 @@
 """Per-run execution profiles: what the scan *actually* did.
 
-The planner picks a strategy from **estimates** (node counts scaled by
-cost constants).  A :class:`Profile` rides along with one run and
-collects the measured side — nodes visited, subtrees pruned, nodes
-skipped by jumps, DFA transitions taken and transition-table growth, whether the prepared
+A :class:`Profile` rides along with one run and collects what it
+measured — nodes visited, subtrees pruned, nodes skipped by jumps, DFA
+transitions taken and transition-table growth, whether the prepared
 program was compiled cold or reused warm, and how many bytes the
-serializer produced — so the estimate can be confronted with reality
-(``explain_analyze``, the slow-query log, and the planner's drift
-probe all read the same object).
+serializer produced — next to the strategy that ran and, for an arena
+read, the node count an unpruned scan would have visited
+(``explain_analyze`` and the slow-query log read the same object).
 
 Like tracing, activation is thread-local and optional: deep engine
 code calls :func:`current_profile` (one thread-local read when no
@@ -75,8 +74,7 @@ class Profile:
     __slots__ = (
         "nodes_visited", "subtrees_pruned", "dfa_transitions",
         "nodes_skipped", "table_sets_added", "table_moves_added", "serialize_bytes",
-        "results", "cache", "strategy", "backend", "est_cost",
-        "est_nodes", "_t0", "dur_us",
+        "results", "cache", "strategy", "est_nodes", "_t0", "dur_us",
     )
 
     def __init__(self) -> None:
@@ -90,8 +88,6 @@ class Profile:
         self.results = 0
         self.cache = "warm"
         self.strategy: Optional[str] = None
-        self.backend: Optional[str] = None
-        self.est_cost: Optional[float] = None
         self.est_nodes: Optional[int] = None
         self._t0 = time.perf_counter()
         self.dur_us = 0
@@ -125,18 +121,11 @@ class Profile:
         """A prepared program was compiled during this run."""
         self.cache = "cold"
 
-    def set_plan(
-        self,
-        strategy: str,
-        backend: str,
-        est_cost: float,
-        est_nodes: Optional[int] = None,
-    ) -> None:
-        """The planner's chosen strategy and its estimate for this run
-        (called by the planner when a profile is active)."""
+    def set_plan(self, strategy: str, est_nodes: Optional[int] = None) -> None:
+        """The strategy this run executes and, where one exists, the
+        node count it is expected to visit (stamped by the code that
+        runs the strategy when a profile is active)."""
         self.strategy = strategy
-        self.backend = backend
-        self.est_cost = est_cost
         self.est_nodes = est_nodes
 
     def set_results(self, count: int) -> None:
@@ -152,8 +141,8 @@ class Profile:
     # ------------------------------------------------------------------
 
     def visit_ratio(self) -> Optional[float]:
-        """Actual nodes visited over the planner's estimate (None when
-        either side is missing/zero) — the drift a cost model accrues."""
+        """Actual nodes visited over the expected count (None when
+        either side is missing/zero)."""
         if not self.est_nodes or self.nodes_visited <= 0:
             return None
         return self.nodes_visited / float(self.est_nodes)
@@ -163,8 +152,6 @@ class Profile:
         slow-query log and ``explain_analyze`` embed)."""
         out: Dict[str, Any] = {
             "strategy": self.strategy,
-            "backend": self.backend,
-            "est_cost": self.est_cost,
             "est_nodes": self.est_nodes,
             "nodes_visited": self.nodes_visited,
             "subtrees_pruned": self.subtrees_pruned,

@@ -67,7 +67,6 @@ from typing import Optional
 
 from repro.automata.arena_run import serialize_arena_items
 from repro.engine.engine import Engine
-from repro.engine.planner import READ_COST_ARENA
 from repro.lru import LRUCache
 from repro.obs import (
     NULL_TRACE,
@@ -122,10 +121,9 @@ class ServiceConfig:
       stays within the instrumentation-overhead budget).
     * ``trace_ring`` — how many finished trace records are buffered
       (older records fall off; see the ``traces`` wire op).
-    * ``profile_sample`` — collect a plan-vs-actual execution profile
-      on every N-th *sampled* evaluation (``0`` disables profiling).
-      Profiles feed the planner's estimate-vs-actual drift probe and
-      ride along in slow-query entries; they are sampled separately
+    * ``profile_sample`` — collect an execution profile on every N-th
+      *sampled* evaluation (``0`` disables profiling).  Profiles ride
+      along in slow-query entries; they are sampled separately
       from tracing because the profiled scan twin is markedly slower
       than the bare hot loop.
     * ``slow_threshold`` — seconds of submit→finish latency beyond
@@ -290,12 +288,9 @@ class QueryService:
         #: save_store closure here: the document set is always covered
         #: by a checkpoint, commits by the log.  ``None`` → no-op.
         self.checkpoint = checkpoint
-        # The engine shares the store's planner so strategy-choice
-        # counters tally in one place; its compiled cache is what the
-        # snapshot read path and the transform op prepare against.
-        self.engine = (
-            engine if engine is not None else Engine(planner=self.store.planner)
-        )
+        # The engine's compiled cache is what the snapshot read path
+        # and the transform op prepare against.
+        self.engine = engine if engine is not None else Engine()
         # One registry per service (unless injected): its snapshot is
         # what stats()/the `metrics` wire op return, and what the
         # store's and engine's probes report into.
@@ -318,6 +313,10 @@ class QueryService:
         self._eval_latency = self.registry.histogram("service.eval.latency")
         self.store.bind_metrics(self.registry)
         self.engine.bind_metrics(self.registry)
+        # Both tally strategy choices (the store for view layers and
+        # staged previews, the engine for the transform op) and bind
+        # the same probe name: report the sum.
+        self.registry.probe("engine.planner.chosen", self._chosen)
         self.registry.probe("service.queue.depth", self._queue_depth)
         self.registry.probe("service.memo.cache", lambda: self._memo.stats())
         self.registry.probe("service.trace.ring", lambda: self.tracer.stats())
@@ -665,21 +664,15 @@ class QueryService:
             if retries:
                 trace.note(worker_retries=retries)
         elif trace.sampled and sample and next(self._profile_tick) % sample == 0:
-            # Every N-th sampled request pays for a plan-vs-actual
-            # profile too: the arena scan is the "scan" strategy
-            # estimated at every element below the root (what
-            # select_indices can step), and the scan loop fills in the
-            # actual visit/prune/skip counts.
+            # Every N-th sampled request pays for an execution profile
+            # too: an unpruned arena scan would visit every element
+            # below the root (what select_indices can step), and the
+            # scan loop fills in the actual visit/prune/skip counts.
             prof = Profile()
-            arena = snapshot.arena
-            prof.set_plan(
-                "scan", "arena", READ_COST_ARENA * len(arena),
-                arena.n_elements - 1,
-            )
+            prof.set_plan("scan", snapshot.arena.n_elements - 1)
             with trace.activate(), profiled(prof):
                 result = self._evaluate_snapshot(snapshot, request.text)
             prof.finish()
-            self.store.planner.observe_actual(prof)
             profile = prof.snapshot()
         else:
             with trace.activate():
@@ -752,6 +745,14 @@ class QueryService:
         strictly in sequence, never nested — no cycle either way."""
         with self._admission_lock:
             return self._closed
+
+    def _chosen(self) -> dict:
+        """Strategy choices made anywhere in this service, summed."""
+        views = self.store.chosen()
+        return {
+            name: count + views.get(name, 0)
+            for name, count in self.engine.chosen().items()
+        }
 
     def _queue_depth(self) -> int:
         """Requests admitted and waiting for an evaluation slot."""

@@ -1,7 +1,7 @@
 """Compatibility re-exports: the compiled-artifact cache machinery now
 lives at the package root (:mod:`repro.compiled`, :mod:`repro.lru`) so
 the engine can use it without importing from the store package (which
-itself imports the engine's planner — the layering stays
+itself imports the engine's strategy rule — the layering stays
 one-directional).  This module keeps the historical import path
 ``repro.store.cache`` working.
 """

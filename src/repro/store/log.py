@@ -8,8 +8,8 @@ that into a two-phase workflow per document:
   document is untouched; :meth:`UpdateLog.preview` builds the
   hypothetical tree (a pure, structure-sharing transform chain — the
   semantics of stacked transform queries) for what-if queries.  Each
-  chain stage is evaluated by the callable the store hands in (its
-  cost-based :class:`~repro.engine.planner.Planner`) — no strategy is
+  chain stage is evaluated by the callable the store hands in (which
+  asks :func:`~repro.engine.planner.choose_strategy`) — no strategy is
   hardcoded here.
 * **Commit** (driven by the store facade, which owns the document lock
   and the caches) takes the staged updates, derives the next frozen
@@ -83,7 +83,7 @@ class UpdateLog:
         """The tree the staged updates *would* produce.  Pure: shares
         every untouched subtree with *root*; *root* is not modified.
         *transform* (a ``(root, query) -> root`` callable) evaluates
-        each stage — the store passes its planner-backed evaluator, or
+        each stage — the store passes its rule-backed evaluator, or
         ``transform_naive`` on the reference path.
         """
         for entry in self.staged(doc_name):

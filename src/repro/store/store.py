@@ -17,10 +17,10 @@ Evaluation strategy for ``query(target, q)``:
   hot middle layer shortcuts the whole prefix below it.
 
 Strategy choice: every transform evaluation (view layers, staged-update
-previews, the reference path) goes through the store's cost-based
-:class:`~repro.engine.planner.Planner`, which picks among the five
-algorithms per (query shape, current tree) — nothing here hardcodes a
-strategy, and a custom planner can be injected at construction.
+previews) asks the engine's one rule,
+:func:`~repro.engine.planner.choose_strategy`, per (query shape,
+current tree) — ``twopass`` for nesting descendant qualifiers on a deep
+tree, ``topdown`` otherwise; nothing here hardcodes a strategy.
 
 Caching: compiled artifacts (parses, NFAs, composed plans) live in a
 :class:`~repro.store.cache.CompiledCache` and never go stale; query
@@ -41,7 +41,13 @@ from __future__ import annotations
 import threading
 from typing import Optional, Union
 
-from repro.engine.planner import Planner
+from repro.engine import (
+    TREE_STRATEGIES,
+    analyze_transform,
+    choose_strategy,
+    mean_depth,
+    run_tree_strategy,
+)
 from repro.faults import fault_point
 from repro.obs import span
 from repro.store.cache import CompiledCache, LRUCache
@@ -79,21 +85,22 @@ _DELTA_COUNTERS = ("spliced", "rebuilds", "noops") + _DELTA_SUMS
 class ViewStore:
     """A resident multi-document store with stacked virtual views."""
 
-    # guarded-by[arena_reads, snapshot_pins, commit_counts, last_delta]: self._counter_lock
+    # guarded-by[arena_reads, snapshot_pins, commit_counts, last_delta, strategy_counts]: self._counter_lock
 
     def __init__(
         self,
         policy: Optional[MaterializationPolicy] = None,
         compiled_cache_size: int = 256,
         result_cache_size: int = 512,
-        planner: Optional[Planner] = None,
     ):
         self.documents = DocumentStore()
         self.views = ViewRegistry(policy)
         self.compiled = CompiledCache(compiled_cache_size)
         self.results = LRUCache(result_cache_size)
-        self.planner = planner if planner is not None else Planner()
         self.log = UpdateLog()
+        #: Transform evaluations (view layers, staged previews) per
+        #: strategy the rule chose for them.
+        self.strategy_counts = dict.fromkeys(TREE_STRATEGIES, 0)
         #: Reads served from a frozen columnar snapshot (the zero-copy
         #: fast path for plain-document targets).
         self.arena_reads = 0
@@ -123,15 +130,21 @@ class ViewStore:
         self._transform_label_cache = LRUCache(compiled_cache_size)
 
     def _transform(self, root: Element, transform: TransformQuery) -> Element:
-        """Evaluate one transform layer with the planner-chosen
-        strategy, reusing compiled automata.
+        """Evaluate one transform layer with the strategy the engine's
+        rule picks for this tree, reusing compiled automata.
 
         The NFAs are built from (and cached under) the parsed path
         itself — rendering the AST to text does not round-trip string
         literals containing quotes, so the text form is never re-parsed.
         """
         path = transform.path
-        return self.planner.transform(
+        strategy = choose_strategy(
+            analyze_transform(transform), mean_depth=lambda: mean_depth(root)
+        ).strategy
+        with self._counter_lock:
+            self.strategy_counts[strategy] += 1
+        return run_tree_strategy(
+            strategy,
             root,
             transform,
             selecting=self.compiled.selecting_nfa_for(path),
@@ -248,15 +261,14 @@ class ViewStore:
     def _arena_refs(self, doc: StoredDocument, query_text: str) -> tuple:
         """One columnar read: ``(arena, evaluator, raw ref items)``
         (caller holds the document lock).  The single place the
-        arena is taken, counted and planned — both the thawing and
-        the serializing reads finish from these refs."""
+        arena is taken and counted — both the thawing and the
+        serializing reads finish from these refs."""
         from repro.xquery.arena_eval import ArenaEvaluator
 
         user_query = self.compiled.user_query(query_text)
         arena = doc.arena
         with self._counter_lock:
             self.arena_reads += 1
-        self.planner.plan_read(arena)
         evaluator = ArenaEvaluator(arena, self.compiled.selecting_nfa_for)
         with span("scan"):
             return arena, evaluator, evaluator.evaluate_refs(user_query)
@@ -304,7 +316,7 @@ class ViewStore:
     ) -> list:
         """Reference evaluation: materialize every layer of the stack
         with :func:`transform_naive`, then run the user query — no
-        composition, no caches, no planner.  Deliberately independent
+        composition, no caches, no strategy choice.  Deliberately independent
         of every production code path so tests and benchmarks can use
         it as the oracle ``Q(tn(…t1(T)))``."""
         doc, stack = self._resolve(target)
@@ -667,6 +679,11 @@ class ViewStore:
         with self._counter_lock:
             return self.arena_reads, self.snapshot_pins
 
+    def chosen(self) -> dict:
+        """Transform evaluations so far, per chosen strategy."""
+        with self._counter_lock:
+            return dict(self.strategy_counts)
+
     def _commit_counter_values(self) -> dict:
         """One consistent snapshot of the commit-path counters."""
         with self._counter_lock:
@@ -675,13 +692,9 @@ class ViewStore:
     def bind_metrics(self, registry) -> None:
         """Expose the store's counters through a
         :class:`~repro.obs.registry.MetricsRegistry`, all as lazily
-        sampled probes under the ``layer.component.metric`` scheme
-        (``store.arena.reads`` next to the planner's
-        ``engine.planner.chosen.scan.arena`` — one spelling for the
-        arena read path, ending the seed's ``arena_reads`` vs
-        ``scan[arena]`` divergence).  The read/commit hot paths keep
-        their plain attribute bumps; nothing here adds per-request
-        cost."""
+        sampled probes under the ``layer.component.metric`` scheme.
+        The read/commit hot paths keep their plain attribute bumps;
+        nothing here adds per-request cost."""
         registry.probe("store.arena.reads", lambda: self._counter_values()[0])
         registry.probe("store.snapshot.pins", lambda: self._counter_values()[1])
         registry.probe("store.cache.results", self.results.stats)
@@ -714,7 +727,7 @@ class ViewStore:
         registry.probe(
             "store.wal.truncated_tail", lambda: self.wal_truncated_tail
         )
-        self.planner.bind_metrics(registry)
+        registry.probe("engine.planner.chosen", self.chosen)
 
     def stats(self) -> dict:
         arena_reads, snapshot_pins = self._counter_values()
@@ -766,7 +779,7 @@ class ViewStore:
                 "compiled": self.compiled.stats(),
                 "results": self.results.stats(),
             },
-            "planner": self.planner.stats(),
+            "planner": {"chosen": self.chosen()},
             "commits": commits,
             "wal": wal,
             "arena_reads": arena_reads,

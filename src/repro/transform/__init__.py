@@ -21,6 +21,8 @@ twoPassSAX      :func:`transform_sax` (+ file/event    6
 
 All five return identical trees; the test suite enforces this on the
 paper's examples, the XMark workload and random inputs.
+:data:`STRATEGIES` is the one table of them: the engine's strategy
+names, the Fig-12 legend and the ``--method`` choices all derive from it.
 """
 
 from repro.transform.query import TransformQuery, parse_transform_query
@@ -40,7 +42,20 @@ from repro.transform.sax_twopass import (
 )
 from repro.transform.rewrite import rewrite_to_xquery, transform_naive_xquery
 
+#: The one strategy table: engine name → (paper name, ``(root, query)``
+#: callable).  It lives here, below both its consumers — the engine's
+#: executor and ``repro.bench`` (which sits under the engine in the
+#: layer manifest).
+STRATEGIES = {
+    "topdown": ("GENTOP", transform_topdown),
+    "twopass": ("TD-BU", transform_twopass),
+    "naive": ("NAIVE", transform_naive),
+    "copy": ("GalaXUpdate", transform_copy_update),
+    "sax": ("twoPassSAX", transform_sax),
+}
+
 __all__ = [
+    "STRATEGIES",
     "TransformChain",
     "TransformQuery",
     "parse_transform_chain",

@@ -17,9 +17,20 @@ from repro.xmark.queries import QUERY_IDS
 
 
 class TestHarness:
-    def test_method_registry_complete(self):
-        assert set(METHOD_ORDER) == set(METHODS)
-        assert METHOD_ORDER == ["GalaXUpdate", "NAIVE", "TD-BU", "GENTOP", "twoPassSAX"]
+    def test_method_registry_derives_from_the_strategy_table(self):
+        """One table (repro.transform.STRATEGIES) feeds the engine's
+        strategy names, the Fig-12 legend and the CLI's --method."""
+        from repro.cli import TREE_METHODS
+        from repro.engine import PAPER_NAMES, TREE_STRATEGIES
+        from repro.transform import STRATEGIES
+
+        assert TREE_STRATEGIES == tuple(STRATEGIES)
+        assert METHOD_ORDER == [PAPER_NAMES[name] for name in TREE_STRATEGIES]
+        assert METHODS == {paper: fn for paper, fn in STRATEGIES.values()}
+        assert set(TREE_METHODS) | {"sax"} == set(TREE_STRATEGIES)
+        assert sorted(METHOD_ORDER) == sorted(
+            ["GalaXUpdate", "NAIVE", "TD-BU", "GENTOP", "twoPassSAX"]
+        )
 
     def test_dataset_cached(self):
         clear_datasets()

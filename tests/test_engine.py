@@ -4,13 +4,14 @@ CLI surface."""
 
 import io
 import sys
+import threading
 
 import pytest
 
 from repro import (
     Engine,
-    Planner,
     deep_equal,
+    freeze,
     parse,
     parse_file,
     parse_transform_query,
@@ -19,9 +20,17 @@ from repro import (
     transform_naive,
     write_file,
 )
+from repro.bench.harness import deep_chain
 from repro.cli import main as cli_main
-from repro.engine import ALL_STRATEGIES
-from repro.engine.features import analyze_transform, estimate_nodes, profile_input
+from repro.engine import (
+    ALL_STRATEGIES,
+    DEEP_MEAN_DEPTH,
+    analyze_transform,
+    choose_strategy,
+    mean_depth,
+)
+from repro.xmark.generator import generate
+from repro.xmark.queries import QUERY_IDS, delete_transform, insert_transform
 from repro.xmltree.node import Element, Text
 
 DOC = (
@@ -56,6 +65,14 @@ def doc():
 @pytest.fixture()
 def engine():
     return Engine()
+
+
+@pytest.fixture()
+def stream_everything(monkeypatch):
+    """Make every file 'large': the rule's file clause compares against
+    the module constant, so the streaming tests lower it instead of
+    writing 8 MiB fixtures."""
+    monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", 1)
 
 
 class TestPreparation:
@@ -124,7 +141,7 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown method"):
             engine.prepare_transform(DELETE).run(doc, method="galax")
 
-    def test_run_many_plans_once_and_agrees(self, engine, doc):
+    def test_run_many_agrees(self, engine, doc):
         prepared = engine.prepare_transform(DELETE)
         other = parse("<db><part><price>1</price></part></db>")
         results = prepared.run_many([doc, other])
@@ -133,12 +150,11 @@ class TestRoundTrip:
         assert deep_equal(results[1], transform_naive(other, prepared.query))
 
     def test_run_many_streams_oversized_files_in_mixed_batches(
-        self, doc, tmp_path
+        self, engine, tmp_path, monkeypatch
     ):
-        """The batch reuses the first input's tree plan, but each file
-        keeps its own stream safeguard — one oversized file must stream
-        rather than be parsed whole with the batch method."""
-        engine = Engine(planner=Planner(stream_threshold=200))
+        """Every input of a batch is chosen for on its own: one
+        oversized file streams rather than being parsed whole."""
+        monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", 200)
         big = parse("<db>" + "<part><price>2</price></part>" * 20 + "</db>")
         path = tmp_path / "big.xml"
         write_file(big, str(path))
@@ -146,121 +162,237 @@ class TestRoundTrip:
         small = parse("<db><part><price>1</price></part></db>")
         results = prepared.run_many([small, str(path)])
         assert deep_equal(results[1], transform_naive(big, prepared.query))
-        assert engine.planner.stats()["chosen"].get("stream", 0) == 1
+        chosen = engine.stats()["planner"]["chosen"]
+        assert chosen["stream"] == 1 and chosen["topdown"] == 1
+
+    @pytest.mark.parametrize("deep_first", [True, False])
+    def test_run_many_chooses_per_input(self, engine, deep_first):
+        """Regression: run_many planned once per batch ("a batch is
+        assumed homogeneous"), so a shallow-then-deep batch walked the
+        deep chain natively.  Asserted by count, not by timing."""
+        prepared = engine.prepare_transform(NESTING % "//*[.//b]")
+        batch = [deep_chain(300), deep_chain(3)]
+        if not deep_first:
+            batch.reverse()
+        results = prepared.run_many(batch)
+        chosen = engine.stats()["planner"]["chosen"]
+        assert chosen["twopass"] == 1 and chosen["topdown"] == 1
+        for doc, result in zip(batch, results):
+            assert deep_equal(result, transform_naive(doc, prepared.query))
+
+    @pytest.mark.parametrize("freeze_it", [False, True])
+    def test_resident_input_forced_to_stream_degrades_to_sax(
+        self, engine, doc, freeze_it
+    ):
+        """Regression: run(frozen_document, method="stream") handed the
+        arena's repr to the file reader (FileNotFoundError).  There is
+        no file to stream: either resident form runs sax over
+        synthesized events, as run_to_file always did."""
+        prepared = engine.prepare_transform(QUAL_DOS)
+        source = freeze(doc) if freeze_it else doc
+        result = prepared.run(source, method="stream")
+        assert deep_equal(result, transform_naive(doc, prepared.query))
+
+    def test_unknown_method_error_lists_the_valid_names(self, engine, doc):
+        with pytest.raises(ValueError) as caught:
+            engine.prepare_transform(DELETE).run(freeze(doc), method="galax")
+        for name in ALL_STRATEGIES + ("auto",):
+            assert name in str(caught.value)
 
 
-class TestPlanner:
+NESTING = 'transform copy $a := doc("d") modify do rename $a%s as seen return $a'
+
+
+class TestStrategyRule:
     def test_explain_names_a_real_strategy(self, engine, doc):
         for text in (DELETE, QUAL_DOS):
             prepared = engine.prepare_transform(text)
             plan = prepared.plan_for(doc)
             assert plan.strategy in ALL_STRATEGIES
             explained = prepared.explain(doc)
-            # Header names the chosen strategy (every name is in the
-            # cost table, so matching the bare name would be vacuous).
-            assert f"strategy: {plan.strategy}" in explained
-            assert "estimated costs" in explained
+            assert f"strategy: {plan.strategy} ({plan.paper_name})" in explained
+            assert "because:" in explained
+            assert "shape nests:" in explained
 
     def test_no_qualifiers_prefers_single_pass(self, engine, doc):
         assert engine.prepare_transform(DELETE).plan_for(doc).strategy == "topdown"
 
     def test_deep_descendant_qualifier_prefers_twopass(self, engine):
-        node = Element("b", {}, [Text("x")])
-        for _ in range(200):
-            node = Element("a", {}, [node])
-        root = Element("r", {}, [node])
-        text = (
-            'transform copy $a := doc("d") modify do '
-            "rename $a//*[.//b] as seen return $a"
-        )
-        prepared = engine.prepare_transform(text)
+        root = deep_chain(200)
+        prepared = engine.prepare_transform(NESTING % "//*[.//b]")
         assert prepared.plan_for(root).strategy == "twopass"
         assert deep_equal(prepared.run(root), transform_naive(root, prepared.query))
 
-    def test_naive_inherits_qualifier_cost_on_deep_documents(self, engine):
-        """Regression: naive pays the same native qualifier walks as
-        topdown, so stacking descendant qualifiers on a deep document
-        must never make naive the 'cheap' choice."""
-        node = Element("b", {}, [Text("x")])
-        for _ in range(200):
-            node = Element("a", {}, [node, Element("c", {}, [])])
-        root = Element("r", {}, [node])
-        text = (
-            'transform copy $a := doc("d") modify do '
-            "rename $a//*[.//b][.//a][.//c] as seen return $a"
-        )
-        plan = engine.prepare_transform(text).plan_for(root)
+    def test_stacked_descendant_qualifiers_on_deep_documents(self, engine):
+        """Regression: stacking descendant qualifiers on a deep
+        document must never make a baseline the 'cheap' choice."""
+        plan = engine.prepare_transform(
+            NESTING % "//*[.//b][.//a][.//c]"
+        ).plan_for(deep_chain(200, fanout=1))
         assert plan.strategy == "twopass"
 
-    def test_file_input_replans_on_the_parsed_tree(self, engine, tmp_path):
-        """A deep document arriving as a file: the byte-size profile
-        can't see the depth, but run() parses anyway and must re-plan
-        on the real tree (twopass, not a native-qualifier walk)."""
-        node = Element("b", {}, [Text("x")])
-        for _ in range(200):
-            node = Element("a", {}, [node])
+    @pytest.mark.parametrize("depth", [5, 20, 50, 100, 200, 400])
+    @pytest.mark.parametrize("fanout", [0, 3])
+    @pytest.mark.parametrize(
+        "path, nests",
+        [
+            ("//*[.//b]", True),
+            ("//a[.//b][.//c]", True),
+            ("//a[b]", False),       # child-only qualifier: no subtree walk
+            ("/r/a[.//b]", False),   # no // gap reaches a: candidates disjoint
+        ],
+    )
+    def test_twopass_exactly_when_shape_nests_and_document_is_deep(
+        self, engine, tmp_path, depth, fanout, path, nests
+    ):
+        """The rule where the cost model was wrong (depth-50 and -100
+        ``//a[.//b][.//c]`` took topdown) and where it was right."""
+        prepared = engine.prepare_transform(NESTING % path)
+        assert prepared.features.nests == nests
+        doc = deep_chain(depth, fanout)
+        deep = mean_depth(doc) > DEEP_MEAN_DEPTH
+        expected = "twopass" if nests and deep else "topdown"
+        plan = prepared.plan_for(doc)
+        assert plan.strategy == expected
+        assert ("mean_depth" in plan.facts) == nests  # measured only if needed
+        # Element / FrozenDocument / file-path forms of one document agree.
+        file_path = tmp_path / "chain.xml"
+        write_file(doc, str(file_path))
+        assert prepared.plan_for(freeze(doc)).strategy == expected
+        assert prepared.plan_for(str(file_path)).strategy == expected
+        assert deep_equal(prepared.run(doc), transform_naive(doc, prepared.query))
+        assert engine.stats()["planner"]["chosen"][expected] == 1
+
+    def test_qualifier_inside_a_qualifier_can_nest_on_its_own(self):
+        """``/r/a[.//b[.//c]]``: a cannot nest, but the b's the inner
+        ``//`` reaches can, and each is checked with a subtree walk."""
+        shape = analyze_transform(parse_transform_query(NESTING % "/r/a[.//b[.//c]]"))
+        assert shape.nests
+        shape = analyze_transform(parse_transform_query(NESTING % "/r/a[b[c]]//d"))
+        assert not shape.nests
+
+    def test_fig12_transforms_plan_topdown_without_touching_the_tree(
+        self, engine, monkeypatch
+    ):
+        """All 20 Fig-12 paths are qualifier-free or child-qualified:
+        planning them does no per-input work at all."""
+        tree = generate(0.002, seed=42)
+        prepared = [
+            engine.prepare_transform(build(uid))
+            for build in (insert_transform, delete_transform)
+            for uid in QUERY_IDS
+        ]
+        assert len(prepared) == 20
+
+        def walked(self):
+            raise AssertionError("plan_for walked the tree")
+
+        monkeypatch.setattr(Element, "children", property(walked))
+        for query in prepared:
+            plan = query.plan_for(tree)
+            assert plan.strategy == "topdown"
+            assert "mean_depth" not in plan.facts
+
+    def test_file_input_is_planned_on_the_parsed_tree(self, engine, tmp_path):
+        """A deep document arriving as a file: its size says nothing
+        about its depth, so a nesting shape parses it (once) and
+        measures — explain and run agree."""
         path = tmp_path / "deep.xml"
-        write_file(Element("r", {}, [node]), str(path))
-        prepared = engine.prepare_transform(
-            'transform copy $a := doc("d") modify do '
-            "rename $a//*[.//b][.//a] as seen return $a"
-        )
-        # explain mirrors run: both refine on the parsed tree.
+        write_file(deep_chain(200), str(path))
+        prepared = engine.prepare_transform(NESTING % "//*[.//b][.//a]")
         assert "strategy: twopass" in prepared.explain(str(path))
         prepared.run(str(path))
-        assert engine.planner.last_plan.strategy == "twopass"
+        assert engine.stats()["planner"]["chosen"]["twopass"] == 1
 
-    def test_large_file_plans_streaming(self, engine, doc, tmp_path):
+    def test_rule_is_a_function_of_observations(self):
+        shape = analyze_transform(parse_transform_query(NESTING % "//*[.//b]"))
+        flat = analyze_transform(parse_transform_query(DELETE))
+
+        def never():
+            raise AssertionError("depth measured for a shape that cannot nest")
+
+        assert choose_strategy(flat, mean_depth=never).strategy == "topdown"
+        assert choose_strategy(shape).strategy == "topdown"  # nothing to measure
+        assert choose_strategy(shape, mean_depth=lambda: 16.0).strategy == "topdown"
+        assert choose_strategy(shape, mean_depth=lambda: 16.5).strategy == "twopass"
+        big = choose_strategy(shape, file_bytes=8 * 1024 * 1024, mean_depth=never)
+        assert big.strategy == "stream" and big.facts["file_bytes"] == 8 * 1024 * 1024
+        assert choose_strategy(flat, file_bytes=8 * 1024 * 1024 - 1).strategy == "topdown"
+
+    def test_large_file_plans_streaming(self, engine, doc, tmp_path, stream_everything):
         path = tmp_path / "doc.xml"
         write_file(doc, str(path))
-        small = Engine(planner=Planner(stream_threshold=1))
-        plan = small.prepare_transform(DELETE).plan_for(str(path))
-        assert plan.strategy == "stream"
-        assert "stream" in small.prepare_transform(DELETE).explain(str(path))
+        prepared = engine.prepare_transform(DELETE)
+        assert prepared.plan_for(str(path)).strategy == "stream"
+        assert prepared.streams(str(path))
+        assert "stream" in prepared.explain(str(path))
         # ...and the streamed result matches the tree result.
-        streamed = small.prepare_transform(DELETE).run(str(path))
-        assert deep_equal(streamed, engine.prepare_transform(DELETE).run(doc))
+        streamed = prepared.run(str(path))
+        assert deep_equal(streamed, prepared.run(doc))
+        assert engine.stats()["planner"]["chosen"]["stream"] == 1
 
-    def test_run_to_file_stream_and_tree_agree(self, engine, doc, tmp_path):
+    def test_run_to_file_stream_and_tree_agree(
+        self, engine, doc, tmp_path, stream_everything
+    ):
         src = tmp_path / "in.xml"
         write_file(doc, str(src))
         out_stream = tmp_path / "out_stream.xml"
         out_tree = tmp_path / "out_tree.xml"
-        small = Engine(planner=Planner(stream_threshold=1))
-        small.prepare_transform(DELETE).run_to_file(str(src), str(out_stream))
-        engine.prepare_transform(DELETE).run_to_file(
-            str(src), str(out_tree), method="topdown"
-        )
+        prepared = engine.prepare_transform(DELETE)
+        prepared.run_to_file(str(src), str(out_stream))
+        prepared.run_to_file(str(src), str(out_tree), method="topdown")
         assert deep_equal(parse_file(str(out_stream)), parse_file(str(out_tree)))
+        assert engine.stats()["planner"]["chosen"]["stream"] == 1
 
     def test_run_to_file_stream_ignores_pretty_with_warning(
-        self, engine, doc, tmp_path
+        self, engine, doc, tmp_path, stream_everything
     ):
         src = tmp_path / "in.xml"
         write_file(doc, str(src))
         out = tmp_path / "out.xml"
-        small = Engine(planner=Planner(stream_threshold=1))
+        prepared = engine.prepare_transform(DELETE)
         with pytest.warns(UserWarning, match="pretty"):
-            small.prepare_transform(DELETE).run_to_file(
-                str(src), str(out), pretty=True
-            )
+            prepared.run_to_file(str(src), str(out), pretty=True)
         # Streamed anyway: the result is correct, just not indented.
-        assert deep_equal(
-            parse_file(str(out)), engine.prepare_transform(DELETE).run(doc)
-        )
+        assert deep_equal(parse_file(str(out)), prepared.run(doc))
 
-    def test_planner_counters_record_choices(self, engine, doc):
-        engine.prepare_transform(DELETE).run(doc)
-        stats = engine.planner.stats()
-        assert stats["last"] in ALL_STRATEGIES
-        assert sum(stats["chosen"].values()) >= 1
+    def test_counters_record_auto_executions_only(self, engine, doc):
+        prepared = engine.prepare_transform(DELETE)
+        prepared.plan_for(doc)              # introspective
+        prepared.explain(doc)               # introspective
+        prepared.run(doc, method="naive")   # forced
+        assert sum(engine.stats()["planner"]["chosen"].values()) == 0
+        prepared.run(doc)
+        chosen = engine.stats()["planner"]["chosen"]
+        assert set(chosen) == set(ALL_STRATEGIES)
+        assert chosen["topdown"] == 1 and sum(chosen.values()) == 1
 
-    def test_profile_caps_the_walk(self):
-        wide = Element("r", {}, [Element("a", {}, []) for _ in range(5000)])
-        nodes, exact, _depth = estimate_nodes(wide, cap=100)
-        assert nodes == 100 and not exact
-        profile = profile_input(wide, cap=100)
-        assert not profile.exact
+    def test_tally_is_exact_under_concurrent_runs(self, engine, doc):
+        """The per-strategy tally is the one piece of state the rule's
+        callers share: a lost update would leave the sum short."""
+        prepared = engine.prepare_transform(DELETE)
+        threads, runs = 8, 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [prepared.run(doc) for _ in range(runs)]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.chosen()["topdown"] == threads * runs
+
+    def test_mean_depth_agrees_across_resident_forms(self, doc):
+        for tree in (doc, deep_chain(40, fanout=2), generate(0.001, seed=7)):
+            assert mean_depth(tree) == pytest.approx(freeze(tree).mean_depth())
 
     def test_features_summarize_shape(self):
         features = analyze_transform(parse_transform_query(QUAL_DOS))
@@ -268,6 +400,7 @@ class TestPlanner:
         assert features.has_descendant
         assert features.has_descendant_qualifier
         assert features.quals == 1
+        assert features.nests
 
 
 class TestChaining:
@@ -398,7 +531,7 @@ class TestEngineCLI:
         src = self._write(tmp_path, "in.xml", DOC)
         assert cli_main(["transform", "-q", DELETE, "-i", src, "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "strategy:" in out and "estimated costs" in out
+        assert "strategy:" in out and "because:" in out
 
     def test_explain_with_forced_method_says_so_and_does_not_execute(
         self, tmp_path, capsys

@@ -95,4 +95,4 @@ def test_explain_always_names_a_real_strategy(tree, path_text):
     plan = prepared.plan_for(tree)
     explained = prepared.explain(tree)
     assert f"strategy: {plan.strategy}" in explained
-    assert "estimated costs" in explained
+    assert "because:" in explained

@@ -5,7 +5,7 @@ Covers the telemetry acceptance criteria end to end: counter and
 histogram exactness under a multi-thread hammer, the disabled-mode
 zero-allocation fast path, trace-span nesting and ordering through a
 full Engine prepare→run, the normalized ``layer.component.metric``
-namespace (including the ``scan[arena]`` → ``scan.arena`` rebase), the
+namespace, the
 ``metrics``/``traces`` wire ops, and a loadgen smoke run against a
 live in-process server.
 """
@@ -225,13 +225,22 @@ class TestTracing:
         assert record["meta"] == {"target": "db"}
         names = [s["name"] for s in record["spans"]]
         # Completion order: the cold compile finishes first, then the
-        # plan decision (nested inside the scan), then the scan itself.
-        assert names == ["compile", "plan", "scan"]
+        # scan (a read has nothing to plan).
+        assert names == ["compile", "scan"]
         depths = {s["name"]: s["depth"] for s in record["spans"]}
-        assert depths == {"compile": 0, "plan": 1, "scan": 0}
+        assert depths == {"compile": 0, "scan": 0}
         by_name = {s["name"]: s for s in record["spans"]}
-        assert by_name["plan"]["start_us"] >= by_name["scan"]["start_us"]
         assert record["dur_us"] >= by_name["scan"]["dur_us"]
+
+    def test_transform_run_opens_a_plan_span(self):
+        tracer = Tracer(sample_every=1)
+        prepared = Engine().prepare_transform(
+            'transform copy $a := doc("db") modify do delete $a//price return $a'
+        )
+        with tracer.trace("test.transform"):
+            prepared.run(parse_to_arena(CATALOG))
+        names = [s["name"] for s in tracer.records()[0]["spans"]]
+        assert "plan" in names
 
     def test_warm_prepare_emits_no_compile_span(self):
         tracer = Tracer(sample_every=1)
@@ -318,19 +327,21 @@ class TestTracing:
 
 
 class TestCounterMigration:
-    def test_planner_keys_normalized_but_legacy_intact(self):
+    def test_strategy_tally_reaches_the_registry(self):
         engine = Engine()
         registry = MetricsRegistry()
         engine.bind_metrics(registry)
         arena = parse_to_arena(CATALOG)
-        engine.prepare_query(QUERY).run_refs(arena)
-        # The planner's own dict keeps its historical key...
-        assert engine.planner.counters.get("scan[arena]") == 1
-        # ...while the registry presents the normalized scheme.
+        engine.prepare_query(QUERY).run_refs(arena)  # a read: nothing chosen
+        engine.prepare_transform(
+            'transform copy $a := doc("db") modify do delete $a//price return $a'
+        ).run(arena)
         snap = registry.snapshot()
-        assert snap["engine.planner.chosen.scan.arena"] == 1
+        assert snap["engine.planner.chosen.topdown"] == 1
+        assert snap["engine.planner.chosen.twopass"] == 0
+        assert not any("scan" in name for name in snap if "planner" in name)
         assert not any("[" in name for name in snap)
-        assert snap["engine.prepared.cache.size"] == 1
+        assert snap["engine.prepared.cache.size"] == 2
         assert "automata.dfa.tables.sets" in snap
 
     def test_store_probes_report_attribute_counters(self):

@@ -72,7 +72,7 @@ def _wait_for(fn, timeout=5.0):
 class TestProfile:
     def test_counters_and_snapshot(self):
         prof = Profile()
-        prof.set_plan("scan", "arena", est_cost=83.0, est_nodes=100)
+        prof.set_plan("scan", est_nodes=100)
         prof.add_scan(nodes=40, pruned=7, transitions=40, skipped=55)
         prof.add_table_growth(sets=2, moves=5)
         prof.add_serialize_bytes(123)
@@ -80,7 +80,8 @@ class TestProfile:
         prof.finish()
         snap = prof.snapshot()
         assert snap["strategy"] == "scan"
-        assert snap["backend"] == "arena"
+        assert snap["est_nodes"] == 100
+        assert "est_cost" not in snap and "backend" not in snap
         assert snap["nodes_visited"] == 40
         assert snap["subtrees_pruned"] == 7
         assert snap["dfa_transitions"] == 40
@@ -159,13 +160,8 @@ class TestProfile:
             assert "nodes visited" in report
             prof_line = [l for l in report.splitlines() if "estimated" in l and "visited" in l]
             assert prof_line, report
-        drift = engine.planner.drift_stats()
-        assert drift, "observe_actual never recorded a run"
-        for row in drift.values():
-            assert row["runs"] >= 1
-            assert row["visit_ratio"] is not None
 
-    def test_transform_explain_analyze_reports_estimate(self):
+    def test_transform_explain_analyze_reports_the_executed_strategy(self):
         engine = Engine()
         prepared = engine.prepare_transform(
             'transform copy $a := doc("db") modify do delete $a//price return $a'
@@ -173,19 +169,11 @@ class TestProfile:
         from repro.xmltree.parser import parse
 
         report, result = prepared.explain_analyze(parse(CATALOG))
+        assert "strategy: topdown (GENTOP)" in report
         assert "actual:" in report
         assert "nodes visited" in report
         assert result is not None
-
-    def test_drift_probe_reaches_registry(self):
-        registry = MetricsRegistry()
-        engine = Engine()
-        engine.bind_metrics(registry)
-        arena = parse_to_arena(CATALOG)
-        engine.prepare_query(QUERY).explain_analyze(arena)
-        snap = registry.snapshot()
-        drift_keys = [k for k in snap if k.startswith("engine.planner.drift.")]
-        assert drift_keys, sorted(snap)
+        assert engine.stats()["planner"]["chosen"]["topdown"] == 1  # a real run
 
 
 # ----------------------------------------------------------------------

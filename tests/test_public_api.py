@@ -12,7 +12,20 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
+
+    def test_strategy_choice_surface(self):
+        """1.7.0: the cost-model names are gone; the rule and its two
+        constants are the whole selection surface."""
+        import repro.engine
+
+        for name in ("Planner", "InputProfile", "profile_input"):
+            assert name not in repro.__all__
+            assert name not in repro.engine.__all__
+            assert not hasattr(repro.engine, name)
+        for name in ("choose_strategy", "DEEP_MEAN_DEPTH", "STREAM_THRESHOLD_BYTES"):
+            assert name in repro.engine.__all__
+        assert repro.engine.STREAM_THRESHOLD_BYTES == 8 * 1024 * 1024
 
     def test_readme_quickstart(self):
         doc = repro.parse("<db><part><pname>kb</pname><price>12</price></part></db>")

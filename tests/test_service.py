@@ -99,6 +99,28 @@ def test_view_and_staged_reads_fall_back_to_store(service):
     service.rollback("db")
 
 
+def test_strategy_tally_sums_the_store_and_the_engine(service):
+    """The store (staged previews, view layers) and the engine (the
+    transform op) each tally the strategies chosen for them; the
+    service's registry reports the sum under the one probe name."""
+    service.stage(
+        "db",
+        'transform copy $a := doc("db") modify do '
+        "delete $a/part[pname = 'kb'] return $a",
+    )
+    service.query("db", "for $x in part return $x/pname", staged=True)
+    service.rollback("db")
+    service.transform(
+        "db", 'transform copy $a := doc("db") modify do '
+        "rename $a//pname as name return $a"
+    )
+    assert service.store.chosen()["topdown"] == 1
+    assert service.engine.chosen()["topdown"] == 1
+    snap = service.registry.snapshot()
+    assert snap["engine.planner.chosen.topdown"] == 2
+    assert snap["engine.planner.chosen.stream"] == 0
+
+
 def test_snapshot_pinned_reader_survives_commit(service):
     snapshot = service.store.pin("db")
     assert snapshot.version == 1

@@ -450,9 +450,9 @@ class TestStats:
         assert stats["caches"]["results"]["misses"] >= 1
 
 
-class TestPlannerIntegration:
-    """The store delegates every transform evaluation to the cost-based
-    planner — no strategy is hardcoded in the store paths."""
+class TestStrategyRuleIntegration:
+    """The store asks the engine's rule for every transform evaluation
+    — no strategy is hardcoded in the store paths."""
 
     def test_store_modules_do_not_import_topdown_directly(self):
         import repro.store.log as log_mod
@@ -463,9 +463,9 @@ class TestPlannerIntegration:
 
     def test_deep_descendant_heavy_stage_picks_non_naive_plan(self):
         """Regression for the UpdateLog default: a deep ``//``-heavy
-        staged update must be previewed with a planner-chosen strategy,
+        staged update must be previewed with a rule-chosen strategy,
         never the naive rewriting (and, on a document this deep, the
-        planner should reach for the annotation-based twopass)."""
+        rule should reach for the annotation-based twopass)."""
         spine = "<b>leaf</b>"
         for _ in range(60):
             spine = f"<a>{spine}</a>"
@@ -478,21 +478,19 @@ class TestPlannerIntegration:
         )
         rows = store.query("deep", "for $x in //seen return $x", include_staged=True)
         assert rows  # the staged rename is visible
-        plan = store.planner.last_plan
-        assert plan is not None
         # twopass implies the ISSUE's regression contract (non-naive).
-        assert plan.strategy == "twopass"
-        assert store.planner.counters.get("naive", 0) == 0
+        chosen = store.stats()["planner"]["chosen"]
+        assert chosen["twopass"] == 1 and sum(chosen.values()) == 1
 
-    def test_view_layers_go_through_the_planner(self, stacked):
+    def test_view_layers_go_through_the_rule(self, stacked):
         # A depth-2 stack: the inner layer is materialized via the
-        # planner (the outer is composed); query_naive stays off-planner.
-        before = sum(stacked.planner.counters.values())
+        # rule (the outer is composed); query_naive stays off it.
+        before = sum(stacked.chosen().values())
         stacked.query("partners", "for $x in part/pname return $x")
-        assert sum(stacked.planner.counters.values()) > before
-        after = sum(stacked.planner.counters.values())
+        assert sum(stacked.chosen().values()) > before
+        after = sum(stacked.chosen().values())
         stacked.query_naive("partners", "for $x in part/pname return $x")
-        assert sum(stacked.planner.counters.values()) == after
+        assert sum(stacked.chosen().values()) == after
 
     def test_staged_preview_handles_quoted_string_literals(self):
         """Regression: NFAs are built from the parsed path, never from
