@@ -3,14 +3,20 @@
 Two experiments on an XMark document held resident in a
 :class:`repro.ViewStore`:
 
-* **cold vs. warm** — the same request mix served twice.  The first
-  pass parses queries, builds automata, composes plans and evaluates;
-  the second pass is answered from the result cache (plans would be
-  reused even on a cache miss).  The warm pass must be at least 5x
-  faster — in practice it is orders of magnitude faster.
+* **cold vs. warm** — the same request mix served cold against each
+  kind of read target (the document, a depth-2 view stack, a staged
+  preview), then warm.  A cold pass parses queries, builds automata,
+  splices the inner layers onto the pinned arena, composes the outer
+  one and evaluates over columns; the warm pass is answered from the
+  result cache (plans would be reused even on a cache miss).  Two
+  bars: the warm pass is at least 5x faster than the cold one — in
+  practice orders of magnitude — and, measured in the same run so the
+  host cannot move it, the cold view pass costs no more than the same
+  requests through the ``query_naive`` oracle.
 * **depth scaling** — one query against view stacks of growing depth,
-  result cache disabled, showing the per-layer cost of chaining the
-  structure-sharing transforms under the composed outer layer.
+  result cache cleared (best of 3), at two document sizes: the
+  per-layer cost of one select + splice under the composed outer
+  layer.
 
 Run with::
 
@@ -28,6 +34,7 @@ from repro.bench.harness import (
     format_table,
     smoke_factor,
     smoke_rounds,
+    time_call,
 )
 from repro.store import MaterializationPolicy, ViewStore
 from repro.xmark.queries import delete_transform, insert_transform, rename_transform
@@ -52,35 +59,47 @@ def _fresh_store(policy=None) -> ViewStore:
     return store
 
 
-def _serve(store: ViewStore, target: str) -> float:
+def _serve(store: ViewStore, target: str, read=None, **options) -> float:
+    read = read if read is not None else store.query
     start = time.perf_counter()
     for request in REQUESTS:
-        store.query(target, request)
+        read(target, request, **options)
     return time.perf_counter() - start
 
 
 def test_cold_vs_warm_cache():
-    store = _fresh_store(policy=MaterializationPolicy(enabled=False))
+    virtual = MaterializationPolicy(enabled=False)
+    cold_document = _serve(_fresh_store(virtual), "xmark")
+    previewing = _fresh_store(virtual)
+    previewing.stage("xmark", str(delete_transform("U5")))
+    previewing.stage("xmark", str(insert_transform("U9")))
+    cold_preview = _serve(previewing, "xmark", include_staged=True)
+    store = _fresh_store(virtual)
     cold = _serve(store, "flagged")
     warm_rounds = [_serve(store, "flagged") for _ in range(ROUNDS)]
     warm = min(warm_rounds)
+    naive = _serve(store, "flagged", read=store.query_naive)
     rows = [
-        ("cold (parse+compose+evaluate)", cold * 1000, 1.0),
-        ("warm (result cache)", warm * 1000, cold / warm),
+        ("cold, document", cold_document),
+        ("cold, depth-2 view (parse+splice+compose+evaluate)", cold),
+        ("cold, staged preview (the same two updates, staged)", cold_preview),
+        ("warm, depth-2 view (result cache)", warm),
+        ("query_naive, depth-2 view (the oracle)", naive),
     ]
     print()
     print(format_table(
-        f"store cold vs warm ({len(REQUESTS)} queries, depth-2 stack, "
-        f"factor {FACTOR})",
-        ["pass", "ms", "speedup"],
-        [(name, f"{ms:.2f}", f"{ratio:.0f}x") for name, ms, ratio in rows],
+        f"store cold vs warm ({len(REQUESTS)} queries, factor {FACTOR})",
+        ["pass", "ms", "vs cold view"],
+        [(name, f"{s * 1000:.2f}", f"{s / cold:.2f}x") for name, s in rows],
     ))
     stats = store.results.stats()
     assert stats["hits"] >= len(REQUESTS) * ROUNDS
-    # The acceptance bar: warm-cache serving is at least 5x faster
-    # (informational in smoke mode, where everything is tiny).
+    # The acceptance bars (informational in smoke mode, where
+    # everything is tiny): warm-cache serving is at least 5x faster,
+    # and a cold view read never costs more than materialize-then-query.
     if not SMOKE:
         assert warm * 5 <= cold, f"warm {warm:.4f}s not 5x faster than cold {cold:.4f}s"
+        assert cold <= naive, f"cold view pass {cold:.4f}s slower than query_naive {naive:.4f}s"
 
 
 def test_compiled_plans_reused_across_result_misses():
@@ -105,10 +124,10 @@ def test_compiled_plans_reused_across_result_misses():
     assert store.compiled.plans.stats()["hits"] >= delta.results_dropped
 
 
-@pytest.mark.parametrize("max_depth", [6])
-def test_view_stack_depth_scaling(max_depth):
+@pytest.mark.parametrize("factor", sorted({FACTOR, smoke_factor(0.05)}))
+def test_view_stack_depth_scaling(factor, max_depth=6):
     store = ViewStore(policy=MaterializationPolicy(enabled=False))
-    store.put("xmark", dataset(FACTOR, seed=DATASET_SEED))
+    store.put("xmark", dataset(factor, seed=DATASET_SEED))
     # The bidder query: none of the stacked transforms touch auctions,
     # so the answer stays non-empty at every depth.
     request = REQUESTS[2]
@@ -121,16 +140,21 @@ def test_view_stack_depth_scaling(max_depth):
             else delete_transform("U6")
         store.define_view(name, base, str(transform))
         base = name
-        store.results.invalidate()
-        start = time.perf_counter()
-        result = store.query(name, request)
-        elapsed = time.perf_counter() - start
+
+        def uncached() -> list:
+            store.results.invalidate()
+            return store.query(name, request)
+
+        # Best of 3, collecting first: the oracle below leaves a
+        # document of garbage per layer behind.
+        elapsed = time_call(uncached)
+        result = uncached()
         reference = store.query_naive(name, request)
         assert result and len(result) == len(reference)
         rows.append((str(depth), f"{elapsed * 1000:.2f}", str(len(result))))
     print()
     print(format_table(
-        f"view-stack depth scaling (factor {FACTOR}, result cache cleared)",
+        f"view-stack depth scaling (factor {factor}, result cache cleared, best of 3)",
         ["depth", "ms/query", "results"],
         rows,
     ))

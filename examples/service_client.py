@@ -98,8 +98,7 @@ def drive(host: str, port: int) -> None:
             f"{service_stats['snapshot_reads']} snapshot reads, "
             f"{service_stats['evaluations']} evaluations, "
             f"{service_stats['coalesced']} coalesced, "
-            f"{service_stats['memo_hits']} memo hits, "
-            f"{service_stats['locked_reads']} locked reads"
+            f"{service_stats['memo_hits']} memo hits"
         )
     print("session complete; the server keeps serving other clients")
 

@@ -297,9 +297,8 @@ def _cmd_store_defview(args: argparse.Namespace) -> int:
 
 def _cmd_store_query(args: argparse.Namespace) -> int:
     with locked_state(args.state, save=False) as store:
-        # The serialized read path: plain-document targets are answered
-        # from the frozen columnar snapshot and serialized straight from
-        # its columns (no thaw); views/staged previews serialize Nodes.
+        # The serialized read path: every target resolves to one frozen
+        # arena and is serialized straight from its columns (no thaw).
         results = store.query_serialized(
             args.name, read_query_arg(args.user_query), include_staged=args.staged
         )

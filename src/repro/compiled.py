@@ -10,9 +10,8 @@ keyed by document version); this module only caches artifacts that
 never go stale.
 
 Like :mod:`repro.lru`, this lives at the package root: both the engine
-and the store use it, and the store already imports the engine's
-strategy rule — shared infrastructure must live below both so the layering
-stays one-directional (store → engine → here).
+and the store use it and neither imports the other — shared
+infrastructure lives below both.
 """
 
 from __future__ import annotations

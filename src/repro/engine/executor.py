@@ -4,14 +4,14 @@ them.
 
 The rule in :mod:`repro.engine.planner` names a strategy; this module
 runs it.  The names and paper names derive from the one table in
-:data:`repro.transform.STRATEGIES`, so the store, the prepared objects,
-the CLI's ``--method`` and the Fig-12 harness cannot disagree about
+:data:`repro.transform.STRATEGIES`, so the prepared objects, the CLI's
+``--method`` and the Fig-12 harness cannot disagree about
 what the five algorithms are.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.automata.filtering import FilteringNFA
 from repro.automata.selecting import SelectingNFA
@@ -43,13 +43,10 @@ def run_tree_strategy(
     query: TransformQuery,
     selecting: Optional[SelectingNFA] = None,
     filtering: Optional[FilteringNFA] = None,
-    filtering_factory: Optional[Callable[[], FilteringNFA]] = None,
 ) -> Element:
     """Evaluate *query* on a resident tree with the named strategy.
 
-    Prebuilt automata are used when given; *filtering_factory* lets a
-    caller with a compiled-artifact cache defer the filtering NFA to
-    the strategies that actually need one (twopass, sax).
+    Prebuilt automata are used when given.
 
     A :class:`~repro.xmltree.arena.FrozenDocument` is accepted for
     *root*: transforms build a fresh output tree, so the arena (which
@@ -77,8 +74,6 @@ def run_tree_strategy(
     if strategy == "topdown":
         return transform_topdown(root, query, nfa=selecting)
     if strategy in ("twopass", "sax"):
-        if filtering is None and filtering_factory is not None:
-            filtering = filtering_factory()
         if strategy == "twopass":
             return transform_twopass(
                 root, query, selecting=selecting, filtering=filtering

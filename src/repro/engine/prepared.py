@@ -542,6 +542,13 @@ class PreparedComposed:
         self.plan = compose(user.query, transform.query, nfa=transform.selecting)
 
     def run(self, doc_or_path: Input) -> list:
+        if isinstance(doc_or_path, FrozenDocument):
+            # Only results and items bound to a topDown call are thawed.
+            from repro.xquery.arena_eval import evaluate_query_arena
+
+            return evaluate_query_arena(
+                doc_or_path, self.plan, nfa_for=self.user._nfa_for()
+            )
         from repro.compose.compose import evaluate_composed
 
         return evaluate_composed(_as_tree(doc_or_path), self.plan)

@@ -4,33 +4,33 @@ resident :class:`~repro.store.store.ViewStore`.
 
 Concurrency discipline — **single writer, many readers**:
 
-* Reads against a plain document never touch the store's locks while
-  evaluating.  Each request *pins* the document's current committed
-  version (:meth:`~repro.store.store.ViewStore.pin` — the document
-  lock is held only for the version read), then runs entirely against
-  that frozen, immutable arena.  Writers staging or committing new
-  versions never block pinned readers and can never corrupt them: a
-  commit mutates the live tree and bumps the version counter, but the
-  old arena object is untouched, so every in-flight reader finishes
-  against exactly the version it started with.  ``snapshot_reads``
-  counts reads served this way; ``stale_reads`` counts those whose
-  pinned version had already been superseded by the time they
-  finished — the price of never blocking, made visible.
+* Reads never touch the store's locks while evaluating.  Each request
+  *pins* its target — a document, a view or a staged preview
+  (:meth:`~repro.store.store.ViewStore.pin_read`; the document lock is
+  held only to read one consistent row) — then runs entirely against
+  that frozen, immutable arena (see :mod:`repro.store.store` for how
+  views and previews resolve to one).  Writers staging or committing
+  new versions never block pinned readers and can never corrupt them:
+  a commit installs the next arena and bumps the version counter, but
+  the old arena object is untouched, so every in-flight reader
+  finishes against exactly the version it started with.
+  ``snapshot_reads`` counts reads served this way — all of them;
+  ``stale_reads`` counts those whose pinned version had already been
+  superseded by the time they finished — the price of never blocking,
+  made visible.
 * Writes (``load``/``define_view``/``stage``/``commit``/``rollback``)
   serialize on one service-wide write lock, so the store only ever
   sees a single writer.
-* View targets and staged-preview reads evaluate over the live Node
-  tree and therefore fall back to the store's lock-holding read path
-  (counted as ``locked_reads``).
 
-Read path — every read runs, start to finish, on the thread that
-called :meth:`QueryService.query` (over the wire: the connection's
-thread); there is no queue, dispatcher or pool to hand it to.  A
-request for a plain document pins its snapshot and looks ``(document,
-arena uid, query)`` up in the result **memo**.  A hit is answered
-right there: a pin and a dictionary lookup until the next commit
-changes the uid (and beyond it, when the commit is provably
-label-disjoint from the query and the entry is re-keyed).
+Read path — there is one, and every read runs it, start to finish, on
+the thread that called :meth:`QueryService.query` (over the wire: the
+connection's thread); there is no queue, dispatcher or pool to hand it
+to.  A request pins its target and looks ``(target, arena uid, query,
+stack texts, staged texts)`` — all an answer depends on — up in the
+result **memo**.  A hit is answered right there: a pin and a
+dictionary lookup until the next commit changes the uid (and, for a
+plain document, beyond it, when the commit is provably label-disjoint
+from the query and the entry is re-keyed).
 
 A miss is **single-flight**.  Under the admission lock it looks the
 same key up in the table of evaluations in flight.  If an identical
@@ -39,10 +39,9 @@ and is woken with the leader's answer — the very same list — or its
 exception.  Otherwise, after one more peek at the memo (publishing is
 memo first, table second, so an answer that exists is never computed
 again), it registers the flight and *leads* it: takes one of
-``workers`` evaluation slots, evaluates against the snapshot it
-already pinned, puts the answer in the memo, takes the flight off the
-table and wakes its followers.  View and staged reads lead a flight
-nobody can join, under the same slots.
+``workers`` evaluation slots, evaluates against the read it already
+pinned, puts the answer in the memo, takes the flight off the table
+and wakes its followers.
 
 Admission control: at most ``max_queue`` admitted leaders may be
 waiting for a slot; the next one is shed immediately with the typed
@@ -65,7 +64,10 @@ import threading
 import time
 from typing import Optional
 
-from repro.automata.arena_run import serialize_arena_items
+from repro.automata.arena_run import (
+    serialize_arena_items,
+    serialize_arena_transformed,
+)
 from repro.engine.engine import Engine
 from repro.lru import LRUCache
 from repro.obs import (
@@ -85,11 +87,8 @@ from repro.service.errors import (
     ServiceClosedError,
 )
 from repro.service.workers import ProcessWorkers
-from repro.store.documents import Snapshot
 from repro.store.errors import StoreError
-from repro.store.store import ViewStore
-from repro.xmltree.serializer import serialize
-from repro.xquery.arena_eval import ArenaEvaluator
+from repro.store.store import PinnedRead, ViewStore
 
 __all__ = ["QueryService", "ServiceConfig"]
 
@@ -259,7 +258,6 @@ _METRIC_NAMES = {
     "memo_retained": "service.dispatch.memo_retained",
     "snapshot_reads": "service.reads.snapshot",
     "stale_reads": "service.reads.stale",
-    "locked_reads": "service.reads.locked",
     "transforms": "service.reads.transform",
 }
 
@@ -313,10 +311,6 @@ class QueryService:
         self._eval_latency = self.registry.histogram("service.eval.latency")
         self.store.bind_metrics(self.registry)
         self.engine.bind_metrics(self.registry)
-        # Both tally strategy choices (the store for view layers and
-        # staged previews, the engine for the transform op) and bind
-        # the same probe name: report the sum.
-        self.registry.probe("engine.planner.chosen", self._chosen)
         self.registry.probe("service.queue.depth", self._queue_depth)
         self.registry.probe("service.memo.cache", lambda: self._memo.stats())
         self.registry.probe("service.trace.ring", lambda: self.tracer.stats())
@@ -338,16 +332,17 @@ class QueryService:
         # next(self._profile_tick) is atomic under the GIL, so leaders
         # can draw from it without a lock.
         self._profile_tick = itertools.count()
-        # Keyed (name, arena uid, query text): the uid is process-
-        # unique per arena build, so entries can never alias across a
-        # commit OR a drop-and-reload (which restarts versions at 1) —
-        # even if a leader publishes its result after the invalidation
-        # in drop()/commit() has already run.
+        # Keyed (target, arena uid, query text, stack texts, staged
+        # texts): the uid is process-unique per arena build and the
+        # texts are a view's whole definition, so entries can never
+        # alias across a commit, a drop-and-reload (which restarts
+        # versions at 1) or a drop-and-redefine — even if a leader
+        # publishes its result after drop()/commit() invalidated.
         self._memo = LRUCache(self.config.memo_size)
         self._write_lock = threading.RLock()
         # Admission: the closed flag, the table of evaluations in
-        # flight (key → _Flight; a plain-document flight is keyed like
-        # its memo entry) and the number of leaders waiting for a slot
+        # flight (key → _Flight, keyed like its memo entry) and the
+        # number of leaders waiting for a slot
         # change together under this one lock.  Nothing is evaluated
         # or waited for while it is held — close()'s wait on _drained
         # releases it.
@@ -406,10 +401,7 @@ class QueryService:
             ),
         )
         try:
-            if staged or target in self.store.views:
-                result = self._read_locked(request)
-            else:
-                result = self._read_snapshot(request)
+            result = self._read_snapshot(request)
         except DeadlineError:
             self._count("deadline_misses")
             raise
@@ -425,34 +417,36 @@ class QueryService:
         """
         if self._is_closed():
             raise ServiceClosedError()
-        snapshot = self.store.pin(target)
+        pinned = self.store.pin_read(target)
         self._count("requests")
         self._count("snapshot_reads")
         start = time.perf_counter()
         with self.tracer.trace("service.query_direct", target=target):
-            result = self._evaluate_snapshot(snapshot, query_text)
+            result = self._evaluate_snapshot(pinned, query_text)
         self._latency.observe(time.perf_counter() - start)
         return result
 
     def _read_snapshot(self, request: _Request) -> list:
-        """A plain-document read: hit, follower or leader.
+        """A read of any target: hit, follower or leader.
 
         Each request counts exactly once, where it is answered:
         ``requests == evaluations + coalesced + memo_hits`` and
         ``snapshot_reads == requests`` over error-free reads."""
         try:
-            snapshot = self.store.pin(request.target)
+            pinned = self.store.pin_read(
+                request.target, include_staged=request.staged
+            )
         except StoreError as exc:
             self._check_open()
             self._count("requests")
             self._finish(request, "error", error=str(exc))
             raise
-        request.version = snapshot.version
-        key = (request.target, snapshot.uid, request.text)
+        request.version = pinned.snapshot.version
+        key = (request.target, pinned.snapshot.uid, request.text) + pinned.texts
         # The memo's one counted lookup per request (admission peeks).
         cached = self._memo.get(key)
         if cached is None:
-            cached, flight = self._admit(request, key, memoised=True)
+            cached, flight = self._admit(request, key)
         else:
             self._check_open()
         self._count("requests")
@@ -468,38 +462,14 @@ class QueryService:
                 return flight.result
             # The leader ran out of time before it got a slot: lead
             # the evaluation, or join whoever now does.
-            cached, flight = self._admit(request, key, memoised=True)
+            cached, flight = self._admit(request, key)
         if cached is not None:
             self._count("memo_hits")
             self._finish(request, "memo")
             return cached
-        return self._lead_snapshot(request, key, flight, snapshot)
+        return self._lead_snapshot(request, key, flight, pinned)
 
-    def _read_locked(self, request: _Request) -> list:
-        """View targets and staged previews: the store's lock-holding
-        serialized read path.  Admitted like any miss — one slot, the
-        same bound, deadline and ``close()`` — but as a flight nobody
-        can join (its key is the request itself)."""
-        key = (request.target, request)
-        _, flight = self._admit(request, key, memoised=False)
-        self._count("requests")
-        self._count("locked_reads")
-        self._take_slot(request, key, flight)
-        try:
-            with request.trace.activate():
-                result = self.store.query_serialized(
-                    request.target, request.text, include_staged=request.staged
-                )
-        except BaseException as exc:
-            self._finish(request, "error", error=str(exc))
-            raise
-        finally:
-            self._slots.release()
-            self._land(key, flight)
-        self._finish_led(request, "locked")
-        return result
-
-    def _admit(self, request: _Request, key: tuple, memoised: bool) -> tuple:
+    def _admit(self, request: _Request, key: tuple) -> tuple:
         """One pass through admission for a request the memo could not
         answer.  Returns ``(cached, flight)``: an answer published
         since the caller's lookup, or the flight for *key* — one
@@ -516,12 +486,11 @@ class QueryService:
             if flight is not None:
                 flight.followers.append(request)
                 return None, flight
-            if memoised:
-                # Leaders publish memo first, table second: with no
-                # flight up, an answer that exists is in the memo.
-                cached = self._memo.peek(key)
-                if cached is not None:
-                    return cached, None
+            # Leaders publish memo first, table second: with no
+            # flight up, an answer that exists is in the memo.
+            cached = self._memo.peek(key)
+            if cached is not None:
+                return cached, None
             has_slot = self._slots.acquire(blocking=False)
             if not has_slot:
                 if self._waiting >= self.config.max_queue:
@@ -589,15 +558,15 @@ class QueryService:
         return followers
 
     def _lead_snapshot(
-        self, request: _Request, key: tuple, flight: _Flight, snapshot: Snapshot
+        self, request: _Request, key: tuple, flight: _Flight, pinned: PinnedRead
     ) -> list:
         """Evaluate the flight *request* registered, on this thread,
-        against the snapshot it pinned; publish memo first, table
-        second, then wake the followers."""
+        against the read it pinned; publish memo first, table second,
+        then wake the followers."""
         self._take_slot(request, key, flight)
         try:
             try:
-                result, profile = self._evaluate(snapshot, request)
+                result, profile = self._evaluate(pinned, request)
             finally:
                 self._slots.release()
         except BaseException as exc:
@@ -611,8 +580,9 @@ class QueryService:
         followers = self._land(key, flight, result=result)
         # Stale-read accounting: did a commit supersede the pinned
         # version while we were answering from it?
+        snapshot = pinned.snapshot
         try:
-            current = self.store.documents.get(request.target).version
+            current = self.store.documents.get(snapshot.name).version
         except StoreError:  # document dropped mid-flight
             current = snapshot.version
         if current != snapshot.version:
@@ -639,16 +609,18 @@ class QueryService:
         self._finish(request, "deadline")
         raise DeadlineError("expired waiting for an identical evaluation")
 
-    def _evaluate(self, snapshot: Snapshot, request: _Request) -> tuple:
+    def _evaluate(self, pinned: PinnedRead, request: _Request) -> tuple:
         """The leader's evaluation; returns ``(result, profile)``.
         Only the leader's trace carries the engine's plan/scan/
         serialize spans (and, in process mode, the propagated context
-        the worker's spans join)."""
+        the worker's spans join).  Workers are shipped document
+        snapshots: only a plain read leaves this thread."""
         begin = time.perf_counter()
         trace = request.trace
         profile = None
         sample = self.config.profile_sample
-        if self._workers is not None:
+        snapshot = pinned.snapshot
+        if self._workers is not None and pinned.texts == ((), ()):
             ctx = (
                 {"trace": trace.trace_id, "parent_span": trace.span_id}
                 if trace.sampled
@@ -671,12 +643,12 @@ class QueryService:
             prof = Profile()
             prof.set_plan("scan", snapshot.arena.n_elements - 1)
             with trace.activate(), profiled(prof):
-                result = self._evaluate_snapshot(snapshot, request.text)
+                result = self._evaluate_snapshot(pinned, request.text)
             prof.finish()
             profile = prof.snapshot()
         else:
             with trace.activate():
-                result = self._evaluate_snapshot(snapshot, request.text)
+                result = self._evaluate_snapshot(pinned, request.text)
         self._eval_latency.observe(time.perf_counter() - begin)
         return result, profile
 
@@ -717,17 +689,14 @@ class QueryService:
             "profile": profile,
         })
 
-    def _evaluate_snapshot(self, snapshot: Snapshot, text: str) -> list:
-        """One arena read, entirely lock-free: compiled artifacts come
-        from the engine's (thread-safe) caches, evaluation runs over
-        the immutable snapshot, matches serialize straight from the
-        columns."""
-        cache = self.engine.cache
-        evaluator = ArenaEvaluator(snapshot.arena, cache.selecting_nfa_for)
-        with span("scan"):
-            refs = evaluator.evaluate_refs(cache.user_query(text))
+    def _evaluate_snapshot(self, pinned: PinnedRead, text: str) -> list:
+        """One arena read, lock-free: compiled artifacts come from the
+        engine's (thread-safe) caches, evaluation runs over the
+        immutable arena the pinned read resolves to, matches serialize
+        straight from the columns."""
+        arena, _, refs = self.store.evaluate(pinned, text, self.engine.cache)
         with span("serialize"):
-            return serialize_arena_items(snapshot.arena, refs)
+            return serialize_arena_items(arena, refs)
 
     # ------------------------------------------------------------------
     # Writes (single-writer discipline)
@@ -745,14 +714,6 @@ class QueryService:
         strictly in sequence, never nested — no cycle either way."""
         with self._admission_lock:
             return self._closed
-
-    def _chosen(self) -> dict:
-        """Strategy choices made anywhere in this service, summed."""
-        views = self.store.chosen()
-        return {
-            name: count + views.get(name, 0)
-            for name, count in self.engine.chosen().items()
-        }
 
     def _queue_depth(self) -> int:
         """Requests admitted and waiting for an evaluation slot."""
@@ -835,25 +796,28 @@ class QueryService:
                     "name": name, "version": delta.new_version,
                     "spliced": False, "entries": 0,
                 }
-            if delta.spliced and delta.labels is not None and delta.new_uid:
+            # Every entry over the old arena is dead (the key is its
+            # uid): the document's own are re-keyed when a spliced
+            # commit provably cannot touch their query; the rest — view
+            # and staged-preview entries, everything after a rebuild —
+            # is dropped rather than left to the LRU.
+            affected = {name}
+            affected.update(
+                view.name for view in self.store.views.dependents_of_document(name)
+            )
 
-                def remap(key):
-                    if key[0] != name:
-                        return key
-                    if key[1] == delta.old_uid and self.store.commit_unaffected(
-                        delta, key[2]
-                    ):
-                        return (name, delta.new_uid, key[2])
-                    return None
+            def remap(key):
+                if key[0] not in affected:
+                    return key
+                if key[1:2] + key[3:] == (delta.old_uid, (), ()) and (
+                    self.store.commit_unaffected(delta, key[2])
+                ):
+                    return (name, delta.new_uid) + key[2:]
+                return None
 
-                retained, _ = self._memo.rekey(remap)
-                if retained:
-                    self._count("memo_retained", retained)
-            else:
-                # Fallback rebuild: stale memo entries can never be
-                # served again (the key is the arena uid); drop them
-                # rather than waiting for LRU.
-                self._memo.invalidate(lambda key: key[0] == name)
+            retained, _ = self._memo.rekey(remap)
+            if retained:
+                self._count("memo_retained", retained)
             return {
                 "name": name, "version": delta.new_version,
                 "spliced": delta.spliced, "entries": delta.entries,
@@ -874,9 +838,9 @@ class QueryService:
         document *name* and return the serialized result tree.
 
         Purely hypothetical — nothing is staged or committed — and
-        lock-free: the prepared transform runs against the immutable
-        arena (thawing internally as its planned strategy requires),
-        so a concurrent commit cannot tear the tree being read.
+        lock-free: one selecting-DFA scan over the immutable arena,
+        then the columnar serializer with the update spliced in; no
+        tree is built, so there is no strategy to choose.
         """
         if self._is_closed():
             raise ServiceClosedError()
@@ -884,9 +848,10 @@ class QueryService:
         self._count("transforms")
         with self.tracer.trace("service.transform", target=name):
             prepared = self.engine.prepare_transform(transform_text)
-            result = prepared.run(snapshot.arena)
             with span("serialize"):
-                return serialize(result)
+                return serialize_arena_transformed(
+                    snapshot.arena, prepared.query.update, prepared.selecting
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection

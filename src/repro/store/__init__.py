@@ -23,10 +23,10 @@ through *view stacks*::
     )
     rows = store.query("emea", "for $x in part/supplier return $x")
 
-A view is its transform query — no tree is materialized for it unless
-the :class:`MaterializationPolicy` declares it hot.  Queries against a
+A view is its transform query — no arena is kept for it unless the
+:class:`MaterializationPolicy` declares it hot.  Queries against a
 view are answered with the Compose Method over the stack (see
-:mod:`repro.store.store` for the exact strategy), compiled artifacts
+:mod:`repro.store.store` for how a read is served), compiled artifacts
 are cached in an LRU :class:`CompiledCache`, and results are cached per
 document version.  A document at rest is one frozen arena per version;
 staged updates commit by installing the next one (carrying provably
@@ -49,7 +49,7 @@ from repro.store.errors import (
 )
 from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.state import locked_state, open_store, save_store
-from repro.store.store import ViewStore
+from repro.store.store import PinnedRead, ViewStore
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "LRUCache",
     "MaterializationPolicy",
     "NothingStagedError",
+    "PinnedRead",
     "Snapshot",
     "StagedUpdate",
     "StateLockedError",

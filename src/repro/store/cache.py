@@ -1,8 +1,8 @@
 """Compatibility re-exports: the compiled-artifact cache machinery now
 lives at the package root (:mod:`repro.compiled`, :mod:`repro.lru`) so
-the engine can use it without importing from the store package (which
-itself imports the engine's strategy rule — the layering stays
-one-directional).  This module keeps the historical import path
+the engine can use it without importing from the store package (the
+store imports nothing from the engine either — both sit on the shared
+root modules).  This module keeps the historical import path
 ``repro.store.cache`` working.
 """
 

@@ -1,11 +1,14 @@
-"""Deriving the next frozen version of a document from its staged
-updates.
+"""Transforms over frozen arenas: one kernel, and the commit path
+built on it.
 
-The commit fast path (:func:`apply_entries_spliced`): run each staged
-update's selecting automaton over the current frozen arena, turn the
+:func:`transform_arena` is the only way the store applies a transform:
+run the update's selecting automaton over a frozen arena, turn the
 matches into splice patches (:func:`repro.xmltree.arena.splice`), and
-derive the next frozen version without building a Node tree or
-rebuilding columns — O(delta) work instead of O(document).
+derive the next arena without building a Node tree or rebuilding
+columns — O(delta) work instead of O(document).  A view read runs it
+per inner layer and per staged entry; a commit
+(:func:`apply_entries_spliced`) runs it per staged entry, under its
+touched-fraction budget.
 
 Alongside the patches this module computes the **delta label set**: a
 conservative superset of every element label whose presence, absence,
@@ -30,7 +33,7 @@ property tests and ``bench_commit.py`` compare against.  Both return a
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, FrozenSet, List, Optional, Set, Tuple, cast
+from typing import Any, FrozenSet, List, NamedTuple, Optional, Set, Tuple, cast
 
 from repro.automata.arena_run import select_indices
 from repro.updates.apply import apply_update
@@ -65,6 +68,7 @@ __all__ = [
     "apply_entries_spliced",
     "query_labels",
     "ranges_swallowed_by",
+    "transform_arena",
     "transform_labels",
 ]
 
@@ -147,19 +151,16 @@ def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
     return segment
 
 
-def _chain_labels(
-    arena: FrozenDocument, index: int, labels: Set[str], seen: Set[int]
+def _chain_syms(
+    arena: FrozenDocument, index: int, syms: Set[int], seen: Set[int]
 ) -> None:
-    """Add the labels on the ancestor chain of *index* (inclusive)."""
+    """Add the symbols on the ancestor chain of *index* (inclusive)."""
     sym = arena.sym
     parent = arena.parent
-    strings = arena.symbols.strings
     c = index
     while c >= 0 and c not in seen:
         seen.add(c)
-        s = sym[c]
-        if s >= 0:
-            labels.add(strings[s])
+        syms.add(sym[c])
         c = parent[c]
 
 
@@ -174,80 +175,98 @@ def _topmost(matches: List[int], end: Any) -> List[int]:
     return top
 
 
+class ArenaStep(NamedTuple):
+    """What one :func:`transform_arena` call did: the next arena, how
+    many nodes the update removed or introduced, the patch list against
+    the arena it was handed, and the delta label set."""
+
+    arena: FrozenDocument
+    touched: int
+    ranges: List[PatchRange]
+    labels: Set[str]
+
+
+def transform_arena(arena: FrozenDocument, update: Any, compiled: Any) -> ArenaStep:
+    """One transform, arena → arena: select the update's targets with
+    its cached selecting NFA, turn the matches into patches, splice.
+    Raises :class:`DeltaUnsupported` for a ``selector`` the arena
+    machinery rejects or a delta that removes the ``root``."""
+    try:
+        nfa = compiled.selecting_nfa_for(update.path)
+        matches = select_indices(nfa, arena)
+    except _COMPILE_ERRORS as exc:
+        raise DeltaUnsupported(
+            "selector", f"cannot select delta ranges: {exc}"
+        ) from exc
+    ranges: List[PatchRange] = []
+    if not matches:
+        return ArenaStep(arena, 0, ranges, set())
+    sym = arena.sym
+    parent = arena.parent
+    end = arena.end
+    kind = update.kind
+    segment: Optional[SpliceSegment] = None
+    if kind in ("insert", "replace"):
+        segment = _segment_for(update, arena.symbols)
+    if kind == "insert":
+        spans = [(end[m], end[m], m) for m in matches]
+    elif kind == "rename":
+        spans = [(m, m + 1, parent[m]) for m in matches]
+    else:  # delete / replace: topmost match wins
+        spans = [(m, end[m], parent[m]) for m in _topmost(matches, end)]
+        if spans[0][0] == 0:
+            # The whole document is the delta; nothing to share.
+            raise DeltaUnsupported("root", "delta removes the document root")
+    # Symbols of every removed or relabelled node and of every attach
+    # chain (text nodes leave a -1); named once, at the end.
+    syms: Set[int] = set()
+    seen_chain: Set[int] = set()
+    touched = len(spans) * len(segment.sym) if segment is not None else 0
+    for start, stop, attach in spans:
+        touched += stop - start
+        syms.update(sym[start:stop])
+        _chain_syms(arena, attach, syms, seen_chain)
+        ranges.append((kind, start, stop, attach))
+    if kind == "rename":
+        # Point-writes on the symbol column; full column aliasing
+        # for everything else.
+        spliced = rename_splice(arena, matches, update.new_label)
+        labels = {update.new_label}
+    else:
+        spliced = splice(arena, [span + (segment,) for span in spans])
+        labels = set(segment.labels) if segment is not None else set()
+    strings = arena.symbols.strings
+    labels.update(strings[s] for s in syms if s >= 0)
+    return ArenaStep(spliced, touched, ranges, labels)
+
+
 def apply_entries_spliced(
     base_arena: FrozenDocument, entries: List[Any], compiled: Any
 ) -> CommitOutcome:
     """Apply staged entries to *base_arena* by splicing, sequentially
     (entry *i+1* selects against entry *i*'s result — the semantics
-    :func:`apply_entries_rebuilt` defines).  Raises
+    :func:`apply_entries_rebuilt` defines): :func:`transform_arena` in
+    a loop, under the commit's budget.  Raises
     :class:`DeltaUnsupported` when any entry cannot be expressed as a
     splice or the accumulated delta spans most of the document."""
     arena = base_arena
     labels: Set[str] = set()
     touched = 0
     patch_count = 0
-    ranges: Optional[List[PatchRange]] = [] if len(entries) == 1 else None
+    ranges: Optional[List[PatchRange]] = None
     budget = max(1, int(len(base_arena) * MAX_TOUCHED_FRACTION))
     for entry in entries:
-        update = entry.transform.update
-        try:
-            nfa = compiled.selecting_nfa_for(update.path)
-            matches = select_indices(nfa, arena)
-        except _COMPILE_ERRORS as exc:
-            raise DeltaUnsupported(
-                "selector", f"cannot select delta ranges: {exc}"
-            ) from exc
-        if not matches:
-            continue
-        sym = arena.sym
-        parent = arena.parent
-        end = arena.end
-        strings = arena.symbols.strings
-        seen_chain: Set[int] = set()
-        kind = update.kind
-        if kind == "rename":
-            # Point-writes on the symbol column; full column aliasing
-            # for everything else.
-            touched += len(matches)
-            if touched > budget:
-                raise DeltaUnsupported("budget", "delta spans most of the document")
-            labels.add(update.new_label)
-            for m in matches:
-                labels.add(strings[sym[m]])
-                _chain_labels(arena, parent[m], labels, seen_chain)
-                if ranges is not None:
-                    ranges.append(("rename", m, m + 1, parent[m]))
-            patch_count += len(matches)
-            arena = rename_splice(arena, matches, update.new_label)
-            continue
-        segment: Optional[SpliceSegment]
-        patches: List[Tuple[int, int, int, Optional[SpliceSegment]]]
-        if kind == "insert":
-            segment = _segment_for(update, arena.symbols)
-            patches = [(end[m], end[m], m, segment) for m in matches]
-        else:  # delete / replace: topmost match wins
-            top = _topmost(matches, end)
-            if top and top[0] == 0:
-                # The whole document is the delta; nothing to share.
-                raise DeltaUnsupported("root", "delta removes the document root")
-            segment = _segment_for(update, arena.symbols) if kind == "replace" else None
-            patches = [(m, end[m], parent[m], segment) for m in top]
-        for start, stop, attach, segment in patches:
-            touched += (stop - start) + (len(segment.sym) if segment is not None else 0)
-            for s in sym[start:stop]:
-                if s >= 0:
-                    labels.add(strings[s])
-            if segment is not None:
-                labels |= segment.labels
-            _chain_labels(arena, attach, labels, seen_chain)
-            if ranges is not None:
-                ranges.append((kind, start, stop, attach))
+        step = transform_arena(arena, entry.transform.update, compiled)
+        touched += step.touched
         if touched > budget:
             raise DeltaUnsupported("budget", "delta spans most of the document")
-        patch_count += len(patches)
-        arena = splice(arena, patches)
+        arena = step.arena
+        labels |= step.labels
+        patch_count += len(step.ranges)
+        ranges = step.ranges
     return CommitOutcome(
-        arena, base_arena, frozenset(labels), touched, patch_count, ranges
+        arena, base_arena, frozenset(labels), touched, patch_count,
+        ranges if len(entries) == 1 else None,
     )
 
 

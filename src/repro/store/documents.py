@@ -9,15 +9,14 @@ shares mutable structure with its callers.  The version counter starts
 at 1 and moves with every installed commit; caches key on it (or on
 the uid), so "invalidate" is mostly "the old key never matches again".
 
-The Node tree is a *derived* view of the current arena: thawed on
-first demand through :attr:`StoredDocument.root`, never mutated, and
-dropped by every :meth:`StoredDocument.install`.  Only view stacks,
-staged previews and the ``query_naive`` oracle ask for it.
+There is no Node form of a stored document: every read — of the
+document, of a view stack over it, of a staged preview — evaluates over
+an arena, and only the ``query_naive`` oracle thaws one (locally).
 
-Concurrency model: one :class:`threading.Lock` per document.  Queries
-and commit installs against the same document serialize on it;
-different documents never contend.  The store-level dict has its own
-lock for name-table mutation only.
+Concurrency model: one :class:`threading.Lock` per document, held to
+read or install one consistent (version, arena, uid) row — never
+across an evaluation.  Different documents never contend.  The
+store-level dict has its own lock for name-table mutation only.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from typing import Any, Dict, List, NamedTuple, Optional, Union, cast
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
 from repro.store.chain import ChainVersion, VersionChain, sharing_stats
 from repro.store.errors import (
@@ -34,7 +33,7 @@ from repro.store.errors import (
     StoreError,
     UnknownNameError,
 )
-from repro.xmltree.arena import FrozenDocument, freeze, thaw
+from repro.xmltree.arena import FrozenDocument, freeze
 from repro.xmltree.node import Element
 from repro.xmltree.parser import parse_file_to_arena, parse_to_arena
 
@@ -91,11 +90,11 @@ class StoredDocument:
     """
 
     __slots__ = (
-        "name", "version", "uid", "arena", "_nodes", "lock", "commit_lock",
+        "name", "version", "uid", "arena", "lock", "commit_lock",
         "source", "dirty", "state_file", "arena_builds", "splices", "chain",
     )
 
-    # guarded-by[version, uid, arena, _nodes]: self.lock
+    # guarded-by[version, uid, arena]: self.lock
     # guarded-by[dirty, state_file, arena_builds, splices]: self.lock
 
     def __init__(
@@ -110,8 +109,6 @@ class StoredDocument:
         self.arena = arena
         self.version = version
         self.uid = next(_ARENA_UIDS)
-        #: Derived Node tree of :attr:`arena` (see :attr:`root`).
-        self._nodes: Optional[Element] = None
         self.lock = threading.Lock()
         #: Serializes whole commits (stage-take → derive → install) so
         #: the next arena is derived *outside* :attr:`lock` without two
@@ -132,16 +129,6 @@ class StoredDocument:
         self.chain = VersionChain()
         self.chain.record(ChainVersion(version, self.uid, arena, "load"))
 
-    @property
-    def root(self) -> Element:  # holds: self.lock
-        """The current version as a Node tree — the one accessor of the
-        derived cache.  Thawed on first use, shared by every later
-        caller of this version, and **never mutated**: transforms over
-        it are pure and structure-sharing."""
-        if self._nodes is None:
-            self._nodes = cast(Element, thaw(self.arena))
-        return self._nodes
-
     def install(self, arena: FrozenDocument, kind: str, touched_nodes: int) -> int:  # holds: self.lock
         """Install *arena* as the next committed version (callers hold
         :attr:`lock`) — the one way a document's content ever changes.
@@ -149,7 +136,6 @@ class StoredDocument:
         self.version += 1
         self.arena = arena
         self.uid = next(_ARENA_UIDS)
-        self._nodes = None
         self.dirty = True
         if kind == "splice":
             self.splices += 1

@@ -5,12 +5,10 @@ would the document look like if…" without touching it.  The log turns
 that into a two-phase workflow per document:
 
 * :meth:`UpdateLog.stage` records a transform against a document.  The
-  document is untouched; :meth:`UpdateLog.preview` builds the
-  hypothetical tree (a pure, structure-sharing transform chain — the
-  semantics of stacked transform queries) for what-if queries.  Each
-  chain stage is evaluated by the callable the store hands in (which
-  asks :func:`~repro.engine.planner.choose_strategy`) — no strategy is
-  hardcoded here.
+  document is untouched; a what-if read splices the staged entries
+  onto the pinned arena, in order, like any other transform
+  (:func:`repro.store.delta.transform_arena`); the ``query_naive``
+  oracle runs ``transform_naive`` per entry on a Node tree instead.
 * **Commit** (driven by the store facade, which owns the document lock
   and the caches) takes the staged updates, derives the next frozen
   version from them (:mod:`repro.store.delta`) and installs it.
@@ -24,11 +22,10 @@ exactly like :class:`repro.transform.chain.TransformChain`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.store.errors import NothingStagedError
 from repro.transform.query import TransformQuery
-from repro.xmltree.node import Element
 
 
 class StagedUpdate:
@@ -36,7 +33,7 @@ class StagedUpdate:
 
     __slots__ = ("transform", "text")
 
-    def __init__(self, transform: TransformQuery, text: str):
+    def __init__(self, transform: TransformQuery, text: str) -> None:
         self.transform = transform
         self.text = text
 
@@ -49,7 +46,7 @@ class UpdateLog:
 
     # guarded-by[_staged, _history]: self._lock
 
-    def __init__(self):
+    def __init__(self) -> None:
         self._staged: dict[str, list[StagedUpdate]] = {}
         self._history: dict[str, list[str]] = {}
         self._lock = threading.Lock()
@@ -74,21 +71,6 @@ class UpdateLog:
     def has_staged(self, doc_name: str) -> bool:
         with self._lock:
             return bool(self._staged.get(doc_name))
-
-    # ------------------------------------------------------------------
-    # Hypothetical evaluation
-    # ------------------------------------------------------------------
-
-    def preview(self, root: Element, doc_name: str, transform: Callable) -> Element:
-        """The tree the staged updates *would* produce.  Pure: shares
-        every untouched subtree with *root*; *root* is not modified.
-        *transform* (a ``(root, query) -> root`` callable) evaluates
-        each stage — the store passes its rule-backed evaluator, or
-        ``transform_naive`` on the reference path.
-        """
-        for entry in self.staged(doc_name):
-            root = transform(root, entry.transform)
-        return root
 
     # ------------------------------------------------------------------
     # Resolution
@@ -145,7 +127,7 @@ class UpdateLog:
         with self._lock:
             self._history[doc_name] = list(texts)
 
-    def stats(self) -> dict:
+    def stats(self) -> dict[str, dict[str, int]]:
         with self._lock:
             names = set(self._staged) | set(self._history)
             return {

@@ -1,53 +1,51 @@
 """The store facade: documents + views + caches + update log.
 
-Evaluation strategy for ``query(target, q)``:
+How a read is served — ``query(target, q)`` on a document, a view
+stack ``t1 … tn`` or a staged preview is the same three steps:
 
-* *target* is a document → evaluate ``q`` over its frozen arena.
-* *target* is a view stack ``t1 … tn`` over document ``T`` → the
-  outermost transform ``tn`` is **composed** with ``q`` (Section 4's
-  Compose Method: the rewrite prunes the transform to the subtrees the
-  query visits and skips it entirely where it provably cannot matter),
-  and the composed plan is evaluated over ``t_{n-1}(… t1(T))``.  The
-  inner layers are chained as pure, structure-sharing transforms —
-  untouched subtrees are *shared* with the document's derived Node
-  tree, never copied — and their trees are discarded after the query
-  unless the materialization policy has marked a layer hot, in which
-  case its tree is kept until the next commit invalidates it.  The
-  evaluation starts from the deepest still-valid materialization, so a
-  hot middle layer shortcuts the whole prefix below it.
+1. **Pin** (:meth:`ViewStore.pin_read`, the only step under the
+   document lock): the document's current (version, arena, uid), the
+   stack, the staged entries when the read asks for them, and the
+   deepest still-valid materialization to start from.
+2. **Resolve to one arena, evaluate** (:meth:`ViewStore.evaluate` — a
+   pure function of the pinned row and the query text): staged entries
+   and inner layers are spliced onto the pinned arena by
+   :func:`~repro.store.delta.transform_arena`, the select + splice
+   kernel a commit runs (untouched columns and the payload pool are
+   shared).  The outermost layer is not applied but **composed** with
+   ``q`` (Section 4's Compose Method: the rewrite prunes the transform
+   to the subtrees the query visits and skips it where it provably
+   cannot matter), and the plan runs over ``t_{n-1}(… t1(T))`` on the
+   columnar evaluator.  A layer the materialization policy has marked
+   hot is applied instead, and its arena kept until a commit
+   invalidates it.
+3. **Finish** from the raw items: thaw the matches (``query``) or
+   serialize them straight from the columns (``query_serialized``).
 
-Strategy choice: every transform evaluation (view layers, staged-update
-previews) asks the engine's one rule,
-:func:`~repro.engine.planner.choose_strategy`, per (query shape,
-current tree) — ``twopass`` for nesting descendant qualifiers on a deep
-tree, ``topdown`` otherwise; nothing here hardcodes a strategy.
+No read thaws a document, and there is nothing to choose: like a plain
+read, an arena transform has one algorithm.  ``query_naive`` — thaw,
+``transform_naive`` per layer, Node evaluator — is the oracle and
+shares none of the above.
 
 Caching: compiled artifacts (parses, NFAs, composed plans) live in a
 :class:`~repro.store.cache.CompiledCache` and never go stale; query
-*results* are cached under ``(target, document version, query text)``;
-a commit re-keys the ones its delta provably cannot touch onto the new
-version and drops the rest.
+*results* are cached under ``(target, document version, query
+text)``; a commit re-keys the ones its delta provably cannot touch
+onto the new version and drops the rest.
 
-Concurrency: every evaluation and commit install runs under the target
-document's lock (the next arena is derived outside it, under the
-document's commit lock); name-table mutations take the store lock.
-Results are returned as-is (view results may share structure with the
-document's derived Node tree, which is never mutated) — treat them as
-immutable snapshots.
+Concurrency: the document lock is held to pin a read, to publish a
+materialization and to install a commit — never across an evaluation
+(a commit's next arena is derived outside it too, under the document's
+commit lock); name-table mutations take the store lock.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
-from repro.engine import (
-    TREE_STRATEGIES,
-    analyze_transform,
-    choose_strategy,
-    mean_depth,
-    run_tree_strategy,
-)
+from repro.automata.arena_run import serialize_arena_items
+from repro.compose.compose import transforms_document
 from repro.faults import fault_point
 from repro.obs import span
 from repro.store.cache import CompiledCache, LRUCache
@@ -60,16 +58,18 @@ from repro.store.delta import (
     apply_entries_spliced,
     query_labels,
     ranges_swallowed_by,
+    transform_arena,
     transform_labels,
 )
 from repro.store.documents import DocumentStore, Snapshot, StoredDocument
 from repro.store.errors import DuplicateNameError, StoreError, UnknownNameError
-from repro.store.log import UpdateLog
+from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 from repro.transform.naive import transform_naive
 from repro.transform.query import TransformQuery
+from repro.xmltree.arena import FrozenDocument, thaw
 from repro.xmltree.node import Element
-from repro.xmltree.serializer import serialize
+from repro.xquery.arena_eval import ArenaEvaluator
 from repro.xquery.evaluator import evaluate_query
 from repro.xquery.parser import parse_user_query
 
@@ -82,10 +82,31 @@ _DELTA_SUMS = (
 _DELTA_COUNTERS = ("spliced", "rebuilds", "noops") + _DELTA_SUMS
 
 
+class PinnedRead(NamedTuple):
+    """One read target — a document, a view or a staged preview —
+    pinned at one committed version (:meth:`ViewStore.pin_read`): all
+    an answer depends on besides the query text, read in one hold of
+    the document lock and consumed outside it."""
+
+    doc: StoredDocument
+    snapshot: Snapshot
+    #: Where evaluation starts: the snapshot's arena, or the deepest
+    #: materialization still valid for its version.
+    base: FrozenDocument
+    #: The layers still to apply on top of *base*, innermost first,
+    #: each with whether it is hot (applied and kept, not virtual).
+    layers: Tuple[Tuple[View, bool], ...]
+    staged: Tuple[StagedUpdate, ...]
+    #: The source texts of the whole stack and of the staged entries:
+    #: with ``snapshot.uid``, what a result cache must key on so that
+    #: neither a redefined view nor a changed staging area can alias.
+    texts: Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+
 class ViewStore:
     """A resident multi-document store with stacked virtual views."""
 
-    # guarded-by[arena_reads, snapshot_pins, commit_counts, last_delta, strategy_counts]: self._counter_lock
+    # guarded-by[arena_reads, snapshot_pins, commit_counts, last_delta]: self._counter_lock
 
     def __init__(
         self,
@@ -98,11 +119,8 @@ class ViewStore:
         self.compiled = CompiledCache(compiled_cache_size)
         self.results = LRUCache(result_cache_size)
         self.log = UpdateLog()
-        #: Transform evaluations (view layers, staged previews) per
-        #: strategy the rule chose for them.
-        self.strategy_counts = dict.fromkeys(TREE_STRATEGIES, 0)
-        #: Reads served from a frozen columnar snapshot (the zero-copy
-        #: fast path for plain-document targets).
+        #: Evaluations over a frozen columnar snapshot — every read the
+        #: result cache did not answer.
         self.arena_reads = 0
         #: MVCC snapshots handed out via :meth:`pin`.
         self.snapshot_pins = 0
@@ -128,28 +146,6 @@ class ViewStore:
         # legitimate cached answer.
         self._query_label_cache = LRUCache(compiled_cache_size)
         self._transform_label_cache = LRUCache(compiled_cache_size)
-
-    def _transform(self, root: Element, transform: TransformQuery) -> Element:
-        """Evaluate one transform layer with the strategy the engine's
-        rule picks for this tree, reusing compiled automata.
-
-        The NFAs are built from (and cached under) the parsed path
-        itself — rendering the AST to text does not round-trip string
-        literals containing quotes, so the text form is never re-parsed.
-        """
-        path = transform.path
-        strategy = choose_strategy(
-            analyze_transform(transform), mean_depth=lambda: mean_depth(root)
-        ).strategy
-        with self._counter_lock:
-            self.strategy_counts[strategy] += 1
-        return run_tree_strategy(
-            strategy,
-            root,
-            transform,
-            selecting=self.compiled.selecting_nfa_for(path),
-            filtering_factory=lambda: self.compiled.filtering_nfa_for(path),
-        )
 
     # ------------------------------------------------------------------
     # Documents
@@ -216,117 +212,139 @@ class ViewStore:
     def query(
         self, target: str, query_text: str, *, include_staged: bool = False
     ) -> list:
-        """Answer a user query against a document or a view.
-
-        ``include_staged=True`` evaluates against the hypothetical tree
-        the staged-but-uncommitted updates would produce (bypassing the
-        result cache and the materializations, which reflect committed
-        state only).
-        """
-        doc, stack = self._resolve(target)
-        staged = include_staged and self.log.has_staged(doc.name)
-        with doc.lock:
-            # The version read, the cache probe and the evaluation
-            # happen under the document lock: a commit's install and
-            # its re-keying of this cache are atomic with respect to
-            # them, so a hit is never served mid-install.
-            if staged:
-                # Route the preview chain through _transform so each
-                # staged layer reuses the compiled automata.  The
-                # preview is a structure-sharing topDown result: only
-                # the subtrees the staged updates touch are rebuilt.
-                root = self.log.preview(doc.root, doc.name, transform=self._transform)
-                return self._answer(
-                    root, stack, query_text, doc.version,
-                    use_materializations=False,
-                )
-            key = (target, doc.version, query_text)
-            result = self.results.get(key)
-            if result is None:
-                if stack:
-                    result = self._answer(
-                        doc.root, stack, query_text, doc.version,
-                        use_materializations=True,
-                    )
-                else:
-                    # Plain document target: the columnar read fast
-                    # path — evaluate over the version's frozen arena
-                    # (zero-copy: every read of this version shares one
-                    # immutable object) and thaw only the matches.
-                    _, evaluator, refs = self._arena_refs(doc, query_text)
-                    result = [evaluator.materialize(item) for item in refs]
-                self.results.put(key, result)
-        return result
-
-    def _arena_refs(self, doc: StoredDocument, query_text: str) -> tuple:
-        """One columnar read: ``(arena, evaluator, raw ref items)``
-        (caller holds the document lock).  The single place the
-        arena is taken and counted — both the thawing and the
-        serializing reads finish from these refs."""
-        from repro.xquery.arena_eval import ArenaEvaluator
-
-        user_query = self.compiled.user_query(query_text)
-        arena = doc.arena
-        with self._counter_lock:
-            self.arena_reads += 1
-        evaluator = ArenaEvaluator(arena, self.compiled.selecting_nfa_for)
-        with span("scan"):
-            return arena, evaluator, evaluator.evaluate_refs(user_query)
+        """Answer a user query against a document or a view; only the
+        matched subtrees are thawed.  ``include_staged=True`` evaluates
+        against the hypothetical document the staged-but-uncommitted
+        updates would produce (bypassing the result cache and the
+        materializations, which reflect committed state only)."""
+        return self._read(target, query_text, include_staged, serialized=False)
 
     def query_serialized(
         self, target: str, query_text: str, *, include_staged: bool = False
     ) -> list:
-        """Answer a user query as serialized XML/text strings.
+        """Answer a user query as serialized XML/text strings: the
+        same read, with the matches serialized **straight from the
+        columns** (:func:`~repro.xmltree.serializer.serialize_arena`) —
+        no ``thaw`` round-trip on any target."""
+        return self._read(target, query_text, include_staged, serialized=True)
 
-        For a plain document target this is the end-to-end columnar
-        read: matches found by the arena DFA walk are serialized
-        **straight from the columns** (:func:`~repro.xmltree.
-        serializer.serialize_arena`) — no ``thaw`` round-trip, no Node
-        allocation anywhere on the path.  Views and staged previews
-        serialize their Node results as before.
-        """
-        doc, stack = self._resolve(target)
-        staged = include_staged and self.log.has_staged(doc.name)
-        if staged or stack:
-            return [
-                serialize(item) if isinstance(item, Element) else str(item)
-                for item in self.query(
-                    target, query_text, include_staged=include_staged
-                )
-            ]
-        from repro.automata.arena_run import serialize_arena_items
-
-        with doc.lock:
-            # The target stays in position 0: every invalidation
-            # predicate in this store (drop, commit) matches on
-            # ``key[0]``, and a dropped-then-reloaded document restarts
-            # at version 1 — only the name predicate protects that case.
-            key = (target, doc.version, query_text, "serialized")
+    def _read(
+        self, target: str, query_text: str, include_staged: bool, serialized: bool
+    ) -> list:
+        pinned = self._pin_read(target, include_staged)
+        # The target stays in position 0: every invalidation predicate
+        # in this store (drop, commit) matches on ``key[0]``, and a
+        # dropped-then-reloaded document restarts at version 1 — only
+        # the name predicate protects that case.
+        key = None if pinned.staged else (
+            (target, pinned.snapshot.version, query_text)
+            + (("serialized",) if serialized else ())
+        )
+        if key is not None:
             cached = self.results.get(key)
             if cached is not None:
                 return cached
-            arena, _, refs = self._arena_refs(doc, query_text)
+        with self._counter_lock:
+            self.arena_reads += 1
+        arena, evaluator, refs = self.evaluate(pinned, query_text, self.compiled)
+        if serialized:
             with span("serialize"):
                 result = serialize_arena_items(arena, refs)
+        else:
+            result = [evaluator.materialize(item) for item in refs]
+        if key is not None:
             self.results.put(key, result)
         return result
+
+    def pin_read(self, target: str, *, include_staged: bool = False) -> PinnedRead:
+        """Pin *target* — a document or a view, with or without the
+        staged updates — for one read.  Like :meth:`pin`, the document
+        lock is held only to read one consistent row (and counted as a
+        snapshot pin): writers never block the evaluation that follows."""
+        pinned = self._pin_read(target, include_staged)
+        with self._counter_lock:
+            self.snapshot_pins += 1
+        return pinned
+
+    def _pin_read(self, target: str, include_staged: bool) -> PinnedRead:
+        doc, stack = self._resolve(target)
+        policy = self.views.policy
+        with doc.lock:
+            snapshot = Snapshot(doc.name, doc.version, doc.arena, doc.uid)
+            staged = tuple(self.log.staged(doc.name)) if include_staged else ()
+            base, start = snapshot.arena, 0
+            if not staged:
+                # Shortcut to the deepest layer whose arena is still valid.
+                for index, view in enumerate(stack):
+                    cached = view.materialization_for(snapshot.version)
+                    if cached is not None:
+                        base, start = cached, index + 1
+            for view in stack[start:] or stack[-1:]:
+                view.query_count += 1
+            layers = tuple(
+                (view, not staged and policy.should_materialize(view))
+                for view in stack[start:]
+            )
+        texts = (
+            tuple(view.transform_text for view in stack),
+            tuple(entry.text for entry in staged),
+        )
+        return PinnedRead(doc, snapshot, base, layers, staged, texts)
+
+    def evaluate(self, pinned: PinnedRead, query_text: str, compiled) -> tuple:
+        """Resolve *pinned* to one arena and run the query over it:
+        ``(arena, evaluator, raw ref items)`` — both the thawing and
+        the serializing reads finish from these refs.  Lock-free until
+        a freshly materialized layer is published; *compiled* is the
+        caller's :class:`~repro.compiled.CompiledCache`."""
+        arena = pinned.base
+        layers = list(pinned.layers)
+        query = None
+        if layers and not layers[-1][1]:
+            # The virtual outermost layer is composed, not applied —
+            # unless the plan gives up pruning and runs its topDown on
+            # the document root: the splice below is that, on columns.
+            plan = compiled.composed(query_text, layers[-1][0].transform_text)
+            if not transforms_document(plan):
+                query = plan
+                layers.pop()
+        if query is None:
+            query = compiled.user_query(query_text)
+        fresh = []
+        if pinned.staged or layers:
+            with span("splice"):
+                for entry in pinned.staged:
+                    arena = transform_arena(arena, entry.transform.update, compiled).arena
+                for view, keep in layers:
+                    arena = transform_arena(arena, view.transform.update, compiled).arena
+                    if keep:
+                        fresh.append((view, arena))
+        evaluator = ArenaEvaluator(arena, compiled.selecting_nfa_for)
+        with span("scan"):
+            refs = evaluator.evaluate_refs(query)
+        if fresh:
+            version = pinned.snapshot.version
+            with pinned.doc.lock:
+                if pinned.doc.version == version:
+                    for view, kept in fresh:
+                        view.set_materialized(kept, version)
+        return arena, evaluator, refs
 
     def query_naive(
         self, target: str, query_text: str, *, include_staged: bool = False
     ) -> list:
-        """Reference evaluation: materialize every layer of the stack
-        with :func:`transform_naive`, then run the user query — no
-        composition, no caches, no strategy choice.  Deliberately independent
-        of every production code path so tests and benchmarks can use
-        it as the oracle ``Q(tn(…t1(T)))``."""
+        """Reference evaluation: thaw the document, materialize every
+        layer of the stack with :func:`transform_naive`, then run the
+        user query on the Node evaluator — no composition, no caches, no
+        arena.  Deliberately independent of every production code path
+        so tests and benchmarks can use it as the oracle
+        ``Q(tn(…t1(T)))``."""
         doc, stack = self._resolve(target)
-        with doc.lock:
-            root = doc.root
-            if include_staged:
-                root = self.log.preview(root, doc.name, transform=transform_naive)
-            for view in stack:
-                root = transform_naive(root, view.transform)
-            return evaluate_query(root, parse_user_query(query_text))
+        root = thaw(doc.pin().arena)
+        layers = self.log.staged(doc.name) if include_staged else []
+        for layer in layers + stack:
+            root = transform_naive(root, layer.transform)
+        return evaluate_query(root, parse_user_query(query_text))
 
     def _resolve(self, target: str) -> tuple[StoredDocument, list[View]]:
         if target in self.views:
@@ -341,9 +359,8 @@ class ViewStore:
         (version, arena, uid) row; evaluation against the returned
         immutable snapshot happens entirely outside the store's locks,
         so staged or committing writers never block pinned readers.
-        Views cannot be pinned — their layers evaluate over the derived
-        Node tree under the document lock; pin the underlying document
-        instead.
+        A view has no arena of its own to hand out: pin its document,
+        or pin a *read* of the view with :meth:`pin_read`.
 
         ``version=N`` is a time-travel pin onto the document's version
         chain: spliced commits keep recent versions resident (sharing
@@ -360,44 +377,6 @@ class ViewStore:
         with self._counter_lock:
             self.snapshot_pins += 1
         return snapshot
-
-    def _answer(
-        self,
-        root: Element,
-        stack: list[View],
-        query_text: str,
-        version: int,
-        use_materializations: bool = True,
-    ) -> list:
-        user_query = self.compiled.user_query(query_text)
-        if not stack:
-            return evaluate_query(root, user_query)
-        base = root
-        start = 0
-        if use_materializations:
-            # Shortcut to the deepest layer whose tree is still valid.
-            for index, view in enumerate(stack):
-                cached = view.materialization_for(version)
-                if cached is not None:
-                    base, start = cached, index + 1
-        for view in stack[start:-1]:
-            view.query_count += 1
-            tree = self._transform(base, view.transform)
-            if use_materializations and self.views.policy.should_materialize(view):
-                view.set_materialized(tree, version)
-            base = tree
-        outer = stack[-1]
-        if start == len(stack):
-            # The outermost view itself is materialized: query it plainly.
-            outer.query_count += 1
-            return evaluate_query(base, user_query)
-        outer.query_count += 1
-        if use_materializations and self.views.policy.should_materialize(outer):
-            tree = self._transform(base, outer.transform)
-            outer.set_materialized(tree, version)
-            return evaluate_query(tree, user_query)
-        composed = self.compiled.composed(query_text, outer.transform_text)
-        return evaluate_query(base, composed)
 
     # ------------------------------------------------------------------
     # Updates: stage / commit / rollback
@@ -604,7 +583,7 @@ class ViewStore:
         analyzable and label-disjoint — or the whole stack
         **swallowed**: every patch strictly inside a subtree the
         innermost transform deletes/replaces, making the view output
-        byte-identical.  Materializations are exact trees, so only the
+        byte-identical.  Materializations are exact arenas, so only the
         swallow test (not label disjointness) can keep them.
         """
         doc_name = doc.name
@@ -679,11 +658,6 @@ class ViewStore:
         with self._counter_lock:
             return self.arena_reads, self.snapshot_pins
 
-    def chosen(self) -> dict:
-        """Transform evaluations so far, per chosen strategy."""
-        with self._counter_lock:
-            return dict(self.strategy_counts)
-
     def _commit_counter_values(self) -> dict:
         """One consistent snapshot of the commit-path counters."""
         with self._counter_lock:
@@ -727,7 +701,6 @@ class ViewStore:
         registry.probe(
             "store.wal.truncated_tail", lambda: self.wal_truncated_tail
         )
-        registry.probe("engine.planner.chosen", self.chosen)
 
     def stats(self) -> dict:
         arena_reads, snapshot_pins = self._counter_values()
@@ -779,7 +752,6 @@ class ViewStore:
                 "compiled": self.compiled.stats(),
                 "results": self.results.stats(),
             },
-            "planner": {"chosen": self.chosen()},
             "commits": commits,
             "wal": wal,
             "arena_reads": arena_reads,

@@ -1,37 +1,38 @@
 """Virtual views: a base (document or another view) plus one transform
 query per layer, stacked to arbitrary depth.
 
-A view never holds a tree of its own — it *is* its transform query.
-Queries against a view are answered by the Compose Method against the
-outermost transform (pruning the work to the subtrees the query
-actually visits) over the base the stack bottoms out in; see
-:meth:`repro.store.store.ViewStore.query` for the evaluation strategy.
+A view never holds a document of its own — it *is* its transform
+query.  Queries against a view are answered by the Compose Method
+against the outermost transform (pruning the work to the subtrees the
+query actually visits) over the arena the inner layers splice out of
+the pinned document; see :mod:`repro.store.store` for how a read is
+served.
 
 The exception is a **hot** view: once the configurable
 :class:`MaterializationPolicy` decides a view is queried often enough,
-its tree is materialized once (a pure, structure-sharing transform of
-its base — untouched subtrees are shared, not copied) and reused until
-a commit on the underlying document invalidates it.
+its arena is kept (a splice of its base — untouched columns and the
+payload pool are shared, not copied) and reused until a commit on the
+underlying document invalidates it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.store.documents import validate_name
 from repro.store.errors import StoreError, UnknownNameError
 from repro.transform.query import TransformQuery
-from repro.xmltree.node import Element
+from repro.xmltree.arena import FrozenDocument
 
 
 @dataclass
 class MaterializationPolicy:
-    """When does a view earn a cached (materialized) tree?
+    """When does a view earn a cached (materialized) arena?
 
     *hot_threshold* is the number of queries routed through a view
-    before its tree is cached; ``enabled=False`` keeps every view fully
+    before its arena is cached; ``enabled=False`` keeps every view fully
     virtual regardless of traffic (the paper's default posture).
     """
 
@@ -56,28 +57,30 @@ class View:
     )
 
     # A View's mutable state is guarded by the *owning document's*
-    # lock, which the View cannot name: every query/commit path in
-    # ViewStore touches these fields only inside `with doc.lock:`.
-    # unguarded[query_count, materialized_root, materialized_version]: guarded by the owning document's lock (held by every ViewStore query/commit path); a View cannot name it
+    # lock, which the View cannot name: ViewStore touches these fields
+    # only inside `with doc.lock:` — when a read is pinned, when it
+    # publishes a materialization, and when a commit installs.
+    # unguarded[query_count, materialized_root, materialized_version]: guarded by the owning document's lock (held by ViewStore's pin, publish and commit-install steps); a View cannot name it
 
     def __init__(
         self, name: str, base: str, transform: TransformQuery, transform_text: str
-    ):
+    ) -> None:
         self.name = name
         self.base = base
         self.transform = transform
         self.transform_text = transform_text
         self.query_count = 0
-        self.materialized_root: Optional[Element] = None
+        #: The view's whole output as a frozen arena, when hot.
+        self.materialized_root: Optional[FrozenDocument] = None
         self.materialized_version: Optional[int] = None
 
-    def materialization_for(self, version: int) -> Optional[Element]:
-        """The cached tree, if it reflects document *version*."""
+    def materialization_for(self, version: int) -> Optional[FrozenDocument]:
+        """The cached arena, if it reflects document *version*."""
         if self.materialized_version == version:
             return self.materialized_root
         return None
 
-    def set_materialized(self, root: Element, version: int) -> None:
+    def set_materialized(self, root: FrozenDocument, version: int) -> None:
         self.materialized_root = root
         self.materialized_version = version
 
@@ -86,11 +89,11 @@ class View:
         self.materialized_version = None
 
     def rebase_materialization(self, version: int) -> bool:
-        """Re-stamp the cached tree onto a new committed *version*.
+        """Re-stamp the cached arena onto a new committed *version*.
 
         Delta-scoped invalidation calls this when a spliced commit is
         provably invisible through this view's stack (every patch
-        swallowed by an inner delete/replace) — the tree is exact for
+        swallowed by an inner delete/replace) — the arena is exact for
         the new version, so it survives the commit instead of being
         rebuilt.  Returns whether there was a materialization to keep.
         """
@@ -109,7 +112,7 @@ class ViewRegistry:
 
     # guarded-by[_views]: self._lock
 
-    def __init__(self, policy: Optional[MaterializationPolicy] = None):
+    def __init__(self, policy: Optional[MaterializationPolicy] = None) -> None:
         self.policy = policy if policy is not None else MaterializationPolicy()
         self._views: dict[str, View] = {}
         self._lock = threading.Lock()
@@ -197,8 +200,8 @@ class ViewRegistry:
         with self._lock:
             return list(self._views.values())
 
-    def stats(self) -> dict:
-        out = {}
+    def stats(self) -> dict[str, dict[str, Any]]:
+        out: dict[str, dict[str, Any]] = {}
         for view in self.in_definition_order():
             doc_name, layers = self.stack(view.name)
             out[view.name] = {

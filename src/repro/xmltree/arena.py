@@ -613,34 +613,37 @@ def freeze_segment(root: Element, symbols: Optional[SymbolTable] = None) -> Spli
     )
 
 
-#: The SWAR fast path in :func:`splice` assumes 4-byte ``array('i')``
-#: lanes laid out in native byte order.
-_LANES32 = array("i").itemsize == 4
+#: Bytes per ``array('i')`` lane, laid out in native byte order.
+_LANE = array("i").itemsize
 
 
-def _shifted_lanes(col: "array[int]", lo: int, hi: int, shift: int) -> bytes:
-    """``col[lo:hi]`` with *shift* added to every element, as raw bytes.
+def _lanes(value: int, count: int) -> bytes:
+    """*count* lanes, each holding *value* (non-negative)."""
+    return value.to_bytes(_LANE, sys.byteorder) * count
 
-    SWAR on one big integer: with ``shift > 0`` and every lane a
-    non-negative pre-order index far below ``2**31``, no lane sum can
-    carry into its neighbour, so a single big-int addition shifts the
-    whole slice at C speed instead of boxing one int per node.
+
+def _moved_lanes(parts: list, shifts: list, sunk: int) -> "array[int]":
+    """The runs of lanes in *parts*, joined, each lane plus its lane of
+    *shifts* minus *sunk*.
+
+    SWAR on one big integer: every lane — a pre-order index, a shift
+    biased by *sunk*, their sum — is non-negative and far below the top
+    bit, so one big-int addition moves a whole column at C speed and no
+    lane sum carries into its neighbour.  For the subtraction each
+    lane's top bit is set first (a lane smaller than *sunk* then
+    borrows from it, not from its neighbour) and flipped back after,
+    which leaves the two's-complement difference in every lane.
     """
-    lanes = hi - lo
-    ones = ((1 << (32 * lanes)) - 1) // 0xFFFFFFFF
-    big = int.from_bytes(col[lo:hi].tobytes(), sys.byteorder) + shift * ones
-    return big.to_bytes(lanes * 4, sys.byteorder)
-
-
-def _extend_shifted(out: "array[int]", col: "array[int]", lo: int, hi: int, shift: int) -> None:
-    """Append ``col[lo:hi]`` to *out* with *shift* added to every
-    element (non-negative pre-order indices), at C speed when it can."""
-    if shift == 0:
-        out.extend(col[lo:hi])
-    elif shift > 0 and _LANES32:
-        out.frombytes(_shifted_lanes(col, lo, hi, shift))
-    else:
-        out.extend(map(shift.__add__, col[lo:hi]))
+    order = sys.byteorder
+    raw = b"".join(parts)
+    big = int.from_bytes(raw, order) + int.from_bytes(b"".join(shifts), order)
+    if sunk:
+        count = len(raw) // _LANE
+        tops = int.from_bytes(_lanes(1 << (8 * _LANE - 1), count), order)
+        big = ((big | tops) - int.from_bytes(_lanes(sunk, count), order)) ^ tops
+    out = array("i")
+    out.frombytes(big.to_bytes(len(raw), order))
+    return out
 
 
 #: How many nodes of ``sym`` a fresh :meth:`FrozenDocument.postings`
@@ -663,20 +666,25 @@ def _carry_postings(
     sweep of ``sym`` each nor race to."""
     if len(patches) * _NODES_PER_CARRIED_PATCH > len(base.sym):
         return  # a wide delta: the labels asked for again are swept again
+    sunk = -min(cum)
     for syms, old in list(base._postings.items()):
-        out = array("i")
+        view = memoryview(old)
+        parts: list = []
+        shifts: list = []
         at = 0
         for k, (start, stop, _, seg) in enumerate(patches):
             upto = bisect_left(old, start, at)
-            _extend_shifted(out, old, at, upto, cum[k])
+            parts.append(view[at:upto])
+            shifts.append(_lanes(cum[k] + sunk, upto - at))
             if seg is not None:
                 out0 = start + cum[k]
-                for j, s in enumerate(seg.sym):
-                    if s in syms:
-                        out.append(out0 + j)
+                own = array("i", [out0 + j for j, s in enumerate(seg.sym) if s in syms])
+                parts.append(own)
+                shifts.append(_lanes(sunk, len(own)))
             at = bisect_left(old, stop, upto)
-        _extend_shifted(out, old, at, len(old), cum[-1])
-        spliced._postings[syms] = out
+        parts.append(view[at:])
+        shifts.append(_lanes(cum[-1] + sunk, len(old) - at))
+        spliced._postings[syms] = _moved_lanes(parts, shifts, sunk)
 
 
 def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
@@ -725,8 +733,7 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
     #    cumulative shift table, and the ancestor-chain end corrections.
     nets: list[int] = []
     stops: list[int] = []          # per-patch boundary, bisect key for shifts
-    removal_starts: list[int] = []
-    removal_stops: list[int] = []
+    starts: list[int] = []         # with stops: which removal holds an index
     corr: dict[int, int] = {}      # kept index -> end growth (ancestor chains)
     removed_elements = 0
     high_water = 1                 # patches may never touch the root
@@ -744,8 +751,8 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
                     f"insertion at {start} must attach to the element whose "
                     f"subtree ends there (got attach={attach})"
                 )
-            idx = bisect_right(removal_starts, attach) - 1
-            if idx >= 0 and attach < removal_stops[idx]:
+            idx = bisect_right(stops, attach)
+            if idx < len(stops) and starts[idx] <= attach:
                 raise ValueError(
                     f"insertion attach {attach} lies inside a removed range"
                 )
@@ -760,102 +767,112 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
                     f"removal patch attach must be parent[{start}] == "
                     f"{par0[start]}, got {attach}"
                 )
-            removal_starts.append(start)
-            removal_stops.append(stop)
-            for j in range(start, stop):
-                if sym0[j] >= 0:
-                    removed_elements += 1
+            removed_elements += (stop - start) - sym0[start:stop].count(-1)
         net = (len(seg.sym) if seg is not None else 0) - (stop - start)
         nets.append(net)
+        starts.append(start)
         stops.append(stop)
-        if net:
-            # Every kept node whose subtree contains this patch is, by
-            # laminarity, an ancestor-or-self of the attach point: walk
-            # the chain once and accumulate the end growth.
-            c = attach
-            while c >= 0:
-                corr[c] = corr.get(c, 0) + net
-                c = par0[c]
+        corr[attach] = corr.get(attach, 0) + net
         high_water = stop if stop > start else start
 
+    # Every kept node whose subtree contains a patch is, by laminarity,
+    # an ancestor-or-self of its attach point, where the net was
+    # recorded: walk the union of the chains once (a chain stops where
+    # another already passed) and push the sums up in reverse pre-order
+    # — a node's growth is complete before it is added to its parent's.
+    for c in list(corr):
+        c = par0[c]
+        while c >= 0 and c not in corr:
+            corr[c] = 0
+            c = par0[c]
     cum = [0]
     for net in nets:
         cum.append(cum[-1] + net)
+    # The same sweep places every chain node: walking backwards, the
+    # patches ending at or before it only ever drop off.
+    chain_pos: dict[int, int] = {}
+    at = len(stops)
+    for c in sorted(corr, reverse=True):
+        if par0[c] >= 0:
+            corr[par0[c]] += corr[c]
+        while at and stops[at - 1] > c:
+            at -= 1
+        chain_pos[c] = c + cum[at]
 
-    def newpos(p: int) -> int:
-        """Output index of kept base node *p* (piecewise shift)."""
-        return p + cum[bisect_right(stops, p)]
-
+    # The output is the untouched prefix [0, first_start) — raw column
+    # slices — followed by the region right of it: kept pieces and
+    # segments, in order, their parent/end lanes gathered next to one
+    # lane of shift each and moved together (:func:`_moved_lanes`).
     first_start = patches[0][0]
-    new_sym = array("i")
-    new_par = array("i")
-    new_end = array("i")
-    new_pay: list = []
-    new_attrs: dict = {}
+    sunk = -min(cum)
+    sym_v, par_v, end_v = memoryview(sym0), memoryview(par0), memoryview(end0)
+    sym_parts: list = []
+    par_parts: list = []
+    end_parts: list = []
+    shifts: list = []
+    new_pay = pay0[:first_start]
+    segment_attrs: dict = {}
     n_elements = base.n_elements - removed_elements
-
-    def emit_kept(lo: int, hi: int, shift: int) -> None:
-        if lo >= hi:
-            return
-        new_sym.extend(sym0[lo:hi])
-        new_pay.extend(pay0[lo:hi])
-        if shift == 0 and hi <= first_start:
-            # The untouched prefix: raw slice copies (ancestor-chain
-            # end growth is applied globally afterwards).
-            new_par.extend(par0[lo:hi])
-            new_end.extend(end0[lo:hi])
-            return
-        # Bulk-shift the whole piece at C speed, then fix the only
-        # nodes whose parent lies *before* the piece: its top-level
-        # subtree roots, reached by jumping end-to-end.  (A node
-        # strictly inside a subtree rooted in the piece has its parent
-        # in the piece, so the uniform shift is already correct.)
-        out0 = len(new_par)
-        _extend_shifted(new_par, par0, lo, hi, shift)
-        _extend_shifted(new_end, end0, lo, hi, shift)
-        b = lo
-        while b < hi:
-            p = par0[b]
-            new_par[out0 + b - lo] = p if p < first_start else newpos(p)
-            b = end0[b]
-
-    prev = 0
-    shift = 0
-    for k, (start, stop, attach, seg) in enumerate(patches):
-        emit_kept(prev, start, shift)
+    # The only kept nodes whose parent lies *before* their piece — and
+    # so moves by a different shift — are the piece's top-level subtree
+    # roots, reached by jumping end-to-end.  (A node strictly inside a
+    # subtree rooted in the piece has its parent in the piece.)
+    root_at: list[int] = []
+    root_parent: list[int] = []
+    prev = first_start
+    for k, (start, stop, attach, seg) in enumerate(patches + [(n, n, -1, None)]):
+        if prev < start:
+            sym_parts.append(sym_v[prev:start])
+            par_parts.append(par_v[prev:start])
+            end_parts.append(end_v[prev:start])
+            shifts.append(_lanes(cum[k] + sunk, start - prev))
+            new_pay.extend(pay0[prev:start])
+            b = prev
+            while b < start:
+                root_at.append(b + cum[k])
+                root_parent.append(par0[b])
+                b = end0[b]
         if seg is not None:
-            out0 = len(new_sym)
-            attach_new = attach + cum[bisect_right(stops, attach)]
-            append_par = new_par.append
-            for rel in seg.parent:
-                append_par(attach_new if rel < 0 else out0 + rel)
-            new_sym.extend(seg.sym)
-            new_end.extend(map(out0.__add__, seg.end))
+            out0 = start + cum[k]
+            attach_new = chain_pos[attach]
+            sym_parts.append(seg.sym)
+            par_parts.append(array(
+                "i", [attach_new if rel < 0 else out0 + rel for rel in seg.parent]
+            ))
+            end_parts.append(array("i", map(out0.__add__, seg.end)))
+            shifts.append(_lanes(sunk, len(seg.sym)))
             new_pay.extend(seg.payload)
             for key, flat in seg.attrs.items():
-                new_attrs[out0 + key] = flat
+                segment_attrs[out0 + key] = flat
             n_elements += seg.n_elements
         prev = stop
-        shift += nets[k]
-    emit_kept(prev, n, shift)
+    new_sym = sym0[:first_start]
+    new_sym.frombytes(b"".join(sym_parts))
+    new_par = par0[:first_start] + _moved_lanes(par_parts, shifts, sunk)
+    new_end = end0[:first_start] + _moved_lanes(end_parts, shifts, sunk)
+    for at, p in zip(root_at, root_parent):
+        # A parent left of its child's piece has a patch in between,
+        # inside its subtree: it is a chain node.
+        new_par[at] = chain_pos[p]
 
     # Ancestor-chain end growth: the only kept nodes whose ends move
     # beyond their piece shift.
     for c, growth in corr.items():
-        new_end[newpos(c)] += growth
+        new_end[chain_pos[c]] += growth
 
-    # Re-key kept attribute tuples (shared by reference); drop removed.
-    if removal_starts:
-        for k, flat in base.attrs.items():
-            idx = bisect_right(removal_starts, k) - 1
-            if idx >= 0 and k < removal_stops[idx]:
-                continue
-            new_attrs[newpos(k)] = flat
-    else:
-        # Insert-only delta: nothing is dropped, and every key left of
-        # the first patch keeps its position.
-        for k, flat in base.attrs.items():
-            new_attrs[k if k < first_start else newpos(k)] = flat
+    # Kept attribute tuples are shared by reference.  Keys left of the
+    # first patch stay where they are — one C-speed dict copy; only the
+    # others are re-keyed or, inside a removal, dropped.
+    new_attrs = dict(base.attrs)
+    right = [k for k in new_attrs if k >= first_start]
+    flats = [new_attrs.pop(k) for k in right]
+    for k, flat in zip(right, flats):
+        # ``at`` patches end at or before k; the next one, if it has
+        # started, is the removal k lies in.
+        at = bisect_right(stops, k)
+        if at == len(stops) or starts[at] > k:
+            new_attrs[k + cum[at]] = flat
+    new_attrs.update(segment_attrs)
 
     spliced = FrozenDocument(
         base.symbols, new_sym, new_par, new_end, new_pay, new_attrs,

@@ -12,7 +12,8 @@ documents):
 * a child step scans the element's children by hopping pre-order
   ranges (``j = end[j]``); a descendant step scans the contiguous
   ``range(i, end[i])`` slice — both are int loops with no per-node
-  allocation;
+  allocation; ``//label`` walks the label's postings inside that
+  range instead of the range;
 * label tests compare interned **symbol ids**, never strings;
 * number literals never match non-numeric text, comparisons are
   existential, attribute steps are final-only.
@@ -26,6 +27,7 @@ with the same message.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable
 
 from repro.xmltree.arena import FrozenDocument
@@ -136,7 +138,10 @@ def _compile_steps(
     """Existence of an index reachable via *steps* satisfying
     *terminal* (order and duplicates are irrelevant for existence)."""
     fn = terminal
-    for step in reversed(steps):
+    at = len(steps)
+    while at:
+        at -= 1
+        step = steps[at]
         if step.kind == "attr":
             # Mid-path attribute step: keep the reference evaluator's
             # check-time error, message and all, by deferring to it on
@@ -148,8 +153,33 @@ def _compile_steps(
 
             return check_deferred
         quals = tuple(compile_qualifier_arena(q, symbols) for q in step.quals)
-        fn = _compile_step(step.kind, step.name, quals, fn, symbols)
+        if step.kind == "label" and at and steps[at - 1].kind == "dos" and not steps[at - 1].quals:
+            # ``//label`` from i: exactly the label's postings strictly
+            # inside i's range — walk those, not every node of the range.
+            fn = _compile_descendant_label(symbols.intern(step.name), quals, fn)
+            at -= 1
+        else:
+            fn = _compile_step(step.kind, step.name, quals, fn, symbols)
     return fn
+
+
+def _compile_descendant_label(label_sym: int, quals: tuple, rest: ArenaCheck) -> ArenaCheck:
+    def check_descendant_label(arena, i, key=(label_sym,), quals=quals, rest=rest):
+        found = arena.postings(key)
+        limit = arena.end[i]
+        for k in range(bisect_right(found, i), len(found)):
+            j = found[k]
+            if j >= limit:
+                return False
+            for q in quals:
+                if not q(arena, j):
+                    break
+            else:
+                if rest(arena, j):
+                    return True
+        return False
+
+    return check_descendant_label
 
 
 def _compile_step(

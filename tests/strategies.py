@@ -89,7 +89,16 @@ def _qual_paths(draw, depth):
             step += f"[{draw(_qualifiers(depth - 1))}]"
         steps.append(step)
     sep = draw(st.sampled_from(["/", "//"]))
-    return sep.join(steps)
+    path = sep.join(steps)
+    # Descendant steps from the context itself, and a final attribute
+    # step: with the (possibly qualified) label steps above these cover
+    # every shape of ``//label`` the arena compiler answers from
+    # postings.
+    if draw(st.integers(0, 3)) == 0:
+        path = ".//" + path
+    if draw(st.integers(0, 5)) == 0:
+        path += "/@" + draw(st.sampled_from(ATTR_NAMES))
+    return path
 
 
 @st.composite
@@ -107,3 +116,24 @@ def xpath_queries(draw):
             prefix = draw(st.sampled_from(["/", "//"]))
         parts.append(prefix + step)
     return "".join(parts)
+
+
+@st.composite
+def transform_texts(draw, doc="db"):
+    """A random transform query text — any of the four update kinds —
+    against the shared a..e label alphabet, so updates actually hit
+    (and miss) random trees."""
+    kind = draw(st.sampled_from(["insert", "delete", "replace", "rename"]))
+    path = "$a" + draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from(LABELS))
+    if draw(st.booleans()):
+        path += draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from(LABELS))
+    content_label = draw(st.sampled_from(LABELS))
+    if kind == "insert":
+        body = f"insert <{content_label}><t>9</t></{content_label}> into {path}"
+    elif kind == "delete":
+        body = f"delete {path}"
+    elif kind == "replace":
+        body = f"replace {path} with <{content_label}>9</{content_label}>"
+    else:
+        body = f"rename {path} as {draw(st.sampled_from(LABELS))}"
+    return f'transform copy $a := doc("{doc}") modify do {body} return $a'

@@ -297,7 +297,6 @@ class TestStoreSnapshots:
         assert info["arena_bytes"] > 0
         assert info["arena_column_bytes"] > 0
         assert stats["arena_reads"] == 1
-        assert sum(stats["planner"]["chosen"].values()) == 0  # a read chooses nothing
 
 
 class TestCLI:

@@ -29,6 +29,7 @@ import sys
 import threading
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +152,37 @@ class TestQualifierEquivalence:
                     f"arena qualifier diverges at {node.label} for "
                     f"{query_text}"
                 )
+
+
+    @pytest.mark.parametrize(
+        "qualifier",
+        [
+            ".//b",
+            ".//b[c]",
+            ".//b[.//c][not(d)]",
+            ".//b/@id",
+            ".//b[@id = '1']/c/@k",
+            "a//b[.//c = '5']",
+            ".//b//c",
+            "*//b[c]/@id = 'x'",
+            ".//b = '12'",
+        ],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees())
+    def test_descendant_label_steps_answered_from_postings(self, qualifier, tree):
+        """``//label`` is a walk of the label's postings inside the
+        context's range — same truth at every node as both other
+        evaluators, with a nested qualifier on the label step, more
+        steps after it, or a trailing attribute."""
+        qual = parse_xpath(f"x[{qualifier}]").steps[0].quals[0]
+        node_check = compile_qualifier(qual)
+        arena_check = compile_qualifier_arena(qual)
+        arena = freeze(tree)
+        for node, i in zip(tree.descendants_or_self(), arena.iter_elements()):
+            expected = eval_qualifier(node, qual)
+            assert node_check(node) == expected
+            assert arena_check(arena, i) == expected, (qualifier, node.label)
 
 
 class TestSelectEquivalence:

@@ -47,7 +47,7 @@ from repro.service import (
 from repro.service.workers import ProcessWorkers
 from repro.store import ViewStore
 from repro.store.state import open_store, save_store
-from repro.xmltree.serializer import serialize
+from repro.xmltree.serializer import serialize_arena
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -162,7 +162,7 @@ def _assert_recovery_contract(state_dir: str, acked: int, submitted: list):
     recovered = open_store(state_dir)
     committed = recovered.documents.get("db").version - 1
     assert acked <= committed <= acked + 1, (acked, committed)
-    body = serialize(recovered.documents.get("db").root)
+    body = serialize_arena(recovered.documents.get("db").arena)
     for index in range(len(submitted)):
         marker = f"<m{index}>"
         assert (marker in body) == (index < committed), (index, committed)
@@ -507,4 +507,4 @@ def test_wire_fault_becomes_a_typed_error_and_the_commit_stays_durable(
     recovered = open_store(state_dir)
     assert recovered.wal_replayed == 1
     assert recovered.documents.get("db").version == 2
-    assert "<m0>" in serialize(recovered.documents.get("db").root)
+    assert "<m0>" in serialize_arena(recovered.documents.get("db").arena)

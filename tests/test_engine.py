@@ -30,7 +30,12 @@ from repro.engine import (
     mean_depth,
 )
 from repro.xmark.generator import generate
-from repro.xmark.queries import QUERY_IDS, delete_transform, insert_transform
+from repro.xmark.queries import (
+    QUERY_IDS,
+    composition_pairs,
+    delete_transform,
+    insert_transform,
+)
 from repro.xmltree.node import Element, Text
 
 DOC = (
@@ -445,6 +450,27 @@ class TestComposition:
         assert [serialize(x) if isinstance(x, Element) else x for x in direct] == [
             serialize(x) if isinstance(x, Element) else x for x in oracle
         ]
+
+    def test_composed_over_an_arena_thaws_results_not_the_document(
+        self, engine, thaw_calls
+    ):
+        """The four Fig-15 pairs on a frozen XMark document: the plan
+        runs on the columnar evaluator — the answers are ``run_naive``'s
+        and the document itself is never thawed."""
+        tree = generate(0.005, seed=7)
+        arena = freeze(tree)
+        answered = 0
+        for _, _, transform, user in composition_pairs():
+            composed = engine.prepare_composed(str(user), str(transform))
+            del thaw_calls[:]
+            got = composed.run(arena)
+            assert 0 not in thaw_calls
+            want = composed.run_naive(tree)
+            assert [serialize(x) if isinstance(x, Element) else x for x in got] == [
+                serialize(x) if isinstance(x, Element) else x for x in want
+            ]
+            answered += bool(got)
+        assert answered >= 3
 
     def test_composed_is_memoized_per_pair(self, engine):
         user = "for $x in part return $x"

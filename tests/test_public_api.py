@@ -12,7 +12,22 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"
+
+    def test_one_read_path_surface(self):
+        """1.8.0: the store and the service run no Node strategy, so the
+        names that exposed one are gone; a pinned read is the new one."""
+        from repro.store import PinnedRead, StoredDocument, ViewStore
+
+        assert not hasattr(StoredDocument, "root")
+        assert not hasattr(ViewStore, "chosen")
+        store = ViewStore()
+        store.put("db", "<db><a>1</a></db>")
+        assert "planner" not in store.stats()
+        assert isinstance(store.pin_read("db"), PinnedRead)
+        with repro.QueryService(store=store) as service:
+            assert "locked_reads" not in service.metrics()
+            assert "service.reads.locked" not in service.registry.snapshot()
 
     def test_strategy_choice_surface(self):
         """1.7.0: the cost-model names are gone; the rule and its two

@@ -31,6 +31,7 @@ from repro.service import (
 )
 from repro.service.protocol import decode_line, encode_frame
 from repro.store import StoreError, ViewStore
+from repro.transform.naive import transform_naive
 from repro.xmltree.arena import arena_from_columns, freeze, thaw
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize, serialize_arena
@@ -50,6 +51,10 @@ CATALOG = (
 HIDE_A = (
     'transform copy $a := doc("db") modify do '
     "delete $a//supplier[country = 'A']/price return $a"
+)
+ANONYMIZE = (
+    'transform copy $a := doc("db") modify do '
+    "rename $a//sname as vendor return $a"
 )
 
 QUERIES = [
@@ -77,7 +82,7 @@ def test_query_matches_store_oracle(service):
         assert service.query("db", text) == service.store.query_serialized("db", text)
 
 
-def test_view_and_staged_reads_fall_back_to_store(service):
+def test_view_and_staged_reads_match_the_store(service):
     service.define_view("public", "db", HIDE_A)
     text = "for $x in part/supplier return $x"
     assert service.query("public", text) == service.store.query_serialized(
@@ -95,30 +100,46 @@ def test_view_and_staged_reads_fall_back_to_store(service):
         "<pname>kb</pname>",
         "<pname>mouse</pname>",
     ]
-    assert service.metrics()["locked_reads"] == 2
+    m = service.metrics()
+    assert m["snapshot_reads"] == m["requests"] == 3
     service.rollback("db")
 
 
-def test_strategy_tally_sums_the_store_and_the_engine(service):
-    """The store (staged previews, view layers) and the engine (the
-    transform op) each tally the strategies chosen for them; the
-    service's registry reports the sum under the one probe name."""
-    service.stage(
-        "db",
+def test_the_transform_op_chooses_no_strategy(service):
+    """A wire transform is one scan plus the columnar serializer: the
+    engine's rule is not consulted (``engine.planner.chosen`` tallies
+    ``PreparedTransform.run`` on auto, as before)."""
+    text = (
         'transform copy $a := doc("db") modify do '
-        "delete $a/part[pname = 'kb'] return $a",
-    )
-    service.query("db", "for $x in part return $x/pname", staged=True)
-    service.rollback("db")
-    service.transform(
-        "db", 'transform copy $a := doc("db") modify do '
         "rename $a//pname as name return $a"
     )
-    assert service.store.chosen()["topdown"] == 1
+    assert "<name>kb</name>" in service.transform("db", text)
+    assert sum(service.engine.chosen().values()) == 0
+    service.engine.prepare_transform(text).run(service.store.pin("db").arena)
     assert service.engine.chosen()["topdown"] == 1
     snap = service.registry.snapshot()
-    assert snap["engine.planner.chosen.topdown"] == 2
+    assert snap["engine.planner.chosen.topdown"] == 1
     assert snap["engine.planner.chosen.stream"] == 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "insert <note>new</note> into $a/part[pname = 'kb']",
+        "delete $a//supplier[country = 'A']/price",
+        "delete $a/part/supplier/*",  # empties its parents: they self-close
+        "delete $a/part",  # ...and so does the root
+        "replace $a//price[. > 10] with <price>0</price>",
+        "rename $a//supplier as vendor",
+        "delete $a/nosuch",
+    ],
+)
+def test_transform_op_answers_are_the_naive_document(service, body):
+    text = f'transform copy $a := doc("db") modify do {body} return $a'
+    want = serialize(
+        transform_naive(parse(CATALOG), service.engine.prepare_transform(text).query)
+    )
+    assert service.transform("db", text) == want
 
 
 def test_snapshot_pinned_reader_survives_commit(service):
@@ -343,30 +364,66 @@ def test_admission_bounds_waiters_but_never_a_hit_or_a_follower():
     assert svc.stats()["service"]["queue_depth"] == 0
 
 
-def test_views_and_staged_reads_never_take_the_short_path(service):
+def test_views_and_staged_reads_take_the_one_read_path(service):
     service.define_view("public", "db", HIDE_A)
     text = "for $x in part/supplier return $x"
-    for _ in range(2):  # the repeat would be a hit if views were memoised
-        service.query("public", text)
+    first = service.query("public", text)
+    assert service.query("public", text) is first  # a repeated view read is a hit
     assert service.query("db", text) is service.query("db", text)
-    # The store's lock-holding read runs on the thread that asked.
-    ran_on = []
-    locked_read = service.store.query_serialized
-
-    def watched(*args, **kwargs):
-        ran_on.append(threading.current_thread())
-        return locked_read(*args, **kwargs)
-
-    service.store.query_serialized = watched
+    service.stage("db", ANONYMIZE)
     staged = service.query("db", text, staged=True)  # memoised text, staged read
-    assert staged == locked_read("db", text)
-    assert ran_on == [threading.current_thread()]
+    assert staged == service.store.query_serialized("db", text, include_staged=True)
+    assert staged != service.query("db", text)
+    assert service.query("db", text, staged=True) is staged
+    service.rollback("db")
+    # Nothing staged any more: the same request is the plain read again.
+    assert service.query("db", text, staged=True) is service.query("db", text)
     m = service.metrics()
-    assert m["locked_reads"] == 3
-    assert (m["memo_hits"], m["evaluations"], m["coalesced"]) == (1, 1, 0)
-    assert m["snapshot_reads"] == 2
-    assert m["requests"] == 5
+    assert (m["memo_hits"], m["evaluations"], m["coalesced"]) == (6, 3, 0)
+    assert m["snapshot_reads"] == m["requests"] == 9
     assert service._flights == {}
+
+
+def test_a_redefined_view_never_serves_the_old_answer(service):
+    text = "for $x in part/supplier return $x"
+    service.define_view("v", "db", HIDE_A)
+    hidden = service.query("v", text)
+    service.drop("v")
+    service.define_view("v", "db", ANONYMIZE)
+    renamed = service.query("v", text)
+    assert renamed != hidden
+    assert renamed == [
+        serialize(item) for item in service.store.query_naive("v", text)
+    ]
+    # Even an entry published after the drop's invalidation (a leader
+    # that finishes late) cannot alias: the key carries the stack texts.
+    uid = service.store.pin("db").uid
+    assert {key[3] for key in service._memo._data if key[0] == "v"} == {(ANONYMIZE,)}
+    assert all(key[1] == uid for key in service._memo._data)
+
+
+def test_a_commit_drops_view_and_staged_entries_with_the_old_arena():
+    service = QueryService()
+    service.put("db", "<db><left/><part><pname>kb</pname></part></db>")
+    service.define_view(
+        "public", "db",
+        'transform copy $a := doc("db") modify do delete $a/left/t return $a',
+    )
+    text = "for $x in part return $x/pname"
+    service.query("public", text)
+    service.query("db", text)
+    service.commit(
+        "db",
+        'transform copy $a := doc("db") modify do insert <t/> into $a/left return $a',
+    )
+    # The document's entry is label-disjoint and re-keyed; the view's is
+    # dropped (not left to the LRU) and re-evaluated on the new arena.
+    assert [key[0] for key in service._memo._data] == ["db"]
+    assert service.metrics()["memo_retained"] == 1
+    assert service.query("public", text) == service.store.query_serialized(
+        "public", text
+    )
+    service.close()
 
 
 def test_memo_tallies_count_each_request_once(service):
@@ -474,6 +531,8 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
 def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
     svc = QueryService(config=ServiceConfig(workers=4))
     svc.put("db", CATALOG)
+    svc.define_view("partners", "db", ANONYMIZE)
+    svc.stage("db", ANONYMIZE)  # each commit below takes it and stages it again
     errors: list = []
 
     def client(index):
@@ -484,8 +543,11 @@ def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
                 svc.query(  # private: always an evaluation
                     "db", f"for $x in part[pname = 'c{index}r{round_no}'] return $x"
                 )
+                svc.query("partners", QUERIES[0])  # a view read
+                svc.query("db", QUERIES[0], staged=True)  # a staged preview
                 if index == 0 and round_no % 5 == 4:
                     svc.commit("db", HIDE_A)  # price/supplier: drops QUERIES[1:]
+                    svc.stage("db", ANONYMIZE)
         except Exception as exc:  # noqa: BLE001 - asserted below
             errors.append(exc)
 
@@ -498,11 +560,11 @@ def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
     m = svc.metrics()
     svc.close()
     assert not errors, errors[:3]
-    assert m["requests"] == 6 * 20 * (len(QUERIES) + 1)
+    assert m["requests"] == 6 * 20 * (len(QUERIES) + 3)
     assert m["requests"] == m["evaluations"] + m["coalesced"] + m["memo_hits"]
     assert m["snapshot_reads"] == m["requests"]
     assert m["memo_hits"] > 0 and m["evaluations"] >= 6 * 20
-    assert m["shed"] == m["deadline_misses"] == m["locked_reads"] == 0
+    assert m["shed"] == m["deadline_misses"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro import serialize
+from repro.xmltree.serializer import serialize_arena
 from repro.store import (
     DuplicateNameError,
     InvalidNameError,
@@ -102,7 +103,7 @@ class TestDocuments:
     def test_round_trip_and_versions(self, store):
         doc = store.documents.get("db")
         assert doc.version == 1
-        assert doc.root.label == "db"
+        assert doc.arena.label(0) == "db"
 
     def test_duplicate_rejected(self, store):
         with pytest.raises(DuplicateNameError):
@@ -162,7 +163,7 @@ class TestViewStacks:
 
     def test_views_are_virtual(self, stacked):
         stacked.query("partners", self.QUERIES[0])
-        assert "price" in serialize(stacked.documents.get("db").root)
+        assert "price" in serialize_arena(stacked.documents.get("db").arena)
         assert stacked.views.get("public").materialized_root is None
 
     def test_deep_stack(self, store):
@@ -341,8 +342,8 @@ class TestCommitRollback:
             "delete $a//cost return $a",
         )
         assert store.commit("db") == 2
-        assert "cost" not in serialize(store.documents.get("db").root)
-        assert "price" not in serialize(store.documents.get("db").root)
+        assert "cost" not in serialize_arena(store.documents.get("db").arena)
+        assert "price" not in serialize_arena(store.documents.get("db").arena)
         assert len(store.log.history("db")) == 2
 
     def test_update_operations_reject_views(self, stacked):
@@ -450,22 +451,29 @@ class TestStats:
         assert stats["caches"]["results"]["misses"] >= 1
 
 
-class TestStrategyRuleIntegration:
-    """The store asks the engine's rule for every transform evaluation
-    — no strategy is hardcoded in the store paths."""
+class TestOneTransformKernel:
+    """The store decides nothing: view layers and staged previews are
+    applied by the one arena → arena kernel a commit runs."""
 
-    def test_store_modules_do_not_import_topdown_directly(self):
-        import repro.store.log as log_mod
-        import repro.store.store as store_mod
+    def test_store_imports_nothing_from_the_engine(self):
+        import ast
+        import pathlib
 
-        assert not hasattr(store_mod, "transform_topdown")
-        assert not hasattr(log_mod, "transform_topdown")
+        import repro.store
 
-    def test_deep_descendant_heavy_stage_picks_non_naive_plan(self):
-        """Regression for the UpdateLog default: a deep ``//``-heavy
-        staged update must be previewed with a rule-chosen strategy,
-        never the naive rewriting (and, on a document this deep, the
-        rule should reach for the annotation-based twopass)."""
+        for path in pathlib.Path(repro.store.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                assert not any(n.startswith("repro.engine") for n in names), path
+
+    def test_deep_descendant_heavy_stage_previews_like_the_oracle(self):
+        """The old twopass regression input: a deep ``//``-heavy staged
+        update (a nesting qualifier on a 60-deep chain) previews to the
+        oracle's answer."""
         spine = "<b>leaf</b>"
         for _ in range(60):
             spine = f"<a>{spine}</a>"
@@ -476,21 +484,30 @@ class TestStrategyRuleIntegration:
             'transform copy $a := doc("deep") modify do '
             "rename $a//*[.//b] as seen return $a",
         )
-        rows = store.query("deep", "for $x in //seen return $x", include_staged=True)
+        query = "for $x in //seen return $x"
+        rows = store.query("deep", query, include_staged=True)
         assert rows  # the staged rename is visible
-        # twopass implies the ISSUE's regression contract (non-naive).
-        chosen = store.stats()["planner"]["chosen"]
-        assert chosen["twopass"] == 1 and sum(chosen.values()) == 1
+        assert _texts(rows) == _texts(
+            store.query_naive("deep", query, include_staged=True)
+        )
 
-    def test_view_layers_go_through_the_rule(self, stacked):
-        # A depth-2 stack: the inner layer is materialized via the
-        # rule (the outer is composed); query_naive stays off it.
-        before = sum(stacked.chosen().values())
+    def test_view_layers_go_through_the_kernel(self, stacked, monkeypatch):
+        # A depth-2 stack: the inner layer is spliced by the kernel
+        # (the outer is composed); query_naive stays off it.
+        import repro.store.store as store_mod
+
+        calls = []
+        kernel = store_mod.transform_arena
+
+        def counted(arena, update, compiled):
+            calls.append(update.kind)
+            return kernel(arena, update, compiled)
+
+        monkeypatch.setattr(store_mod, "transform_arena", counted)
         stacked.query("partners", "for $x in part/pname return $x")
-        assert sum(stacked.chosen().values()) > before
-        after = sum(stacked.chosen().values())
+        assert calls == ["delete"]
         stacked.query_naive("partners", "for $x in part/pname return $x")
-        assert sum(stacked.chosen().values()) == after
+        assert calls == ["delete"]
 
     def test_staged_preview_handles_quoted_string_literals(self):
         """Regression: NFAs are built from the parsed path, never from

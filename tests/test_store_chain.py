@@ -22,24 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
 from repro.store import MaterializationPolicy, StoreError, ViewStore
-from repro.store import documents as documents_module
 from repro.store.delta import (
     REBUILD_REASONS,
     DeltaUnsupported,
     apply_entries_rebuilt,
     apply_entries_spliced,
+    transform_arena,
 )
 from repro.store.log import StagedUpdate
 from repro.store.state import open_store, save_store
 from repro.transform.naive import transform_naive
-from repro.xmltree.arena import freeze, thaw
+from repro.xmltree.arena import freeze, freeze_segment, splice, thaw
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize, serialize_arena, write_file
 
-from tests.strategies import LABELS, trees
+from tests.strategies import transform_texts, trees
 
 DOC = "<db><a><x>1</x></a><b><y>2</y></b><c>3</c></db>"
 
@@ -72,10 +73,14 @@ def _assert_wellformed(arena) -> None:
     end = arena.end
     assert len(arena.sym) == n and len(end) == n and len(arena.payload) == n
     assert par[0] == -1 and end[0] == n
+    open_chain = [0]  # the ancestors whose range holds i, innermost last
     for i in range(1, n):
-        p = par[i]
-        assert 0 <= p < i, (i, p)
+        while end[open_chain[-1]] <= i:
+            open_chain.pop()
+        p = open_chain[-1]
+        assert par[i] == p, (i, par[i], p)
         assert i < end[i] <= end[p], (i, end[i], end[p])
+        open_chain.append(i)
     assert arena.n_elements == sum(1 for s in arena.sym if s >= 0)
 
 
@@ -117,8 +122,6 @@ class TestCommitMatchesTheReferences:
         assert delta.rebuild_reason is None
         assert delta.new_version == delta.old_version + 1
         assert committed == rebuilt == naive
-        # The derived Node tree is a view of the same version.
-        assert serialize(store.documents.get("db").root) == committed
 
     def test_zero_match_update_is_a_spliced_identity(self):
         _, delta, committed, rebuilt, naive = self._commit(
@@ -190,28 +193,8 @@ class TestCommitMatchesTheReferences:
 # ----------------------------------------------------------------------
 
 
-@st.composite
-def update_texts(draw):
-    """A random staged update against the shared a..e label alphabet,
-    so updates actually hit (and miss) random trees."""
-    kind = draw(st.sampled_from(["insert", "delete", "replace", "rename"]))
-    path = "$a" + draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from(LABELS))
-    if draw(st.booleans()):
-        path += draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from(LABELS))
-    content_label = draw(st.sampled_from(LABELS))
-    if kind == "insert":
-        body = f"insert <{content_label}><t>9</t></{content_label}> into {path}"
-    elif kind == "delete":
-        body = f"delete {path}"
-    elif kind == "replace":
-        body = f"replace {path} with <{content_label}>9</{content_label}>"
-    else:
-        body = f"rename {path} as {draw(st.sampled_from(LABELS))}"
-    return _transform(body)
-
-
 @settings(max_examples=120, deadline=None)
-@given(tree=trees(), texts=st.lists(update_texts(), min_size=1, max_size=3))
+@given(tree=trees(), texts=st.lists(transform_texts(), min_size=1, max_size=3))
 def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
     compiled, entries = _staged(texts)
     base = freeze(tree)
@@ -236,24 +219,20 @@ def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
 
 
 # ----------------------------------------------------------------------
-# One representation: the Node cache stays empty on the arena paths
+# One representation: a document's lifecycle runs on columns only
 # ----------------------------------------------------------------------
 
 
-def test_plain_document_lifecycle_never_builds_the_node_cache(tmp_path, monkeypatch):
+def test_plain_document_lifecycle_never_thaws_the_document(tmp_path, thaw_calls):
     """``open_store`` → reads → spliced commits → ``save_store`` on a
-    plain document runs on columns only, and the checkpoint file is
+    plain document runs on columns only — the one ``thaw`` is the
+    element result ``query`` hands back — and the checkpoint file is
     byte-identical to what the Node serializer writes."""
     state_dir = str(tmp_path / "st")
     seed = ViewStore()
     seed.put("db", DOC)
     save_store(seed, state_dir)
 
-    thaws = []
-    real_thaw = documents_module.thaw
-    monkeypatch.setattr(
-        documents_module, "thaw", lambda arena: thaws.append(arena) or real_thaw(arena)
-    )
     store = open_store(state_dir)
     doc = store.documents.get("db")
     assert doc.arena_builds == 1 and doc.version == 1
@@ -266,19 +245,13 @@ def test_plain_document_lifecycle_never_builds_the_node_cache(tmp_path, monkeypa
     assert store.stats()["documents"]["db"]["nodes"] == len(doc.arena)
     save_store(store, state_dir)
     store.wal.close()
-    assert thaws == [] and doc._nodes is None
+    assert len(thaw_calls) == 1 and thaw_calls[0] != 0
     assert doc.arena_builds == 1 and doc.splices == 3
 
     reference = str(tmp_path / "reference.xml")
     write_file(thaw(doc.arena), reference)
     with open(f"{state_dir}/doc-db-v4.xml", "rb") as written, open(reference, "rb") as want:
         assert written.read() == want.read()
-
-    # The accessor builds the cache once per version; an install drops it.
-    root = doc.root
-    assert doc.root is root and len(thaws) == 1
-    store.commit("db", _transform("insert <v/> into $a/c"))
-    assert doc._nodes is None and doc.root is not root and len(thaws) == 2
 
 
 # ----------------------------------------------------------------------
@@ -464,3 +437,88 @@ def test_swallowed_commit_keeps_the_view_materialization():
     assert [serialize(row) for row in store.query("public", query)] == [
         serialize(row) for row in store.query_naive("public", query)
     ]
+
+
+# ----------------------------------------------------------------------
+# Deep chains: nested patches, every attach point under every other
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fanout", [0, 3])
+@pytest.mark.parametrize(
+    "body",
+    [
+        "insert <m><t>9</t></m> into $a//a",
+        "delete $a//a[.//b]/*[not(.//b)]",
+        "replace $a//a/*[not(.//b)] with <c><m/><m/></c>",
+        "rename $a//*[.//b] as seen",
+    ],
+    ids=["insert", "delete", "replace", "rename"],
+)
+def test_nested_patches_on_a_deep_chain_equal_the_naive_columns(body, fanout):
+    """Hundreds of attach points on one ancestor chain: ``splice``
+    records each net at its attach point and sums the chain once, and
+    the columns are those of freezing the naive result."""
+    root = deep_chain(400, fanout)
+    compiled = CompiledCache()
+    transform = compiled.transform(_transform(body, "deep"))
+    step = transform_arena(freeze(root), transform.update, compiled)
+    want = freeze(transform_naive(root, transform))
+    got = step.arena
+    assert step.ranges
+    _assert_wellformed(got)
+    assert (got.sym, got.parent, got.end) == (want.sym, want.parent, want.end)
+    assert (got.payload, got.attrs, got.n_elements) == (
+        want.payload, want.attrs, want.n_elements
+    )
+
+
+def test_one_splice_may_grow_here_and_shrink_there():
+    """Patches whose nets have both signs, in either order: every
+    kept node right of the first patch moves by the running sum."""
+    xml = "<r><a><x>1</x><y>2</y></a><b><c/></b><d><e>3</e><e>4</e></d><f k='v'/></r>"
+    base = freeze(parse(xml))
+    at = {base.label(i): i for i in base.iter_elements()}
+    big = freeze_segment(parse("<n><m>9</m><m>8</m><m>7</m></n>"))
+    small = freeze_segment(parse("<s/>"))
+
+    def remove(label, segment=None):
+        i = at[label]
+        return (i, base.end[i], base.parent[i], segment)
+
+    def insert(label, segment):
+        i = at[label]
+        return (base.end[i], base.end[i], i, segment)
+
+    cases = {
+        "grow, then shrink": (
+            [insert("a", big), remove("d")],
+            "<r><a><x>1</x><y>2</y><n><m>9</m><m>8</m><m>7</m></n></a>"
+            "<b><c/></b><f k=\"v\"/></r>",
+        ),
+        "shrink, then grow": (
+            [remove("a", small), insert("d", big), insert("f", small)],
+            "<r><s/><b><c/></b><d><e>3</e><e>4</e><n><m>9</m><m>8</m><m>7</m></n></d>"
+            "<f k=\"v\"><s/></f></r>",
+        ),
+        "back to zero": (
+            [remove("x"), insert("b", small), remove("f", big)],
+            "<r><a><y>2</y></a><b><c/><s/></b><d><e>3</e><e>4</e></d>"
+            "<n><m>9</m><m>8</m><m>7</m></n></r>",
+        ),
+    }
+    for name, (patches, want) in cases.items():
+        got = splice(base, patches)
+        _assert_wellformed(got)
+        assert serialize_arena(got) == want, name
+        assert got.attrs == freeze(parse(want)).attrs, name
+
+
+def test_splice_rejects_an_insertion_into_a_removed_subtree():
+    base = freeze(parse("<r><a><b/></a><c/></r>"))
+    a, b = 1, 2
+    inside = (base.end[b], base.end[b], b, freeze_segment(parse("<s/>")))
+    with pytest.raises(ValueError, match="inside a removed range"):
+        splice(base, [(a, base.end[a], 0, None), inside])
+    with pytest.raises(ValueError, match="overlaps an earlier patch"):
+        splice(base, [(a, base.end[a], 0, None), (b, base.end[b], a, None)])

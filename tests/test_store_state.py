@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro import serialize
+from repro.xmltree.serializer import serialize_arena
 from repro.store import ViewStore, open_store, save_store
 
 CATALOG = (
@@ -45,7 +46,7 @@ class TestRoundTrip:
         again = open_store(state_dir)
         assert again.documents.get("db").version == 2
         assert len(again.log.history("db")) == 1
-        assert "price" not in serialize(again.documents.get("db").root)
+        assert "price" not in serialize_arena(again.documents.get("db").arena)
 
 
 class TestDirtyTracking:

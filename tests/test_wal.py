@@ -47,7 +47,7 @@ def _insert(marker: str) -> str:
 
 
 def _doc_bytes(store: ViewStore, name: str = "db") -> str:
-    return serialize(store.documents.get(name).root)
+    return serialize_arena(store.documents.get(name).arena)
 
 
 @pytest.fixture(autouse=True)
