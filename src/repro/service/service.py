@@ -809,9 +809,8 @@ class QueryService:
             def remap(key):
                 if key[0] not in affected:
                     return key
-                if key[1:2] + key[3:] == (delta.old_uid, (), ()) and (
-                    self.store.commit_unaffected(delta, key[2])
-                ):
+                plain = key[1] == delta.old_uid and key[3:] == ((), ())
+                if plain and self.store.commit_unaffected(delta, key[2]):
                     return (name, delta.new_uid) + key[2:]
                 return None
 

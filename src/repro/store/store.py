@@ -279,11 +279,11 @@ class ViewStore:
                     cached = view.materialization_for(snapshot.version)
                     if cached is not None:
                         base, start = cached, index + 1
-            for view in stack[start:] or stack[-1:]:
+            rest = stack[start:]
+            for view in rest or stack[-1:]:
                 view.query_count += 1
             layers = tuple(
-                (view, not staged and policy.should_materialize(view))
-                for view in stack[start:]
+                (view, not staged and policy.should_materialize(view)) for view in rest
             )
         texts = (
             tuple(view.transform_text for view in stack),
@@ -311,14 +311,13 @@ class ViewStore:
         if query is None:
             query = compiled.user_query(query_text)
         fresh = []
-        if pinned.staged or layers:
+        steps = [(entry, False) for entry in pinned.staged] + layers
+        if steps:
             with span("splice"):
-                for entry in pinned.staged:
-                    arena = transform_arena(arena, entry.transform.update, compiled).arena
-                for view, keep in layers:
-                    arena = transform_arena(arena, view.transform.update, compiled).arena
+                for step, keep in steps:
+                    arena = transform_arena(arena, step.transform.update, compiled).arena
                     if keep:
-                        fresh.append((view, arena))
+                        fresh.append((step, arena))
         evaluator = ArenaEvaluator(arena, compiled.selecting_nfa_for)
         with span("scan"):
             refs = evaluator.evaluate_refs(query)
