@@ -10,9 +10,14 @@ Design notes (see DESIGN.md §4):
   (:mod:`repro.updates.apply`) walks from the root carrying the parent
   explicitly instead.
 * Transform results are therefore DAG-shaped with respect to the input:
-  treat trees handed to the evaluators as immutable.  Code that needs a
-  private mutable tree should call :func:`deep_copy` first (this is what
-  the copy-and-update baseline does, faithfully reproducing its cost).
+  treat trees handed to the evaluators as immutable.  The sharing rule
+  of ``topDown``/``twoPass`` and the Compose plans is copy-on-write: a
+  result shares every subtree with no match below it — an element is
+  allocated only if it matched or has a match below it, and a query
+  matching nothing answers with the input root itself (see
+  :mod:`repro.transform.topdown`).  Code that needs a private
+  mutable tree should call :func:`deep_copy` first (this is what the
+  copy-and-update baseline does, faithfully reproducing its cost).
 * An element's *own text* — the concatenation of its immediate
   :class:`Text` children — is the value used by qualifier comparisons
   (``p = 's'``, ``p < 15`` …).  This matches the streaming algorithm of

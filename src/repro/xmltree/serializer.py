@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-from typing import IO, Optional
+from typing import IO, TYPE_CHECKING, Any, Callable, Optional
 
-from repro.xmltree.node import Element, Node
+from repro.xmltree.node import Element, Node, Text
+
+if TYPE_CHECKING:
+    from repro.xmltree.arena import FrozenDocument
+
+#: Where emitted parts go: ``list.append``, ``handle.write`` …
+Write = Callable[[str], object]
 
 
 def escape_text(value: str) -> str:
@@ -22,29 +28,61 @@ def escape_attr(value: str) -> str:
     )
 
 
-def _write_node(node: Node, out: list, indent: Optional[str], depth: int) -> None:
-    pad = "" if indent is None else indent * depth
-    newline = "" if indent is None else "\n"
-    if node.is_text:
-        out.append(pad + escape_text(node.value) + newline)
-        return
-    attrs = "".join(f' {k}="{escape_attr(v)}"' for k, v in node.attrs.items())
-    if not node.children:
-        out.append(f"{pad}<{node.label}{attrs}/>{newline}")
-        return
-    # A single text child stays inline even when pretty-printing, so
-    # <price>12</price> does not gain whitespace inside the value.
-    if len(node.children) == 1 and node.children[0].is_text:
-        value = escape_text(node.children[0].value)
-        out.append(f"{pad}<{node.label}{attrs}>{value}</{node.label}>{newline}")
-        return
-    out.append(f"{pad}<{node.label}{attrs}>{newline}")
-    # Iterative serialization would obscure the depth bookkeeping; the
-    # recursion here is bounded by document depth, which our data keeps
-    # far below the interpreter limit.  serialize() raises it for safety.
-    for child in node.children:
-        _write_node(child, out, indent, depth + 1)
-    out.append(f"{pad}</{node.label}>{newline}")
+def _emit(node: Node, write: Write, indent: Optional[str]) -> None:
+    """The one Node emit loop: *node*'s subtree through *write*, compact
+    (``indent=None``) or one node per line behind ``indent * depth``.
+
+    Iterative, so any depth serializes.  It runs once per node of every
+    answer, hence: dispatch on class identity (subclasses fall back to
+    ``is_text``), escape only values holding a special character, and
+    write ``<price>12</price>`` as one part — a single text child stays
+    inline even when pretty-printing, so the value gains no whitespace.
+    """
+    step, newline = ("", "") if indent is None else (indent, "\n")
+    unstep = -len(step)
+    pad = ""
+    # Nodes to open and ready closing tags (Any: a checker cannot follow
+    # the class-identity dispatch).
+    stack: list[Any] = [node]
+    pop = stack.pop
+    while stack:
+        item = pop()
+        kind = item.__class__
+        if kind is str:
+            write(item)
+            if unstep:
+                pad = pad[:unstep]
+            continue
+        if kind is Text or (kind is not Element and item.is_text):
+            value = item.value
+            if "&" in value or "<" in value or ">" in value:
+                value = escape_text(value)
+            write(f"{pad}{value}{newline}")
+            continue
+        label = item.label
+        head = f"{pad}<{label}"
+        if item.attrs:
+            for k, v in item.attrs.items():
+                if "&" in v or "<" in v or ">" in v or '"' in v:
+                    v = escape_attr(v)
+                head = f'{head} {k}="{v}"'
+        children = item.children
+        if not children:
+            write(f"{head}/>{newline}")
+            continue
+        if len(children) == 1:
+            only = children[0]
+            kind = only.__class__
+            if kind is Text or (kind is not Element and only.is_text):
+                value = only.value
+                if "&" in value or "<" in value or ">" in value:
+                    value = escape_text(value)
+                write(f"{head}>{value}</{label}>{newline}")
+                continue
+        write(f"{head}>{newline}")
+        stack.append(f"{pad}</{label}>{newline}")
+        stack += children[::-1]
+        pad += step
 
 
 def serialize(node: Node, indent: Optional[str] = None) -> str:
@@ -52,34 +90,14 @@ def serialize(node: Node, indent: Optional[str] = None) -> str:
 
     With ``indent`` (e.g. ``"  "``) the output is pretty-printed;
     whitespace-only text nodes are assumed to be absent (the parser
-    strips them by default).  The compact form (``indent=None``) is
-    iterative and safe for documents of any depth.
+    strips them by default).  Either form is safe at any depth.
     """
-    if indent is None:
-        out_parts: list[str] = []
-        stack: list = [node]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out_parts.append(item)
-                continue
-            if item.is_text:
-                out_parts.append(escape_text(item.value))
-                continue
-            attrs = "".join(f' {k}="{escape_attr(v)}"' for k, v in item.attrs.items())
-            if not item.children:
-                out_parts.append(f"<{item.label}{attrs}/>")
-                continue
-            out_parts.append(f"<{item.label}{attrs}>")
-            stack.append(f"</{item.label}>")
-            stack.extend(reversed(item.children))
-        return "".join(out_parts)
-    out: list[str] = []
-    _write_node(node, out, indent, 0)
-    return "".join(out)
+    parts: list[str] = []
+    _emit(node, parts.append, indent)
+    return "".join(parts)
 
 
-def serialize_arena(arena, i: int = 0, indent: Optional[str] = None) -> str:
+def serialize_arena(arena: FrozenDocument, i: int = 0, indent: Optional[str] = None) -> str:
     """Serialize an arena subtree straight from its columns.
 
     The fast path of the columnar backend: one pre-order sweep over the
@@ -98,7 +116,7 @@ def serialize_arena(arena, i: int = 0, indent: Optional[str] = None) -> str:
     return "".join(parts)
 
 
-def _flat_attr_text(flat: tuple) -> str:
+def _flat_attr_text(flat: tuple[str, ...]) -> str:
     """Render an arena flat attribute tuple as serialized attributes."""
     return "".join(
         f' {flat[k]}="{escape_attr(flat[k + 1])}"'
@@ -106,7 +124,7 @@ def _flat_attr_text(flat: tuple) -> str:
     )
 
 
-def write_arena_range(arena, start: int, limit: int, write) -> None:
+def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Write) -> None:
     """Emit the (balanced) node range ``[start, limit)`` as compact XML
     through *write* — the shared core of :func:`serialize_arena` and
     the arena-native transform-to-file path."""
@@ -143,7 +161,7 @@ def write_arena_range(arena, start: int, limit: int, write) -> None:
 
 
 def write_arena_file(
-    arena, path: str, i: int = 0, declaration: bool = True
+    arena: FrozenDocument, path: str, i: int = 0, declaration: bool = True
 ) -> None:
     """Serialize an arena subtree into a file (compact form), straight
     from the columns."""
@@ -159,31 +177,13 @@ def write_file(node: Node, path: str, indent: Optional[str] = None, declaration:
     with open(path, "w", encoding="utf-8") as handle:
         if declaration:
             handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
-        handle.write(serialize(node, indent=indent))
+        _emit(node, handle.write, indent)
         if indent is None:
             handle.write("\n")
 
 
 def write_stream(node: Node, handle: IO[str]) -> None:
-    """Serialize a subtree to an open text stream without pretty-printing.
-
-    Iterative (explicit stack), so it works on documents of any depth;
-    used by the data generator when emitting large files.
-    """
-    # Stack entries are either nodes to open or closing tags to emit.
-    stack: list = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            handle.write(item)
-            continue
-        if item.is_text:
-            handle.write(escape_text(item.value))
-            continue
-        attrs = "".join(f' {k}="{escape_attr(v)}"' for k, v in item.attrs.items())
-        if not item.children:
-            handle.write(f"<{item.label}{attrs}/>")
-            continue
-        handle.write(f"<{item.label}{attrs}>")
-        stack.append(f"</{item.label}>")
-        stack.extend(reversed(item.children))
+    """Serialize a subtree to an open text stream without pretty-printing
+    (part by part, never the whole text in memory); used by the data
+    generator when emitting large files."""
+    _emit(node, handle.write, None)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.transform.topdown import topdown_subtree
-from repro.xmltree.node import Element
+from repro.transform.topdown import topdown_children, topdown_subtree
+from repro.xmltree.node import Element, deep_copy
 from repro.xpath.ast import Path
 from repro.xpath.evaluator import compare_value, eval_qualifier, eval_values
 from repro.xquery.ast import (
@@ -156,17 +156,21 @@ def _eval_transformed(expr: TransformedSubtree, env: Environment) -> list:
         if expr.from_parent:
             out.extend(topdown_subtree(expr.nfa, expr.states, expr.update, item))
             continue
-        rebuilt = Element(item.label if expr.relabel is None else expr.relabel,
-                          dict(item.attrs), [])
-        for child in item.children:
-            rebuilt.children.extend(
-                topdown_subtree(expr.nfa, expr.states, expr.update, child)
-            )
+        children = topdown_children(expr.nfa, expr.states, expr.update, item.children)
+        if children is None:
+            if expr.relabel is None and not expr.patched:
+                out.append(item)  # nothing matched at or below it: shared
+                continue
+            children = list(item.children)
         if expr.patched:
-            from repro.xmltree.node import deep_copy
-
-            rebuilt.children.append(deep_copy(expr.update.content))
-        out.append(rebuilt)
+            children.append(deep_copy(expr.update.content))
+        out.append(
+            Element(
+                item.label if expr.relabel is None else expr.relabel,
+                dict(item.attrs),
+                children,
+            )
+        )
     return out
 
 

@@ -2,19 +2,25 @@
 round-trips, planning, chaining, composition, and the engine-backed
 CLI surface."""
 
+import ast
+import glob
 import io
+import os
 import sys
 import threading
 
 import pytest
 
+import repro
 from repro import (
     Engine,
+    apply_update,
     deep_equal,
     freeze,
     parse,
     parse_file,
     parse_transform_query,
+    parse_update,
     prepare_transform,
     serialize,
     transform_naive,
@@ -502,6 +508,64 @@ class TestComposition:
         ).explain()
         assert "composed plan" in explained
         assert "never materialized" in explained
+
+
+class TestNoDocumentCache:
+    """A Node tree is mutable, so nothing may remember a document by
+    identity: an answer is computed from the tree as it is now.  (The
+    tempting shortcut — an ``id(doc)``-keyed freeze or text cache in
+    front of the Node path — answers for a tree that no longer exists.)
+    """
+
+    def test_prepared_transform_sees_an_in_place_update(self, engine, doc):
+        prepared = engine.prepare_transform(RENAME)
+        for method in ("auto", "topdown", "twopass"):
+            assert "<price>" in serialize(prepared.run(doc, method=method))
+        apply_update(doc, parse_update("delete $a//price"))
+        apply_update(doc, parse_update("insert <sname>Acer</sname> into $a/part"))
+        for method in ("auto", "topdown", "twopass"):
+            got = prepared.run(doc, method=method)
+            assert deep_equal(got, transform_naive(doc, prepared.query))
+            assert "<price>" not in serialize(got)
+            assert serialize(got).count("<vendor>Acer</vendor>") == 2
+
+    def test_prepared_composed_sees_an_in_place_update(self, engine, doc):
+        composed = engine.prepare_composed("for $x in part/supplier/vendor return $x", RENAME)
+        assert [serialize(x) for x in composed.run(doc)] == [
+            "<vendor>HP</vendor>", "<vendor>Dell</vendor>", "<vendor>HP</vendor>"
+        ]
+        apply_update(doc, parse_update("delete $a/part[pname = 'kb']"))
+        after = [serialize(x) for x in composed.run(doc)]
+        assert after == [serialize(x) for x in composed.run_naive(doc)] == ["<vendor>HP</vendor>"]
+
+    def test_no_identity_keyed_document_map_in_the_node_path(self):
+        """No module of the engine, the transform algorithms or the
+        serializer can hold a document→arena or document→text map:
+        none imports ``freeze`` or ``weakref``, and ``id()`` appears
+        only where a map lives for one evaluation of one tree."""
+        per_evaluation = {
+            # bottomUp's annotations: built and dropped inside one twoPass call.
+            "transform/bottomup.py",
+            # the hashed-membership ablation's match set, local to one call.
+            "transform/ablations.py",
+        }
+        package = os.path.dirname(repro.__file__)
+        files = [os.path.join(package, "xmltree", "serializer.py")]
+        for folder in ("engine", "transform"):
+            files += sorted(glob.glob(os.path.join(package, folder, "*.py")))
+        assert len(files) > 10
+        for path in files:
+            relative = os.path.relpath(path, package).replace(os.sep, "/")
+            tree = ast.parse(open(path, encoding="utf-8").read())
+            for node in ast.walk(tree):
+                where = f"{relative}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    assert node.func.id != "id" or relative in per_evaluation, (
+                        f"{where} keys something by id()"
+                    )
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
+                    assert not {"weakref", "freeze"} & names, f"{where} imports {names}"
 
 
 class TestModuleShims:
