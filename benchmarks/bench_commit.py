@@ -35,7 +35,7 @@ from repro.bench.harness import (
     smoke_factor,
     smoke_rounds,
 )
-from repro.store import ViewStore
+from repro.store import ViewStore, result_key
 from repro.store.delta import apply_entries_rebuilt
 from repro.store.log import StagedUpdate
 from repro.xmltree.serializer import serialize_arena
@@ -100,7 +100,7 @@ def test_small_commit_splices_5x_faster_with_cache_retention():
     ]
     # Seed the result cache.
     for text in RETAINED + DROPPED:
-        spliced_store.query("xmark", text)
+        spliced_store.query_serialized("xmark", text)
 
     splice_times = []
     rebuild_times = []
@@ -119,7 +119,7 @@ def test_small_commit_splices_5x_faster_with_cache_retention():
         # Re-seed what the commit invalidated so every round observes
         # retention against a fully warmed cache.
         for text in RETAINED + DROPPED:
-            spliced_store.query("xmark", text)
+            spliced_store.query_serialized("xmark", text)
     splice_s = min(splice_times)
     rebuild_s = min(rebuild_times)
 
@@ -217,10 +217,11 @@ def test_wal_fsync_overhead_is_bounded(tmp_path):
 def test_noop_commit_is_free():
     spliced_store = _store()
     doc = spliced_store.documents.get("xmark")
-    spliced_store.query("xmark", RETAINED[0])
+    spliced_store.query_serialized("xmark", RETAINED[0])
     before = doc.version
     assert spliced_store.commit("xmark") == before
     delta = spliced_store.last_delta
     assert delta.entries == 0 and delta.old_version == delta.new_version
-    key = ("xmark", before, RETAINED[0])
+    pinned = spliced_store.pin_read("xmark")
+    key = result_key("xmark", pinned.snapshot.uid, RETAINED[0], pinned.texts)
     assert spliced_store.results.get(key) is not None, "no-op must not purge"

@@ -13,10 +13,10 @@ Two experiments on an XMark document held resident in a
   practice orders of magnitude — and, measured in the same run so the
   host cannot move it, the cold view pass costs no more than the same
   requests through the ``query_naive`` oracle.
-* **depth scaling** — one query against view stacks of growing depth,
-  result cache cleared (best of 3), at two document sizes: the
-  per-layer cost of one select + splice under the composed outer
-  layer.
+* **depth scaling** — one query against view stacks of growing depth
+  through the thawing read, which is never cached (best of 3), at two
+  document sizes: the per-layer cost of one select + splice under the
+  composed outer layer.
 
 Run with::
 
@@ -60,7 +60,7 @@ def _fresh_store(policy=None) -> ViewStore:
 
 
 def _serve(store: ViewStore, target: str, read=None, **options) -> float:
-    read = read if read is not None else store.query
+    read = read if read is not None else store.query_serialized
     start = time.perf_counter()
     for request in REQUESTS:
         read(target, request, **options)
@@ -142,7 +142,6 @@ def test_view_stack_depth_scaling(factor, max_depth=6):
         base = name
 
         def uncached() -> list:
-            store.results.invalidate()
             return store.query(name, request)
 
         # Best of 3, collecting first: the oracle below leaves a
@@ -154,7 +153,7 @@ def test_view_stack_depth_scaling(factor, max_depth=6):
         rows.append((str(depth), f"{elapsed * 1000:.2f}", str(len(result))))
     print()
     print(format_table(
-        f"view-stack depth scaling (factor {factor}, result cache cleared, best of 3)",
+        f"view-stack depth scaling (factor {factor}, uncached reads, best of 3)",
         ["depth", "ms/query", "results"],
         rows,
     ))

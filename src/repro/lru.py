@@ -1,11 +1,9 @@
 """A thread-safe LRU cache with zero package dependencies.
 
-Shared by the store's compiled-artifact caches and the engine's
-prepared layer.  It lives at the package root (rather than in
-``repro.store.cache``, which re-exports it for compatibility) to keep
-the layering one-directional: the store imports the engine's strategy rule,
-so shared infrastructure the engine needs must never live inside the
-store package.
+Shared by the store's result and label caches, the compiled-artifact
+cache (:mod:`repro.compiled`) and the engine's prepared layer.  It
+lives at the package root because the store and the engine both use
+it and neither imports the other.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ class LRUCache:
         *mapper* returns the key unchanged (keep), a new key (move the
         entry — recency order is preserved), or ``None`` (drop the
         entry).  This is what delta-scoped commit invalidation uses to
-        carry provably-unaffected results forward to the new version:
-        version-stamped keys cannot be kept in place, they must move.
+        carry provably-unaffected results forward to the new arena:
+        uid-stamped keys cannot be kept in place, they must move.
         Returns ``(moved, dropped)``.
         """
         with self._lock:

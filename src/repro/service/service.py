@@ -25,23 +25,25 @@ Concurrency discipline — **single writer, many readers**:
 Read path — there is one, and every read runs it, start to finish, on
 the thread that called :meth:`QueryService.query` (over the wire: the
 connection's thread); there is no queue, dispatcher or pool to hand it
-to.  A request pins its target and looks ``(target, arena uid, query,
-stack texts, staged texts)`` — all an answer depends on — up in the
-result **memo**.  A hit is answered right there: a pin and a
-dictionary lookup until the next commit changes the uid (and, for a
-plain document, beyond it, when the commit is provably label-disjoint
-from the query and the entry is re-keyed).
+to.  A request pins its target and looks
+:func:`~repro.store.store.result_key` — ``(target, arena uid, query,
+stack texts, staged texts)``, all an answer depends on — up in the
+**memo**: the store's result cache, ``store.results``, the only one
+there is.  A hit is answered right there: a pin, a dictionary lookup
+and a fresh list over the cached strings, until the next commit
+changes the uid (and beyond it, when the store's commit proves the
+entry untouched and re-keys it).
 
 A miss is **single-flight**.  Under the admission lock it looks the
 same key up in the table of evaluations in flight.  If an identical
 evaluation is up, it joins it as a *follower* (counted ``coalesced``)
-and is woken with the leader's answer — the very same list — or its
-exception.  Otherwise, after one more peek at the memo (publishing is
-memo first, table second, so an answer that exists is never computed
-again), it registers the flight and *leads* it: takes one of
-``workers`` evaluation slots, evaluates against the read it already
-pinned, puts the answer in the memo, takes the flight off the table
-and wakes its followers.
+and is woken with the leader's answer — its own list over the same
+strings — or its exception.  Otherwise, after one more peek at the
+memo (publishing is memo first, table second, so an answer that exists
+is never computed again), it registers the flight and *leads* it:
+takes one of ``workers`` evaluation slots, evaluates against the read
+it already pinned, puts the answer in the memo, takes the flight off
+the table and wakes its followers.
 
 Admission control: at most ``max_queue`` admitted leaders may be
 waiting for a slot; the next one is shed immediately with the typed
@@ -69,7 +71,6 @@ from repro.automata.arena_run import (
     serialize_arena_transformed,
 )
 from repro.engine.engine import Engine
-from repro.lru import LRUCache
 from repro.obs import (
     NULL_TRACE,
     MetricsRegistry,
@@ -88,7 +89,7 @@ from repro.service.errors import (
 )
 from repro.service.workers import ProcessWorkers
 from repro.store.errors import StoreError
-from repro.store.store import PinnedRead, ViewStore
+from repro.store.store import PinnedRead, ViewStore, result_key
 
 __all__ = ["QueryService", "ServiceConfig"]
 
@@ -107,8 +108,6 @@ class ServiceConfig:
       one is shed with :class:`~repro.service.errors.OverloadedError`.
       A memo hit, or a request that joins an identical evaluation
       already in flight, needs no slot and is never shed.
-    * ``memo_size`` — entries in the per-(document, version, query)
-      result memo.
     * ``default_deadline`` — seconds applied to requests that do not
       carry their own deadline (``None``: wait forever).
     * ``metrics`` — ``False`` disables the whole telemetry substrate
@@ -123,8 +122,8 @@ class ServiceConfig:
     * ``profile_sample`` — collect an execution profile on every N-th
       *sampled* evaluation (``0`` disables profiling).  Profiles ride
       along in slow-query entries; they are sampled separately
-      from tracing because the profiled scan twin is markedly slower
-      than the bare hot loop.
+      from tracing because a scan that counts its visits and prunes
+      is markedly slower than one that does not.
     * ``slow_threshold`` — seconds of submit→finish latency beyond
       which a request is captured in the slow-query log with its full
       trace and profile (negative disables the log entirely).
@@ -133,7 +132,7 @@ class ServiceConfig:
     """
 
     __slots__ = (
-        "workers", "mode", "max_queue", "memo_size",
+        "workers", "mode", "max_queue",
         "default_deadline", "metrics", "trace_sample", "trace_ring",
         "profile_sample", "slow_threshold", "slow_ring",
     )
@@ -143,7 +142,6 @@ class ServiceConfig:
         workers: int = 4,
         mode: str = "thread",
         max_queue: int = 256,
-        memo_size: int = 1024,
         default_deadline: Optional[float] = None,
         metrics: bool = True,
         trace_sample: int = 16,
@@ -169,7 +167,6 @@ class ServiceConfig:
         self.workers = workers
         self.mode = mode
         self.max_queue = max_queue
-        self.memo_size = memo_size
         self.default_deadline = default_deadline
         self.metrics = metrics
         self.trace_sample = trace_sample
@@ -239,7 +236,8 @@ class _Flight:
         self.has_slot = has_slot
         self.followers: list = []
         self.done = threading.Event()
-        self.result: Optional[list] = None
+        #: The cached (immutable) answer; each follower copies it out.
+        self.result: Optional[tuple] = None
         self.error: Optional[BaseException] = None
         self.abandoned = False
 
@@ -312,7 +310,6 @@ class QueryService:
         self.store.bind_metrics(self.registry)
         self.engine.bind_metrics(self.registry)
         self.registry.probe("service.queue.depth", self._queue_depth)
-        self.registry.probe("service.memo.cache", lambda: self._memo.stats())
         self.registry.probe("service.trace.ring", lambda: self.tracer.stats())
         self.registry.probe(
             "service.workers.restarts",
@@ -332,13 +329,6 @@ class QueryService:
         # next(self._profile_tick) is atomic under the GIL, so leaders
         # can draw from it without a lock.
         self._profile_tick = itertools.count()
-        # Keyed (target, arena uid, query text, stack texts, staged
-        # texts): the uid is process-unique per arena build and the
-        # texts are a view's whole definition, so entries can never
-        # alias across a commit, a drop-and-reload (which restarts
-        # versions at 1) or a drop-and-redefine — even if a leader
-        # publishes its result after drop()/commit() invalidated.
-        self._memo = LRUCache(self.config.memo_size)
         self._write_lock = threading.RLock()
         # Admission: the closed flag, the table of evaluations in
         # flight (key → _Flight, keyed like its memo entry) and the
@@ -411,9 +401,9 @@ class QueryService:
     def query_direct(self, target: str, query_text: str) -> list:
         """The serial one-request-at-a-time reference path: pin the
         snapshot, evaluate, serialize — same MVCC read, but no
-        coalescing and no per-version memo.  This is what a naive
-        server would do per request, and the baseline the service
-        benchmarks compare :meth:`query` against.
+        coalescing and no memo.  This is what a naive server would do
+        per request, and the baseline the service benchmarks compare
+        :meth:`query` against.
         """
         if self._is_closed():
             raise ServiceClosedError()
@@ -423,7 +413,10 @@ class QueryService:
         start = time.perf_counter()
         with self.tracer.trace("service.query_direct", target=target):
             result = self._evaluate_snapshot(pinned, query_text)
-        self._latency.observe(time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        self._count("evaluations")
+        self._eval_latency.observe(elapsed)
+        self._latency.observe(elapsed)
         return result
 
     def _read_snapshot(self, request: _Request) -> list:
@@ -442,9 +435,11 @@ class QueryService:
             self._finish(request, "error", error=str(exc))
             raise
         request.version = pinned.snapshot.version
-        key = (request.target, pinned.snapshot.uid, request.text) + pinned.texts
+        key = result_key(
+            request.target, pinned.snapshot.uid, request.text, pinned.texts
+        )
         # The memo's one counted lookup per request (admission peeks).
-        cached = self._memo.get(key)
+        cached = self.store.results.get(key)
         if cached is None:
             cached, flight = self._admit(request, key)
         else:
@@ -459,14 +454,14 @@ class QueryService:
             if not flight.abandoned:
                 self._count("coalesced")
                 self._finish(request, "ok")
-                return flight.result
+                return list(flight.result)
             # The leader ran out of time before it got a slot: lead
             # the evaluation, or join whoever now does.
             cached, flight = self._admit(request, key)
         if cached is not None:
             self._count("memo_hits")
             self._finish(request, "memo")
-            return cached
+            return list(cached)
         return self._lead_snapshot(request, key, flight, pinned)
 
     def _admit(self, request: _Request, key: tuple) -> tuple:
@@ -488,7 +483,7 @@ class QueryService:
                 return None, flight
             # Leaders publish memo first, table second: with no
             # flight up, an answer that exists is in the memo.
-            cached = self._memo.peek(key)
+            cached = self.store.results.peek(key)
             if cached is not None:
                 return cached, None
             has_slot = self._slots.acquire(blocking=False)
@@ -547,7 +542,7 @@ class QueryService:
 
     def _land(
         self, key: tuple, flight: _Flight,
-        result: Optional[list] = None, error: Optional[BaseException] = None,
+        result: Optional[tuple] = None, error: Optional[BaseException] = None,
     ) -> list:
         """Take the evaluated *flight* off the table and wake its
         followers with the outcome; returns them."""
@@ -575,9 +570,10 @@ class QueryService:
             self._land(key, flight, error=exc)
             self._finish(request, "error", error=str(exc))
             raise
-        self._memo.put(key, result)
+        answer = tuple(result)
+        self.store.results.put(key, answer)
         self._count("evaluations")
-        followers = self._land(key, flight, result=result)
+        followers = self._land(key, flight, result=answer)
         # Stale-read accounting: did a commit supersede the pinned
         # version while we were answering from it?
         snapshot = pinned.snapshot
@@ -767,7 +763,6 @@ class QueryService:
         with self._write_lock:
             self._check_open()
             self.store.drop(name)
-            self._memo.invalidate(lambda key: key[0] == name)
             self._checkpoint_documents()
             return {"name": name}
 
@@ -783,40 +778,16 @@ class QueryService:
 
         A spliced commit holds the document lock only to install the
         already-built arena (the splice itself runs outside it), so
-        snapshot readers barely stall; memo entries whose query is
-        provably label-disjoint from the delta are re-keyed onto the
-        new arena uid instead of dropped.  A no-op commit (nothing
-        staged) touches no cache at all.
+        snapshot readers barely stall; the store re-keys the memo
+        entries the delta provably cannot touch onto the new arena uid
+        and drops the rest (``memo_retained`` sums what it kept).  A
+        no-op commit (nothing staged) touches no cache at all.
         """
         with self._write_lock:
             self._check_open()
             delta = self.store.commit_delta(name, transform_text)
-            if delta.entries == 0:
-                return {
-                    "name": name, "version": delta.new_version,
-                    "spliced": False, "entries": 0,
-                }
-            # Every entry over the old arena is dead (the key is its
-            # uid): the document's own are re-keyed when a spliced
-            # commit provably cannot touch their query; the rest — view
-            # and staged-preview entries, everything after a rebuild —
-            # is dropped rather than left to the LRU.
-            affected = {name}
-            affected.update(
-                view.name for view in self.store.views.dependents_of_document(name)
-            )
-
-            def remap(key):
-                if key[0] not in affected:
-                    return key
-                plain = key[1] == delta.old_uid and key[3:] == ((), ())
-                if plain and self.store.commit_unaffected(delta, key[2]):
-                    return (name, delta.new_uid) + key[2:]
-                return None
-
-            retained, _ = self._memo.rekey(remap)
-            if retained:
-                self._count("memo_retained", retained)
+            if delta.results_kept:
+                self._count("memo_retained", delta.results_kept)
             return {
                 "name": name, "version": delta.new_version,
                 "spliced": delta.spliced, "entries": delta.entries,
@@ -923,7 +894,6 @@ class QueryService:
                 "workers": self.config.workers,
                 "max_queue": self.config.max_queue,
                 "queue_depth": self._queue_depth(),
-                "memo": self._memo.stats(),
             },
             "store": self.store.stats(),
             "metrics": self.registry.snapshot(),

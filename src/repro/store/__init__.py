@@ -27,8 +27,8 @@ A view is its transform query — no arena is kept for it unless the
 :class:`MaterializationPolicy` declares it hot.  Queries against a
 view are answered with the Compose Method over the stack (see
 :mod:`repro.store.store` for how a read is served), compiled artifacts
-are cached in an LRU :class:`CompiledCache`, and results are cached per
-document version.  A document at rest is one frozen arena per version;
+are cached in an LRU :class:`CompiledCache`, and serialized answers
+are cached per arena (``ViewStore.results``).  A document at rest is one frozen arena per version;
 staged updates commit by installing the next one (carrying provably
 unaffected views and results across) or roll back.
 
@@ -36,7 +36,8 @@ unaffected views and results across) or roll back.
 one directory with a JSON manifest plus one XML file per document.
 """
 
-from repro.store.cache import CompiledCache, LRUCache
+from repro.compiled import CompiledCache
+from repro.lru import LRUCache
 from repro.store.documents import DocumentStore, Snapshot, StoredDocument
 from repro.store.errors import (
     CorruptStateError,
@@ -49,7 +50,7 @@ from repro.store.errors import (
 )
 from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.state import locked_state, open_store, save_store
-from repro.store.store import PinnedRead, ViewStore
+from repro.store.store import PinnedRead, ViewStore, result_key
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 
 __all__ = [
@@ -74,5 +75,6 @@ __all__ = [
     "ViewStore",
     "locked_state",
     "open_store",
+    "result_key",
     "save_store",
 ]

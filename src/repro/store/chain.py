@@ -14,7 +14,7 @@ paths that must not contend with commits.
 
 :class:`CommitDelta` is the commit path's receipt — what
 ``ViewStore.commit_delta`` returns and the ``store.commit.delta.*``
-metrics and the service's memo re-keying consume.
+metrics and the service's ``memo_retained`` counter consume.
 """
 
 from __future__ import annotations

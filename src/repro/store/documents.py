@@ -6,8 +6,9 @@ a :class:`StoredDocument` is a version, a uid and one always-present
 columnar — files and XML text are parsed straight into columns, a
 caller's ``Element`` tree is frozen (copied) once — so the store never
 shares mutable structure with its callers.  The version counter starts
-at 1 and moves with every installed commit; caches key on it (or on
-the uid), so "invalidate" is mostly "the old key never matches again".
+at 1 and moves with every installed commit, and every installed arena
+gets a fresh uid; caches key on one or the other, so "invalidate" is
+mostly "the old key never matches again".
 
 There is no Node form of a stored document: every read — of the
 document, of a view stack over it, of a staged preview — evaluates over
@@ -42,7 +43,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 #: Process-unique ids stamped on every installed arena.  (name, version)
 #: alone is ambiguous — a dropped-then-reloaded document restarts at
-#: version 1 — so snapshot-keyed caches (the service's memo, the
+#: version 1 — so snapshot-keyed caches (the store's result cache, the
 #: process workers' arena caches) key on the uid, which no two arenas
 #: in this process ever share.
 _ARENA_UIDS = itertools.count(1)

@@ -28,15 +28,18 @@ read, an arena transform has one algorithm.  ``query_naive`` — thaw,
 shares none of the above.
 
 Caching: compiled artifacts (parses, NFAs, composed plans) live in a
-:class:`~repro.store.cache.CompiledCache` and never go stale; query
-*results* are cached under ``(target, document version, query
-text)``; a commit re-keys the ones its delta provably cannot touch
-onto the new version and drops the rest.
+:class:`~repro.compiled.CompiledCache` and never go stale.  Serialized
+*answers* live in ``ViewStore.results`` — the only result cache there
+is; a :class:`~repro.service.service.QueryService` reads and fills
+this one — under :func:`result_key`, all an answer depends on; a
+commit re-keys the ones its delta provably cannot touch onto the new
+arena's uid and drops the rest.
 
 Concurrency: the document lock is held to pin a read, to publish a
 materialization and to install a commit — never across an evaluation
-(a commit's next arena is derived outside it too, under the document's
-commit lock); name-table mutations take the store lock.
+or the result cache's re-key (a commit's next arena is derived outside
+it too, under the document's commit lock); name-table mutations take
+the store lock.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ import threading
 from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.automata.arena_run import serialize_arena_items
+from repro.compiled import CompiledCache
 from repro.compose.compose import transforms_document
 from repro.faults import fault_point
+from repro.lru import LRUCache
 from repro.obs import span
-from repro.store.cache import CompiledCache, LRUCache
 from repro.store.chain import CommitDelta
 from repro.store.delta import (
     REBUILD_REASONS,
@@ -98,9 +102,42 @@ class PinnedRead(NamedTuple):
     layers: Tuple[Tuple[View, bool], ...]
     staged: Tuple[StagedUpdate, ...]
     #: The source texts of the whole stack and of the staged entries:
-    #: with ``snapshot.uid``, what a result cache must key on so that
+    #: with ``snapshot.uid``, what :func:`result_key` keys on so that
     #: neither a redefined view nor a changed staging area can alias.
     texts: Tuple[Tuple[str, ...], Tuple[str, ...]]
+
+
+class _Verdict(NamedTuple):
+    """What one commit provably leaves alone of one read target over
+    the committed document (:meth:`ViewStore._delta_verdicts`)."""
+
+    #: The view; ``None`` for the document itself.
+    view: Optional[View]
+    #: The stack's source texts: the definition the verdict is about.
+    texts: Tuple[str, ...]
+    #: Every patch falls strictly inside a subtree the innermost
+    #: transform deletes/replaces: the output is byte-identical.
+    swallowed: bool
+    #: The labels the stack's transforms mention; ``None`` when a
+    #: layer is unanalyzable.
+    labels: Optional[frozenset]
+
+
+def result_key(
+    target: str,
+    uid: int,
+    query_text: str,
+    texts: Tuple[Tuple[str, ...], Tuple[str, ...]],
+) -> tuple:
+    """The key of one answer in ``ViewStore.results``: ``(target,
+    arena uid, query text, stack texts, staged texts)`` — *uid* and
+    *texts* are a :class:`PinnedRead`'s ``snapshot.uid`` and ``texts``.
+    The uid is process-unique per arena build and the texts are a
+    view's whole definition, so entries cannot alias across a commit, a
+    drop-and-reload (which restarts versions at 1) or a
+    drop-and-redefine — even when a reader publishes its answer after
+    the drop or the commit has invalidated."""
+    return (target, uid, query_text) + texts
 
 
 class ViewStore:
@@ -112,15 +149,18 @@ class ViewStore:
         self,
         policy: Optional[MaterializationPolicy] = None,
         compiled_cache_size: int = 256,
-        result_cache_size: int = 512,
+        result_cache_size: int = 1024,
     ):
         self.documents = DocumentStore()
         self.views = ViewRegistry(policy)
         self.compiled = CompiledCache(compiled_cache_size)
+        #: :func:`result_key` → the serialized answer, a tuple of
+        #: strings: immutable, so a hit hands out a fresh list over it
+        #: and no caller can change what another reads.
         self.results = LRUCache(result_cache_size)
         self.log = UpdateLog()
-        #: Evaluations over a frozen columnar snapshot — every read the
-        #: result cache did not answer.
+        #: Evaluations over a frozen columnar snapshot — every store
+        #: read the result cache did not answer.
         self.arena_reads = 0
         #: MVCC snapshots handed out via :meth:`pin`.
         self.snapshot_pins = 0
@@ -191,9 +231,7 @@ class ViewStore:
         """Drop a view, or a document no view depends on."""
         if name in self.views:
             self.views.drop(name)
-            self.results.invalidate(lambda key: key[0] == name)
-            return
-        if name in self.documents:
+        elif name in self.documents:
             dependents = self.views.dependents_of_document(name)
             if dependents:
                 raise StoreError(
@@ -201,9 +239,9 @@ class ViewStore:
                     f"{sorted(v.name for v in dependents)} are defined over it"
                 )
             self.documents.drop(name)
-            self.results.invalidate(lambda key: key[0] == name)
-            return
-        raise UnknownNameError(name)
+        else:
+            raise UnknownNameError(name)
+        self.results.invalidate(lambda key: key[0] == name)
 
     # ------------------------------------------------------------------
     # Queries
@@ -213,11 +251,14 @@ class ViewStore:
         self, target: str, query_text: str, *, include_staged: bool = False
     ) -> list:
         """Answer a user query against a document or a view; only the
-        matched subtrees are thawed.  ``include_staged=True`` evaluates
-        against the hypothetical document the staged-but-uncommitted
-        updates would produce (bypassing the result cache and the
-        materializations, which reflect committed state only)."""
-        return self._read(target, query_text, include_staged, serialized=False)
+        matched subtrees are thawed — per call, into trees the caller
+        owns (a mutable tree cannot be cached safely, so this read
+        never touches the result cache).  ``include_staged=True``
+        evaluates against the hypothetical document the
+        staged-but-uncommitted updates would produce."""
+        pinned = self._pin_read(target, include_staged)
+        _, evaluator, refs = self._evaluate_counted(pinned, query_text)
+        return [evaluator.materialize(item) for item in refs]
 
     def query_serialized(
         self, target: str, query_text: str, *, include_staged: bool = False
@@ -225,36 +266,24 @@ class ViewStore:
         """Answer a user query as serialized XML/text strings: the
         same read, with the matches serialized **straight from the
         columns** (:func:`~repro.xmltree.serializer.serialize_arena`) —
-        no ``thaw`` round-trip on any target."""
-        return self._read(target, query_text, include_staged, serialized=True)
-
-    def _read(
-        self, target: str, query_text: str, include_staged: bool, serialized: bool
-    ) -> list:
+        no ``thaw`` round-trip on any target.  Cached: a repeat is a
+        fresh list over the cached strings.  A staged read is cached
+        under its staged texts, so it can neither serve nor be served
+        by the committed answer."""
         pinned = self._pin_read(target, include_staged)
-        # The target stays in position 0: every invalidation predicate
-        # in this store (drop, commit) matches on ``key[0]``, and a
-        # dropped-then-reloaded document restarts at version 1 — only
-        # the name predicate protects that case.
-        key = None if pinned.staged else (
-            (target, pinned.snapshot.version, query_text)
-            + (("serialized",) if serialized else ())
-        )
-        if key is not None:
-            cached = self.results.get(key)
-            if cached is not None:
-                return cached
+        key = result_key(target, pinned.snapshot.uid, query_text, pinned.texts)
+        cached = self.results.get(key)
+        if cached is None:
+            arena, _, refs = self._evaluate_counted(pinned, query_text)
+            with span("serialize"):
+                cached = tuple(serialize_arena_items(arena, refs))
+            self.results.put(key, cached)
+        return list(cached)
+
+    def _evaluate_counted(self, pinned: PinnedRead, query_text: str) -> tuple:
         with self._counter_lock:
             self.arena_reads += 1
-        arena, evaluator, refs = self.evaluate(pinned, query_text, self.compiled)
-        if serialized:
-            with span("serialize"):
-                result = serialize_arena_items(arena, refs)
-        else:
-            result = [evaluator.materialize(item) for item in refs]
-        if key is not None:
-            self.results.put(key, result)
-        return result
+        return self.evaluate(pinned, query_text, self.compiled)
 
     def pin_read(self, target: str, *, include_staged: bool = False) -> PinnedRead:
         """Pin *target* — a document or a view, with or without the
@@ -427,11 +456,13 @@ class ViewStore:
         DeltaUnsupported`: unsupported selector, over-budget or
         root-removing delta) — **rebuilt** by
         :func:`~repro.store.delta.apply_entries_rebuilt`.  Either
-        outcome is installed the same way, under the document lock:
-        one ``install``, one delta-scoped invalidation (cached results
-        and materializations provably untouched by a splice's label
-        set are carried forward to the new version; a rebuild proves
-        nothing, so everything over the document drops), one receipt.
+        outcome is installed the same way: what the delta provably
+        leaves alone is worked out first (:meth:`_delta_verdicts`),
+        the document lock is held for one ``install`` and the
+        materializations' rebase, and the result cache is re-keyed
+        after it is released (:meth:`_rekey_results` — uid keys need
+        no lock: a reader that pins the new arena meanwhile misses and
+        evaluates).  One receipt.
         """
         doc = self._require_document(doc_name)
         if transform_text is not None:
@@ -482,16 +513,17 @@ class ViewStore:
                             outcome = apply_entries_rebuilt(
                                 base_arena, entries, unsupported.reason
                             )
+                with span("invalidate"):
+                    verdicts = self._delta_verdicts(doc.name, outcome)
                 with doc.lock:
                     self.log.record_commit(doc.name, entries)
                     version = doc.install(
                         outcome.arena, outcome.kind, outcome.touched_nodes
                     )
                     new_uid = doc.uid
-                    with span("invalidate"):
-                        kept_r, dropped_r, kept_m, dropped_m = self._invalidate_delta(
-                            doc, outcome, old_version, version
-                        )
+                    kept_m, dropped_m = self._rebase_materializations(
+                        verdicts, old_version, version
+                    )
             except BaseException:
                 # The commit did not install: put the consumed entries
                 # back so a retry commits the same sequence, and cancel
@@ -506,6 +538,10 @@ class ViewStore:
                         "version": old_version + 1,
                     })
                 raise
+            with span("invalidate"):
+                kept_r, dropped_r = self._rekey_results(
+                    verdicts, outcome.labels, old_uid, new_uid
+                )
         delta = CommitDelta(
             doc_name=doc.name,
             old_version=old_version,
@@ -553,97 +589,93 @@ class ViewStore:
             transform_text, lambda: (transform_labels(transform),)
         )[0]
 
-    def commit_unaffected(self, delta: CommitDelta, query_text: str) -> bool:
-        """Can a cached answer to *query_text* over the committed
-        document survive this commit?  The label-disjointness test the
-        service's memo re-keying uses: the query is analyzable and
-        mentions no label in the commit's delta set."""
-        if delta.labels is None:
-            return False
-        labels = self._query_label_set(query_text)
-        return labels is not None and not (labels & delta.labels)
-
-    def _invalidate_delta(
-        self,
-        doc: StoredDocument,
-        outcome: CommitOutcome,
-        old_version: int,
-        new_version: int,
-    ) -> tuple[int, int, int, int]:  # holds: doc.lock
-        """Carry provably-unaffected cache entries across a commit;
-        drop the rest.  Returns ``(results kept, results dropped,
-        materializations kept, materializations dropped)``.
-
-        A rebuilt commit has no delta label set (``None``): nothing can
-        be proven about its extent, so every entry over the document
-        and its views drops.  After a splice, a result over the
-        document survives when its query's label set is disjoint from
-        the delta's.  A result over a view also needs every stack layer
-        analyzable and label-disjoint — or the whole stack
-        **swallowed**: every patch strictly inside a subtree the
-        innermost transform deletes/replaces, making the view output
-        byte-identical.  Materializations are exact arenas, so only the
-        swallow test (not label disjointness) can keep them.
-        """
-        doc_name = doc.name
-        delta_labels = outcome.labels
-        dependents = self.views.dependents_of_document(doc_name)
-        swallowed: dict[str, bool] = {}
-        stack_labels: dict[str, Optional[frozenset]] = {}
-        for view in dependents:
+    def _delta_verdicts(self, doc_name: str, outcome: CommitOutcome) -> dict:
+        """``target → _Verdict`` for the document and every view over
+        it: what the commit about to install provably leaves alone.  A
+        pure function of the outcome and the view definitions, so it
+        runs before the document lock is taken."""
+        verdicts = {doc_name: _Verdict(None, (), False, frozenset())}
+        for view in self.views.dependents_of_document(doc_name):
             _, stack = self.views.stack(view.name)
-            extra: set = set()
-            analyzable = True
+            labels: Optional[frozenset] = frozenset()
             for layer in stack:
                 layer_labels = self._transform_label_set(
                     layer.transform_text, layer.transform
                 )
                 if layer_labels is None:
-                    analyzable = False
+                    labels = None
                     break
-                extra |= layer_labels
-            stack_labels[view.name] = frozenset(extra) if analyzable else None
-            swallowed[view.name] = bool(outcome.ranges) and ranges_swallowed_by(
-                stack[0].transform, outcome.base_arena, outcome.ranges, self.compiled
+                labels |= layer_labels
+            verdicts[view.name] = _Verdict(
+                view,
+                tuple(layer.transform_text for layer in stack),
+                bool(outcome.ranges) and ranges_swallowed_by(
+                    stack[0].transform, outcome.base_arena, outcome.ranges,
+                    self.compiled,
+                ),
+                labels,
             )
-        affected = {doc_name}
-        affected.update(swallowed)
+        return verdicts
 
-        def map_key(key):
-            target = key[0]
-            if target not in affected:
-                return key
-            if key[1] != old_version:
-                return None  # stale leftovers from an even older version
-            if target != doc_name and swallowed[target]:
-                return (target, new_version) + key[2:]
-            if delta_labels is None:
-                return None
-            needed = self._query_label_set(key[2])
-            if needed is None:
-                return None
-            if target != doc_name:
-                extra = stack_labels[target]
-                if extra is None:
-                    return None
-                needed = needed | extra
-            if needed & delta_labels:
-                return None
-            return (target, new_version) + key[2:]
-
-        results_kept, results_dropped = self.results.rekey(map_key)
-        mats_kept = 0
-        mats_dropped = 0
-        for view in dependents:
-            if view.materialized_root is None:
+    @staticmethod
+    def _rebase_materializations(
+        verdicts: dict, old_version: int, new_version: int
+    ) -> tuple[int, int]:  # holds: doc.lock
+        """Materializations are exact arenas, so only the swallow test
+        (not label disjointness) carries one to the new version.
+        Returns ``(kept, dropped)``."""
+        kept = dropped = 0
+        for verdict in verdicts.values():
+            view = verdict.view
+            if view is None or view.materialized_root is None:
                 continue
-            if swallowed[view.name] and view.materialized_version == old_version:
+            if verdict.swallowed and view.materialized_version == old_version:
                 view.rebase_materialization(new_version)
-                mats_kept += 1
+                kept += 1
             else:
                 view.invalidate()
-                mats_dropped += 1
-        return results_kept, results_dropped, mats_kept, mats_dropped
+                dropped += 1
+        return kept, dropped
+
+    def _rekey_results(
+        self,
+        verdicts: dict,
+        delta_labels: Optional[frozenset],
+        old_uid: int,
+        new_uid: int,
+    ) -> tuple[int, int]:
+        """The result cache's one re-key rule: move what the commit
+        provably cannot have changed from *old_uid* to *new_uid*, drop
+        everything else over the document.  Returns ``(kept,
+        dropped)``.
+
+        A rebuilt commit has no delta label set (``None``): nothing
+        can be proven about its extent, so everything drops.  After a
+        splice, an answer over the document survives when its query's
+        label set is disjoint from the delta's; one over a view also
+        needs every stack layer analyzable and label-disjoint — or the
+        stack swallowed.  A staged preview never survives (its staging
+        area was just consumed), nor does an entry keyed on a stack
+        that is no longer the target's definition."""
+
+        def map_key(key):
+            target, uid, query_text, stack_texts, staged_texts = key
+            verdict = verdicts.get(target)
+            if uid != old_uid:
+                # Another document's entry — or, under an affected
+                # name, what a late publisher left on a dead arena.
+                return key if verdict is None else None
+            if verdict is None or staged_texts or stack_texts != verdict.texts:
+                return None
+            if not verdict.swallowed:
+                if delta_labels is None or verdict.labels is None:
+                    return None
+                needed = self._query_label_set(query_text)
+                if needed is None or (needed | verdict.labels) & delta_labels:
+                    return None
+            return result_key(target, new_uid, query_text, key[3:])
+
+        return self.results.rekey(map_key)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -291,17 +291,17 @@ class QualifierSpace:
 
     def __init__(self):
         self.expressions: list[NQ] = []
-        self._memo: dict = {}
+        self._interned: dict = {}
 
     def intern(self, expr: NQ) -> NQ:
         child_ids = tuple(c.nq_id for c in expr.children())
         key = expr.key(child_ids)
-        found = self._memo.get(key)
+        found = self._interned.get(key)
         if found is not None:
             return found
         expr.nq_id = len(self.expressions)
         self.expressions.append(expr)
-        self._memo[key] = expr
+        self._interned[key] = expr
         return expr
 
     def __len__(self) -> int:

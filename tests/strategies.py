@@ -137,3 +137,12 @@ def transform_texts(draw, doc="db"):
     else:
         body = f"rename {path} as {draw(st.sampled_from(LABELS))}"
     return f'transform copy $a := doc("{doc}") modify do {body} return $a'
+
+
+@st.composite
+def user_queries(draw):
+    """A random one- or two-step user query over the a..e alphabet."""
+    path = draw(st.sampled_from(["", "//"])) + draw(st.sampled_from(LABELS))
+    if draw(st.booleans()):
+        path += draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from(LABELS))
+    return f"for $x in {path} return $x"

@@ -587,7 +587,7 @@ class TestProcessModePropagation:
             svc.put("db", CATALOG)
             first = svc.query("db", QUERY)
             svc._workers.processes.shutdown(wait=True)
-            assert svc.query("db", QUERY) is first
+            assert svc.query("db", QUERY) == first
             with pytest.raises(RuntimeError, match="after shutdown"):
                 svc.query("db", "for $x in part return $x/pname")
             m = svc.metrics()

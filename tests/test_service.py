@@ -2,10 +2,11 @@
 on the caller's thread, admission control, the process pool, and the
 line-protocol server/client.
 
-The oracle for every read is the store's own serialized read path
-(``query_serialized``) — the service must return the same strings
-from the leader, to every follower, through the process pool, and
-over the wire.
+The oracle for every read is ``query_naive``, serialized — the store's
+own ``query_serialized`` reads the one result cache the service fills,
+so it would compare an answer with itself.  The service must return
+the same strings from the leader, to every follower, through the
+process pool, and over the wire.
 """
 
 import json
@@ -56,12 +57,22 @@ ANONYMIZE = (
     'transform copy $a := doc("db") modify do '
     "rename $a//sname as vendor return $a"
 )
+INSERT_T = (
+    'transform copy $a := doc("db") modify do insert <t/> into $a/left return $a'
+)
 
 QUERIES = [
     "for $x in part return $x/pname",
     "for $x in part/supplier[price < 10] return $x",
     "for $x in part[pname = 'kb']/supplier return $x/sname",
 ]
+
+
+def _oracle(store, target, text, include_staged=False):
+    return [
+        item if isinstance(item, str) else serialize(item)
+        for item in store.query_naive(target, text, include_staged=include_staged)
+    ]
 
 
 @pytest.fixture
@@ -79,15 +90,13 @@ def service():
 
 def test_query_matches_store_oracle(service):
     for text in QUERIES:
-        assert service.query("db", text) == service.store.query_serialized("db", text)
+        assert service.query("db", text) == _oracle(service.store, "db", text)
 
 
 def test_view_and_staged_reads_match_the_store(service):
     service.define_view("public", "db", HIDE_A)
     text = "for $x in part/supplier return $x"
-    assert service.query("public", text) == service.store.query_serialized(
-        "public", text
-    )
+    assert service.query("public", text) == _oracle(service.store, "public", text)
     service.stage(
         "db",
         'transform copy $a := doc("db") modify do '
@@ -265,12 +274,16 @@ def test_identical_concurrent_misses_share_one_evaluation():
         release.set()
     answers = [call.result() for call in calls]
     svc.close()
-    assert answers[0] == svc.store.query_serialized("db", QUERIES[1])
-    assert all(answer is answers[0] for answer in answers)  # one list, fanned out
+    assert answers[0] == _oracle(svc.store, "db", QUERIES[1])
+    assert all(answer == answers[0] for answer in answers)
+    # One evaluation fanned out, but every caller owns its list.
+    assert len({id(answer) for answer in answers}) == clients
+    answers[1].clear()
+    assert answers[2] == answers[0] != []
     m = svc.metrics()
     assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (1, clients - 1, 0)
     assert m["requests"] == m["snapshot_reads"] == clients
-    memo = svc.stats()["service"]["memo"]
+    memo = svc.store.results.stats()
     assert (memo["misses"], memo["hits"]) == (clients, 0)  # one counted lookup each
     records = [r for r in svc.traces() if r["name"] == "service.query"]
     assert len(records) == clients
@@ -301,18 +314,19 @@ def test_a_malformed_query_fails_the_leader_and_every_follower_alike():
         errors.append(caught.value)
     assert all(error is errors[0] for error in errors)  # the leader's own
     assert svc._flights == {} and svc.stats()["service"]["queue_depth"] == 0
-    assert svc.stats()["service"]["memo"]["size"] == 0
+    assert len(svc.store.results) == 0
     m = svc.metrics()
     assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (0, 0, 0)
     # The slot came back: the service still answers.
-    assert svc.query("db", QUERIES[0]) == svc.store.query_serialized("db", QUERIES[0])
+    assert svc.query("db", QUERIES[0]) == _oracle(svc.store, "db", QUERIES[0])
     svc.close()
 
 
 def test_memo_serves_repeat_queries_until_commit(service):
     text = QUERIES[0]
     first = service.query("db", text)
-    assert service.query("db", text) is first  # the memo's own list, no copy
+    again = service.query("db", text)
+    assert again == first and again is not first  # the hit's own list
     assert service.metrics()["memo_hits"] == 1
     evaluations = service.metrics()["evaluations"]
     service.commit(
@@ -322,6 +336,20 @@ def test_memo_serves_repeat_queries_until_commit(service):
     )
     assert service.query("db", text) == ["<pname>mouse</pname>"]
     assert service.metrics()["evaluations"] == evaluations + 1
+
+
+def test_no_caller_can_change_what_another_reads(service):
+    text = QUERIES[0]
+    expected = _oracle(service.store, "db", text)
+    service.query("db", text).clear()  # the leader's list
+    hit = service.query("db", text)
+    assert hit == expected
+    hit.clear()
+    hit.append("<poison/>")
+    assert service.query("db", text) == expected
+    # The store reads the same cache, and hands out its own lists too.
+    assert service.store.query_serialized("db", text) == expected
+    assert service.store.results.stats()["hits"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +374,7 @@ def test_admission_bounds_waiters_but_never_a_hit_or_a_follower():
         # Neither a hit nor a follower needs a slot.
         started = time.perf_counter()
         for _ in range(10):
-            assert svc.query("db", hot) is first
+            assert svc.query("db", hot) == first
         assert time.perf_counter() - started < 0.1
         admitted = svc.metrics()["requests"]
         follower = _Call(svc.query, "db", QUERIES[1])
@@ -355,8 +383,8 @@ def test_admission_bounds_waiters_but_never_a_hit_or_a_follower():
         assert running.is_alive() and waiting.is_alive() and follower.is_alive()
     finally:
         release.set()
-    assert follower.result() is running.result()
-    assert waiting.result() == svc.store.query_serialized("db", QUERIES[2])
+    assert follower.result() == running.result()
+    assert waiting.result() == _oracle(svc.store, "db", QUERIES[2])
     m = svc.metrics()
     svc.close()
     assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (3, 1, 10)
@@ -368,16 +396,17 @@ def test_views_and_staged_reads_take_the_one_read_path(service):
     service.define_view("public", "db", HIDE_A)
     text = "for $x in part/supplier return $x"
     first = service.query("public", text)
-    assert service.query("public", text) is first  # a repeated view read is a hit
-    assert service.query("db", text) is service.query("db", text)
+    assert service.query("public", text) == first  # a repeated view read is a hit
+    assert service.metrics()["memo_hits"] == 1
+    assert service.query("db", text) == service.query("db", text)
     service.stage("db", ANONYMIZE)
     staged = service.query("db", text, staged=True)  # memoised text, staged read
-    assert staged == service.store.query_serialized("db", text, include_staged=True)
+    assert staged == _oracle(service.store, "db", text, include_staged=True)
     assert staged != service.query("db", text)
-    assert service.query("db", text, staged=True) is staged
+    assert service.query("db", text, staged=True) == staged
     service.rollback("db")
     # Nothing staged any more: the same request is the plain read again.
-    assert service.query("db", text, staged=True) is service.query("db", text)
+    assert service.query("db", text, staged=True) == service.query("db", text)
     m = service.metrics()
     assert (m["memo_hits"], m["evaluations"], m["coalesced"]) == (6, 3, 0)
     assert m["snapshot_reads"] == m["requests"] == 9
@@ -398,8 +427,9 @@ def test_a_redefined_view_never_serves_the_old_answer(service):
     # Even an entry published after the drop's invalidation (a leader
     # that finishes late) cannot alias: the key carries the stack texts.
     uid = service.store.pin("db").uid
-    assert {key[3] for key in service._memo._data if key[0] == "v"} == {(ANONYMIZE,)}
-    assert all(key[1] == uid for key in service._memo._data)
+    keys = list(service.store.results._data)
+    assert {key[3] for key in keys if key[0] == "v"} == {(ANONYMIZE,)}
+    assert all(key[1] == uid for key in keys)
 
 
 def test_a_commit_drops_view_and_staged_entries_with_the_old_arena():
@@ -412,35 +442,109 @@ def test_a_commit_drops_view_and_staged_entries_with_the_old_arena():
     text = "for $x in part return $x/pname"
     service.query("public", text)
     service.query("db", text)
-    service.commit(
-        "db",
-        'transform copy $a := doc("db") modify do insert <t/> into $a/left return $a',
-    )
-    # The document's entry is label-disjoint and re-keyed; the view's is
-    # dropped (not left to the LRU) and re-evaluated on the new arena.
-    assert [key[0] for key in service._memo._data] == ["db"]
+    service.stage("db", INSERT_T)
+    service.query("db", text, staged=True)
+    assert len(service.store.results) == 3
+    service.commit("db")
+    # The document's entry is label-disjoint and re-keyed; the view's
+    # stack mentions the delta's labels and the preview's staging area
+    # is gone: both are dropped (not left to the LRU).
+    assert [key[0] for key in service.store.results._data] == ["db"]
+    assert [key[3:] for key in service.store.results._data] == [((), ())]
     assert service.metrics()["memo_retained"] == 1
-    assert service.query("public", text) == service.store.query_serialized(
-        "public", text
-    )
+    assert service.query("public", text) == _oracle(service.store, "public", text)
     service.close()
+
+
+def test_a_view_entry_survives_a_disjoint_or_swallowed_commit():
+    """The store's re-key rule, through the service: a view read's
+    entry moves to the new arena when the commit is label-disjoint
+    from the query and the stack, or swallowed by the stack — and is
+    dropped by a commit that overlaps."""
+    service = QueryService()
+    service.put(
+        "db",
+        "<db><left/><part><pname>kb</pname><secret><cost>1</cost></secret>"
+        "</part></db>",
+    )
+    service.define_view(
+        "public", "db",
+        'transform copy $a := doc("db") modify do delete $a/part/secret return $a',
+    )
+    text = "for $x in part return $x/pname"
+
+    def commit_then_read(body):
+        before = service.metrics()
+        service.commit(
+            "db", f'transform copy $a := doc("db") modify do {body} return $a'
+        )
+        answer = service.query("public", text)
+        assert answer == _oracle(service.store, "public", text)
+        after = service.metrics()
+        return {
+            key: after[key] - before[key]
+            for key in ("memo_hits", "evaluations", "memo_retained")
+        }
+
+    first = service.query("public", text)
+    assert first == _oracle(service.store, "public", text) == ["<pname>kb</pname>"]
+    # Label-disjoint: neither the query nor the stack mentions left/t.
+    assert commit_then_read("insert <t/> into $a/left") == {
+        "memo_hits": 1, "evaluations": 0, "memo_retained": 1,
+    }
+    # Swallowed: the patch lands inside a subtree the view deletes.
+    assert commit_then_read("insert <cost>2</cost> into $a/part/secret") == {
+        "memo_hits": 1, "evaluations": 0, "memo_retained": 1,
+    }
+    # Overlapping: the commit touches what the query reads.
+    assert commit_then_read("insert <pname>mouse</pname> into $a/part") == {
+        "memo_hits": 0, "evaluations": 1, "memo_retained": 0,
+    }
+    assert service.query("public", text) == [
+        "<pname>kb</pname>", "<pname>mouse</pname>",
+    ]
+    uid = service.store.pin("db").uid
+    assert all(key[1] == uid for key in service.store.results._data)
+    service.close()
+
+
+def test_a_late_publisher_leaves_a_dead_key_nobody_is_served():
+    """A leader that pinned the old arena and finishes after the
+    commit publishes under the old uid: the entry can never be looked
+    up again, and the next commit sweeps it out."""
+    svc = QueryService(config=ServiceConfig(workers=2))
+    svc.put("db", "<db><left/><part><pname>kb</pname></part></db>")
+    text = "for $x in left/t return $x"
+    old_uid = svc.store.pin("db").uid
+    evaluating, release = _hold_evaluations(svc)
+    late = _Call(svc.query, "db", text)
+    assert evaluating.wait(timeout=5.0)
+    svc.commit("db", INSERT_T)
+    release.set()
+    assert late.result() == []  # consistent with the snapshot it pinned
+    new_uid = svc.store.pin("db").uid
+    assert [key[1] for key in svc.store.results._data] == [old_uid]
+    assert svc.metrics()["stale_reads"] == 1
+    # Nobody is served the dead entry...
+    assert svc.query("db", text) == _oracle(svc.store, "db", text) == ["<t/>"]
+    assert svc.metrics()["memo_hits"] == 0
+    assert sorted(key[1] for key in svc.store.results._data) == [old_uid, new_uid]
+    # ...and the next commit drops it with the arena's other leftovers.
+    svc.commit("db", INSERT_T)
+    assert [key[1] for key in svc.store.results._data] == []
+    svc.close()
 
 
 def test_memo_tallies_count_each_request_once(service):
     texts = [f"for $x in part[pname = 'p{i}'] return $x" for i in range(7)]
     for text in texts:
         service.query("db", text)
-    memo = service.stats()["service"]["memo"]
+    memo = service.store.results.stats()
     assert (memo["misses"], memo["hits"]) == (7, 0)
     for text in texts:
         service.query("db", text)
-    memo = service.stats()["service"]["memo"]
+    memo = service.store.results.stats()
     assert (memo["misses"], memo["hits"]) == (7, 7)
-
-
-INSERT_T = (
-    'transform copy $a := doc("db") modify do insert <t/> into $a/left return $a'
-)
 
 
 def test_hits_are_never_older_than_the_last_acknowledged_commit():
@@ -463,10 +567,10 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
     svc.commit("db", INSERT_T)
     assert svc.metrics()["memo_retained"] == 1
     hits = svc.metrics()["memo_hits"]
-    assert svc.query("db", untouched) is kept  # the re-keyed entry itself
+    assert svc.query("db", untouched) == kept  # the re-keyed entry
     assert svc.metrics()["memo_hits"] == hits + 1
     assert svc.query("db", touched) == oracle(touched) == ["<t/>"]
-    assert svc.query("db", touched) is svc.query("db", touched)
+    assert svc.query("db", touched) == svc.query("db", touched)
 
     # Then the hammer.  Version v holds v - 1 <t/>s, so an answer names
     # the version it was computed on.
@@ -528,6 +632,39 @@ def test_hits_are_never_older_than_the_last_acknowledged_commit():
     assert m["memo_retained"] >= 26  # `untouched` re-keyed across every commit
 
 
+def test_query_direct_counts_its_evaluation(service):
+    assert service.query_direct("db", QUERIES[0]) == _oracle(
+        service.store, "db", QUERIES[0]
+    )
+    service.query("db", QUERIES[0])  # query_direct left nothing in the memo
+    m = service.metrics()
+    assert (m["requests"], m["evaluations"], m["memo_hits"]) == (2, 2, 0)
+    assert m["requests"] == m["evaluations"] + m["coalesced"] + m["memo_hits"]
+    assert service.registry.snapshot()["service.eval.latency"]["count"] == 2
+
+
+def test_a_small_result_cache_evicts_in_lru_order_and_the_tallies_add_up():
+    service = QueryService(store=ViewStore(result_cache_size=2))
+    service.put("db", CATALOG)
+    a, b, c = QUERIES
+
+    def counted(text):
+        before = service.metrics()
+        assert service.query("db", text) == _oracle(service.store, "db", text)
+        after = service.metrics()
+        return after["memo_hits"] - before["memo_hits"]
+
+    assert [counted(text) for text in (a, b, a, c)] == [0, 0, 1, 0]  # c evicts b
+    assert [key[2] for key in service.store.results._data] == [a, c]
+    assert [counted(text) for text in (a, b, c)] == [1, 0, 0]  # b evicts c, c evicts a
+    cache = service.store.results.stats()
+    assert (cache["size"], cache["maxsize"]) == (2, 2)
+    m = service.metrics()
+    service.close()
+    assert m["requests"] == 7 == m["evaluations"] + m["coalesced"] + m["memo_hits"]
+    assert (m["memo_hits"], cache["hits"], cache["evictions"]) == (2, 2, 3)
+
+
 def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
     svc = QueryService(config=ServiceConfig(workers=4))
     svc.put("db", CATALOG)
@@ -545,6 +682,7 @@ def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
                 )
                 svc.query("partners", QUERIES[0])  # a view read
                 svc.query("db", QUERIES[0], staged=True)  # a staged preview
+                svc.query_direct("db", QUERIES[2])  # always an evaluation too
                 if index == 0 and round_no % 5 == 4:
                     svc.commit("db", HIDE_A)  # price/supplier: drops QUERIES[1:]
                     svc.stage("db", ANONYMIZE)
@@ -560,10 +698,10 @@ def test_read_accounting_adds_up_after_a_mixed_concurrent_run():
     m = svc.metrics()
     svc.close()
     assert not errors, errors[:3]
-    assert m["requests"] == 6 * 20 * (len(QUERIES) + 3)
+    assert m["requests"] == 6 * 20 * (len(QUERIES) + 4)
     assert m["requests"] == m["evaluations"] + m["coalesced"] + m["memo_hits"]
     assert m["snapshot_reads"] == m["requests"]
-    assert m["memo_hits"] > 0 and m["evaluations"] >= 6 * 20
+    assert m["memo_hits"] > 0 and m["evaluations"] >= 2 * 6 * 20
     assert m["shed"] == m["deadline_misses"] == 0
 
 
@@ -619,7 +757,7 @@ def test_a_leader_that_gives_up_hands_its_flight_to_an_unexpired_follower():
         assert follower.is_alive()
     finally:
         release.set()
-    assert follower.result() == svc.store.query_serialized("db", QUERIES[1])
+    assert follower.result() == _oracle(svc.store, "db", QUERIES[1])
     running.result()
     m = svc.metrics()
     svc.close()
@@ -644,8 +782,8 @@ def test_a_leader_that_finishes_late_misses_alone():
     with pytest.raises(DeadlineError, match="finished after the deadline"):
         leader.result()
     answer = follower.result()
-    assert answer == svc.store.query_serialized("db", QUERIES[1])
-    assert svc.query("db", QUERIES[1]) is answer  # it warmed the memo
+    assert answer == _oracle(svc.store, "db", QUERIES[1])
+    assert svc.query("db", QUERIES[1]) == answer  # it warmed the memo
     m = svc.metrics()
     svc.close()
     assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (1, 1, 1)
@@ -693,12 +831,12 @@ def test_close_waits_for_what_is_in_flight_then_refuses_everything():
     finally:
         release.set()
     closing.result()
-    assert running.result() == svc.store.query_serialized("db", QUERIES[1])
-    assert waiting.result() == svc.store.query_serialized("db", QUERIES[2])
+    assert running.result() == _oracle(svc.store, "db", QUERIES[1])
+    assert waiting.result() == _oracle(svc.store, "db", QUERIES[2])
     assert svc._flights == {}
     with pytest.raises(ServiceClosedError):
         svc.query("db", QUERIES[0])
-    assert hot == svc.store.query_serialized("db", QUERIES[0])
+    assert hot == _oracle(svc.store, "db", QUERIES[0])
 
 
 def test_close_rejects_new_requests_and_is_idempotent(service):
@@ -731,9 +869,8 @@ def test_process_mode_matches_thread_mode():
         pytest.skip(f"process pool unavailable: {exc}")
     try:
         svc.put("db", CATALOG)
-        oracle = svc.store.query_serialized
         for text in QUERIES:
-            assert svc.query("db", text) == oracle("db", text)
+            assert svc.query("db", text) == _oracle(svc.store, "db", text)
         # A commit bumps the version; workers must rebuild, not reuse.
         svc.commit(
             "db",
@@ -768,8 +905,8 @@ def test_process_pool_killed_mid_flight_still_answers_every_follower():
         svc._workers.evaluate = killed_under_the_leader
         calls = [_Call(svc.query, "db", QUERIES[2]) for _ in range(clients)]
         answers = [call.result(timeout=120.0) for call in calls]
-        assert answers[0] == svc.store.query_serialized("db", QUERIES[2])
-        assert all(answer is answers[0] for answer in answers)
+        assert answers[0] == _oracle(svc.store, "db", QUERIES[2])
+        assert all(answer == answers[0] for answer in answers)
         m = svc.metrics()
         assert (m["evaluations"], m["coalesced"]) == (1, clients - 1)
         assert svc._workers.restarts >= 1
@@ -831,7 +968,7 @@ def test_wire_query_and_ping(wire):
     svc, _, client = wire
     assert client.ping() == "pong"
     for text in QUERIES:
-        assert client.query("db", text) == svc.store.query_serialized("db", text)
+        assert client.query("db", text) == _oracle(svc.store, "db", text)
 
 
 def test_wire_full_session(wire):
@@ -1178,7 +1315,7 @@ class TestClosedFlagDiscipline:
         a served result or ServiceClosedError — never a hang."""
         svc = QueryService()
         svc.put("db", CATALOG)
-        expected = svc.store.query_serialized("db", "for $x in part/pname return $x")
+        expected = _oracle(svc.store, "db", "for $x in part/pname return $x")
         outcomes: list = []
 
         def reader():

@@ -20,6 +20,7 @@ from repro.store import (
     StoreError,
     UnknownNameError,
     ViewStore,
+    result_key,
 )
 
 CATALOG = (
@@ -207,17 +208,40 @@ class TestViewStacks:
 
 
 class TestCaches:
-    def test_result_cache_hit_returns_same_list(self, stacked):
+    def test_result_cache_hit_returns_its_own_list(self, stacked):
+        query = "for $x in part/supplier return $x"
+        first = stacked.query_serialized("partners", query)
+        again = stacked.query_serialized("partners", query)
+        assert again == first and again is not first
+        assert stacked.results.stats()["hits"] == 1
+
+    def test_no_caller_can_change_what_another_reads(self, stacked):
+        query = "for $x in part/supplier return $x"
+        expected = _texts(stacked.query_naive("partners", query))
+        stacked.query_serialized("partners", query).clear()  # the miss's list
+        hit = stacked.query_serialized("partners", query)
+        assert hit == expected
+        hit.clear()
+        hit.append("<poison/>")
+        assert stacked.query_serialized("partners", query) == expected
+        # Thawed trees are the caller's own: evaluated per call, never cached.
+        stacked.query("partners", query)[0].children.clear()
+        assert _texts(stacked.query("partners", query)) == expected
+        assert stacked.query_serialized("partners", query) == expected
+        assert len(stacked.results) == 1
+
+    def test_thawed_reads_never_touch_the_result_cache(self, stacked):
         query = "for $x in part/supplier return $x"
         first = stacked.query("partners", query)
-        assert stacked.query("partners", query) is first
-        assert stacked.results.stats()["hits"] == 1
+        assert stacked.query("partners", query) is not first
+        stats = stacked.results.stats()
+        assert (stats["size"], stats["hits"], stats["misses"]) == (0, 0, 0)
+        assert stacked.arena_reads == 2
 
     def test_compiled_plan_reused_across_targets(self, stacked):
         query = "for $x in part/supplier return $x"
         stacked.query("partners", query)
         built = stacked.compiled.plans.stats()["misses"]
-        stacked.results.invalidate()
         stacked.query("partners", query)
         assert stacked.compiled.plans.stats()["misses"] == built
 
@@ -238,9 +262,10 @@ class TestCaches:
     def test_unrelated_document_results_survive_commit(self, stacked):
         stacked.put("other", "<db><part><pname>cable</pname></part></db>")
         query = "for $x in part/pname return $x"
-        kept = stacked.query("other", query)
+        kept = stacked.query_serialized("other", query)
         stacked.commit("db", ANONYMIZE)
-        assert stacked.query("other", query) is kept
+        assert stacked.query_serialized("other", query) == kept
+        assert stacked.results.stats()["hits"] == 1
 
 
 class TestMaterialization:
@@ -252,11 +277,9 @@ class TestMaterialization:
         cold = _texts(store.query("public", query))
         view = store.views.get("public")
         assert view.materialized_root is None
-        store.results.invalidate()
         warm = _texts(store.query("public", query))
         assert view.materialized_root is not None
         assert view.materialized_version == 1
-        store.results.invalidate()
         assert _texts(store.query("public", query)) == warm == cold
 
     def test_commit_invalidates_materialization(self):
@@ -281,7 +304,6 @@ class TestMaterialization:
         store.put("db", CATALOG)
         store.define_view("public", "db", HIDE_A)
         for _ in range(20):
-            store.results.invalidate()
             store.query("public", "for $x in part return $x")
         assert store.views.get("public").materialized_root is None
 
@@ -291,7 +313,6 @@ class TestMaterialization:
         store.define_view("partners", "public", ANONYMIZE)
         query = "for $x in part/supplier return $x"
         store.query("partners", query)
-        store.results.invalidate()
         answer = _texts(store.query("partners", query))
         assert store.views.get("public").materialized_root is not None
         assert answer == _texts(store.query_naive("partners", query))
@@ -321,14 +342,15 @@ class TestCommitRollback:
         # does not move and nothing is invalidated.
         doc = stacked.documents.get("db")
         before = doc.version
-        warm = stacked.query("db", "for $x in db/part return $x")
+        query = "for $x in db/part return $x"
+        warm = stacked.query_serialized("db", query)
         assert stacked.commit("db") == before
         assert doc.version == before
         delta = stacked.last_delta
         assert delta is not None and delta.entries == 0
         assert delta.old_version == delta.new_version == before
-        key = ("db", before, "for $x in db/part return $x")
-        assert stacked.results.get(key) is warm
+        key = result_key("db", doc.uid, query, stacked.pin_read("db").texts)
+        assert stacked.results.get(key) == tuple(warm)
 
     def test_commit_is_sequential_over_stages(self, store):
         store.stage(
@@ -367,19 +389,37 @@ class TestCommitRollback:
         )
         assert len(store.log.history("db")) == 1
 
-    def test_staged_query_bypasses_result_cache(self, stacked):
+    def test_staged_query_is_cached_under_its_staged_texts(self, stacked):
+        """A staged read is cached under its staged texts: it can
+        never serve, or be served by, the committed answer."""
         query = "for $x in part/supplier return $x"
-        cached = stacked.query("partners", query)
-        stacked.stage(
-            "db",
+        committed = stacked.query_serialized("partners", query)
+        assert committed
+        drop_suppliers = (
             'transform copy $a := doc("db") modify do '
-            "delete $a//supplier return $a",
+            "delete $a//supplier return $a"
         )
-        hypothetical = stacked.query("partners", query, include_staged=True)
-        assert hypothetical == []
-        # The committed-state cache entry is untouched.
-        assert stacked.query("partners", query) is cached
+        stacked.stage("db", drop_suppliers)
+        assert stacked.query_serialized("partners", query, include_staged=True) == []
+        assert stacked.query_serialized("partners", query, include_staged=True) == []
+        # The committed answer is still served, from its own entry.
+        assert stacked.query_serialized("partners", query) == committed
+        stats = stacked.results.stats()
+        assert (stats["size"], stats["hits"], stats["misses"]) == (2, 2, 2)
+        assert {key[4] for key in stacked.results._data} == {(), (drop_suppliers,)}
+        # A different staging area is a different key, not a stale hit.
         stacked.rollback("db")
+        stacked.stage("db", ANONYMIZE)
+        assert stacked.query_serialized(
+            "partners", query, include_staged=True
+        ) == _texts(stacked.query_naive("partners", query, include_staged=True))
+        assert stacked.results.stats()["misses"] == 3
+        # With nothing staged the same request is the committed read.
+        stacked.rollback("db")
+        assert stacked.query_serialized(
+            "partners", query, include_staged=True
+        ) == committed
+        assert stacked.results.stats()["hits"] == 3
 
 
 class TestConcurrency:
@@ -442,7 +482,7 @@ class TestConcurrency:
 
 class TestStats:
     def test_stats_shape(self, stacked):
-        stacked.query("partners", "for $x in part return $x")
+        stacked.query_serialized("partners", "for $x in part return $x")
         stats = stacked.stats()
         assert stats["documents"]["db"]["version"] == 1
         assert stats["views"]["partners"]["depth"] == 2

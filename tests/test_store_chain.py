@@ -178,8 +178,8 @@ class TestCommitMatchesTheReferences:
         store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
         store.put("db", wide)
         store.define_view("v", "db", _transform("delete $a//x"))
-        store.query("db", "for $i in s return $i")
-        store.query("v", "for $i in s return $i")
+        store.query_serialized("db", "for $i in s return $i")
+        store.query_serialized("v", "for $i in s return $i")
         assert store.views.get("v").materialized_root is not None
         delta = store.commit_delta("db", _transform("delete $a/big"))
         assert not delta.spliced
@@ -392,16 +392,18 @@ def test_disjoint_results_survive_a_spliced_commit():
     store.put("db", DOC)
     keep_q = "for $x in b/y return $x"
     drop_q = "for $x in a/x return $x"
-    kept_rows = store.query("db", keep_q)
-    store.query("db", drop_q)
+    kept_rows = store.query_serialized("db", keep_q)
+    store.query_serialized("db", drop_q)
 
     delta = store.commit_delta("db", _transform("insert <w>9</w> into $a/a"))
     assert delta.spliced, delta
     assert delta.labels is not None
     assert "a" in delta.labels and "b" not in delta.labels
     assert delta.results_kept == 1 and delta.results_dropped == 1, delta
-    # The kept result was re-keyed to the new version: identity cache hit.
-    assert store.query("db", keep_q) is kept_rows
+    # The kept result was re-keyed onto the new arena: a cache hit.
+    assert store.query_serialized("db", keep_q) == kept_rows
+    assert store.results.stats()["hits"] == 1
+    assert {key[1] for key in store.results._data} == {delta.new_uid}
 
 
 def test_swallowed_commit_keeps_the_view_materialization():

@@ -196,7 +196,6 @@ def test_store_arena_read_counter_exact_across_documents():
         barrier.wait()
         for index in range(rounds):
             name = docs[(seed + index) % len(docs)]
-            store.results.invalidate()  # force the arena path every time
             store.query(name, "for $x in v return $x")
 
     threads = [threading.Thread(target=hammer, args=(s,)) for s in range(threads_n)]

@@ -29,7 +29,7 @@ from repro.xmark.queries import (
 from repro.xmltree.arena import FrozenDocument
 from repro.xmltree.node import Element
 
-from tests.strategies import LABELS, transform_texts, trees
+from tests.strategies import transform_texts, trees, user_queries
 
 CATALOG = (
     "<db><part><pname>kb</pname>"
@@ -118,7 +118,6 @@ def test_a_thawing_read_thaws_exactly_its_element_results(target, thaw_calls):
     if target != "db":
         store.query(target, QUERIES[1])  # materializes v1 and v2
         assert store.views.get(target).materialized_root is not None
-    store.results.invalidate()
     del thaw_calls[:]
     rows = store.query(target, QUERIES[0])
     assert len(rows) == 3 and all(isinstance(row, Element) for row in rows)
@@ -194,20 +193,12 @@ def test_stacks_match_the_oracle(name, kind, hot):
     assert any(v["materialized"] for v in store.stats()["views"].values()) == hot
 
 
-@st.composite
-def _user_queries(draw):
-    path = draw(st.sampled_from(["", "//"])) + draw(st.sampled_from(LABELS))
-    if draw(st.booleans()):
-        path += draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from(LABELS))
-    return f"for $x in {path} return $x"
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     tree=trees(),
     layers=st.lists(transform_texts(), min_size=1, max_size=4),
     staged=st.lists(transform_texts(), max_size=2),
-    query=_user_queries(),
+    query=user_queries(),
     hot=st.booleans(),
 )
 def test_random_stacks_match_the_oracle(tree, layers, staged, query, hot):
