@@ -24,12 +24,29 @@ Workload, over an XMark document of at least 10 MB serialized (factor
   too: a ``//item`` scan visits no more than the ``item`` postings
   (+16 for the steps above ``regions``), ``//nosuch`` visits nothing.
 
+* **qualifier sweeps** — per ``serve_scan`` template (the ledger's
+  five, parameters fixed) at the ledger's factor: the set form
+  :func:`~repro.xpath.arena_compiler.sweep_qualifier` against the same
+  candidates filtered one by one through the compiled closure — both
+  public functions, so neither side needs a switch — and the scan that
+  uses it.  Then the rule's own tables, which its two constants cite:
+  one ``regions``-shaped range (one candidate over a thousand leaves)
+  where the rule keeps the closure, with what the sweep would have
+  cost; sweep vs closure by leaves per candidate with the witness
+  first and absent; and swept vs stepped scans by candidates per range.
+* **two threads** — 240 evaluations of ``for $p in people/person
+  return $p/profile/age`` (1 275 path evaluations each) through one
+  shared ``CompiledCache``, on one thread and split over two: the
+  convoy ROADMAP 3a describes has a standing number.
+
 Bars (relaxed in smoke mode, which only exercises the code paths):
 
 * geometric-mean speedup >= 2x across the select+query suite;
 * resident bytes per loaded document (tracemalloc): the arena load
   path must be >= 3x smaller than the Node parse — in smoke mode the
   regression guard still asserts arena <= Node bytes;
+* sweep <= 0.5x the closure on the four text/number templates and
+  <= 1.0x on ``[@id = …]``; two threads <= 1.5x one thread;
 * **zero recompilation** — re-running a select on the warm arena adds
   no DFA state sets and no transitions (table counters stable);
 * **zero-copy snapshots** — N store reads of one committed version
@@ -50,17 +67,24 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 import time
 import tracemalloc
+from unittest import mock
 
 from repro.automata.arena_run import select_indices
 from repro.automata.selecting import build_selecting_nfa
 from repro.bench.harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
+from repro.compiled import CompiledCache
 from repro.obs.profile import Profile, profiled
 from repro.store.store import ViewStore
 from repro.xmark.queries import EMBEDDED_PATHS, delete_transform, user_query_for
 from repro.xmltree.arena import freeze
+from repro.xmltree.node import Element, Text
 from repro.xmltree.serializer import write_file
+from repro.xpath import arena_compiler
+from repro.xpath.arena_compiler import choose_sweep, compile_qualifier_arena, sweep_qualifier
+from repro.xpath.normalize import normalize_steps
 from repro.xpath.parser import parse_xpath
 from repro.xquery.arena_eval import ArenaEvaluator
 from repro.xquery.evaluator import evaluate_query
@@ -88,6 +112,22 @@ DESCENDANT_SHAPES = [
 ITEM_BOUND_SHAPES = ["//item", "regions//item", "//item[location = 'Germany']"]
 ITEM_BOUND_SLACK = 16
 
+#: ``serve_scan``'s five templates (``benchmarks/ledger/workloads.py``)
+#: with their parameters fixed: (candidate label, path, sweep/closure bar).
+SWEEP_TEMPLATES = [
+    ("person", "people/person[@id = 'person77']", 1.0),
+    ("person", "people/person[profile/age > 60.5]", 0.5),
+    ("item", "regions//item[location = 'Germany'][quantity > 7.5]", 0.5),
+    ("open_auction",
+     "open_auctions/open_auction[initial > 250.1 and reserve > 600.2]/bidder", 0.5),
+    ("closed_auction", "closed_auctions/closed_auction[price > 800.5]", 0.5),
+]
+#: One candidate over every ``location`` in the document.
+LEAF_HEAVY = ("regions", "regions[africa/item/location = 'United States']")
+CONVOY_QUERY = "for $p in people/person return $p/profile/age"
+CONVOY_EVALUATIONS = smoke_rounds(240, 8)
+CONVOY_BAR = 1.5
+
 REPEAT = smoke_rounds(3, 1)
 
 #: The acceptance bars.
@@ -110,6 +150,24 @@ def _best_of(fn, repeat: int = REPEAT) -> float:
             best = min(best, time.perf_counter() - start)
         finally:
             gc.enable()
+    return best
+
+
+def _best_of_warm(fn, repeat: int) -> float:
+    """Best of *repeat* back-to-back calls after one collection — for
+    sub-millisecond calls, where :func:`_best_of`'s full collection
+    before every call leaves the caches cold and times mostly that."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
     return best
 
 
@@ -195,6 +253,184 @@ def print_descendant_table(factor: float, rows: list) -> None:
     ))
 
 
+def _candidate_qualifier(path_text: str, label: str):
+    """The (merged) qualifier the path puts on its *label* step."""
+    _, steps = normalize_steps(parse_xpath(path_text))
+    return next(step.qual for step in steps if step.name == label)
+
+
+def run_sweep_table(factor: float) -> tuple[list, list]:
+    """One row per serve_scan template: the qualifier over every
+    candidate of the document, swept and closure-filtered, and the scan
+    around it.  Returns ``(rows, [(path, ratio, bar)])``."""
+    arena = freeze(dataset(factor, seed=DATASET_SEED))
+    size = len(arena)
+    repeat = smoke_rounds(15, 1)
+    rows = []
+    ratios = []
+    for label, path_text, bar in SWEEP_TEMPLATES:
+        qual = _candidate_qualifier(path_text, label)
+        sym = arena.symbols.intern(label)
+        postings = arena.postings((sym,))
+        closure = compile_qualifier_arena(qual)
+        swept = sweep_qualifier(qual, arena, sym, 0, size)
+        assert swept == sorted({i for i in postings if closure(arena, i)}), path_text
+        sweep_time = _best_of_warm(lambda: sweep_qualifier(qual, arena, sym, 0, size), repeat)
+        closure_time = _best_of_warm(lambda: {i for i in postings if closure(arena, i)}, repeat)
+        nfa = build_selecting_nfa(parse_xpath(path_text))
+        select_indices(nfa, arena)  # warm the DFA tables
+        scan_time = _best_of_warm(lambda: select_indices(nfa, arena), repeat)
+        profile = Profile()
+        with profiled(profile):
+            select_indices(nfa, arena)
+        ratio = sweep_time / closure_time
+        ratios.append((path_text, ratio, bar))
+        rows.append((
+            path_text, str(len(postings)), str(len(swept)),
+            f"{sweep_time * 1000:.3f}", f"{closure_time * 1000:.3f}", f"{ratio:.2f}x",
+            f"{scan_time * 1000:.3f}", str(profile.nodes_visited), str(profile.qual_swept),
+        ))
+    return rows, ratios
+
+
+def print_sweep_table(factor: float, rows: list) -> None:
+    print(format_table(
+        f"qualifier sweeps, serve_scan templates (xmark factor {factor})",
+        ["path", "cands", "true", "sweep ms", "closure ms", "ratio",
+         "scan ms", "visited", "leaves"],
+        rows,
+    ))
+
+
+def _wide(candidates: int, leaves_each: int, witness) -> Element:
+    """``r/h/c*/v*``: *candidates* ``c`` under one ``h``, *leaves_each*
+    ``v`` in each; ``witness(j)`` says which of a candidate's are 'w'."""
+    return Element("r", {}, [Element("h", {}, [
+        Element("c", {}, [
+            Element("v", {}, [Text("w" if witness(j) else "n")])
+            for j in range(leaves_each)
+        ])
+        for _ in range(candidates)
+    ])])
+
+
+def run_rule_tables(factor: float) -> tuple[list, list, list, str]:
+    """What ``choose_sweep``'s constants are read from.  Returns
+    ``(leaf-heavy row, ratio rows, candidate rows, verdict)``."""
+    repeat = smoke_rounds(9, 1)
+    # (1) the regions-shaped range: what the rule picks, and what the
+    # other side would have cost
+    arena = freeze(dataset(factor, seed=DATASET_SEED))
+    label, path_text = LEAF_HEAVY
+    qual = _candidate_qualifier(path_text, label)
+    sym = arena.symbols.intern(label)
+    closure = compile_qualifier_arena(qual)
+    postings = arena.postings((sym,))
+    verdict, _ = choose_sweep(qual, arena, sym, 0, len(arena))
+    leaves = len(arena.postings((arena.symbols.intern("location"),)))
+    heavy = [(
+        path_text, str(len(postings)), str(leaves), verdict,
+        f"{_best_of_warm(lambda: [i for i in postings if closure(arena, i)], repeat) * 1000:.4f}",
+        f"{_best_of_warm(lambda: sweep_qualifier(qual, arena, sym, 0, len(arena)), repeat) * 1000:.4f}",
+    )]
+    # (2) leaves per candidate: a sweep reads every leaf; the closure
+    # stops at the first witness (best case) or reads them all (worst)
+    qual = _candidate_qualifier("h/c[v = 'w']", "c")
+    closure = compile_qualifier_arena(qual)
+    ratio_rows = []
+    for each in ([1, 8] if SMOKE else [1, 2, 4, 8, 16, 32, 64]):
+        times = []
+        for witness in (lambda j: j == 0, lambda j: False):
+            wide = freeze(_wide(64, each, witness))
+            sym = wide.symbols.intern("c")
+            cands = wide.postings((sym,))
+            times.append((
+                _best_of_warm(lambda: sweep_qualifier(qual, wide, sym, 0, len(wide)), repeat),
+                _best_of_warm(lambda: [i for i in cands if closure(wide, i)], repeat),
+            ))
+        ratio_rows.append((
+            str(each), f"{times[0][0] / 64 * 1e6:.2f}",
+            f"{times[0][1] / 64 * 1e6:.2f}", f"{times[1][1] / 64 * 1e6:.2f}",
+        ))
+    # (3) candidates per range: one scan per holder, every range swept
+    # (the constant lowered to 1) against every range stepped (raised
+    # out of reach) — the only place a side is forced, because the
+    # constant itself is what is being measured
+    nfa = build_selecting_nfa(parse_xpath("c[v > 90]"))
+    cand_rows = []
+    for each in ([1, 16] if SMOKE else [1, 2, 4, 8, 12, 16, 24, 32, 64]):
+        root = Element("r", {}, [
+            Element("h", {}, [
+                Element("c", {}, [Element("pad", {}, [Text("p")]),
+                                  Element("v", {}, [Text(str((7 * k + c) % 100))])])
+                for c in range(each)
+            ])
+            for k in range(50)
+        ])
+        wide = freeze(root)
+        holders = list(wide.postings((wide.symbols.intern("h"),)))
+
+        def scans():
+            for holder in holders:
+                select_indices(nfa, wide, holder)
+
+        per_range = []
+        for minimum in (1, 10 ** 9):
+            with mock.patch.object(arena_compiler, "SWEEP_MIN_CANDIDATES", minimum):
+                scans()
+                per_range.append(_best_of_warm(scans, repeat) / len(holders) * 1e6)
+        cand_rows.append((str(each), f"{per_range[0]:.2f}", f"{per_range[1]:.2f}"))
+    return heavy, ratio_rows, cand_rows, verdict
+
+
+def print_rule_tables(heavy: list, ratio_rows: list, cand_rows: list) -> None:
+    print(format_table(
+        "the rule on a leaf-heavy range (one candidate, every location)",
+        ["path", "cands", "leaves", "verdict", "closure ms", "sweep ms"],
+        heavy,
+    ))
+    print()
+    print(format_table(
+        f"SWEEP_LEAF_RATIO = {arena_compiler.SWEEP_LEAF_RATIO}: "
+        "us per candidate, 64 candidates, c[v = 'w']",
+        ["leaves/cand", "sweep", "closure, witness first", "closure, no witness"],
+        ratio_rows,
+    ))
+    print()
+    print(format_table(
+        f"SWEEP_MIN_CANDIDATES = {arena_compiler.SWEEP_MIN_CANDIDATES}: "
+        "us per scanned range, c[v > 90]",
+        ["cands/range", "swept", "stepped"],
+        cand_rows,
+    ))
+
+
+def run_convoy_row(factor: float) -> tuple[float, float]:
+    """Seconds for ``CONVOY_EVALUATIONS`` of the per-item query on one
+    thread and split over two, sharing one compiled cache."""
+    arena = freeze(dataset(factor, seed=DATASET_SEED))
+    cache = CompiledCache()
+    query = cache.user_query(CONVOY_QUERY)
+
+    def work(count: int) -> None:
+        for _ in range(count):
+            ArenaEvaluator(arena, cache.selecting_nfa_for).evaluate_refs(query)
+
+    work(2)
+    started = time.perf_counter()
+    work(CONVOY_EVALUATIONS)
+    one = time.perf_counter() - started
+    threads = [
+        threading.Thread(target=work, args=(CONVOY_EVALUATIONS // 2,)) for _ in range(2)
+    ]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return one, time.perf_counter() - started
+
+
 def run_memory_table(factor: float, tmp_path: str) -> tuple[list, float]:
     """Resident bytes of the two load paths; returns (rows, ratio)."""
     from repro.xmltree.parser import parse_file, parse_file_to_arena
@@ -276,6 +512,44 @@ def test_descendant_shape_counts():
     print_descendant_table(factor, rows)
     failed = check_descendant_counts(profiles, items)
     assert not failed, "; ".join(failed)
+
+
+def test_qualifier_sweep_bars():
+    factor = SMOKE_FACTOR if SMOKE else DESCENDANT_FACTOR
+    rows, ratios = run_sweep_table(factor)
+    print()
+    print_sweep_table(factor, rows)
+    if SMOKE:
+        return  # the equality asserts in run_sweep_table hold at any size
+    failed = [
+        f"{path}: sweep {ratio:.2f}x the closure (bar {bar}x)"
+        for path, ratio, bar in ratios if ratio > bar
+    ]
+    assert not failed, "; ".join(failed)
+
+
+def test_the_rule_keeps_the_closure_on_a_leaf_heavy_range():
+    factor = SMOKE_FACTOR if SMOKE else DESCENDANT_FACTOR
+    heavy, ratio_rows, cand_rows, verdict = run_rule_tables(factor)
+    print()
+    print_rule_tables(heavy, ratio_rows, cand_rows)
+    assert verdict != "sweep", f"the rule swept {LEAF_HEAVY[1]}"
+
+
+def test_two_threads_do_not_convoy():
+    factor = SMOKE_FACTOR if SMOKE else DESCENDANT_FACTOR
+    one, two = run_convoy_row(factor)
+    print()
+    print(
+        f"{CONVOY_EVALUATIONS} x {CONVOY_QUERY!r}: one thread {one:.2f} s, "
+        f"two threads {two:.2f} s ({two / one:.2f}x, bar {CONVOY_BAR}x)"
+    )
+    if SMOKE:
+        return
+    assert two <= CONVOY_BAR * one, (
+        f"two threads took {two / one:.2f}x one thread's time for the same "
+        f"work (bar {CONVOY_BAR}x)"
+    )
 
 
 def test_zero_recompilation_on_warm_arena():
@@ -368,6 +642,24 @@ def main(argv=None) -> int:
     print()
     print_descendant_table(shape_factor, shape_rows)
     failed = check_descendant_counts(shape_profiles, items)  # exact: smoke too
+    sweep_rows, sweep_ratios = run_sweep_table(shape_factor)
+    print()
+    print_sweep_table(shape_factor, sweep_rows)
+    heavy, ratio_rows, cand_rows, verdict = run_rule_tables(shape_factor)
+    print()
+    print_rule_tables(heavy, ratio_rows, cand_rows)
+    if verdict == "sweep":
+        failed.append(f"the rule swept {LEAF_HEAVY[1]}")
+    one, two = run_convoy_row(shape_factor)
+    print()
+    print(f"two threads / one thread: {two:.2f} s / {one:.2f} s = {two / one:.2f}x")
+    if not args.smoke:
+        failed += [
+            f"{path}: sweep {ratio:.2f}x the closure (bar {bar}x)"
+            for path, ratio, bar in sweep_ratios if ratio > bar
+        ]
+        if two > CONVOY_BAR * one:
+            failed.append(f"two threads {two / one:.2f}x one thread (bar {CONVOY_BAR}x)")
     test_zero_recompilation_on_warm_arena()
     test_zero_copy_snapshots()
     if args.smoke:

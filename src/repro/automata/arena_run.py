@@ -13,11 +13,27 @@ one pre-order loop with local-variable state:
 * an empty target set **skips the whole subtree** by jumping
   ``i = end[i]`` — the paper's pruning, now a single int assignment
   over the contiguous pre-order range;
-* the only per-node allocation is appending a matched index.
+* the only per-node allocation is appending a matched index;
+* a qualifier on a step is **read, not recomputed, per candidate**:
+  the first conditional move into a qualifier-bearing state inside an
+  open range has the range's candidates swept set-at-a-time
+  (:func:`repro.xpath.arena_compiler.sweep_qualifier` — the set form;
+  the compiled closure is the single-node form), every later move in
+  that range is a set membership, and a set all of whose consuming
+  edges are qualifier-guarded is walked from one passing candidate to
+  the next.  The truth sets live in a :class:`~repro.automata.dfa.
+  ScanTruth` local to one :func:`select_indices` call.  A range falls
+  back to per-candidate closure calls when the one rule
+  (:func:`~repro.xpath.arena_compiler.choose_sweep`) says so: the
+  qualifier holds a wildcard or ``//`` step or the deferred mid-path
+  attribute, the candidate is a wildcard, the range holds only a
+  handful of candidates, or its leaves outnumber them many times over.
 
 :func:`select_indices` is the shared walk behind the arena paths of
-``run_select``, the store's query fast path and the xquery arena
-evaluator; :func:`write_arena_transformed` fuses it with the columnar
+``run_select``, the store's and the service's reads (documents, views,
+staged previews), the commit kernel's target selection
+(``store.delta.transform_arena``) and the xquery arena evaluator;
+:func:`write_arena_transformed` fuses it with the columnar
 serializer for the file-to-file transform fast path (untouched
 subtrees are emitted — or skipped — as raw index ranges, the arena
 form of "simply copied to the result").
@@ -27,6 +43,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.automata.dfa import ScanTruth
 from repro.obs import current_profile
 from repro.updates.ops import Update
 from repro.xmltree.arena import FrozenDocument
@@ -88,10 +105,27 @@ def select_indices(
     opened node.  Wildcard steps and sets whose members consume more
     than their ``//`` states do stay on the per-node path.
 
+    **Qualified jumps.**  A conditional move reads its qualifiers from
+    ``truth`` — this call's :class:`~repro.automata.dfa.ScanTruth`, in
+    which a qualifier-bearing state has the candidates of the open
+    range swept once, bottom-up from the leaf label's postings, the
+    first time a move enters it there (and again once the walk has
+    left that range: an entry never answers for another range).  Where
+    the innermost set is *guarded* (:meth:`LazyDFA._guard_key`: every
+    node that could enter a state from it must pass a qualifier) the
+    walk does not step the failing candidates either: it moves to the
+    next member of the sorted truth list exactly as a jump moves to
+    the next posting — for a child step, the next member whose parent
+    is the set's ``holder``, which is why the ancestor stack carries
+    the holders.  Ranges the one rule (:func:`~repro.xpath.
+    arena_compiler.choose_sweep`) leaves unswept are walked as before,
+    their candidates decided by the compiled closures.
+
     The loop counts into locals and deposits once, after the walk,
     into the execution profile active on the calling thread (if any):
     elements stepped (one DFA transition each), empty-set prunes,
-    nodes jumped over, and the lazy table growth this scan paid.
+    nodes jumped over, what the qualifier sweeps examined, and the
+    lazy table growth this scan paid.
     """
     out: list = []
     initial_id = initial_id_for(selecting, arena, context)
@@ -104,8 +138,11 @@ def select_indices(
     empty_id = dfa.empty_id
     final_flags = dfa.final_flags
     set_jump = dfa.set_jump
+    set_guard = dfa.set_guard
+    next_guarded = dfa.next_guarded
     next_posting = arena.next_posting
     cursor: dict = {}
+    truth = ScanTruth()
     sym = arena.sym
     end = arena.end
     append = out.append
@@ -113,13 +150,14 @@ def select_indices(
     visited = 0  # elements stepped into a non-empty set ...
     pruned = 0   # ... and into the empty one
     skipped = 0
-    # Ancestor stack: sets/ends hold the open chain; top_set mirrors
-    # the innermost set so the per-node fast path never indexes [-1].
-    # ``event`` is the next index at which the walk must look at the
-    # stack: the end of the innermost range while its set steps node
-    # by node, or 0 — every index — while it jumps.
+    # Ancestor stack: sets/ends/holders hold the open chain; top_set
+    # mirrors the innermost set so the per-node fast path never indexes
+    # [-1].  ``event`` is the next index at which the walk must look at
+    # the stack: the end of the innermost range while its set steps
+    # node by node, or 0 — every index — while it jumps.
     sets = [initial_id]
     ends = [limit]
+    holders = [context]
     top_set = initial_id
     event = 0
     i = context + 1
@@ -128,13 +166,21 @@ def select_indices(
             while ends[-1] <= i:
                 sets.pop()
                 ends.pop()
+                holders.pop()
             top_set = sets[-1]
             event = ends[-1]
-            jump = set_jump[top_set]
-            if jump is not None:
-                at = cursor.get(jump, 0)
-                if at < i:
-                    at = cursor[jump] = next_posting(jump, i)
+            # ``at``: the next index this set needs the walk at, or -1
+            # while it steps node by node.
+            at = -1
+            if set_guard[top_set] is not None:
+                at = next_guarded(top_set, arena, i, event, holders[-1], truth)
+            if at < 0:
+                jump = set_jump[top_set]
+                if jump is not None:
+                    at = cursor.get(jump, 0)
+                    if at < i:
+                        at = cursor[jump] = next_posting(jump, i)
+            if at >= 0:
                 if at >= event:
                     skipped += event - i
                     i = event
@@ -150,7 +196,7 @@ def select_indices(
         if move is None:
             move = compile_move(top_set, s)
         if move.cond_sids:
-            set_id = apply_move_arena(move, arena, i)
+            set_id = apply_move_arena(move, arena, i, ends[-1], truth)
         else:
             set_id = move.target0
         if set_id == empty_id:
@@ -174,17 +220,20 @@ def select_indices(
                     skipped += e - i
                     i = e  # nothing below can change the run: never opened
                     continue
-                event = 0
-            else:
-                event = e
+            event = 0 if jump is not None or set_guard[set_id] is not None else e
             sets.append(set_id)
             ends.append(e)
+            holders.append(i - 1)
             top_set = set_id
     if profile is not None:
         after = dfa.stats()
         stepped = visited + pruned  # one DFA transition per element stepped
         profile.add_scan(
             nodes=stepped, pruned=pruned, transitions=stepped, skipped=skipped
+        )
+        profile.add_qualifiers(
+            sweeps=truth.sweeps, swept=truth.swept,
+            stepped=truth.stepped, verdicts=truth.verdicts,
         )
         profile.add_table_growth(
             sets=after["sets"] - before["sets"],

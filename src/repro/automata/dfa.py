@@ -23,6 +23,15 @@ reachable subset space is tiny — typically a few dozen sets even on
 multi-million-node documents — so the lazy tables stop growing almost
 immediately and the steady-state cost of a transition is one dict hit.
 
+Over a columnar arena the qualifier half of a conditional move is read,
+not computed: the scan carries a :class:`ScanTruth`, in which each
+qualifier-bearing state entered in an open range has the range's
+candidates *swept* once (:func:`repro.xpath.arena_compiler.
+sweep_qualifier`), :meth:`LazyDFA.apply_move_arena` builds the outcome
+mask by membership, and a state set all of whose label-consuming edges
+are qualifier-guarded (``set_guard``) lets the scan jump from one
+passing candidate to the next (:meth:`LazyDFA.next_guarded`).
+
 Three run modes cover every consumer:
 
 * :meth:`LazyDFA.step` — the filtered transition of Fig. 4 used by
@@ -47,15 +56,21 @@ compiled caches reuse fully-warm transition tables across runs.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Callable, Optional
 
 from repro.xmltree.node import Element
 from repro.xmltree.symbols import SymbolTable, global_symbols
+from repro.xpath.arena_compiler import (
+    choose_sweep,
+    compile_qualifier_arena,
+    sweep_qualifier,
+)
 from repro.xpath.ast import Qual
 from repro.xpath.compiler import compile_qualifier
 from repro.automata.core import TEST_DOS, TEST_LABEL, Automaton
 
-__all__ = ["LazyDFA"]
+__all__ = ["LazyDFA", "ScanTruth"]
 
 #: checkp signature accepted by :meth:`LazyDFA.step`.
 CheckP = Callable[[Qual, Element], bool]
@@ -88,6 +103,35 @@ class _TrackedMove:
         self.final_mask = final_mask        # bitmask of final members in target
 
 
+class ScanTruth:
+    """One arena scan's qualifier truth — created by
+    :func:`~repro.automata.arena_run.select_indices` per call and
+    dropped with it; nothing here outlives the scan.
+
+    ``states`` maps a qualifier-bearing NFA state to ``(covered_to,
+    members, ordered)``: the candidates of its label at which its
+    qualifier holds, in the open range it was last swept over — a set
+    for the outcome mask, the same indices sorted for jumps — or
+    ``(covered_to, None, None)`` where the rule left that range to the
+    closure.  An entry answers for indices below ``covered_to`` only:
+    the walk moves forward, so once it has left the range the state is
+    swept again over the next one.  ``stops`` keeps, per guarded state
+    *set*, ``(covered_to, ordered)`` for the candidates its jumps land
+    on (the union over the states one move enters).  The counters are
+    what the scan deposits into the active profile afterwards.
+    """
+
+    __slots__ = ("states", "stops", "sweeps", "swept", "stepped", "verdicts")
+
+    def __init__(self) -> None:
+        self.states: dict = {}
+        self.stops: dict = {}
+        self.sweeps = 0         # ranges swept
+        self.swept = 0          # leaf postings those sweeps examined
+        self.stepped = 0        # candidates decided by a closure call
+        self.verdicts: dict = {}  # the rule's verdict -> ranges it left to the closure
+
+
 class LazyDFA:
     """Lazily-materialized DFA over an :class:`Automaton`.
 
@@ -101,7 +145,7 @@ class LazyDFA:
     # through _grow_lock with publish-last ordering.  Declared rather
     # than guarded so the checker documents (and the report surfaces)
     # exactly which shared state rides on that discipline:
-    # unguarded[_sets, final_flags, set_nq, set_qual_positions, _final_masks, set_jump]: grow-only parallel tables; a set_id is published into _ids only after its row in every table is complete (publish-last under _grow_lock), so lock-free readers always see complete facts
+    # unguarded[_sets, final_flags, set_nq, set_qual_positions, _final_masks, set_jump, set_guard]: grow-only parallel tables; a set_id is published into _ids only after its row in every table is complete (publish-last under _grow_lock), so lock-free readers always see complete facts
     # unguarded[_ids, _moves, _tracked]: grow-only dicts with idempotent inserts; two threads compiling the same entry write equivalent values (last write wins, both valid)
     # unguarded[_arena_checks]: built once under _grow_lock (double-checked locking); immutable after publication
     # unguarded[moves_compiled, tracked_compiled]: stats-only tallies; a lost increment under contention skews introspection, never correctness
@@ -125,7 +169,8 @@ class LazyDFA:
             compile_qualifier(s.qual) if s.has_qualifier else None for s in states
         ]
         # Arena twins of the compiled qualifier closures (fn(arena, i)),
-        # built on first arena run — Node-only consumers never pay.
+        # built when an arena scan first decides a candidate per node —
+        # Node-only consumers and fully swept scans never pay.
         self._arena_checks: Optional[list] = None
         self._quals = [s.qual for s in states]
         self._final = [s.is_final for s in states]
@@ -138,6 +183,7 @@ class LazyDFA:
         self.set_qual_positions: list[tuple] = []  # member positions w/ qualifiers
         self._final_masks: list[int] = []     # set_id -> bitmask of final members
         self.set_jump: list = []              # set_id -> R(T) symbols if jumpable, else None
+        self.set_guard: list = []             # set_id -> (symbol, child step?) if guarded, else None
         self._moves: list[dict] = []          # set_id -> {symbol: _Move}
         self._tracked: list[dict] = []        # set_id -> {symbol: _TrackedMove}
         # Direct view of the symbol table's label -> id dict (grow-only,
@@ -182,7 +228,9 @@ class LazyDFA:
             self._final_masks.append(
                 sum(1 << pos for pos, sid in enumerate(ordered) if self._final[sid])
             )
-            self.set_jump.append(self._jump_key(ordered))
+            jump = self._jump_key(ordered)
+            self.set_jump.append(jump)
+            self.set_guard.append(self._guard_key(ordered, jump))
             self._moves.append({})
             self._tracked.append({})
             # Publish last: readers that see the id find complete facts.
@@ -226,6 +274,45 @@ class LazyDFA:
         if syms and syms[0] < 0:
             return None  # a wildcard edge consumes every label
         return syms
+
+    def _guard_key(self, members: tuple, jump: Optional[tuple]) -> Optional[tuple]:
+        """The guard-table entry of a state set ``T`` (caller holds
+        ``_grow_lock``; *jump* is its :meth:`_jump_key`): ``(symbol,
+        child_step)`` when a scan holding ``T`` may skip every
+        candidate whose qualifiers fail — else ``None``.
+
+        ``T`` is guarded when its label-consuming edges all name one
+        label and every state they enter bears a qualifier, so a node
+        of that label passing none of them is no different from a node
+        of any other label.  Two shapes qualify.  The **child step**
+        (``people/person[q]`` below ``people``): ``T`` has no ``//``
+        member, so every other child of the holder — failing
+        candidates included — moves to the empty set and is pruned;
+        only passing candidates *that are children of the holder*
+        matter.  The **descendant step** (``regions//item[q]``): ``T``
+        is jumpable on that one label, a failing candidate holds
+        ``T``'s ``//`` remainder like every node a jump passes over,
+        and a passing candidate matters at any depth.  A set mixing
+        the two (``//a[q]/a[r]``: one label wanted as a child by one
+        member and as a descendant by another) stays on the per-node
+        path.
+        """
+        states = self.nfa.states
+        targets: set = set()
+        waits = False
+        for sid in members:
+            targets.update(states[sid].out_consume)
+            if self._is_dos[sid]:
+                waits = True
+        syms = {self._label_sym[sid] for sid in targets}
+        if len(syms) != 1 or not all(self._has_qual[sid] for sid in targets):
+            return None
+        (sym,) = syms
+        if sym < 0:
+            return None  # a wildcard edge: no one label's postings hold its candidates
+        if waits:
+            return (sym, False) if jump == (sym,) else None
+        return (sym, True)
 
     def members(self, set_id: int) -> tuple:
         """The NFA state ids of the set, sorted ascending."""
@@ -342,11 +429,11 @@ class LazyDFA:
 
     def ensure_arena_checks(self) -> list:
         """The per-NFA-state arena qualifier closures, built once on
-        first use (see :mod:`repro.xpath.arena_compiler`)."""
+        first use (see :mod:`repro.xpath.arena_compiler`) — by the
+        first candidate a scan has to decide one node at a time; a
+        query whose ranges are all swept never compiles them."""
         checks = self._arena_checks
         if checks is None:
-            from repro.xpath.arena_compiler import compile_qualifier_arena
-
             with self._grow_lock:
                 if self._arena_checks is None:
                     self._arena_checks = [
@@ -358,38 +445,114 @@ class LazyDFA:
             checks = self._arena_checks
         return checks
 
-    def apply_move_arena(self, move: _Move, arena, i: int) -> int:  # hot-path
+    def _truth_at(self, sid: int, arena, lo: int, hi: int, truth: ScanTruth) -> tuple:
+        """State *sid*'s entry in *truth* for the open range ``[lo,
+        hi)``: its label's candidates swept, or the range handed to
+        the closure — as :func:`~repro.xpath.arena_compiler.
+        choose_sweep` rules."""
+        qual = self._quals[sid]
+        label_sym = self._label_sym[sid]
+        verdict, leaves = choose_sweep(qual, arena, label_sym, lo, hi)
+        if verdict == "sweep":
+            ordered = sweep_qualifier(qual, arena, label_sym, lo, hi)
+            truth.sweeps += 1
+            truth.swept += leaves
+            entry = (hi, set(ordered), ordered)
+        else:
+            truth.verdicts[verdict] = truth.verdicts.get(verdict, 0) + 1
+            entry = (hi, None, None)
+        truth.states[sid] = entry
+        return entry
+
+    # hot-path
+    def apply_move_arena(self, move: _Move, arena, i: int, hi: int, truth: ScanTruth) -> int:
         """Decide a qualifier-bearing move at arena index *i* — the
-        columnar twin of :meth:`apply_move` (compiled arena closures
-        instead of Node closures; same outcome-bitmask targets)."""
-        checks = self._arena_checks
-        if checks is None:
-            checks = self.ensure_arena_checks()
+        columnar twin of :meth:`apply_move` (same outcome-bitmask
+        targets).  *hi* is the end of the innermost open range and
+        *truth* the calling scan's: a state's qualifier is read as
+        membership in the range's swept set, and falls to its compiled
+        closure only where the rule left the range unswept."""
         mask = 0
+        states = truth.states
         for bit, sid in enumerate(move.cond_sids):
-            if checks[sid](arena, i):
+            entry = states.get(sid)
+            if entry is None or entry[0] <= i:
+                entry = self._truth_at(sid, arena, i, hi, truth)
+            members = entry[1]
+            if members is None:
+                truth.stepped += 1
+                checks = self._arena_checks
+                if checks is None:
+                    checks = self.ensure_arena_checks()
+                if checks[sid](arena, i):
+                    mask |= 1 << bit
+            elif i in members:
                 mask |= 1 << bit
         if not mask:
             return move.target0
         return self._target_for_mask(move, mask)
 
-    def step_sym(self, set_id: int, sym: int, arena, i: int) -> int:  # hot-path
-        """``nextStates`` keyed directly by an interned symbol id — the
-        transition the arena runners take (no label string in sight).
-        """
+    # hot-path
+    def next_guarded(
+        self, set_id: int, arena, i: int, hi: int, holder: int, truth: ScanTruth
+    ) -> int:
+        """Where a scan at *i* holding the guarded set *set_id* (opened
+        by *holder*, open until *hi*) goes next: the first index ``>=
+        i`` at which one of the set's guarded states passes — for a
+        child step, among *holder*'s children — or ``>= hi`` when the
+        range has none left; ``-1`` when the rule left a state of the
+        move to its closure, so the set is walked as if unguarded."""
+        entry = truth.stops.get(set_id)
+        if entry is None or entry[0] <= i:
+            entry = truth.stops[set_id] = self._guard_stops(set_id, arena, i, hi, truth)
+        ordered = entry[1]
+        if ordered is None:
+            return -1
+        k = bisect_left(ordered, i)
+        count = len(ordered)
+        if self.set_guard[set_id][1]:
+            # A member deeper than a child sits inside a child that is
+            # either pruned or opened — into a set with its own holder.
+            parent = arena.parent
+            while k < count and ordered[k] < hi and parent[ordered[k]] != holder:
+                k += 1
+        return ordered[k] if k < count else hi
+
+    def _guard_stops(self, set_id: int, arena, lo: int, hi: int, truth: ScanTruth) -> tuple:
+        """``(covered_to, ordered)`` for the jumps of guarded set
+        *set_id* from *lo*: the sorted candidates at which a state its
+        one conditional move enters passes (``None``: a state is on
+        the closure)."""
+        sym = self.set_guard[set_id][0]
         move = self._moves[set_id].get(sym)
         if move is None:
             move = self._compile_move(set_id, sym)
-        if not move.cond_sids:
-            return move.target0
-        return self.apply_move_arena(move, arena, i)
+        states = truth.states
+        covered = 0
+        ordered = None
+        union: Optional[set] = None
+        for sid in move.cond_sids:
+            entry = states.get(sid)
+            if entry is None or entry[0] <= lo:
+                entry = self._truth_at(sid, arena, lo, hi, truth)
+            if entry[1] is None:
+                return hi, None
+            if ordered is None:
+                covered, ordered = entry[0], entry[2]
+            else:
+                if union is None:
+                    union = set(ordered)
+                union |= entry[1]
+                covered = min(covered, entry[0])
+        if union is not None:
+            ordered = sorted(union)
+        return covered, ordered
 
     def arena_hot_path(self) -> tuple:
         """``(move_tables, compile_move, apply_move_arena)`` for the
         arena runners' inlined per-index loops (the columnar analogue
         of :meth:`hot_path`; symbol resolution disappears because the
         arena's ``sym`` column already holds interned ids)."""
-        self.ensure_arena_checks()
         return self._moves, self._compile_move, self.apply_move_arena
 
     def step_all(self, set_id: int, label: str) -> int:

@@ -68,6 +68,15 @@ def render_profile(snapshot: dict) -> str:
         f"(+{snapshot.get('table_sets_added', 0)} state sets, "
         f"+{snapshot.get('table_moves_added', 0)} memoized moves)"
     )
+    verdicts = snapshot.get("qual_verdicts") or {}
+    if snapshot.get("qual_sweeps") or snapshot.get("qual_stepped") or verdicts:
+        why = ", ".join(f"{verdict} x{count}" for verdict, count in sorted(verdicts.items()))
+        lines.append(
+            f"  qualifiers: {snapshot.get('qual_sweeps', 0)} ranges swept over "
+            f"{snapshot.get('qual_swept', 0)} leaf postings, "
+            f"{snapshot.get('qual_stepped', 0)} candidates decided per node"
+            + (f" ({why})" if why else "")
+        )
     lines.append(
         f"  cache {snapshot.get('cache', 'warm')}, "
         f"{snapshot.get('serialize_bytes', 0)} serialize bytes, "

@@ -1,8 +1,10 @@
 """Per-run execution profiles: what the scan *actually* did.
 
 A :class:`Profile` rides along with one run and collects what it
-measured — nodes visited, subtrees pruned, nodes skipped by jumps, DFA
-transitions taken and transition-table growth, whether the prepared
+measured — nodes visited, subtrees pruned, nodes skipped by jumps, what
+the qualifier sweeps examined (and which ranges were left to per-node
+closures, with the rule's verdict), DFA transitions taken and
+transition-table growth, whether the prepared
 program was compiled cold or reused warm, and how many bytes the
 serializer produced — next to the strategy that ran and, for an arena
 read, the node count an unpruned scan would have visited
@@ -73,7 +75,8 @@ class Profile:
 
     __slots__ = (
         "nodes_visited", "subtrees_pruned", "dfa_transitions",
-        "nodes_skipped", "table_sets_added", "table_moves_added", "serialize_bytes",
+        "nodes_skipped", "qual_sweeps", "qual_swept", "qual_stepped", "qual_verdicts",
+        "table_sets_added", "table_moves_added", "serialize_bytes",
         "results", "cache", "strategy", "est_nodes", "_t0", "dur_us",
     )
 
@@ -82,6 +85,10 @@ class Profile:
         self.subtrees_pruned = 0
         self.dfa_transitions = 0
         self.nodes_skipped = 0
+        self.qual_sweeps = 0
+        self.qual_swept = 0
+        self.qual_stepped = 0
+        self.qual_verdicts: Dict[str, int] = {}
         self.table_sets_added = 0
         self.table_moves_added = 0
         self.serialize_bytes = 0
@@ -106,6 +113,21 @@ class Profile:
         self.subtrees_pruned += pruned
         self.dfa_transitions += transitions
         self.nodes_skipped += skipped
+
+    def add_qualifiers(
+        self, sweeps: int = 0, swept: int = 0, stepped: int = 0,
+        verdicts: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """One scan's qualifier work: ranges *swept* set-at-a-time and
+        the leaf postings those sweeps examined, candidates still
+        *stepped* (decided one node at a time by a closure), and for
+        the ranges left to the closures the rule's verdict
+        (``unsupported:<shape>`` / ``leaf-heavy``) with how many."""
+        self.qual_sweeps += sweeps
+        self.qual_swept += swept
+        self.qual_stepped += stepped
+        for verdict, count in (verdicts or {}).items():
+            self.qual_verdicts[verdict] = self.qual_verdicts.get(verdict, 0) + count
 
     def add_table_growth(self, sets: int = 0, moves: int = 0) -> None:
         """DFA transition-table growth observed across one scan
@@ -157,6 +179,10 @@ class Profile:
             "subtrees_pruned": self.subtrees_pruned,
             "dfa_transitions": self.dfa_transitions,
             "nodes_skipped": self.nodes_skipped,
+            "qual_sweeps": self.qual_sweeps,
+            "qual_swept": self.qual_swept,
+            "qual_stepped": self.qual_stepped,
+            "qual_verdicts": dict(self.qual_verdicts),
             "table_sets_added": self.table_sets_added,
             "table_moves_added": self.table_moves_added,
             "serialize_bytes": self.serialize_bytes,

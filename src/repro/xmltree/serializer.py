@@ -118,44 +118,65 @@ def serialize_arena(arena: FrozenDocument, i: int = 0, indent: Optional[str] = N
 
 def _flat_attr_text(flat: tuple[str, ...]) -> str:
     """Render an arena flat attribute tuple as serialized attributes."""
-    return "".join(
-        f' {flat[k]}="{escape_attr(flat[k + 1])}"'
-        for k in range(0, len(flat), 2)
-    )
+    text = ""
+    for k in range(0, len(flat), 2):
+        v = flat[k + 1]
+        if "&" in v or "<" in v or ">" in v or '"' in v:
+            v = escape_attr(v)
+        text = f'{text} {flat[k]}="{v}"'
+    return text
 
 
 def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Write) -> None:
     """Emit the (balanced) node range ``[start, limit)`` as compact XML
     through *write* — the shared core of :func:`serialize_arena` and
-    the arena-native transform-to-file path."""
+    the arena-native transform-to-file path.
+
+    The column twin of :func:`_emit`, under the same rules: escape only
+    values holding a special character, write ``<price>12</price>`` as
+    one part, and test for a closing tag against a local (``close_at``,
+    the end of the innermost open element) rather than the stack.
+    """
     sym = arena.sym
     end = arena.end
     payload = arena.payload
     attr_map = arena.attrs
     strings = arena.symbols.strings
     closes: list[str] = []
-    ends: list[int] = []
+    ends: list[int] = [limit]  # sentinel: never reached inside the loop
+    close_at = limit
     j = start
     while j < limit:
-        while ends and ends[-1] <= j:
-            ends.pop()
+        while close_at <= j:
             write(closes.pop())
+            ends.pop()
+            close_at = ends[-1]
         s = sym[j]
         if s < 0:
-            write(escape_text(payload[j]))
+            value = payload[j]
+            if "&" in value or "<" in value or ">" in value:
+                value = escape_text(value)
+            write(value)
             j += 1
             continue
         label = strings[s]
         found = attr_map.get(j)
-        attrs = _flat_attr_text(found) if found else ""
+        head = f"<{label}{_flat_attr_text(found)}" if found else "<" + label
         e = end[j]
-        if e == j + 1:
-            write(f"<{label}{attrs}/>")
-        else:
-            write(f"<{label}{attrs}>")
-            ends.append(e)
-            closes.append(f"</{label}>")
         j += 1
+        if e == j:
+            write(head + "/>")
+        elif e == j + 1 and sym[j] < 0:
+            value = payload[j]
+            if "&" in value or "<" in value or ">" in value:
+                value = escape_text(value)
+            write(f"{head}>{value}</{label}>")
+            j = e
+        else:
+            write(head + ">")
+            closes.append(f"</{label}>")
+            ends.append(e)
+            close_at = e
     while closes:
         write(closes.pop())
 

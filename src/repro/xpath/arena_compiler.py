@@ -1,6 +1,7 @@
-"""Qualifier compilation for the columnar arena: a ``Qual`` AST becomes
-a closure ``fn(arena, i) -> bool`` over pre-order indices.
+"""Qualifier evaluation over the columnar arena, in two forms.
 
+**The single-node form** — :func:`compile_qualifier_arena`: a ``Qual``
+AST becomes a closure ``fn(arena, i) -> bool`` over pre-order indices.
 The arena twin of :mod:`repro.xpath.compiler`, with identical semantics
 (the arena property tests hold the three evaluators —
 ``eval_qualifier``, the Node closures, and these — together on random
@@ -23,12 +24,44 @@ mid-path attribute step (which the reference evaluator rejects *at
 check time*) compiles to a closure that thaws the context node and
 defers to ``eval_qualifier``, so the error surfaces at the same moment
 with the same message.
+
+**The set form** — :func:`sweep_qualifier`: the candidates of one
+label inside one pre-order range at which the qualifier holds, as a
+bottom-up semi-join over the columns.  This is the paper's ``twoPass``
+trade on the arena: a selecting scan that asks the closure decides the
+qualifier again at every candidate it steps on (two child scans and
+four calls each for ``person[profile/age > 60]``); the sweep slices
+the *leaf* label's postings to the range, filters them by the terminal
+comparison, and hops ``parent[]`` once per path step — work bounded by
+the leaf postings inside the range, shared by every candidate.  The
+scan (:func:`repro.automata.arena_run.select_indices`) then reads
+membership, and jumps straight to the members.
+
+The sweep covers what postings reach: label and self steps, a final
+attribute, own-text comparisons, ``and`` / ``or`` / ``not``, and
+step-nested qualifiers of the same shapes.  It returns ``None`` — and
+the closure stays the one evaluator — for
+
+* a wildcard or ``//`` step inside the qualifier (no single label's
+  postings hold the nodes such a step reaches);
+* the deferred mid-path attribute (its error must surface when a
+  candidate is checked, not when a range is opened);
+* a wildcard candidate (no label to take the candidates from).
+
+Whether a supported range *is* swept is :func:`choose_sweep` — the one
+rule, below: not for a handful of candidates (a sweep has a fixed
+price per range; a ``for`` body that evaluates ``$p/profile[age > 30]``
+per person opens 1 275 one-candidate ranges), and not where the leaves
+outnumber the candidates many times over (an existential closure
+short-circuits, a sweep cannot).  Single-node callers (``QualCheck``,
+the context qualifier, ``_context_matches``) always use the closure.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from typing import Callable, Optional
 
 from repro.xmltree.arena import FrozenDocument
 from repro.xmltree.symbols import SymbolTable, global_symbols
@@ -45,7 +78,7 @@ from repro.xpath.ast import (
 from repro.xpath.compiler import _compile_compare
 from repro.xpath.evaluator import eval_qualifier
 
-__all__ = ["compile_qualifier_arena"]
+__all__ = ["choose_sweep", "compile_qualifier_arena", "sweep_qualifier"]
 
 #: A compiled arena qualifier: truth at pre-order index *i*.
 ArenaCheck = Callable[[FrozenDocument, int], bool]
@@ -261,3 +294,257 @@ def _compile_step(
         return False
 
     return check_wild
+
+
+# ----------------------------------------------------------------------
+# The set form: a qualifier over a range of candidates, as a semi-join
+# ----------------------------------------------------------------------
+
+#: The rule's two constants (see :func:`choose_sweep`), each read off a
+#: table ``benchmarks/bench_arena.py`` prints
+#: (``test_the_rule_keeps_the_closure_on_a_leaf_heavy_range``; this
+#: host, factor 0.05, µs).
+#:
+#: A sweep pays a fixed price per range — slices, sets, a parent hop per
+#: step — that a closure call or two undercut.  One scan per holder of
+#: ``c[v > 90]`` with *n* candidates, every range swept / every range
+#: stepped: n=1 8.2 / 3.7, n=8 11.9 / 9.9, n=12 13.5 / 13.1,
+#: n=16 14.7 / 16.7, n=32 20.1 / 28.9.  Below this many candidates in
+#: the range the closures decide them.
+SWEEP_MIN_CANDIDATES = 16
+#: A sweep examines every leaf; the closure, being existential, stops
+#: at a candidate's first witness.  Per candidate of ``c[v = 'w']``
+#: with *k* leaves each, sweep / closure with the witness first /
+#: closure with no witness: k=1 0.26 / 0.18 / 0.20, k=8 0.86 / 0.21 /
+#: 1.15, k=16 1.50 / 0.21 / 2.17, k=64 5.4 / 0.21 / 8.5 — and a
+#: candidate the walk steps instead of jumping costs ~0.4 more.  Up to
+#: this many leaf postings per candidate posting the sweep is about
+#: even with the closure's best case and ahead of its worst; beyond, it
+#: is the closure's range (``regions[africa/item/location = 'x']``,
+#: one candidate over 1 087 leaves: closure 0.0015 ms, sweep 0.21 ms).
+SWEEP_LEAF_RATIO = 8
+
+_UNSWEPT_STEPS = {
+    "wildcard": "wildcard-step",
+    "dos": "descendant-step",
+    "attr": "mid-path-attribute",
+}
+
+
+# hot-path
+def choose_sweep(
+    qual: Qual, arena: FrozenDocument, candidate_sym: int, lo: int, hi: int
+) -> tuple:
+    """The one rule deciding whether the candidates labelled
+    *candidate_sym* in ``[lo, hi)`` have *qual* swept or stepped:
+    sweep iff the shape is one :func:`sweep_qualifier` covers, the
+    range holds at least :data:`SWEEP_MIN_CANDIDATES` candidates, and
+    its leaf postings are at most :data:`SWEEP_LEAF_RATIO` times those.
+
+    Returns ``(verdict, leaves)``: ``"sweep"`` with the leaf postings
+    the sweep will examine, or the reason the closure keeps the range
+    — ``"unsupported:<shape>"``, ``"few-candidates"``, ``"leaf-heavy"``.
+    Pure: two bisects per label, cheapest test first, nothing
+    remembered.
+    """
+    if candidate_sym < 0:
+        return "unsupported:wildcard-candidate", 0
+    candidates = _count_labelled(arena, candidate_sym, lo, hi)
+    if candidates < SWEEP_MIN_CANDIDATES:
+        return "few-candidates", 0
+    leaf_syms: list = []
+    shape = _sweep_leaves(qual, candidate_sym, arena.symbols, leaf_syms)
+    if shape is not None:
+        return "unsupported:" + shape, 0
+    leaves = 0
+    for leaf in leaf_syms:
+        if leaf is not None:
+            leaves += _count_labelled(arena, leaf, lo, hi)
+    if leaves > SWEEP_LEAF_RATIO * candidates:
+        return "leaf-heavy", leaves
+    return "sweep", leaves
+
+
+# hot-path
+def sweep_qualifier(
+    qual: Qual, arena: FrozenDocument, candidate_sym: int, lo: int, hi: int
+) -> Optional[list]:
+    """The sorted pre-order indices in ``[lo, hi)`` labelled
+    *candidate_sym* at which *qual* holds — equal to filtering those
+    candidates through :func:`compile_qualifier_arena`'s closure — or
+    ``None`` for a shape the sweep does not cover (module docstring).
+
+    ``[lo, hi)`` must not cut a candidate's subtree at *hi*: pass the
+    end of a range that encloses *lo* (the scan passes the innermost
+    open range; ``len(arena)`` always qualifies).
+    """
+    if candidate_sym < 0:
+        return None
+    if _sweep_leaves(qual, candidate_sym, arena.symbols, []) is not None:
+        return None
+    candidates = _labelled(arena, candidate_sym, lo, hi)
+    return sorted(_sweep(qual, arena, candidate_sym, candidates, lo, hi))
+
+
+def _labelled(arena: FrozenDocument, sym: int, lo: int, hi: int):
+    found = arena.postings((sym,))
+    return found[bisect_left(found, lo):bisect_left(found, hi)]
+
+
+def _count_labelled(arena: FrozenDocument, sym: int, lo: int, hi: int) -> int:
+    found = arena.postings((sym,))
+    return bisect_left(found, hi) - bisect_left(found, lo)
+
+
+# hot-path
+def _sweep_leaves(
+    qual: Qual, sym: Optional[int], symbols: SymbolTable, leaves: list
+) -> Optional[str]:
+    """Append to *leaves* the symbol of every label whose postings a
+    sweep of *qual* over nodes labelled *sym* slices (``None`` for a
+    label no document has interned), or return the name of the shape
+    that keeps *qual* on the closure."""
+    if isinstance(qual, (TrueQual, LabelQual)):
+        return None
+    if isinstance(qual, (AndQual, OrQual)):
+        shape = _sweep_leaves(qual.left, sym, symbols, leaves)
+        if shape is not None:
+            return shape
+        return _sweep_leaves(qual.right, sym, symbols, leaves)
+    if isinstance(qual, NotQual):
+        return _sweep_leaves(qual.operand, sym, symbols, leaves)
+    steps = qual.path.steps
+    if steps and steps[-1].kind == "attr":
+        steps = steps[:-1]
+    for step in steps:
+        if step.kind == "label":
+            sym = symbols.id_of(step.name)
+        elif step.kind != "self":
+            return _UNSWEPT_STEPS[step.kind]
+        for nested in step.quals:
+            shape = _sweep_leaves(nested, sym, symbols, leaves)
+            if shape is not None:
+                return shape
+    leaves.append(sym)
+    return None
+
+
+# hot-path
+def _sweep(
+    qual: Qual, arena: FrozenDocument, sym: Optional[int], nodes, lo: int, hi: int
+) -> set:
+    """Where *qual* holds among *nodes*: the whole slice of the range
+    ``[lo, hi)`` labelled *sym* (an array), or a ``set`` of survivors
+    restricting it.  Under a restriction the result may also hold other
+    nodes labelled *sym* in the range at which *qual* holds — a path
+    sweep starts from the leaves, not from *nodes* — so the callers
+    that restrict intersect; over the whole slice it is exact.
+    """
+    if isinstance(qual, TrueQual):
+        return set(nodes)
+    if isinstance(qual, LabelQual):
+        return set(nodes) if arena.symbols.id_of(qual.label) == sym else set()
+    if isinstance(qual, AndQual):
+        left = _sweep(qual.left, arena, sym, nodes, lo, hi)
+        if not left:
+            return left
+        return left & _sweep(qual.right, arena, sym, left, lo, hi)
+    if isinstance(qual, OrQual):
+        return _sweep(qual.left, arena, sym, nodes, lo, hi) | _sweep(
+            qual.right, arena, sym, nodes, lo, hi
+        )
+    if isinstance(qual, NotQual):
+        return set(nodes) - _sweep(qual.operand, arena, sym, nodes, lo, hi)
+    if isinstance(qual, (PathQual, CmpQual)):
+        return _sweep_path(qual, arena, sym, nodes, lo, hi)
+    raise TypeError("unknown qualifier " + repr(qual))
+
+
+# hot-path
+def _sweep_path(
+    qual, arena: FrozenDocument, sym: Optional[int], nodes, lo: int, hi: int
+) -> set:
+    """``PathQual`` / ``CmpQual`` bottom-up: the leaf label's postings
+    in the range, filtered by the terminal, hopped to the candidates."""
+    compare = _compile_compare(qual.op, qual.value) if isinstance(qual, CmpQual) else None
+    steps = qual.path.steps
+    attr_name = None
+    if steps and steps[-1].kind == "attr":
+        attr_name = steps[-1].name
+        steps = steps[:-1]
+    # One level per label step below the candidates' own (level 0); a
+    # self step adds its qualifiers to the level it stands on.
+    level_syms = [sym]
+    level_quals = [()]
+    id_of = arena.symbols.id_of
+    for step in steps:
+        if step.kind == "label":
+            level_syms.append(id_of(step.name))
+            level_quals.append(step.quals)
+        else:
+            level_quals[-1] = level_quals[-1] + step.quals
+    parent = arena.parent
+    at = len(level_syms) - 1
+    if at == 0:
+        found = nodes
+    elif level_syms[at] is None:
+        return set()
+    else:
+        found = _labelled(arena, level_syms[at], lo, hi)
+        if isinstance(nodes, set) and 4 * len(nodes) < len(found):
+            found = _under(arena.end, found, nodes)
+    if attr_name is not None:
+        found = _with_attr(arena.attrs, found, attr_name, compare)
+    elif compare is not None:
+        found = compress(found, map(compare, map(arena.payload.__getitem__, found)))
+    found = set(found)
+    sym_col = arena.sym
+    while True:
+        for nested in level_quals[at]:
+            if not found:
+                return found
+            found &= _sweep(nested, arena, level_syms[at], found, lo, hi)
+        if at == 0:
+            return found
+        at -= 1
+        want = level_syms[at]
+        above = set()
+        for p in set(map(parent.__getitem__, found)):
+            if p >= lo and sym_col[p] == want:
+                above.add(p)
+        found = above
+
+
+# hot-path
+def _under(end, leaves, nodes: set) -> list:
+    """The semi-join reducer: the sorted *leaves* inside the subtrees
+    of *nodes* — survivors (of a conjunction's first half, of the steps
+    below a nested qualifier), so a comparison is paid per leaf that
+    can still matter, not per leaf of the range."""
+    out = []
+    k = 0
+    stop = len(leaves)
+    for node in sorted(nodes):
+        k = bisect_left(leaves, node, k, stop)
+        limit = end[node]
+        while k < stop and leaves[k] < limit:
+            out.append(leaves[k])
+            k += 1
+    return out
+
+
+# hot-path
+def _with_attr(attrs: dict, nodes, name: str, compare) -> list:
+    """The *nodes* carrying attribute *name* (with a value *compare*
+    accepts, when there is a comparison), off the flat tuples."""
+    out = []
+    get = attrs.get
+    for j in nodes:
+        flat = get(j)
+        if flat:
+            for k in range(0, len(flat), 2):
+                if flat[k] == name:
+                    if compare is None or compare(flat[k + 1]):
+                        out.append(j)
+                    break
+    return out

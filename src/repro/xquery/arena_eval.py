@@ -77,8 +77,8 @@ class ArenaEvaluator:
     """One query evaluation context over one frozen document.
 
     *nfa_for* lets a resident engine or store share its compiled
-    automata cache; without it, NFAs built for this evaluator's paths
-    are memoized per instance.
+    automata cache; either way each path is resolved once per
+    evaluator and memoized on the instance.
     """
 
     __slots__ = ("arena", "_nfa_for", "_nfas", "_quals", "_thawed_root")
@@ -115,11 +115,13 @@ class ArenaEvaluator:
     # ------------------------------------------------------------------
 
     def _nfa(self, path: Path) -> SelectingNFA:
-        if self._nfa_for is not None:
-            return self._nfa_for(path)
+        """Resolve *path* once per evaluator: a ``for``/``where`` body
+        asks per bound item, and a shared *nfa_for* is an LRU behind a
+        lock — one acquisition per item is a convoy under threads."""
         found = self._nfas.get(path)
         if found is None:
-            found = self._nfas[path] = build_selecting_nfa(path)
+            build = self._nfa_for if self._nfa_for is not None else build_selecting_nfa
+            found = self._nfas[path] = build(path)
         return found
 
     def _qual_check(self, qual):

@@ -255,6 +255,37 @@ class TestQueryEquivalence:
         got = evaluate_query_arena(arena, query)
         assert _items_equal(want, got), (source_text, value_text)
 
+    def test_a_path_is_resolved_once_per_evaluator_not_once_per_item(self):
+        """A ``for``/``where`` body evaluates its paths per bound item;
+        a shared ``nfa_for`` is an LRU behind a lock, so asking it per
+        item is a convoy under threads (ROADMAP 3a)."""
+        from repro.compiled import CompiledCache
+
+        tree = generate(0.002, 3)
+        arena = freeze(tree)
+        cache = CompiledCache()
+        query = cache.user_query(
+            "for $p in people/person where $p/profile/age > 30 "
+            "return <r> { $p/name, $p/profile/age } </r>"
+        )
+        asked = []
+
+        def counting(path):
+            asked.append(str(path))
+            return cache.selecting_nfa_for(path)
+
+        got = ArenaEvaluator(arena, counting).evaluate(query)
+        persons = len(evaluate_query(tree, cache.user_query("for $p in people/person return $p")))
+        assert persons > 10 and got
+        assert _items_equal(evaluate_query(tree, query), got)
+        assert sorted(asked) == sorted(set(asked)), asked
+        assert set(asked) == {"people/person", "profile/age", "name"}, asked
+        # a path outside the NFA fragment is still refused per call, not cached
+        bare = cache.user_query("for $p in people/person return $p/.")
+        assert _items_equal(
+            evaluate_query(tree, bare), ArenaEvaluator(arena, counting).evaluate(bare)
+        )
+
 
 class TestTransformEquivalence:
     @settings(max_examples=150, deadline=None)

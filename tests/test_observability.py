@@ -93,6 +93,51 @@ class TestProfile:
         assert snap["visit_ratio"] == pytest.approx(0.4)
         assert snap["dur_us"] >= 0
 
+    def test_qualifier_counters_and_snapshot(self):
+        prof = Profile()
+        assert prof.snapshot()["qual_verdicts"] == {}
+        prof.add_qualifiers(sweeps=1, swept=40, stepped=3, verdicts={"leaf-heavy": 1})
+        prof.add_qualifiers(sweeps=2, swept=2, verdicts={"leaf-heavy": 1, "few-candidates": 2})
+        prof.add_qualifiers()
+        snap = prof.snapshot()
+        assert (snap["qual_sweeps"], snap["qual_swept"], snap["qual_stepped"]) == (3, 42, 3)
+        assert snap["qual_verdicts"] == {"leaf-heavy": 2, "few-candidates": 2}
+        snap["qual_verdicts"]["x"] = 1  # a copy: the slow log keeps its own
+        assert "x" not in prof.qual_verdicts
+
+    def test_a_swept_scan_says_so(self):
+        """``explain_analyze``, and so the slow log, report what the
+        qualifier sweeps examined — or why a range was stepped."""
+        people = "".join(
+            f"<person><age>{20 + 3 * k}</age><name>n{k}</name></person>" for k in range(24)
+        )
+        arena = parse_to_arena(f"<site><people>{people}</people></site>")
+        engine = Engine()
+        report, results = engine.prepare_query(
+            "for $x in people/person[age > 60] return $x/name"
+        ).explain_analyze(arena)
+        assert len(results) == 10
+        assert "qualifiers: 1 ranges swept over 24 leaf postings, 0 candidates decided per node" in report
+        # jumped-over candidates are skipped, not visited: people + 10 persons
+        # + their children
+        prof = Profile()
+        with profiled(prof):
+            engine.prepare_query("for $x in people/person[age > 60] return $x").run_refs(arena)
+        assert (prof.qual_sweeps, prof.qual_swept, prof.qual_stepped) == (1, 24, 0)
+        assert prof.nodes_visited == 11
+        assert prof.nodes_visited + prof.nodes_skipped >= 24
+        report, _ = engine.prepare_query(
+            "for $x in people/person[*/age > 60 or .//age > 70] return $x"
+        ).explain_analyze(arena)
+        assert "0 ranges swept over 0 leaf postings, 24 candidates decided per node " \
+            "(unsupported:wildcard-step x1)" in report
+        report, _ = engine.prepare_query(
+            "for $x in people[person/age > 60] return $x"
+        ).explain_analyze(arena)
+        assert "1 candidates decided per node (few-candidates x1)" in report
+        report, _ = engine.prepare_query("for $x in people/person return $x").explain_analyze(arena)
+        assert "qualifiers:" not in report
+
     def test_profiled_activates_and_restores(self):
         assert current_profile() is None
         outer, inner = Profile(), Profile()
@@ -246,6 +291,10 @@ class TestSlowQueryLog:
             assert profile["nodes_visited"] > 0
             # part/supplier ends at a supplier: its subtree is skipped
             assert profile["nodes_skipped"] > 0
+            # the qualifier counters ride along (a handful of
+            # candidates: the rule leaves them to the closures)
+            assert profile["qual_sweeps"] == 0 and profile["qual_swept"] == 0
+            assert profile["qual_stepped"] >= 0 and isinstance(profile["qual_verdicts"], dict)
             # plan and actual both count elements below the root
             assert profile["est_nodes"] == 16
             assert profile["serialize_bytes"] > 0

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
     def test_one_read_path_surface(self):
         """1.8.0: the store and the service run no Node strategy, so the

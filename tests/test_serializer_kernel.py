@@ -21,6 +21,7 @@ from repro.xmltree.serializer import (
     escape_attr,
     escape_text,
     serialize_arena,
+    write_arena_file,
     write_file,
     write_stream,
 )
@@ -171,6 +172,57 @@ class TestKernelEqualsTheLoopsItReplaced:
         assert open(path, encoding="utf-8").read() == reference_pretty(doc, "  ")
 
 
+class TestArenaKernel:
+    """The column loop (``write_arena_range``) under the Node kernel's
+    emit rules: escape only what needs it, a single text child inline,
+    the close test against a local — byte for byte the compact
+    reference, from every subtree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes(SPECIAL_VALUES))
+    def test_every_subtree_equals_the_reference(self, tree):
+        arena = freeze(tree)
+        for node, i in zip(tree.descendants_or_self(), arena.iter_elements()):
+            assert serialize_arena(arena, i) == reference_compact(node)
+
+    @pytest.mark.parametrize("children", [
+        [Text("a&b")], [Text("<")], [Text("1>0")], [Text("&amp;")], [Text("]]>")],
+        [Text("")],                                   # one empty text: <p></p>, not <p/>
+        [Text(""), Text("")], [Text("x"), Text("<"), Text("")],    # adjacent texts
+        [Text("a&b"), Element("q", {}, [])], [Element("q", {}, []), Text("a&b")],
+        [Element("q", {"k": 'say "hi"', "id": "a&b<>"}, [])],      # attribute-only
+        [Element("q", {"k": "v"}, [Text("<")])],
+        [Element("q", {}, [Text("")]), Element("q", {}, [Text("x")]), Text("t")],
+        [],
+    ])
+    def test_leaf_positions(self, children):
+        for attrs in ({}, {"id": "1"}, {"k": "<&>\""}):
+            tree = Element("r", {}, [Element("p", dict(attrs), list(children)), Element("z", {}, [])])
+            arena = freeze(tree)
+            assert serialize_arena(arena) == reference_compact(tree)
+            assert serialize_arena(arena, 1) == reference_compact(tree.children[0])
+
+    def test_a_text_node_and_a_file(self, tmp_path):
+        arena = freeze(Element("r", {"k": "a&b"}, [Text("x<y"), Element("p", {}, [Text("1")])]))
+        assert serialize_arena(arena, 1) == "x&lt;y"
+        path = str(tmp_path / "arena.xml")
+        write_arena_file(arena, path, declaration=False)
+        assert open(path, encoding="utf-8").read() == '<r k="a&amp;b">x&lt;y<p>1</p></r>\n'
+
+    def test_parts_written(self):
+        """``<price>12</price>`` is one part, an attribute-less element
+        formats no attribute text, a clean value is passed through."""
+        from repro.xmltree.serializer import write_arena_range
+
+        arena = freeze(Element("r", {}, [
+            Element("price", {}, [Text("12")]), Element("e", {}, []),
+            Element("m", {"k": "v"}, [Text("a"), Text("b")]),
+        ]))
+        parts = []
+        write_arena_range(arena, 0, len(arena), parts.append)
+        assert parts == ["<r>", "<price>12</price>", "<e/>", '<m k="v">', "a", "b", "</m>", "</r>"]
+
+
 class TestAnyDepth:
     """Every entry point on a chain deeper than the recursion limit:
     ``<r><a>…<a><b>x</b></a>…</a></r>``, 3 000 ``a`` deep."""
@@ -202,6 +254,9 @@ class TestAnyDepth:
         out = io.StringIO()
         write_stream(chain, out)
         assert out.getvalue() == self.compact
+
+    def test_arena(self, chain):
+        assert serialize_arena(freeze(chain)) == self.compact
 
     def test_write_file(self, chain, tmp_path):
         path = str(tmp_path / "deep.xml")
