@@ -31,6 +31,14 @@ printed beside the p50 of the same texts through ``query_direct`` —
 the difference is what admission, the flight table and the memo cost
 a request that gains nothing from them.  Only the counts are asserted.
 
+The hits-are-bytes experiment is the wire layer's table: for each of
+the six answers, what encoding the frame costs, what framing the
+cached :class:`~repro.store.answer.Answer` costs instead (the server's
+time-to-bytes on a repeat hit — bar: at most a fifth of the encode for
+every answer of 100 KB or more), and one connection's round trip on
+the hit that builds the wire form against the repeats that reuse it.
+Beside it, the row the client's read-buffer constant was read from.
+
 The isolation experiment hammers the same service with paired-marker
 commits (two staged inserts committed atomically) and asserts no
 reader — all of them running through pinned MVCC snapshots — ever
@@ -44,6 +52,7 @@ Run with::
 import statistics
 import threading
 import time
+from unittest import mock
 
 from repro.bench.harness import (
     DATASET_SEED,
@@ -53,15 +62,23 @@ from repro.bench.harness import (
     smoke_factor,
     smoke_rounds,
 )
-from repro.service import QueryService, ServiceConfig
+from repro.service import Client, QueryService, ServiceConfig, ServiceServer
+from repro.service import client as client_module
+from repro.service.protocol import encode_frame, encode_response, result_frame
+from repro.store import Answer
 from repro.xmark.queries import EMBEDDED_PATHS
 
 FACTOR = smoke_factor(0.1)
 CLIENTS = 16
 ROUNDS = smoke_rounds(3, 1)
 
+#: The ledger's serving document (``serve_hot`` repeats REQUESTS over
+#: it): the wire table's answers are the ones that workload sends.
+WIRE_FACTOR = smoke_factor(0.05, cap=0.004)
+
 #: The Fig-12 query mix in FLWR form (the paper's U-paths as user
-#: queries, same shapes bench_fig12_methods.py transforms against).
+#: queries, same shapes bench_fig12_methods.py transforms against;
+#: ``loadgen.READS`` is this list).
 REQUESTS = [
     f"for $x in {EMBEDDED_PATHS[uid]} return $x"
     for uid in ("U1", "U2", "U3", "U4", "U8", "U9")
@@ -302,6 +319,117 @@ def test_instrumentation_overhead_within_three_percent():
             f"telemetry costs {overhead:.1f}% on the Fig-12 mix "
             f"(enabled {enabled:.3f}s vs disabled {disabled:.3f}s); "
             "the bar is 3%"
+        )
+
+
+def _median_ms(call, rounds: int) -> float:
+    samples = []
+    for index in range(rounds):
+        began = time.perf_counter()
+        call(index)
+        samples.append(time.perf_counter() - began)
+    return statistics.median(samples) * 1000.0
+
+
+def test_a_repeat_hit_is_framed_not_encoded():
+    """The wire layer, answer by answer.  ``encode`` is what every hit
+    paid before the cached answer carried its bytes; ``framed`` is what
+    a repeat hit pays now; the two round-trip columns are one
+    connection's p50 on the hit that builds (and keeps) the wire form
+    and on the hits after it."""
+    rounds = smoke_rounds(15, 3)
+    service = QueryService()
+    service.store.put("xmark", dataset(WIRE_FACTOR, seed=DATASET_SEED))
+    rows, bars = [], []
+    with ServiceServer(service) as server, Client(*server.address) as client:
+        for text in REQUESTS:
+            items = service.query("xmark", text)
+            size = len(encode_frame(result_frame(0, items)))
+            encode_ms = _median_ms(
+                lambda i: encode_frame(result_frame(i, items)), rounds * 4
+            )
+            warm = Answer(items)
+            assert encode_response(0, warm) == encode_response(0, warm)  # second call keeps
+            assert warm.wire_bytes
+            framed_ms = _median_ms(lambda i: encode_response(i, warm), rounds * 4)
+            first_hit, repeat = [], []
+            for _ in range(rounds):
+                service.store.results.invalidate()
+                expected = client.query("xmark", text)  # the miss
+                for samples, count in ((first_hit, 1), (repeat, 4)):
+                    for _ in range(count):
+                        began = time.perf_counter()
+                        again = client.query("xmark", text)
+                        samples.append(time.perf_counter() - began)
+                        assert again == expected == items
+            rows.append((
+                text[len("for $x in "):-len(" return $x")][:44], str(size),
+                f"{encode_ms:.3f}", f"{framed_ms:.4f}",
+                f"{framed_ms / encode_ms:.3f}",
+                f"{statistics.median(first_hit) * 1000.0:.3f}",
+                f"{statistics.median(repeat) * 1000.0:.3f}",
+            ))
+            if size >= 100_000:
+                bars.append((text, framed_ms, encode_ms))
+        metrics = service.metrics()
+    print()
+    print(format_table(
+        f"hits are bytes: the six answers at factor {WIRE_FACTOR}, one connection, "
+        f"p50 of {rounds} rounds",
+        ["path", "answer B", "encode ms", "framed ms", "framed/encode",
+         "first-hit rt ms", "repeat rt ms"],
+        rows,
+    ))
+    assert metrics["evaluations"] == len(REQUESTS) * (rounds + 1)  # + the in-process read
+    assert metrics["wire_built"] == len(REQUESTS) * rounds * 2  # the miss, the first hit
+    assert metrics["wire_reused"] == len(REQUESTS) * rounds * 4
+    for text, framed_ms, encode_ms in bars:
+        assert framed_ms <= 0.2 * encode_ms, (
+            f"repeat-hit time-to-bytes {framed_ms:.3f} ms is more than a fifth "
+            f"of the {encode_ms:.3f} ms encode for {text!r}"
+        )
+    if not SMOKE:
+        assert len(bars) >= 3, "the bar needs answers of 100 KB and more"
+
+
+def test_the_client_read_buffer_is_sized_for_answers():
+    """The row ``client.READ_BUFFER_BYTES`` was read from: one
+    connection per buffer size, taking turns, on the largest of the six
+    answers and on ``ping`` (which must not pay for the larger buffer)."""
+    rounds = smoke_rounds(60, 5)
+    service = QueryService()
+    service.store.put("xmark", dataset(WIRE_FACTOR, seed=DATASET_SEED))
+    text = max(REQUESTS, key=lambda t: sum(map(len, service.query("xmark", t))))
+    size = len(encode_frame(result_frame(0, service.query("xmark", text))))
+    chosen = client_module.READ_BUFFER_BYTES
+    with ServiceServer(service) as server:
+        clients = {}
+        for buffer_bytes in (8192, chosen):
+            with mock.patch.object(client_module, "READ_BUFFER_BYTES", buffer_bytes):
+                clients[buffer_bytes] = Client(*server.address)
+        timings = {(b, op): [] for b in clients for op in ("answer", "ping")}
+        for _ in range(rounds):
+            for buffer_bytes, client in clients.items():
+                for op, call in (
+                    ("answer", lambda c=client: c.query("xmark", text)),
+                    ("ping", client.ping),
+                ):
+                    began = time.perf_counter()
+                    call()
+                    timings[buffer_bytes, op].append(time.perf_counter() - began)
+        for client in clients.values():
+            client.close()
+    p50 = {key: statistics.median(values) * 1000.0 for key, values in timings.items()}
+    print()
+    print(format_table(
+        f"client read buffer, one connection, p50 of {rounds} round trips "
+        f"(factor {WIRE_FACTOR})",
+        ["buffer B", f"{size} B answer rt ms", "ping rt ms"],
+        [(str(b), f"{p50[b, 'answer']:.3f}", f"{p50[b, 'ping']:.4f}") for b in clients],
+    ))
+    if not SMOKE:
+        assert p50[chosen, "answer"] <= p50[8192, "answer"], (
+            "the chosen read buffer is no faster than the default on a large answer"
         )
 
 

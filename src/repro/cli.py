@@ -395,9 +395,14 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
     cache_rows = dict(stats["caches"]["compiled"])
     cache_rows["results"] = stats["caches"]["results"]
     for name, cache in cache_rows.items():
+        # Only the result cache's entries can hold wire forms.
+        wire = (
+            f"; {cache['wire_entries']} wire form(s), {cache['wire_bytes']} bytes"
+            if "wire_bytes" in cache else ""
+        )
         print(
             f"    {name:<14} {cache['hits']}/{cache['misses']}"
-            f"/{cache['evictions']} (size {cache['size']}/{cache['maxsize']})"
+            f"/{cache['evictions']} (size {cache['size']}/{cache['maxsize']}{wire})"
         )
     commits = stats["commits"]
     ratio = commits["retention_ratio"]

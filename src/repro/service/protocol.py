@@ -14,6 +14,16 @@ optional.  Response frames::
     {"id": 1, "ok": false,
      "error": {"code": "overloaded", "message": "…"}}
 
+Response frames are **byte-stable**: keys in the order ``id``, ``ok``,
+``result`` (or ``error``), compact separators, ASCII only (everything
+else ``\\uXXXX``-escaped), one trailing newline.  That is what lets a
+``query`` be answered from bytes: the ``result`` array of a cached
+:class:`~repro.store.answer.Answer` is encoded once per cache entry
+and sent verbatim from then on, around the request's own ``id``
+(:func:`encode_response`, the one function that builds response
+bytes) — the same bytes, for every JSON-scalar ``id``, as encoding the
+whole frame from its strings.
+
 Ops and their arguments (all strings unless noted):
 
 ===========  ==========================================================
@@ -57,12 +67,14 @@ from typing import Optional
 
 from repro.faults import InjectedFault
 from repro.service.errors import BadRequestError, ServiceError
+from repro.store.answer import Answer
 from repro.store.errors import StoreError
 
 __all__ = [
     "OPS",
     "decode_line",
     "encode_frame",
+    "encode_response",
     "error_frame",
     "handle_request",
     "result_frame",
@@ -112,6 +124,26 @@ def error_frame(request_id, exc: BaseException) -> dict:
         "ok": False,
         "error": {"code": code, "message": str(exc)},
     }
+
+
+# hot-path
+def encode_response(
+    request_id, result, error: Optional[BaseException] = None
+) -> bytes:
+    """One response as wire bytes: the error frame for *error*, else
+    the result frame for *result*.  An :class:`Answer` — what
+    :func:`handle_request` returns for ``query`` — is not re-encoded:
+    its wire form is framed as it is, byte-identical to
+    ``encode_frame(result_frame(request_id, list(result.items)))``."""
+    if error is not None:
+        return encode_frame(error_frame(request_id, error))
+    if type(result) is Answer:
+        return b"".join((
+            b'{"id":',
+            json.dumps(request_id, separators=(",", ":")).encode("ascii"),
+            b',"ok":true,"result":', result.wire(), b"}\n",
+        ))
+    return encode_frame(result_frame(request_id, result))
 
 
 def _require(frame: dict, key: str) -> str:
@@ -164,10 +196,12 @@ def _deadline_of(frame: dict) -> Optional[float]:
 def handle_request(service, frame: dict):
     """Dispatch one decoded request frame against a
     :class:`~repro.service.service.QueryService`; returns the result
-    payload (exceptions propagate for :func:`error_frame`)."""
+    payload — for ``query`` the cached :class:`Answer` itself, for
+    :func:`encode_response` to frame (exceptions propagate, for its
+    *error* argument)."""
     op = frame.get("op")
     if op == "query":
-        return service.query(
+        return service.answer(
             _require(frame, "target"),
             _require(frame, "text"),
             deadline=_deadline_of(frame),

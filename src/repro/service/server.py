@@ -25,10 +25,8 @@ from typing import Optional
 from repro.faults import InjectedFault, fault_point
 from repro.service.protocol import (
     decode_line,
-    encode_frame,
-    error_frame,
+    encode_response,
     handle_request,
-    result_frame,
 )
 from repro.service.errors import BadRequestError
 from repro.service.service import QueryService
@@ -59,7 +57,7 @@ class _Handler(socketserver.StreamRequestHandler):
             # frame: answer once, then hang up — the rest of the line
             # cannot be told apart from the next frame.
             oversized = len(line) == MAX_FRAME_BYTES and not line.endswith(b"\n")
-            request_id = None
+            request_id = result = error = None
             try:
                 if oversized:
                     raise BadRequestError(
@@ -67,9 +65,9 @@ class _Handler(socketserver.StreamRequestHandler):
                     )
                 frame = decode_line(line)
                 request_id = frame.get("id")
-                response = result_frame(request_id, handle_request(service, frame))
+                result = handle_request(service, frame)
             except Exception as exc:  # noqa: BLE001 - every error becomes a frame
-                response = error_frame(request_id, exc)
+                error = exc
             try:
                 # Chaos hook: the request has been *executed* (a commit
                 # is already durable in the WAL) but not yet answered —
@@ -77,9 +75,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 # client's retry taxonomy exists for.
                 fault_point("wire.response.pre_send")
             except InjectedFault as exc:
-                response = error_frame(request_id, exc)
+                error = exc
             try:
-                self.wfile.write(encode_frame(response))
+                # A cached answer leaves as the bytes its entry holds,
+                # in one sendall (wfile is unbuffered).
+                self.wfile.write(encode_response(request_id, result, error))
                 self.wfile.flush()
             except (ConnectionError, OSError, ValueError):
                 return  # client went away mid-response

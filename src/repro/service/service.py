@@ -29,16 +29,20 @@ to.  A request pins its target and looks
 :func:`~repro.store.store.result_key` — ``(target, arena uid, query,
 stack texts, staged texts)``, all an answer depends on — up in the
 **memo**: the store's result cache, ``store.results``, the only one
-there is.  A hit is answered right there: a pin, a dictionary lookup
-and a fresh list over the cached strings, until the next commit
-changes the uid (and beyond it, when the store's commit proves the
-entry untouched and re-keys it).
+there is.  A hit is answered right there: a pin and a dictionary
+lookup, until the next commit changes the uid (and beyond it, when
+the store's commit proves the entry untouched and re-keys it).  What
+every read gets — hit, follower and leader alike — is the cache's own
+value, one immutable :class:`~repro.store.answer.Answer`:
+:meth:`QueryService.query` copies a fresh list out of it for an
+in-process caller, and the wire server sends its bytes as they are
+(:meth:`QueryService.answer`).
 
 A miss is **single-flight**.  Under the admission lock it looks the
 same key up in the table of evaluations in flight.  If an identical
 evaluation is up, it joins it as a *follower* (counted ``coalesced``)
-and is woken with the leader's answer — its own list over the same
-strings — or its exception.  Otherwise, after one more peek at the
+and is woken with the leader's answer — the same ``Answer`` object
+— or its exception.  Otherwise, after one more peek at the
 memo (publishing is memo first, table second, so an answer that exists
 is never computed again), it registers the flight and *leads* it:
 takes one of ``workers`` evaluation slots, evaluates against the read
@@ -88,6 +92,7 @@ from repro.service.errors import (
     ServiceClosedError,
 )
 from repro.service.workers import ProcessWorkers
+from repro.store.answer import Answer
 from repro.store.errors import StoreError
 from repro.store.store import PinnedRead, ViewStore, result_key
 
@@ -177,13 +182,14 @@ class ServiceConfig:
 
 
 class _Request:
-    """One read: target, query text, deadline, trace — and, as they
-    become known, the snapshot version it pinned and the seconds it
-    waited for an evaluation slot (a hit or a follower needs none)."""
+    """One read: target, query text, deadline, trace, whether its
+    answer leaves as a response frame — and, as they become known, the
+    snapshot version it pinned and the seconds it waited for an
+    evaluation slot (a hit or a follower needs none)."""
 
     __slots__ = (
-        "target", "text", "staged", "deadline", "trace", "submitted",
-        "version", "queue_s",
+        "target", "text", "staged", "deadline", "trace", "wire",
+        "submitted", "version", "queue_s",
     )
 
     def __init__(
@@ -193,6 +199,7 @@ class _Request:
         staged: bool,
         deadline: Optional[float],
         trace=NULL_TRACE,
+        wire: bool = False,
     ):
         self.target = target
         self.text = text
@@ -200,6 +207,9 @@ class _Request:
         self.deadline = deadline  # absolute time.monotonic() instant
         #: The request's lifecycle trace (NULL_TRACE when unsampled).
         self.trace = trace
+        #: The caller frames the answer (:meth:`QueryService.answer`):
+        #: only such a request counts as a wire form built or reused.
+        self.wire = wire
         self.submitted = time.perf_counter()
         self.version: Optional[int] = None
         self.queue_s = 0.0
@@ -236,8 +246,8 @@ class _Flight:
         self.has_slot = has_slot
         self.followers: list = []
         self.done = threading.Event()
-        #: The cached (immutable) answer; each follower copies it out.
-        self.result: Optional[tuple] = None
+        #: The cached answer itself, shared by every follower.
+        self.result: Optional[Answer] = None
         self.error: Optional[BaseException] = None
         self.abandoned = False
 
@@ -257,6 +267,8 @@ _METRIC_NAMES = {
     "snapshot_reads": "service.reads.snapshot",
     "stale_reads": "service.reads.stale",
     "transforms": "service.reads.transform",
+    "wire_built": "service.wire.built",
+    "wire_reused": "service.wire.reused",
 }
 
 
@@ -366,7 +378,8 @@ class QueryService:
     ) -> list:
         """Answer a query as serialized strings — from the memo, from
         an identical evaluation already in flight, or by evaluating it
-        right here on the calling thread.
+        right here on the calling thread.  The list is the caller's
+        own: a fresh copy of the cached answer's items.
 
         *deadline* is seconds from now (default: the config's
         ``default_deadline``).  :class:`DeadlineError` is raised when
@@ -380,6 +393,34 @@ class QueryService:
         Client`): the service span joins that trace instead of minting
         its own id, so the client can stitch one end-to-end tree.
         """
+        return list(self._read(
+            target, query_text, deadline, staged, trace_id, parent_span, wire=False
+        ).items)
+
+    def answer(
+        self,
+        target: str,
+        query_text: str,
+        *,
+        deadline: Optional[float] = None,
+        staged: bool = False,
+        trace_id: Optional[str] = None,
+        parent_span: Optional[str] = None,
+    ) -> Answer:
+        """:meth:`query` for a caller that sends the answer on instead
+        of reading it — the wire server: the cached
+        :class:`~repro.store.answer.Answer` itself, shared and
+        immutable, so the response is framed around its
+        :meth:`~repro.store.answer.Answer.wire` form without copying
+        or re-encoding the items (counted ``service.wire.built`` /
+        ``service.wire.reused``)."""
+        return self._read(
+            target, query_text, deadline, staged, trace_id, parent_span, wire=True
+        )
+
+    def _read(
+        self, target, query_text, deadline, staged, trace_id, parent_span, *, wire
+    ) -> Answer:
         if deadline is None:
             deadline = self.config.default_deadline
         request = _Request(
@@ -389,14 +430,15 @@ class QueryService:
                 "service.query", trace_id=trace_id, parent_span=parent_span,
                 target=target, query=query_text,
             ),
+            wire=wire,
         )
         try:
-            result = self._read_snapshot(request)
+            answer = self._read_snapshot(request)
         except DeadlineError:
             self._count("deadline_misses")
             raise
         self._latency.observe(time.perf_counter() - request.submitted)
-        return result
+        return answer
 
     def query_direct(self, target: str, query_text: str) -> list:
         """The serial one-request-at-a-time reference path: pin the
@@ -419,8 +461,9 @@ class QueryService:
         self._latency.observe(elapsed)
         return result
 
-    def _read_snapshot(self, request: _Request) -> list:
-        """A read of any target: hit, follower or leader.
+    def _read_snapshot(self, request: _Request) -> Answer:  # hot-path
+        """A read of any target: hit, follower or leader — each
+        returns the one cached :class:`Answer`, never a copy of it.
 
         Each request counts exactly once, where it is answered:
         ``requests == evaluations + coalesced + memo_hits`` and
@@ -453,15 +496,15 @@ class QueryService:
                 raise flight.error
             if not flight.abandoned:
                 self._count("coalesced")
-                self._finish(request, "ok")
-                return list(flight.result)
+                self._finish(request, "ok", answer=flight.result)
+                return flight.result
             # The leader ran out of time before it got a slot: lead
             # the evaluation, or join whoever now does.
             cached, flight = self._admit(request, key)
         if cached is not None:
             self._count("memo_hits")
-            self._finish(request, "memo")
-            return list(cached)
+            self._finish(request, "memo", answer=cached)
+            return cached
         return self._lead_snapshot(request, key, flight, pinned)
 
     def _admit(self, request: _Request, key: tuple) -> tuple:
@@ -542,7 +585,7 @@ class QueryService:
 
     def _land(
         self, key: tuple, flight: _Flight,
-        result: Optional[tuple] = None, error: Optional[BaseException] = None,
+        result: Optional[Answer] = None, error: Optional[BaseException] = None,
     ) -> list:
         """Take the evaluated *flight* off the table and wake its
         followers with the outcome; returns them."""
@@ -554,7 +597,7 @@ class QueryService:
 
     def _lead_snapshot(
         self, request: _Request, key: tuple, flight: _Flight, pinned: PinnedRead
-    ) -> list:
+    ) -> Answer:
         """Evaluate the flight *request* registered, on this thread,
         against the read it pinned; publish memo first, table second,
         then wake the followers."""
@@ -570,7 +613,7 @@ class QueryService:
             self._land(key, flight, error=exc)
             self._finish(request, "error", error=str(exc))
             raise
-        answer = tuple(result)
+        answer = Answer(result)
         self.store.results.put(key, answer)
         self._count("evaluations")
         followers = self._land(key, flight, result=answer)
@@ -583,8 +626,8 @@ class QueryService:
             current = snapshot.version
         if current != snapshot.version:
             self._count("stale_reads", 1 + len(followers))
-        self._finish_led(request, "ok", profile, coalesced=len(followers))
-        return result
+        self._finish_led(request, "ok", profile, answer, coalesced=len(followers))
+        return answer
 
     def _follow(self, request: _Request, flight: _Flight) -> None:
         """Wait for the flight *request* joined to come off the table,
@@ -650,7 +693,7 @@ class QueryService:
 
     def _finish_led(
         self, request: _Request, outcome: str,
-        profile: Optional[dict] = None, **meta,
+        profile: Optional[dict], answer: Answer, **meta,
     ) -> None:
         """Finish a leader whose evaluation succeeded — as a deadline
         miss when it took the leader past its own deadline (everyone
@@ -658,16 +701,26 @@ class QueryService:
         if request.expired(time.monotonic()):
             self._finish(request, "deadline", profile)
             raise DeadlineError("evaluation finished after the deadline")
-        self._finish(request, outcome, profile, **meta)
+        self._finish(request, outcome, profile, answer, **meta)
 
     def _finish(
         self, request: _Request, outcome: str,
-        profile: Optional[dict] = None, **meta,
+        profile: Optional[dict] = None, answer: Optional[Answer] = None,
+        **meta,
     ) -> None:
         """Close *request*'s trace with *outcome* (+ *meta*) and, when
         its submit→finish latency crossed the threshold, capture it in
         the slow-query log with the full trace record (None for
-        unsampled requests — the counters still tell the story)."""
+        unsampled requests — the counters still tell the story).
+
+        *answer* is what a request that succeeded hands back; when the
+        caller is about to frame it, whether the entry already holds
+        its wire form is counted and stamped here — the one probe the
+        wire layer adds to a hit."""
+        if answer is not None and request.wire:
+            held = answer.wire_bytes > 0
+            meta["wire"] = "reused" if held else "built"
+            self._count("wire_reused" if held else "wire_built")
         request.trace.finish(outcome=outcome, **meta)
         dur = time.perf_counter() - request.submitted
         if not self._slowlog.should_record(dur):
@@ -681,6 +734,7 @@ class QueryService:
             "queue_ms": round(request.queue_s * 1000.0, 3),
             "snapshot_version": request.version,
             "coalesced": meta.get("coalesced", 0),
+            "wire": meta.get("wire"),
             "trace": request.trace.record,
             "profile": profile,
         })

@@ -28,7 +28,8 @@ A view is its transform query — no arena is kept for it unless the
 view are answered with the Compose Method over the stack (see
 :mod:`repro.store.store` for how a read is served), compiled artifacts
 are cached in an LRU :class:`CompiledCache`, and serialized answers
-are cached per arena (``ViewStore.results``).  A document at rest is one frozen arena per version;
+are cached per arena (``ViewStore.results``, one :class:`Answer` per
+key).  A document at rest is one frozen arena per version;
 staged updates commit by installing the next one (carrying provably
 unaffected views and results across) or roll back.
 
@@ -38,6 +39,7 @@ one directory with a JSON manifest plus one XML file per document.
 
 from repro.compiled import CompiledCache
 from repro.lru import LRUCache
+from repro.store.answer import Answer
 from repro.store.documents import DocumentStore, Snapshot, StoredDocument
 from repro.store.errors import (
     CorruptStateError,
@@ -54,6 +56,7 @@ from repro.store.store import PinnedRead, ViewStore, result_key
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 
 __all__ = [
+    "Answer",
     "CompiledCache",
     "CorruptStateError",
     "DocumentStore",

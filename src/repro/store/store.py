@@ -31,7 +31,9 @@ Caching: compiled artifacts (parses, NFAs, composed plans) live in a
 :class:`~repro.compiled.CompiledCache` and never go stale.  Serialized
 *answers* live in ``ViewStore.results`` — the only result cache there
 is; a :class:`~repro.service.service.QueryService` reads and fills
-this one — under :func:`result_key`, all an answer depends on; a
+this one — under :func:`result_key`, all an answer depends on, each an
+:class:`~repro.store.answer.Answer` (the items, plus the bytes a
+server sends for them once the entry has been asked for again); a
 commit re-keys the ones its delta provably cannot touch onto the new
 arena's uid and drops the rest.
 
@@ -53,6 +55,7 @@ from repro.compose.compose import transforms_document
 from repro.faults import fault_point
 from repro.lru import LRUCache
 from repro.obs import span
+from repro.store.answer import Answer
 from repro.store.chain import CommitDelta
 from repro.store.delta import (
     REBUILD_REASONS,
@@ -154,9 +157,9 @@ class ViewStore:
         self.documents = DocumentStore()
         self.views = ViewRegistry(policy)
         self.compiled = CompiledCache(compiled_cache_size)
-        #: :func:`result_key` → the serialized answer, a tuple of
-        #: strings: immutable, so a hit hands out a fresh list over it
-        #: and no caller can change what another reads.
+        #: :func:`result_key` → the serialized answer, one immutable
+        #: :class:`Answer`: a hit hands out a fresh list over its
+        #: items, so no caller can change what another reads.
         self.results = LRUCache(result_cache_size)
         self.log = UpdateLog()
         #: Evaluations over a frozen columnar snapshot — every store
@@ -276,9 +279,9 @@ class ViewStore:
         if cached is None:
             arena, _, refs = self._evaluate_counted(pinned, query_text)
             with span("serialize"):
-                cached = tuple(serialize_arena_items(arena, refs))
+                cached = Answer(serialize_arena_items(arena, refs))
             self.results.put(key, cached)
-        return list(cached)
+        return list(cached.items)
 
     def _evaluate_counted(self, pinned: PinnedRead, query_text: str) -> tuple:
         with self._counter_lock:
@@ -694,6 +697,16 @@ class ViewStore:
         with self._counter_lock:
             return dict(self.commit_counts)
 
+    def _result_cache_stats(self) -> dict:
+        """The result cache's tallies plus what its entries' wire
+        forms hold (sampled: one walk over the entries per snapshot,
+        nothing on the read path)."""
+        stats = self.results.stats()
+        held = [answer.wire_bytes for answer in self.results.values()]
+        stats["wire_entries"] = sum(1 for size in held if size)
+        stats["wire_bytes"] = sum(held)
+        return stats
+
     def bind_metrics(self, registry) -> None:
         """Expose the store's counters through a
         :class:`~repro.obs.registry.MetricsRegistry`, all as lazily
@@ -702,7 +715,7 @@ class ViewStore:
         nothing here adds per-request cost."""
         registry.probe("store.arena.reads", lambda: self._counter_values()[0])
         registry.probe("store.snapshot.pins", lambda: self._counter_values()[1])
-        registry.probe("store.cache.results", self.results.stats)
+        registry.probe("store.cache.results", self._result_cache_stats)
         self.compiled.bind_metrics(registry, prefix="store.cache.compiled")
         registry.probe("store.documents.count", lambda: len(self.documents))
         registry.probe(
@@ -781,7 +794,7 @@ class ViewStore:
             "views": self.views.stats(),
             "caches": {
                 "compiled": self.compiled.stats(),
-                "results": self.results.stats(),
+                "results": self._result_cache_stats(),
             },
             "commits": commits,
             "wal": wal,

@@ -588,6 +588,63 @@ class TestPropagation:
             server.stop()
 
 
+class TestWireLayer:
+    """``service.wire.*`` and the wire forms' share of the result
+    cache, read the way an operator does: over the ``metrics`` op."""
+
+    def test_a_repeat_reuses_and_the_probe_reports_what_the_forms_hold(self, wire):
+        svc, _, client = wire
+        client.query("db", QUERY)  # the miss: built, let go
+        client.query("db", QUERY)  # the first hit: built, kept
+        before = client.metrics()
+        assert before["store.cache.results.wire_entries"] == 1
+        held = before["store.cache.results.wire_bytes"]
+        assert held == len(json.dumps(svc.query("db", QUERY), separators=(",", ":")))
+        client.query("db", QUERY)
+        after = client.metrics()
+        assert after["service.wire.reused"] - before["service.wire.reused"] == 1
+        assert after["service.wire.built"] == before["service.wire.built"] == 2
+        assert after["store.cache.results.wire_bytes"] == held
+        # An in-process read is no response: it moved neither count.
+        assert svc.metrics()["wire_built"] + svc.metrics()["wire_reused"] == 3
+        stats = client.stats()
+        assert stats["store"]["caches"]["results"]["wire_bytes"] == held
+        assert stats["service"]["wire_reused"] == 1
+        assert f"repro_store_cache_results_wire_bytes {held}" in client.metrics_text()
+        svc.drop("db")
+        dropped = client.metrics()
+        assert dropped["store.cache.results.wire_bytes"] == 0
+        assert dropped["store.cache.results.wire_entries"] == 0
+
+    def test_the_trace_and_the_slow_log_say_built_or_reused(self, wire):
+        _, _, client = wire
+        for _ in range(3):
+            client.query("db", QUERY)
+
+        def all_three():
+            records = [r for r in client.traces() if r["name"] == "service.query"]
+            return records if len(records) == 3 else None
+
+        records = _wait_for(all_three)
+        assert [(r["meta"]["outcome"], r["meta"]["wire"]) for r in records] == [
+            ("ok", "built"), ("memo", "built"), ("memo", "reused"),
+        ]
+        entries = client.slowlog()["entries"]
+        assert [e["wire"] for e in entries] == ["built", "built", "reused"]
+        assert [e["trace"]["meta"]["wire"] for e in entries] == [e["wire"] for e in entries]
+
+    def test_an_in_process_read_carries_no_wire_verdict(self):
+        with QueryService(
+            config=ServiceConfig(trace_sample=1, slow_threshold=0.0)
+        ) as svc:
+            svc.put("db", CATALOG)
+            svc.query("db", QUERY)
+            svc.query("db", QUERY)
+            assert all("wire" not in r["meta"] for r in svc.traces())
+            assert [e["wire"] for e in svc.slowlog()["entries"]] == [None, None]
+            assert svc.metrics()["wire_built"] == svc.metrics()["wire_reused"] == 0
+
+
 DOC = "<a><x>1</x></a>"
 
 

@@ -12,7 +12,26 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"
+
+    def test_answer_surface(self):
+        """1.11.0: the result cache's value is an ``Answer``; the wire
+        dispatcher hands it out as it is, in-process reads copy it."""
+        from repro.service.protocol import encode_response, handle_request
+        from repro.store import Answer, ViewStore, result_key
+
+        store = ViewStore()
+        store.put("db", "<db><a>1</a></db>")
+        text = "for $x in a return $x"
+        assert store.query_serialized("db", text) == ["<a>1</a>"]
+        key = result_key("db", store.pin("db").uid, text, store.pin_read("db").texts)
+        assert isinstance(store.results.peek(key), Answer)
+        with repro.QueryService(store=store) as service:
+            frame = {"id": 1, "op": "query", "target": "db", "text": text}
+            answer = handle_request(service, frame)
+            assert answer is store.results.peek(key) is service.answer("db", text)
+            assert service.query("db", text) == list(answer.items)
+            assert encode_response(1, answer) == b'{"id":1,"ok":true,"result":["<a>1</a>"]}\n'
 
     def test_one_read_path_surface(self):
         """1.8.0: the store and the service run no Node strategy, so the

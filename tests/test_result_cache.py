@@ -2,18 +2,23 @@
 
 One state machine drives a store behind a service through puts, view
 definitions, stagings, commits (spliced and forced to rebuild),
-rollbacks, drop-and-redefine and drop-and-reload, reading through both
-fronts (every commit first reads a fixed pool on every target, so it
-has entries to keep, move or drop).  Whatever the history:
+rollbacks, drop-and-redefine and drop-and-reload, reading through all
+three fronts — the store, the service and the wire (``handle_request``
++ ``encode_response``, what the server's handler runs) — and every
+commit first reads a fixed pool on every target, so it has entries to
+keep, move or drop.  Whatever the history:
 
 * every answer the cache could hand out — an entry whose key a read of
-  the current state would build — equals ``query_naive``, serialized;
+  the current state would build — equals ``query_naive``, serialized,
+  and so does what its wire form decodes to (an entry carries its
+  bytes across every re-key that keeps it);
 * once a commit (or a reload) returns, no key names an arena that is
   not some document's current one.  The machine is single-threaded, so
   there is no late publisher; that case has its own test in
   ``test_service.py``.
 """
 
+import json
 from unittest import mock
 
 from hypothesis import settings
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import QueryService, serialize
+from repro.service.protocol import decode_line, encode_response, handle_request
 from repro.store import MaterializationPolicy, ViewStore
 from repro.store import store as store_module
 from repro.store.delta import DeltaUnsupported
@@ -59,6 +65,7 @@ class ResultCacheMachine(RuleBasedStateMachine):
         #: view name → its base; a *leaf* is a view nothing stacks on.
         self.bases: dict = {}
         self.defined = 0
+        self.wire_responses = 0
         self._seed_views()
 
     def _seed_views(self):
@@ -139,6 +146,27 @@ class ResultCacheMachine(RuleBasedStateMachine):
         target = data.draw(st.sampled_from(["db", "aux"] + sorted(self.bases)))
         self._read(target, queries, staged, through_service)
 
+    @rule(
+        queries=st.lists(user_queries(), min_size=1, max_size=4), data=st.data(),
+        staged=st.booleans(), repeats=st.integers(1, 3),
+    )
+    def wire_read(self, queries, data, staged, repeats):
+        """The server's handler, minus the socket: a repeat is answered
+        from the bytes the entry holds."""
+        target = data.draw(st.sampled_from(["db", "aux"] + sorted(self.bases)))
+        for query in queries:
+            expected = self._oracle(target, query, staged)
+            for _ in range(repeats):
+                self.wire_responses += 1
+                frame = {
+                    "id": self.wire_responses, "op": "query",
+                    "target": target, "text": query, "staged": staged,
+                }
+                line = encode_response(frame["id"], handle_request(self.service, frame))
+                assert decode_line(line) == {
+                    "id": frame["id"], "ok": True, "result": expected,
+                }
+
     def _read(self, target, queries, staged, through_service):
         for query in queries:
             if through_service:
@@ -182,13 +210,15 @@ class ResultCacheMachine(RuleBasedStateMachine):
                 continue
             if staged_texts and (doc_name != "db" or staged_texts != pending):
                 continue
-            staged = bool(staged_texts)
-            assert list(cached) == self._oracle(target, query, staged), key
+            expected = self._oracle(target, query, bool(staged_texts))
+            assert list(cached.items) == expected, key
+            assert json.loads(cached.wire()) == expected, key
 
     @invariant()
     def the_accounting_identity_holds(self):
         m = self.service.metrics()
         assert m["requests"] == m["evaluations"] + m["coalesced"] + m["memo_hits"]
+        assert m["wire_built"] + m["wire_reused"] == self.wire_responses
 
 
 ResultCacheMachine.TestCase.settings = settings(

@@ -24,13 +24,14 @@ from repro.service import (
     Client,
     DeadlineError,
     OverloadedError,
+    ResponseLostError,
     RetryExhaustedError,
     RetryPolicy,
     ServiceClosedError,
     ServiceServer,
     TransportError,
 )
-from repro.service.protocol import decode_line, encode_frame
+from repro.service.protocol import decode_line, encode_frame, result_frame
 from repro.store import StoreError, ViewStore
 from repro.transform.naive import transform_naive
 from repro.xmltree.arena import arena_from_columns, freeze, thaw
@@ -1173,6 +1174,99 @@ def test_client_timeout_tears_down_the_desynchronized_connection():
     finally:
         client.close()
         server.stop()
+
+
+class _CuttingPeer:
+    """A raw-socket server that answers the first *cuts* requests
+    (``None``: every request) with the start of a result frame and a
+    hang-up — what a server killed, or a socket reset, mid-``sendall``
+    leaves on the wire — and every later one properly."""
+
+    CUT = b'{"id":%d,"ok":true,"result":["<a>'
+    ANSWER = ["<a/>"]
+
+    def __init__(self, cuts):
+        self.cuts = cuts
+        self.ops = []  # the op of every request that arrived
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # closed by the test
+            with conn, conn.makefile("rb") as requests:
+                for line in requests:
+                    frame = json.loads(line)
+                    self.ops.append(frame["op"])
+                    if self.cuts is None or len(self.ops) <= self.cuts:
+                        conn.sendall(self.CUT % frame["id"])
+                        break  # hang up mid-frame
+                    conn.sendall(encode_frame(result_frame(frame["id"], self.ANSWER)))
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.listener.close()
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def cutting_peer():
+    peers = []
+
+    def make(cuts):
+        peers.append(_CuttingPeer(cuts))
+        return peers[-1]
+
+    yield make
+    for peer in peers:
+        peer.close()
+
+
+def test_a_response_cut_mid_frame_is_a_lost_response_and_a_read_retries(cutting_peer):
+    peer = cutting_peer(cuts=1)
+    retry = RetryPolicy(attempts=3, base_delay=0.001)
+    with Client(*peer.address, timeout=5.0, retry=retry) as client:
+        assert client.query("db", QUERIES[0]) == peer.ANSWER
+        assert client.retry_stats == {"retries": 1, "reconnects": 1, "exhausted": 0}
+    assert peer.ops == ["query", "query"]
+
+
+def test_a_read_whose_every_response_is_cut_exhausts_its_retries(cutting_peer):
+    peer = cutting_peer(cuts=None)
+    retry = RetryPolicy(attempts=3, base_delay=0.001)
+    with Client(*peer.address, timeout=5.0, retry=retry) as client:
+        with pytest.raises(RetryExhaustedError) as caught:
+            client.query("db", QUERIES[0])
+        assert isinstance(caught.value.last_error, ResponseLostError)
+        assert "bytes into a response" in str(caught.value.last_error)
+        assert client._file is None  # not left open on a dead peer
+    assert peer.ops == ["query"] * 3
+
+
+def test_a_cut_commit_response_is_lost_not_malformed_and_never_retried(cutting_peer):
+    peer = cutting_peer(cuts=None)
+    with Client(*peer.address, timeout=5.0) as client:
+        with pytest.raises(ResponseLostError, match="bytes into a response"):
+            client.commit("db", INSERT_T)
+        assert client._file is None
+        assert client.retry_stats["retries"] == 0
+    assert peer.ops == ["commit"]  # a lost write may have been applied
+
+
+def test_a_complete_line_that_is_not_a_frame_is_a_lost_response(cutting_peer):
+    peer = cutting_peer(cuts=None)
+    peer.CUT = b"[%d]\n"  # newline-terminated JSON, but not an object
+    with Client(*peer.address, timeout=5.0, retry=RetryPolicy(attempts=1)) as client:
+        with pytest.raises(RetryExhaustedError) as caught:
+            client.ping()
+        assert isinstance(caught.value.last_error, ResponseLostError)
+        assert "malformed response" in str(caught.value.last_error)
 
 
 def test_server_graceful_shutdown_drains():

@@ -350,7 +350,7 @@ class TestCommitRollback:
         assert delta is not None and delta.entries == 0
         assert delta.old_version == delta.new_version == before
         key = result_key("db", doc.uid, query, stacked.pin_read("db").texts)
-        assert stacked.results.get(key) == tuple(warm)
+        assert stacked.results.get(key).items == tuple(warm)
 
     def test_commit_is_sequential_over_stages(self, store):
         store.stage(
