@@ -31,12 +31,10 @@ one pre-order loop with local-variable state:
 
 :func:`select_indices` is the shared walk behind the arena paths of
 ``run_select``, the store's and the service's reads (documents, views,
-staged previews), the commit kernel's target selection
-(``store.delta.transform_arena``) and the xquery arena evaluator;
-:func:`write_arena_transformed` fuses it with the columnar
-serializer for the file-to-file transform fast path (untouched
-subtrees are emitted — or skipped — as raw index ranges, the arena
-form of "simply copied to the result").
+staged previews), the transform kernel's target selection
+(``repro.transform.arena.transform_arena`` — the one way an arena is
+transformed; its result is serialized like any other arena) and the
+xquery arena evaluator.
 """
 
 from __future__ import annotations
@@ -45,17 +43,13 @@ from typing import Optional
 
 from repro.automata.dfa import ScanTruth
 from repro.obs import current_profile
-from repro.updates.ops import Update
 from repro.xmltree.arena import FrozenDocument
-from repro.xmltree.serializer import serialize
 from repro.xpath.ast import TrueQual
 
 __all__ = [
     "initial_id_for",
     "select_indices",
     "serialize_arena_items",
-    "serialize_arena_transformed",
-    "write_arena_transformed",
 ]
 
 
@@ -240,124 +234,6 @@ def select_indices(
             moves=after["moves"] - before["moves"],
         )
     return out
-
-
-# ----------------------------------------------------------------------
-# The transform-to-text fast path
-# ----------------------------------------------------------------------
-
-
-def write_arena_transformed(
-    arena: FrozenDocument, update: Update, selecting, write
-) -> int:
-    """Emit the transformed document as compact XML text through
-    *write*, straight from the columns — no output tree, no thaw.
-
-    One selecting-DFA walk finds ``r[[p]]`` (:func:`select_indices`),
-    then a single pre-order sweep splices the update at the matched
-    indices: ``delete``/``replace`` skip the match's contiguous range
-    (topmost match wins, exactly the Node convention), ``insert``
-    appends the constant content before the closing tag, ``rename``
-    swaps the tag name.  Untouched regions stream out as raw ranges.
-    Returns the number of (topmost) matches applied.
-
-    Byte-identical to serializing ``transform_topdown`` on the thawed
-    tree (asserted by the arena test suite).
-    """
-    matches = select_indices(selecting, arena)
-    kind = update.kind
-    content_xml = (
-        serialize(update.content) if kind in ("insert", "replace") else ""
-    )
-    new_label = update.new_label if kind == "rename" else ""
-    sym = arena.sym
-    end = arena.end
-    payload = arena.payload
-    attr_map = arena.attrs
-    strings = arena.symbols.strings
-    from repro.xmltree.serializer import _flat_attr_text, escape_text
-
-    applied = 0
-    mi = 0
-    n_matches = len(matches)
-    closes: list = []
-    ends: list = []
-    limit = end[0]
-    j = 0
-    # A deleted range can empty its parent, which must then self-close
-    # exactly as the Node serializer would: open tags are held pending
-    # and flushed with '>' by the first content, or folded to '<l/>'
-    # by a contentless close.
-    pending = None
-
-    def emit_close() -> None:
-        nonlocal pending
-        if pending is not None:
-            write(pending + "/>")
-            pending = None
-            closes.pop()
-        else:
-            write(closes.pop())
-
-    while j < limit:
-        while ends and ends[-1] <= j:
-            ends.pop()
-            emit_close()
-        s = sym[j]
-        if s < 0:
-            if pending is not None:
-                write(pending + ">")
-                pending = None
-            write(escape_text(payload[j]))
-            j += 1
-            continue
-        matched = mi < n_matches and matches[mi] == j
-        if matched:
-            mi += 1
-            applied += 1
-        e = end[j]
-        if matched and kind in ("delete", "replace"):
-            if kind == "replace":
-                if pending is not None:
-                    write(pending + ">")
-                    pending = None
-                write(content_xml)
-            # Topmost match wins: skip the subtree range and every
-            # match strictly inside it.
-            while mi < n_matches and matches[mi] < e:
-                mi += 1
-            j = e
-            continue
-        if pending is not None:
-            write(pending + ">")
-            pending = None
-        label = strings[s] if not (matched and kind == "rename") else new_label
-        found = attr_map.get(j)
-        attrs = _flat_attr_text(found) if found else ""
-        if matched and kind == "insert":
-            # The match gains a child, so it can no longer self-close.
-            write(f"<{label}{attrs}>")
-            ends.append(e)
-            closes.append(f"{content_xml}</{label}>")
-        elif e == j + 1:
-            write(f"<{label}{attrs}/>")
-        else:
-            pending = f"<{label}{attrs}"
-            ends.append(e)
-            closes.append(f"</{label}>")
-        j += 1
-    while closes:
-        emit_close()
-    return applied
-
-
-def serialize_arena_transformed(
-    arena: FrozenDocument, update: Update, selecting
-) -> str:
-    """:func:`write_arena_transformed` into a returned string."""
-    parts: list = []
-    write_arena_transformed(arena, update, selecting, parts.append)
-    return "".join(parts)
 
 
 def serialize_arena_items(arena: FrozenDocument, items) -> list:

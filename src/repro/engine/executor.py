@@ -46,23 +46,14 @@ def run_tree_strategy(
 ) -> Element:
     """Evaluate *query* on a resident tree with the named strategy.
 
-    Prebuilt automata are used when given.
-
-    A :class:`~repro.xmltree.arena.FrozenDocument` is accepted for
-    *root*: transforms build a fresh output tree, so the arena (which
-    cannot share Node structure) is thawed once up front.  Callers
-    producing *text* output should prefer the arena-native
-    ``run_to_file`` fast path.
+    Prebuilt automata are used when given.  *root* is a Node tree: a
+    frozen arena has no strategy to choose (``PreparedTransform.run``
+    hands it to :func:`repro.transform.arena.transform_arena`).
     """
     if strategy == "stream":
         strategy = "sax"
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not isinstance(root, Element):
-        from repro.xmltree.arena import FrozenDocument, thaw
-
-        if isinstance(root, FrozenDocument):
-            root = thaw(root)
     profile = current_profile()
     if profile is not None:
         # Tree strategies all realize at least one full traversal of

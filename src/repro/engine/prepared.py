@@ -10,9 +10,11 @@ transform queries: each stage sees the previous stage's result), and
 ``explain`` shows the plan for a concrete or hypothetical input.
 
 All ``run`` methods accept a resident :class:`Element`, a frozen arena
-or a file path; the strategy is picked per input by the rule in
-:func:`~repro.engine.planner.choose_strategy` unless a fixed
-``method=`` is forced.
+or a file path.  A tree or file is transformed into a tree by the
+strategy the rule in :func:`~repro.engine.planner.choose_strategy`
+picks per input (or a forced ``method=``); a frozen arena into a frozen
+arena by :func:`repro.transform.arena.transform_arena` — an arena,
+like a read, has no strategy to choose.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from repro.engine.executor import ALL_STRATEGIES, run_tree_strategy
 from repro.engine.features import QueryFeatures, analyze_transform, mean_depth
 from repro.engine.planner import Plan, choose_strategy
 from repro.obs import Profile, current_profile, profiled, span
+from repro.transform.arena import transform_arena
 from repro.transform.query import TransformQuery
 from repro.transform.sax_twopass import transform_sax_events, transform_sax_file
-from repro.xmltree.arena import FrozenDocument, thaw
+from repro.xmltree.arena import FrozenDocument
 from repro.xmltree.node import Element
 from repro.xmltree.parser import parse_file
 from repro.xmltree.sax import events_to_text, events_to_tree, iter_sax_file
-from repro.xmltree.serializer import write_file
+from repro.xmltree.serializer import write_arena_file, write_file
 from repro.xquery.ast import UserQuery
 from repro.xquery.evaluator import evaluate_query
 
@@ -40,11 +43,9 @@ Resident = Union[Element, FrozenDocument]
 Input = Union[Resident, str, os.PathLike]
 
 
-def _as_tree(doc_or_path: Input) -> Element:
-    if isinstance(doc_or_path, Element):
+def _resident(doc_or_path: Input) -> Resident:
+    if isinstance(doc_or_path, (Element, FrozenDocument)):
         return doc_or_path
-    if isinstance(doc_or_path, FrozenDocument):
-        return thaw(doc_or_path)
     return parse_file(doc_or_path)
 
 
@@ -137,7 +138,8 @@ class PreparedTransform:
         hypothetical shallow one).
 
         Introspective — nothing is tallied — and exactly what ``run``
-        will execute: both apply the one rule to the same observations.
+        will execute on a tree or file (on an arena it runs no plan):
+        both apply the one rule to the same observations.
         Free unless the query's shape nests; then it measures the
         input's mean depth (parsing a file to do so).
         """
@@ -176,7 +178,12 @@ class PreparedTransform:
         return plan.strategy, resident
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
-        plan = self.plan_for(doc_or_path)
+        evaluation = (
+            "evaluation: select + splice kernel over the columns "
+            "(one DFA scan, matches patched in; no strategy to choose)"
+            if isinstance(doc_or_path, FrozenDocument)
+            else self.plan_for(doc_or_path).describe()
+        )
         header = [
             f"prepared transform: {self.query.update}",
             "compiled once: parse + selecting NFA + filtering NFA + lazy DFA",
@@ -207,16 +214,17 @@ class PreparedTransform:
                     f"/{cache_stats['evictions']} "
                     f"(size {cache_stats['size']}/{cache_stats['maxsize']})"
                 )
-        return "\n".join(header) + "\n" + plan.describe()
+        return "\n".join(header) + "\n" + evaluation
 
     def explain_analyze(
         self, doc_or_path: Input, method: str = "auto"
-    ) -> tuple[str, Element]:
+    ) -> tuple[str, Resident]:
         """Run the transform under an execution profile and report the
-        plan next to what the run measured.
+        plan next to what the run measured (on an arena: the scan
+        loop's own counters next to the full-scan estimate).
 
-        Returns ``(report, transformed_tree)`` — the run is real (and
-        tallied), not simulated, exactly like SQL ``EXPLAIN ANALYZE``.
+        Returns ``(report, result)`` — the run is real (and tallied),
+        not simulated, exactly like SQL ``EXPLAIN ANALYZE``.
         """
         prof = Profile()
         with profiled(prof):
@@ -229,29 +237,32 @@ class PreparedTransform:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, doc_or_path: Input, method: str = "auto") -> Element:
-        """Evaluate on a tree, an arena or a file, returning the
-        transformed tree.  A resident input forced to ``stream`` runs
-        ``sax`` over synthesized events (there is no file to stream)."""
-        resident: Optional[Resident] = None
-        if method == "auto":
-            method, resident = self._chosen(doc_or_path)
-        elif method not in ALL_STRATEGIES:
+    def run(self, doc_or_path: Input, method: str = "auto") -> Resident:
+        """Evaluate on a tree or a file, returning the transformed
+        tree (a resident tree forced to ``stream`` runs ``sax`` over
+        synthesized events: there is no file to stream) — or on a
+        frozen arena, returning a frozen arena: the input itself when
+        nothing matches, else one sharing its untouched column extents.
+        An arena has no strategy to force (``ValueError``)."""
+        if method != "auto" and method not in ALL_STRATEGIES:
             raise ValueError(
                 f"unknown method {method!r}; expected one of "
                 f"{', '.join(ALL_STRATEGIES)} or 'auto'"
             )
-        if method == "stream" and not isinstance(
-            doc_or_path, (Element, FrozenDocument)
-        ):
+        if isinstance(doc_or_path, FrozenDocument):
+            return self._run_arena(doc_or_path, method)
+        resident: Optional[Resident] = None
+        if method == "auto":
+            method, resident = self._chosen(doc_or_path)
+        if method == "stream" and not isinstance(doc_or_path, Element):
             return events_to_tree(self._stream_events(doc_or_path))
         return self._run_tree(
-            resident if resident is not None else _as_tree(doc_or_path), method
+            resident if resident is not None else _resident(doc_or_path), method
         )
 
     def run_many(
         self, inputs: Iterable[Input], method: str = "auto"
-    ) -> list[Element]:
+    ) -> list[Resident]:
         """Evaluate over many inputs; ``auto`` chooses per input (the
         rule costs nothing unless the shape nests, and a batch need not
         be homogeneous)."""
@@ -270,24 +281,20 @@ class PreparedTransform:
         the bounded-memory guarantee is why streaming was chosen, and
         pretty-printing would require materializing the document.
 
-        A :class:`~repro.xmltree.arena.FrozenDocument` input takes the
-        **arena-native serialize path** (``method`` "auto" or
-        "arena", not ``pretty``): one DFA scan over the columns finds
-        the matches, and the output file is written by splicing the
-        update into the columnar serializer — untouched subtrees stream
-        out as raw pre-order ranges; no output tree, no thaw, and no
-        strategy to choose.  Byte-identical to the tree path (asserted
-        by the arena test suite).
+        A :class:`~repro.xmltree.arena.FrozenDocument` input is the
+        kernel (as in :meth:`run`: nothing planned or tallied) and the
+        columnar serializer on its result, pretty or not.  Byte-
+        identical to the tree path (asserted by the arena test suite).
         """
-        if isinstance(in_path, FrozenDocument) and method in ("auto", "arena"):
-            if not pretty:
-                self._write_arena_transformed(in_path, out_path)
-                return
-            method = "auto"  # pretty output needs a tree: thaw and plan
+        if isinstance(in_path, FrozenDocument):
+            result = self._run_arena(in_path, method)
+            with span("serialize"):
+                write_arena_file(result, str(out_path), indent="  " if pretty else None)
+            return
         source: Optional[Resident] = None
         if method == "auto":
             method, source = self._chosen(in_path)
-        if method == "stream" and not isinstance(in_path, FrozenDocument):
+        if method == "stream":
             if pretty:
                 warnings.warn(
                     "pretty-printing is ignored for streamed file-to-file "
@@ -297,20 +304,9 @@ class PreparedTransform:
             self.stream_file(in_path, out_path)
             return
         tree = self._run_tree(
-            source if source is not None else _as_tree(in_path), method
+            source if source is not None else _resident(in_path), method
         )
         write_file(tree, str(out_path), indent="  " if pretty else None)
-
-    def _write_arena_transformed(self, arena: FrozenDocument, out_path) -> None:
-        """The columnar transform-to-text fast path (see run_to_file)."""
-        from repro.automata.arena_run import write_arena_transformed
-
-        with span("serialize"), open(out_path, "w", encoding="utf-8") as handle:
-            handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
-            write_arena_transformed(
-                arena, self.query.update, self.selecting, handle.write
-            )
-            handle.write("\n")
 
     # ------------------------------------------------------------------
     # Chaining
@@ -321,6 +317,16 @@ class PreparedTransform:
         return PreparedStack([self]).then(other)
 
     # ------------------------------------------------------------------
+
+    def _run_arena(self, arena: FrozenDocument, method: str) -> FrozenDocument:
+        if method != "auto":
+            raise ValueError(
+                f"method {method!r} cannot be forced on a frozen arena, which "
+                "has no strategy to choose: repro.thaw it and force the "
+                "strategy on the Node tree"
+            )
+        _expect_full_scan(arena)
+        return transform_arena(arena, self.query.update, self.selecting).arena
 
     def _run_tree(self, root: Resident, strategy: str) -> Element:
         return run_tree_strategy(
@@ -396,13 +402,13 @@ class PreparedStack:
             return PreparedStack(self.stages + other.stages)
         return PreparedStack(self.stages + [other])
 
-    def run(self, doc_or_path: Input, method: str = "auto") -> Element:
-        current = _as_tree(doc_or_path)
+    def run(self, doc_or_path: Input, method: str = "auto") -> Resident:
+        current = _resident(doc_or_path)
         for stage in self.stages:
             current = stage.run(current, method=method)
         return current
 
-    def run_many(self, inputs: Iterable[Input], method: str = "auto") -> list[Element]:
+    def run_many(self, inputs: Iterable[Input], method: str = "auto") -> list[Resident]:
         return [self.run(item, method=method) for item in inputs]
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
@@ -475,7 +481,7 @@ class PreparedQuery:
                     doc_or_path, self.query, nfa_for=self._nfa_for()
                 )
         with span("scan"):
-            return evaluate_query(_as_tree(doc_or_path), self.query)
+            return evaluate_query(_resident(doc_or_path), self.query)
 
     def run_refs(self, arena: FrozenDocument) -> list:
         """Zero-thaw evaluation: element results stay pre-order indices
@@ -560,7 +566,7 @@ class PreparedComposed:
             )
         from repro.compose.compose import evaluate_composed
 
-        return evaluate_composed(_as_tree(doc_or_path), self.plan)
+        return evaluate_composed(_resident(doc_or_path), self.plan)
 
     def run_many(self, inputs: Iterable[Input]) -> list[list]:
         return [self.run(item) for item in inputs]

@@ -70,10 +70,7 @@ import threading
 import time
 from typing import Optional
 
-from repro.automata.arena_run import (
-    serialize_arena_items,
-    serialize_arena_transformed,
-)
+from repro.automata.arena_run import serialize_arena_items
 from repro.engine.engine import Engine
 from repro.obs import (
     NULL_TRACE,
@@ -95,6 +92,7 @@ from repro.service.workers import ProcessWorkers
 from repro.store.answer import Answer
 from repro.store.errors import StoreError
 from repro.store.store import PinnedRead, ViewStore, result_key
+from repro.xmltree.serializer import serialize_arena
 
 __all__ = ["QueryService", "ServiceConfig"]
 
@@ -862,20 +860,19 @@ class QueryService:
         document *name* and return the serialized result tree.
 
         Purely hypothetical — nothing is staged or committed — and
-        lock-free: one selecting-DFA scan over the immutable arena,
-        then the columnar serializer with the update spliced in; no
-        tree is built, so there is no strategy to choose.
+        lock-free: the select + splice kernel over the immutable arena
+        (``PreparedTransform.run``), then the columnar serializer on
+        the arena it returns; no tree is built, so there is no
+        strategy to choose.
         """
         if self._is_closed():
             raise ServiceClosedError()
         snapshot = self.store.pin(name)
         self._count("transforms")
         with self.tracer.trace("service.transform", target=name):
-            prepared = self.engine.prepare_transform(transform_text)
+            result = self.engine.prepare_transform(transform_text).run(snapshot.arena)
             with span("serialize"):
-                return serialize_arena_transformed(
-                    snapshot.arena, prepared.query.update, prepared.selecting
-                )
+                return serialize_arena(result)
 
     # ------------------------------------------------------------------
     # Lifecycle and introspection

@@ -1,23 +1,14 @@
-"""Transforms over frozen arenas: one kernel, and the commit path
-built on it.
+"""The commit path over frozen arenas, built on the transform kernel.
 
-:func:`transform_arena` is the only way the store applies a transform:
-run the update's selecting automaton over a frozen arena, turn the
-matches into splice patches (:func:`repro.xmltree.arena.splice`), and
-derive the next arena without building a Node tree or rebuilding
-columns — O(delta) work instead of O(document).  A view read runs it
-per inner layer and per staged entry; a commit
-(:func:`apply_entries_spliced`) runs it per staged entry, under its
-touched-fraction budget.
+A commit (:func:`apply_entries_spliced`) runs the one select + splice
+kernel (:func:`repro.transform.arena.transform_arena` — O(delta) work
+instead of O(document)) per staged entry, under its touched-fraction
+budget.
 
-Alongside the patches this module computes the **delta label set**: a
-conservative superset of every element label whose presence, absence,
-content or position the commit may have changed — labels inside removed
-ranges, labels a segment introduces, rename sources/targets, and the
-labels on each attach point's ancestor chain (a result subtree that
-*contains* a patch is reachable only through those).  Delta-scoped
-invalidation keeps a cached result whose query provably mentions none
-of them (:func:`query_labels` / :func:`transform_labels` — ``None``
+The kernel reports the **delta label set** of each step (see
+:class:`~repro.transform.arena.ArenaStep`).  Delta-scoped invalidation
+keeps a cached result whose query provably mentions none of those
+labels (:func:`query_labels` / :func:`transform_labels` — ``None``
 means "unanalyzable, assume affected").
 
 A commit that cannot be expressed as a splice raises
@@ -33,21 +24,19 @@ property tests and ``bench_commit.py`` compare against.  Both return a
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, FrozenSet, List, NamedTuple, Optional, Set, Tuple, cast
+from typing import Any, FrozenSet, List, Optional, Set, cast
 
 from repro.automata.arena_run import select_indices
-from repro.updates.apply import apply_update
-from repro.xmltree.arena import (
-    FrozenDocument,
-    SpliceSegment,
-    freeze,
-    freeze_segment,
-    rename_splice,
-    splice,
-    thaw,
+from repro.transform.arena import (
+    SELECT_ERRORS,
+    ArenaTransformError,
+    PatchRange,
+    topmost,
+    transform_arena,
 )
+from repro.updates.apply import apply_update
+from repro.xmltree.arena import FrozenDocument, freeze, thaw
 from repro.xmltree.node import Element
-from repro.xmltree.symbols import SymbolTable
 from repro.xpath.ast import (
     AndQual,
     CmpQual,
@@ -68,14 +57,8 @@ __all__ = [
     "apply_entries_spliced",
     "query_labels",
     "ranges_swallowed_by",
-    "transform_arena",
     "transform_labels",
 ]
-
-#: Exceptions the selecting/compile machinery raises on inputs it does
-#: not support over arenas (mismatched symbol tables, unsupported
-#: qualifier shapes).  Anything else is a real bug and must surface.
-_COMPILE_ERRORS = (ValueError, KeyError, NotImplementedError)
 
 #: Why a commit was rebuilt instead of spliced (``DeltaUnsupported.
 #: reason``, ``CommitOutcome.reason``, ``store.commit.rebuild_reason.*``).
@@ -84,9 +67,6 @@ REBUILD_REASONS = ("selector", "budget", "root")
 #: A delta touching more than this share of the base arena is rebuilt:
 #: it gains nothing over a rebuild and would fragment sharing.
 MAX_TOUCHED_FRACTION = 0.5
-
-#: One splice patch range: ``(kind, start, stop, attach)``.
-PatchRange = Tuple[str, int, int, int]
 
 
 class DeltaUnsupported(Exception):
@@ -139,114 +119,13 @@ class CommitOutcome:
         return "splice" if self.reason is None else "rebuild"
 
 
-def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
-    """The update's constant content as a splice segment, cached on the
-    update object (updates live in the compiled cache, so the segment
-    is frozen once per distinct transform text per symbol table)."""
-    cached: Optional[SpliceSegment] = getattr(update, "_splice_segment", None)
-    if cached is not None and cached.symbols is symbols:
-        return cached
-    segment = freeze_segment(update.content, symbols)
-    update._splice_segment = segment
-    return segment
-
-
-def _chain_syms(
-    arena: FrozenDocument, index: int, syms: Set[int], seen: Set[int]
-) -> None:
-    """Add the symbols on the ancestor chain of *index* (inclusive)."""
-    sym = arena.sym
-    parent = arena.parent
-    c = index
-    while c >= 0 and c not in seen:
-        seen.add(c)
-        syms.add(sym[c])
-        c = parent[c]
-
-
-def _topmost(matches: List[int], end: Any) -> List[int]:
-    """Filter doc-order matches to topmost-wins (delete/replace)."""
-    top: List[int] = []
-    boundary = 0
-    for m in matches:
-        if m >= boundary:
-            top.append(m)
-            boundary = end[m]
-    return top
-
-
-class ArenaStep(NamedTuple):
-    """What one :func:`transform_arena` call did: the next arena, how
-    many nodes the update removed or introduced, the patch list against
-    the arena it was handed, and the delta label set."""
-
-    arena: FrozenDocument
-    touched: int
-    ranges: List[PatchRange]
-    labels: Set[str]
-
-
-def transform_arena(arena: FrozenDocument, update: Any, compiled: Any) -> ArenaStep:
-    """One transform, arena → arena: select the update's targets with
-    its cached selecting NFA, turn the matches into patches, splice.
-    Raises :class:`DeltaUnsupported` for a ``selector`` the arena
-    machinery rejects or a delta that removes the ``root``."""
-    try:
-        nfa = compiled.selecting_nfa_for(update.path)
-        matches = select_indices(nfa, arena)
-    except _COMPILE_ERRORS as exc:
-        raise DeltaUnsupported(
-            "selector", f"cannot select delta ranges: {exc}"
-        ) from exc
-    ranges: List[PatchRange] = []
-    if not matches:
-        return ArenaStep(arena, 0, ranges, set())
-    sym = arena.sym
-    parent = arena.parent
-    end = arena.end
-    kind = update.kind
-    segment: Optional[SpliceSegment] = None
-    if kind in ("insert", "replace"):
-        segment = _segment_for(update, arena.symbols)
-    if kind == "insert":
-        spans = [(end[m], end[m], m) for m in matches]
-    elif kind == "rename":
-        spans = [(m, m + 1, parent[m]) for m in matches]
-    else:  # delete / replace: topmost match wins
-        spans = [(m, end[m], parent[m]) for m in _topmost(matches, end)]
-        if spans[0][0] == 0:
-            # The whole document is the delta; nothing to share.
-            raise DeltaUnsupported("root", "delta removes the document root")
-    # Symbols of every removed or relabelled node and of every attach
-    # chain (text nodes leave a -1); named once, at the end.
-    syms: Set[int] = set()
-    seen_chain: Set[int] = set()
-    touched = len(spans) * len(segment.sym) if segment is not None else 0
-    for start, stop, attach in spans:
-        touched += stop - start
-        syms.update(sym[start:stop])
-        _chain_syms(arena, attach, syms, seen_chain)
-        ranges.append((kind, start, stop, attach))
-    if kind == "rename":
-        # Point-writes on the symbol column; full column aliasing
-        # for everything else.
-        spliced = rename_splice(arena, matches, update.new_label)
-        labels = {update.new_label}
-    else:
-        spliced = splice(arena, [span + (segment,) for span in spans])
-        labels = set(segment.labels) if segment is not None else set()
-    strings = arena.symbols.strings
-    labels.update(strings[s] for s in syms if s >= 0)
-    return ArenaStep(spliced, touched, ranges, labels)
-
-
 def apply_entries_spliced(
     base_arena: FrozenDocument, entries: List[Any], compiled: Any
 ) -> CommitOutcome:
     """Apply staged entries to *base_arena* by splicing, sequentially
     (entry *i+1* selects against entry *i*'s result — the semantics
-    :func:`apply_entries_rebuilt` defines): :func:`transform_arena` in
-    a loop, under the commit's budget.  Raises
+    :func:`apply_entries_rebuilt` defines): the kernel in a loop,
+    under the commit's budget.  Raises
     :class:`DeltaUnsupported` when any entry cannot be expressed as a
     splice or the accumulated delta spans most of the document."""
     arena = base_arena
@@ -256,7 +135,17 @@ def apply_entries_spliced(
     ranges: Optional[List[PatchRange]] = None
     budget = max(1, int(len(base_arena) * MAX_TOUCHED_FRACTION))
     for entry in entries:
-        step = transform_arena(arena, entry.transform.update, compiled)
+        update = entry.transform.update
+        try:
+            nfa = compiled.selecting_nfa_for(update.path)
+        except SELECT_ERRORS as exc:
+            raise DeltaUnsupported(
+                "selector", f"cannot select delta ranges: {exc}"
+            ) from exc
+        try:
+            step = transform_arena(arena, update, nfa)
+        except ArenaTransformError as exc:
+            raise DeltaUnsupported(exc.reason, str(exc)) from exc
         touched += step.touched
         if touched > budget:
             raise DeltaUnsupported("budget", "delta spans most of the document")
@@ -433,10 +322,10 @@ def ranges_swallowed_by(
     try:
         nfa = compiled.selecting_nfa_for(update.path)
         matches = select_indices(nfa, base_arena)
-    except _COMPILE_ERRORS:
+    except SELECT_ERRORS:
         return False
     end = base_arena.end
-    top = _topmost(matches, end)
+    top = topmost(matches, end)
     if not top:
         return False
     for kind, start, stop, attach in ranges:

@@ -7,7 +7,7 @@ that into a two-phase workflow per document:
 * :meth:`UpdateLog.stage` records a transform against a document.  The
   document is untouched; a what-if read splices the staged entries
   onto the pinned arena, in order, like any other transform
-  (:func:`repro.store.delta.transform_arena`); the ``query_naive``
+  (:func:`repro.transform.arena.transform_arena`); the ``query_naive``
   oracle runs ``transform_naive`` per entry on a Node tree instead.
 * **Commit** (driven by the store facade, which owns the document lock
   and the caches) takes the staged updates, derives the next frozen

@@ -10,7 +10,7 @@ stack ``t1 … tn`` or a staged preview is the same three steps:
 2. **Resolve to one arena, evaluate** (:meth:`ViewStore.evaluate` — a
    pure function of the pinned row and the query text): staged entries
    and inner layers are spliced onto the pinned arena by
-   :func:`~repro.store.delta.transform_arena`, the select + splice
+   :func:`~repro.transform.arena.transform_arena`, the select + splice
    kernel a commit runs (untouched columns and the payload pool are
    shared).  The outermost layer is not applied but **composed** with
    ``q`` (Section 4's Compose Method: the rewrite prunes the transform
@@ -65,13 +65,13 @@ from repro.store.delta import (
     apply_entries_spliced,
     query_labels,
     ranges_swallowed_by,
-    transform_arena,
     transform_labels,
 )
 from repro.store.documents import DocumentStore, Snapshot, StoredDocument
 from repro.store.errors import DuplicateNameError, StoreError, UnknownNameError
 from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
+from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.transform.query import TransformQuery
 from repro.xmltree.arena import FrozenDocument, thaw
@@ -343,13 +343,13 @@ class ViewStore:
         if query is None:
             query = compiled.user_query(query_text)
         fresh = []
-        steps = [(entry, False) for entry in pinned.staged] + layers
-        if steps:
-            with span("splice"):
-                for step, keep in steps:
-                    arena = transform_arena(arena, step.transform.update, compiled).arena
-                    if keep:
-                        fresh.append((step, arena))
+        for step, keep in [(entry, False) for entry in pinned.staged] + layers:
+            update = step.transform.update
+            arena = transform_arena(
+                arena, update, compiled.selecting_nfa_for(update.path)
+            ).arena
+            if keep:
+                fresh.append((step, arena))
         evaluator = ArenaEvaluator(arena, compiled.selecting_nfa_for)
         with span("scan"):
             refs = evaluator.evaluate_refs(query)

@@ -76,7 +76,7 @@ def transform_naive_indexed(root: Element, query: TransformQuery) -> Element:
     from repro.transform.naive import rebuild_with_membership
 
     update = query.update
-    xp_ids = {id(node) for node in evaluate(root, update.path)}
+    xp_ids = {id(node) for node in evaluate(root, update.path)} - {id(root)}
     rebuilt = rebuild_with_membership(root, lambda n: id(n) in xp_ids, update)
     assert len(rebuilt) == 1 and rebuilt[0].is_element
     return rebuilt[0]

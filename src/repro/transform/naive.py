@@ -25,7 +25,9 @@ from repro.xpath.evaluator import evaluate
 def transform_naive(root: Element, query: TransformQuery) -> Element:
     """Evaluate a transform query by the Fig. 2 rewriting semantics."""
     update = query.update
-    xp = evaluate(root, update.path)  # the $xp node list
+    # The $xp node list.  XPath puts the context root into ``$a//.``;
+    # transform updates apply below the root, so it is left out.
+    xp = [node for node in evaluate(root, update.path) if node is not root]
 
     def member(node: Element) -> bool:
         """``some $x in $xp satisfies ($n is $x)`` — deliberately linear."""

@@ -14,7 +14,8 @@ program whose text (`str(program)`) is the Fig. 2 shape::
              if (some $x in $xp satisfies $n is $x) then e else () }
       else $n };
 
-    let $xp := doc()/p return local:apply(fn:doc(), $xp)
+    let $xp := for $x in doc()/p return if ($x is fn:doc()) then () else $x
+    return local:apply(fn:doc(), $xp)
 
 and whose evaluation *is* the Naive Method — including the linear
 ``some … satisfies … is …`` membership scan that makes it quadratic.
@@ -128,9 +129,13 @@ def rewrite_to_xquery(query: TransformQuery) -> Program:
             VarRef("n"),
         ),
     )
+    # XPath puts the root into ``doc()//.``; updates apply below it.
+    below_root = Conditional(
+        IsSame(VarRef("x"), BuiltinCall("doc", [])), EmptySeq(), VarRef("x")
+    )
     body = Let(
         "xp",
-        PathFrom(None, update.path),
+        For("x", PathFrom(None, update.path), below_root),
         FunctionCall("apply", [BuiltinCall("doc", []), VarRef("xp")]),
     )
     return Program(declarations=[apply_decl], body=body)

@@ -29,8 +29,8 @@ sequence instead:
 The pre-order range column is the arena form of the paper's "simply
 copied to the result" subtree sharing: a subtree the automaton proves
 untouched is a contiguous ``[i, end[i])`` slice that downstream code
-(the serializer fast path, the transform-to-file path) copies — or
-skips — as a range, without visiting its nodes.
+(the serializer fast path, :func:`splice`) copies — or skips — as a
+range, without visiting its nodes.
 
 The builder also **deduplicates strings**: XMark-shaped data repeats
 text values and attribute names/values heavily, and the Node parser

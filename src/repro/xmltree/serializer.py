@@ -130,7 +130,7 @@ def _flat_attr_text(flat: tuple[str, ...]) -> str:
 def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Write) -> None:
     """Emit the (balanced) node range ``[start, limit)`` as compact XML
     through *write* — the shared core of :func:`serialize_arena` and
-    the arena-native transform-to-file path.
+    :func:`write_arena_file`.
 
     The column twin of :func:`_emit`, under the same rules: escape only
     values holding a special character, write ``<price>12</price>`` as
@@ -182,13 +182,17 @@ def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Writ
 
 
 def write_arena_file(
-    arena: FrozenDocument, path: str, i: int = 0, declaration: bool = True
+    arena: FrozenDocument, path: str, i: int = 0, declaration: bool = True,
+    indent: Optional[str] = None,
 ) -> None:
-    """Serialize an arena subtree into a file (compact form), straight
-    from the columns."""
+    """Serialize an arena subtree into a file, straight from the
+    columns (pretty-printed, as in :func:`serialize_arena`, on request)."""
     with open(path, "w", encoding="utf-8") as handle:
         if declaration:
             handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
+        if indent is not None:
+            handle.write(serialize_arena(arena, i, indent))
+            return
         write_arena_range(arena, i, arena.end[i], handle.write)
         handle.write("\n")
 

@@ -11,13 +11,14 @@ from repro.xmark.generator import generate
 from repro.xmark.queries import delete_transform, insert_transform
 from repro.xmltree.arena import (
     FrozenBuilder,
+    FrozenDocument,
     arena_to_events,
     events_to_arena,
     freeze,
     thaw,
 )
 from repro.xmltree.node import deep_equal
-from repro.xmltree.parser import XMLSyntaxError, parse, parse_to_arena
+from repro.xmltree.parser import XMLSyntaxError, parse, parse_file, parse_to_arena
 from repro.xmltree.sax import iter_sax_string, tree_to_events
 from repro.xmltree.serializer import serialize, serialize_arena, write_arena_file, write_file
 
@@ -120,15 +121,19 @@ class TestEngineWiring:
         prepared = engine.prepare_transform(str(delete_transform("U4")))
         want = prepared.run(tree)
         got = prepared.run(arena)
-        assert deep_equal(want, got)
+        # An arena answers as an arena: the kernel's, not a thawed tree.
+        assert isinstance(got, FrozenDocument)
+        assert deep_equal(want, thaw(got))
 
-    def test_executor_thaws_arena_inputs(self):
+    def test_a_forced_strategy_takes_a_node_tree(self):
         tree = generate(0.001, 42)
         arena = freeze(tree)
         query = insert_transform("U1")
         want = run_tree_strategy("topdown", tree, query)
-        got = run_tree_strategy("topdown", arena, query)
-        assert deep_equal(want, got)
+        prepared = Engine().prepare_transform(str(query))
+        with pytest.raises(ValueError, match="repro.thaw it"):
+            prepared.run(arena, method="topdown")
+        assert deep_equal(want, prepared.run(thaw(arena), method="topdown"))
 
     def test_run_to_file_takes_the_arena_native_path(self, tmp_path):
         tree = generate(0.001, 42)
@@ -141,13 +146,15 @@ class TestEngineWiring:
         prepared.run_to_file(arena, arena_out)
         assert node_out.read_bytes() == arena_out.read_bytes()
         # The columnar path has no strategy to choose: only the file
-        # run above was tallied.
-        assert sum(engine.stats()["planner"]["chosen"].values()) == 1
-        # Pretty output thaws and takes the tree path, still correct.
+        # run above was tallied — pretty output included, which is the
+        # compact output re-parsed and pretty-printed.
         pretty_out = tmp_path / "pretty.xml"
         prepared.run_to_file(arena, pretty_out, pretty=True)
+        again = tmp_path / "again.xml"
+        write_file(parse_file(str(arena_out)), str(again), indent="  ")
+        assert pretty_out.read_bytes() == again.read_bytes()
         assert b"  <" in pretty_out.read_bytes()
-        assert sum(engine.stats()["planner"]["chosen"].values()) == 2
+        assert sum(engine.stats()["planner"]["chosen"].values()) == 1
 
     def test_prepared_query_agrees_across_representations(self):
         tree = generate(0.001, 42)

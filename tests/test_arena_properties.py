@@ -14,8 +14,9 @@ expressions and seeded XMark documents:
   oracle, and the streaming selector fed the arena replay source
   yields the same subtrees;
 * **queries and transforms** — the arena XQuery evaluator matches
-  ``evaluate_query``, and the arena transform-to-text path is
-  byte-identical to serializing ``transform_topdown``;
+  ``evaluate_query``, and the transform kernel's result, serialized
+  from its columns, is byte-identical to serializing
+  ``transform_topdown``;
 * **jump scans** — descendant-heavy paths (recursive labels,
   qualifiers on and before ``//`` steps, absent and late-interned
   labels, inner contexts) select the same indices as the Node runner,
@@ -33,10 +34,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.arena_run import select_indices, serialize_arena_transformed
+from repro.automata.arena_run import select_indices
 from repro.automata.selecting import build_selecting_nfa
 from repro.obs.profile import Profile, profiled
 from repro.streaming.select import stream_select
+from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.transform.query import TransformQuery
 from repro.transform.topdown import transform_topdown
@@ -46,6 +48,7 @@ from repro.xmark.queries import EMBEDDED_PATHS, user_query_for
 from repro.xmltree import arena as arena_module
 from repro.xmltree.arena import freeze, freeze_segment, rename_splice, splice, thaw
 from repro.xmltree.node import Element, Text, deep_equal
+from repro.xmltree.parser import parse
 from repro.xmltree.sax import tree_to_events
 from repro.xmltree.serializer import serialize, serialize_arena
 from repro.xpath.arena_compiler import compile_qualifier_arena
@@ -319,8 +322,29 @@ class TestTransformEquivalence:
         query = TransformQuery(update)
         arena = freeze(tree)
         want = serialize(transform_topdown(tree, query, nfa=selecting))
-        got = serialize_arena_transformed(arena, update, selecting)
+        got = serialize_arena(transform_arena(arena, update, selecting).arena)
         assert got == want, update_text
+
+    @pytest.mark.parametrize(
+        "update_text",
+        [
+            "insert <w><v>1</v></w> into $a//a",  # nested matches: each gains a child
+            "rename $a//a as z",                  # ... each is relabelled in place
+            "delete $a//a",                       # topmost match wins
+            "replace $a//a with <w>x</w>",        # ... and is replaced once
+            "delete $a/b/*",    # a deleted range empties its parent, which must self-close
+            "delete $a/*",      # ... and so must the root
+            "replace $a/b/a/c with <w/>",         # a replaced leaf keeps its parent open
+        ],
+    )
+    def test_kernel_cases_the_fused_emit_was_checked_for(self, update_text):
+        tree = parse('<a x="1"><b><a y="2"><c/>t<a>u</a></a></b><c>u</c><b/></a>')
+        update = parse_update(update_text)
+        selecting = build_selecting_nfa(update.path)
+        want = serialize(transform_topdown(tree, TransformQuery(update), nfa=selecting))
+        got = transform_arena(freeze(tree), update, selecting).arena
+        assert serialize_arena(got) == want
+        assert serialize(thaw(got)) == want
 
 
 class TestXMarkWorkload:
@@ -518,7 +542,7 @@ class TestJumpScans:
         }[kind])
         arena = freeze(tree)
         want = serialize(transform_naive(tree, TransformQuery(update)))
-        assert serialize_arena_transformed(arena, update, selecting) == want
+        assert serialize_arena(transform_arena(arena, update, selecting).arena) == want
 
     def test_two_threads_race_the_first_use_of_one_arena(self):
         tree = generate(0.002, 42)

@@ -23,6 +23,7 @@ from repro import (
     parse_update,
     prepare_transform,
     serialize,
+    thaw,
     transform_naive,
     write_file,
 )
@@ -191,18 +192,33 @@ class TestRoundTrip:
         for doc, result in zip(batch, results):
             assert deep_equal(result, transform_naive(doc, prepared.query))
 
-    @pytest.mark.parametrize("freeze_it", [False, True])
-    def test_resident_input_forced_to_stream_degrades_to_sax(
-        self, engine, doc, freeze_it
-    ):
-        """Regression: run(frozen_document, method="stream") handed the
-        arena's repr to the file reader (FileNotFoundError).  There is
-        no file to stream: either resident form runs sax over
+    def test_resident_tree_forced_to_stream_degrades_to_sax(self, engine, doc):
+        """There is no file to stream: a resident tree runs sax over
         synthesized events, as run_to_file always did."""
         prepared = engine.prepare_transform(QUAL_DOS)
-        source = freeze(doc) if freeze_it else doc
-        result = prepared.run(source, method="stream")
+        result = prepared.run(doc, method="stream")
         assert deep_equal(result, transform_naive(doc, prepared.query))
+
+    @pytest.mark.parametrize("method", ALL_STRATEGIES)
+    def test_a_forced_method_on_an_arena_is_a_value_error(
+        self, engine, doc, method, tmp_path
+    ):
+        """An arena has no strategy to choose.  (Regression kept from
+        the thaw days: ``method="stream"`` once handed the arena's repr
+        to the file reader — never a FileNotFoundError.)"""
+        prepared = engine.prepare_transform(QUAL_DOS)
+        arena = freeze(doc)
+        with pytest.raises(ValueError, match="repro.thaw it"):
+            prepared.run(arena, method=method)
+        with pytest.raises(ValueError, match="repro.thaw it"):
+            prepared.run_to_file(arena, tmp_path / "out.xml", method=method)
+        with pytest.raises(ValueError, match="repro.thaw it"):
+            engine.prepare_stack(QUAL_DOS, DELETE).run(arena, method=method)
+        assert sum(engine.chosen().values()) == 0
+        assert deep_equal(
+            prepared.run(thaw(arena), method=method),
+            transform_naive(doc, prepared.query),
+        )
 
     def test_unknown_method_error_lists_the_valid_names(self, engine, doc):
         with pytest.raises(ValueError) as caught:
@@ -566,6 +582,53 @@ class TestNoDocumentCache:
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
                     names = {alias.name for alias in node.names} | {getattr(node, "module", None)}
                     assert not {"weakref", "freeze"} & names, f"{where} imports {names}"
+
+
+class TestOneArenaTransform:
+    """An arena is transformed by ``repro.transform.arena`` and nothing
+    else: the engine never expands one to evaluate it, and the scan
+    module carries no second, fused implementation of the updates."""
+
+    def test_the_engine_never_thaws(self):
+        package = os.path.dirname(repro.__file__)
+        files = sorted(glob.glob(os.path.join(package, "engine", "*.py")))
+        assert len(files) >= 5
+        for path in files:
+            tree = ast.parse(open(path, encoding="utf-8").read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    assert called != "thaw", f"{path}:{node.lineno} calls thaw()"
+                if isinstance(node, ast.ImportFrom):
+                    assert "thaw" not in {alias.name for alias in node.names}, path
+
+    def test_the_scan_module_transforms_nothing(self):
+        from repro.automata import arena_run
+
+        for name in ("write_arena", "serialize_arena"):
+            fused = name + "_transformed"
+            assert not hasattr(arena_run, fused) and fused not in arena_run.__all__
+        tree = ast.parse(open(arena_run.__file__, encoding="utf-8").read())
+
+        def modules(nodes):
+            return {
+                getattr(node, "module", None) or alias.name
+                for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+
+        assert not [m for m in modules(ast.walk(tree)) if m.startswith("repro.updates")]
+        # The Node serializer is reached only to render a constructed
+        # Element result (serialize_arena_items), never at import time.
+        assert "repro.xmltree.serializer" not in modules(tree.body)
+
+    def test_every_arena_surface_reaches_the_one_kernel(self):
+        from repro.engine import prepared
+        from repro.store import delta, store
+        from repro.transform.arena import transform_arena
+
+        for module in (prepared, delta, store):
+            assert module.transform_arena is transform_arena
 
 
 class TestModuleShims:

@@ -34,7 +34,7 @@ from repro.obs import (
 from repro.obs.registry import NULL_INSTRUMENT, Counter, Histogram
 from repro.service import Client, QueryService, ServiceConfig, ServiceServer
 from repro.service.errors import BadRequestError
-from repro.xmltree.parser import parse_to_arena
+from repro.xmltree.parser import parse, parse_to_arena
 
 CATALOG = (
     "<db><part><pname>kb</pname>"
@@ -238,9 +238,19 @@ class TestTracing:
             'transform copy $a := doc("db") modify do delete $a//price return $a'
         )
         with tracer.trace("test.transform"):
-            prepared.run(parse_to_arena(CATALOG))
+            prepared.run(parse(CATALOG))
         names = [s["name"] for s in tracer.records()[0]["spans"]]
         assert "plan" in names
+
+    def test_transform_run_on_an_arena_plans_nothing(self):
+        tracer = Tracer(sample_every=1)
+        prepared = Engine().prepare_transform(
+            'transform copy $a := doc("db") modify do delete $a//price return $a'
+        )
+        with tracer.trace("test.transform"):
+            prepared.run(parse_to_arena(CATALOG))
+        names = [s["name"] for s in tracer.records()[0]["spans"]]
+        assert names == ["scan", "splice"]  # the kernel's two phases
 
     def test_warm_prepare_emits_no_compile_span(self):
         tracer = Tracer(sample_every=1)
@@ -333,9 +343,11 @@ class TestCounterMigration:
         engine.bind_metrics(registry)
         arena = parse_to_arena(CATALOG)
         engine.prepare_query(QUERY).run_refs(arena)  # a read: nothing chosen
-        engine.prepare_transform(
+        prepared = engine.prepare_transform(
             'transform copy $a := doc("db") modify do delete $a//price return $a'
-        ).run(arena)
+        )
+        prepared.run(arena)  # an arena transform: nothing chosen either
+        prepared.run(parse(CATALOG))
         snap = registry.snapshot()
         assert snap["engine.planner.chosen.topdown"] == 1
         assert snap["engine.planner.chosen.twopass"] == 0

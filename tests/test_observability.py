@@ -302,6 +302,29 @@ class TestSlowQueryLog:
         finally:
             svc.close()
 
+    def test_a_transform_op_bills_scan_splice_and_serialize_apart(self):
+        """Regression: select *and* emit sat under one ``serialize``
+        span, so scan time was billed to serialization.  The op emits
+        the spans a view read does — and a view read's own layers bill
+        their select to ``scan``, their patching to ``splice``."""
+        hide = 'transform copy $a := doc("db") modify do delete $a//price return $a'
+        svc = QueryService(config=ServiceConfig(trace_sample=1))
+        try:
+            svc.put("db", CATALOG)
+            svc.define_view("stock", "db", hide)
+            svc.define_view("anon", "stock", hide.replace("price", "sname"))
+            assert "<price>" not in svc.transform("db", hide)
+            svc.query("anon", QUERY)
+            by_name = {record["name"]: record for record in svc.traces()}
+            transform = [s["name"] for s in by_name["service.transform"]["spans"]]
+            assert transform == ["compile", "scan", "splice", "serialize"]
+            read = [s["name"] for s in by_name["service.query"]["spans"]]
+            assert [n for n in read if n in ("scan", "splice", "serialize")] == [
+                "scan", "splice", "scan", "serialize"
+            ]
+        finally:
+            svc.close()
+
     def test_store_slowlog_cli_tells_a_hit_from_an_evaluation(self, tmp_path, capsys):
         lines = []
         svc = QueryService(

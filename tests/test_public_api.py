@@ -12,7 +12,33 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.11.0"
+        assert repro.__version__ == "1.12.0"
+
+    def test_arena_transform_surface(self):
+        """1.12.0: an arena in is an arena out, through the one kernel
+        in ``repro.transform.arena``; the fused emit and the thaw-then-
+        strategy path are gone, and the kernel left ``store.delta``."""
+        import repro.automata.arena_run
+        import repro.store.delta
+        from repro.transform.arena import ArenaStep, transform_arena
+
+        assert not hasattr(repro.store.delta, "ArenaStep")
+        assert "transform_arena" not in repro.store.delta.__all__
+        assert not [n for n in dir(repro.automata.arena_run) if n.endswith("_transformed")]
+        arena = repro.parse_to_arena("<db><part><price>12</price></part></db>")
+        strip = repro.prepare_transform(
+            'transform copy $a := doc("db") modify do delete $a//price return $a'
+        )
+        view = strip.run(arena)
+        assert isinstance(view, repro.FrozenDocument)
+        assert repro.serialize_arena(view) == "<db><part/></db>"
+        assert repro.serialize(repro.thaw(view)) == repro.serialize(
+            strip.run(repro.thaw(arena), method="naive")
+        )
+        step = transform_arena(arena, strip.query.update, strip.selecting)
+        assert isinstance(step, ArenaStep) and step.labels == {"price", "part", "db"}
+        with pytest.raises(ValueError, match="thaw"):
+            strip.run(arena, method="naive")
 
     def test_answer_surface(self):
         """1.11.0: the result cache's value is an ``Answer``; the wire

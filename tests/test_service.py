@@ -116,16 +116,19 @@ def test_view_and_staged_reads_match_the_store(service):
 
 
 def test_the_transform_op_chooses_no_strategy(service):
-    """A wire transform is one scan plus the columnar serializer: the
-    engine's rule is not consulted (``engine.planner.chosen`` tallies
-    ``PreparedTransform.run`` on auto, as before)."""
+    """A wire transform is the kernel plus the columnar serializer —
+    ``PreparedTransform.run`` on the pinned arena: the engine's rule is
+    not consulted (``engine.planner.chosen`` tallies ``run`` on a tree
+    or file on auto, as before)."""
     text = (
         'transform copy $a := doc("db") modify do '
         "rename $a//pname as name return $a"
     )
     assert "<name>kb</name>" in service.transform("db", text)
+    prepared = service.engine.prepare_transform(text)
+    prepared.run(service.store.pin("db").arena)
     assert sum(service.engine.chosen().values()) == 0
-    service.engine.prepare_transform(text).run(service.store.pin("db").arena)
+    prepared.run(parse(CATALOG))
     assert service.engine.chosen()["topdown"] == 1
     snap = service.registry.snapshot()
     assert snap["engine.planner.chosen.topdown"] == 1

@@ -539,9 +539,9 @@ class TestOneTransformKernel:
         calls = []
         kernel = store_mod.transform_arena
 
-        def counted(arena, update, compiled):
+        def counted(arena, update, nfa):
             calls.append(update.kind)
-            return kernel(arena, update, compiled)
+            return kernel(arena, update, nfa)
 
         monkeypatch.setattr(store_mod, "transform_arena", counted)
         stacked.query("partners", "for $x in part/pname return $x")

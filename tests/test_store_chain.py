@@ -31,10 +31,10 @@ from repro.store.delta import (
     DeltaUnsupported,
     apply_entries_rebuilt,
     apply_entries_spliced,
-    transform_arena,
 )
 from repro.store.log import StagedUpdate
 from repro.store.state import open_store, save_store
+from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.xmltree.arena import freeze, freeze_segment, splice, thaw
 from repro.xmltree.parser import parse
@@ -464,7 +464,9 @@ def test_nested_patches_on_a_deep_chain_equal_the_naive_columns(body, fanout):
     root = deep_chain(400, fanout)
     compiled = CompiledCache()
     transform = compiled.transform(_transform(body, "deep"))
-    step = transform_arena(freeze(root), transform.update, compiled)
+    step = transform_arena(
+        freeze(root), transform.update, compiled.selecting_nfa_for(transform.update.path)
+    )
     want = freeze(transform_naive(root, transform))
     got = step.arena
     assert step.ranges
