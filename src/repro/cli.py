@@ -502,7 +502,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         workers=args.workers,
-        mode=args.mode,
         max_queue=args.max_queue,
         slow_threshold=args.slow_ms / 1000.0 if args.slow_ms >= 0 else -1.0,
     )
@@ -543,7 +542,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = server.address
         print(
             f"repro serve: listening on {host}:{port} "
-            f"(mode {config.mode}, {config.workers} workers"
+            f"({config.workers} evaluation slots"
             + (f", state {args.state!r})" if args.state else ", in-memory)"),
             flush=True,
         )
@@ -584,8 +583,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             def _report_loop() -> None:
                 # One JSON object per line (machine-parseable — the CI
                 # loadgen smoke asserts on it): request counters,
-                # latency percentiles, WAL durability counters, worker
-                # restarts, and the slow-query log's tallies.
+                # latency percentiles, WAL durability counters, and
+                # the slow-query log's tallies.
                 while not stop_reporting.wait(args.metrics_interval):
                     counts = service.metrics()
                     snapshot = service.registry.snapshot()
@@ -615,9 +614,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             for key, value in snapshot.items()
                             if key.startswith("store.wal.")
                         },
-                        "worker_restarts": snapshot.get(
-                            "service.workers.restarts", 0
-                        ),
                         "slowlog": service.slowlog()["stats"],
                     }
                     print(
@@ -643,7 +639,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 reporter.join()
             if exposition is not None:
                 exposition.stop()
-        server.stop()  # drains admitted requests, stops the pool
+        server.stop()  # drains admitted requests
         if args.state:
             save_store(service.store, args.state)
             print(f"repro serve: state saved to {args.state!r}", file=sys.stderr)
@@ -875,13 +871,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=4,
-        help="evaluations that may run at once (processes in --mode process)"
-    )
-    p_serve.add_argument(
-        "--mode", choices=["thread", "process"], default="thread",
-        help="worker pool mode: thread (default) or process "
-        "(CPU-parallel arena scans; arenas ship to workers as pickled "
-        "columns)",
+        help="evaluation slots: how many reads may be evaluated at once "
+        "(each on the thread of the connection that asked)",
     )
     p_serve.add_argument(
         "--max-queue", type=int, default=256,

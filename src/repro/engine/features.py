@@ -12,10 +12,9 @@ input's mean depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.transform.query import TransformQuery
-from repro.xmltree.arena import FrozenDocument
 from repro.xmltree.node import Element, Node
 from repro.xpath.ast import AndQual, CmpQual, NotQual, OrQual, Path, PathQual, Qual
 
@@ -112,16 +111,13 @@ def analyze_transform(query: TransformQuery) -> QueryFeatures:
     )
 
 
-def mean_depth(doc: Union[Element, FrozenDocument]) -> float:
-    """Mean node depth of a resident document (root at depth 1, text
-    nodes counted — the definition of ``FrozenDocument.mean_depth``).
+def mean_depth(doc: Element) -> float:
+    """Mean node depth of a resident tree (root at depth 1, text nodes
+    counted), by one level-order walk.
 
     The sum of all subtree sizes is ``n × mean depth``, which is what a
-    nesting qualifier's native checks cost.  Free for an arena (cached
-    on the frozen columns); one level-order walk for a Node tree.
+    nesting qualifier's native checks cost.
     """
-    if isinstance(doc, FrozenDocument):
-        return doc.mean_depth()
     count = total = depth = 0
     level: list[Node] = [doc]
     while level:

@@ -138,22 +138,27 @@ class PreparedTransform:
         hypothetical shallow one).
 
         Introspective — nothing is tallied — and exactly what ``run``
-        will execute on a tree or file (on an arena it runs no plan):
-        both apply the one rule to the same observations.
-        Free unless the query's shape nests; then it measures the
-        input's mean depth (parsing a file to do so).
+        will execute on a tree or file: both apply the one rule to the
+        same observations.  Free unless the query's shape nests; then
+        it measures the input's mean depth (parsing a file to do so).
+        A frozen arena runs no plan, so asking for one is the
+        ``ValueError`` forcing a ``method=`` on it is.
         """
         if doc_or_path is None:
             return choose_strategy(self.features)
+        if isinstance(doc_or_path, FrozenDocument):
+            raise _no_arena_strategy("a plan cannot be made for")
         return self._plan(doc_or_path)[0]
 
-    def _plan(self, source: Input) -> tuple[Plan, Optional[Resident]]:
-        """The rule applied to *source*, and the resident document it
-        looked inside — ``None`` for a file the rule did not have to
-        parse (it streams, or the shape decided alone), so callers that
-        go on to execute parse a file at most once."""
+    def _plan(
+        self, source: Union[Element, str, os.PathLike]
+    ) -> tuple[Plan, Optional[Element]]:
+        """The rule applied to *source*, and the tree it looked inside
+        — ``None`` for a file the rule did not have to parse (it
+        streams, or the shape decided alone), so callers that go on to
+        execute parse a file at most once."""
         with span("plan"):
-            if isinstance(source, (Element, FrozenDocument)):
+            if isinstance(source, Element):
                 plan = choose_strategy(
                     self.features, mean_depth=lambda: mean_depth(source)
                 )
@@ -169,21 +174,27 @@ class PreparedTransform:
             )
             return plan, parsed[0] if parsed else None
 
-    def _chosen(self, source: Input) -> tuple[str, Optional[Resident]]:
+    def _chosen(
+        self, source: Union[Element, str, os.PathLike]
+    ) -> tuple[str, Optional[Element]]:
         """Plan *source* for execution: the tallied strategy and the
-        resident document (see :meth:`_plan`)."""
+        parsed tree (see :meth:`_plan`)."""
         plan, resident = self._plan(source)
         if self.engine is not None:
             self.engine.count_chosen(plan.strategy)
         return plan.strategy, resident
 
+    def _describe_run(self, doc_or_path: Optional[Input] = None) -> str:
+        """What ``run`` does with this input, as ``explain`` prints it:
+        the kernel on a frozen arena, else the plan the rule makes."""
+        if isinstance(doc_or_path, FrozenDocument):
+            return (
+                "evaluation: select + splice kernel over the columns "
+                "(one DFA scan, matches patched in; no strategy to choose)"
+            )
+        return self.plan_for(doc_or_path).describe()
+
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
-        evaluation = (
-            "evaluation: select + splice kernel over the columns "
-            "(one DFA scan, matches patched in; no strategy to choose)"
-            if isinstance(doc_or_path, FrozenDocument)
-            else self.plan_for(doc_or_path).describe()
-        )
         header = [
             f"prepared transform: {self.query.update}",
             "compiled once: parse + selecting NFA + filtering NFA + lazy DFA",
@@ -214,7 +225,7 @@ class PreparedTransform:
                     f"/{cache_stats['evictions']} "
                     f"(size {cache_stats['size']}/{cache_stats['maxsize']})"
                 )
-        return "\n".join(header) + "\n" + evaluation
+        return "\n".join(header) + "\n" + self._describe_run(doc_or_path)
 
     def explain_analyze(
         self, doc_or_path: Input, method: str = "auto"
@@ -251,7 +262,7 @@ class PreparedTransform:
             )
         if isinstance(doc_or_path, FrozenDocument):
             return self._run_arena(doc_or_path, method)
-        resident: Optional[Resident] = None
+        resident: Optional[Element] = None
         if method == "auto":
             method, resident = self._chosen(doc_or_path)
         if method == "stream" and not isinstance(doc_or_path, Element):
@@ -291,7 +302,7 @@ class PreparedTransform:
             with span("serialize"):
                 write_arena_file(result, str(out_path), indent="  " if pretty else None)
             return
-        source: Optional[Resident] = None
+        source: Optional[Element] = None
         if method == "auto":
             method, source = self._chosen(in_path)
         if method == "stream":
@@ -320,11 +331,7 @@ class PreparedTransform:
 
     def _run_arena(self, arena: FrozenDocument, method: str) -> FrozenDocument:
         if method != "auto":
-            raise ValueError(
-                f"method {method!r} cannot be forced on a frozen arena, which "
-                "has no strategy to choose: repro.thaw it and force the "
-                "strategy on the Node tree"
-            )
+            raise _no_arena_strategy(f"method {method!r} cannot be forced on")
         _expect_full_scan(arena)
         return transform_arena(arena, self.query.update, self.selecting).arena
 
@@ -414,11 +421,12 @@ class PreparedStack:
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         out = [f"prepared stack: {len(self.stages)} stage(s)"]
         for index, stage in enumerate(self.stages, 1):
-            plan = stage.plan_for(doc_or_path)
+            # Later stages see a transformed document whose shape we
+            # do not know yet; describe them against the same input.
             out.append(f"stage {index}: {stage.query.update}")
-            out.append("  " + plan.describe().replace("\n", "\n  "))
-            # Later stages see a transformed tree whose size we do not
-            # know yet; plan them against the same input profile.
+            out.append(
+                "  " + stage._describe_run(doc_or_path).replace("\n", "\n  ")
+            )
         return "\n".join(out)
 
     def __len__(self) -> int:
@@ -438,6 +446,13 @@ def _prepare_like(template: PreparedTransform, text: str) -> PreparedTransform:
     from repro.engine.engine import default_engine
 
     return default_engine().prepare_transform(text)
+
+
+def _no_arena_strategy(refused: str) -> ValueError:
+    return ValueError(
+        f"{refused} a frozen arena, which has no strategy to choose: "
+        "repro.thaw it and plan or force the strategy on the Node tree"
+    )
 
 
 def _expect_full_scan(arena: FrozenDocument) -> None:

@@ -2,7 +2,7 @@
 
 A *fault point* is a named call site (``fault_point("wal.append.pre_fsync")``)
 threaded through the code paths whose failure behaviour we need to
-prove: state-dir I/O, the wire protocol, the multiprocessing workers.
+prove: state-dir I/O and the wire protocol.
 With no plan installed the call is a single global read and a ``None``
 check — cheap enough to leave in the commit and serve hot paths
 (``# hot-path`` lint clean).
@@ -235,9 +235,9 @@ def parse_plan(text: str) -> FaultPlan:
 def install_from_env(env_var: str = "REPRO_FAULTS") -> Optional[FaultPlan]:
     """Install a plan from ``env_var`` if set; returns it (or ``None``).
 
-    Runs once at import so spawned subprocesses (workers, ``repro
-    serve`` under the chaos harness) arm themselves before any fault
-    point is reachable.
+    Runs once at import so spawned subprocesses (``repro serve`` under
+    the chaos harness) arm themselves before any fault point is
+    reachable.
     """
     text = os.environ.get(env_var)
     if not text:

@@ -20,8 +20,8 @@ Two ways to open a span:
 
 Activation: ``with trace:`` activates on the current thread and
 finishes on exit (the request-scoped form); ``with trace.activate():``
-activates without finishing (how the service's worker threads attach
-their evaluation spans to a trace created on the submitting thread).
+activates without finishing (how the service attaches a leader's
+evaluation spans to the request trace, which it finishes later).
 
 Sampling is deterministic — every *N*-th trace records, the rest are
 the shared :data:`NULL_TRACE` — so overhead scales down without a
@@ -29,11 +29,11 @@ random-number draw on the hot path.
 
 Trace ids are **process-unique strings** ``"<token>-<seq>"`` where the
 token mixes the pid with random bytes drawn at import: two tracers in
-different processes (the service and its multiprocessing workers, a
-client and its server) can never mint the same id, so records from
-every process of one request merge into a single tree.  A trace
-created with an explicit ``trace_id`` (propagated over the wire)
-*adopts* it — the upstream sampling decision travels with the id.
+different processes (a client and its server) can never mint the same
+id, so records from both processes of one request merge into a single
+tree.  A trace created with an explicit ``trace_id`` (propagated over
+the wire) *adopts* it — the upstream sampling decision travels with
+the id.
 Every trace also carries a ``span_id`` and optional ``parent_span``,
 which is what :func:`stitch` uses to reassemble the cross-process
 parent/child tree.
@@ -76,8 +76,8 @@ __all__ = [
 _active = threading.local()
 
 #: Per-process token prefixed onto every trace/span id.  pid alone is
-#: not enough (pids recycle across respawned pool workers); the random
-#: suffix makes collisions across any two live or dead processes
+#: not enough (pids recycle across restarted servers and clients); the
+#: random suffix makes collisions across any two live or dead processes
 #: vanishingly unlikely.
 _PROCESS_TOKEN = f"{os.getpid():x}{os.urandom(3).hex()}"
 
@@ -151,9 +151,6 @@ class _NullTrace:
         pass
 
     def note(self, **meta: Any) -> None:  # hot-path
-        pass
-
-    def add_spans(self, records: List[Dict[str, Any]]) -> None:  # hot-path
         pass
 
     def activate(self) -> _NullSpan:  # hot-path
@@ -298,17 +295,6 @@ class Trace:
         """Attach metadata to the trace record (merged on finish)."""
         with self._lock:
             self.meta.update(meta)
-
-    def add_spans(self, records: List[Dict[str, Any]]) -> None:
-        """Splice in span records minted in *another* process (the
-        worker halves of a cross-process request).  Records are taken
-        as-is — their ``start_us`` offsets are relative to the remote
-        clock, but their ``span_id``/``parent_span`` links are globally
-        unique, which is what stitching keys on."""
-        if not records:
-            return
-        with self._lock:
-            self._spans.extend(records)
 
     @property
     def record(self) -> Optional[Dict[str, Any]]:
@@ -465,9 +451,8 @@ def stitch(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Reassemble flat trace records (possibly from several processes)
     into per-trace stitched summaries.
 
-    Records sharing a ``trace`` id — the client's root record, the
-    service's child record, worker span records embedded in either —
-    become one entry::
+    Records sharing a ``trace`` id — the client's root record and the
+    service's child record — become one entry::
 
         {"trace": "<id>",
          "records": [...],            # finished records, oldest first
@@ -477,10 +462,10 @@ def stitch(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
          "well_formed": True}         # exactly one root, no orphans
 
     A record in the ring is finished by construction, so ``root is not
-    None`` doubles as "the root finished".  Orphans are spans (or whole
-    records) whose ``parent_span`` names a span id that appears nowhere
-    in the trace — the signature of a parent that died before
-    finishing, e.g. a worker killed mid-group.
+    None`` doubles as "the root finished".  Orphans are records whose
+    ``parent_span`` names a span id that appears nowhere in the trace
+    — the signature of a parent that died before finishing, e.g. a
+    client killed mid-request.
     """
     by_trace: Dict[str, List[Dict[str, Any]]] = {}
     for rec in records:
@@ -489,23 +474,14 @@ def stitch(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     out: List[Dict[str, Any]] = []
     for tid in sorted(by_trace):
         recs = sorted(by_trace[tid], key=lambda r: float(r.get("start", 0.0)))
-        known: Set[str] = set()
-        for rec in recs:
-            if rec.get("span_id"):
-                known.add(rec["span_id"])
-            for sp in rec.get("spans", ()):
-                if sp.get("span_id"):
-                    known.add(sp["span_id"])
+        # Only records carry ids: the spans inside one are its own.
+        known: Set[str] = {rec["span_id"] for rec in recs if rec.get("span_id")}
         roots = [r for r in recs if not r.get("parent_span")]
-        orphans: List[Dict[str, Any]] = []
-        for rec in recs:
-            parent = rec.get("parent_span")
-            if parent and parent not in known:
-                orphans.append({"name": rec.get("name"), "parent_span": parent})
-            for sp in rec.get("spans", ()):
-                sp_parent = sp.get("parent_span")
-                if sp_parent and sp_parent not in known:
-                    orphans.append(dict(sp))
+        orphans: List[Dict[str, Any]] = [
+            {"name": rec.get("name"), "parent_span": rec["parent_span"]}
+            for rec in recs
+            if rec.get("parent_span") and rec["parent_span"] not in known
+        ]
         span_count = sum(len(rec.get("spans", ())) for rec in recs)
         out.append(
             {

@@ -15,9 +15,6 @@ for many concurrent clients:
   evaluations.  The memo's value is sent as it is: a cached answer
   carries its wire form, so a repeat over the wire is framed around
   bytes the entry already holds, not re-encoded.
-* **An opt-in process pool** — ``mode="process"`` ships arenas to
-  worker processes as pickled columns for CPU-parallel scans of large
-  documents.
 * **A line-protocol TCP server and client** — ``repro serve`` /
   :class:`Client`, JSON frames, graceful shutdown, per-request
   deadlines, and admission control that sheds load with typed errors.

@@ -126,9 +126,9 @@ class Client:
         self._rng = random.Random(retry_seed)
         #: The client half of cross-process tracing: every *sampled*
         #: query opens a **root** trace here and ships its ids in the
-        #: request frame, so the server's span (and its workers') join
-        #: the client's trace instead of minting their own.  The same
-        #: deterministic 1-in-N sampling as the server; ``0`` disables.
+        #: request frame, so the server's span joins the client's
+        #: trace instead of minting its own.  The same deterministic
+        #: 1-in-N sampling as the server; ``0`` disables.
         self.tracer = Tracer(
             ring=trace_ring,
             sample_every=trace_sample,
@@ -274,10 +274,10 @@ class Client:
 
         A sampled query opens the **root** span of the whole request:
         its ``trace_id``/``parent_span`` travel in the frame, the
-        server's ``service.query`` record (with worker spans already
-        spliced in) points back at it, and any transport retries or
-        reconnects the exchange needed are stamped onto the root —
-        :meth:`stitched` reassembles the full tree.
+        server's ``service.query`` record points back at it, and any
+        transport retries or reconnects the exchange needed are
+        stamped onto the root — :meth:`stitched` reassembles the full
+        tree.
         """
         trace = self.tracer.trace("client.query", target=target, query=text)
         retries = self.retry_stats["retries"]
@@ -359,8 +359,7 @@ class Client:
     def stitched(self, *, drain: bool = False) -> list:
         """End-to-end stitched traces: the server's records and this
         client's roots merged into per-trace trees — each well-formed
-        entry is one request seen from client, service, and (process
-        mode) worker."""
+        entry is one request seen from client and service."""
         return stitch(
             self.traces(drain=drain) + self.local_traces(drain=drain)
         )

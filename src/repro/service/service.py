@@ -88,7 +88,6 @@ from repro.service.errors import (
     OverloadedError,
     ServiceClosedError,
 )
-from repro.service.workers import ProcessWorkers
 from repro.store.answer import Answer
 from repro.store.errors import StoreError
 from repro.store.store import PinnedRead, ViewStore, result_key
@@ -101,11 +100,7 @@ class ServiceConfig:
     """Tuning knobs for a :class:`QueryService`.
 
     * ``workers`` — how many evaluations may run at once: slots taken
-      by the calling threads in ``mode="thread"`` (no thread is ever
-      created), worker processes in ``mode="process"``.
-    * ``mode`` — ``"thread"`` (default) or ``"process"`` (opt-in
-      CPU-parallel arena scans; arenas are shipped to workers as
-      pickled columns and rebuilt there).
+      by the calling threads (no thread is ever created).
     * ``max_queue`` — admission-control bound on requests admitted and
       waiting for an evaluation slot; beyond it a request that needs
       one is shed with :class:`~repro.service.errors.OverloadedError`.
@@ -135,15 +130,14 @@ class ServiceConfig:
     """
 
     __slots__ = (
-        "workers", "mode", "max_queue",
-        "default_deadline", "metrics", "trace_sample", "trace_ring",
-        "profile_sample", "slow_threshold", "slow_ring",
+        "workers", "max_queue", "default_deadline", "metrics",
+        "trace_sample", "trace_ring", "profile_sample", "slow_threshold",
+        "slow_ring",
     )
 
     def __init__(
         self,
         workers: int = 4,
-        mode: str = "thread",
         max_queue: int = 256,
         default_deadline: Optional[float] = None,
         metrics: bool = True,
@@ -155,8 +149,6 @@ class ServiceConfig:
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        if mode not in ("thread", "process"):
-            raise ValueError(f"unknown mode {mode!r}; use 'thread' or 'process'")
         if max_queue < 1:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
         if trace_sample < 0:
@@ -168,7 +160,6 @@ class ServiceConfig:
         if slow_ring < 1:
             raise ValueError(f"slow_ring must be positive, got {slow_ring}")
         self.workers = workers
-        self.mode = mode
         self.max_queue = max_queue
         self.default_deadline = default_deadline
         self.metrics = metrics
@@ -321,10 +312,6 @@ class QueryService:
         self.engine.bind_metrics(self.registry)
         self.registry.probe("service.queue.depth", self._queue_depth)
         self.registry.probe("service.trace.ring", lambda: self.tracer.stats())
-        self.registry.probe(
-            "service.workers.restarts",
-            lambda: getattr(self._workers, "restarts", 0),
-        )
         #: Any request slower than the threshold is captured here with
         #: its stitched trace and (when sampled) its execution profile.
         #: *slow_sink* additionally receives each entry as it is
@@ -353,12 +340,6 @@ class QueryService:
         self._waiting = 0
         #: One slot per concurrent evaluation (``config.workers``).
         self._slots = threading.Semaphore(self.config.workers)
-        #: Process mode's pool; thread mode evaluates on the caller.
-        self._workers = (
-            ProcessWorkers(self.config.workers)
-            if self.config.mode == "process"
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Reads (MVCC snapshot path, single-flight, on the caller's thread)
@@ -647,38 +628,20 @@ class QueryService:
         raise DeadlineError("expired waiting for an identical evaluation")
 
     def _evaluate(self, pinned: PinnedRead, request: _Request) -> tuple:
-        """The leader's evaluation; returns ``(result, profile)``.
-        Only the leader's trace carries the engine's plan/scan/
-        serialize spans (and, in process mode, the propagated context
-        the worker's spans join).  Workers are shipped document
-        snapshots: only a plain read leaves this thread."""
+        """The leader's evaluation of any target, on this thread,
+        profiled or not; returns ``(result, profile)``.  Only the
+        leader's trace carries the scan/serialize spans."""
         begin = time.perf_counter()
         trace = request.trace
         profile = None
         sample = self.config.profile_sample
-        snapshot = pinned.snapshot
-        if self._workers is not None and pinned.texts == ((), ()):
-            ctx = (
-                {"trace": trace.trace_id, "parent_span": trace.span_id}
-                if trace.sampled
-                else None
-            )
-            result, spans, retries = self._workers.evaluate(
-                snapshot, request.text, ctx
-            )
-            # Splice the worker-minted child spans into the trace
-            # before it finishes, so the published record is already
-            # one stitched subtree.
-            trace.add_spans(spans)
-            if retries:
-                trace.note(worker_retries=retries)
-        elif trace.sampled and sample and next(self._profile_tick) % sample == 0:
+        if trace.sampled and sample and next(self._profile_tick) % sample == 0:
             # Every N-th sampled request pays for an execution profile
             # too: an unpruned arena scan would visit every element
             # below the root (what select_indices can step), and the
             # scan loop fills in the actual visit/prune/skip counts.
             prof = Profile()
-            prof.set_plan("scan", snapshot.arena.n_elements - 1)
+            prof.set_plan("scan", pinned.snapshot.arena.n_elements - 1)
             with trace.activate(), profiled(prof):
                 result = self._evaluate_snapshot(pinned, request.text)
             prof.finish()
@@ -880,18 +843,15 @@ class QueryService:
 
     def close(self) -> None:
         """Graceful shutdown: stop admitting, wait until every flight
-        already admitted has come off the table, stop the worker
-        processes, and wait out any in-flight write.  When this
-        returns the store is quiescent — no reader or writer of this
-        service will touch it again."""
+        already admitted has come off the table, and wait out any
+        in-flight write.  When this returns the store is quiescent —
+        no reader or writer of this service will touch it again."""
         with self._admission_lock:
             if self._closed:
                 return
             self._closed = True
             while self._flights:
                 self._drained.wait()
-        if self._workers is not None:
-            self._workers.shutdown()
         with self._write_lock:
             # A write that was already inside the lock finishes here;
             # any writer queued behind it sees _closed and is refused.
@@ -917,9 +877,7 @@ class QueryService:
 
         With *stitched*, records sharing a trace id are reassembled
         into per-trace summaries (root, span count, orphans, well-
-        formedness) — see :func:`repro.obs.stitch`.  Worker spans are
-        already embedded in the service records they were spliced
-        into, so a service-side stitch covers the whole server half.
+        formedness) — see :func:`repro.obs.stitch`.
         """
         records = self.tracer.drain() if drain else self.tracer.records()
         return stitch(records) if stitched else records
@@ -941,7 +899,6 @@ class QueryService:
         return {
             "service": {
                 **self.metrics(),
-                "mode": self.config.mode,
                 "workers": self.config.workers,
                 "max_queue": self.config.max_queue,
                 "queue_depth": self._queue_depth(),

@@ -14,7 +14,6 @@ library, built without any external dependency:
 from repro.xmltree.arena import (
     FrozenBuilder,
     FrozenDocument,
-    arena_from_columns,
     arena_to_events,
     events_to_arena,
     freeze,
@@ -69,7 +68,6 @@ __all__ = [
     "Text",
     "TextEvent",
     "XMLSyntaxError",
-    "arena_from_columns",
     "arena_to_events",
     "deep_copy",
     "deep_equal",

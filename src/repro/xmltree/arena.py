@@ -44,7 +44,7 @@ what lets :class:`repro.store.documents.StoredDocument` hand the same
 arena object to any number of concurrent readers as a zero-copy
 snapshot of one committed version.  The one exception is **derived
 caches** — values computed from the columns on first use (the cached
-mean depth and byte counts, and the per-label :meth:`~FrozenDocument.
+byte counts, and the per-label :meth:`~FrozenDocument.
 postings` the jump scans ask for).  They live on the document object,
 never on a column (``rename_splice`` aliases columns into the next
 version, where a cache derived from the old ``sym`` would be wrong),
@@ -80,7 +80,6 @@ __all__ = [
     "FrozenBuilder",
     "FrozenDocument",
     "SpliceSegment",
-    "arena_from_columns",
     "arena_to_events",
     "events_to_arena",
     "freeze",
@@ -104,7 +103,7 @@ class FrozenDocument:
 
     __slots__ = (
         "symbols", "sym", "parent", "end", "payload", "attrs",
-        "n_elements", "_mean_depth", "_nbytes", "_postings",
+        "n_elements", "_nbytes", "_postings",
     )
 
     def __init__(
@@ -124,7 +123,6 @@ class FrozenDocument:
         self.payload = payload
         self.attrs = attrs
         self.n_elements = n_elements
-        self._mean_depth: Optional[float] = None
         self._nbytes: Optional[dict] = None
         self._postings: dict[tuple, array] = {}
 
@@ -203,20 +201,6 @@ class FrozenDocument:
                     best = nesting
                 ends.append(end[j])
         return best
-
-    def mean_depth(self) -> float:
-        """Mean node depth over the whole document (cached; the term
-        the planner's qualifier cost model consumes)."""
-        if self._mean_depth is None:
-            parent = self.parent
-            depths = [0] * len(parent)
-            total = 0
-            for i in range(len(parent)):
-                d = depths[parent[i]] + 1 if i else 1
-                depths[i] = d
-                total += d
-            self._mean_depth = total / max(1, len(parent))
-        return self._mean_depth
 
     # ------------------------------------------------------------------
     # The per-label index (derived, lazy)
@@ -315,34 +299,6 @@ class FrozenDocument:
             "index_bytes": sum(
                 sys.getsizeof(found) for found in list(self._postings.values())
             ),
-        }
-
-    def columns(self) -> dict:
-        """The document as a picklable column payload.
-
-        A :class:`FrozenDocument` itself cannot cross a process
-        boundary (its :class:`~repro.xmltree.symbols.SymbolTable`
-        carries a lock, and its symbol ids are only meaningful against
-        that table), but its columns can: the payload ships the raw
-        arrays plus the table's id → label strings, and
-        :func:`arena_from_columns` rebuilds an equivalent arena on the
-        other side by re-interning through the receiving process's own
-        table.  This is the substrate of the service's opt-in
-        ``multiprocessing`` worker pool.
-
-        Only the prefix of the symbol table this document can actually
-        reference ships: the table is usually the process-wide one,
-        and a long-lived server must not pay for every label every
-        *other* document ever interned on each payload.
-        """
-        return {
-            "sym": self.sym,
-            "parent": self.parent,
-            "end": self.end,
-            "payload": self.payload,
-            "attrs": self.attrs,
-            "n_elements": self.n_elements,
-            "strings": list(self.symbols.strings[: max(self.sym) + 1]),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -511,37 +467,6 @@ def thaw(arena: FrozenDocument, i: int = 0) -> Node:
             ends.append(e)
         j += 1
     return root
-
-
-def arena_from_columns(
-    columns: dict, symbols: Optional[SymbolTable] = None
-) -> FrozenDocument:
-    """Rebuild a :class:`FrozenDocument` from a pickled column payload.
-
-    The inverse of :meth:`FrozenDocument.columns`.  Symbol ids in the
-    shipped ``sym`` column index the payload's ``strings`` list; they
-    are re-interned through *symbols* (default: the receiving
-    process's :func:`~repro.xmltree.symbols.global_symbols`), so the
-    rebuilt arena composes with automata compiled in this process.
-    When the id assignment already matches — the common case in forked
-    workers, which inherit the parent's table — the column is reused
-    as-is with no rewrite.
-    """
-    table = symbols if symbols is not None else global_symbols()
-    strings = columns["strings"]
-    remap = [table.intern(label) for label in strings]
-    sym = columns["sym"]
-    if any(remap[i] != i for i in range(len(remap))):
-        sym = array("i", (remap[s] if s >= 0 else -1 for s in sym))
-    return FrozenDocument(
-        table,
-        sym,
-        columns["parent"],
-        columns["end"],
-        columns["payload"],
-        columns["attrs"],
-        columns["n_elements"],
-    )
 
 
 # ----------------------------------------------------------------------

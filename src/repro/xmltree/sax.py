@@ -22,7 +22,12 @@ from __future__ import annotations
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 from repro.xmltree.node import Element, Node, Text
-from repro.xmltree.parser import XMLSyntaxError, decode_entities
+from repro.xmltree.parser import (
+    XMLSyntaxError,
+    _is_name_char,
+    _is_name_start,
+    decode_entities,
+)
 from repro.xmltree.serializer import escape_attr, escape_text
 from repro.xmltree.symbols import global_symbols
 
@@ -124,6 +129,14 @@ class TextEvent(SAXEvent):
 
 _CHUNK = 1 << 16
 
+#: The whitespace the tree parser skips inside and between markup.
+_WS = " \t\r\n"
+
+
+def _valid_name(name: str) -> bool:
+    """Is *name* one the tree parser's ``_read_name`` reads whole?"""
+    return bool(name) and _is_name_start(name[0]) and all(map(_is_name_char, name))
+
 
 class _StreamScanner:
     """Incremental XML tokenizer over a text stream.
@@ -132,6 +145,13 @@ class _StreamScanner:
     only when more input is needed, so tokenizing is amortized linear.
     Buffer size stays bounded by the chunk size plus the largest single
     token (tag, comment or text run between tags).
+
+    Accepts exactly what the tree parser accepts (the differential in
+    ``tests/test_xmltree_sax.py`` holds both to one table): names are
+    validated, every end tag is checked against the element it closes,
+    a start tag ends at the first ``>`` outside a quoted attribute
+    value and a DOCTYPE at the first ``>`` outside its bracketed
+    internal subset — wherever a chunk refill falls.
     """
 
     def __init__(self, stream: IO[str], strip_whitespace: bool):
@@ -141,6 +161,12 @@ class _StreamScanner:
         self.base = 0       # absolute offset of buf[0], for errors
         self.eof = False
         self.strip = strip_whitespace
+        #: Names that passed validation (an element's mapped to its
+        #: canonical string): a document has few distinct names, so
+        #: each is checked once and the common attribute-free tag
+        #: costs one lookup.
+        self.names: dict[str, str] = {}
+        self.attr_names: set[str] = set()
 
     def _fill(self) -> bool:
         """Compact and read one more chunk; False at end of input."""
@@ -182,43 +208,131 @@ class _StreamScanner:
                 return False
         return True
 
+    def _error(self, message: str) -> XMLSyntaxError:
+        return XMLSyntaxError(message, self.base + self.pos)
+
+    def _quoted_tag_end(self, end: int) -> int:
+        """The ``>`` closing the start tag at ``pos`` — the first one
+        outside a quoted attribute value — given *end*, the first one
+        there is."""
+        offset = 1
+        while True:
+            double = self.buf.find('"', self.pos + offset, end)
+            single = self.buf.find("'", self.pos + offset, end)
+            if double == single:  # neither: both are -1
+                return end
+            quote = single if double == -1 or -1 < single < double else double
+            # Offsets, not indices: a refill may compact the buffer.
+            close = self._find(self.buf[quote], quote - self.pos + 1)
+            if close == -1:
+                raise self._error("unterminated attribute value")
+            offset = close - self.pos + 1
+            end = self._find(">", offset)
+            if end == -1:
+                raise self._error("unterminated start tag")
+
+    def _skip_doctype(self) -> None:
+        """Past the ``>`` that ends the DOCTYPE at ``pos``, an internal
+        subset in square brackets skipped whole (what the tree
+        parser's ``_skip_doctype`` does)."""
+        offset = len("<!DOCTYPE")
+        depth = 0
+        while True:
+            if self.pos + offset >= len(self.buf) and not self._fill():
+                raise self._error("unterminated DOCTYPE")
+            for at in range(self.pos + offset, len(self.buf)):
+                ch = self.buf[at]
+                if ch == "[":
+                    depth += 1
+                elif ch == "]":
+                    depth -= 1
+                elif ch == ">" and depth <= 0:
+                    self.pos = at + 1
+                    return
+            offset = len(self.buf) - self.pos
+
+    def _parse_tag_body(self, raw: str) -> tuple[str, dict]:
+        """Parse ``name a="v" b='w'`` (the inside of a start tag)."""
+        i = 0
+        n = len(raw)
+        while i < n and raw[i] not in _WS:
+            i += 1
+        written = raw[:i]
+        name = self.names.get(written)
+        if name is None:
+            if not _valid_name(written):
+                raise self._error("expected a name")
+            name = self.names[written] = _SYMBOLS.canonical(written)
+        attrs: dict[str, str] = {}
+        while True:
+            while i < n and raw[i] in _WS:
+                i += 1
+            if i >= n:
+                return name, attrs
+            eq = raw.find("=", i)
+            if eq == -1:
+                raise self._error(f"malformed attribute in <{name}>")
+            attr_name = raw[i:eq].rstrip(_WS)
+            if attr_name not in self.attr_names:
+                if not _valid_name(attr_name):
+                    raise self._error("expected a name")
+                self.attr_names.add(attr_name)
+            j = eq + 1
+            while j < n and raw[j] in _WS:
+                j += 1
+            if j >= n or raw[j] not in "\"'":
+                raise self._error(f"unquoted attribute value in <{name}>")
+            close = raw.find(raw[j], j + 1)
+            if close == -1:
+                raise self._error(f"unterminated attribute value in <{name}>")
+            attrs[attr_name] = decode_entities(raw[j + 1 : close], self.base + self.pos)
+            i = close + 1
+
     def events(self) -> Iterator[SAXEvent]:
         yield StartDocument()
-        depth = 0
+        open_names: list[str] = []
+        names = self.names
         seen_root = False
         while True:
             # Text (or inter-markup whitespace) up to the next '<'.
             lt = self._find("<", 0)
             if lt == -1:
-                if self.buf[self.pos :].strip():
-                    raise XMLSyntaxError("text outside the root element", self.base)
-                if depth > 0:
-                    raise XMLSyntaxError("unexpected end of input", self.base)
+                if self.buf[self.pos :].strip(_WS):
+                    raise self._error("text outside the root element")
+                if open_names:
+                    raise self._error(f"unterminated element <{open_names[-1]}>")
                 break
             if lt > self.pos:
                 raw = self.buf[self.pos : lt]
-                self.pos = lt
-                if depth > 0:
+                if open_names:
                     if not self.strip or not raw.isspace():
                         yield TextEvent(
-                            decode_entities(raw, self.base) if "&" in raw else raw
+                            decode_entities(raw, self.base + self.pos) if "&" in raw else raw
                         )
-                elif raw.strip():
-                    raise XMLSyntaxError("text outside the root element", self.base)
+                elif raw.strip(_WS):
+                    raise self._error("text outside the root element")
+                self.pos = lt
             # Markup starting at buf[pos] == '<'.
             self._ensure(2)
             next_char = self.buf[self.pos + 1] if self.pos + 1 < len(self.buf) else ""
             if next_char == "/":
                 end = self._find(">", 2)
                 if end == -1:
-                    raise XMLSyntaxError("unterminated end tag", self.base)
-                name = self.buf[self.pos + 2 : end].strip()
+                    raise self._error("unterminated end tag")
+                name = self.buf[self.pos + 2 : end]
+                if not open_names or name != open_names[-1]:
+                    name = name.rstrip(_WS)
+                    if not open_names:
+                        raise self._error(f"unmatched end tag </{name}>")
+                    if not _valid_name(name):
+                        raise self._error("expected a name")
+                    if name != open_names[-1]:
+                        raise self._error(
+                            f"mismatched end tag </{name}> for <{open_names[-1]}>"
+                        )
                 self.pos = end + 1
-                if depth == 0:
-                    raise XMLSyntaxError(f"unmatched end tag </{name}>", self.base)
-                yield EndElement(name)
-                depth -= 1
-                if depth == 0:
+                yield EndElement(open_names.pop())
+                if not open_names:
                     seen_root = True
                 continue
             if next_char == "!":
@@ -227,95 +341,57 @@ class _StreamScanner:
                 if head.startswith("<!--"):
                     end = self._find("-->", 4)
                     if end == -1:
-                        raise XMLSyntaxError("unterminated comment", self.base)
+                        raise self._error("unterminated comment")
                     self.pos = end + 3
                     continue
                 if head == "<![CDATA[":
+                    if not open_names:
+                        raise self._error("CDATA outside the root element")
                     end = self._find("]]>", 9)
                     if end == -1:
-                        raise XMLSyntaxError("unterminated CDATA section", self.base)
-                    if depth == 0:
-                        raise XMLSyntaxError("CDATA outside the root element", self.base)
+                        raise self._error("unterminated CDATA section")
                     yield TextEvent(self.buf[self.pos + 9 : end])
                     self.pos = end + 3
                     continue
-                if head.startswith("<!DOCTYPE"):
-                    end = self._find(">", 9)
-                    if end == -1:
-                        raise XMLSyntaxError("unterminated DOCTYPE", self.base)
-                    self.pos = end + 1
+                if head == "<!DOCTYPE" and not open_names:
+                    self._skip_doctype()
                     continue
-                raise XMLSyntaxError("unrecognized markup", self.base)
+                raise self._error("unrecognized markup")
             if next_char == "?":
                 end = self._find("?>", 2)
                 if end == -1:
-                    raise XMLSyntaxError("unterminated processing instruction", self.base)
+                    raise self._error("unterminated processing instruction")
                 self.pos = end + 2
                 continue
             # Start tag.
+            if not open_names and seen_root:
+                raise self._error("multiple root elements")
             end = self._find(">", 1)
             if end == -1:
-                raise XMLSyntaxError("unterminated start tag", self.base)
+                raise self._error("unterminated start tag")
             raw_tag = self.buf[self.pos + 1 : end]
-            self.pos = end + 1
+            if '"' in raw_tag or "'" in raw_tag:
+                end = self._quoted_tag_end(end)
+                raw_tag = self.buf[self.pos + 1 : end]
             self_closing = raw_tag.endswith("/")
             if self_closing:
                 raw_tag = raw_tag[:-1]
-            name, attrs = _parse_tag_body(raw_tag, self.base)
-            if depth == 0 and seen_root:
-                raise XMLSyntaxError("multiple root elements", self.base)
+            name = names.get(raw_tag)
+            if name is None:
+                name, attrs = self._parse_tag_body(raw_tag)
+            else:  # a name seen before, and no attributes
+                attrs = {}
+            self.pos = end + 1
             yield StartElement(name, attrs)
             if self_closing:
                 yield EndElement(name)
-                if depth == 0:
+                if not open_names:
                     seen_root = True
             else:
-                depth += 1
+                open_names.append(name)
         if not seen_root:
-            raise XMLSyntaxError("no root element", self.base)
+            raise self._error("no root element")
         yield EndDocument()
-
-
-def _parse_tag_body(raw: str, base: int) -> tuple[str, dict]:
-    """Parse ``name a="v" b='w'`` (the inside of a start tag)."""
-    if " " not in raw:  # fast path: no attributes (the common case)
-        if not raw or "\t" in raw or "\n" in raw or "\r" in raw:
-            return _parse_tag_body_slow(raw, base)
-        return _SYMBOLS.canonical(raw), {}
-    return _parse_tag_body_slow(raw, base)
-
-
-def _parse_tag_body_slow(raw: str, base: int) -> tuple[str, dict]:
-    i = 0
-    n = len(raw)
-    while i < n and raw[i] not in " \t\r\n":
-        i += 1
-    name = raw[:i]
-    if not name:
-        raise XMLSyntaxError("empty tag name", base)
-    name = _SYMBOLS.canonical(name)
-    attrs: dict[str, str] = {}
-    while i < n:
-        while i < n and raw[i] in " \t\r\n":
-            i += 1
-        if i >= n:
-            break
-        eq = raw.find("=", i)
-        if eq == -1:
-            raise XMLSyntaxError(f"malformed attribute in <{name}>", base)
-        attr_name = raw[i:eq].strip()
-        j = eq + 1
-        while j < n and raw[j] in " \t\r\n":
-            j += 1
-        if j >= n or raw[j] not in "\"'":
-            raise XMLSyntaxError(f"unquoted attribute value in <{name}>", base)
-        quote = raw[j]
-        close = raw.find(quote, j + 1)
-        if close == -1:
-            raise XMLSyntaxError(f"unterminated attribute value in <{name}>", base)
-        attrs[attr_name] = decode_entities(raw[j + 1 : close], base)
-        i = close + 1
-    return name, attrs
 
 
 def iter_sax_file(

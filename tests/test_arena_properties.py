@@ -610,9 +610,6 @@ class TestJumpScans:
         assert list(items) == [i for i in base.iter_elements() if base.sym[i] == s]
         assert base.stats()["index_bytes"] >= 4 * len(items)
         assert base.nbytes()["total"] == total
-        assert set(base.columns()) == {
-            "sym", "parent", "end", "payload", "attrs", "n_elements", "strings"
-        }
         names = base.postings((base.symbols.intern("name"),))
         renamed = rename_splice(base, list(items[:3]), "thing")
         assert renamed.end is base.end  # columns aliased ...

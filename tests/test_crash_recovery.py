@@ -17,8 +17,7 @@ Crash mode is a hard ``os._exit`` (no atexit, no ``finally``), armed
 in the server subprocess via the ``REPRO_FAULTS`` environment variable
 — the same mechanism the CI chaos-smoke job drives with its seed
 matrix (``REPRO_CHAOS_SEED``).  The in-process tests below cover the
-self-healing service tier: client retries, worker-pool respawn, and
-fail-mode wire faults.
+self-healing service tier: client retries and fail-mode wire faults.
 """
 
 import json
@@ -28,7 +27,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -44,7 +42,6 @@ from repro.service import (
     ServiceServer,
     TransportError,
 )
-from repro.service.workers import ProcessWorkers
 from repro.store import ViewStore
 from repro.store.state import open_store, save_store
 from repro.xmltree.serializer import serialize_arena
@@ -415,60 +412,6 @@ def test_retry_policy_backoff_is_capped_and_jittered():
         assert delay >= min(0.3, 0.1 * (2 ** k))
     with pytest.raises(ValueError, match="attempts must be >= 1"):
         RetryPolicy(attempts=0)
-
-
-# ----------------------------------------------------------------------
-# Worker-pool self-healing (in-process, spawn-based pools)
-# ----------------------------------------------------------------------
-
-
-def _snapshot():
-    store = ViewStore()
-    store.put("db", DOC)
-    return store.pin("db")
-
-
-def test_process_pool_respawns_after_a_worker_crash():
-    workers = ProcessWorkers(1)
-    try:
-        kill = workers.processes.submit(os._exit, 1)
-        with pytest.raises(BrokenExecutor):
-            kill.result(timeout=60)
-        result, spans, retries = workers.evaluate(
-            _snapshot(), "for $x in a return $x"
-        )
-        assert result == ["<a><x>1</x></a>"]
-        assert (spans, retries) == ([], 1)
-        assert workers.restarts == 1
-    finally:
-        workers.shutdown()
-
-
-def test_restart_budget_exhaustion_is_a_typed_error():
-    workers = ProcessWorkers(1, restart_budget=0)
-    try:
-        kill = workers.processes.submit(os._exit, 1)
-        with pytest.raises(BrokenExecutor):
-            kill.result(timeout=60)
-        with pytest.raises(ServiceError, match="restart budget"):
-            workers.evaluate(_snapshot(), "for $x in a return $x")
-    finally:
-        workers.shutdown()
-
-
-def test_env_armed_fault_crashes_every_spawned_worker(monkeypatch):
-    """REPRO_FAULTS is inherited by spawned workers and armed at import
-    — a deterministic crasher burns the whole restart budget and
-    surfaces as the typed error, not a hang or a raw traceback."""
-    monkeypatch.setenv("REPRO_FAULTS", "service.worker.evaluate:crash")
-    workers = ProcessWorkers(1, restart_budget=1)
-    try:
-        with pytest.raises(ServiceError, match="restart budget"):
-            workers.evaluate(_snapshot(), "for $x in a return $x")
-        assert workers.restarts == 1
-    finally:
-        monkeypatch.delenv("REPRO_FAULTS")
-        workers.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,9 @@ class TestRoundTrip:
             prepared.run_to_file(arena, tmp_path / "out.xml", method=method)
         with pytest.raises(ValueError, match="repro.thaw it"):
             engine.prepare_stack(QUAL_DOS, DELETE).run(arena, method=method)
+        # ...and so no plan to ask for: nothing would execute it.
+        with pytest.raises(ValueError, match="repro.thaw it"):
+            prepared.plan_for(arena)
         assert sum(engine.chosen().values()) == 0
         assert deep_equal(
             prepared.run(thaw(arena), method=method),
@@ -282,10 +285,9 @@ class TestStrategyRule:
         plan = prepared.plan_for(doc)
         assert plan.strategy == expected
         assert ("mean_depth" in plan.facts) == nests  # measured only if needed
-        # Element / FrozenDocument / file-path forms of one document agree.
+        # Element and file-path forms of one document agree.
         file_path = tmp_path / "chain.xml"
         write_file(doc, str(file_path))
-        assert prepared.plan_for(freeze(doc)).strategy == expected
         assert prepared.plan_for(str(file_path)).strategy == expected
         assert deep_equal(prepared.run(doc), transform_naive(doc, prepared.query))
         assert engine.stats()["planner"]["chosen"][expected] == 1
@@ -418,8 +420,14 @@ class TestStrategyRule:
         assert engine.chosen()["topdown"] == threads * runs
 
     def test_mean_depth_agrees_across_resident_forms(self, doc):
+        """The level-order walk over Nodes against the depths the
+        frozen form's ``parent`` column spells out."""
         for tree in (doc, deep_chain(40, fanout=2), generate(0.001, seed=7)):
-            assert mean_depth(tree) == pytest.approx(freeze(tree).mean_depth())
+            parent = freeze(tree).parent
+            depths = [1] * len(parent)
+            for i in range(1, len(parent)):
+                depths[i] = depths[parent[i]] + 1
+            assert mean_depth(tree) == pytest.approx(sum(depths) / len(depths))
 
     def test_features_summarize_shape(self):
         features = analyze_transform(parse_transform_query(QUAL_DOS))
@@ -461,6 +469,11 @@ class TestChaining:
         explained = stack.explain(doc)
         assert "3 stage(s)" in explained
         assert explained.count("strategy:") == 3
+        # On an arena every stage runs the kernel, as `run` does and
+        # as PreparedTransform.explain says: no plan is described.
+        on_arena = stack.explain(freeze(doc))
+        assert on_arena.count("select + splice kernel") == 3
+        assert "strategy:" not in on_arena
 
 
 class TestComposition:
@@ -629,6 +642,58 @@ class TestOneArenaTransform:
 
         for module in (prepared, delta, store):
             assert module.transform_arena is transform_arena
+
+
+class TestOneEvaluationSite:
+    """A read is evaluated in one place — on the thread of the request
+    that leads it, by ``QueryService._evaluate_snapshot`` — and nothing
+    selects another: no mode, no pool, no cross-process arena format."""
+
+    def test_service_config_has_no_mode(self):
+        from repro.service import ServiceConfig
+
+        assert len(ServiceConfig.__slots__) == 9
+        assert "mode" not in ServiceConfig.__slots__
+        with pytest.raises(TypeError):
+            ServiceConfig(mode="thread")
+
+    def test_serve_rejects_mode(self, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--workers", "2"]).workers == 2
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args(["serve", "--mode", "process"])
+        assert refused.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
+    def test_no_pool_is_importable_or_imported(self):
+        import importlib
+        import subprocess
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.service.workers")
+        loaded = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro.service; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules])",
+            ],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (loaded.returncode, loaded.stdout.strip()) == (0, "[]"), loaded.stderr
+
+    def test_no_cross_process_arena_format_is_left(self):
+        package = os.path.dirname(repro.__file__)
+        files = glob.glob(os.path.join(package, "**", "*.py"), recursive=True)
+        assert len(files) > 50
+        for path in files:
+            text = open(path, encoding="utf-8").read()
+            for gone in ("arena_from_columns", "ProcessWorkers", "add_spans"):
+                assert gone not in text, f"{path} mentions {gone}"
+        assert not hasattr(repro.FrozenDocument, "columns")
 
 
 class TestModuleShims:

@@ -3,13 +3,12 @@ plan-vs-actual execution profiles, the slow-query log, and the text
 exposition surface.
 
 Covers the acceptance criteria of the observability tentpole: a
-client-driven request against a process-mode service yields ONE
-stitched trace with client, service, and worker spans under a single
-trace id; ``explain_analyze`` reports estimated vs actual rows for
-every Fig-12 read; the slow-query ring captures over-threshold
-requests with their trace and profile; the Prometheus text rendering
-exposes every histogram's exact min/max; and a worker killed mid-group
-still produces a well-formed stitched trace with the retry stamped.
+client-driven request yields ONE stitched trace with the client's and
+the service's records under a single trace id; ``explain_analyze``
+reports estimated vs actual rows for every Fig-12 read; the slow-query
+ring captures over-threshold requests with their trace and profile;
+and the Prometheus text rendering exposes every histogram's exact
+min/max.
 """
 
 import json
@@ -17,7 +16,6 @@ import os
 import sys
 import time
 import urllib.request
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -38,8 +36,6 @@ from repro.obs import (
     stitch,
 )
 from repro.service import Client, QueryService, ServiceConfig, ServiceServer
-from repro.service.workers import ProcessWorkers
-from repro.store.store import ViewStore
 from repro.xmltree.parser import parse_to_arena
 
 CATALOG = (
@@ -322,6 +318,21 @@ class TestSlowQueryLog:
             assert [n for n in read if n in ("scan", "splice", "serialize")] == [
                 "scan", "splice", "scan", "serialize"
             ]
+            # One evaluation site: a staged preview and a plain read
+            # are led on this thread too, and bill the same layers to
+            # the leader's own trace.
+            svc.stage("db", hide.replace("price", "country"))
+            svc.query("db", QUERY, staged=True)
+            svc.query("db", QUERY)
+            view, staged, plain = [
+                [s["name"] for s in record["spans"]]
+                for record in svc.traces() if record["name"] == "service.query"
+            ]
+            assert view == read
+            for names in (view, staged, plain):
+                layers = [n for n in names if n in ("scan", "splice", "serialize")]
+                assert layers[0] == "scan" and layers[-1] == "serialize"
+            assert "splice" in staged and "splice" not in plain
         finally:
             svc.close()
 
@@ -464,17 +475,17 @@ class TestStitch:
     def test_orphan_span_is_flagged(self):
         tracer = Tracer(sample_every=1)
         root = tracer.trace("client.query")
-        # A worker span whose parent died before finishing: its parent
-        # id appears nowhere in the stitched set.
-        root.add_spans([{
-            "name": "worker.evaluate",
-            "span_id": "deadbeef-s1",
-            "parent_span": "deadbeef-s0",
-        }])
+        # A service record whose parent died before finishing: its
+        # parent id appears nowhere in the stitched set.
+        tracer.trace(
+            "service.query", trace_id=root.trace_id, parent_span="deadbeef-s0"
+        ).finish()
         root.finish()
         [entry] = stitch(tracer.records())
         assert not entry["well_formed"]
-        assert entry["orphan_spans"][0]["span_id"] == "deadbeef-s1"
+        assert entry["orphan_spans"] == [
+            {"name": "service.query", "parent_span": "deadbeef-s0"}
+        ]
         assert entry["root"] is not None  # the root itself still finished
 
     def test_two_roots_is_not_well_formed(self):
@@ -666,98 +677,3 @@ class TestWireLayer:
             assert all("wire" not in r["meta"] for r in svc.traces())
             assert [e["wire"] for e in svc.slowlog()["entries"]] == [None, None]
             assert svc.metrics()["wire_built"] == svc.metrics()["wire_reused"] == 0
-
-
-DOC = "<a><x>1</x></a>"
-
-
-def _snapshot():
-    store = ViewStore()
-    store.put("db", DOC)
-    return store.pin("db")
-
-
-class TestProcessModePropagation:
-    def test_worker_spans_ride_home_and_carry_foreign_token(self):
-        svc = QueryService(
-            config=ServiceConfig(
-                mode="process", workers=2, trace_sample=1,
-            )
-        )
-        try:
-            svc.put("db", CATALOG)
-            svc.query("db", QUERY)
-            records = _wait_for(lambda: svc.traces())
-            [rec] = [r for r in records if r["name"] == "service.query"]
-            workers = [s for s in rec["spans"] if s["name"] == "worker.evaluate"]
-            assert workers, rec["spans"]
-            span = workers[0]
-            # Minted in the worker process: its token differs from this
-            # process's, so ids can never collide (satellite 1).
-            assert span["proc"] != process_token()
-            assert span["span_id"].startswith(span["proc"])
-            assert span["parent_span"] == rec["span_id"]
-            assert span["pid"] != os.getpid()
-            [entry] = stitch(records)
-            assert entry["well_formed"]
-        finally:
-            svc.close()
-
-    def test_memo_hit_needs_no_live_worker(self):
-        """In process mode the memo lives in the parent: once an answer
-        is held, serving it again involves no worker at all — shown by
-        taking the pool away."""
-        svc = QueryService(
-            config=ServiceConfig(
-                mode="process", workers=1, trace_sample=1,
-            )
-        )
-        try:
-            svc.put("db", CATALOG)
-            first = svc.query("db", QUERY)
-            svc._workers.processes.shutdown(wait=True)
-            assert svc.query("db", QUERY) == first
-            with pytest.raises(RuntimeError, match="after shutdown"):
-                svc.query("db", "for $x in part return $x/pname")
-            m = svc.metrics()
-            assert (m["evaluations"], m["memo_hits"]) == (1, 1)
-            assert svc._flights == {}  # the failed leader left nothing behind
-            [hit] = [
-                r for r in svc.traces() if r["meta"].get("outcome") == "memo"
-            ]
-            assert not any(s["name"] == "worker.evaluate" for s in hit["spans"])
-        finally:
-            svc.close()
-
-    def test_chaos_killed_worker_still_stitches_with_retry_stamped(self):
-        """Kill a worker under a leader: the pool respawns, the retry
-        re-runs the evaluation, and the stitched trace is well-formed with the retry
-        count on the service record (the dead attempt's spans die with
-        the worker — they never become orphans)."""
-        workers = ProcessWorkers(1)
-        tracer = Tracer(sample_every=1)
-        try:
-            kill = workers.processes.submit(os._exit, 1)
-            with pytest.raises(BrokenExecutor):
-                kill.result(timeout=60)
-            trace = tracer.trace("service.query", target="db")
-            text = "for $x in x return $x"
-            result, spans, retries = workers.evaluate(
-                _snapshot(), text,
-                {"trace": trace.trace_id, "parent_span": trace.span_id},
-            )
-            assert result == ["<x>1</x>"]
-            assert retries == 1
-            assert workers.restarts == 1
-            trace.add_spans(spans)
-            trace.note(worker_retries=retries)
-            trace.finish(outcome="ok")
-            [entry] = stitch(tracer.records())
-            assert entry["well_formed"]
-            assert entry["root"]["meta"]["worker_retries"] == 1
-            assert any(
-                s["name"] == "worker.evaluate"
-                for s in entry["root"]["spans"]
-            )
-        finally:
-            workers.shutdown()

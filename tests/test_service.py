@@ -1,16 +1,15 @@
 """The query service: MVCC snapshot reads, single-flight evaluation
-on the caller's thread, admission control, the process pool, and the
-line-protocol server/client.
+on the caller's thread, admission control, and the line-protocol
+server/client.
 
 The oracle for every read is ``query_naive``, serialized — the store's
 own ``query_serialized`` reads the one result cache the service fills,
 so it would compare an answer with itself.  The service must return
-the same strings from the leader, to every follower, through the
-process pool, and over the wire.
+the same strings from the leader, to every follower, and over the
+wire.
 """
 
 import json
-import os
 import socket
 import sys
 import threading
@@ -34,10 +33,9 @@ from repro.service import (
 from repro.service.protocol import decode_line, encode_frame, result_frame
 from repro.store import StoreError, ViewStore
 from repro.transform.naive import transform_naive
-from repro.xmltree.arena import arena_from_columns, freeze, thaw
+from repro.xmltree.arena import thaw
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize, serialize_arena
-from repro.xmltree.symbols import SymbolTable
 from repro.xquery.evaluator import evaluate_query
 from repro.xquery.parser import parse_user_query
 
@@ -255,7 +253,6 @@ def test_no_service_thread_exists_in_thread_mode(service):
     assert not [
         t.name for t in threading.enumerate() if t.name.startswith("repro-service")
     ]
-    assert service._workers is None
 
 
 def test_identical_concurrent_misses_share_one_evaluation():
@@ -861,94 +858,19 @@ def test_close_rejects_new_requests_and_is_idempotent(service):
     service.close()  # second close is a no-op
 
 
-# ----------------------------------------------------------------------
-# The process worker pool
-# ----------------------------------------------------------------------
-
-
-def test_process_mode_matches_thread_mode():
-    try:
-        svc = QueryService(config=ServiceConfig(mode="process", workers=2))
-    except ValueError as exc:  # pragma: no cover - sandboxed hosts
-        pytest.skip(f"process pool unavailable: {exc}")
-    try:
-        svc.put("db", CATALOG)
-        for text in QUERIES:
-            assert svc.query("db", text) == _oracle(svc.store, "db", text)
-        # A commit bumps the version; workers must rebuild, not reuse.
-        svc.commit(
-            "db",
-            'transform copy $a := doc("db") modify do '
-            "delete $a/part[pname = 'kb'] return $a",
-        )
-        assert svc.query("db", "for $x in part return $x/pname") == [
-            "<pname>mouse</pname>"
-        ]
-        with pytest.raises(ValueError):
-            svc.query("db", "for $x in ][ return $x")
-    finally:
-        svc.close()
-
-
-def test_process_pool_killed_mid_flight_still_answers_every_follower():
-    clients = 4
-    try:
-        svc = QueryService(config=ServiceConfig(mode="process", workers=1))
-    except ValueError as exc:  # pragma: no cover - sandboxed hosts
-        pytest.skip(f"process pool unavailable: {exc}")
-    try:
-        svc.put("db", CATALOG)
-        ship = svc._workers.evaluate
-
-        def killed_under_the_leader(snapshot, text, trace_ctx=None):
-            # The flight is up and everyone has joined it: now lose the pool.
-            _wait_for(lambda: svc.metrics()["requests"] == clients)
-            svc._workers.processes.submit(os._exit, 1)
-            return ship(snapshot, text, trace_ctx)
-
-        svc._workers.evaluate = killed_under_the_leader
-        calls = [_Call(svc.query, "db", QUERIES[2]) for _ in range(clients)]
-        answers = [call.result(timeout=120.0) for call in calls]
-        assert answers[0] == _oracle(svc.store, "db", QUERIES[2])
-        assert all(answer == answers[0] for answer in answers)
-        m = svc.metrics()
-        assert (m["evaluations"], m["coalesced"]) == (1, clients - 1)
-        assert svc._workers.restarts >= 1
-    finally:
-        svc.close()
-
-
 def test_drop_then_reload_never_serves_stale_caches():
     """A dropped-then-reloaded document restarts at version 1, so
     version-keyed caches would alias; the snapshot's process-unique
-    arena uid must keep the memo (and, in process mode, the worker
-    arena caches) from serving the old document's contents."""
+    arena uid must keep the memo from serving the old document's
+    contents."""
     text = "for $x in part return $x/pname"
-    for mode in ("thread", "process"):
-        try:
-            svc = QueryService(
-                config=ServiceConfig(mode=mode, workers=2)
-            )
-        except ValueError as exc:  # pragma: no cover - sandboxed hosts
-            pytest.skip(f"process pool unavailable: {exc}")
-        try:
-            svc.put("db", CATALOG)
-            assert "<pname>kb</pname>" in svc.query("db", text)
-            svc.drop("db")
-            svc.put("db", "<db><part><pname>trackball</pname></part></db>")
-            assert svc.store.documents.get("db").version == 1  # the alias case
-            assert svc.query("db", text) == ["<pname>trackball</pname>"]
-        finally:
-            svc.close()
-
-
-def test_arena_columns_round_trip():
-    arena = freeze(parse(CATALOG))
-    rebuilt = arena_from_columns(arena.columns(), SymbolTable())
-    assert serialize_arena(rebuilt) == serialize_arena(arena)
-    assert rebuilt.n_elements == arena.n_elements
-    # Remapped through a fresh table: ids are dense from zero again.
-    assert rebuilt.symbols is not arena.symbols
+    with QueryService(config=ServiceConfig(workers=2)) as svc:
+        svc.put("db", CATALOG)
+        assert "<pname>kb</pname>" in svc.query("db", text)
+        svc.drop("db")
+        svc.put("db", "<db><part><pname>trackball</pname></part></db>")
+        assert svc.store.documents.get("db").version == 1  # the alias case
+        assert svc.query("db", text) == ["<pname>trackball</pname>"]
 
 
 # ----------------------------------------------------------------------
@@ -1108,7 +1030,7 @@ def test_wire_stats_frame(wire):
     stats = client.stats()
     assert stats["service"]["requests"] >= 1
     assert "db" in stats["store"]["documents"]
-    assert stats["service"]["mode"] == "thread"
+    assert "mode" not in stats["service"]
 
 
 def test_wire_concurrent_clients_coalesce(wire):

@@ -4,6 +4,8 @@ import io
 
 import pytest
 
+from repro import prepare_transform
+from repro.cli import main as cli_main
 from repro.xmltree import (
     EndDocument,
     EndElement,
@@ -18,7 +20,9 @@ from repro.xmltree import (
     iter_sax_file,
     iter_sax_string,
     parse,
+    parse_to_arena,
     serialize,
+    serialize_arena,
     tree_to_events,
 )
 
@@ -142,3 +146,148 @@ class TestAdapters:
         text = events_to_text(tree_to_events(root))
         assert text.count("<n>") == 3999  # innermost serializes as <n/>
         assert deep_equal(parse(serialize(root)), root)
+
+
+#: One tokenizer contract: every input is either the same tree to the
+#: tree parser, the arena parser and the streaming scanner, or an
+#: ``XMLSyntaxError`` to all three.
+WELL_FORMED = [
+    "<a/>",
+    "<a></a >",
+    "<a><b>x</b><b/>tail</a>",
+    '<a x="1>2"><b/></a>',
+    "<a x='a>b' y=\"c>d\">t</a>",
+    '<a x="it\'s" y=\'say "hi"\'/>',
+    '<a x="&lt;&amp;&#65;&#x42;">&quot;&apos;</a>',
+    '<a x="1"y="2"/>',
+    '<a\n  x = "1"\n  y\t=\t"2"\n/>',
+    '<a x="/"><b x="/"/></a>',
+    '<a x="<b>"/>',
+    "<!DOCTYPE a [<!ELEMENT a ANY>]><a/>",
+    "<!DOCTYPE a [<!ELEMENT a (b)> <!ATTLIST b x CDATA #IMPLIED>]>\n<a><b/></a>",
+    '<!DOCTYPE a SYSTEM "a.dtd"><a/><!DOCTYPE a>',
+    '<?xml version="1.0"?><!-- head --><a/><!-- tail --><?done?>',
+    "<a><![CDATA[<b>&amp;]]></a>",
+    "<a>x<![CDATA[ y ]]>z</a>",
+    "<a><![CDATA[]]></a>",
+    "<a><!-- </b> > --><?pi </b> ?>t</a>",
+    "<a><!-->--><b/></a>",
+    "<ns:a xml:lang='en'><_b.c-d/></ns:a>",
+    "<a> <b> x </b> </a>",
+    "<a>]]> > \" '</a>",
+    "\n <a/> \n",
+]
+MALFORMED = [
+    "<a><b><c/></a></b>",
+    "<a></b>",
+    "<1a/>",
+    "<a><-b/></a>",
+    "<a></ a>",
+    "<a></a b>",
+    "< a/>",
+    "<a/ >",
+    "<a //>",
+    "<a=b/>",
+    "<a x=1/>",
+    "<a x/>",
+    '<a 1x="1"/>',
+    '<a x y="1"/>',
+    '<a x="1/>',
+    "<a x='1\"/>",
+    '<a x="&bogus;"/>',
+    "<a>&bogus;</a>",
+    "<a>&amp</a>",
+    "<a/><b/>",
+    "<a/>junk",
+    "junk<a/>",
+    "<a/><![CDATA[x]]>",
+    "<![CDATA[x]]><a/>",
+    "<a><!DOCTYPE a></a>",
+    "<a><!ELEMENT b></a>",
+    "",
+    "  ",
+    "<",
+    "<a",
+    "<a>",
+    "<a><b></b>",
+    "<a>x",
+    "</a>",
+    "<a/></a>",
+    "<a><!--x</a>",
+    "<a><![CDATA[x</a>",
+    "<a><?pi</a>",
+    "<a></a",
+    "<!DOCTYPE a [<!ELEMENT a ANY>",
+    "<!DOCTYPE a",
+    "\x0c<a/>",
+]
+
+
+def _tree(source):
+    return serialize(parse(source, strip_whitespace=False))
+
+
+def _arena(source):
+    return serialize_arena(parse_to_arena(source, strip_whitespace=False))
+
+
+def _scanned(source):
+    return serialize(events_to_tree(iter_sax_string(source, strip_whitespace=False)))
+
+
+def _scanned_file(source, tmp_path):
+    path = tmp_path / "doc.xml"
+    path.write_text(source, encoding="utf-8")
+    return serialize(events_to_tree(iter_sax_file(str(path), strip_whitespace=False)))
+
+
+class TestOneTokenizerContract:
+    @pytest.fixture(params=[1, 2, 3, 7], autouse=True)
+    def chunk(self, request, monkeypatch):
+        """A read size small enough that every token of every case
+        straddles a refill somewhere."""
+        monkeypatch.setattr("repro.xmltree.sax._CHUNK", request.param)
+
+    @pytest.mark.parametrize("source", WELL_FORMED)
+    def test_every_tokenizer_builds_the_same_tree(self, source, tmp_path):
+        want = _tree(source)
+        assert _arena(source) == want
+        assert _scanned(source) == want
+        assert _scanned_file(source, tmp_path) == want
+
+    @pytest.mark.parametrize("source", MALFORMED)
+    def test_every_tokenizer_refuses(self, source, tmp_path):
+        for tokenize in (_tree, _arena, _scanned):
+            with pytest.raises(XMLSyntaxError):
+                tokenize(source)
+        with pytest.raises(XMLSyntaxError):
+            _scanned_file(source, tmp_path)
+
+    def test_a_mismatched_end_tag_is_the_tree_parsers_error(self):
+        for tokenize in (_tree, _arena, _scanned):
+            with pytest.raises(XMLSyntaxError, match=r"mismatched end tag </a> for <b>"):
+                tokenize("<a><b><c/></a></b>")
+
+    @pytest.mark.parametrize("source", ["<a><b><c/></a></b>", "<a></b>", "<1a/>"])
+    def test_a_streamed_transform_of_a_malformed_file_leaves_no_answer(
+        self, source, tmp_path, capsys
+    ):
+        """Regression: the scanner counted depth but never compared an
+        end tag with the element it closes, so ``method="stream"`` —
+        what ``auto`` picks from 8 MiB up — answered ``<a><b/></a>``
+        for a file every other method refuses."""
+        bad, out = tmp_path / "bad.xml", tmp_path / "out.xml"
+        bad.write_text(source, encoding="utf-8")
+        prepared = prepare_transform(
+            'transform copy $a := doc("bad") modify do delete $a//c return $a'
+        )
+        for method in ("stream", "sax", "topdown"):
+            with pytest.raises(XMLSyntaxError):
+                prepared.run_to_file(str(bad), str(out), method=method)
+            assert not out.exists()
+        for method in ("sax", "topdown"):
+            assert cli_main(
+                ["transform", "-q", prepared.text, "-i", str(bad), "--method", method]
+            ) == 2
+            printed = capsys.readouterr()
+            assert printed.out == "" and printed.err.startswith("repro: ")
