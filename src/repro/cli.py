@@ -428,6 +428,14 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"{last['entries']} entries, {last['touched_nodes']} touched); "
             f"retention {last_text}"
         )
+        reasons = ", ".join(
+            f"{reason} {count}" for reason, count in sorted(last["drop_reasons"].items())
+        )
+        print(
+            f"      results: {last['results_kept']} kept, "
+            f"{last['results_patched']} patched, "
+            f"{last['results_dropped']} dropped" + (f" ({reasons})" if reasons else "")
+        )
     wal = stats["wal"]
     tail_note = ", torn tail truncated" if wal["truncated_tail"] else ""
     print(

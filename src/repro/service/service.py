@@ -31,7 +31,8 @@ stack texts, staged texts)``, all an answer depends on — up in the
 **memo**: the store's result cache, ``store.results``, the only one
 there is.  A hit is answered right there: a pin and a dictionary
 lookup, until the next commit changes the uid (and beyond it, when
-the store's commit proves the entry untouched and re-keys it).  What
+the store's commit proves the entry still answers — as it is, or with
+the items a patch landed in re-serialized — and re-keys it).  What
 every read gets — hit, follower and leader alike — is the cache's own
 value, one immutable :class:`~repro.store.answer.Answer`:
 :meth:`QueryService.query` copies a fresh list out of it for an
@@ -70,7 +71,6 @@ import threading
 import time
 from typing import Optional
 
-from repro.automata.arena_run import serialize_arena_items
 from repro.engine.engine import Engine
 from repro.obs import (
     NULL_TRACE,
@@ -90,7 +90,7 @@ from repro.service.errors import (
 )
 from repro.store.answer import Answer
 from repro.store.errors import StoreError
-from repro.store.store import PinnedRead, ViewStore, result_key
+from repro.store.store import PinnedRead, ViewStore, result_key, serialized_answer
 from repro.xmltree.serializer import serialize_arena
 
 __all__ = ["QueryService", "ServiceConfig"]
@@ -433,12 +433,12 @@ class QueryService:
         self._count("snapshot_reads")
         start = time.perf_counter()
         with self.tracer.trace("service.query_direct", target=target):
-            result = self._evaluate_snapshot(pinned, query_text)
+            answer = self._evaluate_snapshot(pinned, query_text)
         elapsed = time.perf_counter() - start
         self._count("evaluations")
         self._eval_latency.observe(elapsed)
         self._latency.observe(elapsed)
-        return result
+        return list(answer.items)
 
     def _read_snapshot(self, request: _Request) -> Answer:  # hot-path
         """A read of any target: hit, follower or leader — each
@@ -583,7 +583,7 @@ class QueryService:
         self._take_slot(request, key, flight)
         try:
             try:
-                result, profile = self._evaluate(pinned, request)
+                answer, profile = self._evaluate(pinned, request)
             finally:
                 self._slots.release()
         except BaseException as exc:
@@ -592,7 +592,6 @@ class QueryService:
             self._land(key, flight, error=exc)
             self._finish(request, "error", error=str(exc))
             raise
-        answer = Answer(result)
         self.store.results.put(key, answer)
         self._count("evaluations")
         followers = self._land(key, flight, result=answer)
@@ -629,7 +628,7 @@ class QueryService:
 
     def _evaluate(self, pinned: PinnedRead, request: _Request) -> tuple:
         """The leader's evaluation of any target, on this thread,
-        profiled or not; returns ``(result, profile)``.  Only the
+        profiled or not; returns ``(answer, profile)``.  Only the
         leader's trace carries the scan/serialize spans."""
         begin = time.perf_counter()
         trace = request.trace
@@ -643,14 +642,14 @@ class QueryService:
             prof = Profile()
             prof.set_plan("scan", pinned.snapshot.arena.n_elements - 1)
             with trace.activate(), profiled(prof):
-                result = self._evaluate_snapshot(pinned, request.text)
+                answer = self._evaluate_snapshot(pinned, request.text)
             prof.finish()
             profile = prof.snapshot()
         else:
             with trace.activate():
-                result = self._evaluate_snapshot(pinned, request.text)
+                answer = self._evaluate_snapshot(pinned, request.text)
         self._eval_latency.observe(time.perf_counter() - begin)
-        return result, profile
+        return answer, profile
 
     def _finish_led(
         self, request: _Request, outcome: str,
@@ -700,14 +699,13 @@ class QueryService:
             "profile": profile,
         })
 
-    def _evaluate_snapshot(self, pinned: PinnedRead, text: str) -> list:
+    def _evaluate_snapshot(self, pinned: PinnedRead, text: str) -> Answer:
         """One arena read, lock-free: compiled artifacts come from the
         engine's (thread-safe) caches, evaluation runs over the
         immutable arena the pinned read resolves to, matches serialize
         straight from the columns."""
         arena, _, refs = self.store.evaluate(pinned, text, self.engine.cache)
-        with span("serialize"):
-            return serialize_arena_items(arena, refs)
+        return serialized_answer(pinned, arena, refs)
 
     # ------------------------------------------------------------------
     # Writes (single-writer discipline)
@@ -793,16 +791,18 @@ class QueryService:
 
         A spliced commit holds the document lock only to install the
         already-built arena (the splice itself runs outside it), so
-        snapshot readers barely stall; the store re-keys the memo
-        entries the delta provably cannot touch onto the new arena uid
-        and drops the rest (``memo_retained`` sums what it kept).  A
+        snapshot readers barely stall; the store moves the memo entries
+        the delta provably left answerable onto the new arena uid —
+        as they are, or with the items a patch landed in re-serialized
+        — and drops the rest (``memo_retained`` sums what it kept).  A
         no-op commit (nothing staged) touches no cache at all.
         """
         with self._write_lock:
             self._check_open()
             delta = self.store.commit_delta(name, transform_text)
-            if delta.results_kept:
-                self._count("memo_retained", delta.results_kept)
+            retained = delta.results_kept + delta.results_patched
+            if retained:
+                self._count("memo_retained", retained)
             return {
                 "name": name, "version": delta.new_version,
                 "spliced": delta.spliced, "entries": delta.entries,

@@ -10,37 +10,89 @@ a commit re-keys it (the cache moves values by reference) and goes
 with it on drop or eviction.  There is no second cache and no second
 key.
 
+An answer read straight off a document — every item a node of the
+document's own arena, in document order — also remembers **where its
+items sit**: ``refs``, one sorted ``array('i')`` of their pre-order
+indices.  That is what lets a commit tell, per entry, whether an item
+was removed, contains a patch or is byte-for-byte what it was
+(:func:`repro.store.delta.rekey_verdict`), carry the positions across
+its splice, and re-serialize only the items a patch landed in
+(:meth:`Answer.patched`).  An answer over a view stack or a staged
+preview (its items index an arena no commit describes) or holding a
+constructed item has ``refs is None`` and is kept or dropped by labels
+alone.
+
 Memory rule: an entry keeps its wire form only once it has been asked
 for again.  The first :meth:`Answer.wire` call — the response to the
 miss that made the entry — builds the bytes and lets them go; the
 second call (a hit, or the first follower of the entry's flight) keeps
 what it builds, and every later call returns that object.  A workload
-that never repeats a text therefore never holds a wire byte.
+that never repeats a text therefore never holds a wire byte.  ``refs``
+costs 4 bytes per item, for as long as the entry lives.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Tuple
+from array import array
+from itertools import islice
+from operator import le
+from typing import Iterable, Optional, Sequence, Tuple
 
-__all__ = ["Answer"]
+__all__ = ["Answer", "node_refs"]
+
+
+def node_refs(items: Sequence) -> "Optional[array[int]]":
+    """The raw items of one evaluation (``ViewStore.evaluate``) as an
+    answer's ``refs``: their pre-order indices as one ``array('i')``
+    when every item is an arena node and they come in document order,
+    else ``None``."""
+    try:
+        refs = array("i", items)
+    except TypeError:  # a literal or a constructed element among them
+        return None
+    if not all(map(le, refs, islice(refs, 1, None))):
+        return None
+    return refs
 
 
 class Answer:
-    """One cached answer: the serialized items, immutable, and their
-    wire form from the second time it is asked for."""
+    """One cached answer: the serialized items, immutable, where they
+    sit in the document (``refs``, or ``None``), and their wire form
+    from the second time it is asked for."""
 
     # __weakref__: lets a test watch an entry die with its bytes.
-    __slots__ = ("items", "_asked", "_wire", "__weakref__")
+    __slots__ = ("items", "refs", "_asked", "_wire", "__weakref__")
 
+    # unguarded[refs]: read and replaced only by a commit of the document the entry is keyed on, which holds that document's commit lock; readers never look at it
     # unguarded[_asked, _wire]: write-once-then-read fields shared by connection threads without a lock; _wire is published by one attribute store of complete, immutable bytes, and two racing builders produce equal bytes (last store wins, both valid); a lost _asked update only postpones retention by one call
 
-    def __init__(self, items: Iterable[str]) -> None:
+    def __init__(
+        self, items: Iterable[str], refs: "Optional[array[int]]" = None
+    ) -> None:
         #: Immutable, so no reader can change what another reads; each
         #: in-process caller takes its own ``list(answer.items)``.
         self.items: Tuple[str, ...] = tuple(items)
+        #: ``refs[k]`` is where ``items[k]`` sits in the arena the
+        #: entry is keyed on; replaced (never edited) when a commit
+        #: moves the entry to the next arena.
+        self.refs = refs
         self._asked = False
         self._wire: Optional[bytes] = None
+
+    def patched(self, fresh: dict, refs: "array[int]") -> "Answer":
+        """This answer after a commit that landed inside some of its
+        items: ``fresh[k]`` replaces ``items[k]``, every other string is
+        shared with this answer by reference, *refs* is where they all
+        sit now.  The old wire form does not travel — it spells the old
+        items — but an entry that had been asked for again keeps the
+        next one it builds."""
+        items = list(self.items)
+        for k, text in fresh.items():
+            items[k] = text
+        answer = Answer(items, refs)
+        answer._asked = self._asked
+        return answer
 
     def wire(self) -> bytes:  # hot-path
         """``items`` as a compact JSON array in ASCII — exactly what

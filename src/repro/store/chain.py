@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set
 
 __all__ = ["ChainVersion", "CommitDelta", "VersionChain", "sharing_stats"]
 
@@ -55,9 +55,15 @@ class CommitDelta:
     attach point's ancestor chain) for spliced commits; ``None`` when
     the commit was rebuilt and nothing can be proven about its extent
     — ``rebuild_reason`` then says why it could not splice
-    (``selector`` / ``budget`` / ``root``).  ``entries == 0`` marks a
-    no-op commit: nothing was staged, the version did not move, no
-    cache was touched.
+    (``selector`` / ``budget`` / ``root``).  Of the cached answers
+    under the affected names, ``results_kept`` moved to the new arena
+    as they were, ``results_patched`` moved with the items a patch
+    landed in re-serialized, and ``results_dropped`` went — for the
+    reasons ``drop_reasons`` counts
+    (:data:`repro.store.delta.DROP_REASONS`, with the overlapping
+    labels after ``label:`` and the fallback after ``rebuild:``).
+    ``entries == 0`` marks a no-op commit: nothing was staged, the
+    version did not move, no cache was touched.
     """
 
     doc_name: str
@@ -71,7 +77,9 @@ class CommitDelta:
     touched_nodes: int = 0
     labels: Optional[FrozenSet[str]] = None
     results_kept: int = 0
+    results_patched: int = 0
     results_dropped: int = 0
+    drop_reasons: Mapping[str, int] = field(default_factory=dict)
     mats_kept: int = 0
     mats_dropped: int = 0
     rebuild_reason: Optional[str] = None

@@ -5,11 +5,16 @@ kernel (:func:`repro.transform.arena.transform_arena` — O(delta) work
 instead of O(document)) per staged entry, under its touched-fraction
 budget.
 
-The kernel reports the **delta label set** of each step (see
-:class:`~repro.transform.arena.ArenaStep`).  Delta-scoped invalidation
-keeps a cached result whose query provably mentions none of those
-labels (:func:`query_labels` / :func:`transform_labels` — ``None``
-means "unanalyzable, assume affected").
+The kernel reports what each step changed (see
+:class:`~repro.transform.arena.ArenaStep`): the labels of the nodes
+that appeared, disappeared or were renamed, the kept nodes that
+serialize differently, and the patches that moved the rest.
+Delta-scoped invalidation is one pure rule over those,
+:func:`rekey_verdict`: a cached answer that knows where its items sit
+is **kept**, **patched** or **dropped** by position; one that does not
+(and every answer over a view stack) by the delta label set alone
+(:func:`query_labels` / :func:`transform_labels` — ``None`` means
+"unanalyzable, assume affected").
 
 A commit that cannot be expressed as a splice raises
 :class:`DeltaUnsupported` with its reason — an unsupported
@@ -23,8 +28,9 @@ property tests and ``bench_commit.py`` compare against.  Both return a
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Any, FrozenSet, List, Optional, Set, cast
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Set, cast
 
 from repro.automata.arena_run import select_indices
 from repro.transform.arena import (
@@ -35,7 +41,7 @@ from repro.transform.arena import (
     transform_arena,
 )
 from repro.updates.apply import apply_update
-from repro.xmltree.arena import FrozenDocument, freeze, thaw
+from repro.xmltree.arena import FrozenDocument, carry_indices, freeze, thaw
 from repro.xmltree.node import Element
 from repro.xpath.ast import (
     AndQual,
@@ -49,20 +55,34 @@ from repro.xpath.ast import (
 )
 from repro.xquery import ast as xq
 
+if TYPE_CHECKING:
+    from repro.transform.arena import ArenaStep
+
 __all__ = [
     "CommitOutcome",
+    "DROP_REASONS",
     "DeltaUnsupported",
     "REBUILD_REASONS",
     "apply_entries_rebuilt",
     "apply_entries_spliced",
     "query_labels",
     "ranges_swallowed_by",
+    "rekey_verdict",
     "transform_labels",
 ]
 
 #: Why a commit was rebuilt instead of spliced (``DeltaUnsupported.
 #: reason``, ``CommitOutcome.reason``, ``store.commit.rebuild_reason.*``).
 REBUILD_REASONS = ("selector", "budget", "root")
+
+#: Why a commit dropped a result-cache entry — the head (before any
+#: ``:detail``) of the reasons :func:`rekey_verdict` and
+#: ``ViewStore._rekey_results`` give (``CommitDelta.drop_reasons``,
+#: ``store.commit.drop_reason.*``).
+DROP_REASONS = (
+    "staged", "stack-changed", "unanalyzable", "label", "removed-item",
+    "wide-patch", "rebuild", "late-publisher", "view-labels",
+)
 
 #: A delta touching more than this share of the base arena is rebuilt:
 #: it gains nothing over a rebuild and would fragment sharing.
@@ -82,41 +102,53 @@ class CommitOutcome:
     """The next frozen version and how it was derived.
 
     ``reason`` is ``None`` for a splice and the fallback reason for a
-    rebuild.  A rebuild proves nothing about its extent: ``labels`` is
-    ``None`` (every cached entry over the document drops).  ``ranges``
-    is the patch list against ``base_arena`` — populated only for
-    single-entry splices (multi-entry patch positions refer to
-    intermediate arenas), where it feeds the materialization swallow
-    test.
+    rebuild.  A splice keeps what each staged entry did, in order
+    (``steps``: entry *i+1*'s positions are against entry *i*'s arena)
+    — what :func:`rekey_verdict` folds over.  A rebuild proves nothing
+    about its extent: ``steps`` and ``labels`` are ``None`` (every
+    cached entry over the document drops).
     """
 
-    __slots__ = (
-        "arena", "base_arena", "labels", "touched_nodes", "patches",
-        "ranges", "reason",
-    )
+    __slots__ = ("arena", "base_arena", "steps", "touched_nodes", "reason")
 
     def __init__(
         self,
         arena: FrozenDocument,
         base_arena: FrozenDocument,
-        labels: Optional[FrozenSet[str]] = None,
+        steps: Optional[List[ArenaStep]] = None,
         touched_nodes: int = 0,
-        patches: int = 0,
-        ranges: Optional[List[PatchRange]] = None,
         reason: Optional[str] = None,
     ) -> None:
         self.arena = arena
         self.base_arena = base_arena
-        self.labels = labels
+        self.steps = steps
         self.touched_nodes = touched_nodes
-        self.patches = patches
-        self.ranges = ranges
         self.reason = reason
 
     @property
     def kind(self) -> str:
         """The chain-entry kind this outcome installs as."""
         return "splice" if self.reason is None else "rebuild"
+
+    @property
+    def labels(self) -> Optional[FrozenSet[str]]:
+        """The delta label set of the whole commit."""
+        if self.steps is None:
+            return None
+        return frozenset().union(*(step.labels for step in self.steps))
+
+    @property
+    def patches(self) -> int:
+        return sum(len(step.ranges) for step in self.steps or ())
+
+    @property
+    def ranges(self) -> Optional[List[PatchRange]]:
+        """The patch list against ``base_arena`` — of a single-entry
+        splice only (a later entry's positions refer to an intermediate
+        arena), where it feeds the materialization swallow test."""
+        if self.steps is None or len(self.steps) != 1:
+            return None
+        return self.steps[0].ranges
 
 
 def apply_entries_spliced(
@@ -129,10 +161,8 @@ def apply_entries_spliced(
     :class:`DeltaUnsupported` when any entry cannot be expressed as a
     splice or the accumulated delta spans most of the document."""
     arena = base_arena
-    labels: Set[str] = set()
+    steps: List[ArenaStep] = []
     touched = 0
-    patch_count = 0
-    ranges: Optional[List[PatchRange]] = None
     budget = max(1, int(len(base_arena) * MAX_TOUCHED_FRACTION))
     for entry in entries:
         update = entry.transform.update
@@ -150,13 +180,8 @@ def apply_entries_spliced(
         if touched > budget:
             raise DeltaUnsupported("budget", "delta spans most of the document")
         arena = step.arena
-        labels |= step.labels
-        patch_count += len(step.ranges)
-        ranges = step.ranges
-    return CommitOutcome(
-        arena, base_arena, frozenset(labels), touched, patch_count,
-        ranges if len(entries) == 1 else None,
-    )
+        steps.append(step)
+    return CommitOutcome(arena, base_arena, steps, touched)
 
 
 def apply_entries_rebuilt(
@@ -183,12 +208,18 @@ def apply_entries_rebuilt(
 def _path_labels(path: Path, labels: Set[str]) -> bool:
     """Collect the element labels a path mentions; ``False`` when the
     path is unanalyzable (a wildcard step can match anything)."""
-    for step in path.steps:
+    for at, step in enumerate(path.steps):
         if step.kind == "label":
             labels.add(step.name)
         elif step.kind == "wildcard":
             return False
-        # dos/self/attr steps constrain no element label themselves.
+        elif step.kind == "dos" and (
+            at + 1 == len(path.steps) or path.steps[at + 1].kind != "label"
+        ):
+            # ``p//.`` / ``p//@a``: every descendant, whatever its label.
+            return False
+        # a dos before a label, and self/attr steps, constrain no
+        # element label themselves.
         for qual in step.quals:
             if not _qual_labels(qual, labels):
                 return False
@@ -251,16 +282,21 @@ def _bool_labels(expr: Any, labels: Set[str]) -> bool:
 
 
 def query_labels(user_query: Any) -> Optional[FrozenSet[str]]:
-    """Every element label the user query's answer can depend on, or
-    ``None`` when the query is unanalyzable (wildcards, unknown nodes).
+    """Every element label a node must carry for the user query to
+    match it — at a step, in a qualifier, in the ``where`` or the
+    ``return`` — or ``None`` when some part of the query matches nodes
+    whatever their label (a wildcard, a ``//`` no label follows, an
+    unknown expression).
 
-    Soundness against a delta label set: a committed delta can change
-    this query's answer only by changing a node whose label — or one
-    of whose ancestors' labels, all of which the delta set includes via
-    the attach chains — the query mentions.  Disjoint sets therefore
-    prove the cached answer (including the subtrees it serialized, any
-    patch inside which has an ancestor chain in the delta set) is
-    still exact.
+    Soundness against a delta label set (``ArenaStep.labels``): a
+    committed delta can change this query's answer only by changing a
+    node whose label — or one of whose ancestors' labels, all of which
+    the delta set includes via the attach chains — the query mentions.
+    Disjoint sets therefore prove the cached answer (including the
+    subtrees it serialized, any patch inside which has an ancestor
+    chain in the delta set) is still exact.  Against ``changed`` alone
+    they prove less — the same nodes match — which is what
+    :func:`rekey_verdict` starts from.
     """
     labels: Set[str] = set()
     if _expr_labels(user_query.core(), labels):
@@ -286,6 +322,95 @@ def transform_labels(transform: Any) -> Optional[FrozenSet[str]]:
             labels.add(node.label)
             stack.extend(node.children)
     return frozenset(labels)
+
+
+# ----------------------------------------------------------------------
+# The re-key rule: keep, patch or drop one cached answer
+# ----------------------------------------------------------------------
+
+
+# hot-path
+def _on_chain(refs: "array[int]", chain: FrozenSet[int], dirty: Set[int]) -> None:
+    """Add to *dirty* the positions ``k`` with ``refs[k]`` in *chain*,
+    from the smaller side."""
+    if len(chain) <= len(refs):
+        for c in chain:
+            k = bisect_left(refs, c)
+            while k < len(refs) and refs[k] == c:
+                dirty.add(k)
+                k += 1
+    else:
+        for k, ref in enumerate(refs):
+            if ref in chain:
+                dirty.add(k)
+
+
+# hot-path
+def rekey_verdict(
+    needed: Optional[FrozenSet[str]],
+    refs: "Optional[array[int]]",
+    steps: Sequence[ArenaStep],
+) -> tuple:
+    """The one rule deciding what a spliced commit — *steps*, one per
+    staged entry, in order — leaves of one cached answer over the
+    committed document: *needed* is :func:`query_labels` of its query,
+    *refs* where its items sit in the arena the first step was handed
+    (``Answer.refs``).
+
+    Returns ``(verdict, reason, refs, dirty)``:
+
+    * ``"keep"`` — the answer is exact as it is (strings and wire
+      bytes); *refs* is where its items sit in the last step's arena;
+    * ``"patch"`` — the same nodes answer, and exactly the items at
+      positions *dirty* serialize differently;
+    * ``"drop"`` — nothing is proven, for *reason*: ``unanalyzable``
+      (*needed* is ``None``), ``label:<overlap>`` (the query names a
+      label a step changed), ``removed-item`` (an item lies inside a
+      removed range) or ``wide-patch`` (more than half the items
+      contain a patch: re-evaluating costs the reader the same, and
+      the writer should not pay it).
+
+    Why it is sound.  Updates select and insert *elements* only, so a
+    kept node's own text and attributes — the values qualifiers
+    compare — never change.  With ``step.changed`` disjoint from
+    *needed*, no node the query's label steps or qualifiers can match
+    was added, removed or relabelled (every step and qualifier leaf
+    names its label — :func:`query_labels` returns ``None``
+    otherwise), and a ``//`` step that passed *through* a removed node
+    has every node below it removed too, their labels in ``changed``:
+    the match set is the same nodes, at the positions
+    :func:`~repro.xmltree.arena.carry_indices` moves them to, in the
+    same order.  What is left is serialization, which changes exactly
+    for the items that contain a patch — the refs on ``step.chain``.
+    The removed-item test only backs this up (an item inside a removed
+    range has its label in ``changed`` unless the query reached it by
+    no label at all).  With no *refs* — a constructed item, a literal
+    — positions are unknown and the answer is held to the whole delta
+    label set, ``step.labels``, as an answer over a view stack is.
+
+    Pure; costs the smaller of the patch list and the item list per
+    step, set intersections first.
+    """
+    if needed is None:
+        return "drop", "unanalyzable", None, None
+    dirty: Set[int] = set()
+    for step in steps:
+        overlap = needed & (step.labels if refs is None else step.changed)
+        if overlap:
+            return "drop", "label:" + ",".join(sorted(overlap)), None, None
+        if refs is None:
+            continue
+        _on_chain(refs, step.chain, dirty)
+        if step.patches is not None:
+            carried = carry_indices(refs, step.patches, step.cum)
+            if len(carried) != len(refs):
+                return "drop", "removed-item", None, None
+            refs = carried
+    if refs is None or not dirty:
+        return "keep", "", refs, None
+    if 2 * len(dirty) > len(refs):
+        return "drop", "wide-patch", None, None
+    return "patch", "", refs, dirty
 
 
 # ----------------------------------------------------------------------

@@ -32,10 +32,17 @@ Caching: compiled artifacts (parses, NFAs, composed plans) live in a
 *answers* live in ``ViewStore.results`` — the only result cache there
 is; a :class:`~repro.service.service.QueryService` reads and fills
 this one — under :func:`result_key`, all an answer depends on, each an
-:class:`~repro.store.answer.Answer` (the items, plus the bytes a
-server sends for them once the entry has been asked for again); a
-commit re-keys the ones its delta provably cannot touch onto the new
-arena's uid and drops the rest.
+:class:`~repro.store.answer.Answer` (the items, where they sit in the
+document, plus the bytes a server sends for them once the entry has
+been asked for again).  A commit visits the entries over the names it
+can affect and nothing else, and one rule
+(:func:`~repro.store.delta.rekey_verdict`) decides each by position:
+**keep** — no item contains a patch, the entry moves to the new
+arena's uid as it is; **patch** — the same nodes answer, the few items
+a patch landed in are re-serialized and every other string is reused;
+**drop** — the query names a label the commit changed, or an item was
+removed.  Every drop is counted by its reason
+(``store.commit.drop_reason.*``).
 
 Concurrency: the document lock is held to pin a read, to publish a
 materialization and to install a commit — never across an evaluation
@@ -46,7 +53,9 @@ the store lock.
 
 from __future__ import annotations
 
+import sys
 import threading
+from operator import itemgetter
 from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.automata.arena_run import serialize_arena_items
@@ -55,9 +64,10 @@ from repro.compose.compose import transforms_document
 from repro.faults import fault_point
 from repro.lru import LRUCache
 from repro.obs import span
-from repro.store.answer import Answer
+from repro.store.answer import Answer, node_refs
 from repro.store.chain import CommitDelta
 from repro.store.delta import (
+    DROP_REASONS,
     REBUILD_REASONS,
     CommitOutcome,
     DeltaUnsupported,
@@ -65,6 +75,7 @@ from repro.store.delta import (
     apply_entries_spliced,
     query_labels,
     ranges_swallowed_by,
+    rekey_verdict,
     transform_labels,
 )
 from repro.store.documents import DocumentStore, Snapshot, StoredDocument
@@ -76,15 +87,18 @@ from repro.transform.naive import transform_naive
 from repro.transform.query import TransformQuery
 from repro.xmltree.arena import FrozenDocument, thaw
 from repro.xmltree.node import Element
+from repro.xmltree.serializer import serialize_arena
 from repro.xquery.arena_eval import ArenaEvaluator
 from repro.xquery.evaluator import evaluate_query
 from repro.xquery.parser import parse_user_query
 
 
 #: The ``store.commit.delta.*`` counters; each of the sums adds up the
-#: :class:`CommitDelta` field of the same name.
+#: :class:`CommitDelta` field of the same name — and ``results_kept``
+#: the patched entries too: it counts what a commit left to be hit.
 _DELTA_SUMS = (
-    "touched_nodes", "results_kept", "results_dropped", "mats_kept", "mats_dropped",
+    "touched_nodes", "results_kept", "results_patched", "results_dropped",
+    "mats_kept", "mats_dropped",
 )
 _DELTA_COUNTERS = ("spliced", "rebuilds", "noops") + _DELTA_SUMS
 
@@ -143,10 +157,43 @@ def result_key(
     return (target, uid, query_text) + texts
 
 
+def _view_drop_reason(
+    verdict: _Verdict, needed: Optional[frozenset], delta_labels: frozenset
+) -> str:
+    """Why a spliced commit drops an answer over a view — whose items
+    index the stack's output, an arena no commit describes, so labels
+    are all there is to go by; ``""`` when it does not: the stack
+    swallowed the delta, or every layer and the query (*needed*, its
+    :func:`~repro.store.delta.query_labels`) are analyzable and
+    label-disjoint from it."""
+    if verdict.swallowed:
+        return ""
+    if needed is None or verdict.labels is None:
+        return "unanalyzable"
+    if (needed | verdict.labels) & delta_labels:
+        return "view-labels"
+    return ""
+
+
+def serialized_answer(pinned: PinnedRead, arena: FrozenDocument, refs: list) -> Answer:
+    """Finish a read as the result cache's value: the raw items of
+    :meth:`ViewStore.evaluate` serialized straight from the columns —
+    and, for a read of the document itself (no stack, nothing staged:
+    *arena* is the one the entry is keyed on), where they sit in it."""
+    with span("serialize"):
+        # Interned: answers that select the same node hold its
+        # serialization once (half the bytes of a pool of overlapping
+        # selects), and the table lets go of a string with its last
+        # answer.
+        items = map(sys.intern, serialize_arena_items(arena, refs))
+    on_document = not (pinned.texts[0] or pinned.texts[1])
+    return Answer(items, node_refs(refs) if on_document else None)
+
+
 class ViewStore:
     """A resident multi-document store with stacked virtual views."""
 
-    # guarded-by[arena_reads, snapshot_pins, commit_counts, last_delta]: self._counter_lock
+    # guarded-by[arena_reads, snapshot_pins, commit_counts, drop_counts, last_delta]: self._counter_lock
 
     def __init__(
         self,
@@ -160,7 +207,9 @@ class ViewStore:
         #: :func:`result_key` → the serialized answer, one immutable
         #: :class:`Answer`: a hit hands out a fresh list over its
         #: items, so no caller can change what another reads.
-        self.results = LRUCache(result_cache_size)
+        #: Grouped by target name: a commit re-keys the groups of the
+        #: document and the views over it, and visits no other entry.
+        self.results = LRUCache(result_cache_size, group=itemgetter(0))
         self.log = UpdateLog()
         #: Evaluations over a frozen columnar snapshot — every store
         #: read the result cache did not answer.
@@ -170,6 +219,9 @@ class ViewStore:
         #: Commit-path tallies: ``store.commit.delta.*`` plus rebuilds
         #: by fallback reason (``store.commit.rebuild_reason.*``).
         self.commit_counts = dict.fromkeys(_DELTA_COUNTERS + REBUILD_REASONS, 0)
+        #: Result-cache entries commits dropped, by the head of the
+        #: reason (``store.commit.drop_reason.*``).
+        self.drop_counts = dict.fromkeys(DROP_REASONS, 0)
         #: Receipt of the most recent commit (``store stat`` surfaces
         #: its retention ratio).
         self.last_delta: Optional[CommitDelta] = None
@@ -278,8 +330,7 @@ class ViewStore:
         cached = self.results.get(key)
         if cached is None:
             arena, _, refs = self._evaluate_counted(pinned, query_text)
-            with span("serialize"):
-                cached = Answer(serialize_arena_items(arena, refs))
+            cached = serialized_answer(pinned, arena, refs)
             self.results.put(key, cached)
         return list(cached.items)
 
@@ -542,8 +593,8 @@ class ViewStore:
                     })
                 raise
             with span("invalidate"):
-                kept_r, dropped_r = self._rekey_results(
-                    verdicts, outcome.labels, old_uid, new_uid
+                kept_r, patched_r, drop_reasons = self._rekey_results(
+                    verdicts, outcome, old_uid, new_uid
                 )
         delta = CommitDelta(
             doc_name=doc.name,
@@ -557,7 +608,9 @@ class ViewStore:
             touched_nodes=outcome.touched_nodes,
             labels=outcome.labels,
             results_kept=kept_r,
-            results_dropped=dropped_r,
+            results_patched=patched_r,
+            results_dropped=sum(drop_reasons.values()),
+            drop_reasons=drop_reasons,
             mats_kept=kept_m,
             mats_dropped=dropped_m,
             rebuild_reason=outcome.reason,
@@ -571,6 +624,9 @@ class ViewStore:
                 counts[outcome.reason] += 1
             for name in _DELTA_SUMS:
                 counts[name] += getattr(delta, name)
+            counts["results_kept"] += delta.results_patched
+            for reason, dropped in drop_reasons.items():
+                self.drop_counts[reason.partition(":")[0]] += dropped
             self.last_delta = delta
         return delta
 
@@ -641,44 +697,64 @@ class ViewStore:
         return kept, dropped
 
     def _rekey_results(
-        self,
-        verdicts: dict,
-        delta_labels: Optional[frozenset],
-        old_uid: int,
-        new_uid: int,
-    ) -> tuple[int, int]:
-        """The result cache's one re-key rule: move what the commit
-        provably cannot have changed from *old_uid* to *new_uid*, drop
-        everything else over the document.  Returns ``(kept,
-        dropped)``.
+        self, verdicts: dict, outcome: CommitOutcome, old_uid: int, new_uid: int
+    ) -> tuple[int, int, dict]:
+        """Move what the commit provably left answerable from *old_uid*
+        to *new_uid* and drop everything else under the affected names
+        (*verdicts*' keys — no other entry is visited).  Returns
+        ``(kept, patched, {drop reason: entries})``.
 
-        A rebuilt commit has no delta label set (``None``): nothing
-        can be proven about its extent, so everything drops.  After a
-        splice, an answer over the document survives when its query's
-        label set is disjoint from the delta's; one over a view also
-        needs every stack layer analyzable and label-disjoint — or the
-        stack swallowed.  A staged preview never survives (its staging
-        area was just consumed), nor does an entry keyed on a stack
-        that is no longer the target's definition."""
+        An answer over the document goes through the one rule,
+        :func:`~repro.store.delta.rekey_verdict`: kept as it is,
+        patched (the items a patch landed in re-serialized from the new
+        arena), or dropped.  One over a view knows no positions — its
+        refs would index another arena — and survives when every stack
+        layer and its query are analyzable and label-disjoint from the
+        delta, or the stack swallowed it.  A rebuilt commit proves
+        nothing: everything drops.  A staged preview never survives
+        (its staging area was just consumed), nor does an entry keyed
+        on a stack that is no longer the target's definition, nor what
+        a late publisher left on a dead arena."""
+        steps = outcome.steps
+        delta_labels = outcome.labels
+        arena = outcome.arena
+        patched = 0
+        reasons: dict = {}
 
-        def map_key(key):
+        def map_entry(key, answer):
+            nonlocal patched
             target, uid, query_text, stack_texts, staged_texts = key
-            verdict = verdicts.get(target)
+            verdict = verdicts[target]
             if uid != old_uid:
-                # Another document's entry — or, under an affected
-                # name, what a late publisher left on a dead arena.
-                return key if verdict is None else None
-            if verdict is None or staged_texts or stack_texts != verdict.texts:
+                reason = "late-publisher"
+            elif staged_texts:
+                reason = "staged"
+            elif stack_texts != verdict.texts:
+                reason = "stack-changed"
+            elif steps is None:
+                reason = f"rebuild:{outcome.reason}"
+            elif verdict.view is not None:
+                reason = _view_drop_reason(
+                    verdict, self._query_label_set(query_text), delta_labels
+                )
+            else:
+                what, reason, refs, dirty = rekey_verdict(
+                    self._query_label_set(query_text), answer.refs, steps
+                )
+                if what == "patch":
+                    answer = answer.patched(
+                        {k: serialize_arena(arena, refs[k]) for k in dirty}, refs
+                    )
+                    patched += 1
+                elif what == "keep":
+                    answer.refs = refs
+            if reason:
+                reasons[reason] = reasons.get(reason, 0) + 1
                 return None
-            if not verdict.swallowed:
-                if delta_labels is None or verdict.labels is None:
-                    return None
-                needed = self._query_label_set(query_text)
-                if needed is None or (needed | verdict.labels) & delta_labels:
-                    return None
-            return result_key(target, new_uid, query_text, key[3:])
+            return result_key(target, new_uid, query_text, key[3:]), answer
 
-        return self.results.rekey(map_key)
+        moved, _ = self.results.rekey(map_entry, verdicts)
+        return moved - patched, patched, reasons
 
     # ------------------------------------------------------------------
     # Introspection
@@ -696,6 +772,10 @@ class ViewStore:
         """One consistent snapshot of the commit-path counters."""
         with self._counter_lock:
             return dict(self.commit_counts)
+
+    def _drop_counter_values(self) -> dict:
+        with self._counter_lock:
+            return dict(self.drop_counts)
 
     def _result_cache_stats(self) -> dict:
         """The result cache's tallies plus what its entries' wire
@@ -733,6 +813,11 @@ class ViewStore:
                     f"store.commit.{group}.{name}",
                     lambda name=name: self._commit_counter_values()[name],
                 )
+        for name in DROP_REASONS:
+            registry.probe(
+                f"store.commit.drop_reason.{name.replace('-', '_')}",
+                lambda name=name: self._drop_counter_values()[name],
+            )
         registry.probe(
             "store.wal.appends",
             lambda: self.wal.stats()["appends"] if self.wal is not None else 0,
@@ -757,6 +842,7 @@ class ViewStore:
         counts = self._commit_counter_values()
         commits = {name: counts[name] for name in _DELTA_COUNTERS}
         commits["rebuild_reasons"] = {r: counts[r] for r in REBUILD_REASONS}
+        commits["drop_reasons"] = self._drop_counter_values()
         retained = commits["results_kept"] + commits["mats_kept"]
         purged = commits["results_dropped"] + commits["mats_dropped"]
         commits["retention_ratio"] = (
@@ -765,7 +851,7 @@ class ViewStore:
         with self._counter_lock:
             last = self.last_delta
         if last is not None:
-            last_kept = last.results_kept + last.mats_kept
+            last_kept = last.results_kept + last.results_patched + last.mats_kept
             last_purged = last.results_dropped + last.mats_dropped
             commits["last"] = {
                 "doc": last.doc_name,
@@ -775,7 +861,9 @@ class ViewStore:
                 "entries": last.entries,
                 "touched_nodes": last.touched_nodes,
                 "results_kept": last.results_kept,
+                "results_patched": last.results_patched,
                 "results_dropped": last.results_dropped,
+                "drop_reasons": dict(last.drop_reasons),
                 "retention_ratio": (
                     last_kept / (last_kept + last_purged)
                     if last_kept + last_purged

@@ -10,17 +10,23 @@ patches, and :func:`~repro.xmltree.arena.splice` the next arena —
 no Node tree, no column rebuild, O(matches) patches on extents shared
 with the input, which stays as it was (the paper's transform query).
 
-Alongside the patches it computes the **delta label set**: a
-conservative superset of every element label whose presence, absence,
-content or position the update may have changed — labels inside removed
-ranges, labels a segment introduces, rename sources/targets, and the
-labels on each attach point's ancestor chain (a result subtree that
-*contains* a patch is reachable only through those).
+Alongside the patches it says what a cached answer over the input can
+be told from (:func:`repro.store.delta.rekey_verdict`), in two parts.
+``changed`` is every element label a node of which **appeared,
+disappeared or was renamed** — labels a segment introduces, labels
+inside removed ranges, rename sources and the target: a query naming
+none of them matches the same nodes before and after.  ``chain`` is
+every kept node whose **serialization** changed — the attach points and
+their ancestors, and a renamed node itself — as pre-order indices into
+the input: an answer item not among them is byte-for-byte what it was.
+``labels``, the **delta label set**, is ``changed`` plus the labels on
+the chain: the conservative superset a reader that does not know where
+its items sit (a view stack, a constructed item) is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.automata.arena_run import select_indices
 from repro.obs import span
@@ -29,6 +35,7 @@ from repro.xmltree.arena import (
     SpliceSegment,
     freeze_segment,
     rename_splice,
+    shift_table,
     splice,
 )
 from repro.xmltree.symbols import SymbolTable
@@ -60,12 +67,24 @@ class ArenaTransformError(ValueError):
 class ArenaStep(NamedTuple):
     """What one :func:`transform_arena` call did: the next arena, how
     many nodes the update removed or introduced, the patch list against
-    the arena it was handed, and the delta label set."""
+    the arena it was handed, and what changed (module docstring)."""
 
     arena: FrozenDocument
     touched: int
     ranges: List[PatchRange]
+    #: The delta label set: ``changed`` plus the labels on ``chain``.
     labels: Set[str]
+    #: Labels of the nodes that appeared, disappeared or were renamed.
+    changed: FrozenSet[str] = frozenset()
+    #: Input indices of the kept nodes that serialize differently.
+    chain: FrozenSet[int] = frozenset()
+    #: The patches in the order :func:`~repro.xmltree.arena.splice`
+    #: applied them and their :func:`~repro.xmltree.arena.shift_table`
+    #: — what :func:`~repro.xmltree.arena.carry_indices` moves an index
+    #: list of the input by; ``None`` when no node moved (a rename, or
+    #: nothing matched).
+    patches: Optional[list] = None
+    cum: Optional[list] = None
 
 
 def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
@@ -80,16 +99,13 @@ def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
     return segment
 
 
-def _chain_syms(
-    arena: FrozenDocument, index: int, syms: Set[int], seen: Set[int]
-) -> None:
-    """Add the symbols on the ancestor chain of *index* (inclusive)."""
-    sym = arena.sym
+def _chain(arena: FrozenDocument, index: int, seen: Set[int]) -> None:
+    """Add *index* and its ancestors to *seen* (a walk stops where an
+    earlier one already passed)."""
     parent = arena.parent
     c = index
     while c >= 0 and c not in seen:
         seen.add(c)
-        syms.add(sym[c])
         c = parent[c]
 
 
@@ -137,24 +153,37 @@ def transform_arena(arena: FrozenDocument, update: Any, nfa: Any) -> ArenaStep:
             if spans[0][0] == 0:
                 # The whole document is the delta; nothing to share.
                 raise ArenaTransformError("root", "update removes the document root")
-        # Symbols of every removed or relabelled node and of every attach
-        # chain (text nodes leave a -1); named once, at the end.
+        # Symbols of every removed or relabelled node (text nodes leave
+        # a -1) and the chains; named once, at the end.
         syms: Set[int] = set()
-        seen_chain: Set[int] = set()
+        chain: Set[int] = set()
         touched = len(spans) * len(segment.sym) if segment is not None else 0
         for start, stop, attach in spans:
             touched += stop - start
             syms.update(sym[start:stop])
-            _chain_syms(arena, attach, syms, seen_chain)
+            # A renamed node is kept, and serializes differently itself.
+            _chain(arena, start if kind == "rename" else attach, chain)
             ranges.append((kind, start, stop, attach))
+        strings = arena.symbols.strings
+        changed = {strings[s] for s in syms if s >= 0}
+        patches = cum = None
         if kind == "rename":
             # Point-writes on the symbol column; full column aliasing
             # for everything else.
             spliced = rename_splice(arena, matches, update.new_label)
-            labels = {update.new_label}
+            changed.add(update.new_label)
         else:
-            spliced = splice(arena, [s + (segment,) for s in spans])
-            labels = set(segment.labels) if segment is not None else set()
-        strings = arena.symbols.strings
-        labels.update(strings[s] for s in syms if s >= 0)
-    return ArenaStep(spliced, touched, ranges, labels)
+            # At equal positions the deeper attach emits first (the
+            # order splice applies, and its shift table is in).
+            patches = sorted(
+                [s + (segment,) for s in spans], key=lambda p: (p[0], -p[2])
+            )
+            cum = shift_table(patches)
+            spliced = splice(arena, patches)
+            if segment is not None:
+                changed.update(segment.labels)
+        labels = changed | {strings[sym[c]] for c in chain}
+    return ArenaStep(
+        spliced, touched, ranges, labels, frozenset(changed), frozenset(chain),
+        patches, cum,
+    )

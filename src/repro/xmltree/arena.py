@@ -50,8 +50,8 @@ never on a column (``rename_splice`` aliases columns into the next
 version, where a cache derived from the old ``sym`` would be wrong),
 and they are published idempotently: two readers racing on a first use
 compute equal values and either write is valid.  A ``splice`` hands
-the postings its base has built to the version it returns, patched
-(:func:`_carry_postings`), and a ``rename_splice`` shares those of the
+the postings its base has built to the version it returns, carried
+(:func:`carry_indices`), and a ``rename_splice`` shares those of the
 labels it left alone — before the new version is visible to anyone, so
 the readers after a commit find the index as warm as those before it.
 
@@ -81,10 +81,12 @@ __all__ = [
     "FrozenDocument",
     "SpliceSegment",
     "arena_to_events",
+    "carry_indices",
     "events_to_arena",
     "freeze",
     "freeze_segment",
     "rename_splice",
+    "shift_table",
     "splice",
     "thaw",
 ]
@@ -571,8 +573,70 @@ def _moved_lanes(parts: list, shifts: list, sunk: int) -> "array[int]":
     return out
 
 
+def shift_table(patches: list) -> list:
+    """The cumulative shift table of *patches* — ``(start, stop,
+    attach, segment)`` tuples in the order :func:`splice` applies them:
+    ``cum[k]`` is how far a kept node right of the first *k* patches
+    (and left of the next) moves."""
+    cum = [0]
+    for start, stop, _, seg in patches:
+        cum.append(cum[-1] + (len(seg.sym) if seg is not None else 0) - (stop - start))
+    return cum
+
+
+def _segment_postings(seg: "SpliceSegment", syms: tuple, out0: int) -> "array[int]":
+    """Where the nodes of *seg* labelled by one of *syms* land when the
+    segment is emitted at *out0*."""
+    return array("i", [out0 + j for j, s in enumerate(seg.sym) if s in syms])
+
+
+# hot-path
+def carry_indices(old: "array[int]", patches: list, cum: list, syms: tuple = ()) -> "array[int]":
+    """Carry *old* — a sorted ``array('i')`` of pre-order indices into
+    ``base`` — across ``splice(base, patches)`` (*patches* in applied
+    order, *cum* their :func:`shift_table`): an entry before a patch
+    moves by the shift there, an entry inside a removal goes (a shorter
+    result says some did).  The one mover of index lists: a label's
+    postings (*syms* names the label set, and a segment then
+    contributes its own nodes so labelled at the position it was
+    emitted) and a cached answer's ``refs`` (no *syms*: a segment holds
+    no kept node).
+
+    Costs the smaller side: per patch, two bisects and one SWAR add
+    over the run between (:func:`_moved_lanes`); or, for a list shorter
+    than the patch list, one bisect per entry.
+    """
+    if not syms and len(old) < len(patches):
+        out = array("i")
+        for i in old:
+            # ``at`` patches start at or before i (a patch tuple sorts
+            # by its start, and no stop equals the sentinel); only the
+            # last of them can be a removal that holds i.
+            at = bisect_right(patches, (i, sys.maxsize))
+            if not at or patches[at - 1][1] <= i:
+                out.append(i + cum[at])
+        return out
+    sunk = -min(cum)
+    view = memoryview(old)
+    parts: list = []
+    shifts: list = []
+    at = 0
+    for k, (start, stop, _, seg) in enumerate(patches):
+        upto = bisect_left(old, start, at)
+        parts.append(view[at:upto])
+        shifts.append(_lanes(cum[k] + sunk, upto - at))
+        if syms and seg is not None:
+            own = _segment_postings(seg, syms, start + cum[k])
+            parts.append(own)
+            shifts.append(_lanes(sunk, len(own)))
+        at = bisect_left(old, stop, upto)
+    parts.append(view[at:])
+    shifts.append(_lanes(cum[-1] + sunk, len(old) - at))
+    return _moved_lanes(parts, shifts, sunk)
+
+
 #: How many nodes of ``sym`` a fresh :meth:`FrozenDocument.postings`
-#: sweep covers, at C speed, in the time :func:`_carry_postings` spends
+#: sweep covers, at C speed, in the time :func:`carry_indices` spends
 #: on one patch in the interpreter.  Measured near 150 per label set on
 #: CPython 3.11; set well above, so that carrying is chosen only where
 #: it is clearly the cheaper of the two.
@@ -583,33 +647,14 @@ def _carry_postings(
     base: FrozenDocument, spliced: FrozenDocument, patches: list, cum: list
 ) -> None:
     """Give *spliced* — ``splice(base, patches)``, *cum* its cumulative
-    shift table — the postings *base* has built, patched instead of
-    re-derived: entries before a patch move by the shift there, entries
-    inside a removal go, a segment contributes its own at the position
-    it was emitted.  A commit that touches one node then leaves the
-    next version's index warm, so the readers after it neither pay a
-    sweep of ``sym`` each nor race to."""
+    shift table — the postings *base* has built, carried
+    (:func:`carry_indices`) instead of re-derived.  A commit that
+    touches one node then leaves the next version's index warm, so the
+    readers after it neither pay a sweep of ``sym`` each nor race to."""
     if len(patches) * _NODES_PER_CARRIED_PATCH > len(base.sym):
         return  # a wide delta: the labels asked for again are swept again
-    sunk = -min(cum)
     for syms, old in list(base._postings.items()):
-        view = memoryview(old)
-        parts: list = []
-        shifts: list = []
-        at = 0
-        for k, (start, stop, _, seg) in enumerate(patches):
-            upto = bisect_left(old, start, at)
-            parts.append(view[at:upto])
-            shifts.append(_lanes(cum[k] + sunk, upto - at))
-            if seg is not None:
-                out0 = start + cum[k]
-                own = array("i", [out0 + j for j, s in enumerate(seg.sym) if s in syms])
-                parts.append(own)
-                shifts.append(_lanes(sunk, len(own)))
-            at = bisect_left(old, stop, upto)
-        parts.append(view[at:])
-        shifts.append(_lanes(cum[-1] + sunk, len(old) - at))
-        spliced._postings[syms] = _moved_lanes(parts, shifts, sunk)
+        spliced._postings[syms] = carry_indices(old, patches, cum, syms)
 
 
 def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
@@ -654,15 +699,15 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
     pay0 = base.payload
     n = len(sym0)
 
-    # -- validate, and compute per-patch size deltas ("nets"), the
-    #    cumulative shift table, and the ancestor-chain end corrections.
-    nets: list[int] = []
+    # -- validate, and compute the ancestor-chain end corrections from
+    #    the cumulative shift table.
+    cum = shift_table(patches)
     stops: list[int] = []          # per-patch boundary, bisect key for shifts
     starts: list[int] = []         # with stops: which removal holds an index
     corr: dict[int, int] = {}      # kept index -> end growth (ancestor chains)
     removed_elements = 0
     high_water = 1                 # patches may never touch the root
-    for start, stop, attach, seg in patches:
+    for k, (start, stop, attach, seg) in enumerate(patches):
         if start < high_water or stop > n or start < 1:
             raise ValueError(
                 f"splice patch [{start}, {stop}) overlaps an earlier patch "
@@ -693,11 +738,9 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
                     f"{par0[start]}, got {attach}"
                 )
             removed_elements += (stop - start) - sym0[start:stop].count(-1)
-        net = (len(seg.sym) if seg is not None else 0) - (stop - start)
-        nets.append(net)
         starts.append(start)
         stops.append(stop)
-        corr[attach] = corr.get(attach, 0) + net
+        corr[attach] = corr.get(attach, 0) + cum[k + 1] - cum[k]
         high_water = stop if stop > start else start
 
     # Every kept node whose subtree contains a patch is, by laminarity,
@@ -710,9 +753,6 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
         while c >= 0 and c not in corr:
             corr[c] = 0
             c = par0[c]
-    cum = [0]
-    for net in nets:
-        cum.append(cum[-1] + net)
     # The same sweep places every chain node: walking backwards, the
     # patches ending at or before it only ever drop off.
     chain_pos: dict[int, int] = {}

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.13.0"
+        assert repro.__version__ == "1.14.0"
 
     def test_arena_transform_surface(self):
         """1.12.0: an arena in is an arena out, through the one kernel
@@ -37,6 +37,9 @@ class TestSurface:
         )
         step = transform_arena(arena, strip.query.update, strip.selecting)
         assert isinstance(step, ArenaStep) and step.labels == {"price", "part", "db"}
+        # 1.14.0: the label set in its two parts, and how the rest moved.
+        assert step.changed == {"price"} and step.chain == {0, 1}
+        assert [patch[:3] for patch in step.patches] == [(2, 4, 1)] and step.cum == [0, -2]
         with pytest.raises(ValueError, match="thaw"):
             strip.run(arena, method="naive")
 

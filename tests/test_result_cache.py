@@ -11,7 +11,9 @@ keep, move or drop.  Whatever the history:
 * every answer the cache could hand out — an entry whose key a read of
   the current state would build — equals ``query_naive``, serialized,
   and so does what its wire form decodes to (an entry carries its
-  bytes across every re-key that keeps it);
+  bytes across every re-key that keeps it), and an entry that knows
+  where its items sit (``refs`` — what the next commit's keep / patch /
+  drop verdict rests on) names the refs a fresh evaluation finds;
 * once a commit (or a reload) returns, no key names an arena that is
   not some document's current one.  The machine is single-threaded, so
   there is no late publisher; that case has its own test in
@@ -29,6 +31,7 @@ from repro import QueryService, serialize
 from repro.service.protocol import decode_line, encode_response, handle_request
 from repro.store import MaterializationPolicy, ViewStore
 from repro.store import store as store_module
+from repro.store.answer import node_refs
 from repro.store.delta import DeltaUnsupported
 from repro.xmltree.node import Element
 
@@ -183,11 +186,11 @@ class ResultCacheMachine(RuleBasedStateMachine):
         return _texts(self.store.query_naive(target, query, include_staged=staged))
 
     def _entries_over(self, target):
-        return {key for key in self.store.results._data if key[0] == target}
+        return {key for key, _ in self.store.results.items() if key[0] == target}
 
     def _every_key_names_a_live_arena(self):
         live = {self.store.pin(name).uid for name in self.store.documents.names()}
-        dead = [key for key in self.store.results._data if key[1] not in live]
+        dead = [key for key, _ in self.store.results.items() if key[1] not in live]
         assert not dead, dead
 
     @invariant()
@@ -196,7 +199,7 @@ class ResultCacheMachine(RuleBasedStateMachine):
         build its key — worked out here from the store's tables, not
         with the store's key builder."""
         pending = tuple(entry.text for entry in self.store.log.staged("db"))
-        for key, cached in list(self.store.results._data.items()):
+        for key, cached in self.store.results.items():
             target, uid, query, stack_texts, staged_texts = key
             if target in self.store.views:
                 doc_name, stack = self.store.views.stack(target)
@@ -213,6 +216,14 @@ class ResultCacheMachine(RuleBasedStateMachine):
             expected = self._oracle(target, query, bool(staged_texts))
             assert list(cached.items) == expected, key
             assert json.loads(cached.wire()) == expected, key
+            if cached.refs is not None:
+                # Positions are kept for reads of a document itself
+                # only: anything else indexes an arena no commit moves.
+                assert not stack and not staged_texts, key
+                fresh = self.store.evaluate(
+                    self.store.pin_read(target), query, self.store.compiled
+                )[2]
+                assert cached.refs == node_refs(fresh), key
 
     @invariant()
     def the_accounting_identity_holds(self):
@@ -221,7 +232,7 @@ class ResultCacheMachine(RuleBasedStateMachine):
         assert m["wire_built"] + m["wire_reused"] == self.wire_responses
 
 
-ResultCacheMachine.TestCase.settings = settings(
-    max_examples=100, stateful_step_count=40, deadline=None
-)
+# max_examples comes from the Hypothesis profile: 100 by default, more
+# under ``--hypothesis-profile=ci`` (tests/conftest.py).
+ResultCacheMachine.TestCase.settings = settings(stateful_step_count=40, deadline=None)
 TestResultCacheMachine = ResultCacheMachine.TestCase

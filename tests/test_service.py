@@ -428,7 +428,7 @@ def test_a_redefined_view_never_serves_the_old_answer(service):
     # Even an entry published after the drop's invalidation (a leader
     # that finishes late) cannot alias: the key carries the stack texts.
     uid = service.store.pin("db").uid
-    keys = list(service.store.results._data)
+    keys = [key for key, _ in service.store.results.items()]
     assert {key[3] for key in keys if key[0] == "v"} == {(ANONYMIZE,)}
     assert all(key[1] == uid for key in keys)
 
@@ -450,8 +450,8 @@ def test_a_commit_drops_view_and_staged_entries_with_the_old_arena():
     # The document's entry is label-disjoint and re-keyed; the view's
     # stack mentions the delta's labels and the preview's staging area
     # is gone: both are dropped (not left to the LRU).
-    assert [key[0] for key in service.store.results._data] == ["db"]
-    assert [key[3:] for key in service.store.results._data] == [((), ())]
+    assert [key[0] for key, _ in service.store.results.items()] == ["db"]
+    assert [key[3:] for key, _ in service.store.results.items()] == [((), ())]
     assert service.metrics()["memo_retained"] == 1
     assert service.query("public", text) == _oracle(service.store, "public", text)
     service.close()
@@ -505,7 +505,7 @@ def test_a_view_entry_survives_a_disjoint_or_swallowed_commit():
         "<pname>kb</pname>", "<pname>mouse</pname>",
     ]
     uid = service.store.pin("db").uid
-    assert all(key[1] == uid for key in service.store.results._data)
+    assert all(key[1] == uid for key, _ in service.store.results.items())
     service.close()
 
 
@@ -524,15 +524,15 @@ def test_a_late_publisher_leaves_a_dead_key_nobody_is_served():
     release.set()
     assert late.result() == []  # consistent with the snapshot it pinned
     new_uid = svc.store.pin("db").uid
-    assert [key[1] for key in svc.store.results._data] == [old_uid]
+    assert [key[1] for key, _ in svc.store.results.items()] == [old_uid]
     assert svc.metrics()["stale_reads"] == 1
     # Nobody is served the dead entry...
     assert svc.query("db", text) == _oracle(svc.store, "db", text) == ["<t/>"]
     assert svc.metrics()["memo_hits"] == 0
-    assert sorted(key[1] for key in svc.store.results._data) == [old_uid, new_uid]
+    assert sorted(key[1] for key, _ in svc.store.results.items()) == [old_uid, new_uid]
     # ...and the next commit drops it with the arena's other leftovers.
     svc.commit("db", INSERT_T)
-    assert [key[1] for key in svc.store.results._data] == []
+    assert [key[1] for key, _ in svc.store.results.items()] == []
     svc.close()
 
 
@@ -656,7 +656,7 @@ def test_a_small_result_cache_evicts_in_lru_order_and_the_tallies_add_up():
         return after["memo_hits"] - before["memo_hits"]
 
     assert [counted(text) for text in (a, b, a, c)] == [0, 0, 1, 0]  # c evicts b
-    assert [key[2] for key in service.store.results._data] == [a, c]
+    assert [key[2] for key, _ in service.store.results.items()] == [a, c]
     assert [counted(text) for text in (a, b, c)] == [1, 0, 0]  # b evicts c, c evicts a
     cache = service.store.results.stats()
     assert (cache["size"], cache["maxsize"]) == (2, 2)

@@ -406,7 +406,7 @@ class TestCommitRollback:
         assert stacked.query_serialized("partners", query) == committed
         stats = stacked.results.stats()
         assert (stats["size"], stats["hits"], stats["misses"]) == (2, 2, 2)
-        assert {key[4] for key in stacked.results._data} == {(), (drop_suppliers,)}
+        assert {key[4] for key, _ in stacked.results.items()} == {(), (drop_suppliers,)}
         # A different staging area is a different key, not a stale hit.
         stacked.rollback("db")
         stacked.stage("db", ANONYMIZE)

@@ -388,22 +388,37 @@ def test_readers_pinned_to_old_versions_never_observe_splices():
 
 
 def test_disjoint_results_survive_a_spliced_commit():
+    """``insert <w/> into $a/a`` changes no ``x`` and no ``y``: both
+    answers survive (the label rule used to drop ``a/x`` for naming the
+    attach point's label), the one *containing* the patch is patched,
+    and the one naming the new label drops."""
     store = ViewStore()
     store.put("db", DOC)
-    keep_q = "for $x in b/y return $x"
-    drop_q = "for $x in a/x return $x"
-    kept_rows = store.query_serialized("db", keep_q)
-    store.query_serialized("db", drop_q)
+    queries = {
+        "beside": "for $x in b/y return $x",
+        "below": "for $x in a/x return $x",
+        "around": "for $x in a return $x",
+        "named": "for $x in a/w return $x",
+    }
+    before = {name: store.query_serialized("db", q) for name, q in queries.items()}
 
     delta = store.commit_delta("db", _transform("insert <w>9</w> into $a/a"))
     assert delta.spliced, delta
     assert delta.labels is not None
     assert "a" in delta.labels and "b" not in delta.labels
-    assert delta.results_kept == 1 and delta.results_dropped == 1, delta
-    # The kept result was re-keyed onto the new arena: a cache hit.
-    assert store.query_serialized("db", keep_q) == kept_rows
-    assert store.results.stats()["hits"] == 1
-    assert {key[1] for key in store.results._data} == {delta.new_uid}
+    assert (delta.results_kept, delta.results_patched, delta.results_dropped) == (
+        2, 0, 2
+    ), delta
+    # One item of one is more than half: re-evaluating costs the same.
+    assert delta.drop_reasons == {"wide-patch": 1, "label:w": 1}
+    # The kept results were re-keyed onto the new arena: cache hits,
+    # each equal to the oracle's answer.
+    for name, q in queries.items():
+        rows = store.query_serialized("db", q)
+        assert rows == [serialize(n) for n in store.query_naive("db", q)]
+        assert (rows == before[name]) == (name in ("beside", "below"))
+    assert store.results.stats()["hits"] == 2
+    assert {key[1] for key, _ in store.results.items()} == {delta.new_uid}
 
 
 def test_swallowed_commit_keeps_the_view_materialization():

@@ -209,7 +209,7 @@ def test_a_rekey_moves_the_same_object_and_a_drop_frees_its_bytes():
         service.commit("db", f'transform copy $a := doc("db") modify do {body} return $a')
 
     def entry():
-        [(key, answer)] = service.store.results._data.items()
+        [(key, answer)] = service.store.results.items()
         assert key[1] == service.store.pin("db").uid
         return answer
 
