@@ -129,15 +129,21 @@ class LRUCache:
         it.  This is what delta-scoped commit invalidation uses to
         carry provably-unaffected results forward to the new arena:
         uid-stamped keys cannot be kept as they are, they must be
-        renamed.  Returns ``(moved, dropped)``.
+        renamed.  A rename onto a key that is already there (a reader
+        that pinned the new arena first published under it) replaces
+        that entry, and a key this pass has produced is not visited
+        again.  Returns ``(moved, dropped)``.
         """
         if self._group is None:
             raise ValueError("rekey needs a cache built with a group function")
         with self._lock:
             moved = 0
             dropped = 0
+            produced = set()
             for group in groups:
                 for key in list(self._groups.get(group, ())):
+                    if key in produced:
+                        continue
                     slot = self._slots[key]
                     mapped = mapper(key, self._data[slot][1])
                     if mapped is None:
@@ -148,9 +154,8 @@ class LRUCache:
                     new_key = mapped[0]
                     if new_key != key:
                         moved += 1
+                        produced.add(new_key)
                         self._forget(key)
-                        # A reader that pinned the new arena first may
-                        # have published under the new key already.
                         taken = self._slots.get(new_key)
                         if taken is not None:
                             del self._data[taken]

@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 import math
 import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from socketserver import ThreadingMixIn
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -115,6 +117,11 @@ def render_events(records: List[Dict[str, Any]]) -> str:
     ) + "\n"
 
 
+class _ThreadingHTTPServer(ThreadingMixIn, HTTPServer):
+    daemon_threads = True
+    allow_reuse_address = True
+
+
 class ExpositionServer:
     """Read-only HTTP scrape surface over callables.
 
@@ -131,11 +138,6 @@ class ExpositionServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        # Imported by the process that exposes, not by every process
-        # that imports ``repro.obs``: ``http.server`` brings ``email``,
-        # ``ssl`` and ``mimetypes`` with it, ≈ 7 MB resident.
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
         outer = self
 
         class _Handler(BaseHTTPRequestHandler):
@@ -165,7 +167,7 @@ class ExpositionServer:
 
         self.snapshot_fn = snapshot_fn
         self.events_fn = events_fn
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        self._server = _ThreadingHTTPServer((host, port), _Handler)
         bound = self._server.server_address
         self.address: Tuple[str, int] = (str(bound[0]), int(bound[1]))
         self._thread: Optional[threading.Thread] = None

@@ -33,6 +33,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Set, cast
 
 from repro.automata.arena_run import select_indices
+from repro.automata.selecting import build_selecting_nfa
 from repro.transform.arena import (
     SELECT_ERRORS,
     ArenaTransformError,
@@ -152,12 +153,15 @@ class CommitOutcome:
 
 
 def apply_entries_spliced(
-    base_arena: FrozenDocument, entries: List[Any], compiled: Any
+    base_arena: FrozenDocument, entries: List[Any]
 ) -> CommitOutcome:
     """Apply staged entries to *base_arena* by splicing, sequentially
     (entry *i+1* selects against entry *i*'s result — the semantics
     :func:`apply_entries_rebuilt` defines): the kernel in a loop,
-    under the commit's budget.  Raises
+    under the commit's budget.  Each entry's selecting automaton is
+    built here and dies with the commit (an update text is applied
+    once; ≈ 12 KB of NFA and DFA tables per distinct text is what
+    remembering them cost).  Raises
     :class:`DeltaUnsupported` when any entry cannot be expressed as a
     splice or the accumulated delta spans most of the document."""
     arena = base_arena
@@ -167,7 +171,7 @@ def apply_entries_spliced(
     for entry in entries:
         update = entry.transform.update
         try:
-            nfa = compiled.selecting_nfa_for(update.path)
+            nfa = build_selecting_nfa(update.path)
         except SELECT_ERRORS as exc:
             raise DeltaUnsupported(
                 "selector", f"cannot select delta ranges: {exc}"

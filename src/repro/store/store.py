@@ -27,8 +27,11 @@ read, an arena transform has one algorithm.  ``query_naive`` — thaw,
 ``transform_naive`` per layer, Node evaluator — is the oracle and
 shares none of the above.
 
-Caching: compiled artifacts (parses, NFAs, composed plans) live in a
-:class:`~repro.compiled.CompiledCache` and never go stale.  Serialized
+Caching: what reads compile (parses, NFAs, composed plans — of
+queries, view layers and staged previews) lives in a
+:class:`~repro.compiled.CompiledCache` and never goes stale; an update
+is parsed when staged and compiled when committed, once, and neither
+is remembered.  Serialized
 *answers* live in ``ViewStore.results`` — the only result cache there
 is; a :class:`~repro.service.service.QueryService` reads and fills
 this one — under :func:`result_key`, all an answer depends on, each an
@@ -84,7 +87,7 @@ from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
-from repro.transform.query import TransformQuery
+from repro.transform.query import TransformQuery, parse_transform_query
 from repro.xmltree.arena import FrozenDocument, thaw
 from repro.xmltree.node import Element
 from repro.xmltree.serializer import serialize_arena
@@ -478,7 +481,10 @@ class ViewStore:
         """Stage a hypothetical transform against a document; returns
         the staging-area depth."""
         doc = self._require_document(doc_name)  # raises on unknown names
-        transform = self.compiled.transform(transform_text)
+        # Parsed for this entry and let go with it: an update is
+        # applied once, so its text takes no slot in the cache the
+        # reads compile into.
+        transform = parse_transform_query(transform_text)
         return self.log.stage(doc.name, transform, transform_text)
 
     def rollback(self, doc_name: str, count: Optional[int] = None) -> int:
@@ -558,9 +564,7 @@ class ViewStore:
                 fault_point("store.commit.mid_splice")
                 with span("splice"):
                     try:
-                        outcome = apply_entries_spliced(
-                            base_arena, entries, self.compiled
-                        )
+                        outcome = apply_entries_spliced(base_arena, entries)
                     except DeltaUnsupported as unsupported:
                         # The child span names why this commit rebuilt.
                         with span(f"rebuild.{unsupported.reason}"):
@@ -714,7 +718,9 @@ class ViewStore:
         nothing: everything drops.  A staged preview never survives
         (its staging area was just consumed), nor does an entry keyed
         on a stack that is no longer the target's definition, nor what
-        a late publisher left on a dead arena."""
+        a late publisher left on a dead arena.  What an early reader of
+        the new arena already published is left as it is, unless an
+        entry carried forward takes its key."""
         steps = outcome.steps
         delta_labels = outcome.labels
         arena = outcome.arena
@@ -725,6 +731,10 @@ class ViewStore:
             nonlocal patched
             target, uid, query_text, stack_texts, staged_texts = key
             verdict = verdicts[target]
+            if uid == new_uid:
+                # A reader that pinned the new arena first published
+                # already: an answer on the live arena stays.
+                return key, answer
             if uid != old_uid:
                 reason = "late-publisher"
             elif staged_texts:
@@ -743,7 +753,8 @@ class ViewStore:
                 )
                 if what == "patch":
                     answer = answer.patched(
-                        {k: serialize_arena(arena, refs[k]) for k in dirty}, refs
+                        {k: sys.intern(serialize_arena(arena, refs[k])) for k in dirty},
+                        refs,
                     )
                     patched += 1
                 elif what == "keep":

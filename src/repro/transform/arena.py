@@ -35,8 +35,7 @@ from repro.xmltree.arena import (
     SpliceSegment,
     freeze_segment,
     rename_splice,
-    shift_table,
-    splice,
+    splice_applied,
 )
 from repro.xmltree.symbols import SymbolTable
 
@@ -78,9 +77,9 @@ class ArenaStep(NamedTuple):
     changed: FrozenSet[str] = frozenset()
     #: Input indices of the kept nodes that serialize differently.
     chain: FrozenSet[int] = frozenset()
-    #: The patches in the order :func:`~repro.xmltree.arena.splice`
-    #: applied them and their :func:`~repro.xmltree.arena.shift_table`
-    #: — what :func:`~repro.xmltree.arena.carry_indices` moves an index
+    #: The patches in applied order and their shift table, as
+    #: :func:`~repro.xmltree.arena.splice_applied` hands them back —
+    #: what :func:`~repro.xmltree.arena.carry_indices` moves an index
     #: list of the input by; ``None`` when no node moved (a rename, or
     #: nothing matched).
     patches: Optional[list] = None
@@ -89,8 +88,9 @@ class ArenaStep(NamedTuple):
 
 def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
     """The update's constant content as a splice segment, cached on the
-    update object (updates live in the compiled cache, so the segment
-    is frozen once per distinct transform text per symbol table)."""
+    update object (a view layer's update lives in the compiled cache
+    and a staged one in its log entry, so the segment is frozen once
+    per update per symbol table)."""
     cached: Optional[SpliceSegment] = getattr(update, "_splice_segment", None)
     if cached is not None and cached.symbols is symbols:
         return cached
@@ -173,13 +173,9 @@ def transform_arena(arena: FrozenDocument, update: Any, nfa: Any) -> ArenaStep:
             spliced = rename_splice(arena, matches, update.new_label)
             changed.add(update.new_label)
         else:
-            # At equal positions the deeper attach emits first (the
-            # order splice applies, and its shift table is in).
-            patches = sorted(
-                [s + (segment,) for s in spans], key=lambda p: (p[0], -p[2])
+            spliced, patches, cum = splice_applied(
+                arena, [s + (segment,) for s in spans]
             )
-            cum = shift_table(patches)
-            spliced = splice(arena, patches)
             if segment is not None:
                 changed.update(segment.labels)
         labels = changed | {strings[sym[c]] for c in chain}

@@ -88,6 +88,7 @@ __all__ = [
     "rename_splice",
     "shift_table",
     "splice",
+    "splice_applied",
     "thaw",
 ]
 
@@ -593,8 +594,8 @@ def _segment_postings(seg: "SpliceSegment", syms: tuple, out0: int) -> "array[in
 # hot-path
 def carry_indices(old: "array[int]", patches: list, cum: list, syms: tuple = ()) -> "array[int]":
     """Carry *old* — a sorted ``array('i')`` of pre-order indices into
-    ``base`` — across ``splice(base, patches)`` (*patches* in applied
-    order, *cum* their :func:`shift_table`): an entry before a patch
+    ``base`` — across ``splice(base, patches)`` (*patches* and *cum* as
+    :func:`splice_applied` hands them back): an entry before a patch
     moves by the shift there, an entry inside a removal goes (a shorter
     result says some did).  The one mover of index lists: a label's
     postings (*syms* names the label set, and a segment then
@@ -602,20 +603,9 @@ def carry_indices(old: "array[int]", patches: list, cum: list, syms: tuple = ())
     emitted) and a cached answer's ``refs`` (no *syms*: a segment holds
     no kept node).
 
-    Costs the smaller side: per patch, two bisects and one SWAR add
-    over the run between (:func:`_moved_lanes`); or, for a list shorter
-    than the patch list, one bisect per entry.
+    Per patch, two bisects and one SWAR add over the run between
+    (:func:`_moved_lanes`).
     """
-    if not syms and len(old) < len(patches):
-        out = array("i")
-        for i in old:
-            # ``at`` patches start at or before i (a patch tuple sorts
-            # by its start, and no stop equals the sentinel); only the
-            # last of them can be a removal that holds i.
-            at = bisect_right(patches, (i, sys.maxsize))
-            if not at or patches[at - 1][1] <= i:
-                out.append(i + cum[at])
-        return out
     sunk = -min(cum)
     view = memoryview(old)
     parts: list = []
@@ -681,8 +671,16 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
     The returned arena shares *base*'s symbol table; readers holding
     *base* are unaffected.
     """
+    return splice_applied(base, patches)[0]
+
+
+def splice_applied(base: FrozenDocument, patches: list) -> tuple:
+    """:func:`splice`, and how it moved what it kept: ``(spliced,
+    applied, cum)`` — *patches* in the order they were applied and
+    their :func:`shift_table`, what :func:`carry_indices` moves an
+    index list of *base* by."""
     if not patches:
-        return base
+        return base, [], [0]
     for patch in patches:
         seg = patch[3]
         if seg is not None and seg.symbols is not base.symbols:
@@ -844,7 +842,7 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
         n_elements,
     )
     _carry_postings(base, spliced, patches, cum)
-    return spliced
+    return spliced, patches, cum
 
 
 def rename_splice(base: FrozenDocument, indices: list, new_label: str) -> FrozenDocument:

@@ -376,11 +376,10 @@ def test_the_rule_is_pure_and_names_why():
 
 @settings(deadline=None)
 @given(tree=trees(), text=transform_texts())
-def test_carry_indices_agrees_from_both_sides_and_with_the_definition(tree, text):
-    """Every index of the arena at once (at least as many entries as
-    patches: the SWAR side), one at a time (fewer: the per-entry side),
-    and the definition — a kept node lands where the spliced arena
-    holds it."""
+def test_carry_indices_agrees_with_the_definition(tree, text):
+    """Every index of the arena at once, one at a time (a list shorter
+    than the patch list), and the definition — a kept node lands where
+    the spliced arena holds it."""
     store = ViewStore()
     arena = freeze(tree)
     update = store.compiled.transform(text).update
@@ -450,6 +449,52 @@ def test_rekey_visits_only_the_named_groups_in_place():
     assert seen == [("db", 3), ("db", 4)]
     with pytest.raises(ValueError):
         LRUCache(2).rekey(mapper, ["db"])
+
+
+@pytest.mark.parametrize("early_first", [False, True])
+def test_a_rename_onto_a_key_already_published_keeps_the_moved_entry(early_first):
+    """The moved entry takes the key, whichever of the two the pass
+    meets first, and is not handed to the mapper a second time."""
+    cache = LRUCache(8, group=lambda key: key[0])
+    puts = [(("db", 7, "q"), "moved"), (("db", 8, "q"), "early")]
+    for key, value in reversed(puts) if early_first else puts:
+        cache.put(key, value)
+    cache.put(("db", 7, "r"), "other")
+    calls = []
+
+    def mapper(key, value):
+        calls.append(key)
+        return ((key[0], 8, key[2]), value) if key[1] == 7 else None
+
+    assert cache.rekey(mapper, ["db"]) == (2, 1 if early_first else 0)
+    assert sorted(cache.items()) == [(("db", 8, "q"), "moved"), (("db", 8, "r"), "other")]
+    assert calls.count(("db", 8, "q")) == early_first
+    # The side tables agree: nothing is left under the old keys.
+    assert cache.rekey(lambda key, value: (key, value), ["db"]) == (0, 0)
+    assert cache.invalidate(lambda key: True) == 2 and len(cache) == 0
+
+
+def test_an_early_publisher_on_the_new_arena_does_not_cost_the_kept_entry():
+    """``doc.install`` comes before the re-key, outside the document
+    lock: a reader can pin the new arena and publish under the new key
+    first.  One entry survives, counted as kept and not as dropped."""
+    store = ViewStore()
+    store.put("db", DOC)
+    query = "for $x in people/person return $x/name"
+    kept = store.query_serialized("db", query)
+    rekey_results = store._rekey_results
+
+    def published_first(verdicts, outcome, old_uid, new_uid):
+        store.query_serialized("db", query)  # a miss on the new arena: evaluates, puts
+        assert len(store.results) == 2
+        return rekey_results(verdicts, outcome, old_uid, new_uid)
+
+    with mock.patch.object(store, "_rekey_results", published_first):
+        delta = store.commit_delta("db", _t("insert <x/> into $a/regions"))
+    assert (delta.results_kept, delta.results_patched, delta.results_dropped) == (1, 0, 0)
+    assert delta.drop_reasons == {}
+    assert [list(answer.items) for _, answer in store.results.items()] == [kept]
+    assert _check_survivors(store, "db") == 1
 
 
 def test_a_commit_calls_the_rule_for_no_entry_of_another_document():

@@ -26,6 +26,7 @@ from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
 from repro.store import MaterializationPolicy, StoreError, ViewStore
+from repro.store import delta as delta_module
 from repro.store.delta import (
     REBUILD_REASONS,
     DeltaUnsupported,
@@ -164,9 +165,9 @@ class TestCommitMatchesTheReferences:
         def refuse(path):
             raise NotImplementedError("no arena selector for this path")
 
-        monkeypatch.setattr(store.compiled, "selecting_nfa_for", refuse)
+        monkeypatch.setattr(delta_module, "build_selecting_nfa", refuse)
         with pytest.raises(DeltaUnsupported) as excinfo:
-            apply_entries_spliced(store.pin("db").arena, entries, store.compiled)
+            apply_entries_spliced(store.pin("db").arena, entries)
         assert excinfo.value.reason == "selector"
         delta = store.commit_delta("db", text)
         assert not delta.spliced and delta.rebuild_reason == "selector"
@@ -207,7 +208,7 @@ def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
     assert serialize_arena(rebuilt.arena) == want
 
     try:
-        spliced = apply_entries_spliced(base, entries, compiled)
+        spliced = apply_entries_spliced(base, entries)
     except DeltaUnsupported as unsupported:
         assert unsupported.reason in REBUILD_REASONS
     else:
