@@ -19,6 +19,9 @@ unparseable text.
 (JSONL trace records), ``GET /healthz``.  It is deliberately
 dependency-free (``http.server`` from the stdlib) and read-only —
 the JSON-line TCP protocol stays the only way to *change* anything.
+``http.server`` (and with it ``email``, ``ssl``, ``mimetypes``) is
+imported when a server is constructed, not with this module: most
+processes that ``import repro`` never expose anything.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-from socketserver import ThreadingMixIn
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -117,11 +118,6 @@ def render_events(records: List[Dict[str, Any]]) -> str:
     ) + "\n"
 
 
-class _ThreadingHTTPServer(ThreadingMixIn, HTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
 class ExpositionServer:
     """Read-only HTTP scrape surface over callables.
 
@@ -138,6 +134,8 @@ class ExpositionServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         outer = self
 
         class _Handler(BaseHTTPRequestHandler):
@@ -167,7 +165,7 @@ class ExpositionServer:
 
         self.snapshot_fn = snapshot_fn
         self.events_fn = events_fn
-        self._server = _ThreadingHTTPServer((host, port), _Handler)
+        self._server = ThreadingHTTPServer((host, port), _Handler)
         bound = self._server.server_address
         self.address: Tuple[str, int] = (str(bound[0]), int(bound[1]))
         self._thread: Optional[threading.Thread] = None

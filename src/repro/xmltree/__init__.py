@@ -5,10 +5,15 @@ library, built without any external dependency:
 
 * :mod:`repro.xmltree.node` — the immutable-by-convention tree model
   (:class:`Element` and :class:`Text` nodes) used by every evaluator.
-* :mod:`repro.xmltree.parser` — a recursive-descent XML parser.
+* :mod:`repro.xmltree.sax` — the XML tokenizer (one scanner, over a
+  string in place or a file in chunks) and the SAX event layer over it:
+  the event stream ``twoPassSAX`` consumes without ever building a
+  tree, plus tree↔event adapters.
+* :mod:`repro.xmltree.parser` — ``parse`` / ``parse_to_arena`` /
+  ``parse_fragment`` and their file twins: builders over that scanner's
+  events, with no tokenizing code of their own.
+* :mod:`repro.xmltree.arena` — the frozen columnar document.
 * :mod:`repro.xmltree.serializer` — tree → text.
-* :mod:`repro.xmltree.sax` — a streaming SAX event scanner (never builds
-  a tree) plus tree↔event adapters, used by the ``twoPassSAX`` algorithm.
 """
 
 from repro.xmltree.arena import (

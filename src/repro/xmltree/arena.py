@@ -55,10 +55,10 @@ the postings its base has built to the version it returns, carried
 labels it left alone — before the new version is visible to anyone, so
 the readers after a commit find the index as warm as those before it.
 
-Construction never builds an intermediate ``Node`` tree: the tree
-parser (:func:`repro.xmltree.parser.parse_to_arena`) and the SAX
-scanner (:func:`events_to_arena` over :func:`~repro.xmltree.sax.
-iter_sax_file`) drive a :class:`FrozenBuilder` directly.
+Construction never builds an intermediate ``Node`` tree: the
+tokenizer's event stream drives a :class:`FrozenBuilder` directly
+(:func:`events_to_arena`, which is all that :func:`repro.xmltree.
+parser.parse_to_arena` and ``parse_file_to_arena`` are).
 :func:`freeze` / :func:`thaw` bridge to the existing model: ``freeze``
 columnarizes a resident tree, ``thaw`` materializes any pre-order range
 back into ``Element``/``Text`` nodes (used to hand individual matches
@@ -883,10 +883,10 @@ def events_to_arena(
 ) -> FrozenDocument:
     """Build a frozen document straight from a SAX event stream.
 
-    This is the SAX scanner's arena load path —
-    ``events_to_arena(iter_sax_file(path))`` columnarizes a file with
-    no intermediate ``Node`` tree and memory bounded by the columns
-    themselves.
+    This is the arena load path — ``parse_file_to_arena(path)`` is
+    ``events_to_arena(iter_sax_file(path))`` — which columnarizes a
+    file with no intermediate ``Node`` tree and memory bounded by the
+    columns themselves.
     """
     from repro.xmltree.sax import EndElement, StartElement, TextEvent
 

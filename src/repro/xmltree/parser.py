@@ -1,13 +1,19 @@
-"""A from-scratch recursive-descent XML parser.
+"""Parsing XML into a tree or an arena: the doors into the one tokenizer.
 
-Supports the XML subset needed by the reproduction (and then some):
+Nothing here reads XML text.  Every function hands its input to the
+scanner of :mod:`repro.xmltree.sax` and builds from its event stream —
+``Element``/``Text`` nodes through :func:`~repro.xmltree.sax.
+events_to_tree`, arena columns through :func:`~repro.xmltree.arena.
+events_to_arena` — so the tree parser, the arena parser, the fragment
+parser and the SAX layer accept one language of documents:
 
-* elements with attributes (single- or double-quoted),
+* elements with attributes (single- or double-quoted, no name twice),
 * self-closing tags,
-* text with the five predefined entities and numeric character
-  references (decimal and hex),
+* text with the five predefined entities, the general entities the
+  DOCTYPE's internal subset declares, and numeric character references
+  (decimal and hex) to XML characters,
 * comments, processing instructions, a DOCTYPE declaration and CDATA
-  sections (comments/PIs/DOCTYPE are skipped, CDATA becomes text),
+  sections (comments/PIs are skipped, CDATA becomes text),
 * an optional XML declaration.
 
 By default whitespace-only text between elements is dropped
@@ -17,320 +23,30 @@ round-trip cleanly and matches how the paper's data (XMark) is treated.
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.xmltree.arena import FrozenDocument, events_to_arena
+from repro.xmltree.node import Element
+from repro.xmltree.sax import (
+    XMLSyntaxError,
+    _StreamScanner,
+    decode_entities,
+    events_to_tree,
+    iter_sax_file,
+)
 
-from repro.xmltree.node import Element, Node, Text
-from repro.xmltree.symbols import global_symbols
-
-#: Labels are canonicalized through the process-wide symbol table as
-#: they are parsed: identical labels share one interned string (a large
-#: XMark document has millions of label occurrences but a few dozen
-#: distinct labels), and the compiled runtime's automata find their
-#: whole alphabet pre-interned.
-_SYMBOLS = global_symbols()
-
-
-class XMLSyntaxError(ValueError):
-    """Raised on malformed XML input, with position information."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at offset {pos})")
-        self.pos = pos
-
-
-_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
-}
-
-
-def decode_entities(raw: str, pos: int = 0) -> str:
-    """Decode predefined entities and character references in *raw*."""
-    if "&" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = raw.find(";", i + 1)
-        if end == -1:
-            raise XMLSyntaxError("unterminated entity reference", pos + i)
-        name = raw[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise XMLSyntaxError(f"bad character reference &{name};", pos + i) from None
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise XMLSyntaxError(f"bad character reference &{name};", pos + i) from None
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
-        else:
-            raise XMLSyntaxError(f"unknown entity &{name};", pos + i)
-        i = end + 1
-    return "".join(out)
-
-
-_NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:.-")
-
-
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _NAME_START_EXTRA
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
-
-
-class _Parser:
-    """Single-pass parser over an in-memory string.
-
-    Uses an explicit element stack rather than recursion so arbitrarily
-    deep documents parse without hitting the Python recursion limit.
-    """
-
-    def __init__(self, source: str, strip_whitespace: bool):
-        self.src = source
-        self.pos = 0
-        self.n = len(source)
-        self.strip = strip_whitespace
-
-    # -- small scanning helpers ---------------------------------------
-
-    def _error(self, message: str) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self.pos)
-
-    def _skip_ws(self) -> None:
-        src, n = self.src, self.n
-        i = self.pos
-        while i < n and src[i] in " \t\r\n":
-            i += 1
-        self.pos = i
-
-    def _expect(self, token: str) -> None:
-        if not self.src.startswith(token, self.pos):
-            raise self._error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def _read_name(self) -> str:
-        src, n = self.src, self.n
-        start = self.pos
-        if start >= n or not _is_name_start(src[start]):
-            raise self._error("expected a name")
-        i = start + 1
-        while i < n and _is_name_char(src[i]):
-            i += 1
-        self.pos = i
-        return src[start:i]
-
-    def _read_attr_value(self) -> str:
-        src = self.src
-        if self.pos >= self.n or src[self.pos] not in "\"'":
-            raise self._error("expected a quoted attribute value")
-        quote = src[self.pos]
-        start = self.pos + 1
-        end = src.find(quote, start)
-        if end == -1:
-            raise self._error("unterminated attribute value")
-        self.pos = end + 1
-        return decode_entities(src[start:end], start)
-
-    # -- markup constructs ---------------------------------------------
-
-    def _skip_misc(self) -> None:
-        """Skip comments, PIs, DOCTYPE and whitespace before/after root."""
-        while True:
-            self._skip_ws()
-            if self.src.startswith("<!--", self.pos):
-                self._skip_comment()
-            elif self.src.startswith("<?", self.pos):
-                self._skip_pi()
-            elif self.src.startswith("<!DOCTYPE", self.pos):
-                self._skip_doctype()
-            else:
-                return
-
-    def _skip_comment(self) -> None:
-        end = self.src.find("-->", self.pos + 4)
-        if end == -1:
-            raise self._error("unterminated comment")
-        self.pos = end + 3
-
-    def _skip_pi(self) -> None:
-        end = self.src.find("?>", self.pos + 2)
-        if end == -1:
-            raise self._error("unterminated processing instruction")
-        self.pos = end + 2
-
-    def _skip_doctype(self) -> None:
-        # Handle a possible internal subset in square brackets.
-        i = self.pos + len("<!DOCTYPE")
-        depth = 0
-        src, n = self.src, self.n
-        while i < n:
-            ch = src[i]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == ">" and depth <= 0:
-                self.pos = i + 1
-                return
-            i += 1
-        raise self._error("unterminated DOCTYPE")
-
-    def _read_cdata(self) -> str:
-        end = self.src.find("]]>", self.pos + 9)
-        if end == -1:
-            raise self._error("unterminated CDATA section")
-        value = self.src[self.pos + 9 : end]
-        self.pos = end + 3
-        return value
-
-    def _read_open_tag(self) -> tuple[str, dict, bool]:
-        """Parse ``<name a="v" ...>`` after '<'; returns (name, attrs, self_closing)."""
-        name = self._read_name()
-        attrs: dict[str, str] = {}
-        while True:
-            self._skip_ws()
-            if self.pos >= self.n:
-                raise self._error("unterminated start tag")
-            ch = self.src[self.pos]
-            if ch == ">":
-                self.pos += 1
-                return name, attrs, False
-            if ch == "/":
-                self._expect("/>")
-                return name, attrs, True
-            attr_name = self._read_name()
-            self._skip_ws()
-            self._expect("=")
-            self._skip_ws()
-            attrs[attr_name] = self._read_attr_value()
-
-    # -- document ------------------------------------------------------
-
-    def parse_document(self) -> Element:
-        self._skip_misc()
-        if self.pos >= self.n or self.src[self.pos] != "<":
-            raise self._error("expected the root element")
-        root = self._parse_root()
-        self._skip_misc()
-        if self.pos != self.n:
-            raise self._error("content after the root element")
-        return root
-
-    def _parse_root_arena(self, builder) -> None:
-        """The :meth:`_parse_root` loop, driving a
-        :class:`~repro.xmltree.arena.FrozenBuilder` directly: the arena
-        load path allocates columns, never ``Element``/``Text`` nodes.
-
-        Kept as a separate loop (rather than a builder indirection in
-        ``_parse_root``) so the Node path stays allocation-minimal too.
-        """
-        self._expect("<")
-        name, attrs, self_closing = self._read_open_tag()
-        builder.start(name, attrs if attrs else None)
-        if self_closing:
-            builder.end()
-            return
-        open_labels = [name]
-        src = self.src
-        while open_labels:
-            lt = src.find("<", self.pos)
-            if lt == -1:
-                raise self._error(f"unterminated element <{open_labels[-1]}>")
-            if lt > self.pos:
-                raw = src[self.pos : lt]
-                if not self.strip or raw.strip():
-                    builder.text(decode_entities(raw, self.pos))
-                self.pos = lt
-            # self.pos is at '<'
-            if src.startswith("</", self.pos):
-                self.pos += 2
-                name = self._read_name()
-                self._skip_ws()
-                self._expect(">")
-                open_label = open_labels.pop()
-                if open_label != name:
-                    raise self._error(
-                        f"mismatched end tag </{name}> for <{open_label}>"
-                    )
-                builder.end()
-            elif src.startswith("<!--", self.pos):
-                self._skip_comment()
-            elif src.startswith("<![CDATA[", self.pos):
-                builder.text(self._read_cdata())
-            elif src.startswith("<?", self.pos):
-                self._skip_pi()
-            else:
-                self.pos += 1
-                name, attrs, self_closing = self._read_open_tag()
-                builder.start(name, attrs if attrs else None)
-                if not self_closing:
-                    open_labels.append(name)
-                else:
-                    builder.end()
-
-    def _parse_root(self) -> Element:
-        self._expect("<")
-        name, attrs, self_closing = self._read_open_tag()
-        root = Element(_SYMBOLS.canonical(name), attrs, [])
-        if self_closing:
-            return root
-        stack: list[Element] = [root]
-        src = self.src
-        while stack:
-            lt = src.find("<", self.pos)
-            if lt == -1:
-                raise self._error(f"unterminated element <{stack[-1].label}>")
-            if lt > self.pos:
-                raw = src[self.pos : lt]
-                if not self.strip or raw.strip():
-                    stack[-1].children.append(Text(decode_entities(raw, self.pos)))
-                self.pos = lt
-            # self.pos is at '<'
-            if src.startswith("</", self.pos):
-                self.pos += 2
-                name = self._read_name()
-                self._skip_ws()
-                self._expect(">")
-                open_element = stack.pop()
-                if open_element.label != name:
-                    raise self._error(
-                        f"mismatched end tag </{name}> for <{open_element.label}>"
-                    )
-            elif src.startswith("<!--", self.pos):
-                self._skip_comment()
-            elif src.startswith("<![CDATA[", self.pos):
-                stack[-1].children.append(Text(self._read_cdata()))
-            elif src.startswith("<?", self.pos):
-                self._skip_pi()
-            else:
-                self.pos += 1
-                name, attrs, self_closing = self._read_open_tag()
-                child = Element(_SYMBOLS.canonical(name), attrs, [])
-                stack[-1].children.append(child)
-                if not self_closing:
-                    stack.append(child)
-        return root
+__all__ = [
+    "XMLSyntaxError",
+    "decode_entities",
+    "parse",
+    "parse_file",
+    "parse_file_to_arena",
+    "parse_fragment",
+    "parse_to_arena",
+]
 
 
 def parse(source: str, strip_whitespace: bool = True) -> Element:
     """Parse an XML document from a string; returns the root element."""
-    return _Parser(source, strip_whitespace).parse_document()
+    return events_to_tree(_StreamScanner(source, strip_whitespace).events())
 
 
 def parse_fragment(
@@ -344,51 +60,33 @@ def parse_fragment(
     update-expression parser for constant element literals
     (``insert <supplier>…</supplier> into …``).
     """
-    parser = _Parser(source, strip_whitespace)
-    parser.pos = offset
-    parser._skip_ws()
-    if parser.pos >= parser.n or source[parser.pos] != "<":
-        raise XMLSyntaxError("expected an XML element", parser.pos)
-    root = parser._parse_root()
-    return root, parser.pos
+    scanner = _StreamScanner(source, strip_whitespace, offset)
+    return events_to_tree(scanner.events(fragment=True)), scanner.pos
 
 
-def parse_to_arena(source: str, strip_whitespace: bool = True):
+def parse_to_arena(source: str, strip_whitespace: bool = True) -> FrozenDocument:
     """Parse straight into a :class:`~repro.xmltree.arena.FrozenDocument`.
 
     The columnar load path: no intermediate ``Node`` tree is ever
-    built — the parser drives the arena's column builder directly, so
+    built — the scanner's events drive the arena's column builder, so
     loading a document for the read-mostly serving path costs the
     columns and the text payloads, nothing else.
     """
-    from repro.xmltree.arena import FrozenBuilder
-
-    parser = _Parser(source, strip_whitespace)
-    parser._skip_misc()
-    if parser.pos >= parser.n or source[parser.pos] != "<":
-        raise parser._error("expected the root element")
-    builder = FrozenBuilder()
-    parser._parse_root_arena(builder)
-    parser._skip_misc()
-    if parser.pos != parser.n:
-        raise parser._error("content after the root element")
-    return builder.finish()
+    return events_to_arena(_StreamScanner(source, strip_whitespace).events())
 
 
 def parse_file_to_arena(
     path: str, strip_whitespace: bool = True, encoding: str = "utf-8"
-):
+) -> FrozenDocument:
     """Parse a file straight into a frozen columnar document."""
-    with open(path, "r", encoding=encoding) as handle:
-        return parse_to_arena(handle.read(), strip_whitespace=strip_whitespace)
+    return events_to_arena(iter_sax_file(path, strip_whitespace, encoding))
 
 
 def parse_file(path: str, strip_whitespace: bool = True, encoding: str = "utf-8") -> Element:
     """Parse an XML document from a file; returns the root element.
 
-    The whole file is read into memory — this mirrors the DOM-based
-    engines the paper contrasts with.  For bounded-memory processing use
-    :func:`repro.xmltree.sax.iter_sax_file` instead.
+    The file is read a chunk at a time, so what is resident is the tree
+    and one chunk.  For memory bounded by the document's depth, consume
+    :func:`repro.xmltree.sax.iter_sax_file` instead of building a tree.
     """
-    with open(path, "r", encoding=encoding) as handle:
-        return parse(handle.read(), strip_whitespace=strip_whitespace)
+    return events_to_tree(iter_sax_file(path, strip_whitespace, encoding))

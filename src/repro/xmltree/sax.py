@@ -1,4 +1,4 @@
-"""SAX event layer: streaming scanner and tree↔event adapters.
+"""The XML tokenizer and the SAX event layer over it.
 
 Section 6 of the paper integrates the two-pass transform evaluation with
 SAX parsing so very large documents are processed with memory bounded by
@@ -7,9 +7,15 @@ document depth.  This module provides the substrate:
 * the five event types of the paper — ``startDocument()``,
   ``startElement(n)``, ``text(t)``, ``endElement(n)``,
   ``endDocument()`` — as lightweight classes;
-* :func:`iter_sax_file` — an incremental scanner that reads the file in
-  chunks and **never materializes the document**;
-* :func:`iter_sax_string` — the same scanner over an in-memory string;
+* :class:`_StreamScanner` — **the** tokenizer: the only code that reads
+  XML text.  Every entry point (:func:`iter_sax_file`,
+  :func:`iter_sax_string` here; ``parse``, ``parse_fragment``,
+  ``parse_to_arena`` and their file twins in
+  :mod:`repro.xmltree.parser`) is a consumer of its event stream, so
+  they accept one language of documents by construction;
+* :func:`iter_sax_file` — the scanner over a file read in chunks, which
+  **never materializes the document**;
+* :func:`iter_sax_string` — the scanner over an in-memory string;
 * :func:`tree_to_events` / :func:`events_to_tree` — adapters between the
   tree model and event streams (the transform result of ``twoPassSAX``
   "may be accessed as a SAX event stream", per the paper);
@@ -19,23 +25,27 @@ document depth.  This module provides the substrate:
 
 from __future__ import annotations
 
+import re
 from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
-from repro.xmltree.node import Element, Node, Text
-from repro.xmltree.parser import (
-    XMLSyntaxError,
-    _is_name_char,
-    _is_name_start,
-    decode_entities,
-)
+from repro.xmltree.node import Element, Text
 from repro.xmltree.serializer import escape_attr, escape_text
 from repro.xmltree.symbols import global_symbols
 
 #: Element names are canonicalized through the process-wide symbol
 #: table as events are produced (see :mod:`repro.xmltree.symbols`):
-#: the streaming passes then run the compiled automata over labels
-#: whose symbol ids are already interned.
+#: identical labels share one interned string (a large XMark document
+#: has millions of label occurrences but a few dozen distinct labels),
+#: and the compiled automata find their whole alphabet pre-interned.
 _SYMBOLS = global_symbols()
+
+
+class XMLSyntaxError(ValueError):
+    """Raised on malformed XML input, with position information."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} (at offset {pos})")
+        self.pos = pos
 
 
 class SAXEvent:
@@ -124,42 +134,118 @@ class TextEvent(SAXEvent):
 
 
 # ----------------------------------------------------------------------
-# Streaming scanner
+# Lexical rules
+# ----------------------------------------------------------------------
+
+#: The five predefined entities.  A document whose DOCTYPE declares
+#: more reads through its own copy of this table, the declared names
+#: added (:meth:`_StreamScanner._declare_entity`).
+_PREDEFINED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+#: ``#`` + decimal digits or ``#x`` + hex digits, no longer (leading
+#: zeros aside) than the largest code point.
+_CHAR_REF = re.compile(r"#(?:0*([0-9]{1,7})|x0*([0-9a-fA-F]{1,6}))\Z")
+
+
+def _char_reference(name: str) -> Optional[str]:
+    """The character ``&name;`` stands for (*name* starts with ``#``);
+    ``None`` unless it is digits that name an XML ``Char``."""
+    match = _CHAR_REF.match(name)
+    if match is None:
+        return None
+    code = int(match[1]) if match[1] else int(match[2], 16)
+    if (
+        code in (0x9, 0xA, 0xD)
+        or 0x20 <= code <= 0xD7FF
+        or 0xE000 <= code <= 0xFFFD
+        or 0x10000 <= code <= 0x10FFFF
+    ):
+        return chr(code)
+    return None
+
+
+def decode_entities(raw: str, pos: int = 0, entities: dict = _PREDEFINED) -> str:
+    """Decode the entity and character references in *raw*, which
+    starts at offset *pos* of its document."""
+    amp = raw.find("&")
+    if amp == -1:
+        return raw
+    out: list[str] = []
+    done = 0
+    while amp != -1:
+        end = raw.find(";", amp + 1)
+        if end == -1:
+            raise XMLSyntaxError("unterminated entity reference", pos + amp)
+        name = raw[amp + 1 : end]
+        if name.startswith("#"):
+            value = _char_reference(name)
+            if value is None:
+                raise XMLSyntaxError(f"bad character reference &{name};", pos + amp)
+        else:
+            value = entities.get(name)
+            if value is None:
+                raise XMLSyntaxError(f"unknown entity &{name};", pos + amp)
+        out.append(raw[done:amp])
+        out.append(value)
+        done = end + 1
+        amp = raw.find("&", done)
+    out.append(raw[done:])
+    return "".join(out)
+
+
+def _valid_name(name: str) -> bool:
+    return (
+        bool(name)
+        and (name[0].isalpha() or name[0] in "_:")
+        and all(ch.isalnum() or ch in "_:.-" for ch in name)
+    )
+
+
+# ----------------------------------------------------------------------
+# The tokenizer
 # ----------------------------------------------------------------------
 
 _CHUNK = 1 << 16
 
-#: The whitespace the tree parser skips inside and between markup.
+#: The whitespace XML allows inside and between markup.
 _WS = " \t\r\n"
+_NOT_WS = re.compile(r"[^ \t\r\n]")
 
+#: What ends a start tag or a DTD declaration (``>``) and the head of a
+#: DOCTYPE (``[`` or ``>``) — or opens a quoted value that may hold one.
+_TAG_STOP = re.compile(r"""[>"']""")
+_DOCTYPE_STOP = re.compile(r"""[\[>"']""")
 
-def _valid_name(name: str) -> bool:
-    """Is *name* one the tree parser's ``_read_name`` reads whole?"""
-    return bool(name) and _is_name_start(name[0]) and all(map(_is_name_char, name))
+#: The inside of ``<!ENTITY name "value">`` after the keyword.
+_ENTITY_DECL = re.compile(
+    r"""[ \t\r\n]+([^ \t\r\n%"']+)[ \t\r\n]+(?:"([^"]*)"|'([^']*)')[ \t\r\n]*\Z"""
+)
 
 
 class _StreamScanner:
-    """Incremental XML tokenizer over a text stream.
+    """The XML tokenizer: the one loop every entry point reads through.
 
-    Keeps a buffer with a read position; the consumed prefix is dropped
-    only when more input is needed, so tokenizing is amortized linear.
-    Buffer size stays bounded by the chunk size plus the largest single
-    token (tag, comment or text run between tags).
+    *source* is a string — which then **is** the buffer, read in place
+    from *offset* and never copied — or a text stream, read in
+    ``_CHUNK`` pieces into a buffer whose consumed prefix is dropped
+    only when more input is needed, so tokenizing is amortized linear
+    and the buffer stays bounded by the chunk size plus the largest
+    single token (tag, comment or text run between tags).
 
-    Accepts exactly what the tree parser accepts (the differential in
-    ``tests/test_xmltree_sax.py`` holds both to one table): names are
-    validated, every end tag is checked against the element it closes,
-    a start tag ends at the first ``>`` outside a quoted attribute
-    value and a DOCTYPE at the first ``>`` outside its bracketed
-    internal subset — wherever a chunk refill falls.
+    What is well-formed does not depend on where a refill falls
+    (``tests/test_xmltree_sax.py::TestOneTokenizerContract``): names
+    are validated, every end tag is checked against the element it
+    closes, and a start tag or a declaration ends at the first ``>``
+    outside a quoted value.
     """
 
-    def __init__(self, stream: IO[str], strip_whitespace: bool):
-        self.stream = stream
-        self.buf = ""
-        self.pos = 0        # read position within buf
+    def __init__(self, source: Union[str, IO[str]], strip_whitespace: bool, offset: int = 0):
+        if isinstance(source, str):
+            self.stream, self.buf, self.eof = None, source, True
+        else:
+            self.stream, self.buf, self.eof = source, "", False
+        self.pos = offset   # read position within buf
         self.base = 0       # absolute offset of buf[0], for errors
-        self.eof = False
         self.strip = strip_whitespace
         #: Names that passed validation (an element's mapped to its
         #: canonical string): a document has few distinct names, so
@@ -167,20 +253,19 @@ class _StreamScanner:
         #: costs one lookup.
         self.names: dict[str, str] = {}
         self.attr_names: set[str] = set()
+        self.entities = _PREDEFINED
 
     def _fill(self) -> bool:
         """Compact and read one more chunk; False at end of input."""
-        if self.pos:
-            self.base += self.pos
-            self.buf = self.buf[self.pos :]
-            self.pos = 0
         if self.eof:
             return False
         chunk = self.stream.read(_CHUNK)
         if not chunk:
             self.eof = True
             return False
-        self.buf += chunk
+        self.base += self.pos
+        self.buf = self.buf[self.pos :] + chunk
+        self.pos = 0
         return True
 
     def _find(self, token: str, offset: int) -> int:
@@ -190,16 +275,47 @@ class _StreamScanner:
         compacts; on a miss the buffer is compacted and refilled, and
         the search resumes with a small overlap.
         """
-        start = self.pos + offset
         while True:
-            idx = self.buf.find(token, start)
+            idx = self.buf.find(token, self.pos + offset)
             if idx != -1:
                 return idx
-            start = max(start, len(self.buf) - len(token) + 1)
-            before = self.pos
+            # An offset, not an index: the refill compacts the buffer.
+            offset = max(offset, len(self.buf) - len(token) + 1 - self.pos)
             if not self._fill():
                 return -1
-            start -= before  # account for the compaction shift
+
+    def _search(self, pattern: "re.Pattern[str]", offset: int) -> Optional["re.Match[str]"]:
+        """:meth:`_find` for a one-character *pattern*; None at EOF."""
+        while True:
+            found = pattern.search(self.buf, self.pos + offset)
+            if found is not None:
+                return found
+            offset = len(self.buf) - self.pos
+            if not self._fill():
+                return None
+
+    def _find_unquoted(self, stops: "re.Pattern[str]", offset: int, what: str) -> int:
+        """The first character *stops* matches at or after ``pos +
+        offset`` that is outside a quoted value: where the *what* at
+        ``pos`` ends."""
+        while True:
+            found = self._search(stops, offset)
+            if found is None:
+                raise self._error(f"unterminated {what}")
+            if found[0] not in "\"'":
+                return found.start()
+            # Offsets, not indices: a refill compacts the buffer.
+            close = self._find(found[0], found.start() - self.pos + 1)
+            if close == -1:
+                raise self._error(f"unterminated quoted value in {what}")
+            offset = close - self.pos + 1
+
+    def _skip_past(self, close: str, offset: int, what: str) -> None:
+        """Move past the *close* that ends the *what* at ``pos``."""
+        end = self._find(close, offset)
+        if end == -1:
+            raise self._error(f"unterminated {what}")
+        self.pos = end + len(close)
 
     def _ensure(self, length: int) -> bool:
         """Make at least *length* characters available at ``pos``."""
@@ -211,45 +327,63 @@ class _StreamScanner:
     def _error(self, message: str) -> XMLSyntaxError:
         return XMLSyntaxError(message, self.base + self.pos)
 
-    def _quoted_tag_end(self, end: int) -> int:
-        """The ``>`` closing the start tag at ``pos`` — the first one
-        outside a quoted attribute value — given *end*, the first one
-        there is."""
-        offset = 1
+    def _read_doctype(self) -> None:
+        """Move past the DOCTYPE at ``pos``.  Of its internal subset
+        (the part in square brackets) the general entity declarations
+        are read; element, attribute-list and notation declarations,
+        comments and PIs are skipped."""
+        at = self._find_unquoted(_DOCTYPE_STOP, 9, "DOCTYPE")
+        self.pos = at + 1
+        if self.buf[at] == ">":
+            return
         while True:
-            double = self.buf.find('"', self.pos + offset, end)
-            single = self.buf.find("'", self.pos + offset, end)
-            if double == single:  # neither: both are -1
-                return end
-            quote = single if double == -1 or -1 < single < double else double
-            # Offsets, not indices: a refill may compact the buffer.
-            close = self._find(self.buf[quote], quote - self.pos + 1)
-            if close == -1:
-                raise self._error("unterminated attribute value")
-            offset = close - self.pos + 1
-            end = self._find(">", offset)
-            if end == -1:
-                raise self._error("unterminated start tag")
-
-    def _skip_doctype(self) -> None:
-        """Past the ``>`` that ends the DOCTYPE at ``pos``, an internal
-        subset in square brackets skipped whole (what the tree
-        parser's ``_skip_doctype`` does)."""
-        offset = len("<!DOCTYPE")
-        depth = 0
-        while True:
-            if self.pos + offset >= len(self.buf) and not self._fill():
+            found = self._search(_NOT_WS, 0)
+            if found is None:
                 raise self._error("unterminated DOCTYPE")
-            for at in range(self.pos + offset, len(self.buf)):
-                ch = self.buf[at]
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                elif ch == ">" and depth <= 0:
-                    self.pos = at + 1
-                    return
-            offset = len(self.buf) - self.pos
+            self.pos = found.start()
+            self._ensure(8)
+            head = self.buf[self.pos : self.pos + 8]
+            if head[0] == "]":
+                self._skip_past(">", 1, "DOCTYPE")
+                return
+            if head.startswith("<!--"):
+                self._skip_past("-->", 4, "comment")
+            elif head.startswith("<?"):
+                self._skip_past("?>", 2, "processing instruction")
+            elif head.startswith("<!"):
+                end = self._find_unquoted(_TAG_STOP, 2, "declaration")
+                if head == "<!ENTITY":
+                    self._declare_entity(self.buf[self.pos + 8 : end])
+                self.pos = end + 1
+            elif head[0] == "%":
+                raise self._error("parameter entities are not supported")
+            else:
+                raise self._error("unrecognized markup in DOCTYPE")
+
+    def _declare_entity(self, body: str) -> None:
+        """``<!ENTITY name "value">``: ``&name;`` is *value* from here
+        on.  The value is text — its character references are decoded
+        now and it is never scanned again, for markup or for further
+        entities, so no reference can expand into more than it says."""
+        match = _ENTITY_DECL.match(body)
+        if match is None:
+            words = body.split()
+            if words[:1] == ["%"]:
+                raise self._error("parameter entities are not supported")
+            if words[1:2] in (["SYSTEM"], ["PUBLIC"]):
+                raise self._error("external entities are not supported")
+            raise self._error("malformed entity declaration")
+        name, double, single = match.groups()
+        value = single if double is None else double
+        if not _valid_name(name):
+            raise self._error("expected a name")
+        if "<" in value:
+            raise self._error(f"'<' in the value of entity &{name};")
+        value = decode_entities(value, self.base + self.pos)
+        if self.entities is _PREDEFINED:
+            self.entities = dict(_PREDEFINED)
+        # The first declaration of a name binds; a predefined one wins.
+        self.entities.setdefault(name, value)
 
     def _parse_tag_body(self, raw: str) -> tuple[str, dict]:
         """Parse ``name a="v" b='w'`` (the inside of a start tag)."""
@@ -277,6 +411,8 @@ class _StreamScanner:
                 if not _valid_name(attr_name):
                     raise self._error("expected a name")
                 self.attr_names.add(attr_name)
+            if attr_name in attrs:
+                raise self._error(f"duplicate attribute {attr_name} in <{name}>")
             j = eq + 1
             while j < n and raw[j] in _WS:
                 j += 1
@@ -285,10 +421,17 @@ class _StreamScanner:
             close = raw.find(raw[j], j + 1)
             if close == -1:
                 raise self._error(f"unterminated attribute value in <{name}>")
-            attrs[attr_name] = decode_entities(raw[j + 1 : close], self.base + self.pos)
+            # raw[0] sits one past the tag's '<', the value one past its quote.
+            attrs[attr_name] = decode_entities(
+                raw[j + 1 : close], self.base + self.pos + j + 2, self.entities
+            )
             i = close + 1
 
-    def events(self) -> Iterator[SAXEvent]:
+    def events(self, fragment: bool = False) -> Iterator[SAXEvent]:
+        """The events of the document — or, with *fragment*, of the one
+        element that starts at ``pos``: the scan stops right behind its
+        end tag, where it leaves ``pos``, and whatever follows is not
+        looked at."""
         yield StartDocument()
         open_names: list[str] = []
         names = self.names
@@ -306,15 +449,13 @@ class _StreamScanner:
                 raw = self.buf[self.pos : lt]
                 if open_names:
                     if not self.strip or not raw.isspace():
-                        yield TextEvent(
-                            decode_entities(raw, self.base + self.pos) if "&" in raw else raw
-                        )
+                        yield TextEvent(decode_entities(raw, self.base + self.pos, self.entities))
                 elif raw.strip(_WS):
                     raise self._error("text outside the root element")
                 self.pos = lt
             # Markup starting at buf[pos] == '<'.
             self._ensure(2)
-            next_char = self.buf[self.pos + 1] if self.pos + 1 < len(self.buf) else ""
+            next_char = self.buf[self.pos + 1 : self.pos + 2]
             if next_char == "/":
                 end = self._find(">", 2)
                 if end == -1:
@@ -333,18 +474,16 @@ class _StreamScanner:
                 self.pos = end + 1
                 yield EndElement(open_names.pop())
                 if not open_names:
+                    if fragment:
+                        return
                     seen_root = True
                 continue
             if next_char == "!":
                 self._ensure(9)
                 head = self.buf[self.pos : self.pos + 9]
                 if head.startswith("<!--"):
-                    end = self._find("-->", 4)
-                    if end == -1:
-                        raise self._error("unterminated comment")
-                    self.pos = end + 3
-                    continue
-                if head == "<![CDATA[":
+                    self._skip_past("-->", 4, "comment")
+                elif head == "<![CDATA[":
                     if not open_names:
                         raise self._error("CDATA outside the root element")
                     end = self._find("]]>", 9)
@@ -352,16 +491,13 @@ class _StreamScanner:
                         raise self._error("unterminated CDATA section")
                     yield TextEvent(self.buf[self.pos + 9 : end])
                     self.pos = end + 3
-                    continue
-                if head == "<!DOCTYPE" and not open_names:
-                    self._skip_doctype()
-                    continue
-                raise self._error("unrecognized markup")
+                elif head == "<!DOCTYPE" and not open_names:
+                    self._read_doctype()
+                else:
+                    raise self._error("unrecognized markup")
+                continue
             if next_char == "?":
-                end = self._find("?>", 2)
-                if end == -1:
-                    raise self._error("unterminated processing instruction")
-                self.pos = end + 2
+                self._skip_past("?>", 2, "processing instruction")
                 continue
             # Start tag.
             if not open_names and seen_root:
@@ -371,7 +507,7 @@ class _StreamScanner:
                 raise self._error("unterminated start tag")
             raw_tag = self.buf[self.pos + 1 : end]
             if '"' in raw_tag or "'" in raw_tag:
-                end = self._quoted_tag_end(end)
+                end = self._find_unquoted(_TAG_STOP, 1, "start tag")
                 raw_tag = self.buf[self.pos + 1 : end]
             self_closing = raw_tag.endswith("/")
             if self_closing:
@@ -386,6 +522,8 @@ class _StreamScanner:
             if self_closing:
                 yield EndElement(name)
                 if not open_names:
+                    if fragment:
+                        return
                     seen_root = True
             else:
                 open_names.append(name)
@@ -404,9 +542,7 @@ def iter_sax_file(
 
 def iter_sax_string(source: str, strip_whitespace: bool = True) -> Iterator[SAXEvent]:
     """Stream SAX events from an in-memory string."""
-    import io
-
-    yield from _StreamScanner(io.StringIO(source), strip_whitespace).events()
+    return _StreamScanner(source, strip_whitespace).events()
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,10 @@ are interned here into dense ids:
 One process-wide table (:func:`global_symbols`) is the default: ids
 only ever grow, an id never changes meaning, and a DFA transition table
 keyed by ``(state-set id, symbol id)`` therefore stays valid across
-documents, engines and stores for the life of the process.  Both the
-tree parser (:mod:`repro.xmltree.parser`) and the SAX scanner
-(:mod:`repro.xmltree.sax`) populate it as they read input, so by the
-time an automaton runs, its alphabet is already dense ints.
+documents, engines and stores for the life of the process.  The XML
+tokenizer (:mod:`repro.xmltree.sax`, which every parse entry point
+reads through) populates it as it reads input, so by the time an
+automaton runs, its alphabet is already dense ints.
 
 Grow-only is a deliberate trade-off: evicting a symbol would invalidate
 every compiled table that mentions it.  Memory is bounded by the number

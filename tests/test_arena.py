@@ -77,7 +77,7 @@ class TestLoadPaths:
     def test_parser_load_path_keeps_error_behavior(self):
         with pytest.raises(XMLSyntaxError, match="mismatched end tag"):
             parse_to_arena("<a><b></c></a>")
-        with pytest.raises(XMLSyntaxError, match="content after"):
+        with pytest.raises(XMLSyntaxError, match="multiple root elements"):
             parse_to_arena("<a/><b/>")
 
     def test_sax_scanner_load_path(self):

@@ -13,6 +13,7 @@ min/max.
 
 import json
 import os
+import subprocess
 import sys
 import time
 import urllib.request
@@ -48,6 +49,8 @@ CATALOG = (
 )
 
 QUERY = "for $x in part/supplier return $x"
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _wait_for(fn, timeout=5.0):
@@ -443,6 +446,40 @@ class TestExposition:
                 urllib.request.urlopen(f"http://{host}:{port}/nope", timeout=5)
         finally:
             server.stop()
+
+    def test_import_repro_does_not_import_an_http_stack(self):
+        """``http.server`` pulls ``email``, ``ssl`` and ``mimetypes``
+        into the process (≈ 7 MB resident); only ``--expose`` needs it."""
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import repro, sys; "
+             "print([m for m in ('http.server', 'ssl', 'email') if m in sys.modules])"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, check=True,
+        )
+        assert loaded.stdout.strip() == "[]"
+
+    def test_repro_serve_expose_still_answers_healthz(self, tmp_path):
+        state, port_file = str(tmp_path / "state"), tmp_path / "expose-port"
+        catalog = tmp_path / "catalog.xml"
+        catalog.write_text(CATALOG, encoding="utf-8")
+        assert cli.main(
+            ["store", "load", "-n", "db", "-i", str(catalog), "--state", state]
+        ) == 0
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--state", state, "--port", "0",
+             "--expose", "--expose-port-file", str(port_file)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            port = _wait_for(
+                lambda: port_file.exists() and port_file.read_text().strip(), timeout=60
+            )
+            health = urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz", timeout=5)
+            assert health.read() == b"ok\n"
+        finally:
+            serve.terminate()
+            serve.wait(timeout=30)
 
 
 # ----------------------------------------------------------------------
