@@ -11,7 +11,7 @@ one pre-order loop with local-variable state:
   string, no hash);
 * the transition is one dict hit on the memoized move table;
 * an empty target set **skips the whole subtree** by jumping
-  ``i = end[i]`` — the paper's pruning, now a single int assignment
+  ``i += size[i]`` — the paper's pruning, now a single int addition
   over the contiguous pre-order range;
 * the only per-node allocation is appending a matched index;
 * a qualifier on a step is **read, not recomputed, per candidate**:
@@ -92,7 +92,7 @@ def select_indices(
     node: it moves ``i`` to the next :meth:`~repro.xmltree.arena.
     FrozenDocument.postings` entry of ``R(T)`` inside the open range,
     or to the range's end.  A node entering a jumpable set whose own
-    range holds no such entry is left at once (``i = end[i]``) rather
+    range holds no such entry is left at once (``i += size[i]``) rather
     than opened.  ``cursor`` keeps, per ``R(T)``, the last answer: the
     walk only moves forward, so an answer at or past ``i`` still
     stands and the postings are searched once per jump, not per
@@ -138,9 +138,9 @@ def select_indices(
     cursor: dict = {}
     truth = ScanTruth()
     sym = arena.sym
-    end = arena.end
+    size = arena.size
     append = out.append
-    limit = end[context]
+    limit = context + size[context]
     visited = 0  # elements stepped into a non-empty set ...
     pruned = 0   # ... and into the empty one
     skipped = 0
@@ -195,12 +195,12 @@ def select_indices(
             set_id = move.target0
         if set_id == empty_id:
             pruned += 1
-            i = end[i]  # prune: the whole subtree range, skipped
+            i += size[i]  # prune: the whole subtree range, skipped
             continue
         visited += 1
         if final_flags[set_id]:
             append(i)
-        e = end[i]
+        e = i + size[i]
         i += 1
         # A node holding its parent's set is not opened: the stack
         # only restores a set, and there is none to restore.

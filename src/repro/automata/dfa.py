@@ -513,8 +513,8 @@ class LazyDFA:
         if self.set_guard[set_id][1]:
             # A member deeper than a child sits inside a child that is
             # either pruned or opened — into a set with its own holder.
-            parent = arena.parent
-            while k < count and ordered[k] < hi and parent[ordered[k]] != holder:
+            up = arena.up
+            while k < count and ordered[k] < hi and ordered[k] - up[ordered[k]] != holder:
                 k += 1
         return ordered[k] if k < count else hi
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["ChainVersion", "CommitDelta", "VersionChain", "sharing_stats"]
 
@@ -97,12 +97,17 @@ class VersionChain:
         self._entries: List[ChainVersion] = []
         self._lock = threading.Lock()
 
-    def record(self, entry: ChainVersion) -> None:
+    def record(self, entry: ChainVersion) -> List[ChainVersion]:
         """Append (a document installs each version exactly once, in
-        order) and trim to the retention limit, oldest first."""
+        order) and trim to the retention limit, oldest first.  Returns
+        the entries trimmed off: the caller lets them go once it holds
+        no lock, so freeing an evicted arena never stalls a reader's
+        ``pin()``."""
         with self._lock:
             self._entries.append(entry)
+            evicted = self._entries[: -self.limit]
             del self._entries[: -self.limit]
+        return evicted
 
     def find(self, version: int) -> Optional[ChainVersion]:
         with self._lock:
@@ -130,14 +135,22 @@ class VersionChain:
             return len(self._entries)
 
 
+def _columns(arena: Any) -> Tuple[Any, ...]:
+    """The column objects of one arena that a version may share."""
+    return (
+        arena.sym, arena.up, arena.size, arena.payload, arena.attr_keys,
+        arena.attr_values,
+    )
+
+
 def sharing_stats(entries: List[ChainVersion]) -> Dict[str, Any]:
     """Shared vs owned byte accounting across consecutive chain entries.
 
-    A column (or payload string) in entry *k* counts as **shared**
-    when the identical object already appears in entry *k-1* — the
-    structural-sharing guarantee ``repro store stat`` surfaces.  The
-    first entry is all owned by definition.  ``per_version`` carries
-    the same split per entry, oldest first.
+    A column (or payload string, or attribute tuple) in entry *k*
+    counts as **shared** when the identical object already appears in
+    entry *k-1* — the structural-sharing guarantee ``repro store stat``
+    surfaces.  The first entry is all owned by definition.
+    ``per_version`` carries the same split per entry, oldest first.
     """
     shared = 0
     owned = 0
@@ -151,16 +164,13 @@ def sharing_stats(entries: List[ChainVersion]) -> Dict[str, Any]:
         prev_strings: Set[int] = set()
         prev_tuples: Set[int] = set()
         if prev is not None:
-            prev_cols = {
-                id(prev.sym), id(prev.parent), id(prev.end),
-                id(prev.payload), id(prev.attrs),
-            }
+            prev_cols = {id(column) for column in _columns(prev)}
             for value in prev.payload:
                 if value is not None:
                     prev_strings.add(id(value))
-            for flat in prev.attrs.values():
+            for flat in prev.attr_values:
                 prev_tuples.add(id(flat))
-        for column in (arena.sym, arena.parent, arena.end, arena.payload, arena.attrs):
+        for column in _columns(arena):
             size = sys.getsizeof(column)
             if id(column) in prev_cols:
                 entry_shared += size
@@ -176,7 +186,7 @@ def sharing_stats(entries: List[ChainVersion]) -> Dict[str, Any]:
                 entry_shared += size
             else:
                 entry_owned += size
-        for flat in arena.attrs.values():
+        for flat in arena.attr_values:
             size = sys.getsizeof(flat)
             if id(flat) in prev_tuples:
                 entry_shared += size

@@ -453,8 +453,8 @@ def ranges_swallowed_by(
         matches = select_indices(nfa, base_arena)
     except SELECT_ERRORS:
         return False
-    end = base_arena.end
-    top = topmost(matches, end)
+    size = base_arena.size
+    top = topmost(matches, size)
     if not top:
         return False
     for kind, start, stop, attach in ranges:
@@ -463,7 +463,7 @@ def ranges_swallowed_by(
         if i < 0:
             return False
         m = top[i]
-        limit = end[m]
+        limit = m + size[m]
         if anchor >= limit or stop > limit:
             return False
         if kind in ("rename", "replace") and start == m:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from typing import Any, Dict, List, NamedTuple, Optional, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.store.chain import ChainVersion, VersionChain, sharing_stats
 from repro.store.errors import (
@@ -130,10 +130,16 @@ class StoredDocument:
         self.chain = VersionChain()
         self.chain.record(ChainVersion(version, self.uid, arena, "load"))
 
-    def install(self, arena: FrozenDocument, kind: str, touched_nodes: int) -> int:  # holds: self.lock
+    # holds: self.lock
+    def install(
+        self, arena: FrozenDocument, kind: str, touched_nodes: int
+    ) -> Tuple[int, List[ChainVersion]]:
         """Install *arena* as the next committed version (callers hold
         :attr:`lock`) — the one way a document's content ever changes.
-        *kind* is ``"splice"`` or ``"rebuild"`` (how it was derived)."""
+        *kind* is ``"splice"`` or ``"rebuild"`` (how it was derived).
+        Returns the new version and the chain entries it evicted, which
+        the caller drops after releasing :attr:`lock` (freeing an old
+        arena is not work a reader's ``pin()`` should wait behind)."""
         self.version += 1
         self.arena = arena
         self.uid = next(_ARENA_UIDS)
@@ -142,10 +148,10 @@ class StoredDocument:
             self.splices += 1
         else:
             self.arena_builds += 1
-        self.chain.record(
+        evicted = self.chain.record(
             ChainVersion(self.version, self.uid, arena, kind, touched_nodes)
         )
-        return self.version
+        return self.version, evicted
 
     def pin(self, version: Optional[int] = None) -> Snapshot:
         """Pin a committed version for an MVCC reader.

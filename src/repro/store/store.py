@@ -575,13 +575,16 @@ class ViewStore:
                     verdicts = self._delta_verdicts(doc.name, outcome)
                 with doc.lock:
                     self.log.record_commit(doc.name, entries)
-                    version = doc.install(
+                    version, evicted = doc.install(
                         outcome.arena, outcome.kind, outcome.touched_nodes
                     )
                     new_uid = doc.uid
                     kept_m, dropped_m = self._rebase_materializations(
                         verdicts, old_version, version
                     )
+                # The version the chain let go is freed here, with no
+                # reader waiting on the document lock behind it.
+                del evicted
             except BaseException:
                 # The commit did not install: put the consumed entries
                 # back so a retry commits the same sequence, and cancel

@@ -102,21 +102,22 @@ def _segment_for(update: Any, symbols: SymbolTable) -> SpliceSegment:
 def _chain(arena: FrozenDocument, index: int, seen: Set[int]) -> None:
     """Add *index* and its ancestors to *seen* (a walk stops where an
     earlier one already passed)."""
-    parent = arena.parent
+    up = arena.up
     c = index
     while c >= 0 and c not in seen:
         seen.add(c)
-        c = parent[c]
+        c -= up[c]
 
 
-def topmost(matches: List[int], end: Any) -> List[int]:
-    """Filter doc-order matches to topmost-wins (delete/replace)."""
+def topmost(matches: List[int], size: Any) -> List[int]:
+    """Filter doc-order matches to topmost-wins (delete/replace);
+    *size* is the arena's subtree-size column."""
     top: List[int] = []
     boundary = 0
     for m in matches:
         if m >= boundary:
             top.append(m)
-            boundary = end[m]
+            boundary = m + size[m]
     return top
 
 
@@ -138,18 +139,18 @@ def transform_arena(arena: FrozenDocument, update: Any, nfa: Any) -> ArenaStep:
         return ArenaStep(arena, 0, ranges, set())
     with span("splice"):
         sym = arena.sym
-        parent = arena.parent
-        end = arena.end
+        up = arena.up
+        size = arena.size
         kind = update.kind
         segment: Optional[SpliceSegment] = None
         if kind in ("insert", "replace"):
             segment = _segment_for(update, arena.symbols)
         if kind == "insert":
-            spans = [(end[m], end[m], m) for m in matches]
+            spans = [(m + size[m], m + size[m], m) for m in matches]
         elif kind == "rename":
-            spans = [(m, m + 1, parent[m]) for m in matches]
+            spans = [(m, m + 1, m - up[m]) for m in matches]
         else:  # delete / replace: topmost match wins
-            spans = [(m, end[m], parent[m]) for m in topmost(matches, end)]
+            spans = [(m, m + size[m], m - up[m]) for m in topmost(matches, size)]
             if spans[0][0] == 0:
                 # The whole document is the delta; nothing to share.
                 raise ArenaTransformError("root", "update removes the document root")

@@ -10,27 +10,35 @@ sequence instead:
 * ``sym``     — ``array('i')``: the interned symbol id of an element's
   label (:mod:`repro.xmltree.symbols`), or ``-1`` for a text node —
   the node-kind column and the label column in one;
-* ``parent``  — ``array('i')``: the pre-order index of the parent
-  (``-1`` at the root);
-* ``end``     — ``array('i')``: the **pre-order range** of the
-  subtree: node ``i`` spans exactly the contiguous index range
-  ``[i, end[i])``.  Child iteration is ``j = i + 1; j = end[j]; …`` —
-  no child lists exist at all;
+* ``up``      — ``array('i')``: how far back the parent is, ``i -
+  parent``, so the parent of ``i`` is ``i - up[i]`` (``up[0] == 1``:
+  ``-1`` at the root);
+* ``size``    — ``array('i')``: the length of the **pre-order range**
+  of the subtree: node ``i`` spans exactly the contiguous index range
+  ``[i, i + size[i])``.  Child iteration is ``j = i + 1; j +=
+  size[j]; …`` — no child lists exist at all;
 * ``payload`` — one pointer column for the string a node contributes:
   a text node's PCDATA value, or an element's precomputed *own text*
   (the concatenation of its immediate text children — the value
   qualifier comparisons use), so a ``price < 15`` check is one list
   index, not a child scan.  The two never coexist on one node, which
   is why a single column holds both;
-* ``attrs``   — a sparse ``{index: (k1, v1, k2, v2, …)}`` map of flat
-  attribute tuples; most nodes carry no attributes and pay nothing,
-  and a one-attribute node pays a 2-tuple, not a dict.
+* ``attr_keys`` / ``attr_values`` — the attributes, sparse: the sorted
+  ``array('i')`` of the elements that carry any, and beside it the
+  list of their flat ``(k1, v1, k2, v2, …)`` tuples.  Most nodes carry
+  no attributes and pay nothing, and a one-attribute node pays a
+  2-tuple, not a dict.
 
-The pre-order range column is the arena form of the paper's "simply
-copied to the result" subtree sharing: a subtree the automaton proves
-untouched is a contiguous ``[i, end[i])`` slice that downstream code
-(the serializer fast path, :func:`splice`) copies — or skips — as a
-range, without visiting its nodes.
+``up`` and ``size`` are *relative*: a node's lanes say nothing about
+where the node sits, only how far its parent and its subtree's end are.
+A subtree moved as a block keeps every lane — which is what lets
+:func:`splice` derive the next version by copying bytes.
+
+The pre-order range is the arena form of the paper's "simply copied to
+the result" subtree sharing: a subtree the automaton proves untouched
+is a contiguous ``[i, i + size[i])`` slice that downstream code (the
+serializer fast path, :func:`splice`) copies — or skips — as a range,
+without visiting its nodes.
 
 The builder also **deduplicates strings**: XMark-shaped data repeats
 text values and attribute names/values heavily, and the Node parser
@@ -44,16 +52,31 @@ what lets :class:`repro.store.documents.StoredDocument` hand the same
 arena object to any number of concurrent readers as a zero-copy
 snapshot of one committed version.  The one exception is **derived
 caches** — values computed from the columns on first use (the cached
-byte counts, and the per-label :meth:`~FrozenDocument.
-postings` the jump scans ask for).  They live on the document object,
+byte counts, the per-label :meth:`~FrozenDocument.postings` the jump
+scans ask for, and the ``{index: tuple}`` :meth:`~FrozenDocument.
+attr_map` point lookups read).  They live on the document object,
 never on a column (``rename_splice`` aliases columns into the next
 version, where a cache derived from the old ``sym`` would be wrong),
-and they are published idempotently: two readers racing on a first use
-compute equal values and either write is valid.  A ``splice`` hands
-the postings its base has built to the version it returns, carried
-(:func:`carry_indices`), and a ``rename_splice`` shares those of the
-labels it left alone — before the new version is visible to anyone, so
-the readers after a commit find the index as warm as those before it.
+they are never counted in ``nbytes()``, and they are published
+idempotently: two readers racing on a first use compute equal values
+and either write is valid.  A ``splice`` hands the postings its base
+has built to the version it returns, carried (:func:`carry_indices`),
+and a ``rename_splice`` shares those of the labels it left alone —
+before the new version is visible to anyone, so the readers after a
+commit find the index as warm as those before it.
+
+**The splice contract.**  :func:`splice` emits every column the same
+way: the untouched prefix, then per kept piece and per segment a raw
+byte slice, joined — payload strings and attribute tuples shared by
+reference with the base.  Only **three kinds of pointwise fixups**
+follow, all on lanes whose value really changes: a chain node (an
+ancestor-or-self of an attach point) has its ``size`` grown by the net
+of the patches inside it; a piece's top-level root (a kept node whose
+parent lies before its piece) has its ``up`` re-pointed at where that
+parent landed; a segment's root has its ``up`` set to its attach
+point.  Every other kept lane is the base's lane, copied — O(touched +
+ancestors) point-writes on top of memory copies.  The attribute key
+column is moved like any index list (:func:`carry_indices`).
 
 Construction never builds an intermediate ``Node`` tree: the
 tokenizer's event stream drives a :class:`FrozenBuilder` directly
@@ -102,32 +125,35 @@ class FrozenDocument:
     freely.  Index 0 is always the root element.
     """
 
-    # unguarded[_postings]: a derived cache over immutable columns with idempotent inserts; racing first uses compute equal lists (last write wins, both valid), and splice/rename_splice fill a new version's before anyone else holds it
+    # unguarded[_postings, _attr_map]: derived caches over immutable columns with idempotent inserts; racing first uses compute equal values (last write wins, both valid), and splice/rename_splice fill a new version's postings before anyone else holds it
 
     __slots__ = (
-        "symbols", "sym", "parent", "end", "payload", "attrs",
-        "n_elements", "_nbytes", "_postings",
+        "symbols", "sym", "up", "size", "payload", "attr_keys", "attr_values",
+        "n_elements", "_nbytes", "_postings", "_attr_map",
     )
 
     def __init__(
         self,
         symbols: SymbolTable,
         sym: array,
-        parent: array,
-        end: array,
+        up: array,
+        size: array,
         payload: list,
-        attrs: dict,
+        attr_keys: array,
+        attr_values: list,
         n_elements: int,
     ):
         self.symbols = symbols
         self.sym = sym
-        self.parent = parent
-        self.end = end
+        self.up = up
+        self.size = size
         self.payload = payload
-        self.attrs = attrs
+        self.attr_keys = attr_keys
+        self.attr_values = attr_values
         self.n_elements = n_elements
         self._nbytes: Optional[dict] = None
         self._postings: dict[tuple, array] = {}
+        self._attr_map: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Node access
@@ -144,6 +170,14 @@ class FrozenDocument:
         """The canonical (interned) label of element *i*."""
         return self.symbols.strings[self.sym[i]]
 
+    def parent_of(self, i: int) -> int:
+        """The pre-order index of *i*'s parent (``-1`` at the root)."""
+        return i - self.up[i]
+
+    def end_of(self, i: int) -> int:
+        """The end of *i*'s subtree range ``[i, end_of(i))``."""
+        return i + self.size[i]
+
     def own_text(self, i: int) -> str:
         """Element *i*'s own text (the qualifier comparison value)."""
         return self.payload[i]
@@ -152,10 +186,20 @@ class FrozenDocument:
         """Text node *i*'s PCDATA value."""
         return self.payload[i]
 
+    def attr_map(self) -> dict:
+        """``{index: flat attribute tuple}`` for this version — built
+        from the attribute columns the first time a point lookup asks,
+        then kept (a derived cache: outside ``nbytes()``, never carried
+        into a spliced version)."""
+        found = self._attr_map
+        if found is None:
+            found = self._attr_map = dict(zip(self.attr_keys, self.attr_values))
+        return found
+
     def attrs_of(self, i: int) -> dict:
         """Element *i*'s attributes as a fresh dict (the columns store
         them as flat tuples; hot paths iterate those directly)."""
-        flat = self.attrs.get(i)
+        flat = self.attr_map().get(i)
         if not flat:
             return {}
         return {flat[k]: flat[k + 1] for k in range(0, len(flat), 2)}
@@ -163,7 +207,7 @@ class FrozenDocument:
     def attr(self, i: int, name: str) -> Optional[str]:
         """One attribute value (linear scan of the flat tuple — the
         tuples are tiny, and this beats building a dict)."""
-        flat = self.attrs.get(i)
+        flat = self.attr_map().get(i)
         if flat:
             for k in range(0, len(flat), 2):
                 if flat[k] == name:
@@ -172,37 +216,36 @@ class FrozenDocument:
 
     def child_elements(self, i: int) -> Iterator[int]:
         """Pre-order indices of element *i*'s element children."""
-        end = self.end
+        size = self.size
         sym = self.sym
         j = i + 1
-        limit = end[i]
+        limit = i + size[i]
         while j < limit:
             if sym[j] >= 0:
                 yield j
-            j = end[j]
+            j += size[j]
 
     def iter_elements(self, i: int = 0) -> Iterator[int]:
         """All element indices in the subtree range of *i*, pre-order."""
         sym = self.sym
-        for j in range(i, self.end[i]):
+        for j in range(i, i + self.size[i]):
             if sym[j] >= 0:
                 yield j
 
     def depth(self, i: int = 0) -> int:
         """Height of the subtree at *i* (a leaf element has depth 1)."""
-        end = self.end
+        size = self.size
         sym = self.sym
         best = 1
         ends: list[int] = []  # open element ranges, nesting = len(ends)
-        limit = end[i]
-        for j in range(i, limit):
+        for j in range(i, i + size[i]):
             while ends and ends[-1] <= j:
                 ends.pop()
             if sym[j] >= 0:
                 nesting = len(ends) + 1
                 if nesting > best:
                     best = nesting
-                ends.append(end[j])
+                ends.append(j + size[j])
         return best
 
     # ------------------------------------------------------------------
@@ -256,13 +299,14 @@ class FrozenDocument:
 
         ``columns`` counts the int arrays and the payload pointer
         column; ``strings`` the deduplicated payload strings; ``attrs``
-        the flat attribute tuples and their (shared) strings.
+        the attribute key column, the tuple list, the flat tuples and
+        their (shared) strings.
         """
         if self._nbytes is None:
             columns = (
                 sys.getsizeof(self.sym)
-                + sys.getsizeof(self.parent)
-                + sys.getsizeof(self.end)
+                + sys.getsizeof(self.up)
+                + sys.getsizeof(self.size)
                 + sys.getsizeof(self.payload)
             )
             seen: set[int] = set()
@@ -271,8 +315,8 @@ class FrozenDocument:
                 if value is not None and id(value) not in seen:
                     seen.add(id(value))
                     strings += sys.getsizeof(value)
-            attr_bytes = sys.getsizeof(self.attrs)
-            for flat in self.attrs.values():
+            attr_bytes = sys.getsizeof(self.attr_keys) + sys.getsizeof(self.attr_values)
+            for flat in self.attr_values:
                 attr_bytes += sys.getsizeof(flat)
                 for value in flat:
                     if id(value) not in seen:
@@ -294,7 +338,7 @@ class FrozenDocument:
             "nodes": len(self.sym),
             "elements": self.n_elements,
             "texts": len(self.sym) - self.n_elements,
-            "attr_nodes": len(self.attrs),
+            "attr_nodes": len(self.attr_keys),
             "column_bytes": info["columns"],
             "total_bytes": info["total"],
             # The postings built so far: derived, so not part of
@@ -321,17 +365,18 @@ class FrozenBuilder:
     """
 
     __slots__ = (
-        "symbols", "_sym", "_parent", "_end", "_payload", "_attrs",
-        "_stack", "_own_parts", "_elements", "_strings",
+        "symbols", "_sym", "_up", "_size", "_payload", "_attr_keys",
+        "_attr_values", "_stack", "_own_parts", "_elements", "_strings",
     )
 
     def __init__(self, symbols: Optional[SymbolTable] = None):
         self.symbols = symbols if symbols is not None else global_symbols()
         self._sym = array("i")
-        self._parent = array("i")
-        self._end = array("i")
+        self._up = array("i")
+        self._size = array("i")
         self._payload: list = []
-        self._attrs: dict[int, tuple] = {}
+        self._attr_keys = array("i")
+        self._attr_values: list = []
         self._stack: list[int] = []
         self._own_parts: list = []
         self._elements = 0
@@ -343,14 +388,15 @@ class FrozenBuilder:
         if index and not self._stack:
             raise ValueError("multiple root elements in arena input")
         self._sym.append(self.symbols.intern(label))
-        self._parent.append(self._stack[-1] if self._stack else -1)
-        self._end.append(0)  # patched by end()
+        self._up.append(index - self._stack[-1] if self._stack else 1)
+        self._size.append(0)  # patched by end()
         self._payload.append("")  # own text, patched by end()
         if attrs:
             cache = self._strings.setdefault
-            self._attrs[index] = tuple(
+            self._attr_keys.append(index)
+            self._attr_values.append(tuple(
                 cache(part, part) for kv in attrs.items() for part in kv
-            )
+            ))
         self._stack.append(index)
         self._own_parts.append(None)
         self._elements += 1
@@ -363,8 +409,8 @@ class FrozenBuilder:
         index = len(self._sym)
         value = self._strings.setdefault(value, value)
         self._sym.append(-1)
-        self._parent.append(self._stack[-1])
-        self._end.append(index + 1)
+        self._up.append(index - self._stack[-1])
+        self._size.append(1)
         self._payload.append(value)
         parts = self._own_parts[-1]
         if parts is None:
@@ -376,7 +422,7 @@ class FrozenBuilder:
     def end(self) -> None:
         """Close the innermost open element."""
         index = self._stack.pop()
-        self._end[index] = len(self._sym)
+        self._size[index] = len(self._sym) - index
         parts = self._own_parts.pop()
         if parts is not None:
             if len(parts) == 1:
@@ -397,10 +443,11 @@ class FrozenBuilder:
         return FrozenDocument(
             self.symbols,
             array("i", self._sym),
-            array("i", self._parent),
-            array("i", self._end),
+            array("i", self._up),
+            array("i", self._size),
             list(self._payload),
-            self._attrs,
+            array("i", self._attr_keys),
+            list(self._attr_values),
             self._elements,
         )
 
@@ -442,11 +489,11 @@ def thaw(arena: FrozenDocument, i: int = 0) -> Node:
     if sym[i] < 0:
         return Text(arena.payload[i])
     strings = arena.symbols.strings
-    end = arena.end
+    size = arena.size
     payload = arena.payload
     attrs_of = arena.attrs_of
     root = Element(strings[sym[i]], attrs_of(i), [])
-    limit = end[i]
+    limit = i + size[i]
     kids = [root.children]
     ends = [limit]
     j = i + 1
@@ -464,10 +511,9 @@ def thaw(arena: FrozenDocument, i: int = 0) -> Node:
             continue
         node = Element(strings[s], attrs_of(j), [])
         kids[-1].append(node)
-        e = end[j]
-        if e > j + 1:
+        if size[j] > 1:
             kids.append(node.children)
-            ends.append(e)
+            ends.append(j + size[j])
         j += 1
     return root
 
@@ -478,43 +524,35 @@ def thaw(arena: FrozenDocument, i: int = 0) -> Node:
 
 
 class SpliceSegment:
-    """A frozen subtree in *relative* column form, ready to splice.
+    """A frozen subtree, ready to splice.
 
-    Produced by :func:`freeze_segment`.  ``parent`` holds offsets
-    relative to the segment's own first node (``-1`` at the segment
-    root — rewired to the attach point at splice time) and ``end``
-    holds relative pre-order ranges, so one segment can be emitted at
-    any output position by adding a base offset.  ``labels`` is the
-    set of element labels the segment introduces — what delta-scoped
-    cache invalidation intersects against.  Immutable by the same
-    contract as :class:`FrozenDocument`; a segment built once from an
-    update's constant content is reused across every match and every
-    commit of that update.
+    Produced by :func:`freeze_segment`: the columns of a
+    :class:`FrozenDocument` whose root is the segment root — already
+    position-independent (``up``/``size`` are relative, the attribute
+    keys count from the segment's first node), so a segment is emitted
+    at any output position as it is, its root's ``up`` the one lane
+    rewired to the attach point.  ``labels`` is the set of element
+    labels the segment introduces — what delta-scoped cache
+    invalidation intersects against.  Immutable by the same contract as
+    :class:`FrozenDocument`; a segment built once from an update's
+    constant content is reused across every match and every commit of
+    that update.
     """
 
     __slots__ = (
-        "symbols", "sym", "parent", "end", "payload", "attrs",
-        "n_elements", "labels",
+        "symbols", "sym", "up", "size", "payload", "attr_keys",
+        "attr_values", "n_elements", "labels",
     )
 
-    def __init__(
-        self,
-        symbols: SymbolTable,
-        sym: array,
-        parent: array,
-        end: array,
-        payload: list,
-        attrs: dict,
-        n_elements: int,
-        labels: frozenset,
-    ):
-        self.symbols = symbols
-        self.sym = sym
-        self.parent = parent
-        self.end = end
-        self.payload = payload
-        self.attrs = attrs
-        self.n_elements = n_elements
+    def __init__(self, doc: FrozenDocument, labels: frozenset):
+        self.symbols = doc.symbols
+        self.sym = doc.sym
+        self.up = doc.up
+        self.size = doc.size
+        self.payload = doc.payload
+        self.attr_keys = doc.attr_keys
+        self.attr_values = doc.attr_values
+        self.n_elements = doc.n_elements
         self.labels = labels
 
     def __len__(self) -> int:
@@ -525,20 +563,11 @@ class SpliceSegment:
 
 
 def freeze_segment(root: Element, symbols: Optional[SymbolTable] = None) -> SpliceSegment:
-    """Columnarize a subtree into splice-ready relative columns.
-
-    A :class:`FrozenBuilder` run starting at index 0 already produces
-    the relative form — the segment root's parent is ``-1`` and every
-    ``end`` is an offset from the segment start — so this is exactly
-    :func:`freeze` plus a label census.
-    """
+    """Columnarize a subtree into a splice segment: :func:`freeze`
+    plus a label census."""
     doc = freeze(root, symbols)
     strings = doc.symbols.strings
-    labels = frozenset(strings[s] for s in doc.sym if s >= 0)
-    return SpliceSegment(
-        doc.symbols, doc.sym, doc.parent, doc.end, doc.payload,
-        doc.attrs, doc.n_elements, labels,
-    )
+    return SpliceSegment(doc, frozenset(strings[s] for s in doc.sym if s >= 0))
 
 
 #: Bytes per ``array('i')`` lane, laid out in native byte order.
@@ -556,9 +585,9 @@ def _moved_lanes(parts: list, shifts: list, sunk: int) -> "array[int]":
 
     SWAR on one big integer: every lane — a pre-order index, a shift
     biased by *sunk*, their sum — is non-negative and far below the top
-    bit, so one big-int addition moves a whole column at C speed and no
-    lane sum carries into its neighbour.  For the subtraction each
-    lane's top bit is set first (a lane smaller than *sunk* then
+    bit, so one big-int addition moves a whole index list at C speed
+    and no lane sum carries into its neighbour.  For the subtraction
+    each lane's top bit is set first (a lane smaller than *sunk* then
     borrows from it, not from its neighbour) and flipped back after,
     which leaves the two's-complement difference in every lane.
     """
@@ -592,7 +621,10 @@ def _segment_postings(seg: "SpliceSegment", syms: tuple, out0: int) -> "array[in
 
 
 # hot-path
-def carry_indices(old: "array[int]", patches: list, cum: list, syms: tuple = ()) -> "array[int]":
+def carry_indices(
+    old: "array[int]", patches: list, cum: list, syms: tuple = (),
+    values: Optional[list] = None,
+):
     """Carry *old* — a sorted ``array('i')`` of pre-order indices into
     ``base`` — across ``splice(base, patches)`` (*patches* and *cum* as
     :func:`splice_applied` hands them back): an entry before a patch
@@ -600,8 +632,11 @@ def carry_indices(old: "array[int]", patches: list, cum: list, syms: tuple = ())
     result says some did).  The one mover of index lists: a label's
     postings (*syms* names the label set, and a segment then
     contributes its own nodes so labelled at the position it was
-    emitted) and a cached answer's ``refs`` (no *syms*: a segment holds
-    no kept node).
+    emitted), a cached answer's ``refs`` (no *syms*: a segment holds
+    no kept node), and the attribute key column — *values* is the
+    tuple list parallel to it, which rides along slice by slice (the
+    tuples shared by reference), a segment contributing its own
+    attributes; the result is then ``(keys, values)``.
 
     Per patch, two bisects and one SWAR add over the run between
     (:func:`_moved_lanes`).
@@ -610,19 +645,30 @@ def carry_indices(old: "array[int]", patches: list, cum: list, syms: tuple = ())
     view = memoryview(old)
     parts: list = []
     shifts: list = []
+    kept: list = []
     at = 0
     for k, (start, stop, _, seg) in enumerate(patches):
         upto = bisect_left(old, start, at)
         parts.append(view[at:upto])
         shifts.append(_lanes(cum[k] + sunk, upto - at))
-        if syms and seg is not None:
+        if values is not None:
+            kept += values[at:upto]
+            if seg is not None:
+                parts.append(seg.attr_keys)
+                shifts.append(_lanes(start + cum[k] + sunk, len(seg.attr_keys)))
+                kept += seg.attr_values
+        elif syms and seg is not None:
             own = _segment_postings(seg, syms, start + cum[k])
             parts.append(own)
             shifts.append(_lanes(sunk, len(own)))
         at = bisect_left(old, stop, upto)
     parts.append(view[at:])
     shifts.append(_lanes(cum[-1] + sunk, len(old) - at))
-    return _moved_lanes(parts, shifts, sunk)
+    moved = _moved_lanes(parts, shifts, sunk)
+    if values is None:
+        return moved
+    kept += values[at:]
+    return moved, kept
 
 
 #: How many nodes of ``sym`` a fresh :meth:`FrozenDocument.postings`
@@ -647,6 +693,20 @@ def _carry_postings(
         spliced._postings[syms] = carry_indices(old, patches, cum, syms)
 
 
+def _raw(column: "array[int]") -> memoryview:
+    """*column*'s bytes, as a view slices of which are byte runs."""
+    return memoryview(column).cast("B")
+
+
+def _joined(parts: list) -> "array[int]":
+    """One ``array('i')`` from byte runs (:func:`_raw` slices), copied
+    in order."""
+    out = array("i")
+    for part in parts:
+        out.frombytes(part)
+    return out
+
+
 def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
     """A new :class:`FrozenDocument` with *patches* applied to *base*.
 
@@ -654,22 +714,25 @@ def splice(base: FrozenDocument, patches: list) -> FrozenDocument:
     *base*'s pre-order indices:
 
     * a **removal** (``stop > start``) drops exactly one subtree range
-      (``stop == base.end[start]``, ``attach == base.parent[start]``)
-      and, when *segment* is not ``None``, emits the segment's nodes
-      in its place (a replace);
+      (``stop == base.end_of(start)``, ``attach ==
+      base.parent_of(start)``) and, when *segment* is not ``None``,
+      emits the segment's nodes in its place (a replace);
     * an **insertion** (``stop == start``, *segment* required) emits
       the segment at position ``start`` as the new last child of
-      element *attach* (which must satisfy ``base.end[attach] ==
+      element *attach* (which must satisfy ``base.end_of(attach) ==
       start``).
 
     Patches must be pairwise disjoint and must never touch the root
-    (``start >= 1``).  Untouched regions are copied as bulk column
-    slices — payload strings and attribute tuples are **shared by
-    reference** with *base* — and only three kinds of pointwise fixups
-    run: parent/end shifts right of the first patch, end growth on the
-    ancestor chain of each attach point, and attribute-key remapping.
-    The returned arena shares *base*'s symbol table; readers holding
-    *base* are unaffected.
+    (``start >= 1``).  Every column is emitted as byte copies — the
+    untouched prefix, each kept piece, each segment — with payload
+    strings and attribute tuples **shared by reference** with *base*;
+    because ``up``/``size`` are relative, a kept lane needs no rewrite
+    for having moved, and only three kinds of pointwise fixups run
+    (module docstring): ``size`` growth on the ancestor chain of each
+    attach point, ``up`` of each piece's top-level roots, ``up`` of
+    each segment root.  The attribute keys move with
+    :func:`carry_indices`.  The returned arena shares *base*'s symbol
+    table; readers holding *base* are unaffected.
     """
     return splice_applied(base, patches)[0]
 
@@ -692,17 +755,17 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
     # (start, -attach).
     patches = sorted(patches, key=lambda p: (p[0], -p[2]))
     sym0 = base.sym
-    par0 = base.parent
-    end0 = base.end
+    up0 = base.up
+    size0 = base.size
     pay0 = base.payload
     n = len(sym0)
 
-    # -- validate, and compute the ancestor-chain end corrections from
-    #    the cumulative shift table.
+    # -- validate, and compute the ancestor-chain size growth from the
+    #    cumulative shift table.
     cum = shift_table(patches)
     stops: list[int] = []          # per-patch boundary, bisect key for shifts
     starts: list[int] = []         # with stops: which removal holds an index
-    corr: dict[int, int] = {}      # kept index -> end growth (ancestor chains)
+    corr: dict[int, int] = {}      # kept index -> size growth (ancestor chains)
     removed_elements = 0
     high_water = 1                 # patches may never touch the root
     for k, (start, stop, attach, seg) in enumerate(patches):
@@ -714,7 +777,10 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
         if stop == start:
             if seg is None:
                 raise ValueError("insertion patch requires a segment")
-            if not (0 <= attach < start and end0[attach] == start and sym0[attach] >= 0):
+            if not (
+                0 <= attach < start and attach + size0[attach] == start
+                and sym0[attach] >= 0
+            ):
                 raise ValueError(
                     f"insertion at {start} must attach to the element whose "
                     f"subtree ends there (got attach={attach})"
@@ -725,15 +791,15 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
                     f"insertion attach {attach} lies inside a removed range"
                 )
         else:
-            if end0[start] != stop:
+            if start + size0[start] != stop:
                 raise ValueError(
                     f"removal [{start}, {stop}) is not one subtree "
-                    f"(end[{start}] == {end0[start]})"
+                    f"(end_of({start}) == {start + size0[start]})"
                 )
-            if attach != par0[start]:
+            if attach != start - up0[start]:
                 raise ValueError(
-                    f"removal patch attach must be parent[{start}] == "
-                    f"{par0[start]}, got {attach}"
+                    f"removal patch attach must be parent_of({start}) == "
+                    f"{start - up0[start]}, got {attach}"
                 )
             removed_elements += (stop - start) - sym0[start:stop].count(-1)
         starts.append(start)
@@ -747,99 +813,77 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
     # another already passed) and push the sums up in reverse pre-order
     # — a node's growth is complete before it is added to its parent's.
     for c in list(corr):
-        c = par0[c]
+        c -= up0[c]
         while c >= 0 and c not in corr:
             corr[c] = 0
-            c = par0[c]
+            c -= up0[c]
     # The same sweep places every chain node: walking backwards, the
     # patches ending at or before it only ever drop off.
     chain_pos: dict[int, int] = {}
     at = len(stops)
     for c in sorted(corr, reverse=True):
-        if par0[c] >= 0:
-            corr[par0[c]] += corr[c]
+        if c:
+            corr[c - up0[c]] += corr[c]
         while at and stops[at - 1] > c:
             at -= 1
         chain_pos[c] = c + cum[at]
 
-    # The output is the untouched prefix [0, first_start) — raw column
-    # slices — followed by the region right of it: kept pieces and
-    # segments, in order, their parent/end lanes gathered next to one
-    # lane of shift each and moved together (:func:`_moved_lanes`).
+    # The output is the untouched prefix, then kept pieces and segments
+    # in order — byte runs of every column, joined.  ``rewired`` collects
+    # the lanes whose ``up`` changes: a piece's top-level roots (the only
+    # kept nodes whose parent lies before their piece, reached by
+    # jumping subtree to subtree — a node strictly inside a subtree
+    # rooted in the piece has its parent in the piece) and each segment
+    # root, as (output index, where its parent landed).
     first_start = patches[0][0]
-    sunk = -min(cum)
-    sym_v, par_v, end_v = memoryview(sym0), memoryview(par0), memoryview(end0)
-    sym_parts: list = []
-    par_parts: list = []
-    end_parts: list = []
-    shifts: list = []
+    sym_v = _raw(sym0)
+    up_v = _raw(up0)
+    size_v = _raw(size0)
+    head = first_start * _LANE
+    sym_parts: list = [sym_v[:head]]
+    up_parts: list = [up_v[:head]]
+    size_parts: list = [size_v[:head]]
     new_pay = pay0[:first_start]
-    segment_attrs: dict = {}
+    rewired: list = []
     n_elements = base.n_elements - removed_elements
-    # The only kept nodes whose parent lies *before* their piece — and
-    # so moves by a different shift — are the piece's top-level subtree
-    # roots, reached by jumping end-to-end.  (A node strictly inside a
-    # subtree rooted in the piece has its parent in the piece.)
-    root_at: list[int] = []
-    root_parent: list[int] = []
     prev = first_start
     for k, (start, stop, attach, seg) in enumerate(patches + [(n, n, -1, None)]):
         if prev < start:
-            sym_parts.append(sym_v[prev:start])
-            par_parts.append(par_v[prev:start])
-            end_parts.append(end_v[prev:start])
-            shifts.append(_lanes(cum[k] + sunk, start - prev))
-            new_pay.extend(pay0[prev:start])
+            lo, hi = prev * _LANE, start * _LANE
+            sym_parts.append(sym_v[lo:hi])
+            up_parts.append(up_v[lo:hi])
+            size_parts.append(size_v[lo:hi])
+            new_pay += pay0[prev:start]
+            # A parent left of its child's piece has a patch in between,
+            # inside its subtree: it is a chain node.
+            shift = cum[k]
             b = prev
             while b < start:
-                root_at.append(b + cum[k])
-                root_parent.append(par0[b])
-                b = end0[b]
+                rewired.append((b + shift, chain_pos[b - up0[b]]))
+                b += size0[b]
         if seg is not None:
-            out0 = start + cum[k]
-            attach_new = chain_pos[attach]
-            sym_parts.append(seg.sym)
-            par_parts.append(array(
-                "i", [attach_new if rel < 0 else out0 + rel for rel in seg.parent]
-            ))
-            end_parts.append(array("i", map(out0.__add__, seg.end)))
-            shifts.append(_lanes(sunk, len(seg.sym)))
-            new_pay.extend(seg.payload)
-            for key, flat in seg.attrs.items():
-                segment_attrs[out0 + key] = flat
+            sym_parts.append(_raw(seg.sym))
+            up_parts.append(_raw(seg.up))
+            size_parts.append(_raw(seg.size))
+            new_pay += seg.payload
+            rewired.append((start + cum[k], chain_pos[attach]))
             n_elements += seg.n_elements
         prev = stop
-    new_sym = sym0[:first_start]
-    new_sym.frombytes(b"".join(sym_parts))
-    new_par = par0[:first_start] + _moved_lanes(par_parts, shifts, sunk)
-    new_end = end0[:first_start] + _moved_lanes(end_parts, shifts, sunk)
-    for at, p in zip(root_at, root_parent):
-        # A parent left of its child's piece has a patch in between,
-        # inside its subtree: it is a chain node.
-        new_par[at] = chain_pos[p]
-
-    # Ancestor-chain end growth: the only kept nodes whose ends move
-    # beyond their piece shift.
+    new_sym = _joined(sym_parts)
+    new_up = _joined(up_parts)
+    new_size = _joined(size_parts)
+    for i, p in rewired:
+        new_up[i] = i - p
     for c, growth in corr.items():
-        new_end[chain_pos[c]] += growth
-
-    # Kept attribute tuples are shared by reference.  Keys left of the
-    # first patch stay where they are — one C-speed dict copy; only the
-    # others are re-keyed or, inside a removal, dropped.
-    new_attrs = dict(base.attrs)
-    right = [k for k in new_attrs if k >= first_start]
-    flats = [new_attrs.pop(k) for k in right]
-    for k, flat in zip(right, flats):
-        # ``at`` patches end at or before k; the next one, if it has
-        # started, is the removal k lies in.
-        at = bisect_right(stops, k)
-        if at == len(stops) or starts[at] > k:
-            new_attrs[k + cum[at]] = flat
-    new_attrs.update(segment_attrs)
+        if growth:
+            new_size[chain_pos[c]] += growth
+    attr_keys, attr_values = carry_indices(
+        base.attr_keys, patches, cum, values=base.attr_values
+    )
 
     spliced = FrozenDocument(
-        base.symbols, new_sym, new_par, new_end, new_pay, new_attrs,
-        n_elements,
+        base.symbols, new_sym, new_up, new_size, new_pay, attr_keys,
+        attr_values, n_elements,
     )
     _carry_postings(base, spliced, patches, cum)
     return spliced, patches, cum
@@ -848,10 +892,10 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
 def rename_splice(base: FrozenDocument, indices: list, new_label: str) -> FrozenDocument:
     """A new frozen version with the elements at *indices* relabeled.
 
-    A rename changes exactly one column: ``parent``/``end``/``payload``/
-    ``attrs`` are **aliased** from *base* (full structural sharing; both
-    arenas are immutable so aliasing is safe), and only ``sym`` is
-    copied and point-written.
+    A rename changes exactly one column: ``up``/``size``/``payload``
+    and the attribute columns are **aliased** from *base* (full
+    structural sharing; both arenas are immutable so aliasing is safe),
+    and only ``sym`` is copied and point-written.
     """
     sym = array("i", base.sym)
     sid = base.symbols.intern(new_label)
@@ -862,8 +906,8 @@ def rename_splice(base: FrozenDocument, indices: list, new_label: str) -> Frozen
         moved.add(sym[i])
         sym[i] = sid
     renamed = FrozenDocument(
-        base.symbols, sym, base.parent, base.end, base.payload,
-        base.attrs, base.n_elements,
+        base.symbols, sym, base.up, base.size, base.payload,
+        base.attr_keys, base.attr_values, base.n_elements,
     )
     # Every other label sits where it sat: its postings are shared
     # with *base* (immutable once published), not re-derived.
@@ -923,11 +967,11 @@ def arena_to_events(
     if document:
         yield StartDocument()
     sym = arena.sym
-    end = arena.end
+    size = arena.size
     payload = arena.payload
     strings = arena.symbols.strings
     attrs_of = arena.attrs_of
-    limit = end[i]
+    limit = i + size[i]
     closes: list = []
     ends: list[int] = []
     j = i
@@ -942,9 +986,8 @@ def arena_to_events(
             continue
         label = strings[s]
         yield StartElement(label, attrs_of(j))
-        e = end[j]
-        if e > j + 1:
-            ends.append(e)
+        if size[j] > 1:
+            ends.append(j + size[j])
             closes.append(EndElement(label))
         else:
             yield EndElement(label)

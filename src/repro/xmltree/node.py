@@ -37,7 +37,7 @@ Design notes (see DESIGN.md §4):
   graph.  The DAG-shaped sharing above and the arena's range column
   are the same paper idea — a subtree the automaton proves untouched
   is "simply copied to the result" — realized once as a shared
-  pointer and once as a raw ``[i, end[i])`` slice; ``freeze``/``thaw``
+  pointer and once as a raw ``[i, i + size[i])`` slice; ``freeze``/``thaw``
   convert between the two.
 """
 

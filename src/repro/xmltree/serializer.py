@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import IO, TYPE_CHECKING, Any, Callable, Optional
 
 from repro.xmltree.node import Element, Node, Text
@@ -102,7 +103,7 @@ def serialize_arena(arena: FrozenDocument, i: int = 0, indent: Optional[str] = N
 
     The fast path of the columnar backend: one pre-order sweep over the
     int columns, no ``thaw`` round-trip, no ``Node`` allocation — an
-    untouched subtree is just its contiguous ``[i, end[i])`` index
+    untouched subtree is just its contiguous ``[i, i + size[i])`` index
     range, streamed out as text.  Byte-identical to
     ``serialize(thaw(arena, i))`` (asserted by the arena test suite);
     pretty-printing is rare enough that it simply takes that route.
@@ -112,7 +113,7 @@ def serialize_arena(arena: FrozenDocument, i: int = 0, indent: Optional[str] = N
 
         return serialize(thaw(arena, i), indent=indent)
     parts: list[str] = []
-    write_arena_range(arena, i, arena.end[i], parts.append)
+    write_arena_range(arena, i, arena.end_of(i), parts.append)
     return "".join(parts)
 
 
@@ -135,16 +136,23 @@ def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Writ
     The column twin of :func:`_emit`, under the same rules: escape only
     values holding a special character, write ``<price>12</price>`` as
     one part, and test for a closing tag against a local (``close_at``,
-    the end of the innermost open element) rather than the stack.
+    the end of the innermost open element) rather than the stack.  The
+    attributes are read with a cursor over the sorted key column: the
+    walk meets every element of the range in order, so the next key is
+    either this element's or one further on.
     """
     sym = arena.sym
-    end = arena.end
+    size = arena.size
     payload = arena.payload
-    attr_map = arena.attrs
+    attr_keys = arena.attr_keys
+    attr_values = arena.attr_values
+    n_keys = len(attr_keys)
     strings = arena.symbols.strings
     closes: list[str] = []
     ends: list[int] = [limit]  # sentinel: never reached inside the loop
     close_at = limit
+    a = bisect_left(attr_keys, start)
+    next_attr = attr_keys[a] if a < n_keys else limit
     j = start
     while j < limit:
         while close_at <= j:
@@ -160,9 +168,13 @@ def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Writ
             j += 1
             continue
         label = strings[s]
-        found = attr_map.get(j)
-        head = f"<{label}{_flat_attr_text(found)}" if found else "<" + label
-        e = end[j]
+        if j == next_attr:
+            head = f"<{label}{_flat_attr_text(attr_values[a])}"
+            a += 1
+            next_attr = attr_keys[a] if a < n_keys else limit
+        else:
+            head = "<" + label
+        e = j + size[j]
         j += 1
         if e == j:
             write(head + "/>")
@@ -193,7 +205,7 @@ def write_arena_file(
         if indent is not None:
             handle.write(serialize_arena(arena, i, indent))
             return
-        write_arena_range(arena, i, arena.end[i], handle.write)
+        write_arena_range(arena, i, arena.end_of(i), handle.write)
         handle.write("\n")
 
 

@@ -11,8 +11,8 @@ documents):
   ``price < 15`` check is one list index plus a comparison, no child
   scan;
 * a child step scans the element's children by hopping pre-order
-  ranges (``j = end[j]``); a descendant step scans the contiguous
-  ``range(i, end[i])`` slice — both are int loops with no per-node
+  ranges (``j += size[j]``); a descendant step scans the contiguous
+  ``range(i, i + size[i])`` slice — both are int loops with no per-node
   allocation; ``//label`` walks the label's postings inside that
   range instead of the range;
 * label tests compare interned **symbol ids**, never strings;
@@ -32,7 +32,8 @@ trade on the arena: a selecting scan that asks the closure decides the
 qualifier again at every candidate it steps on (two child scans and
 four calls each for ``person[profile/age > 60]``); the sweep slices
 the *leaf* label's postings to the range, filters them by the terminal
-comparison, and hops ``parent[]`` once per path step — work bounded by
+comparison, and hops to the parent (``j - up[j]``) once per path
+step — work bounded by
 the leaf postings inside the range, shared by every candidate.  The
 scan (:func:`repro.automata.arena_run.select_indices`) then reads
 membership, and jumps straight to the members.
@@ -199,7 +200,7 @@ def _compile_steps(
 def _compile_descendant_label(label_sym: int, quals: tuple, rest: ArenaCheck) -> ArenaCheck:
     def check_descendant_label(arena, i, key=(label_sym,), quals=quals, rest=rest):
         found = arena.postings(key)
-        limit = arena.end[i]
+        limit = i + arena.size[i]
         for k in range(bisect_right(found, i), len(found)):
             j = found[k]
             if j >= limit:
@@ -234,7 +235,7 @@ def _compile_step(
 
             def check_dos_fast(arena, i, rest=rest):
                 sym = arena.sym
-                for j in range(i, arena.end[i]):
+                for j in range(i, i + arena.size[i]):
                     if sym[j] >= 0 and rest(arena, j):
                         return True
                 return False
@@ -243,7 +244,7 @@ def _compile_step(
 
         def check_dos(arena, i, quals=quals, rest=rest):
             sym = arena.sym
-            for j in range(i, arena.end[i]):
+            for j in range(i, i + arena.size[i]):
                 if sym[j] < 0:
                     continue
                 for q in quals:
@@ -260,9 +261,9 @@ def _compile_step(
 
         def check_label(arena, i, label_sym=label_sym, quals=quals, rest=rest):
             sym = arena.sym
-            end = arena.end
+            size = arena.size
             j = i + 1
-            limit = end[i]
+            limit = i + size[i]
             while j < limit:
                 if sym[j] == label_sym:
                     for q in quals:
@@ -271,7 +272,7 @@ def _compile_step(
                     else:
                         if rest(arena, j):
                             return True
-                j = end[j]
+                j += size[j]
             return False
 
         return check_label
@@ -279,9 +280,9 @@ def _compile_step(
 
     def check_wild(arena, i, quals=quals, rest=rest):
         sym = arena.sym
-        end = arena.end
+        size = arena.size
         j = i + 1
-        limit = end[i]
+        limit = i + size[i]
         while j < limit:
             if sym[j] >= 0:
                 for q in quals:
@@ -290,7 +291,7 @@ def _compile_step(
                 else:
                     if rest(arena, j):
                         return True
-            j = end[j]
+            j += size[j]
         return False
 
     return check_wild
@@ -483,7 +484,7 @@ def _sweep_path(
             level_quals.append(step.quals)
         else:
             level_quals[-1] = level_quals[-1] + step.quals
-    parent = arena.parent
+    up = arena.up
     at = len(level_syms) - 1
     if at == 0:
         found = nodes
@@ -492,9 +493,9 @@ def _sweep_path(
     else:
         found = _labelled(arena, level_syms[at], lo, hi)
         if isinstance(nodes, set) and 4 * len(nodes) < len(found):
-            found = _under(arena.end, found, nodes)
+            found = _under(arena.size, found, nodes)
     if attr_name is not None:
-        found = _with_attr(arena.attrs, found, attr_name, compare)
+        found = _with_attr(arena.attr_map(), found, attr_name, compare)
     elif compare is not None:
         found = compress(found, map(compare, map(arena.payload.__getitem__, found)))
     found = set(found)
@@ -509,14 +510,15 @@ def _sweep_path(
         at -= 1
         want = level_syms[at]
         above = set()
-        for p in set(map(parent.__getitem__, found)):
+        for j in found:
+            p = j - up[j]
             if p >= lo and sym_col[p] == want:
                 above.add(p)
         found = above
 
 
 # hot-path
-def _under(end, leaves, nodes: set) -> list:
+def _under(size, leaves, nodes: set) -> list:
     """The semi-join reducer: the sorted *leaves* inside the subtrees
     of *nodes* — survivors (of a conjunction's first half, of the steps
     below a nested qualifier), so a comparison is paid per leaf that
@@ -526,7 +528,7 @@ def _under(end, leaves, nodes: set) -> list:
     stop = len(leaves)
     for node in sorted(nodes):
         k = bisect_left(leaves, node, k, stop)
-        limit = end[node]
+        limit = node + size[node]
         while k < stop and leaves[k] < limit:
             out.append(leaves[k])
             k += 1
@@ -536,7 +538,9 @@ def _under(end, leaves, nodes: set) -> list:
 # hot-path
 def _with_attr(attrs: dict, nodes, name: str, compare) -> list:
     """The *nodes* carrying attribute *name* (with a value *compare*
-    accepts, when there is a comparison), off the flat tuples."""
+    accepts, when there is a comparison), off the flat tuples
+    (*attrs* is the arena's :meth:`~repro.xmltree.arena.FrozenDocument.
+    attr_map`)."""
     out = []
     get = attrs.get
     for j in nodes:

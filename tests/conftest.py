@@ -8,6 +8,7 @@ from hypothesis import settings
 from repro.xmltree import arena as arena_module
 
 # CI runs the cache suites (test_positional_rekey.py, test_result_cache.py)
+# and the arena properties (test_arena_properties.py: splice == freeze)
 # a second time with ``--hypothesis-profile=ci --hypothesis-seed=0``: a
 # larger budget for every test that does not pin its own ``max_examples``.
 settings.register_profile("ci", max_examples=400, deadline=None)

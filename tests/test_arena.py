@@ -42,7 +42,10 @@ class TestBuilder:
         assert arena.own_text(0) == "hi"
         assert arena.attrs_of(0) == {"k": "v"}
         assert list(arena.child_elements(0)) == [2]
-        assert arena.parent[2] == 0 and arena.parent[1] == 0
+        assert arena.parent_of(2) == 0 and arena.parent_of(1) == 0
+        assert arena.parent_of(0) == -1 and arena.end_of(0) == 3
+        # relative lanes: how far back the parent is, how long the range
+        assert list(arena.up) == [1, 1, 2] and list(arena.size) == [3, 1, 1]
 
     def test_unbalanced_input_is_rejected(self):
         builder = FrozenBuilder()

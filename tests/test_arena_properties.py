@@ -25,6 +25,7 @@ expressions and seeded XMark documents:
   visit no more than the postings they jump through.
 """
 
+import bisect
 import itertools
 import sys
 import threading
@@ -47,7 +48,7 @@ from repro.xmark.generator import generate
 from repro.xmark.queries import EMBEDDED_PATHS, user_query_for
 from repro.xmltree import arena as arena_module
 from repro.xmltree.arena import freeze, freeze_segment, rename_splice, splice, thaw
-from repro.xmltree.node import Element, Text, deep_equal
+from repro.xmltree.node import Element, Text, deep_copy, deep_equal
 from repro.xmltree.parser import parse
 from repro.xmltree.sax import tree_to_events
 from repro.xmltree.serializer import serialize, serialize_arena
@@ -60,7 +61,7 @@ from repro.xquery.arena_eval import ArenaEvaluator, evaluate_query_arena
 from repro.xquery.ast import PathFrom, UserQuery, VarRef
 from repro.xquery.evaluator import evaluate_query
 
-from tests.strategies import LABELS, VALUES, trees, xpath_queries
+from tests.strategies import LABELS, VALUES, elements, trees, xpath_queries
 
 
 def _selecting(query_text):
@@ -94,10 +95,11 @@ class TestRepresentation:
         assert deep_equal(tree, thawed)
         again = freeze(thawed)
         assert arena.sym == again.sym
-        assert arena.end == again.end
-        assert arena.parent == again.parent
+        assert arena.size == again.size
+        assert arena.up == again.up
         assert arena.payload == again.payload
-        assert arena.attrs == again.attrs
+        assert arena.attr_keys == again.attr_keys
+        assert arena.attr_values == again.attr_values
 
     @settings(max_examples=200, deadline=None)
     @given(tree=trees())
@@ -470,19 +472,19 @@ class TestJumpScans:
         gone = data.draw(st.sampled_from(below_root))
         hosts = [
             i for i in base.iter_elements()
-            if not gone <= i < base.end[gone] and not i < gone < base.end[i]
+            if not gone <= i < base.end_of(gone) and not i < gone < base.end_of(i)
         ]
         label = data.draw(st.sampled_from(LABELS))
         segment = freeze_segment(
             Element(label, {}, [Element(LABELS[0], {}, [Text("5")])])
         )
         patches = [(
-            gone, base.end[gone], base.parent[gone],
+            gone, base.end_of(gone), base.parent_of(gone),
             segment if data.draw(st.booleans()) else None,
         )]
         if hosts:
             host = data.draw(st.sampled_from(hosts))
-            patches += [(base.end[host], base.end[host], host, segment)] * (
+            patches += [(base.end_of(host), base.end_of(host), host, segment)] * (
                 data.draw(st.integers(1, 2))
             )
         # (these trees are so small that a fresh sweep is always the
@@ -612,7 +614,8 @@ class TestJumpScans:
         assert base.nbytes()["total"] == total
         names = base.postings((base.symbols.intern("name"),))
         renamed = rename_splice(base, list(items[:3]), "thing")
-        assert renamed.end is base.end  # columns aliased ...
+        for column in ("up", "size", "payload", "attr_keys", "attr_values"):
+            assert getattr(renamed, column) is getattr(base, column)  # aliased ...
         # ... the index is not: a label the rename left alone shares
         # its postings, a label it moved is swept again on demand
         assert list(renamed._postings.values()) == [names]
@@ -625,9 +628,134 @@ class TestJumpScans:
         s = base.symbols.intern("item")
         items = list(base.postings((s,)))
         segment = freeze_segment(Element("item", {}, [Text("x")]))
-        one = splice(base, [(base.end[items[0]], base.end[items[0]], items[0], segment)])
+        at = base.end_of(items[0])
+        one = splice(base, [(at, at, items[0], segment)])
         assert (s,) in one._postings
-        wide = splice(base, [(base.end[m], base.end[m], m, segment) for m in items])
+        wide = splice(base, [(base.end_of(m), base.end_of(m), m, segment) for m in items])
         assert not wide._postings
         assert len(wide.postings((s,))) == 2 * len(items)
         _assert_postings_exact(one)
+
+
+# ----------------------------------------------------------------------
+# Splice == freeze of the naive result, column for column
+# ----------------------------------------------------------------------
+
+
+def _preorder(root):
+    """Every node of *root* (texts too), in arena index order."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not node.is_text:
+            stack.extend(reversed(node.children))
+    return out
+
+
+@st.composite
+def spliced_cases(draw):
+    """``(tree, patches, contents)``: a random tree whose root ends in an
+    attributed element (so attributed nodes sit right of every patch),
+    and a patch set mixing removals and replaces of disjoint subtrees
+    (attributed ones among them) with insertions of attributed
+    segments, some several times at one position.  *contents* holds
+    each patch's segment as a Node tree (``None`` for a removal)."""
+    tree = draw(trees())
+    tree.children.append(Element("tail", {"id": "t", "k": "1"}, [Text("z")]))
+    base = freeze(tree)
+    n = len(base)
+    removed: list = []
+    # Elements only: a removed text node would change its parent's own
+    # text, which no update does (they select elements).
+    below_root = [i for i in base.iter_elements() if i]
+    for i in draw(st.lists(st.sampled_from(below_root), max_size=3, unique=True)):
+        if all(not (g <= i < base.end_of(g) or i <= g < base.end_of(i)) for g in removed):
+            removed.append(i)
+
+    def inside_removal(i):
+        return any(g <= i < base.end_of(g) for g in removed)
+
+    hosts = [i for i in base.iter_elements() if not inside_removal(i)]
+    patches: list = []
+    contents: list = []
+
+    def content():
+        node = draw(elements(max_depth=2))
+        node.attrs.setdefault("id", draw(st.sampled_from(VALUES)))
+        return node
+
+    for g in removed:
+        node = content() if draw(st.booleans()) else None
+        patches.append((g, base.end_of(g), base.parent_of(g), node))
+    for host in draw(st.lists(st.sampled_from(hosts), max_size=3)):
+        node = content()
+        for _ in range(draw(st.integers(1, 2))):  # twice: one position, two patches
+            patches.append((base.end_of(host), base.end_of(host), host, node))
+    if not patches:
+        node = content()
+        patches.append((n, n, 0, node))  # a last child of the root
+    return tree, draw(st.permutations(patches))
+
+
+def _naive_splice(tree, patches):
+    """*patches* applied to a copy of *tree* through the Node model:
+    what ``splice`` must equal."""
+    root = deep_copy(tree)
+    nodes = _preorder(root)
+    parent_of = {id(child): node for node in nodes if not node.is_text for child in node.children}
+    # Insertions into one host append in the order splice emits them.
+    for start, stop, attach, content in sorted(patches, key=lambda p: (p[0], -p[2])):
+        if stop == start:
+            nodes[attach].children.append(deep_copy(content))
+            continue
+        gone = nodes[start]
+        siblings = parent_of[id(gone)].children
+        at = next(k for k, child in enumerate(siblings) if child is gone)
+        siblings[at:at + 1] = [deep_copy(content)] if content is not None else []
+    return root
+
+
+class TestSpliceEqualsFreeze:
+    # No pinned budget: CI's "ci" profile runs it at 400 examples.
+    @settings(deadline=None)
+    @given(case=spliced_cases())
+    def test_spliced_columns_equal_a_fresh_freeze(self, case):
+        tree, drawn = case
+        base = freeze(tree)
+        patches = [
+            (start, stop, attach, freeze_segment(node) if node is not None else None)
+            for start, stop, attach, node in drawn
+        ]
+        got = splice(base, patches)
+        want = freeze(_naive_splice(tree, drawn))
+        assert got.sym == want.sym
+        assert got.up == want.up
+        assert got.size == want.size
+        assert got.payload == want.payload
+        assert got.attr_keys == want.attr_keys
+        assert got.attr_values == want.attr_values
+        assert got.n_elements == want.n_elements
+        # The byte copy is right because a kept lane only changes for
+        # one of the fixups: size on a chain node, up on a piece root.
+        applied = sorted(patches, key=lambda p: (p[0], -p[2]))
+        stops = [stop for _, stop, _, _ in applied]
+        cum = arena_module.shift_table(applied)
+        chain = set()
+        for _, _, attach, _ in applied:
+            c = attach
+            while c >= 0:
+                chain.add(c)
+                c = base.parent_of(c)
+        for i in range(len(base)):
+            if any(start <= i < stop for start, stop, _, _ in applied):
+                continue  # removed
+            piece = bisect.bisect_right(stops, i)
+            at = i + cum[piece]
+            if i not in chain:
+                assert got.size[at] == base.size[i], i
+            if i == 0 or bisect.bisect_right(stops, base.parent_of(i)) == piece:
+                assert got.up[at] == base.up[i], i
+            # and every such lane is the same node, wherever it moved
+            assert got.sym[at] == base.sym[i] and got.payload[at] is base.payload[i]

@@ -421,12 +421,12 @@ class TestStrategyRule:
 
     def test_mean_depth_agrees_across_resident_forms(self, doc):
         """The level-order walk over Nodes against the depths the
-        frozen form's ``parent`` column spells out."""
+        frozen form's ``up`` column spells out."""
         for tree in (doc, deep_chain(40, fanout=2), generate(0.001, seed=7)):
-            parent = freeze(tree).parent
-            depths = [1] * len(parent)
-            for i in range(1, len(parent)):
-                depths[i] = depths[parent[i]] + 1
+            up = freeze(tree).up
+            depths = [1] * len(up)
+            for i in range(1, len(up)):
+                depths[i] = depths[i - up[i]] + 1
             assert mean_depth(tree) == pytest.approx(sum(depths) / len(depths))
 
     def test_features_summarize_shape(self):

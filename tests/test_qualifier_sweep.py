@@ -160,10 +160,10 @@ class TestSweepEqualsClosure:
         arena = freeze(tree)
         node_of = _node_of(tree, arena)
         candidate_sym = arena.symbols.intern(data.draw(st.sampled_from(LABELS)))
-        # any range whose end encloses its start: [lo, end[holder]) for
+        # any range whose end encloses its start: [lo, end_of(holder)) for
         # a lo inside holder's subtree (lo may cut a subtree, hi may not)
         holder = data.draw(st.sampled_from(list(arena.iter_elements())))
-        hi = arena.end[holder]
+        hi = arena.end_of(holder)
         lo = data.draw(st.integers(holder, hi))
         got = sweep_qualifier(qual, arena, candidate_sym, lo, hi)
         with mock.patch.object(arena_compiler, "SWEEP_MIN_CANDIDATES", 0):
@@ -496,7 +496,7 @@ class TestSweptReadsFollowCommits:
             [Element(data.draw(st.sampled_from(LABELS)), {}, [Text("5")])],
         ))
         with mock.patch.object(arena_module, "_NODES_PER_CARRIED_PATCH", 0):
-            spliced = splice(base, [(gone, base.end[gone], base.parent[gone], segment)])
+            spliced = splice(base, [(gone, base.end_of(gone), base.parent_of(gone), segment)])
         assert set(spliced._postings) >= set(base._postings)
         assert select_indices(selecting, spliced) == _reference_indices(
             selecting, thaw(spliced), spliced

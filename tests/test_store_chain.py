@@ -16,7 +16,9 @@ one-representation contract (a plain document never builds its Node
 cache on the open → read → commit → checkpoint path).
 """
 
+import dataclasses
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -70,9 +72,10 @@ def _assert_wellformed(arena) -> None:
     """Structural invariants of a pre-order arena: parents precede
     their children and subtree ranges nest."""
     n = len(arena)
-    par = arena.parent
-    end = arena.end
-    assert len(arena.sym) == n and len(end) == n and len(arena.payload) == n
+    par = [arena.parent_of(i) for i in range(n)]
+    end = [arena.end_of(i) for i in range(n)]
+    assert len(arena.sym) == n and len(arena.up) == len(arena.size) == n
+    assert len(arena.payload) == n
     assert par[0] == -1 and end[0] == n
     open_chain = [0]  # the ancestors whose range holds i, innermost last
     for i in range(1, n):
@@ -289,8 +292,9 @@ def test_spliced_versions_share_structure():
     a3 = store.pin("db", version=3).arena
     assert a2.symbols is a1.symbols and a3.symbols is a1.symbols
     # A rename touches only the symbol column: everything else aliases.
-    assert a3.parent is a2.parent and a3.end is a2.end
-    assert a3.payload is a2.payload and a3.attrs is a2.attrs
+    assert a3.up is a2.up and a3.size is a2.size
+    assert a3.payload is a2.payload
+    assert a3.attr_keys is a2.attr_keys and a3.attr_values is a2.attr_values
 
     info = store.chain_info("db")
     assert info["length"] == 3 and info["splices"] == 2
@@ -310,6 +314,35 @@ def test_chain_retention_limit_evicts_oldest():
     assert len(doc.chain) == doc.chain.limit
     with pytest.raises(StoreError):
         store.pin("db", version=1)
+
+
+def test_an_evicted_version_dies_outside_the_document_lock():
+    """The commit that pushes the oldest version off the chain frees it
+    after releasing the document lock (and the chain's): a reader's
+    ``pin()`` never waits behind deallocating an old arena."""
+
+    class StandIn:
+        pass
+
+    store = ViewStore()
+    store.put("db", "<db><a/></db>")
+    doc = store.documents.get("db")
+    chain = doc.chain
+    stand_in = StandIn()
+    oldest = chain.snapshot()[0]
+    chain._entries[0] = dataclasses.replace(oldest, arena=stand_in)
+    locks_at_death: list = []
+    weakref.finalize(
+        stand_in,
+        lambda: locks_at_death.append((doc.lock.locked(), chain._lock.locked())),
+    )
+    del stand_in, oldest
+    for _ in range(chain.limit - 1):
+        store.commit("db", _transform("insert <b/> into $a/a"))
+    assert locks_at_death == [] and chain.versions()[0] == 1
+    store.commit("db", _transform("insert <b/> into $a/a"))
+    assert chain.versions()[0] == 2
+    assert locks_at_death == [(False, False)]
 
 
 # ----------------------------------------------------------------------
@@ -487,9 +520,9 @@ def test_nested_patches_on_a_deep_chain_equal_the_naive_columns(body, fanout):
     got = step.arena
     assert step.ranges
     _assert_wellformed(got)
-    assert (got.sym, got.parent, got.end) == (want.sym, want.parent, want.end)
-    assert (got.payload, got.attrs, got.n_elements) == (
-        want.payload, want.attrs, want.n_elements
+    assert (got.sym, got.up, got.size) == (want.sym, want.up, want.size)
+    assert (got.payload, got.attr_keys, got.attr_values, got.n_elements) == (
+        want.payload, want.attr_keys, want.attr_values, want.n_elements
     )
 
 
@@ -504,11 +537,11 @@ def test_one_splice_may_grow_here_and_shrink_there():
 
     def remove(label, segment=None):
         i = at[label]
-        return (i, base.end[i], base.parent[i], segment)
+        return (i, base.end_of(i), base.parent_of(i), segment)
 
     def insert(label, segment):
         i = at[label]
-        return (base.end[i], base.end[i], i, segment)
+        return (base.end_of(i), base.end_of(i), i, segment)
 
     cases = {
         "grow, then shrink": (
@@ -531,14 +564,16 @@ def test_one_splice_may_grow_here_and_shrink_there():
         got = splice(base, patches)
         _assert_wellformed(got)
         assert serialize_arena(got) == want, name
-        assert got.attrs == freeze(parse(want)).attrs, name
+        again = freeze(parse(want))
+        assert got.attr_keys == again.attr_keys, name
+        assert got.attr_values == again.attr_values, name
 
 
 def test_splice_rejects_an_insertion_into_a_removed_subtree():
     base = freeze(parse("<r><a><b/></a><c/></r>"))
     a, b = 1, 2
-    inside = (base.end[b], base.end[b], b, freeze_segment(parse("<s/>")))
+    inside = (base.end_of(b), base.end_of(b), b, freeze_segment(parse("<s/>")))
     with pytest.raises(ValueError, match="inside a removed range"):
-        splice(base, [(a, base.end[a], 0, None), inside])
+        splice(base, [(a, base.end_of(a), 0, None), inside])
     with pytest.raises(ValueError, match="overlaps an earlier patch"):
-        splice(base, [(a, base.end[a], 0, None), (b, base.end[b], a, None)])
+        splice(base, [(a, base.end_of(a), 0, None), (b, base.end_of(b), a, None)])

@@ -124,7 +124,7 @@ class TestEngineContract:
         # A rename point-writes one column: every other one is aliased.
         renamed = engine.prepare_transform(_t("rename $a//supplier as vendor")).run(arena)
         assert renamed.sym is not arena.sym
-        for column in ("parent", "end", "payload", "attrs"):
+        for column in ("up", "size", "payload", "attr_keys", "attr_values"):
             assert getattr(renamed, column) is getattr(arena, column)
         assert renamed.symbols is arena.symbols
         # A splice copies extents; the payload strings are the input's.
