@@ -324,13 +324,10 @@ def _cmd_store_commit(args: argparse.Namespace) -> int:
     if delta.entries == 0:
         print(f"committed {args.name!r}: now v{delta.new_version} (no-op: nothing staged)")
     else:
-        how = (
-            f"spliced, {delta.patches} patch(es), "
-            f"{delta.touched_nodes} node(s) touched"
-            if delta.spliced
-            else f"full rebuild: {delta.rebuild_reason}"
+        print(
+            f"committed {args.name!r}: now v{delta.new_version} (spliced, "
+            f"{delta.patches} patch(es), {delta.touched_nodes} node(s) touched)"
         )
-        print(f"committed {args.name!r}: now v{delta.new_version} ({how})")
     return 0
 
 
@@ -408,8 +405,7 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
     ratio = commits["retention_ratio"]
     ratio_text = "n/a" if ratio is None else f"{ratio:.0%}"
     print(
-        f"  commits: {commits['spliced']} spliced, "
-        f"{commits['rebuilds']} rebuilt, {commits['noops']} no-op; "
+        f"  commits: {commits['spliced']} spliced, {commits['noops']} no-op; "
         f"cache retention {ratio_text} "
         f"({commits['results_kept']}+{commits['mats_kept']} kept, "
         f"{commits['results_dropped']}+{commits['mats_dropped']} dropped)"
@@ -418,10 +414,7 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
     if last is not None:
         last_ratio = last["retention_ratio"]
         last_text = "n/a" if last_ratio is None else f"{last_ratio:.0%}"
-        # A no-op commit (nothing staged) neither spliced nor rebuilt.
-        how = "splice" if last["spliced"] else (
-            f"rebuild: {last['rebuild_reason']}" if last["rebuild_reason"] else "no-op"
-        )
+        how = "splice" if last["entries"] else "no-op"
         print(
             f"    last commit: {last['doc']!r} v{last['version']} "
             f"({how}, "

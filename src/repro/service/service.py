@@ -789,7 +789,7 @@ class QueryService:
         """Apply staged updates; readers pinned to the old version are
         unaffected, new pins observe the new version.
 
-        A spliced commit holds the document lock only to install the
+        A commit holds the document lock only to install the
         already-built arena (the splice itself runs outside it), so
         snapshot readers barely stall; the store moves the memo entries
         the delta provably left answerable onto the new arena uid —
@@ -803,10 +803,7 @@ class QueryService:
             retained = delta.results_kept + delta.results_patched
             if retained:
                 self._count("memo_retained", retained)
-            return {
-                "name": name, "version": delta.new_version,
-                "spliced": delta.spliced, "entries": delta.entries,
-            }
+            return {"name": name, "version": delta.new_version, "entries": delta.entries}
 
     def rollback(self, name: str, count: Optional[int] = None) -> dict:
         with self._write_lock:

@@ -2,11 +2,12 @@
 
 Every admission and every commit records a
 :class:`ChainVersion` in the owning document's :class:`VersionChain`.
-Spliced commits share untouched column data with their predecessor
-(payload strings and attribute tuples by reference, whole columns for
-renames — see :func:`repro.xmltree.arena.splice`), so keeping the last
-few versions resident is cheap, and ``pin(version=N)`` time-travel
-reads land on a chain entry instead of failing.
+Every commit splices: it shares untouched column data with its
+predecessor (payload strings and attribute tuples by reference, whole
+columns for renames — see :func:`repro.xmltree.arena.splice`), so
+keeping the last few versions resident is cheap, and
+``pin(version=N)`` time-travel reads land on a chain entry instead of
+failing.
 
 The chain carries its own leaf lock: it is recorded into under the
 owning document's lock on the write path, but read by ``stat``/metrics
@@ -32,10 +33,9 @@ class ChainVersion:
     """One frozen arena pinned into a document's version chain.
 
     ``kind`` records how the arena came to be: ``"load"``
-    (admission), ``"rebuild"`` (thaw → apply → freeze, for a commit no
-    splice can express) or ``"splice"`` (O(delta) derivation from the
-    previous entry).  ``uid`` is the process-unique arena id snapshot caches
-    key on.
+    (admission) or ``"splice"`` (a commit: O(delta) derivation from
+    the previous entry).  ``uid`` is the process-unique arena id
+    snapshot caches key on.
     """
 
     version: int
@@ -47,23 +47,20 @@ class ChainVersion:
 
 @dataclass(frozen=True)
 class CommitDelta:
-    """The receipt of one commit: what changed, how it was applied,
-    and what the delta-scoped invalidation managed to keep.
+    """The receipt of one commit: what changed, and what the
+    delta-scoped invalidation managed to keep.
 
     ``labels`` is the conservative delta label set (every element
     label inside a touched range, introduced by a segment, or on an
-    attach point's ancestor chain) for spliced commits; ``None`` when
-    the commit was rebuilt and nothing can be proven about its extent
-    — ``rebuild_reason`` then says why it could not splice
-    (``selector`` / ``budget`` / ``root``).  Of the cached answers
-    under the affected names, ``results_kept`` moved to the new arena
-    as they were, ``results_patched`` moved with the items a patch
-    landed in re-serialized, and ``results_dropped`` went — for the
-    reasons ``drop_reasons`` counts
+    attach point's ancestor chain); ``None`` for a no-op commit.  Of
+    the cached answers under the affected names, ``results_kept``
+    moved to the new arena as they were, ``results_patched`` moved
+    with the items a patch landed in re-serialized, and
+    ``results_dropped`` went — for the reasons ``drop_reasons`` counts
     (:data:`repro.store.delta.DROP_REASONS`, with the overlapping
-    labels after ``label:`` and the fallback after ``rebuild:``).
-    ``entries == 0`` marks a no-op commit: nothing was staged, the
-    version did not move, no cache was touched.
+    labels after ``label:``).  ``entries == 0`` marks a no-op commit:
+    nothing was staged, the version did not move, no cache was
+    touched; every other commit spliced.
     """
 
     doc_name: str
@@ -71,7 +68,6 @@ class CommitDelta:
     new_version: int
     old_uid: int
     new_uid: int
-    spliced: bool
     entries: int
     patches: int = 0
     touched_nodes: int = 0
@@ -82,7 +78,6 @@ class CommitDelta:
     drop_reasons: Mapping[str, int] = field(default_factory=dict)
     mats_kept: int = 0
     mats_dropped: int = 0
-    rebuild_reason: Optional[str] = None
 
 
 class VersionChain:

@@ -2,8 +2,8 @@
 
 A commit (:func:`apply_entries_spliced`) runs the one select + splice
 kernel (:func:`repro.transform.arena.transform_arena` — O(delta) work
-instead of O(document)) per staged entry, under its touched-fraction
-budget.
+instead of O(document)) per staged entry; it is the only way a commit
+derives the next version.
 
 The kernel reports what each step changed (see
 :class:`~repro.transform.arena.ArenaStep`): the labels of the nodes
@@ -16,14 +16,14 @@ is **kept**, **patched** or **dropped** by position; one that does not
 (:func:`query_labels` / :func:`transform_labels` — ``None`` means
 "unanalyzable, assume affected").
 
-A commit that cannot be expressed as a splice raises
-:class:`DeltaUnsupported` with its reason — an unsupported
-``selector``, a delta over the touched-fraction ``budget``, or one that
-removes the document ``root`` — and the store derives the version with
-:func:`apply_entries_rebuilt` instead: thaw, apply every update to the
-private copy, freeze.  That function is also the reference the splice
-property tests and ``bench_commit.py`` compare against.  Both return a
-:class:`CommitOutcome`, so the store has one install path.
+Every staged update splices: its path was compiled when it was staged
+(a path the selecting automaton refuses never reaches a commit), the
+automaton never matches the root, and a splice costs what the delta
+changed, however much of the document that is.
+:func:`apply_entries_rebuilt` — thaw, apply every update to the private
+copy, freeze: the paper's "copy, then update" — is the reference the
+splice property tests and ``bench_commit.py`` compare against; nothing
+in the store calls it.
 """
 
 from __future__ import annotations
@@ -33,14 +33,7 @@ from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Set, cast
 
 from repro.automata.arena_run import select_indices
-from repro.automata.selecting import build_selecting_nfa
-from repro.transform.arena import (
-    SELECT_ERRORS,
-    ArenaTransformError,
-    PatchRange,
-    topmost,
-    transform_arena,
-)
+from repro.transform.arena import PatchRange, topmost, transform_arena
 from repro.updates.apply import apply_update
 from repro.xmltree.arena import FrozenDocument, carry_indices, freeze, thaw
 from repro.xmltree.node import Element
@@ -62,8 +55,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CommitOutcome",
     "DROP_REASONS",
-    "DeltaUnsupported",
-    "REBUILD_REASONS",
     "apply_entries_rebuilt",
     "apply_entries_spliced",
     "query_labels",
@@ -72,82 +63,50 @@ __all__ = [
     "transform_labels",
 ]
 
-#: Why a commit was rebuilt instead of spliced (``DeltaUnsupported.
-#: reason``, ``CommitOutcome.reason``, ``store.commit.rebuild_reason.*``).
-REBUILD_REASONS = ("selector", "budget", "root")
-
 #: Why a commit dropped a result-cache entry — the head (before any
 #: ``:detail``) of the reasons :func:`rekey_verdict` and
 #: ``ViewStore._rekey_results`` give (``CommitDelta.drop_reasons``,
 #: ``store.commit.drop_reason.*``).
 DROP_REASONS = (
     "staged", "stack-changed", "unanalyzable", "label", "removed-item",
-    "wide-patch", "rebuild", "late-publisher", "view-labels",
+    "wide-patch", "late-publisher", "view-labels",
 )
-
-#: A delta touching more than this share of the base arena is rebuilt:
-#: it gains nothing over a rebuild and would fragment sharing.
-MAX_TOUCHED_FRACTION = 0.5
-
-
-class DeltaUnsupported(Exception):
-    """This commit cannot be applied as a splice; *reason* (one of
-    :data:`REBUILD_REASONS`) says why it is rebuilt instead."""
-
-    def __init__(self, reason: str, message: str) -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 class CommitOutcome:
-    """The next frozen version and how it was derived.
+    """The next frozen version and what each staged entry did, in
+    order (``steps``: entry *i+1*'s positions are against entry *i*'s
+    arena) — what :func:`rekey_verdict` folds over."""
 
-    ``reason`` is ``None`` for a splice and the fallback reason for a
-    rebuild.  A splice keeps what each staged entry did, in order
-    (``steps``: entry *i+1*'s positions are against entry *i*'s arena)
-    — what :func:`rekey_verdict` folds over.  A rebuild proves nothing
-    about its extent: ``steps`` and ``labels`` are ``None`` (every
-    cached entry over the document drops).
-    """
-
-    __slots__ = ("arena", "base_arena", "steps", "touched_nodes", "reason")
+    __slots__ = ("arena", "base_arena", "steps", "touched_nodes")
 
     def __init__(
         self,
         arena: FrozenDocument,
         base_arena: FrozenDocument,
-        steps: Optional[List[ArenaStep]] = None,
-        touched_nodes: int = 0,
-        reason: Optional[str] = None,
+        steps: List[ArenaStep],
+        touched_nodes: int,
     ) -> None:
         self.arena = arena
         self.base_arena = base_arena
         self.steps = steps
         self.touched_nodes = touched_nodes
-        self.reason = reason
 
     @property
-    def kind(self) -> str:
-        """The chain-entry kind this outcome installs as."""
-        return "splice" if self.reason is None else "rebuild"
-
-    @property
-    def labels(self) -> Optional[FrozenSet[str]]:
+    def labels(self) -> FrozenSet[str]:
         """The delta label set of the whole commit."""
-        if self.steps is None:
-            return None
         return frozenset().union(*(step.labels for step in self.steps))
 
     @property
     def patches(self) -> int:
-        return sum(len(step.ranges) for step in self.steps or ())
+        return sum(len(step.ranges) for step in self.steps)
 
     @property
     def ranges(self) -> Optional[List[PatchRange]]:
         """The patch list against ``base_arena`` — of a single-entry
-        splice only (a later entry's positions refer to an intermediate
+        commit only (a later entry's positions refer to an intermediate
         arena), where it feeds the materialization swallow test."""
-        if self.steps is None or len(self.steps) != 1:
+        if len(self.steps) != 1:
             return None
         return self.steps[0].ranges
 
@@ -157,51 +116,34 @@ def apply_entries_spliced(
 ) -> CommitOutcome:
     """Apply staged entries to *base_arena* by splicing, sequentially
     (entry *i+1* selects against entry *i*'s result — the semantics
-    :func:`apply_entries_rebuilt` defines): the kernel in a loop,
-    under the commit's budget.  Each entry's selecting automaton is
-    built here and dies with the commit (an update text is applied
-    once; ≈ 12 KB of NFA and DFA tables per distinct text is what
-    remembering them cost).  Raises
-    :class:`DeltaUnsupported` when any entry cannot be expressed as a
-    splice or the accumulated delta spans most of the document."""
+    :func:`apply_entries_rebuilt` defines): the kernel in a loop, each
+    entry with the selecting automaton it was staged with
+    (``StagedUpdate.nfa``, which dies with the entry: an update text is
+    applied once, and ≈ 12 KB of NFA and DFA tables per distinct text
+    is what remembering them cost).  ``touched_nodes`` is a receipt
+    figure, the nodes the entries removed or introduced."""
     arena = base_arena
     steps: List[ArenaStep] = []
     touched = 0
-    budget = max(1, int(len(base_arena) * MAX_TOUCHED_FRACTION))
     for entry in entries:
-        update = entry.transform.update
-        try:
-            nfa = build_selecting_nfa(update.path)
-        except SELECT_ERRORS as exc:
-            raise DeltaUnsupported(
-                "selector", f"cannot select delta ranges: {exc}"
-            ) from exc
-        try:
-            step = transform_arena(arena, update, nfa)
-        except ArenaTransformError as exc:
-            raise DeltaUnsupported(exc.reason, str(exc)) from exc
+        step = transform_arena(arena, entry.transform.update, entry.nfa)
         touched += step.touched
-        if touched > budget:
-            raise DeltaUnsupported("budget", "delta spans most of the document")
         arena = step.arena
         steps.append(step)
     return CommitOutcome(arena, base_arena, steps, touched)
 
 
 def apply_entries_rebuilt(
-    base_arena: FrozenDocument, entries: List[Any], reason: str
-) -> CommitOutcome:
-    """Apply staged entries the O(document) way: thaw *base_arena* into
-    a private Node tree, run each update over it in staging order, and
-    freeze the result.  The only path for deltas a splice cannot
-    express (*reason* records which kind), and the reference
-    :func:`apply_entries_spliced` is tested against."""
+    base_arena: FrozenDocument, entries: List[Any]
+) -> FrozenDocument:
+    """Apply staged entries the O(document) way — thaw *base_arena*
+    into a private Node tree, run each update over it in staging order,
+    freeze the result — and return the arena: the reference
+    :func:`apply_entries_spliced` is tested and benchmarked against."""
     root = cast(Element, thaw(base_arena))
     for entry in entries:
         apply_update(root, entry.transform.update)
-    return CommitOutcome(
-        freeze(root, base_arena.symbols), base_arena, reason=reason
-    )
+    return freeze(root, base_arena.symbols)
 
 
 # ----------------------------------------------------------------------
@@ -448,11 +390,8 @@ def ranges_swallowed_by(
         return False
     if not _qualifier_free(update.path):
         return False
-    try:
-        nfa = compiled.selecting_nfa_for(update.path)
-        matches = select_indices(nfa, base_arena)
-    except SELECT_ERRORS:
-        return False
+    # A view's path compiled when it was defined (``define_view``).
+    matches = select_indices(compiled.selecting_nfa_for(update.path), base_arena)
     size = base_arena.size
     top = topmost(matches, size)
     if not top:

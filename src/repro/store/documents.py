@@ -83,11 +83,11 @@ class StoredDocument:
 
     Every read of a version shares the **same immutable arena** — a
     zero-copy snapshot.  A commit installs the next arena (spliced
-    from this one, or rebuilt) and drops the store's reference to the
-    old one; readers still holding it keep a consistent pre-commit
-    view for free.  ``arena_builds`` counts O(document) constructions
-    (admission, rebuild commits) and ``splices`` the O(delta) ones, so
-    "N reads and M spliced commits, 1 build" is an assertable contract.
+    from this one) and drops the store's reference to the old one;
+    readers still holding it keep a consistent pre-commit view for
+    free.  ``arena_builds`` counts O(document) constructions (the
+    admission) and ``splices`` the O(delta) commits, so "N reads and M
+    commits, 1 build" is an assertable contract.
     """
 
     __slots__ = (
@@ -132,24 +132,21 @@ class StoredDocument:
 
     # holds: self.lock
     def install(
-        self, arena: FrozenDocument, kind: str, touched_nodes: int
+        self, arena: FrozenDocument, touched_nodes: int
     ) -> Tuple[int, List[ChainVersion]]:
-        """Install *arena* as the next committed version (callers hold
-        :attr:`lock`) — the one way a document's content ever changes.
-        *kind* is ``"splice"`` or ``"rebuild"`` (how it was derived).
-        Returns the new version and the chain entries it evicted, which
-        the caller drops after releasing :attr:`lock` (freeing an old
-        arena is not work a reader's ``pin()`` should wait behind)."""
+        """Install the spliced *arena* as the next committed version
+        (callers hold :attr:`lock`) — the one way a document's content
+        ever changes.  Returns the new version and the chain entries it
+        evicted, which the caller drops after releasing :attr:`lock`
+        (freeing an old arena is not work a reader's ``pin()`` should
+        wait behind)."""
         self.version += 1
         self.arena = arena
         self.uid = next(_ARENA_UIDS)
         self.dirty = True
-        if kind == "splice":
-            self.splices += 1
-        else:
-            self.arena_builds += 1
+        self.splices += 1
         evicted = self.chain.record(
-            ChainVersion(self.version, self.uid, arena, kind, touched_nodes)
+            ChainVersion(self.version, self.uid, arena, "splice", touched_nodes)
         )
         return self.version, evicted
 

@@ -77,7 +77,8 @@ class WalCorruptError(StoreError):
     A torn *final* record is the expected crash artifact and is
     tolerated (truncate-and-warn); a bad checksum, unparseable line, or
     sequence gap **mid-log** means records after the damage cannot be
-    trusted, so recovery refuses to replay past it.
+    trusted, so recovery refuses to replay past it — as it refuses a
+    commit record whose update this build will not stage.
     """
 
     def __init__(self, wal_path: str, reason: str, line: int = 0) -> None:

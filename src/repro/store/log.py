@@ -24,18 +24,25 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.automata.selecting import build_selecting_nfa
 from repro.store.errors import NothingStagedError
 from repro.transform.query import TransformQuery
 
 
 class StagedUpdate:
-    """One staged transform: the parsed query plus its source text."""
+    """One staged transform: the parsed query, its source text, and the
+    selecting automaton of its update path — built here, so a path the
+    automaton cannot compile is refused (a ``ValueError``) before it is
+    staged, and the commit applies the entry with it.  The automaton
+    dies with the entry; it never takes a slot in the store's compiled
+    cache."""
 
-    __slots__ = ("transform", "text")
+    __slots__ = ("transform", "text", "nfa")
 
     def __init__(self, transform: TransformQuery, text: str) -> None:
         self.transform = transform
         self.text = text
+        self.nfa = build_selecting_nfa(transform.update.path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StagedUpdate({self.text!r})"

@@ -306,8 +306,15 @@ def _replay_wal(store: ViewStore, state_dir: str) -> "tuple[set, int]":
                 f"version gap for {name!r}: document at {doc.version}, "
                 f"next record claims {version}",
             )
-        for text in texts:
-            store.stage(name, text)
+        try:
+            for text in texts:
+                store.stage(name, text)
+        except ValueError as exc:
+            # Only an older build could have logged an update this one
+            # refuses to stage; skipping it would lose a commit.
+            raise WalCorruptError(
+                path, f"commit record for {name!r} v{version} cannot be applied: {exc}"
+            ) from None
         store.commit(name)
         replayed += 1
         replayed_docs.add(name)

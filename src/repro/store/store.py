@@ -30,8 +30,8 @@ shares none of the above.
 Caching: what reads compile (parses, NFAs, composed plans — of
 queries, view layers and staged previews) lives in a
 :class:`~repro.compiled.CompiledCache` and never goes stale; an update
-is parsed when staged and compiled when committed, once, and neither
-is remembered.  Serialized
+is parsed and compiled when staged, once, and neither is remembered
+past its commit.  Serialized
 *answers* live in ``ViewStore.results`` — the only result cache there
 is; a :class:`~repro.service.service.QueryService` reads and fills
 this one — under :func:`result_key`, all an answer depends on, each an
@@ -71,10 +71,7 @@ from repro.store.answer import Answer, node_refs
 from repro.store.chain import CommitDelta
 from repro.store.delta import (
     DROP_REASONS,
-    REBUILD_REASONS,
     CommitOutcome,
-    DeltaUnsupported,
-    apply_entries_rebuilt,
     apply_entries_spliced,
     query_labels,
     ranges_swallowed_by,
@@ -103,7 +100,7 @@ _DELTA_SUMS = (
     "touched_nodes", "results_kept", "results_patched", "results_dropped",
     "mats_kept", "mats_dropped",
 )
-_DELTA_COUNTERS = ("spliced", "rebuilds", "noops") + _DELTA_SUMS
+_DELTA_COUNTERS = ("spliced", "noops") + _DELTA_SUMS
 
 
 class PinnedRead(NamedTuple):
@@ -219,9 +216,8 @@ class ViewStore:
         self.arena_reads = 0
         #: MVCC snapshots handed out via :meth:`pin`.
         self.snapshot_pins = 0
-        #: Commit-path tallies: ``store.commit.delta.*`` plus rebuilds
-        #: by fallback reason (``store.commit.rebuild_reason.*``).
-        self.commit_counts = dict.fromkeys(_DELTA_COUNTERS + REBUILD_REASONS, 0)
+        #: Commit-path tallies (``store.commit.delta.*``).
+        self.commit_counts = dict.fromkeys(_DELTA_COUNTERS, 0)
         #: Result-cache entries commits dropped, by the head of the
         #: reason (``store.commit.drop_reason.*``).
         self.drop_counts = dict.fromkeys(DROP_REASONS, 0)
@@ -283,6 +279,9 @@ class ViewStore:
         if base not in self.documents and base not in self.views:
             raise UnknownNameError(base)
         transform = self.compiled.transform(transform_text)
+        # Compiled now: a path the selecting automaton refuses is a
+        # ValueError here, not on every read and commit after.
+        self.compiled.selecting_nfa_for(transform.path)
         return self.views.define(name, base, transform, transform_text)
 
     def drop(self, name: str) -> None:
@@ -479,10 +478,12 @@ class ViewStore:
 
     def stage(self, doc_name: str, transform_text: str) -> int:
         """Stage a hypothetical transform against a document; returns
-        the staging-area depth."""
+        the staging-area depth.  A path the selecting automaton cannot
+        compile is refused with its ``ValueError`` and nothing is
+        staged."""
         doc = self._require_document(doc_name)  # raises on unknown names
-        # Parsed for this entry and let go with it: an update is
-        # applied once, so its text takes no slot in the cache the
+        # Parsed and compiled for this entry and let go with it: an
+        # update is applied once, so it takes no slot in the cache the
         # reads compile into.
         transform = parse_transform_query(transform_text)
         return self.log.stage(doc.name, transform, transform_text)
@@ -511,18 +512,15 @@ class ViewStore:
         under the per-document commit lock: **spliced** at O(delta)
         cost from the staged updates' select results (untouched columns
         and the payload pool are shared — see
-        :func:`repro.xmltree.arena.splice`), or — when the delta cannot
-        be expressed as a splice (:class:`~repro.store.delta.
-        DeltaUnsupported`: unsupported selector, over-budget or
-        root-removing delta) — **rebuilt** by
-        :func:`~repro.store.delta.apply_entries_rebuilt`.  Either
-        outcome is installed the same way: what the delta provably
-        leaves alone is worked out first (:meth:`_delta_verdicts`),
-        the document lock is held for one ``install`` and the
-        materializations' rebase, and the result cache is re-keyed
-        after it is released (:meth:`_rekey_results` — uid keys need
-        no lock: a reader that pins the new arena meanwhile misses and
-        evaluates).  One receipt.
+        :func:`repro.xmltree.arena.splice`) by
+        :func:`~repro.store.delta.apply_entries_spliced`, the one way a
+        commit derives a version.  What the delta provably leaves alone
+        is worked out first (:meth:`_delta_verdicts`), the document
+        lock is held for one ``install`` and the materializations'
+        rebase, and the result cache is re-keyed after it is released
+        (:meth:`_rekey_results` — uid keys need no lock: a reader that
+        pins the new arena meanwhile misses and evaluates).  One
+        receipt.
         """
         doc = self._require_document(doc_name)
         if transform_text is not None:
@@ -540,7 +538,6 @@ class ViewStore:
                     new_version=old_version,
                     old_uid=old_uid,
                     new_uid=old_uid,
-                    spliced=False,
                     entries=0,
                 )
                 with self._counter_lock:
@@ -563,21 +560,12 @@ class ViewStore:
             try:
                 fault_point("store.commit.mid_splice")
                 with span("splice"):
-                    try:
-                        outcome = apply_entries_spliced(base_arena, entries)
-                    except DeltaUnsupported as unsupported:
-                        # The child span names why this commit rebuilt.
-                        with span(f"rebuild.{unsupported.reason}"):
-                            outcome = apply_entries_rebuilt(
-                                base_arena, entries, unsupported.reason
-                            )
+                    outcome = apply_entries_spliced(base_arena, entries)
                 with span("invalidate"):
                     verdicts = self._delta_verdicts(doc.name, outcome)
                 with doc.lock:
                     self.log.record_commit(doc.name, entries)
-                    version, evicted = doc.install(
-                        outcome.arena, outcome.kind, outcome.touched_nodes
-                    )
+                    version, evicted = doc.install(outcome.arena, outcome.touched_nodes)
                     new_uid = doc.uid
                     kept_m, dropped_m = self._rebase_materializations(
                         verdicts, old_version, version
@@ -609,7 +597,6 @@ class ViewStore:
             new_version=version,
             old_uid=old_uid,
             new_uid=new_uid,
-            spliced=outcome.reason is None,
             entries=len(entries),
             patches=outcome.patches,
             touched_nodes=outcome.touched_nodes,
@@ -620,15 +607,10 @@ class ViewStore:
             drop_reasons=drop_reasons,
             mats_kept=kept_m,
             mats_dropped=dropped_m,
-            rebuild_reason=outcome.reason,
         )
         with self._counter_lock:
             counts = self.commit_counts
-            if outcome.reason is None:
-                counts["spliced"] += 1
-            else:
-                counts["rebuilds"] += 1
-                counts[outcome.reason] += 1
+            counts["spliced"] += 1
             for name in _DELTA_SUMS:
                 counts[name] += getattr(delta, name)
             counts["results_kept"] += delta.results_patched
@@ -717,8 +699,7 @@ class ViewStore:
         arena), or dropped.  One over a view knows no positions — its
         refs would index another arena — and survives when every stack
         layer and its query are analyzable and label-disjoint from the
-        delta, or the stack swallowed it.  A rebuilt commit proves
-        nothing: everything drops.  A staged preview never survives
+        delta, or the stack swallowed it.  A staged preview never survives
         (its staging area was just consumed), nor does an entry keyed
         on a stack that is no longer the target's definition, nor what
         a late publisher left on a dead arena.  What an early reader of
@@ -744,8 +725,6 @@ class ViewStore:
                 reason = "staged"
             elif stack_texts != verdict.texts:
                 reason = "stack-changed"
-            elif steps is None:
-                reason = f"rebuild:{outcome.reason}"
             elif verdict.view is not None:
                 reason = _view_drop_reason(
                     verdict, self._query_label_set(query_text), delta_labels
@@ -819,14 +798,11 @@ class ViewStore:
             ),
         )
         registry.probe("store.views.count", lambda: len(self.views))
-        for group, names in (
-            ("delta", _DELTA_COUNTERS), ("rebuild_reason", REBUILD_REASONS)
-        ):
-            for name in names:
-                registry.probe(
-                    f"store.commit.{group}.{name}",
-                    lambda name=name: self._commit_counter_values()[name],
-                )
+        for name in _DELTA_COUNTERS:
+            registry.probe(
+                f"store.commit.delta.{name}",
+                lambda name=name: self._commit_counter_values()[name],
+            )
         for name in DROP_REASONS:
             registry.probe(
                 f"store.commit.drop_reason.{name.replace('-', '_')}",
@@ -853,9 +829,7 @@ class ViewStore:
             info = dict(info)
             info.update(log_stats.get(name, {"staged": 0, "committed": 0}))
             documents[name] = info
-        counts = self._commit_counter_values()
-        commits = {name: counts[name] for name in _DELTA_COUNTERS}
-        commits["rebuild_reasons"] = {r: counts[r] for r in REBUILD_REASONS}
+        commits = self._commit_counter_values()
         commits["drop_reasons"] = self._drop_counter_values()
         retained = commits["results_kept"] + commits["mats_kept"]
         purged = commits["results_dropped"] + commits["mats_dropped"]
@@ -870,8 +844,6 @@ class ViewStore:
             commits["last"] = {
                 "doc": last.doc_name,
                 "version": last.new_version,
-                "spliced": last.spliced,
-                "rebuild_reason": last.rebuild_reason,
                 "entries": last.entries,
                 "touched_nodes": last.touched_nodes,
                 "results_kept": last.results_kept,

@@ -91,11 +91,11 @@ class View:
     def rebase_materialization(self, version: int) -> bool:
         """Re-stamp the cached arena onto a new committed *version*.
 
-        Delta-scoped invalidation calls this when a spliced commit is
-        provably invisible through this view's stack (every patch
-        swallowed by an inner delete/replace) — the arena is exact for
-        the new version, so it survives the commit instead of being
-        rebuilt.  Returns whether there was a materialization to keep.
+        Delta-scoped invalidation calls this when a commit is provably
+        invisible through this view's stack (every patch swallowed by
+        an inner delete/replace) — the arena is exact for the new
+        version, so it survives the commit.  Returns whether there was
+        a materialization to keep.
         """
         if self.materialized_root is None:
             return False

@@ -3,7 +3,7 @@ commit.
 
 Every ``commit_delta`` on a state-dir-backed store first appends one
 record describing the staged update texts it is about to apply —
-*before* the splice/rebuild touches the document — and fsyncs it.  A
+*before* the splice touches the document — and fsyncs it.  A
 checkpoint (:func:`~repro.store.state.save_store`) then truncates the
 log: the manifest now covers every record.  Recovery
 (:func:`~repro.store.state.open_store`) replays the surviving tail

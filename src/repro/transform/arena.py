@@ -4,7 +4,7 @@
 :class:`~repro.xmltree.arena.FrozenDocument` — the engine
 (``PreparedTransform.run`` on an arena), the service's ``transform``
 op, the store's view layers and staged previews, and the commit path
-(``store.delta``, under its budget): select the update's targets with
+(``store.delta``): select the update's targets with
 its selecting automaton over the columns, turn the matches into
 patches, and :func:`~repro.xmltree.arena.splice` the next arena —
 no Node tree, no column rebuild, O(matches) patches on extents shared
@@ -39,28 +39,10 @@ from repro.xmltree.arena import (
 )
 from repro.xmltree.symbols import SymbolTable
 
-__all__ = [
-    "ArenaStep", "ArenaTransformError", "PatchRange", "SELECT_ERRORS", "topmost",
-    "transform_arena",
-]
-
-#: Exceptions the selecting/compile machinery raises on inputs it does
-#: not support over arenas (mismatched symbol tables, unsupported
-#: qualifier shapes).  Anything else is a real bug and must surface.
-SELECT_ERRORS = (ValueError, KeyError, NotImplementedError)
+__all__ = ["ArenaStep", "PatchRange", "topmost", "transform_arena"]
 
 #: One splice patch range: ``(kind, start, stop, attach)``.
 PatchRange = Tuple[str, int, int, int]
-
-
-class ArenaTransformError(ValueError):
-    """The update cannot be spliced into this arena; *reason* is
-    ``"selector"`` (the selecting machinery rejects the path over it)
-    or ``"root"`` (the update would remove the whole document)."""
-
-    def __init__(self, reason: str, message: str) -> None:
-        super().__init__(message)
-        self.reason = reason
 
 
 class ArenaStep(NamedTuple):
@@ -124,16 +106,10 @@ def topmost(matches: List[int], size: Any) -> List[int]:
 def transform_arena(arena: FrozenDocument, update: Any, nfa: Any) -> ArenaStep:
     """One transform, arena → arena: select the update's targets with
     *nfa* (the selecting NFA of ``update.path``), turn the matches into
-    patches, splice.  Returns *arena* itself when nothing matches.
-    Raises :class:`ArenaTransformError` for a selector the arena
-    machinery rejects or an update that removes the root."""
+    patches, splice.  Returns *arena* itself when nothing matches.  The
+    scan starts below the root, so no update removes the document."""
     with span("scan"):
-        try:
-            matches = select_indices(nfa, arena)
-        except SELECT_ERRORS as exc:
-            raise ArenaTransformError(
-                "selector", f"cannot select update targets: {exc}"
-            ) from exc
+        matches = select_indices(nfa, arena)
     ranges: List[PatchRange] = []
     if not matches:
         return ArenaStep(arena, 0, ranges, set())
@@ -151,9 +127,6 @@ def transform_arena(arena: FrozenDocument, update: Any, nfa: Any) -> ArenaStep:
             spans = [(m, m + 1, m - up[m]) for m in matches]
         else:  # delete / replace: topmost match wins
             spans = [(m, m + size[m], m - up[m]) for m in topmost(matches, size)]
-            if spans[0][0] == 0:
-                # The whole document is the delta; nothing to share.
-                raise ArenaTransformError("root", "update removes the document root")
         # Symbols of every removed or relabelled node (text nodes leave
         # a -1) and the chains; named once, at the end.
         syms: Set[int] = set()

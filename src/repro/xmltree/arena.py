@@ -844,6 +844,7 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
     up_parts: list = [up_v[:head]]
     size_parts: list = [size_v[:head]]
     new_pay = pay0[:first_start]
+    seg_views: dict = {}           # id(segment) -> its three byte views
     rewired: list = []
     n_elements = base.n_elements - removed_elements
     prev = first_start
@@ -862,9 +863,14 @@ def splice_applied(base: FrozenDocument, patches: list) -> tuple:
                 rewired.append((b + shift, chain_pos[b - up0[b]]))
                 b += size0[b]
         if seg is not None:
-            sym_parts.append(_raw(seg.sym))
-            up_parts.append(_raw(seg.up))
-            size_parts.append(_raw(seg.size))
+            # One update's patches share one segment: cast its columns
+            # once, not once per patch.
+            views = seg_views.get(id(seg))
+            if views is None:
+                views = seg_views[id(seg)] = (_raw(seg.sym), _raw(seg.up), _raw(seg.size))
+            sym_parts.append(views[0])
+            up_parts.append(views[1])
+            size_parts.append(views[2])
             new_pay += seg.payload
             rewired.append((start + cum[k], chain_pos[attach]))
             n_elements += seg.n_elements

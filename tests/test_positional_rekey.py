@@ -173,7 +173,7 @@ def test_survivors_equal_a_fresh_evaluation_over_random_xmark_commits():
     assert tally["two_entry"] >= 60
     assert tally["kept"] > tally["dropped"] > 300 and tally["patched"] > 100, tally
     assert tally["reasons"] == {"label", "unanalyzable", "wide-patch"}
-    assert store.stats()["commits"]["rebuilds"] == 0
+    assert store.stats()["commits"]["spliced"] == 300
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +531,7 @@ def test_a_two_entry_commit_keeps_what_neither_entry_touched():
     delta = store.commit_delta(
         "db", _t("insert <watch>w</watch> into $a/people/person[@id = 'person2']")
     )
-    assert delta.spliced and delta.entries == 2 and delta.patches == 2
+    assert delta.entries == 2 and delta.patches == 2
     assert (delta.results_kept, delta.results_patched, delta.results_dropped) == (3, 1, 0)
     for key, answer in store.results.items():
         items, refs = _fresh(store, "db", key[2])
@@ -583,13 +583,14 @@ def test_every_drop_has_a_counted_reason():
     assert last["results_patched"] == 1 and last["drop_reasons"] == delta.drop_reasons
     assert last["retention_ratio"] == 2 / 8
 
-    # A rebuilt commit proves nothing, and says which fallback it was.
+    # A commit removing most of the document is a splice like any
+    # other: what it missed survives, what it removed drops by label.
     store.query_serialized("db", "for $x in regions/item return $x")
     delta = store.commit_delta("db", _t("delete $a/people"))
-    assert not delta.spliced and delta.drop_reasons == {
-        f"rebuild:{delta.rebuild_reason}": delta.results_dropped
-    }
-    assert registry.snapshot()["store.commit.drop_reason.rebuild"] == delta.results_dropped
+    assert (delta.results_kept, delta.results_patched) == (1, 0), delta
+    assert all(reason.startswith("label:") for reason in delta.drop_reasons), delta
+    assert _check_survivors(store, "db", oracle=True) == 1
+    assert not [name for name in registry.snapshot() if "rebuild" in name]
 
 
 def test_store_stat_prints_the_last_commits_verdicts(tmp_path, capsys):

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.16.0"
+        assert repro.__version__ == "1.17.0"
 
     def test_arena_transform_surface(self):
         """1.12.0: an arena in is an arena out, through the one kernel

@@ -1,12 +1,11 @@
 """The one result cache (``ViewStore.results``), under random histories.
 
 One state machine drives a store behind a service through puts, view
-definitions, stagings, commits (spliced and forced to rebuild),
-rollbacks, drop-and-redefine and drop-and-reload, reading through all
-three fronts — the store, the service and the wire (``handle_request``
-+ ``encode_response``, what the server's handler runs) — and every
-commit first reads a fixed pool on every target, so it has entries to
-keep, move or drop.  Whatever the history:
+definitions, stagings, commits, rollbacks, drop-and-redefine and
+drop-and-reload, reading through all three fronts — the store, the
+service and the wire (``handle_request`` + ``encode_response``, what
+the server's handler runs) — and every commit first reads a fixed pool
+on every target, so it has entries to keep, move or drop.  Whatever the history:
 
 * every answer the cache could hand out — an entry whose key a read of
   the current state would build — equals ``query_naive``, serialized,
@@ -21,7 +20,6 @@ keep, move or drop.  Whatever the history:
 """
 
 import json
-from unittest import mock
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -30,9 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro import QueryService, serialize
 from repro.service.protocol import decode_line, encode_response, handle_request
 from repro.store import MaterializationPolicy, ViewStore
-from repro.store import store as store_module
 from repro.store.answer import node_refs
-from repro.store.delta import DeltaUnsupported
 from repro.xmltree.node import Element
 
 from tests.strategies import transform_texts, trees, user_queries
@@ -99,21 +95,14 @@ class ResultCacheMachine(RuleBasedStateMachine):
         elif self.store.log.staged("db"):
             self.service.rollback("db")
 
-    @rule(text=st.none() | transform_texts(), rebuild=st.booleans())
-    def commit(self, text, rebuild):
-        """Whatever is staged, plus *text*; spliced unless *rebuild*."""
+    @rule(text=st.none() | transform_texts())
+    def commit(self, text):
+        """Whatever is staged, plus *text*."""
         for index, target in enumerate(["db", "aux"] + sorted(self.bases)):
             self._read(target, POOL, staged=False, through_service=index % 2 == 0)
         self._read("db", POOL[:2], staged=True, through_service=True)
         aux_entries = self._entries_over("aux")
-        if rebuild:
-            forced = DeltaUnsupported("budget", "forced by the test")
-            with mock.patch.object(
-                store_module, "apply_entries_spliced", side_effect=forced
-            ):
-                self.service.commit("db", text)
-        else:
-            self.service.commit("db", text)
+        self.service.commit("db", text)
         if self.store.last_delta.entries:  # a no-op commit touches no cache
             self._every_key_names_a_live_arena()
         assert self._entries_over("aux") == aux_entries

@@ -1,4 +1,4 @@
-"""Incremental commits: the version chain and the splice fast path.
+"""Incremental commits: the version chain and the one commit path, a splice.
 
 The oracle throughout is the paper's semantics: whatever a spliced
 commit produces must serialize identically to what the rebuild function
@@ -28,15 +28,11 @@ from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
 from repro.store import MaterializationPolicy, StoreError, ViewStore
-from repro.store import delta as delta_module
-from repro.store.delta import (
-    REBUILD_REASONS,
-    DeltaUnsupported,
-    apply_entries_rebuilt,
-    apply_entries_spliced,
-)
+from repro.store.delta import apply_entries_rebuilt, apply_entries_spliced
+from repro.store.errors import WalCorruptError
 from repro.store.log import StagedUpdate
 from repro.store.state import open_store, save_store
+from repro.store.wal import WalWriter, wal_path
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.xmltree.arena import freeze, freeze_segment, splice, thaw
@@ -104,10 +100,10 @@ class TestCommitMatchesTheReferences:
         delta = store.commit_delta("db", text)
         snapshot = store.pin("db")
         _assert_wellformed(snapshot.arena)
-        rebuilt = apply_entries_rebuilt(base, entries, "budget")
+        rebuilt = apply_entries_rebuilt(base, entries)
         return (
             store, delta, serialize_arena(snapshot.arena),
-            serialize_arena(rebuilt.arena), _naive_xml(xml, entries),
+            serialize_arena(rebuilt), _naive_xml(xml, entries),
         )
 
     @pytest.mark.parametrize(
@@ -122,8 +118,7 @@ class TestCommitMatchesTheReferences:
     )
     def test_each_kind_splices_and_matches_the_rebuild(self, body):
         store, delta, committed, rebuilt, naive = self._commit(DOC, _transform(body))
-        assert delta.spliced and delta.entries == 1, delta
-        assert delta.rebuild_reason is None
+        assert delta.entries == 1 and delta.patches >= 1, delta
         assert delta.new_version == delta.old_version + 1
         assert committed == rebuilt == naive
 
@@ -131,65 +126,92 @@ class TestCommitMatchesTheReferences:
         _, delta, committed, rebuilt, naive = self._commit(
             DOC, _transform("delete $a/nosuch")
         )
-        assert delta.spliced and delta.patches == 0 and delta.touched_nodes == 0
+        assert delta.entries == 1 and delta.patches == 0 and delta.touched_nodes == 0
         assert committed == rebuilt == naive == DOC
 
-    def test_document_spanning_delete_is_rebuilt_with_its_reason(self):
-        # A delta covering most of the document gains nothing over a
-        # rebuild and would fragment sharing: the commit is derived by
-        # the rebuild function, installed through the same path, and
-        # says why on the receipt, in the stats and in the metrics.
+    def test_document_spanning_delete_splices_and_keeps_what_it_missed(self):
+        # A delta covering most of the document is a splice like any
+        # other: one patch, the chain records it, and a cached answer
+        # beside it survives by position.
         wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s/></db>"
-        store, delta, committed, rebuilt, naive = self._commit(
-            wide, _transform("delete $a/big")
-        )
-        assert not delta.spliced and delta.rebuild_reason == "budget"
-        assert delta.labels is None and delta.new_uid != delta.old_uid
-        assert committed == rebuilt == naive == "<db><s/></db>"
+        store = ViewStore()
+        store.put("db", wide)
+        base = store.pin("db").arena
+        query = "for $i in s return $i"
+        assert store.query_serialized("db", query) == ["<s/>"]
+        held = dict(store.results.items())
+        text = _transform("delete $a/big")
+        _, entries = _staged([text], store.compiled)
+        delta = store.commit_delta("db", text)
+        assert delta.entries == 1 and delta.patches == 1, delta
+        assert delta.touched_nodes > len(base) // 2, delta
+        assert (delta.results_kept, delta.results_dropped) == (1, 0), delta
+        committed = serialize_arena(store.pin("db").arena)
+        assert committed == serialize_arena(apply_entries_rebuilt(base, entries))
+        assert committed == _naive_xml(wide, entries) == "<db><s/></db>"
+        (key, answer), = store.results.items()
+        assert key[1] == delta.new_uid and answer is held[("db", delta.old_uid) + key[2:]]
+        assert store.query_serialized("db", query) == ["<s/>"]
+        assert store.results.stats()["hits"] == 1
         doc = store.documents.get("db")
-        assert doc.version == 2 and doc.splices == 0 and doc.arena_builds == 2
-        assert [entry.kind for entry in doc.chain.snapshot()] == ["load", "rebuild"]
+        assert doc.version == 2 and doc.splices == 1 and doc.arena_builds == 1
+        assert [entry.kind for entry in doc.chain.snapshot()] == ["load", "splice"]
         commits = store.stats()["commits"]
-        assert commits["rebuilds"] == 1 and commits["spliced"] == 0
-        assert commits["rebuild_reasons"] == {"selector": 0, "budget": 1, "root": 0}
-        assert commits["last"]["rebuild_reason"] == "budget"
+        assert commits["spliced"] == 1 and "rebuilds" not in commits
         registry = MetricsRegistry()
         store.bind_metrics(registry)
         metrics = registry.snapshot()
-        assert metrics["store.commit.rebuild_reason.budget"] == 1
-        assert metrics["store.commit.delta.rebuilds"] == 1
+        assert metrics["store.commit.delta.spliced"] == 1
+        assert not [name for name in metrics if "rebuild" in name]
 
-    def test_unsupported_selector_is_rebuilt_with_its_reason(self, monkeypatch):
-        store = ViewStore()
-        store.put("db", DOC)
-        text = _transform("delete $a/a/x")
-        _, entries = _staged([text])
 
-        def refuse(path):
-            raise NotImplementedError("no arena selector for this path")
+# ----------------------------------------------------------------------
+# A path the selecting automaton refuses is refused when it is staged
+# ----------------------------------------------------------------------
 
-        monkeypatch.setattr(delta_module, "build_selecting_nfa", refuse)
-        with pytest.raises(DeltaUnsupported) as excinfo:
-            apply_entries_spliced(store.pin("db").arena, entries)
-        assert excinfo.value.reason == "selector"
-        delta = store.commit_delta("db", text)
-        assert not delta.spliced and delta.rebuild_reason == "selector"
-        assert serialize_arena(store.pin("db").arena) == _naive_xml(DOC, entries)
-        assert store.stats()["commits"]["rebuild_reasons"]["selector"] == 1
+#: ``$a/.`` selects the root itself; ``//.[x]`` puts a qualifier on
+#: the looping descendant state.  Both are ``ValueError`` s of the
+#: automaton, as a view definition and a staged read raise them.
+UNCOMPILABLE = ["delete $a/.", "delete $a//.[x]"]
 
-    def test_a_rebuild_drops_every_cached_entry_over_the_document(self):
-        wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s/></db>"
-        store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
-        store.put("db", wide)
-        store.define_view("v", "db", _transform("delete $a//x"))
-        store.query_serialized("db", "for $i in s return $i")
-        store.query_serialized("v", "for $i in s return $i")
-        assert store.views.get("v").materialized_root is not None
-        delta = store.commit_delta("db", _transform("delete $a/big"))
-        assert not delta.spliced
-        assert delta.results_kept == 0 and delta.results_dropped == 2, delta
-        assert delta.mats_kept == 0 and delta.mats_dropped == 1, delta
-        assert len(store.results) == 0
+
+@pytest.mark.parametrize("body", UNCOMPILABLE)
+def test_stage_refuses_a_path_the_automaton_cannot_compile(body):
+    store = ViewStore()
+    store.put("db", DOC)
+    store.query_serialized("db", "for $x in a return $x")
+    text = _transform(body)
+    with pytest.raises(ValueError) as defined:
+        store.define_view("v", "db", text)
+    with pytest.raises(ValueError) as staged:
+        store.stage("db", text)
+    assert str(staged.value) == str(defined.value)
+    with pytest.raises(ValueError):
+        store.commit_delta("db", text)
+    assert store.log.staged("db") == []
+    # Nothing was committed: the version, the arena and the cache stand.
+    delta = store.commit_delta("db")
+    assert delta.entries == 0 and delta.new_version == 1
+    assert len(store.results) == 1
+    assert serialize_arena(store.pin("db").arena) == DOC
+
+
+def test_replay_refuses_a_logged_update_this_build_will_not_stage(tmp_path):
+    """A WAL record of such an update (only an older build could have
+    written one) stops recovery with an error naming the record; it is
+    never skipped."""
+    state_dir = str(tmp_path / "st")
+    seed = ViewStore()
+    seed.put("db", DOC)
+    save_store(seed, state_dir)
+    wal = WalWriter(wal_path(state_dir))
+    wal.append({
+        "kind": "commit", "doc": "db", "version": 2,
+        "texts": [_transform("insert <w/> into $a/b"), _transform(UNCOMPILABLE[0])],
+    })
+    wal.close()
+    with pytest.raises(WalCorruptError, match=r"commit record for 'db' v2 cannot be applied"):
+        open_store(state_dir)
 
 
 # ----------------------------------------------------------------------
@@ -205,19 +227,14 @@ def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
     before = serialize_arena(base)
     want = _naive_xml(before, entries)
 
-    rebuilt = apply_entries_rebuilt(base, entries, "budget")
-    _assert_wellformed(rebuilt.arena)
-    assert rebuilt.kind == "rebuild" and rebuilt.labels is None
-    assert serialize_arena(rebuilt.arena) == want
+    rebuilt = apply_entries_rebuilt(base, entries)
+    _assert_wellformed(rebuilt)
+    assert serialize_arena(rebuilt) == want
 
-    try:
-        spliced = apply_entries_spliced(base, entries)
-    except DeltaUnsupported as unsupported:
-        assert unsupported.reason in REBUILD_REASONS
-    else:
-        _assert_wellformed(spliced.arena)
-        assert spliced.kind == "splice" and spliced.reason is None
-        assert serialize_arena(spliced.arena) == want
+    spliced = apply_entries_spliced(base, entries)
+    _assert_wellformed(spliced.arena)
+    assert len(spliced.steps) == len(entries)
+    assert serialize_arena(spliced.arena) == want
     # Neither derivation touched the arena it derived from.
     assert serialize_arena(base) == before
 
@@ -245,7 +262,7 @@ def test_plain_document_lifecycle_never_thaws_the_document(tmp_path, thaw_calls)
         "<x>1</x>"
     ]
     for body in ("insert <w>9</w> into $a/b", "rename $a//y as z", "delete $a/a/x"):
-        assert store.commit_delta("db", _transform(body)).spliced
+        assert store.commit_delta("db", _transform(body)).entries == 1
     assert store.stats()["documents"]["db"]["nodes"] == len(doc.arena)
     save_store(store, state_dir)
     store.wal.close()
@@ -374,8 +391,8 @@ def test_readers_pinned_to_old_versions_never_observe_splices():
                 for text in PAIRED:
                     store.stage("db", text)
                 delta = store.commit_delta("db")
-                if not delta.spliced or delta.entries != 2:
-                    errors.append(AssertionError(f"not spliced: {delta}"))
+                if delta.entries != 2:
+                    errors.append(AssertionError(f"not a two-entry commit: {delta}"))
                     return
         except Exception as exc:  # noqa: BLE001 - asserted below
             errors.append(exc)
@@ -437,7 +454,7 @@ def test_disjoint_results_survive_a_spliced_commit():
     before = {name: store.query_serialized("db", q) for name, q in queries.items()}
 
     delta = store.commit_delta("db", _transform("insert <w>9</w> into $a/a"))
-    assert delta.spliced, delta
+    assert delta.entries == 1, delta
     assert delta.labels is not None
     assert "a" in delta.labels and "b" not in delta.labels
     assert (delta.results_kept, delta.results_patched, delta.results_dropped) == (
@@ -470,7 +487,7 @@ def test_swallowed_commit_keeps_the_view_materialization():
     delta = store.commit_delta(
         "db", _transform("insert <cost>2</cost> into $a/part/secret")
     )
-    assert delta.spliced, delta
+    assert delta.entries == 1, delta
     assert delta.mats_kept == 1 and delta.mats_dropped == 0, delta
     assert view.materialized_root is not None
     assert view.materialized_version == delta.new_version
@@ -482,7 +499,7 @@ def test_swallowed_commit_keeps_the_view_materialization():
     delta = store.commit_delta(
         "db", _transform("insert <pname>mouse</pname> into $a/part")
     )
-    assert delta.spliced, delta
+    assert delta.entries == 1, delta
     assert delta.mats_kept == 0 and delta.mats_dropped == 1, delta
     assert view.materialized_root is None
     assert [serialize(row) for row in store.query("public", query)] == [

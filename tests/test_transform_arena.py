@@ -20,7 +20,7 @@ from repro import Engine, QueryService, ViewStore
 from repro.automata.selecting import build_selecting_nfa
 from repro.transform import STRATEGIES, parse_transform_query
 from repro.transform.ablations import transform_naive_indexed
-from repro.transform.arena import ArenaTransformError, transform_arena
+from repro.transform.arena import transform_arena
 from repro.transform.rewrite import transform_naive_xquery
 from repro.transform.topdown import transform_topdown
 from repro.xmark.generator import generate
@@ -175,9 +175,8 @@ class TestEngineContract:
     def test_a_selector_the_arena_rejects_is_the_kernels_error(self):
         arena = freeze(parse(CATALOG), SymbolTable())  # not the NFA's table
         query = parse_transform_query(_t("delete $a//price"))
-        with pytest.raises(ArenaTransformError, match="symbol table") as caught:
+        with pytest.raises(ValueError, match="symbol table"):
             transform_arena(arena, query.update, build_selecting_nfa(query.path))
-        assert caught.value.reason == "selector"
         with pytest.raises(ValueError, match="symbol table"):
             Engine().prepare_transform(_t("delete $a//price")).run(arena)
 

@@ -219,8 +219,8 @@ def test_random_stacks_match_the_oracle(tree, layers, staged, query, hot):
 
 
 def test_a_view_may_delete_most_of_its_document():
-    """The commit path rebuilds a delta over its touched-fraction
-    budget; that policy must not leak into views, which have none."""
+    """A view whose layer removes most of the document reads like any
+    other, and so does the same delete committed: a splice."""
     wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s>4</s></db>"
     store = ViewStore(policy=MaterializationPolicy(hot_threshold=2))
     store.put("db", wide)
@@ -235,8 +235,9 @@ def test_a_view_may_delete_most_of_its_document():
             "small", "for $i in * return $i", include_staged=True
         ) == ["<s>4</s>"]
     assert len(store.views.get("small").materialized_root) == 3  # db, s, "4"
-    # ...while the same delete, committed, is over budget and rebuilt.
-    assert store.commit_delta("db", _t("delete $a/big")).rebuild_reason == "budget"
+    delta = store.commit_delta("db", _t("delete $a/big"))
+    assert delta.entries == 2 and delta.patches == 2, delta
+    assert store.query_serialized("smaller", "for $i in t return $i") == ["<t>4</t>"]
 
 
 def test_a_redefined_view_is_never_answered_from_the_old_definition():
