@@ -350,7 +350,6 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             store.bind_metrics(registry)
             for name in stats["documents"]:
                 stats["documents"][name]["arena"] = store.documents.get(name).pin().arena.stats()
-                stats["documents"][name]["chain"] = store.chain_info(name)
             print(json.dumps(
                 {"store": stats, "metrics": registry.snapshot()}, sort_keys=True
             ))
@@ -374,14 +373,6 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"({arena_stats['elements']} elements), "
             f"{arena_stats['column_bytes']} column bytes, "
             f"{arena_stats['total_bytes']} bytes total"
-        )
-        chain = store.chain_info(name)
-        versions = ", ".join(f"v{v}" for v in chain["versions"])
-        print(
-            f"    version chain: {chain['length']} resident ({versions}), "
-            f"{chain['splices']} splice(s); "
-            f"{chain['shared_bytes']} bytes shared / "
-            f"{chain['owned_bytes']} owned"
         )
     for name, info in stats["views"].items():
         print(

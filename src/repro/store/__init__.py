@@ -29,9 +29,10 @@ view are answered with the Compose Method over the stack (see
 :mod:`repro.store.store` for how a read is served), compiled artifacts
 are cached in an LRU :class:`CompiledCache`, and serialized answers
 are cached per arena (``ViewStore.results``, one :class:`Answer` per
-key).  A document at rest is one frozen arena per version;
-staged updates commit by installing the next one (carrying provably
-unaffected views and results across) or roll back.
+key).  A document at rest is one frozen arena, its current version's;
+staged updates commit by installing the next one in its place
+(carrying provably unaffected views and results across) or roll back,
+and an older version lives on only in the snapshots readers hold.
 
 :mod:`repro.store.state` gives the ``repro store`` CLI durable state:
 one directory with a JSON manifest plus one XML file per document.

@@ -3,7 +3,8 @@
 A commit (:func:`apply_entries_spliced`) runs the one select + splice
 kernel (:func:`repro.transform.arena.transform_arena` — O(delta) work
 instead of O(document)) per staged entry; it is the only way a commit
-derives the next version.
+derives the next version.  :class:`CommitDelta` is the commit's
+receipt.
 
 The kernel reports what each step changed (see
 :class:`~repro.transform.arena.ArenaStep`): the labels of the nodes
@@ -30,7 +31,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Set, cast
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING, Any, FrozenSet, List, Mapping, Optional, Sequence, Set, cast,
+)
 
 from repro.automata.arena_run import select_indices
 from repro.transform.arena import PatchRange, topmost, transform_arena
@@ -53,6 +57,7 @@ if TYPE_CHECKING:
     from repro.transform.arena import ArenaStep
 
 __all__ = [
+    "CommitDelta",
     "CommitOutcome",
     "DROP_REASONS",
     "apply_entries_rebuilt",
@@ -109,6 +114,43 @@ class CommitOutcome:
         if len(self.steps) != 1:
             return None
         return self.steps[0].ranges
+
+
+@dataclass(frozen=True)
+class CommitDelta:
+    """The receipt of one commit: what changed, and what the
+    delta-scoped invalidation managed to keep.
+
+    ``labels`` is the conservative delta label set (every element
+    label inside a touched range, introduced by a segment, or on an
+    attach point's ancestor chain); ``None`` for a no-op commit.  Of
+    the cached answers under the affected names, ``results_kept``
+    moved to the new arena as they were, ``results_patched`` moved
+    with the items a patch landed in re-serialized, and
+    ``results_dropped`` went — for the reasons ``drop_reasons`` counts
+    (:data:`DROP_REASONS`, with the overlapping labels after
+    ``label:``).  ``entries == 0`` marks a no-op commit: nothing was
+    staged, the version did not move, no cache was touched; every
+    other commit spliced.  What ``ViewStore.commit_delta`` returns and
+    the ``store.commit.delta.*`` metrics and the service's
+    ``memo_retained`` counter consume.
+    """
+
+    doc_name: str
+    old_version: int
+    new_version: int
+    old_uid: int
+    new_uid: int
+    entries: int
+    patches: int = 0
+    touched_nodes: int = 0
+    labels: Optional[FrozenSet[str]] = None
+    results_kept: int = 0
+    results_patched: int = 0
+    results_dropped: int = 0
+    drop_reasons: Mapping[str, int] = field(default_factory=dict)
+    mats_kept: int = 0
+    mats_dropped: int = 0
 
 
 def apply_entries_spliced(
@@ -384,6 +426,8 @@ def ranges_swallowed_by(
     every cached result over it survive the commit.  Rename patches
     must fall strictly inside a match (renaming the match root itself
     changes its label chain); inserts may attach to the match root.
+    Deleting a match root is swallowed by a deleting transform only: a
+    replacing one would have put its content where the root was.
     """
     update = transform.update
     if update.kind not in ("delete", "replace"):
@@ -405,6 +449,6 @@ def ranges_swallowed_by(
         limit = m + size[m]
         if anchor >= limit or stop > limit:
             return False
-        if kind in ("rename", "replace") and start == m:
+        if start == m and (kind in ("rename", "replace") or update.kind == "replace"):
             return False
     return True

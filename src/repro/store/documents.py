@@ -25,13 +25,11 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
-from repro.store.chain import ChainVersion, VersionChain, sharing_stats
 from repro.store.errors import (
     DuplicateNameError,
     InvalidNameError,
-    StoreError,
     UnknownNameError,
 )
 from repro.xmltree.arena import FrozenDocument, freeze
@@ -83,16 +81,19 @@ class StoredDocument:
 
     Every read of a version shares the **same immutable arena** — a
     zero-copy snapshot.  A commit installs the next arena (spliced
-    from this one) and drops the store's reference to the old one;
-    readers still holding it keep a consistent pre-commit view for
-    free.  ``arena_builds`` counts O(document) constructions (the
-    admission) and ``splices`` the O(delta) commits, so "N reads and M
-    commits, 1 build" is an assertable contract.
+    from this one) and drops the store's reference to the old one, so
+    the store keeps exactly one version per document; a reader still
+    holding a :class:`Snapshot` of the old one keeps a consistent
+    pre-commit view for as long as it holds it, and the old arena is
+    freed when the last such reader lets go.  ``arena_builds`` counts
+    O(document) constructions (the admission) and ``splices`` the
+    O(delta) commits, so "N reads and M commits, 1 build" is an
+    assertable contract.
     """
 
     __slots__ = (
         "name", "version", "uid", "arena", "lock", "commit_lock",
-        "source", "dirty", "state_file", "arena_builds", "splices", "chain",
+        "source", "dirty", "state_file", "arena_builds", "splices",
     )
 
     # guarded-by[version, uid, arena]: self.lock
@@ -125,57 +126,32 @@ class StoredDocument:
         self.state_file: Optional[str] = None
         self.arena_builds = 1
         self.splices = 0
-        #: Structurally-shared recent frozen versions (assign-once
-        #: reference; the chain carries its own leaf lock).
-        self.chain = VersionChain()
-        self.chain.record(ChainVersion(version, self.uid, arena, "load"))
 
     # holds: self.lock
-    def install(
-        self, arena: FrozenDocument, touched_nodes: int
-    ) -> Tuple[int, List[ChainVersion]]:
+    def install(self, arena: FrozenDocument) -> int:
         """Install the spliced *arena* as the next committed version
         (callers hold :attr:`lock`) — the one way a document's content
-        ever changes.  Returns the new version and the chain entries it
-        evicted, which the caller drops after releasing :attr:`lock`
-        (freeing an old arena is not work a reader's ``pin()`` should
-        wait behind)."""
+        ever changes — and return the new version.  The replaced arena
+        is not freed here: the committing caller still holds it as its
+        base and lets it go after releasing :attr:`lock` (freeing an
+        old arena is not work a reader's ``pin()`` should wait
+        behind)."""
         self.version += 1
         self.arena = arena
         self.uid = next(_ARENA_UIDS)
         self.dirty = True
         self.splices += 1
-        evicted = self.chain.record(
-            ChainVersion(self.version, self.uid, arena, "splice", touched_nodes)
-        )
-        return self.version, evicted
+        return self.version
 
-    def pin(self, version: Optional[int] = None) -> Snapshot:
-        """Pin a committed version for an MVCC reader.
-
-        With no argument: the current version, taking the document lock
-        just long enough to read one consistent (version, arena, uid)
-        row; the returned :class:`Snapshot` is then consumed lock-free.
-        A concurrent commit installs a new arena — this snapshot keeps
-        observing the old one, fully consistent, until the reader drops
-        it.
-
-        With ``version=N``: a time-travel pin onto the version chain.
-        Spliced versions share untouched columns, so recent history
-        stays resident nearly for free; pinning a version that has
-        fallen off the chain raises :class:`StoreError`.
-        """
+    def pin(self) -> Snapshot:
+        """Pin the current version for an MVCC reader, taking the
+        document lock just long enough to read one consistent
+        (version, arena, uid) row; the returned :class:`Snapshot` is
+        then consumed lock-free.  A concurrent commit installs a new
+        arena — this snapshot keeps observing the old one, fully
+        consistent, until the reader drops it."""
         with self.lock:
-            if version is None or version == self.version:
-                return Snapshot(self.name, self.version, self.arena, self.uid)
-            entry = self.chain.find(version)
-        if entry is None:
-            resident = self.chain.versions()
-            raise StoreError(
-                f"document {self.name!r} has no resident version {version} "
-                f"(chain holds {resident})"
-            )
-        return Snapshot(self.name, entry.version, entry.arena, entry.uid)
+            return Snapshot(self.name, self.version, self.arena, self.uid)
 
     def stats(self) -> Dict[str, Any]:
         # Taken under the document lock: a commit in flight could
@@ -190,24 +166,9 @@ class StoredDocument:
                 "source": self.source,
                 "arena_builds": self.arena_builds,
                 "splices": self.splices,
-                "chain_length": len(self.chain),
                 "arena_bytes": arena_stats["total_bytes"],
                 "arena_column_bytes": arena_stats["column_bytes"],
             }
-
-    def chain_info(self) -> Dict[str, Any]:
-        """Chain shape for ``store stat``: resident versions plus the
-        shared/owned byte split across consecutive entries."""
-        with self.lock:
-            splices = self.splices
-        entries = self.chain.snapshot()
-        info: Dict[str, Any] = {
-            "length": len(entries),
-            "versions": [entry.version for entry in entries],
-            "splices": splices,
-        }
-        info.update(sharing_stats(entries))
-        return info
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StoredDocument({self.name!r}, v{self.version})"  # unguarded: debug repr; a torn version read is harmless

@@ -68,9 +68,9 @@ from repro.faults import fault_point
 from repro.lru import LRUCache
 from repro.obs import span
 from repro.store.answer import Answer, node_refs
-from repro.store.chain import CommitDelta
 from repro.store.delta import (
     DROP_REASONS,
+    CommitDelta,
     CommitOutcome,
     apply_entries_spliced,
     query_labels,
@@ -436,20 +436,19 @@ class ViewStore:
             return self.documents.get(doc_name), stack
         return self.documents.get(target), []
 
-    def pin(self, name: str, version: Optional[int] = None) -> Snapshot:
-        """Pin an MVCC read snapshot of document *name*.
+    def pin(self, name: str) -> Snapshot:
+        """Pin an MVCC read snapshot of document *name*'s current
+        version.
 
         The document lock is held only to read one consistent
         (version, arena, uid) row; evaluation against the returned
         immutable snapshot happens entirely outside the store's locks,
         so staged or committing writers never block pinned readers.
+        The snapshot is what keeps a version alive: the store holds
+        only the current one, and a reader that must keep answering
+        against pre-commit state holds on to the snapshot it pinned.
         A view has no arena of its own to hand out: pin its document,
         or pin a *read* of the view with :meth:`pin_read`.
-
-        ``version=N`` is a time-travel pin onto the document's version
-        chain: spliced commits keep recent versions resident (sharing
-        untouched columns with their successors), so pinned readers can
-        keep answering against pre-commit state long after the commit.
         """
         if name in self.views:
             raise StoreError(
@@ -457,7 +456,7 @@ class ViewStore:
                 f"reads; pin its document "
                 f"{self.views.document_of(name)!r} instead"
             )
-        snapshot = self.documents.get(name).pin(version)
+        snapshot = self.documents.get(name).pin()
         with self._counter_lock:
             self.snapshot_pins += 1
         return snapshot
@@ -563,16 +562,16 @@ class ViewStore:
                     outcome = apply_entries_spliced(base_arena, entries)
                 with span("invalidate"):
                     verdicts = self._delta_verdicts(doc.name, outcome)
+                # ``base_arena`` outlives the lock: the arena install
+                # replaces is freed when this call returns (unless a
+                # reader's snapshot still holds it), never under the lock.
                 with doc.lock:
                     self.log.record_commit(doc.name, entries)
-                    version, evicted = doc.install(outcome.arena, outcome.touched_nodes)
+                    version = doc.install(outcome.arena)
                     new_uid = doc.uid
                     kept_m, dropped_m = self._rebase_materializations(
                         verdicts, old_version, version
                     )
-                # The version the chain let go is freed here, with no
-                # reader waiting on the document lock behind it.
-                del evicted
             except BaseException:
                 # The commit did not install: put the consumed entries
                 # back so a retry commits the same sequence, and cancel
@@ -875,8 +874,3 @@ class ViewStore:
             "arena_reads": arena_reads,
             "snapshot_pins": snapshot_pins,
         }
-
-    def chain_info(self, doc_name: str) -> dict:
-        """Version-chain shape and shared/owned byte split for one
-        document (``repro store stat`` surfaces this)."""
-        return self._require_document(doc_name).chain_info()

@@ -76,7 +76,11 @@ parent lies before its piece) has its ``up`` re-pointed at where that
 parent landed; a segment's root has its ``up`` set to its attach
 point.  Every other kept lane is the base's lane, copied — O(touched +
 ancestors) point-writes on top of memory copies.  The attribute key
-column is moved like any index list (:func:`carry_indices`).
+column is moved like any index list (:func:`carry_indices`).  Sharing
+keeps a commit's allocation to the columns themselves, and keeps a
+reader that still holds the base cheap beside the new version.  The
+store itself holds one version per document: a base outlives its
+commit only while some reader's snapshot holds it.
 
 Construction never builds an intermediate ``Node`` tree: the
 tokenizer's event stream drives a :class:`FrozenBuilder` directly
@@ -899,9 +903,10 @@ def rename_splice(base: FrozenDocument, indices: list, new_label: str) -> Frozen
     """A new frozen version with the elements at *indices* relabeled.
 
     A rename changes exactly one column: ``up``/``size``/``payload``
-    and the attribute columns are **aliased** from *base* (full
-    structural sharing; both arenas are immutable so aliasing is safe),
-    and only ``sym`` is copied and point-written.
+    and the attribute columns are **aliased** from *base* (both arenas
+    are immutable, so aliasing is safe and a reader still holding
+    *base* costs one ``sym`` column beside the new version), and only
+    ``sym`` is copied and point-written.
     """
     sym = array("i", base.sym)
     sid = base.symbols.intern(new_label)

@@ -1,4 +1,5 @@
-"""Incremental commits: the version chain and the one commit path, a splice.
+"""Incremental commits: the one commit path, a splice, and the one
+resident version it leaves per document.
 
 The oracle throughout is the paper's semantics: whatever a spliced
 commit produces must serialize identically to what the rebuild function
@@ -7,16 +8,17 @@ produces for the same staged sequence, and both to ``transform_naive``
 folded over a parsed copy — deterministically per update kind through
 a store, and as one property-based differential over random trees and
 random update sequences, with no second store anywhere.  On top of
-equivalence: chain time travel (``pin(version=N)``), snapshot
-isolation for readers pinned to old chain versions while a writer
-splices, structural sharing between consecutive chain entries, the
-delta-scoped invalidation receipts (results kept by label
+equivalence: one live arena per document once no snapshot holds an
+older one, snapshot isolation for readers holding snapshots pinned
+before a writer splices, structural sharing between a version and the
+one spliced from it, the replaced arena freed outside the document
+lock, the delta-scoped invalidation receipts (results kept by label
 disjointness, materializations kept by the swallow test), and the
 one-representation contract (a plain document never builds its Node
 cache on the open → read → commit → checkpoint path).
 """
 
-import dataclasses
+import gc
 import threading
 import weakref
 
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
-from repro.store import MaterializationPolicy, StoreError, ViewStore
+from repro.store import MaterializationPolicy, ViewStore
 from repro.store.delta import apply_entries_rebuilt, apply_entries_spliced
 from repro.store.errors import WalCorruptError
 from repro.store.log import StagedUpdate
@@ -35,7 +37,7 @@ from repro.store.state import open_store, save_store
 from repro.store.wal import WalWriter, wal_path
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
-from repro.xmltree.arena import freeze, freeze_segment, splice, thaw
+from repro.xmltree.arena import FrozenDocument, freeze, freeze_segment, splice, thaw
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize, serialize_arena, write_file
 
@@ -131,8 +133,8 @@ class TestCommitMatchesTheReferences:
 
     def test_document_spanning_delete_splices_and_keeps_what_it_missed(self):
         # A delta covering most of the document is a splice like any
-        # other: one patch, the chain records it, and a cached answer
-        # beside it survives by position.
+        # other: one patch, and a cached answer beside it survives by
+        # position.
         wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s/></db>"
         store = ViewStore()
         store.put("db", wide)
@@ -155,7 +157,6 @@ class TestCommitMatchesTheReferences:
         assert store.results.stats()["hits"] == 1
         doc = store.documents.get("db")
         assert doc.version == 2 and doc.splices == 1 and doc.arena_builds == 1
-        assert [entry.kind for entry in doc.chain.snapshot()] == ["load", "splice"]
         commits = store.stats()["commits"]
         assert commits["spliced"] == 1 and "rebuilds" not in commits
         registry = MetricsRegistry()
@@ -276,94 +277,109 @@ def test_plain_document_lifecycle_never_thaws_the_document(tmp_path, thaw_calls)
 
 
 # ----------------------------------------------------------------------
-# The version chain: time travel and structural sharing
+# One resident version per document; a held snapshot keeps its own
 # ----------------------------------------------------------------------
 
 
-def test_pin_time_travel_on_the_chain():
+def _live_arenas():
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, FrozenDocument)]
+
+
+def test_the_store_keeps_one_arena_per_document_and_a_snapshot_keeps_its_own():
+    """After ten commits per document, with no snapshot held, each
+    document is exactly one live ``FrozenDocument`` — the one it
+    serves.  A snapshot pinned before the commits keeps its arena alive
+    and byte-identical throughout."""
+    earlier = _live_arenas()  # held, so no new arena can reuse an id
+    earlier_ids = {id(arena) for arena in earlier}
+
+    def new_arenas():
+        return {id(a) for a in _live_arenas() if id(a) not in earlier_ids}
+
+    store = ViewStore()
+    store.put("db", "<db><a>1</a></db>")
+    store.put("other", "<db><a>2</a></db>")
+    held = store.pin("db")
+    before = serialize_arena(held.arena)
+    for _ in range(10):
+        store.commit("db", _transform("insert <b/> into $a/a"))
+        store.commit("other", _transform("insert <b/> into $a/a", "other"))
+        assert serialize_arena(held.arena) == before
+    assert held.version == 1 and store.pin("db").version == 11
+    served = {id(store.documents.get(name).arena) for name in ("db", "other")}
+    assert new_arenas() == served | {id(held.arena)}
+
+    del held
+    assert new_arenas() == served
+
+
+def test_pin_reads_the_current_version_only():
+    """A pin is of the current version, on the store and on the
+    document alike; there is no version to ask for."""
     store = ViewStore()
     store.put("db", "<db><a>1</a></db>")
     store.commit("db", _transform("insert <b>2</b> into $a/a"))
-    store.commit("db", _transform("insert <c>3</c> into $a/a"))
-    assert store.pin("db").version == 3
-
-    v1 = serialize_arena(store.pin("db", version=1).arena)
-    v2 = serialize_arena(store.pin("db", version=2).arena)
-    assert "<b>2</b>" not in v1 and "<c>3</c>" not in v1
-    assert "<b>2</b>" in v2 and "<c>3</c>" not in v2
-    assert "<c>3</c>" in serialize_arena(store.pin("db", version=3).arena)
-
-    with pytest.raises(StoreError) as excinfo:
-        store.pin("db", version=99)
-    assert "resident" in str(excinfo.value)
+    doc = store.documents.get("db")
+    for snapshot in (store.pin("db"), doc.pin()):
+        assert snapshot.version == 2 and snapshot.uid == doc.uid
+        assert snapshot.arena is doc.arena
+    with pytest.raises(TypeError):
+        store.pin("db", version=1)
+    with pytest.raises(TypeError):
+        doc.pin(version=1)
 
 
 def test_spliced_versions_share_structure():
     store = ViewStore()
     store.put("db", DOC)
+    s1 = store.pin("db")
     store.commit("db", _transform("insert <w>9</w> into $a/b"))
+    s2 = store.pin("db")
     store.commit("db", _transform("rename $a//y as z"))
+    s3 = store.pin("db")
 
-    a1 = store.pin("db", version=1).arena
-    a2 = store.pin("db", version=2).arena
-    a3 = store.pin("db", version=3).arena
+    a1, a2, a3 = s1.arena, s2.arena, s3.arena
+    assert (s1.version, s2.version, s3.version) == (1, 2, 3)
     assert a2.symbols is a1.symbols and a3.symbols is a1.symbols
     # A rename touches only the symbol column: everything else aliases.
+    assert a3.sym is not a2.sym
     assert a3.up is a2.up and a3.size is a2.size
     assert a3.payload is a2.payload
     assert a3.attr_keys is a2.attr_keys and a3.attr_values is a2.attr_values
-
-    info = store.chain_info("db")
-    assert info["length"] == 3 and info["splices"] == 2
-    assert [row["version"] for row in info["per_version"]] == [1, 2, 3]
-    assert info["per_version"][1]["shared_bytes"] > 0
-    assert info["per_version"][2]["shared_bytes"] > 0
     doc = store.documents.get("db")
     assert doc.splices == 2 and doc.arena_builds == 1
 
 
-def test_chain_retention_limit_evicts_oldest():
-    store = ViewStore()
-    store.put("db", "<db><a/></db>")
-    doc = store.documents.get("db")
-    for _ in range(doc.chain.limit + 2):
-        store.commit("db", _transform("insert <b/> into $a/a"))
-    assert len(doc.chain) == doc.chain.limit
-    with pytest.raises(StoreError):
-        store.pin("db", version=1)
+def test_the_replaced_arena_dies_outside_the_document_lock():
+    """A commit frees the arena it replaced after releasing the
+    document lock: a reader's ``pin()`` never waits behind
+    deallocating an old arena.  ``FrozenDocument`` has no weakref
+    slot, so the document starts on an instrumented stand-in whose
+    finalizer records whether the lock was held when it died."""
 
-
-def test_an_evicted_version_dies_outside_the_document_lock():
-    """The commit that pushes the oldest version off the chain frees it
-    after releasing the document lock (and the chain's): a reader's
-    ``pin()`` never waits behind deallocating an old arena."""
-
-    class StandIn:
-        pass
+    class StandIn(FrozenDocument):
+        __slots__ = ("__weakref__",)
 
     store = ViewStore()
     store.put("db", "<db><a/></db>")
     doc = store.documents.get("db")
-    chain = doc.chain
-    stand_in = StandIn()
-    oldest = chain.snapshot()[0]
-    chain._entries[0] = dataclasses.replace(oldest, arena=stand_in)
-    locks_at_death: list = []
-    weakref.finalize(
-        stand_in,
-        lambda: locks_at_death.append((doc.lock.locked(), chain._lock.locked())),
+    real = doc.arena
+    stand_in = StandIn(
+        real.symbols, real.sym, real.up, real.size, real.payload,
+        real.attr_keys, real.attr_values, real.n_elements,
     )
-    del stand_in, oldest
-    for _ in range(chain.limit - 1):
-        store.commit("db", _transform("insert <b/> into $a/a"))
-    assert locks_at_death == [] and chain.versions()[0] == 1
+    locks_at_death: list = []
+    weakref.finalize(stand_in, lambda: locks_at_death.append(doc.lock.locked()))
+    doc.arena = stand_in
+    del stand_in, real
     store.commit("db", _transform("insert <b/> into $a/a"))
-    assert chain.versions()[0] == 2
-    assert locks_at_death == [(False, False)]
+    assert locks_at_death == [False]
+    assert serialize_arena(store.pin("db").arena) == "<db><a><b/></a></db>"
 
 
 # ----------------------------------------------------------------------
-# Snapshot isolation: readers on old chain versions vs a splicing writer
+# Snapshot isolation: readers holding old snapshots vs a splicing writer
 # ----------------------------------------------------------------------
 
 
@@ -374,13 +390,15 @@ PAIRED = [
 
 
 def test_readers_pinned_to_old_versions_never_observe_splices():
-    """A writer splices paired inserts while readers re-pin version 1
-    and the latest version: the old snapshot must stay byte-identical
-    and the latest must never expose half a commit (odd ``<t/>``)."""
+    """A writer splices paired inserts while readers hold a snapshot
+    pinned before it started and re-pin the latest version: the held
+    snapshot must stay byte-identical and the latest must never expose
+    half a commit (odd ``<t/>``)."""
     store = ViewStore()
     store.put("db", "<db><left><l/></left><right><r/></right></db>")
-    baseline = serialize_arena(store.pin("db").arena)
-    commits = 5  # stays within the chain retention limit
+    held = store.pin("db")
+    baseline = serialize_arena(held.arena)
+    commits = 12  # more versions than the store keeps: one
     done = threading.Event()
     errors: list = []
     torn: list = []
@@ -399,13 +417,13 @@ def test_readers_pinned_to_old_versions_never_observe_splices():
         finally:
             done.set()
 
-    def reader():
+    def reader(snapshot):
         try:
             rounds = 0
             while rounds < 2000 and not (done.is_set() and rounds >= 20):
                 rounds += 1
-                if serialize_arena(store.pin("db", version=1).arena) != baseline:
-                    torn.append("pinned v1 drifted")
+                if serialize_arena(snapshot.arena) != baseline:
+                    torn.append(("held snapshot drifted", snapshot.version))
                     return
                 latest = store.pin("db").arena
                 count = sum(
@@ -419,8 +437,12 @@ def test_readers_pinned_to_old_versions_never_observe_splices():
         except Exception as exc:  # noqa: BLE001 - asserted below
             errors.append(exc)
 
+    # Every reader holds its own snapshot, each pinned before the writer
+    # starts; none of them is ever re-pinned.
+    reader_threads = [
+        threading.Thread(target=reader, args=(store.pin("db"),)) for _ in range(3)
+    ]
     writer_thread = threading.Thread(target=writer)
-    reader_threads = [threading.Thread(target=reader) for _ in range(3)]
     writer_thread.start()
     for thread in reader_threads:
         thread.start()
@@ -430,7 +452,8 @@ def test_readers_pinned_to_old_versions_never_observe_splices():
     assert not errors, errors
     assert not torn, torn
     assert store.documents.get("db").splices == commits
-    assert serialize_arena(store.pin("db", version=1).arena) == baseline
+    assert store.pin("db").version == 1 + commits
+    assert held.version == 1 and serialize_arena(held.arena) == baseline
 
 
 # ----------------------------------------------------------------------
@@ -505,6 +528,29 @@ def test_swallowed_commit_keeps_the_view_materialization():
     assert [serialize(row) for row in store.query("public", query)] == [
         serialize(row) for row in store.query_naive("public", query)
     ]
+
+
+@pytest.mark.parametrize(
+    "definition, swallowed",
+    [("delete $a/b", True), ("replace $a/b with <a>9</a>", False)],
+    ids=["delete-view", "replace-view"],
+)
+def test_deleting_the_node_a_view_matches(definition, swallowed):
+    """A commit that deletes the very node the view's path matches is
+    invisible through a deleting view, but not through a replacing one:
+    the replacement goes with the node it stood for."""
+    store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
+    store.put("db", "<a><b>1</b><c/></a>")
+    store.define_view("v", "db", _transform(definition))
+    query = "for $x in //a return $x"
+    store.query("v", query)
+    store.query_serialized("v", query)
+
+    delta = store.commit_delta("db", _transform("delete $a/b"))
+    assert (delta.mats_kept, delta.mats_dropped) == ((1, 0) if swallowed else (0, 1))
+    want = [serialize(row) for row in store.query_naive("v", query)]
+    assert [serialize(row) for row in store.query("v", query)] == want
+    assert store.query_serialized("v", query) == want
 
 
 # ----------------------------------------------------------------------

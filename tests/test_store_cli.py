@@ -110,6 +110,25 @@ class TestRoundTrip:
         assert "document 'db': v1" in out
         assert "view 'public': over 'db'" in out
 
+    def test_stat_after_a_commit_reports_one_version(self, state, capsys):
+        # A document is one resident arena: stat reports the current
+        # version and its arena, and no version chain in either form.
+        assert _store(
+            ["commit", "-n", "db", "-t",
+             'transform copy $a := doc("db") modify do '
+             "rename $a//sname as vendor return $a"],
+            state,
+        ) == 0
+        capsys.readouterr()
+        assert _store(["stat"], state) == 0
+        out = capsys.readouterr().out
+        assert "document 'db': v2" in out and "arena snapshot:" in out
+        assert "chain" not in out.lower()
+        assert _store(["stat", "--json"], state) == 0
+        doc = json.loads(capsys.readouterr().out)["store"]["documents"]["db"]
+        assert doc["version"] == 2 and doc["arena"]["nodes"] > 0
+        assert "chain" not in doc and "chain_length" not in doc
+
     def test_manifest_is_json(self, state, tmp_path):
         manifest = json.loads(
             (tmp_path / "store-state" / MANIFEST_NAME).read_text(encoding="utf-8")
