@@ -1,6 +1,6 @@
 """Store benchmarks: cold vs. warm caches, and view-stack depth scaling.
 
-Two experiments on an XMark document held resident in a
+Three experiments on an XMark document held resident in a
 :class:`repro.ViewStore`:
 
 * **cold vs. warm** — the same request mix served cold against each
@@ -17,12 +17,19 @@ Two experiments on an XMark document held resident in a
   through the thawing read, which is never cached (best of 3), at two
   document sizes: the per-layer cost of one select + splice under the
   composed outer layer.
+* **checkpoint load** — reading a document's column checkpoint back
+  against parsing its XML with ``parse_file_to_arena`` (best of 3
+  each), the step every ``open_store`` and server boot pays per
+  document.  Bar: the column file loads at least 5x faster, and the
+  two arenas are equal column for column (the only check in smoke
+  mode).
 
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_store.py -q -s
 """
 
+import os
 import time
 
 import pytest
@@ -36,8 +43,11 @@ from repro.bench.harness import (
     smoke_rounds,
     time_call,
 )
-from repro.store import MaterializationPolicy, ViewStore
+from repro.store import MaterializationPolicy, ViewStore, columns
 from repro.xmark.queries import delete_transform, insert_transform, rename_transform
+from repro.xmltree.arena import freeze
+from repro.xmltree.parser import parse_file_to_arena
+from repro.xmltree.serializer import write_arena_file
 
 FACTOR = smoke_factor(0.005)
 
@@ -157,3 +167,33 @@ def test_view_stack_depth_scaling(factor, max_depth=6):
         ["depth", "ms/query", "results"],
         rows,
     ))
+
+
+def test_column_checkpoint_loads_faster_than_parsing(tmp_path):
+    factor = smoke_factor(0.05)
+    arena = freeze(dataset(factor, seed=DATASET_SEED))
+    xml_path = str(tmp_path / "doc.xml")
+    column_path = str(tmp_path / "doc.arena")
+    write_arena_file(arena, xml_path)
+    columns.write(arena, column_path)
+    parse_s = time_call(parse_file_to_arena, xml_path)
+    load_s = time_call(columns.read, column_path)
+    parsed = parse_file_to_arena(xml_path)
+    loaded = columns.read(column_path)
+    for name in ("sym", "up", "size", "payload", "attr_keys", "attr_values", "n_elements"):
+        assert getattr(loaded, name) == getattr(parsed, name), name
+    print()
+    print(format_table(
+        f"checkpoint load ({len(arena)} nodes, factor {factor}, best of 3)",
+        ["load", "bytes", "ms", "vs parse"],
+        [
+            ("parse_file_to_arena (XML)", str(os.path.getsize(xml_path)),
+             f"{parse_s * 1000:.1f}", "1.00x"),
+            ("columns.read (column file)", str(os.path.getsize(column_path)),
+             f"{load_s * 1000:.1f}", f"{parse_s / load_s:.2f}x"),
+        ],
+    ))
+    if not SMOKE:
+        assert load_s * 5 <= parse_s, (
+            f"column load {load_s:.4f}s not 5x faster than parsing {parse_s:.4f}s"
+        )

@@ -17,6 +17,7 @@ store.
     python -m repro store query -n public -u 'for $x in … return $x'
     python -m repro store commit -n db -t '<transform query>'
     python -m repro store stat
+    python -m repro store fsck
     python -m repro serve --state .repro-store --port 7007
 
 Every query-text option (``transform -q``, ``compose -t/-u``,
@@ -45,7 +46,7 @@ import warnings
 from repro import __version__
 from repro.automata import build_filtering_nfa, build_selecting_nfa
 from repro.engine import TREE_STRATEGIES, default_engine
-from repro.store.state import StateLock, locked_state, open_store, save_store
+from repro.store.state import StateLock, fsck, locked_state, open_store, save_store
 from repro.xmark.generator import write_xmark_file
 from repro.xmltree import Element, serialize
 from repro.xpath import parse_xpath
@@ -426,6 +427,21 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
         f"  wal: {wal['replayed']} commit(s) replayed at open{tail_note}; "
         f"{wal.get('seq', 0)} record(s) pending checkpoint"
     )
+    opened = stats["open"]
+    print(
+        f"  opened in {opened['open_ms']:.1f} ms: columns "
+        f"{opened['columns_ms']:.1f} ms ({opened['columns_bytes']} bytes), "
+        f"replay {opened['replay_ms']:.1f} ms ({opened['replayed']} commits)"
+    )
+    return 0
+
+
+def _cmd_store_fsck(args: argparse.Namespace) -> int:
+    """Check the state directory read-only, under the shared lock: one
+    line per object, and the first damage is a StoreError (exit 2)."""
+    with StateLock(args.state).acquire(shared=True):
+        for line in fsck(args.state):
+            print(line)
     return 0
 
 
@@ -826,6 +842,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_stat.add_argument(
         "--json", action="store_true",
         help="emit the store stats and metric snapshot as one JSON object",
+    )
+
+    _store_parser(
+        "fsck",
+        "check the state directory read-only: the manifest, every column "
+        "file's header, lengths and checksums, and the WAL's framing",
+        _cmd_store_fsck,
     )
 
     p_slowlog = _store_parser(

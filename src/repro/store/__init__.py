@@ -35,7 +35,8 @@ staged updates commit by installing the next one in its place
 and an older version lives on only in the snapshots readers hold.
 
 :mod:`repro.store.state` gives the ``repro store`` CLI durable state:
-one directory with a JSON manifest plus one XML file per document.
+one directory with a JSON manifest plus one checksummed column file
+per document (:mod:`repro.store.columns`).
 """
 
 from repro.compiled import CompiledCache

@@ -4,7 +4,8 @@ What a stored document *is* at rest is decided here and nowhere else:
 a :class:`StoredDocument` is a version, a uid and one always-present
 :class:`~repro.xmltree.arena.FrozenDocument`.  Admission is eager and
 columnar — files and XML text are parsed straight into columns, a
-caller's ``Element`` tree is frozen (copied) once — so the store never
+caller's ``Element`` tree is frozen (copied) once, a checkpoint's
+column file is read back as columns — so the store never
 shares mutable structure with its callers.  The version counter starts
 at 1 and moves with every installed commit, and every installed arena
 gets a fresh uid; caches key on one or the other, so "invalidate" is
@@ -199,7 +200,9 @@ class DocumentStore:
         under *name*.  *version* is the state layer's: a checkpointed
         document is admitted at the version its file holds."""
         validate_name(name)
-        return self._admit(name, parse_file_to_arena(path), path, replace, version)
+        return self.admit(
+            name, parse_file_to_arena(path), source=path, replace=replace, version=version
+        )
 
     def put(
         self,
@@ -223,16 +226,21 @@ class DocumentStore:
             arena = freeze(document)
         else:
             raise TypeError(f"expected an Element or XML text, got {document!r}")
-        return self._admit(name, arena, None, replace, None)
+        return self.admit(name, arena, replace=replace)
 
-    def _admit(
+    def admit(
         self,
         name: str,
         arena: FrozenDocument,
-        source: Optional[str],
-        replace: bool,
-        version: Optional[int],
+        *,
+        source: Optional[str] = None,
+        replace: bool = False,
+        version: Optional[int] = None,
     ) -> StoredDocument:
+        """Store an already built *arena* under *name* — what the load
+        paths above end in, and how the state layer admits a document
+        read back from its column file (at the version it holds)."""
+        validate_name(name)
         with self._lock:
             existing = self._docs.get(name)
             if existing is not None and not replace:

@@ -7,6 +7,8 @@ exit code 2) covers the store without special cases.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class StoreError(ValueError):
     """Base class for every error raised by :mod:`repro.store`."""
@@ -59,16 +61,20 @@ class StateLockedError(StoreError):
 
 
 class CorruptStateError(StoreError):
-    """The durable state directory's manifest cannot be read.
+    """A file of the durable state directory cannot be read.
 
-    Raised for unparseable JSON, a missing required field, or an
-    unsupported format number — anything where proceeding would
-    silently drop or mangle stored documents.
+    Raised for a manifest with unparseable JSON, a missing required
+    field or an unsupported format number, and for a column file that
+    is truncated, fails a checksum or was written by an incompatible
+    build (*section* then names the damaged part) — anything where
+    proceeding would silently drop or mangle stored documents.
     """
 
-    def __init__(self, manifest_path: str, reason: str):
-        super().__init__(f"corrupt store state {manifest_path!r}: {reason}")
-        self.manifest_path = manifest_path
+    def __init__(self, path: str, reason: str, section: Optional[str] = None):
+        where = f"section {section!r}: " if section else ""
+        super().__init__(f"corrupt store state {path!r}: {where}{reason}")
+        self.path = path
+        self.section = section
 
 
 class WalCorruptError(StoreError):

@@ -1,29 +1,38 @@
-"""Durable state for the ``repro store`` CLI: a directory holding one
-XML file per document plus a JSON manifest.
+"""Durable state for the ``repro store`` CLI and ``repro serve
+--state``: a directory holding one column file per document plus a
+JSON manifest.
 
 Layout of a state directory::
 
-    store.json           — versions, view definitions, staged updates
-    doc-<name>-vN.xml    — one serialized tree per document, named by
-                           the version it holds (the manifest records
-                           the exact filename)
-    wal.jsonl            — write-ahead log of commits past the checkpoint
+    store.json             — format 2: versions, view definitions,
+                             staged updates, history, and the file that
+                             holds each document
+    doc-<name>-vN.arena    — one column file per document, named by the
+                             version it holds (:mod:`repro.store.columns`:
+                             the arena's columns with a CRC per section)
+    wal.jsonl              — write-ahead log of commits past the checkpoint
+    state.lock             — the cross-process lock
+
+Opening a directory reads each document's columns back as checksummed
+byte runs — no tokenizer, no builder — and a damaged file is a typed
+:class:`~repro.store.errors.CorruptStateError` naming the file and
+the section, never a wrong answer.  A format-1 directory (one XML file
+per document) still opens: its files are parsed, and those documents
+are admitted dirty, so the next checkpoint rewrites them as column
+files and collects the XML.  A format-2 manifest never names one.
 
 Document files are **never overwritten**: a checkpoint writes changed
-trees under fresh versioned names and the manifest replace is the
+documents under fresh versioned names and the manifest replace is the
 single atomic commit point — a crash anywhere before it leaves the old
 manifest referencing the old (untouched) files.  Files no checkpoint
 references any longer are garbage-collected after the WAL truncate.
 
 The CLI is one process per command, so each invocation rebuilds a
 :class:`~repro.store.store.ViewStore` from the directory, applies its
-command, and writes the directory back.  Compiled caches are in-memory
-only (they are cheap to rebuild and never stale); what persists is
-exactly the stateful part: documents, their versions, the view
-definitions in dependency order, and the staged-update texts.
-
-The manifest is written atomically (temp file + ``os.replace``) so an
-interrupted command never leaves a half-written manifest behind.
+command, and writes the directory back.  Compiled caches and postings
+are in-memory only (they are cheap to rebuild and never stale); what
+persists is exactly the stateful part: documents, their versions, the
+view definitions in dependency order, and the staged-update texts.
 
 Durability: :func:`save_store` is an atomic **checkpoint** — every
 temp file is fsync'd before its rename, the directory entry is fsync'd
@@ -34,7 +43,10 @@ commit path (idempotently — each record carries the version it
 produces, so records the checkpoint already covers are skipped).  A
 torn final record is the expected crash artifact and is truncated away
 with a warning; damage anywhere else raises the typed
-:class:`~repro.store.errors.WalCorruptError`.
+:class:`~repro.store.errors.WalCorruptError`.  How long the column
+reads and the replay took is kept on the store (``stats()["open"]``).
+:func:`fsck` checks a directory without opening it: the manifest,
+every column file's header, lengths and CRCs, and the WAL's framing.
 
 Cross-process exclusion: a ``state.lock`` file in the directory is
 ``flock``-ed for the duration of every read-modify-write cycle
@@ -42,8 +54,8 @@ Cross-process exclusion: a ``state.lock`` file in the directory is
 or a CLI invocation and a running ``repro serve`` — cannot interleave
 their commits.  A held lock surfaces as the typed
 :class:`~repro.store.errors.StateLockedError`; an unreadable manifest
-as :class:`~repro.store.errors.CorruptStateError` — both map to one
-``repro: …`` line and exit code 2 at the CLI boundary.
+or column file as :class:`~repro.store.errors.CorruptStateError` —
+both map to one ``repro: …`` line and exit code 2 at the CLI boundary.
 """
 
 from __future__ import annotations
@@ -56,17 +68,18 @@ import warnings
 from typing import Iterator, Optional
 
 from repro.faults import fault_point
+from repro.store import columns
 from repro.store.errors import CorruptStateError, StateLockedError, WalCorruptError
 from repro.store.store import ViewStore
 from repro.store.views import MaterializationPolicy
 from repro.store.wal import (
+    WAL_NAME,
     WalWriter,
     effective_commits,
     read_wal,
     truncate_torn_tail,
     wal_path,
 )
-from repro.xmltree.serializer import write_arena_file
 
 try:  # POSIX; on platforms without fcntl the lock degrades to advisory-only
     import fcntl
@@ -75,7 +88,10 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 MANIFEST_NAME = "store.json"
 LOCK_NAME = "state.lock"
-_FORMAT = 1
+#: The manifest format :func:`save_store` writes (documents as column
+#: files); format 1 (documents as XML) is still read.
+_FORMAT = 2
+_XML_FORMAT = 1
 
 
 def _manifest_path(state_dir: str) -> str:
@@ -84,8 +100,8 @@ def _manifest_path(state_dir: str) -> str:
 
 def _document_file(name: str, version: int, attempt: int = 0) -> str:
     if attempt:
-        return f"doc-{name}-v{version}.{attempt}.xml"
-    return f"doc-{name}-v{version}.xml"
+        return f"doc-{name}-v{version}.{attempt}.arena"
+    return f"doc-{name}-v{version}.arena"
 
 
 class StateLock:
@@ -190,9 +206,11 @@ def open_store(
     A missing directory (or one without a manifest) yields an empty
     store — ``repro store load`` bootstraps it on first save — with
     its write-ahead log attached like any other.  An unreadable or
-    unsupported manifest raises the typed :class:`CorruptStateError`
-    rather than a raw traceback.
+    unsupported manifest, or a damaged column file, raises the typed
+    :class:`CorruptStateError` rather than a raw traceback.  What the
+    open spent, by part, is ``store.open_parts``.
     """
+    started = time.perf_counter()
     store = ViewStore(policy=policy)
     manifest_path = _manifest_path(state_dir)
     staged_texts = (
@@ -200,7 +218,9 @@ def open_store(
         if os.path.exists(manifest_path)
         else {}
     )
+    replay_started = time.perf_counter()
     replayed_docs, last_seq = _replay_wal(store, state_dir)
+    store.open_parts["replay_ms"] = (time.perf_counter() - replay_started) * 1e3
     # Checkpoint-time staged texts are restored only for documents with
     # no replayed commit: a commit consumes the *whole* staging area,
     # so any replayed commit's record already contains (or supersedes)
@@ -218,12 +238,13 @@ def open_store(
     # documents a server admits later commit through the same log.
     os.makedirs(state_dir, exist_ok=True)
     store.wal = WalWriter(wal_path(state_dir), start_seq=last_seq)
+    store.open_parts["open_ms"] = (time.perf_counter() - started) * 1e3
     return store
 
 
-def _load_manifest(store: ViewStore, state_dir: str, manifest_path: str) -> dict:
-    """Admit the checkpointed documents and views into *store*; returns
-    the checkpoint-time staged texts per document."""
+def _read_manifest(manifest_path: str) -> dict:
+    """The parsed manifest, checked to be an object in a format this
+    build reads."""
     with open(manifest_path, "r", encoding="utf-8") as handle:
         try:
             manifest = json.load(handle)
@@ -231,31 +252,100 @@ def _load_manifest(store: ViewStore, state_dir: str, manifest_path: str) -> dict
             raise CorruptStateError(manifest_path, f"not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise CorruptStateError(manifest_path, "manifest is not a JSON object")
-    if manifest.get("format") != _FORMAT:
+    if manifest.get("format") not in (_XML_FORMAT, _FORMAT):
         raise CorruptStateError(
             manifest_path,
             f"unsupported format {manifest.get('format')!r} "
-            f"(this build reads format {_FORMAT})",
+            f"(this build reads formats {_XML_FORMAT} and {_FORMAT})",
         )
-    staged_texts = {}
+    return manifest
+
+
+@contextlib.contextmanager
+def _manifest_entries(manifest_path: str) -> Iterator[None]:
+    """A missing or mistyped manifest field is a :class:`CorruptStateError`."""
     try:
+        yield
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CorruptStateError(
+            manifest_path, f"malformed manifest entry ({exc!r})"
+        ) from None
+
+
+def _load_manifest(store: ViewStore, state_dir: str, manifest_path: str) -> dict:
+    """Admit the checkpointed documents and views into *store*; returns
+    the checkpoint-time staged texts per document."""
+    manifest = _read_manifest(manifest_path)
+    parts = store.open_parts
+    staged_texts = {}
+    with _manifest_entries(manifest_path):
         for name, info in manifest.get("documents", {}).items():
             path = os.path.join(state_dir, info["file"])
-            doc = store.documents.load(
-                name, path, version=int(info.get("version", 1))
-            )
-            doc.dirty = False  # the columns came from the state file itself
-            doc.state_file = info["file"]
+            version = int(info.get("version", 1))
+            started = time.perf_counter()
+            if manifest["format"] == _XML_FORMAT:
+                # Parsed, and left dirty: the next checkpoint rewrites
+                # the document as a column file and collects the XML.
+                store.documents.load(name, path, version=version)
+            else:
+                doc = store.documents.admit(
+                    name, columns.read(path), version=version, source=path
+                )
+                doc.dirty = False  # the columns came from the state file itself
+                doc.state_file = info["file"]
+            parts["columns_ms"] += (time.perf_counter() - started) * 1e3
+            parts["columns_bytes"] += os.path.getsize(path)
             staged_texts[name] = list(info.get("staged", []))
             store.log.restore_history(name, info.get("history", []))
         # Views were saved in definition order, so bases always exist.
         for entry in manifest.get("views", []):
             store.define_view(entry["name"], entry["base"], entry["transform"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise CorruptStateError(
-            manifest_path, f"malformed manifest entry ({exc!r})"
-        ) from None
     return staged_texts
+
+
+def fsck(state_dir: str) -> Iterator[str]:
+    """Check a state directory without opening it, one line per object
+    checked: the manifest, every document file it names (a column
+    file's header, section lengths and CRCs), and the WAL's framing.
+
+    The first damage raises :class:`CorruptStateError` or
+    :class:`WalCorruptError`.  Nothing is written: a torn final WAL
+    record is reported, and left for the next open to cut.  Callers
+    hold the state lock (shared is enough).
+    """
+    manifest_path = _manifest_path(state_dir)
+    if not os.path.exists(manifest_path):
+        yield f"{MANIFEST_NAME}: absent (an empty store)"
+    else:
+        manifest = _read_manifest(manifest_path)
+        with _manifest_entries(manifest_path):
+            documents = manifest.get("documents", {})
+            yield (
+                f"{MANIFEST_NAME}: format {manifest['format']}, "
+                f"{len(documents)} document(s), "
+                f"{len(manifest.get('views', []))} view(s)"
+            )
+            for name, info in sorted(documents.items()):
+                filename = info["file"]
+                path = os.path.join(state_dir, filename)
+                version = int(info.get("version", 1))
+                if manifest["format"] == _XML_FORMAT:
+                    os.stat(path)
+                    yield (
+                        f"{filename}: {name!r} v{version}, XML (format "
+                        f"{_XML_FORMAT}: no checksums; the next checkpoint "
+                        f"rewrites it as a column file)"
+                    )
+                    continue
+                checked = columns.check(path)
+                yield (
+                    f"{filename}: {name!r} v{version}, {checked.nodes} nodes, "
+                    f"{checked.size} bytes, {len(checked.sections)} sections, "
+                    f"checksums ok"
+                )
+    wal = read_wal(wal_path(state_dir))
+    tail = ", torn final record (the next open cuts it)" if wal.truncated_tail else ""
+    yield f"{WAL_NAME}: {len(wal.records)} record(s) through seq {wal.last_seq}{tail}"
 
 
 def _replay_wal(store: ViewStore, state_dir: str) -> "tuple[set, int]":
@@ -336,8 +426,8 @@ def save_store(store: ViewStore, state_dir: str) -> str:
     """Checkpoint the store's durable state into *state_dir*; returns
     the manifest path.
 
-    Atomic and durable: changed trees are written under **fresh
-    versioned filenames** (flushed and fsync'd — rename alone only
+    Atomic and durable: changed documents are written as column files
+    under **fresh versioned filenames** (fsync'd — rename alone only
     orders the directory entry, not the data), never over a file the
     on-disk manifest may still reference; the manifest's own
     temp-write/fsync/``os.replace`` is then the single commit point.
@@ -355,9 +445,9 @@ def save_store(store: ViewStore, state_dir: str) -> str:
         doc = store.documents.get(name)
         with doc.lock:
             filename = doc.state_file
-            # Only rewrite trees that changed (commit / fresh load): a
-            # manifest-only command on a store of large documents must
-            # not pay — or risk — a full re-serialization of each one.
+            # Only rewrite documents that changed (commit / fresh load /
+            # read from XML): a manifest-only command on a store of large
+            # documents must not pay — or risk — a full rewrite of each.
             if doc.dirty or filename is None or not os.path.exists(
                 os.path.join(state_dir, filename)
             ):
@@ -372,7 +462,7 @@ def save_store(store: ViewStore, state_dir: str) -> str:
                     filename = _document_file(name, doc.version, attempt)
                     path = os.path.join(state_dir, filename)
                 temp = path + ".tmp"
-                write_arena_file(doc.arena, temp)
+                columns.write(doc.arena, temp)
                 _fsync_path(temp)
                 fault_point("checkpoint.fsync.file")
                 os.replace(temp, path)
@@ -424,13 +514,11 @@ def save_store(store: ViewStore, state_dir: str) -> str:
     # The new checkpoint is durable: document files it no longer
     # references (superseded versions, dropped documents, orphans from
     # an interrupted earlier checkpoint) are garbage.
+    # That includes a format-1 directory's XML, once its documents are
+    # column files.
     referenced = {info["file"] for info in documents.values()}
     for entry in os.listdir(state_dir):
-        stale_doc = (
-            entry.startswith("doc-")
-            and entry.endswith(".xml")
-            and entry not in referenced
-        )
+        stale_doc = entry.startswith("doc-") and entry not in referenced
         # A .tmp can only be the leftover of an interrupted checkpoint:
         # the exclusive state lock means no concurrent save owns one.
         if stale_doc or entry.endswith(".tmp"):

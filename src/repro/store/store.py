@@ -231,6 +231,11 @@ class ViewStore:
         #: Recovery receipts from the last ``open_store`` replay.
         self.wal_replayed = 0
         self.wal_truncated_tail = 0
+        #: What ``open_store`` spent, by part: the whole open, the
+        #: checkpoint file reads (and their bytes), the WAL replay.
+        self.open_parts = {
+            "open_ms": 0.0, "columns_ms": 0.0, "columns_bytes": 0, "replay_ms": 0.0,
+        }
         # Store-wide counters are bumped from many documents' read
         # paths at once — one lock keeps their tallies exact (the
         # per-document lock only serializes one document's readers).
@@ -819,6 +824,10 @@ class ViewStore:
         registry.probe(
             "store.wal.truncated_tail", lambda: self.wal_truncated_tail
         )
+        for name in self.open_parts:
+            registry.probe(
+                f"store.state.{name}", lambda name=name: self.open_parts[name]
+            )
 
     def stats(self) -> dict:
         arena_reads, snapshot_pins = self._counter_values()
@@ -871,6 +880,11 @@ class ViewStore:
             },
             "commits": commits,
             "wal": wal,
+            "open": dict(
+                self.open_parts,
+                replayed=self.wal_replayed,
+                truncated_tail=self.wal_truncated_tail,
+            ),
             "arena_reads": arena_reads,
             "snapshot_pins": snapshot_pins,
         }

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
-from repro.store import MaterializationPolicy, ViewStore
+from repro.store import MaterializationPolicy, ViewStore, columns
 from repro.store.delta import apply_entries_rebuilt, apply_entries_spliced
 from repro.store.errors import WalCorruptError
 from repro.store.log import StagedUpdate
@@ -39,7 +39,7 @@ from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.xmltree.arena import FrozenDocument, freeze, freeze_segment, splice, thaw
 from repro.xmltree.parser import parse
-from repro.xmltree.serializer import serialize, serialize_arena, write_file
+from repro.xmltree.serializer import serialize, serialize_arena, write_arena_file, write_file
 
 from tests.strategies import transform_texts, trees
 
@@ -248,8 +248,9 @@ def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
 def test_plain_document_lifecycle_never_thaws_the_document(tmp_path, thaw_calls):
     """``open_store`` → reads → spliced commits → ``save_store`` on a
     plain document runs on columns only — the one ``thaw`` is the
-    element result ``query`` hands back — and the checkpoint file is
-    byte-identical to what the Node serializer writes."""
+    element result ``query`` hands back — and the checkpoint's column
+    file reads back to columns equal to the document's, whose
+    serialization is byte-identical to what the Node serializer writes."""
     state_dir = str(tmp_path / "st")
     seed = ViewStore()
     seed.put("db", DOC)
@@ -270,10 +271,15 @@ def test_plain_document_lifecycle_never_thaws_the_document(tmp_path, thaw_calls)
     assert len(thaw_calls) == 1 and thaw_calls[0] != 0
     assert doc.arena_builds == 1 and doc.splices == 3
 
+    written = columns.read(f"{state_dir}/doc-db-v4.arena")
+    for name in ("sym", "up", "size", "payload", "attr_keys", "attr_values"):
+        assert getattr(written, name) == getattr(doc.arena, name), name
     reference = str(tmp_path / "reference.xml")
     write_file(thaw(doc.arena), reference)
-    with open(f"{state_dir}/doc-db-v4.xml", "rb") as written, open(reference, "rb") as want:
-        assert written.read() == want.read()
+    columnar = str(tmp_path / "columnar.xml")
+    write_arena_file(written, columnar)
+    with open(columnar, "rb") as got, open(reference, "rb") as want:
+        assert got.read() == want.read()
 
 
 # ----------------------------------------------------------------------

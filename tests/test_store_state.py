@@ -5,8 +5,8 @@ import os
 import pytest
 
 from repro import serialize
+from repro.store import ViewStore, columns, open_store, save_store
 from repro.xmltree.serializer import serialize_arena
-from repro.store import ViewStore, open_store, save_store
 
 CATALOG = (
     "<db><part><pname>kb</pname>"
@@ -51,7 +51,7 @@ class TestRoundTrip:
 
 class TestDirtyTracking:
     def test_manifest_only_save_leaves_document_file_alone(self, state_dir):
-        doc_path = os.path.join(state_dir, "doc-db-v1.xml")
+        doc_path = os.path.join(state_dir, "doc-db-v1.arena")
         before = os.stat(doc_path).st_mtime_ns
         store = open_store(state_dir)
         store.stage("db", DELETE_PRICES)  # manifest-only change
@@ -63,12 +63,10 @@ class TestDirtyTracking:
         store.rollback("db")
         store.commit("db", DELETE_PRICES)
         save_store(store, state_dir)
-        content = open(
-            os.path.join(state_dir, "doc-db-v2.xml"), encoding="utf-8"
-        ).read()
-        assert "price" not in content
+        written = columns.read(os.path.join(state_dir, "doc-db-v2.arena"))
+        assert "price" not in serialize_arena(written)
         # The superseded version's file was garbage-collected.
-        assert not os.path.exists(os.path.join(state_dir, "doc-db-v1.xml"))
+        assert not os.path.exists(os.path.join(state_dir, "doc-db-v1.arena"))
 
     def test_no_temp_files_left_behind(self, state_dir):
         store = open_store(state_dir)
