@@ -20,7 +20,7 @@ Bars (skipped in smoke mode, which only exercises the code paths):
 * geometric-mean speedup >= 2x across the descendant-heavy suite;
 * a prepared statement's second run reuses the cached DFA tables —
   zero new state sets, zero new transitions, and the engine's
-  ``compiled_paths`` cache counts the hit.
+  path-keyed ``selecting`` NFA cache counts the hit.
 
 Run standalone (prints the table, exits non-zero if a bar fails)::
 
@@ -122,9 +122,9 @@ def test_prepared_rerun_zero_recompilation():
     """A prepared statement's re-run must reuse the compiled DFA tables.
 
     Observable three ways, all asserted: the engine memoizes the
-    prepared object (cache hit counted), the CompiledPath bundle is the
-    same object, and the DFA's own table counters do not move across
-    the second run.
+    prepared object (cache hit counted), another text over the same
+    path gets the same cached automaton, and the DFA's own table
+    counters do not move across the second run.
     """
     tree = dataset(SMOKE_FACTOR if SMOKE else 0.01, seed=DATASET_SEED)
     engine = Engine()
@@ -132,23 +132,23 @@ def test_prepared_rerun_zero_recompilation():
     prepared = engine.prepare_transform(text)
     prepared.run(tree, method="topdown")
 
-    path_hits_before = engine.cache.compiled_paths.stats()["hits"]
-    tables_before = prepared.compiled.stats()
+    path_hits_before = engine.cache.selecting.stats()["hits"]
+    tables_before = prepared.selecting.dfa().stats()
 
     again = engine.prepare_transform(text)
     assert again is prepared, "re-preparation must be a cache hit"
     again.run(tree, method="topdown")
 
-    tables_after = prepared.compiled.stats()
+    tables_after = prepared.selecting.dfa().stats()
     assert tables_after == tables_before, (
         f"re-run recompiled DFA tables: {tables_before} -> {tables_after}"
     )
     # The second preparation hit the prepared-statement memo; preparing
-    # the same path through a *different* text must hit compiled_paths.
-    other_text = str(delete_transform("U9"))
-    engine.prepare_transform(other_text)
-    assert engine.cache.compiled_paths.stats()["hits"] > path_hits_before, (
-        "the CompiledPath cache never counted a hit"
+    # the same path through a *different* text must hit the NFA cache.
+    other = engine.prepare_transform(str(delete_transform("U9")))
+    assert other.selecting is prepared.selecting
+    assert engine.cache.selecting.stats()["hits"] > path_hits_before, (
+        "the selecting NFA cache never counted a hit"
     )
     print()
     print(f"prepared re-run: DFA tables stable at {tables_after}")

@@ -18,89 +18,45 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, cast
 
-from repro.automata.dfa import LazyDFA
 from repro.automata.filtering import FilteringNFA, build_filtering_nfa
 from repro.automata.selecting import SelectingNFA, build_selecting_nfa
 from repro.compose.compose import compose
 from repro.lru import LRUCache
 from repro.transform.query import TransformQuery, parse_transform_query
 from repro.xpath.ast import Path
-from repro.xpath.parser import parse_xpath
 from repro.xquery.ast import Expr, UserQuery
 from repro.xquery.parser import parse_user_query
 
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry
 
-__all__ = ["CompiledCache", "CompiledPath"]
-
-
-class CompiledPath:
-    """Everything compiled from one ``X`` path, bundled: the selecting
-    and filtering NFAs plus their lazy DFAs (which carry the interned
-    state sets, memoized transitions and per-state qualifier closures).
-
-    This is the artifact a prepared statement holds and the caches key
-    by parsed :class:`Path`: a second preparation — or a second run of
-    the same prepared statement — finds the DFA tables already warm and
-    pays zero recompilation (``benchmarks/bench_dfa.py`` asserts this
-    via :meth:`stats`).
-    """
-
-    __slots__ = ("path", "selecting", "filtering")
-
-    def __init__(self, path: Path, selecting: SelectingNFA, filtering: FilteringNFA):
-        self.path = path
-        self.selecting = selecting
-        self.filtering = filtering
-
-    @property
-    def selecting_dfa(self) -> LazyDFA:
-        return self.selecting.dfa()
-
-    @property
-    def filtering_dfa(self) -> LazyDFA:
-        return self.filtering.dfa()
-
-    def stats(self) -> Dict[str, Any]:
-        """Compiled-table sizes for both automata (see
-        :meth:`repro.automata.dfa.LazyDFA.stats`)."""
-        return {
-            "selecting_dfa": self.selecting.dfa().stats(),
-            "filtering_dfa": self.filtering.dfa().stats(),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledPath({self.path})"
+__all__ = ["CompiledCache"]
 
 
 class CompiledCache:
     """LRU caches for every compiled artifact the store reuses:
 
-    * parsed X paths and their selecting/filtering NFAs,
-    * parsed transform and user queries,
+    * parsed transform and user queries, keyed by source text,
+    * selecting/filtering NFAs (each carrying its lazy DFA), keyed by
+      the parsed path — two texts embedding one path share one pair of
+      automata and therefore one set of warm tables,
     * composed plans — the Compose Method's output for one
       (user query, transform query) pair of source texts.
     """
 
     def __init__(self, maxsize: int = 256):
-        self.paths = LRUCache(maxsize)
         self.transforms = LRUCache(maxsize)
         self.user_queries = LRUCache(maxsize)
         self.selecting = LRUCache(maxsize)
         self.filtering = LRUCache(maxsize)
-        self.compiled_paths = LRUCache(maxsize)
         self.plans = LRUCache(maxsize)
 
     # ------------------------------------------------------------------
     # Parsers
     # ------------------------------------------------------------------
 
-    def xpath(self, text: str) -> Path:
-        # The LRU stores Any; the casts re-assert what each cache holds.
-        return cast(Path, self.paths.get_or_compute(text, lambda: parse_xpath(text)))
-
     def transform(self, text: str) -> TransformQuery:
+        # The LRU stores Any; the casts re-assert what each cache holds.
         return cast(TransformQuery, self.transforms.get_or_compute(
             text, lambda: parse_transform_query(text)
         ))
@@ -127,25 +83,6 @@ class CompiledCache:
             path, lambda: build_filtering_nfa(path)
         ))
 
-    def selecting_nfa(self, path_text: str) -> SelectingNFA:
-        return self.selecting_nfa_for(self.xpath(path_text))
-
-    def filtering_nfa(self, path_text: str) -> FilteringNFA:
-        return self.filtering_nfa_for(self.xpath(path_text))
-
-    def compiled_path_for(self, path: Path) -> CompiledPath:
-        """The :class:`CompiledPath` bundle for a parsed path — shares
-        the NFA caches, so the bundle is pure bookkeeping on top."""
-        return cast(CompiledPath, self.compiled_paths.get_or_compute(
-            path,
-            lambda: CompiledPath(
-                path, self.selecting_nfa_for(path), self.filtering_nfa_for(path)
-            ),
-        ))
-
-    def compiled_path(self, path_text: str) -> CompiledPath:
-        return self.compiled_path_for(self.xpath(path_text))
-
     def composed(self, user_text: str, transform_text: str) -> Expr:
         """The composed plan for the pair of source texts.
 
@@ -166,18 +103,12 @@ class CompiledCache:
 
     # ------------------------------------------------------------------
 
-    def clear(self) -> None:
-        for cache in self._caches().values():
-            cache.invalidate()
-
     def _caches(self) -> Dict[str, LRUCache]:
         return {
-            "paths": self.paths,
             "transforms": self.transforms,
             "user_queries": self.user_queries,
             "selecting_nfas": self.selecting,
             "filtering_nfas": self.filtering,
-            "compiled_paths": self.compiled_paths,
             "plans": self.plans,
         }
 
@@ -185,28 +116,28 @@ class CompiledCache:
         return {name: cache.stats() for name, cache in self._caches().items()}
 
     def dfa_stats(self) -> Dict[str, int]:
-        """Aggregate lazy-DFA table sizes across every cached
-        :class:`CompiledPath` — the one place the per-automaton
-        ``LazyDFA.stats()`` counters roll up under normalized names
-        (``automata.dfa.sets`` …, via the owner's metrics registry)
-        instead of being scattered per prepared statement."""
+        """Lazy-DFA table sizes summed over every cached automaton that
+        has built its DFA — the one place the per-automaton
+        ``LazyDFA.stats()`` counters roll up (``automata.dfa.tables.*``
+        via the owner's metrics registry)."""
+        # Asking for dfa() would build one: read only the built tables.
+        built = [
+            automaton._dfa.stats()
+            for cache in (self.selecting, self.filtering)
+            for automaton in cache.values()
+            if automaton._dfa is not None
+        ]
         totals = {
-            "paths": 0, "nfa_states": 0, "sets": 0, "moves": 0,
-            "tracked_moves": 0,
+            name: sum(stats[name] for stats in built)
+            for name in ("nfa_states", "sets", "moves", "tracked_moves")
         }
-        for compiled in self.compiled_paths.values():
-            totals["paths"] += 1
-            for table in (compiled.selecting.dfa(), compiled.filtering.dfa()):
-                stats = table.stats()
-                totals["nfa_states"] += stats["nfa_states"]
-                totals["sets"] += stats["sets"]
-                totals["moves"] += stats["moves"]
-                totals["tracked_moves"] += stats["tracked_moves"]
+        totals["dfas"] = len(built)
         return totals
 
-    def bind_metrics(self, registry: "MetricsRegistry", prefix: str = "engine.compiled") -> None:
-        """Expose every cache's hit/miss/eviction tallies and the
-        aggregate DFA table sizes through a metrics registry."""
+    def bind_metrics(self, registry: "MetricsRegistry") -> None:
+        """Expose every cache's hit/miss/eviction tallies (as
+        ``engine.compiled.*``) and the aggregate DFA table sizes
+        through a metrics registry."""
         for name, cache in self._caches().items():
-            registry.probe(f"{prefix}.{name}", cache.stats)
+            registry.probe(f"engine.compiled.{name}", cache.stats)
         registry.probe("automata.dfa.tables", self.dfa_stats)

@@ -48,9 +48,9 @@ class Engine:
 
     # guarded-by[_chosen]: self._chosen_lock
 
-    def __init__(self, cache_size: int = 256):
-        self.cache = CompiledCache(cache_size)
-        self._prepared = LRUCache(cache_size)
+    def __init__(self):
+        self.cache = CompiledCache()
+        self._prepared = LRUCache(256)
         # Serializes first-time preparation of a given text so that
         # concurrent clients share ONE prepared object (and therefore
         # one set of warm DFA tables) instead of each building their
@@ -111,17 +111,15 @@ class Engine:
     def _build_transform(
         self, query: TransformQuery, text: Optional[str] = None
     ) -> PreparedTransform:
-        # The CompiledPath bundle is keyed by the parsed Path: two
-        # transform texts embedding the same path share one pair of
-        # automata — and therefore one set of warm lazy-DFA tables.
-        compiled = self.cache.compiled_path_for(query.path)
+        # The automata are keyed by the parsed Path: two transform
+        # texts embedding the same path share one pair of automata —
+        # and therefore one set of warm lazy-DFA tables.
         return PreparedTransform(
             text if text is not None else str(query),
             query,
-            compiled.selecting,
-            compiled.filtering,
+            self.cache.selecting_nfa_for(query.path),
+            self.cache.filtering_nfa_for(query.path),
             engine=self,
-            compiled=compiled,
         )
 
     def prepare_query(

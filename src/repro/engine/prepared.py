@@ -102,7 +102,7 @@ class PreparedTransform:
     """A transform query, parsed and compiled exactly once."""
 
     __slots__ = (
-        "text", "query", "features", "selecting", "filtering", "engine", "compiled",
+        "text", "query", "features", "selecting", "filtering", "engine",
     )
 
     def __init__(
@@ -113,7 +113,6 @@ class PreparedTransform:
         filtering,
         features: Optional[QueryFeatures] = None,
         engine=None,
-        compiled=None,
     ):
         self.text = text
         self.query = query
@@ -123,10 +122,6 @@ class PreparedTransform:
         #: route raw query text through the engine's caches, and
         #: receives the per-strategy execution tally.
         self.engine = engine
-        #: The CompiledPath bundle (NFAs + lazy DFAs), when prepared
-        #: through an engine's compiled cache; None for hand-built
-        #: instances (the automata still carry their own DFAs).
-        self.compiled = compiled
         self.features = features or analyze_transform(query)
 
     # ------------------------------------------------------------------

@@ -71,7 +71,6 @@ import threading
 import time
 from typing import Optional
 
-from repro.engine.engine import Engine
 from repro.obs import (
     NULL_TRACE,
     MetricsRegistry,
@@ -91,6 +90,7 @@ from repro.service.errors import (
 from repro.store.answer import Answer
 from repro.store.errors import StoreError
 from repro.store.store import PinnedRead, ViewStore, result_key, serialized_answer
+from repro.transform.arena import transform_arena
 from repro.xmltree.serializer import serialize_arena
 
 __all__ = ["QueryService", "ServiceConfig"]
@@ -270,7 +270,6 @@ class QueryService:
     def __init__(
         self,
         store: Optional[ViewStore] = None,
-        engine: Optional[Engine] = None,
         config: Optional[ServiceConfig] = None,
         registry: Optional[MetricsRegistry] = None,
         checkpoint=None,
@@ -285,12 +284,9 @@ class QueryService:
         #: save_store closure here: the document set is always covered
         #: by a checkpoint, commits by the log.  ``None`` → no-op.
         self.checkpoint = checkpoint
-        # The engine's compiled cache is what the snapshot read path
-        # and the transform op prepare against.
-        self.engine = engine if engine is not None else Engine()
         # One registry per service (unless injected): its snapshot is
         # what stats()/the `metrics` wire op return, and what the
-        # store's and engine's probes report into.
+        # store's probes report into.
         self.registry = (
             registry
             if registry is not None
@@ -309,7 +305,6 @@ class QueryService:
         #: One observation per evaluation a leader ran.
         self._eval_latency = self.registry.histogram("service.eval.latency")
         self.store.bind_metrics(self.registry)
-        self.engine.bind_metrics(self.registry)
         self.registry.probe("service.queue.depth", self._queue_depth)
         self.registry.probe("service.trace.ring", lambda: self.tracer.stats())
         #: Any request slower than the threshold is captured here with
@@ -701,10 +696,10 @@ class QueryService:
 
     def _evaluate_snapshot(self, pinned: PinnedRead, text: str) -> Answer:
         """One arena read, lock-free: compiled artifacts come from the
-        engine's (thread-safe) caches, evaluation runs over the
+        store's (thread-safe) compiled cache, evaluation runs over the
         immutable arena the pinned read resolves to, matches serialize
         straight from the columns."""
-        arena, _, refs = self.store.evaluate(pinned, text, self.engine.cache)
+        arena, _, refs = self.store.evaluate(pinned, text)
         return serialized_answer(pinned, arena, refs)
 
     # ------------------------------------------------------------------
@@ -820,17 +815,21 @@ class QueryService:
         document *name* and return the serialized result tree.
 
         Purely hypothetical — nothing is staged or committed — and
-        lock-free: the select + splice kernel over the immutable arena
-        (``PreparedTransform.run``), then the columnar serializer on
-        the arena it returns; no tree is built, so there is no
-        strategy to choose.
+        lock-free: the query compiled into the store's cache, the
+        select + splice kernel over the immutable arena, then the
+        columnar serializer on the arena it returns; no tree is built,
+        so there is no strategy to choose.
         """
         if self._is_closed():
             raise ServiceClosedError()
         snapshot = self.store.pin(name)
         self._count("transforms")
+        compiled = self.store.compiled
         with self.tracer.trace("service.transform", target=name):
-            result = self.engine.prepare_transform(transform_text).run(snapshot.arena)
+            with span("compile"):
+                query = compiled.transform(transform_text)
+                nfa = compiled.selecting_nfa_for(query.path)
+            result = transform_arena(snapshot.arena, query.update, nfa).arena
             with span("serialize"):
                 return serialize_arena(result)
 

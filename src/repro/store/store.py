@@ -28,8 +28,9 @@ read, an arena transform has one algorithm.  ``query_naive`` — thaw,
 shares none of the above.
 
 Caching: what reads compile (parses, NFAs, composed plans — of
-queries, view layers and staged previews) lives in a
-:class:`~repro.compiled.CompiledCache` and never goes stale; an update
+queries, view layers and staged previews) lives in one
+:class:`~repro.compiled.CompiledCache`, ``ViewStore.compiled`` — a
+service in front compiles into it too — and never goes stale; an update
 is parsed and compiled when staged, once, and neither is remembered
 past its commit.  Serialized
 *answers* live in ``ViewStore.results`` — the only result cache there
@@ -84,7 +85,7 @@ from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.views import MaterializationPolicy, View, ViewRegistry
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
-from repro.transform.query import TransformQuery, parse_transform_query
+from repro.transform.query import parse_transform_query
 from repro.xmltree.arena import FrozenDocument, thaw
 from repro.xmltree.node import Element
 from repro.xmltree.serializer import serialize_arena
@@ -198,12 +199,13 @@ class ViewStore:
     def __init__(
         self,
         policy: Optional[MaterializationPolicy] = None,
-        compiled_cache_size: int = 256,
         result_cache_size: int = 1024,
     ):
         self.documents = DocumentStore()
         self.views = ViewRegistry(policy)
-        self.compiled = CompiledCache(compiled_cache_size)
+        #: Everything this store — and a service over it — compiles:
+        #: reads, view layers, previews and the ``transform`` op.
+        self.compiled = CompiledCache()
         #: :func:`result_key` → the serialized answer, one immutable
         #: :class:`Answer`: a hit hands out a fresh list over its
         #: items, so no caller can change what another reads.
@@ -240,11 +242,11 @@ class ViewStore:
         # paths at once — one lock keeps their tallies exact (the
         # per-document lock only serializes one document's readers).
         self._counter_lock = threading.Lock()
-        # Conservative label analyses keyed on source text; values are
-        # wrapped in 1-tuples because ``None`` ("unanalyzable") is a
-        # legitimate cached answer.
-        self._query_label_cache = LRUCache(compiled_cache_size)
-        self._transform_label_cache = LRUCache(compiled_cache_size)
+        # Conservative label analyses of queries keyed on source text;
+        # values are wrapped in 1-tuples because ``None``
+        # ("unanalyzable") is a legitimate cached answer.  A view's
+        # labels are analyzed once, when it is defined (``View.labels``).
+        self._query_label_cache = LRUCache(256)
 
     # ------------------------------------------------------------------
     # Documents
@@ -287,7 +289,9 @@ class ViewStore:
         # Compiled now: a path the selecting automaton refuses is a
         # ValueError here, not on every read and commit after.
         self.compiled.selecting_nfa_for(transform.path)
-        return self.views.define(name, base, transform, transform_text)
+        return self.views.define(
+            name, base, transform, transform_text, transform_labels(transform)
+        )
 
     def drop(self, name: str) -> None:
         """Drop a view, or a document no view depends on."""
@@ -344,7 +348,7 @@ class ViewStore:
     def _evaluate_counted(self, pinned: PinnedRead, query_text: str) -> tuple:
         with self._counter_lock:
             self.arena_reads += 1
-        return self.evaluate(pinned, query_text, self.compiled)
+        return self.evaluate(pinned, query_text)
 
     def pin_read(self, target: str, *, include_staged: bool = False) -> PinnedRead:
         """Pin *target* — a document or a view, with or without the
@@ -381,12 +385,13 @@ class ViewStore:
         )
         return PinnedRead(doc, snapshot, base, layers, staged, texts)
 
-    def evaluate(self, pinned: PinnedRead, query_text: str, compiled) -> tuple:
+    def evaluate(self, pinned: PinnedRead, query_text: str) -> tuple:
         """Resolve *pinned* to one arena and run the query over it:
         ``(arena, evaluator, raw ref items)`` — both the thawing and
         the serializing reads finish from these refs.  Lock-free until
-        a freshly materialized layer is published; *compiled* is the
-        caller's :class:`~repro.compiled.CompiledCache`."""
+        a freshly materialized layer is published; everything it
+        compiles comes from (and stays in) ``self.compiled``."""
+        compiled = self.compiled
         arena = pinned.base
         layers = list(pinned.layers)
         query = None
@@ -636,11 +641,6 @@ class ViewStore:
             lambda: (query_labels(self.compiled.user_query(query_text)),),
         )[0]
 
-    def _transform_label_set(self, transform_text: str, transform: TransformQuery):
-        return self._transform_label_cache.get_or_compute(
-            transform_text, lambda: (transform_labels(transform),)
-        )[0]
-
     def _delta_verdicts(self, doc_name: str, outcome: CommitOutcome) -> dict:
         """``target → _Verdict`` for the document and every view over
         it: what the commit about to install provably leaves alone.  A
@@ -651,13 +651,10 @@ class ViewStore:
             _, stack = self.views.stack(view.name)
             labels: Optional[frozenset] = frozenset()
             for layer in stack:
-                layer_labels = self._transform_label_set(
-                    layer.transform_text, layer.transform
-                )
-                if layer_labels is None:
+                if layer.labels is None:
                     labels = None
                     break
-                labels |= layer_labels
+                labels |= layer.labels
             verdicts[view.name] = _Verdict(
                 view,
                 tuple(layer.transform_text for layer in stack),
@@ -793,7 +790,7 @@ class ViewStore:
         registry.probe("store.arena.reads", lambda: self._counter_values()[0])
         registry.probe("store.snapshot.pins", lambda: self._counter_values()[1])
         registry.probe("store.cache.results", self._result_cache_stats)
-        self.compiled.bind_metrics(registry, prefix="store.cache.compiled")
+        self.compiled.bind_metrics(registry)
         registry.probe("store.documents.count", lambda: len(self.documents))
         registry.probe(
             "store.arena.builds",

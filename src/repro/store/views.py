@@ -51,6 +51,7 @@ class View:
         "base",
         "transform",
         "transform_text",
+        "labels",
         "query_count",
         "materialized_root",
         "materialized_version",
@@ -63,12 +64,22 @@ class View:
     # unguarded[query_count, materialized_root, materialized_version]: guarded by the owning document's lock (held by ViewStore's pin, publish and commit-install steps); a View cannot name it
 
     def __init__(
-        self, name: str, base: str, transform: TransformQuery, transform_text: str
+        self,
+        name: str,
+        base: str,
+        transform: TransformQuery,
+        transform_text: str,
+        labels: Optional[frozenset],
     ) -> None:
         self.name = name
         self.base = base
         self.transform = transform
         self.transform_text = transform_text
+        #: The labels the transform mentions
+        #: (:func:`~repro.store.delta.transform_labels`, analyzed once at
+        #: definition — a definition only changes by drop + define);
+        #: ``None`` when unanalyzable.
+        self.labels = labels
         self.query_count = 0
         #: The view's whole output as a frozen arena, when hot.
         self.materialized_root: Optional[FrozenDocument] = None
@@ -122,13 +133,18 @@ class ViewRegistry:
     # ------------------------------------------------------------------
 
     def define(
-        self, name: str, base: str, transform: TransformQuery, transform_text: str
+        self,
+        name: str,
+        base: str,
+        transform: TransformQuery,
+        transform_text: str,
+        labels: Optional[frozenset],
     ) -> View:
         """Register a view.  The caller (the store facade) has already
         checked that *base* names an existing document or view and that
         *name* is free in the shared namespace."""
         validate_name(name)
-        view = View(name, base, transform, transform_text)
+        view = View(name, base, transform, transform_text, labels)
         with self._lock:
             self._views[name] = view
         return view

@@ -1,11 +1,10 @@
-"""The compiled runtime's plumbing: symbol interning, the CompiledPath
-bundle, cache-counter observability, and the two-pass replayable-source
-contract."""
+"""The compiled runtime's plumbing: symbol interning, the path-keyed
+NFA caches, cache-counter observability, and the two-pass
+replayable-source contract."""
 
 import pytest
 
 from repro import Engine, cli, parse
-from repro.compiled import CompiledPath
 from repro.lru import LRUCache
 from repro.streaming.select import stream_select
 from repro.transform.query import parse_transform_query
@@ -54,32 +53,57 @@ class TestSymbolTable:
         assert global_symbols().id_of("sax-unique-label-abc") is not None
 
 
-class TestCompiledPath:
-    def test_bundle_shares_cached_nfas(self):
-        engine = Engine()
-        prepared = engine.prepare_transform(DELETE)
-        bundle = prepared.compiled
-        assert isinstance(bundle, CompiledPath)
-        assert bundle.selecting is prepared.selecting
-        assert bundle.filtering is prepared.filtering
-        assert bundle.selecting is engine.cache.selecting_nfa_for(bundle.path)
+#: DELETE's path under another transform text.
+RENAME = DELETE.replace("delete $a//price", "rename $a//price as cost")
 
-    def test_dfa_tables_survive_across_runs_and_preparations(self):
+
+class TestNFACaches:
+    def test_one_automaton_pair_per_path_across_texts(self):
+        engine = Engine()
+        deleting = engine.prepare_transform(DELETE)
+        renaming = engine.prepare_transform(RENAME)
+        assert deleting is not renaming
+        assert renaming.selecting is deleting.selecting
+        assert renaming.filtering is deleting.filtering
+        path = deleting.query.path
+        assert deleting.selecting is engine.cache.selecting_nfa_for(path)
+        assert deleting.filtering is engine.cache.filtering_nfa_for(path)
+        stats = engine.cache.stats()
+        for name in ("selecting_nfas", "filtering_nfas"):
+            assert stats[name]["size"] == 1
+            assert stats[name]["misses"] == 1 and stats[name]["hits"] >= 1
+
+    def test_dfa_tables_are_stable_across_runs_and_preparations(self):
         engine = Engine()
         doc = parse(DOC)
         prepared = engine.prepare_transform(DELETE)
         prepared.run(doc, method="topdown")
-        before = prepared.compiled.stats()
-        assert before["selecting_dfa"]["moves"] > 0
+        before = prepared.selecting.dfa().stats()
+        assert before["moves"] > 0
         engine.prepare_transform(DELETE).run(doc, method="topdown")
-        assert prepared.compiled.stats() == before
+        engine.prepare_transform(RENAME).run(doc, method="topdown")
+        assert prepared.selecting.dfa().stats() == before
 
-    def test_compiled_path_cache_is_surfaced_in_stats(self):
+    def test_the_tables_probe_sums_every_built_dfa(self):
+        engine = Engine()
+        prepared = engine.prepare_transform(DELETE)
+        assert engine.cache.dfa_stats()["dfas"] == 0  # nothing built yet
+        prepared.run(parse(DOC), method="topdown")
+        tables = [nfa.dfa().stats() for nfa in (prepared.selecting, prepared.filtering)
+                  if nfa._dfa is not None]
+        totals = engine.cache.dfa_stats()
+        assert totals["dfas"] == len(tables) >= 1
+        assert totals["sets"] == sum(t["sets"] for t in tables) > 0
+        assert totals["moves"] == sum(t["moves"] for t in tables)
+
+    def test_the_nfa_caches_are_surfaced_in_stats(self):
         engine = Engine()
         engine.prepare_transform(DELETE)
         stats = engine.cache.stats()
-        assert "compiled_paths" in stats
-        assert stats["compiled_paths"]["size"] == 1
+        assert sorted(stats) == [
+            "filtering_nfas", "plans", "selecting_nfas", "transforms", "user_queries",
+        ]
+        assert stats["selecting_nfas"]["size"] == stats["filtering_nfas"]["size"] == 1
 
 
 class TestCounterObservability:
@@ -105,7 +129,7 @@ class TestCounterObservability:
         assert "interned state sets" in explained
         assert "memoized transitions" in explained
         assert "engine caches [hits/misses/evictions]:" in explained
-        assert "compiled_paths" in explained
+        assert "selecting_nfas" in explained
 
     def test_store_stat_cli_prints_cache_counters(self, tmp_path, capsys):
         doc_path = tmp_path / "db.xml"
@@ -119,7 +143,7 @@ class TestCounterObservability:
         out = capsys.readouterr().out
         assert "caches [hits/misses/evictions]:" in out
         assert "results" in out
-        assert "compiled_paths" in out
+        assert "selecting_nfas" in out
 
 
 class TestReplayableSourceContract:

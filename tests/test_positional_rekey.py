@@ -62,7 +62,7 @@ def _texts(items) -> list:
 def _fresh(store: ViewStore, target: str, query: str) -> tuple:
     """``(items, refs)`` of *query* evaluated now, past the cache."""
     pinned = store.pin_read(target)
-    arena, _, raw = store.evaluate(pinned, query, store.compiled)
+    arena, _, raw = store.evaluate(pinned, query)
     return serialize_arena_items(arena, raw), node_refs(raw)
 
 

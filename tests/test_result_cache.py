@@ -209,9 +209,7 @@ class ResultCacheMachine(RuleBasedStateMachine):
                 # Positions are kept for reads of a document itself
                 # only: anything else indexes an arena no commit moves.
                 assert not stack and not staged_texts, key
-                fresh = self.store.evaluate(
-                    self.store.pin_read(target), query, self.store.compiled
-                )[2]
+                fresh = self.store.evaluate(self.store.pin_read(target), query)[2]
                 assert cached.refs == node_refs(fresh), key
 
     @invariant()

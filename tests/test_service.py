@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro import QueryService, ServiceConfig
+from repro.automata.selecting import build_selecting_nfa
 from repro.service import (
     BadRequestError,
     Client,
@@ -32,7 +33,9 @@ from repro.service import (
 )
 from repro.service.protocol import decode_line, encode_frame, result_frame
 from repro.store import StoreError, ViewStore
+from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
+from repro.transform.query import parse_transform_query
 from repro.xmltree.arena import thaw
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize, serialize_arena
@@ -114,23 +117,82 @@ def test_view_and_staged_reads_match_the_store(service):
 
 
 def test_the_transform_op_chooses_no_strategy(service):
-    """A wire transform is the kernel plus the columnar serializer —
-    ``PreparedTransform.run`` on the pinned arena: the engine's rule is
-    not consulted (``engine.planner.chosen`` tallies ``run`` on a tree
-    or file on auto, as before)."""
+    """A wire transform is the kernel plus the columnar serializer on
+    the pinned arena, compiled into the store's one cache: there is no
+    engine, so no rule is consulted and no prepared statement kept."""
     text = (
         'transform copy $a := doc("db") modify do '
         "rename $a//pname as name return $a"
     )
-    assert "<name>kb</name>" in service.transform("db", text)
-    prepared = service.engine.prepare_transform(text)
-    prepared.run(service.store.pin("db").arena)
-    assert sum(service.engine.chosen().values()) == 0
-    prepared.run(parse(CATALOG))
-    assert service.engine.chosen()["topdown"] == 1
+    answer = service.transform("db", text)
+    assert "<name>kb</name>" in answer
+    query = parse_transform_query(text)
+    kernel = transform_arena(
+        service.store.pin("db").arena, query.update, build_selecting_nfa(query.path)
+    )
+    assert answer == serialize_arena(kernel.arena)
+    assert service.store.compiled.transforms.stats()["misses"] == 1
     snap = service.registry.snapshot()
-    assert snap["engine.planner.chosen.topdown"] == 1
-    assert snap["engine.planner.chosen.stream"] == 0
+    assert not [
+        name for name in snap if name.startswith(("engine.planner", "engine.prepared"))
+    ]
+
+
+def test_a_service_takes_no_engine():
+    with pytest.raises(TypeError):
+        QueryService(engine=object())
+    with QueryService() as svc:
+        assert not hasattr(svc, "engine")
+
+
+def test_a_server_compiles_each_text_once(service, monkeypatch):
+    """Reads, a view, a read through it and a commit compile into the
+    store's one cache: N distinct read texts and the view read's text
+    are parsed once each, the view's transform once."""
+    import repro.compiled
+
+    parsed = {"user": 0, "transform": 0}
+
+    def counting(kind, parse_text):
+        def parse_counted(text):
+            parsed[kind] += 1
+            return parse_text(text)
+        return parse_counted
+
+    monkeypatch.setattr(repro.compiled, "parse_user_query",
+                        counting("user", repro.compiled.parse_user_query))
+    monkeypatch.setattr(repro.compiled, "parse_transform_query",
+                        counting("transform", repro.compiled.parse_transform_query))
+    for text in QUERIES:
+        service.query("db", text)
+    service.define_view("public", "db", HIDE_A)
+    service.query("public", "for $x in part/supplier return $x/sname")
+    service.commit("db", INSERT_T.replace("$a/left", "$a/part"))
+    compiled = service.store.compiled
+    assert compiled.user_queries.stats()["misses"] == len(QUERIES) + 1
+    assert compiled.transforms.stats()["misses"] == 1
+    assert parsed == {"user": len(QUERIES) + 1, "transform": 1}
+    snap = service.registry.snapshot()
+    assert snap["engine.compiled.user_queries.misses"] == len(QUERIES) + 1
+    assert not [name for name in snap if name.startswith("store.cache.compiled")]
+
+
+def test_the_dfa_tables_probe_sums_the_read_automata(service):
+    """``automata.dfa.tables`` is every built DFA in the store's NFA
+    caches — the ones a server's reads step through."""
+    for text in QUERIES:
+        service.query("db", text)
+    compiled = service.store.compiled
+    built = [
+        nfa.dfa().stats()
+        for cache in (compiled.selecting, compiled.filtering)
+        for nfa in cache.values()
+        if nfa._dfa is not None
+    ]
+    snap = service.registry.snapshot()
+    assert snap["automata.dfa.tables.sets"] > 0
+    assert snap["automata.dfa.tables.sets"] == sum(stats["sets"] for stats in built)
+    assert snap["automata.dfa.tables.dfas"] == len(built)
 
 
 @pytest.mark.parametrize(
@@ -147,9 +209,7 @@ def test_the_transform_op_chooses_no_strategy(service):
 )
 def test_transform_op_answers_are_the_naive_document(service, body):
     text = f'transform copy $a := doc("db") modify do {body} return $a'
-    want = serialize(
-        transform_naive(parse(CATALOG), service.engine.prepare_transform(text).query)
-    )
+    want = serialize(transform_naive(parse(CATALOG), parse_transform_query(text)))
     assert service.transform("db", text) == want
 
 

@@ -495,13 +495,14 @@ class TestOneTransformKernel:
     """The store decides nothing: view layers and staged previews are
     applied by the one arena → arena kernel a commit runs."""
 
-    def test_store_imports_nothing_from_the_engine(self):
+    @pytest.mark.parametrize("package", ["repro.store", "repro.service"])
+    def test_store_imports_nothing_from_the_engine(self, package):
         import ast
+        import importlib
         import pathlib
 
-        import repro.store
-
-        for path in pathlib.Path(repro.store.__file__).parent.glob("*.py"):
+        module = importlib.import_module(package)
+        for path in pathlib.Path(module.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 names = []
                 if isinstance(node, ast.ImportFrom):

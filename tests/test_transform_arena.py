@@ -185,11 +185,14 @@ def test_fig12_transforms_answer_byte_identically_on_every_arena_surface(tmp_pat
     """``run(arena)``, the service's ``transform`` op and
     ``run_to_file(arena)`` against ``transform_topdown`` on the thawed
     tree, for insert and delete embedding U1–U10 plus a replace and a
-    rename for each."""
+    rename for each.  The op is the kernel and nothing else: it answers
+    what ``transform_arena`` serializes to, and leaves no planner or
+    prepared-statement trace in the service's registry."""
     tree = generate(0.002, seed=11)
     store = ViewStore()
     store.put("xmark", tree)
     service = QueryService(store)
+    engine = Engine()
     arena = store.pin("xmark").arena
     out = tmp_path / "out.xml"
     queries = [
@@ -202,15 +205,21 @@ def test_fig12_transforms_answer_byte_identically_on_every_arena_surface(tmp_pat
         for query in queries:
             text = str(query)
             want = serialize(transform_topdown(thaw(arena), query))
-            prepared = service.engine.prepare_transform(text)
+            prepared = engine.prepare_transform(text)
             result = prepared.run(arena)
             changed += result is not arena
             assert serialize_arena(result) == want, text
+            kernel = transform_arena(arena, query.update, build_selecting_nfa(query.path))
+            assert serialize_arena(kernel.arena) == want, text
             assert service.transform("xmark", text) == want, text
             prepared.run_to_file(arena, out)
             assert out.read_text(encoding="utf-8") == (
                 '<?xml version="1.0" encoding="utf-8"?>\n' + want + "\n"
             ), text
-        assert sum(service.engine.chosen().values()) == 0
+        assert sum(engine.chosen().values()) == 0
+        assert not [
+            name for name in service.registry.snapshot()
+            if name.startswith(("engine.planner", "engine.prepared"))
+        ]
     assert changed >= 30  # the workload really edits this document
     assert serialize_arena(arena) == serialize(tree)
