@@ -121,10 +121,10 @@ def test_dfa_speedup_bar():
 def test_prepared_rerun_zero_recompilation():
     """A prepared statement's re-run must reuse the compiled DFA tables.
 
-    Observable three ways, all asserted: the engine memoizes the
-    prepared object (cache hit counted), another text over the same
-    path gets the same cached automaton, and the DFA's own table
-    counters do not move across the second run.
+    Observable three ways, all asserted: preparing the text again hands
+    back the same cached parse and automata, another text over the same
+    path gets the same cached automaton (cache hit counted), and the
+    DFA's own table counters do not move across the second run.
     """
     tree = dataset(SMOKE_FACTOR if SMOKE else 0.01, seed=DATASET_SEED)
     engine = Engine()
@@ -136,15 +136,17 @@ def test_prepared_rerun_zero_recompilation():
     tables_before = prepared.selecting.dfa().stats()
 
     again = engine.prepare_transform(text)
-    assert again is prepared, "re-preparation must be a cache hit"
+    assert again.query is prepared.query and again.selecting is prepared.selecting, (
+        "re-preparation must be a cache hit"
+    )
     again.run(tree, method="topdown")
 
     tables_after = prepared.selecting.dfa().stats()
     assert tables_after == tables_before, (
         f"re-run recompiled DFA tables: {tables_before} -> {tables_after}"
     )
-    # The second preparation hit the prepared-statement memo; preparing
-    # the same path through a *different* text must hit the NFA cache.
+    # Preparing the same path through a *different* text must hit the
+    # NFA cache too.
     other = engine.prepare_transform(str(delete_transform("U9")))
     assert other.selecting is prepared.selecting
     assert engine.cache.selecting.stats()["hits"] > path_hits_before, (

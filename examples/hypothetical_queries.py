@@ -73,7 +73,7 @@ def main() -> None:
         f"schema migration preview: {count(hypothetical, 'people/member')} member "
         f"elements would replace {count(site, 'people/person')} person elements"
     )
-    print(f"strategies chosen: {engine.stats()['planner']['chosen']}")
+    print(f"strategy chosen for the site: {migrate.plan_for(site).strategy}")
 
 
 if __name__ == "__main__":

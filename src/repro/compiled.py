@@ -9,6 +9,11 @@ state) live with their owners (e.g. :class:`repro.store.store.ViewStore`,
 keyed by document version); this module only caches artifacts that
 never go stale.
 
+A cache miss is the one place anything is compiled, so it is where a
+compile is accounted for: the factory runs inside a ``compile`` span of
+the calling thread's active trace, and stamps an active execution
+profile ``cold``.  A hit pays neither.
+
 Like :mod:`repro.lru`, this lives at the package root: both the engine
 and the store use it and neither imports the other — shared
 infrastructure lives below both.
@@ -16,12 +21,13 @@ infrastructure lives below both.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, cast
+from typing import TYPE_CHECKING, Any, Callable, Dict, cast
 
 from repro.automata.filtering import FilteringNFA, build_filtering_nfa
 from repro.automata.selecting import SelectingNFA, build_selecting_nfa
 from repro.compose.compose import compose
 from repro.lru import LRUCache
+from repro.obs import current_profile, span
 from repro.transform.query import TransformQuery, parse_transform_query
 from repro.xpath.ast import Path
 from repro.xquery.ast import Expr, UserQuery
@@ -57,13 +63,13 @@ class CompiledCache:
 
     def transform(self, text: str) -> TransformQuery:
         # The LRU stores Any; the casts re-assert what each cache holds.
-        return cast(TransformQuery, self.transforms.get_or_compute(
-            text, lambda: parse_transform_query(text)
+        return cast(TransformQuery, _get(
+            self.transforms, text, lambda: parse_transform_query(text)
         ))
 
     def user_query(self, text: str) -> UserQuery:
-        return cast(UserQuery, self.user_queries.get_or_compute(
-            text, lambda: parse_user_query(text)
+        return cast(UserQuery, _get(
+            self.user_queries, text, lambda: parse_user_query(text)
         ))
 
     # ------------------------------------------------------------------
@@ -74,13 +80,13 @@ class CompiledCache:
         # NFAs are keyed by the parsed Path (hashable, structural
         # equality): rendered text does not round-trip quoted string
         # literals, so it must never be the cache key.
-        return cast(SelectingNFA, self.selecting.get_or_compute(
-            path, lambda: build_selecting_nfa(path)
+        return cast(SelectingNFA, _get(
+            self.selecting, path, lambda: build_selecting_nfa(path)
         ))
 
     def filtering_nfa_for(self, path: Path) -> FilteringNFA:
-        return cast(FilteringNFA, self.filtering.get_or_compute(
-            path, lambda: build_filtering_nfa(path)
+        return cast(FilteringNFA, _get(
+            self.filtering, path, lambda: build_filtering_nfa(path)
         ))
 
     def composed(self, user_text: str, transform_text: str) -> Expr:
@@ -99,7 +105,7 @@ class CompiledCache:
                 nfa=self.selecting_nfa_for(transform.path),
             )
 
-        return cast(Expr, self.plans.get_or_compute((user_text, transform_text), build))
+        return cast(Expr, _get(self.plans, (user_text, transform_text), build))
 
     # ------------------------------------------------------------------
 
@@ -141,3 +147,17 @@ class CompiledCache:
         for name, cache in self._caches().items():
             registry.probe(f"engine.compiled.{name}", cache.stats)
         registry.probe("automata.dfa.tables", self.dfa_stats)
+
+
+def _get(cache: LRUCache, key: Any, build: Callable[[], Any]) -> Any:
+    """*cache*'s entry for *key*; on a miss *build* compiles it, in a
+    ``compile`` span and with an active profile stamped cold."""
+
+    def compile_miss() -> Any:
+        profile = current_profile()
+        if profile is not None:
+            profile.note_compile()
+        with span("compile"):
+            return build()
+
+    return cache.get_or_compute(key, compile_miss)

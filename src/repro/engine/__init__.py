@@ -34,9 +34,8 @@ chosen — ``topdown`` beats or ties them on every Fig-12 transform.
 Layering: ``features`` summarizes a query's shape and measures an
 input's mean depth, ``planner`` is the rule, ``executor`` runs a named
 strategy with prebuilt automata, ``prepared`` wraps all of it behind
-run/run_many/then/explain, and ``engine`` is the caching facade.  The
-view store (:mod:`repro.store`) applies the same rule to its view
-materialization and staged-update previews.
+run/run_many/then/explain, and ``engine`` is the door that builds
+prepared objects from its :class:`~repro.compiled.CompiledCache`.
 """
 
 from repro.engine.engine import Engine, default_engine

@@ -15,12 +15,12 @@ strategy per input, and executes many times.
         "for $x in part/supplier return $x", strip
     ).run(doc)
 
-The engine owns the compiled-artifact caches (parses, automata,
-composed plans — a :class:`~repro.compiled.CompiledCache`) and the
-tally of strategies :func:`~repro.engine.planner.choose_strategy`
-picked for execution; ``prepare_*`` calls are memoized by source text,
-so repeated preparation is a dictionary hit.  A process-wide
-:func:`default_engine` backs the CLI and the thin module-level shims.
+The engine is a door over one :class:`~repro.compiled.CompiledCache`
+(parses, automata, composed plans): each ``prepare_*`` builds a fresh
+prepared object from the cache's entries, so preparing a text again is
+a handful of cache hits, and a compile is paid — and traced — only at
+the cache miss.  A process-wide :func:`default_engine` backs the CLI
+and the thin module-level shims.
 """
 
 from __future__ import annotations
@@ -28,16 +28,13 @@ from __future__ import annotations
 import threading
 from typing import Optional, Union
 
-from repro.engine.executor import ALL_STRATEGIES
+from repro.compiled import CompiledCache
 from repro.engine.prepared import (
     PreparedComposed,
     PreparedQuery,
     PreparedStack,
     PreparedTransform,
 )
-from repro.compiled import CompiledCache
-from repro.lru import LRUCache
-from repro.obs import current_profile, span
 from repro.transform.query import TransformQuery
 from repro.xmltree.node import Element
 
@@ -46,116 +43,46 @@ class Engine:
     """Prepared-statement facade over the five evaluation strategies,
     the Compose Method, and the streaming path."""
 
-    # guarded-by[_chosen]: self._chosen_lock
-
     def __init__(self):
         self.cache = CompiledCache()
-        self._prepared = LRUCache(256)
-        # Serializes first-time preparation of a given text so that
-        # concurrent clients share ONE prepared object (and therefore
-        # one set of warm DFA tables) instead of each building their
-        # own on a cold-cache race.  Warm lookups never take it.
-        self._build_lock = threading.Lock()
-        # ``method="auto"`` executions per chosen strategy (forced
-        # methods and introspective plan_for/explain calls don't count).
-        self._chosen = dict.fromkeys(ALL_STRATEGIES, 0)
-        self._chosen_lock = threading.Lock()
-
-    def _prepare_shared(self, key: tuple, factory):
-        """Memoized preparation with cross-thread sharing: the fast
-        path is a lock-free cache hit; a miss builds under the engine's
-        build lock with a double-check, so every concurrent caller for
-        the same *key* receives the same prepared object."""
-        found = self._prepared.get(key)
-        if found is not None:
-            return found
-
-        def build():
-            # Only a cold build is a "compile": warm lookups above (and
-            # the double-checked hit inside get_or_compute) emit no span.
-            # A run profiled through a cold build paid the compile — its
-            # cache class flips from "warm" to "cold".
-            profile = current_profile()
-            if profile is not None:
-                profile.note_compile()
-            with span("compile"):
-                return factory()
-
-        with self._build_lock:
-            return self._prepared.get_or_compute(key, build)
 
     # ------------------------------------------------------------------
-    # Preparation (parse + compile exactly once per distinct text)
+    # Preparation (parse + compile once per distinct text, in the cache)
     # ------------------------------------------------------------------
 
     def prepare_transform(
         self, text: Union[str, TransformQuery, PreparedTransform]
     ) -> PreparedTransform:
-        """Parse a transform query and build both automata, once.
+        """A transform query with its parse and both automata from the
+        cache.
 
-        Only *source text* is memoized: an already-parsed
-        :class:`TransformQuery` is wrapped fresh (its rendering is
+        Only *source text* is looked up: an already-parsed
+        :class:`TransformQuery` is taken as it is (its rendering is
         lossy — e.g. float literals — so it must never be a cache key);
-        the automata underneath are still shared via the Path-keyed
-        compiled cache.
+        its automata still come from the Path-keyed cache.
         """
         if isinstance(text, PreparedTransform):
             return text
-        if isinstance(text, TransformQuery):
-            return self._build_transform(text)
-        query = self.cache.transform(text)
-        return self._prepare_shared(
-            ("transform", text), lambda: self._build_transform(query, text)
-        )
-
-    def _build_transform(
-        self, query: TransformQuery, text: Optional[str] = None
-    ) -> PreparedTransform:
-        # The automata are keyed by the parsed Path: two transform
-        # texts embedding the same path share one pair of automata —
-        # and therefore one set of warm lazy-DFA tables.
-        return PreparedTransform(
-            text if text is not None else str(query),
-            query,
-            self.cache.selecting_nfa_for(query.path),
-            self.cache.filtering_nfa_for(query.path),
-            engine=self,
-        )
+        return PreparedTransform(self.cache, text)
 
     def prepare_query(
         self, text: Union[str, PreparedQuery]
     ) -> PreparedQuery:
-        """Parse a FLWR user query, once."""
+        """A FLWR user query, parsed once per distinct text."""
         if isinstance(text, PreparedQuery):
             return text
-        return self._prepare_shared(
-            ("query", text),
-            lambda: PreparedQuery(text, self.cache.user_query(text), engine=self),
-        )
+        return PreparedQuery(self.cache, text)
 
     def prepare_composed(
         self,
         user: Union[str, PreparedQuery],
         transform: Union[str, TransformQuery, PreparedTransform],
     ) -> PreparedComposed:
-        """Fuse a user query with a transform query (Compose Method),
-        once per pair of source texts.
-
-        Memoized only when the transform's text is *authentic* (it was
-        prepared from source text): a text synthesized by ``str(query)``
-        is lossy and two different queries may render identically.
-        """
-        prepared_user = self.prepare_query(user)
-        prepared_transform = self.prepare_transform(transform)
-        authentic = (
-            self._prepared.get(("transform", prepared_transform.text))
-            is prepared_transform
-        )
-        if not authentic:
-            return PreparedComposed(prepared_user, prepared_transform)
-        return self._prepare_shared(
-            ("composed", prepared_user.text, prepared_transform.text),
-            lambda: PreparedComposed(prepared_user, prepared_transform),
+        """Fuse a user query with a transform query (Compose Method):
+        the plan is the cache's for the pair of source texts, or
+        composed afresh for a transform that was handed in parsed."""
+        return PreparedComposed(
+            self.prepare_query(user), self.prepare_transform(transform)
         )
 
     def prepare_stack(self, *texts: Union[str, PreparedTransform]) -> PreparedStack:
@@ -185,31 +112,15 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def count_chosen(self, strategy: str) -> None:
-        """Tally one ``auto`` execution of *strategy*."""
-        with self._chosen_lock:
-            self._chosen[strategy] += 1
-
-    def chosen(self) -> dict:
-        """``auto`` executions so far, per strategy."""
-        with self._chosen_lock:
-            return dict(self._chosen)
-
     def stats(self) -> dict:
-        return {
-            "prepared": self._prepared.stats(),
-            "compiled": self.cache.stats(),
-            "planner": {"chosen": self.chosen()},
-        }
+        return {"compiled": self.cache.stats()}
 
     def bind_metrics(self, registry) -> None:
-        """Expose the engine's caches, strategy tallies and aggregate
-        DFA table sizes through a :class:`~repro.obs.registry.
-        MetricsRegistry` — all as lazily sampled probes, so preparing
-        and running pay nothing extra."""
-        registry.probe("engine.prepared.cache", self._prepared.stats)
+        """Expose the engine's compiled caches and aggregate DFA table
+        sizes through a :class:`~repro.obs.registry.MetricsRegistry` —
+        as lazily sampled probes, so preparing and running pay nothing
+        extra."""
         self.cache.bind_metrics(registry)
-        registry.probe("engine.planner.chosen", self.chosen)
 
 
 _default_engine: Optional[Engine] = None

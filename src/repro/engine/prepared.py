@@ -1,13 +1,15 @@
 """Prepared statements: parse and build automata exactly once, run many
 times.
 
-A :class:`PreparedTransform` owns its parsed query and both automata; a
-:class:`PreparedQuery` owns a parsed FLWR user query; a
-:class:`PreparedComposed` owns the Compose-Method rewrite of the pair —
-built once, reused on every ``run``.  ``then`` chains prepared
-transforms into a :class:`PreparedStack` (the semantics of stacked
-transform queries: each stage sees the previous stage's result), and
-``explain`` shows the plan for a concrete or hypothetical input.
+A :class:`PreparedTransform` holds its parsed query and both automata; a
+:class:`PreparedQuery` a parsed FLWR user query; a
+:class:`PreparedComposed` the Compose-Method rewrite of the pair — each
+taken from the :class:`~repro.compiled.CompiledCache` it was built from
+(``cache``), which compiled them once, and reused on every ``run``.
+``then`` chains prepared transforms into a :class:`PreparedStack` (the
+semantics of stacked transform queries: each stage sees the previous
+stage's result), and ``explain`` shows the plan for a concrete or
+hypothetical input.
 
 All ``run`` methods accept a resident :class:`Element`, a frozen arena
 or a file path.  A tree or file is transformed into a tree by the
@@ -23,9 +25,10 @@ import os
 import warnings
 from typing import Iterable, Optional, Union
 
+from repro.compiled import CompiledCache
 from repro.compose.compose import compose
 from repro.engine.executor import ALL_STRATEGIES, run_tree_strategy
-from repro.engine.features import QueryFeatures, analyze_transform, mean_depth
+from repro.engine.features import analyze_transform, mean_depth
 from repro.engine.planner import Plan, choose_strategy
 from repro.obs import Profile, current_profile, profiled, span
 from repro.transform.arena import transform_arena
@@ -36,7 +39,6 @@ from repro.xmltree.node import Element
 from repro.xmltree.parser import parse_file
 from repro.xmltree.sax import events_to_text, events_to_tree, iter_sax_file
 from repro.xmltree.serializer import write_arena_file, write_file
-from repro.xquery.ast import UserQuery
 from repro.xquery.evaluator import evaluate_query
 
 Resident = Union[Element, FrozenDocument]
@@ -99,30 +101,30 @@ def describe_arena_memory(arena: FrozenDocument) -> str:
 
 
 class PreparedTransform:
-    """A transform query, parsed and compiled exactly once."""
+    """A transform query, with its parse and both automata from *cache*.
+
+    *text* is source text or an already-parsed :class:`TransformQuery`,
+    which is taken as it is: its rendering is lossy (e.g. float
+    literals), so it is never a cache key.  ``from_text`` records which
+    — a composition looks its plan up by the pair of source texts only
+    when there is one.
+    """
 
     __slots__ = (
-        "text", "query", "features", "selecting", "filtering", "engine",
+        "text", "query", "from_text", "features", "selecting", "filtering", "cache",
     )
 
-    def __init__(
-        self,
-        text: str,
-        query: TransformQuery,
-        selecting,
-        filtering,
-        features: Optional[QueryFeatures] = None,
-        engine=None,
-    ):
-        self.text = text
-        self.query = query
-        self.selecting = selecting
-        self.filtering = filtering
-        #: The owning Engine, when prepared through one: lets ``then``
-        #: route raw query text through the engine's caches, and
-        #: receives the per-strategy execution tally.
-        self.engine = engine
-        self.features = features or analyze_transform(query)
+    def __init__(self, cache: CompiledCache, text: Union[str, TransformQuery]):
+        self.from_text = not isinstance(text, TransformQuery)
+        self.query = cache.transform(text) if self.from_text else text
+        self.text = text if self.from_text else str(text)
+        # Keyed by the parsed Path: two texts embedding one path share
+        # one pair of automata, and so one set of warm lazy-DFA tables.
+        self.selecting = cache.selecting_nfa_for(self.query.path)
+        self.filtering = cache.filtering_nfa_for(self.query.path)
+        self.features = analyze_transform(self.query)
+        #: Where ``then`` prepares raw text, and what ``explain`` reports.
+        self.cache = cache
 
     # ------------------------------------------------------------------
     # Planning
@@ -132,10 +134,10 @@ class PreparedTransform:
         """The plan for a concrete input (or, with none, for a
         hypothetical shallow one).
 
-        Introspective — nothing is tallied — and exactly what ``run``
-        will execute on a tree or file: both apply the one rule to the
-        same observations.  Free unless the query's shape nests; then
-        it measures the input's mean depth (parsing a file to do so).
+        Introspective, and exactly what ``run`` will execute on a tree
+        or file: both apply the one rule to the same observations.
+        Free unless the query's shape nests; then it measures the
+        input's mean depth (parsing a file to do so).
         A frozen arena runs no plan, so asking for one is the
         ``ValueError`` forcing a ``method=`` on it is.
         """
@@ -168,16 +170,6 @@ class PreparedTransform:
                 self.features, os.path.getsize(source), parsed_depth
             )
             return plan, parsed[0] if parsed else None
-
-    def _chosen(
-        self, source: Union[Element, str, os.PathLike]
-    ) -> tuple[str, Optional[Element]]:
-        """Plan *source* for execution: the tallied strategy and the
-        parsed tree (see :meth:`_plan`)."""
-        plan, resident = self._plan(source)
-        if self.engine is not None:
-            self.engine.count_chosen(plan.strategy)
-        return plan.strategy, resident
 
     def _describe_run(self, doc_or_path: Optional[Input] = None) -> str:
         """What ``run`` does with this input, as ``explain`` prints it:
@@ -212,14 +204,13 @@ class PreparedTransform:
                 if isinstance(doc_or_path, Element)
                 else f"input: file {os.fspath(doc_or_path)}"
             )
-        if self.engine is not None:
-            header.append("engine caches [hits/misses/evictions]:")
-            for name, cache_stats in self.engine.cache.stats().items():
-                header.append(
-                    f"  {name:<14} {cache_stats['hits']}/{cache_stats['misses']}"
-                    f"/{cache_stats['evictions']} "
-                    f"(size {cache_stats['size']}/{cache_stats['maxsize']})"
-                )
+        header.append("engine caches [hits/misses/evictions]:")
+        for name, cache_stats in self.cache.stats().items():
+            header.append(
+                f"  {name:<14} {cache_stats['hits']}/{cache_stats['misses']}"
+                f"/{cache_stats['evictions']} "
+                f"(size {cache_stats['size']}/{cache_stats['maxsize']})"
+            )
         return "\n".join(header) + "\n" + self._describe_run(doc_or_path)
 
     def explain_analyze(
@@ -229,8 +220,8 @@ class PreparedTransform:
         plan next to what the run measured (on an arena: the scan
         loop's own counters next to the full-scan estimate).
 
-        Returns ``(report, result)`` — the run is real (and tallied),
-        not simulated, exactly like SQL ``EXPLAIN ANALYZE``.
+        Returns ``(report, result)`` — the run is real, not simulated,
+        exactly like SQL ``EXPLAIN ANALYZE``.
         """
         prof = Profile()
         with profiled(prof):
@@ -259,7 +250,8 @@ class PreparedTransform:
             return self._run_arena(doc_or_path, method)
         resident: Optional[Element] = None
         if method == "auto":
-            method, resident = self._chosen(doc_or_path)
+            plan, resident = self._plan(doc_or_path)
+            method = plan.strategy
         if method == "stream" and not isinstance(doc_or_path, Element):
             return events_to_tree(self._stream_events(doc_or_path))
         return self._run_tree(
@@ -288,7 +280,7 @@ class PreparedTransform:
         pretty-printing would require materializing the document.
 
         A :class:`~repro.xmltree.arena.FrozenDocument` input is the
-        kernel (as in :meth:`run`: nothing planned or tallied) and the
+        kernel (as in :meth:`run`: nothing planned) and the
         columnar serializer on its result, pretty or not.  Byte-
         identical to the tree path (asserted by the arena test suite).
         """
@@ -299,7 +291,8 @@ class PreparedTransform:
             return
         source: Optional[Element] = None
         if method == "auto":
-            method, source = self._chosen(in_path)
+            plan, source = self._plan(in_path)
+            method = plan.strategy
         if method == "stream":
             if pretty:
                 warnings.warn(
@@ -359,14 +352,11 @@ class PreparedTransform:
         events_to_text(self._stream_events(in_path), handle)
 
     def stream_if_planned(self, in_path: Input, handle) -> bool:
-        """Stream to *handle* iff the rule streams this file: tallies
-        the executed choice and returns True, or returns False without
-        reading the file.  Keeps the plan/tally bookkeeping in one
-        place for callers that want a streaming fast path."""
+        """Stream to *handle* iff the rule streams this file and return
+        True, or return False without reading the file — for callers
+        that want a streaming fast path."""
         if not self.streams(in_path):
             return False
-        if self.engine is not None:
-            self.engine.count_chosen("stream")
         self.stream_to(in_path, handle)
         return True
 
@@ -399,7 +389,7 @@ class PreparedStack:
 
     def then(self, other: Union[PreparedTransform, "PreparedStack", str]) -> "PreparedStack":
         if isinstance(other, str):
-            other = _prepare_like(self.stages[0], other)
+            other = PreparedTransform(self.stages[0].cache, other)
         if isinstance(other, PreparedStack):
             return PreparedStack(self.stages + other.stages)
         return PreparedStack(self.stages + [other])
@@ -431,18 +421,6 @@ class PreparedStack:
         return f"PreparedStack({len(self.stages)} stages)"
 
 
-def _prepare_like(template: PreparedTransform, text: str) -> PreparedTransform:
-    """Prepare *text* the way the template was prepared (used when
-    ``then`` is handed raw query text instead of a prepared object):
-    through the owning engine's caches, falling back to the process-wide
-    default engine for the rare template built without one."""
-    if template.engine is not None:
-        return template.engine.prepare_transform(text)
-    from repro.engine.engine import default_engine
-
-    return default_engine().prepare_transform(text)
-
-
 def _no_arena_strategy(refused: str) -> ValueError:
     return ValueError(
         f"{refused} a frozen arena, which has no strategy to choose: "
@@ -460,7 +438,7 @@ def _expect_full_scan(arena: FrozenDocument) -> None:
 
 
 class PreparedQuery:
-    """A FLWR user query, parsed exactly once.
+    """A FLWR user query, with its parse from *cache*.
 
     A read has nothing to choose: handed a
     :class:`~repro.xmltree.arena.FrozenDocument`, ``run`` takes the
@@ -469,17 +447,13 @@ class PreparedQuery:
     objects.
     """
 
-    __slots__ = ("text", "query", "engine")
+    __slots__ = ("text", "query", "cache")
 
-    def __init__(self, text: str, query: UserQuery, engine=None):
+    def __init__(self, cache: CompiledCache, text: str):
         self.text = text
-        self.query = query
-        self.engine = engine
-
-    def _nfa_for(self):
-        if self.engine is not None:
-            return self.engine.cache.selecting_nfa_for
-        return None
+        self.query = cache.user_query(text)
+        #: Where a columnar scan takes the automaton of each path.
+        self.cache = cache
 
     def run(self, doc_or_path: Input) -> list:
         if isinstance(doc_or_path, FrozenDocument):
@@ -488,7 +462,7 @@ class PreparedQuery:
             _expect_full_scan(doc_or_path)
             with span("scan"):
                 return evaluate_query_arena(
-                    doc_or_path, self.query, nfa_for=self._nfa_for()
+                    doc_or_path, self.query, nfa_for=self.cache.selecting_nfa_for
                 )
         with span("scan"):
             return evaluate_query(_resident(doc_or_path), self.query)
@@ -501,7 +475,7 @@ class PreparedQuery:
 
         _expect_full_scan(arena)
         with span("scan"):
-            return ArenaEvaluator(arena, self._nfa_for()).evaluate_refs(self.query)
+            return ArenaEvaluator(arena, self.cache.selecting_nfa_for).evaluate_refs(self.query)
 
     def run_many(self, inputs: Iterable[Input]) -> list[list]:
         return [self.run(item) for item in inputs]
@@ -554,17 +528,22 @@ class PreparedQuery:
 
 class PreparedComposed:
     """A user query fused with a transform query (the Compose Method):
-    the composed plan is built once and runs on the *original* tree —
-    the virtual view is never materialized."""
+    the composed plan runs on the *original* tree — the virtual view is
+    never materialized.  The plan is the transform's cache's for the
+    pair of source texts; a transform handed in parsed has no source
+    text to key it by, and is composed afresh."""
 
     __slots__ = ("user", "transform", "plan")
 
     def __init__(self, user: PreparedQuery, transform: PreparedTransform):
         self.user = user
         self.transform = transform
-        # The prepared transform's selecting NFA (with its warm DFA
-        # tables) backs the plan's spliced topDown calls.
-        self.plan = compose(user.query, transform.query, nfa=transform.selecting)
+        if transform.from_text:
+            self.plan = transform.cache.composed(user.text, transform.text)
+        else:
+            # The prepared transform's selecting NFA (with its warm DFA
+            # tables) backs the plan's spliced topDown calls.
+            self.plan = compose(user.query, transform.query, nfa=transform.selecting)
 
     def run(self, doc_or_path: Input) -> list:
         if isinstance(doc_or_path, FrozenDocument):
@@ -572,7 +551,7 @@ class PreparedComposed:
             from repro.xquery.arena_eval import evaluate_query_arena
 
             return evaluate_query_arena(
-                doc_or_path, self.plan, nfa_for=self.user._nfa_for()
+                doc_or_path, self.plan, nfa_for=self.user.cache.selecting_nfa_for
             )
         from repro.compose.compose import evaluate_composed
 

@@ -1,9 +1,9 @@
 """A thread-safe LRU cache with zero package dependencies.
 
-Shared by the store's result and label caches, the compiled-artifact
-cache (:mod:`repro.compiled`) and the engine's prepared layer.  It
-lives at the package root because the store and the engine both use
-it and neither imports the other.
+Shared by the store's result cache and the compiled-artifact cache
+(:mod:`repro.compiled`) that a store and an engine each hold.  It lives
+at the package root because the store and the engine both use it and
+neither imports the other.
 """
 
 from __future__ import annotations

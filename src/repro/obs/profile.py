@@ -4,8 +4,8 @@ A :class:`Profile` rides along with one run and collects what it
 measured — nodes visited, subtrees pruned, nodes skipped by jumps, what
 the qualifier sweeps examined (and which ranges were left to per-node
 closures, with the rule's verdict), DFA transitions taken and
-transition-table growth, whether the prepared
-program was compiled cold or reused warm, and how many bytes the
+transition-table growth, whether the run paid a compiled-cache miss
+(cold) or found everything compiled (warm), and how many bytes the
 serializer produced — next to the strategy that ran and, for an arena
 read, the node count an unpruned scan would have visited
 (``explain_analyze`` and the slow-query log read the same object).
@@ -68,9 +68,10 @@ class Profile:
     """Measured counters for one query/transform run.
 
     Thread-confined (see module docstring): no lock, plain int fields.
-    ``cache`` starts ``"warm"`` and flips to ``"cold"`` if a prepared
-    program is compiled while this profile is active — the run paid
-    the compile, every later run with the same key will not.
+    ``cache`` starts ``"warm"`` and flips to ``"cold"`` if a
+    :class:`~repro.compiled.CompiledCache` misses while this profile is
+    active — the run paid the compile, every later run of the same
+    text will not.
     """
 
     __slots__ = (
@@ -140,7 +141,8 @@ class Profile:
         self.serialize_bytes += count
 
     def note_compile(self) -> None:
-        """A prepared program was compiled during this run."""
+        """A compiled-cache miss was paid during this run (called by
+        the cache, at the miss)."""
         self.cache = "cold"
 
     def set_plan(self, strategy: str, est_nodes: Optional[int] = None) -> None:

@@ -1,9 +1,10 @@
 """Query-lifecycle tracing: per-request traces of nested spans.
 
 A :class:`Trace` is one request's timeline.  Code inside the request
-opens **spans** — ``span("plan")``, ``span("compile")``,
-``span("scan")``, ``span("serialize")`` — and each records its start
-offset, duration and nesting depth.  When the trace finishes, its
+opens **spans** — ``span("plan")``, ``span("compile")`` (one per
+compiled-cache miss, wherever it happens: a scan that meets a new path
+shows it nested), ``span("scan")``, ``span("serialize")`` — and each
+records its start offset, duration and nesting depth.  When the trace finishes, its
 record (a plain JSON-serializable dict) lands in the owning
 :class:`Tracer`'s ring buffer, from which it can be dumped as JSON
 lines (:meth:`Tracer.dump_jsonl`) or fetched over the service's wire

@@ -826,9 +826,8 @@ class QueryService:
         self._count("transforms")
         compiled = self.store.compiled
         with self.tracer.trace("service.transform", target=name):
-            with span("compile"):
-                query = compiled.transform(transform_text)
-                nfa = compiled.selecting_nfa_for(query.path)
+            query = compiled.transform(transform_text)
+            nfa = compiled.selecting_nfa_for(query.path)
             result = transform_arena(snapshot.arena, query.update, nfa).arena
             with span("serialize"):
                 return serialize_arena(result)

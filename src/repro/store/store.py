@@ -28,11 +28,12 @@ read, an arena transform has one algorithm.  ``query_naive`` — thaw,
 shares none of the above.
 
 Caching: what reads compile (parses, NFAs, composed plans — of
-queries, view layers and staged previews) lives in one
+queries and view layers) lives in one
 :class:`~repro.compiled.CompiledCache`, ``ViewStore.compiled`` — a
 service in front compiles into it too — and never goes stale; an update
 is parsed and compiled when staged, once, and neither is remembered
-past its commit.  Serialized
+past its commit (a staged preview applies it with that same
+automaton).  Serialized
 *answers* live in ``ViewStore.results`` — the only result cache there
 is; a :class:`~repro.service.service.QueryService` reads and fills
 this one — under :func:`result_key`, all an answer depends on, each an
@@ -389,8 +390,9 @@ class ViewStore:
         """Resolve *pinned* to one arena and run the query over it:
         ``(arena, evaluator, raw ref items)`` — both the thawing and
         the serializing reads finish from these refs.  Lock-free until
-        a freshly materialized layer is published; everything it
-        compiles comes from (and stays in) ``self.compiled``."""
+        a freshly materialized layer is published; the query and the
+        view layers compile into ``self.compiled``, and a staged entry
+        is applied with its own ``StagedUpdate.nfa``."""
         compiled = self.compiled
         arena = pinned.base
         layers = list(pinned.layers)
@@ -405,14 +407,18 @@ class ViewStore:
                 layers.pop()
         if query is None:
             query = compiled.user_query(query_text)
+        for entry in pinned.staged:
+            # A staged update brings its own automaton: one-shot texts
+            # never take a slot in (or age) the compiled cache.
+            arena = transform_arena(arena, entry.transform.update, entry.nfa).arena
         fresh = []
-        for step, keep in [(entry, False) for entry in pinned.staged] + layers:
-            update = step.transform.update
+        for view, keep in layers:
+            update = view.transform.update
             arena = transform_arena(
                 arena, update, compiled.selecting_nfa_for(update.path)
             ).arena
             if keep:
-                fresh.append((step, arena))
+                fresh.append((view, arena))
         evaluator = ArenaEvaluator(arena, compiled.selecting_nfa_for)
         with span("scan"):
             refs = evaluator.evaluate_refs(query)

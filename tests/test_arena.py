@@ -148,16 +148,17 @@ class TestEngineWiring:
         prepared.run_to_file(tree_to_file(tree, tmp_path), node_out)
         prepared.run_to_file(arena, arena_out)
         assert node_out.read_bytes() == arena_out.read_bytes()
-        # The columnar path has no strategy to choose: only the file
-        # run above was tallied — pretty output included, which is the
-        # compact output re-parsed and pretty-printed.
+        # The columnar path has no strategy to choose — pretty output
+        # included, which is the compact output re-parsed and
+        # pretty-printed.
         pretty_out = tmp_path / "pretty.xml"
         prepared.run_to_file(arena, pretty_out, pretty=True)
         again = tmp_path / "again.xml"
         write_file(parse_file(str(arena_out)), str(again), indent="  ")
         assert pretty_out.read_bytes() == again.read_bytes()
         assert b"  <" in pretty_out.read_bytes()
-        assert sum(engine.stats()["planner"]["chosen"].values()) == 1
+        with pytest.raises(ValueError, match="repro.thaw it"):
+            prepared.plan_for(arena)
 
     def test_prepared_query_agrees_across_representations(self):
         tree = generate(0.001, 42)

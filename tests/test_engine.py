@@ -28,6 +28,7 @@ from repro import (
     write_file,
 )
 from repro.bench.harness import deep_chain
+from repro.obs import Profile, profiled
 from repro.cli import main as cli_main
 from repro.engine import (
     ALL_STRATEGIES,
@@ -79,6 +80,31 @@ def engine():
     return Engine()
 
 
+def _profiled(prepared, doc_or_path, method="auto"):
+    """Run under an execution profile: the result, and the profile
+    (its ``strategy`` is what the run executed)."""
+    with profiled(Profile()) as profile:
+        result = prepared.run(doc_or_path, method=method)
+    return result, profile
+
+
+@pytest.fixture()
+def executed(monkeypatch):
+    """The tree strategies runs executed, in order (a streamed file
+    runs none)."""
+    import repro.engine.prepared as prepared_module
+
+    names = []
+    run = prepared_module.run_tree_strategy
+
+    def recording(strategy, *args, **kwargs):
+        names.append(strategy)
+        return run(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(prepared_module, "run_tree_strategy", recording)
+    return names
+
+
 @pytest.fixture()
 def stream_everything(monkeypatch):
     """Make every file 'large': the rule's file clause compares against
@@ -88,11 +114,24 @@ def stream_everything(monkeypatch):
 
 
 class TestPreparation:
-    def test_prepare_is_memoized_by_text(self, engine):
-        assert engine.prepare_transform(DELETE) is engine.prepare_transform(DELETE)
-        assert engine.prepare_query(
-            "for $x in part return $x"
-        ) is engine.prepare_query("for $x in part return $x")
+    def test_prepare_builds_from_the_cache_entries(self, engine):
+        """A prepared object is a fresh holder of the cache's entries:
+        preparing a text twice hands back the very same parse and
+        automata."""
+        first, second = engine.prepare_transform(DELETE), engine.prepare_transform(DELETE)
+        for name in ("query", "selecting", "filtering"):
+            assert getattr(first, name) is getattr(second, name), name
+        assert first.cache is second.cache is engine.cache
+        text = "for $x in part return $x"
+        assert engine.prepare_query(text).query is engine.prepare_query(text).query
+
+    def test_preparing_n_texts_twice_misses_n_times(self, engine):
+        texts = [DELETE, RENAME, INSERT, QUAL_DOS]
+        for _ in range(2):
+            for text in texts:
+                engine.prepare_transform(text)
+        stats = engine.cache.transforms.stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (4, 4, 4)
 
     def test_prepare_parses_exactly_once(self, engine):
         for _ in range(5):
@@ -162,7 +201,7 @@ class TestRoundTrip:
         assert deep_equal(results[1], transform_naive(other, prepared.query))
 
     def test_run_many_streams_oversized_files_in_mixed_batches(
-        self, engine, tmp_path, monkeypatch
+        self, engine, tmp_path, monkeypatch, executed
     ):
         """Every input of a batch is chosen for on its own: one
         oversized file streams rather than being parsed whole."""
@@ -174,11 +213,11 @@ class TestRoundTrip:
         small = parse("<db><part><price>1</price></part></db>")
         results = prepared.run_many([small, str(path)])
         assert deep_equal(results[1], transform_naive(big, prepared.query))
-        chosen = engine.stats()["planner"]["chosen"]
-        assert chosen["stream"] == 1 and chosen["topdown"] == 1
+        assert executed == ["topdown"]  # the file streamed: no tree strategy
+        assert prepared.plan_for(str(path)).strategy == "stream"
 
     @pytest.mark.parametrize("deep_first", [True, False])
-    def test_run_many_chooses_per_input(self, engine, deep_first):
+    def test_run_many_chooses_per_input(self, engine, deep_first, executed):
         """Regression: run_many planned once per batch ("a batch is
         assumed homogeneous"), so a shallow-then-deep batch walked the
         deep chain natively.  Asserted by count, not by timing."""
@@ -187,8 +226,8 @@ class TestRoundTrip:
         if not deep_first:
             batch.reverse()
         results = prepared.run_many(batch)
-        chosen = engine.stats()["planner"]["chosen"]
-        assert chosen["twopass"] == 1 and chosen["topdown"] == 1
+        assert executed == [prepared.plan_for(doc).strategy for doc in batch]
+        assert sorted(executed) == ["topdown", "twopass"]
         for doc, result in zip(batch, results):
             assert deep_equal(result, transform_naive(doc, prepared.query))
 
@@ -217,7 +256,6 @@ class TestRoundTrip:
         # ...and so no plan to ask for: nothing would execute it.
         with pytest.raises(ValueError, match="repro.thaw it"):
             prepared.plan_for(arena)
-        assert sum(engine.chosen().values()) == 0
         assert deep_equal(
             prepared.run(thaw(arena), method=method),
             transform_naive(doc, prepared.query),
@@ -290,7 +328,8 @@ class TestStrategyRule:
         write_file(doc, str(file_path))
         assert prepared.plan_for(str(file_path)).strategy == expected
         assert deep_equal(prepared.run(doc), transform_naive(doc, prepared.query))
-        assert engine.stats()["planner"]["chosen"][expected] == 1
+        _, profile = _profiled(prepared, doc)
+        assert profile.strategy == expected  # what run executed
 
     def test_qualifier_inside_a_qualifier_can_nest_on_its_own(self):
         """``/r/a[.//b[.//c]]``: a cannot nest, but the b's the inner
@@ -330,8 +369,8 @@ class TestStrategyRule:
         write_file(deep_chain(200), str(path))
         prepared = engine.prepare_transform(NESTING % "//*[.//b][.//a]")
         assert "strategy: twopass" in prepared.explain(str(path))
-        prepared.run(str(path))
-        assert engine.stats()["planner"]["chosen"]["twopass"] == 1
+        _, profile = _profiled(prepared, str(path))
+        assert profile.strategy == "twopass"
 
     def test_rule_is_a_function_of_observations(self):
         shape = analyze_transform(parse_transform_query(NESTING % "//*[.//b]"))
@@ -356,9 +395,10 @@ class TestStrategyRule:
         assert prepared.streams(str(path))
         assert "stream" in prepared.explain(str(path))
         # ...and the streamed result matches the tree result.
-        streamed = prepared.run(str(path))
+        streamed, profile = _profiled(prepared, str(path))
         assert deep_equal(streamed, prepared.run(doc))
-        assert engine.stats()["planner"]["chosen"]["stream"] == 1
+        # Streamed: no tree strategy ran, and no tree was walked.
+        assert profile.strategy is None and profile.nodes_visited == 0
 
     def test_run_to_file_stream_and_tree_agree(
         self, engine, doc, tmp_path, stream_everything
@@ -371,7 +411,7 @@ class TestStrategyRule:
         prepared.run_to_file(str(src), str(out_stream))
         prepared.run_to_file(str(src), str(out_tree), method="topdown")
         assert deep_equal(parse_file(str(out_stream)), parse_file(str(out_tree)))
-        assert engine.stats()["planner"]["chosen"]["stream"] == 1
+        assert prepared.plan_for(str(src)).strategy == "stream"
 
     def test_run_to_file_stream_ignores_pretty_with_warning(
         self, engine, doc, tmp_path, stream_everything
@@ -385,28 +425,28 @@ class TestStrategyRule:
         # Streamed anyway: the result is correct, just not indented.
         assert deep_equal(parse_file(str(out)), prepared.run(doc))
 
-    def test_counters_record_auto_executions_only(self, engine, doc):
+    def test_auto_executes_the_plan_and_a_forced_method_overrides_it(self, engine, doc):
         prepared = engine.prepare_transform(DELETE)
-        prepared.plan_for(doc)              # introspective
-        prepared.explain(doc)               # introspective
-        prepared.run(doc, method="naive")   # forced
-        assert sum(engine.stats()["planner"]["chosen"].values()) == 0
-        prepared.run(doc)
-        chosen = engine.stats()["planner"]["chosen"]
-        assert set(chosen) == set(ALL_STRATEGIES)
-        assert chosen["topdown"] == 1 and sum(chosen.values()) == 1
+        assert prepared.plan_for(doc).strategy == "topdown"
+        assert _profiled(prepared, doc)[1].strategy == "topdown"
+        assert _profiled(prepared, doc, method="naive")[1].strategy == "naive"
 
-    def test_tally_is_exact_under_concurrent_runs(self, engine, doc):
-        """The per-strategy tally is the one piece of state the rule's
-        callers share: a lost update would leave the sum short."""
+    def test_a_shared_prepared_transform_runs_concurrently(self, engine, doc):
+        """Nothing a run touches is per-engine mutable state: threads
+        hammering one prepared object all get the oracle's answer."""
         prepared = engine.prepare_transform(DELETE)
+        want = serialize(transform_naive(doc, prepared.query))
         threads, runs = 8, 50
+        wrong = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             workers = [
                 threading.Thread(
-                    target=lambda: [prepared.run(doc) for _ in range(runs)]
+                    target=lambda: wrong.extend(
+                        got for got in (serialize(prepared.run(doc)) for _ in range(runs))
+                        if got != want
+                    )
                 )
                 for _ in range(threads)
             ]
@@ -417,7 +457,7 @@ class TestStrategyRule:
                 assert not worker.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert engine.chosen()["topdown"] == threads * runs
+        assert wrong == []
 
     def test_mean_depth_agrees_across_resident_forms(self, doc):
         """The level-order walk over Nodes against the depths the
@@ -448,12 +488,14 @@ class TestChaining:
         assert len(stack) == 2
 
     def test_then_with_raw_text_reuses_the_engine_caches(self, engine, doc):
-        engine.prepare_transform(DELETE).then(RENAME)
-        # The chained text is now prepared in the engine: preparing it
-        # again is a cache hit, not a reparse.
+        stack = engine.prepare_transform(DELETE).then(RENAME)
+        # The chained text was prepared from the engine's cache:
+        # preparing it again is a cache hit, not a reparse.
         misses = engine.cache.transforms.stats()["misses"]
-        engine.prepare_transform(RENAME)
+        again = engine.prepare_transform(RENAME)
         assert engine.cache.transforms.stats()["misses"] == misses
+        assert stack.stages[1].cache is engine.cache
+        assert stack.stages[1].query is again.query
 
     def test_then_accepts_raw_text(self, engine, doc):
         stack = engine.prepare_transform(DELETE).then(RENAME)
@@ -507,11 +549,16 @@ class TestComposition:
             answered += bool(got)
         assert answered >= 3
 
-    def test_composed_is_memoized_per_pair(self, engine):
+    def test_composed_plan_is_cached_per_pair(self, engine):
         user = "for $x in part return $x"
-        assert engine.prepare_composed(user, DELETE) is engine.prepare_composed(
-            user, DELETE
-        )
+        first = engine.prepare_composed(user, DELETE)
+        assert first.plan is engine.prepare_composed(user, DELETE).plan
+        assert first.plan is engine.cache.composed(user, DELETE)
+        assert engine.cache.plans.stats()["misses"] == 1
+        # A parsed transform has no source text to key it by.
+        parsed = engine.prepare_composed(user, parse_transform_query(DELETE))
+        assert parsed.plan is not first.plan
+        assert engine.cache.plans.stats()["size"] == 1
 
     def test_composed_from_parsed_queries_with_lossy_rendering(self, engine):
         """Regression: two parsed transforms whose float literals render
@@ -699,7 +746,9 @@ class TestOneEvaluationSite:
 class TestModuleShims:
     def test_prepare_transform_uses_default_engine(self, doc):
         prepared = prepare_transform(DELETE)
-        assert prepare_transform(DELETE) is prepared
+        assert prepared.cache is repro.default_engine().cache
+        again = prepare_transform(DELETE)
+        assert again.query is prepared.query and again.selecting is prepared.selecting
         assert deep_equal(prepared.run(doc), transform_naive(doc, prepared.query))
 
 

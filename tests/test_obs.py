@@ -223,12 +223,12 @@ class TestTracing:
         record = records[0]
         assert record["name"] == "test.query"
         assert record["meta"] == {"target": "db"}
-        names = [s["name"] for s in record["spans"]]
-        # Completion order: the cold compile finishes first, then the
-        # scan (a read has nothing to plan).
-        assert names == ["compile", "scan"]
-        depths = {s["name"]: s["depth"] for s in record["spans"]}
-        assert depths == {"compile": 0, "scan": 0}
+        shape = [(s["name"], s["depth"]) for s in record["spans"]]
+        # Completion order: the query's parse is compiled first; the
+        # scan then meets the query's path and compiles its automaton
+        # at that cache miss, nested in the scan (a read has nothing to
+        # plan).
+        assert shape == [("compile", 0), ("compile", 1), ("scan", 0)]
         by_name = {s["name"]: s for s in record["spans"]}
         assert record["dur_us"] >= by_name["scan"]["dur_us"]
 
@@ -337,23 +337,25 @@ class TestTracing:
 
 
 class TestCounterMigration:
-    def test_strategy_tally_reaches_the_registry(self):
+    def test_an_engine_binds_its_compiled_cache_only(self):
         engine = Engine()
         registry = MetricsRegistry()
         engine.bind_metrics(registry)
         arena = parse_to_arena(CATALOG)
-        engine.prepare_query(QUERY).run_refs(arena)  # a read: nothing chosen
+        engine.prepare_query(QUERY).run_refs(arena)
         prepared = engine.prepare_transform(
             'transform copy $a := doc("db") modify do delete $a//price return $a'
         )
-        prepared.run(arena)  # an arena transform: nothing chosen either
+        prepared.run(arena)
         prepared.run(parse(CATALOG))
+        assert prepared.plan_for(parse(CATALOG)).strategy == "topdown"
         snap = registry.snapshot()
-        assert snap["engine.planner.chosen.topdown"] == 1
-        assert snap["engine.planner.chosen.twopass"] == 0
-        assert not any("scan" in name for name in snap if "planner" in name)
+        assert not [
+            name for name in snap if name.startswith(("engine.planner", "engine.prepared"))
+        ]
         assert not any("[" in name for name in snap)
-        assert snap["engine.prepared.cache.size"] == 2
+        assert snap["engine.compiled.user_queries.size"] == 1
+        assert snap["engine.compiled.transforms.size"] == 1
         assert "automata.dfa.tables.sets" in snap
 
     def test_store_probes_report_attribute_counters(self):

@@ -217,7 +217,7 @@ class TestProfile:
         assert "actual:" in report
         assert "nodes visited" in report
         assert result is not None
-        assert engine.stats()["planner"]["chosen"]["topdown"] == 1  # a real run
+        assert prepared.plan_for(parse(CATALOG)).strategy == "topdown"
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +316,8 @@ class TestSlowQueryLog:
             svc.query("anon", QUERY)
             by_name = {record["name"]: record for record in svc.traces()}
             transform = [s["name"] for s in by_name["service.transform"]["spans"]]
-            assert transform == ["compile", "scan", "splice", "serialize"]
+            # The views compiled this text: the op finds it cached.
+            assert transform == ["scan", "splice", "serialize"]
             read = [s["name"] for s in by_name["service.query"]["spans"]]
             assert [n for n in read if n in ("scan", "splice", "serialize")] == [
                 "scan", "splice", "scan", "serialize"

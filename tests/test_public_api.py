@@ -12,7 +12,30 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.20.0"
+        assert repro.__version__ == "1.21.0"
+
+    def test_engine_surface(self):
+        """1.21.0: an Engine is a door over its CompiledCache — no
+        prepared memo, no strategy tally; a prepared object holds the
+        cache it was built from, not the engine."""
+        from repro.obs import MetricsRegistry
+
+        engine = repro.Engine()
+        for name in ("_prepared", "_build_lock", "_chosen", "count_chosen", "chosen"):
+            assert not hasattr(engine, name), name
+        strip = engine.prepare_transform(
+            'transform copy $a := doc("db") modify do delete $a//price return $a'
+        )
+        rows = engine.prepare_query("for $x in part return $x")
+        for prepared in (strip, rows):
+            assert prepared.cache is engine.cache and not hasattr(prepared, "engine")
+        assert set(engine.stats()) == {"compiled"}
+        registry = MetricsRegistry()
+        engine.bind_metrics(registry)
+        assert not [
+            name for name in registry.snapshot()
+            if name.startswith(("engine.prepared", "engine.planner"))
+        ]
 
     def test_arena_transform_surface(self):
         """1.12.0: an arena in is an arena out, through the one kernel

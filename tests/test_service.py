@@ -177,6 +177,31 @@ def test_a_server_compiles_each_text_once(service, monkeypatch):
     assert not [name for name in snap if name.startswith("store.cache.compiled")]
 
 
+def test_a_cold_read_is_a_traced_profiled_compile():
+    """The first read of a new text pays its compile at the compiled
+    cache's miss and says so: a ``compile`` span in its trace and a
+    ``cold`` profile.  Evaluated again after the result cache dropped
+    it, the same text compiles nothing and reads warm."""
+    text = "for $x in part/supplier return $x/sname"
+    svc = QueryService(
+        config=ServiceConfig(trace_sample=1, profile_sample=1, slow_threshold=0.0)
+    )
+    try:
+        svc.put("db", CATALOG)
+        svc.query("db", text)
+        svc.store.results.invalidate()
+        svc.query("db", text)
+        cold, warm = svc.slowlog()["entries"]
+        assert (cold["outcome"], warm["outcome"]) == ("ok", "ok")
+        assert "compile" in [s["name"] for s in cold["trace"]["spans"]]
+        assert cold["profile"]["cache"] == "cold"
+        assert "compile" not in [s["name"] for s in warm["trace"]["spans"]]
+        assert warm["profile"]["cache"] == "warm"
+        assert svc.store.compiled.user_queries.stats()["misses"] == 1
+    finally:
+        svc.close()
+
+
 def test_the_dfa_tables_probe_sums_the_read_automata(service):
     """``automata.dfa.tables`` is every built DFA in the store's NFA
     caches — the ones a server's reads step through."""

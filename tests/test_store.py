@@ -569,6 +569,27 @@ class TestOneTransformKernel:
         )
         assert rows == []  # the staged delete removed the price
 
+    def test_staged_previews_compile_only_the_querys_paths(self, store):
+        """A staged entry carries its own automaton: a preview adds the
+        query's paths to ``store.compiled`` and nothing else, and the
+        commit leaves no staged update's automaton behind."""
+        query = "for $x in part/supplier return $x"
+        store.query("db", query)
+        own = len(store.compiled.selecting)
+        assert own >= 1
+        for price in (8, 12, 20, 99, 100):
+            store.stage(
+                "db",
+                'transform copy $a := doc("db") modify do '
+                f"delete $a//supplier[price = {price}]/sname return $a",
+            )
+        rows = _texts(store.query("db", query, include_staged=True))
+        assert rows == _texts(store.query_naive("db", query, include_staged=True))
+        assert not any("<sname>" in row for row in rows)  # every delete applied
+        assert len(store.compiled.selecting) == own
+        store.commit("db")
+        assert len(store.compiled.selecting) == own
+
     def test_staged_previews_reuse_compiled_automata(self, stacked):
         stacked.stage(
             "db",

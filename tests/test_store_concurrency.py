@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro import Engine
+from repro import Engine, parse, parse_transform_query, serialize, transform_naive
 from repro.compiled import CompiledCache
 from repro.lru import LRUCache
 from repro.store import (
@@ -212,14 +212,21 @@ def test_store_arena_read_counter_exact_across_documents():
 
 
 def test_engine_prepared_shared_across_threads():
+    """Twelve threads race one cold prepare.  Two may each build an
+    artifact (the compiled cache accepts that race), but every answer
+    is the oracle's and the cache ends up holding one of each."""
     engine = Engine()
     threads_n = 12
     barrier = threading.Barrier(threads_n)
     prepared = [None] * threads_n
+    doc = parse(
+        "<db><part><supplier><country>A</country><price>1</price></supplier>"
+        "<supplier><country>B</country><price>2</price></supplier></part></db>"
+    )
 
     def prepare(slot: int):
         barrier.wait()  # all threads race the cold cache together
-        prepared[slot] = engine.prepare_transform(TRANSFORM)
+        prepared[slot] = engine.prepare_transform(TRANSFORM).run(doc)
 
     threads = [
         threading.Thread(target=prepare, args=(slot,)) for slot in range(threads_n)
@@ -228,11 +235,14 @@ def test_engine_prepared_shared_across_threads():
         thread.start()
     for thread in threads:
         thread.join()
-    # The build lock guarantees one shared object even on the cold race.
-    assert all(p is prepared[0] for p in prepared)
+    want = serialize(transform_naive(doc, parse_transform_query(TRANSFORM)))
+    assert [serialize(result) for result in prepared] == [want] * threads_n
+    stats = engine.cache.stats()
+    for name in ("transforms", "selecting_nfas", "filtering_nfas"):
+        assert stats[name]["size"] == 1, name
     query_text = "for $x in part/supplier return $x"
     queries = [engine.prepare_query(query_text) for _ in range(4)]
-    assert all(q is queries[0] for q in queries)
+    assert all(q.query is queries[0].query for q in queries)
 
 
 # ----------------------------------------------------------------------
