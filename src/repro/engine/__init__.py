@@ -34,8 +34,9 @@ chosen — ``topdown`` beats or ties them on every Fig-12 transform.
 Layering: ``features`` summarizes a query's shape and measures an
 input's mean depth, ``planner`` is the rule, ``executor`` runs a named
 strategy with prebuilt automata, ``prepared`` wraps all of it behind
-run/run_many/then/explain, and ``engine`` is the door that builds
-prepared objects from its :class:`~repro.compiled.CompiledCache`.
+run/then/explain (``then`` is the one way to stack transforms), and
+``engine`` is the door that builds prepared objects from its
+:class:`~repro.compiled.CompiledCache`.
 """
 
 from repro.engine.engine import Engine, default_engine

@@ -14,6 +14,9 @@ strategy per input, and executes many times.
     results = engine.prepare_composed(
         "for $x in part/supplier return $x", strip
     ).run(doc)
+    redact = strip.then(               # stage 2 sees stage 1's result
+        'transform copy $a := doc("db") modify do rename $a//sname as vendor return $a'
+    )
 
 The engine is a door over one :class:`~repro.compiled.CompiledCache`
 (parses, automata, composed plans): each ``prepare_*`` builds a fresh
@@ -32,11 +35,9 @@ from repro.compiled import CompiledCache
 from repro.engine.prepared import (
     PreparedComposed,
     PreparedQuery,
-    PreparedStack,
     PreparedTransform,
 )
 from repro.transform.query import TransformQuery
-from repro.xmltree.node import Element
 
 
 class Engine:
@@ -85,23 +86,9 @@ class Engine:
             self.prepare_query(user), self.prepare_transform(transform)
         )
 
-    def prepare_stack(self, *texts: Union[str, PreparedTransform]) -> PreparedStack:
-        """Prepare a chain of transforms: each stage sees the previous
-        stage's result."""
-        return PreparedStack([self.prepare_transform(t) for t in texts])
-
     # ------------------------------------------------------------------
-    # One-shot conveniences
+    # Introspection
     # ------------------------------------------------------------------
-
-    def transform(self, text: str, doc_or_path, method: str = "auto") -> Element:
-        return self.prepare_transform(text).run(doc_or_path, method=method)
-
-    def query(self, text: str, doc_or_path) -> list:
-        return self.prepare_query(text).run(doc_or_path)
-
-    def composed(self, user: str, transform: str, doc_or_path) -> list:
-        return self.prepare_composed(user, transform).run(doc_or_path)
 
     def explain(self, text: str, doc_or_path=None) -> str:
         """Plan output for a transform or user query (detected by its

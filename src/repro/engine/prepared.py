@@ -6,10 +6,10 @@ A :class:`PreparedTransform` holds its parsed query and both automata; a
 :class:`PreparedComposed` the Compose-Method rewrite of the pair — each
 taken from the :class:`~repro.compiled.CompiledCache` it was built from
 (``cache``), which compiled them once, and reused on every ``run``.
-``then`` chains prepared transforms into a :class:`PreparedStack` (the
-semantics of stacked transform queries: each stage sees the previous
-stage's result), and ``explain`` shows the plan for a concrete or
-hypothetical input.
+``then`` chains prepared transforms into a :class:`PreparedStack`, the
+one way to run transforms in sequence (the semantics of nested
+transform queries: each stage sees the previous stage's result), and
+``explain`` shows the plan for a concrete or hypothetical input.
 
 All ``run`` methods accept a resident :class:`Element`, a frozen arena
 or a file path.  A tree or file is transformed into a tree by the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from repro.compiled import CompiledCache
 from repro.compose.compose import compose
@@ -43,6 +43,8 @@ from repro.xquery.evaluator import evaluate_query
 
 Resident = Union[Element, FrozenDocument]
 Input = Union[Resident, str, os.PathLike]
+#: What ``then`` stacks: anything but a prepared object is prepared.
+Stageable = Union["PreparedTransform", "PreparedStack", str, TransformQuery]
 
 
 def _resident(doc_or_path: Input) -> Resident:
@@ -258,14 +260,6 @@ class PreparedTransform:
             resident if resident is not None else _resident(doc_or_path), method
         )
 
-    def run_many(
-        self, inputs: Iterable[Input], method: str = "auto"
-    ) -> list[Resident]:
-        """Evaluate over many inputs; ``auto`` chooses per input (the
-        rule costs nothing unless the shape nests, and a batch need not
-        be homogeneous)."""
-        return [self.run(item, method=method) for item in inputs]
-
     def run_to_file(
         self,
         in_path: Union[str, os.PathLike, "FrozenDocument"],
@@ -311,7 +305,7 @@ class PreparedTransform:
     # Chaining
     # ------------------------------------------------------------------
 
-    def then(self, other: Union["PreparedTransform", str]) -> "PreparedStack":
+    def then(self, other: Stageable) -> "PreparedStack":
         """This transform, then *other* on its result."""
         return PreparedStack([self]).then(other)
 
@@ -387,11 +381,14 @@ class PreparedStack:
             raise ValueError("a prepared stack needs at least one stage")
         self.stages = list(stages)
 
-    def then(self, other: Union[PreparedTransform, "PreparedStack", str]) -> "PreparedStack":
-        if isinstance(other, str):
-            other = PreparedTransform(self.stages[0].cache, other)
+    def then(self, other: Stageable) -> "PreparedStack":
+        """This stack, then *other* on its result: a prepared transform
+        or stack as it is, source text or a parsed
+        :class:`TransformQuery` prepared from this stack's cache."""
         if isinstance(other, PreparedStack):
             return PreparedStack(self.stages + other.stages)
+        if not isinstance(other, PreparedTransform):
+            other = PreparedTransform(self.stages[0].cache, other)
         return PreparedStack(self.stages + [other])
 
     def run(self, doc_or_path: Input, method: str = "auto") -> Resident:
@@ -399,9 +396,6 @@ class PreparedStack:
         for stage in self.stages:
             current = stage.run(current, method=method)
         return current
-
-    def run_many(self, inputs: Iterable[Input], method: str = "auto") -> list[Resident]:
-        return [self.run(item, method=method) for item in inputs]
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         out = [f"prepared stack: {len(self.stages)} stage(s)"]
@@ -476,9 +470,6 @@ class PreparedQuery:
         _expect_full_scan(arena)
         with span("scan"):
             return ArenaEvaluator(arena, self.cache.selecting_nfa_for).evaluate_refs(self.query)
-
-    def run_many(self, inputs: Iterable[Input]) -> list[list]:
-        return [self.run(item) for item in inputs]
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         lines = [f"prepared user query: {self.query}"]
@@ -556,9 +547,6 @@ class PreparedComposed:
         from repro.compose.compose import evaluate_composed
 
         return evaluate_composed(_resident(doc_or_path), self.plan)
-
-    def run_many(self, inputs: Iterable[Input]) -> list[list]:
-        return [self.run(item) for item in inputs]
 
     def run_naive(self, doc_or_path: Input) -> list:
         """The oracle: materialize the view, then query it."""

@@ -16,7 +16,11 @@ that into a two-phase workflow per document:
   applied, so there is nothing to undo.
 
 Sequential semantics: staged update *i+1* sees update *i*'s result,
-exactly like :class:`repro.transform.chain.TransformChain`.
+exactly like :class:`repro.engine.PreparedStack`.
+
+Of what was committed the log keeps only a count per document: a
+commit's texts live in the WAL (when one is attached) until a
+checkpoint folds their effect into the document's columns.
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ class StagedUpdate:
 
 
 class UpdateLog:
-    """Per-document staging areas and commit history."""
+    """Per-document staging areas and commit counts."""
 
-    # guarded-by[_staged, _history]: self._lock
+    # guarded-by[_staged, _committed]: self._lock
 
     def __init__(self) -> None:
         self._staged: dict[str, list[StagedUpdate]] = {}
-        self._history: dict[str, list[str]] = {}
+        self._committed: dict[str, int] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -122,25 +126,25 @@ class UpdateLog:
 
     def record_commit(self, doc_name: str, entries: list[StagedUpdate]) -> None:
         with self._lock:
-            self._history.setdefault(doc_name, []).extend(e.text for e in entries)
+            self._committed[doc_name] = self._committed.get(doc_name, 0) + len(entries)
 
-    def history(self, doc_name: str) -> list[str]:
-        """Source texts of every committed transform, oldest first."""
+    def committed(self, doc_name: str) -> int:
+        """How many transforms have been committed to *doc_name*."""
         with self._lock:
-            return list(self._history.get(doc_name, []))
+            return self._committed.get(doc_name, 0)
 
-    def restore_history(self, doc_name: str, texts: list[str]) -> None:
-        """Replace the commit history (state-directory restore path)."""
+    def restore_committed(self, doc_name: str, count: int) -> None:
+        """Set the commit count (state-directory restore path)."""
         with self._lock:
-            self._history[doc_name] = list(texts)
+            self._committed[doc_name] = count
 
     def stats(self) -> dict[str, dict[str, int]]:
         with self._lock:
-            names = set(self._staged) | set(self._history)
+            names = set(self._staged) | set(self._committed)
             return {
                 name: {
                     "staged": len(self._staged.get(name, [])),
-                    "committed": len(self._history.get(name, [])),
+                    "committed": self._committed.get(name, 0),
                 }
                 for name in sorted(names)
             }

@@ -5,8 +5,8 @@ JSON manifest.
 Layout of a state directory::
 
     store.json             — format 2: versions, view definitions,
-                             staged updates, history, and the file that
-                             holds each document
+                             staged updates, commit counts, and the file
+                             that holds each document
     doc-<name>-vN.arena    — one column file per document, named by the
                              version it holds (:mod:`repro.store.columns`:
                              the arena's columns with a CRC per section)
@@ -296,7 +296,10 @@ def _load_manifest(store: ViewStore, state_dir: str, manifest_path: str) -> dict
             parts["columns_ms"] += (time.perf_counter() - started) * 1e3
             parts["columns_bytes"] += os.path.getsize(path)
             staged_texts[name] = list(info.get("staged", []))
-            store.log.restore_history(name, info.get("history", []))
+            # 1.21 and earlier wrote every committed text; only the
+            # count is kept now.
+            committed = info.get("committed", len(info.get("history", [])))
+            store.log.restore_committed(name, int(committed))
         # Views were saved in definition order, so bases always exist.
         for entry in manifest.get("views", []):
             store.define_view(entry["name"], entry["base"], entry["transform"])
@@ -473,7 +476,7 @@ def save_store(store: ViewStore, state_dir: str) -> str:
                 "file": filename,
                 "version": doc.version,
                 "staged": [entry.text for entry in store.log.staged(name)],
-                "history": store.log.history(name),
+                "committed": store.log.committed(name),
             }
     if wrote_files:
         # New document entries must be durable before a manifest that

@@ -23,14 +23,11 @@ All five return identical trees; the test suite enforces this on the
 paper's examples, the XMark workload and random inputs.
 :data:`STRATEGIES` is the one table of them: the engine's strategy
 names, the Fig-12 legend and the ``--method`` choices all derive from it.
+A query holds one update; a sequence of them (each seeing the previous
+result) is a :class:`repro.engine.PreparedStack`, built with ``then``.
 """
 
 from repro.transform.query import TransformQuery, parse_transform_query
-from repro.transform.chain import (
-    TransformChain,
-    parse_transform_chain,
-    transform_chain,
-)
 from repro.transform.copy_update import transform_copy_update
 from repro.transform.naive import transform_naive
 from repro.transform.topdown import transform_topdown
@@ -56,11 +53,8 @@ STRATEGIES = {
 
 __all__ = [
     "STRATEGIES",
-    "TransformChain",
     "TransformQuery",
-    "parse_transform_chain",
     "parse_transform_query",
-    "transform_chain",
     "rewrite_to_xquery",
     "transform_naive_xquery",
     "transform_copy_update",

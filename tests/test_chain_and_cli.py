@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.transform import TransformQuery, transform_copy_update, transform_topdown
-from repro.transform.chain import (
-    TransformChain,
-    parse_transform_chain,
-    transform_chain,
-)
-from repro.transform.sax_twopass import transform_sax
-from repro.transform.twopass import transform_twopass
-from repro.updates import parse_update
+from repro import Engine, freeze, thaw
+from repro.engine import PreparedStack, PreparedTransform
+from repro.transform import TransformQuery, transform_copy_update
 from repro.xmltree import deep_equal, parse, parse_file, serialize, write_file
+from repro.xmltree.arena import FrozenDocument
 from repro.xpath import parse_xpath
-from repro.xpath.lexer import XPathSyntaxError
 from repro.automata import build_selecting_nfa
 from repro import cli
 
@@ -26,115 +20,82 @@ def doc():
     )
 
 
-class TestTransformChain:
-    def test_sequential_semantics(self, doc):
-        chain = TransformChain(
-            [
-                parse_update("delete $a//price"),
-                parse_update("rename $a//sname as vendor"),
-            ]
-        )
-        result = transform_chain(doc, chain)
-        text = serialize(result)
+@pytest.fixture
+def engine():
+    return Engine()
+
+
+def _t(update: str) -> str:
+    return f'transform copy $a := doc("T") modify do {update} return $a'
+
+
+def _stack(engine, first: str, second: str, *more: str) -> PreparedStack:
+    stack = engine.prepare_transform(_t(first)).then(_t(second))
+    for update in more:
+        stack = stack.then(_t(update))
+    return stack
+
+
+class TestPreparedStack:
+    """Sequenced transforms (nested transform queries: update i+1 sees
+    update i's result) are a PreparedStack built with ``then``."""
+
+    def test_sequential_semantics(self, engine, doc):
+        stack = _stack(engine, "delete $a//price", "rename $a//sname as vendor")
+        text = serialize(stack.run(doc))
         assert "price" not in text and "<vendor>" in text
         assert "price" in serialize(doc)  # source untouched
 
-    def test_stage_order_matters(self, doc):
+    def test_stage_order_matters(self, engine, doc):
         # Renaming first makes the delete miss its target.
-        forward = transform_chain(
-            doc,
-            TransformChain(
-                [parse_update("rename $a//price as cost"),
-                 parse_update("delete $a//price")],
+        forward = _stack(engine, "rename $a//price as cost", "delete $a//price")
+        assert "<cost>" in serialize(forward.run(doc))
+        backward = _stack(engine, "delete $a//price", "rename $a//price as cost")
+        assert "<cost>" not in serialize(backward.run(doc))
+
+    def test_second_stage_sees_first_stage_inserts(self, engine, doc):
+        stack = _stack(
+            engine, "insert <flag/> into $a/part", "rename $a/part/flag as marker"
+        )
+        assert "<marker/>" in serialize(stack.run(doc))
+
+    @pytest.mark.parametrize("method", ["topdown", "twopass", "naive", "sax"])
+    def test_method_agnostic(self, engine, doc, method):
+        stack = _stack(engine, "delete $a//price", "insert <new/> into $a/part")
+        expected = stack.run(doc, method="copy")
+        assert deep_equal(stack.run(doc, method=method), expected)
+        assert deep_equal(
+            expected,
+            transform_copy_update(
+                transform_copy_update(doc, stack.stages[0].query),
+                stack.stages[1].query,
             ),
         )
-        assert "<cost>" in serialize(forward)
-        backward = transform_chain(
-            doc,
-            TransformChain(
-                [parse_update("delete $a//price"),
-                 parse_update("rename $a//price as cost")],
-            ),
-        )
-        assert "<cost>" not in serialize(backward)
 
-    def test_second_stage_sees_first_stage_inserts(self, doc):
-        chain = TransformChain(
-            [
-                parse_update("insert <flag/> into $a/part"),
-                parse_update("rename $a/part/flag as marker"),
-            ]
-        )
-        result = transform_chain(doc, chain)
-        assert "<marker/>" in serialize(result)
+    def test_a_frozen_document_matches_the_tree(self, engine, doc):
+        stack = _stack(engine, "delete $a//price", "insert <new/> into $a/part")
+        got = stack.run(freeze(doc))
+        assert isinstance(got, FrozenDocument)
+        assert deep_equal(thaw(got), stack.run(doc))
 
-    @pytest.mark.parametrize("algorithm", [transform_topdown, transform_twopass, transform_sax])
-    def test_chain_algorithm_agnostic(self, doc, algorithm):
-        chain = TransformChain(
-            [parse_update("delete $a//price"), parse_update("insert <new/> into $a/part")]
-        )
-        expected = transform_chain(doc, chain, transform=transform_copy_update)
-        assert deep_equal(transform_chain(doc, chain, transform=algorithm), expected)
+    def test_a_stack_with_no_stages_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            PreparedStack([])
 
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            TransformChain([])
+    def test_stages_are_single_update_queries(self, engine):
+        stack = engine.prepare_transform(
+            'transform copy $a := doc("f") modify do delete $a/x return $a'
+        ).then(_t("rename $a/y as z"))
+        assert all(isinstance(stage, PreparedTransform) for stage in stack.stages)
+        assert all(isinstance(stage.query, TransformQuery) for stage in stack.stages)
+        assert stack.stages[0].query.doc == "f"
+        assert [stage.query.update.kind for stage in stack.stages] == ["delete", "rename"]
 
-    def test_stages_are_single_update_queries(self):
-        chain = TransformChain([parse_update("delete $a/x")], doc="f")
-        (stage,) = chain.stages()
-        assert isinstance(stage, TransformQuery)
-        assert stage.doc == "f"
-
-
-class TestChainParsing:
-    def test_multi_update_syntax(self):
-        chain = parse_transform_chain(
-            'transform copy $a := doc("T") modify do ('
-            "delete $a//price, rename $a//sname as vendor"
-            ") return $a"
-        )
-        assert len(chain) == 2
-        assert chain.updates[0].kind == "delete"
-        assert chain.updates[1].kind == "rename"
-
-    def test_single_update_accepted(self):
-        chain = parse_transform_chain(
-            'transform copy $a := doc("T") modify do delete $a//price return $a'
-        )
-        assert len(chain) == 1
-
-    def test_comma_inside_xml_content(self):
-        chain = parse_transform_chain(
-            'transform copy $a := doc("T") modify do ('
-            "insert <note>one, two</note> into $a/part, delete $a//price"
-            ") return $a"
-        )
-        assert len(chain) == 2
-        assert chain.updates[0].content.own_text() == "one, two"
-
-    def test_str_round_trip(self):
-        text = (
-            'transform copy $a := doc("T") modify do '
-            "(delete $a//price, rename $a//sname as vendor) return $a"
-        )
-        chain = parse_transform_chain(text)
-        again = parse_transform_chain(str(chain))
-        assert len(again) == len(chain)
-        assert [u.kind for u in again.updates] == [u.kind for u in chain.updates]
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            'transform copy $a := doc("T") modify do () return $a',
-            'transform copy $a := doc("T") modify do (delete $a/x) return $b',
-            'transform copy $a := doc("T") modify do (delete $a/x',
-        ],
-    )
-    def test_malformed(self, bad):
-        with pytest.raises(XPathSyntaxError):
-            parse_transform_chain(bad)
+    def test_then_leaves_its_receiver_alone(self, engine):
+        first = _stack(engine, "delete $a//price", "rename $a//sname as vendor")
+        longer = first.then(_t("delete $a//pname"))
+        assert (len(first), len(longer)) == (2, 3)
+        assert longer.stages[:2] == first.stages
 
 
 class TestDescribe:

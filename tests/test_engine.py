@@ -192,18 +192,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown method"):
             engine.prepare_transform(DELETE).run(doc, method="galax")
 
-    def test_run_many_agrees(self, engine, doc):
+    def test_one_prepared_transform_runs_on_many_inputs(self, engine, doc):
         prepared = engine.prepare_transform(DELETE)
         other = parse("<db><part><price>1</price></part></db>")
-        results = prepared.run_many([doc, other])
-        assert len(results) == 2
-        assert deep_equal(results[0], transform_naive(doc, prepared.query))
-        assert deep_equal(results[1], transform_naive(other, prepared.query))
+        for tree in (doc, other, doc):
+            assert deep_equal(prepared.run(tree), transform_naive(tree, prepared.query))
 
-    def test_run_many_streams_oversized_files_in_mixed_batches(
+    def test_run_streams_an_oversized_file_beside_a_resident_tree(
         self, engine, tmp_path, monkeypatch, executed
     ):
-        """Every input of a batch is chosen for on its own: one
+        """Every input is chosen for on its own: after a tree, an
         oversized file streams rather than being parsed whole."""
         monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", 200)
         big = parse("<db>" + "<part><price>2</price></part>" * 20 + "</db>")
@@ -211,21 +209,21 @@ class TestRoundTrip:
         write_file(big, str(path))
         prepared = engine.prepare_transform(DELETE)
         small = parse("<db><part><price>1</price></part></db>")
-        results = prepared.run_many([small, str(path)])
+        results = [prepared.run(item) for item in (small, str(path))]
         assert deep_equal(results[1], transform_naive(big, prepared.query))
         assert executed == ["topdown"]  # the file streamed: no tree strategy
         assert prepared.plan_for(str(path)).strategy == "stream"
 
     @pytest.mark.parametrize("deep_first", [True, False])
-    def test_run_many_chooses_per_input(self, engine, deep_first, executed):
-        """Regression: run_many planned once per batch ("a batch is
-        assumed homogeneous"), so a shallow-then-deep batch walked the
-        deep chain natively.  Asserted by count, not by timing."""
+    def test_run_chooses_per_input(self, engine, deep_first, executed):
+        """Each run plans for its own input, in either order: a shallow
+        tree does not make the next, deep one walk natively.  Asserted
+        by count, not by timing."""
         prepared = engine.prepare_transform(NESTING % "//*[.//b]")
         batch = [deep_chain(300), deep_chain(3)]
         if not deep_first:
             batch.reverse()
-        results = prepared.run_many(batch)
+        results = [prepared.run(tree) for tree in batch]
         assert executed == [prepared.plan_for(doc).strategy for doc in batch]
         assert sorted(executed) == ["topdown", "twopass"]
         for doc, result in zip(batch, results):
@@ -252,7 +250,7 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="repro.thaw it"):
             prepared.run_to_file(arena, tmp_path / "out.xml", method=method)
         with pytest.raises(ValueError, match="repro.thaw it"):
-            engine.prepare_stack(QUAL_DOS, DELETE).run(arena, method=method)
+            prepared.then(DELETE).run(arena, method=method)
         # ...and so no plan to ask for: nothing would execute it.
         with pytest.raises(ValueError, match="repro.thaw it"):
             prepared.plan_for(arena)
@@ -506,8 +504,27 @@ class TestChaining:
             ),
         )
 
-    def test_prepare_stack_and_explain(self, engine, doc):
-        stack = engine.prepare_stack(DELETE, RENAME, INSERT)
+    @pytest.mark.parametrize("stacked", ["prepared", "stack"])
+    def test_then_prepares_a_parsed_query_from_the_cache(self, engine, doc, stacked):
+        """A parsed TransformQuery is a stage like text is (it once was
+        appended as-is, and ``run`` raised AttributeError)."""
+        head = engine.prepare_transform(DELETE)
+        if stacked == "stack":
+            head = head.then(INSERT)
+        stack = head.then(parse_transform_query(RENAME))
+        expected = engine.prepare_transform(RENAME).run(head.run(doc))
+        assert deep_equal(stack.run(doc), expected)
+        assert deep_equal(thaw(stack.run(freeze(doc))), expected)
+        assert stack.stages[-1].cache is engine.cache
+
+    def test_a_stack_then_a_stack_concatenates_stages(self, engine):
+        left = engine.prepare_transform(DELETE).then(RENAME)
+        right = engine.prepare_transform(INSERT).then(QUAL_DOS)
+        both = left.then(right)
+        assert both.stages == left.stages + right.stages
+
+    def test_stack_explain(self, engine, doc):
+        stack = engine.prepare_transform(DELETE).then(RENAME).then(INSERT)
         explained = stack.explain(doc)
         assert "3 stage(s)" in explained
         assert explained.count("strategy:") == 3

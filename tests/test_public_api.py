@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.21.0"
+        assert repro.__version__ == "1.22.0"
 
     def test_engine_surface(self):
         """1.21.0: an Engine is a door over its CompiledCache — no
@@ -36,6 +36,29 @@ class TestSurface:
             name for name in registry.snapshot()
             if name.startswith(("engine.prepared", "engine.planner"))
         ]
+
+    def test_one_way_to_stack_transforms(self):
+        """1.22.0: ``then`` is the only door to a PreparedStack; the
+        chain module, the Engine's stack and one-shot wrappers, the
+        ``run_many`` loops and the log's text history are gone."""
+        import importlib.util
+
+        import repro.transform
+        from repro.store.log import UpdateLog
+
+        assert importlib.util.find_spec("repro.transform.chain") is None
+        for name in ("TransformChain", "transform_chain", "parse_transform_chain"):
+            assert not hasattr(repro.transform, name), name
+            assert name not in repro.transform.__all__
+        for name in ("prepare_stack", "transform", "query", "composed"):
+            assert not hasattr(repro.Engine, name), name
+        for kind in (
+            repro.PreparedTransform, repro.PreparedStack,
+            repro.PreparedQuery, repro.PreparedComposed,
+        ):
+            assert not hasattr(kind, "run_many"), kind
+        for name in ("history", "restore_history"):
+            assert not hasattr(UpdateLog, name), name
 
     def test_arena_transform_surface(self):
         """1.12.0: an arena in is an arena out, through the one kernel
@@ -152,10 +175,10 @@ class TestSurface:
         view = strip.run(doc)
         assert "price" not in repro.serialize(view)
         assert "strategy:" in strip.explain(doc)
-        audit = strip.then(engine.prepare_transform(
+        audit = strip.then(
             'transform copy $a := doc("db") modify do '
             "insert <audited/> into $a/part return $a"
-        ))
+        )
         assert "<audited/>" in repro.serialize(audit.run(doc))
         rows = engine.prepare_composed("for $x in part return $x", strip).run(doc)
         assert len(rows) == 1

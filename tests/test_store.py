@@ -366,7 +366,7 @@ class TestCommitRollback:
         assert store.commit("db") == 2
         assert "cost" not in serialize_arena(store.documents.get("db").arena)
         assert "price" not in serialize_arena(store.documents.get("db").arena)
-        assert len(store.log.history("db")) == 2
+        assert store.log.committed("db") == 2
 
     def test_update_operations_reject_views(self, stacked):
         delete_all = (
@@ -381,13 +381,13 @@ class TestCommitRollback:
             with pytest.raises(StoreError, match="is a view.*document 'db'"):
                 operation()
 
-    def test_commit_history_recorded(self, store):
+    def test_commit_count_recorded(self, store):
         store.commit(
             "db",
             'transform copy $a := doc("db") modify do '
             "delete $a//price return $a",
         )
-        assert len(store.log.history("db")) == 1
+        assert store.log.committed("db") == 1
 
     def test_staged_query_is_cached_under_its_staged_texts(self, stacked):
         """A staged read is cached under its staged texts: it can

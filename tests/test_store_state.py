@@ -1,5 +1,6 @@
 """The durability layer: atomic writes, dirty tracking, round trips."""
 
+import json
 import os
 
 import pytest
@@ -38,15 +39,64 @@ class TestRoundTrip:
             "<supplier><sname>HP</sname></supplier>"
         ]
 
-    def test_history_survives(self, state_dir):
+    def test_commit_count_survives(self, state_dir):
         store = open_store(state_dir)
         store.rollback("db")
         store.commit("db", DELETE_PRICES)
         save_store(store, state_dir)
         again = open_store(state_dir)
         assert again.documents.get("db").version == 2
-        assert len(again.log.history("db")) == 1
+        assert again.log.committed("db") == 1
         assert "price" not in serialize_arena(again.documents.get("db").arena)
+
+
+class TestCommitCount:
+    """The manifest keeps a commit *count* per document, not the texts:
+    its size does not grow with the number of commits."""
+
+    @staticmethod
+    def _entry_after(commits: int, state_dir: str) -> dict:
+        store = ViewStore()
+        store.put("db", CATALOG)
+        for index in range(commits):
+            old, new = ("price", "cost") if index % 2 == 0 else ("cost", "price")
+            store.commit(
+                "db",
+                'transform copy $a := doc("db") modify do '
+                f"rename $a//{old} as {new} return $a",
+            )
+        save_store(store, state_dir)
+        with open(os.path.join(state_dir, "store.json"), encoding="utf-8") as handle:
+            return json.load(handle)["documents"]["db"]
+
+    def test_the_manifest_entry_does_not_grow_with_commits(self, tmp_path):
+        one = self._entry_after(1, str(tmp_path / "one"))
+        many = self._entry_after(200, str(tmp_path / "many"))
+        assert set(one) == set(many)
+        assert "history" not in one
+        assert (one["committed"], many["committed"]) == (1, 200)
+        for key, value in many.items():
+            if isinstance(value, list):
+                assert len(value) == len(one[key]), key
+        assert open_store(str(tmp_path / "many")).log.committed("db") == 200
+
+    def test_a_1_21_history_list_reopens_as_its_count(self, state_dir):
+        manifest_path = os.path.join(state_dir, "store.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        entry = manifest["documents"]["db"]
+        del entry["committed"]
+        entry["history"] = [DELETE_PRICES] * 3
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        store = open_store(state_dir)
+        assert store.log.committed("db") == 3
+        assert store.stats()["documents"]["db"]["committed"] == 3
+        # The next checkpoint writes the count in place of the list.
+        save_store(store, state_dir)
+        with open(manifest_path, encoding="utf-8") as handle:
+            rewritten = json.load(handle)["documents"]["db"]
+        assert rewritten["committed"] == 3 and "history" not in rewritten
 
 
 class TestDirtyTracking:

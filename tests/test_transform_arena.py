@@ -139,7 +139,9 @@ class TestEngineContract:
 
     def test_a_stack_chains_arena_to_arena(self, thaw_calls):
         engine = Engine()
-        stack = engine.prepare_stack(*(_t(body) for body in KINDS))
+        stack = engine.prepare_transform(_t(KINDS[0]))
+        for body in KINDS[1:]:
+            stack = stack.then(_t(body))
         arena = parse_to_arena(CATALOG)
         got = stack.run(arena)
         assert isinstance(got, FrozenDocument)
