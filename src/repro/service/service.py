@@ -700,7 +700,9 @@ class QueryService:
         immutable arena the pinned read resolves to, matches serialize
         straight from the columns."""
         arena, _, refs = self.store.evaluate(pinned, text)
-        return serialized_answer(pinned, arena, refs)
+        return serialized_answer(
+            pinned, arena, refs, self.store.compiled.user_query(text)
+        )
 
     # ------------------------------------------------------------------
     # Writes (single-writer discipline)

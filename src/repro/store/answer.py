@@ -1,8 +1,8 @@
-"""The value of the result cache: one serialized answer, and — once it
-has been asked for again — the bytes a server sends for it.
+"""The result cache's key, and its value: one serialized answer, and —
+once it has been asked for again — the bytes a server sends for it.
 
-``ViewStore.results`` maps :func:`~repro.store.store.result_key` to
-one :class:`Answer` per key.  ``items`` is the answer every in-process
+``ViewStore.results`` maps :func:`result_key` to one :class:`Answer`
+per key.  ``items`` is the answer every in-process
 reader copies out of; :meth:`Answer.wire` is the same answer as the
 compact-JSON array a response frame carries after ``"result":``, built
 lazily and then kept *on the entry* — so it moves with the entry when
@@ -20,7 +20,10 @@ its splice, and re-serialize only the items a patch landed in
 (:meth:`Answer.patched`).  An answer over a view stack or a staged
 preview (its items index an arena no commit describes) or holding a
 constructed item has ``refs is None`` and is kept or dropped by labels
-alone.
+alone.  Every answer carries those labels, ``labels``
+(:func:`repro.store.delta.query_labels` of its query, taken when the
+answer is built), so a commit decides an entry without parsing its
+query again.
 
 Memory rule: an entry keeps its wire form only once it has been asked
 for again.  The first :meth:`Answer.wire` call — the response to the
@@ -37,9 +40,26 @@ import json
 from array import array
 from itertools import islice
 from operator import le
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
-__all__ = ["Answer", "node_refs"]
+__all__ = ["Answer", "node_refs", "result_key"]
+
+
+def result_key(
+    target: str,
+    uid: int,
+    query_text: str,
+    texts: Tuple[Tuple[str, ...], Tuple[str, ...]],
+) -> Tuple[object, ...]:
+    """The key of one answer in ``ViewStore.results``: ``(target,
+    arena uid, query text, stack texts, staged texts)`` — *uid* and
+    *texts* are a pinned read's ``snapshot.uid`` and ``texts``.
+    The uid is process-unique per arena build and the texts are a
+    view's whole definition, so entries cannot alias across a commit, a
+    drop-and-reload (which restarts versions at 1) or a
+    drop-and-redefine — even when a reader publishes its answer after
+    the drop or the commit has invalidated."""
+    return (target, uid, query_text) + texts
 
 
 def node_refs(items: Sequence) -> "Optional[array[int]]":
@@ -58,17 +78,21 @@ def node_refs(items: Sequence) -> "Optional[array[int]]":
 
 class Answer:
     """One cached answer: the serialized items, immutable, where they
-    sit in the document (``refs``, or ``None``), and their wire form
-    from the second time it is asked for."""
+    sit in the document (``refs``, or ``None``), the labels its query
+    can depend on, and their wire form from the second time it is asked
+    for."""
 
     # __weakref__: lets a test watch an entry die with its bytes.
-    __slots__ = ("items", "refs", "_asked", "_wire", "__weakref__")
+    __slots__ = ("items", "refs", "labels", "_asked", "_wire", "__weakref__")
 
     # unguarded[refs]: read and replaced only by a commit of the document the entry is keyed on, which holds that document's commit lock; readers never look at it
     # unguarded[_asked, _wire]: write-once-then-read fields shared by connection threads without a lock; _wire is published by one attribute store of complete, immutable bytes, and two racing builders produce equal bytes (last store wins, both valid); a lost _asked update only postpones retention by one call
 
     def __init__(
-        self, items: Iterable[str], refs: "Optional[array[int]]" = None
+        self,
+        items: Iterable[str],
+        refs: "Optional[array[int]]" = None,
+        labels: Optional[FrozenSet[str]] = None,
     ) -> None:
         #: Immutable, so no reader can change what another reads; each
         #: in-process caller takes its own ``list(answer.items)``.
@@ -77,6 +101,9 @@ class Answer:
         #: entry is keyed on; replaced (never edited) when a commit
         #: moves the entry to the next arena.
         self.refs = refs
+        #: :func:`~repro.store.delta.query_labels` of the query; ``None``
+        #: — unanalyzable — drops the entry at its document's next commit.
+        self.labels = labels
         self._asked = False
         self._wire: Optional[bytes] = None
 
@@ -90,7 +117,7 @@ class Answer:
         items = list(self.items)
         for k, text in fresh.items():
             items[k] = text
-        answer = Answer(items, refs)
+        answer = Answer(items, refs, self.labels)
         answer._asked = self._asked
         return answer
 

@@ -1,9 +1,10 @@
-"""The commit path over frozen arenas, built on the transform kernel.
+"""What a commit changed, and the rules that decide what it leaves of
+the caches.
 
-A commit (:func:`apply_entries_spliced`) runs the one select + splice
-kernel (:func:`repro.transform.arena.transform_arena` — O(delta) work
-instead of O(document)) per staged entry; it is the only way a commit
-derives the next version.  :class:`CommitDelta` is the commit's
+A commit (:func:`repro.store.commit.plan_commit`) runs the one select +
+splice kernel (:func:`repro.transform.arena.transform_arena` — O(delta)
+work instead of O(document)) per staged entry; it is the only way a
+commit derives the next version.  :class:`CommitDelta` is the commit's
 receipt.
 
 The kernel reports what each step changed (see
@@ -15,7 +16,7 @@ Delta-scoped invalidation is one pure rule over those,
 is **kept**, **patched** or **dropped** by position; one that does not
 (and every answer over a view stack) by the delta label set alone
 (:func:`query_labels` / :func:`transform_labels` — ``None`` means
-"unanalyzable, assume affected").
+"unanalyzable, assume affected"), or by :func:`ranges_swallowed_by`.
 
 Every staged update splices: its path was compiled when it was staged
 (a path the selecting automaton refuses never reaches a commit), the
@@ -37,7 +38,7 @@ from typing import (
 )
 
 from repro.automata.arena_run import select_indices
-from repro.transform.arena import PatchRange, topmost, transform_arena
+from repro.transform.arena import PatchRange, topmost
 from repro.updates.apply import apply_update
 from repro.xmltree.arena import FrozenDocument, carry_indices, freeze, thaw
 from repro.xmltree.node import Element
@@ -58,10 +59,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CommitDelta",
-    "CommitOutcome",
     "DROP_REASONS",
     "apply_entries_rebuilt",
-    "apply_entries_spliced",
     "query_labels",
     "ranges_swallowed_by",
     "rekey_verdict",
@@ -70,50 +69,12 @@ __all__ = [
 
 #: Why a commit dropped a result-cache entry — the head (before any
 #: ``:detail``) of the reasons :func:`rekey_verdict` and
-#: ``ViewStore._rekey_results`` give (``CommitDelta.drop_reasons``,
+#: ``CommitPlan.decide`` give (``CommitDelta.drop_reasons``,
 #: ``store.commit.drop_reason.*``).
 DROP_REASONS = (
     "staged", "stack-changed", "unanalyzable", "label", "removed-item",
     "wide-patch", "late-publisher", "view-labels",
 )
-
-
-class CommitOutcome:
-    """The next frozen version and what each staged entry did, in
-    order (``steps``: entry *i+1*'s positions are against entry *i*'s
-    arena) — what :func:`rekey_verdict` folds over."""
-
-    __slots__ = ("arena", "base_arena", "steps", "touched_nodes")
-
-    def __init__(
-        self,
-        arena: FrozenDocument,
-        base_arena: FrozenDocument,
-        steps: List[ArenaStep],
-        touched_nodes: int,
-    ) -> None:
-        self.arena = arena
-        self.base_arena = base_arena
-        self.steps = steps
-        self.touched_nodes = touched_nodes
-
-    @property
-    def labels(self) -> FrozenSet[str]:
-        """The delta label set of the whole commit."""
-        return frozenset().union(*(step.labels for step in self.steps))
-
-    @property
-    def patches(self) -> int:
-        return sum(len(step.ranges) for step in self.steps)
-
-    @property
-    def ranges(self) -> Optional[List[PatchRange]]:
-        """The patch list against ``base_arena`` — of a single-entry
-        commit only (a later entry's positions refer to an intermediate
-        arena), where it feeds the materialization swallow test."""
-        if len(self.steps) != 1:
-            return None
-        return self.steps[0].ranges
 
 
 @dataclass(frozen=True)
@@ -153,35 +114,13 @@ class CommitDelta:
     mats_dropped: int = 0
 
 
-def apply_entries_spliced(
-    base_arena: FrozenDocument, entries: List[Any]
-) -> CommitOutcome:
-    """Apply staged entries to *base_arena* by splicing, sequentially
-    (entry *i+1* selects against entry *i*'s result — the semantics
-    :func:`apply_entries_rebuilt` defines): the kernel in a loop, each
-    entry with the selecting automaton it was staged with
-    (``StagedUpdate.nfa``, which dies with the entry: an update text is
-    applied once, and ≈ 12 KB of NFA and DFA tables per distinct text
-    is what remembering them cost).  ``touched_nodes`` is a receipt
-    figure, the nodes the entries removed or introduced."""
-    arena = base_arena
-    steps: List[ArenaStep] = []
-    touched = 0
-    for entry in entries:
-        step = transform_arena(arena, entry.transform.update, entry.nfa)
-        touched += step.touched
-        arena = step.arena
-        steps.append(step)
-    return CommitOutcome(arena, base_arena, steps, touched)
-
-
 def apply_entries_rebuilt(
     base_arena: FrozenDocument, entries: List[Any]
 ) -> FrozenDocument:
     """Apply staged entries the O(document) way — thaw *base_arena*
     into a private Node tree, run each update over it in staging order,
-    freeze the result — and return the arena: the reference
-    :func:`apply_entries_spliced` is tested and benchmarked against."""
+    freeze the result — and return the arena: the reference a commit's
+    ``plan_commit(...).arena`` is tested and benchmarked against."""
     root = cast(Element, thaw(base_arena))
     for entry in entries:
         apply_update(root, entry.transform.update)

@@ -36,18 +36,26 @@ past its commit (a staged preview applies it with that same
 automaton).  Serialized
 *answers* live in ``ViewStore.results`` — the only result cache there
 is; a :class:`~repro.service.service.QueryService` reads and fills
-this one — under :func:`result_key`, all an answer depends on, each an
-:class:`~repro.store.answer.Answer` (the items, where they sit in the
-document, plus the bytes a server sends for them once the entry has
-been asked for again).  A commit visits the entries over the names it
-can affect and nothing else, and one rule
-(:func:`~repro.store.delta.rekey_verdict`) decides each by position:
-**keep** — no item contains a patch, the entry moves to the new
-arena's uid as it is; **patch** — the same nodes answer, the few items
-a patch landed in are re-serialized and every other string is reused;
-**drop** — the query names a label the commit changed, or an item was
-removed.  Every drop is counted by its reason
-(``store.commit.drop_reason.*``).
+this one — under :func:`~repro.store.answer.result_key`, all an
+answer depends on, each an :class:`~repro.store.answer.Answer` (the
+items, where they sit in the document, the labels its query can depend
+on, plus the bytes a server sends for them once the entry has been
+asked for again).
+
+Commits: :meth:`ViewStore.commit_delta` takes the staged entries, logs
+them, and hands them to :func:`~repro.store.commit.plan_commit` — the
+next arena and everything the caches keep of the last, decided as a
+function of (arena, entries, the read targets over the document) with
+no lock, WAL or registry in reach.  It then installs the plan's arena,
+rebases or drops the materializations, and re-keys the result cache by
+the plan: the entries over the names the commit can affect and nothing
+else, each decided by one rule
+(:func:`~repro.store.delta.rekey_verdict`) by position: **keep** — no
+item contains a patch, the entry moves to the new arena's uid as it
+is; **patch** — the same nodes answer, the few items a patch landed in
+are re-serialized and every other string is reused; **drop** — the
+query names a label the commit changed, or an item was removed.  Every
+drop is counted by its reason (``store.commit.drop_reason.*``).
 
 Concurrency: the document lock is held to pin a read, to publish a
 materialization and to install a commit — never across an evaluation
@@ -69,14 +77,12 @@ from repro.compose.compose import transforms_document
 from repro.faults import fault_point
 from repro.lru import LRUCache
 from repro.obs import span
-from repro.store.answer import Answer, node_refs
+from repro.store.answer import Answer, node_refs, result_key
+from repro.store.commit import CommitPlan, plan_commit
 from repro.store.delta import (
     DROP_REASONS,
     CommitDelta,
-    CommitOutcome,
-    apply_entries_spliced,
     query_labels,
-    ranges_swallowed_by,
     rekey_verdict,
     transform_labels,
 )
@@ -89,8 +95,8 @@ from repro.transform.naive import transform_naive
 from repro.transform.query import parse_transform_query
 from repro.xmltree.arena import FrozenDocument, thaw
 from repro.xmltree.node import Element
-from repro.xmltree.serializer import serialize_arena
 from repro.xquery.arena_eval import ArenaEvaluator
+from repro.xquery.ast import UserQuery
 from repro.xquery.evaluator import evaluate_query
 from repro.xquery.parser import parse_user_query
 
@@ -103,6 +109,11 @@ _DELTA_SUMS = (
     "mats_kept", "mats_dropped",
 )
 _DELTA_COUNTERS = ("spliced", "noops") + _DELTA_SUMS
+
+
+def _ratio(kept: int, purged: int) -> Optional[float]:
+    """What share of the cached state a commit (or all of them) kept."""
+    return kept / (kept + purged) if kept + purged else None
 
 
 class PinnedRead(NamedTuple):
@@ -126,62 +137,15 @@ class PinnedRead(NamedTuple):
     texts: Tuple[Tuple[str, ...], Tuple[str, ...]]
 
 
-class _Verdict(NamedTuple):
-    """What one commit provably leaves alone of one read target over
-    the committed document (:meth:`ViewStore._delta_verdicts`)."""
-
-    #: The view; ``None`` for the document itself.
-    view: Optional[View]
-    #: The stack's source texts: the definition the verdict is about.
-    texts: Tuple[str, ...]
-    #: Every patch falls strictly inside a subtree the innermost
-    #: transform deletes/replaces: the output is byte-identical.
-    swallowed: bool
-    #: The labels the stack's transforms mention; ``None`` when a
-    #: layer is unanalyzable.
-    labels: Optional[frozenset]
-
-
-def result_key(
-    target: str,
-    uid: int,
-    query_text: str,
-    texts: Tuple[Tuple[str, ...], Tuple[str, ...]],
-) -> tuple:
-    """The key of one answer in ``ViewStore.results``: ``(target,
-    arena uid, query text, stack texts, staged texts)`` — *uid* and
-    *texts* are a :class:`PinnedRead`'s ``snapshot.uid`` and ``texts``.
-    The uid is process-unique per arena build and the texts are a
-    view's whole definition, so entries cannot alias across a commit, a
-    drop-and-reload (which restarts versions at 1) or a
-    drop-and-redefine — even when a reader publishes its answer after
-    the drop or the commit has invalidated."""
-    return (target, uid, query_text) + texts
-
-
-def _view_drop_reason(
-    verdict: _Verdict, needed: Optional[frozenset], delta_labels: frozenset
-) -> str:
-    """Why a spliced commit drops an answer over a view — whose items
-    index the stack's output, an arena no commit describes, so labels
-    are all there is to go by; ``""`` when it does not: the stack
-    swallowed the delta, or every layer and the query (*needed*, its
-    :func:`~repro.store.delta.query_labels`) are analyzable and
-    label-disjoint from it."""
-    if verdict.swallowed:
-        return ""
-    if needed is None or verdict.labels is None:
-        return "unanalyzable"
-    if (needed | verdict.labels) & delta_labels:
-        return "view-labels"
-    return ""
-
-
-def serialized_answer(pinned: PinnedRead, arena: FrozenDocument, refs: list) -> Answer:
+def serialized_answer(
+    pinned: PinnedRead, arena: FrozenDocument, refs: list, query: UserQuery
+) -> Answer:
     """Finish a read as the result cache's value: the raw items of
     :meth:`ViewStore.evaluate` serialized straight from the columns —
     and, for a read of the document itself (no stack, nothing staged:
-    *arena* is the one the entry is keyed on), where they sit in it."""
+    *arena* is the one the entry is keyed on), where they sit in it.
+    The answer keeps the labels of *query*, the parsed user query: what
+    a commit decides it by, besides its refs."""
     with span("serialize"):
         # Interned: answers that select the same node hold its
         # serialization once (half the bytes of a pool of overlapping
@@ -189,7 +153,7 @@ def serialized_answer(pinned: PinnedRead, arena: FrozenDocument, refs: list) -> 
         # answer.
         items = map(sys.intern, serialize_arena_items(arena, refs))
     on_document = not (pinned.texts[0] or pinned.texts[1])
-    return Answer(items, node_refs(refs) if on_document else None)
+    return Answer(items, node_refs(refs) if on_document else None, query_labels(query))
 
 
 class ViewStore:
@@ -243,11 +207,6 @@ class ViewStore:
         # paths at once — one lock keeps their tallies exact (the
         # per-document lock only serializes one document's readers).
         self._counter_lock = threading.Lock()
-        # Conservative label analyses of queries keyed on source text;
-        # values are wrapped in 1-tuples because ``None``
-        # ("unanalyzable") is a legitimate cached answer.  A view's
-        # labels are analyzed once, when it is defined (``View.labels``).
-        self._query_label_cache = LRUCache(256)
 
     # ------------------------------------------------------------------
     # Documents
@@ -299,11 +258,11 @@ class ViewStore:
         if name in self.views:
             self.views.drop(name)
         elif name in self.documents:
-            dependents = self.views.dependents_of_document(name)
+            dependents = self.views.stacks_over(name)
             if dependents:
                 raise StoreError(
                     f"cannot drop document {name!r}: views "
-                    f"{sorted(v.name for v in dependents)} are defined over it"
+                    f"{sorted(dependents)} are defined over it"
                 )
             self.documents.drop(name)
         else:
@@ -342,7 +301,9 @@ class ViewStore:
         cached = self.results.get(key)
         if cached is None:
             arena, _, refs = self._evaluate_counted(pinned, query_text)
-            cached = serialized_answer(pinned, arena, refs)
+            cached = serialized_answer(
+                pinned, arena, refs, self.compiled.user_query(query_text)
+            )
             self.results.put(key, cached)
         return list(cached.items)
 
@@ -522,20 +483,17 @@ class ViewStore:
     ) -> CommitDelta:
         """Commit the staged updates and return the receipt.
 
-        The next frozen arena is derived from the current one *outside*
-        the document lock (readers keep pinning snapshots meanwhile)
-        under the per-document commit lock: **spliced** at O(delta)
-        cost from the staged updates' select results (untouched columns
-        and the payload pool are shared — see
-        :func:`repro.xmltree.arena.splice`) by
-        :func:`~repro.store.delta.apply_entries_spliced`, the one way a
-        commit derives a version.  What the delta provably leaves alone
-        is worked out first (:meth:`_delta_verdicts`), the document
-        lock is held for one ``install`` and the materializations'
-        rebase, and the result cache is re-keyed after it is released
-        (:meth:`_rekey_results` — uid keys need no lock: a reader that
-        pins the new arena meanwhile misses and evaluates).  One
-        receipt.
+        Under the per-document commit lock, one step at a time: take
+        the staged entries; append them to the WAL; plan the commit
+        (:func:`~repro.store.commit.plan_commit` — the next arena,
+        **spliced** at O(delta) cost from the entries' select results,
+        and what the delta provably leaves alone), outside the
+        document lock, so readers keep pinning snapshots meanwhile;
+        hold the document lock for one ``install`` and the
+        materializations' rebase; re-key the result cache after it is
+        released (:meth:`_publish` — uid keys need no lock: a reader
+        that pins the new arena meanwhile misses and evaluates).  The
+        counters move from the receipt, in one place.
         """
         doc = self._require_document(doc_name)
         if transform_text is not None:
@@ -543,51 +501,28 @@ class ViewStore:
         with doc.commit_lock:
             with doc.lock:
                 entries = self.log.take_any(doc.name)
-                old_version = doc.version
-                old_uid = doc.uid
-                base_arena = doc.arena
+                old_version, old_uid, base_arena = doc.version, doc.uid, doc.arena
             if not entries:
-                delta = CommitDelta(
-                    doc_name=doc.name,
-                    old_version=old_version,
-                    new_version=old_version,
-                    old_uid=old_uid,
-                    new_uid=old_uid,
-                    entries=0,
-                )
-                with self._counter_lock:
-                    self.commit_counts["noops"] += 1
-                    self.last_delta = delta
-                return delta
+                return self._counted(CommitDelta(
+                    doc.name, old_version, old_version, old_uid, old_uid, entries=0
+                ))
             # Write-ahead: the staged texts and the version they will
             # produce are durable before the document is touched.  The
             # append runs outside doc.lock (readers keep pinning
             # snapshots while the record fsyncs) but inside the commit
             # lock, so records reach the log in version order.
             wal = self.wal
+            record = {"kind": "commit", "doc": doc.name, "version": old_version + 1}
             if wal is not None:
-                wal.append({
-                    "kind": "commit",
-                    "doc": doc.name,
-                    "version": old_version + 1,
-                    "texts": [entry.text for entry in entries],
-                })
+                wal.append(dict(record, texts=[entry.text for entry in entries]))
             try:
                 fault_point("store.commit.mid_splice")
-                with span("splice"):
-                    outcome = apply_entries_spliced(base_arena, entries)
-                with span("invalidate"):
-                    verdicts = self._delta_verdicts(doc.name, outcome)
-                # ``base_arena`` outlives the lock: the arena install
-                # replaces is freed when this call returns (unless a
-                # reader's snapshot still holds it), never under the lock.
-                with doc.lock:
-                    self.log.record_commit(doc.name, entries)
-                    version = doc.install(outcome.arena)
-                    new_uid = doc.uid
-                    kept_m, dropped_m = self._rebase_materializations(
-                        verdicts, old_version, version
-                    )
+                # Every read target a commit can change: the document
+                # (no stack) and each view over it.
+                targets = {doc.name: [], **self.views.stacks_over(doc.name)}
+                plan = plan_commit(
+                    base_arena, entries, targets, self.compiled, rekey_verdict
+                )
             except BaseException:
                 # The commit did not install: put the consumed entries
                 # back so a retry commits the same sequence, and cancel
@@ -596,165 +531,38 @@ class ViewStore:
                 # retry's record (same version) would be skipped.
                 self.log.restore(doc.name, entries)
                 if wal is not None:
-                    wal.append({
-                        "kind": "abort",
-                        "doc": doc.name,
-                        "version": old_version + 1,
-                    })
+                    wal.append(dict(record, kind="abort"))
                 raise
-            with span("invalidate"):
-                kept_r, patched_r, drop_reasons = self._rekey_results(
-                    verdicts, outcome, old_uid, new_uid
-                )
-        delta = CommitDelta(
-            doc_name=doc.name,
-            old_version=old_version,
-            new_version=version,
-            old_uid=old_uid,
-            new_uid=new_uid,
-            entries=len(entries),
-            patches=outcome.patches,
-            touched_nodes=outcome.touched_nodes,
-            labels=outcome.labels,
-            results_kept=kept_r,
-            results_patched=patched_r,
-            results_dropped=sum(drop_reasons.values()),
-            drop_reasons=drop_reasons,
-            mats_kept=kept_m,
-            mats_dropped=dropped_m,
-        )
+            # ``base_arena`` outlives the lock: the arena install
+            # replaces is freed when this call returns (unless a
+            # reader's snapshot still holds it), never under the lock.
+            with doc.lock:
+                self.log.record_commit(doc.name, entries)
+                version = doc.install(plan.arena)
+                plan.old_uid, plan.new_uid = old_uid, doc.uid
+                plan.rebase_materializations(old_version, version)
+            self._publish(plan)
+        return self._counted(plan.receipt(doc.name, old_version, version))
+
+    def _publish(self, plan: CommitPlan) -> None:
+        """Re-key the result cache from the plan's base arena to the one
+        installed: every entry over its read targets, and no other,
+        goes through :meth:`CommitPlan.decide`."""
+        with span("rekey"):
+            self.results.rekey(plan.decide, plan.verdicts)
+
+    def _counted(self, delta: CommitDelta) -> CommitDelta:
+        """Add one receipt to the ``store.commit.*`` counters."""
         with self._counter_lock:
             counts = self.commit_counts
-            counts["spliced"] += 1
+            counts["spliced" if delta.entries else "noops"] += 1
             for name in _DELTA_SUMS:
                 counts[name] += getattr(delta, name)
             counts["results_kept"] += delta.results_patched
-            for reason, dropped in drop_reasons.items():
+            for reason, dropped in delta.drop_reasons.items():
                 self.drop_counts[reason.partition(":")[0]] += dropped
             self.last_delta = delta
         return delta
-
-    # ------------------------------------------------------------------
-    # Delta-scoped invalidation
-    # ------------------------------------------------------------------
-
-    def _query_label_set(self, query_text: str):
-        """Labels the query's answer can depend on; ``None`` when
-        unanalyzable.  Cached by source text (wrapped in a 1-tuple so a
-        cached ``None`` still hits)."""
-        return self._query_label_cache.get_or_compute(
-            query_text,
-            lambda: (query_labels(self.compiled.user_query(query_text)),),
-        )[0]
-
-    def _delta_verdicts(self, doc_name: str, outcome: CommitOutcome) -> dict:
-        """``target → _Verdict`` for the document and every view over
-        it: what the commit about to install provably leaves alone.  A
-        pure function of the outcome and the view definitions, so it
-        runs before the document lock is taken."""
-        verdicts = {doc_name: _Verdict(None, (), False, frozenset())}
-        for view in self.views.dependents_of_document(doc_name):
-            _, stack = self.views.stack(view.name)
-            labels: Optional[frozenset] = frozenset()
-            for layer in stack:
-                if layer.labels is None:
-                    labels = None
-                    break
-                labels |= layer.labels
-            verdicts[view.name] = _Verdict(
-                view,
-                tuple(layer.transform_text for layer in stack),
-                bool(outcome.ranges) and ranges_swallowed_by(
-                    stack[0].transform, outcome.base_arena, outcome.ranges,
-                    self.compiled,
-                ),
-                labels,
-            )
-        return verdicts
-
-    @staticmethod
-    def _rebase_materializations(
-        verdicts: dict, old_version: int, new_version: int
-    ) -> tuple[int, int]:  # holds: doc.lock
-        """Materializations are exact arenas, so only the swallow test
-        (not label disjointness) carries one to the new version.
-        Returns ``(kept, dropped)``."""
-        kept = dropped = 0
-        for verdict in verdicts.values():
-            view = verdict.view
-            if view is None or view.materialized_root is None:
-                continue
-            if verdict.swallowed and view.materialized_version == old_version:
-                view.rebase_materialization(new_version)
-                kept += 1
-            else:
-                view.invalidate()
-                dropped += 1
-        return kept, dropped
-
-    def _rekey_results(
-        self, verdicts: dict, outcome: CommitOutcome, old_uid: int, new_uid: int
-    ) -> tuple[int, int, dict]:
-        """Move what the commit provably left answerable from *old_uid*
-        to *new_uid* and drop everything else under the affected names
-        (*verdicts*' keys — no other entry is visited).  Returns
-        ``(kept, patched, {drop reason: entries})``.
-
-        An answer over the document goes through the one rule,
-        :func:`~repro.store.delta.rekey_verdict`: kept as it is,
-        patched (the items a patch landed in re-serialized from the new
-        arena), or dropped.  One over a view knows no positions — its
-        refs would index another arena — and survives when every stack
-        layer and its query are analyzable and label-disjoint from the
-        delta, or the stack swallowed it.  A staged preview never survives
-        (its staging area was just consumed), nor does an entry keyed
-        on a stack that is no longer the target's definition, nor what
-        a late publisher left on a dead arena.  What an early reader of
-        the new arena already published is left as it is, unless an
-        entry carried forward takes its key."""
-        steps = outcome.steps
-        delta_labels = outcome.labels
-        arena = outcome.arena
-        patched = 0
-        reasons: dict = {}
-
-        def map_entry(key, answer):
-            nonlocal patched
-            target, uid, query_text, stack_texts, staged_texts = key
-            verdict = verdicts[target]
-            if uid == new_uid:
-                # A reader that pinned the new arena first published
-                # already: an answer on the live arena stays.
-                return key, answer
-            if uid != old_uid:
-                reason = "late-publisher"
-            elif staged_texts:
-                reason = "staged"
-            elif stack_texts != verdict.texts:
-                reason = "stack-changed"
-            elif verdict.view is not None:
-                reason = _view_drop_reason(
-                    verdict, self._query_label_set(query_text), delta_labels
-                )
-            else:
-                what, reason, refs, dirty = rekey_verdict(
-                    self._query_label_set(query_text), answer.refs, steps
-                )
-                if what == "patch":
-                    answer = answer.patched(
-                        {k: sys.intern(serialize_arena(arena, refs[k])) for k in dirty},
-                        refs,
-                    )
-                    patched += 1
-                elif what == "keep":
-                    answer.refs = refs
-            if reason:
-                reasons[reason] = reasons.get(reason, 0) + 1
-                return None
-            return result_key(target, new_uid, query_text, key[3:]), answer
-
-        moved, _ = self.results.rekey(map_entry, verdicts)
-        return moved - patched, patched, reasons
 
     # ------------------------------------------------------------------
     # Introspection
@@ -768,14 +576,11 @@ class ViewStore:
         with self._counter_lock:
             return self.arena_reads, self.snapshot_pins
 
-    def _commit_counter_values(self) -> dict:
-        """One consistent snapshot of the commit-path counters."""
+    def _commit_counter_values(self) -> tuple[dict, dict]:
+        """One consistent snapshot of the commit-path counters and the
+        drop counts by reason."""
         with self._counter_lock:
-            return dict(self.commit_counts)
-
-    def _drop_counter_values(self) -> dict:
-        with self._counter_lock:
-            return dict(self.drop_counts)
+            return dict(self.commit_counts), dict(self.drop_counts)
 
     def _result_cache_stats(self) -> dict:
         """The result cache's tallies plus what its entries' wire
@@ -808,12 +613,12 @@ class ViewStore:
         for name in _DELTA_COUNTERS:
             registry.probe(
                 f"store.commit.delta.{name}",
-                lambda name=name: self._commit_counter_values()[name],
+                lambda name=name: self._commit_counter_values()[0][name],
             )
         for name in DROP_REASONS:
             registry.probe(
                 f"store.commit.drop_reason.{name.replace('-', '_')}",
-                lambda name=name: self._drop_counter_values()[name],
+                lambda name=name: self._commit_counter_values()[1][name],
             )
         registry.probe(
             "store.wal.appends",
@@ -840,18 +645,15 @@ class ViewStore:
             info = dict(info)
             info.update(log_stats.get(name, {"staged": 0, "committed": 0}))
             documents[name] = info
-        commits = self._commit_counter_values()
-        commits["drop_reasons"] = self._drop_counter_values()
-        retained = commits["results_kept"] + commits["mats_kept"]
-        purged = commits["results_dropped"] + commits["mats_dropped"]
-        commits["retention_ratio"] = (
-            retained / (retained + purged) if retained + purged else None
+        commits, drop_reasons = self._commit_counter_values()
+        commits["drop_reasons"] = drop_reasons
+        commits["retention_ratio"] = _ratio(
+            commits["results_kept"] + commits["mats_kept"],
+            commits["results_dropped"] + commits["mats_dropped"],
         )
         with self._counter_lock:
             last = self.last_delta
         if last is not None:
-            last_kept = last.results_kept + last.results_patched + last.mats_kept
-            last_purged = last.results_dropped + last.mats_dropped
             commits["last"] = {
                 "doc": last.doc_name,
                 "version": last.new_version,
@@ -861,10 +663,9 @@ class ViewStore:
                 "results_patched": last.results_patched,
                 "results_dropped": last.results_dropped,
                 "drop_reasons": dict(last.drop_reasons),
-                "retention_ratio": (
-                    last_kept / (last_kept + last_purged)
-                    if last_kept + last_purged
-                    else None
+                "retention_ratio": _ratio(
+                    last.results_kept + last.results_patched + last.mats_kept,
+                    last.results_dropped + last.mats_dropped,
                 ),
             }
         wal = {

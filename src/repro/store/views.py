@@ -60,7 +60,9 @@ class View:
     # A View's mutable state is guarded by the *owning document's*
     # lock, which the View cannot name: ViewStore touches these fields
     # only inside `with doc.lock:` — when a read is pinned, when it
-    # publishes a materialization, and when a commit installs.
+    # publishes a materialization, and when a commit installs.  (A
+    # commit's plan reads materialized_root before, unlocked, only to
+    # pay the swallow test early; the install decides under the lock.)
     # unguarded[query_count, materialized_root, materialized_version]: guarded by the owning document's lock (held by ViewStore's pin, publish and commit-install steps); a View cannot name it
 
     def __init__(
@@ -99,19 +101,11 @@ class View:
         self.materialized_root = None
         self.materialized_version = None
 
-    def rebase_materialization(self, version: int) -> bool:
-        """Re-stamp the cached arena onto a new committed *version*.
-
-        Delta-scoped invalidation calls this when a commit is provably
-        invisible through this view's stack (every patch swallowed by
-        an inner delete/replace) — the arena is exact for the new
-        version, so it survives the commit.  Returns whether there was
-        a materialization to keep.
-        """
-        if self.materialized_root is None:
-            return False
+    def rebase_materialization(self, version: int) -> None:
+        """Re-stamp the cached arena onto a new committed *version*: a
+        commit provably invisible through this view's stack (every
+        patch swallowed by an inner delete/replace) leaves it exact."""
         self.materialized_version = version
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         hot = " materialized" if self.materialized_root is not None else ""
@@ -204,11 +198,13 @@ class ViewRegistry:
         """The document a view stack bottoms out in."""
         return self.stack(name)[0]
 
-    def dependents_of_document(self, doc_name: str) -> list[View]:
-        """Every view whose stack bottoms out in *doc_name*."""
+    def stacks_over(self, doc_name: str) -> dict[str, list[View]]:
+        """Every view whose stack bottoms out in *doc_name*, by name,
+        with its layers innermost first (:meth:`stack`)."""
         with self._lock:
             names = list(self._views)
-        return [v for v in map(self.get, names) if self.document_of(v.name) == doc_name]
+        stacks = {name: self.stack(name) for name in names}
+        return {name: layers for name, (base, layers) in stacks.items() if base == doc_name}
 
     def in_definition_order(self) -> list[View]:
         """Views ordered so every base precedes its dependents (the

@@ -701,10 +701,10 @@ class TestOneArenaTransform:
 
     def test_every_arena_surface_reaches_the_one_kernel(self):
         from repro.engine import prepared
-        from repro.store import delta, store
+        from repro.store import commit, store
         from repro.transform.arena import transform_arena
 
-        for module in (prepared, delta, store):
+        for module in (prepared, commit, store):
             assert module.transform_arena is transform_arena
 
 

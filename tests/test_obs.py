@@ -34,6 +34,7 @@ from repro.obs import (
 from repro.obs.registry import NULL_INSTRUMENT, Counter, Histogram
 from repro.service import Client, QueryService, ServiceConfig, ServiceServer
 from repro.service.errors import BadRequestError
+from repro.store import ViewStore
 from repro.xmltree.parser import parse, parse_to_arena
 
 CATALOG = (
@@ -251,6 +252,27 @@ class TestTracing:
             prepared.run(parse_to_arena(CATALOG))
         names = [s["name"] for s in tracer.records()[0]["spans"]]
         assert names == ["scan", "splice"]  # the kernel's two phases
+
+    def test_a_commit_opens_one_span_per_phase(self):
+        """Splice, verdicts, re-key: a commit's phases, each under its
+        own name (the kernel's ``scan`` and ``splice`` nest in the
+        first)."""
+        store = ViewStore()
+        store.put("db", CATALOG)
+        store.define_view(
+            "v", "db",
+            'transform copy $a := doc("db") modify do delete $a//price return $a',
+        )
+        store.query_serialized("db", "for $x in part return $x/pname")
+        tracer = Tracer(sample_every=1)
+        with tracer.trace("test.commit"):
+            store.commit(
+                "db",
+                'transform copy $a := doc("db") modify do insert <x/> into $a/part return $a',
+            )
+        phases = [s["name"] for s in tracer.records()[0]["spans"] if s["depth"] == 0]
+        assert phases == ["splice", "verdicts", "rekey"]
+        assert len(set(phases)) == len(phases)
 
     def test_warm_prepare_emits_no_compile_span(self):
         tracer = Tracer(sample_every=1)

@@ -482,14 +482,14 @@ def test_an_early_publisher_on_the_new_arena_does_not_cost_the_kept_entry():
     store.put("db", DOC)
     query = "for $x in people/person return $x/name"
     kept = store.query_serialized("db", query)
-    rekey_results = store._rekey_results
+    publish = store._publish
 
-    def published_first(verdicts, outcome, old_uid, new_uid):
+    def published_first(plan):
         store.query_serialized("db", query)  # a miss on the new arena: evaluates, puts
         assert len(store.results) == 2
-        return rekey_results(verdicts, outcome, old_uid, new_uid)
+        return publish(plan)
 
-    with mock.patch.object(store, "_rekey_results", published_first):
+    with mock.patch.object(store, "_publish", published_first):
         delta = store.commit_delta("db", _t("insert <x/> into $a/regions"))
     assert (delta.results_kept, delta.results_patched, delta.results_dropped) == (1, 0, 0)
     assert delta.drop_reasons == {}

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.22.0"
+        assert repro.__version__ == "1.23.0"
 
     def test_engine_surface(self):
         """1.21.0: an Engine is a door over its CompiledCache — no
@@ -59,6 +59,21 @@ class TestSurface:
             assert not hasattr(kind, "run_many"), kind
         for name in ("history", "restore_history"):
             assert not hasattr(UpdateLog, name), name
+
+    def test_a_commit_is_one_plan(self):
+        """1.23.0: ``plan_commit`` decides a commit and ``commit_delta``
+        logs, installs and publishes it; the outcome object, the
+        spliced-entries door and the store's label cache are gone."""
+        import repro.store.delta
+        from repro.store import ViewStore
+        from repro.store.commit import CommitPlan, plan_commit
+
+        for name in ("CommitOutcome", "apply_entries_spliced"):
+            assert not hasattr(repro.store.delta, name), name
+        for name in ("_rekey_results", "_delta_verdicts", "_rebase_materializations"):
+            assert not hasattr(ViewStore, name), name
+        assert not hasattr(ViewStore(), "_query_label_cache")
+        assert callable(plan_commit) and callable(CommitPlan.decide)
 
     def test_arena_transform_surface(self):
         """1.12.0: an arena in is an arena out, through the one kernel

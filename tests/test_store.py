@@ -6,10 +6,13 @@ composed/cached answers must agree with it on every workload here.
 """
 
 import threading
+from unittest import mock
 
 import pytest
 
+import repro.compiled
 from repro import serialize
+from repro.store import delta as delta_module
 from repro.xmltree.serializer import serialize_arena
 from repro.store import (
     DuplicateNameError,
@@ -420,6 +423,61 @@ class TestCommitRollback:
             "partners", query, include_staged=True
         ) == committed
         assert stacked.results.stats()["hits"] == 3
+
+
+class TestCommitCost:
+    """What a commit does not pay for: queries it already analyzed,
+    and views nothing is materialized or cached over."""
+
+    DOC = (
+        "<db><people><person id='p0'><name>ann</name></person>"
+        "<person id='p1'><name>bob</name></person></people>"
+        "<regions><item><name>i0</name></item></regions></db>"
+    )
+
+    @staticmethod
+    def _t(body):
+        return f'transform copy $a := doc("db") modify do {body} return $a'
+
+    def test_a_commit_parses_no_cached_query_text(self):
+        # More answers than the compiled cache holds parsed queries (256):
+        # each answer carries its query's labels, so the re-key needs no
+        # parse to decide it.
+        store = ViewStore()
+        store.put("db", self.DOC)
+        for n in range(300):
+            store.query_serialized("db", f"for $x in people/person[@id = 'q{n}'] return $x")
+        misses = store.compiled.user_queries.stats()["misses"]
+        with mock.patch.object(
+            repro.compiled, "parse_user_query", wraps=repro.compiled.parse_user_query
+        ) as parse:
+            delta = store.commit_delta("db", self._t("insert <x/> into $a/regions"))
+        assert parse.call_count == 0
+        assert store.compiled.user_queries.stats()["misses"] == misses
+        assert delta.results_kept == 300
+
+    def test_views_nobody_reads_cost_a_commit_no_select(self):
+        store = ViewStore()
+        store.put("db", self.DOC)
+        store.define_view("no_names", "db", self._t("delete $a//name"))
+        store.define_view("no_people", "db", self._t("delete $a/people"))
+        store.define_view("gone", "db", self._t("replace $a/regions/item with <gone/>"))
+        insert = self._t("insert <x/> into $a/people/person[@id = 'p1']")
+        with mock.patch.object(
+            delta_module, "select_indices", wraps=delta_module.select_indices
+        ) as select:
+            store.commit("db", insert)
+            assert select.call_count == 0
+            # A view with an answer cached over it pays the swallow
+            # test once, and its answer survives on it.
+            query = "for $x in people/person return $x"
+            store.query_serialized("no_people", query)
+            delta = store.commit_delta("db", insert)
+        assert select.call_count == 1
+        assert delta.results_kept == 1
+        assert store.query_serialized("no_people", query) == _texts(
+            store.query_naive("no_people", query)
+        )
 
 
 class TestConcurrency:

@@ -30,7 +30,8 @@ from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
 from repro.store import MaterializationPolicy, ViewStore, columns
-from repro.store.delta import apply_entries_rebuilt, apply_entries_spliced
+from repro.store.commit import plan_commit
+from repro.store.delta import apply_entries_rebuilt
 from repro.store.errors import WalCorruptError
 from repro.store.log import StagedUpdate
 from repro.store.state import open_store, save_store
@@ -232,7 +233,7 @@ def test_splice_rebuild_and_naive_agree_byte_for_byte(tree, texts):
     _assert_wellformed(rebuilt)
     assert serialize_arena(rebuilt) == want
 
-    spliced = apply_entries_spliced(base, entries)
+    spliced = plan_commit(base, entries, {"db": []}, compiled)
     _assert_wellformed(spliced.arena)
     assert len(spliced.steps) == len(entries)
     assert serialize_arena(spliced.arena) == want
