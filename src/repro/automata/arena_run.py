@@ -241,17 +241,21 @@ def serialize_arena_items(arena: FrozenDocument, items) -> list:
 
     The shared tail of every serialized read path (``ViewStore.
     query_serialized``, ``repro query``): an ``int`` item is an arena
-    index — its subtree streams out of the pre-order range with no
-    thaw; an ``Element`` (a constructed template or a Node-path
-    result) takes the Node serializer; literals render as text.
+    index — its text is the arena's :meth:`~repro.xmltree.arena.
+    FrozenDocument.serialized` subtree, written from the pre-order
+    range with no thaw the first time any read of this version asks
+    for that node, and read back every time after; an ``Element`` (a
+    constructed template or a Node-path result) takes the Node
+    serializer; literals render as text.
     """
     from repro.xmltree.node import Element
-    from repro.xmltree.serializer import serialize, serialize_arena
+    from repro.xmltree.serializer import serialize
 
+    serialized = arena.serialized
     out = []
     for item in items:
         if isinstance(item, int):
-            out.append(serialize_arena(arena, item))
+            out.append(serialized(item))
         elif isinstance(item, Element):
             out.append(serialize(item))
         else:

@@ -25,7 +25,6 @@ materialized or cached over.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compiled import CompiledCache
@@ -36,7 +35,6 @@ from repro.store.log import StagedUpdate
 from repro.store.views import View
 from repro.transform.arena import ArenaStep, transform_arena
 from repro.xmltree.arena import FrozenDocument
-from repro.xmltree.serializer import serialize_arena
 
 __all__ = ["CommitPlan", "Verdict", "plan_commit"]
 
@@ -191,7 +189,7 @@ class CommitPlan:
             what, reason, refs, dirty = self.rule(answer.labels, answer.refs, self.steps)
             if what == "patch":
                 answer = answer.patched(
-                    {k: sys.intern(serialize_arena(self.arena, refs[k])) for k in dirty},
+                    {k: self.arena.serialized(refs[k]) for k in dirty},
                     refs,
                 )
             elif what == "keep":

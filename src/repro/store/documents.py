@@ -154,22 +154,37 @@ class StoredDocument:
         with self.lock:
             return Snapshot(self.name, self.version, self.arena, self.uid)
 
-    def stats(self) -> Dict[str, Any]:
-        # Taken under the document lock: a commit in flight could
-        # otherwise tear version/arena into an inconsistent row.
+    def builds(self) -> int:
+        """How many O(document) constructions this document has paid
+        (the ``store.arena.builds`` probe reads nothing else)."""
         with self.lock:
+            return self.arena_builds
+
+    def stats(self) -> Dict[str, Any]:
+        # One consistent row under the document lock — a commit in
+        # flight could otherwise tear version/arena apart — and the
+        # arena's figures outside it: the arena is immutable, and a
+        # first ``depth()`` walks every node, which no ``pin()`` or
+        # commit install may wait behind.
+        with self.lock:
+            version = self.version
             arena = self.arena
-            arena_stats = arena.stats()
-            return {
-                "version": self.version,
-                "nodes": len(arena),
-                "depth": arena.depth(),
-                "source": self.source,
-                "arena_builds": self.arena_builds,
-                "splices": self.splices,
-                "arena_bytes": arena_stats["total_bytes"],
-                "arena_column_bytes": arena_stats["column_bytes"],
-            }
+            builds = self.arena_builds
+            splices = self.splices
+        arena_stats = arena.stats()
+        return {
+            "version": version,
+            "nodes": len(arena),
+            "depth": arena.depth(),
+            "source": self.source,
+            "arena_builds": builds,
+            "splices": splices,
+            "arena_bytes": arena_stats["total_bytes"],
+            "arena_column_bytes": arena_stats["column_bytes"],
+            "texts_held": arena_stats["texts_held"],
+            "texts_held_chars": arena_stats["texts_held_chars"],
+            "leaf_maps": arena_stats["leaf_maps"],
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StoredDocument({self.name!r}, v{self.version})"  # unguarded: debug repr; a torn version read is harmless
@@ -282,3 +297,9 @@ class DocumentStore:
 
     def stats(self) -> Dict[str, Dict[str, Any]]:
         return {name: self.get(name).stats() for name in self.names()}
+
+    def builds(self) -> int:
+        """The O(document) constructions of every resident document."""
+        with self._lock:
+            docs = list(self._docs.values())
+        return sum(doc.builds() for doc in docs)

@@ -66,7 +66,6 @@ the store lock.
 
 from __future__ import annotations
 
-import sys
 import threading
 from operator import itemgetter
 from typing import NamedTuple, Optional, Tuple, Union
@@ -147,11 +146,11 @@ def serialized_answer(
     The answer keeps the labels of *query*, the parsed user query: what
     a commit decides it by, besides its refs."""
     with span("serialize"):
-        # Interned: answers that select the same node hold its
-        # serialization once (half the bytes of a pool of overlapping
-        # selects), and the table lets go of a string with its last
-        # answer.
-        items = map(sys.intern, serialize_arena_items(arena, refs))
+        # The arena's texts are interned: answers that select the same
+        # node hold its serialization once (half the bytes of a pool of
+        # overlapping selects), and the table lets go of a string with
+        # its last holder.
+        items = serialize_arena_items(arena, refs)
     on_document = not (pinned.texts[0] or pinned.texts[1])
     return Answer(items, node_refs(refs) if on_document else None, query_labels(query))
 
@@ -291,8 +290,9 @@ class ViewStore:
     ) -> list:
         """Answer a user query as serialized XML/text strings: the
         same read, with the matches serialized **straight from the
-        columns** (:func:`~repro.xmltree.serializer.serialize_arena`) —
-        no ``thaw`` round-trip on any target.  Cached: a repeat is a
+        columns** (:meth:`~repro.xmltree.arena.FrozenDocument.
+        serialized`, once per node per version) — no ``thaw``
+        round-trip on any target.  Cached: a repeat is a
         fresh list over the cached strings.  A staged read is cached
         under its staged texts, so it can neither serve nor be served
         by the committed answer."""
@@ -603,12 +603,7 @@ class ViewStore:
         registry.probe("store.cache.results", self._result_cache_stats)
         self.compiled.bind_metrics(registry)
         registry.probe("store.documents.count", lambda: len(self.documents))
-        registry.probe(
-            "store.arena.builds",
-            lambda: sum(
-                info["arena_builds"] for info in self.documents.stats().values()
-            ),
-        )
+        registry.probe("store.arena.builds", self.documents.builds)
         registry.probe("store.views.count", lambda: len(self.views))
         for name in _DELTA_COUNTERS:
             registry.probe(

@@ -51,19 +51,29 @@ append-only during construction and never mutated afterwards, which is
 what lets :class:`repro.store.documents.StoredDocument` hand the same
 arena object to any number of concurrent readers as a zero-copy
 snapshot of one committed version.  The one exception is **derived
-caches** — values computed from the columns on first use (the cached
-byte counts, the per-label :meth:`~FrozenDocument.postings` the jump
-scans ask for, and the ``{index: tuple}`` :meth:`~FrozenDocument.
-attr_map` point lookups read).  They live on the document object,
-never on a column (``rename_splice`` aliases columns into the next
-version, where a cache derived from the old ``sym`` would be wrong),
-they are never counted in ``nbytes()``, and they are published
-idempotently: two readers racing on a first use compute equal values
-and either write is valid.  A ``splice`` hands the postings its base
-has built to the version it returns, carried (:func:`carry_indices`),
-and a ``rename_splice`` shares those of the labels it left alone —
-before the new version is visible to anyone, so the readers after a
-commit find the index as warm as those before it.
+data** — values computed from the columns on first use and kept with
+the version: the cached byte counts and height, the per-label
+:meth:`~FrozenDocument.postings` the jump scans ask for, the compact
+XML of every subtree a read has serialized (:meth:`~FrozenDocument.
+serialized`, the one place an item's text is interned), and the
+qualifier leaf maps keyed by ``(label, attribute name or None)``
+(:meth:`~FrozenDocument.leaf_values`, :meth:`~FrozenDocument.
+leaf_numbers`) the set-at-a-time sweeps filter through.  None of it is
+a result cache: it is keyed by node and label, never by query text, so
+every query text that touches a node shares it.  It lives on the
+document object, never on a column (``rename_splice`` aliases columns
+into the next version, where data derived from the old ``sym`` would
+be wrong), it is never counted in ``nbytes()`` (``stats()`` reports it
+apart), and it is published idempotently: two readers racing on a
+first use compute equal values and either write is valid.  Only the
+postings outlive their version: a ``splice`` hands those its base has
+built to the version it returns, carried (:func:`carry_indices`), and a
+``rename_splice`` shares those of the labels it left alone — before
+the new version is visible to anyone, so the readers after a commit
+find the index as warm as those before it.  The texts and leaf maps die
+with their version.  The texts can hold one node's serialization twice
+over: a nested answer (an item and an ancestor of it, asked for by two
+reads) holds the inner text again inside the outer one.
 
 **The splice contract.**  :func:`splice` emits every column the same
 way: the untouched prefix, then per kept piece and per segment a raw
@@ -129,11 +139,11 @@ class FrozenDocument:
     freely.  Index 0 is always the root element.
     """
 
-    # unguarded[_postings, _attr_map]: derived caches over immutable columns with idempotent inserts; racing first uses compute equal values (last write wins, both valid), and splice/rename_splice fill a new version's postings before anyone else holds it
+    # unguarded[_postings, _texts, _leaves, _height]: derived data over immutable columns with idempotent inserts; racing first uses compute equal values (last write wins, both valid), and splice/rename_splice fill a new version's postings before anyone else holds it
 
     __slots__ = (
         "symbols", "sym", "up", "size", "payload", "attr_keys", "attr_values",
-        "n_elements", "_nbytes", "_postings", "_attr_map",
+        "n_elements", "_nbytes", "_height", "_postings", "_texts", "_leaves",
     )
 
     def __init__(
@@ -156,8 +166,10 @@ class FrozenDocument:
         self.attr_values = attr_values
         self.n_elements = n_elements
         self._nbytes: Optional[dict] = None
+        self._height: Optional[int] = None
         self._postings: dict[tuple, array] = {}
-        self._attr_map: Optional[dict] = None
+        self._texts: dict[int, str] = {}
+        self._leaves: dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------
     # Node access
@@ -190,32 +202,28 @@ class FrozenDocument:
         """Text node *i*'s PCDATA value."""
         return self.payload[i]
 
-    def attr_map(self) -> dict:
-        """``{index: flat attribute tuple}`` for this version — built
-        from the attribute columns the first time a point lookup asks,
-        then kept (a derived cache: outside ``nbytes()``, never carried
-        into a spliced version)."""
-        found = self._attr_map
-        if found is None:
-            found = self._attr_map = dict(zip(self.attr_keys, self.attr_values))
-        return found
+    def _flat_attrs(self, i: int) -> tuple:
+        """Element *i*'s flat ``(k1, v1, …)`` tuple, ``()`` when it
+        carries none: one bisect of the sorted key column."""
+        keys = self.attr_keys
+        at = bisect_left(keys, i)
+        if at < len(keys) and keys[at] == i:
+            return self.attr_values[at]
+        return ()
 
     def attrs_of(self, i: int) -> dict:
         """Element *i*'s attributes as a fresh dict (the columns store
         them as flat tuples; hot paths iterate those directly)."""
-        flat = self.attr_map().get(i)
-        if not flat:
-            return {}
+        flat = self._flat_attrs(i)
         return {flat[k]: flat[k + 1] for k in range(0, len(flat), 2)}
 
     def attr(self, i: int, name: str) -> Optional[str]:
         """One attribute value (linear scan of the flat tuple — the
         tuples are tiny, and this beats building a dict)."""
-        flat = self.attr_map().get(i)
-        if flat:
-            for k in range(0, len(flat), 2):
-                if flat[k] == name:
-                    return flat[k + 1]
+        flat = self._flat_attrs(i)
+        for k in range(0, len(flat), 2):
+            if flat[k] == name:
+                return flat[k + 1]
         return None
 
     def child_elements(self, i: int) -> Iterator[int]:
@@ -237,7 +245,10 @@ class FrozenDocument:
                 yield j
 
     def depth(self, i: int = 0) -> int:
-        """Height of the subtree at *i* (a leaf element has depth 1)."""
+        """Height of the subtree at *i* (a leaf element has depth 1);
+        the whole document's is computed once per version."""
+        if i == 0 and self._height is not None:
+            return self._height
         size = self.size
         sym = self.sym
         best = 1
@@ -250,6 +261,8 @@ class FrozenDocument:
                 if nesting > best:
                     best = nesting
                 ends.append(j + size[j])
+        if i == 0:
+            self._height = best
         return best
 
     # ------------------------------------------------------------------
@@ -295,6 +308,76 @@ class FrozenDocument:
         return found[at] if at < len(found) else len(self.sym)
 
     # ------------------------------------------------------------------
+    # Per-version derived data: serialized subtrees, qualifier leaves
+    # ------------------------------------------------------------------
+
+    def serialized(self, i: int) -> str:
+        """The compact XML of the subtree at *i* — written from the
+        columns (:func:`~repro.xmltree.serializer.write_arena_range`)
+        and interned the first time a read asks, then kept with this
+        version: every later answer holding node *i* holds this one
+        string, and so does an answer on another version that
+        serialized an equal subtree."""
+        found = self._texts.get(i)
+        if found is None:
+            from repro.xmltree.serializer import write_arena_range
+
+            parts: list = []
+            write_arena_range(self, i, i + self.size[i], parts.append)
+            found = self._texts[i] = sys.intern("".join(parts))
+        return found
+
+    def leaf_values(self, sym: int, name: str) -> dict:
+        """``{index: value}`` of attribute *name* over the elements
+        labelled *sym* that carry it — one walk of the label's postings
+        with a cursor over the sorted key column, kept with this
+        version.  (An element's own text needs no map: the ``payload``
+        column already is one.)"""
+        key = (sym, name, False)
+        found = self._leaves.get(key)
+        if found is None:
+            found = {}
+            keys = self.attr_keys
+            flats = self.attr_values
+            stop = len(keys)
+            at = 0
+            for j in self.postings((sym,)):
+                at = bisect_left(keys, j, at, stop)
+                if at == stop:
+                    break
+                if keys[at] == j:
+                    flat = flats[at]
+                    for k in range(0, len(flat), 2):
+                        if flat[k] == name:
+                            found[j] = flat[k + 1]
+                            break
+            self._leaves[key] = found
+        return found
+
+    def leaf_numbers(self, sym: int, name: Optional[str] = None) -> dict:
+        """``{index: float}`` over the elements labelled *sym* whose own
+        text (*name* ``None``) or attribute *name* ``float()`` accepts —
+        the values a number literal can match, parsed once per version.
+        A value ``float()`` rejects, and an absent attribute, has no
+        entry: it matches no comparison."""
+        key = (sym, name, True)
+        found = self._leaves.get(key)
+        if found is None:
+            if name is None:
+                nodes = self.postings((sym,))
+                pairs = zip(nodes, map(self.payload.__getitem__, nodes))
+            else:
+                pairs = self.leaf_values(sym, name).items()
+            found = {}
+            for j, text in pairs:
+                try:
+                    found[j] = float(text)
+                except ValueError:
+                    pass
+            self._leaves[key] = found
+        return found
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -338,6 +421,7 @@ class FrozenDocument:
         """Shape and memory summary (what ``repro store stat`` and
         ``Prepared.explain()`` surface)."""
         info = self.nbytes()
+        texts = list(self._texts.values())
         return {
             "nodes": len(self.sym),
             "elements": self.n_elements,
@@ -345,11 +429,15 @@ class FrozenDocument:
             "attr_nodes": len(self.attr_keys),
             "column_bytes": info["columns"],
             "total_bytes": info["total"],
-            # The postings built so far: derived, so not part of
-            # total_bytes (the document's own footprint).
+            # Derived data built so far, so not part of total_bytes
+            # (the document's own footprint): the postings, the
+            # serialized subtrees and the qualifier leaf maps.
             "index_bytes": sum(
                 sys.getsizeof(found) for found in list(self._postings.values())
             ),
+            "texts_held": len(texts),
+            "texts_held_chars": sum(map(len, texts)),
+            "leaf_maps": len(self._leaves),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -60,8 +60,9 @@ the context qualifier, ``_context_matches``) always use the closure.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Optional
 
 from repro.xmltree.arena import FrozenDocument
@@ -467,7 +468,6 @@ def _sweep_path(
 ) -> set:
     """``PathQual`` / ``CmpQual`` bottom-up: the leaf label's postings
     in the range, filtered by the terminal, hopped to the candidates."""
-    compare = _compile_compare(qual.op, qual.value) if isinstance(qual, CmpQual) else None
     steps = qual.path.steps
     attr_name = None
     if steps and steps[-1].kind == "attr":
@@ -494,10 +494,8 @@ def _sweep_path(
         found = _labelled(arena, level_syms[at], lo, hi)
         if isinstance(nodes, set) and 4 * len(nodes) < len(found):
             found = _under(arena.size, found, nodes)
-    if attr_name is not None:
-        found = _with_attr(arena.attr_map(), found, attr_name, compare)
-    elif compare is not None:
-        found = compress(found, map(compare, map(arena.payload.__getitem__, found)))
+    if attr_name is not None or isinstance(qual, CmpQual):
+        found = _leaf_filter(qual, arena, level_syms[at], attr_name, found)
     found = set(found)
     sym_col = arena.sym
     while True:
@@ -535,20 +533,41 @@ def _under(size, leaves, nodes: set) -> list:
     return out
 
 
+#: A comparison's operator, applied as ``op(value, literal)`` — what
+#: ``compare_value`` does once the value is a number or a string.
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 # hot-path
-def _with_attr(attrs: dict, nodes, name: str, compare) -> list:
-    """The *nodes* carrying attribute *name* (with a value *compare*
-    accepts, when there is a comparison), off the flat tuples
-    (*attrs* is the arena's :meth:`~repro.xmltree.arena.FrozenDocument.
-    attr_map`)."""
-    out = []
-    get = attrs.get
-    for j in nodes:
-        flat = get(j)
-        if flat:
-            for k in range(0, len(flat), 2):
-                if flat[k] == name:
-                    if compare is None or compare(flat[k + 1]):
-                        out.append(j)
-                    break
-    return out
+def _leaf_filter(qual, arena: FrozenDocument, sym: int, attr_name, nodes):
+    """The *nodes* (labelled *sym*) whose leaf value passes *qual*'s
+    terminal: the attribute *attr_name* is present (a ``PathQual``), or
+    its value — the own text, without one — compares true (a
+    ``CmpQual``).  The values are the arena's per-version leaf maps, so
+    each is looked up and, for a number literal, parsed once per
+    version; the filter runs at C level, one ``operator`` function
+    applied to the literal.  A value ``float()`` rejects and an absent
+    attribute have no entry in a map, so they match no operator, ``!=``
+    included — exactly ``compare_value``."""
+    literal = qual.value if isinstance(qual, CmpQual) else None
+    if isinstance(literal, float):
+        table = arena.leaf_numbers(sym, attr_name)
+    elif attr_name is not None:
+        table = arena.leaf_values(sym, attr_name)
+    else:
+        table = None  # a string literal against the own text: every node has one
+    if table is None:
+        value_of = arena.payload.__getitem__
+    else:
+        nodes = [*filter(table.__contains__, nodes)]
+        value_of = table.__getitem__
+    if literal is None:
+        return nodes
+    return compress(nodes, map(_OPERATORS[qual.op], map(value_of, nodes), repeat(literal)))

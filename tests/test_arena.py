@@ -2,6 +2,8 @@
 builder, the load paths, the serializer fast path, the engine wiring,
 the store's zero-copy snapshots and the CLI."""
 
+from unittest import mock
+
 import pytest
 
 from repro.engine.engine import Engine
@@ -20,6 +22,7 @@ from repro.xmltree.arena import (
 from repro.xmltree.node import deep_equal
 from repro.xmltree.parser import XMLSyntaxError, parse, parse_file, parse_to_arena
 from repro.xmltree.sax import iter_sax_string, tree_to_events
+from repro.xmltree import serializer as serializer_module
 from repro.xmltree.serializer import serialize, serialize_arena, write_arena_file, write_file
 
 XML = (
@@ -308,6 +311,46 @@ class TestStoreSnapshots:
         assert info["arena_bytes"] > 0
         assert info["arena_column_bytes"] > 0
         assert stats["arena_reads"] == 1
+
+
+class TestSerializedSubtrees:
+    """An answer's item texts are the arena's per-version derived data:
+    written once per node, interned, shared by every answer."""
+
+    def _counting(self):
+        written: list = []
+        real = serializer_module.write_arena_range
+
+        def counting(arena, start, limit, write):
+            written.append(start)
+            return real(arena, start, limit, write)
+
+        return written, mock.patch.object(serializer_module, "write_arena_range", counting)
+
+    def test_one_node_is_serialized_once_per_version(self):
+        store = ViewStore()
+        store.put("db", generate(0.001, 42))
+        written, counting = self._counting()
+        with counting:
+            every = store.query_serialized("db", "for $x in people/person return $x")
+            some = store.query_serialized(
+                "db", "for $x in people/person[profile/age > 20] return $x"
+            )
+        assert some and len(some) < len(every)
+        assert len(written) == len(set(written)) == len(every)
+        # Two answers that select one node hold one string.
+        held = {id(text) for text in every}
+        assert all(id(text) in held for text in some)
+        arena = store.pin("db").arena
+        assert arena.stats()["texts_held"] == len(every)
+        assert arena.stats()["texts_held_chars"] == sum(map(len, every))
+
+    def test_the_text_is_the_subtrees_serialization(self):
+        arena = parse_to_arena(XML)
+        for i in arena.iter_elements():
+            text = arena.serialized(i)
+            assert text == serialize_arena(arena, i) == serialize(thaw(arena, i))
+            assert arena.serialized(i) is text
 
 
 class TestCLI:

@@ -759,3 +759,26 @@ class TestSpliceEqualsFreeze:
                 assert got.up[at] == base.up[i], i
             # and every such lane is the same node, wherever it moved
             assert got.sym[at] == base.sym[i] and got.payload[at] is base.payload[i]
+
+    @settings(deadline=None)
+    @given(case=spliced_cases())
+    def test_serialized_subtrees_are_exact_on_spliced_versions(self, case):
+        """The per-version texts are derived, never carried: a version
+        spliced (or renamed) from one whose texts are all built starts
+        with none, and writes each one exactly."""
+        tree, drawn = case
+        base = freeze(tree)
+        for i in base.iter_elements():
+            assert base.serialized(i) == serialize(thaw(base, i))
+        patches = [
+            (start, stop, attach, freeze_segment(node) if node is not None else None)
+            for start, stop, attach, node in drawn
+        ]
+        got = splice(base, patches)
+        renamed = rename_splice(base, [i for i in base.iter_elements() if i][:1], "renamed")
+        for version in (got, renamed):
+            assert version.stats()["texts_held"] == 0
+            for i in version.iter_elements():
+                text = version.serialized(i)
+                assert text == serialize(thaw(version, i))
+                assert version.serialized(i) is text

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_engine_surface(self):
         """1.21.0: an Engine is a door over its CompiledCache — no
@@ -59,6 +59,21 @@ class TestSurface:
             assert not hasattr(kind, "run_many"), kind
         for name in ("history", "restore_history"):
             assert not hasattr(UpdateLog, name), name
+
+    def test_one_derived_attribute_structure(self):
+        """1.24.0: the ``{index: tuple}`` attribute dict is gone; point
+        lookups bisect the key column and the sweep reads the leaf
+        maps, which, like a node's serialized text, live and die with
+        one version."""
+        arena = repro.parse_to_arena('<db><p id="a">1</p><p>2</p><p id="b"/></db>')
+        assert not hasattr(arena, "attr_map") and not hasattr(arena, "_attr_map")
+        assert arena.attr(1, "id") == "a" and arena.attr(3, "id") is None
+        assert arena.attrs_of(5) == {"id": "b"} and arena.attrs_of(0) == {}
+        p = arena.symbols.intern("p")
+        assert arena.leaf_values(p, "id") == {1: "a", 5: "b"}
+        assert arena.leaf_numbers(p) == {1: 1.0, 3: 2.0}
+        assert arena.serialized(1) == '<p id="a">1</p>'
+        assert arena.stats()["leaf_maps"] == 2 and arena.stats()["texts_held"] == 1
 
     def test_a_commit_is_one_plan(self):
         """1.23.0: ``plan_commit`` decides a commit and ``commit_delta``

@@ -190,28 +190,57 @@ class TestSweepEqualsClosure:
         )
 
     @pytest.mark.parametrize("op", OPS)
-    @pytest.mark.parametrize("literal", ["5", "'5'"])
+    @pytest.mark.parametrize("literal", ["5", "'5'", "1000"])
     def test_every_operator_over_numeric_non_numeric_and_empty_text(self, op, literal):
         """``!=`` against a number is the sharp one: non-numeric and
-        empty text are *not* unequal-and-numeric — they never match."""
-        values = ["1", "5", "12", "5.0", "x", "", " 5 ", "-5", "nan"]
-        tree = Element("r", {}, [
+        empty text are *not* unequal-and-numeric — they never match;
+        ``nan`` parses, and is unequal to every number; an absent
+        attribute matches nothing.  Each arena is read twice (the
+        second read runs on the leaf maps the first one built), and a
+        commit that changes one leaf value is seen by the next read."""
+        values = [
+            "1", "5", "12", "5.0", "x", "", " 5 ", "-5", "nan",
+            "inf", "-0", "1_000", "1e3", "NaN",
+        ]
+        kids = [
             Element("c", {"k": v}, [Element("v", {}, [Text(v)] if v else [])])
             for v in values
-        ])
+        ]
+        kids.append(Element("c", {}, [Element("v", {}, [Text("5")])]))  # no @k
+        tree = Element("r", {}, kids)
         arena = freeze(tree)
         sym = arena.symbols.intern("c")
-        node_of = _node_of(tree, arena)
-        for text in (f"v {op} {literal}", f"@k {op} {literal}", f"not(v {op} {literal})"):
-            qual = _qual(text)
-            want = [
-                i for i in arena.postings((sym,)) if eval_qualifier(node_of[i], qual)
-            ]
-            assert sweep_qualifier(qual, arena, sym, 0, len(arena)) == want, text
+        texts = (f"v {op} {literal}", f"@k {op} {literal}", f"not(v {op} {literal})")
+
+        def agree(arena, tree):
+            node_of = _node_of(tree, arena)
+            for text in texts:
+                qual = _qual(text)
+                closure = compile_qualifier_arena(qual)
+                candidates = arena.postings((sym,))
+                want = [i for i in candidates if eval_qualifier(node_of[i], qual)]
+                assert [i for i in candidates if closure(arena, i)] == want, text
+                for _ in range(2):
+                    assert sweep_qualifier(qual, arena, sym, 0, len(arena)) == want, text
+
+        agree(arena, tree)
+        assert arena.stats()["leaf_maps"] >= 1
         if op == "!=" and literal == "5":
             matched = sweep_qualifier(_qual("v != 5"), arena, sym, 0, len(arena))
-            texts = [arena.own_text(i + 1) for i in matched]
-            assert texts == ["1", "12", "-5", "nan"], texts
+            texts_matched = [arena.own_text(i + 1) for i in matched]
+            assert texts_matched == ["1", "12", "-5", "nan", "inf", "-0", "1_000", "1e3", "NaN"]
+        # Commit: the "x" leaf becomes "5", text and attribute both.
+        gone = arena.postings((sym,))[values.index("x")]
+        segment = freeze_segment(
+            Element("c", {"k": "5"}, [Element("v", {}, [Text("5")])]), arena.symbols
+        )
+        spliced = splice(arena, [(gone, arena.end_of(gone), arena.parent_of(gone), segment)])
+        assert spliced.stats()["leaf_maps"] == 0  # leaf maps die with their version
+        agree(spliced, thaw(spliced))
+        if literal != "1000":
+            seen = sweep_qualifier(_qual(f"@k = {literal}"), spliced, sym, 0, len(spliced))
+            assert gone in seen
+            assert gone not in sweep_qualifier(_qual(f"@k = {literal}"), arena, sym, 0, len(arena))
 
 
 # ----------------------------------------------------------------------

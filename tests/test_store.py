@@ -13,6 +13,7 @@ import pytest
 import repro.compiled
 from repro import serialize
 from repro.store import delta as delta_module
+from repro.xmltree import serializer as serializer_module
 from repro.xmltree.serializer import serialize_arena
 from repro.store import (
     DuplicateNameError,
@@ -269,6 +270,46 @@ class TestCaches:
         stacked.commit("db", ANONYMIZE)
         assert stacked.query_serialized("other", query) == kept
         assert stacked.results.stats()["hits"] == 1
+
+
+PEOPLE = (
+    "<db><people>"
+    "<person id='p0'><name>ann</name></person>"
+    "<person id='p1'><name>bob</name></person>"
+    "<person id='p2'><name>cy</name></person>"
+    "</people></db>"
+)
+
+
+class TestSerializedItems:
+    def test_a_patched_item_is_read_from_the_texts_its_commit_wrote(self):
+        """A commit that patches inside item k writes k's new text into
+        the new version's texts, so the next read of k is a hit; a kept
+        item is written again there, and is the old answer's string."""
+        store = ViewStore()
+        store.put("db", PEOPLE)
+        query = "for $x in people/person return $x"
+        before = store.query_serialized("db", query)
+        delta = store.commit_delta(
+            "db",
+            'transform copy $a := doc("db") modify do insert <watch>w</watch> '
+            "into $a/people/person[@id = 'p1'] return $a",
+        )
+        assert delta.results_patched == 1
+        [patched] = [answer for key, answer in store.results.items() if key[2] == query]
+        written: list = []
+        real = serializer_module.write_arena_range
+
+        def counting(arena, start, limit, write):
+            written.append(start)
+            return real(arena, start, limit, write)
+
+        with mock.patch.object(serializer_module, "write_arena_range", counting):
+            after = store.query_serialized("db", "for $x in people/person[name] return $x")
+        assert after[1] == '<person id="p1"><name>bob</name><watch>w</watch></person>'
+        assert after[1] is patched.items[1]
+        assert len(written) == 2  # p0 and p2: p1's text was written by the commit
+        assert after[0] is before[0] and after[2] is before[2]
 
 
 class TestMaterialization:

@@ -432,6 +432,47 @@ def test_document_stats_takes_the_document_lock():
     assert results and results[0]["version"] == 1
 
 
+def test_a_read_pins_while_stats_computes_the_arena_figures():
+    """Regression: StoredDocument.stats() computed the arena's figures
+    (a first ``depth()`` walks every node) while holding the document
+    lock, so every pin and commit install waited behind a ``stats`` op
+    or a metrics snapshot.  Only the row is read under the lock now,
+    and the ``store.arena.builds`` probe reads the counters alone."""
+    from unittest import mock
+
+    from repro.obs import MetricsRegistry
+    from repro.xmltree.arena import FrozenDocument
+
+    store = ViewStore()
+    store.put("db", "<db><part><pname>kb</pname></part></db>")
+    registry = MetricsRegistry()
+    store.bind_metrics(registry)
+    inside = threading.Event()
+    release = threading.Event()
+    real_depth = FrozenDocument.depth
+
+    def slow_depth(self, i=0):
+        inside.set()
+        release.wait(10)
+        return real_depth(self, i)
+
+    pinned: list = []
+    with mock.patch.object(FrozenDocument, "depth", slow_depth):
+        stats = threading.Thread(target=store.stats)
+        stats.start()
+        try:
+            assert inside.wait(5)
+            reader = threading.Thread(target=lambda: pinned.append(store.pin_read("db")))
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive(), "pin_read waited behind stats()"
+            assert registry.snapshot()["store.arena.builds"] == 1
+        finally:
+            release.set()
+            stats.join()
+    assert pinned and pinned[0].snapshot.version == 1
+
+
 def test_document_stats_row_is_consistent_under_commits():
     """stats() polled during a commit storm always reports a row whose
     arena fields (when present) belong to the version it reports."""
