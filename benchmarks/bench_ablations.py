@@ -12,11 +12,7 @@ still rebuilds the whole tree, so topDown stays ahead.
 
 import pytest
 
-from repro.transform import (
-    transform_naive,
-    transform_naive_xquery,
-    transform_topdown,
-)
+from repro.transform import transform_naive, transform_topdown
 from repro.transform.ablations import (
     transform_naive_indexed,
     transform_topdown_no_pruning,
@@ -29,9 +25,6 @@ VARIANTS = {
     "topdown-no-pruning": transform_topdown_no_pruning,
     "naive-linear-scan": transform_naive,
     "naive-indexed": transform_naive_indexed,
-    # The literal Fig. 2 rewriting executed on the XQuery program layer
-    # (interpretation overhead on top of naive's cost model).
-    "naive-xquery-rewrite": transform_naive_xquery,
 }
 
 QUERIES = ["U1", "U2", "U4", "U9"]

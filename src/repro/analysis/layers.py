@@ -42,7 +42,8 @@ DEFAULT_MANIFEST: Tuple[Tuple[str, ...], ...] = (
     ("xpath",),
     ("updates",),
     ("automata",),
-    ("transform", "xquery", "compose", "streaming"),
+    ("transform",),
+    ("xquery", "compose", "streaming"),
     ("xmark", "compiled", "bench"),
     ("engine",),
     ("store",),

@@ -106,8 +106,6 @@ class ServiceConfig:
       one is shed with :class:`~repro.service.errors.OverloadedError`.
       A memo hit, or a request that joins an identical evaluation
       already in flight, needs no slot and is never shed.
-    * ``default_deadline`` — seconds applied to requests that do not
-      carry their own deadline (``None``: wait forever).
     * ``metrics`` — ``False`` disables the whole telemetry substrate
       (registry *and* tracing): every instrument becomes a shared
       no-op, the fast path ``benchmarks/bench_service.py`` measures
@@ -124,28 +122,26 @@ class ServiceConfig:
       is markedly slower than one that does not.
     * ``slow_threshold`` — seconds of submit→finish latency beyond
       which a request is captured in the slow-query log with its full
-      trace and profile (negative disables the log entirely).
-    * ``slow_ring`` — how many slow-query entries are buffered (older
-      entries fall off; see the ``slowlog`` wire op).
+      trace and profile (negative disables the log entirely).  The log
+      keeps the last 128 entries (see the ``slowlog`` wire op).
+
+    A request without a deadline of its own waits as long as it takes.
     """
 
     __slots__ = (
-        "workers", "max_queue", "default_deadline", "metrics",
-        "trace_sample", "trace_ring", "profile_sample", "slow_threshold",
-        "slow_ring",
+        "workers", "max_queue", "metrics", "trace_sample", "trace_ring",
+        "profile_sample", "slow_threshold",
     )
 
     def __init__(
         self,
         workers: int = 4,
         max_queue: int = 256,
-        default_deadline: Optional[float] = None,
         metrics: bool = True,
         trace_sample: int = 16,
         trace_ring: int = 256,
         profile_sample: int = 4,
         slow_threshold: float = 0.25,
-        slow_ring: int = 128,
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -157,17 +153,13 @@ class ServiceConfig:
             raise ValueError(
                 f"profile_sample must be >= 0, got {profile_sample}"
             )
-        if slow_ring < 1:
-            raise ValueError(f"slow_ring must be positive, got {slow_ring}")
         self.workers = workers
         self.max_queue = max_queue
-        self.default_deadline = default_deadline
         self.metrics = metrics
         self.trace_sample = trace_sample
         self.trace_ring = trace_ring
         self.profile_sample = profile_sample
         self.slow_threshold = slow_threshold
-        self.slow_ring = slow_ring
 
 
 class _Request:
@@ -313,7 +305,6 @@ class QueryService:
         #: recorded — ``repro serve`` passes a JSONL write-through.
         self._slowlog = SlowQueryLog(
             threshold=self.config.slow_threshold if self.config.metrics else -1.0,
-            ring=self.config.slow_ring,
             sink=slow_sink,
         )
         self.registry.probe("service.slowlog.ring", self._slowlog.stats)
@@ -355,8 +346,8 @@ class QueryService:
         right here on the calling thread.  The list is the caller's
         own: a fresh copy of the cached answer's items.
 
-        *deadline* is seconds from now (default: the config's
-        ``default_deadline``).  :class:`DeadlineError` is raised when
+        *deadline* is seconds from now (``None``, the default: wait as
+        long as it takes).  :class:`DeadlineError` is raised when
         it passes while this request waits for an evaluation slot or
         for the evaluation it joined — and, since an evaluation cannot
         be abandoned once it runs, when the evaluation this request
@@ -395,8 +386,6 @@ class QueryService:
     def _read(
         self, target, query_text, deadline, staged, trace_id, parent_span, *, wire
     ) -> Answer:
-        if deadline is None:
-            deadline = self.config.default_deadline
         request = _Request(
             target, query_text, staged,
             time.monotonic() + deadline if deadline is not None else None,

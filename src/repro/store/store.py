@@ -282,7 +282,7 @@ class ViewStore:
         evaluates against the hypothetical document the
         staged-but-uncommitted updates would produce."""
         pinned = self._pin_read(target, include_staged)
-        _, evaluator, refs = self._evaluate_counted(pinned, query_text)
+        _, evaluator, refs = self.evaluate(pinned, query_text)
         return [evaluator.materialize(item) for item in refs]
 
     def query_serialized(
@@ -300,17 +300,12 @@ class ViewStore:
         key = result_key(target, pinned.snapshot.uid, query_text, pinned.texts)
         cached = self.results.get(key)
         if cached is None:
-            arena, _, refs = self._evaluate_counted(pinned, query_text)
+            arena, _, refs = self.evaluate(pinned, query_text)
             cached = serialized_answer(
                 pinned, arena, refs, self.compiled.user_query(query_text)
             )
             self.results.put(key, cached)
         return list(cached.items)
-
-    def _evaluate_counted(self, pinned: PinnedRead, query_text: str) -> tuple:
-        with self._counter_lock:
-            self.arena_reads += 1
-        return self.evaluate(pinned, query_text)
 
     def pin_read(self, target: str, *, include_staged: bool = False) -> PinnedRead:
         """Pin *target* — a document or a view, with or without the
@@ -350,10 +345,14 @@ class ViewStore:
     def evaluate(self, pinned: PinnedRead, query_text: str) -> tuple:
         """Resolve *pinned* to one arena and run the query over it:
         ``(arena, evaluator, raw ref items)`` — both the thawing and
-        the serializing reads finish from these refs.  Lock-free until
-        a freshly materialized layer is published; the query and the
-        view layers compile into ``self.compiled``, and a staged entry
-        is applied with its own ``StagedUpdate.nfa``."""
+        the serializing reads finish from these refs.  This is the one
+        evaluation site, so it is where a read is counted
+        (``store.arena.reads``); past that counter it is lock-free
+        until a freshly materialized layer is published.  The query and
+        the view layers compile into ``self.compiled``, and a staged
+        entry is applied with its own ``StagedUpdate.nfa``."""
+        with self._counter_lock:
+            self.arena_reads += 1
         compiled = self.compiled
         arena = pinned.base
         layers = list(pinned.layers)

@@ -25,6 +25,12 @@ paper's examples, the XMark workload and random inputs.
 names, the Fig-12 legend and the ``--method`` choices all derive from it.
 A query holds one update; a sequence of them (each seeing the previous
 result) is a :class:`repro.engine.PreparedStack`, built with ``then``.
+
+The Naive Method is implemented once, in :mod:`repro.transform.naive`:
+its docstring holds the Fig. 2 program and maps it onto the rebuild.
+This package imports nothing from :mod:`repro.xquery` and sits
+strictly below it in the layer manifest: the user-query evaluators call
+into it (embedded ``topDown``), never the other way round.
 """
 
 from repro.transform.query import TransformQuery, parse_transform_query
@@ -37,7 +43,6 @@ from repro.transform.sax_twopass import (
     transform_sax_events,
     transform_sax_file,
 )
-from repro.transform.rewrite import rewrite_to_xquery, transform_naive_xquery
 
 #: The one strategy table: engine name → (paper name, ``(root, query)``
 #: callable).  It lives here, below both its consumers — the engine's
@@ -55,8 +60,6 @@ __all__ = [
     "STRATEGIES",
     "TransformQuery",
     "parse_transform_query",
-    "rewrite_to_xquery",
-    "transform_naive_xquery",
     "transform_copy_update",
     "transform_naive",
     "transform_sax",

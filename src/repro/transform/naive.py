@@ -1,14 +1,36 @@
 """The Naive Method (Section 3.1, Fig. 2): rewriting into "standard
 XQuery" with a node-set membership test.
 
-The paper's rewriting evaluates ``$xp := doc(T)/p`` once, then rebuilds
-the document with a recursive function that asks, at every element,
-``some $x in $xp satisfies ($n is $x)`` — a *linear scan* of ``$xp``
-per node unless the engine optimizes membership.  We reproduce that
-cost model faithfully: the selected node list is scanned linearly at
-each rebuilt element, giving the O(|T|²) worst-case data complexity
-the paper reports when ``p`` is unselective (NAIVE's blow-up on U1/U4
-in Figures 12-13).
+Section 3.1 argues transform queries "can be readily supported by
+available XQuery engines" by rewriting them into standard XQuery with
+a recursive rebuild function.  For ``insert e into $a/p`` the
+rewriting is the Fig. 2 program::
+
+    declare function local:apply($n, $xp)
+    { if (fn:is-element($n))
+      then element {fn:local-name($n)} {
+             fn:attributes($n),
+             for $c in fn:children($n) return local:apply($c, $xp),
+             if (some $x in $xp satisfies $n is $x) then e else () }
+      else $n };
+
+    let $xp := for $x in doc()/p return if ($x is fn:doc()) then () else $x
+    return local:apply(fn:doc(), $xp)
+
+The other kinds change only the constructor: ``delete`` drops each
+child ``$c`` that is in ``$xp`` and ``replace`` emits ``e`` in its
+place, both without recursing into it; ``rename`` takes the element's
+name from ``if (some … $n is $x) then new-label else
+fn:local-name($n)``.  :func:`transform_naive` executes that program
+directly: ``$xp`` is evaluated once (the root left out, as the ``let``
+does), and :func:`rebuild_with_membership` is ``local:apply``.
+
+Its membership test is ``some $x in $xp satisfies ($n is $x)`` — a
+*linear scan* of ``$xp`` per node unless the engine optimizes
+membership.  We reproduce that cost model faithfully: the selected
+node list is scanned linearly at each rebuilt element, giving the
+O(|T|²) worst-case data complexity the paper reports when ``p`` is
+unselective (NAIVE's blow-up on U1/U4 in Figures 12-13).
 
 Unlike the automaton algorithms, the rebuild traverses the *entire*
 tree: there is no pruning.

@@ -42,7 +42,6 @@ DOLLAR = "DOLLAR"        # $ (used by the transform/user-query parsers)
 ASSIGN = "ASSIGN"        # :=
 LBRACE = "LBRACE"        # { (element templates in user queries)
 RBRACE = "RBRACE"        # }
-SEMICOLON = "SEMICOLON"  # ; (XQuery function declarations)
 EOF = "EOF"
 
 
@@ -154,10 +153,6 @@ def tokenize(source: str, keywords: Optional[set] = None) -> list[Token]:
             continue
         if ch == "}":
             tokens.append(Token(RBRACE, ch, i))
-            i += 1
-            continue
-        if ch == ";":
-            tokens.append(Token(SEMICOLON, ch, i))
             i += 1
             continue
         if ch == "*":

@@ -452,6 +452,23 @@ class TestLayerVerifier:
         findings = layer_check(root, self.MANIFEST)
         assert {f.code for f in findings} == {"layers.unknown-component"}
 
+    def test_transform_sits_below_xquery(self, tmp_path):
+        """The user-query evaluators call into the transform algorithms
+        (embedded ``topDown``); the transform package never reaches up
+        into ``repro.xquery``."""
+        root = str(tmp_path)
+        write_tree(root, {
+            "transform/__init__.py": "",
+            "transform/a.py": "from repro.xquery import ast\n",
+            "xquery/__init__.py": "",
+            "xquery/ast.py": "",
+            "xquery/b.py": "import repro.transform.a\n",
+        })
+        findings = layer_check(root, DEFAULT_MANIFEST)
+        assert [(f.code, f.path, f.subject) for f in findings] == [
+            ("layers.back-edge", "transform/a.py", "transform -> xquery")
+        ]
+
     def test_shipped_manifest_covers_shipped_tree(self):
         components = {layer_component
                       for layer in DEFAULT_MANIFEST

@@ -716,7 +716,7 @@ class TestOneEvaluationSite:
     def test_service_config_has_no_mode(self):
         from repro.service import ServiceConfig
 
-        assert len(ServiceConfig.__slots__) == 9
+        assert len(ServiceConfig.__slots__) == 7
         assert "mode" not in ServiceConfig.__slots__
         with pytest.raises(TypeError):
             ServiceConfig(mode="thread")

@@ -68,8 +68,9 @@ class TestTokens:
         assert tokens[0].pos == 0 and tokens[1].pos == 3
 
     def test_unexpected_character(self):
-        with pytest.raises(XPathSyntaxError):
-            tokenize("a # b")
+        for source in ("a # b", "a ; b"):
+            with pytest.raises(XPathSyntaxError, match="unexpected character"):
+                tokenize(source)
 
     def test_eof_token_always_present(self):
         assert tokenize("")[-1].type == lx.EOF

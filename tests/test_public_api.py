@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.24.0"
+        assert repro.__version__ == "1.25.0"
 
     def test_engine_surface(self):
         """1.21.0: an Engine is a door over its CompiledCache — no
@@ -59,6 +59,30 @@ class TestSurface:
             assert not hasattr(kind, "run_many"), kind
         for name in ("history", "restore_history"):
             assert not hasattr(UpdateLog, name), name
+
+    def test_one_naive_method(self):
+        """1.25.0: the Naive Method is ``transform_naive`` alone; the
+        Fig. 2 rewriter, its XQuery program interpreter and its parser
+        are gone, as are the two ``ServiceConfig`` knobs nothing set."""
+        import importlib
+        import importlib.util
+
+        import repro.transform
+
+        for module in ("repro.transform.rewrite", "repro.xquery.program",
+                       "repro.xquery.xq_parser"):
+            assert importlib.util.find_spec(module) is None, module
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        for name in ("rewrite_to_xquery", "transform_naive_xquery"):
+            assert not hasattr(repro.transform, name), name
+            assert name not in repro.transform.__all__
+        assert repro.transform.STRATEGIES["naive"][1] is repro.transform.transform_naive
+        config = repro.ServiceConfig()
+        for name in ("default_deadline", "slow_ring"):
+            assert not hasattr(config, name), name
+            with pytest.raises(TypeError):
+                repro.ServiceConfig(**{name: 1})
 
     def test_one_derived_attribute_structure(self):
         """1.24.0: the ``{index: tuple}`` attribute dict is gone; point

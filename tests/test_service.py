@@ -729,6 +729,25 @@ def test_query_direct_counts_its_evaluation(service):
     assert service.registry.snapshot()["service.eval.latency"]["count"] == 2
 
 
+def test_every_evaluation_is_an_arena_read(service):
+    """A served read counts in ``store.arena.reads`` like a library
+    read does: the store counts at its one evaluation site, and every
+    door — the memo miss, ``query_direct``, a view, a staged preview —
+    reaches it once.  A memo hit evaluates nothing and counts nothing."""
+    service.define_view("public", "db", HIDE_A)
+    service.stage("db", INSERT_T)
+    for text in QUERIES:
+        service.query("db", text)
+    service.query_direct("db", QUERIES[0])
+    service.query("public", QUERIES[1])
+    service.query("db", QUERIES[2], staged=True)
+    service.query("db", QUERIES[0])  # a memo hit
+    snap = service.registry.snapshot()
+    assert snap["service.dispatch.memo_hits"] == 1
+    assert snap["store.arena.reads"] == snap["service.dispatch.evaluations"] == 6
+    service.rollback("db")
+
+
 def test_a_small_result_cache_evicts_in_lru_order_and_the_tallies_add_up():
     service = QueryService(store=ViewStore(result_cache_size=2))
     service.put("db", CATALOG)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.selecting import build_selecting_nfa
 from repro.transform import (
     TransformQuery,
     parse_transform_query,
@@ -19,8 +20,12 @@ from repro.transform import (
     transform_topdown,
     transform_twopass,
 )
+from repro.transform.ablations import transform_naive_indexed
+from repro.transform.arena import transform_arena
 from repro.updates import parse_update
 from repro.xmltree import deep_equal, parse, serialize
+from repro.xmltree.parser import parse_to_arena
+from repro.xmltree.serializer import serialize_arena
 from repro.xpath.normalize import UnsupportedPathError
 
 from tests.strategies import trees, xpath_queries
@@ -120,6 +125,52 @@ class TestAgainstCopyUpdate:
         assert "<price>8</price>" not in text
 
 
+ATTRIBUTED = (
+    '<db><part id="p1"><pname>kb</pname>'
+    "<supplier><price>12</price></supplier></part>"
+    "<part><pname>mouse</pname></part></db>"
+)
+
+
+def _serialized_answer(name, text, query):
+    """``query`` over ``text`` by one evaluator, serialized: the four
+    paper algorithms, the indexed Naive ablation, or the arena kernel."""
+    if name == "kernel":
+        nfa = build_selecting_nfa(query.path)
+        return serialize_arena(
+            transform_arena(parse_to_arena(text), query.update, nfa).arena
+        )
+    run = transform_naive_indexed if name == "naive-indexed" else ALGORITHMS[name]
+    return serialize(run(parse(text), query))
+
+
+class TestAttributedCatalog:
+    """Each kind of update over a small catalog whose parts carry
+    attributes, by every evaluator of the transform semantics, against
+    the copy-and-update reference."""
+
+    @pytest.mark.parametrize(
+        "text, update_text",
+        [
+            (ATTRIBUTED, "delete $a//price"),
+            (ATTRIBUTED, "delete $a/part[pname = 'kb']"),
+            (ATTRIBUTED, "insert <checked/> into $a//supplier"),
+            (ATTRIBUTED, "insert <s/> into $a/part"),
+            (ATTRIBUTED, "replace $a//price with <price>0</price>"),
+            (ATTRIBUTED, "rename $a//pname as name"),
+            (ATTRIBUTED, "delete $a//nothing"),
+            ('<r><a k="v" id="i"><b x="1"/></a></r>', "insert <n/> into $a/a"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "name", sorted(ALGORITHMS) + ["kernel", "naive-indexed"]
+    )
+    def test_matches_reference(self, name, text, update_text):
+        query = TransformQuery(parse_update(update_text))
+        expected = serialize(transform_copy_update(parse(text), query))
+        assert _serialized_answer(name, text, query) == expected
+
+
 class TestTransformQueryParsing:
     def test_parse_full_syntax(self):
         query = parse_transform_query(
@@ -156,6 +207,7 @@ class TestTransformQueryParsing:
             "transform copy $a modify do delete $a/x return $a",
             'transform copy $a := doc("T") do delete $a/x return $a',
             'transform copy $a := doc("T") modify do delete $a/x',
+            'transform copy $a := doc("T") modify do delete $a/x; return $a',
         ],
     )
     def test_malformed(self, bad):
@@ -200,6 +252,18 @@ class TestCornerCases:
         query = TransformQuery(parse_update("delete $a/a/b"))
         result = ALGORITHMS[name](doc, query)
         assert serialize(result) == '<r id="1"><a k="v"/></r>'
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS) + ["copy"])
+    def test_inserted_copies_are_independent(self, name):
+        doc = parse("<r><a/><a/></r>")
+        query = TransformQuery(parse_update("insert <m><n/></m> into $a/a"))
+        run = transform_copy_update if name == "copy" else ALGORITHMS[name]
+        result = run(doc, query)
+        assert serialize(result) == "<r><a><m><n/></m></a><a><m><n/></m></a></r>"
+        first, second = (a.children[0] for a in result.children)
+        assert first is not second
+        assert first.children[0] is not second.children[0]
+        assert first.children[0] is not query.update.content.children[0]
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_context_qualifier(self, name):

@@ -22,7 +22,6 @@ from repro.obs import Profile, profiled
 from repro.transform import STRATEGIES, parse_transform_query
 from repro.transform.ablations import transform_naive_indexed
 from repro.transform.arena import transform_arena
-from repro.transform.rewrite import transform_naive_xquery
 from repro.transform.topdown import transform_topdown
 from repro.xmark.generator import generate
 from repro.xmark.queries import (
@@ -68,7 +67,6 @@ def test_the_context_root_is_never_an_update_target(body, want):
         for name, (_, run) in STRATEGIES.items()
     }
     answers["naive-indexed"] = serialize(transform_naive_indexed(parse(NESTED), query))
-    answers["naive-xquery"] = serialize(transform_naive_xquery(parse(NESTED), query))
     answers["kernel"] = serialize_arena(
         transform_arena(
             parse_to_arena(NESTED), query.update, build_selecting_nfa(query.path)

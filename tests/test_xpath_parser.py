@@ -188,6 +188,7 @@ class TestErrors:
             "a b",
             "a[!b]",
             "a['x' y]",
+            "a;b",
         ],
     )
     def test_malformed(self, bad):

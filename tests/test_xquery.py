@@ -104,6 +104,7 @@ class TestParser:
             "for $x in a return <r>{ $x }</s>",
             "for $x in a return $y",
             "for $x in a return $x extra",
+            "for $x in a return $x;",
         ],
     )
     def test_malformed(self, bad):
