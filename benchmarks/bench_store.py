@@ -6,17 +6,19 @@ Three experiments on an XMark document held resident in a
 * **cold vs. warm** — the same request mix served cold against each
   kind of read target (the document, a depth-2 view stack, a staged
   preview), then warm.  A cold pass parses queries, builds automata,
-  splices the inner layers onto the pinned arena, composes the outer
-  one and evaluates over columns; the warm pass is answered from the
-  result cache (plans would be reused even on a cache miss).  Two
+  splices the view's layers onto the pinned arena (its first read
+  publishes them, so the rest of the pass starts from the view's
+  arena) and evaluates over columns; the warm pass is answered from
+  the result cache (parses and automata would be reused even on a
+  cache miss).  Two
   bars: the warm pass is at least 5x faster than the cold one — in
   practice orders of magnitude — and, measured in the same run so the
   host cannot move it, the cold view pass costs no more than the same
   requests through the ``query_naive`` oracle.
 * **depth scaling** — one query against view stacks of growing depth
-  through the thawing read, which is never cached (best of 3), at two
-  document sizes: the per-layer cost of one select + splice under the
-  composed outer layer.
+  through the thawing read, which is never cached, with the view
+  arenas dropped before each call so every layer is spliced (best of
+  3), at two document sizes: the per-layer cost of one select + splice.
 * **checkpoint load** — reading a document's column checkpoint back
   against parsing its XML with ``parse_file_to_arena`` (best of 3
   each), the step every ``open_store`` and server boot pays per
@@ -43,7 +45,7 @@ from repro.bench.harness import (
     smoke_rounds,
     time_call,
 )
-from repro.store import MaterializationPolicy, ViewStore, columns
+from repro.store import ViewStore, columns
 from repro.xmark.queries import delete_transform, insert_transform, rename_transform
 from repro.xmltree.arena import freeze
 from repro.xmltree.parser import parse_file_to_arena
@@ -61,8 +63,8 @@ REQUESTS = [
 ROUNDS = smoke_rounds(4, 2)
 
 
-def _fresh_store(policy=None) -> ViewStore:
-    store = ViewStore(policy=policy)
+def _fresh_store() -> ViewStore:
+    store = ViewStore()
     store.put("xmark", dataset(FACTOR, seed=DATASET_SEED))
     store.define_view("nodesc", "xmark", str(delete_transform("U5")))
     store.define_view("flagged", "nodesc", str(insert_transform("U9")))
@@ -78,20 +80,19 @@ def _serve(store: ViewStore, target: str, read=None, **options) -> float:
 
 
 def test_cold_vs_warm_cache():
-    virtual = MaterializationPolicy(enabled=False)
-    cold_document = _serve(_fresh_store(virtual), "xmark")
-    previewing = _fresh_store(virtual)
+    cold_document = _serve(_fresh_store(), "xmark")
+    previewing = _fresh_store()
     previewing.stage("xmark", str(delete_transform("U5")))
     previewing.stage("xmark", str(insert_transform("U9")))
     cold_preview = _serve(previewing, "xmark", include_staged=True)
-    store = _fresh_store(virtual)
+    store = _fresh_store()
     cold = _serve(store, "flagged")
     warm_rounds = [_serve(store, "flagged") for _ in range(ROUNDS)]
     warm = min(warm_rounds)
     naive = _serve(store, "flagged", read=store.query_naive)
     rows = [
         ("cold, document", cold_document),
-        ("cold, depth-2 view (parse+splice+compose+evaluate)", cold),
+        ("cold, depth-2 view (parse+splice+evaluate)", cold),
         ("cold, staged preview (the same two updates, staged)", cold_preview),
         ("warm, depth-2 view (result cache)", warm),
         ("query_naive, depth-2 view (the oracle)", naive),
@@ -112,16 +113,16 @@ def test_cold_vs_warm_cache():
         assert cold <= naive, f"cold view pass {cold:.4f}s slower than query_naive {naive:.4f}s"
 
 
-def test_compiled_plans_reused_across_result_misses():
-    """Even when a result cannot be reused, the compiled plans survive —
-    only evaluation is paid again.  The commit is spliced and its
+def test_compiled_queries_reused_across_result_misses():
+    """Even when a result cannot be reused, the compiled queries survive
+    — only evaluation is paid again.  The commit is spliced and its
     invalidation delta-scoped: only the requests whose labels intersect
     the deleted person subtree drop (U1 names ``person``; U4's
     ``/name`` collides with ``person/name``), and each re-evaluation is
-    a plan-cache hit, never a rebuild."""
-    store = _fresh_store(policy=MaterializationPolicy(enabled=False))
+    a parse-cache hit, never a re-parse."""
+    store = _fresh_store()
     _serve(store, "flagged")
-    built_once = store.compiled.plans.stats()["misses"]
+    built_once = store.compiled.user_queries.stats()["misses"]
     delta = store.commit_delta(
         "xmark",
         'transform copy $a := doc("xmark") modify do '
@@ -130,14 +131,14 @@ def test_compiled_plans_reused_across_result_misses():
     assert delta.entries == 1, delta
     assert delta.results_dropped >= 1 and delta.results_kept >= 1, delta
     _serve(store, "flagged")
-    assert store.compiled.plans.stats()["misses"] == built_once
-    assert store.compiled.plans.stats()["hits"] >= delta.results_dropped
+    assert store.compiled.user_queries.stats()["misses"] == built_once
+    assert store.compiled.user_queries.stats()["hits"] >= delta.results_dropped
 
 
 @pytest.mark.parametrize("factor", sorted({FACTOR, smoke_factor(0.05)}))
 def test_view_stack_depth_scaling(factor, max_depth=6):
-    store = ViewStore(policy=MaterializationPolicy(enabled=False))
-    store.put("xmark", dataset(factor, seed=DATASET_SEED))
+    store = ViewStore()
+    doc = store.put("xmark", dataset(factor, seed=DATASET_SEED))
     # The bidder query: none of the stacked transforms touch auctions,
     # so the answer stays non-empty at every depth.
     request = REQUESTS[2]
@@ -152,6 +153,11 @@ def test_view_stack_depth_scaling(factor, max_depth=6):
         base = name
 
         def uncached() -> list:
+            # Drop the view arenas the last read published: every
+            # layer is spliced again.
+            with doc.lock:
+                for view in store.views.in_definition_order():
+                    view.invalidate()
             return store.query(name, request)
 
         # Best of 3, collecting first: the oracle below leaves a
@@ -163,7 +169,8 @@ def test_view_stack_depth_scaling(factor, max_depth=6):
         rows.append((str(depth), f"{elapsed * 1000:.2f}", str(len(result))))
     print()
     print(format_table(
-        f"view-stack depth scaling (factor {factor}, uncached reads, best of 3)",
+        f"view-stack depth scaling (factor {factor}, uncached reads splicing "
+        f"every layer, best of 3)",
         ["depth", "ms/query", "results"],
         rows,
     ))

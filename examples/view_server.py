@@ -1,5 +1,5 @@
-"""A security-view *server*: one resident catalog, a stack of virtual
-views, many queries — the store keeps documents parsed, plans compiled,
+"""A security-view *server*: one resident catalog, a stack of
+views, many queries — the store keeps documents parsed, queries compiled,
 and results cached across requests.
 
 This is the service-shaped version of ``security_views.py``: instead of
@@ -7,7 +7,7 @@ re-parsing the catalog and re-composing the policy for every request,
 a :class:`repro.ViewStore` holds the catalog once, the policies are
 *stacked* views (``public`` hides restricted prices; ``partners`` is a
 further view over ``public`` that renames supplier names away), and a
-simulated request loop shows the compiled-plan and result caches doing
+simulated request loop shows the compiled-query and result caches doing
 their job.  A commit then updates the catalog destructively and every
 dependent view answer refreshes automatically.
 
@@ -16,7 +16,7 @@ Run with::
     python examples/view_server.py
 """
 
-from repro import MaterializationPolicy, ViewStore, serialize
+from repro import ViewStore, serialize
 from repro.xmltree.serializer import serialize_arena
 
 CATALOG = """
@@ -45,7 +45,7 @@ ROUNDS = 5
 
 
 def main() -> None:
-    store = ViewStore(policy=MaterializationPolicy(hot_threshold=10))
+    store = ViewStore()
     store.put("catalog", CATALOG)
 
     # Layer 1: the public view deletes prices of restricted countries.
@@ -77,16 +77,15 @@ def main() -> None:
                 print()
 
     results = store.results.stats()
-    plans = store.compiled.plans.stats()
+    parsed = store.compiled.user_queries.stats()
     total = results["hits"] + results["misses"]
     print(f"result cache: {results['hits']}/{total} hits "
           f"({results['hits'] / total:.0%} warm)")
-    print(f"compiled plans built: {plans['misses']} "
+    print(f"user queries parsed: {parsed['misses']} "
           f"(one per distinct query, reused every round)")
     print(f"evaluations over a frozen arena: {store.stats()['arena_reads']} "
-          f"(the inner layer spliced, the outer composed — no document thawed)")
+          f"(both layers spliced on the first read, then reused — no document thawed)")
 
-    # The stored catalog is still intact — the views were virtual.
     assert "price" in serialize_arena(store.pin("catalog").arena)
 
     # Now HP discounts the keyboard: hypothetically first, then for real.

@@ -34,7 +34,7 @@ engine chooses among; each subpackage's docstring maps back to the
 paper's sections.
 """
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 # XML substrate
 from repro.xmltree import (
@@ -95,7 +95,6 @@ from repro.streaming import (
 from repro.store import (
     CompiledCache,
     DocumentStore,
-    MaterializationPolicy,
     StoreError,
     UpdateLog,
     ViewRegistry,
@@ -161,7 +160,6 @@ __all__ = [
     "prepare_composed",
     "prepare_query",
     "prepare_transform",
-    "MaterializationPolicy",
     "MetricsRegistry",
     "QueryService",
     "ServiceConfig",

@@ -40,14 +40,15 @@ __all__ = ["CompiledCache"]
 
 
 class CompiledCache:
-    """LRU caches for every compiled artifact the store reuses:
+    """LRU caches for every compiled artifact an engine or a store reuses:
 
     * parsed transform and user queries, keyed by source text,
     * selecting/filtering NFAs (each carrying its lazy DFA), keyed by
       the parsed path — two texts embedding one path share one pair of
       automata and therefore one set of warm tables,
     * composed plans — the Compose Method's output for one
-      (user query, transform query) pair of source texts.
+      (user query, transform query) pair of source texts
+      (``Engine.prepare_composed``; a store's reads splice instead).
     """
 
     def __init__(self, maxsize: int = 256):

@@ -34,7 +34,7 @@ exactly this advantage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.automata.selecting import SelectingNFA, build_selecting_nfa
@@ -606,24 +606,3 @@ def compose(
 def evaluate_composed(root: Element, composed: Expr) -> list:
     """Evaluate a composed query directly on the original document."""
     return evaluate_query(root, composed)
-
-
-def transforms_document(composed: Expr) -> bool:
-    """Does *composed* run an embedded ``topDown`` on the document root
-    itself?  The composer's fallbacks do when the user path opens with
-    a step the automaton cannot be pushed through (``//x``, a context
-    qualifier): nothing is pruned.  The root is only ever bound at the
-    top of a plan (``let $y := <the document> return …``)."""
-    if not (isinstance(composed, Let) and composed.value == PathFrom(None, Path())):
-        return False
-    stack: list = [composed.body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TransformedSubtree):
-            if node.var == composed.var:
-                return True
-        elif isinstance(node, (Expr, BoolExpr)):
-            stack.extend(getattr(node, field.name) for field in fields(node))
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-    return False

@@ -23,10 +23,10 @@ through *view stacks*::
     )
     rows = store.query("emea", "for $x in part/supplier return $x")
 
-A view is its transform query — no arena is kept for it unless the
-:class:`MaterializationPolicy` declares it hot.  Queries against a
-view are answered with the Compose Method over the stack (see
-:mod:`repro.store.store` for how a read is served), compiled artifacts
+A view is its transform query; the arena it reads as is derived data
+of its document's version, spliced on the first read of that version
+and kept until a commit the view does not swallow (see
+:mod:`repro.store.store` for how a read is served).  Compiled artifacts
 are cached in an LRU :class:`CompiledCache`, and serialized answers
 are cached per arena (``ViewStore.results``, one :class:`Answer` per
 key).  A document at rest is one frozen arena, its current version's;
@@ -55,7 +55,7 @@ from repro.store.errors import (
 from repro.store.log import StagedUpdate, UpdateLog
 from repro.store.state import locked_state, open_store, save_store
 from repro.store.store import PinnedRead, ViewStore, result_key
-from repro.store.views import MaterializationPolicy, View, ViewRegistry
+from repro.store.views import View, ViewRegistry
 
 __all__ = [
     "Answer",
@@ -65,7 +65,6 @@ __all__ = [
     "DuplicateNameError",
     "InvalidNameError",
     "LRUCache",
-    "MaterializationPolicy",
     "NothingStagedError",
     "PinnedRead",
     "Snapshot",

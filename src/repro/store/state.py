@@ -65,13 +65,12 @@ import json
 import os
 import time
 import warnings
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.faults import fault_point
 from repro.store import columns
 from repro.store.errors import CorruptStateError, StateLockedError, WalCorruptError
 from repro.store.store import ViewStore
-from repro.store.views import MaterializationPolicy
 from repro.store.wal import (
     WAL_NAME,
     WalWriter,
@@ -177,7 +176,6 @@ class StateLock:
 @contextlib.contextmanager
 def locked_state(
     state_dir: str,
-    policy: Optional[MaterializationPolicy] = None,
     *,
     save: bool = True,
     timeout: float = 5.0,
@@ -192,15 +190,13 @@ def locked_state(
     exclude each other (only a writer's exclusive hold does).
     """
     with StateLock(state_dir).acquire(timeout=timeout, shared=not save):
-        store = open_store(state_dir, policy)
+        store = open_store(state_dir)
         yield store
         if save:
             save_store(store, state_dir)
 
 
-def open_store(
-    state_dir: str, policy: Optional[MaterializationPolicy] = None
-) -> ViewStore:
+def open_store(state_dir: str) -> ViewStore:
     """Build a :class:`ViewStore` from a state directory.
 
     A missing directory (or one without a manifest) yields an empty
@@ -211,7 +207,7 @@ def open_store(
     open spent, by part, is ``store.open_parts``.
     """
     started = time.perf_counter()
-    store = ViewStore(policy=policy)
+    store = ViewStore()
     manifest_path = _manifest_path(state_dir)
     staged_texts = (
         _load_manifest(store, state_dir, manifest_path)

@@ -6,19 +6,16 @@ stack ``t1 … tn`` or a staged preview is the same three steps:
 1. **Pin** (:meth:`ViewStore.pin_read`, the only step under the
    document lock): the document's current (version, arena, uid), the
    stack, the staged entries when the read asks for them, and the
-   deepest still-valid materialization to start from.
-2. **Resolve to one arena, evaluate** (:meth:`ViewStore.evaluate` — a
-   pure function of the pinned row and the query text): staged entries
-   and inner layers are spliced onto the pinned arena by
-   :func:`~repro.transform.arena.transform_arena`, the select + splice
-   kernel a commit runs (untouched columns and the payload pool are
-   shared).  The outermost layer is not applied but **composed** with
-   ``q`` (Section 4's Compose Method: the rewrite prunes the transform
-   to the subtrees the query visits and skips it where it provably
-   cannot matter), and the plan runs over ``t_{n-1}(… t1(T))`` on the
-   columnar evaluator.  A layer the materialization policy has marked
-   hot is applied instead, and its arena kept until a commit
-   invalidates it.
+   deepest view arena still valid for that version to start from.
+2. **Resolve to one arena, evaluate** (:meth:`ViewStore.evaluate`):
+   staged entries and every layer above that start are spliced onto the
+   pinned arena by :func:`~repro.transform.arena.transform_arena`, the
+   select + splice kernel a commit runs (untouched columns and the
+   payload pool are shared), and the query runs over ``tn(… t1(T))`` on
+   the columnar evaluator.  A view's arena is derived data of its
+   document's version: a committed read publishes each layer it spliced,
+   so only the first read of a version pays the splice, and a commit
+   the view does not swallow drops it.  A staged read publishes nothing.
 3. **Finish** from the raw items: thaw the matches (``query``) or
    serialize them straight from the columns (``query_serialized``).
 
@@ -27,8 +24,8 @@ read, an arena transform has one algorithm.  ``query_naive`` — thaw,
 ``transform_naive`` per layer, Node evaluator — is the oracle and
 shares none of the above.
 
-Caching: what reads compile (parses, NFAs, composed plans — of
-queries and view layers) lives in one
+Caching: what reads compile (parses and NFAs — of queries and view
+layers) lives in one
 :class:`~repro.compiled.CompiledCache`, ``ViewStore.compiled`` — a
 service in front compiles into it too — and never goes stale; an update
 is parsed and compiled when staged, once, and neither is remembered
@@ -47,7 +44,7 @@ them, and hands them to :func:`~repro.store.commit.plan_commit` — the
 next arena and everything the caches keep of the last, decided as a
 function of (arena, entries, the read targets over the document) with
 no lock, WAL or registry in reach.  It then installs the plan's arena,
-rebases or drops the materializations, and re-keys the result cache by
+rebases or drops the view arenas, and re-keys the result cache by
 the plan: the entries over the names the commit can affect and nothing
 else, each decided by one rule
 (:func:`~repro.store.delta.rekey_verdict`) by position: **keep** — no
@@ -58,7 +55,7 @@ query names a label the commit changed, or an item was removed.  Every
 drop is counted by its reason (``store.commit.drop_reason.*``).
 
 Concurrency: the document lock is held to pin a read, to publish a
-materialization and to install a commit — never across an evaluation
+view's arenas and to install a commit — never across an evaluation
 or the result cache's re-key (a commit's next arena is derived outside
 it too, under the document's commit lock); name-table mutations take
 the store lock.
@@ -72,7 +69,6 @@ from typing import NamedTuple, Optional, Tuple, Union
 
 from repro.automata.arena_run import serialize_arena_items
 from repro.compiled import CompiledCache
-from repro.compose.compose import transforms_document
 from repro.faults import fault_point
 from repro.lru import LRUCache
 from repro.obs import span
@@ -88,7 +84,7 @@ from repro.store.delta import (
 from repro.store.documents import DocumentStore, Snapshot, StoredDocument
 from repro.store.errors import DuplicateNameError, StoreError, UnknownNameError
 from repro.store.log import StagedUpdate, UpdateLog
-from repro.store.views import MaterializationPolicy, View, ViewRegistry
+from repro.store.views import View, ViewRegistry
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.transform.query import parse_transform_query
@@ -124,11 +120,10 @@ class PinnedRead(NamedTuple):
     doc: StoredDocument
     snapshot: Snapshot
     #: Where evaluation starts: the snapshot's arena, or the deepest
-    #: materialization still valid for its version.
+    #: view arena still valid for its version.
     base: FrozenDocument
-    #: The layers still to apply on top of *base*, innermost first,
-    #: each with whether it is hot (applied and kept, not virtual).
-    layers: Tuple[Tuple[View, bool], ...]
+    #: The views still to splice on top of *base*, innermost first.
+    layers: Tuple[View, ...]
     staged: Tuple[StagedUpdate, ...]
     #: The source texts of the whole stack and of the staged entries:
     #: with ``snapshot.uid``, what :func:`result_key` keys on so that
@@ -160,13 +155,9 @@ class ViewStore:
 
     # guarded-by[arena_reads, snapshot_pins, commit_counts, drop_counts, last_delta]: self._counter_lock
 
-    def __init__(
-        self,
-        policy: Optional[MaterializationPolicy] = None,
-        result_cache_size: int = 1024,
-    ):
+    def __init__(self, result_cache_size: int = 1024):
         self.documents = DocumentStore()
-        self.views = ViewRegistry(policy)
+        self.views = ViewRegistry()
         #: Everything this store — and a service over it — compiles:
         #: reads, view layers, previews and the ``transform`` op.
         self.compiled = CompiledCache()
@@ -319,7 +310,6 @@ class ViewStore:
 
     def _pin_read(self, target: str, include_staged: bool) -> PinnedRead:
         doc, stack = self._resolve(target)
-        policy = self.views.policy
         with doc.lock:
             snapshot = Snapshot(doc.name, doc.version, doc.arena, doc.uid)
             staged = tuple(self.log.staged(doc.name)) if include_staged else ()
@@ -330,59 +320,41 @@ class ViewStore:
                     cached = view.materialization_for(snapshot.version)
                     if cached is not None:
                         base, start = cached, index + 1
-            rest = stack[start:]
-            for view in rest or stack[-1:]:
-                view.query_count += 1
-            layers = tuple(
-                (view, not staged and policy.should_materialize(view)) for view in rest
-            )
         texts = (
             tuple(view.transform_text for view in stack),
             tuple(entry.text for entry in staged),
         )
-        return PinnedRead(doc, snapshot, base, layers, staged, texts)
+        return PinnedRead(doc, snapshot, base, tuple(stack[start:]), staged, texts)
 
     def evaluate(self, pinned: PinnedRead, query_text: str) -> tuple:
         """Resolve *pinned* to one arena and run the query over it:
         ``(arena, evaluator, raw ref items)`` — both the thawing and
         the serializing reads finish from these refs.  This is the one
         evaluation site, so it is where a read is counted
-        (``store.arena.reads``); past that counter it is lock-free
-        until a freshly materialized layer is published.  The query and
-        the view layers compile into ``self.compiled``, and a staged
-        entry is applied with its own ``StagedUpdate.nfa``."""
+        (``store.arena.reads``); past that counter it is lock-free but
+        for publishing the view arenas a committed read spliced.  The
+        query and the view layers compile into ``self.compiled``, and a
+        staged entry is applied with its own ``StagedUpdate.nfa``."""
         with self._counter_lock:
             self.arena_reads += 1
         compiled = self.compiled
+        query = compiled.user_query(query_text)
         arena = pinned.base
-        layers = list(pinned.layers)
-        query = None
-        if layers and not layers[-1][1]:
-            # The virtual outermost layer is composed, not applied —
-            # unless the plan gives up pruning and runs its topDown on
-            # the document root: the splice below is that, on columns.
-            plan = compiled.composed(query_text, layers[-1][0].transform_text)
-            if not transforms_document(plan):
-                query = plan
-                layers.pop()
-        if query is None:
-            query = compiled.user_query(query_text)
         for entry in pinned.staged:
             # A staged update brings its own automaton: one-shot texts
             # never take a slot in (or age) the compiled cache.
             arena = transform_arena(arena, entry.transform.update, entry.nfa).arena
         fresh = []
-        for view, keep in layers:
+        for view in pinned.layers:
             update = view.transform.update
             arena = transform_arena(
                 arena, update, compiled.selecting_nfa_for(update.path)
             ).arena
-            if keep:
-                fresh.append((view, arena))
+            fresh.append((view, arena))
         evaluator = ArenaEvaluator(arena, compiled.selecting_nfa_for)
         with span("scan"):
             refs = evaluator.evaluate_refs(query)
-        if fresh:
+        if fresh and not pinned.staged:
             version = pinned.snapshot.version
             with pinned.doc.lock:
                 if pinned.doc.version == version:

@@ -1,46 +1,24 @@
-"""Virtual views: a base (document or another view) plus one transform
+"""Stacked views: a base (document or another view) plus one transform
 query per layer, stacked to arbitrary depth.
 
-A view never holds a document of its own — it *is* its transform
-query.  Queries against a view are answered by the Compose Method
-against the outermost transform (pruning the work to the subtrees the
-query actually visits) over the arena the inner layers splice out of
-the pinned document; see :mod:`repro.store.store` for how a read is
-served.
-
-The exception is a **hot** view: once the configurable
-:class:`MaterializationPolicy` decides a view is queried often enough,
-its arena is kept (a splice of its base — untouched columns and the
-payload pool are shared, not copied) and reused until a commit on the
-underlying document invalidates it.
+A view is defined by its transform query alone; what it reads as is
+derived data of its document's version.  The first committed read of a
+version splices every layer onto the pinned arena and keeps each
+layer's arena (untouched columns and the payload pool are shared with
+its base, not copied); every later read of that version starts from
+the kept arena, until a commit the view does not swallow drops it.  See
+:mod:`repro.store.store` for how a read is served.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.store.documents import validate_name
 from repro.store.errors import StoreError, UnknownNameError
 from repro.transform.query import TransformQuery
 from repro.xmltree.arena import FrozenDocument
-
-
-@dataclass
-class MaterializationPolicy:
-    """When does a view earn a cached (materialized) arena?
-
-    *hot_threshold* is the number of queries routed through a view
-    before its arena is cached; ``enabled=False`` keeps every view fully
-    virtual regardless of traffic (the paper's default posture).
-    """
-
-    hot_threshold: int = 8
-    enabled: bool = True
-
-    def should_materialize(self, view: "View") -> bool:
-        return self.enabled and view.query_count >= self.hot_threshold
 
 
 class View:
@@ -52,7 +30,6 @@ class View:
         "transform",
         "transform_text",
         "labels",
-        "query_count",
         "materialized_root",
         "materialized_version",
     )
@@ -63,7 +40,7 @@ class View:
     # publishes a materialization, and when a commit installs.  (A
     # commit's plan reads materialized_root before, unlocked, only to
     # pay the swallow test early; the install decides under the lock.)
-    # unguarded[query_count, materialized_root, materialized_version]: guarded by the owning document's lock (held by ViewStore's pin, publish and commit-install steps); a View cannot name it
+    # unguarded[materialized_root, materialized_version]: guarded by the owning document's lock (held by ViewStore's pin, publish and commit-install steps); a View cannot name it
 
     def __init__(
         self,
@@ -82,8 +59,8 @@ class View:
         #: definition — a definition only changes by drop + define);
         #: ``None`` when unanalyzable.
         self.labels = labels
-        self.query_count = 0
-        #: The view's whole output as a frozen arena, when hot.
+        #: The view's whole output as a frozen arena, once a committed
+        #: read of ``materialized_version`` has built it.
         self.materialized_root: Optional[FrozenDocument] = None
         self.materialized_version: Optional[int] = None
 
@@ -117,8 +94,7 @@ class ViewRegistry:
 
     # guarded-by[_views]: self._lock
 
-    def __init__(self, policy: Optional[MaterializationPolicy] = None) -> None:
-        self.policy = policy if policy is not None else MaterializationPolicy()
+    def __init__(self) -> None:
         self._views: dict[str, View] = {}
         self._lock = threading.Lock()
 
@@ -220,7 +196,6 @@ class ViewRegistry:
                 "base": view.base,
                 "document": doc_name,
                 "depth": len(layers),
-                "queries": view.query_count,
                 "materialized": view.materialized_root is not None,
                 "transform": view.transform_text,
             }

@@ -319,8 +319,9 @@ class TestSlowQueryLog:
             # The views compiled this text: the op finds it cached.
             assert transform == ["scan", "splice", "serialize"]
             read = [s["name"] for s in by_name["service.query"]["spans"]]
+            # The view's first read splices both layers, then scans.
             assert [n for n in read if n in ("scan", "splice", "serialize")] == [
-                "scan", "splice", "scan", "serialize"
+                "scan", "splice", "scan", "splice", "scan", "serialize"
             ]
             # One evaluation site: a staged preview and a plain read
             # are led on this thread too, and bill the same layers to

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.25.0"
+        assert repro.__version__ == "1.26.0"
 
     def test_engine_surface(self):
         """1.21.0: an Engine is a door over its CompiledCache — no
@@ -83,6 +83,39 @@ class TestSurface:
             assert not hasattr(config, name), name
             with pytest.raises(TypeError):
                 repro.ServiceConfig(**{name: 1})
+
+    def test_one_view_read_path(self):
+        """1.26.0: a view's arena is built on its first committed read
+        of each version; the materialization policy, its threshold, the
+        per-view query count and the store's compose-at-read branch are
+        gone."""
+        import ast
+        import inspect
+        import pathlib
+
+        import repro.store
+        import repro.store.store
+        import repro.store.views
+        from repro.store import ViewStore, locked_state, open_store
+
+        for module in (repro, repro.store, repro.store.views):
+            assert not hasattr(module, "MaterializationPolicy"), module
+        for names in (repro.__all__, repro.store.__all__):
+            assert "MaterializationPolicy" not in names
+        for door in (ViewStore, open_store, locked_state):
+            assert "policy" not in inspect.signature(door).parameters, door
+        with pytest.raises(TypeError):
+            ViewStore(policy=None)
+        assert not hasattr(ViewStore().views, "policy")
+        assert "query_count" not in repro.store.View.__slots__
+        source = pathlib.Path(repro.store.store.__file__).read_text()
+        imported = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+        assert not [name for name in imported if name.startswith("repro.compose")]
 
     def test_one_derived_attribute_structure(self):
         """1.24.0: the ``{index: tuple}`` attribute dict is gone; point

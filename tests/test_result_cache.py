@@ -27,7 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import QueryService, serialize
 from repro.service.protocol import decode_line, encode_response, handle_request
-from repro.store import MaterializationPolicy, ViewStore
+from repro.store import ViewStore
 from repro.store.answer import node_refs
 from repro.xmltree.node import Element
 
@@ -57,7 +57,7 @@ def _texts(items) -> list:
 class ResultCacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = ViewStore(policy=MaterializationPolicy(hot_threshold=2))
+        self.store = ViewStore()
         self.service = QueryService(store=self.store)
         self.service.put("db", "<a><b>1</b><c><d>x</d></c></a>")
         self.service.put("aux", AUX)  # never written: its entries outlive db's commits

@@ -19,7 +19,6 @@ from repro.store import (
     DuplicateNameError,
     InvalidNameError,
     LRUCache,
-    MaterializationPolicy,
     NothingStagedError,
     StoreError,
     UnknownNameError,
@@ -166,10 +165,13 @@ class TestViewStacks:
                 stacked.query_naive("extra", query)
             )
 
-    def test_views_are_virtual(self, stacked):
+    def test_a_view_read_leaves_its_document_alone(self, stacked):
+        arena = stacked.documents.get("db").arena
         stacked.query("partners", self.QUERIES[0])
-        assert "price" in serialize_arena(stacked.documents.get("db").arena)
-        assert stacked.views.get("public").materialized_root is None
+        assert stacked.documents.get("db").arena is arena
+        assert "<price>12</price>" in serialize_arena(arena)
+        public = stacked.views.get("public").materialized_root
+        assert "<price>12</price>" not in serialize_arena(public)
 
     def test_deep_stack(self, store):
         base = "db"
@@ -313,52 +315,91 @@ class TestSerializedItems:
 
 
 class TestMaterialization:
-    def test_hot_view_materializes_and_stays_correct(self):
-        store = ViewStore(policy=MaterializationPolicy(hot_threshold=2))
+    """A view's arena is derived data of its document's version: the
+    first committed read of a version splices and publishes it."""
+
+    def test_first_read_publishes_the_view_arena(self):
+        store = ViewStore()
         store.put("db", CATALOG)
         store.define_view("public", "db", HIDE_A)
         query = "for $x in part/supplier return $x"
-        cold = _texts(store.query("public", query))
         view = store.views.get("public")
         assert view.materialized_root is None
-        warm = _texts(store.query("public", query))
-        assert view.materialized_root is not None
+        assert store.stats()["views"]["public"]["materialized"] is False
+        first = _texts(store.query("public", query))
+        assert store.stats()["views"]["public"]["materialized"] is True
+        assert "queries" not in store.stats()["views"]["public"]
         assert view.materialized_version == 1
-        assert _texts(store.query("public", query)) == warm == cold
+        kept = view.materialized_root
+        assert _texts(store.query("public", query)) == first
+        assert view.materialized_root is kept  # the second read spliced nothing
+        assert first == _texts(store.query_naive("public", query))
 
-    def test_commit_invalidates_materialization(self):
-        store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
+    def test_a_commit_drops_the_arena_and_the_next_read_publishes_it(self):
+        store = ViewStore()
         store.put("db", CATALOG)
         store.define_view("public", "db", HIDE_A)
         query = "for $x in part/supplier return $x"
-        store.query("public", query)
-        assert store.views.get("public").materialized_root is not None
-        store.commit(
+        assert store.query_serialized("public", query) == _texts(
+            store.query_naive("public", query)
+        )
+        view = store.views.get("public")
+        old = view.materialized_root
+        assert old is not None
+        delta = store.commit_delta(
             "db",
             'transform copy $a := doc("db") modify do '
             "rename $a//sname as vendor return $a",
         )
-        assert store.views.get("public").materialized_root is None
+        assert (delta.mats_kept, delta.mats_dropped) == (0, 1), delta
+        assert store.stats()["views"]["public"]["materialized"] is False
+        assert store.query_serialized("public", query) == _texts(
+            store.query_naive("public", query)
+        )
+        assert store.stats()["views"]["public"]["materialized"] is True
+        assert view.materialized_version == delta.new_version == 2
+        assert view.materialized_root is not old
         assert _texts(store.query("public", query)) == _texts(
             store.query_naive("public", query)
         )
 
-    def test_disabled_policy_never_materializes(self):
-        store = ViewStore(policy=MaterializationPolicy(enabled=False))
+    def test_a_staged_read_publishes_nothing(self):
+        store = ViewStore()
         store.put("db", CATALOG)
         store.define_view("public", "db", HIDE_A)
-        for _ in range(20):
-            store.query("public", "for $x in part return $x")
-        assert store.views.get("public").materialized_root is None
+        store.define_view("partners", "public", ANONYMIZE)
+        store.stage(
+            "db",
+            'transform copy $a := doc("db") modify do delete $a//pname return $a',
+        )
+        query = "for $x in part return $x"
+        for _ in range(3):
+            rows = store.query("partners", query, include_staged=True)
+            assert _texts(rows) == _texts(
+                store.query_naive("partners", query, include_staged=True)
+            )
+        assert not any(v["materialized"] for v in store.stats()["views"].values())
 
-    def test_middle_layer_materialization_shortcuts(self, store):
-        store.views.policy = MaterializationPolicy(hot_threshold=1)
+    def test_a_read_starts_from_the_deepest_published_layer(self, store, monkeypatch):
+        import repro.store.store as store_mod
+
         store.define_view("public", "db", HIDE_A)
         store.define_view("partners", "public", ANONYMIZE)
         query = "for $x in part/supplier return $x"
-        store.query("partners", query)
-        answer = _texts(store.query("partners", query))
+        store.query("public", query)
         assert store.views.get("public").materialized_root is not None
+        assert store.views.get("partners").materialized_root is None
+        calls = []
+        kernel = store_mod.transform_arena
+
+        def counted(arena, update, nfa):
+            calls.append(update.kind)
+            return kernel(arena, update, nfa)
+
+        monkeypatch.setattr(store_mod, "transform_arena", counted)
+        answer = _texts(store.query("partners", query))
+        assert calls == ["rename"]  # public's arena was the start
+        assert store.views.get("partners").materialized_root is not None
         assert answer == _texts(store.query_naive("partners", query))
 
 
@@ -544,7 +585,7 @@ class TestConcurrency:
         assert all(r == expected for r in results)
 
     def test_queries_during_commits(self):
-        store = ViewStore(policy=MaterializationPolicy(hot_threshold=3))
+        store = ViewStore()
         store.put("db", CATALOG)
         store.define_view("public", "db", HIDE_A)
         query = "for $x in part/supplier return $x"
@@ -632,8 +673,8 @@ class TestOneTransformKernel:
         )
 
     def test_view_layers_go_through_the_kernel(self, stacked, monkeypatch):
-        # A depth-2 stack: the inner layer is spliced by the kernel
-        # (the outer is composed); query_naive stays off it.
+        # A depth-2 stack: both layers are spliced by the kernel, once
+        # per version; query_naive stays off it.
         import repro.store.store as store_mod
 
         calls = []
@@ -645,9 +686,10 @@ class TestOneTransformKernel:
 
         monkeypatch.setattr(store_mod, "transform_arena", counted)
         stacked.query("partners", "for $x in part/pname return $x")
-        assert calls == ["delete"]
+        assert calls == ["delete", "rename"]
+        stacked.query("partners", "for $x in part/supplier return $x")
         stacked.query_naive("partners", "for $x in part/pname return $x")
-        assert calls == ["delete"]
+        assert calls == ["delete", "rename"]
 
     def test_staged_preview_handles_quoted_string_literals(self):
         """Regression: NFAs are built from the parsed path, never from

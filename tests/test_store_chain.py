@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
-from repro.store import MaterializationPolicy, ViewStore, columns
+from repro.store import ViewStore, columns
 from repro.store.commit import plan_commit
 from repro.store.delta import apply_entries_rebuilt
 from repro.store.errors import WalCorruptError
@@ -506,7 +506,7 @@ def test_swallowed_commit_keeps_the_view_materialization():
     """A commit that lands entirely inside a subtree the view deletes
     cannot change the view's output: its materialization is re-stamped,
     not rebuilt."""
-    store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
+    store = ViewStore()
     store.put("db", "<db><part><pname>kb</pname><secret><cost>1</cost></secret></part></db>")
     store.define_view("public", "db", _transform("delete $a//secret"))
     query = "for $x in part/pname return $x"
@@ -546,7 +546,7 @@ def test_deleting_the_node_a_view_matches(definition, swallowed):
     """A commit that deletes the very node the view's path matches is
     invisible through a deleting view, but not through a replacing one:
     the replacement goes with the node it stood for."""
-    store = ViewStore(policy=MaterializationPolicy(hot_threshold=1))
+    store = ViewStore()
     store.put("db", "<a><b>1</b><c/></a>")
     store.define_view("v", "db", _transform(definition))
     query = "for $x in //a return $x"

@@ -9,17 +9,24 @@ Two families of checks:
   thaws exactly its element results;
 * **same answers** — ``query_naive`` (thaw, ``transform_naive`` per
   layer, Node evaluator) is the oracle for stacks of every depth,
-  update kind, materialization state and staging state, on XMark, on a
-  deep chain and on random small documents.
+  update kind and staging state, read cold and from the view arenas a
+  first read published, on XMark, on a deep chain and on random small
+  documents.
+
+The store splices every layer; the paper's Compose Method over columns
+(``PreparedComposed.run`` on an arena) is held to the same oracle on
+the same stacks: its outermost layer composed with the query over the
+arena a ``PreparedStack`` of the staged entries and inner layers
+returns.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import QueryService, serialize
+from repro import Engine, QueryService, serialize
 from repro.bench.harness import DATASET_SEED, dataset, deep_chain
-from repro.store import MaterializationPolicy, ViewStore
+from repro.store import ViewStore
 from repro.xmark.queries import (
     delete_transform,
     insert_transform,
@@ -63,14 +70,22 @@ def _texts(items) -> list:
     return [serialize(x) if isinstance(x, Element) else str(x) for x in items]
 
 
-def _stacked(policy=None, depth=3) -> ViewStore:
-    store = ViewStore(policy=policy)
-    store.put("db", CATALOG)
-    base = "db"
-    for index, text in enumerate(LAYERS[:depth], 1):
+def _stack_store(name, document, layers, staged=()) -> ViewStore:
+    """*document* stored under *name*, views ``v1 … vn`` stacked over it
+    by *layers*, innermost first, and *staged* staged on it."""
+    store = ViewStore()
+    store.put(name, document)
+    base = name
+    for index, text in enumerate(layers, 1):
         store.define_view(f"v{index}", base, text)
         base = f"v{index}"
+    for text in staged:
+        store.stage(name, text)
     return store
+
+
+def _stacked(depth=3) -> ViewStore:
+    return _stack_store("db", CATALOG, LAYERS[:depth])
 
 
 # ----------------------------------------------------------------------
@@ -78,13 +93,28 @@ def _stacked(policy=None, depth=3) -> ViewStore:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("hot", [False, True], ids=["virtual", "materialized"])
-def test_serialized_reads_never_thaw_a_document(hot, no_document_thaw):
-    policy = MaterializationPolicy(hot_threshold=1, enabled=hot)
-    store = _stacked(policy)
+def _composed(store, engine, target, query, staged):
+    """Answer *query* on *target* by the Compose Method over columns:
+    the staged entries and inner layers run as a ``PreparedStack`` on
+    the pinned arena, and the outermost layer is composed with the
+    query over its result."""
+    doc_name, stack = store.views.stack(target)
+    texts = [entry.text for entry in store.log.staged(doc_name)] if staged else []
+    texts += [view.transform_text for view in stack[:-1]]
+    arena = store.pin(doc_name).arena
+    if texts:
+        inner = engine.prepare_transform(texts[0])
+        for text in texts[1:]:
+            inner = inner.then(text)
+        arena = inner.run(arena)
+    return engine.prepare_composed(query, stack[-1].transform_text).run(arena)
+
+
+def test_serialized_reads_never_thaw_a_document(no_document_thaw):
+    store = _stacked()
     store.stage("db", STAGED)
     targets = ["db", "v1", "v2", "v3"]
-    for _ in range(2):  # the second pass starts from the materializations
+    for _ in range(2):  # the second pass starts from the view arenas
         store.results.invalidate()
         for target in targets:
             for query in QUERIES:
@@ -92,13 +122,30 @@ def test_serialized_reads_never_thaw_a_document(hot, no_document_thaw):
                     got = store.query_serialized(target, query, include_staged=staged)
                     assert all(isinstance(text, str) for text in got)
     materialized = [store.views.get(name).materialized_root for name in targets[1:]]
-    assert all(isinstance(m, FrozenDocument) for m in materialized) if hot else not any(
-        materialized
-    )
+    assert all(isinstance(m, FrozenDocument) for m in materialized)
+
+
+def test_composed_reads_thaw_the_document_only_when_nothing_is_pruned(thaw_calls):
+    """Compose over columns thaws the subtrees its embedded ``topDown``
+    calls transform, and the document root only when the query's path
+    opens with a ``//`` step: the composer cannot push the automaton
+    through it, so the plan transforms the whole document."""
+    store = _stacked()
+    store.stage("db", STAGED)
+    engine = Engine()
+    for target in ("v1", "v2", "v3"):
+        for query in QUERIES:
+            for staged in (False, True):
+                del thaw_calls[:]
+                got = _composed(store, engine, target, query, staged)
+                opens_descendant = query.split(" in ", 1)[1].startswith("//")
+                assert (0 in thaw_calls) == opens_descendant, (target, query)
+                want = _texts(store.query_naive(target, query, include_staged=staged))
+                assert _texts(got) == want, (target, query, staged)
 
 
 def test_service_reads_and_transforms_never_thaw_a_document(no_document_thaw):
-    service = QueryService(store=_stacked(MaterializationPolicy(hot_threshold=2)))
+    service = QueryService(store=_stacked())
     service.stage("db", STAGED)
     try:
         for _ in range(3):
@@ -114,9 +161,9 @@ def test_service_reads_and_transforms_never_thaw_a_document(no_document_thaw):
 
 @pytest.mark.parametrize("target", ["db", "v2"])
 def test_a_thawing_read_thaws_exactly_its_element_results(target, thaw_calls):
-    store = _stacked(MaterializationPolicy(hot_threshold=1), depth=2)
+    store = _stacked(depth=2)
     if target != "db":
-        store.query(target, QUERIES[1])  # materializes v1 and v2
+        store.query(target, QUERIES[1])  # publishes v1 and v2
         assert store.views.get(target).materialized_root is not None
     del thaw_calls[:]
     rows = store.query(target, QUERIES[0])
@@ -158,31 +205,33 @@ _DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("hot", [False, True], ids=["virtual", "hot"])
-@pytest.mark.parametrize("kind", ["insert", "delete", "replace", "rename"])
-@pytest.mark.parametrize("name", sorted(_DOCUMENTS))
-def test_stacks_match_the_oracle(name, kind, hot):
-    """Depth 1–6 stacks of one update kind, committed and staged."""
+def _stack_of(name, kind):
+    """A store holding document *name* under a depth-1–6 stack of one
+    update kind, with one update of every other kind staged (so previews
+    mix kinds), and every read case over it."""
     root, layer_for, queries = _DOCUMENTS[name]()
-    store = ViewStore(policy=MaterializationPolicy(hot_threshold=2, enabled=hot))
-    store.put(name, root)
-    base = name
-    for depth in range(1, 7):
-        store.define_view(f"v{depth}", base, layer_for[kind](depth))
-        base = f"v{depth}"
-    # Staged: one update of every other kind, so previews mix kinds.
-    for other in sorted(layer_for):
-        if other != kind:
-            store.stage(name, layer_for[other](0))
+    store = _stack_store(
+        name, root,
+        [layer_for[kind](depth) for depth in range(1, 7)],
+        [layer_for[other](0) for other in sorted(layer_for) if other != kind],
+    )
     cases = [
         (f"v{depth}", query, staged)
         for depth in range(1, 7) for query in queries for staged in (False, True)
     ]
+    return store, cases
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete", "replace", "rename"])
+@pytest.mark.parametrize("name", sorted(_DOCUMENTS))
+def test_stacks_match_the_oracle(name, kind):
+    """Depth 1–6 stacks of one update kind, committed and staged."""
+    store, cases = _stack_of(name, kind)
     oracle = {
         case: _texts(store.query_naive(case[0], case[1], include_staged=case[2]))
         for case in cases
     }
-    for _ in range(3 if hot else 1):  # hot: cold, materializing, materialized
+    for _ in range(2):  # cold, then from the view arenas the first read kept
         store.results.invalidate()
         for target, query, staged in cases:
             want = oracle[target, query, staged]
@@ -190,7 +239,19 @@ def test_stacks_match_the_oracle(name, kind, hot):
             assert got == want, (target, query, staged)
             got = _texts(store.query(target, query, include_staged=staged))
             assert got == want, (target, query, staged)
-    assert any(v["materialized"] for v in store.stats()["views"].values()) == hot
+    assert all(v["materialized"] for v in store.stats()["views"].values())
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete", "replace", "rename"])
+@pytest.mark.parametrize("name", sorted(_DOCUMENTS))
+def test_composed_stacks_match_the_oracle(name, kind):
+    """The same stacks and reads by the Compose Method over columns."""
+    store, cases = _stack_of(name, kind)
+    engine = Engine()
+    for target, query, staged in cases:
+        want = _texts(store.query_naive(target, query, include_staged=staged))
+        got = _composed(store, engine, target, query, staged)
+        assert _texts(got) == want, (target, query, staged)
 
 
 @settings(max_examples=80, deadline=None)
@@ -199,30 +260,40 @@ def test_stacks_match_the_oracle(name, kind, hot):
     layers=st.lists(transform_texts(), min_size=1, max_size=4),
     staged=st.lists(transform_texts(), max_size=2),
     query=user_queries(),
-    hot=st.booleans(),
 )
-def test_random_stacks_match_the_oracle(tree, layers, staged, query, hot):
-    store = ViewStore(policy=MaterializationPolicy(hot_threshold=1, enabled=hot))
-    store.put("db", tree)
-    base = "db"
-    for index, text in enumerate(layers):
-        store.define_view(f"v{index}", base, text)
-        base = f"v{index}"
-    for text in staged:
-        store.stage("db", text)
+def test_random_stacks_match_the_oracle(tree, layers, staged, query):
+    store = _stack_store("db", tree, layers, staged)
+    top = f"v{len(layers)}"
     for _ in range(2):
         store.results.invalidate()
         for include_staged in (False, True):
-            want = _texts(store.query_naive(base, query, include_staged=include_staged))
-            got = store.query_serialized(base, query, include_staged=include_staged)
+            want = _texts(store.query_naive(top, query, include_staged=include_staged))
+            got = store.query_serialized(top, query, include_staged=include_staged)
             assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tree=trees(),
+    layers=st.lists(transform_texts(), min_size=1, max_size=4),
+    staged=st.lists(transform_texts(), max_size=2),
+    query=user_queries(),
+)
+def test_random_composed_stacks_match_the_oracle(tree, layers, staged, query):
+    store = _stack_store("db", tree, layers, staged)
+    top = f"v{len(layers)}"
+    engine = Engine()
+    for include_staged in (False, True):
+        want = _texts(store.query_naive(top, query, include_staged=include_staged))
+        got = _composed(store, engine, top, query, include_staged)
+        assert _texts(got) == want
 
 
 def test_a_view_may_delete_most_of_its_document():
     """A view whose layer removes most of the document reads like any
     other, and so does the same delete committed: a splice."""
     wide = "<db><big><x>1</x><y>2</y><z>3</z></big><s>4</s></db>"
-    store = ViewStore(policy=MaterializationPolicy(hot_threshold=2))
+    store = ViewStore()
     store.put("db", wide)
     store.define_view("small", "db", _t("delete $a/big"))
     store.define_view("smaller", "small", _t("rename $a/s as t"))
