@@ -12,12 +12,12 @@ still rebuilds the whole tree, so topDown stays ahead.
 
 import pytest
 
+from harness import DATASET_SEED, dataset, smoke_factor, smoke_rounds
 from repro.transform import transform_naive, transform_topdown
 from repro.transform.ablations import (
     transform_naive_indexed,
     transform_topdown_no_pruning,
 )
-from repro.bench.harness import DATASET_SEED, dataset, smoke_factor, smoke_rounds
 from repro.xmark.queries import insert_transform
 
 VARIANTS = {

@@ -72,9 +72,9 @@ import time
 import tracemalloc
 from unittest import mock
 
+from harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
 from repro.automata.arena_run import select_indices
 from repro.automata.selecting import build_selecting_nfa
-from repro.bench.harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
 from repro.compiled import CompiledCache
 from repro.obs.profile import Profile, profiled
 from repro.store.store import ViewStore

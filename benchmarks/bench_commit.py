@@ -29,7 +29,7 @@ Run with::
 import gc
 import time
 
-from repro.bench.harness import (
+from harness import (
     DATASET_SEED,
     SMOKE,
     dataset,

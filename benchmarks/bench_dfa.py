@@ -38,9 +38,9 @@ import gc
 import math
 import time
 
+from harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
 from repro import Engine
 from repro.automata.selecting import build_selecting_nfa
-from repro.bench.harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
 from repro.transform.topdown import transform_topdown, transform_topdown_nfa
 from repro.xmark.queries import delete_transform, insert_transform
 

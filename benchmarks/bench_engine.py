@@ -25,19 +25,19 @@ Run with::
 
 import time
 
-from repro import Engine, parse, parse_transform_query, transform_topdown
-from repro.bench.harness import (
+from harness import (
     DATASET_SEED,
-    METHODS,
     SMOKE,
     dataset,
-    deep_chain,
     format_table,
     smoke_factor,
     smoke_rounds,
     time_call,
 )
+from repro import Engine, parse, parse_transform_query, transform_topdown
 from repro.engine import DEEP_MEAN_DEPTH, TREE_STRATEGIES, mean_depth
+from repro.transform import STRATEGIES
+from repro.xmark.generator import deep_chain
 from repro.xmark.queries import QUERY_IDS, insert_transform
 
 FACTOR = smoke_factor(0.005)
@@ -148,7 +148,7 @@ def test_auto_within_1p5x_of_best_fixed_method_on_fig12_matrix():
     # (same rationale as the 5x test above).
     for _attempt in range(2):
         fixed_totals = {}
-        for name, fn in METHODS.items():
+        for name, fn in STRATEGIES.values():
             def run_fixed(fn=fn):
                 for query in queries.values():
                     fn(tree, query)

@@ -9,16 +9,17 @@ snapshot cost on every query.
 
 import pytest
 
-from repro.bench.harness import METHOD_ORDER, METHODS, smoke_rounds
+from harness import smoke_rounds
+from repro.transform import STRATEGIES
 from repro.xmark.queries import QUERY_IDS, insert_transform
 
 
-@pytest.mark.parametrize("method", METHOD_ORDER)
+@pytest.mark.parametrize("method", STRATEGIES.values(), ids=lambda m: m[0])
 @pytest.mark.parametrize("uid", QUERY_IDS)
 def test_fig12(benchmark, small_tree, uid, method):
     query = insert_transform(uid)
     benchmark.group = f"fig12-{uid}"
     benchmark.pedantic(
-        METHODS[method], args=(small_tree, query),
+        method[1], args=(small_tree, query),
         rounds=smoke_rounds(3, 1), iterations=1,
     )

@@ -8,21 +8,15 @@ a larger constant.
 
 import pytest
 
-from repro.bench.harness import (
-    DATASET_SEED,
-    METHOD_ORDER,
-    METHODS,
-    dataset,
-    smoke_factor,
-    smoke_rounds,
-)
+from harness import DATASET_SEED, dataset, smoke_factor, smoke_rounds
+from repro.transform import STRATEGIES
 from repro.xmark.queries import insert_transform
 
 FACTORS = sorted({smoke_factor(f) for f in (0.002, 0.008, 0.02)})
 QUERIES = ["U2", "U4", "U7", "U10"]
 
 
-@pytest.mark.parametrize("method", METHOD_ORDER)
+@pytest.mark.parametrize("method", STRATEGIES.values(), ids=lambda m: m[0])
 @pytest.mark.parametrize("factor", FACTORS)
 @pytest.mark.parametrize("uid", QUERIES)
 def test_fig13(benchmark, uid, factor, method):
@@ -30,6 +24,6 @@ def test_fig13(benchmark, uid, factor, method):
     query = insert_transform(uid)
     benchmark.group = f"fig13-{uid}-factor{factor}"
     benchmark.pedantic(
-        METHODS[method], args=(tree, query),
+        method[1], args=(tree, query),
         rounds=smoke_rounds(2, 1), iterations=1,
     )

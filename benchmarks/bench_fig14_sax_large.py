@@ -1,16 +1,16 @@
 """Fig. 14 — twoPassSAX on large on-disk documents.
 
 Paper shape to reproduce: linear time in file size with small,
-size-independent memory (the paper reports <5MB regardless of input;
-our measured peak heap stays well under 1MB — see EXPERIMENTS.md).
-The figure driver (``python -m repro.bench.figures fig14``) sweeps
-larger factors and records memory; this suite keeps the bench run
-short with two sizes per query.
+size-independent memory (the paper reports <5MB regardless of input).
+This suite times two sizes per query; the memory half of the claim is
+the tier-1 test ``tests/test_sax_twopass.py::TestFileInterface::
+test_peak_heap_does_not_grow_with_the_file`` (traced peak under 1MB
+and flat across a 4x larger file).
 """
 
 import pytest
 
-from repro.bench.harness import DATASET_SEED, smoke_factor
+from harness import DATASET_SEED, smoke_factor
 from repro.transform.sax_twopass import transform_sax_file
 from repro.xmark.generator import write_xmark_file
 from repro.xmark.queries import insert_transform

@@ -9,7 +9,7 @@ entirely); both methods linear in document size.
 
 import pytest
 
-from repro.bench.harness import DATASET_SEED, dataset, smoke_factor, smoke_rounds
+from harness import DATASET_SEED, dataset, smoke_factor, smoke_rounds
 from repro.compose import compose, evaluate_composed, naive_compose
 from repro.xmark.queries import composition_pairs
 

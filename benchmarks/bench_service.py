@@ -54,7 +54,7 @@ import threading
 import time
 from unittest import mock
 
-from repro.bench.harness import (
+from harness import (
     DATASET_SEED,
     SMOKE,
     dataset,

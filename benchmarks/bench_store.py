@@ -36,7 +36,7 @@ import time
 
 import pytest
 
-from repro.bench.harness import (
+from harness import (
     DATASET_SEED,
     SMOKE,
     dataset,

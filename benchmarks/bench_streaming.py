@@ -15,7 +15,7 @@ same trade-off as Fig. 12 vs Fig. 14 for the plain transform.
 
 import pytest
 
-from repro.bench.harness import DATASET_SEED, smoke_factor, smoke_rounds
+from harness import DATASET_SEED, smoke_factor, smoke_rounds
 from repro.compose import compose, evaluate_composed, naive_compose
 from repro.streaming import stream_compose_file
 from repro.xmark.generator import write_xmark_file

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import DATASET_SEED, dataset, smoke_factor
+from harness import DATASET_SEED, dataset, smoke_factor
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Shared benchmarking machinery for the Section-7 experiments.
+"""Shared machinery for the ``bench_*.py`` suites (``from harness import …``).
 
 Two cross-cutting policies every benchmark routes through:
 
@@ -11,6 +11,11 @@ Two cross-cutting policies every benchmark routes through:
   benchmark suites are relaxed.  CI runs the whole ``benchmarks/``
   directory this way on every push: the perf-path code is executed end
   to end (so it cannot silently rot) without paying benchmark time.
+
+The import resolves under pytest (``benchmarks/`` has no
+``__init__.py``, so pytest's default import mode puts it on
+``sys.path``) and from a script run as ``python benchmarks/bench_dfa.py``
+(the script's directory is ``sys.path[0]``).
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import os
 import time
 from typing import Callable, Optional
 
-from repro.transform import STRATEGIES
-from repro.xmark.generator import generate, document_stats
-from repro.xmltree.node import Element, Text
+from repro.xmark.generator import generate
+from repro.xmltree.node import Element
 
 #: True when the benchmarks should run tiny (see module docstring).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -41,16 +45,7 @@ def smoke_rounds(rounds: int, cap: int = 2) -> int:
     return min(rounds, cap) if SMOKE else rounds
 
 
-#: The five evaluation methods, keyed by the paper's names (Fig. 12) —
-#: derived from the one strategy table, so a figure legend, a
-#: ``--method`` choice and a forced ``run`` cannot disagree.
-METHODS: dict[str, Callable] = dict(STRATEGIES.values())
-
-#: Method order used in tables (the strategy table's order).
-METHOD_ORDER = list(METHODS)
-
 _dataset_cache: dict[tuple, Element] = {}
-_stats_cache: dict[tuple, dict] = {}
 
 
 def dataset(factor: float, seed: int = 42) -> Element:
@@ -59,31 +54,6 @@ def dataset(factor: float, seed: int = 42) -> Element:
     if key not in _dataset_cache:
         _dataset_cache[key] = generate(factor, seed)
     return _dataset_cache[key]
-
-
-def dataset_stats(factor: float, seed: int = 42) -> dict:
-    key = (factor, seed)
-    if key not in _stats_cache:
-        _stats_cache[key] = document_stats(dataset(factor, seed))
-    return _stats_cache[key]
-
-
-def deep_chain(depth: int, fanout: int = 0) -> Element:
-    """``<r><a>…<a><b>x</b></a>…</a></r>``: *depth* nested ``a`` elements
-    around one ``b``, each ``a`` also holding *fanout* empty ``c``
-    leaves (mean node depth ≈ depth / 2).  The un-XMark-like shape on
-    which the topdown/twopass choice matters."""
-    node = Element("b", {}, [Text("x")])
-    for _ in range(depth):
-        leaves = [Element("c", {}, []) for _ in range(fanout)]
-        node = Element("a", {}, [node] + leaves)
-    return Element("r", {}, [node])
-
-
-def clear_datasets() -> None:
-    """Free cached documents (the Fig. 14 runs use large files)."""
-    _dataset_cache.clear()
-    _stats_cache.clear()
 
 
 def time_call(fn: Callable, *args, repeat: int = 3, **kwargs) -> float:
@@ -104,7 +74,7 @@ def time_call(fn: Callable, *args, repeat: int = 3, **kwargs) -> float:
 
 
 def format_table(title: str, headers: list, rows: list) -> str:
-    """Render an aligned text table (the harness's figure output)."""
+    """Render an aligned text table (the benchmarks' printed output)."""
     widths = [len(h) for h in headers]
     text_rows = []
     for row in rows:

@@ -44,7 +44,7 @@ DEFAULT_MANIFEST: Tuple[Tuple[str, ...], ...] = (
     ("automata",),
     ("transform",),
     ("xquery", "compose", "streaming"),
-    ("xmark", "compiled", "bench"),
+    ("xmark", "compiled"),
     ("engine",),
     ("store",),
     ("service",),
@@ -162,7 +162,9 @@ def check_layers(
 
     *modules* maps dotted module name to ``(path, edges)`` where edges
     come from :func:`scan_imports`.  Emits one finding per back-edge
-    (or unknown component) and one per module-level import cycle.
+    (or unknown component), one per manifest component no module
+    belongs to (a stale entry, anchored at ``<manifest>:<layer>``) and
+    one per module-level import cycle.
     """
     index = _layer_index(manifest)
     findings: List[Finding] = []
@@ -206,6 +208,19 @@ def check_layers(
                         f"{importer} (layer {index[from_comp]}: {from_comp}) "
                         f"imports {target} (layer {index[to_comp]}: "
                         f"{to_comp}) — upward edge violates the manifest",
+                    )
+                )
+
+    present = {component_of(module, package) for module in modules}
+    for depth, layer in enumerate(manifest):
+        for component in layer:
+            if component not in present:
+                findings.append(
+                    Finding(
+                        "layers", "<manifest>", depth + 1,
+                        "layers.stale-component", component,
+                        f"manifest component {component!r} (layer {depth}) "
+                        f"has no module under {package}",
                     )
                 )
 

@@ -164,15 +164,6 @@ class Automaton:
             }
         return self.epsilon_closure(entered)
 
-    def final_ids(self) -> frozenset:
-        return frozenset(s.sid for s in self.states if s.is_final)
-
-    def has_final(self, state_ids: frozenset) -> bool:
-        for sid in state_ids:
-            if self.states[sid].is_final:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -92,24 +92,6 @@ class FilteringNFA(Automaton):
             for q in step.quals:
                 self._attach_qual_branches(current, q)
 
-    # ------------------------------------------------------------------
-
-    def needed_nq_ids(self, state_ids: frozenset) -> list:
-        """Normalized-qualifier ids needed at a node holding *state_ids*
-        (``LQ(S)`` restricted to top-level qualifiers; QualDP evaluates
-        sub-expressions implicitly in interned order).
-
-        The compiled runtime precomputes exactly this list per interned
-        state set (``dfa().set_nq``), which is what the SAX pass-1
-        cursor discipline reads; this frozenset form remains as the
-        reference the property tests compare against."""
-        out = []
-        for sid in sorted(state_ids):
-            nq_id = self.states[sid].nq_id
-            if nq_id is not None:
-                out.append(nq_id)
-        return out
-
 
 def build_filtering_nfa(path: Path) -> FilteringNFA:
     """Construct the filtering NFA for an ``X`` path."""

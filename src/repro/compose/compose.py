@@ -1,7 +1,7 @@
 """The Compose Method (Section 4): rewrite a user query against the
 selecting NFA of a transform query into one composed query.
 
-Strategy (per DESIGN.md):
+Strategy (each choice's reason is given in its bullet):
 
 * The user path is rewritten into a cascade of ``for`` loops, one per
   step (the paper's ``for $y1 … for $yn`` form).  Along the cascade the

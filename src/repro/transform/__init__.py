@@ -45,9 +45,8 @@ from repro.transform.sax_twopass import (
 )
 
 #: The one strategy table: engine name → (paper name, ``(root, query)``
-#: callable).  It lives here, below both its consumers — the engine's
-#: executor and ``repro.bench`` (which sits under the engine in the
-#: layer manifest).
+#: callable).  It lives here, below the engine's executor that runs it;
+#: the Fig. 12/13 benchmarks iterate it for the paper's legend.
 STRATEGIES = {
     "topdown": ("GENTOP", transform_topdown),
     "twopass": ("TD-BU", transform_twopass),

@@ -27,9 +27,10 @@ never changes which states are tracked.  Both passes therefore visit
 the same (node, qualifier-state) pairs in the same sorted order.
 
 Memory: the stacks are bounded by document depth × |p|, and ``Ld``
-holds one boolean per qualifier occurrence (the paper stores it on
-disk but notes it is small in memory; ``spill_threshold`` in
-:func:`pass1_collect_ld` exists to document the same trade-off).
+holds one boolean per qualifier occurrence.  The paper stores ``Ld``
+on disk; here it is an in-memory list, because one slot per occurrence
+is small next to the document (the flat-heap test in
+``tests/test_sax_twopass.py`` holds the whole transform under 1 MB).
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ itself) — and allocates the matched nodes and their ancestor chains,
 nothing else.  The input is never mutated; a caller that needs a
 private tree calls :func:`~repro.xmltree.node.deep_copy`.
 
-``checkp`` is a strategy (see DESIGN.md): the default evaluates
-qualifiers natively ("native engine", GENTOP in the experiments) —
-through closures compiled once from the qualifier ASTs; —
-``transform_twopass`` substitutes O(1) lookups into the ``bottomUp``
-annotations (TD-BU).
+``checkp`` is a strategy, so one traversal serves two of the methods
+the experiments compare: the default evaluates qualifiers natively
+("native engine", GENTOP) through closures compiled once from the
+qualifier ASTs; ``transform_twopass`` substitutes O(1) lookups into
+the ``bottomUp`` annotations (TD-BU).
 
 Since the compiled-runtime refactor the traversal steps through the
 automaton's lazy DFA (:mod:`repro.automata.dfa`): state sets are dense

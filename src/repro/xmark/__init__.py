@@ -8,7 +8,10 @@ exercises: auction sites with regions/items (``location``), people with
 profiles (``@id``, ``age``), open auctions with bidders
 (``initial``/``reserve``/``increase``), and closed auctions with the
 deeply nested ``parlist``/``listitem`` description structure that U6
-navigates.  See DESIGN.md §2 for the substitution rationale.
+navigates.  The substitution keeps every structural feature a Fig. 11
+query depends on (listed in :mod:`repro.xmark.generator`'s docstring);
+per-entity text is leaner than xmlgen's, so absolute file sizes differ
+at equal factors and the experiments report byte sizes.
 """
 
 from repro.xmark.generator import (

@@ -294,6 +294,18 @@ def generate(factor: float, seed: int = 42) -> Element:
     return XMarkGenerator(factor, seed).generate()
 
 
+def deep_chain(depth: int, fanout: int = 0) -> Element:
+    """``<r><a>…<a><b>x</b></a>…</a></r>``: *depth* nested ``a`` elements
+    around one ``b``, each ``a`` also holding *fanout* empty ``c``
+    leaves (mean node depth ≈ depth / 2).  The un-XMark-like shape on
+    which the topdown/twopass choice matters."""
+    node = Element("b", {}, [Text("x")])
+    for _ in range(depth):
+        leaves = [Element("c", {}, []) for _ in range(fanout)]
+        node = Element("a", {}, [node] + leaves)
+    return Element("r", {}, [node])
+
+
 def write_xmark_file(path: str, factor: float, seed: int = 42) -> int:
     """Stream-generate a document into a file; returns its byte size."""
     import os

@@ -198,10 +198,6 @@ class FrozenDocument:
         """Element *i*'s own text (the qualifier comparison value)."""
         return self.payload[i]
 
-    def text_value(self, i: int) -> str:
-        """Text node *i*'s PCDATA value."""
-        return self.payload[i]
-
     def _flat_attrs(self, i: int) -> tuple:
         """Element *i*'s flat ``(k1, v1, …)`` tuple, ``()`` when it
         carries none: one bisect of the sorted key column."""

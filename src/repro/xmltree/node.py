@@ -1,6 +1,6 @@
 """The XML tree model used throughout the reproduction.
 
-Design notes (see DESIGN.md §4):
+Design notes (each states its reason inline):
 
 * Nodes carry **no parent pointers**.  The paper's XPath fragment ``X``
   is downward-only, so no evaluator needs to walk upward, and the

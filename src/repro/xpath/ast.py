@@ -185,28 +185,3 @@ class Path:
             # implicit self step explicitly.
             out.append("//.")
         return "".join(out)
-
-
-def path(*steps: Step) -> Path:
-    """Convenience constructor."""
-    return Path(tuple(steps))
-
-
-def label_step(name: str, *quals: Qual) -> Step:
-    return Step("label", name, tuple(quals))
-
-
-def wildcard_step(*quals: Qual) -> Step:
-    return Step("wildcard", None, tuple(quals))
-
-
-def dos_step() -> Step:
-    return Step("dos")
-
-
-def self_step(*quals: Qual) -> Step:
-    return Step("self", None, tuple(quals))
-
-
-def attr_step(name: str) -> Step:
-    return Step("attr", name)

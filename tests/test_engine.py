@@ -27,7 +27,6 @@ from repro import (
     transform_naive,
     write_file,
 )
-from repro.bench.harness import deep_chain
 from repro.obs import Profile, profiled
 from repro.cli import main as cli_main
 from repro.engine import (
@@ -37,7 +36,7 @@ from repro.engine import (
     choose_strategy,
     mean_depth,
 )
-from repro.xmark.generator import generate
+from repro.xmark.generator import deep_chain, generate
 from repro.xmark.queries import (
     QUERY_IDS,
     composition_pairs,
@@ -270,6 +269,21 @@ NESTING = 'transform copy $a := doc("d") modify do rename $a%s as seen return $a
 
 
 class TestStrategyRule:
+    def test_strategy_names_derive_from_the_strategy_table(self):
+        """One table (repro.transform.STRATEGIES) feeds the engine's
+        strategy names, the Fig-12 legend and the CLI's --method."""
+        from repro.cli import TREE_METHODS
+        from repro.engine import PAPER_NAMES, TREE_STRATEGIES
+        from repro.transform import STRATEGIES
+
+        assert TREE_STRATEGIES == tuple(STRATEGIES)
+        legend = [PAPER_NAMES[name] for name in TREE_STRATEGIES]
+        assert legend == [paper for paper, _ in STRATEGIES.values()]
+        assert sorted(legend) == sorted(
+            ["GalaXUpdate", "NAIVE", "TD-BU", "GENTOP", "twoPassSAX"]
+        )
+        assert set(TREE_METHODS) | {"sax"} == set(TREE_STRATEGIES)
+
     def test_explain_names_a_real_strategy(self, engine, doc):
         for text in (DELETE, QUAL_DOS):
             prepared = engine.prepare_transform(text)

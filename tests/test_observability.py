@@ -359,6 +359,47 @@ class TestSlowQueryLog:
         assert " ok " in evaluated and "@" not in evaluated
         assert " memo " in hit and "@" not in hit and "queue 0.0 ms" in hit
 
+    SLOWLOG = [
+        {"dur_ms": 12.5, "outcome": "ok", "target": "db", "queue_ms": 0.1,
+         "query": "for $x in //a return $x", "trace": {"spans": [{"name": "scan"}]}},
+        {"dur_ms": 3.0, "outcome": "memo", "target": "db", "queue_ms": 0.0,
+         "query": "for $x in //a return $x", "trace": None},
+        {"dur_ms": 40.25, "outcome": "ok", "target": "v", "queue_ms": 2.0,
+         "query": "for $x in //b return $x", "trace": {"spans": []}},
+    ]
+
+    def _write_torn_slowlog(self, tmp_path):
+        """The log a server killed mid-write leaves: whole lines, then a
+        last line cut short with no newline."""
+        whole = "".join(json.dumps(entry) + "\n" for entry in self.SLOWLOG)
+        (tmp_path / "slowlog.jsonl").write_text(whole + '{"dur_ms": 7.0, "outc')
+
+    def test_store_slowlog_cli_skips_a_torn_last_line(self, tmp_path, capsys):
+        self._write_torn_slowlog(tmp_path)
+        assert cli.main(["store", "slowlog", "--state", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        rows = out.splitlines()
+        assert len(rows) == 3
+        assert "'db'" in rows[0] and "'db'" in rows[1] and "'v'" in rows[2]
+        assert " memo " in rows[1] and "0 span(s)" in rows[1]
+        assert err.count("skipping malformed slowlog line") == 1
+        assert "(3 entries)" in err
+
+    def test_store_slowlog_cli_limit_keeps_the_newest(self, tmp_path, capsys):
+        self._write_torn_slowlog(tmp_path)
+        argv = ["store", "slowlog", "--state", str(tmp_path), "--limit", "1"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        [row] = out.splitlines()
+        assert "40.25 ms" in row and "'v'" in row
+        assert "(1 entry)" in err
+
+    def test_store_slowlog_cli_json_emits_the_entries(self, tmp_path, capsys):
+        self._write_torn_slowlog(tmp_path)
+        assert cli.main(["store", "slowlog", "--state", str(tmp_path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert [json.loads(line) for line in out.splitlines()] == self.SLOWLOG
+
     def test_disabled_metrics_disables_slowlog(self):
         svc = QueryService(
             config=ServiceConfig(metrics=False, slow_threshold=0.0)

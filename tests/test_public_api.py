@@ -12,7 +12,20 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.26.0"
+        assert repro.__version__ == "1.27.0"
+
+    def test_no_benchmark_code_in_the_package(self):
+        """1.27.0: the Section-7 figure drivers live under benchmarks/
+        only; the deep-chain document shape tests build moved beside
+        the XMark generator."""
+        import importlib.util
+
+        from repro.xmark.generator import deep_chain
+
+        assert importlib.util.find_spec("repro.bench") is None
+        assert repro.serialize(deep_chain(2, fanout=1)) == (
+            "<r><a><a><b>x</b><c/></a><c/></a></r>"
+        )
 
     def test_engine_surface(self):
         """1.21.0: an Engine is a door over its CompiledCache — no

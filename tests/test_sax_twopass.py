@@ -2,6 +2,8 @@
 the Ld cursor list, pass-2 suppression/renaming/insertion mechanics,
 the file-to-file entry point, and cursor alignment between passes."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from repro.transform import (
 )
 from repro.transform.sax_twopass import pass1_collect_ld, pass2_transform
 from repro.updates import parse_update
+from repro.xmark.generator import write_xmark_file
+from repro.xmark.queries import insert_transform
 from repro.xmltree import (
     deep_equal,
     iter_sax_string,
@@ -159,6 +163,24 @@ class TestFileInterface:
         from repro.xmltree import events_to_tree
 
         assert deep_equal(events_to_tree(events), transform_copy_update(doc, query))
+
+    def test_peak_heap_does_not_grow_with_the_file(self, tmp_path):
+        """Fig. 14's claim: file to file, the traced heap is small and
+        flat in the file size (a 4x larger file, the same peak)."""
+        query = insert_transform("U2")
+        peaks = []
+        for factor in (0.005, 0.02):  # 0.21 MB and 0.83 MB files
+            in_path = str(tmp_path / f"xmark-{factor}.xml")
+            write_xmark_file(in_path, factor, seed=42)
+            tracemalloc.start()
+            try:
+                transform_sax_file(in_path, query, str(tmp_path / "out.xml"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large < 1 << 20 and small < 1 << 20, peaks
+        assert large <= 1.25 * small, peaks
 
 
 class TestCursorAlignment:

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import freeze, parse, serialize, thaw
-from repro.bench.harness import deep_chain
-from repro.xmark.generator import generate
+from repro.xmark.generator import deep_chain, generate
 from repro.xmltree.node import Element, Text
 from repro.xmltree.serializer import (
     escape_attr,

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import deep_chain
 from repro.compiled import CompiledCache
 from repro.obs import MetricsRegistry
 from repro.store import ViewStore, columns
@@ -38,6 +37,7 @@ from repro.store.state import open_store, save_store
 from repro.store.wal import WalWriter, wal_path
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
+from repro.xmark.generator import deep_chain
 from repro.xmltree.arena import FrozenDocument, freeze, freeze_segment, splice, thaw
 from repro.xmltree.parser import parse
 from repro.xmltree.serializer import serialize, serialize_arena, write_arena_file, write_file

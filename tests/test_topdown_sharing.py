@@ -22,10 +22,9 @@ from repro import (
     transform_topdown,
     transform_twopass,
 )
-from repro.bench.harness import deep_chain
 from repro.compose.compose import compose, evaluate_composed
 from repro.compose.naive import naive_compose
-from repro.xmark.generator import generate
+from repro.xmark.generator import deep_chain, generate
 from repro.xmark.queries import (
     QUERY_IDS,
     composition_pairs,

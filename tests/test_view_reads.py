@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, QueryService, serialize
-from repro.bench.harness import DATASET_SEED, dataset, deep_chain
 from repro.store import ViewStore
+from repro.xmark.generator import deep_chain, generate
 from repro.xmark.queries import (
     delete_transform,
     insert_transform,
@@ -199,7 +199,7 @@ _DEEP_QUERIES = [
     "for $x in //s1[.//b] return $x/m",
 ]
 _DOCUMENTS = {
-    "xmark": lambda: (dataset(0.001, seed=DATASET_SEED), _XMARK_LAYER, _XMARK_QUERIES),
+    "xmark": lambda: (generate(0.001, seed=42), _XMARK_LAYER, _XMARK_QUERIES),
     # The old twopass regression input: nesting qualifiers on a deep chain.
     "deep": lambda: (deep_chain(60, 1), _DEEP_LAYER, _DEEP_QUERIES),
 }
