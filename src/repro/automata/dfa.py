@@ -616,10 +616,6 @@ class LazyDFA:
         self.tracked_compiled += 1
         return move
 
-    def full_mask(self, set_id: int) -> int:
-        """The all-alive bitmask for a set (the root's initial state)."""
-        return (1 << len(self._sets[set_id])) - 1
-
     def root_tracked(self, ld: list, cursor: int) -> tuple:
         """The tracked state at the document root (which consumes no
         symbol): all initial members alive, with qualifier-bearing ones

@@ -25,11 +25,11 @@ Every query-text option (``transform -q``, ``compose -t/-u``,
 text from a file and ``-`` to read it from stdin, so long queries need
 not live on the command line.
 
-``transform`` defaults to ``--method auto``: one rule picks the
-evaluation strategy — a file of 8 MiB or more streams (twoPassSAX), a
-query whose descendant qualifiers sit on nestable candidates takes
-``twopass`` on a deep document, everything else ``topdown``
-(``repro explain -q …`` shows the decision and what it looked at).
+``transform`` defaults to ``--method auto``: the file's size sets its
+route — a file of 8 MiB or more streams (twoPassSAX), a smaller one is
+read into columns and transformed by the arena kernel (``repro explain
+-q … -i FILE`` shows the route).  ``--method`` forces one of the paper's
+algorithms on a parsed tree; ``sax`` streams.
 
 Errors from user input (query syntax, unsupported paths, missing
 files, unknown store names) exit with status 2 and a one-line
@@ -93,62 +93,37 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     if args.explain:
         if args.method != "auto":
             print(f"method forced by --method: {args.method}")
-            print("(the rule's own choice for this input would be:)")
+            print("(the route auto would take for this input:)")
         print(prepared.explain(args.input))
         return 0
-    if args.method == "sax":
-        # File-to-file streaming with the prepared automata.
-        if args.pretty:
-            print(
-                "repro: pretty-printing is ignored for streamed "
-                "file-to-file transforms (streaming keeps memory bounded)",
-                file=sys.stderr,
-            )
-        result = prepared.stream_file(args.input, args.output)
-        if result is not None:
-            sys.stdout.write(result + "\n")
-        return 0
-    if args.output:
-        # Library warnings (e.g. --pretty ignored on a streamed plan)
-        # are restyled as one-line repro: messages at the CLI boundary.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prepared.run_to_file(
-                args.input, args.output, method=args.method, pretty=args.pretty
-            )
-        for warning in caught:
-            print(f"repro: {warning.message}", file=sys.stderr)
-    elif (
-        args.method == "auto"
-        and not args.pretty
-        and prepared.stream_if_planned(args.input, sys.stdout)
-    ):
-        # The rule chose streaming: events went straight to stdout, so
-        # memory really stayed bounded by document depth.
-        sys.stdout.write("\n")
-    else:
-        transformed = prepared.run(args.input, method=args.method)
-        sys.stdout.write(serialize(transformed, indent="  " if args.pretty else None))
-        sys.stdout.write("\n")
+    # Library warnings (e.g. --pretty ignored on a streamed route) are
+    # restyled as one-line repro: messages at the CLI boundary.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        prepared.run_to_file(
+            args.input, args.output or sys.stdout, method=args.method, pretty=args.pretty
+        )
+    for warning in caught:
+        print(f"repro: {warning.message}", file=sys.stderr)
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """Run a FLWR user query against a document file.
 
-    The default backend loads the file straight into a frozen columnar
-    arena (no Node tree on the load path) and evaluates over index
-    ranges, serializing matches directly from the columns.  ``--stats``
-    reports the backend choice, the engine's metrics-registry snapshot
-    and peak memory (tracemalloc); ``--json`` emits one
-    ``{"results": …, "stats": …}`` object instead of plain lines.
+    The file is loaded straight into a frozen columnar arena (no Node
+    tree on the load path) and evaluated over index ranges, matches
+    serialized directly from the columns.  ``--stats`` reports the
+    arena's memory, the engine's metrics-registry snapshot and peak
+    memory (tracemalloc); ``--json`` emits one ``{"results": …,
+    "stats": …}`` object instead of plain lines.
     """
     import json
     import tracemalloc
 
     from repro.automata.arena_run import serialize_arena_items
     from repro.obs import MetricsRegistry
-    from repro.xmltree.parser import parse_file, parse_file_to_arena
+    from repro.xmltree.parser import parse_file_to_arena
 
     query_text = read_query_arg(args.user_query)
     engine = default_engine()
@@ -158,42 +133,27 @@ def _cmd_query(args: argparse.Namespace) -> int:
         engine.bind_metrics(registry)
         tracemalloc.start()
     prepared = engine.prepare_query(query_text)
+    arena = parse_file_to_arena(args.input)
     if args.analyze:
         # Run under an execution profile and print the full-scan
         # estimate next to what the scan measured (results still go to
         # stdout, the report to stderr, so pipelines keep working).
-        doc = (
-            parse_file(args.input)
-            if args.backend == "node"
-            else parse_file_to_arena(args.input)
-        )
-        report, results = prepared.explain_analyze(doc)
-        for item in results:
-            print(serialize(item) if isinstance(item, Element) else str(item))
+        report, lines = prepared.explain_analyze(arena)
+        for line in lines:
+            print(line)
         print(report, file=sys.stderr)
         return 0
-    if args.backend == "node":
-        tree = parse_file(args.input)
-        results = prepared.run(tree)
-        lines = [
-            serialize(item) if isinstance(item, Element) else str(item)
-            for item in results
-        ]
-    else:
-        arena = parse_file_to_arena(args.input)
-        refs = prepared.run_refs(arena)
-        lines = serialize_arena_items(arena, refs)
+    lines = serialize_arena_items(arena, prepared.run_refs(arena))
     stats: dict = {}
     if want_stats:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        stats["query.backend"] = "node" if args.backend == "node" else "arena"
+        stats["query.backend"] = "arena"
         stats["query.results"] = len(lines)
         stats["process.memory.peak_bytes"] = peak
         stats["process.memory.resident_bytes"] = current
-        if args.backend != "node":
-            for key, value in arena.stats().items():
-                stats[f"store.arena.{key}"] = value
+        for key, value in arena.stats().items():
+            stats[f"store.arena.{key}"] = value
         stats.update(registry.snapshot())
     if args.json:
         print(json.dumps({"results": lines, "stats": stats}, sort_keys=True))
@@ -203,13 +163,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(f"({len(lines)} result(s))", file=sys.stderr)
     if args.stats:
         print(f"backend: {stats['query.backend']}", file=sys.stderr)
-        if args.backend != "node":
-            print(
-                f"arena: {stats['store.arena.nodes']} nodes, "
-                f"{stats['store.arena.column_bytes']} column bytes, "
-                f"{stats['store.arena.total_bytes']} bytes total",
-                file=sys.stderr,
-            )
+        print(
+            f"arena: {stats['store.arena.nodes']} nodes, "
+            f"{stats['store.arena.column_bytes']} column bytes, "
+            f"{stats['store.arena.total_bytes']} bytes total",
+            file=sys.stderr,
+        )
         print(
             f"peak memory: {peak} bytes (resident after run: {current})",
             file=sys.stderr,
@@ -688,16 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto"] + sorted(TREE_METHODS) + ["sax"],
         default="auto",
-        help="evaluation algorithm: auto streams files of 8 MiB or more, "
-        "takes twopass for nesting descendant qualifiers on a deep "
-        "document and topdown otherwise; naive and copy are the paper's "
-        "baselines (sax streams file-to-file)",
+        help="evaluation algorithm: auto streams a file of 8 MiB or more "
+        "and reads a smaller one into columns for the arena kernel; the "
+        "others parse a tree and run that algorithm (naive and copy are "
+        "the paper's baselines), except sax, which streams file to file",
     )
     p_transform.add_argument("--pretty", action="store_true", help="indent the output")
     p_transform.add_argument(
         "--explain", action="store_true",
-        help="print the chosen strategy, the shape/depth/size facts the "
-        "rule consulted and why, instead of executing",
+        help="print the route auto takes for the file and why (its size "
+        "against the stream threshold), instead of executing",
     )
     p_transform.set_defaults(func=_cmd_transform)
 
@@ -710,15 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument("-i", "--input", required=True, help="input XML file")
     p_query.add_argument(
-        "--backend",
-        choices=["auto", "arena", "node"],
-        default="auto",
-        help="data representation: auto/arena load a frozen columnar "
-        "arena (no Node tree), node parses an object tree",
-    )
-    p_query.add_argument(
         "--stats", action="store_true",
-        help="print backend choice, arena memory, peak memory and the "
+        help="print the backend, arena memory, peak memory and the "
         "engine's metric snapshot to stderr",
     )
     p_query.add_argument(

@@ -19,21 +19,28 @@ objects that execute many times::
     ))
     view2 = redact.run(doc)                # stacked transforms, chosen per stage
 
-How a strategy is chosen (:func:`choose_strategy`, the whole of it):
+How a strategy is chosen for a tree (:func:`choose_strategy`, the
+whole of it):
 
-1. a file of ``STREAM_THRESHOLD_BYTES`` (8 MiB) or more → ``stream``;
-2. a query whose shape *nests* (a descendant step inside a qualifier on
-   a step a ``//`` gap can reach) on an input whose mean depth exceeds
+1. a query whose shape *nests* (a descendant step inside a qualifier on
+   a step a ``//`` gap can reach) on a tree whose mean depth exceeds
    ``DEEP_MEAN_DEPTH`` → ``twopass``;
-3. everything else → ``topdown``.
+2. everything else → ``topdown``.
+
+``run(path)`` parses the file and applies that rule to the tree.  A
+file written to a file (``run_to_file``, the CLI's ``transform``) is
+not planned: its size sets its route.  From ``STREAM_THRESHOLD_BYTES``
+(8 MiB) up it streams (twoPassSAX); below that it is read into columns
+and transformed by the arena kernel, which has no strategy to choose.
 
 ``naive``, ``copy`` (GalaXUpdate) and ``sax`` are the paper's baselines:
 forceable with ``method=`` (Fig-12/13/14 subjects, test oracles), never
 chosen — ``topdown`` beats or ties them on every Fig-12 transform.
 
-Layering: ``features`` summarizes a query's shape and measures an
-input's mean depth, ``planner`` is the rule, ``executor`` runs a named
-strategy with prebuilt automata, ``prepared`` wraps all of it behind
+Layering: ``features`` summarizes a query's shape and measures a
+tree's mean depth, ``planner`` is the rule and the size test,
+``executor`` runs a named strategy with prebuilt automata,
+``prepared`` wraps all of it behind
 run/then/explain (``then`` is the one way to stack transforms), and
 ``engine`` is the door that builds prepared objects from its
 :class:`~repro.compiled.CompiledCache`.

@@ -30,14 +30,6 @@ class QueryFeatures:
     qual_dos: int   #: descendant gaps inside those qualifier paths (recursive)
     nests: bool     #: can native qualifier checks re-walk nested subtrees?
 
-    @property
-    def has_descendant(self) -> bool:
-        return self.dos_steps > 0
-
-    @property
-    def has_descendant_qualifier(self) -> bool:
-        return self.qual_dos > 0
-
     def summary(self) -> str:
         return (
             f"{self.kind}, {self.steps} step(s) "

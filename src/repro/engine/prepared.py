@@ -12,37 +12,48 @@ transform queries: each stage sees the previous stage's result), and
 ``explain`` shows the plan for a concrete or hypothetical input.
 
 All ``run`` methods accept a resident :class:`Element`, a frozen arena
-or a file path.  A tree or file is transformed into a tree by the
-strategy the rule in :func:`~repro.engine.planner.choose_strategy`
-picks per input (or a forced ``method=``); a frozen arena into a frozen
-arena by :func:`repro.transform.arena.transform_arena` — an arena,
-like a read, has no strategy to choose.
+or a file path.  A tree (a file is parsed into one) is transformed into
+a tree by the strategy the rule in
+:func:`~repro.engine.planner.choose_strategy` picks for it (or a forced
+``method=``); a frozen arena into a frozen arena by
+:func:`repro.transform.arena.transform_arena` — an arena, like a read,
+has no strategy to choose.  ``run_to_file`` takes a file's route from
+its size: twoPassSAX streams a large one, and a smaller one is read
+into columns and goes through that same kernel.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional, Union
+from contextlib import contextmanager
+from typing import IO, Iterator, Optional, Union
 
 from repro.compiled import CompiledCache
 from repro.compose.compose import compose
 from repro.engine.executor import ALL_STRATEGIES, run_tree_strategy
 from repro.engine.features import analyze_transform, mean_depth
-from repro.engine.planner import Plan, choose_strategy
+from repro.engine.planner import Plan, choose_strategy, describe_file_route, file_streams
 from repro.obs import Profile, current_profile, profiled, span
 from repro.transform.arena import transform_arena
 from repro.transform.query import TransformQuery
-from repro.transform.sax_twopass import transform_sax_events, transform_sax_file
+from repro.transform.sax_twopass import transform_sax_events
 from repro.xmltree.arena import FrozenDocument
 from repro.xmltree.node import Element
-from repro.xmltree.parser import parse_file
-from repro.xmltree.sax import events_to_text, events_to_tree, iter_sax_file
-from repro.xmltree.serializer import write_arena_file, write_file
+from repro.xmltree.parser import parse_file, parse_file_to_arena
+from repro.xmltree.sax import events_to_text, iter_sax_file
+from repro.xmltree.serializer import (
+    serialize,
+    serialize_arena,
+    write_arena_range,
+    write_stream,
+)
 from repro.xquery.evaluator import evaluate_query
 
 Resident = Union[Element, FrozenDocument]
 Input = Union[Resident, str, os.PathLike]
+#: Where ``run_to_file`` writes: a path, or an open text handle.
+Output = Union[str, os.PathLike, IO[str]]
 #: What ``then`` stacks: anything but a prepared object is prepared.
 Stageable = Union["PreparedTransform", "PreparedStack", str, TransformQuery]
 
@@ -51,6 +62,28 @@ def _resident(doc_or_path: Input) -> Resident:
     if isinstance(doc_or_path, (Element, FrozenDocument)):
         return doc_or_path
     return parse_file(doc_or_path)
+
+
+def _check_method(method: str) -> None:
+    if method != "auto" and method not in ALL_STRATEGIES:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of "
+            f"{', '.join(ALL_STRATEGIES)} or 'auto'"
+        )
+
+
+@contextmanager
+def _document_out(out: Output) -> Iterator[IO[str]]:
+    """Where ``run_to_file`` writes a document: a path is opened and
+    starts with the XML declaration; an open handle gets the document
+    alone.  Opened only once the result is ready, so a failed run
+    leaves no file behind."""
+    if not isinstance(out, (str, os.PathLike)):
+        yield out
+        return
+    with open(out, "w", encoding="utf-8") as handle:
+        handle.write('<?xml version="1.0" encoding="utf-8"?>\n')
+        yield handle
 
 
 def render_profile(snapshot: dict) -> str:
@@ -132,56 +165,40 @@ class PreparedTransform:
     # Planning
     # ------------------------------------------------------------------
 
-    def plan_for(self, doc_or_path: Optional[Input] = None) -> Plan:
-        """The plan for a concrete input (or, with none, for a
-        hypothetical shallow one).
+    def plan_for(self, tree: Optional[Element] = None) -> Plan:
+        """The plan for a resident tree (or, with none, for a
+        hypothetical shallow one): exactly what ``run`` executes on it.
 
-        Introspective, and exactly what ``run`` will execute on a tree
-        or file: both apply the one rule to the same observations.
         Free unless the query's shape nests; then it measures the
-        input's mean depth (parsing a file to do so).
-        A frozen arena runs no plan, so asking for one is the
-        ``ValueError`` forcing a ``method=`` on it is.
+        tree's mean depth.  Only a tree is planned: a frozen arena runs
+        the kernel and a file's route is set by its size, so asking for
+        a plan for either is a ``ValueError``.
         """
-        if doc_or_path is None:
+        if tree is None:
             return choose_strategy(self.features)
-        if isinstance(doc_or_path, FrozenDocument):
+        if isinstance(tree, FrozenDocument):
             raise _no_arena_strategy("a plan cannot be made for")
-        return self._plan(doc_or_path)[0]
-
-    def _plan(
-        self, source: Union[Element, str, os.PathLike]
-    ) -> tuple[Plan, Optional[Element]]:
-        """The rule applied to *source*, and the tree it looked inside
-        — ``None`` for a file the rule did not have to parse (it
-        streams, or the shape decided alone), so callers that go on to
-        execute parse a file at most once."""
-        with span("plan"):
-            if isinstance(source, Element):
-                plan = choose_strategy(
-                    self.features, mean_depth=lambda: mean_depth(source)
-                )
-                return plan, source
-            parsed: list[Element] = []
-
-            def parsed_depth() -> float:
-                parsed.append(parse_file(source))
-                return mean_depth(parsed[0])
-
-            plan = choose_strategy(
-                self.features, os.path.getsize(source), parsed_depth
+        if not isinstance(tree, Element):
+            raise ValueError(
+                "a plan is made for a tree: a file's route is set by its "
+                "size (explain(path) shows it); parse_file it to plan on "
+                "the tree run(path) evaluates"
             )
-            return plan, parsed[0] if parsed else None
+        with span("plan"):
+            return choose_strategy(self.features, mean_depth=lambda: mean_depth(tree))
 
     def _describe_run(self, doc_or_path: Optional[Input] = None) -> str:
-        """What ``run`` does with this input, as ``explain`` prints it:
-        the kernel on a frozen arena, else the plan the rule makes."""
+        """What this input gets, as ``explain`` prints it: the kernel on
+        a frozen arena, a file's route by its size (``run_to_file`` and
+        the CLI), else the plan the rule makes for the tree."""
         if isinstance(doc_or_path, FrozenDocument):
             return (
                 "evaluation: select + splice kernel over the columns "
                 "(one DFA scan, matches patched in; no strategy to choose)"
             )
-        return self.plan_for(doc_or_path).describe()
+        if doc_or_path is None or isinstance(doc_or_path, Element):
+            return self.plan_for(doc_or_path).describe()
+        return describe_file_route(doc_or_path)
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         header = [
@@ -223,8 +240,10 @@ class PreparedTransform:
         loop's own counters next to the full-scan estimate).
 
         Returns ``(report, result)`` — the run is real, not simulated,
-        exactly like SQL ``EXPLAIN ANALYZE``.
+        exactly like SQL ``EXPLAIN ANALYZE``.  A file is run as the tree
+        it parses into, and reported as that tree.
         """
+        doc_or_path = _resident(doc_or_path)
         prof = Profile()
         with profiled(prof):
             result = self.run(doc_or_path, method=method)
@@ -237,69 +256,84 @@ class PreparedTransform:
     # ------------------------------------------------------------------
 
     def run(self, doc_or_path: Input, method: str = "auto") -> Resident:
-        """Evaluate on a tree or a file, returning the transformed
-        tree (a resident tree forced to ``stream`` runs ``sax`` over
-        synthesized events: there is no file to stream) — or on a
-        frozen arena, returning a frozen arena: the input itself when
-        nothing matches, else one sharing its untouched column extents.
-        An arena has no strategy to force (``ValueError``)."""
-        if method != "auto" and method not in ALL_STRATEGIES:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of "
-                f"{', '.join(ALL_STRATEGIES)} or 'auto'"
-            )
+        """Evaluate on a tree, returning the transformed tree (a file is
+        parsed into one first, and planned on it) — or on a frozen
+        arena, returning a frozen arena: the input itself when nothing
+        matches, else one sharing its untouched column extents.  An
+        arena has no strategy to force (``ValueError``)."""
+        _check_method(method)
         if isinstance(doc_or_path, FrozenDocument):
             return self._run_arena(doc_or_path, method)
-        resident: Optional[Element] = None
+        tree = doc_or_path if isinstance(doc_or_path, Element) else parse_file(doc_or_path)
         if method == "auto":
-            plan, resident = self._plan(doc_or_path)
-            method = plan.strategy
-        if method == "stream" and not isinstance(doc_or_path, Element):
-            return events_to_tree(self._stream_events(doc_or_path))
-        return self._run_tree(
-            resident if resident is not None else _resident(doc_or_path), method
-        )
+            method = self.plan_for(tree).strategy
+        return self._run_tree(tree, method)
 
     def run_to_file(
         self,
-        in_path: Union[str, os.PathLike, "FrozenDocument"],
-        out_path: Union[str, os.PathLike],
+        in_path: Union[str, os.PathLike, FrozenDocument],
+        out: Output,
         method: str = "auto",
         pretty: bool = False,
     ) -> None:
-        """File-to-file evaluation; a stream plan never builds a tree.
+        """Evaluate a file (or a frozen arena) into *out*: a path, which
+        gets the XML declaration, or an open text handle.
 
-        ``pretty`` is ignored (with a warning) when the plan streams:
-        the bounded-memory guarantee is why streaming was chosen, and
+        A file's route is its size.  At or above
+        :data:`~repro.engine.planner.STREAM_THRESHOLD_BYTES` twoPassSAX
+        streams it, so memory stays bounded by document depth; below
+        it, it is read into columns, transformed by the kernel (as in
+        :meth:`run` on an arena: nothing planned) and written by the
+        columnar serializer — no Node tree is built.  A frozen arena
+        takes the kernel as it is.  A forced ``method=`` parses a tree
+        and runs that algorithm; ``sax`` (or ``stream``) streams.
+
+        ``pretty`` is ignored (with a warning) when the route streams:
+        the bounded-memory guarantee is why it streams, and
         pretty-printing would require materializing the document.
-
-        A :class:`~repro.xmltree.arena.FrozenDocument` input is the
-        kernel (as in :meth:`run`: nothing planned) and the
-        columnar serializer on its result, pretty or not.  Byte-
-        identical to the tree path (asserted by the arena test suite).
         """
-        if isinstance(in_path, FrozenDocument):
-            result = self._run_arena(in_path, method)
-            with span("serialize"):
-                write_arena_file(result, str(out_path), indent="  " if pretty else None)
+        _check_method(method)
+        indent = "  " if pretty else None
+        if isinstance(in_path, FrozenDocument) or (
+            method == "auto" and not file_streams(in_path)
+        ):
+            arena = (
+                in_path
+                if isinstance(in_path, FrozenDocument)
+                else parse_file_to_arena(str(in_path))
+            )
+            result = self._run_arena(arena, method)
+            with span("serialize"), _document_out(out) as handle:
+                if indent is None:
+                    write_arena_range(result, 0, result.end_of(0), handle.write)
+                    handle.write("\n")
+                else:
+                    handle.write(serialize_arena(result, indent=indent))
             return
-        source: Optional[Element] = None
-        if method == "auto":
-            plan, source = self._plan(in_path)
-            method = plan.strategy
-        if method == "stream":
+        if method in ("auto", "sax", "stream"):
             if pretty:
                 warnings.warn(
                     "pretty-printing is ignored for streamed file-to-file "
                     "transforms (streaming keeps memory bounded)",
                     stacklevel=2,
                 )
-            self.stream_file(in_path, out_path)
+            events = transform_sax_events(
+                lambda: iter_sax_file(str(in_path)),
+                self.query,
+                self.selecting,
+                self.filtering,
+            )
+            with _document_out(out) as handle:
+                events_to_text(events, handle)
+                handle.write("\n")
             return
-        tree = self._run_tree(
-            source if source is not None else _resident(in_path), method
-        )
-        write_file(tree, str(out_path), indent="  " if pretty else None)
+        tree = self._run_tree(parse_file(str(in_path)), method)
+        with _document_out(out) as handle:
+            if indent is None:
+                write_stream(tree, handle)
+                handle.write("\n")
+            else:
+                handle.write(serialize(tree, indent=indent))
 
     # ------------------------------------------------------------------
     # Chaining
@@ -322,47 +356,6 @@ class PreparedTransform:
             strategy,
             root,
             self.query,
-            selecting=self.selecting,
-            filtering=self.filtering,
-        )
-
-    def _stream_events(self, in_path: Input):
-        def source():
-            return iter_sax_file(str(in_path))
-
-        return transform_sax_events(
-            source, self.query, self.selecting, self.filtering
-        )
-
-    def streams(self, in_path: Input) -> bool:
-        """Does the rule stream this file?  Decided from its size alone
-        (the file's content is not read)."""
-        plan = choose_strategy(self.features, os.path.getsize(in_path))
-        return plan.strategy == "stream"
-
-    def stream_to(self, in_path: Input, handle) -> None:
-        """Stream the transformed document into a writable *handle* —
-        memory stays bounded by document depth; no tree is built."""
-        events_to_text(self._stream_events(in_path), handle)
-
-    def stream_if_planned(self, in_path: Input, handle) -> bool:
-        """Stream to *handle* iff the rule streams this file and return
-        True, or return False without reading the file — for callers
-        that want a streaming fast path."""
-        if not self.streams(in_path):
-            return False
-        self.stream_to(in_path, handle)
-        return True
-
-    def stream_file(
-        self, in_path: Input, out_path: Optional[Input] = None
-    ) -> Optional[str]:
-        """``twoPassSAX`` file-to-file (or to a returned string) with
-        the prepared automata; memory stays bounded by document depth."""
-        return transform_sax_file(
-            str(in_path),
-            self.query,
-            str(out_path) if out_path is not None else None,
             selecting=self.selecting,
             filtering=self.filtering,
         )
@@ -398,6 +391,9 @@ class PreparedStack:
         return current
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
+        # A stack runs a file as the tree it parses into.
+        if doc_or_path is not None:
+            doc_or_path = _resident(doc_or_path)
         out = [f"prepared stack: {len(self.stages)} stage(s)"]
         for index, stage in enumerate(self.stages, 1):
             # Later stages see a transformed document whose shape we

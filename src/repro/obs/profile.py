@@ -152,9 +152,6 @@ class Profile:
         self.strategy = strategy
         self.est_nodes = est_nodes
 
-    def set_results(self, count: int) -> None:
-        self.results = count
-
     def add_results(self, count: int) -> None:
         self.results += count
 

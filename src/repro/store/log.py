@@ -79,10 +79,6 @@ class UpdateLog:
         with self._lock:
             return list(self._staged.get(doc_name, []))
 
-    def has_staged(self, doc_name: str) -> bool:
-        with self._lock:
-            return bool(self._staged.get(doc_name))
-
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------

@@ -63,10 +63,23 @@ def transform_naive(root: Element, query: TransformQuery) -> Element:
     return rebuilt[0]
 
 
+def transform_naive_indexed(root: Element, query: TransformQuery) -> Element:
+    """The Naive rewriting with the membership test answered by a hash
+    set instead of the linear scan: what an XQuery engine that optimizes
+    node-identity membership would run (Section 3.1 conjectures the
+    quadratic cost disappears then).  A differential oracle for the
+    automaton algorithms and the arena kernel."""
+    update = query.update
+    xp_ids = {id(node) for node in evaluate(root, update.path)} - {id(root)}
+    rebuilt = rebuild_with_membership(root, lambda n: id(n) in xp_ids, update)
+    assert len(rebuilt) == 1 and rebuilt[0].is_element, "the root is never a match"
+    return rebuilt[0]
+
+
 def rebuild_with_membership(node: Node, member, update: Update) -> list[Node]:
     """The local:insert()-style full rebuild of Fig. 2, generalized to
     all four update kinds and parameterized by the membership test
-    (linear scan for NAIVE, hash index for the ablation variant).
+    (linear scan for NAIVE, hash set for :func:`transform_naive_indexed`).
 
     Iterative, so document depth is not limited by the interpreter's
     recursion limit.  Deliberately rebuilds *every* node — the absence

@@ -43,7 +43,7 @@ Design notes (each states its reason inline):
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 class Node:
@@ -255,16 +255,3 @@ def node_count(root: Element, label: Optional[str] = None) -> int:
     if label is None:
         return sum(1 for _ in root.descendants_or_self())
     return sum(1 for n in root.descendants_or_self() if n.label == label)
-
-
-def labels_used(root: Element) -> set:
-    """The set of element labels occurring in the tree."""
-    return {n.label for n in root.descendants_or_self()}
-
-
-def iter_text_values(root: Element) -> Iterable[str]:
-    """All text node values in the subtree, in document order."""
-    for node in root.descendants_or_self():
-        for child in node.children:
-            if child.is_text:
-                yield child.value

@@ -1,19 +1,16 @@
-"""The ablation variants must be semantically identical to the originals."""
+"""The indexed Naive rewriting (a hash set for the membership test)
+must be semantically identical to the reference."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.transform import TransformQuery, transform_copy_update
-from repro.transform.ablations import (
-    transform_naive_indexed,
-    transform_topdown_no_pruning,
-)
+from repro.transform.naive import transform_naive_indexed
 from repro.updates import parse_update
 from repro.xmltree import deep_equal, parse
 
 from tests.strategies import trees, xpath_queries
-from repro.xpath.normalize import UnsupportedPathError
 
 
 @pytest.fixture
@@ -36,7 +33,6 @@ def doc():
 def test_variants_match_reference(doc, update_text):
     query = TransformQuery(parse_update(update_text))
     expected = transform_copy_update(doc, query)
-    assert deep_equal(transform_topdown_no_pruning(doc, query), expected)
     assert deep_equal(transform_naive_indexed(doc, query), expected)
 
 
@@ -51,9 +47,4 @@ def test_variants_match_reference_property(tree, query_text, kind):
     text = f"insert <n/> into {target}" if kind == "insert" else f"delete {target}"
     query = TransformQuery(parse_update(text))
     expected = transform_copy_update(tree, query)
-    try:
-        no_pruning = transform_topdown_no_pruning(tree, query)
-    except UnsupportedPathError:
-        return
-    assert deep_equal(no_pruning, expected)
     assert deep_equal(transform_naive_indexed(tree, query), expected)

@@ -373,25 +373,6 @@ class TestCLI:
         assert "peak memory:" in captured.err
         assert "column bytes" in captured.err
 
-    def test_query_command_node_backend(self, tmp_path, capsys):
-        from repro.cli import main
-
-        doc = self._write_doc(tmp_path)
-        code = main(
-            [
-                "query", "-q", "for $x in //keyword return $x",
-                "-i", doc, "--backend", "node", "--stats",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "backend: node" in captured.err
-        node_out = captured.out
-        assert main(
-            ["query", "-q", "for $x in //keyword return $x", "-i", doc]
-        ) == 0
-        assert capsys.readouterr().out == node_out
-
     def test_store_stat_reports_arena(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -347,7 +347,7 @@ def test_a_format_1_directory_opens_and_the_next_checkpoint_upgrades_it(tmp_path
     again = open_store(state_dir)
     assert again.documents.get("db").version == 3
     assert serialize_arena(again.documents.get("db").arena) == serialize_arena(parse_to_arena(DOC))
-    assert again.log.has_staged("db") and "public" in again.views
+    assert again.log.staged("db") and "public" in again.views
     again.wal.close()
 
 

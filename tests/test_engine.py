@@ -36,6 +36,7 @@ from repro.engine import (
     choose_strategy,
     mean_depth,
 )
+from repro.engine.planner import file_streams
 from repro.xmark.generator import deep_chain, generate
 from repro.xmark.queries import (
     QUERY_IDS,
@@ -79,6 +80,13 @@ def engine():
     return Engine()
 
 
+def _written(prepared, src, tmp_path, method="auto", pretty=False):
+    """The bytes ``run_to_file`` writes for *src*."""
+    out = tmp_path / f"out-{method}-{pretty}.xml"
+    prepared.run_to_file(str(src), str(out), method=method, pretty=pretty)
+    return out.read_bytes()
+
+
 def _profiled(prepared, doc_or_path, method="auto"):
     """Run under an execution profile: the result, and the profile
     (its ``strategy`` is what the run executed)."""
@@ -89,8 +97,8 @@ def _profiled(prepared, doc_or_path, method="auto"):
 
 @pytest.fixture()
 def executed(monkeypatch):
-    """The tree strategies runs executed, in order (a streamed file
-    runs none)."""
+    """The tree strategies runs executed, in order (a file streamed or
+    read into columns runs none)."""
     import repro.engine.prepared as prepared_module
 
     names = []
@@ -106,7 +114,7 @@ def executed(monkeypatch):
 
 @pytest.fixture()
 def stream_everything(monkeypatch):
-    """Make every file 'large': the rule's file clause compares against
+    """Make every file 'large': a file's route compares its size with
     the module constant, so the streaming tests lower it instead of
     writing 8 MiB fixtures."""
     monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", 1)
@@ -197,11 +205,11 @@ class TestRoundTrip:
         for tree in (doc, other, doc):
             assert deep_equal(prepared.run(tree), transform_naive(tree, prepared.query))
 
-    def test_run_streams_an_oversized_file_beside_a_resident_tree(
+    def test_run_parses_an_oversized_file_beside_a_resident_tree(
         self, engine, tmp_path, monkeypatch, executed
     ):
-        """Every input is chosen for on its own: after a tree, an
-        oversized file streams rather than being parsed whole."""
+        """``run`` returns a tree, so it parses an oversized file and
+        plans on it like any tree; ``run_to_file`` still streams it."""
         monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", 200)
         big = parse("<db>" + "<part><price>2</price></part>" * 20 + "</db>")
         path = tmp_path / "big.xml"
@@ -210,8 +218,11 @@ class TestRoundTrip:
         small = parse("<db><part><price>1</price></part></db>")
         results = [prepared.run(item) for item in (small, str(path))]
         assert deep_equal(results[1], transform_naive(big, prepared.query))
-        assert executed == ["topdown"]  # the file streamed: no tree strategy
-        assert prepared.plan_for(str(path)).strategy == "stream"
+        assert executed == ["topdown", "topdown"]
+        out = tmp_path / "out.xml"
+        prepared.run_to_file(str(path), str(out))
+        assert executed == ["topdown", "topdown"]  # streamed: no tree strategy
+        assert deep_equal(parse_file(str(out)), results[1])
 
     @pytest.mark.parametrize("deep_first", [True, False])
     def test_run_chooses_per_input(self, engine, deep_first, executed):
@@ -335,10 +346,11 @@ class TestStrategyRule:
         plan = prepared.plan_for(doc)
         assert plan.strategy == expected
         assert ("mean_depth" in plan.facts) == nests  # measured only if needed
-        # Element and file-path forms of one document agree.
+        # Element and file-path forms of one document agree: run(path)
+        # plans on the tree it parses.
         file_path = tmp_path / "chain.xml"
         write_file(doc, str(file_path))
-        assert prepared.plan_for(str(file_path)).strategy == expected
+        assert _profiled(prepared, str(file_path))[1].strategy == expected
         assert deep_equal(prepared.run(doc), transform_naive(doc, prepared.query))
         _, profile = _profiled(prepared, doc)
         assert profile.strategy == expected  # what run executed
@@ -374,17 +386,21 @@ class TestStrategyRule:
             assert "mean_depth" not in plan.facts
 
     def test_file_input_is_planned_on_the_parsed_tree(self, engine, tmp_path):
-        """A deep document arriving as a file: its size says nothing
-        about its depth, so a nesting shape parses it (once) and
-        measures — explain and run agree."""
+        """A deep document arriving as a file: ``run`` parses it and
+        plans on the tree, as ``explain`` of that tree says; the file
+        itself is not planned — ``explain(path)`` names its size
+        route, and ``plan_for(path)`` refuses."""
         path = tmp_path / "deep.xml"
         write_file(deep_chain(200), str(path))
         prepared = engine.prepare_transform(NESTING % "//*[.//b][.//a]")
-        assert "strategy: twopass" in prepared.explain(str(path))
         _, profile = _profiled(prepared, str(path))
         assert profile.strategy == "twopass"
+        assert "strategy: twopass" in prepared.explain(parse_file(str(path)))
+        assert "read into columns" in prepared.explain(str(path))
+        with pytest.raises(ValueError, match="route is set by its size"):
+            prepared.plan_for(str(path))
 
-    def test_rule_is_a_function_of_observations(self):
+    def test_rule_is_a_function_of_observations(self, tmp_path, monkeypatch):
         shape = analyze_transform(parse_transform_query(NESTING % "//*[.//b]"))
         flat = analyze_transform(parse_transform_query(DELETE))
 
@@ -395,35 +411,47 @@ class TestStrategyRule:
         assert choose_strategy(shape).strategy == "topdown"  # nothing to measure
         assert choose_strategy(shape, mean_depth=lambda: 16.0).strategy == "topdown"
         assert choose_strategy(shape, mean_depth=lambda: 16.5).strategy == "twopass"
-        big = choose_strategy(shape, file_bytes=8 * 1024 * 1024, mean_depth=never)
-        assert big.strategy == "stream" and big.facts["file_bytes"] == 8 * 1024 * 1024
-        assert choose_strategy(flat, file_bytes=8 * 1024 * 1024 - 1).strategy == "topdown"
+        # A file's route is its size alone: it streams from the threshold up.
+        path = tmp_path / "doc.xml"
+        path.write_text(DOC, encoding="utf-8")
+        size = path.stat().st_size
+        monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", size)
+        assert file_streams(str(path))
+        monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", size + 1)
+        assert not file_streams(str(path))
 
-    def test_large_file_plans_streaming(self, engine, doc, tmp_path, stream_everything):
+    def test_large_file_plans_streaming(
+        self, engine, doc, tmp_path, stream_everything, executed
+    ):
         path = tmp_path / "doc.xml"
         write_file(doc, str(path))
         prepared = engine.prepare_transform(DELETE)
-        assert prepared.plan_for(str(path)).strategy == "stream"
-        assert prepared.streams(str(path))
-        assert "stream" in prepared.explain(str(path))
-        # ...and the streamed result matches the tree result.
-        streamed, profile = _profiled(prepared, str(path))
-        assert deep_equal(streamed, prepared.run(doc))
-        # Streamed: no tree strategy ran, and no tree was walked.
+        assert file_streams(str(path))
+        assert "twoPassSAX, file to file" in prepared.explain(str(path))
+        out = tmp_path / "out.xml"
+        with profiled(Profile()) as profile:
+            prepared.run_to_file(str(path), str(out))
+        # Streamed: no tree strategy ran, and no tree was walked...
+        assert executed == []
         assert profile.strategy is None and profile.nodes_visited == 0
+        # ...and the streamed result matches the tree result.
+        assert deep_equal(parse_file(str(out)), prepared.run(doc))
 
     def test_run_to_file_stream_and_tree_agree(
-        self, engine, doc, tmp_path, stream_everything
+        self, engine, doc, tmp_path, monkeypatch
     ):
+        """Both size routes — streamed and read into columns — write
+        the bytes a forced tree strategy writes."""
         src = tmp_path / "in.xml"
         write_file(doc, str(src))
-        out_stream = tmp_path / "out_stream.xml"
-        out_tree = tmp_path / "out_tree.xml"
         prepared = engine.prepare_transform(DELETE)
-        prepared.run_to_file(str(src), str(out_stream))
-        prepared.run_to_file(str(src), str(out_tree), method="topdown")
-        assert deep_equal(parse_file(str(out_stream)), parse_file(str(out_tree)))
-        assert prepared.plan_for(str(src)).strategy == "stream"
+        written = {}
+        for route, threshold in (("stream", 1), ("columns", 1 << 30)):
+            monkeypatch.setattr("repro.engine.planner.STREAM_THRESHOLD_BYTES", threshold)
+            assert file_streams(str(src)) == (route == "stream")
+            written[route] = _written(prepared, src, tmp_path)
+        tree = _written(prepared, src, tmp_path, method="topdown")
+        assert written["stream"] == written["columns"] == tree
 
     def test_run_to_file_stream_ignores_pretty_with_warning(
         self, engine, doc, tmp_path, stream_everything
@@ -484,8 +512,8 @@ class TestStrategyRule:
     def test_features_summarize_shape(self):
         features = analyze_transform(parse_transform_query(QUAL_DOS))
         assert features.kind == "delete"
-        assert features.has_descendant
-        assert features.has_descendant_qualifier
+        assert features.dos_steps > 0
+        assert features.qual_dos > 0
         assert features.quals == 1
         assert features.nests
 
@@ -653,8 +681,8 @@ class TestNoDocumentCache:
         per_evaluation = {
             # bottomUp's annotations: built and dropped inside one twoPass call.
             "transform/bottomup.py",
-            # the hashed-membership ablation's match set, local to one call.
-            "transform/ablations.py",
+            # the indexed Naive oracle's match set, local to one call.
+            "transform/naive.py",
         }
         package = os.path.dirname(repro.__file__)
         files = [os.path.join(package, "xmltree", "serializer.py")]
@@ -783,6 +811,70 @@ class TestModuleShims:
         assert deep_equal(prepared.run(doc), transform_naive(doc, prepared.query))
 
 
+class TestFileRoute:
+    """A file's route is its size: below the stream threshold it is read
+    into columns and written by the columnar serializer, with the bytes
+    the paper's algorithm writes for it."""
+
+    @pytest.fixture(scope="class")
+    def xmark_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("xmark") / "xmark.xml"
+        write_file(generate(0.002, seed=42), str(path))
+        return path
+
+    def test_a_file_below_the_threshold_never_becomes_a_tree(
+        self, engine, doc, tmp_path, monkeypatch, capsys
+    ):
+        src = tmp_path / "in.xml"
+        write_file(doc, str(src))
+        prepared = engine.prepare_transform(DELETE)
+        want = _written(prepared, src, tmp_path, method="topdown")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the file was parsed into a Node tree")
+
+        for target in (
+            "repro.engine.prepared.parse_file",
+            "repro.xmltree.parser.parse_file",
+            "repro.engine.prepared.run_tree_strategy",
+        ):
+            monkeypatch.setattr(target, refuse)
+        assert _written(prepared, src, tmp_path) == want
+        out = tmp_path / "cli.xml"
+        assert cli_main(["transform", "-q", DELETE, "-i", str(src), "-o", str(out)]) == 0
+        assert out.read_bytes() == want
+        capsys.readouterr()
+        assert cli_main(["transform", "-q", DELETE, "-i", str(src)]) == 0
+        # stdout gets the document without the file's XML declaration.
+        declaration, body = want.decode("utf-8").split("\n", 1)
+        assert declaration.startswith("<?xml") and capsys.readouterr().out == body
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @pytest.mark.parametrize("build", [insert_transform, delete_transform])
+    def test_fig12_grid_writes_the_topdown_bytes(
+        self, engine, xmark_file, tmp_path, build, pretty, executed
+    ):
+        for uid in QUERY_IDS:
+            prepared = engine.prepare_transform(build(uid))
+            got = _written(prepared, xmark_file, tmp_path, pretty=pretty)
+            assert executed == [], uid  # the columns route runs no tree strategy
+            want = _written(prepared, xmark_file, tmp_path, "topdown", pretty)
+            executed.clear()
+            assert got == want, uid
+
+    @pytest.mark.parametrize("path", ["//*[.//b]", "//a[.//b][.//c]"])
+    def test_a_deep_file_needs_no_depth_rule(self, engine, tmp_path, path, executed):
+        """On a chain of depth 400, where a tree takes twopass, the
+        columns route writes twopass's bytes."""
+        src = tmp_path / "chain.xml"
+        write_file(deep_chain(400, 3), str(src))
+        prepared = engine.prepare_transform(NESTING % path)
+        got = _written(prepared, src, tmp_path)
+        assert executed == []
+        assert got == _written(prepared, src, tmp_path, method="twopass")
+        assert prepared.plan_for(parse_file(str(src))).strategy == "twopass"
+
+
 class TestEngineCLI:
     def _write(self, tmp_path, name, text):
         target = tmp_path / name
@@ -829,7 +921,7 @@ class TestEngineCLI:
         src = self._write(tmp_path, "in.xml", DOC)
         assert cli_main(["transform", "-q", DELETE, "-i", src, "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "strategy:" in out and "because:" in out
+        assert "evaluation: read into columns" in out and "because:" in out
 
     def test_explain_with_forced_method_says_so_and_does_not_execute(
         self, tmp_path, capsys
@@ -848,8 +940,9 @@ class TestEngineCLI:
     def test_explain_command_plans_a_transform(self, tmp_path, capsys):
         src = self._write(tmp_path, "in.xml", DOC)
         assert cli_main(["explain", "-q", DELETE, "-i", src]) == 0
-        out = capsys.readouterr().out
-        assert "strategy:" in out
+        assert "evaluation: read into columns" in capsys.readouterr().out
+        assert cli_main(["explain", "-q", DELETE]) == 0
+        assert "strategy: topdown" in capsys.readouterr().out
 
     def test_explain_command_still_shows_automata(self, capsys):
         assert cli_main(["explain", "-p", "//part[pname = 'kb']"]) == 0

@@ -75,7 +75,7 @@ class TestProfile:
         prof.add_scan(nodes=40, pruned=7, transitions=40, skipped=55)
         prof.add_table_growth(sets=2, moves=5)
         prof.add_serialize_bytes(123)
-        prof.set_results(9)
+        prof.add_results(9)
         prof.finish()
         snap = prof.snapshot()
         assert snap["strategy"] == "scan"

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.27.0"
+        assert repro.__version__ == "1.28.0"
 
     def test_no_benchmark_code_in_the_package(self):
         """1.27.0: the Section-7 figure drivers live under benchmarks/
@@ -235,6 +235,24 @@ class TestSurface:
         for name in ("choose_strategy", "DEEP_MEAN_DEPTH", "STREAM_THRESHOLD_BYTES"):
             assert name in repro.engine.__all__
         assert repro.engine.STREAM_THRESHOLD_BYTES == 8 * 1024 * 1024
+
+    def test_a_file_has_one_route(self):
+        """1.28.0: the rule is for trees, and a file's route is its
+        size; the file doors beside ``run_to_file`` are gone."""
+        import importlib.util
+        import inspect
+
+        import repro.engine
+
+        params = inspect.signature(repro.engine.choose_strategy).parameters
+        assert list(params) == ["features", "mean_depth"]
+        for name in ("streams", "stream_to", "stream_if_planned", "stream_file"):
+            assert not hasattr(repro.engine.PreparedTransform, name), name
+        assert importlib.util.find_spec("repro.transform.ablations") is None
+        with pytest.raises(SystemExit):
+            from repro.cli import build_parser
+
+            build_parser().parse_args(["query", "-q", "x", "-i", "f", "--backend", "node"])
 
     def test_readme_quickstart(self):
         doc = repro.parse("<db><part><pname>kb</pname><price>12</price></part></db>")

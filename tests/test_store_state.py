@@ -34,7 +34,7 @@ class TestRoundTrip:
         store = open_store(state_dir)
         assert store.documents.get("db").version == 1
         assert "public" in store.views
-        assert store.log.has_staged("db")
+        assert store.log.staged("db")
         assert _texts(store.query("public", "for $x in part/supplier return $x")) == [
             "<supplier><sname>HP</sname></supplier>"
         ]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import prepare_transform
 from repro.automata.selecting import build_selecting_nfa
 from repro.transform import (
     TransformQuery,
@@ -20,7 +21,7 @@ from repro.transform import (
     transform_topdown,
     transform_twopass,
 )
-from repro.transform.ablations import transform_naive_indexed
+from repro.transform.naive import transform_naive_indexed
 from repro.transform.arena import transform_arena
 from repro.updates import parse_update
 from repro.xmltree import deep_equal, parse, serialize
@@ -132,9 +133,21 @@ ATTRIBUTED = (
 )
 
 
+ATTRIBUTED_CASES = [
+    (ATTRIBUTED, "delete $a//price"),
+    (ATTRIBUTED, "delete $a/part[pname = 'kb']"),
+    (ATTRIBUTED, "insert <checked/> into $a//supplier"),
+    (ATTRIBUTED, "insert <s/> into $a/part"),
+    (ATTRIBUTED, "replace $a//price with <price>0</price>"),
+    (ATTRIBUTED, "rename $a//pname as name"),
+    (ATTRIBUTED, "delete $a//nothing"),
+    ('<r><a k="v" id="i"><b x="1"/></a></r>', "insert <n/> into $a/a"),
+]
+
+
 def _serialized_answer(name, text, query):
     """``query`` over ``text`` by one evaluator, serialized: the four
-    paper algorithms, the indexed Naive ablation, or the arena kernel."""
+    paper algorithms, the indexed Naive oracle, or the arena kernel."""
     if name == "kernel":
         nfa = build_selecting_nfa(query.path)
         return serialize_arena(
@@ -149,19 +162,7 @@ class TestAttributedCatalog:
     attributes, by every evaluator of the transform semantics, against
     the copy-and-update reference."""
 
-    @pytest.mark.parametrize(
-        "text, update_text",
-        [
-            (ATTRIBUTED, "delete $a//price"),
-            (ATTRIBUTED, "delete $a/part[pname = 'kb']"),
-            (ATTRIBUTED, "insert <checked/> into $a//supplier"),
-            (ATTRIBUTED, "insert <s/> into $a/part"),
-            (ATTRIBUTED, "replace $a//price with <price>0</price>"),
-            (ATTRIBUTED, "rename $a//pname as name"),
-            (ATTRIBUTED, "delete $a//nothing"),
-            ('<r><a k="v" id="i"><b x="1"/></a></r>', "insert <n/> into $a/a"),
-        ],
-    )
+    @pytest.mark.parametrize("text, update_text", ATTRIBUTED_CASES)
     @pytest.mark.parametrize(
         "name", sorted(ALGORITHMS) + ["kernel", "naive-indexed"]
     )
@@ -169,6 +170,34 @@ class TestAttributedCatalog:
         query = TransformQuery(parse_update(update_text))
         expected = serialize(transform_copy_update(parse(text), query))
         assert _serialized_answer(name, text, query) == expected
+
+
+class TestFileRoute:
+    """A file below the stream threshold is read into columns, and
+    ``run_to_file`` writes the bytes ``topdown`` writes for it, compact
+    and pretty, on every differential shape above."""
+
+    @staticmethod
+    def _assert_columns_write_topdown_bytes(text, update_text, tmp_path, pretty):
+        src = tmp_path / "in.xml"
+        src.write_text(text, encoding="utf-8")
+        prepared = prepare_transform(TransformQuery(parse_update(update_text)))
+        written = []
+        for method in ("auto", "topdown"):
+            out = tmp_path / f"{method}.xml"
+            prepared.run_to_file(str(src), str(out), method=method, pretty=pretty)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @pytest.mark.parametrize("update_text", UPDATES)
+    def test_fig1_updates(self, doc, tmp_path, update_text, pretty):
+        self._assert_columns_write_topdown_bytes(serialize(doc), update_text, tmp_path, pretty)
+
+    @pytest.mark.parametrize("pretty", [False, True])
+    @pytest.mark.parametrize("text, update_text", ATTRIBUTED_CASES)
+    def test_attributed_catalog(self, text, update_text, tmp_path, pretty):
+        self._assert_columns_write_topdown_bytes(text, update_text, tmp_path, pretty)
 
 
 class TestTransformQueryParsing:

@@ -20,7 +20,7 @@ from repro import Engine, QueryService, ViewStore
 from repro.automata.selecting import build_selecting_nfa
 from repro.obs import Profile, profiled
 from repro.transform import STRATEGIES, parse_transform_query
-from repro.transform.ablations import transform_naive_indexed
+from repro.transform.naive import transform_naive_indexed
 from repro.transform.arena import transform_arena
 from repro.transform.topdown import transform_topdown
 from repro.xmark.generator import generate

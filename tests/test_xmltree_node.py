@@ -3,12 +3,7 @@
 import pytest
 
 from repro.xmltree import Element, Text, deep_copy, deep_equal, element, text
-from repro.xmltree.node import (
-    collect_nodes,
-    iter_text_values,
-    labels_used,
-    node_count,
-)
+from repro.xmltree.node import collect_nodes, node_count
 
 
 @pytest.fixture
@@ -179,23 +174,3 @@ class TestAggregates:
         assert node_count(sample) == 9
         assert node_count(sample, "part") == 2
         assert node_count(sample, "absent") == 0
-
-    def test_labels_used(self, sample):
-        assert labels_used(sample) == {
-            "db",
-            "part",
-            "pname",
-            "supplier",
-            "sname",
-            "price",
-            "country",
-        }
-
-    def test_iter_text_values(self, sample):
-        assert list(iter_text_values(sample)) == [
-            "keyboard",
-            "HP",
-            "12",
-            "US",
-            "mouse",
-        ]

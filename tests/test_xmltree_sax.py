@@ -396,18 +396,19 @@ class TestOneTokenizerContract:
     ):
         """Regression: the scanner counted depth but never compared an
         end tag with the element it closes, so ``method="stream"`` —
-        what ``auto`` picks from 8 MiB up — answered ``<a><b/></a>``
-        for a file every other method refuses."""
+        the route ``auto`` takes from 8 MiB up — answered ``<a><b/></a>``
+        for a file every other method refuses.  ``auto`` below that
+        reads the file into columns, and refuses it too."""
         bad, out = tmp_path / "bad.xml", tmp_path / "out.xml"
         bad.write_text(source, encoding="utf-8")
         prepared = prepare_transform(
             'transform copy $a := doc("bad") modify do delete $a//c return $a'
         )
-        for method in ("stream", "sax", "topdown"):
+        for method in ("auto", "stream", "sax", "topdown"):
             with pytest.raises(XMLSyntaxError):
                 prepared.run_to_file(str(bad), str(out), method=method)
             assert not out.exists()
-        for method in ("sax", "topdown"):
+        for method in ("auto", "sax", "topdown"):
             assert cli_main(
                 ["transform", "-q", prepared.text, "-i", str(bad), "--method", method]
             ) == 2
