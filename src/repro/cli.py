@@ -618,12 +618,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import runner
-
-    return runner.run_from_options(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -875,16 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "listening",
     )
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="static analysis: guarded-by lock discipline, import "
-        "layering, hot-path purity (also: python -m repro.analysis)",
-    )
-    from repro.analysis import runner as _lint_runner
-
-    _lint_runner.add_arguments(p_lint)
-    p_lint.set_defaults(func=_cmd_lint)
 
     return parser
 

@@ -1,31 +1,34 @@
-"""The static-analysis pass itself: annotation grammar, the guarded-by
-lock checker, the layer verifier, the hot-path lint, the runner/CLI and
-the baseline machinery.
+"""The static-analysis pass under ``tools/analysis``: annotation
+grammar, the guarded-by lock checker, the layer verifier, the hot-path
+lint and the runner.
 
 Fixture modules with *known* violations are written to tmp_path and the
 diagnostics asserted down to file:line; the final class is the
-self-check — ``repro lint`` must be clean on the shipped tree, which is
-the exact gate CI runs.
+self-check — ``python -m tools.analysis`` must be clean on the shipped
+tree, which is the exact gate CI runs.
 """
 
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
-from repro.analysis import (
+from tools.analysis.annotations import FileAnnotations, normalize_lock
+from tools.analysis.guards import check_guards
+from tools.analysis.hotpath import check_hotpaths
+from tools.analysis.layers import (
     DEFAULT_MANIFEST,
-    analyze_tree,
-    check_guards,
-    check_hotpaths,
     check_layers,
-    load_baseline,
-    main,
-    write_baseline,
+    component_of,
+    module_name,
+    scan_imports,
 )
-from repro.analysis.annotations import FileAnnotations, normalize_lock
-from repro.analysis.layers import component_of, module_name, scan_imports
+from tools.analysis.runner import analyze_tree, main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def guard_findings(source: str, path: str = "mod.py"):
@@ -243,9 +246,58 @@ class TestGuardChecker:
         assert len(findings) == 1
         assert findings[0].waived and findings[0].reason == "monitoring only"
 
-    def test_finding_key_is_line_free(self):
+    def test_finding_location_and_dict(self):
         findings, _ = guard_findings(UNGUARDED_WRITE)
-        assert findings[0].key() == "lock:mod.py:lock.unguarded-write:Box.count"
+        assert findings[0].location() == "mod.py:14"
+        assert findings[0].to_dict() == {
+            "checker": "lock", "path": "mod.py", "line": 14,
+            "code": "lock.unguarded-write", "subject": "Box.count",
+            "message": findings[0].message,
+        }
+
+    def test_registry_name_never_assigned_is_stale(self):
+        """A registry entry naming an attribute the class never stores
+        to is a finding at the registry comment, and is neither proof
+        nor exemption."""
+        findings, declared = guard_findings(
+            """
+            import threading
+
+            class Box:
+                # guarded-by[gone, count]: self._lock
+                # unguarded[vanished]: grow-only
+
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.count = 0
+            """
+        )
+        assert [(f.code, f.line, f.subject) for f in findings] == [
+            ("lock.stale-declaration", 5, "Box.gone"),
+            ("lock.stale-declaration", 6, "Box.vanished"),
+        ]
+        assert not any(f.waived for f in findings)
+        assert declared[0].guarded == {"count": "self._lock"}
+        assert declared[0].unguarded == {}
+
+    def test_registry_name_assigned_outside_init_is_not_stale(self):
+        findings, declared = guard_findings(
+            """
+            import threading
+
+            class Box:
+                # guarded-by[a, b]: self._lock
+
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def reset(self):
+                    with self._lock:
+                        self.a, self.b = 0, 0
+            """
+        )
+        assert findings == []
+        assert declared[0].guarded == {"a": "self._lock", "b": "self._lock"}
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +374,58 @@ class TestHotPathLint:
             """
         )
         assert findings == [] and hot == []
+
+    def test_marker_above_a_decorator_attaches(self):
+        findings, hot = hot_findings(
+            """
+            import functools
+
+            # hot-path
+            @functools.lru_cache(maxsize=None)
+            def fast(x):
+                return f"value={x}"
+
+            @staticmethod  # hot-path
+            def also(xs):
+                return [x for x in xs]
+            """
+        )
+        assert [(f.code, f.line) for f in findings] == [
+            ("hotpath.fstring", 7), ("hotpath.comprehension", 11),
+        ]
+        assert hot == ["fast", "also"]
+
+    def test_detached_marker_is_a_finding(self):
+        """A blank line between the marker and its def, or a marker
+        left behind in a body, attaches to nothing: the function goes
+        unlinted, so the marker itself is reported."""
+        findings, hot = hot_findings(
+            """
+            # hot-path
+
+            def fast(x):
+                return f"value={x}"
+
+            def slow(x):
+                # hot-path
+                return x
+            """
+        )
+        assert [(f.code, f.line) for f in findings] == [
+            ("hotpath.detached-marker", 2), ("hotpath.detached-marker", 8),
+        ]
+        assert hot == []
+
+    def test_marker_on_a_nested_hot_function_is_attached(self):
+        findings, hot = hot_findings(
+            """
+            def outer(xs):  # hot-path
+                def inner(x):  # hot-path
+                    return x
+                return inner
+            """
+        )
+        assert findings == [] and hot == ["outer"]
 
     def test_clean_hot_function_passes(self):
         findings, hot = hot_findings(
@@ -503,7 +607,7 @@ class TestLayerVerifier:
 
 
 # ----------------------------------------------------------------------
-# The runner, CLI and baseline machinery
+# The runner
 # ----------------------------------------------------------------------
 
 
@@ -558,7 +662,7 @@ class TestRunner:
         assert summary["analysis.files.scanned"] == 5
 
     def test_cli_exits_nonzero_and_reports_locations(self, violating_root, capsys):
-        code = main(["--root", violating_root, "--no-baseline"])
+        code = main(["--root", violating_root])
         out = capsys.readouterr().out
         assert code == 1
         assert "beta/box.py:13" in out      # the unguarded increment
@@ -571,7 +675,7 @@ class TestRunner:
         assert "component 'alpha'" in out
 
     def test_cli_json_mode(self, violating_root, capsys):
-        code = main(["--root", violating_root, "--no-baseline", "--json"])
+        code = main(["--root", violating_root, "--json"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["analysis.files.scanned"] == 5
@@ -579,40 +683,9 @@ class TestRunner:
             "lock.unguarded-write", "hotpath.fstring",
         }
 
-    def test_baseline_suppresses_exactly_the_accepted_keys(
-        self, violating_root, tmp_path, capsys
-    ):
-        baseline = str(tmp_path / "baseline.json")
-        # Accept everything currently failing...
-        code = main(["--root", violating_root, "--no-baseline",
-                     "--write-baseline", baseline])
-        assert code == 0
-        accepted = load_baseline(baseline)
-        assert accepted  # non-empty
-        # ...and the gate goes green without touching the tree.
-        capsys.readouterr()
-        code = main(["--root", violating_root, "--baseline", baseline])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 violation(s)" in out
-
-    def test_corrupt_baseline_is_a_usage_error(self, violating_root, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99, "accept": []}')
-        assert main(["--root", violating_root, "--baseline", str(bad)]) == 2
-
-    def test_write_baseline_round_trips(self, violating_root, tmp_path):
-        from repro.analysis.findings import Report
-
-        report = analyze_tree(violating_root, manifest=VIOLATING_MANIFEST)
-        path = str(tmp_path / "b.json")
-        count = write_baseline(path, report, note="fixture")
-        assert count == len({f.key() for f in report.violations})
-        report2 = analyze_tree(violating_root, manifest=VIOLATING_MANIFEST)
-        report2.apply_baseline(load_baseline(path))
-        assert report2.ok
-        assert report2.baseline_suppressed > 0
-        assert isinstance(report2, Report)
+    def test_missing_root_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["--root", str(tmp_path / "absent")]) == 2
+        assert "not a directory" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -621,7 +694,7 @@ class TestRunner:
 
 
 class TestShippedTree:
-    def test_repro_lint_is_clean_on_the_shipped_tree(self):
+    def test_lint_is_clean_on_the_shipped_tree(self):
         report = analyze_tree(self._package_dir())
         assert report.violations == [], report.to_text()
 
@@ -647,14 +720,16 @@ class TestShippedTree:
         # Every declared-unguarded exemption carries a reason.
         assert all(e["reason"] for e in report.declared_unguarded)
 
-    def test_cli_subcommand_runs_clean(self, capsys):
-        from repro.cli import main as repro_main
-
-        assert repro_main(["lint"]) == 0
-        assert "0 violation(s)" in capsys.readouterr().out
+    def test_module_entry_point_runs_clean(self):
+        """The CI gate: ``python -m tools.analysis`` from the repository
+        root, no arguments, scans ``src/repro``."""
+        done = subprocess.run(
+            [sys.executable, "-m", "tools.analysis"],
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "0 violation(s)" in done.stdout
 
     @staticmethod
     def _package_dir():
-        import repro
-
-        return os.path.dirname(os.path.abspath(repro.__file__))
+        return os.path.join(REPO_ROOT, "src", "repro")

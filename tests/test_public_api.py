@@ -12,7 +12,35 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.28.0"
+        assert repro.__version__ == "1.29.0"
+
+    def test_no_build_tooling_in_the_package(self):
+        """1.29.0: the lint pass is a build-time tool under
+        ``tools/analysis``; the package neither ships nor loads it, and
+        ``lint`` is an unknown subcommand."""
+        import importlib.util
+        import os
+        import subprocess
+        import sys
+
+        from repro.cli import main
+
+        assert importlib.util.find_spec(".analysis", "repro") is None
+        with pytest.raises(SystemExit) as exc:
+            main(["lint"])
+        assert exc.value.code == 2
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from repro.cli import build_parser\n"
+             "build_parser()\n"
+             "print(sorted(m for m in sys.modules if 'analysis' in m))"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert loaded.returncode == 0, loaded.stderr
+        assert loaded.stdout.strip() == "[]"
 
     def test_no_benchmark_code_in_the_package(self):
         """1.27.0: the Section-7 figure drivers live under benchmarks/

@@ -1390,8 +1390,8 @@ class TestClosedFlagDiscipline:
 
     The seed read ``_closed`` bare from ``query_direct``, ``transform``
     and ``_check_open``; the reads now go through ``_is_closed()``
-    under the admission lock (what ``repro lint``'s guarded-by checker
-    enforces), so a close() on one thread is guaranteed visible to the
+    under the admission lock (what the guarded-by checker of
+    ``python -m tools.analysis`` enforces), so a close() on one thread is guaranteed visible to the
     next read or write on any other.
     """
 

@@ -372,7 +372,7 @@ def test_save_store_excluded_from_concurrent_save(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Lock-discipline regressions (found by `repro lint`'s guarded-by checker)
+# Lock-discipline regressions (found by the tools.analysis guarded-by checker)
 # ----------------------------------------------------------------------
 
 

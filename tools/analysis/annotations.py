@@ -12,9 +12,11 @@ runtime and need no imports in the annotated module.  Four forms:
 * ``# holds: <lock>`` — on a ``def`` line (or the line above): the
   method is documented as *called with the lock already held*, so its
   guarded accesses are legal.  Callers remain responsible for the lock.
-* ``# hot-path`` — on a ``def`` line (or the line above): the function
-  is subject to the purity lint (no allocation-heavy constructs, no
-  lock acquisition — see :mod:`repro.analysis.hotpath`).
+* ``# hot-path`` — on a ``def`` line or its first decorator's line (or
+  the line directly above either): the function is subject to the
+  purity lint (no allocation-heavy constructs, no lock acquisition —
+  see :mod:`tools.analysis.hotpath`).  A marker anywhere else is a
+  finding.
 * ``# unguarded: <reason>`` — trailing a flagged line: waives every
   finding on that line, with the reason surfaced in the report.
   Trailing a ``self.attr = …`` line in ``__init__`` (or in the

@@ -1,24 +1,14 @@
-"""Findings, reports and the baseline file — the data model every
-checker in :mod:`repro.analysis` emits into.
-
-A :class:`Finding` is one diagnostic anchored at ``file:line``.  Its
-:meth:`Finding.key` deliberately omits the line number: baseline
-entries (the shipped ``.analysis-baseline.json``) must survive a file
-growing a docstring, but stay exact about *what* is accepted — the
-checker, file, rule and subject (the attribute, import edge or
-construct) all participate.
-"""
+"""Findings and reports — the data model every checker in
+:mod:`tools.analysis` emits into.  A :class:`Finding` is one
+diagnostic anchored at ``file:line``."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-__all__ = ["Finding", "Report", "load_baseline", "write_baseline"]
-
-#: Baseline file format marker (bumped on incompatible change).
-BASELINE_VERSION = 1
+__all__ = ["Finding", "Report"]
 
 
 @dataclass
@@ -33,10 +23,6 @@ class Finding:
     message: str            # the human-readable sentence
     waived: bool = False    # suppressed by an inline `# unguarded:` comment
     reason: str = ""        # the waiver's reason text (when waived)
-
-    def key(self) -> str:
-        """The line-number-free identity baseline entries match on."""
-        return f"{self.checker}:{self.path}:{self.code}:{self.subject}"
 
     def location(self) -> str:
         return f"{self.path}:{self.line}"
@@ -60,8 +46,8 @@ class Finding:
 class Report:
     """Everything one analysis run produced.
 
-    ``violations`` are the findings that gate (exit non-zero unless
-    baselined); ``waived`` carry an inline ``# unguarded:`` comment and
+    ``violations`` are the findings that gate (exit non-zero);
+    ``waived`` carry an inline ``# unguarded:`` comment and
     only inform; ``declared_unguarded`` are attributes *declared*
     exempt at their definition site — both waiver kinds print with
     their reasons, so every exemption stays visible in every report.
@@ -76,31 +62,16 @@ class Report:
     #: Fully-qualified names of functions under the hot-path lint.
     hot_functions: List[str] = field(default_factory=list)
     files_scanned: int = 0
-    baseline_suppressed: int = 0
 
     def extend(self, findings: Sequence[Finding]) -> None:
         for finding in findings:
             (self.waived if finding.waived else self.violations).append(finding)
 
-    def apply_baseline(self, accepted: "set[str]") -> None:
-        """Move baselined violations out of the gating list."""
-        kept: List[Finding] = []
-        for finding in self.violations:
-            if finding.key() in accepted:
-                self.baseline_suppressed += 1
-            else:
-                kept.append(finding)
-        self.violations = kept
-
-    def counts(self) -> Dict[str, int]:
-        by_checker = {"lock": 0, "layers": 0, "hotpath": 0}
-        for finding in self.violations:
-            by_checker[finding.checker] = by_checker.get(finding.checker, 0) + 1
-        return by_checker
-
     def summary(self) -> Dict[str, int]:
         """Totals under the obs ``layer.component.metric`` scheme."""
-        by_checker = self.counts()
+        by_checker = {"lock": 0, "layers": 0, "hotpath": 0}
+        for finding in self.violations:
+            by_checker[finding.checker] += 1
         return {
             "analysis.lock.violations": by_checker["lock"],
             "analysis.layers.violations": by_checker["layers"],
@@ -109,7 +80,6 @@ class Report:
             "analysis.lock.declared_unguarded": len(self.declared_unguarded),
             "analysis.hotpath.functions": len(self.hot_functions),
             "analysis.waived.count": len(self.waived),
-            "analysis.baseline.suppressed": self.baseline_suppressed,
             "analysis.files.scanned": self.files_scanned,
         }
 
@@ -158,48 +128,11 @@ class Report:
                     f"{entry['reason']}"
                 )
         lines.append("")
-        summary = self.summary()
-        total = sum(
-            summary[k]
-            for k in (
-                "analysis.lock.violations",
-                "analysis.layers.violations",
-                "analysis.hotpath.violations",
-            )
-        )
         lines.append(
-            f"{total} violation(s) · {len(self.waived)} waived · "
-            f"{self.baseline_suppressed} baselined · "
-            f"{summary['analysis.lock.guarded_attrs']} guarded attrs · "
-            f"{summary['analysis.hotpath.functions']} hot-path functions · "
+            f"{len(self.violations)} violation(s) · {len(self.waived)} waived · "
+            f"{len(self.guarded_attrs)} guarded attrs · "
+            f"{len(self.hot_functions)} hot-path functions · "
             f"{self.files_scanned} files"
         )
         return "\n".join(lines)
 
-
-def load_baseline(path: str) -> "set[str]":
-    """The accepted finding keys from a baseline file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict) or doc.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"baseline {path!r} is not a version-{BASELINE_VERSION} "
-            "analysis baseline"
-        )
-    accept = doc.get("accept", [])
-    if not isinstance(accept, list) or not all(isinstance(k, str) for k in accept):
-        raise ValueError(f"baseline {path!r}: 'accept' must be a list of keys")
-    return set(accept)
-
-
-def write_baseline(path: str, report: Report, note: Optional[str] = None) -> int:
-    """Write the report's remaining violations as the new baseline;
-    returns how many keys were written."""
-    keys = sorted({f.key() for f in report.violations})
-    doc: Dict[str, Any] = {"version": BASELINE_VERSION, "accept": keys}
-    if note:
-        doc["note"] = note
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(keys)

@@ -1,7 +1,7 @@
 """The guarded-by lock-discipline checker.
 
 For every class that declares guarded attributes (see
-:mod:`repro.analysis.annotations`), this checker walks each of the
+:mod:`tools.analysis.annotations`), this checker walks each of the
 class's methods and proves every read or write of a guarded
 ``self.<attr>`` is lexically inside ``with <lock>:`` for the declared
 lock — or inside a method annotated ``# holds: <lock>``, whose callers
@@ -25,6 +25,11 @@ Scope rules (all deliberate):
 
 Waivers: ``# unguarded: <reason>`` trailing the flagged line keeps the
 finding out of the gate but in the report, reason attached.
+
+A registry entry (``# guarded-by[a, b]`` / ``# unguarded[a, b]``) must
+name an attribute the class assigns as ``self.<name>``: one that no
+method stores to is reported as ``lock.stale-declaration`` at the
+registry comment and is neither proof nor exemption.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.annotations import Annotation, FileAnnotations, normalize_lock
-from repro.analysis.findings import Finding
+from tools.analysis.annotations import Annotation, FileAnnotations, normalize_lock
+from tools.analysis.findings import Finding
 
 __all__ = ["ClassGuards", "check_guards", "collect_class_guards"]
 
@@ -48,6 +53,8 @@ class ClassGuards:
         self.name = name
         self.guarded: Dict[str, str] = {}       # attr -> normalized lock
         self.unguarded: Dict[str, str] = {}     # attr -> reason
+        #: Registry names no method assigns: (attr, registry line, kind).
+        self.stale: List[Tuple[str, int, str]] = []
 
 
 def _class_body_annotations(
@@ -75,21 +82,32 @@ def collect_class_guards(
     """Parse a class's guarded-by declarations: the registry comments
     in its body plus per-assignment comments in its methods."""
     guards = ClassGuards(node.name)
+    methods: List[Tuple["ast.FunctionDef | ast.AsyncFunctionDef", str]] = []
+    for method in node.body:
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            self_name = _self_name(method)
+            if self_name is not None:
+                methods.append((method, self_name))
+    assigned = {
+        expr.attr
+        for method, self_name in methods
+        for expr in ast.walk(method)
+        if isinstance(expr, ast.Attribute)
+        and isinstance(expr.ctx, ast.Store)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == self_name
+    }
     for ann in _class_body_annotations(node, annotations):
         if ann.names is None:
             continue  # assignment-attached form, handled below
-        if ann.kind == "guarded-by":
-            for attr in ann.names:
+        for attr in ann.names:
+            if attr not in assigned:
+                guards.stale.append((attr, ann.line, ann.kind))
+            elif ann.kind == "guarded-by":
                 guards.guarded[attr] = ann.lock
-        elif ann.kind == "unguarded":
-            for attr in ann.names:
+            else:
                 guards.unguarded[attr] = ann.reason
-    for method in node.body:
-        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        self_name = _self_name(method)
-        if self_name is None:
-            continue
+    for method, self_name in methods:
         for stmt in ast.walk(method):
             attr = _assigned_self_attr(stmt, self_name)
             if attr is None:
@@ -257,6 +275,12 @@ def check_guards(
         if not isinstance(node, ast.ClassDef):
             continue
         guards = collect_class_guards(node, annotations)
+        for attr, line, kind in guards.stale:
+            checker.report(
+                line, "lock.stale-declaration", f"{guards.name}.{attr}",
+                f"{guards.name} declares {attr!r} in a {kind}[...] registry "
+                f"but never assigns self.{attr}",
+            )
         if guards.guarded or guards.unguarded:
             declared.append(guards)
         if not guards.guarded:

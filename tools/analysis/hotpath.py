@@ -1,7 +1,8 @@
 """The hot-path purity lint.
 
-Functions annotated ``# hot-path`` (on the ``def`` line or the line
-above) are the per-node / per-event inner loops — the arena DFA scan,
+Functions annotated ``# hot-path`` (on the ``def`` line or the first
+decorator's line, or standalone on the line directly above either) are
+the per-node / per-event inner loops — the arena DFA scan,
 the no-op telemetry instruments.  The lint rejects constructs that
 allocate or synchronize on every call:
 
@@ -20,6 +21,11 @@ is the bug.
 
 The annotation is inherited lexically: a nested function inside a
 ``# hot-path`` function is also hot (it runs at least as often).
+
+A ``# hot-path`` comment that attaches to no function (a blank line
+before its ``def``, or left behind when the function moved) is
+reported as ``hotpath.detached-marker``: otherwise the function it was
+meant for would silently go unlinted.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Tuple
 
-from repro.analysis.annotations import FileAnnotations
-from repro.analysis.findings import Finding
+from tools.analysis.annotations import FileAnnotations
+from tools.analysis.findings import Finding
 
 __all__ = ["check_hotpaths"]
 
@@ -162,6 +168,24 @@ class _HotVisitor(ast.NodeVisitor):
     # Nested functions inherit hotness; just keep walking.
 
 
+def _marker_line(
+    annotations: FileAnnotations,
+    func: "ast.FunctionDef | ast.AsyncFunctionDef",
+) -> Optional[int]:
+    """The line of the ``# hot-path`` marker attached to *func*, if any:
+    trailing the ``def`` or first decorator line, or standalone on the
+    line directly above either."""
+    first = func.decorator_list[0].lineno if func.decorator_list else func.lineno
+    for line in (func.lineno, first):
+        if annotations.at(line, "hot-path") is not None:
+            return line
+    for line in (first - 1, func.lineno - 1):
+        above = annotations.by_line.get(line)
+        if above is not None and above.kind == "hot-path" and above.standalone:
+            return line
+    return None
+
+
 class _HotChecker:
     def __init__(self, path: str, annotations: FileAnnotations):
         self.path = path
@@ -197,7 +221,7 @@ def check_hotpaths(
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{prefix}{child.name}" if prefix else child.name
-                if annotations.attached(child.lineno, "hot-path") is not None:
+                if _marker_line(annotations, child) is not None:
                     checker.hot_functions.append(name)
                     visitor = _HotVisitor(checker, name)
                     for stmt in child.body:
@@ -210,4 +234,16 @@ def check_hotpaths(
                 walk(node=child, prefix=prefix)
 
     walk(tree, "")
+    attached = {
+        _marker_line(annotations, func)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for line, ann in sorted(annotations.by_line.items()):
+        if ann.kind == "hot-path" and line not in attached:
+            checker.report(
+                line, "hotpath.detached-marker", "# hot-path",
+                "'# hot-path' marker attaches to no function: put it on "
+                "the def or first decorator line, or directly above",
+            )
     return checker.findings, checker.hot_functions

@@ -30,15 +30,18 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.findings import Finding
+from tools.analysis.findings import Finding
 
 __all__ = ["DEFAULT_MANIFEST", "check_layers", "component_of", "module_name"]
+
+#: The package every scanned tree roots.
+PACKAGE = "repro"
 
 #: The declared architecture, bottom layer first.  Components in one
 #: entry may import each other freely; imports must otherwise point at
 #: strictly lower entries.  ``repro`` is the package ``__init__``.
 DEFAULT_MANIFEST: Tuple[Tuple[str, ...], ...] = (
-    ("xmltree", "lru", "obs", "analysis", "faults"),
+    ("xmltree", "lru", "obs", "faults"),
     ("xpath",),
     ("updates",),
     ("automata",),
@@ -53,7 +56,7 @@ DEFAULT_MANIFEST: Tuple[Tuple[str, ...], ...] = (
 )
 
 
-def module_name(rel_path: str, package: str = "repro") -> Optional[str]:
+def module_name(rel_path: str) -> Optional[str]:
     """Dotted module name for a path relative to the package root
     (``store/views.py`` → ``repro.store.views``)."""
     if not rel_path.endswith(".py"):
@@ -61,14 +64,14 @@ def module_name(rel_path: str, package: str = "repro") -> Optional[str]:
     parts = rel_path[: -len(".py")].replace("\\", "/").split("/")
     if parts[-1] == "__init__":
         parts = parts[:-1]
-    return ".".join([package] + [p for p in parts if p])
+    return ".".join([PACKAGE] + [p for p in parts if p])
 
 
-def component_of(module: str, package: str = "repro") -> Optional[str]:
+def component_of(module: str) -> Optional[str]:
     """The manifest component a dotted module belongs to."""
-    if module == package:
-        return package
-    prefix = package + "."
+    if module == PACKAGE:
+        return PACKAGE
+    prefix = PACKAGE + "."
     if not module.startswith(prefix):
         return None
     return module[len(prefix):].split(".", 1)[0]
@@ -78,10 +81,9 @@ class _ImportScan(ast.NodeVisitor):
     """All intra-package import edges of one module, split by whether
     they execute at module import time."""
 
-    def __init__(self, importer: str, known: Set[str], package: str):
+    def __init__(self, importer: str, known: Set[str]):
         self.importer = importer
         self.known = known
-        self.package = package
         #: (target module, line, top-level?)
         self.edges: List[Tuple[str, int, bool]] = []
         self._depth = 0
@@ -89,7 +91,7 @@ class _ImportScan(ast.NodeVisitor):
     def _add(self, target: str, line: int) -> None:
         if target == self.importer:
             return
-        if target == self.package or target.startswith(self.package + "."):
+        if target == PACKAGE or target.startswith(PACKAGE + "."):
             self.edges.append((target, line, self._depth == 0))
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -133,12 +135,12 @@ class _ImportScan(ast.NodeVisitor):
 
 def scan_imports(
     importer: str, source: str, known: Set[str],
-    tree: Optional[ast.Module] = None, package: str = "repro",
+    tree: Optional[ast.Module] = None,
 ) -> List[Tuple[str, int, bool]]:
     """Intra-package import edges of one module's source."""
     if tree is None:
         tree = ast.parse(source)
-    scan = _ImportScan(importer, known, package)
+    scan = _ImportScan(importer, known)
     scan.visit(tree)
     return scan.edges
 
@@ -156,7 +158,6 @@ def _layer_index(
 def check_layers(
     modules: Dict[str, Tuple[str, List[Tuple[str, int, bool]]]],
     manifest: Sequence[Sequence[str]] = DEFAULT_MANIFEST,
-    package: str = "repro",
 ) -> List[Finding]:
     """Verify the real import graph against the manifest.
 
@@ -171,7 +172,7 @@ def check_layers(
     toplevel: Dict[str, Set[str]] = {}
 
     for importer, (path, edges) in sorted(modules.items()):
-        from_comp = component_of(importer, package)
+        from_comp = component_of(importer)
         if from_comp is None:
             continue
         if from_comp not in index:
@@ -187,7 +188,7 @@ def check_layers(
         for target, line, is_top in edges:
             if is_top:
                 tops.add(target)
-            to_comp = component_of(target, package)
+            to_comp = component_of(target)
             if to_comp is None:
                 continue
             if to_comp not in index:
@@ -211,7 +212,7 @@ def check_layers(
                     )
                 )
 
-    present = {component_of(module, package) for module in modules}
+    present = {component_of(module) for module in modules}
     for depth, layer in enumerate(manifest):
         for component in layer:
             if component not in present:
@@ -220,7 +221,7 @@ def check_layers(
                         "layers", "<manifest>", depth + 1,
                         "layers.stale-component", component,
                         f"manifest component {component!r} (layer {depth}) "
-                        f"has no module under {package}",
+                        f"has no module under {PACKAGE}",
                     )
                 )
 
