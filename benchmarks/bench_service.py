@@ -32,12 +32,14 @@ the difference is what admission, the flight table and the memo cost
 a request that gains nothing from them.  Only the counts are asserted.
 
 The hits-are-bytes experiment is the wire layer's table: for each of
-the six answers, what encoding the frame costs, what framing the
-cached :class:`~repro.store.answer.Answer` costs instead (the server's
-time-to-bytes on a repeat hit — bar: at most a fifth of the encode for
-every answer of 100 KB or more), and one connection's round trip on
-the hit that builds the wire form against the repeats that reuse it.
-Beside it, the row the client's read-buffer constant was read from.
+the six answers, what building its wire form costs (the length-prefixed
+body; beside it, the JSON array the response carried before 1.30.0,
+and the two sizes), what framing the cached
+:class:`~repro.store.answer.Answer` costs instead (the server's
+time-to-bytes on a repeat hit — bars, for every answer of 100 KB or
+more: at most a fifth of the JSON encode and half of the build), and
+one connection's round trip on the hit that builds the wire form
+against the repeats that reuse it.
 
 The isolation experiment hammers the same service with paired-marker
 commits (two staged inserts committed atomically) and asserts no
@@ -49,10 +51,10 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_service.py -q -s
 """
 
+import json
 import statistics
 import threading
 import time
-from unittest import mock
 
 from harness import (
     DATASET_SEED,
@@ -63,9 +65,9 @@ from harness import (
     smoke_rounds,
 )
 from repro.service import Client, QueryService, ServiceConfig, ServiceServer
-from repro.service import client as client_module
-from repro.service.protocol import encode_frame, encode_response, result_frame
+from repro.service.protocol import encode_response
 from repro.store import Answer
+from repro.store.answer import wire_body
 from repro.xmark.queries import EMBEDDED_PATHS
 
 FACTOR = smoke_factor(0.1)
@@ -332,11 +334,13 @@ def _median_ms(call, rounds: int) -> float:
 
 
 def test_a_repeat_hit_is_framed_not_encoded():
-    """The wire layer, answer by answer.  ``encode`` is what every hit
-    paid before the cached answer carried its bytes; ``framed`` is what
-    a repeat hit pays now; the two round-trip columns are one
-    connection's p50 on the hit that builds (and keeps) the wire form
-    and on the hits after it."""
+    """The wire layer, answer by answer.  ``body`` is what building the
+    wire form costs, which a repeat hit no longer pays, and ``json``
+    what the same answer cost as the JSON array responses carried
+    before 1.30.0 (what every hit paid before 1.11.0); ``framed`` is
+    what a repeat hit pays now; the two round-trip columns are one connection's p50
+    on the hit that builds (and keeps) the wire form and on the hits
+    after it."""
     rounds = smoke_rounds(15, 3)
     service = QueryService()
     service.store.put("xmark", dataset(WIRE_FACTOR, seed=DATASET_SEED))
@@ -344,13 +348,14 @@ def test_a_repeat_hit_is_framed_not_encoded():
     with ServiceServer(service) as server, Client(*server.address) as client:
         for text in REQUESTS:
             items = service.query("xmark", text)
-            size = len(encode_frame(result_frame(0, items)))
-            encode_ms = _median_ms(
-                lambda i: encode_frame(result_frame(i, items)), rounds * 4
+            json_ms = _median_ms(
+                lambda i: json.dumps(items, separators=(",", ":")).encode("ascii"),
+                rounds * 4,
             )
+            body_ms = _median_ms(lambda i: wire_body(items), rounds * 4)
             warm = Answer(items)
             assert encode_response(0, warm) == encode_response(0, warm)  # second call keeps
-            assert warm.wire_bytes
+            assert warm.holds_wire
             framed_ms = _median_ms(lambda i: encode_response(i, warm), rounds * 4)
             first_hit, repeat = [], []
             for _ in range(rounds):
@@ -363,74 +368,39 @@ def test_a_repeat_hit_is_framed_not_encoded():
                         samples.append(time.perf_counter() - began)
                         assert again == expected == items
             rows.append((
-                text[len("for $x in "):-len(" return $x")][:44], str(size),
-                f"{encode_ms:.3f}", f"{framed_ms:.4f}",
-                f"{framed_ms / encode_ms:.3f}",
+                text[len("for $x in "):-len(" return $x")][:44],
+                str(len(json.dumps(items, separators=(",", ":")))), str(warm.wire_bytes),
+                f"{json_ms:.3f}", f"{body_ms:.3f}", f"{framed_ms:.4f}",
                 f"{statistics.median(first_hit) * 1000.0:.3f}",
                 f"{statistics.median(repeat) * 1000.0:.3f}",
             ))
-            if size >= 100_000:
-                bars.append((text, framed_ms, encode_ms))
+            if warm.wire_bytes >= 100_000:
+                bars.append((text, framed_ms, json_ms, body_ms))
         metrics = service.metrics()
     print()
     print(format_table(
         f"hits are bytes: the six answers at factor {WIRE_FACTOR}, one connection, "
         f"p50 of {rounds} rounds",
-        ["path", "answer B", "encode ms", "framed ms", "framed/encode",
+        ["path", "json B", "body B", "json ms", "body ms", "framed ms",
          "first-hit rt ms", "repeat rt ms"],
         rows,
     ))
     assert metrics["evaluations"] == len(REQUESTS) * (rounds + 1)  # + the in-process read
     assert metrics["wire_built"] == len(REQUESTS) * rounds * 2  # the miss, the first hit
     assert metrics["wire_reused"] == len(REQUESTS) * rounds * 4
-    for text, framed_ms, encode_ms in bars:
-        assert framed_ms <= 0.2 * encode_ms, (
+    for text, framed_ms, json_ms, body_ms in bars:
+        assert framed_ms <= 0.2 * json_ms, (
             f"repeat-hit time-to-bytes {framed_ms:.3f} ms is more than a fifth "
-            f"of the {encode_ms:.3f} ms encode for {text!r}"
+            f"of the {json_ms:.3f} ms JSON encode for {text!r}"
+        )
+        # Framing copies the held body once; a build joins, encodes
+        # and prefixes it, so a rebuilt hit would cost at least twice.
+        assert framed_ms <= 0.5 * body_ms, (
+            f"repeat-hit time-to-bytes {framed_ms:.3f} ms is more than half "
+            f"of the {body_ms:.3f} ms body build for {text!r}"
         )
     if not SMOKE:
         assert len(bars) >= 3, "the bar needs answers of 100 KB and more"
-
-
-def test_the_client_read_buffer_is_sized_for_answers():
-    """The row ``client.READ_BUFFER_BYTES`` was read from: one
-    connection per buffer size, taking turns, on the largest of the six
-    answers and on ``ping`` (which must not pay for the larger buffer)."""
-    rounds = smoke_rounds(60, 5)
-    service = QueryService()
-    service.store.put("xmark", dataset(WIRE_FACTOR, seed=DATASET_SEED))
-    text = max(REQUESTS, key=lambda t: sum(map(len, service.query("xmark", t))))
-    size = len(encode_frame(result_frame(0, service.query("xmark", text))))
-    chosen = client_module.READ_BUFFER_BYTES
-    with ServiceServer(service) as server:
-        clients = {}
-        for buffer_bytes in (8192, chosen):
-            with mock.patch.object(client_module, "READ_BUFFER_BYTES", buffer_bytes):
-                clients[buffer_bytes] = Client(*server.address)
-        timings = {(b, op): [] for b in clients for op in ("answer", "ping")}
-        for _ in range(rounds):
-            for buffer_bytes, client in clients.items():
-                for op, call in (
-                    ("answer", lambda c=client: c.query("xmark", text)),
-                    ("ping", client.ping),
-                ):
-                    began = time.perf_counter()
-                    call()
-                    timings[buffer_bytes, op].append(time.perf_counter() - began)
-        for client in clients.values():
-            client.close()
-    p50 = {key: statistics.median(values) * 1000.0 for key, values in timings.items()}
-    print()
-    print(format_table(
-        f"client read buffer, one connection, p50 of {rounds} round trips "
-        f"(factor {WIRE_FACTOR})",
-        ["buffer B", f"{size} B answer rt ms", "ping rt ms"],
-        [(str(b), f"{p50[b, 'answer']:.3f}", f"{p50[b, 'ping']:.4f}") for b in clients],
-    ))
-    if not SMOKE:
-        assert p50[chosen, "answer"] <= p50[8192, "answer"], (
-            "the chosen read buffer is no faster than the default on a large answer"
-        )
 
 
 def test_snapshot_isolation_under_load():

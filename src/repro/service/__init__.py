@@ -13,10 +13,12 @@ for many concurrent clients:
   (document, version, query) evaluation already in flight, or by
   evaluating it there and then, under a bound on concurrent
   evaluations.  The memo's value is sent as it is: a cached answer
-  carries its wire form, so a repeat over the wire is framed around
-  bytes the entry already holds, not re-encoded.
+  carries its wire form, a length-prefixed body the client slices
+  without JSON-parsing it, so a repeat over the wire is a header line
+  and bytes the entry already holds, not re-encoded.
 * **A line-protocol TCP server and client** — ``repro serve`` /
-  :class:`Client`, JSON frames, graceful shutdown, per-request
+  :class:`Client`, JSON frames (a ``query`` answer's items follow its
+  header line as one body), graceful shutdown, per-request
   deadlines, and admission control that sheds load with typed errors.
 
 In-process::

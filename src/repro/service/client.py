@@ -45,26 +45,15 @@ from typing import Optional
 
 from repro.obs import Tracer, stitch
 from repro.service.errors import (
-    BadRequestError,
     ResponseLostError,
     RetryExhaustedError,
     ServiceClosedError,
     TransportError,
     error_for,
 )
-from repro.service.protocol import decode_line, encode_frame
+from repro.service.protocol import encode_frame, read_response
 
 __all__ = ["Client", "IDEMPOTENT_OPS", "RetryPolicy"]
-
-#: The connection's buffer size: sized for answers, not for lines.  A
-#: response is one line and a cached answer leaves the server in one
-#: ``sendall``, so the reader should take it in a few ``recv`` calls:
-#: through the default 8 KiB buffer a 546 KB answer is ≈ 67 of them.
-#: Measured on one connection over the six Fig-12 answers (0.4–675 KB):
-#: wire + read part of the round trip 0.79 → 0.58 ms mean at 256 KiB,
-#: 22 µs pings and 46 µs point reads unchanged
-#: (``benchmarks/bench_service.py`` prints the row).
-READ_BUFFER_BYTES = 1 << 18
 
 #: Ops whose re-execution is observably equivalent to one execution —
 #: the only ops the client will retry on its own.  (``slowlog`` with
@@ -155,7 +144,7 @@ class Client:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
-            self._file = self._sock.makefile("rwb", buffering=READ_BUFFER_BYTES)
+            self._file = self._sock.makefile("rwb")
         except OSError as exc:
             self._sock = None
             self._file = None
@@ -192,7 +181,16 @@ class Client:
         try:
             file.write(encode_frame(frame))
             file.flush()
-            line = file.readline()
+            response = read_response(file)
+        except ResponseLostError as exc:
+            # A response cut mid-frame (the server died, or the socket
+            # was reset, after part of it was sent) or one that cannot
+            # be a frame: a lost response on a stream now out of step,
+            # not the caller's malformed request.
+            self._teardown()
+            raise ResponseLostError(
+                f"server at {self.host}:{self.port} {exc}"
+            ) from None
         except (ConnectionError, OSError) as exc:
             # Includes socket.timeout: the request was (or may have
             # been) sent and a reply may still be in flight, so the
@@ -203,23 +201,6 @@ class Client:
                 f"connection to {self.host}:{self.port} failed "
                 f"mid-request: {exc}"
             ) from None
-        # A response cut mid-frame (the server died, or the socket was
-        # reset, after part of it was sent) comes back as a line with
-        # no newline, and usually not JSON: that is a lost response on
-        # a dead connection, not the caller's malformed request.
-        lost = None
-        if not line:
-            lost = "closed the connection"
-        elif not line.endswith(b"\n"):
-            lost = f"closed the connection {len(line)} bytes into a response"
-        else:
-            try:
-                response = decode_line(line)
-            except BadRequestError as exc:
-                lost = f"sent a malformed response: {exc}"
-        if lost is not None:
-            self._teardown()
-            raise ResponseLostError(f"server at {self.host}:{self.port} {lost}")
         if response.get("id") != request_id:  # pragma: no cover - defensive
             self._teardown()
             raise ResponseLostError(
@@ -274,7 +255,8 @@ class Client:
 
         A sampled query opens the **root** span of the whole request:
         its ``trace_id``/``parent_span`` travel in the frame, the
-        server's ``service.query`` record points back at it, and any
+        server's ``service.query`` record points back at it, the
+        reading of the answer is its ``decode`` span, and any
         transport retries or reconnects the exchange needed are
         stamped onto the root — :meth:`stitched` reassembles the full
         tree.
@@ -283,15 +265,18 @@ class Client:
         retries = self.retry_stats["retries"]
         reconnects = self.retry_stats["reconnects"]
         try:
-            result = self.call(
-                "query",
-                target=target,
-                text=text,
-                staged=staged or None,
-                deadline_ms=deadline_ms,
-                trace_id=trace.trace_id,
-                parent_span=trace.span_id,
-            )
+            # Active, so the response reader's ``decode`` span — the
+            # client's own layer — lands on this root.
+            with trace.activate():
+                result = self.call(
+                    "query",
+                    target=target,
+                    text=text,
+                    staged=staged or None,
+                    deadline_ms=deadline_ms,
+                    trace_id=trace.trace_id,
+                    parent_span=trace.span_id,
+                )
         except Exception as exc:
             self._stamp_transport(trace, retries, reconnects)
             trace.finish(outcome="error", error=str(exc))

@@ -1,5 +1,6 @@
-"""The service's line protocol: one JSON object per ``\\n``-terminated
-line, in both directions.
+"""The service's protocol: one JSON object per ``\\n``-terminated
+line in both directions, except that a ``query`` answer carries its
+items after its line as a length-prefixed body.
 
 Request frames::
 
@@ -10,19 +11,32 @@ Request frames::
 ``id`` is echoed back verbatim (any JSON scalar); ``deadline_ms`` is
 optional.  Response frames::
 
-    {"id": 1, "ok": true, "result": ["<person>…</person>"]}
+    {"id": 1, "ok": true, "result": {"name": "xmark", "version": 2}}
     {"id": 1, "ok": false,
      "error": {"code": "overloaded", "message": "…"}}
 
-Response frames are **byte-stable**: keys in the order ``id``, ``ok``,
-``result`` (or ``error``), compact separators, ASCII only (everything
-else ``\\uXXXX``-escaped), one trailing newline.  That is what lets a
-``query`` be answered from bytes: the ``result`` array of a cached
-:class:`~repro.store.answer.Answer` is encoded once per cache entry
-and sent verbatim from then on, around the request's own ``id``
-(:func:`encode_response`, the one function that builds response
-bytes) — the same bytes, for every JSON-scalar ``id``, as encoding the
-whole frame from its strings.
+A ``query`` that succeeds is answered by a header line and a body::
+
+    {"id": 1, "ok": true, "items": 2, "bytes": 31}
+    <2 × 4-byte little-endian lengths, in code points><the items, UTF-8>
+
+— *items* lengths, then ``"".join(items)`` encoded as UTF-8 with
+``surrogatepass`` (:func:`repro.store.answer.wire_body`), *bytes* in
+all.  The client reads exactly that many bytes, decodes the text once
+and slices it (:func:`read_response`, the one reader; nothing is
+JSON-unescaped).  A failed ``query`` is an error line like any other.
+
+Response lines are **byte-stable**: keys in the order ``id``, ``ok``,
+then ``result`` / ``error`` / ``items`` and ``bytes``, compact
+separators, ASCII only (everything else ``\\uXXXX``-escaped), one
+trailing newline.  A ``query`` body is byte-stable too: it is a
+function of the items alone.  That is what lets a ``query`` be
+answered from bytes: the body of a cached
+:class:`~repro.store.answer.Answer` is built once per cache entry and
+sent verbatim from then on, after a header carrying the request's own
+``id`` (:func:`encode_response`, the one function that builds response
+bytes, in one write) — so two responses to one text are byte-equal
+after the ``id``.
 
 Ops and their arguments (all strings unless noted):
 
@@ -66,8 +80,9 @@ import math
 from typing import Optional
 
 from repro.faults import InjectedFault
-from repro.service.errors import BadRequestError, ServiceError
-from repro.store.answer import Answer
+from repro.obs import span
+from repro.service.errors import BadRequestError, ResponseLostError, ServiceError
+from repro.store.answer import Answer, body_items
 from repro.store.errors import StoreError
 
 __all__ = [
@@ -77,6 +92,7 @@ __all__ = [
     "encode_response",
     "error_frame",
     "handle_request",
+    "read_response",
     "result_frame",
 ]
 
@@ -132,18 +148,82 @@ def encode_response(
 ) -> bytes:
     """One response as wire bytes: the error frame for *error*, else
     the result frame for *result*.  An :class:`Answer` — what
-    :func:`handle_request` returns for ``query`` — is not re-encoded:
-    its wire form is framed as it is, byte-identical to
-    ``encode_frame(result_frame(request_id, list(result.items)))``."""
+    :func:`handle_request` returns for ``query`` — is its header line
+    followed by its body, :meth:`Answer.wire`, as it is (one object,
+    so the server sends both in one write)."""
     if error is not None:
         return encode_frame(error_frame(request_id, error))
     if type(result) is Answer:
+        body = result.wire()
         return b"".join((
             b'{"id":',
             json.dumps(request_id, separators=(",", ":")).encode("ascii"),
-            b',"ok":true,"result":', result.wire(), b"}\n",
+            b',"ok":true,"items":', str(len(result.items)).encode("ascii"),
+            b',"bytes":', str(len(body)).encode("ascii"), b"}\n",
+            body,
         ))
     return encode_frame(result_frame(request_id, result))
+
+
+#: The most a body read asks the stream for at once: a header that
+#: announces more than its peer sends costs this much memory, not the
+#: announced size.  Answers are far smaller, so they are one read.
+_BODY_PIECE_BYTES = 1 << 24
+
+
+def _count(header: dict, key: str) -> int:
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ResponseLostError(f"sent a header whose {key!r} is {value!r}")
+    return value
+
+
+def read_response(stream) -> dict:
+    """Read one response from the binary *stream* (``readline`` and
+    ``read``) and return it as a frame dict: a ``query`` body comes
+    back sliced into its items, as ``"result"``.
+
+    A response that ends early or cannot be one — no bytes, a line cut
+    before its newline, a line that is not a JSON object, a body
+    shorter than its header says, lengths that do not fit the body or
+    do not add up to its text, bytes that are not UTF-8 — raises
+    :class:`ResponseLostError` with the reason (the stream is then out
+    of step and must be dropped).  Transport errors propagate.  Under
+    an active trace, everything after the header line arrives is one
+    ``decode`` span."""
+    line = stream.readline()
+    if not line:
+        raise ResponseLostError("closed the connection")
+    if not line.endswith(b"\n"):
+        raise ResponseLostError(
+            f"closed the connection {len(line)} bytes into a response"
+        )
+    with span("decode"):
+        try:
+            response = decode_line(line)
+        except BadRequestError as exc:
+            raise ResponseLostError(f"sent a malformed response: {exc}") from None
+        if "bytes" not in response:
+            return response
+        count = _count(response, "items")
+        size = _count(response, "bytes")
+        pieces = []
+        left = size
+        while left:
+            piece = stream.read(min(left, _BODY_PIECE_BYTES))
+            if not piece:
+                raise ResponseLostError(
+                    f"closed the connection {size - left} bytes into a "
+                    f"{size}-byte body"
+                )
+            pieces.append(piece)
+            left -= len(piece)
+        body = pieces[0] if len(pieces) == 1 else b"".join(pieces)
+        try:
+            response["result"] = body_items(body, count)
+        except ValueError as exc:
+            raise ResponseLostError(f"sent a malformed body: {exc}") from None
+        return response
 
 
 def _require(frame: dict, key: str) -> str:

@@ -3,7 +3,7 @@
 
 One daemon thread per connection (``socketserver.ThreadingTCPServer``)
 reads newline-delimited JSON frames and answers in order on the same
-connection.  Every query runs start to finish on the connection
+connection (a ``query`` answer as a header line and its body).  Every query runs start to finish on the connection
 thread itself, inside ``service.query`` — answered from the memo,
 from an identical evaluation another connection is already running, or
 by evaluating it right there — so the connection thread is the only
@@ -77,8 +77,8 @@ class _Handler(socketserver.StreamRequestHandler):
             except InjectedFault as exc:
                 error = exc
             try:
-                # A cached answer leaves as the bytes its entry holds,
-                # in one sendall (wfile is unbuffered).
+                # A cached answer leaves as a header line and the body
+                # its entry holds, in one sendall (wfile is unbuffered).
                 self.wfile.write(encode_response(request_id, result, error))
                 self.wfile.flush()
             except (ConnectionError, OSError, ValueError):

@@ -662,7 +662,7 @@ class QueryService:
         its wire form is counted and stamped here — the one probe the
         wire layer adds to a hit."""
         if answer is not None and request.wire:
-            held = answer.wire_bytes > 0
+            held = answer.holds_wire
             meta["wire"] = "reused" if held else "built"
             self._count("wire_reused" if held else "wire_built")
         request.trace.finish(outcome=outcome, **meta)

@@ -2,9 +2,9 @@
 once it has been asked for again — the bytes a server sends for it.
 
 ``ViewStore.results`` maps :func:`result_key` to one :class:`Answer`
-per key.  ``items`` is the answer every in-process
-reader copies out of; :meth:`Answer.wire` is the same answer as the
-compact-JSON array a response frame carries after ``"result":``, built
+per key.  ``items`` is the answer every in-process reader copies out
+of; :meth:`Answer.wire` is the same answer as the body a ``query``
+response carries after its header line (:func:`wire_body`), built
 lazily and then kept *on the entry* — so it moves with the entry when
 a commit re-keys it (the cache moves values by reference) and goes
 with it on drop or eviction.  There is no second cache and no second
@@ -36,13 +36,20 @@ costs 4 bytes per item, for as long as the entry lives.
 
 from __future__ import annotations
 
-import json
+import sys
 from array import array
-from itertools import islice
+from itertools import accumulate, islice
 from operator import le
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Literal, Optional, Sequence, Tuple
 
-__all__ = ["Answer", "node_refs", "result_key"]
+__all__ = ["Answer", "body_items", "node_refs", "result_key", "wire_body"]
+
+#: The ``array`` type code of a 4-byte unsigned int (``"I"`` wherever
+#: CPython runs; ``"L"`` is the fallback the C standard allows).
+_U32: Literal["I", "L"] = "I" if array("I").itemsize == 4 else "L"
+
+#: A body's lengths are little-endian; a big-endian host swaps them.
+_SWAP = sys.byteorder == "big"
 
 
 def result_key(
@@ -74,6 +81,39 @@ def node_refs(items: Sequence) -> "Optional[array[int]]":
     if not all(map(le, refs, islice(refs, 1, None))):
         return None
     return refs
+
+
+def wire_body(items: Sequence[str]) -> bytes:  # hot-path
+    """The body of a ``query`` response: ``len(items)`` 4-byte
+    little-endian unsigned lengths, in code points, then the items
+    joined and encoded as UTF-8 (``surrogatepass``, so any ``str``
+    round-trips).  :func:`body_items` decodes the text once and slices
+    it by the lengths; nothing is escaped."""
+    lengths = array(_U32, map(len, items))
+    if _SWAP:
+        lengths.byteswap()
+    return lengths.tobytes() + "".join(items).encode("utf-8", "surrogatepass")
+
+
+def body_items(body: bytes, count: int) -> List[str]:
+    """The *count* items of a :func:`wire_body`: one decode of the
+    text, then one slice per length.  :class:`ValueError` (a
+    :class:`UnicodeDecodeError` for bytes that are not UTF-8) when
+    *body* cannot be such a body."""
+    head = 4 * count
+    if len(body) < head:
+        raise ValueError(f"{len(body)} bytes cannot hold {count} lengths")
+    lengths = array(_U32)
+    lengths.frombytes(body[:head])
+    if _SWAP:
+        lengths.byteswap()
+    text = str(memoryview(body)[head:], "utf-8", "surrogatepass")
+    bounds = list(accumulate(lengths, initial=0))
+    if bounds[-1] != len(text):
+        raise ValueError(
+            f"lengths sum to {bounds[-1]} code points, the text has {len(text)}"
+        )
+    return [text[start:end] for start, end in zip(bounds, islice(bounds, 1, None))]
 
 
 class Answer:
@@ -122,16 +162,22 @@ class Answer:
         return answer
 
     def wire(self) -> bytes:  # hot-path
-        """``items`` as a compact JSON array in ASCII — exactly what
-        :func:`~repro.service.protocol.encode_frame` puts after
-        ``"result":`` for ``list(items)``."""
+        """``items`` as a response body (:func:`wire_body`) — what
+        :func:`~repro.service.protocol.encode_response` sends after the
+        header line."""
         wire = self._wire
         if wire is None:
-            wire = json.dumps(self.items, separators=(",", ":")).encode("ascii")
+            wire = wire_body(self.items)
             if self._asked:
                 self._wire = wire
             self._asked = True
         return wire
+
+    @property
+    def holds_wire(self) -> bool:
+        """Whether this entry keeps its wire form (from the second
+        :meth:`wire` call on; an empty answer's is zero bytes)."""
+        return self._wire is not None
 
     @property
     def wire_bytes(self) -> int:

@@ -558,9 +558,9 @@ class ViewStore:
         forms hold (sampled: one walk over the entries per snapshot,
         nothing on the read path)."""
         stats = self.results.stats()
-        held = [answer.wire_bytes for answer in self.results.values()]
-        stats["wire_entries"] = sum(1 for size in held if size)
-        stats["wire_bytes"] = sum(held)
+        held = [answer for answer in self.results.values() if answer.holds_wire]
+        stats["wire_entries"] = len(held)
+        stats["wire_bytes"] = sum(answer.wire_bytes for answer in held)
         return stats
 
     def bind_metrics(self, registry) -> None:

@@ -37,6 +37,7 @@ from repro.obs import (
     stitch,
 )
 from repro.service import Client, QueryService, ServiceConfig, ServiceServer
+from repro.store.answer import wire_body
 from repro.xmltree.parser import parse_to_arena
 
 CATALOG = (
@@ -632,6 +633,26 @@ class TestPropagation:
         names = sorted(r["name"] for r in entry["records"])
         assert names == ["client.query", "service.query"]
 
+    def test_the_client_decode_is_a_span_of_its_root(self, wire):
+        """The client's own layer — header parse, body read and slice
+        — shows in the stitched tree as ``decode`` under
+        ``client.query``; the server's record has none of it."""
+        _, _, client = wire
+        answer = client.query("db", QUERY)
+        assert answer
+        _wait_for(lambda: client.traces())
+        [entry] = client.stitched()
+        root = entry["root"]
+        assert root["name"] == "client.query"
+        [decode] = [s for s in root["spans"] if s["name"] == "decode"]
+        assert decode["depth"] == 0 and 0 <= decode["dur_us"] <= root["dur_us"]
+        [server] = [r for r in entry["records"] if r["name"] == "service.query"]
+        assert server["parent_span"] == root["span_id"]
+        assert "decode" not in [s["name"] for s in server["spans"]]
+        # Other ops open no trace, so they record no span.
+        client.ping()
+        assert len(client.local_traces()) == 1
+
     def test_traces_op_stitched_flag(self, wire):
         _, _, client = wire
         client.query("db", QUERY)
@@ -713,7 +734,7 @@ class TestWireLayer:
         before = client.metrics()
         assert before["store.cache.results.wire_entries"] == 1
         held = before["store.cache.results.wire_bytes"]
-        assert held == len(json.dumps(svc.query("db", QUERY), separators=(",", ":")))
+        assert held == len(wire_body(svc.query("db", QUERY)))
         client.query("db", QUERY)
         after = client.metrics()
         assert after["service.wire.reused"] - before["service.wire.reused"] == 1

@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.29.0"
+        assert repro.__version__ == "1.30.0"
 
     def test_no_build_tooling_in_the_package(self):
         """1.29.0: the lint pass is a build-time tool under
@@ -219,7 +219,9 @@ class TestSurface:
 
     def test_answer_surface(self):
         """1.11.0: the result cache's value is an ``Answer``; the wire
-        dispatcher hands it out as it is, in-process reads copy it."""
+        dispatcher hands it out as it is, in-process reads copy it.
+        1.30.0: its wire form is a length-prefixed body after a header
+        line, not a JSON array."""
         from repro.service.protocol import encode_response, handle_request
         from repro.store import Answer, ViewStore, result_key
 
@@ -234,7 +236,9 @@ class TestSurface:
             answer = handle_request(service, frame)
             assert answer is store.results.peek(key) is service.answer("db", text)
             assert service.query("db", text) == list(answer.items)
-            assert encode_response(1, answer) == b'{"id":1,"ok":true,"result":["<a>1</a>"]}\n'
+            assert encode_response(1, answer) == (
+                b'{"id":1,"ok":true,"items":1,"bytes":12}\n\x08\x00\x00\x00<a>1</a>'
+            )
 
     def test_one_read_path_surface(self):
         """1.8.0: the store and the service run no Node strategy, so the

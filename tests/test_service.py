@@ -31,8 +31,8 @@ from repro.service import (
     ServiceServer,
     TransportError,
 )
-from repro.service.protocol import decode_line, encode_frame, result_frame
-from repro.store import StoreError, ViewStore
+from repro.service.protocol import decode_line, encode_frame, encode_response
+from repro.store import Answer, StoreError, ViewStore
 from repro.transform.arena import transform_arena
 from repro.transform.naive import transform_naive
 from repro.transform.query import parse_transform_query
@@ -1207,9 +1207,10 @@ def test_client_timeout_tears_down_the_desynchronized_connection():
 
 class _CuttingPeer:
     """A raw-socket server that answers the first *cuts* requests
-    (``None``: every request) with the start of a result frame and a
-    hang-up — what a server killed, or a socket reset, mid-``sendall``
-    leaves on the wire — and every later one properly."""
+    (``None``: every request) with ``CUT`` (``%d``: the request's id)
+    and a hang-up — by default the start of a frame, what a server
+    killed, or a socket reset, mid-``sendall`` leaves on the wire —
+    and every later one properly."""
 
     CUT = b'{"id":%d,"ok":true,"result":["<a>'
     ANSWER = ["<a/>"]
@@ -1235,7 +1236,8 @@ class _CuttingPeer:
                     if self.cuts is None or len(self.ops) <= self.cuts:
                         conn.sendall(self.CUT % frame["id"])
                         break  # hang up mid-frame
-                    conn.sendall(encode_frame(result_frame(frame["id"], self.ANSWER)))
+                    answer = Answer(self.ANSWER) if frame["op"] == "query" else self.ANSWER
+                    conn.sendall(encode_response(frame["id"], answer))
 
     def close(self):
         self.listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
@@ -1286,6 +1288,54 @@ def test_a_cut_commit_response_is_lost_not_malformed_and_never_retried(cutting_p
         assert client._file is None
         assert client.retry_stats["retries"] == 0
     assert peer.ops == ["commit"]  # a lost write may have been applied
+
+
+#: A ``query`` answer's header and a body that cannot be read back,
+#: each sent whole before the hang-up but the first: what the client
+#: must say about it.
+HOSTILE_BODIES = {
+    "killed-mid-body": (
+        b'{"id":%d,"ok":true,"items":1,"bytes":100}\n\x04\x00\x00\x00<a/',
+        "closed the connection 7 bytes into a 100-byte body",
+    ),
+    "fewer-bytes-than-lengths": (
+        b'{"id":%d,"ok":true,"items":3,"bytes":8}\n\x04\x00\x00\x00<a/>',
+        "8 bytes cannot hold 3 lengths",
+    ),
+    "lengths-off-the-text": (
+        b'{"id":%d,"ok":true,"items":2,"bytes":13}\n'
+        b"\x02\x00\x00\x00\x02\x00\x00\x00<a/>x",
+        "lengths sum to 4 code points, the text has 5",
+    ),
+    "invalid-utf-8": (
+        b'{"id":%d,"ok":true,"items":1,"bytes":6}\n\x02\x00\x00\x00\xff\xfe',
+        "can't decode byte 0xff",
+    ),
+    # Read piece by piece: a terabyte announced is not a terabyte allocated.
+    "more-announced-than-memory": (
+        b'{"id":%d,"ok":true,"items":1,"bytes":1099511627776}\n\x04\x00\x00\x00',
+        "closed the connection 4 bytes into a 1099511627776-byte body",
+    ),
+    "counts-that-are-not-counts": (
+        b'{"id":%d,"ok":true,"items":"1","bytes":4}\n\x00\x00\x00\x00',
+        "sent a header whose 'items' is '1'",
+    ),
+}
+
+
+@pytest.mark.parametrize("cut, reason", HOSTILE_BODIES.values(), ids=list(HOSTILE_BODIES))
+def test_a_body_that_cannot_be_read_back_is_a_lost_response(cutting_peer, cut, reason):
+    peer = cutting_peer(cuts=1)
+    peer.CUT = cut
+    with Client(*peer.address, timeout=5.0, retry=RetryPolicy(attempts=1)) as client:
+        with pytest.raises(RetryExhaustedError) as caught:
+            client.query("db", QUERIES[0])
+        lost = caught.value.last_error
+        assert isinstance(lost, ResponseLostError) and reason in str(lost)
+        assert client._file is None  # torn down: the stream is out of step
+        assert client.query("db", QUERIES[0]) == peer.ANSWER
+        assert client.retry_stats["reconnects"] == 1
+    assert peer.ops == ["query", "query"]
 
 
 def test_a_complete_line_that_is_not_a_frame_is_a_lost_response(cutting_peer):

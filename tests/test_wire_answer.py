@@ -1,11 +1,11 @@
 """Hits are bytes: a cached :class:`~repro.store.answer.Answer` is
-framed around its own wire form, and that changes nothing a client can
-see.
+sent as a header line and its own wire form, the length-prefixed body,
+and a client reads back exactly the items.
 
-* the framed bytes are exactly ``encode_frame(result_frame(id, items))``
-  for every JSON-scalar id and every item list;
+* decoding ``encode_response(id, Answer(items))`` returns the id and
+  ``items`` for every JSON-scalar id and every list of ``str``;
 * over a real server, the response to a miss and to every repeat are
-  byte-equal after the id;
+  byte-equal after the id, and decode to the service's answer;
 * the memory rule: an entry holds wire bytes only once it has been
   asked for again;
 * the bytes live on the entry: a re-key moves the same object, a drop
@@ -15,11 +15,11 @@ see.
 """
 
 import gc
+import io
 import json
 import socket
 import sys
 import threading
-import types
 import weakref
 from unittest import mock
 
@@ -34,6 +34,7 @@ from repro.service.protocol import (
     encode_frame,
     encode_response,
     handle_request,
+    read_response,
     result_frame,
 )
 from repro.store import Answer, ViewStore
@@ -71,8 +72,23 @@ def _held(store) -> list:
     return [answer for answer in store.results.values() if answer.wire_bytes]
 
 
+def _decode(response: bytes) -> dict:
+    """One whole response through the client's reader; nothing may be
+    left over."""
+    stream = io.BytesIO(response)
+    frame = read_response(stream)
+    assert stream.read() == b""
+    return frame
+
+
+def _split(response: bytes):
+    """A ``query`` response as (header dict, body bytes)."""
+    line, body = response.split(b"\n", 1)
+    return json.loads(line), body
+
+
 # ----------------------------------------------------------------------
-# (a) The bytes are today's bytes
+# (a) What is sent is what is read back
 # ----------------------------------------------------------------------
 
 ids = st.one_of(
@@ -82,24 +98,34 @@ ids = st.one_of(
     st.none(),
     st.booleans(),
 )
-items = st.lists(st.text(), max_size=300)
+#: Any ``str``: lone surrogates (and a pair split over two items) and
+#: non-BMP characters included — strict UTF-8 would refuse the first.
+items = st.lists(st.text(st.characters(exclude_categories=())), max_size=300)
 
 
 @settings(max_examples=300, deadline=None)
 @given(request_id=ids, items=items)
 @example(request_id=-7, items=[])
 @example(request_id=1.5, items=[""])
-@example(request_id='q"\\ é', items=['" \\ / & < >', "\x00\x1f\x7f\n\r\t", "naïve ☃ \U0001f600"])
+@example(request_id=0, items=["\n", "\x00", "", "\n\n"])
+@example(request_id='q"\\ é', items=['" \\ / & < >', "\x00\x1f\x7f\n\r\t", "naïve ☃ \U0001f600"])
+@example(request_id=2, items=["\ud800", "a\udfff", "\ud83d", "\ude00", "\U0001f600\ud83d"])
 @example(request_id=None, items=["<a b=\"c\">d</a>"] * 300)
-@example(request_id=True, items=["  "])
-def test_a_framed_answer_is_the_encoded_frame_byte_for_byte(request_id, items):
+@example(request_id=True, items=["  "])
+def test_a_decoded_response_is_the_answer(request_id, items):
     answer = Answer(items)
-    expected = encode_frame(result_frame(request_id, items))
-    # First call (built, let go), second (built, kept), third (reused).
-    for _ in range(3):
-        assert encode_response(request_id, answer) == expected
-    assert answer.wire_bytes == len(json.dumps(items, separators=(",", ":")))
-    assert decode_line(expected) == {"id": request_id, "ok": True, "result": items}
+    # First call (built, let go), second (built, kept), third (reused):
+    # the same bytes every time.
+    responses = {encode_response(request_id, answer) for _ in range(3)}
+    assert len(responses) == 1
+    [response] = responses
+    header, body = _split(response)
+    assert header == {
+        "id": request_id, "ok": True, "items": len(items), "bytes": len(body),
+    }
+    assert response.startswith(b'{"id":' + json.dumps(request_id).encode())
+    assert answer.wire_bytes == len(body)
+    assert _decode(response) == dict(header, result=items)
     assert answer.items == tuple(items)
 
 
@@ -133,6 +159,7 @@ def test_first_and_repeat_responses_are_byte_equal_after_the_id(xml, reads):
     service = QueryService()
     service.put("doc", serialize(generate(0.004, seed=7)) if xml is None else xml)
     request_ids = [1, 2, -3, "four", 5.5, None]
+    decoded = {}
     with ServiceServer(service) as server:
         with socket.create_connection(server.address, timeout=10.0) as sock:
             with sock.makefile("rwb") as stream:
@@ -143,12 +170,16 @@ def test_first_and_repeat_responses_are_byte_equal_after_the_id(xml, reads):
                         stream.write(encode_frame(_query_frame(request_id, "doc", text)))
                         stream.flush()
                         line = stream.readline()
-                        assert line == encode_frame(result_frame(request_id, expected))
-                        head, tail = line.split(b',"ok":', 1)
+                        response = line + stream.read(json.loads(line)["bytes"])
+                        frame = _decode(response)
+                        assert frame["id"] == request_id and frame["result"] == expected
+                        head, tail = response.split(b',"ok":', 1)
                         assert head == b'{"id":' + json.dumps(request_id).encode()
                         tails.append(tail)
                     assert len(set(tails)) == 1
+                    decoded[text] = frame["result"]
         m = service.metrics()
+        assert decoded == {text: service.query("doc", text) for text in reads}
     assert m["evaluations"] == len(reads)
     assert m["memo_hits"] == len(reads) * (len(request_ids) - 1)
     # Per text: the miss and the first hit build, every later hit reuses.
@@ -178,7 +209,8 @@ def test_an_entry_holds_wire_bytes_only_once_it_is_asked_for_again():
         again = _respond(service, 100, "doc", texts[42])
         [held] = _held(service.store)
         assert held.items == tuple(_oracle(service.store, "doc", texts[42]))
-        assert again.endswith(b',"result":' + held.wire() + b"}\n")
+        header, body = _split(again)
+        assert body == held.wire() and header["bytes"] == held.wire_bytes
         cache = service.store.stats()["caches"]["results"]
         assert (cache["wire_entries"], cache["wire_bytes"]) == (1, held.wire_bytes)
         # An in-process repeat is not a wire repeat: nothing is built for it.
@@ -238,7 +270,7 @@ def test_a_rekey_moves_the_same_object_and_a_drop_frees_its_bytes():
     assert alive() is None  # nothing else held the entry — or its bytes
     assert service.store.stats()["caches"]["results"]["wire_bytes"] == 0
     fresh = _respond(service, 4, "public", text)
-    assert decode_line(fresh)["result"] == ["<pname>kb</pname>", "<pname>mouse</pname>"]
+    assert _decode(fresh)["result"] == ["<pname>kb</pname>", "<pname>mouse</pname>"]
     service.close()
 
 
@@ -261,15 +293,16 @@ def test_an_evicted_entry_takes_its_bytes_with_it():
 # ----------------------------------------------------------------------
 
 
-def _counting_json(calls: list):
-    """A stand-in for the ``json`` module :mod:`repro.store.answer`
-    encodes with: every wire form built appends to *calls*."""
+def _counting_wire_body(calls: list):
+    """A stand-in for :func:`repro.store.answer.wire_body`: every wire
+    form built appends to *calls*."""
+    wire_body = answer_module.wire_body
 
-    def dumps(obj, **kwargs):
-        calls.append(len(obj))
-        return json.dumps(obj, **kwargs)
+    def counting(items):
+        calls.append(len(items))
+        return wire_body(items)
 
-    return types.SimpleNamespace(dumps=dumps)
+    return counting
 
 
 def test_eight_threads_hitting_one_key_get_equal_bytes():
@@ -277,7 +310,7 @@ def test_eight_threads_hitting_one_key_get_equal_bytes():
     text = XMARK_READS[0]
     service = QueryService()
     service.put("doc", serialize(generate(0.004, seed=7)))
-    expected = encode_frame(result_frame(0, _oracle(service.store, "doc", text)))
+    expected = encode_response(0, Answer(_oracle(service.store, "doc", text)))
     assert _respond(service, 0, "doc", text) == expected  # the leading miss
     before = service.metrics()
     barrier = threading.Barrier(threads)
@@ -301,7 +334,7 @@ def test_eight_threads_hitting_one_key_get_equal_bytes():
     # Only requests that raced the first hit's build can have built.
     assert built + reused == threads * rounds and 1 <= built <= threads
     [held] = _held(service.store)
-    assert expected.endswith(held.wire() + b"}\n")
+    assert _split(expected)[1] == held.wire()
     service.close()
 
 
@@ -310,7 +343,7 @@ def test_the_followers_of_a_flight_share_one_wire_form():
     text = XMARK_READS[1]
     service = QueryService(config=ServiceConfig(workers=1))
     service.put("doc", serialize(generate(0.004, seed=7)))
-    expected = encode_frame(result_frame(9, _oracle(service.store, "doc", text)))
+    expected = encode_response(9, Answer(_oracle(service.store, "doc", text)))
     _, release = _hold_evaluations(service)
     builds: list = []
     interval = sys.getswitchinterval()
@@ -320,7 +353,7 @@ def test_the_followers_of_a_flight_share_one_wire_form():
     # make the count below a matter of timing).
     sys.setswitchinterval(10.0)
     try:
-        with mock.patch.object(answer_module, "json", _counting_json(builds)):
+        with mock.patch.object(answer_module, "wire_body", _counting_wire_body(builds)):
             calls = [
                 _Call(_respond, service, 9, "doc", text) for _ in range(followers + 1)
             ]
@@ -366,4 +399,4 @@ def test_in_process_reads_return_fresh_lists(served_over_the_wire):
             first.append("<poison/>")
             again = read("doc", text)
             assert again == expected and again is not first
-        assert decode_line(_respond(service, 4, "doc", text))["result"] == expected
+        assert _decode(_respond(service, 4, "doc", text))["result"] == expected
