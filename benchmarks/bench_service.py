@@ -161,17 +161,22 @@ def test_single_flight_throughput_vs_serial_baseline():
         [(n, f"{s:.3f}", f"{r:.0f}", f"{x:.2f}x") for n, s, r, x in rows],
     ))
     print(
-        f"single-flight metrics: {metrics['evaluations']} evaluations for "
-        f"{metrics['requests']} requests "
-        f"({metrics['coalesced']} coalesced, {metrics['memo_hits']} memo hits, "
-        f"{metrics['stale_reads']} stale reads)"
+        f"single-flight metrics: {metrics['service.dispatch.evaluations']} evaluations "
+        f"for {metrics['service.requests.total']} requests "
+        f"({metrics['service.dispatch.coalesced']} coalesced, "
+        f"{metrics['service.dispatch.memo_hits']} memo hits, "
+        f"{metrics['service.reads.stale']} stale reads)"
     )
     # Every request was answered from a pinned snapshot, and sharing
     # actually collapsed work: far fewer evaluations than requests.
-    assert metrics["requests"] == total
-    assert metrics["snapshot_reads"] == total
-    assert metrics["evaluations"] + metrics["memo_hits"] + metrics["coalesced"] == total
-    assert metrics["evaluations"] < total
+    assert metrics["service.requests.total"] == total
+    assert metrics["service.reads.snapshot"] == total
+    assert total == (
+        metrics["service.dispatch.evaluations"]
+        + metrics["service.dispatch.memo_hits"]
+        + metrics["service.dispatch.coalesced"]
+    )
+    assert metrics["service.dispatch.evaluations"] < total
     if not SMOKE:
         # The acceptance bar: coalescing + memoized fan-out must beat
         # one-at-a-time serving by at least 4x on the same hardware.
@@ -220,14 +225,17 @@ def test_repeats_cost_one_evaluation():
         f"one text x{CLIENTS} clients x{repeats} repeats, no commits "
         f"(factor {FACTOR})",
         ["requests", "evaluations", "memo hits", "coalesced", "memo-hit p50 ms"],
-        [(str(total), str(metrics["evaluations"]),
-          str(metrics["memo_hits"]), str(metrics["coalesced"]),
+        [(str(total), str(metrics["service.dispatch.evaluations"]),
+          str(metrics["service.dispatch.memo_hits"]), str(metrics["service.dispatch.coalesced"]),
           f"{hit_p50_ms:.4f}")],
     ))
-    assert metrics["requests"] == metrics["snapshot_reads"] == total
-    assert metrics["evaluations"] == 1
-    assert metrics["memo_hits"] + metrics["coalesced"] == total - 1
-    assert metrics["memo_hits"] >= CLIENTS * (repeats - 1)
+    assert metrics["service.requests.total"] == metrics["service.reads.snapshot"] == total
+    assert metrics["service.dispatch.evaluations"] == 1
+    assert (
+        metrics["service.dispatch.memo_hits"] + metrics["service.dispatch.coalesced"]
+        == total - 1
+    )
+    assert metrics["service.dispatch.memo_hits"] >= CLIENTS * (repeats - 1)
 
 
 def test_distinct_texts_pay_one_evaluation_each():
@@ -279,14 +287,17 @@ def test_distinct_texts_pay_one_evaluation_each():
         f"2 closed-loop clients x{chunks * chunk} distinct texts (factor {FACTOR})",
         ["requests", "evaluations", "coalesced", "memo hits",
          "query_direct p50 ms", "query (miss) p50 ms", "read-path cost ms"],
-        [(str(metrics["requests"]), str(metrics["evaluations"]),
-          str(metrics["coalesced"]), str(metrics["memo_hits"]),
+        [(str(metrics["service.requests.total"]), str(metrics["service.dispatch.evaluations"]),
+          str(metrics["service.dispatch.coalesced"]), str(metrics["service.dispatch.memo_hits"]),
           f"{direct_p50:.3f}", f"{miss_p50:.3f}", f"{miss_p50 - direct_p50:+.3f}")],
     ))
-    assert metrics["requests"] == metrics["snapshot_reads"] == 2 * chunks * chunk
-    assert metrics["evaluations"] == metrics["requests"]
-    assert metrics["coalesced"] == metrics["memo_hits"] == 0
-    assert metrics["shed"] == metrics["deadline_misses"] == 0
+    assert (
+        metrics["service.requests.total"] == metrics["service.reads.snapshot"]
+        == 2 * chunks * chunk
+    )
+    assert metrics["service.dispatch.evaluations"] == metrics["service.requests.total"]
+    assert metrics["service.dispatch.coalesced"] == metrics["service.dispatch.memo_hits"] == 0
+    assert metrics["service.requests.shed"] == metrics["service.requests.deadline_miss"] == 0
 
 
 def test_instrumentation_overhead_within_three_percent():
@@ -385,9 +396,10 @@ def test_a_repeat_hit_is_framed_not_encoded():
          "first-hit rt ms", "repeat rt ms"],
         rows,
     ))
-    assert metrics["evaluations"] == len(REQUESTS) * (rounds + 1)  # + the in-process read
-    assert metrics["wire_built"] == len(REQUESTS) * rounds * 2  # the miss, the first hit
-    assert metrics["wire_reused"] == len(REQUESTS) * rounds * 4
+    # + the in-process read
+    assert metrics["service.dispatch.evaluations"] == len(REQUESTS) * (rounds + 1)
+    assert metrics["service.wire.built"] == len(REQUESTS) * rounds * 2  # the miss, the first hit
+    assert metrics["service.wire.reused"] == len(REQUESTS) * rounds * 4
     for text, framed_ms, json_ms, body_ms in bars:
         assert framed_ms <= 0.2 * json_ms, (
             f"repeat-hit time-to-bytes {framed_ms:.3f} ms is more than a fifth "
@@ -454,8 +466,8 @@ def test_snapshot_isolation_under_load():
     print()
     print(
         f"isolation hammer: {commits[0]} paired commits, "
-        f"{metrics['snapshot_reads']} snapshot reads, "
-        f"{metrics['stale_reads']} stale reads, 0 torn"
+        f"{metrics['service.reads.snapshot']} snapshot reads, "
+        f"{metrics['service.reads.stale']} stale reads, 0 torn"
     )
     assert not errors, errors[:3]
     assert not torn, f"readers observed torn versions: {torn[:5]}"

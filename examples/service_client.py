@@ -90,15 +90,17 @@ def drive(host: str, port: int) -> None:
         except StoreError as exc:
             print(f"typed error over the wire: {exc}")
 
-        # 6. Serving metrics: snapshot reads, coalescing, batching.
-        service_stats = db.stats()["service"]
+        # 6. Serving metrics, under their registry names: snapshot
+        # reads, coalescing, memo hits.  (stats() is state: documents,
+        # views, configuration.)
+        m = db.metrics()
         print(
             "metrics: "
-            f"{service_stats['requests']} requests, "
-            f"{service_stats['snapshot_reads']} snapshot reads, "
-            f"{service_stats['evaluations']} evaluations, "
-            f"{service_stats['coalesced']} coalesced, "
-            f"{service_stats['memo_hits']} memo hits"
+            f"{m['service.requests.total']} requests, "
+            f"{m['service.reads.snapshot']} snapshot reads, "
+            f"{m['service.dispatch.evaluations']} evaluations, "
+            f"{m['service.dispatch.coalesced']} coalesced, "
+            f"{m['service.dispatch.memo_hits']} memo hits"
         )
     print("session complete; the server keeps serving other clients")
 

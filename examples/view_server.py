@@ -16,7 +16,7 @@ Run with::
     python examples/view_server.py
 """
 
-from repro import ViewStore, serialize
+from repro import MetricsRegistry, ViewStore, serialize
 from repro.xmltree.serializer import serialize_arena
 
 CATALOG = """
@@ -76,14 +76,17 @@ def main() -> None:
                     print("   ", item)
                 print()
 
-    results = store.results.stats()
-    parsed = store.compiled.user_queries.stats()
-    total = results["hits"] + results["misses"]
-    print(f"result cache: {results['hits']}/{total} hits "
-          f"({results['hits'] / total:.0%} warm)")
-    print(f"user queries parsed: {parsed['misses']} "
+    # Every count lives in a metrics registry bound to the store; its
+    # stats() is state (documents, views, the last commit).
+    registry = MetricsRegistry()
+    store.bind_metrics(registry)
+    m = registry.snapshot()
+    hits = m["store.cache.results.hits"]
+    total = hits + m["store.cache.results.misses"]
+    print(f"result cache: {hits}/{total} hits ({hits / total:.0%} warm)")
+    print(f"user queries parsed: {m['engine.compiled.user_queries.misses']} "
           f"(one per distinct query, reused every round)")
-    print(f"evaluations over a frozen arena: {store.stats()['arena_reads']} "
+    print(f"evaluations over a frozen arena: {m['store.arena.reads']} "
           f"(both layers spliced on the first read, then reused — no document thawed)")
 
     assert "price" in serialize_arena(store.pin("catalog").arena)

@@ -298,22 +298,38 @@ def _cmd_store_rollback(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The cache rows of ``repro store stat``: label → registry prefix.
+_CACHE_ROWS = {
+    "transforms": "engine.compiled.transforms",
+    "user_queries": "engine.compiled.user_queries",
+    "selecting_nfas": "engine.compiled.selecting_nfas",
+    "filtering_nfas": "engine.compiled.filtering_nfas",
+    "plans": "engine.compiled.plans",
+    "results": "store.cache.results",
+}
+
+
 def _cmd_store_stat(args: argparse.Namespace) -> int:
+    """The store's state from ``store.stats()``, its counts from a
+    metrics registry bound to it."""
+    from repro.obs import MetricsRegistry
+
     with locked_state(args.state, save=False) as store:
         stats = store.stats()
-        if getattr(args, "json", False):
-            import json
+        registry = MetricsRegistry()
+        store.bind_metrics(registry)
+        m = registry.snapshot()
+        arenas = {
+            name: store.documents.get(name).pin().arena.stats()
+            for name in stats["documents"]
+        }
+    if getattr(args, "json", False):
+        import json
 
-            from repro.obs import MetricsRegistry
-
-            registry = MetricsRegistry()
-            store.bind_metrics(registry)
-            for name in stats["documents"]:
-                stats["documents"][name]["arena"] = store.documents.get(name).pin().arena.stats()
-            print(json.dumps(
-                {"store": stats, "metrics": registry.snapshot()}, sort_keys=True
-            ))
-            return 0
+        for name, arena_stats in arenas.items():
+            stats["documents"][name]["arena"] = arena_stats
+        print(json.dumps({"store": stats, "metrics": m}, sort_keys=True))
+        return 0
     if not stats["documents"]:
         print(f"store at {args.state!r} is empty")
         return 0
@@ -324,10 +340,8 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"depth {info['depth']}, {info['staged']} staged, "
             f"{info['committed']} committed"
         )
-        # The real arena memory the read path uses.  Each CLI command
-        # is its own process, so the build/read counters a resident
-        # store accumulates (store.stats()) are not meaningful here.
-        arena_stats = store.documents.get(name).pin().arena.stats()
+        # The real arena memory the read path uses.
+        arena_stats = arenas[name]
         print(
             f"    arena snapshot: {arena_stats['nodes']} nodes "
             f"({arena_stats['elements']} elements), "
@@ -340,28 +354,33 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"(document {info['document']!r}, stack depth {info['depth']})"
         )
     print("  caches [hits/misses/evictions]:")
-    cache_rows = dict(stats["caches"]["compiled"])
-    cache_rows["results"] = stats["caches"]["results"]
-    for name, cache in cache_rows.items():
+    for name, prefix in _CACHE_ROWS.items():
         # Only the result cache's entries can hold wire forms.
         wire = (
-            f"; {cache['wire_entries']} wire form(s), {cache['wire_bytes']} bytes"
-            if "wire_bytes" in cache else ""
+            f"; {m[prefix + '.wire_entries']} wire form(s), "
+            f"{m[prefix + '.wire_bytes']} bytes"
+            if prefix + ".wire_bytes" in m else ""
         )
         print(
-            f"    {name:<14} {cache['hits']}/{cache['misses']}"
-            f"/{cache['evictions']} (size {cache['size']}/{cache['maxsize']}{wire})"
+            f"    {name:<14} {m[prefix + '.hits']}/{m[prefix + '.misses']}"
+            f"/{m[prefix + '.evictions']} "
+            f"(size {m[prefix + '.size']}/{m[prefix + '.maxsize']}{wire})"
         )
-    commits = stats["commits"]
-    ratio = commits["retention_ratio"]
-    ratio_text = "n/a" if ratio is None else f"{ratio:.0%}"
+    delta = {
+        key.rpartition(".")[2]: value
+        for key, value in m.items()
+        if key.startswith("store.commit.delta.")
+    }
+    kept = delta["results_kept"] + delta["mats_kept"]
+    dropped = delta["results_dropped"] + delta["mats_dropped"]
+    ratio_text = f"{kept / (kept + dropped):.0%}" if kept + dropped else "n/a"
     print(
-        f"  commits: {commits['spliced']} spliced, {commits['noops']} no-op; "
+        f"  commits: {delta['spliced']} spliced, {delta['noops']} no-op; "
         f"cache retention {ratio_text} "
-        f"({commits['results_kept']}+{commits['mats_kept']} kept, "
-        f"{commits['results_dropped']}+{commits['mats_dropped']} dropped)"
+        f"({delta['results_kept']}+{delta['mats_kept']} kept, "
+        f"{delta['results_dropped']}+{delta['mats_dropped']} dropped)"
     )
-    last = commits.get("last")
+    last = stats["last_commit"]
     if last is not None:
         last_ratio = last["retention_ratio"]
         last_text = "n/a" if last_ratio is None else f"{last_ratio:.0%}"
@@ -380,17 +399,17 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"{last['results_patched']} patched, "
             f"{last['results_dropped']} dropped" + (f" ({reasons})" if reasons else "")
         )
-    wal = stats["wal"]
-    tail_note = ", torn tail truncated" if wal["truncated_tail"] else ""
+    replayed = m["store.wal.replayed"]
+    tail_note = ", torn tail truncated" if m["store.wal.truncated_tail"] else ""
     print(
-        f"  wal: {wal['replayed']} commit(s) replayed at open{tail_note}; "
-        f"{wal.get('seq', 0)} record(s) pending checkpoint"
+        f"  wal: {replayed} commit(s) replayed at open{tail_note}; "
+        f"{stats['wal']['seq']} record(s) pending checkpoint"
     )
-    opened = stats["open"]
     print(
-        f"  opened in {opened['open_ms']:.1f} ms: columns "
-        f"{opened['columns_ms']:.1f} ms ({opened['columns_bytes']} bytes), "
-        f"replay {opened['replay_ms']:.1f} ms ({opened['replayed']} commits)"
+        f"  opened in {m['store.state.open_ms']:.1f} ms: columns "
+        f"{m['store.state.columns_ms']:.1f} ms "
+        f"({m['store.state.columns_bytes']} bytes), "
+        f"replay {m['store.state.replay_ms']:.1f} ms ({replayed} commits)"
     )
     return 0
 
@@ -549,39 +568,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             def _report_loop() -> None:
                 # One JSON object per line (machine-parseable — the CI
-                # loadgen smoke asserts on it): request counters,
-                # latency percentiles, WAL durability counters, and
-                # the slow-query log's tallies.
+                # loadgen smoke asserts on it): the registry snapshot,
+                # every count under its registry name.
                 while not stop_reporting.wait(args.metrics_interval):
-                    counts = service.metrics()
-                    snapshot = service.registry.snapshot()
-                    latency = snapshot.get("service.request.latency")
-                    latency = latency if isinstance(latency, dict) else {}
-
-                    def _ms(key: str):
-                        value = latency.get(key)
-                        return (
-                            round(value * 1000.0, 3)
-                            if isinstance(value, (int, float))
-                            else None
-                        )
-
                     line = {
                         "event": "metrics",
                         "ts": time.time(),
-                        "requests": counts["requests"],
-                        "shed": counts["shed"],
-                        "evaluations": counts["evaluations"],
-                        "memo_hits": counts["memo_hits"],
-                        "snapshot_reads": counts["snapshot_reads"],
-                        "p50_ms": _ms("p50"),
-                        "p99_ms": _ms("p99"),
-                        "wal": {
-                            key.rsplit(".", 1)[-1]: value
-                            for key, value in snapshot.items()
-                            if key.startswith("store.wal.")
-                        },
-                        "slowlog": service.slowlog()["stats"],
+                        "metrics": service.metrics(),
                     }
                     print(
                         json.dumps(line, default=str),
@@ -787,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stat.add_argument(
         "--json", action="store_true",
-        help="emit the store stats and metric snapshot as one JSON object",
+        help='emit one {"store": stats, "metrics": snapshot} JSON object',
     )
 
     _store_parser(
@@ -843,9 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--metrics-interval", type=float, default=0.0,
-        help="log one JSON metrics object to stderr every SECONDS "
-        "while serving (0 disables); includes request counters, "
-        "latency percentiles, WAL counters and slow-query tallies",
+        help='log one {"event": "metrics", "ts": …, "metrics": …} JSON '
+        "line to stderr every SECONDS while serving (0 disables): the "
+        "registry snapshot, every count under its registry name",
     )
     p_serve.add_argument(
         "--slow-ms", type=float, default=250.0,

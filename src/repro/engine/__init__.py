@@ -48,7 +48,6 @@ run/then/explain (``then`` is the one way to stack transforms), and
 
 from repro.engine.engine import Engine, default_engine
 from repro.engine.executor import (
-    ALL_STRATEGIES,
     PAPER_NAMES,
     TREE_STRATEGIES,
     run_tree_strategy,
@@ -68,7 +67,6 @@ from repro.engine.prepared import (
 )
 
 __all__ = [
-    "ALL_STRATEGIES",
     "DEEP_MEAN_DEPTH",
     "Engine",
     "PAPER_NAMES",

@@ -24,17 +24,12 @@ from repro.transform.twopass import transform_twopass
 from repro.xmltree.node import Element
 from repro.xmltree.sax import SAXEvent, events_to_tree, tree_to_events
 
-#: Strategy names understood by the executor.  "stream" is the
-#: file-to-file SAX path; on a resident input it degrades to "sax" over
-#: synthesized events.
+#: Strategy names understood by the executor (``sax`` also streams a
+#: file to a file; on a resident tree it runs over synthesized events).
 TREE_STRATEGIES = tuple(STRATEGIES)
-ALL_STRATEGIES = TREE_STRATEGIES + ("stream",)
 
 #: The paper's names for each strategy (Fig. 12 legend).
-PAPER_NAMES = {
-    **{name: paper for name, (paper, _) in STRATEGIES.items()},
-    "stream": "twoPassSAX (streaming)",
-}
+PAPER_NAMES = {name: paper for name, (paper, _) in STRATEGIES.items()}
 
 
 def run_tree_strategy(
@@ -50,8 +45,6 @@ def run_tree_strategy(
     frozen arena has no strategy to choose (``PreparedTransform.run``
     hands it to :func:`repro.transform.arena.transform_arena`).
     """
-    if strategy == "stream":
-        strategy = "sax"
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     profile = current_profile()

@@ -31,7 +31,7 @@ from typing import IO, Iterator, Optional, Union
 
 from repro.compiled import CompiledCache
 from repro.compose.compose import compose
-from repro.engine.executor import ALL_STRATEGIES, run_tree_strategy
+from repro.engine.executor import TREE_STRATEGIES, run_tree_strategy
 from repro.engine.features import analyze_transform, mean_depth
 from repro.engine.planner import Plan, choose_strategy, describe_file_route, file_streams
 from repro.obs import Profile, current_profile, profiled, span
@@ -65,10 +65,10 @@ def _resident(doc_or_path: Input) -> Resident:
 
 
 def _check_method(method: str) -> None:
-    if method != "auto" and method not in ALL_STRATEGIES:
+    if method != "auto" and method not in TREE_STRATEGIES:
         raise ValueError(
             f"unknown method {method!r}; expected one of "
-            f"{', '.join(ALL_STRATEGIES)} or 'auto'"
+            f"{', '.join(TREE_STRATEGIES)} or 'auto'"
         )
 
 
@@ -286,7 +286,7 @@ class PreparedTransform:
         :meth:`run` on an arena: nothing planned) and written by the
         columnar serializer — no Node tree is built.  A frozen arena
         takes the kernel as it is.  A forced ``method=`` parses a tree
-        and runs that algorithm; ``sax`` (or ``stream``) streams.
+        and runs that algorithm; ``sax`` streams.
 
         ``pretty`` is ignored (with a warning) when the route streams:
         the bounded-memory guarantee is why it streams, and
@@ -310,7 +310,7 @@ class PreparedTransform:
                 else:
                     handle.write(serialize_arena(result, indent=indent))
             return
-        if method in ("auto", "sax", "stream"):
+        if method in ("auto", "sax"):
             if pretty:
                 warnings.warn(
                     "pretty-printing is ignored for streamed file-to-file "

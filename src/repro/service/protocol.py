@@ -51,9 +51,10 @@ Ops and their arguments (all strings unless noted):
 ``stage``    ``name``, ``text``
 ``commit``   ``name``, optional ``text`` (stage-then-commit)
 ``rollback`` ``name``, optional ``count`` (int)
-``stats``    —
-``metrics``  — the registry snapshot: flat ``layer.component.metric``
-             names → values (histograms as summary dicts)
+``stats``    — state: ``{"service": {workers, max_queue}, "store": …}``
+``metrics``  — every count: the registry snapshot, flat
+             ``layer.component.metric`` names → values (histograms as
+             summary dicts)
 ``traces``   optional ``drain`` (bool) — buffered trace records,
              oldest first; ``drain`` empties the ring.  Optional
              ``stitched`` (bool): per-trace summaries (root, span
@@ -294,7 +295,7 @@ def handle_request(service, frame: dict):
     if op == "stats":
         return service.stats()
     if op == "metrics":
-        return service.registry.snapshot()
+        return service.metrics()
     if op == "metrics_text":
         return service.metrics_text()
     if op == "traces":

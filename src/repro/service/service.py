@@ -14,10 +14,10 @@ Concurrency discipline — **single writer, many readers**:
   a commit installs the next arena and bumps the version counter, but
   the old arena object is untouched, so every in-flight reader
   finishes against exactly the version it started with.
-  ``snapshot_reads`` counts reads served this way — all of them;
-  ``stale_reads`` counts those whose pinned version had already been
-  superseded by the time they finished — the price of never blocking,
-  made visible.
+  ``service.reads.snapshot`` counts reads served this way — all of
+  them; ``service.reads.stale`` counts those whose pinned version had
+  already been superseded by the time they finished — the price of
+  never blocking, made visible.
 * Writes (``load``/``define_view``/``stage``/``commit``/``rollback``)
   serialize on one service-wide write lock, so the store only ever
   sees a single writer.
@@ -233,26 +233,6 @@ class _Flight:
         self.abandoned = False
 
 
-#: Legacy metric key → registry metric name.  ``metrics()`` keeps
-#: returning the short keys the tests and benchmarks always read, but
-#: the counters themselves live in the registry under the
-#: ``layer.component.metric`` scheme.
-_METRIC_NAMES = {
-    "requests": "service.requests.total",
-    "shed": "service.requests.shed",
-    "deadline_misses": "service.requests.deadline_miss",
-    "evaluations": "service.dispatch.evaluations",
-    "coalesced": "service.dispatch.coalesced",
-    "memo_hits": "service.dispatch.memo_hits",
-    "memo_retained": "service.dispatch.memo_retained",
-    "snapshot_reads": "service.reads.snapshot",
-    "stale_reads": "service.reads.stale",
-    "transforms": "service.reads.transform",
-    "wire_built": "service.wire.built",
-    "wire_reused": "service.wire.reused",
-}
-
-
 class QueryService:
     """A concurrent front for one :class:`ViewStore` (see the module
     docstring for the concurrency and single-flight discipline)."""
@@ -277,7 +257,7 @@ class QueryService:
         #: by a checkpoint, commits by the log.  ``None`` → no-op.
         self.checkpoint = checkpoint
         # One registry per service (unless injected): its snapshot is
-        # what stats()/the `metrics` wire op return, and what the
+        # what metrics() and the `metrics` wire op return, and what the
         # store's probes report into.
         self.registry = (
             registry
@@ -289,9 +269,19 @@ class QueryService:
             sample_every=self.config.trace_sample,
             enabled=self.config.metrics and self.config.trace_sample > 0,
         )
-        self._counters = {
-            key: self.registry.counter(name) for key, name in _METRIC_NAMES.items()
-        }
+        counter = self.registry.counter
+        self._requests = counter("service.requests.total")
+        self._shed = counter("service.requests.shed")
+        self._deadline_misses = counter("service.requests.deadline_miss")
+        self._evaluations = counter("service.dispatch.evaluations")
+        self._coalesced = counter("service.dispatch.coalesced")
+        self._memo_hits = counter("service.dispatch.memo_hits")
+        self._memo_retained = counter("service.dispatch.memo_retained")
+        self._snapshot_reads = counter("service.reads.snapshot")
+        self._stale_reads = counter("service.reads.stale")
+        self._transforms = counter("service.reads.transform")
+        self._wire_built = counter("service.wire.built")
+        self._wire_reused = counter("service.wire.reused")
         #: Client-observed request latency (submit → result), seconds.
         self._latency = self.registry.histogram("service.request.latency")
         #: One observation per evaluation a leader ran.
@@ -398,7 +388,7 @@ class QueryService:
         try:
             answer = self._read_snapshot(request)
         except DeadlineError:
-            self._count("deadline_misses")
+            self._deadline_misses.inc()
             raise
         self._latency.observe(time.perf_counter() - request.submitted)
         return answer
@@ -413,13 +403,13 @@ class QueryService:
         if self._is_closed():
             raise ServiceClosedError()
         pinned = self.store.pin_read(target)
-        self._count("requests")
-        self._count("snapshot_reads")
+        self._requests.inc()
+        self._snapshot_reads.inc()
         start = time.perf_counter()
         with self.tracer.trace("service.query_direct", target=target):
             answer = self._evaluate_snapshot(pinned, query_text)
         elapsed = time.perf_counter() - start
-        self._count("evaluations")
+        self._evaluations.inc()
         self._eval_latency.observe(elapsed)
         self._latency.observe(elapsed)
         return list(answer.items)
@@ -429,15 +419,16 @@ class QueryService:
         returns the one cached :class:`Answer`, never a copy of it.
 
         Each request counts exactly once, where it is answered:
-        ``requests == evaluations + coalesced + memo_hits`` and
-        ``snapshot_reads == requests`` over error-free reads."""
+        ``service.requests.total`` is the sum of the
+        ``service.dispatch.{evaluations,coalesced,memo_hits}`` counters,
+        and equals ``service.reads.snapshot`` over error-free reads."""
         try:
             pinned = self.store.pin_read(
                 request.target, include_staged=request.staged
             )
         except StoreError as exc:
             self._check_open()
-            self._count("requests")
+            self._requests.inc()
             self._finish(request, "error", error=str(exc))
             raise
         request.version = pinned.snapshot.version
@@ -450,22 +441,22 @@ class QueryService:
             cached, flight = self._admit(request, key)
         else:
             self._check_open()
-        self._count("requests")
-        self._count("snapshot_reads")
+        self._requests.inc()
+        self._snapshot_reads.inc()
         while cached is None and flight.leader is not request:
             self._follow(request, flight)
             if flight.error is not None:
                 self._finish(request, "error", error=str(flight.error))
                 raise flight.error
             if not flight.abandoned:
-                self._count("coalesced")
+                self._coalesced.inc()
                 self._finish(request, "ok", answer=flight.result)
                 return flight.result
             # The leader ran out of time before it got a slot: lead
             # the evaluation, or join whoever now does.
             cached, flight = self._admit(request, key)
         if cached is not None:
-            self._count("memo_hits")
+            self._memo_hits.inc()
             self._finish(request, "memo", answer=cached)
             return cached
         return self._lead_snapshot(request, key, flight, pinned)
@@ -495,7 +486,7 @@ class QueryService:
             has_slot = self._slots.acquire(blocking=False)
             if not has_slot:
                 if self._waiting >= self.config.max_queue:
-                    self._count("shed")
+                    self._shed.inc()
                     request.trace.finish(outcome="shed")
                     raise OverloadedError(
                         f"{self.config.max_queue} requests waiting for "
@@ -577,7 +568,7 @@ class QueryService:
             self._finish(request, "error", error=str(exc))
             raise
         self.store.results.put(key, answer)
-        self._count("evaluations")
+        self._evaluations.inc()
         followers = self._land(key, flight, result=answer)
         # Stale-read accounting: did a commit supersede the pinned
         # version while we were answering from it?
@@ -587,7 +578,7 @@ class QueryService:
         except StoreError:  # document dropped mid-flight
             current = snapshot.version
         if current != snapshot.version:
-            self._count("stale_reads", 1 + len(followers))
+            self._stale_reads.inc(1 + len(followers))
         self._finish_led(request, "ok", profile, answer, coalesced=len(followers))
         return answer
 
@@ -664,7 +655,7 @@ class QueryService:
         if answer is not None and request.wire:
             held = answer.holds_wire
             meta["wire"] = "reused" if held else "built"
-            self._count("wire_reused" if held else "wire_built")
+            (self._wire_reused if held else self._wire_built).inc()
         request.trace.finish(outcome=outcome, **meta)
         dur = time.perf_counter() - request.submitted
         if not self._slowlog.should_record(dur):
@@ -780,15 +771,16 @@ class QueryService:
         snapshot readers barely stall; the store moves the memo entries
         the delta provably left answerable onto the new arena uid —
         as they are, or with the items a patch landed in re-serialized
-        — and drops the rest (``memo_retained`` sums what it kept).  A
-        no-op commit (nothing staged) touches no cache at all.
+        — and drops the rest (``service.dispatch.memo_retained`` sums
+        what it kept).  A no-op commit (nothing staged) touches no cache
+        at all.
         """
         with self._write_lock:
             self._check_open()
             delta = self.store.commit_delta(name, transform_text)
             retained = delta.results_kept + delta.results_patched
             if retained:
-                self._count("memo_retained", retained)
+                self._memo_retained.inc(retained)
             return {"name": name, "version": delta.new_version, "entries": delta.entries}
 
     def rollback(self, name: str, count: Optional[int] = None) -> dict:
@@ -814,7 +806,7 @@ class QueryService:
         if self._is_closed():
             raise ServiceClosedError()
         snapshot = self.store.pin(name)
-        self._count("transforms")
+        self._transforms.inc()
         compiled = self.store.compiled
         with self.tracer.trace("service.transform", target=name):
             query = compiled.transform(transform_text)
@@ -849,14 +841,12 @@ class QueryService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _count(self, key: str, amount: int = 1) -> None:
-        self._counters[key].inc(amount)
-
     def metrics(self) -> dict:
-        """The service tallies under their legacy short keys (the
-        counters themselves live in the registry — see
-        :data:`_METRIC_NAMES`)."""
-        return {key: counter.value for key, counter in self._counters.items()}
+        """Every count the service and its store keep: the registry
+        snapshot, flat ``layer.component.metric`` names — the one place
+        a counter is published, and what the ``metrics`` wire op
+        returns."""
+        return self.registry.snapshot()
 
     def traces(self, drain: bool = False, stitched: bool = False) -> list:
         """The buffered trace records (destructively when *drain*).
@@ -882,15 +872,13 @@ class QueryService:
         return render_prometheus(self.registry.snapshot())
 
     def stats(self) -> dict:
+        """State, not counts: the service's configuration and the
+        store's :meth:`~repro.store.store.ViewStore.stats` (the counts
+        are :meth:`metrics`)."""
         return {
             "service": {
-                **self.metrics(),
                 "workers": self.config.workers,
                 "max_queue": self.config.max_queue,
-                "queue_depth": self._queue_depth(),
             },
             "store": self.store.stats(),
-            "metrics": self.registry.snapshot(),
-            "traces": self.tracer.stats(),
-            "slowlog": self._slowlog.stats(),
         }

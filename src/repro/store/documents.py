@@ -86,19 +86,18 @@ class StoredDocument:
     the store keeps exactly one version per document; a reader still
     holding a :class:`Snapshot` of the old one keeps a consistent
     pre-commit view for as long as it holds it, and the old arena is
-    freed when the last such reader lets go.  ``arena_builds`` counts
-    O(document) constructions (the admission) and ``splices`` the
-    O(delta) commits, so "N reads and M commits, 1 build" is an
-    assertable contract.
+    freed when the last such reader lets go.  ``splices`` counts the
+    O(delta) commits; the one O(document) construction is the
+    admission.
     """
 
     __slots__ = (
         "name", "version", "uid", "arena", "lock", "commit_lock",
-        "source", "dirty", "state_file", "arena_builds", "splices",
+        "source", "dirty", "state_file", "splices",
     )
 
     # guarded-by[version, uid, arena]: self.lock
-    # guarded-by[dirty, state_file, arena_builds, splices]: self.lock
+    # guarded-by[dirty, state_file, splices]: self.lock
 
     def __init__(
         self,
@@ -125,7 +124,6 @@ class StoredDocument:
         #: State-dir filename this version was last loaded from / saved
         #: to (set by the state layer; ``None`` for in-memory documents).
         self.state_file: Optional[str] = None
-        self.arena_builds = 1
         self.splices = 0
 
     # holds: self.lock
@@ -154,12 +152,6 @@ class StoredDocument:
         with self.lock:
             return Snapshot(self.name, self.version, self.arena, self.uid)
 
-    def builds(self) -> int:
-        """How many O(document) constructions this document has paid
-        (the ``store.arena.builds`` probe reads nothing else)."""
-        with self.lock:
-            return self.arena_builds
-
     def stats(self) -> Dict[str, Any]:
         # One consistent row under the document lock — a commit in
         # flight could otherwise tear version/arena apart — and the
@@ -169,7 +161,6 @@ class StoredDocument:
         with self.lock:
             version = self.version
             arena = self.arena
-            builds = self.arena_builds
             splices = self.splices
         arena_stats = arena.stats()
         return {
@@ -177,7 +168,6 @@ class StoredDocument:
             "nodes": len(arena),
             "depth": arena.depth(),
             "source": self.source,
-            "arena_builds": builds,
             "splices": splices,
             "arena_bytes": arena_stats["total_bytes"],
             "arena_column_bytes": arena_stats["column_bytes"],
@@ -297,9 +287,3 @@ class DocumentStore:
 
     def stats(self) -> Dict[str, Dict[str, Any]]:
         return {name: self.get(name).stats() for name in self.names()}
-
-    def builds(self) -> int:
-        """The O(document) constructions of every resident document."""
-        with self._lock:
-            docs = list(self._docs.values())
-        return sum(doc.builds() for doc in docs)

@@ -44,7 +44,8 @@ produces, so records the checkpoint already covers are skipped).  A
 torn final record is the expected crash artifact and is truncated away
 with a warning; damage anywhere else raises the typed
 :class:`~repro.store.errors.WalCorruptError`.  How long the column
-reads and the replay took is kept on the store (``stats()["open"]``).
+reads and the replay took is kept on the store (``open_parts``, the
+``store.state.*`` metrics).
 :func:`fsck` checks a directory without opening it: the manifest,
 every column file's header, lengths and CRCs, and the WAL's framing.
 

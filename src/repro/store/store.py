@@ -107,7 +107,7 @@ _DELTA_COUNTERS = ("spliced", "noops") + _DELTA_SUMS
 
 
 def _ratio(kept: int, purged: int) -> Optional[float]:
-    """What share of the cached state a commit (or all of them) kept."""
+    """What share of the cached state a commit kept."""
     return kept / (kept + purged) if kept + purged else None
 
 
@@ -541,9 +541,8 @@ class ViewStore:
 
     def _counter_values(self) -> tuple[int, int]:
         """One consistent ``(arena_reads, snapshot_pins)`` row — the
-        only sanctioned way to read the store-wide counters (the seed
-        read them bare from stats() and the metric probes, which could
-        observe a torn pair mid-increment)."""
+        only sanctioned way to read the store-wide counters (a bare
+        read could observe a torn pair mid-increment)."""
         with self._counter_lock:
             return self.arena_reads, self.snapshot_pins
 
@@ -566,7 +565,8 @@ class ViewStore:
     def bind_metrics(self, registry) -> None:
         """Expose the store's counters through a
         :class:`~repro.obs.registry.MetricsRegistry`, all as lazily
-        sampled probes under the ``layer.component.metric`` scheme.
+        sampled probes under the ``layer.component.metric`` scheme —
+        the one place they are published (:meth:`stats` is state).
         The read/commit hot paths keep their plain attribute bumps;
         nothing here adds per-request cost."""
         registry.probe("store.arena.reads", lambda: self._counter_values()[0])
@@ -574,7 +574,6 @@ class ViewStore:
         registry.probe("store.cache.results", self._result_cache_stats)
         self.compiled.bind_metrics(registry)
         registry.probe("store.documents.count", lambda: len(self.documents))
-        registry.probe("store.arena.builds", self.documents.builds)
         registry.probe("store.views.count", lambda: len(self.views))
         for name in _DELTA_COUNTERS:
             registry.probe(
@@ -604,23 +603,19 @@ class ViewStore:
             )
 
     def stats(self) -> dict:
-        arena_reads, snapshot_pins = self._counter_values()
+        """The store's state: documents, views, the last commit's
+        receipt and the WAL's attachment.  Every count lives in the
+        metrics registry (:meth:`bind_metrics`) and nowhere here."""
         log_stats = self.log.stats()
         documents = {}
         for name, info in self.documents.stats().items():
-            info = dict(info)
             info.update(log_stats.get(name, {"staged": 0, "committed": 0}))
             documents[name] = info
-        commits, drop_reasons = self._commit_counter_values()
-        commits["drop_reasons"] = drop_reasons
-        commits["retention_ratio"] = _ratio(
-            commits["results_kept"] + commits["mats_kept"],
-            commits["results_dropped"] + commits["mats_dropped"],
-        )
         with self._counter_lock:
             last = self.last_delta
+        last_commit = None
         if last is not None:
-            commits["last"] = {
+            last_commit = {
                 "doc": last.doc_name,
                 "version": last.new_version,
                 "entries": last.entries,
@@ -634,27 +629,13 @@ class ViewStore:
                     last.results_dropped + last.mats_dropped,
                 ),
             }
-        wal = {
-            "attached": self.wal is not None,
-            "replayed": self.wal_replayed,
-            "truncated_tail": self.wal_truncated_tail,
-        }
-        if self.wal is not None:
-            wal.update(self.wal.stats())
+        wal = self.wal
         return {
             "documents": documents,
             "views": self.views.stats(),
-            "caches": {
-                "compiled": self.compiled.stats(),
-                "results": self._result_cache_stats(),
+            "last_commit": last_commit,
+            "wal": {
+                "attached": wal is not None,
+                "seq": wal.stats()["seq"] if wal is not None else 0,
             },
-            "commits": commits,
-            "wal": wal,
-            "open": dict(
-                self.open_parts,
-                replayed=self.wal_replayed,
-                truncated_tail=self.wal_truncated_tail,
-            ),
-            "arena_reads": arena_reads,
-            "snapshot_pins": snapshot_pins,
         }

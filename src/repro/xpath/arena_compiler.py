@@ -19,11 +19,10 @@ documents):
 * number literals never match non-numeric text, comparisons are
   existential, attribute steps are final-only.
 
-The one intentional divergence mirrors the Node compiler's: a
-mid-path attribute step (which the reference evaluator rejects *at
-check time*) compiles to a closure that thaws the context node and
-defers to ``eval_qualifier``, so the error surfaces at the same moment
-with the same message.
+A mid-path attribute step is refused when the path is parsed; a
+hand-built AST that carries one raises the parser's
+:class:`~repro.xpath.lexer.XPathSyntaxError` here, at compile time, as
+the Node compiler does.
 
 **The set form** — :func:`sweep_qualifier`: the candidates of one
 label inside one pre-order range at which the qualifier holds, as a
@@ -45,8 +44,6 @@ the closure stays the one evaluator — for
 
 * a wildcard or ``//`` step inside the qualifier (no single label's
   postings hold the nodes such a step reaches);
-* the deferred mid-path attribute (its error must surface when a
-  candidate is checked, not when a range is opened);
 * a wildcard candidate (no label to take the candidates from).
 
 Whether a supported range *is* swept is :func:`choose_sweep` — the one
@@ -78,7 +75,7 @@ from repro.xpath.ast import (
     TrueQual,
 )
 from repro.xpath.compiler import _compile_compare
-from repro.xpath.evaluator import eval_qualifier
+from repro.xpath.parser import attribute_not_final
 
 __all__ = ["choose_sweep", "compile_qualifier_arena", "sweep_qualifier"]
 
@@ -141,7 +138,7 @@ def _compile_path_qual(qual: PathQual, symbols: SymbolTable) -> ArenaCheck:
         steps = steps[:-1]
     else:
         terminal = _always
-    return _compile_steps(steps, terminal, qual, symbols)
+    return _compile_steps(steps, terminal, symbols)
 
 
 def _compile_cmp_qual(qual: CmpQual, symbols: SymbolTable) -> ArenaCheck:
@@ -159,7 +156,7 @@ def _compile_cmp_qual(qual: CmpQual, symbols: SymbolTable) -> ArenaCheck:
         steps = steps[:-1]
     else:
         terminal = lambda arena, i, cmp_text=cmp_text: cmp_text(arena.payload[i])  # noqa: E731
-    return _compile_steps(steps, terminal, qual, symbols)
+    return _compile_steps(steps, terminal, symbols)
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +164,7 @@ def _compile_cmp_qual(qual: CmpQual, symbols: SymbolTable) -> ArenaCheck:
 # ----------------------------------------------------------------------
 
 
-def _compile_steps(
-    steps: tuple, terminal: ArenaCheck, origin: Qual, symbols: SymbolTable
-) -> ArenaCheck:
+def _compile_steps(steps: tuple, terminal: ArenaCheck, symbols: SymbolTable) -> ArenaCheck:
     """Existence of an index reachable via *steps* satisfying
     *terminal* (order and duplicates are irrelevant for existence)."""
     fn = terminal
@@ -178,15 +173,7 @@ def _compile_steps(
         at -= 1
         step = steps[at]
         if step.kind == "attr":
-            # Mid-path attribute step: keep the reference evaluator's
-            # check-time error, message and all, by deferring to it on
-            # the thawed context node.
-            def check_deferred(arena, i, origin=origin):
-                from repro.xmltree.arena import thaw
-
-                return eval_qualifier(thaw(arena, i), origin)
-
-            return check_deferred
+            raise attribute_not_final(step)
         quals = tuple(compile_qualifier_arena(q, symbols) for q in step.quals)
         if step.kind == "label" and at and steps[at - 1].kind == "dos" and not steps[at - 1].quals:
             # ``//label`` from i: exactly the label's postings strictly
@@ -329,7 +316,6 @@ SWEEP_LEAF_RATIO = 8
 _UNSWEPT_STEPS = {
     "wildcard": "wildcard-step",
     "dos": "descendant-step",
-    "attr": "mid-path-attribute",
 }
 
 
@@ -421,6 +407,8 @@ def _sweep_leaves(
     for step in steps:
         if step.kind == "label":
             sym = symbols.id_of(step.name)
+        elif step.kind == "attr":
+            raise attribute_not_final(step)
         elif step.kind != "self":
             return _UNSWEPT_STEPS[step.kind]
         for nested in step.quals:

@@ -16,11 +16,10 @@ Semantics are *identical* to ``eval_qualifier`` (the property tests in
 ``tests/test_dfa_properties.py`` hold them together): existential
 comparisons over the nodes a qualifier path reaches, element values are
 own-text, attribute steps are final-only, number literals never match
-non-numeric text.  The one intentional difference: qualifier paths that
-the reference evaluator would reject *at check time* (an attribute step
-in the middle of a path) compile to a closure that defers to the
-reference evaluator, so the error surfaces at the same moment it always
-did.
+non-numeric text.  An attribute step in the middle of a qualifier path
+is refused when the path is parsed; a hand-built AST that carries one
+raises the same :class:`~repro.xpath.lexer.XPathSyntaxError` here, at
+compile time.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from repro.xpath.ast import (
     Qual,
     TrueQual,
 )
-from repro.xpath.evaluator import compare_value, eval_qualifier
+from repro.xpath.evaluator import compare_value
+from repro.xpath.parser import attribute_not_final
 
 __all__ = ["compile_qualifier"]
 
@@ -91,7 +91,7 @@ def _compile_path_qual(qual: PathQual) -> QualCheck:
         steps = steps[:-1]
     else:
         terminal = _always
-    return _compile_steps(steps, terminal, qual)
+    return _compile_steps(steps, terminal)
 
 
 def _compile_cmp_qual(qual: CmpQual) -> QualCheck:
@@ -109,7 +109,7 @@ def _compile_cmp_qual(qual: CmpQual) -> QualCheck:
         steps = steps[:-1]
     else:
         terminal = lambda node, cmp_text=cmp_text: cmp_text(node.own_text())  # noqa: E731
-    return _compile_steps(steps, terminal, qual)
+    return _compile_steps(steps, terminal)
 
 
 def _compile_compare(op: str, literal) -> Callable[[str], bool]:
@@ -174,7 +174,7 @@ def _le_rev(literal, num) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _compile_steps(steps: tuple, terminal: QualCheck, origin: Qual) -> QualCheck:
+def _compile_steps(steps: tuple, terminal: QualCheck) -> QualCheck:
     """Existence of a node reachable via *steps* satisfying *terminal*.
 
     Order and duplicates are irrelevant for existence, so no
@@ -183,10 +183,7 @@ def _compile_steps(steps: tuple, terminal: QualCheck, origin: Qual) -> QualCheck
     fn = terminal
     for step in reversed(steps):
         if step.kind == "attr":
-            # A mid-path attribute step: the reference evaluator raises
-            # when (and only when) the qualifier is actually checked —
-            # defer to it so the error keeps its timing.
-            return lambda node, origin=origin: eval_qualifier(node, origin)
+            raise attribute_not_final(step)
         quals = tuple(compile_qualifier(q) for q in step.quals)
         fn = _compile_step(step.kind, step.name, quals, fn)
     return fn

@@ -82,7 +82,17 @@ def parse_path(stream: TokenStream) -> Path:
         steps.extend(_parse_step(stream))
     # Drop no-op self steps without qualifiers (a/./b == a/b).
     cleaned = [s for s in steps if not (s.kind == "self" and not s.quals)]
+    for step in cleaned[:-1]:
+        if step.kind == "attr":
+            raise attribute_not_final(step, stream.current.pos)
     return Path(tuple(cleaned))
+
+
+def attribute_not_final(step: Step, pos: int = 0) -> XPathSyntaxError:
+    """The error for an ``@`` step another step follows: raised when a
+    path is parsed, and by the qualifier compilers for a hand-built
+    AST that carries one."""
+    return XPathSyntaxError(f"attribute step @{step.name} must be the final step", pos)
 
 
 def _parse_step(stream: TokenStream) -> list[Step]:
@@ -207,9 +217,7 @@ def validate_path(path: Path, in_qualifier: bool = False) -> None:
                     f"attribute step @{step.name} not allowed in a selecting path", 0
                 )
             if index != len(path.steps) - 1:
-                raise XPathSyntaxError(
-                    f"attribute step @{step.name} must be the final step", 0
-                )
+                raise attribute_not_final(step)
         for qual in step.quals:
             _validate_qual(qual)
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine.engine import Engine
 from repro.engine.executor import run_tree_strategy
+from repro.obs import MetricsRegistry
 from repro.store.store import ViewStore
 from repro.xmark.generator import generate
 from repro.xmark.queries import delete_transform, insert_transform
@@ -213,8 +214,8 @@ class TestStoreSnapshots:
         doc = store.documents.get("db")
         # Admission is eager and columnar: the one arena build happens
         # at put(), before any read, and reads never add another.
-        assert doc.arena_builds == 1
         first = doc.arena
+        assert doc.pin().arena is first
         queries = [
             "for $x in people/person return $x/name",
             "for $x in //keyword return $x",
@@ -223,7 +224,8 @@ class TestStoreSnapshots:
         for text in queries:
             store.query("db", text)
             store.query_serialized("db", text)
-        assert doc.arena_builds == 1, "reads must share one zero-copy snapshot"
+        assert doc.pin().arena is first, "reads must share one zero-copy snapshot"
+        assert doc.splices == 0
         assert store.arena_reads >= len(queries)
         assert doc.arena is first and store.pin("db").arena is first
 
@@ -241,14 +243,12 @@ class TestStoreSnapshots:
         doc = store.documents.get("db")
         old_arena = doc.arena
         before = store.query("db", "for $x in //keyword return $x")
-        assert doc.arena_builds == 1
         store.commit("db", str(delete_transform("U5")))
         after = store.query("db", "for $x in //keyword return $x")
         new_arena = doc.arena
         assert new_arena is not old_arena, "commit must replace the snapshot"
-        # A spliced commit installs the next arena directly; only a
-        # delta no splice can express pays an O(document) rebuild.
-        assert doc.splices == 1 and doc.arena_builds == 1
+        # A commit splices the next arena and installs it directly.
+        assert doc.splices == 1
         assert len(after) < len(before)
         want = store.query_naive("db", "for $x in //keyword return $x")
         assert len(after) == len(want)
@@ -264,15 +264,15 @@ class TestStoreSnapshots:
         store = self._store()
         doc = store.documents.get("db")
         store.query("db", "for $x in //keyword return $x")
-        builds = doc.arena_builds
+        committed_arena = doc.arena
         store.stage("db", str(delete_transform("U5")))
         staged = store.query(
             "db", "for $x in //keyword return $x", include_staged=True
         )
         committed = store.query("db", "for $x in //keyword return $x")
         assert len(staged) < len(committed)
-        assert doc.arena_builds == builds, (
-            "a staged preview must not rebuild the committed snapshot"
+        assert doc.pin().arena is committed_arena and doc.splices == 0, (
+            "a staged preview must not replace the committed snapshot"
         )
         serialized = store.query_serialized(
             "db", "for $x in //keyword return $x", include_staged=True
@@ -305,12 +305,13 @@ class TestStoreSnapshots:
     def test_stats_report_arena_memory(self):
         store = self._store()
         store.query("db", "for $x in //keyword return $x")
-        stats = store.stats()
-        info = stats["documents"]["db"]
-        assert info["arena_builds"] == 1
+        registry = MetricsRegistry()
+        store.bind_metrics(registry)
+        info = store.stats()["documents"]["db"]
+        assert "arena_builds" not in info
         assert info["arena_bytes"] > 0
         assert info["arena_column_bytes"] > 0
-        assert stats["arena_reads"] == 1
+        assert registry.get("store.arena.reads") == 1
 
 
 class TestSerializedSubtrees:

@@ -365,17 +365,18 @@ def test_open_reports_its_parts(clean_state, tmp_path, capsys):
     (filename,) = [f for f in os.listdir(state_dir) if f.endswith(".arena")]
 
     store = open_store(state_dir)
-    opened = store.stats()["open"]
-    assert opened["replayed"] == 2 and opened["truncated_tail"] == 0
-    assert opened["columns_bytes"] == os.path.getsize(os.path.join(state_dir, filename))
-    assert 0 < opened["columns_ms"] < opened["open_ms"]
-    assert 0 < opened["replay_ms"] < opened["open_ms"]
     registry = MetricsRegistry()
     store.bind_metrics(registry)
     snapshot = registry.snapshot()
-    for name in ("open_ms", "columns_ms", "columns_bytes", "replay_ms"):
-        assert snapshot[f"store.state.{name}"] == opened[name]
-    assert snapshot["store.wal.replayed"] == 2
+    opened = {
+        name: snapshot[f"store.state.{name}"]
+        for name in ("open_ms", "columns_ms", "columns_bytes", "replay_ms")
+    }
+    assert opened == store.open_parts
+    assert snapshot["store.wal.replayed"] == 2 and snapshot["store.wal.truncated_tail"] == 0
+    assert opened["columns_bytes"] == os.path.getsize(os.path.join(state_dir, filename))
+    assert 0 < opened["columns_ms"] < opened["open_ms"]
+    assert 0 < opened["replay_ms"] < opened["open_ms"]
     store.wal.close()
 
     assert cli_main(["store", "stat", "--state", state_dir]) == 0

@@ -206,8 +206,8 @@ def test_crash_recovery_contract(tmp_path, point, nth):
     recovered = _assert_recovery_contract(state_dir, acked, submitted)
     assert recovered.documents.get("db").version >= nth - 1
     stat = _store_stat(state_dir)
-    wal = stat["store"]["wal"]
-    assert wal["attached"] and wal["replayed"] == recovered.wal_replayed
+    assert stat["store"]["wal"]["attached"]
+    assert stat["metrics"]["store.wal.replayed"] == recovered.wal_replayed
 
 
 def test_crash_mid_checkpoint_preserves_acknowledged_commits(tmp_path):

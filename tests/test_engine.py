@@ -30,8 +30,8 @@ from repro import (
 from repro.obs import Profile, profiled
 from repro.cli import main as cli_main
 from repro.engine import (
-    ALL_STRATEGIES,
     DEEP_MEAN_DEPTH,
+    TREE_STRATEGIES,
     analyze_transform,
     choose_strategy,
     mean_depth,
@@ -186,7 +186,7 @@ class TestRoundTrip:
     def test_all_strategies_agree_with_naive(self, engine, doc, text):
         prepared = engine.prepare_transform(text)
         oracle = transform_naive(doc, prepared.query)
-        for method in ALL_STRATEGIES + ("auto",):
+        for method in TREE_STRATEGIES + ("auto",):
             result = prepared.run(doc, method=method)
             assert deep_equal(result, oracle), method
 
@@ -239,19 +239,30 @@ class TestRoundTrip:
         for doc, result in zip(batch, results):
             assert deep_equal(result, transform_naive(doc, prepared.query))
 
-    def test_resident_tree_forced_to_stream_degrades_to_sax(self, engine, doc):
+    def test_resident_tree_forced_to_sax_runs_over_synthesized_events(
+        self, engine, doc
+    ):
         """There is no file to stream: a resident tree runs sax over
         synthesized events, as run_to_file always did."""
         prepared = engine.prepare_transform(QUAL_DOS)
-        result = prepared.run(doc, method="stream")
+        result = prepared.run(doc, method="sax")
         assert deep_equal(result, transform_naive(doc, prepared.query))
 
-    @pytest.mark.parametrize("method", ALL_STRATEGIES)
+    def test_stream_is_not_a_second_name_for_sax(self, engine, doc, tmp_path):
+        prepared = engine.prepare_transform(QUAL_DOS)
+        with pytest.raises(ValueError, match="unknown method 'stream'"):
+            prepared.run(doc, method="stream")
+        src = tmp_path / "in.xml"
+        src.write_text(serialize(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown method 'stream'"):
+            prepared.run_to_file(str(src), str(tmp_path / "out.xml"), method="stream")
+
+    @pytest.mark.parametrize("method", TREE_STRATEGIES)
     def test_a_forced_method_on_an_arena_is_a_value_error(
         self, engine, doc, method, tmp_path
     ):
         """An arena has no strategy to choose.  (Regression kept from
-        the thaw days: ``method="stream"`` once handed the arena's repr
+        the thaw days: a forced streaming method once handed the arena's repr
         to the file reader — never a FileNotFoundError.)"""
         prepared = engine.prepare_transform(QUAL_DOS)
         arena = freeze(doc)
@@ -272,7 +283,7 @@ class TestRoundTrip:
     def test_unknown_method_error_lists_the_valid_names(self, engine, doc):
         with pytest.raises(ValueError) as caught:
             engine.prepare_transform(DELETE).run(freeze(doc), method="galax")
-        for name in ALL_STRATEGIES + ("auto",):
+        for name in TREE_STRATEGIES + ("auto",):
             assert name in str(caught.value)
 
 
@@ -287,7 +298,7 @@ class TestStrategyRule:
         from repro.engine import PAPER_NAMES, TREE_STRATEGIES
         from repro.transform import STRATEGIES
 
-        assert TREE_STRATEGIES == tuple(STRATEGIES)
+        assert TREE_STRATEGIES == tuple(STRATEGIES) == tuple(PAPER_NAMES)
         legend = [PAPER_NAMES[name] for name in TREE_STRATEGIES]
         assert legend == [paper for paper, _ in STRATEGIES.values()]
         assert sorted(legend) == sorted(
@@ -299,7 +310,7 @@ class TestStrategyRule:
         for text in (DELETE, QUAL_DOS):
             prepared = engine.prepare_transform(text)
             plan = prepared.plan_for(doc)
-            assert plan.strategy in ALL_STRATEGIES
+            assert plan.strategy in TREE_STRATEGIES
             explained = prepared.explain(doc)
             assert f"strategy: {plan.strategy} ({plan.paper_name})" in explained
             assert "because:" in explained

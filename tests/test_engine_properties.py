@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, deep_equal, transform_naive
-from repro.engine import ALL_STRATEGIES
+from repro.engine import TREE_STRATEGIES
 from repro.transform.query import parse_transform_query
 from repro.xmark.generator import generate
 
@@ -56,7 +56,7 @@ def test_planner_choice_matches_naive_on_xmark(seed, path_text, template):
     text = _transform_text(path_text, template)
     prepared = ENGINE.prepare_transform(text)
     plan = prepared.plan_for(doc)
-    assert plan.strategy in ALL_STRATEGIES
+    assert plan.strategy in TREE_STRATEGIES
     # The header must name the *chosen* strategy (every strategy name
     # appears in the cost table, so match the header line exactly).
     assert f"strategy: {plan.strategy}" in prepared.explain(doc)
@@ -80,7 +80,7 @@ def test_planner_choice_matches_naive_on_random_trees(tree, path_text, template)
         return
     prepared = ENGINE.prepare_transform(text)
     plan = prepared.plan_for(tree)
-    assert plan.strategy in ALL_STRATEGIES
+    assert plan.strategy in TREE_STRATEGIES
     assert deep_equal(prepared.run(tree), transform_naive(tree, query))
 
 

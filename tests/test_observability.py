@@ -298,7 +298,7 @@ class TestSlowQueryLog:
             # plan and actual both count elements below the root
             assert profile["est_nodes"] == 16
             assert profile["serialize_bytes"] > 0
-            assert svc.stats()["slowlog"]["recorded"] >= 1
+            assert svc.metrics()["service.slowlog.ring.recorded"] >= 1
         finally:
             svc.close()
 
@@ -676,7 +676,7 @@ class TestPropagation:
         svc, _, client = wire
         first = client.query("db", QUERY)
         assert client.query("db", QUERY) == first
-        assert svc.metrics()["evaluations"] == 1
+        assert svc.metrics()["service.dispatch.evaluations"] == 1
         records = _wait_for(
             lambda: [
                 r for r in client.traces()
@@ -741,10 +741,7 @@ class TestWireLayer:
         assert after["service.wire.built"] == before["service.wire.built"] == 2
         assert after["store.cache.results.wire_bytes"] == held
         # An in-process read is no response: it moved neither count.
-        assert svc.metrics()["wire_built"] + svc.metrics()["wire_reused"] == 3
-        stats = client.stats()
-        assert stats["store"]["caches"]["results"]["wire_bytes"] == held
-        assert stats["service"]["wire_reused"] == 1
+        assert svc.metrics()["service.wire.built"] + svc.metrics()["service.wire.reused"] == 3
         assert f"repro_store_cache_results_wire_bytes {held}" in client.metrics_text()
         svc.drop("db")
         dropped = client.metrics()
@@ -777,4 +774,4 @@ class TestWireLayer:
             svc.query("db", QUERY)
             assert all("wire" not in r["meta"] for r in svc.traces())
             assert [e["wire"] for e in svc.slowlog()["entries"]] == [None, None]
-            assert svc.metrics()["wire_built"] == svc.metrics()["wire_reused"] == 0
+            assert svc.metrics()["service.wire.built"] == svc.metrics()["service.wire.reused"] == 0

@@ -172,7 +172,9 @@ def test_survivors_equal_a_fresh_evaluation_over_random_xmark_commits():
     assert tally["two_entry"] >= 60
     assert tally["kept"] > tally["dropped"] > 300 and tally["patched"] > 100, tally
     assert tally["reasons"] == {"label", "unanalyzable", "wide-patch"}
-    assert store.stats()["commits"]["spliced"] == 300
+    registry = MetricsRegistry()
+    store.bind_metrics(registry)
+    assert registry.get("store.commit.delta.spliced") == 300
 
 
 # ----------------------------------------------------------------------
@@ -578,7 +580,7 @@ def test_every_drop_has_a_counted_reason():
     for reason, count in want.items():
         name = "store.commit.drop_reason." + reason.replace("-", "_")
         assert snapshot[name] == count, name
-    last = store.stats()["commits"]["last"]
+    last = store.stats()["last_commit"]
     assert last["results_patched"] == 1 and last["drop_reasons"] == delta.drop_reasons
     # The read of v published its arena; the commit is not swallowed by
     # v's delete, so it drops that arena too.

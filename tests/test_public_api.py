@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.30.0"
+        assert repro.__version__ == "1.31.0"
 
     def test_no_build_tooling_in_the_package(self):
         """1.29.0: the lint pass is a build-time tool under
@@ -239,6 +239,32 @@ class TestSurface:
             assert encode_response(1, answer) == (
                 b'{"id":1,"ok":true,"items":1,"bytes":12}\n\x08\x00\x00\x00<a>1</a>'
             )
+
+    def test_one_name_per_count_surface(self):
+        """1.31.0: a count is published once, in the metrics registry —
+        ``metrics()`` is its snapshot in-process and over the wire, and
+        ``stats()`` is state.  A strategy has one name, and a counter
+        that could not move is gone."""
+        from repro import engine
+        from repro.service import service as service_module
+        from repro.store import DocumentStore, StoredDocument, ViewStore
+
+        assert not hasattr(service_module, "_METRIC_NAMES")
+        assert not hasattr(engine, "ALL_STRATEGIES") and "stream" not in engine.PAPER_NAMES
+        assert not hasattr(DocumentStore, "builds")
+        assert "arena_builds" not in StoredDocument.__slots__
+        store = ViewStore()
+        store.put("db", "<db><a>1</a></db>")
+        with repro.QueryService(store=store) as service:
+            service.query("db", "for $x in a return $x")
+            assert service.metrics() == service.registry.snapshot()
+            assert service.metrics()["service.requests.total"] == 1
+            assert set(service.stats()["service"]) == {"workers", "max_queue"}
+            assert set(store.stats()) == {"documents", "views", "last_commit", "wal"}
+        with pytest.raises(ValueError, match="unknown method 'stream'"):
+            repro.prepare_transform(
+                'transform copy $a := doc("db") modify do delete $a/a return $a'
+            ).run(repro.parse("<db><a/></db>"), method="stream")
 
     def test_one_read_path_surface(self):
         """1.8.0: the store and the service run no Node strategy, so the

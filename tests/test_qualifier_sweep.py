@@ -38,9 +38,14 @@ from repro.xpath.arena_compiler import (
     compile_qualifier_arena,
     sweep_qualifier,
 )
+from repro.transform import parse_transform_query
+from repro.xpath.ast import CmpQual, Path, PathQual, Step
+from repro.xpath.compiler import compile_qualifier
 from repro.xpath.evaluator import eval_qualifier
+from repro.xpath.lexer import XPathSyntaxError
 from repro.xpath.normalize import UnsupportedPathError
 from repro.xpath.parser import parse_xpath
+from repro.xquery.parser import parse_user_query
 
 from tests.strategies import ATTR_NAMES, LABELS, VALUES, trees, xpath_queries
 
@@ -148,7 +153,6 @@ def _has_shape(qual_text, verdict):
     return {
         "wildcard-step": "*" in qual_text,
         "descendant-step": "//" in qual_text,
-        "mid-path-attribute": "@" in qual_text,
     }[shape]
 
 
@@ -442,30 +446,43 @@ class TestSweptWalk:
 # ----------------------------------------------------------------------
 
 
-class TestDeferredError:
+class TestMidPathAttributeRefused:
+    """An ``@`` step another step follows is refused when the path is
+    parsed — in a selecting path, a user query and a transform query —
+    and a hand-built AST that still carries one is refused by both
+    compilers and by the sweep rule, with the same error."""
+
+    MESSAGE = "attribute step @id must be the final step"
+
+    @pytest.mark.parametrize("text", ["a/b[@id/c]", "//b[@id/c]", "a/b[c = 1]/c[@id//c]"])
+    def test_refused_at_parse(self, text):
+        with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+            parse_xpath(text)
+        with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+            parse_user_query(f"for $x in {text} return $x")
+        with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+            parse_transform_query(
+                f'transform copy $a := doc("d") modify do delete $a/{text} return $a'
+            )
+
+    def test_a_final_attribute_step_still_parses(self):
+        assert str(parse_xpath("a/b[c/@id = '1']")) == "a/b[c/@id = '1']"
+        assert str(parse_xpath("a/b[@id/.]")) == "a/b[@id]"
+
     @swept
-    def test_raises_only_when_a_candidate_is_checked(self):
-        tree = Element("r", {}, [
-            Element("a", {}, [Element("b", {"id": "1"}, [_leaf("c", "1")])]),
-            Element("d", {}, []),
-        ])
-        arena = freeze(tree)
-        qual = _qual("@id/c")
+    def test_a_hand_built_ast_is_refused_at_compile(self):
+        arena = freeze(Element("r", {}, [Element("b", {"id": "1"}, [_leaf("c", "1")])]))
         sym = arena.symbols.intern("b")
-        assert sweep_qualifier(qual, arena, sym, 0, len(arena)) is None
-        assert choose_sweep(qual, arena, sym, 0, len(arena)) == (
-            "unsupported:mid-path-attribute", 0,
-        )
-        # no b is ever a candidate of these: nothing is checked, nothing raised
-        for quiet in ("d/b[@id/c]", "nosuch//b[@id/c]", "a/b[c > 5]/x[@id/c]"):
-            assert select_indices(_selecting(quiet), arena) == []
-            assert _selecting(quiet).run_select_nfa(tree) == []
-        for loud in ("a/b[@id/c]", "//b[@id/c]", "a/b[c = 1]/c[@id/c]"):
-            with pytest.raises(ValueError) as arena_error:
-                select_indices(_selecting(loud), arena)
-            with pytest.raises(ValueError) as node_error:
-                _selecting(loud).run_select_nfa(tree)
-            assert str(arena_error.value) == str(node_error.value)
+        path = Path((Step("attr", "id"), Step("label", "c")))
+        for qual in (PathQual(path), CmpQual(path, "=", 1.0)):
+            with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+                compile_qualifier(qual)
+            with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+                compile_qualifier_arena(qual)
+            with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+                choose_sweep(qual, arena, sym, 0, len(arena))
+            with pytest.raises(XPathSyntaxError, match=self.MESSAGE):
+                sweep_qualifier(qual, arena, sym, 0, len(arena))
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +522,7 @@ class TestSweptReadsFollowCommits:
             assert delta.entries == 1, update
             check(update)
         doc = store.documents.get("d")
-        assert doc.arena_builds == 1 and doc.splices == len(self.COMMITS)
+        assert doc.splices == len(self.COMMITS)
 
     @swept
     @settings(max_examples=150, deadline=None)

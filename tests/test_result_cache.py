@@ -216,8 +216,12 @@ class ResultCacheMachine(RuleBasedStateMachine):
     @invariant()
     def the_accounting_identity_holds(self):
         m = self.service.metrics()
-        assert m["requests"] == m["evaluations"] + m["coalesced"] + m["memo_hits"]
-        assert m["wire_built"] + m["wire_reused"] == self.wire_responses
+        assert m["service.requests.total"] == (
+            m["service.dispatch.evaluations"]
+            + m["service.dispatch.coalesced"]
+            + m["service.dispatch.memo_hits"]
+        )
+        assert m["service.wire.built"] + m["service.wire.reused"] == self.wire_responses
 
 
 # max_examples comes from the Hypothesis profile: 100 by default, more

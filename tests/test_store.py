@@ -12,6 +12,7 @@ import pytest
 
 import repro.compiled
 from repro import serialize
+from repro.obs import MetricsRegistry
 from repro.store import delta as delta_module
 from repro.xmltree import serializer as serializer_module
 from repro.xmltree.serializer import serialize_arena
@@ -624,11 +625,16 @@ class TestStats:
     def test_stats_shape(self, stacked):
         stacked.query_serialized("partners", "for $x in part return $x")
         stats = stacked.stats()
+        assert set(stats) == {"documents", "views", "last_commit", "wal"}
         assert stats["documents"]["db"]["version"] == 1
         assert stats["views"]["partners"]["depth"] == 2
         assert stats["views"]["partners"]["document"] == "db"
-        assert "plans" in stats["caches"]["compiled"]
-        assert stats["caches"]["results"]["misses"] >= 1
+        assert stats["last_commit"] is None
+        assert stats["wal"] == {"attached": False, "seq": 0}
+        registry = MetricsRegistry()
+        stacked.bind_metrics(registry)
+        assert "engine.compiled.plans.misses" in registry.snapshot()
+        assert registry.get("store.cache.results.misses") >= 1
 
 
 class TestOneTransformKernel:

@@ -157,9 +157,7 @@ class TestCommitMatchesTheReferences:
         assert store.query_serialized("db", query) == ["<s/>"]
         assert store.results.stats()["hits"] == 1
         doc = store.documents.get("db")
-        assert doc.version == 2 and doc.splices == 1 and doc.arena_builds == 1
-        commits = store.stats()["commits"]
-        assert commits["spliced"] == 1 and "rebuilds" not in commits
+        assert doc.version == 2 and doc.splices == 1
         registry = MetricsRegistry()
         store.bind_metrics(registry)
         metrics = registry.snapshot()
@@ -259,18 +257,20 @@ def test_plain_document_lifecycle_never_thaws_the_document(tmp_path, thaw_calls)
 
     store = open_store(state_dir)
     doc = store.documents.get("db")
-    assert doc.arena_builds == 1 and doc.version == 1
+    first = doc.arena
+    assert doc.version == 1 and doc.splices == 0
     assert store.query_serialized("db", "for $x in b/y return $x") == ["<y>2</y>"]
     assert [serialize(x) for x in store.query("db", "for $x in a/x return $x")] == [
         "<x>1</x>"
     ]
+    assert doc.pin().arena is first
     for body in ("insert <w>9</w> into $a/b", "rename $a//y as z", "delete $a/a/x"):
         assert store.commit_delta("db", _transform(body)).entries == 1
     assert store.stats()["documents"]["db"]["nodes"] == len(doc.arena)
     save_store(store, state_dir)
     store.wal.close()
     assert len(thaw_calls) == 1 and thaw_calls[0] != 0
-    assert doc.arena_builds == 1 and doc.splices == 3
+    assert doc.splices == 3
 
     written = columns.read(f"{state_dir}/doc-db-v4.arena")
     for name in ("sym", "up", "size", "payload", "attr_keys", "attr_values"):
@@ -355,7 +355,7 @@ def test_spliced_versions_share_structure():
     assert a3.payload is a2.payload
     assert a3.attr_keys is a2.attr_keys and a3.attr_values is a2.attr_values
     doc = store.documents.get("db")
-    assert doc.splices == 2 and doc.arena_builds == 1
+    assert doc.splices == 2
 
 
 def test_the_replaced_arena_dies_outside_the_document_lock():

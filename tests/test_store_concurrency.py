@@ -406,8 +406,6 @@ def test_store_counter_reads_go_through_the_counter_lock():
         t.join()
     assert not errors
     # Counts are exact — every increment and every read synchronized.
-    assert store.stats()["arena_reads"] == 200
-    assert store.stats()["snapshot_pins"] == 200
     snapshot = registry.snapshot()
     assert snapshot["store.arena.reads"] == 200
     assert snapshot["store.snapshot.pins"] == 200
@@ -437,7 +435,7 @@ def test_a_read_pins_while_stats_computes_the_arena_figures():
     (a first ``depth()`` walks every node) while holding the document
     lock, so every pin and commit install waited behind a ``stats`` op
     or a metrics snapshot.  Only the row is read under the lock now,
-    and the ``store.arena.builds`` probe reads the counters alone."""
+    and a metrics snapshot reads no document row at all."""
     from unittest import mock
 
     from repro.obs import MetricsRegistry
@@ -466,7 +464,7 @@ def test_a_read_pins_while_stats_computes_the_arena_figures():
             reader.start()
             reader.join(timeout=5)
             assert not reader.is_alive(), "pin_read waited behind stats()"
-            assert registry.snapshot()["store.arena.builds"] == 1
+            assert registry.snapshot()["store.documents.count"] == 1
         finally:
             release.set()
             stats.join()

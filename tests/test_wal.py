@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.faults import FaultPlan, InjectedFault, parse_plan
+from repro.obs import MetricsRegistry
 from repro.store import ViewStore
 from repro.store.errors import WalCorruptError
 from repro.store.state import open_store, save_store
@@ -255,10 +256,12 @@ def test_commit_appends_a_record_and_recovery_replays_it(tmp_path):
     assert recovered.wal_replayed == 2
     assert recovered.documents.get("db").version == 3
     assert _doc_bytes(recovered) == expected
-    stats = recovered.stats()["wal"]
-    assert stats["attached"] and stats["replayed"] == 2
+    assert recovered.stats()["wal"] == {"attached": True, "seq": 2}
+    registry = MetricsRegistry()
+    recovered.bind_metrics(registry)
     # Replay does not re-append: the writer continues the sequence.
-    assert stats["seq"] == 2 and stats["appends"] == 0
+    assert registry.get("store.wal.replayed") == 2
+    assert registry.get("store.wal.appends") == 0
 
 
 def test_checkpoint_truncates_the_wal(tmp_path):
@@ -303,7 +306,9 @@ def test_torn_tail_on_open_truncates_and_warns(tmp_path):
         recovered = open_store(state_dir)
     assert recovered.wal_truncated_tail == 1
     assert recovered.wal_replayed == 1
-    assert recovered.stats()["wal"]["truncated_tail"] == 1
+    registry = MetricsRegistry()
+    recovered.bind_metrics(registry)
+    assert registry.get("store.wal.truncated_tail") == 1
     assert os.path.getsize(wal_path(state_dir)) == good_bytes
 
 

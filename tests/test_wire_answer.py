@@ -180,11 +180,11 @@ def test_first_and_repeat_responses_are_byte_equal_after_the_id(xml, reads):
                     decoded[text] = frame["result"]
         m = service.metrics()
         assert decoded == {text: service.query("doc", text) for text in reads}
-    assert m["evaluations"] == len(reads)
-    assert m["memo_hits"] == len(reads) * (len(request_ids) - 1)
+    assert m["service.dispatch.evaluations"] == len(reads)
+    assert m["service.dispatch.memo_hits"] == len(reads) * (len(request_ids) - 1)
     # Per text: the miss and the first hit build, every later hit reuses.
-    assert m["wire_built"] == 2 * len(reads)
-    assert m["wire_reused"] == len(reads) * (len(request_ids) - 2)
+    assert m["service.wire.built"] == 2 * len(reads)
+    assert m["service.wire.reused"] == len(reads) * (len(request_ids) - 2)
 
 
 # ----------------------------------------------------------------------
@@ -203,16 +203,20 @@ def test_an_entry_holds_wire_bytes_only_once_it_is_asked_for_again():
             _respond(service, index, "doc", text)
         assert len(service.store.results) == 100
         assert _held(service.store) == []
-        cache = service.store.stats()["caches"]["results"]
-        assert (cache["wire_entries"], cache["wire_bytes"]) == (0, 0)
+        m = service.metrics()
+        assert (m["store.cache.results.wire_entries"], m["store.cache.results.wire_bytes"]) == (
+            0, 0,
+        )
 
         again = _respond(service, 100, "doc", texts[42])
         [held] = _held(service.store)
         assert held.items == tuple(_oracle(service.store, "doc", texts[42]))
         header, body = _split(again)
         assert body == held.wire() and header["bytes"] == held.wire_bytes
-        cache = service.store.stats()["caches"]["results"]
-        assert (cache["wire_entries"], cache["wire_bytes"]) == (1, held.wire_bytes)
+        m = service.metrics()
+        assert (m["store.cache.results.wire_entries"], m["store.cache.results.wire_bytes"]) == (
+            1, held.wire_bytes,
+        )
         # An in-process repeat is not a wire repeat: nothing is built for it.
         service.query("doc", texts[7])
         service.store.query_serialized("doc", texts[8])
@@ -258,9 +262,9 @@ def test_a_rekey_moves_the_same_object_and_a_drop_frees_its_bytes():
     before = service.metrics()
     assert _respond(service, 3, "public", text)[7:] == first[7:]
     after = service.metrics()
-    assert after["memo_hits"] - before["memo_hits"] == 1
-    assert after["wire_reused"] - before["wire_reused"] == 1
-    assert after["wire_built"] == before["wire_built"]
+    assert after["service.dispatch.memo_hits"] - before["service.dispatch.memo_hits"] == 1
+    assert after["service.wire.reused"] - before["service.wire.reused"] == 1
+    assert after["service.wire.built"] == before["service.wire.built"]
 
     alive = weakref.ref(answer)
     del answer
@@ -268,7 +272,7 @@ def test_a_rekey_moves_the_same_object_and_a_drop_frees_its_bytes():
     assert len(service.store.results) == 0
     gc.collect()
     assert alive() is None  # nothing else held the entry — or its bytes
-    assert service.store.stats()["caches"]["results"]["wire_bytes"] == 0
+    assert service.metrics()["store.cache.results.wire_bytes"] == 0
     fresh = _respond(service, 4, "public", text)
     assert _decode(fresh)["result"] == ["<pname>kb</pname>", "<pname>mouse</pname>"]
     service.close()
@@ -327,10 +331,11 @@ def test_eight_threads_hitting_one_key_get_equal_bytes():
         sys.setswitchinterval(interval)
     assert all(responses == {expected} for responses in seen)
     after = service.metrics()
-    assert after["memo_hits"] - before["memo_hits"] == threads * rounds
-    assert after["evaluations"] == before["evaluations"] == 1
-    built = after["wire_built"] - before["wire_built"]
-    reused = after["wire_reused"] - before["wire_reused"]
+    hits = after["service.dispatch.memo_hits"] - before["service.dispatch.memo_hits"]
+    assert hits == threads * rounds
+    assert after["service.dispatch.evaluations"] == before["service.dispatch.evaluations"] == 1
+    built = after["service.wire.built"] - before["service.wire.built"]
+    reused = after["service.wire.reused"] - before["service.wire.reused"]
     # Only requests that raced the first hit's build can have built.
     assert built + reused == threads * rounds and 1 <= built <= threads
     [held] = _held(service.store)
@@ -358,7 +363,7 @@ def test_the_followers_of_a_flight_share_one_wire_form():
                 _Call(_respond, service, 9, "doc", text) for _ in range(followers + 1)
             ]
             try:
-                _wait_for(lambda: service.metrics()["requests"] == followers + 1)
+                _wait_for(lambda: service.metrics()["service.requests.total"] == followers + 1)
             finally:
                 release.set()
             responses = [call.result() for call in calls]
@@ -366,12 +371,16 @@ def test_the_followers_of_a_flight_share_one_wire_form():
         sys.setswitchinterval(interval)
     assert responses == [expected] * (followers + 1)
     m = service.metrics()
-    assert (m["evaluations"], m["coalesced"], m["memo_hits"]) == (1, followers, 0)
+    assert (
+        m["service.dispatch.evaluations"],
+        m["service.dispatch.coalesced"],
+        m["service.dispatch.memo_hits"],
+    ) == (1, followers, 0)
     # The first response of the five builds and lets go, the second
     # builds and keeps, the other three are that form — never one
     # encoding per follower.
     assert len(builds) == 2, builds
-    assert (m["wire_built"], m["wire_reused"]) == (2, followers - 1)
+    assert (m["service.wire.built"], m["service.wire.reused"]) == (2, followers - 1)
     assert len(service.store.results) == 1 and len(_held(service.store)) == 1
     service.close()
 

@@ -395,7 +395,7 @@ class TestOneTokenizerContract:
         self, source, tmp_path, capsys
     ):
         """Regression: the scanner counted depth but never compared an
-        end tag with the element it closes, so ``method="stream"`` —
+        end tag with the element it closes, so ``method="sax"`` —
         the route ``auto`` takes from 8 MiB up — answered ``<a><b/></a>``
         for a file every other method refuses.  ``auto`` below that
         reads the file into columns, and refuses it too."""
@@ -404,7 +404,7 @@ class TestOneTokenizerContract:
         prepared = prepare_transform(
             'transform copy $a := doc("bad") modify do delete $a//c return $a'
         )
-        for method in ("auto", "stream", "sax", "topdown"):
+        for method in ("auto", "sax", "topdown"):
             with pytest.raises(XMLSyntaxError):
                 prepared.run_to_file(str(bad), str(out), method=method)
             assert not out.exists()
