@@ -22,6 +22,13 @@ Bars (skipped in smoke mode, which only exercises the code paths):
   zero new state sets, zero new transitions, and the engine's
   path-keyed ``selecting`` NFA cache counts the hit.
 
+The structural row (asserted in smoke mode too): 200 distinct
+``people/person[@id='person<k>']`` reads through one compiled cache
+over the XMark arena build one table set, and no move is compiled
+after the first text.  It prints ms per read for a cold shape (a fresh
+cache per text) against a warm one (the shared cache), with no
+wall-clock bar.
+
 Run standalone (prints the table, exits non-zero if a bar fails)::
 
     PYTHONPATH=src python benchmarks/bench_dfa.py            # full, 10 MB
@@ -36,12 +43,14 @@ from __future__ import annotations
 
 import gc
 import math
+import statistics
 import time
 
 from harness import DATASET_SEED, SMOKE, dataset, format_table, smoke_rounds
 from repro import Engine
 from repro.automata.selecting import build_selecting_nfa
 from repro.transform.topdown import transform_topdown, transform_topdown_nfa
+from repro.xmltree.arena import freeze
 from repro.xmark.queries import delete_transform, insert_transform
 
 #: Factor 0.25 serializes to ~10.4 MB — the bar's minimum document size.
@@ -156,6 +165,65 @@ def test_prepared_rerun_zero_recompilation():
     print(f"prepared re-run: DFA tables stable at {tables_after}")
 
 
+#: The structural row's read count: distinct texts of one automaton shape.
+SHAPE_TEXTS = 200
+
+
+def _shape_texts() -> list:
+    return [
+        f"for $x in people/person[@id = 'person{k}'] return $x"
+        for k in range(SHAPE_TEXTS)
+    ]
+
+
+def _read_ms(engine: Engine, text: str, arena) -> float:
+    start = time.perf_counter()
+    engine.prepare_query(text).run_refs(arena)
+    return (time.perf_counter() - start) * 1000
+
+
+def run_shape_row(factor: float) -> list:
+    """The structural row: every text through one ``Engine``'s cache
+    (warm shape) and each through a fresh one (cold shape).  Asserts
+    the shared cache built one table set and compiled no move after
+    its first text; returns the printable rows."""
+    arena = freeze(dataset(factor, seed=DATASET_SEED))
+    texts = _shape_texts()
+    cold = [_read_ms(Engine(), text, arena) for text in texts]
+    engine = Engine()
+    warm = [_read_ms(engine, texts[0], arena)]
+    after_first = engine.cache.dfa_stats()
+    warm += [_read_ms(engine, text, arena) for text in texts[1:]]
+    totals = engine.cache.dfa_stats()
+    assert totals["dfas"] == 1, f"{SHAPE_TEXTS} texts of one shape built {totals['dfas']} table sets"
+    assert totals["moves"] == after_first["moves"], (
+        f"moves compiled after the first text: {after_first['moves']} -> {totals['moves']}"
+    )
+    assert engine.cache.shapes.stats()["hits"] == SHAPE_TEXTS - 1
+    return [
+        ("cold shape (fresh cache per text)", f"{statistics.median(cold):.3f}", "-"),
+        (
+            "warm shape (one shared cache)",
+            f"{statistics.median(warm[1:]):.3f}",
+            f"{totals['sets']} sets, {totals['moves']} moves",
+        ),
+    ]
+
+
+def _print_shape_row(factor: float) -> None:
+    rows = run_shape_row(factor)
+    print(format_table(
+        f"{SHAPE_TEXTS} distinct people/person[@id] reads (xmark factor {factor})",
+        ["tables", "median ms/read", "one table set"],
+        rows,
+    ))
+
+
+def test_one_table_set_per_shape():
+    print()
+    _print_shape_row(_factor())
+
+
 def main(argv=None) -> int:
     import argparse
 
@@ -181,6 +249,7 @@ def main(argv=None) -> int:
     ))
     print(f"geometric mean speedup: {geomean:.2f}x (bar: {SPEEDUP_BAR}x)")
     test_prepared_rerun_zero_recompilation()
+    _print_shape_row(factor)
     if args.smoke:
         return 0
     if geomean < SPEEDUP_BAR:

@@ -34,7 +34,7 @@ engine chooses among; each subpackage's docstring maps back to the
 paper's sections.
 """
 
-__version__ = "1.31.0"
+__version__ = "1.32.0"
 
 # XML substrate
 from repro.xmltree import (

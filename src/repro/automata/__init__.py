@@ -17,10 +17,11 @@ child or descendant-or-self-then-child move away from the root.
 
 from repro.automata.selecting import SelectingNFA, build_selecting_nfa
 from repro.automata.filtering import FilteringNFA, build_filtering_nfa
-from repro.automata.dfa import LazyDFA
+from repro.automata.dfa import DfaTables, LazyDFA
 from repro.automata.arena_run import select_indices
 
 __all__ = [
+    "DfaTables",
     "FilteringNFA",
     "LazyDFA",
     "SelectingNFA",

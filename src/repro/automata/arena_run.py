@@ -72,7 +72,7 @@ def initial_id_for(selecting, arena: FrozenDocument, context: int = 0) -> Option
             selecting._arena_context_check = check
         if not check(arena, context):
             return None
-    return dfa.intern_set(selecting.initial_states())
+    return dfa.initial_id
 
 
 # hot-path

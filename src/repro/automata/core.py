@@ -19,7 +19,10 @@ The frozenset machinery below is the *reference* runner (and the form
 the paper's figures describe).  The hot strategies run the same
 automaton through :meth:`Automaton.dfa` — a lazily-determinized view
 (:mod:`repro.automata.dfa`) with interned state sets and memoized
-``(set, symbol)`` transitions.  That compilation is only affordable
+``(set, symbol)`` transitions.  Those tables depend on
+:meth:`Automaton.shape` alone — the states with each qualifier reduced
+to whether there is one — so automata of one shape can share them
+(:meth:`Automaton.use_tables`).  That compilation is only affordable
 because of the construction the paper proves: the NFA has O(|p|)
 states and its only cycles are the ``*`` self-loops, so the reachable
 subset space stays tiny (no exponential subset blow-up) and the lazy
@@ -77,6 +80,7 @@ class Automaton:
     def __init__(self):
         self.states: list[State] = []
         self._dfa = None
+        self._tables = None
 
     def dfa(self):
         """The shared lazy-DFA view of this automaton.
@@ -84,13 +88,37 @@ class Automaton:
         Built on first use and cached for the automaton's lifetime, so
         every strategy (and every re-run through a prepared statement
         or the store's compiled caches) steps through the same warm
-        transition tables.
+        transition tables — the ones :meth:`use_tables` bound, shared
+        with every automaton of this :meth:`shape`, or else its own.
         """
         if self._dfa is None:
             from repro.automata.dfa import LazyDFA
 
-            self._dfa = LazyDFA(self)
+            self._dfa = LazyDFA(self, self._tables)
         return self._dfa
+
+    def shape(self) -> tuple:
+        """The key two automata share DFA tables under: every field of
+        every state except the qualifier, which enters only as whether
+        there is one.  A transition depends on a step's label and on
+        whether its qualifier held (Fig. 4), never on the qualifier's
+        constants, so equal shapes step through equal tables."""
+        return tuple(
+            (
+                s.test, s.name, s.has_qualifier, s.is_final,
+                tuple(s.out_eps), tuple(s.out_consume), s.nq_id,
+            )
+            for s in self.states
+        )
+
+    def use_tables(self, tables) -> None:
+        """Step through *tables* (a :class:`~repro.automata.dfa.
+        DfaTables` built from an automaton of this :meth:`shape`)
+        instead of tables of this automaton's own; before the first
+        :meth:`dfa` call."""
+        if self._dfa is not None:
+            raise ValueError("the lazy DFA is already built over its own tables")
+        self._tables = tables
 
     def add_state(self, test: str, name: Optional[str], qual: Qual) -> State:
         state = State(len(self.states), test, name, qual)

@@ -13,15 +13,28 @@ determinize:
 * element labels are interned ints (:mod:`repro.xmltree.symbols`);
 * the transition for ``(set_id, symbol)`` is **memoized** on first use
   as a :class:`_Move`: the unconditionally-entered states, the
-  qualifier-bearing entered states (with their qualifiers compiled once
-  to closures by :mod:`repro.xpath.compiler`), and a table from the
-  qualifier outcome bitmask to the resulting ``set_id``;
+  qualifier-bearing entered states, and a table from the qualifier
+  outcome bitmask to the resulting ``set_id``;
 * ε-closures are precomputed once per NFA state at construction.
 
 Because the NFAs are semi-linear (O(|p|) states, Section 3.4), the
 reachable subset space is tiny — typically a few dozen sets even on
 multi-million-node documents — so the lazy tables stop growing almost
 immediately and the steady-state cost of a transition is one dict hit.
+
+**Tables are per shape, qualifiers per automaton.**  A transition
+depends on a step's label and on *whether* its qualifier held, never
+on the qualifier's constants (Fig. 4).  So the grow-only tables live in
+a :class:`DfaTables`, built from an automaton's structure alone
+(:meth:`~repro.automata.core.Automaton.shape`), and a :class:`LazyDFA`
+is a thin view over one: its tables and its automaton's qualifiers —
+as ASTs for ``checkp`` strategies and as closures compiled on first
+use (:mod:`repro.xpath.compiler` for Nodes,
+:mod:`repro.xpath.arena_compiler` for arena indices).
+:class:`repro.compiled.CompiledCache` hands every automaton of one
+shape the same tables, so ``people/person[@id='person7']`` and
+``people/person[profile/age > 61.5]`` step through one set of warm
+tables; an automaton built outside a cache owns its tables.
 
 Over a columnar arena the qualifier half of a conditional move is read,
 not computed: the scan carries a :class:`ScanTruth`, in which each
@@ -37,20 +50,21 @@ Three run modes cover every consumer:
 * :meth:`LazyDFA.step` — the filtered transition of Fig. 4 used by
   ``topDown`` (compiled-closure qualifiers by default, or any
   ``checkp`` strategy such as the ``bottomUp`` annotations);
-* :meth:`LazyDFA.step_all` — the unfiltered transition (``check=None``)
-  used by ``bottomUp`` and the SAX pass 1 over the filtering NFA;
-* :meth:`LazyDFA.tracked_move` — the compiled form of the SAX pass-2 /
-  streaming "tracked alive flags" discipline: per ``(set_id, symbol)``
-  a feeder bitmask per target state, the cursor positions of
+* :meth:`DfaTables.step_all` — the unfiltered transition
+  (``check=None``) used by ``bottomUp`` and the SAX pass 1 over the
+  filtering NFA;
+* :meth:`DfaTables.tracked_move` — the compiled form of the SAX pass-2
+  / streaming "tracked alive flags" discipline: per ``(set_id,
+  symbol)`` a feeder bitmask per target state, the cursor positions of
   qualifier-bearing entered states (in the exact sorted-sid order the
   pass-1 cursor assigned), and the ε-propagation pairs, so one
   transition is a handful of int ops on an alive bitmask.
 
-The frozenset entry points on :class:`~repro.automata.core.Automaton`
-remain (thin adapters and the reference the property tests compare
-against); ``Automaton.dfa()`` hands out one shared ``LazyDFA`` per
-automaton, which is what lets prepared statements and the store's
-compiled caches reuse fully-warm transition tables across runs.
+The last two never read a qualifier, so a view exposes them as its
+tables' own bound methods.  The frozenset entry points on
+:class:`~repro.automata.core.Automaton` remain (thin adapters and the
+reference the property tests compare against); ``Automaton.dfa()``
+hands out one ``LazyDFA`` per automaton.
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ from repro.xpath.ast import Qual
 from repro.xpath.compiler import compile_qualifier
 from repro.automata.core import TEST_DOS, TEST_LABEL, Automaton
 
-__all__ = ["LazyDFA", "ScanTruth"]
+__all__ = ["DfaTables", "LazyDFA", "ScanTruth"]
 
 #: checkp signature accepted by :meth:`LazyDFA.step`.
 CheckP = Callable[[Qual, Element], bool]
@@ -79,12 +93,10 @@ CheckP = Callable[[Qual, Element], bool]
 class _Move:
     """Compiled transition for one ``(set_id, symbol)`` pair."""
 
-    __slots__ = ("cond_sids", "cond_quals", "cond_checks", "base", "targets", "target0")
+    __slots__ = ("cond_sids", "base", "targets", "target0")
 
-    def __init__(self, cond_sids, cond_quals, cond_checks, base, targets):
+    def __init__(self, cond_sids, base, targets):
         self.cond_sids = cond_sids      # entered states with qualifiers (sorted)
-        self.cond_quals = cond_quals    # their Qual ASTs (for checkp strategies)
-        self.cond_checks = cond_checks  # their compiled closures
         self.base = base                # unconditionally entered states (frozenset)
         self.targets = targets          # qualifier-outcome mask -> set_id
         self.target0 = targets[0]       # the no-qualifier-passes target (hot slot)
@@ -132,13 +144,15 @@ class ScanTruth:
         self.verdicts: dict = {}  # the rule's verdict -> ranges it left to the closure
 
 
-class LazyDFA:
-    """Lazily-materialized DFA over an :class:`Automaton`.
+class DfaTables:
+    """The structural half of a lazy DFA: interned state sets and
+    memoized moves, built from an automaton's shape and never from its
+    qualifiers.
 
-    One instance per automaton (obtained via ``automaton.dfa()``); its
-    interned sets and memoized moves are shared by every strategy that
-    runs the automaton, and survive as long as the automaton does —
-    i.e. as long as the compiled caches keep it.
+    Every :class:`LazyDFA` whose automaton has this shape may step
+    through one instance (a :class:`~repro.compiled.CompiledCache`
+    shares them); it holds no reference to any automaton, so it keeps
+    no qualifier constant alive.
     """
 
     # The compiled tables are deliberately read LOCK-FREE; writes go
@@ -147,32 +161,24 @@ class LazyDFA:
     # exactly which shared state rides on that discipline:
     # unguarded[_sets, final_flags, set_nq, set_qual_positions, _final_masks, set_jump, set_guard]: grow-only parallel tables; a set_id is published into _ids only after its row in every table is complete (publish-last under _grow_lock), so lock-free readers always see complete facts
     # unguarded[_ids, _moves, _tracked]: grow-only dicts with idempotent inserts; two threads compiling the same entry write equivalent values (last write wins, both valid)
-    # unguarded[_arena_checks]: built once under _grow_lock (double-checked locking); immutable after publication
     # unguarded[moves_compiled, tracked_compiled]: stats-only tallies; a lost increment under contention skews introspection, never correctness
 
     def __init__(self, automaton: Automaton, symbols: Optional[SymbolTable] = None):
-        self.nfa = automaton
         self.symbols = symbols if symbols is not None else global_symbols()
         states = automaton.states
         count = len(states)
-        # Per-NFA-state facts, computed once.
+        # Per-NFA-state structural facts, computed once.
         self._closure = [
             tuple(sorted(automaton.epsilon_closure([sid]))) for sid in range(count)
         ]
+        self._consume = [tuple(s.out_consume) for s in states]
+        self._eps = [tuple(s.out_eps) for s in states]
         self._is_dos = [s.test == TEST_DOS for s in states]
         self._label_sym = [
             self.symbols.intern(s.name) if s.test == TEST_LABEL else -1
             for s in states
         ]
         self._has_qual = [s.has_qualifier for s in states]
-        self._checks = [
-            compile_qualifier(s.qual) if s.has_qualifier else None for s in states
-        ]
-        # Arena twins of the compiled qualifier closures (fn(arena, i)),
-        # built when an arena scan first decides a candidate per node —
-        # Node-only consumers and fully swept scans never pay.
-        self._arena_checks: Optional[list] = None
-        self._quals = [s.qual for s in states]
         self._final = [s.is_final for s in states]
         self._nq = [s.nq_id for s in states]
         # Interned state sets and their per-set facts.
@@ -190,16 +196,16 @@ class LazyDFA:
         # so sharing the reference is safe): the hot loops resolve a
         # label with one dict hit instead of a method call.
         self._sym_ids = self.symbols._ids
-        # Guards the parallel per-set tables: one automaton (and hence
-        # one LazyDFA) is shared by every strategy and every store
-        # query, and the store runs queries concurrently.  Reads stay
-        # lock-free — a set_id is published into _ids only after all of
-        # its per-set facts are in place.
+        # Guards the parallel per-set tables: one instance is shared by
+        # every strategy and every automaton of the shape, and the store
+        # runs queries concurrently.  Reads stay lock-free — a set_id is
+        # published into _ids only after all of its per-set facts are in
+        # place.
         self._grow_lock = threading.Lock()
         self.moves_compiled = 0
         self.tracked_compiled = 0
         self.empty_id = self.intern_set(frozenset())
-        self.initial_id = self.intern_set(automaton.initial_states())
+        self.initial_id = self.intern_set(self._closure[0])
 
     # ------------------------------------------------------------------
     # State-set interning
@@ -258,11 +264,10 @@ class LazyDFA:
         path) has ``D`` empty and ``R(T)`` empty: nothing below it can
         match.
         """
-        states = self.nfa.states
         targets: set = set()
         dos_targets: set = set()
         for sid in members:
-            out = states[sid].out_consume
+            out = self._consume[sid]
             targets.update(out)
             if self._is_dos[sid]:
                 if self._has_qual[sid] or self._final[sid]:
@@ -297,11 +302,10 @@ class LazyDFA:
         member and as a descendant by another) stays on the per-node
         path.
         """
-        states = self.nfa.states
         targets: set = set()
         waits = False
         for sid in members:
-            targets.update(states[sid].out_consume)
+            targets.update(self._consume[sid])
             if self._is_dos[sid]:
                 waits = True
         syms = {self._label_sym[sid] for sid in targets}
@@ -318,42 +322,24 @@ class LazyDFA:
         """The NFA state ids of the set, sorted ascending."""
         return self._sets[set_id]
 
-    def frozen(self, set_id: int) -> frozenset:
-        """The set as the frozenset the NFA entry points expect."""
-        return frozenset(self._sets[set_id])
-
-    def is_final(self, set_id: int) -> bool:
-        """Does the set contain a final state (``selects`` of Fig. 4)?"""
-        return self.final_flags[set_id]
-
-    def final_mask(self, set_id: int) -> int:
-        return self._final_masks[set_id]
-
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
 
-    def _compile_move(self, set_id: int, sym: int) -> _Move:
+    def compile_move(self, set_id: int, sym: int) -> _Move:
         """Materialize the transition table entry for ``(set_id, sym)``."""
-        states = self.nfa.states
         label_sym = self._label_sym
         entered: set = set()
         for sid in self._sets[set_id]:
             if self._is_dos[sid]:
                 entered.add(sid)  # the '*' self-loop consumes any label
-            for target in states[sid].out_consume:
+            for target in self._consume[sid]:
                 target_sym = label_sym[target]
                 if target_sym == sym or target_sym == -1:
                     entered.add(target)  # label match, wildcard, or dos
         cond = tuple(sorted(sid for sid in entered if self._has_qual[sid]))
         base = frozenset(sid for sid in entered if not self._has_qual[sid])
-        move = _Move(
-            cond,
-            tuple(self._quals[sid] for sid in cond),
-            tuple(self._checks[sid] for sid in cond),
-            base,
-            {0: self._close_and_intern(base)},
-        )
+        move = _Move(cond, base, {0: self._close_and_intern(base)})
         self._moves[set_id][sym] = move
         self.moves_compiled += 1
         return move
@@ -365,7 +351,9 @@ class LazyDFA:
             result.update(closure[sid])
         return self.intern_set(frozenset(result))
 
-    def _target_for_mask(self, move: _Move, mask: int) -> int:
+    def target_for_mask(self, move: _Move, mask: int) -> int:
+        """The set *move* reaches when the qualifiers of exactly the
+        ``cond_sids`` bits set in *mask* hold."""
         target = move.targets.get(mask)
         if target is None:
             passing = [sid for bit, sid in enumerate(move.cond_sids) if mask >> bit & 1]
@@ -373,17 +361,206 @@ class LazyDFA:
             move.targets[mask] = target
         return target
 
+    def step_all(self, set_id: int, label: str) -> int:
+        """The unfiltered transition (``check=None``): qualifiers kept."""
+        move = self._moves[set_id].get(self._sym_ids.get(label))
+        if move is None:
+            move = self.compile_move(set_id, self.symbols.intern(label))
+        if not move.cond_sids:
+            return move.target0
+        return self.target_for_mask(move, (1 << len(move.cond_sids)) - 1)
+
+    # ------------------------------------------------------------------
+    # The tracked-alive mode (SAX pass 2, streaming select)
+    # ------------------------------------------------------------------
+
+    def tracked_move(self, set_id: int, label: str) -> _TrackedMove:  # hot-path
+        """The compiled pass-2 transition for ``(set_id, label)``.
+
+        The caller holds ``(set_id, alive-bitmask)``; applying the move
+        is: OR the feeder masks, AND the cursor values into the
+        qualifier positions, propagate ε pairs, test ``final_mask``.
+        """
+        move = self._tracked[set_id].get(self._sym_ids.get(label))
+        if move is None:
+            sym = self.symbols.intern(label)
+            move = self._compile_tracked(set_id, sym)
+            self._tracked[set_id][sym] = move
+        return move
+
+    def _compile_tracked(self, set_id: int, sym: int) -> _TrackedMove:
+        label_sym = self._label_sym
+        source = self._sets[set_id]
+        target_id = self.step_all(set_id, self.symbols.strings[sym])
+        target = self._sets[target_id]
+        dst_pos = {sid: pos for pos, sid in enumerate(target)}
+        feeds = [0] * len(target)
+        entered: set = set()
+        for src_pos, sid in enumerate(source):
+            if self._is_dos[sid]:
+                feeds[dst_pos[sid]] |= 1 << src_pos
+                entered.add(sid)
+            for tgt in self._consume[sid]:
+                tgt_sym = label_sym[tgt]
+                if tgt_sym == sym or tgt_sym == -1:
+                    feeds[dst_pos[tgt]] |= 1 << src_pos
+                    entered.add(tgt)
+        qual_positions = tuple(
+            dst_pos[sid] for sid in sorted(entered) if self._has_qual[sid]
+        )
+        eps_pairs = tuple(
+            (dst_pos[sid], dst_pos[tgt])
+            for sid in target
+            for tgt in self._eps[sid]
+            if tgt in dst_pos
+        )
+        move = _TrackedMove(
+            target_id, tuple(feeds), qual_positions, eps_pairs,
+            self._final_masks[target_id],
+        )
+        self.tracked_compiled += 1
+        return move
+
+    def root_tracked(self, ld: list, cursor: int) -> tuple:
+        """The tracked state at the document root (which consumes no
+        symbol): all initial members alive, with qualifier-bearing ones
+        consuming their pass-1 cursor ids.  Returns
+        ``(set_id, alive, cursor)``."""
+        set_id = self.initial_id
+        alive = (1 << len(self._sets[set_id])) - 1
+        for pos in self.set_qual_positions[set_id]:
+            if not ld[cursor]:
+                alive &= ~(1 << pos)
+            cursor += 1
+        return set_id, alive, cursor
+
+    # hot-path
+    def advance_tracked(
+        self, set_id: int, alive: int, label: str, ld: list, cursor: int
+    ) -> tuple:
+        """One full pass-2 transition: feeds, cursor-qualifier clearing
+        (consuming ids exactly as pass 1 assigned them), ε propagation.
+
+        Returns ``(set_id, alive, cursor, selected)`` — the single
+        entry point both the SAX pass 2 and the streaming selector run
+        on, so the alive/cursor discipline lives in one place.
+        """
+        move = self.tracked_move(set_id, label)
+        new_alive = 0
+        bit = 1
+        for feed in move.feeds:
+            if alive & feed:
+                new_alive |= bit
+            bit <<= 1
+        for pos in move.qual_positions:
+            if not ld[cursor]:
+                new_alive &= ~(1 << pos)
+            cursor += 1
+        for src, dst in move.eps_pairs:
+            if new_alive >> src & 1:
+                new_alive |= 1 << dst
+        return move.target, new_alive, cursor, bool(new_alive & move.final_mask)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Table sizes — what ``explain()`` surfaces as the compiled
+        runtime's footprint (and what the zero-recompilation assertions
+        in ``benchmarks/bench_dfa.py`` watch)."""
+        return {
+            "nfa_states": len(self._closure),
+            "sets": len(self._sets),
+            "moves": self.moves_compiled,
+            "tracked_moves": self.tracked_compiled,
+            "symbols": len(self.symbols),
+        }
+
+
+class LazyDFA:
+    """Lazily-materialized DFA over an :class:`Automaton`: a view that
+    pairs the automaton's qualifiers with a :class:`DfaTables`.
+
+    One instance per automaton (obtained via ``automaton.dfa()``).  Its
+    tables are the ones the automaton was bound to
+    (:meth:`~repro.automata.core.Automaton.use_tables`) — shared with
+    every automaton of the same shape — or, unbound, its own.  The
+    per-set facts (``final_flags``, ``set_jump``, ``set_guard``, …)
+    and the qualifier-free entry points (``intern_set``, ``step_all``,
+    ``advance_tracked``, …) are the tables' own, bound here once so a
+    runner's loop pays no delegation.
+    """
+
+    # unguarded[_checks, _arena_checks]: built once on first use, lock-free; a racing builder computes an equivalent list and publishes it whole (last write wins, both valid)
+
+    def __init__(self, automaton: Automaton, tables: Optional[DfaTables] = None):
+        # No reference back to the automaton (which owns this view): an
+        # automaton the compiled cache evicts is freed by reference
+        # counting, not left to the cycle collector.
+        if tables is None:
+            tables = DfaTables(automaton)
+        self.tables = tables
+        self.symbols = tables.symbols
+        self._quals = [s.qual for s in automaton.states]
+        # The qualifier closures, per NFA state: fn(node) for the Node
+        # runners, fn(arena, i) for arena candidates a scan decides one
+        # at a time — each list built on its first use, so arena reads
+        # never compile a Node closure and fully swept scans neither.
+        self._checks: Optional[list] = None
+        self._arena_checks: Optional[list] = None
+        # The tables' per-set facts (grow-only lists, shared by reference).
+        self.empty_id = tables.empty_id
+        self.initial_id = tables.initial_id
+        self.final_flags = tables.final_flags
+        self.set_nq = tables.set_nq
+        self.set_qual_positions = tables.set_qual_positions
+        self.set_jump = tables.set_jump
+        self.set_guard = tables.set_guard
+        self._moves = tables._moves
+        self._label_sym = tables._label_sym
+        self._sym_ids = tables._sym_ids
+        # The qualifier-free entry points.
+        self.intern_set = tables.intern_set
+        self.members = tables.members
+        self.step_all = tables.step_all
+        self.tracked_move = tables.tracked_move
+        self.root_tracked = tables.root_tracked
+        self.advance_tracked = tables.advance_tracked
+        self.stats = tables.stats
+        self._compile_move = tables.compile_move
+        self._target_for_mask = tables.target_for_mask
+
+    # ------------------------------------------------------------------
+    # The Node mode
+    # ------------------------------------------------------------------
+
+    def ensure_checks(self) -> list:
+        """The per-NFA-state Node qualifier closures, built once on the
+        first qualifier a Node runner decides natively."""
+        checks = self._checks
+        if checks is None:
+            checks = self._checks = [
+                compile_qualifier(qual) if has else None
+                for qual, has in zip(self._quals, self.tables._has_qual)
+            ]
+        return checks
+
     def apply_move(self, move: _Move, node: Element, checkp: Optional[CheckP]) -> int:  # hot-path
         """Decide a qualifier-bearing move at *node* (the slow half of
         :meth:`step`, exposed so hot loops can inline the fast half)."""
         mask = 0
         if checkp is None:
-            for bit, check in enumerate(move.cond_checks):
-                if check(node):
+            checks = self._checks
+            if checks is None:
+                checks = self.ensure_checks()
+            for bit, sid in enumerate(move.cond_sids):
+                if checks[sid](node):
                     mask |= 1 << bit
         else:
-            for bit, qual in enumerate(move.cond_quals):
-                if checkp(qual, node):
+            quals = self._quals
+            for bit, sid in enumerate(move.cond_sids):
+                if checkp(quals[sid], node):
                     mask |= 1 << bit
         if not mask:
             return move.target0
@@ -434,15 +611,10 @@ class LazyDFA:
         query whose ranges are all swept never compiles them."""
         checks = self._arena_checks
         if checks is None:
-            with self._grow_lock:
-                if self._arena_checks is None:
-                    self._arena_checks = [
-                        compile_qualifier_arena(s.qual, self.symbols)
-                        if s.has_qualifier
-                        else None
-                        for s in self.nfa.states
-                    ]
-            checks = self._arena_checks
+            checks = self._arena_checks = [
+                compile_qualifier_arena(qual, self.symbols) if has else None
+                for qual, has in zip(self._quals, self.tables._has_qual)
+            ]
         return checks
 
     def _truth_at(self, sid: int, arena, lo: int, hi: int, truth: ScanTruth) -> tuple:
@@ -554,120 +726,3 @@ class LazyDFA:
         of :meth:`hot_path`; symbol resolution disappears because the
         arena's ``sym`` column already holds interned ids)."""
         return self._moves, self._compile_move, self.apply_move_arena
-
-    def step_all(self, set_id: int, label: str) -> int:
-        """The unfiltered transition (``check=None``): qualifiers kept."""
-        move = self._moves[set_id].get(self._sym_ids.get(label))
-        if move is None:
-            move = self._compile_move(set_id, self.symbols.intern(label))
-        if not move.cond_sids:
-            return move.target0
-        return self._target_for_mask(move, (1 << len(move.cond_sids)) - 1)
-
-    # ------------------------------------------------------------------
-    # The tracked-alive mode (SAX pass 2, streaming select)
-    # ------------------------------------------------------------------
-
-    def tracked_move(self, set_id: int, label: str) -> _TrackedMove:  # hot-path
-        """The compiled pass-2 transition for ``(set_id, label)``.
-
-        The caller holds ``(set_id, alive-bitmask)``; applying the move
-        is: OR the feeder masks, AND the cursor values into the
-        qualifier positions, propagate ε pairs, test ``final_mask``.
-        """
-        move = self._tracked[set_id].get(self._sym_ids.get(label))
-        if move is None:
-            sym = self.symbols.intern(label)
-            move = self._compile_tracked(set_id, sym)
-            self._tracked[set_id][sym] = move
-        return move
-
-    def _compile_tracked(self, set_id: int, sym: int) -> _TrackedMove:
-        states = self.nfa.states
-        label_sym = self._label_sym
-        source = self._sets[set_id]
-        target_id = self.step_all(set_id, self.symbols.strings[sym])
-        target = self._sets[target_id]
-        dst_pos = {sid: pos for pos, sid in enumerate(target)}
-        feeds = [0] * len(target)
-        entered: set = set()
-        for src_pos, sid in enumerate(source):
-            if self._is_dos[sid]:
-                feeds[dst_pos[sid]] |= 1 << src_pos
-                entered.add(sid)
-            for tgt in states[sid].out_consume:
-                tgt_sym = label_sym[tgt]
-                if tgt_sym == sym or tgt_sym == -1:
-                    feeds[dst_pos[tgt]] |= 1 << src_pos
-                    entered.add(tgt)
-        qual_positions = tuple(
-            dst_pos[sid] for sid in sorted(entered) if self._has_qual[sid]
-        )
-        eps_pairs = tuple(
-            (dst_pos[sid], dst_pos[tgt])
-            for sid in target
-            for tgt in states[sid].out_eps
-            if tgt in dst_pos
-        )
-        move = _TrackedMove(
-            target_id, tuple(feeds), qual_positions, eps_pairs,
-            self._final_masks[target_id],
-        )
-        self.tracked_compiled += 1
-        return move
-
-    def root_tracked(self, ld: list, cursor: int) -> tuple:
-        """The tracked state at the document root (which consumes no
-        symbol): all initial members alive, with qualifier-bearing ones
-        consuming their pass-1 cursor ids.  Returns
-        ``(set_id, alive, cursor)``."""
-        set_id = self.initial_id
-        alive = (1 << len(self._sets[set_id])) - 1
-        for pos in self.set_qual_positions[set_id]:
-            if not ld[cursor]:
-                alive &= ~(1 << pos)
-            cursor += 1
-        return set_id, alive, cursor
-
-    # hot-path
-    def advance_tracked(
-        self, set_id: int, alive: int, label: str, ld: list, cursor: int
-    ) -> tuple:
-        """One full pass-2 transition: feeds, cursor-qualifier clearing
-        (consuming ids exactly as pass 1 assigned them), ε propagation.
-
-        Returns ``(set_id, alive, cursor, selected)`` — the single
-        entry point both the SAX pass 2 and the streaming selector run
-        on, so the alive/cursor discipline lives in one place.
-        """
-        move = self.tracked_move(set_id, label)
-        new_alive = 0
-        bit = 1
-        for feed in move.feeds:
-            if alive & feed:
-                new_alive |= bit
-            bit <<= 1
-        for pos in move.qual_positions:
-            if not ld[cursor]:
-                new_alive &= ~(1 << pos)
-            cursor += 1
-        for src, dst in move.eps_pairs:
-            if new_alive >> src & 1:
-                new_alive |= 1 << dst
-        return move.target, new_alive, cursor, bool(new_alive & move.final_mask)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Table sizes — what ``explain()`` surfaces as the compiled
-        runtime's footprint (and what the zero-recompilation assertions
-        in ``benchmarks/bench_dfa.py`` watch)."""
-        return {
-            "nfa_states": len(self.nfa.states),
-            "sets": len(self._sets),
-            "moves": self.moves_compiled,
-            "tracked_moves": self.tracked_compiled,
-            "symbols": len(self.symbols),
-        }

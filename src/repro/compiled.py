@@ -14,6 +14,13 @@ compile is accounted for: the factory runs inside a ``compile`` span of
 the calling thread's active trace, and stamps an active execution
 profile ``cold``.  A hit pays neither.
 
+Automata share their lazy-DFA tables by shape
+(:meth:`~repro.automata.core.Automaton.shape`): every automaton the
+cache builds is bound to the one :class:`~repro.automata.dfa.DfaTables`
+of its shape in ``shapes``, so query texts that differ only in their
+literals — ``people/person[@id='person7']`` and
+``people/person[@id='person9']`` — step through the same warm tables.
+
 Like :mod:`repro.lru`, this lives at the package root: both the engine
 and the store use it and neither imports the other — shared
 infrastructure lives below both.
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, cast
 
+from repro.automata.core import Automaton
+from repro.automata.dfa import DfaTables
 from repro.automata.filtering import FilteringNFA, build_filtering_nfa
 from repro.automata.selecting import SelectingNFA, build_selecting_nfa
 from repro.compose.compose import compose
@@ -45,7 +54,9 @@ class CompiledCache:
     * parsed transform and user queries, keyed by source text,
     * selecting/filtering NFAs (each carrying its lazy DFA), keyed by
       the parsed path — two texts embedding one path share one pair of
-      automata and therefore one set of warm tables,
+      automata,
+    * lazy-DFA tables, keyed by automaton shape — two paths that differ
+      only in their qualifiers' constants share one set of warm tables,
     * composed plans — the Compose Method's output for one
       (user query, transform query) pair of source texts
       (``Engine.prepare_composed``; a store's reads splice instead).
@@ -57,6 +68,7 @@ class CompiledCache:
         self.selecting = LRUCache(maxsize)
         self.filtering = LRUCache(maxsize)
         self.plans = LRUCache(maxsize)
+        self.shapes = LRUCache(maxsize)
 
     # ------------------------------------------------------------------
     # Parsers
@@ -82,13 +94,20 @@ class CompiledCache:
         # equality): rendered text does not round-trip quoted string
         # literals, so it must never be the cache key.
         return cast(SelectingNFA, _get(
-            self.selecting, path, lambda: build_selecting_nfa(path)
+            self.selecting, path, lambda: self._shared(build_selecting_nfa(path))
         ))
 
     def filtering_nfa_for(self, path: Path) -> FilteringNFA:
         return cast(FilteringNFA, _get(
-            self.filtering, path, lambda: build_filtering_nfa(path)
+            self.filtering, path, lambda: self._shared(build_filtering_nfa(path))
         ))
+
+    def _shared(self, automaton: Automaton) -> Automaton:
+        """Bind a newly built *automaton* to the tables of its shape."""
+        automaton.use_tables(self.shapes.get_or_compute(
+            automaton.shape(), lambda: DfaTables(automaton)
+        ))
+        return automaton
 
     def composed(self, user_text: str, transform_text: str) -> Expr:
         """The composed plan for the pair of source texts.
@@ -117,23 +136,18 @@ class CompiledCache:
             "selecting_nfas": self.selecting,
             "filtering_nfas": self.filtering,
             "plans": self.plans,
+            "shapes": self.shapes,
         }
 
     def stats(self) -> Dict[str, Any]:
         return {name: cache.stats() for name, cache in self._caches().items()}
 
     def dfa_stats(self) -> Dict[str, int]:
-        """Lazy-DFA table sizes summed over every cached automaton that
-        has built its DFA — the one place the per-automaton
-        ``LazyDFA.stats()`` counters roll up (``automata.dfa.tables.*``
-        via the owner's metrics registry)."""
-        # Asking for dfa() would build one: read only the built tables.
-        built = [
-            automaton._dfa.stats()
-            for cache in (self.selecting, self.filtering)
-            for automaton in cache.values()
-            if automaton._dfa is not None
-        ]
+        """Lazy-DFA table sizes summed over the shape cache — the one
+        place the per-shape ``DfaTables.stats()`` counters roll up
+        (``automata.dfa.tables.*`` via the owner's metrics registry);
+        ``dfas`` is the number of table sets."""
+        built = [tables.stats() for tables in self.shapes.values()]
         totals = {
             name: sum(stats[name] for stats in built)
             for name in ("nfa_states", "sets", "moves", "tracked_moves")

@@ -85,23 +85,31 @@ class TestNFACaches:
         assert prepared.selecting.dfa().stats() == before
 
     def test_the_tables_probe_sums_every_built_dfa(self):
+        """``dfa_stats`` sums the shape cache: one table set per
+        automaton shape, bound when the automaton is compiled."""
         engine = Engine()
         prepared = engine.prepare_transform(DELETE)
-        assert engine.cache.dfa_stats()["dfas"] == 0  # nothing built yet
+        shapes = engine.cache.shapes.values()
+        # //price carries no qualifier: its filtering NFA has the
+        # selecting NFA's shape, so the two share one table set.
+        assert len(shapes) == engine.cache.dfa_stats()["dfas"] == 1
+        assert prepared.selecting.dfa().tables is prepared.filtering.dfa().tables
+        assert prepared.selecting.dfa().tables is shapes[0]
+        assert engine.cache.dfa_stats()["moves"] == 0  # nothing stepped yet
         prepared.run(parse(DOC), method="topdown")
-        tables = [nfa.dfa().stats() for nfa in (prepared.selecting, prepared.filtering)
-                  if nfa._dfa is not None]
+        tables = [t.stats() for t in engine.cache.shapes.values()]
         totals = engine.cache.dfa_stats()
-        assert totals["dfas"] == len(tables) >= 1
+        assert totals["dfas"] == len(tables) == 1
         assert totals["sets"] == sum(t["sets"] for t in tables) > 0
-        assert totals["moves"] == sum(t["moves"] for t in tables)
+        assert totals["moves"] == sum(t["moves"] for t in tables) > 0
 
     def test_the_nfa_caches_are_surfaced_in_stats(self):
         engine = Engine()
         engine.prepare_transform(DELETE)
         stats = engine.cache.stats()
         assert sorted(stats) == [
-            "filtering_nfas", "plans", "selecting_nfas", "transforms", "user_queries",
+            "filtering_nfas", "plans", "selecting_nfas", "shapes", "transforms",
+            "user_queries",
         ]
         assert stats["selecting_nfas"]["size"] == stats["filtering_nfas"]["size"] == 1
 

@@ -211,21 +211,20 @@ def test_a_cold_read_is_a_traced_profiled_compile():
 
 
 def test_the_dfa_tables_probe_sums_the_read_automata(service):
-    """``automata.dfa.tables`` is every built DFA in the store's NFA
-    caches — the ones a server's reads step through."""
+    """``automata.dfa.tables`` sums the store's shape cache — one table
+    set per automaton shape, which every read automaton of that shape
+    steps through."""
     for text in QUERIES:
         service.query("db", text)
     compiled = service.store.compiled
-    built = [
-        nfa.dfa().stats()
-        for cache in (compiled.selecting, compiled.filtering)
-        for nfa in cache.values()
-        if nfa._dfa is not None
-    ]
+    built = [tables.stats() for tables in compiled.shapes.values()]
+    read_tables = {id(nfa.dfa().tables) for nfa in compiled.selecting.values()}
+    assert read_tables <= {id(tables) for tables in compiled.shapes.values()}
     snap = service.registry.snapshot()
     assert snap["automata.dfa.tables.sets"] > 0
     assert snap["automata.dfa.tables.sets"] == sum(stats["sets"] for stats in built)
     assert snap["automata.dfa.tables.dfas"] == len(built)
+    assert snap["engine.compiled.shapes.misses"] == len(built)
 
 
 @pytest.mark.parametrize(
