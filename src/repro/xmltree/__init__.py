@@ -1,17 +1,17 @@
-"""From-scratch XML substrate: tree model, parser, serializer, SAX layer.
+"""The XML substrate: tree model, parser, serializer, SAX layer.
 
 This package provides everything the paper's algorithms need from an XML
-library, built without any external dependency:
+library, on the standard library alone:
 
 * :mod:`repro.xmltree.node` — the immutable-by-convention tree model
   (:class:`Element` and :class:`Text` nodes) used by every evaluator.
-* :mod:`repro.xmltree.sax` — the XML tokenizer (one scanner, over a
-  string in place or a file in chunks) and the SAX event layer over it:
-  the event stream ``twoPassSAX`` consumes without ever building a
-  tree, plus tree↔event adapters.
+* :mod:`repro.xmltree.sax` — the XML reader (the standard library's
+  expat, fed a string or a file in byte chunks, its handlers driving a
+  sink) and the SAX event layer over it: the event stream ``twoPassSAX``
+  consumes without ever building a tree, plus tree↔event adapters.
 * :mod:`repro.xmltree.parser` — ``parse`` / ``parse_to_arena`` /
-  ``parse_fragment`` and their file twins: builders over that scanner's
-  events, with no tokenizing code of their own.
+  ``parse_fragment`` and their file twins: the reader into a tree or
+  into arena columns, with no tokenizing code of their own.
 * :mod:`repro.xmltree.arena` — the frozen columnar document.
 * :mod:`repro.xmltree.serializer` — tree → text.
 """
@@ -20,7 +20,6 @@ from repro.xmltree.arena import (
     FrozenBuilder,
     FrozenDocument,
     arena_to_events,
-    events_to_arena,
     freeze,
     thaw,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "deep_copy",
     "deep_equal",
     "element",
-    "events_to_arena",
     "events_to_text",
     "events_to_tree",
     "freeze",

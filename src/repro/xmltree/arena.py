@@ -92,10 +92,10 @@ reader that still holds the base cheap beside the new version.  The
 store itself holds one version per document: a base outlives its
 commit only while some reader's snapshot holds it.
 
-Construction never builds an intermediate ``Node`` tree: the
-tokenizer's event stream drives a :class:`FrozenBuilder` directly
-(:func:`events_to_arena`, which is all that :func:`repro.xmltree.
-parser.parse_to_arena` and ``parse_file_to_arena`` are).
+Construction never builds an intermediate ``Node`` tree: the XML
+reader drives a :class:`FrozenBuilder` directly from its handlers
+(:func:`repro.xmltree.parser.parse_to_arena` and
+``parse_file_to_arena``).
 :func:`freeze` / :func:`thaw` bridge to the existing model: ``freeze``
 columnarizes a resident tree, ``thaw`` materializes any pre-order range
 back into ``Element``/``Text`` nodes (used to hand individual matches
@@ -108,7 +108,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.xmltree.node import Element, Node, Text
 from repro.xmltree.symbols import SymbolTable, global_symbols
@@ -119,7 +119,6 @@ __all__ = [
     "SpliceSegment",
     "arena_to_events",
     "carry_indices",
-    "events_to_arena",
     "freeze",
     "freeze_segment",
     "rename_splice",
@@ -133,10 +132,9 @@ __all__ = [
 class FrozenDocument:
     """One document, frozen into parallel pre-order columns.
 
-    Instances come from :class:`FrozenBuilder` (via :func:`freeze`,
-    :func:`~repro.xmltree.parser.parse_to_arena` or
-    :func:`events_to_arena`) and are immutable: readers share them
-    freely.  Index 0 is always the root element.
+    Instances come from :class:`FrozenBuilder` (via :func:`freeze` or
+    :func:`~repro.xmltree.parser.parse_to_arena`) and are immutable:
+    readers share them freely.  Index 0 is always the root element.
     """
 
     # unguarded[_postings, _texts, _leaves, _height]: derived data over immutable columns with idempotent inserts; racing first uses compute equal values (last write wins, both valid), and splice/rename_splice fill a new version's postings before anyone else holds it
@@ -507,8 +505,9 @@ class FrozenBuilder:
             parts.append(value)
         return index
 
-    def end(self) -> None:
-        """Close the innermost open element."""
+    def end(self, name: Optional[str] = None) -> None:
+        """Close the innermost open element (*name*, which a reader
+        passes, is not checked)."""
         index = self._stack.pop()
         self._size[index] = len(self._sym) - index
         parts = self._own_parts.pop()
@@ -1015,30 +1014,6 @@ def rename_splice(base: FrozenDocument, indices: list, new_label: str) -> Frozen
 # ----------------------------------------------------------------------
 # SAX event adapters (the streaming replay source)
 # ----------------------------------------------------------------------
-
-
-def events_to_arena(
-    events: Iterable, symbols: Optional[SymbolTable] = None
-) -> FrozenDocument:
-    """Build a frozen document straight from a SAX event stream.
-
-    This is the arena load path — ``parse_file_to_arena(path)`` is
-    ``events_to_arena(iter_sax_file(path))`` — which columnarizes a
-    file with no intermediate ``Node`` tree and memory bounded by the
-    columns themselves.
-    """
-    from repro.xmltree.sax import EndElement, StartElement, TextEvent
-
-    builder = FrozenBuilder(symbols)
-    for event in events:
-        if isinstance(event, StartElement):
-            builder.start(event.name, event.attrs if event.attrs else None)
-        elif isinstance(event, EndElement):
-            builder.end()
-        elif isinstance(event, TextEvent):
-            builder.text(event.value)
-        # Start/EndDocument carry no content.
-    return builder.finish()
 
 
 def arena_to_events(

@@ -1,4 +1,4 @@
-"""The XML tokenizer and the SAX event layer over it.
+"""The XML reader and the SAX event layer over it.
 
 Section 6 of the paper integrates the two-pass transform evaluation with
 SAX parsing so very large documents are processed with memory bounded by
@@ -7,15 +7,15 @@ document depth.  This module provides the substrate:
 * the five event types of the paper — ``startDocument()``,
   ``startElement(n)``, ``text(t)``, ``endElement(n)``,
   ``endDocument()`` — as lightweight classes;
-* :class:`_StreamScanner` — **the** tokenizer: the only code that reads
-  XML text.  Every entry point (:func:`iter_sax_file`,
-  :func:`iter_sax_string` here; ``parse``, ``parse_fragment``,
-  ``parse_to_arena`` and their file twins in
-  :mod:`repro.xmltree.parser`) is a consumer of its event stream, so
-  they accept one language of documents by construction;
-* :func:`iter_sax_file` — the scanner over a file read in chunks, which
-  **never materializes the document**;
-* :func:`iter_sax_string` — the scanner over an in-memory string;
+* :class:`_Reader` — **the** reader, the only code that reads XML text:
+  expat (``pyexpat``), fed in byte chunks, whose handlers call
+  ``start`` / ``text`` / ``end`` on a sink.  Every door — ``parse``,
+  ``parse_fragment``, ``parse_to_arena`` and their file twins in
+  :mod:`repro.xmltree.parser`, :func:`iter_sax_file` and
+  :func:`iter_sax_string` here — hands it a sink, so they accept one
+  language of documents by construction;
+* :func:`iter_sax_file` / :func:`iter_sax_string` — events, one chunk's
+  at a time: a file is **never materialized**;
 * :func:`tree_to_events` / :func:`events_to_tree` — adapters between the
   tree model and event streams (the transform result of ``twoPassSAX``
   "may be accessed as a SAX event stream", per the paper);
@@ -26,14 +26,24 @@ document depth.  This module provides the substrate:
 from __future__ import annotations
 
 import re
-from typing import IO, Callable, Iterable, Iterator, Optional, Union
+from collections import deque
+from functools import partial
+from io import BytesIO
+from pyexpat import (
+    XML_PARAM_ENTITY_PARSING_NEVER,
+    ErrorString,
+    ExpatError,
+    ParserCreate,
+    errors,
+)
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 from repro.xmltree.node import Element, Text
 from repro.xmltree.serializer import escape_attr, escape_text
 from repro.xmltree.symbols import global_symbols
 
 #: Element names are canonicalized through the process-wide symbol
-#: table as events are produced (see :mod:`repro.xmltree.symbols`):
+#: table as they are read (see :mod:`repro.xmltree.symbols`):
 #: identical labels share one interned string (a large XMark document
 #: has millions of label occurrences but a few dozen distinct labels),
 #: and the compiled automata find their whole alphabet pre-interned.
@@ -49,35 +59,30 @@ class XMLSyntaxError(ValueError):
 
 
 class SAXEvent:
-    """Base class for SAX events."""
+    """Base class for SAX events: equal when of one class with equal
+    fields (an element's attributes left out of its hash)."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__,) + self._fields()[:1])
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
 class StartDocument(SAXEvent):
     __slots__ = ()
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return "StartDocument()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StartDocument)
-
-    def __hash__(self) -> int:
-        return hash(StartDocument)
-
 
 class EndDocument(SAXEvent):
     __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "EndDocument()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EndDocument)
-
-    def __hash__(self) -> int:
-        return hash(EndDocument)
 
 
 class StartElement(SAXEvent):
@@ -87,34 +92,12 @@ class StartElement(SAXEvent):
         self.name = name
         self.attrs: dict[str, str] = attrs if attrs is not None else {}
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"StartElement({self.name!r}, {self.attrs!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, StartElement)
-            and self.name == other.name
-            and self.attrs == other.attrs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("start", self.name))
-
 
 class EndElement(SAXEvent):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"EndElement({self.name!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EndElement) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(("end", self.name))
 
 
 class TextEvent(SAXEvent):
@@ -123,426 +106,323 @@ class TextEvent(SAXEvent):
     def __init__(self, value: str):
         self.value = value
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"TextEvent({self.value!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TextEvent) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("text", self.value))
-
 
 # ----------------------------------------------------------------------
-# Lexical rules
+# The reader: expat, and the handlers that drive a sink
 # ----------------------------------------------------------------------
 
-#: The five predefined entities.  A document whose DOCTYPE declares
-#: more reads through its own copy of this table, the declared names
-#: added (:meth:`_StreamScanner._declare_entity`).
-_PREDEFINED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+#: Bytes handed to expat per ``Parse`` call: what an iterating door
+#: holds of events at a time is one chunk's.
+_CHUNK = 1 << 14
 
-#: ``#`` + decimal digits or ``#x`` + hex digits, no longer (leading
-#: zeros aside) than the largest code point.
-_CHAR_REF = re.compile(r"#(?:0*([0-9]{1,7})|x0*([0-9a-fA-F]{1,6}))\Z")
+#: A reference to neither a predefined entity nor a character.
+_REFERENCE = re.compile(r"&(?!(?:amp|lt|gt|quot|apos|#[0-9]+|#x[0-9a-fA-F]+);)([^;]*);?")
+#: A start tag, quoted values whole.
+_START_TAG = re.compile(rb"""<(?:[^"'>]|"[^"]*"|'[^']*')*>""")
+#: What an error message quotes of the input: an end tag's name, a reference.
+_NAME_AT = re.compile(r"[^>\s]*")
+_REFERENCE_AT = re.compile(r"&[^;<&\s]{0,40};?")
 
-
-def _char_reference(name: str) -> Optional[str]:
-    """The character ``&name;`` stands for (*name* starts with ``#``);
-    ``None`` unless it is digits that name an XML ``Char``."""
-    match = _CHAR_REF.match(name)
-    if match is None:
-        return None
-    code = int(match[1]) if match[1] else int(match[2], 16)
-    if (
-        code in (0x9, 0xA, 0xD)
-        or 0x20 <= code <= 0xD7FF
-        or 0xE000 <= code <= 0xFFFD
-        or 0x10000 <= code <= 0x10FFFF
-    ):
-        return chr(code)
-    return None
+_MISMATCH = errors.codes[errors.XML_ERROR_TAG_MISMATCH]
+_JUNK_AFTER_ROOT = errors.codes[errors.XML_ERROR_JUNK_AFTER_DOC_ELEMENT]
+#: Errors whose message names the reference at the error.
+_AT_REFERENCE = {
+    errors.codes[errors.XML_ERROR_BAD_CHAR_REF]: "bad character reference",
+    errors.codes[errors.XML_ERROR_UNDEFINED_ENTITY]: "unknown entity",
+}
 
 
-def decode_entities(raw: str, pos: int = 0, entities: dict = _PREDEFINED) -> str:
-    """Decode the entity and character references in *raw*, which
-    starts at offset *pos* of its document."""
-    amp = raw.find("&")
-    if amp == -1:
-        return raw
-    out: list[str] = []
-    done = 0
-    while amp != -1:
-        end = raw.find(";", amp + 1)
-        if end == -1:
-            raise XMLSyntaxError("unterminated entity reference", pos + amp)
-        name = raw[amp + 1 : end]
-        if name.startswith("#"):
-            value = _char_reference(name)
-            if value is None:
-                raise XMLSyntaxError(f"bad character reference &{name};", pos + amp)
-        else:
-            value = entities.get(name)
-            if value is None:
-                raise XMLSyntaxError(f"unknown entity &{name};", pos + amp)
-        out.append(raw[done:amp])
-        out.append(value)
-        done = end + 1
-        amp = raw.find("&", done)
-    out.append(raw[done:])
-    return "".join(out)
+class _Refused(Exception):
+    """A handler's refusal: ``(message, byte index)``."""
 
 
-def _valid_name(name: str) -> bool:
-    return (
-        bool(name)
-        and (name[0].isalpha() or name[0] in "_:")
-        and all(ch.isalnum() or ch in "_:.-" for ch in name)
-    )
+class _RootClosed(Exception):
+    """Stops a fragment's parse at its root element's end."""
 
 
-# ----------------------------------------------------------------------
-# The tokenizer
-# ----------------------------------------------------------------------
-
-_CHUNK = 1 << 16
-
-#: The whitespace XML allows inside and between markup.
-_WS = " \t\r\n"
-_NOT_WS = re.compile(r"[^ \t\r\n]")
-
-#: What ends a start tag or a DTD declaration (``>``) and the head of a
-#: DOCTYPE (``[`` or ``>``) — or opens a quoted value that may hold one.
-_TAG_STOP = re.compile(r"""[>"']""")
-_DOCTYPE_STOP = re.compile(r"""[\[>"']""")
-
-#: The inside of ``<!ENTITY name "value">`` after the keyword.
-_ENTITY_DECL = re.compile(
-    r"""[ \t\r\n]+([^ \t\r\n%"']+)[ \t\r\n]+(?:"([^"]*)"|'([^']*)')[ \t\r\n]*\Z"""
-)
+def _message(code: int, at: str, open_name: Optional[str]) -> str:
+    """expat's error *code* in words; *at* is the input from the error on."""
+    ref = _REFERENCE_AT.match(at)
+    if code == _MISMATCH:
+        return f"mismatched end tag </{_NAME_AT.match(at)[0]}> for <{open_name}>"
+    if code in _AT_REFERENCE and ref is not None:
+        return f"{_AT_REFERENCE[code]} {ref[0]}"
+    if code == _JUNK_AFTER_ROOT and at[:1] != "<":
+        return "text outside the root element"
+    if code == _JUNK_AFTER_ROOT and at[1:2] not in ("!", "?"):
+        return "multiple root elements"
+    return ErrorString(code)
 
 
-class _StreamScanner:
-    """The XML tokenizer: the one loop every entry point reads through.
+class _Reader:
+    """The one XML reader: an expat parser whose handlers call
+    ``start(name, attrs)``, ``text(value)`` and ``end(name)`` on a sink.
 
-    *source* is a string — which then **is** the buffer, read in place
-    from *offset* and never copied — or a text stream, read in
-    ``_CHUNK`` pieces into a buffer whose consumed prefix is dropped
-    only when more input is needed, so tokenizing is amortized linear
-    and the buffer stays bounded by the chunk size plus the largest
-    single token (tag, comment or text run between tags).
+    expat checks well-formedness.  The handlers refuse what expat reads
+    and this package does not, and keep what expat alone would not:
 
-    What is well-formed does not depend on where a refill falls
-    (``tests/test_xmltree_sax.py::TestOneTokenizerContract``): names
-    are validated, every end tag is checked against the element it
-    closes, and a start tag or a declaration ends at the first ``>``
-    outside a quoted value.
+    * parameter entities are never read (``SetParamEntityParsing``), and
+      a declaration of one or a reference to one is refused;
+    * an entity is internal, its value holds no ``<`` and refers to
+      nothing but characters and the predefined entities — so no
+      reference grows into markup or into more than it says, whatever
+      expat's own amplification limit is;
+    * an entity the internal subset does not declare is refused where
+      expat would skip it (text) or drop it (attribute values) because
+      the document names an external subset;
+    * one ``text`` per maximal character run, which expat reports in
+      pieces; under *strip* a run of XML white space only is dropped.
+
+    *encoding* is what a string was encoded in; ``None`` lets expat
+    read a file's from its byte order mark and XML declaration.
     """
 
-    def __init__(self, source: Union[str, IO[str]], strip_whitespace: bool, offset: int = 0):
-        if isinstance(source, str):
-            self.stream, self.buf, self.eof = None, source, True
-        else:
-            self.stream, self.buf, self.eof = source, "", False
-        self.pos = offset   # read position within buf
-        self.base = 0       # absolute offset of buf[0], for errors
-        self.strip = strip_whitespace
-        #: Names that passed validation (an element's mapped to its
-        #: canonical string): a document has few distinct names, so
-        #: each is checked once and the common attribute-free tag
-        #: costs one lookup.
-        self.names: dict[str, str] = {}
-        self.attr_names: set[str] = set()
-        self.entities = _PREDEFINED
+    __slots__ = ("parser", "names", "encoding")
 
-    def _fill(self) -> bool:
-        """Compact and read one more chunk; False at end of input."""
-        if self.eof:
-            return False
-        chunk = self.stream.read(_CHUNK)
-        if not chunk:
-            self.eof = True
-            return False
-        self.base += self.pos
-        self.buf = self.buf[self.pos :] + chunk
-        self.pos = 0
-        return True
+    def __init__(self, sink, strip: bool, encoding: Optional[str] = "utf-8"):
+        parser = self.parser = ParserCreate(encoding)
+        parser.SetParamEntityParsing(XML_PARAM_ENTITY_PARSING_NEVER)
+        parser.buffer_text = True
+        self.encoding = encoding or "utf-8"   # what error offsets count in
+        names: list[str] = []      # the open elements
+        pending: list[str] = []    # the current text run
+        self.names = names
+        start, text, end = sink.start, sink.text, sink.end
+        push, pop, join, clear = names.append, names.pop, "".join, pending.clear
+        keep = not strip
+        declared: set[str] = set()
+        external = False
 
-    def _find(self, token: str, offset: int) -> int:
-        """Find *token* at or after ``pos + offset``; -1 at EOF.
+        def refuse_undeclared(raw: str) -> None:
+            # Where an external subset might declare an entity, expat
+            # lets a reference to it pass, and drops it from a value.
+            for ref in _REFERENCE.finditer(raw):
+                if ref[1] not in declared:
+                    raise _Refused(f"unknown entity &{ref[1]};", parser.CurrentByteIndex)
 
-        The returned index stays valid because a successful find never
-        compacts; on a miss the buffer is compacted and refilled, and
-        the search resumes with a small overlap.
-        """
-        while True:
-            idx = self.buf.find(token, self.pos + offset)
-            if idx != -1:
-                return idx
-            # An offset, not an index: the refill compacts the buffer.
-            offset = max(offset, len(self.buf) - len(token) + 1 - self.pos)
-            if not self._fill():
-                return -1
+        def on_start(name: str, attrs: dict) -> None:
+            if pending:
+                value = join(pending)
+                clear()
+                if keep or value.strip(" \t\n\r"):
+                    text(value)
+            if external and attrs:
+                tag = _START_TAG.match(parser.GetInputContext())
+                if tag is not None:
+                    refuse_undeclared(tag[0].decode(self.encoding, "replace"))
+            push(name)
+            start(name, attrs)
 
-    def _search(self, pattern: "re.Pattern[str]", offset: int) -> Optional["re.Match[str]"]:
-        """:meth:`_find` for a one-character *pattern*; None at EOF."""
-        while True:
-            found = pattern.search(self.buf, self.pos + offset)
-            if found is not None:
-                return found
-            offset = len(self.buf) - self.pos
-            if not self._fill():
-                return None
+        def on_end(name: str) -> None:
+            if pending:
+                value = join(pending)
+                clear()
+                if keep or value.strip(" \t\n\r"):
+                    text(value)
+            pop()
+            end(name)
 
-    def _find_unquoted(self, stops: "re.Pattern[str]", offset: int, what: str) -> int:
-        """The first character *stops* matches at or after ``pos +
-        offset`` that is outside a quoted value: where the *what* at
-        ``pos`` ends."""
-        while True:
-            found = self._search(stops, offset)
-            if found is None:
-                raise self._error(f"unterminated {what}")
-            if found[0] not in "\"'":
-                return found.start()
-            # Offsets, not indices: a refill compacts the buffer.
-            close = self._find(found[0], found.start() - self.pos + 1)
-            if close == -1:
-                raise self._error(f"unterminated quoted value in {what}")
-            offset = close - self.pos + 1
+        def on_doctype(name: str, system_id: Optional[str], public_id, subset) -> None:
+            nonlocal external
+            external = system_id is not None
+            parser.DefaultHandlerExpand = in_doctype
+            parser.EndDoctypeDeclHandler = on_doctype_end
+            parser.EntityDeclHandler = on_entity
+            parser.SkippedEntityHandler = on_skipped
 
-    def _skip_past(self, close: str, offset: int, what: str) -> None:
-        """Move past the *close* that ends the *what* at ``pos``."""
-        end = self._find(close, offset)
-        if end == -1:
-            raise self._error(f"unterminated {what}")
-        self.pos = end + len(close)
+        def in_doctype(data: str) -> None:
+            # expat hands here an unread "%name;" between declarations,
+            # and the quoted default of an attribute.
+            if data[:1] == "%":
+                raise _Refused("parameter entities are not supported", parser.CurrentByteIndex)
+            if external and data[:1] in ("'", '"'):
+                refuse_undeclared(data)
 
-    def _ensure(self, length: int) -> bool:
-        """Make at least *length* characters available at ``pos``."""
-        while len(self.buf) - self.pos < length:
-            if not self._fill():
-                return False
-        return True
+        def on_doctype_end() -> None:
+            parser.DefaultHandlerExpand = None
 
-    def _error(self, message: str) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self.base + self.pos)
-
-    def _read_doctype(self) -> None:
-        """Move past the DOCTYPE at ``pos``.  Of its internal subset
-        (the part in square brackets) the general entity declarations
-        are read; element, attribute-list and notation declarations,
-        comments and PIs are skipped."""
-        at = self._find_unquoted(_DOCTYPE_STOP, 9, "DOCTYPE")
-        self.pos = at + 1
-        if self.buf[at] == ">":
-            return
-        while True:
-            found = self._search(_NOT_WS, 0)
-            if found is None:
-                raise self._error("unterminated DOCTYPE")
-            self.pos = found.start()
-            self._ensure(8)
-            head = self.buf[self.pos : self.pos + 8]
-            if head[0] == "]":
-                self._skip_past(">", 1, "DOCTYPE")
+        def on_entity(name, parameter, value, base, system_id, public_id, notation) -> None:
+            ref = _REFERENCE.search(value or "")
+            if parameter:
+                message = "parameter entities are not supported"
+            elif value is None:
+                message = "external entities are not supported"
+            elif "<" in value:
+                message = f"'<' in the value of entity &{name};"
+            elif ref is not None:
+                message = f"unknown entity {ref[0]}"
+            else:
+                declared.add(name)
                 return
-            if head.startswith("<!--"):
-                self._skip_past("-->", 4, "comment")
-            elif head.startswith("<?"):
-                self._skip_past("?>", 2, "processing instruction")
-            elif head.startswith("<!"):
-                end = self._find_unquoted(_TAG_STOP, 2, "declaration")
-                if head == "<!ENTITY":
-                    self._declare_entity(self.buf[self.pos + 8 : end])
-                self.pos = end + 1
-            elif head[0] == "%":
-                raise self._error("parameter entities are not supported")
-            else:
-                raise self._error("unrecognized markup in DOCTYPE")
+            raise _Refused(message, parser.CurrentByteIndex)
 
-    def _declare_entity(self, body: str) -> None:
-        """``<!ENTITY name "value">``: ``&name;`` is *value* from here
-        on.  The value is text — its character references are decoded
-        now and it is never scanned again, for markup or for further
-        entities, so no reference can expand into more than it says."""
-        match = _ENTITY_DECL.match(body)
-        if match is None:
-            words = body.split()
-            if words[:1] == ["%"]:
-                raise self._error("parameter entities are not supported")
-            if words[1:2] in (["SYSTEM"], ["PUBLIC"]):
-                raise self._error("external entities are not supported")
-            raise self._error("malformed entity declaration")
-        name, double, single = match.groups()
-        value = single if double is None else double
-        if not _valid_name(name):
-            raise self._error("expected a name")
-        if "<" in value:
-            raise self._error(f"'<' in the value of entity &{name};")
-        value = decode_entities(value, self.base + self.pos)
-        if self.entities is _PREDEFINED:
-            self.entities = dict(_PREDEFINED)
-        # The first declaration of a name binds; a predefined one wins.
-        self.entities.setdefault(name, value)
+        def on_skipped(name: str, parameter: int) -> None:
+            reference = f"{'%' if parameter else '&'}{name};"
+            raise _Refused(f"unknown entity {reference}", parser.CurrentByteIndex)
 
-    def _parse_tag_body(self, raw: str) -> tuple[str, dict]:
-        """Parse ``name a="v" b='w'`` (the inside of a start tag)."""
-        i = 0
-        n = len(raw)
-        while i < n and raw[i] not in _WS:
-            i += 1
-        written = raw[:i]
-        name = self.names.get(written)
-        if name is None:
-            if not _valid_name(written):
-                raise self._error("expected a name")
-            name = self.names[written] = _SYMBOLS.canonical(written)
-        attrs: dict[str, str] = {}
-        while True:
-            while i < n and raw[i] in _WS:
-                i += 1
-            if i >= n:
-                return name, attrs
-            eq = raw.find("=", i)
-            if eq == -1:
-                raise self._error(f"malformed attribute in <{name}>")
-            attr_name = raw[i:eq].rstrip(_WS)
-            if attr_name not in self.attr_names:
-                if not _valid_name(attr_name):
-                    raise self._error("expected a name")
-                self.attr_names.add(attr_name)
-            if attr_name in attrs:
-                raise self._error(f"duplicate attribute {attr_name} in <{name}>")
-            j = eq + 1
-            while j < n and raw[j] in _WS:
-                j += 1
-            if j >= n or raw[j] not in "\"'":
-                raise self._error(f"unquoted attribute value in <{name}>")
-            close = raw.find(raw[j], j + 1)
-            if close == -1:
-                raise self._error(f"unterminated attribute value in <{name}>")
-            # raw[0] sits one past the tag's '<', the value one past its quote.
-            attrs[attr_name] = decode_entities(
-                raw[j + 1 : close], self.base + self.pos + j + 2, self.entities
-            )
-            i = close + 1
+        parser.StartElementHandler = on_start
+        parser.EndElementHandler = on_end
+        parser.CharacterDataHandler = pending.append
+        parser.StartDoctypeDeclHandler = on_doctype
+        if encoding is None:
+            parser.XmlDeclHandler = self._declared
 
-    def events(self, fragment: bool = False) -> Iterator[SAXEvent]:
-        """The events of the document — or, with *fragment*, of the one
-        element that starts at ``pos``: the scan stops right behind its
-        end tag, where it leaves ``pos``, and whatever follows is not
-        looked at."""
-        yield StartDocument()
-        open_names: list[str] = []
-        names = self.names
-        seen_root = False
-        while True:
-            # Text (or inter-markup whitespace) up to the next '<'.
-            lt = self._find("<", 0)
-            if lt == -1:
-                if self.buf[self.pos :].strip(_WS):
-                    raise self._error("text outside the root element")
-                if open_names:
-                    raise self._error(f"unterminated element <{open_names[-1]}>")
-                break
-            if lt > self.pos:
-                raw = self.buf[self.pos : lt]
-                if open_names:
-                    if not self.strip or not raw.isspace():
-                        yield TextEvent(decode_entities(raw, self.base + self.pos, self.entities))
-                elif raw.strip(_WS):
-                    raise self._error("text outside the root element")
-                self.pos = lt
-            # Markup starting at buf[pos] == '<'.
-            self._ensure(2)
-            next_char = self.buf[self.pos + 1 : self.pos + 2]
-            if next_char == "/":
-                end = self._find(">", 2)
-                if end == -1:
-                    raise self._error("unterminated end tag")
-                name = self.buf[self.pos + 2 : end]
-                if not open_names or name != open_names[-1]:
-                    name = name.rstrip(_WS)
-                    if not open_names:
-                        raise self._error(f"unmatched end tag </{name}>")
-                    if not _valid_name(name):
-                        raise self._error("expected a name")
-                    if name != open_names[-1]:
-                        raise self._error(
-                            f"mismatched end tag </{name}> for <{open_names[-1]}>"
-                        )
-                self.pos = end + 1
-                yield EndElement(open_names.pop())
-                if not open_names:
-                    if fragment:
-                        return
-                    seen_root = True
-                continue
-            if next_char == "!":
-                self._ensure(9)
-                head = self.buf[self.pos : self.pos + 9]
-                if head.startswith("<!--"):
-                    self._skip_past("-->", 4, "comment")
-                elif head == "<![CDATA[":
-                    if not open_names:
-                        raise self._error("CDATA outside the root element")
-                    end = self._find("]]>", 9)
-                    if end == -1:
-                        raise self._error("unterminated CDATA section")
-                    yield TextEvent(self.buf[self.pos + 9 : end])
-                    self.pos = end + 3
-                elif head == "<!DOCTYPE" and not open_names:
-                    self._read_doctype()
-                else:
-                    raise self._error("unrecognized markup")
-                continue
-            if next_char == "?":
-                self._skip_past("?>", 2, "processing instruction")
-                continue
-            # Start tag.
-            if not open_names and seen_root:
-                raise self._error("multiple root elements")
-            end = self._find(">", 1)
-            if end == -1:
-                raise self._error("unterminated start tag")
-            raw_tag = self.buf[self.pos + 1 : end]
-            if '"' in raw_tag or "'" in raw_tag:
-                end = self._find_unquoted(_TAG_STOP, 1, "start tag")
-                raw_tag = self.buf[self.pos + 1 : end]
-            self_closing = raw_tag.endswith("/")
-            if self_closing:
-                raw_tag = raw_tag[:-1]
-            name = names.get(raw_tag)
-            if name is None:
-                name, attrs = self._parse_tag_body(raw_tag)
-            else:  # a name seen before, and no attributes
-                attrs = {}
-            self.pos = end + 1
-            yield StartElement(name, attrs)
-            if self_closing:
-                yield EndElement(name)
-                if not open_names:
-                    if fragment:
-                        return
-                    seen_root = True
-            else:
-                open_names.append(name)
-        if not seen_root:
-            raise self._error("no root element")
-        yield EndDocument()
+    def _declared(self, version: str, encoding: Optional[str], standalone: int) -> None:
+        self.encoding = encoding or self.encoding
+
+    def feed(self, source: IO[bytes], offset: int = 0) -> Iterator[None]:
+        """Parse the binary stream *source* ``_CHUNK`` bytes at a time,
+        yielding after each chunk.  An error is raised as an
+        :class:`XMLSyntaxError` at its character offset, counted from
+        *offset*."""
+        parser = self.parser
+        try:
+            for chunk in iter(partial(source.read, _CHUNK), b""):
+                parser.Parse(chunk, False)
+                yield
+            parser.Parse(b"", True)
+        except ExpatError as exc:
+            raise self._error(source, parser.ErrorByteIndex, offset, exc.code) from None
+        except _Refused as exc:
+            raise self._error(source, exc.args[1], offset, 0, exc.args[0]) from None
+        except (LookupError, ValueError) as exc:
+            # pyexpat's own refusal of the encoding a declaration names:
+            # unknown to Python, or more than one byte a character.
+            if type(exc) not in (LookupError, ValueError):
+                raise
+            raise XMLSyntaxError(str(exc), offset) from None
+        finally:
+            # The handlers reach the parser; unset, they leave no cycle,
+            # and the parser is freed as soon as it is dropped.
+            parser.StartElementHandler = parser.EndElementHandler = None
+            parser.StartDoctypeDeclHandler = parser.EndDoctypeDeclHandler = None
+            parser.DefaultHandlerExpand = parser.XmlDeclHandler = None
+            parser.EntityDeclHandler = parser.SkippedEntityHandler = None
+
+    def _error(
+        self, source: IO[bytes], at: int, offset: int, code: int, message: Optional[str] = None
+    ) -> XMLSyntaxError:
+        at = max(at, 0)
+        source.seek(0)
+        data = source.read(at + 256)
+        before, after = (data[:at].decode(self.encoding, "replace"),
+                         data[at:].decode(self.encoding, "replace"))
+        if message is None:
+            message = _message(code, after, self.names[-1] if self.names else None)
+        return XMLSyntaxError(message, offset + len(before))
 
 
-def iter_sax_file(
-    path: str, strip_whitespace: bool = True, encoding: str = "utf-8"
-) -> Iterator[SAXEvent]:
+def _encoded(source: str, offset: int = 0) -> bytes:
+    """*source* from *offset* on as UTF-8; a lone surrogate is refused."""
+    try:
+        return (source[offset:] if offset else source).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(exc.object[exc.start])
+        raise XMLSyntaxError(f"not a character: U+{code:04X}", offset + exc.start) from None
+
+
+def _read_string(source: str, sink, strip: bool) -> Iterator[None]:
+    """Read the document *source* into *sink*, yielding after each chunk."""
+    return _Reader(sink, strip).feed(BytesIO(_encoded(source)))
+
+
+def _read_file(path: str, sink, strip: bool) -> Iterator[None]:
+    """Read the document in the file *path* into *sink*, yielding after
+    each chunk.  The file is bytes: expat reads the encoding from the
+    byte order mark and the XML declaration."""
+    with open(path, "rb") as handle:
+        yield from _Reader(sink, strip, None).feed(handle)
+
+
+def _read_fragment(source: str, offset: int, sink, strip: bool) -> int:
+    """Read the one element at *offset* of *source* into *sink*; return
+    the offset just past it.  What follows is not looked at."""
+    data = _encoded(source, offset)
+    reader = _Reader(sink, strip)
+    parser = reader.parser
+    on_start, on_end = parser.StartElementHandler, parser.EndElementHandler
+    root_at = stop = 0
+
+    def root_start(name: str, attrs: dict) -> None:
+        nonlocal root_at
+        root_at = parser.CurrentByteIndex
+        parser.StartElementHandler = on_start
+        on_start(name, attrs)
+
+    def root_end(name: str) -> None:
+        nonlocal stop
+        on_end(name)
+        if not reader.names:
+            # An empty-element tag is the whole root; else expat is in
+            # front of the root's end tag.
+            stop = _START_TAG.match(data, root_at).end()
+            if data[stop - 2 : stop] != b"/>":
+                stop = data.index(b">", parser.CurrentByteIndex) + 1
+            raise _RootClosed
+
+    parser.StartElementHandler, parser.EndElementHandler = root_start, root_end
+    try:
+        deque(reader.feed(BytesIO(data), offset), 0)
+    except _RootClosed:
+        pass
+    return offset + len(data[:stop].decode("utf-8"))
+
+
+class _Tree:
+    """The sink that builds ``Element``/``Text`` nodes."""
+
+    __slots__ = ("root", "stack")
+
+    def __init__(self):
+        self.root: Optional[Element] = None
+        self.stack: list[Element] = []
+
+    def start(self, name: str, attrs: dict) -> None:
+        node = Element(_SYMBOLS.canonical(name), attrs, [])
+        stack = self.stack
+        if stack:
+            stack[-1].children.append(node)
+        else:
+            self.root = node
+        stack.append(node)
+
+    def text(self, value: str) -> None:
+        self.stack[-1].children.append(Text(value))
+
+    def end(self, name: str) -> None:
+        self.stack.pop()
+
+
+class _EventSink(list):
+    """The iterating doors' sink: one chunk's events at a time."""
+
+    def start(self, name: str, attrs: dict) -> None:
+        self.append(StartElement(_SYMBOLS.canonical(name), attrs))
+
+    def text(self, value: str) -> None:
+        self.append(TextEvent(value))
+
+    def end(self, name: str) -> None:
+        self.append(EndElement(_SYMBOLS.canonical(name)))
+
+
+def _drain(read: Callable[[_EventSink], Iterator[None]]) -> Iterator[SAXEvent]:
+    events = _EventSink()
+    yield StartDocument()
+    for _ in read(events):
+        yield from events
+        events.clear()
+    yield EndDocument()
+
+
+def iter_sax_file(path: str, strip_whitespace: bool = True) -> Iterator[SAXEvent]:
     """Stream SAX events from a file without building a tree."""
-    with open(path, "r", encoding=encoding) as handle:
-        yield from _StreamScanner(handle, strip_whitespace).events()
+    return _drain(lambda sink: _read_file(path, sink, strip_whitespace))
 
 
 def iter_sax_string(source: str, strip_whitespace: bool = True) -> Iterator[SAXEvent]:
     """Stream SAX events from an in-memory string."""
-    return _StreamScanner(source, strip_whitespace).events()
+    return _drain(lambda sink: _read_string(source, sink, strip_whitespace))
 
 
 # ----------------------------------------------------------------------
@@ -629,32 +509,20 @@ def tree_to_events(root: Element, document: bool = True) -> Iterator[SAXEvent]:
 
 def events_to_tree(events: Iterable[SAXEvent]) -> Element:
     """Build a tree from an event stream; returns the root element."""
-    root: Optional[Element] = None
-    stack: list[Element] = []
+    tree = _Tree()
     for event in events:
-        if isinstance(event, StartElement):
-            node = Element(_SYMBOLS.canonical(event.name), dict(event.attrs), [])
-            if stack:
-                stack[-1].children.append(node)
-            elif root is None:
-                root = node
-            else:
-                raise XMLSyntaxError("multiple root elements in event stream", 0)
-            stack.append(node)
-        elif isinstance(event, EndElement):
-            if not stack:
-                raise XMLSyntaxError("unmatched EndElement in event stream", 0)
-            stack.pop()
-        elif isinstance(event, TextEvent):
-            if not stack:
-                raise XMLSyntaxError("text outside the root in event stream", 0)
-            stack[-1].children.append(Text(event.value))
-        # Start/EndDocument carry no content.
-    if stack:
-        raise XMLSyntaxError("unclosed elements in event stream", 0)
-    if root is None:
-        raise XMLSyntaxError("empty event stream", 0)
-    return root
+        kind = type(event)
+        if kind is StartElement and (tree.stack or tree.root is None):
+            tree.start(event.name, dict(event.attrs))
+        elif kind is TextEvent and tree.stack:
+            tree.text(event.value)
+        elif kind is EndElement and tree.stack:
+            tree.end(event.name)
+        elif kind in (StartElement, TextEvent, EndElement):
+            raise XMLSyntaxError(f"{kind.__name__} outside the root in event stream", 0)
+    if tree.stack or tree.root is None:
+        raise XMLSyntaxError("unclosed elements or no root in event stream", 0)
+    return tree.root
 
 
 def events_to_text(events: Iterable[SAXEvent], out: Optional[IO[str]] = None) -> Optional[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from typing import IO, TYPE_CHECKING, Any, Callable, Optional
 
@@ -13,20 +14,28 @@ if TYPE_CHECKING:
 #: Where emitted parts go: ``list.append``, ``handle.write`` …
 Write = Callable[[str], object]
 
+#: What :func:`escape_attr` rewrites, and whether a value holds any of it.
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\t": "&#9;", "\n": "&#10;", "\r": "&#13;",
+})
+_ATTR_SPECIAL = re.compile('[&<>"\t\n\r]').search
+
 
 def escape_text(value: str) -> str:
-    """Escape character data for element content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data for element content (and a carriage return,
+    which a parser would read as a line end)."""
+    return (
+        value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def escape_attr(value: str) -> str:
-    """Escape character data for a double-quoted attribute value."""
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    """Escape character data for a double-quoted attribute value (and a
+    tab, line feed or carriage return, which a parser would read as a
+    space)."""
+    return value.translate(_ATTR_ESCAPES)
 
 
 def _emit(node: Node, write: Write, indent: Optional[str]) -> None:
@@ -56,7 +65,7 @@ def _emit(node: Node, write: Write, indent: Optional[str]) -> None:
             continue
         if kind is Text or (kind is not Element and item.is_text):
             value = item.value
-            if "&" in value or "<" in value or ">" in value:
+            if "&" in value or "<" in value or ">" in value or "\r" in value:
                 value = escape_text(value)
             write(f"{pad}{value}{newline}")
             continue
@@ -64,7 +73,7 @@ def _emit(node: Node, write: Write, indent: Optional[str]) -> None:
         head = f"{pad}<{label}"
         if item.attrs:
             for k, v in item.attrs.items():
-                if "&" in v or "<" in v or ">" in v or '"' in v:
+                if _ATTR_SPECIAL(v):
                     v = escape_attr(v)
                 head = f'{head} {k}="{v}"'
         children = item.children
@@ -76,7 +85,7 @@ def _emit(node: Node, write: Write, indent: Optional[str]) -> None:
             kind = only.__class__
             if kind is Text or (kind is not Element and only.is_text):
                 value = only.value
-                if "&" in value or "<" in value or ">" in value:
+                if "&" in value or "<" in value or ">" in value or "\r" in value:
                     value = escape_text(value)
                 write(f"{head}>{value}</{label}>{newline}")
                 continue
@@ -122,7 +131,7 @@ def _flat_attr_text(flat: tuple[str, ...]) -> str:
     text = ""
     for k in range(0, len(flat), 2):
         v = flat[k + 1]
-        if "&" in v or "<" in v or ">" in v or '"' in v:
+        if _ATTR_SPECIAL(v):
             v = escape_attr(v)
         text = f'{text} {flat[k]}="{v}"'
     return text
@@ -162,7 +171,7 @@ def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Writ
         s = sym[j]
         if s < 0:
             value = payload[j]
-            if "&" in value or "<" in value or ">" in value:
+            if "&" in value or "<" in value or ">" in value or "\r" in value:
                 value = escape_text(value)
             write(value)
             j += 1
@@ -180,7 +189,7 @@ def write_arena_range(arena: FrozenDocument, start: int, limit: int, write: Writ
             write(head + "/>")
         elif e == j + 1 and sym[j] < 0:
             value = payload[j]
-            if "&" in value or "<" in value or ">" in value:
+            if "&" in value or "<" in value or ">" in value or "\r" in value:
                 value = escape_text(value)
             write(f"{head}>{value}</{label}>")
             j = e

@@ -16,13 +16,12 @@ from repro.xmltree.arena import (
     FrozenBuilder,
     FrozenDocument,
     arena_to_events,
-    events_to_arena,
     freeze,
     thaw,
 )
 from repro.xmltree.node import deep_equal
 from repro.xmltree.parser import XMLSyntaxError, parse, parse_file, parse_to_arena
-from repro.xmltree.sax import iter_sax_string, tree_to_events
+from repro.xmltree.sax import events_to_tree, iter_sax_string, tree_to_events
 from repro.xmltree import serializer as serializer_module
 from repro.xmltree.serializer import serialize, serialize_arena, write_arena_file, write_file
 
@@ -88,8 +87,9 @@ class TestLoadPaths:
             parse_to_arena("<a/><b/>")
 
     def test_sax_scanner_load_path(self):
-        arena = events_to_arena(iter_sax_string(XML))
+        arena = freeze(events_to_tree(iter_sax_string(XML)))
         assert deep_equal(parse(XML), thaw(arena))
+        assert arena.sym == parse_to_arena(XML).sym
 
     def test_arena_events_replay_identically(self):
         arena = parse_to_arena(XML)

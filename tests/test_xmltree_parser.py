@@ -11,7 +11,6 @@ from repro.xmltree import (
     serialize,
     write_file,
 )
-from repro.xmltree.parser import decode_entities
 
 
 class TestBasicParsing:
@@ -87,9 +86,6 @@ class TestEntities:
     def test_unterminated_entity_raises(self):
         with pytest.raises(XMLSyntaxError):
             parse("<a>&amp</a>")
-
-    def test_decode_entities_passthrough(self):
-        assert decode_entities("plain") == "plain"
 
 
 class TestMiscMarkup:

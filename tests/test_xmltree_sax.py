@@ -1,14 +1,17 @@
-"""Unit tests for the SAX layer (streaming scanner and adapters)."""
+"""Unit tests for the SAX layer (the one XML reader and the adapters)."""
 
+import ast
 import io
 import pathlib
 import tempfile
+import xml.etree.ElementTree as ET
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import prepare_transform
 from repro.cli import main as cli_main
 from repro.xmltree.node import Element, Text
@@ -157,11 +160,10 @@ class TestAdapters:
         assert deep_equal(parse(serialize(root)), root)
 
 
-#: One tokenizer contract: ``src/`` has one XML tokenizer and seven
-#: doors into it.  Every row is either the tree on its right through
-#: every door — the serialization the tree parser of repro 1.14 (a
-#: second, hand-written tokenizer, since deleted) built for the rows it
-#: knew — or an ``XMLSyntaxError`` through every door.
+#: One tokenizer contract: ``src/`` has one XML reader (expat, through
+#: the handlers of ``repro.xmltree.sax``) and seven doors into it.
+#: Every row is either the tree on its right through every door or an
+#: ``XMLSyntaxError`` through every door.
 WELL_FORMED = [
     ("<a/>", "<a/>"),
     ("<a></a >", "<a/>"),
@@ -170,25 +172,31 @@ WELL_FORMED = [
     ("<a x='a>b' y=\"c>d\">t</a>", '<a x="a&gt;b" y="c&gt;d">t</a>'),
     ('<a x="it\'s" y=\'say "hi"\'/>', '<a x="it\'s" y="say &quot;hi&quot;"/>'),
     ('<a x="&lt;&amp;&#65;&#x42;">&quot;&apos;</a>', '<a x="&lt;&amp;AB">"\'</a>'),
-    ('<a x="1"y="2"/>', '<a x="1" y="2"/>'),
     ('<a\n  x = "1"\n  y\t=\t"2"\n/>', '<a x="1" y="2"/>'),
     ('<a x="/"><b x="/"/></a>', '<a x="/"><b x="/"/></a>'),
-    ('<a x="<b>"/>', '<a x="&lt;b&gt;"/>'),
+    # Line ends read as "\n", white space in a value as a space; a
+    # reference keeps the character.
+    (
+        '<a x="&#9;&#10;&#13;" y="t\tn\nr\r">&#13;\r\n</a>',
+        '<a x="&#9;&#10;&#13;" y="t n r ">&#13;\n</a>',
+    ),
     ("<!DOCTYPE a [<!ELEMENT a ANY>]><a/>", "<a/>"),
     (
         "<!DOCTYPE a [<!ELEMENT a (b)> <!ATTLIST b x CDATA #IMPLIED>]>\n<a><b/></a>",
         "<a><b/></a>",
     ),
-    ('<!DOCTYPE a SYSTEM "a.dtd"><a/><!DOCTYPE a>', "<a/>"),
+    ('<!DOCTYPE a SYSTEM "a.dtd"><a/>', "<a/>"),
     ('<?xml version="1.0"?><!-- head --><a/><!-- tail --><?done?>', "<a/>"),
     ("<a><![CDATA[<b>&amp;]]></a>", "<a>&lt;b&gt;&amp;amp;</a>"),
     ("<a>x<![CDATA[ y ]]>z</a>", "<a>x y z</a>"),
-    ("<a><![CDATA[]]></a>", "<a></a>"),
+    ("<a><![CDATA[]]></a>", "<a/>"),
+    ("<a>x<!-- c -->y<?pi?>z</a>", "<a>xyz</a>"),
     ("<a><!-- </b> > --><?pi </b> ?>t</a>", "<a>t</a>"),
     ("<a><!-->--><b/></a>", "<a><b/></a>"),
     ("<ns:a xml:lang='en'><_b.c-d/></ns:a>", '<ns:a xml:lang="en"><_b.c-d/></ns:a>'),
     ("<a> <b> x </b> </a>", "<a> <b> x </b> </a>"),
-    ("<a>]]> > \" '</a>", "<a>]]&gt; &gt; \" '</a>"),
+    ("<a>]] > \" '</a>", "<a>]] &gt; \" '</a>"),
+    ("\ufeff<a>Grüße</a>", "<a>Grüße</a>"),
     ("\n <a/> \n", "<a/>"),
     # Character references: digits only, XML characters only.
     ("<a>&#0065;&#x00042;&#9;&#x10FFFF;&#xE000;&#xd7ff;</a>", "<a>AB\t\U0010ffff\ue000\ud7ff</a>"),
@@ -199,17 +207,16 @@ WELL_FORMED = [
         '<a x="ü">Straße &amp; Hütte</a>',
     ),
     (
-        "<!DOCTYPE a [\n<!ENTITY e 'say \"]>\" &amp; &#60;go&gt;'>\n<!-- it's \"a\" > ] -->"
+        "<!DOCTYPE a [\n<!ENTITY e 'say \"]>\" &amp; go&gt;'>\n<!-- it's \"a\" > ] -->"
         "<?pi ']' ?>\n<!ENTITY e \"second\"><!ENTITY lt \"no\">\n<!ATTLIST a x CDATA \">\">\n] >"
         "<a>&e;|&lt;</a>",
-        '<a>say "]&gt;" &amp; &lt;go&gt;|&lt;</a>',
+        '<a x="&gt;">say "]&gt;" &amp; go&gt;|&lt;</a>',
     ),
-    ('<!DOCTYPE a PUBLIC "-//x//[y]>" "a>.dtd" [<!ENTITY e "">]><a>[&e;]</a>', "<a>[]</a>"),
+    ('<!DOCTYPE a PUBLIC "-//x//y" "a>.dtd" [<!ENTITY e "">]><a>[&e;]</a>', "<a>[]</a>"),
 ]
 #: Rows that end after their root does: a fragment parse stops at the
 #: root's end and leaves this much of the row unread.
 AFTER_THE_ROOT = {
-    '<!DOCTYPE a SYSTEM "a.dtd"><a/><!DOCTYPE a>': "<!DOCTYPE a>",
     '<?xml version="1.0"?><!-- head --><a/><!-- tail --><?done?>': "<!-- tail --><?done?>",
     "\n <a/> \n": " \n",
 }
@@ -299,15 +306,46 @@ MALFORMED = [
     "<!DOCTYPE a [junk]><a/>",
     '<!DOCTYPE a SYSTEM "a.dtd><a/>',
     '<a><!DOCTYPE a [<!ENTITY e "x">]>&e;</a>',
+    # Rows well-formed before expat read them, each against a rule of
+    # XML 1.0: S between attributes (STag [40]); no "<" in an attribute
+    # value (WFC: No < in Attribute Values); no "]]>" in text (CharData
+    # [14]); one DOCTYPE, before the root (document [1]); PubidChar
+    # [13]; and an entity value refused at its declaration, where "&#60;"
+    # is a "<".
+    '<a x="1"y="2"/>',
+    '<a x="<b>"/>',
+    "<a>]]> > \" '</a>",
+    '<!DOCTYPE a SYSTEM "a.dtd"><a/><!DOCTYPE a>',
+    '<!DOCTYPE a PUBLIC "-//x//[y]>" "a>.dtd" [<!ENTITY e "">]><a>[&e;]</a>',
+    "<!DOCTYPE a [<!ENTITY e 'say \"]>\" &amp; &#60;go&gt;'>]><a>&e;</a>",
+    # What plain expat skips or drops: an entity an external DTD might
+    # declare, in text and in an attribute value; an external entity;
+    # an undeclared parameter entity in the internal subset.
+    '<!DOCTYPE a SYSTEM "a.dtd"><a>&foo;</a>',
+    '<!DOCTYPE a SYSTEM "a.dtd" [<!ENTITY e "x">]><a x="&e;&foo;"/>',
+    '<!DOCTYPE a SYSTEM "a.dtd" [<!ENTITY e "x"><!ATTLIST a y CDATA "&e;&foo;">]><a/>',
+    '<!DOCTYPE a SYSTEM "a.dtd" [<!ENTITY e SYSTEM "e.xml">]><a>&e;</a>',
+    '<!DOCTYPE a [<!NOTATION n SYSTEM "n"><!ENTITY e SYSTEM "e" NDATA n>]><a/>',
+    '<!DOCTYPE a [<!ELEMENT a ANY> %p; <!ENTITY e "x">]><a>&e;</a>',
+    # Input that is not characters: a lone surrogate.
+    "<a>\ud800</a>",
 ]
 #: Malformed only in what follows the root ``<a/>``, which a fragment
 #: parse does not look at.
-ONLY_AFTER_THE_ROOT = {"<a/><b/>", "<a/>junk", "<a/><![CDATA[x]]>", "<a/></a>"}
+ONLY_AFTER_THE_ROOT = {
+    "<a/><b/>", "<a/>junk", "<a/><![CDATA[x]]>", "<a/></a>",
+    '<!DOCTYPE a SYSTEM "a.dtd"><a/><!DOCTYPE a>',
+}
 
 
 def _file(source, tmp_path):
+    """*source* in a UTF-8 file (a lone surrogate as the bytes that are
+    not UTF-8), or *source* bytes as they are."""
     path = tmp_path / "doc.xml"
-    path.write_text(source, encoding="utf-8")
+    if isinstance(source, bytes):
+        path.write_bytes(source)
+    else:
+        path.write_text(source, encoding="utf-8", errors="surrogatepass")
     return str(path)
 
 
@@ -364,15 +402,17 @@ class TestOneTokenizerContract:
         embedded = BEFORE + source + AFTER
         if source in ONLY_AFTER_THE_ROOT:
             root, end = parse_fragment(embedded, len(BEFORE))
-            assert serialize(root) == "<a/>" and embedded[end:] == source[4:] + AFTER
+            after = source[source.index("<a/>") + 4 :]
+            assert serialize(root) == "<a/>" and embedded[end:] == after + AFTER
         else:
             with pytest.raises(XMLSyntaxError):
                 parse_fragment(embedded, len(BEFORE))
 
-    def test_an_error_offset_is_absolute(self, tmp_path):
-        """Wherever the buffer was compacted, and from a fragment's
-        offset: ``pos`` counts from the start of the input."""
-        source = "<a>" + "<b>text</b>" * 5 + "<c>&#xD800;</c></a>"
+    @pytest.mark.parametrize("b", ["<b>text</b>", "<b>tëxt €</b>"])
+    def test_an_error_offset_is_absolute(self, b, tmp_path):
+        """Wherever a chunk ends, and from a fragment's offset: ``pos``
+        counts the characters from the start of the input."""
+        source = "<a>" + b * 5 + "<c>&#xD800;</c></a>"
         for door in DOORS:
             with pytest.raises(XMLSyntaxError) as caught:
                 DOORS[door](source, tmp_path, False)
@@ -508,6 +548,102 @@ class TestInternalSubsetEntities:
             parse(bomb)
 
 
+#: The doors that read a file.
+FILE_DOORS = ("iter_sax_file", "parse_file", "parse_file_to_arena")
+#: Files that are not UTF-8 as written: expat reads the byte order mark,
+#: and the encoding the XML declaration names.
+ENCODED_FILES = {
+    "utf-8-bom": "\ufeff<a><b x='ü'>Grüße</b></a>".encode("utf-8"),
+    "latin-1": (
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n<a><b x="ü">Grüße</b></a>'
+    ).encode("latin-1"),
+}
+#: The modules that parse XML; ``repro.xmltree.sax`` alone imports one.
+XML_PARSERS = ("pyexpat", "xml.parsers", "xml.sax", "xml.dom", "xml.etree")
+
+
+@pytest.mark.usefixtures("chunk")
+class TestOneReader:
+    @pytest.mark.parametrize("door", FILE_DOORS)
+    @pytest.mark.parametrize("name", ENCODED_FILES)
+    def test_a_file_door_reads_the_encoding_the_file_names(self, door, name, tmp_path):
+        assert DOORS[door](ENCODED_FILES[name], tmp_path, True) == '<a><b x="ü">Grüße</b></a>'
+
+    @pytest.mark.parametrize("name", ENCODED_FILES)
+    def test_an_encoded_file_loads_into_a_store_and_answers(self, name, tmp_path, capsys):
+        state = str(tmp_path / "state")
+        assert cli_main(
+            ["store", "load", "-n", "enc", "-i", _file(ENCODED_FILES[name], tmp_path),
+             "--state", state]
+        ) == 0
+        assert "loaded 'enc' v1" in capsys.readouterr().out
+        assert cli_main(
+            ["store", "query", "-n", "enc", "--state", state, "-u", "for $x in b return $x"]
+        ) == 0
+        assert capsys.readouterr().out.splitlines() == ['<b x="ü">Grüße</b>']
+
+    @pytest.mark.parametrize("door", FILE_DOORS)
+    def test_a_file_that_is_not_utf8_is_refused_at_its_offset(self, door, tmp_path):
+        with pytest.raises(XMLSyntaxError) as caught:
+            DOORS[door](b"<a>\xc3\xbc\xff</a>", tmp_path, False)
+        assert caught.value.pos == len("<a>ü")
+
+    @pytest.mark.parametrize("door", FILE_DOORS)
+    @pytest.mark.parametrize("encoding, message", [
+        ("x-bogus", "unknown encoding: x-bogus"),
+        ("shift_jis", "multi-byte encodings are not supported"),
+    ])
+    def test_an_encoding_expat_cannot_read_is_refused(self, door, encoding, message, tmp_path):
+        source = f'<?xml version="1.0" encoding="{encoding}"?><a/>'.encode("ascii")
+        with pytest.raises(XMLSyntaxError, match=message):
+            DOORS[door](source, tmp_path, False)
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_a_lone_surrogate_is_refused_at_its_offset(self, door, tmp_path):
+        with pytest.raises(XMLSyntaxError) as caught:
+            DOORS[door]("<a>ü\ud800</a>", tmp_path, False)
+        assert caught.value.pos == len("<a>ü")
+        with pytest.raises(XMLSyntaxError) as caught:
+            parse_fragment(BEFORE + "<a>ü\ud800</a>", len(BEFORE))
+        assert caught.value.pos == len(BEFORE + "<a>ü")
+
+    @pytest.mark.parametrize("strip", [False, True])
+    def test_a_character_run_is_one_text_wherever_a_chunk_ends(self, strip):
+        """expat reports a run in pieces — at a reference, a line end,
+        a comment, a chunk's end; a reader hands on one text."""
+        source = "<a>tëxt &amp;\n<!-- c --><![CDATA[more]]> €<?pi?>!<b/>  \n </a>"
+        run = "tëxt &\nmore €!"
+        assert [c.value for c in parse(source, strip).children if c.is_text] == (
+            [run] if strip else [run, "  \n "]
+        )
+        texts = [e.value for e in iter_sax_string(source, strip) if isinstance(e, TextEvent)]
+        assert texts == ([run] if strip else [run, "  \n "])
+        assert len(parse_to_arena(source, strip)) == (3 if strip else 4)
+
+    def test_strip_drops_xml_white_space_only(self):
+        """A no-break space is text, not the white space ``strip`` drops."""
+        source = "<a><b>\u00a0</b><c>\u2003\n</c> \t\r\n <d/></a>"
+        assert serialize(parse(source)) == "<a><b>\u00a0</b><c>\u2003\n</c><d/></a>"
+        assert serialize_arena(parse_to_arena(source)) == serialize(parse(source))
+
+    def test_only_the_reader_imports_an_xml_parser(self):
+        """One tokenizer, enforced: no other module of the package
+        imports pyexpat or a parser of the ``xml`` package."""
+        package = pathlib.Path(repro.__file__).parent
+        importers = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(n == m or n.startswith(m + ".") for n in names for m in XML_PARSERS):
+                    importers.add(path.relative_to(package).as_posix())
+        assert importers == {"xmltree/sax.py"}
+
+
 def _written(tree, strip):
     """*tree* as a parser hands it back: adjacent text merged, and with
     *strip* whitespace-only text dropped."""
@@ -524,7 +660,7 @@ def _written(tree, strip):
     return fresh
 
 
-_TEXTS = st.text(alphabet=" \n\t<>&'\"]x1ü\U0001f600", min_size=1, max_size=6)
+_TEXTS = st.text(alphabet=" \n\t\r<>&'\"]x1ü\U0001f600", min_size=1, max_size=6)
 
 
 @st.composite
@@ -550,3 +686,9 @@ class TestEveryDoorRoundTrips:
                 assert DOORS[door](text, pathlib.Path(tmp), strip) == want, door
         root, end = parse_fragment(BEFORE + text + AFTER, len(BEFORE), strip)
         assert serialize(root) == want and end == len(BEFORE) + len(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=_TEXTS)
+    def test_another_parser_reads_back_what_serialize_writes(self, value):
+        read = ET.fromstring(serialize(Element("a", {"k": value}, [Text(value)])))
+        assert read.attrib == {"k": value} and read.text == value
