@@ -34,7 +34,7 @@ engine chooses among; each subpackage's docstring maps back to the
 paper's sections.
 """
 
-__version__ = "1.33.0"
+__version__ = "1.34.0"
 
 # XML substrate
 from repro.xmltree import (

@@ -298,17 +298,6 @@ def _cmd_store_rollback(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The cache rows of ``repro store stat``: label → registry prefix.
-_CACHE_ROWS = {
-    "transforms": "engine.compiled.transforms",
-    "user_queries": "engine.compiled.user_queries",
-    "selecting_nfas": "engine.compiled.selecting_nfas",
-    "filtering_nfas": "engine.compiled.filtering_nfas",
-    "plans": "engine.compiled.plans",
-    "results": "store.cache.results",
-}
-
-
 def _cmd_store_stat(args: argparse.Namespace) -> int:
     """The store's state from ``store.stats()``, its counts from a
     metrics registry bound to it."""
@@ -319,6 +308,9 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         store.bind_metrics(registry)
         m = registry.snapshot()
+        # One row per compiled cache, then the result cache.
+        caches = [f"engine.compiled.{name}" for name in store.compiled.stats()]
+        caches.append("store.cache.results")
         arenas = {
             name: store.documents.get(name).pin().arena.stats()
             for name in stats["documents"]
@@ -354,7 +346,8 @@ def _cmd_store_stat(args: argparse.Namespace) -> int:
             f"(document {info['document']!r}, stack depth {info['depth']})"
         )
     print("  caches [hits/misses/evictions]:")
-    for name, prefix in _CACHE_ROWS.items():
+    for prefix in caches:
+        name = prefix.rpartition(".")[2]
         # Only the result cache's entries can hold wire forms.
         wire = (
             f"; {m[prefix + '.wire_entries']} wire form(s), "

@@ -66,7 +66,6 @@ still goes to the memo and to every follower in time for it.
 """
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from typing import Optional
@@ -112,14 +111,11 @@ class ServiceConfig:
       the instrumented path against.
     * ``trace_sample`` — record every N-th request's lifecycle trace
       (``0`` disables tracing; the default samples 1/16 so tracing
-      stays within the instrumentation-overhead budget).
+      stays within the instrumentation-overhead budget).  A sampled
+      evaluation also collects an execution profile, which rides along
+      in its slow-query entry.
     * ``trace_ring`` — how many finished trace records are buffered
       (older records fall off; see the ``traces`` wire op).
-    * ``profile_sample`` — collect an execution profile on every N-th
-      *sampled* evaluation (``0`` disables profiling).  Profiles ride
-      along in slow-query entries; they are sampled separately
-      from tracing because a scan that counts its visits and prunes
-      is markedly slower than one that does not.
     * ``slow_threshold`` — seconds of submit→finish latency beyond
       which a request is captured in the slow-query log with its full
       trace and profile (negative disables the log entirely).  The log
@@ -130,7 +126,7 @@ class ServiceConfig:
 
     __slots__ = (
         "workers", "max_queue", "metrics", "trace_sample", "trace_ring",
-        "profile_sample", "slow_threshold",
+        "slow_threshold",
     )
 
     def __init__(
@@ -140,7 +136,6 @@ class ServiceConfig:
         metrics: bool = True,
         trace_sample: int = 16,
         trace_ring: int = 256,
-        profile_sample: int = 4,
         slow_threshold: float = 0.25,
     ):
         if workers < 1:
@@ -149,16 +144,11 @@ class ServiceConfig:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
         if trace_sample < 0:
             raise ValueError(f"trace_sample must be >= 0, got {trace_sample}")
-        if profile_sample < 0:
-            raise ValueError(
-                f"profile_sample must be >= 0, got {profile_sample}"
-            )
         self.workers = workers
         self.max_queue = max_queue
         self.metrics = metrics
         self.trace_sample = trace_sample
         self.trace_ring = trace_ring
-        self.profile_sample = profile_sample
         self.slow_threshold = slow_threshold
 
 
@@ -298,10 +288,6 @@ class QueryService:
             sink=slow_sink,
         )
         self.registry.probe("service.slowlog.ring", self._slowlog.stats)
-        # Which sampled evaluations additionally pay for a profile:
-        # next(self._profile_tick) is atomic under the GIL, so leaders
-        # can draw from it without a lock.
-        self._profile_tick = itertools.count()
         self._write_lock = threading.RLock()
         # Admission: the closed flag, the table of evaluations in
         # flight (key → _Flight, keyed like its memo entry) and the
@@ -608,21 +594,18 @@ class QueryService:
         begin = time.perf_counter()
         trace = request.trace
         profile = None
-        sample = self.config.profile_sample
-        if trace.sampled and sample and next(self._profile_tick) % sample == 0:
-            # Every N-th sampled request pays for an execution profile
-            # too: an unpruned arena scan would visit every element
-            # below the root (what select_indices can step), and the
-            # scan loop fills in the actual visit/prune/skip counts.
+        if trace.sampled:
+            # A sampled request pays for an execution profile too: an
+            # unpruned arena scan would visit every element below the
+            # root (what select_indices can step), and the scan loop
+            # fills in the actual visit/prune/skip counts.
             prof = Profile()
             prof.set_plan("scan", pinned.snapshot.arena.n_elements - 1)
             with trace.activate(), profiled(prof):
                 answer = self._evaluate_snapshot(pinned, request.text)
-            prof.finish()
             profile = prof.snapshot()
         else:
-            with trace.activate():
-                answer = self._evaluate_snapshot(pinned, request.text)
+            answer = self._evaluate_snapshot(pinned, request.text)
         self._eval_latency.observe(time.perf_counter() - begin)
         return answer, profile
 

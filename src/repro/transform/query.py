@@ -5,17 +5,19 @@ paper)::
 
     transform copy $a := doc("T0") modify do <update> return $a
 
-The update's paths are written against the copy variable
-(``delete $a//price``); the same variable must be returned.
+``do`` may be left out.  The update's paths are written against the
+copy variable (``delete $a//price``); the same variable must be
+returned.  The parser reads the text once, as one token stream, the
+update included.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.updates.ops import Update, find_keyword, parse_update
+from repro.updates.ops import Update, read_update
 from repro.xpath import lexer as lx
-from repro.xpath.lexer import TokenStream, XPathSyntaxError, tokenize
+from repro.xpath.lexer import TokenStream, XPathSyntaxError
 
 
 class TransformQuery:
@@ -43,54 +45,25 @@ class TransformQuery:
 
 
 def parse_transform_query(source: str) -> TransformQuery:
-    """Parse the full transform-query syntax."""
-    text = source.strip()
-    try:
-        modify_at = find_keyword(text, "modify")
-    except XPathSyntaxError:
-        raise XPathSyntaxError("expected 'modify' in transform query", 0) from None
-    header = text[:modify_at]
-    rest = text[modify_at + len("modify") :]
-    var, doc = _parse_header(header)
-    # The returned variable comes last, so split at the *last* 'return'.
-    body, sep, tail = rest.rpartition("return")
-    if not sep:
-        raise XPathSyntaxError("expected 'return' in transform query", len(header))
-    body = body.strip()
-    if body == "do":
-        body = ""
-    elif body.startswith("do") and body[2:3].isspace():
-        # "do" may be followed by any whitespace — multi-line queries
-        # (read from files or stdin) put the update on its own line.
-        body = body[3:].lstrip()
-    update = parse_update(body)
-    tail_tokens = TokenStream(tokenize(tail))
-    tail_tokens.expect(lx.DOLLAR)
-    returned = tail_tokens.expect(lx.NAME).value
-    if returned != var:
-        raise XPathSyntaxError(
-            f"transform must return ${var}, not ${returned}", 0
-        )
-    if not tail_tokens.done():
-        raise XPathSyntaxError("unexpected input after the returned variable", 0)
+    """Parse ``transform copy $v := doc(s) modify [do] u return $v``."""
+    stream = TokenStream(source)
+    stream.expect_name("transform")
+    stream.expect_name("copy")
+    stream.expect(lx.DOLLAR)
+    var = stream.expect(lx.NAME).value
+    stream.expect(lx.ASSIGN)
+    stream.expect_name("doc")
+    stream.expect(lx.LPAREN)
+    doc = stream.expect(lx.STRING).value
+    stream.expect(lx.RPAREN)
+    stream.expect_name("modify")
+    if stream.at_name("do"):
+        stream.advance()
+    update = read_update(stream)
+    stream.expect_name("return")
+    returned = stream.expect(lx.DOLLAR)
+    name = stream.expect(lx.NAME).value
+    if name != var:
+        raise XPathSyntaxError(f"transform must return ${var}, not ${name}", returned.pos)
+    stream.expect_end()
     return TransformQuery(update, doc=doc, var=var)
-
-
-def _parse_header(header: str) -> tuple:
-    """Parse ``transform copy $a := doc("T0")``; returns (var, doc)."""
-    tokens = TokenStream(tokenize(header, keywords={"transform", "copy", "doc"}))
-    tokens.expect_name("transform")
-    tokens.expect_name("copy")
-    tokens.expect(lx.DOLLAR)
-    var = tokens.expect(lx.NAME).value
-    tokens.expect(lx.ASSIGN)
-    tokens.expect_name("doc")
-    tokens.expect(lx.LPAREN)
-    doc = tokens.expect(lx.STRING).value
-    tokens.expect(lx.RPAREN)
-    if not tokens.done():
-        raise XPathSyntaxError(
-            f"unexpected input {tokens.current.value!r} before 'modify'",
-            tokens.current.pos,
-        )
-    return var, doc

@@ -17,14 +17,11 @@ apply at every match, including nested ones.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.xmltree.node import Element, Node, deep_copy
-from repro.xmltree.parser import XMLSyntaxError, parse_fragment
 from repro.xpath import lexer as lx
 from repro.xpath.ast import Path
-from repro.xpath.lexer import TokenStream, XPathSyntaxError, tokenize
-from repro.xpath.parser import parse_path, validate_path
+from repro.xpath.lexer import TokenStream
+from repro.xpath.parser import parse_rooted_path, validate_path
 
 
 def path_with_var(path: Path, var: str = "a") -> str:
@@ -140,92 +137,37 @@ class Rename(Update):
 # ----------------------------------------------------------------------
 
 
-def _parse_update_path(stream: TokenStream) -> Path:
-    """Parse ``$a/p`` (the variable prefix is optional)."""
-    if stream.accept(lx.DOLLAR):
-        stream.expect(lx.NAME)
-        if stream.current.type not in (lx.SLASH, lx.DSLASH):
-            raise XPathSyntaxError("expected a path after the variable", stream.current.pos)
-    path = parse_path(stream)
-    return path
-
-
-def _parse_content(source: str, offset: int) -> tuple[Element, int]:
-    """Parse the constant element ``e``, unifying the error type."""
-    try:
-        return parse_fragment(source, offset)
-    except XMLSyntaxError as exc:
-        raise XPathSyntaxError(f"bad XML element literal: {exc}", offset) from exc
-
-
 def parse_update(source: str) -> Update:
     """Parse an update expression from its textual form."""
-    source = source.strip()
-    if source.startswith("insert"):
-        rest = source[len("insert") :]
-        content, end = _parse_content(rest, 0)
-        tail = rest[end:]
-        tokens = TokenStream(tokenize(tail, keywords={"into"}))
-        tokens.expect_name("into")
-        path = _parse_update_path(tokens)
-        _expect_done(tokens)
-        return Insert(path, content)
-    if source.startswith("delete"):
-        tail = source[len("delete") :]
-        tokens = TokenStream(tokenize(tail))
-        path = _parse_update_path(tokens)
-        _expect_done(tokens)
-        return Delete(path)
-    if source.startswith("replace"):
-        tail = source[len("replace") :]
-        with_pos = find_keyword(tail, "with")
-        tokens = TokenStream(tokenize(tail[:with_pos]))
-        path = _parse_update_path(tokens)
-        _expect_done(tokens)
-        content, end = _parse_content(tail, with_pos + len("with"))
-        trailing = tail[end:].strip()
-        if trailing:
-            raise XPathSyntaxError(f"unexpected trailing input {trailing!r}", end)
-        return Replace(path, content)
-    if source.startswith("rename"):
-        tail = source[len("rename") :]
-        tokens = TokenStream(tokenize(tail, keywords={"as"}))
-        path = _parse_update_path(tokens)
-        tokens.expect_name("as")
-        label = tokens.expect(lx.NAME).value
-        _expect_done(tokens)
-        return Rename(path, label)
-    raise XPathSyntaxError(
-        "expected an update (insert/delete/replace/rename)", 0
+    stream = TokenStream(source)
+    update = read_update(stream)
+    stream.expect_end()
+    return update
+
+
+def read_update(stream: TokenStream) -> Update:
+    """Parse the update at the current token (alone, or a transform
+    query's body); the element literal ``e`` is read as XML."""
+    token = stream.current
+    kind = token.value if token.type == lx.NAME else ""
+    if kind == "insert":
+        stream.advance()
+        content = stream.element()
+        stream.expect_name("into")
+        return Insert(parse_rooted_path(stream, selecting=True), content)
+    if kind == "delete":
+        stream.advance()
+        return Delete(parse_rooted_path(stream, selecting=True))
+    if kind == "replace":
+        stream.advance()
+        path = parse_rooted_path(stream, selecting=True)
+        stream.expect_name("with")
+        return Replace(path, stream.element())
+    if kind == "rename":
+        stream.advance()
+        path = parse_rooted_path(stream, selecting=True)
+        stream.expect_name("as")
+        return Rename(path, stream.expect(lx.NAME).value)
+    raise stream.error(
+        f"expected an update (insert/delete/replace/rename), found {token.value!r}"
     )
-
-
-def find_keyword(source: str, keyword: str) -> int:
-    """Find a whitespace-delimited keyword outside any brackets."""
-    depth = 0
-    in_string: Optional[str] = None
-    for i, ch in enumerate(source):
-        if in_string:
-            if ch == in_string:
-                in_string = None
-            continue
-        if ch in "\"'":
-            in_string = ch
-        elif ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-        elif depth == 0 and source.startswith(keyword, i):
-            before_ok = i == 0 or source[i - 1] in " \t\r\n"
-            after = i + len(keyword)
-            after_ok = after >= len(source) or source[after] in " \t\r\n<"
-            if before_ok and after_ok:
-                return i
-    raise XPathSyntaxError(f"expected keyword {keyword!r}", 0)
-
-
-def _expect_done(tokens: TokenStream) -> None:
-    if not tokens.done():
-        raise XPathSyntaxError(
-            f"unexpected trailing input {tokens.current.value!r}", tokens.current.pos
-        )

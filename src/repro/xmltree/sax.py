@@ -26,6 +26,7 @@ document depth.  This module provides the substrate:
 from __future__ import annotations
 
 import re
+from codecs import BOM_UTF8, BOM_UTF16_BE, BOM_UTF16_LE
 from collections import deque
 from functools import partial
 from io import BytesIO
@@ -55,6 +56,7 @@ class XMLSyntaxError(ValueError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -174,16 +176,19 @@ class _Reader:
       pieces; under *strip* a run of XML white space only is dropped.
 
     *encoding* is what a string was encoded in; ``None`` lets expat
-    read a file's from its byte order mark and XML declaration.
+    read a file's from its byte order mark and XML declaration.  Error
+    offsets count characters in :attr:`encoding`, after the first
+    :attr:`mark` bytes (a byte order mark's).
     """
 
-    __slots__ = ("parser", "names", "encoding")
+    __slots__ = ("parser", "names", "encoding", "mark")
 
     def __init__(self, sink, strip: bool, encoding: Optional[str] = "utf-8"):
         parser = self.parser = ParserCreate(encoding)
         parser.SetParamEntityParsing(XML_PARAM_ENTITY_PARSING_NEVER)
         parser.buffer_text = True
         self.encoding = encoding or "utf-8"   # what error offsets count in
+        self.mark = 0
         names: list[str] = []      # the open elements
         pending: list[str] = []    # the current text run
         self.names = names
@@ -268,7 +273,8 @@ class _Reader:
             parser.XmlDeclHandler = self._declared
 
     def _declared(self, version: str, encoding: Optional[str], standalone: int) -> None:
-        self.encoding = encoding or self.encoding
+        if not self.mark:  # a byte order mark outranks the declaration
+            self.encoding = encoding or self.encoding
 
     def feed(self, source: IO[bytes], offset: int = 0) -> Iterator[None]:
         """Parse the binary stream *source* ``_CHUNK`` bytes at a time,
@@ -305,7 +311,7 @@ class _Reader:
         at = max(at, 0)
         source.seek(0)
         data = source.read(at + 256)
-        before, after = (data[:at].decode(self.encoding, "replace"),
+        before, after = (data[self.mark : at].decode(self.encoding, "replace"),
                          data[at:].decode(self.encoding, "replace"))
         if message is None:
             message = _message(code, after, self.names[-1] if self.names else None)
@@ -326,12 +332,24 @@ def _read_string(source: str, sink, strip: bool) -> Iterator[None]:
     return _Reader(sink, strip).feed(BytesIO(_encoded(source)))
 
 
+#: The byte order marks expat reads, and the codec each names.
+_MARKS = ((BOM_UTF8, "utf-8"), (BOM_UTF16_LE, "utf-16-le"), (BOM_UTF16_BE, "utf-16-be"))
+
+
 def _read_file(path: str, sink, strip: bool) -> Iterator[None]:
     """Read the document in the file *path* into *sink*, yielding after
     each chunk.  The file is bytes: expat reads the encoding from the
-    byte order mark and the XML declaration."""
+    byte order mark and the XML declaration, and an error counts the
+    characters of that encoding from after the mark."""
     with open(path, "rb") as handle:
-        yield from _Reader(sink, strip, None).feed(handle)
+        reader = _Reader(sink, strip, None)
+        head = handle.read(3)
+        for mark, encoding in _MARKS:
+            if head.startswith(mark):
+                reader.encoding, reader.mark = encoding, len(mark)
+                break
+        handle.seek(0)
+        yield from reader.feed(handle)
 
 
 def _read_fragment(source: str, offset: int, sink, strip: bool) -> int:

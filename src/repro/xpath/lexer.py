@@ -1,7 +1,14 @@
-"""Tokenizer for the XPath fragment ``X`` (and update/transform syntax).
+"""Tokens of the query texts: X paths, update and transform queries and
+user queries share one alphabet; their keywords are NAME tokens the
+parsers match on.
 
-Also used by the update-expression and transform-query parsers, which
-share the same token alphabet plus a few keywords.
+One compiled master pattern (the ``re`` scanner idiom of the standard
+library's ``tokenize`` and ``json.scanner``) reads a token at a time.
+A parser reads a text through one :class:`TokenStream`, which scans
+as the parser asks and hands an XML element literal (``insert <e/>
+into …``) to the XML reader, so each text is read once, left to right,
+and every :class:`XPathSyntaxError` carries the offset of the fault in
+the text the caller passed.
 
 The paper writes boolean connectives as ``∧ ∨ ¬``; queries in Fig. 11
 use ``and``/``not(…)``.  Both spellings are accepted.
@@ -9,7 +16,11 @@ use ``and``/``not(…)``.  Both spellings are accepted.
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from typing import Iterator, Optional
+
+from repro.xmltree.node import Element
+from repro.xmltree.parser import XMLSyntaxError, parse_fragment
 
 
 class XPathSyntaxError(ValueError):
@@ -43,6 +54,7 @@ ASSIGN = "ASSIGN"        # :=
 LBRACE = "LBRACE"        # { (element templates in user queries)
 RBRACE = "RBRACE"        # }
 EOF = "EOF"
+ERROR = "ERROR"          # a character no token starts with; value: why
 
 
 class Token:
@@ -57,175 +69,126 @@ class Token:
         return f"Token({self.type}, {self.value!r})"
 
 
-_SYMBOL_ALIASES = {"∧": AND, "∨": OR, "¬": NOT}
-_WORD_TOKENS = {"and": AND, "or": OR, "not": NOT}
+#: Punctuation, by its text.
+_PUNCT = {
+    "/": SLASH, "//": DSLASH, "[": LBRACKET, "]": RBRACKET, "(": LPAREN,
+    ")": RPAREN, "@": AT, ".": DOT, "*": STAR, ",": COMMA, "$": DOLLAR,
+    ":=": ASSIGN, "{": LBRACE, "}": RBRACE, "∧": AND, "∨": OR, "¬": NOT,
+    "=": OP, "!=": OP, "<": OP, "<=": OP, ">": OP, ">=": OP,
+}
+_WORDS = {"and": AND, "or": OR, "not": NOT}
+
+#: One token after white space; the group that matched names its kind.
+#: A name is a ``\w`` character that is no decimal digit, then ``\w``
+#: characters and ``-``, with single ``:`` inside (``fn:doc``; ``a:=``
+#: is ``a`` then ``:=``); a number is a decimal digit, then decimal
+#: digits and dots.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<NAME>[^\W\d][\w-]*(?::[\w-]+)*)"
+    r"|(?P<PUNCT>//|:=|[<>!]=|[/\[\]()@.*,${}∧∨¬=<>])"
+    r"|'(?P<SQ>[^']*)'|\"(?P<DQ>[^\"]*)\""
+    r"|(?P<NUMBER>\d[\d.]*)"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.)"
+    r")",
+    re.DOTALL,
+)
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-"
-
-
-def _scan_name(source: str, start: int) -> int:
-    """End offset of a name starting at *start*.
-
-    Names may contain ``:`` (namespace-style prefixes: ``local:apply``,
-    ``fn:doc``) — but a ``:`` followed by ``=`` belongs to the ``:=``
-    token, and a trailing ``:`` is never part of the name.
-    """
-    n = len(source)
-    i = start + 1
-    while i < n:
-        ch = source[i]
-        if _is_name_char(ch):
-            i += 1
-            continue
-        if (
-            ch == ":"
-            and i + 1 < n
-            and source[i + 1] != "="
-            and _is_name_char(source[i + 1])
-        ):
-            i += 2  # the ':' and the first char after it
-            continue
-        break
-    return i
-
-
-def tokenize(source: str, keywords: Optional[set] = None) -> list[Token]:
-    """Tokenize *source*; ``keywords`` names stay NAME tokens but the
-    caller may match on their value (used by the query parsers).
-    """
-    tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _SYMBOL_ALIASES:
-            tokens.append(Token(_SYMBOL_ALIASES[ch], ch, i))
-            i += 1
-            continue
-        if ch == "/":
-            if source.startswith("//", i):
-                tokens.append(Token(DSLASH, "//", i))
-                i += 2
+def _scan(source: str, pos: int = 0) -> Iterator[Token]:
+    """The tokens of *source* from *pos* on, each scanned when it is
+    asked for (white space skipped).  The last is ``EOF``, or an
+    ``ERROR`` at a character no token starts with, holding the reason."""
+    match = _TOKEN.match
+    while True:
+        m = match(source, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        text = m[kind]
+        if kind == "NAME":
+            yield Token(_WORDS.get(text, NAME), text, start)
+        elif kind == "PUNCT":
+            yield Token(_PUNCT[text], text, start)
+        elif kind == "SQ" or kind == "DQ":
+            yield Token(STRING, text, start - 1)
+            pos += 1
+        elif kind == "NUMBER":
+            yield Token(NUMBER, text, start)
+        elif kind == "EOF":
+            yield Token(EOF, "", start)
+            return
+        else:
+            if text in "\"'":
+                reason = "unterminated string literal"
+            elif text == "!":
+                reason = "expected '!='"
             else:
-                tokens.append(Token(SLASH, "/", i))
-                i += 1
-            continue
-        if ch == "[":
-            tokens.append(Token(LBRACKET, ch, i))
-            i += 1
-            continue
-        if ch == "]":
-            tokens.append(Token(RBRACKET, ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(LPAREN, ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(RPAREN, ch, i))
-            i += 1
-            continue
-        if ch == "@":
-            tokens.append(Token(AT, ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(COMMA, ch, i))
-            i += 1
-            continue
-        if ch == "$":
-            tokens.append(Token(DOLLAR, ch, i))
-            i += 1
-            continue
-        if ch == "{":
-            tokens.append(Token(LBRACE, ch, i))
-            i += 1
-            continue
-        if ch == "}":
-            tokens.append(Token(RBRACE, ch, i))
-            i += 1
-            continue
-        if ch == "*":
-            tokens.append(Token(STAR, ch, i))
-            i += 1
-            continue
-        if ch == ".":
-            tokens.append(Token(DOT, ch, i))
-            i += 1
-            continue
-        if source.startswith(":=", i):
-            tokens.append(Token(ASSIGN, ":=", i))
-            i += 2
-            continue
-        if ch in "=<>!":
-            if source.startswith(("<=", ">=", "!="), i):
-                tokens.append(Token(OP, source[i : i + 2], i))
-                i += 2
-            elif ch == "!":
-                raise XPathSyntaxError("expected '!='", i)
-            else:
-                tokens.append(Token(OP, ch, i))
-                i += 1
-            continue
-        if ch in "\"'":
-            end = source.find(ch, i + 1)
-            if end == -1:
-                raise XPathSyntaxError("unterminated string literal", i)
-            tokens.append(Token(STRING, source[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            tokens.append(Token(NUMBER, source[i:j], i))
-            i = j
-            continue
-        if _is_name_start(ch):
-            j = _scan_name(source, i)
-            word = source[i:j]
-            word_type = _WORD_TOKENS.get(word)
-            if word_type is not None and not (keywords and word in keywords):
-                tokens.append(Token(word_type, word, i))
-            else:
-                tokens.append(Token(NAME, word, i))
-            i = j
-            continue
-        raise XPathSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(EOF, "", n))
+                reason = f"unexpected character {text!r}"
+            yield Token(ERROR, reason, start)
+            return
+
+
+def number_value(token: Token) -> float:
+    """The value of a NUMBER token (``1.2.3`` has none)."""
+    try:
+        return float(token.value)
+    except ValueError:
+        raise XPathSyntaxError(f"bad number {token.value!r}", token.pos) from None
+
+
+def tokenize(source: str) -> list[Token]:
+    """Every token of *source*, the last one ``EOF``."""
+    tokens = list(_scan(source))
+    last = tokens[-1]
+    if last.type == ERROR:
+        raise XPathSyntaxError(last.value, last.pos)
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with the usual helpers."""
+    """The tokens of *source*, scanned left to right as the parser asks.
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.index = 0
+    ``current`` is the token at the cursor; nothing past it is read
+    until :meth:`advance` or :meth:`peek` gets there, and the stream
+    stops at ``EOF`` or at an ``ERROR``.  Every error is raised at a
+    token's offset in *source*, and the first in reading order wins:
+    the scanner's reason for an ``ERROR`` is raised only when the
+    parser needs that token (:meth:`error`), after whatever the parser
+    found wrong before it.
+    """
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
+    __slots__ = ("source", "current", "_next", "_tokens")
 
-    def peek(self, offset: int = 1) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def __init__(self, source: str):
+        self.source = source
+        self._tokens = _scan(source)
+        self._next: Optional[Token] = None   # scanned by peek()
+        self.current = next(self._tokens)
+
+    def peek(self) -> Token:
+        """The token after the current one (the current one at the end)."""
+        if self._next is None:
+            if self.current.type == EOF or self.current.type == ERROR:
+                return self.current
+            self._next = next(self._tokens)
+        return self._next
 
     def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.type != EOF:
-            self.index += 1
+        token = self.current
+        if self._next is not None:
+            self.current, self._next = self._next, None
+        elif token.type != EOF and token.type != ERROR:
+            self.current = next(self._tokens)
         return token
+
+    def error(self, message: str) -> XPathSyntaxError:
+        """*message* as the error at the current token — or, when the
+        scanner could not read that token, the scanner's reason."""
+        token = self.current
+        if token.type == ERROR:
+            return XPathSyntaxError(token.value, token.pos)
+        return XPathSyntaxError(message, token.pos)
 
     def accept(self, type_: str, value: Optional[str] = None) -> Optional[Token]:
         token = self.current
@@ -236,22 +199,32 @@ class TokenStream:
     def expect(self, type_: str, value: Optional[str] = None) -> Token:
         token = self.accept(type_, value)
         if token is None:
-            want = value or type_
-            raise XPathSyntaxError(
-                f"expected {want!r}, found {self.current.value!r}", self.current.pos
-            )
+            raise self.error(f"expected {value or type_!r}, found {self.current.value!r}")
         return token
 
     def expect_name(self, value: str) -> Token:
         token = self.current
         if token.type == NAME and token.value == value:
             return self.advance()
-        raise XPathSyntaxError(
-            f"expected keyword {value!r}, found {token.value!r}", token.pos
-        )
+        raise self.error(f"expected keyword {value!r}, found {token.value!r}")
 
     def at_name(self, value: str) -> bool:
         return self.current.type == NAME and self.current.value == value
 
-    def done(self) -> bool:
-        return self.current.type == EOF
+    def expect_end(self) -> None:
+        if self.current.type != EOF:
+            raise self.error(f"unexpected trailing input {self.current.value!r}")
+
+    def element(self) -> Element:
+        """The XML element literal that starts at the current token,
+        read by :func:`~repro.xmltree.parser.parse_fragment`; scanning
+        resumes just past it.  A fault inside the literal is raised at
+        its offset in *source*, with the XML reader's message."""
+        try:
+            content, end = parse_fragment(self.source, self.current.pos)
+        except XMLSyntaxError as exc:
+            raise XPathSyntaxError(f"bad XML element literal: {exc.message}", exc.pos) from None
+        self._tokens = _scan(self.source, end)
+        self._next = None
+        self.current = next(self._tokens)
+        return content

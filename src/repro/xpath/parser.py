@@ -36,56 +36,73 @@ from repro.xpath.ast import (
     Qual,
     Step,
 )
-from repro.xpath.lexer import TokenStream, XPathSyntaxError, tokenize
+from repro.xpath.lexer import TokenStream, XPathSyntaxError, number_value
 
 
 def parse_xpath(source: str) -> Path:
     """Parse an ``X`` expression from text."""
-    stream = TokenStream(tokenize(source))
+    stream = TokenStream(source)
     path = parse_path(stream)
-    if not stream.done():
-        raise XPathSyntaxError(
-            f"unexpected trailing input {stream.current.value!r}", stream.current.pos
-        )
+    stream.expect_end()
     return path
 
 
-def parse_path(stream: TokenStream) -> Path:
+def parse_path(stream: TokenStream, selecting: bool = False) -> Path:
     """Parse a path starting at the current token (shared with the
-    update/query parsers, which embed paths in larger syntax)."""
+    update/query parsers, which embed paths in larger syntax).
+
+    No step may follow an attribute step, and a *selecting* path (an
+    update's) holds none; either is refused at the ``@``.
+    """
     steps: list[Step] = []
+    attr_at = -1  # the offset of the attribute step, once there is one
 
-    def consume_separators(required: bool) -> bool:
-        """Eat a run of '/' and '//' (runs collapse: '////' ≡ '//').
-
-        Returns True when another step follows; appends at most one
-        descendant-or-self pseudo-step.
-        """
-        saw_any = False
-        saw_dos = False
-        while True:
-            if stream.accept(lx.DSLASH):
-                saw_any = saw_dos = True
-            elif stream.accept(lx.SLASH):
-                saw_any = True
-            else:
-                break
-        if saw_dos:
-            steps.append(Step("dos"))
-        if required and not saw_any:
-            return False
-        return True
-
-    consume_separators(required=False)  # tolerated absolute prefix
-    steps.extend(_parse_step(stream))
-    while consume_separators(required=True):
-        steps.extend(_parse_step(stream))
-    # Drop no-op self steps without qualifiers (a/./b == a/b).
-    cleaned = [s for s in steps if not (s.kind == "self" and not s.quals)]
-    for step in cleaned[:-1]:
+    def keep(pos: int, step: Step) -> None:
+        nonlocal attr_at
+        if step.kind == "self" and not step.quals:
+            return  # a/./b == a/b
+        if attr_at >= 0:
+            raise attribute_not_final(steps[-1], attr_at)
         if step.kind == "attr":
-            raise attribute_not_final(step, stream.current.pos)
-    return Path(tuple(cleaned))
+            if selecting:
+                raise XPathSyntaxError(
+                    f"attribute step @{step.name} not allowed in a selecting path", pos
+                )
+            attr_at = pos
+        steps.append(step)
+
+    def separators() -> bool:
+        """Eat a run of '/' and '//' (runs collapse: '////' ≡ '//', one
+        descendant-or-self step); True when there was one."""
+        seen = dos = False
+        while True:
+            token = stream.current
+            if token.type == lx.DSLASH:
+                dos = True
+            elif token.type != lx.SLASH:
+                break
+            seen = True
+            stream.advance()
+        if dos:
+            keep(token.pos, Step("dos"))
+        return seen
+
+    separators()  # tolerated absolute prefix
+    keep(stream.current.pos, _parse_step(stream))
+    while separators():
+        keep(stream.current.pos, _parse_step(stream))
+    return Path(tuple(steps))
+
+
+def parse_rooted_path(stream: TokenStream, selecting: bool = False) -> Path:
+    """A path, optionally written from a variable (``$a/p``): an update
+    target, or a user query's for-source.  Any leading variable stands
+    for the document root."""
+    if stream.accept(lx.DOLLAR):
+        stream.expect(lx.NAME)
+        if stream.current.type not in (lx.SLASH, lx.DSLASH):
+            raise stream.error("expected a path after the variable")
+    return parse_path(stream, selecting)
 
 
 def attribute_not_final(step: Step, pos: int = 0) -> XPathSyntaxError:
@@ -95,7 +112,7 @@ def attribute_not_final(step: Step, pos: int = 0) -> XPathSyntaxError:
     return XPathSyntaxError(f"attribute step @{step.name} must be the final step", pos)
 
 
-def _parse_step(stream: TokenStream) -> list[Step]:
+def _parse_step(stream: TokenStream) -> Step:
     token = stream.current
     if token.type == lx.DOT:
         stream.advance()
@@ -111,7 +128,7 @@ def _parse_step(stream: TokenStream) -> list[Step]:
         stream.advance()
         base = Step("label", token.value)
     else:
-        raise XPathSyntaxError(f"expected a step, found {token.value!r}", token.pos)
+        raise stream.error(f"expected a step, found {token.value!r}")
     quals: list[Qual] = []
     while stream.current.type == lx.LBRACKET:
         stream.advance()
@@ -119,7 +136,7 @@ def _parse_step(stream: TokenStream) -> list[Step]:
         stream.expect(lx.RBRACKET)
     if quals:
         base = base.with_quals(tuple(quals))
-    return [base]
+    return base
 
 
 def parse_qualifier(stream: TokenStream) -> Qual:
@@ -164,8 +181,8 @@ def _parse_literal(stream: TokenStream) -> Union[str, float]:
         return token.value
     if token.type == lx.NUMBER:
         stream.advance()
-        return float(token.value)
-    raise XPathSyntaxError(f"expected a literal, found {token.value!r}", token.pos)
+        return number_value(token)
+    raise stream.error(f"expected a literal, found {token.value!r}")
 
 
 _REVERSED_OPS = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -185,7 +202,7 @@ def _parse_atom(stream: TokenStream) -> Qual:
         if name_token.type in (lx.NAME, lx.STRING):
             stream.advance()
         else:
-            raise XPathSyntaxError("expected a label after label() =", name_token.pos)
+            raise stream.error("expected a label after label() =")
         return LabelQual(name_token.value)
     # Reversed comparison: literal op path.
     if token.type in (lx.STRING, lx.NUMBER):

@@ -19,9 +19,8 @@ the workload queries use them.
 from __future__ import annotations
 
 from repro.xpath import lexer as lx
-from repro.xpath.ast import Path
-from repro.xpath.lexer import Token, TokenStream, XPathSyntaxError, tokenize
-from repro.xpath.parser import parse_path
+from repro.xpath.lexer import TokenStream, XPathSyntaxError, number_value
+from repro.xpath.parser import parse_path, parse_rooted_path
 from repro.xquery.ast import (
     Compare,
     ElementTemplate,
@@ -32,17 +31,16 @@ from repro.xquery.ast import (
     VarRef,
 )
 
-_KEYWORDS = {"for", "in", "where", "return"}
-
 
 def parse_user_query(source: str) -> UserQuery:
     """Parse a user query from text."""
-    stream = TokenStream(tokenize(source, keywords=_KEYWORDS))
+    stream = TokenStream(source)
     stream.expect_name("for")
     stream.expect(lx.DOLLAR)
     var = stream.expect(lx.NAME).value
     stream.expect_name("in")
-    path = _parse_source_path(stream, var)
+    # The paper writes view queries against a bound document variable.
+    path = parse_rooted_path(stream)
     conditions = []
     if stream.at_name("where"):
         stream.advance()
@@ -51,23 +49,8 @@ def parse_user_query(source: str) -> UserQuery:
             conditions.append(_parse_condition(stream, var))
     stream.expect_name("return")
     template = _parse_return_expr(stream, var)
-    if not stream.done():
-        raise XPathSyntaxError(
-            f"unexpected trailing input {stream.current.value!r}", stream.current.pos
-        )
+    stream.expect_end()
     return UserQuery(var, path, conditions, template, source_text=source.strip())
-
-
-def _parse_source_path(stream: TokenStream, var: str) -> Path:
-    """The for-source: an X path, optionally ``$n/…`` rooted (the paper
-    writes view queries against a bound document variable; we treat any
-    leading variable as the document root)."""
-    if stream.current.type == lx.DOLLAR:
-        stream.advance()
-        stream.expect(lx.NAME)
-        if stream.current.type not in (lx.SLASH, lx.DSLASH):
-            raise XPathSyntaxError("expected a path after the variable", stream.current.pos)
-    return parse_path(stream)
 
 
 def _parse_operand(stream: TokenStream, var: str) -> Expr:
@@ -77,7 +60,7 @@ def _parse_operand(stream: TokenStream, var: str) -> Expr:
         return Literal(token.value)
     if token.type == lx.NUMBER:
         stream.advance()
-        return Literal(float(token.value))
+        return Literal(number_value(token))
     if token.type == lx.DOLLAR:
         stream.advance()
         name = stream.expect(lx.NAME).value
@@ -132,8 +115,8 @@ def _parse_template(stream: TokenStream, var: str) -> ElementTemplate:
         stream.expect(lx.RBRACE)
     stream.expect(lx.OP, "<")
     stream.expect(lx.SLASH)
-    closing = stream.expect(lx.NAME).value
-    if closing != label:
-        raise XPathSyntaxError(f"mismatched template tag </{closing}>", stream.current.pos)
+    closing = stream.expect(lx.NAME)
+    if closing.value != label:
+        raise XPathSyntaxError(f"mismatched template tag </{closing.value}>", closing.pos)
     stream.expect(lx.OP, ">")
     return ElementTemplate(label, {}, parts)

@@ -769,10 +769,14 @@ class TestOneEvaluationSite:
     def test_service_config_has_no_mode(self):
         from repro.service import ServiceConfig
 
-        assert len(ServiceConfig.__slots__) == 7
+        assert len(ServiceConfig.__slots__) == 6
         assert "mode" not in ServiceConfig.__slots__
         with pytest.raises(TypeError):
             ServiceConfig(mode="thread")
+        # A sampled evaluation is profiled: no second sample rate.
+        assert "profile_sample" not in ServiceConfig.__slots__
+        with pytest.raises(TypeError):
+            ServiceConfig(profile_sample=4)
 
     def test_serve_rejects_mode(self, capsys):
         from repro.cli import build_parser

@@ -6,8 +6,8 @@ from repro.xpath import lexer as lx
 from repro.xpath.lexer import Token, TokenStream, XPathSyntaxError, tokenize
 
 
-def types(source, keywords=None):
-    return [t.type for t in tokenize(source, keywords=keywords)][:-1]  # drop EOF
+def types(source):
+    return [t.type for t in tokenize(source)][:-1]  # drop EOF
 
 
 class TestTokens:
@@ -59,10 +59,6 @@ class TestTokens:
     def test_unicode_connectives(self):
         assert types("∧ ∨ ¬") == [lx.AND, lx.OR, lx.NOT]
 
-    def test_keywords_stay_names_when_requested(self):
-        tokens = tokenize("and", keywords={"and"})
-        assert tokens[0].type == lx.NAME
-
     def test_positions_recorded(self):
         tokens = tokenize("ab cd")
         assert tokens[0].pos == 0 and tokens[1].pos == 3
@@ -77,9 +73,55 @@ class TestTokens:
         assert tokenize("a")[-1].type == lx.EOF
 
 
+#: Texts whose characters ``re``'s ``\w``/``\d`` and ``str.isalpha`` /
+#: ``str.isdigit`` class differently: the master pattern's classes
+#: decide.  A digit that is not decimal (``²``) and a numeric character
+#: that is no letter (``Ⅻ``, ``½``) are ``\w`` and not ``\d``, so they
+#: start or continue a name and end a number; a decimal digit of any
+#: script (``٣``) is a number.  ``(type, value, pos)`` per token, EOF
+#: dropped; an error as ``(message, pos)``.
+ODD_CHARACTERS = [
+    ("²", [(lx.NAME, "²", 0)]),                # a digit, not a decimal one
+    ("1²3", [(lx.NUMBER, "1", 0), (lx.NAME, "²3", 1)]),
+    ("1.²", [(lx.NUMBER, "1.", 0), (lx.NAME, "²", 2)]),
+    ("²a", [(lx.NAME, "²a", 0)]),
+    ("٣", [(lx.NUMBER, "٣", 0)]),              # a decimal digit
+    ("٣.5", [(lx.NUMBER, "٣.5", 0)]),
+    ("a²٣Ⅻ", [(lx.NAME, "a²٣Ⅻ", 0)]),         # all alphanumeric
+    ("a:Ⅻ", [(lx.NAME, "a:Ⅻ", 0)]),
+    ("Ⅻ", [(lx.NAME, "Ⅻ", 0)]),                # numeric, no letter
+    ("1Ⅻ", [(lx.NUMBER, "1", 0), (lx.NAME, "Ⅻ", 1)]),
+    ("½", [(lx.NAME, "½", 0)]),
+    ("a\u00a0b", ("unexpected character '\\xa0'", 1)),  # not XML white space
+    ("a\fb", ("unexpected character '\\x0c'", 1)),
+    ("∧∨¬", [(lx.AND, "∧", 0), (lx.OR, "∨", 1), (lx.NOT, "¬", 2)]),
+    ("fn:doc", [(lx.NAME, "fn:doc", 0)]),
+    ("a:=b", [(lx.NAME, "a", 0), (lx.ASSIGN, ":=", 1), (lx.NAME, "b", 3)]),
+    ("a::b", ("unexpected character ':'", 1)),
+    ("a:", ("unexpected character ':'", 1)),
+    ("_-a", [(lx.NAME, "_-a", 0)]),
+    ("-a", ("unexpected character '-'", 0)),
+    ("'a\nb'", [(lx.STRING, "a\nb", 0)]),
+    ("a 'b", ("unterminated string literal", 2)),
+    ("a !b", ("expected '!='", 2)),
+]
+
+
+@pytest.mark.parametrize("source, expected", ODD_CHARACTERS)
+def test_a_character_reads_as_the_master_pattern_classes_it(source, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(XPathSyntaxError) as caught:
+            tokenize(source)
+        assert (str(caught.value), caught.value.pos) == (
+            f"{expected[0]} (at offset {expected[1]})", expected[1]
+        )
+    else:
+        assert [(t.type, t.value, t.pos) for t in tokenize(source)[:-1]] == expected
+
+
 class TestTokenStream:
-    def stream(self, source, **kw):
-        return TokenStream(tokenize(source, **kw))
+    def stream(self, source):
+        return TokenStream(source)
 
     def test_advance_stops_at_eof(self):
         s = self.stream("a")
@@ -94,7 +136,9 @@ class TestTokenStream:
 
     def test_peek_clamps_at_end(self):
         s = self.stream("a")
-        assert s.peek(10).type == lx.EOF
+        assert s.peek().type == lx.EOF
+        s.advance()
+        assert s.peek().type == lx.EOF
 
     def test_accept_match_and_miss(self):
         s = self.stream("a/b")
@@ -109,13 +153,40 @@ class TestTokenStream:
         assert "expected" in str(info.value)
 
     def test_expect_name_keyword(self):
-        s = self.stream("into b", keywords={"into"})
+        s = self.stream("into b")
         assert s.expect_name("into").value == "into"
         with pytest.raises(XPathSyntaxError):
             s.expect_name("with")
 
     def test_at_name_and_done(self):
-        s = self.stream("into", keywords={"into"})
+        s = self.stream("into")
         assert s.at_name("into")
         s.advance()
-        assert s.done()
+        assert s.current.type == lx.EOF
+
+    def test_a_character_no_token_starts_with_is_read_only_when_reached(self):
+        s = self.stream("a # b")
+        assert s.advance().value == "a"
+        assert (s.current.type, s.current.pos) == (lx.ERROR, 2)
+        assert s.advance().type == lx.ERROR  # the stream stops there
+        assert s.peek().type == lx.ERROR
+        with pytest.raises(XPathSyntaxError, match=r"^unexpected character '#' \(at offset 2\)$"):
+            s.expect(lx.NAME)
+        # What the parser finds wrong before it comes first.
+        assert str(s.error("anything")) == "unexpected character '#' (at offset 2)"
+        assert str(self.stream("a").error("no good")) == "no good (at offset 0)"
+
+    def test_element_reads_the_literal_and_resumes_after_it(self):
+        s = self.stream("<x a='1'>t <y/></x>into p")
+        assert s.current.type == lx.OP
+        element = s.element()
+        assert (element.label, element.attrs, len(element.children)) == ("x", {"a": "1"}, 2)
+        assert (s.current.value, s.current.pos) == ("into", 19)
+
+    def test_element_raises_at_the_fault_inside_the_literal(self):
+        s = self.stream("  <x><y></x>")
+        with pytest.raises(XPathSyntaxError) as caught:
+            s.element()
+        assert str(caught.value) == (
+            "bad XML element literal: mismatched end tag </x> for <y> (at offset 10)"
+        )

@@ -14,6 +14,7 @@ import pytest
 
 from repro import QueryService
 from repro.cli import main as cli_main
+from repro.compiled import CompiledCache
 from repro.service import Client, ServiceServer
 from repro.store.state import open_store, save_store
 
@@ -120,7 +121,8 @@ def _replayed_state(state):
 
 
 #: ``repro store stat`` on :func:`_replayed_state`, as it printed when
-#: ``stats()`` still carried the counts (the timings vary: ``{ms}``).
+#: ``stats()`` still carried the counts (the timings vary: ``{ms}``),
+#: with a row for each of the store's compiled caches.
 STAT_LINES = """\
 store at {state!r}:
   document 'db': v3, 4 nodes, depth 3, 0 staged, 2 committed
@@ -132,6 +134,7 @@ store at {state!r}:
     selecting_nfas 0/1/0 (size 1/256)
     filtering_nfas 0/0/0 (size 0/256)
     plans          0/0/0 (size 0/256)
+    shapes         0/1/0 (size 1/256)
     results        0/0/0 (size 0/1024; 0 wire form(s), 0 bytes)
   commits: 2 spliced, 0 no-op; cache retention n/a (0+0 kept, 0+0 dropped)
     last commit: 'db' v3 (splice, 1 entries, 1 touched); retention n/a
@@ -147,6 +150,20 @@ def test_store_stat_prints_what_it_did_on_a_replayed_wal(tmp_path, capsys):
     assert cli_main(["store", "stat", "--state", state]) == 0
     printed = re.sub(r"\d+\.\d ms", "{ms} ms", capsys.readouterr().out)
     assert printed == STAT_LINES.format(state=state, ms="{ms}")
+
+
+def test_store_stat_has_a_row_per_compiled_cache(tmp_path, capsys):
+    state = str(tmp_path / "st")
+    _replayed_state(state)
+    assert cli_main(["store", "stat", "--state", state]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("  caches [hits/misses/evictions]:") + 1
+    rows = [line.split()[0] for line in lines[start : start + 7]]
+    assert rows == [*CompiledCache().stats(), "results"]
+    assert rows == [
+        "transforms", "user_queries", "selecting_nfas", "filtering_nfas",
+        "plans", "shapes", "results",
+    ]
 
 
 def test_store_stat_json_sections_do_not_overlap(tmp_path, capsys):

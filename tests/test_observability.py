@@ -268,9 +268,7 @@ class TestSlowQueryLog:
     def test_service_captures_slow_request_with_trace_and_profile(self):
         # A zero threshold captures everything, however fast.
         svc = QueryService(
-            config=ServiceConfig(
-                trace_sample=1, profile_sample=1, slow_threshold=0.0
-            )
+            config=ServiceConfig(trace_sample=1, slow_threshold=0.0)
         )
         try:
             svc.put("db", CATALOG)

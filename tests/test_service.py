@@ -192,7 +192,7 @@ def test_a_cold_read_is_a_traced_profiled_compile():
     it, the same text compiles nothing and reads warm."""
     text = "for $x in part/supplier return $x/sname"
     svc = QueryService(
-        config=ServiceConfig(trace_sample=1, profile_sample=1, slow_threshold=0.0)
+        config=ServiceConfig(trace_sample=1, slow_threshold=0.0)
     )
     try:
         svc.put("db", CATALOG)

@@ -1,8 +1,10 @@
 """Unit tests for the SAX layer (the one XML reader and the adapters)."""
 
 import ast
+import codecs
 import io
 import pathlib
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -558,6 +560,12 @@ ENCODED_FILES = {
         '<?xml version="1.0" encoding="ISO-8859-1"?>\n<a><b x="ü">Grüße</b></a>'
     ).encode("latin-1"),
 }
+#: The byte order marks expat reads, by the codec each names.
+MARKS = {
+    "utf-8": codecs.BOM_UTF8,
+    "utf-16-le": codecs.BOM_UTF16_LE,
+    "utf-16-be": codecs.BOM_UTF16_BE,
+}
 #: The modules that parse XML; ``repro.xmltree.sax`` alone imports one.
 XML_PARSERS = ("pyexpat", "xml.parsers", "xml.sax", "xml.dom", "xml.etree")
 
@@ -581,6 +589,20 @@ class TestOneReader:
             ["store", "query", "-n", "enc", "--state", state, "-u", "for $x in b return $x"]
         ) == 0
         assert capsys.readouterr().out.splitlines() == ['<b x="ü">Grüße</b>']
+
+    @pytest.mark.parametrize("door", FILE_DOORS)
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16-le", "utf-16-be"])
+    def test_a_file_with_a_byte_order_mark_counts_its_own_characters(
+        self, door, encoding, tmp_path
+    ):
+        """An error counts and quotes characters in the encoding the
+        mark names, from after the mark: as the string door does."""
+        source = "<a><b>t</c></a>"
+        message = re.escape("mismatched end tag </c> for <b> (at offset 9)")
+        with pytest.raises(XMLSyntaxError, match=f"^{message}$"):
+            DOORS["parse"](source, tmp_path, False)
+        with pytest.raises(XMLSyntaxError, match=f"^{message}$"):
+            DOORS[door](MARKS[encoding] + source.encode(encoding), tmp_path, False)
 
     @pytest.mark.parametrize("door", FILE_DOORS)
     def test_a_file_that_is_not_utf8_is_refused_at_its_offset(self, door, tmp_path):
