@@ -34,7 +34,7 @@ engine chooses among; each subpackage's docstring maps back to the
 paper's sections.
 """
 
-__version__ = "1.34.0"
+__version__ = "1.35.0"
 
 # XML substrate
 from repro.xmltree import (
@@ -84,12 +84,7 @@ from repro.xquery.arena_eval import evaluate_query_arena
 from repro.compose import compose, evaluate_composed, naive_compose
 
 # Streaming extension (the paper's future-work item 3)
-from repro.streaming import (
-    stream_compose,
-    stream_compose_file,
-    stream_select,
-    stream_select_file,
-)
+from repro.streaming import stream_compose, stream_select
 
 # The resident view store (documents, stacked views, commit/rollback)
 from repro.store import (
@@ -198,9 +193,7 @@ __all__ = [
     "serialize",
     "serialize_arena",
     "stream_compose",
-    "stream_compose_file",
     "stream_select",
-    "stream_select_file",
     "text",
     "thaw",
     "transform_copy_update",

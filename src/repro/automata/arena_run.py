@@ -240,7 +240,7 @@ def serialize_arena_items(arena: FrozenDocument, items) -> list:
     """Serialize query-result items to text, straight from the columns.
 
     The shared tail of every serialized read path (``ViewStore.
-    query_serialized``, ``repro query``): an ``int`` item is an arena
+    query_serialized``, a read's ``run_file``): an ``int`` item is an arena
     index — its text is the arena's :meth:`~repro.xmltree.arena.
     FrozenDocument.serialized` subtree, written from the pre-order
     range with no thaw the first time any read of this version asks

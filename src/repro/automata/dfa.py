@@ -423,16 +423,17 @@ class DfaTables:
 
     def root_tracked(self, ld: list, cursor: int) -> tuple:
         """The tracked state at the document root (which consumes no
-        symbol): all initial members alive, with qualifier-bearing ones
-        consuming their pass-1 cursor ids.  Returns
-        ``(set_id, alive, cursor)``."""
+        symbol): all initial members alive (none if the start state's
+        context qualifier fails), qualifier-bearing ones consuming their
+        pass-1 cursor ids.  Returns ``(set_id, alive, cursor, selected)``."""
         set_id = self.initial_id
         alive = (1 << len(self._sets[set_id])) - 1
         for pos in self.set_qual_positions[set_id]:
             if not ld[cursor]:
                 alive &= ~(1 << pos)
             cursor += 1
-        return set_id, alive, cursor
+        alive *= alive & 1  # the start state, sid 0, sorts first
+        return set_id, alive, cursor, bool(alive & self._final_masks[set_id])
 
     # hot-path
     def advance_tracked(

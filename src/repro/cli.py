@@ -28,7 +28,8 @@ not live on the command line.
 ``transform`` defaults to ``--method auto``: the file's size sets its
 route — a file of 8 MiB or more streams (twoPassSAX), a smaller one is
 read into columns and transformed by the arena kernel (``repro explain
--q … -i FILE`` shows the route).  ``--method`` forces one of the paper's
+-q … -i FILE`` shows the route).  ``query`` and ``compose`` read a file
+of any size into columns.  ``--method`` forces one of the paper's
 algorithms on a parsed tree; ``sax`` streams.
 
 Errors from user input (query syntax, unsupported paths, missing
@@ -48,7 +49,6 @@ from repro.automata import build_filtering_nfa, build_selecting_nfa
 from repro.engine import TREE_STRATEGIES, default_engine
 from repro.store.state import StateLock, fsck, locked_state, open_store, save_store
 from repro.xmark.generator import write_xmark_file
-from repro.xmltree import Element, serialize
 from repro.xpath import parse_xpath
 
 #: Default state directory for ``repro store`` commands.
@@ -111,19 +111,16 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     """Run a FLWR user query against a document file.
 
-    The file is loaded straight into a frozen columnar arena (no Node
-    tree on the load path) and evaluated over index ranges, matches
-    serialized directly from the columns.  ``--stats`` reports the
-    arena's memory, the engine's metrics-registry snapshot and peak
-    memory (tracemalloc); ``--json`` emits one ``{"results": …,
-    "stats": …}`` object instead of plain lines.
+    The prepared query's ``run_file`` reads the file into columns (no
+    Node tree) and serializes the matches straight from them.
+    ``--stats`` reports the route, the engine's metrics-registry
+    snapshot and peak memory (tracemalloc); ``--json`` emits one
+    ``{"results": …, "stats": …}`` object instead of plain lines.
     """
     import json
     import tracemalloc
 
-    from repro.automata.arena_run import serialize_arena_items
     from repro.obs import MetricsRegistry
-    from repro.xmltree.parser import parse_file_to_arena
 
     query_text = read_query_arg(args.user_query)
     engine = default_engine()
@@ -133,27 +130,24 @@ def _cmd_query(args: argparse.Namespace) -> int:
         engine.bind_metrics(registry)
         tracemalloc.start()
     prepared = engine.prepare_query(query_text)
-    arena = parse_file_to_arena(args.input)
     if args.analyze:
         # Run under an execution profile and print the full-scan
         # estimate next to what the scan measured (results still go to
         # stdout, the report to stderr, so pipelines keep working).
-        report, lines = prepared.explain_analyze(arena)
+        report, lines = prepared.explain_analyze(args.input)
         for line in lines:
             print(line)
         print(report, file=sys.stderr)
         return 0
-    lines = serialize_arena_items(arena, prepared.run_refs(arena))
+    lines = list(prepared.run_file(args.input))
     stats: dict = {}
     if want_stats:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        stats["query.backend"] = "arena"
+        stats["query.route"] = "columns"
         stats["query.results"] = len(lines)
         stats["process.memory.peak_bytes"] = peak
         stats["process.memory.resident_bytes"] = current
-        for key, value in arena.stats().items():
-            stats[f"store.arena.{key}"] = value
         stats.update(registry.snapshot())
     if args.json:
         print(json.dumps({"results": lines, "stats": stats}, sort_keys=True))
@@ -162,13 +156,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(line)
     print(f"({len(lines)} result(s))", file=sys.stderr)
     if args.stats:
-        print(f"backend: {stats['query.backend']}", file=sys.stderr)
-        print(
-            f"arena: {stats['store.arena.nodes']} nodes, "
-            f"{stats['store.arena.column_bytes']} column bytes, "
-            f"{stats['store.arena.total_bytes']} bytes total",
-            file=sys.stderr,
-        )
+        print(f"route: {stats['query.route']}", file=sys.stderr)
         print(
             f"peak memory: {peak} bytes (resident after run: {current})",
             file=sys.stderr,
@@ -181,16 +169,12 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     prepared = engine.prepare_composed(
         read_query_arg(args.user_query), read_query_arg(args.transform)
     )
-    composed = prepared.plan
     if args.show_plan or not args.input:
-        print(f"composed query: {composed}")
+        print(f"composed query: {prepared.plan}")
     if not args.input:
         return 0
-    for item in prepared.run(args.input):
-        if isinstance(item, Element):
-            print(serialize(item))
-        else:
-            print(item)
+    for item in prepared.run_file(args.input):
+        print(item)
     return 0
 
 
@@ -650,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("-i", "--input", required=True, help="input XML file")
     p_query.add_argument(
         "--stats", action="store_true",
-        help="print the backend, arena memory, peak memory and the "
+        help="print the route (columns), peak memory and the "
         "engine's metric snapshot to stderr",
     )
     p_query.add_argument(

@@ -27,11 +27,12 @@ whole of it):
    ``DEEP_MEAN_DEPTH`` → ``twopass``;
 2. everything else → ``topdown``.
 
-``run(path)`` parses the file and applies that rule to the tree.  A
-file written to a file (``run_to_file``, the CLI's ``transform``) is
-not planned: its size sets its route.  From ``STREAM_THRESHOLD_BYTES``
-(8 MiB) up it streams (twoPassSAX); below that it is read into columns
-and transformed by the arena kernel, which has no strategy to choose.
+A transform's ``run(path)`` parses the file and applies that rule to
+the tree.  A file written to a file (``run_to_file``, the CLI's
+``transform``) is not planned: its size sets its route.  From
+``STREAM_THRESHOLD_BYTES`` (8 MiB) up it streams (twoPassSAX); below
+that it is read into columns and transformed by the arena kernel, which
+has no strategy to choose.  A read's ``run_file`` reads any into columns.
 
 ``naive``, ``copy`` (GalaXUpdate) and ``sax`` are the paper's baselines:
 forceable with ``method=`` (Fig-12/13/14 subjects, test oracles), never

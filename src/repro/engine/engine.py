@@ -41,8 +41,8 @@ from repro.transform.query import TransformQuery
 
 
 class Engine:
-    """Prepared-statement facade over the five evaluation strategies,
-    the Compose Method, and the streaming path."""
+    """Prepared-statement facade over the evaluation strategies, the
+    Compose Method and the file routes (columns, streaming)."""
 
     def __init__(self):
         self.cache = CompiledCache()

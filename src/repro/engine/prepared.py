@@ -11,15 +11,16 @@ one way to run transforms in sequence (the semantics of nested
 transform queries: each stage sees the previous stage's result), and
 ``explain`` shows the plan for a concrete or hypothetical input.
 
-All ``run`` methods accept a resident :class:`Element`, a frozen arena
-or a file path.  A tree (a file is parsed into one) is transformed into
-a tree by the strategy the rule in
+Every ``run`` accepts a resident :class:`Element` or a frozen arena (a
+transform's also a file, parsed into a tree).  A tree is transformed
+into a tree by the strategy the rule in
 :func:`~repro.engine.planner.choose_strategy` picks for it (or a forced
 ``method=``); a frozen arena into a frozen arena by
 :func:`repro.transform.arena.transform_arena` — an arena, like a read,
 has no strategy to choose.  ``run_to_file`` takes a file's route from
 its size: twoPassSAX streams a large one, and a smaller one is read
-into columns and goes through that same kernel.
+into columns and goes through that same kernel.  A read's ``run_file``
+reads a file of any size into columns.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Callable, Iterator, Optional, Union
 
+from repro.automata.arena_run import serialize_arena_items
 from repro.compiled import CompiledCache
-from repro.compose.compose import compose
+from repro.compose.compose import compose, evaluate_composed
 from repro.engine.executor import TREE_STRATEGIES, run_tree_strategy
 from repro.engine.features import analyze_transform, mean_depth
 from repro.engine.planner import Plan, choose_strategy, describe_file_route, file_streams
@@ -48,20 +50,16 @@ from repro.xmltree.serializer import (
     write_arena_range,
     write_stream,
 )
+from repro.xquery.arena_eval import ArenaEvaluator, evaluate_query_arena
 from repro.xquery.evaluator import evaluate_query
 
 Resident = Union[Element, FrozenDocument]
-Input = Union[Resident, str, os.PathLike]
+FilePath = Union[str, os.PathLike]
+Input = Union[Resident, FilePath]
 #: Where ``run_to_file`` writes: a path, or an open text handle.
 Output = Union[str, os.PathLike, IO[str]]
 #: What ``then`` stacks: anything but a prepared object is prepared.
 Stageable = Union["PreparedTransform", "PreparedStack", str, TransformQuery]
-
-
-def _resident(doc_or_path: Input) -> Resident:
-    if isinstance(doc_or_path, (Element, FrozenDocument)):
-        return doc_or_path
-    return parse_file(doc_or_path)
 
 
 def _check_method(method: str) -> None:
@@ -243,7 +241,8 @@ class PreparedTransform:
         exactly like SQL ``EXPLAIN ANALYZE``.  A file is run as the tree
         it parses into, and reported as that tree.
         """
-        doc_or_path = _resident(doc_or_path)
+        if not isinstance(doc_or_path, (Element, FrozenDocument)):
+            doc_or_path = parse_file(doc_or_path)
         prof = Profile()
         with profiled(prof):
             result = self.run(doc_or_path, method=method)
@@ -385,15 +384,15 @@ class PreparedStack:
         return PreparedStack(self.stages + [other])
 
     def run(self, doc_or_path: Input, method: str = "auto") -> Resident:
-        current = _resident(doc_or_path)
+        current = doc_or_path
         for stage in self.stages:
             current = stage.run(current, method=method)
         return current
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         # A stack runs a file as the tree it parses into.
-        if doc_or_path is not None:
-            doc_or_path = _resident(doc_or_path)
+        if doc_or_path is not None and not isinstance(doc_or_path, (Element, FrozenDocument)):
+            doc_or_path = parse_file(doc_or_path)
         out = [f"prepared stack: {len(self.stages)} stage(s)"]
         for index, stage in enumerate(self.stages, 1):
             # Later stages see a transformed document whose shape we
@@ -427,14 +426,26 @@ def _expect_full_scan(arena: FrozenDocument) -> None:
         profile.set_plan("scan", arena.n_elements - 1)
 
 
+def _read_on(doc: Resident) -> None:
+    if not isinstance(doc, (Element, FrozenDocument)):
+        raise ValueError("a read runs on a tree or a frozen arena: read a file with run_file(path)")
+
+
+def _read_file(path: FilePath, refs: Callable) -> Iterator[str]:
+    """*refs* on the file's columns, serialized from them, at any size:
+    where streaming would pay off for a read is not measured yet."""
+    arena = parse_file_to_arena(os.fspath(path))
+    yield from serialize_arena_items(arena, refs(arena))
+
+
 class PreparedQuery:
     """A FLWR user query, with its parse from *cache*.
 
     A read has nothing to choose: handed a
     :class:`~repro.xmltree.arena.FrozenDocument`, ``run`` takes the
     columnar evaluator (indices over pre-order ranges, matches thawed
-    only on materialization); handed a tree or file, it walks Node
-    objects.
+    only on materialization); handed a tree, it walks Node objects;
+    ``run_file`` reads a file.
     """
 
     __slots__ = ("text", "query", "cache")
@@ -445,27 +456,28 @@ class PreparedQuery:
         #: Where a columnar scan takes the automaton of each path.
         self.cache = cache
 
-    def run(self, doc_or_path: Input) -> list:
-        if isinstance(doc_or_path, FrozenDocument):
-            from repro.xquery.arena_eval import evaluate_query_arena
-
-            _expect_full_scan(doc_or_path)
+    def run(self, doc: Resident) -> list:
+        if isinstance(doc, FrozenDocument):
+            _expect_full_scan(doc)
             with span("scan"):
                 return evaluate_query_arena(
-                    doc_or_path, self.query, nfa_for=self.cache.selecting_nfa_for
+                    doc, self.query, nfa_for=self.cache.selecting_nfa_for
                 )
+        _read_on(doc)
         with span("scan"):
-            return evaluate_query(_resident(doc_or_path), self.query)
+            return evaluate_query(doc, self.query)
 
     def run_refs(self, arena: FrozenDocument) -> list:
         """Zero-thaw evaluation: element results stay pre-order indices
         (serialize them straight from the columns, or thaw on demand).
         """
-        from repro.xquery.arena_eval import ArenaEvaluator
-
         _expect_full_scan(arena)
         with span("scan"):
             return ArenaEvaluator(arena, self.cache.selecting_nfa_for).evaluate_refs(self.query)
+
+    def run_file(self, path: FilePath) -> Iterator[str]:
+        """The answer over a file, serialized: ``run_refs`` on its columns."""
+        return _read_file(path, self.run_refs)
 
     def explain(self, doc_or_path: Optional[Input] = None) -> str:
         lines = [f"prepared user query: {self.query}"]
@@ -475,10 +487,15 @@ class PreparedQuery:
                 "columns; matches are thawed only on materialization"
             )
             lines.append(describe_arena_memory(doc_or_path))
+        elif isinstance(doc_or_path, (str, os.PathLike)):
+            lines.append(
+                "evaluation: read into columns, then the columnar evaluator "
+                "and serializer (no Node tree, at every file size)"
+            )
         else:
             lines.append(
-                "evaluation: direct evaluation on the Node tree (freeze() "
-                "the document to scan its columns instead)"
+                "evaluation: the Node evaluator walks a Node tree (freeze() "
+                "the document to scan its columns; run_file reads a file)"
             )
         lines.append(
             "(compose with a prepared transform via "
@@ -494,19 +511,21 @@ class PreparedQuery:
         the zero-thaw ref path plus the columnar serializer, so every
         counter (nodes visited, prunes, DFA transitions, table growth,
         serialize bytes) is genuinely measured by the loops that did
-        the work; a Node-tree walk counts only its results.
+        the work; a Node-tree walk counts only its results.  A file is
+        read into columns first, as ``run_file`` reads it, and reported
+        as that arena.
         """
+        doc = doc_or_path
+        if not isinstance(doc, (Element, FrozenDocument)):
+            doc = parse_file_to_arena(os.fspath(doc))
         prof = Profile()
         with profiled(prof):
-            if isinstance(doc_or_path, FrozenDocument):
-                refs = self.run_refs(doc_or_path)
-                from repro.automata.arena_run import serialize_arena_items
-
-                results = serialize_arena_items(doc_or_path, refs)
+            if isinstance(doc, FrozenDocument):
+                results = serialize_arena_items(doc, self.run_refs(doc))
             else:
-                results = self.run(doc_or_path)
+                results = self.run(doc)
                 prof.add_results(len(results))
-        report = self.explain(doc_or_path)
+        report = self.explain(doc)
         return report + "\n" + render_profile(prof.snapshot()), results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -532,17 +551,20 @@ class PreparedComposed:
             # tables) backs the plan's spliced topDown calls.
             self.plan = compose(user.query, transform.query, nfa=transform.selecting)
 
-    def run(self, doc_or_path: Input) -> list:
-        if isinstance(doc_or_path, FrozenDocument):
+    def run(self, doc: Resident) -> list:
+        if isinstance(doc, FrozenDocument):
             # Only results and items bound to a topDown call are thawed.
-            from repro.xquery.arena_eval import evaluate_query_arena
-
             return evaluate_query_arena(
-                doc_or_path, self.plan, nfa_for=self.user.cache.selecting_nfa_for
+                doc, self.plan, nfa_for=self.user.cache.selecting_nfa_for
             )
-        from repro.compose.compose import evaluate_composed
+        _read_on(doc)
+        return evaluate_composed(doc, self.plan)
 
-        return evaluate_composed(_resident(doc_or_path), self.plan)
+    def run_file(self, path: FilePath) -> Iterator[str]:
+        """The composed answer over a file, serialized: the plan on its
+        columns (the view is never materialized)."""
+        nfa_for = self.user.cache.selecting_nfa_for
+        return _read_file(path, lambda arena: ArenaEvaluator(arena, nfa_for).evaluate_refs(self.plan))
 
     def run_naive(self, doc_or_path: Input) -> list:
         """The oracle: materialize the view, then query it."""

@@ -1,17 +1,19 @@
-"""Fully streaming ``Q(Qt(T))`` — composition over the two-pass SAX
-algorithm (the paper's future-work item).
+"""Fully streaming ``Q(T)`` and ``Q(Qt(T))`` — user queries and
+composition over the two-pass SAX algorithm (the paper's future-work
+item).
 
-The pipeline chains three bounded-memory stages:
+:func:`stream_query` runs the user path through
+:func:`~repro.streaming.select.stream_select` and evaluates the
+query's ``where``/``return`` clauses per matched subtree — each small,
+so peak memory stays bounded by document depth plus the largest single
+match.  :func:`stream_compose` feeds it the view, in three stages:
 
 1. pass 1 of ``twoPassSAX`` computes the transform's ``Ld`` list;
 2. pass 2 is *re-run as a factory*: it deterministically re-produces
    the transformed document's event stream on demand (the transformed
    document itself never exists in memory or on disk);
-3. :func:`~repro.streaming.select.stream_select` runs the user path on
-   that stream (its own two passes re-invoke stage 2), and the user
-   query's ``where``/``return`` clauses are evaluated per matched
-   subtree — each small, so peak memory stays bounded by document
-   depth plus the largest single match.
+3. :func:`stream_query` runs on that stream (its selector's two passes
+   re-invoke stage 2).
 
 The source is consumed three times in total (once for the transform's
 ``Ld``, twice for the selector's passes); each consumption is a fresh
@@ -20,18 +22,37 @@ streaming scan.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.automata.filtering import build_filtering_nfa
 from repro.automata.selecting import build_selecting_nfa
+from repro.streaming.select import EventSource, stream_select
 from repro.transform.query import TransformQuery
 from repro.transform.sax_twopass import pass1_collect_ld, pass2_transform
-from repro.xmltree.node import Element
-from repro.xmltree.sax import SAXEvent, iter_sax_file
-from repro.xquery.ast import BoolAnd, EmptySeq, UserQuery
-from repro.xquery.evaluator import Environment, eval_bool, eval_expr
+from repro.xmltree.sax import SAXEvent
+from repro.xpath.ast import Path
+from repro.xquery.ast import UserQuery
+from repro.xquery.evaluator import Environment, eval_expr
 
-EventSource = Callable[[], Iterable[SAXEvent]]
+
+def stream_query(source: EventSource, user_query: UserQuery) -> Iterator:
+    """Stream the answer of ``Q(T)`` item by item.  A final ``@a`` step
+    binds the selected elements' ``a`` attributes.  The path's automata
+    are compiled at the call: a path they cannot compile raises before
+    *source* is read."""
+    steps = user_query.path.steps
+    attr = steps[-1].name if steps and steps[-1].kind == "attr" else None
+    path = Path(steps[:-1]) if attr is not None else user_query.path
+    selecting, filtering = build_selecting_nfa(path), build_filtering_nfa(path)
+    body = user_query.core().body  # the where clause around the template
+
+    def answer() -> Iterator:
+        for match in stream_select(source, path, selecting, filtering):
+            if attr is None or attr in match.attrs:
+                item = match if attr is None else match.attrs[attr]
+                yield from eval_expr(body, Environment({user_query.var: [item]}), item)
+
+    return answer()
 
 
 def stream_compose(
@@ -40,41 +61,16 @@ def stream_compose(
     transform_query: TransformQuery,
 ) -> Iterator:
     """Stream the answer of ``Q(Qt(T))`` item by item."""
-    from repro.streaming.select import stream_select
-
     transform_selecting = build_selecting_nfa(transform_query.path)
     transform_filtering = build_filtering_nfa(transform_query.path)
-    transform_ld = pass1_collect_ld(source(), transform_filtering)
 
     def transformed_events() -> Iterable[SAXEvent]:
         return pass2_transform(
             source(), transform_selecting, transform_query, transform_ld
         )
 
-    for match in stream_select(transformed_events, user_query.path):
-        yield from _finish(match, user_query)
-
-
-def _finish(match: Element, user_query: UserQuery) -> Iterator:
-    """Apply the where clause and return template to one bound node."""
-    env = Environment({user_query.var: [match]})
-    conditions = user_query.conditions
-    if conditions:
-        merged = conditions[0]
-        for extra in conditions[1:]:
-            merged = BoolAnd(merged, extra)
-        if not eval_bool(merged, env, match):
-            return
-    yield from eval_expr(user_query.template, env, match)
-
-
-def stream_compose_file(
-    path_on_disk: str,
-    user_query: UserQuery,
-    transform_query: TransformQuery,
-) -> Iterator:
-    """``Q(Qt(file))``, streaming, without materializing either tree."""
-    def source() -> Iterable[SAXEvent]:
-        return iter_sax_file(path_on_disk)
-
-    return stream_compose(source, user_query, transform_query)
+    # The user path's automata first: one they cannot compile is
+    # refused before the Ld pass reads the whole source.
+    answer = stream_query(transformed_events, user_query)
+    transform_ld = pass1_collect_ld(source(), transform_filtering)
+    yield from answer

@@ -1,10 +1,11 @@
 """Streaming evaluation of ``X`` path expressions over SAX events.
 
 ``stream_select(source, p)`` yields the subtrees of the nodes in
-``r[[p]]``, in document order, reading the document twice (the
-Section-6 two-pass discipline: pass 1 records qualifier truths in the
-cursor-indexed ``Ld`` list, pass 2 runs the selecting NFA and already
-knows, at each ``startElement``, whether the node is selected).
+``r[[p]]`` (the root too, for ``//.``), in document order, reading the
+document twice (the Section-6 two-pass discipline: pass 1 records
+qualifier truths in the cursor-indexed ``Ld`` list, pass 2 runs the
+selecting NFA and already knows, at each ``startElement``, whether the
+node is selected).
 
 Because the discipline *requires* two reads, the event source must be
 replayable: ``source()`` is called once per pass and must return a
@@ -38,7 +39,6 @@ from repro.xmltree.sax import (
     StartElement,
     TextEvent,
     TwoPassSource,
-    iter_sax_file,
 )
 from repro.xpath.ast import Path
 
@@ -114,9 +114,10 @@ def _select_pass2(
     for event in events:
         if isinstance(event, StartElement):
             if not stack:
-                set_id, alive, cursor = dfa.root_tracked(ld, cursor)
+                set_id, alive, cursor, selected = dfa.root_tracked(ld, cursor)
                 stack.append((set_id, alive))
-                # The root itself is never selected in this fragment.
+                if selected:
+                    captures.append(_Capture(event.name, event.attrs))
                 continue
             set_id, alive, cursor, selected = advance(
                 stack[-1][0], stack[-1][1], event.name, ld, cursor
@@ -128,10 +129,9 @@ def _select_pass2(
             if selected:
                 captures.append(_Capture(event.name, event.attrs))
         elif isinstance(event, EndElement):
-            if len(stack) > 1:  # the root entry has no capture scope
-                for capture in captures:
-                    if not capture.done:
-                        capture.end()
+            for capture in captures:
+                if not capture.done:
+                    capture.end()
             stack.pop()
             # Emit completed matches from the front to keep document order.
             while captures and captures[0].done:
@@ -143,10 +143,3 @@ def _select_pass2(
     # All captures close with their end tags; nothing can remain open.
     # (TwoPassSource raises before we get here if pass 2 was starved.)
 
-
-def stream_select_file(path_on_disk: str, path: Path) -> Iterator[Element]:
-    """Streaming selection straight from a file."""
-    def source() -> Iterable[SAXEvent]:
-        return iter_sax_file(path_on_disk)
-
-    return stream_select(source, path)

@@ -5,10 +5,10 @@ paper)::
 
     transform copy $a := doc("T0") modify do <update> return $a
 
-``do`` may be left out.  The update's paths are written against the
-copy variable (``delete $a//price``); the same variable must be
-returned.  The parser reads the text once, as one token stream, the
-update included.
+``do`` may be left out.  The update's path is written against the
+copy variable (``delete $a//price``) or from the root; the same
+variable must be returned.  The parser reads the text once, as one
+token stream, the update included.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class TransformQuery:
         doc = self.doc if self.doc is not None else "T0"
         return (
             f'transform copy ${self.var} := doc("{doc}") '
-            f"modify do {self.update} return ${self.var}"
+            f"modify do {self.update.render(self.var)} return ${self.var}"
         )
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -59,7 +59,7 @@ def parse_transform_query(source: str) -> TransformQuery:
     stream.expect_name("modify")
     if stream.at_name("do"):
         stream.advance()
-    update = read_update(stream)
+    update = read_update(stream, var)
     stream.expect_name("return")
     returned = stream.expect(lx.DOLLAR)
     name = stream.expect(lx.NAME).value

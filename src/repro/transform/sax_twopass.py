@@ -234,10 +234,10 @@ def pass2_transform(
     for event in events:
         if isinstance(event, StartElement):
             if not stack:
-                # The root consumes no symbol and is never selected; a
+                # The root consumes no symbol and is never updated; a
                 # context qualifier (.[q]/…) consumes its cursor id here,
                 # mirroring pass 1's root entry.
-                set_id, alive, cursor = dfa.root_tracked(ld, cursor)
+                set_id, alive, cursor, _ = dfa.root_tracked(ld, cursor)
                 stack.append(_Pass2Entry(set_id, alive, event.name, False))
                 yield event
                 continue

@@ -55,8 +55,12 @@ class Update:
         """
         raise NotImplementedError
 
-    def __str__(self) -> str:
+    def render(self, var: str = "a") -> str:
+        """The update's text, its path written against ``$var``."""
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        return self.render()
 
 
 class Insert(Update):
@@ -76,10 +80,10 @@ class Insert(Update):
         rebuilt.children.append(deep_copy(self.content))
         return [rebuilt]
 
-    def __str__(self) -> str:
+    def render(self, var: str = "a") -> str:
         from repro.xmltree.serializer import serialize
 
-        return f"insert {serialize(self.content)} into {path_with_var(self.path)}"
+        return f"insert {serialize(self.content)} into {path_with_var(self.path, var)}"
 
 
 class Delete(Update):
@@ -91,8 +95,8 @@ class Delete(Update):
     def result_for_match(self, rebuilt: Element) -> list[Node]:
         return []
 
-    def __str__(self) -> str:
-        return f"delete {path_with_var(self.path)}"
+    def render(self, var: str = "a") -> str:
+        return f"delete {path_with_var(self.path, var)}"
 
 
 class Replace(Update):
@@ -108,10 +112,10 @@ class Replace(Update):
     def result_for_match(self, rebuilt: Element) -> list[Node]:
         return [deep_copy(self.content)]  # fresh per match (tree, not DAG)
 
-    def __str__(self) -> str:
+    def render(self, var: str = "a") -> str:
         from repro.xmltree.serializer import serialize
 
-        return f"replace {path_with_var(self.path)} with {serialize(self.content)}"
+        return f"replace {path_with_var(self.path, var)} with {serialize(self.content)}"
 
 
 class Rename(Update):
@@ -128,8 +132,8 @@ class Rename(Update):
         rebuilt.label = self.new_label
         return [rebuilt]
 
-    def __str__(self) -> str:
-        return f"rename {path_with_var(self.path)} as {self.new_label}"
+    def render(self, var: str = "a") -> str:
+        return f"rename {path_with_var(self.path, var)} as {self.new_label}"
 
 
 # ----------------------------------------------------------------------
@@ -145,27 +149,27 @@ def parse_update(source: str) -> Update:
     return update
 
 
-def read_update(stream: TokenStream) -> Update:
+def read_update(stream: TokenStream, var: str = "") -> Update:
     """Parse the update at the current token (alone, or a transform
-    query's body); the element literal ``e`` is read as XML."""
+    query's body, copying *var*); the element literal is read as XML."""
     token = stream.current
     kind = token.value if token.type == lx.NAME else ""
     if kind == "insert":
         stream.advance()
         content = stream.element()
         stream.expect_name("into")
-        return Insert(parse_rooted_path(stream, selecting=True), content)
+        return Insert(parse_rooted_path(stream, True, var), content)
     if kind == "delete":
         stream.advance()
-        return Delete(parse_rooted_path(stream, selecting=True))
+        return Delete(parse_rooted_path(stream, True, var))
     if kind == "replace":
         stream.advance()
-        path = parse_rooted_path(stream, selecting=True)
+        path = parse_rooted_path(stream, True, var)
         stream.expect_name("with")
         return Replace(path, stream.element())
     if kind == "rename":
         stream.advance()
-        path = parse_rooted_path(stream, selecting=True)
+        path = parse_rooted_path(stream, True, var)
         stream.expect_name("as")
         return Rename(path, stream.expect(lx.NAME).value)
     raise stream.error(

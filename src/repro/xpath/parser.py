@@ -94,12 +94,16 @@ def parse_path(stream: TokenStream, selecting: bool = False) -> Path:
     return Path(tuple(steps))
 
 
-def parse_rooted_path(stream: TokenStream, selecting: bool = False) -> Path:
+def parse_rooted_path(stream: TokenStream, selecting: bool = False, var: str = "") -> Path:
     """A path, optionally written from a variable (``$a/p``): an update
-    target, or a user query's for-source.  Any leading variable stands
-    for the document root."""
-    if stream.accept(lx.DOLLAR):
-        stream.expect(lx.NAME)
+    target, or a user query's for-source.  The variable stands for the
+    document root; given *var*, another name is refused at its ``$``."""
+    dollar = stream.accept(lx.DOLLAR)
+    if dollar:
+        name = stream.expect(lx.NAME).value
+        if var not in ("", name):
+            message = f"unknown variable ${name}; the copy variable is ${var}"
+            raise XPathSyntaxError(message, dollar.pos)
         if stream.current.type not in (lx.SLASH, lx.DSLASH):
             raise stream.error("expected a path after the variable")
     return parse_path(stream, selecting)

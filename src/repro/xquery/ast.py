@@ -284,7 +284,7 @@ class UserQuery:
     template: Expr            # the return expression
     source_text: str = ""
 
-    def core(self) -> Expr:
+    def core(self) -> For:
         """Desugar to the expression core."""
         body: Expr = self.template
         if self.conditions:

@@ -370,9 +370,8 @@ class TestCLI:
         assert code == 0
         captured = capsys.readouterr()
         assert "<keyword>" in captured.out
-        assert "backend: arena" in captured.err
+        assert "route: columns" in captured.err
         assert "peak memory:" in captured.err
-        assert "column bytes" in captured.err
 
     def test_store_stat_reports_arena(self, tmp_path, capsys):
         from repro.cli import main

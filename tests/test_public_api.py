@@ -12,7 +12,7 @@ class TestSurface:
             assert hasattr(repro, name), f"repro.{name} missing"
 
     def test_version(self):
-        assert repro.__version__ == "1.34.0"
+        assert repro.__version__ == "1.35.0"
 
     def test_no_build_tooling_in_the_package(self):
         """1.29.0: the lint pass is a build-time tool under

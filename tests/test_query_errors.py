@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.transform.query import parse_transform_query
+from repro.transform.query import TransformQuery, parse_transform_query
 from repro.updates.ops import parse_update
 from repro.xpath.lexer import XPathSyntaxError
 from repro.xpath.parser import parse_xpath
@@ -54,6 +54,10 @@ ROWS = [
      "= 1] return $a"),
     ("transform", T + "delete $a//p[ return $a", "expected 'RBRACKET', found '$'", "$a"),
     ("transform", T + "delete $a/x return $b", "transform must return $a, not $b", "$b"),
+    ("transform", 'transform copy $d := doc("f") modify do delete $zzz/x return $d',
+     "unknown variable $zzz; the copy variable is $d", "$zzz/x return $d"),
+    ("transform", T + "insert <n/> into $b//x return $a",
+     "unknown variable $b; the copy variable is $a", "$b//x return $a"),
     ("transform", T + "delete $a/x return $b;", "transform must return $a, not $b", "$b;"),
     ("transform", T + "delete $a/x return $a $a", "unexpected trailing input '$'", "$a"),
     ("transform", T + "delete $a/x", "expected keyword 'return', found ''", ""),
@@ -97,3 +101,19 @@ def test_text_in_front_moves_the_offset_by_its_length(parser, text, message, res
     with pytest.raises(XPathSyntaxError) as caught:
         PARSERS[parser](" \t\r\n" + text)
     assert caught.value.pos == 4 + _fault(text, rest)
+
+
+def test_the_update_prints_the_copy_variable_it_was_written_from():
+    text = 'transform copy $d := doc("f") modify do rename $d//x as y return $d'
+    assert str(parse_transform_query(text)) == text
+    assert str(parse_transform_query(str(parse_transform_query(text)))) == text
+
+
+def test_a_transform_built_from_an_update_prints_its_own_variable():
+    """The copy variable lives in the transform query alone: an update
+    parsed on its own renders against whichever variable copies it."""
+    update = parse_update("delete $a/x")
+    built = TransformQuery(update, doc="f", var="d")
+    assert str(built) == 'transform copy $d := doc("f") modify do delete $d/x return $d'
+    assert str(parse_transform_query(str(built))) == str(built)
+    assert str(update) == "delete $a/x"

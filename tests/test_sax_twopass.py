@@ -136,6 +136,19 @@ class TestPass2Mechanics:
         )
         assert out == "<r><a><x/></a></r>"
 
+    @pytest.mark.parametrize(
+        "update, want",
+        [
+            ("delete $a/.[zzz]//a", "<r><a><b/></a><a/></r>"),
+            ("delete $a/.[a]//b", "<r><a/><a/></r>"),
+            ("rename $a/.[zzz]/a as c", "<r><a><b/></a><a/></r>"),
+        ],
+    )
+    def test_a_context_qualifier_is_decided_at_the_root(self, update, want):
+        # A context qualifier that fails at the root selects nothing:
+        # the states ε reaches from the start state die with it.
+        assert self.run("<r><a><b/></a><a/></r>", update) == want
+
 
 class TestFileInterface:
     def test_file_to_file(self, tmp_path):
